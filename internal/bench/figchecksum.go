@@ -77,10 +77,16 @@ func runFigChecksum(cfg Config) (*Table, error) {
 
 	// PageRank, verified (default) vs NoVerify: same physical reads, same
 	// bits out, and the verified run's coverage is the headline metric.
+	// The three PageRank runs use one thread, the only count at which two
+	// runs of a float-sum program compare bit for bit and byte for byte:
+	// with more, the order scatter ranges reach the update stream depends
+	// on scheduling (ROADMAP "Fix first", step 2).
+	one := cfg
+	one.Threads = 1
 	var prStats [2]core.Stats
 	var prVerts [2][]algorithms.PRState
 	for i, noVerify := range []bool{false, true} {
-		res, err := figChecksumRun(cfg, src, algorithms.NewPageRank(5),
+		res, err := figChecksumRun(one, src, algorithms.NewPageRank(5),
 			func(dc *diskengine.Config) { dc.NoVerify = noVerify })
 		if err != nil {
 			return nil, fmt.Errorf("pagerank noverify=%v: %w", noVerify, err)
@@ -113,7 +119,7 @@ func runFigChecksum(cfg Config) (*Table, error) {
 
 	// PageRank with checkpoints: the write overhead is exactly the
 	// snapshot volume, pinned so it can't silently grow.
-	ckptRes, err := figChecksumRun(cfg, src, algorithms.NewPageRank(5),
+	ckptRes, err := figChecksumRun(one, src, algorithms.NewPageRank(5),
 		func(dc *diskengine.Config) { dc.Checkpoint = true })
 	if err != nil {
 		return nil, fmt.Errorf("pagerank checkpoint: %w", err)

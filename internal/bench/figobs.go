@@ -115,15 +115,21 @@ func runFigObs(cfg Config) (*Table, error) {
 		})
 	}
 
-	// Dense PageRank, in-memory: untraced vs traced.
-	prOff, err := runMem(src, algorithms.NewPageRank(5), cfg,
+	// Dense PageRank, in-memory: untraced vs traced — at one thread, the
+	// only count at which two identical runs agree on the combining
+	// metrics (with more, the order partition tasks reach the update
+	// stream depends on scheduling, so UpdatesCombined wobbles by tens of
+	// records with or without a tracer; ROADMAP "Fix first", step 2).
+	one := cfg
+	one.Threads = 1
+	prOff, err := runMem(src, algorithms.NewPageRank(5), one,
 		func(mc *memengine.Config) { mc.Partitions = 16 })
 	if err != nil {
 		return nil, fmt.Errorf("pagerank untraced: %w", err)
 	}
 	addRow("pagerank/mem", "off", prOff, 0)
 	rec := obs.NewRecorder()
-	prOn, err := runMem(src, algorithms.NewPageRank(5), cfg,
+	prOn, err := runMem(src, algorithms.NewPageRank(5), one,
 		func(mc *memengine.Config) { mc.Partitions = 16; mc.Tracer = rec })
 	if err != nil {
 		return nil, fmt.Errorf("pagerank traced: %w", err)

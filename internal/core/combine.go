@@ -39,17 +39,20 @@ func NewUpdateFolder[M any](split Split, workers int, combine func(a, b M) M) *s
 // epoch rather than clearing.
 //
 // A CombineBuffer belongs to one goroutine; it is not safe for concurrent
-// use. Engines create one per scatter task, so the combining it performs is
-// a deterministic function of the task's edge order, independent of thread
-// scheduling.
+// use. Engines hold one per scatter worker for the whole run and Reset it
+// at the start of every scatter task to the capacity that task calls for,
+// so the combining it performs is a deterministic function of the task's
+// edge order, independent of thread scheduling and of what the buffer
+// staged before.
 type CombineBuffer[M any] struct {
-	recs    []Update[M]
-	slots   []uint64 // epoch<<32 | (record index + 1)
+	store   []Update[M] // backing array, sized for the largest capacity
+	recs    []Update[M] // store[:n:capacity] — the staged records
+	slots   []uint64    // epoch<<32 | (record index + 1)
 	mask    uint32
 	epoch   uint32
 	combine func(a, b M) M
 
-	// Combined counts updates merged away since construction.
+	// Combined counts updates merged away since construction or Reset.
 	Combined int64
 }
 
@@ -60,15 +63,50 @@ func NewCombineBuffer[M any](capacity int, combine func(a, b M) M) *CombineBuffe
 	if capacity < 1 {
 		capacity = 1
 	}
-	slots := NextPow2(2 * capacity)
-	return &CombineBuffer[M]{
-		recs:    make([]Update[M], 0, capacity),
-		slots:   make([]uint64, slots),
-		mask:    uint32(slots - 1),
-		epoch:   1,
+	c := &CombineBuffer[M]{
+		store:   make([]Update[M], capacity),
+		slots:   make([]uint64, NextPow2(2*capacity)),
 		combine: combine,
 	}
+	c.Reset(capacity)
+	return c
 }
+
+// Reset empties the buffer, zeroes Combined and re-sizes it to stage up to
+// capacity records, in O(1): the allocation made by NewCombineBuffer is
+// kept (its capacity is the ceiling; a larger request is clamped to it),
+// the slot table shrinks to the prefix a fresh buffer of this capacity
+// would have, and every remembered slot is forgotten by the epoch bump. A
+// Reset buffer therefore combines, fills and drains exactly like
+// NewCombineBuffer(capacity, combine).
+func (c *CombineBuffer[M]) Reset(capacity int) {
+	if capacity < 1 {
+		capacity = 1
+	}
+	if capacity > len(c.store) {
+		capacity = len(c.store)
+	}
+	c.recs = c.store[:0:capacity]
+	c.mask = uint32(NextPow2(2*capacity) - 1)
+	c.Combined = 0
+	c.bumpEpoch()
+}
+
+// bumpEpoch invalidates every slot in O(1).
+func (c *CombineBuffer[M]) bumpEpoch() {
+	c.epoch++
+	if c.epoch == 0 { // epoch wrapped: stale slots could alias, clear them
+		for i := range c.slots {
+			c.slots[i] = 0
+		}
+		c.epoch = 1
+	}
+}
+
+// MaxBufGrowth is the ceiling of DegreeAwareBufRecs' growth over the base
+// capacity: a combining buffer made with MaxBufGrowth·baseRecs records can
+// be Reset to any capacity DegreeAwareBufRecs returns for that base.
+const MaxBufGrowth = 16
 
 // DegreeAwareBufRecs sizes a scatter-side combining buffer for one
 // partition from its average out-degree. baseRecs is the configured
@@ -76,12 +114,12 @@ func NewCombineBuffer[M any](capacity int, combine func(a, b M) M) *CombineBuffe
 // partition being scattered. A vertex of out-degree d emits up to d updates
 // whose destinations repeat across the partition's edge chunk, so a window
 // proportional to the average degree catches correspondingly more
-// same-destination merges; dense partitions grow the buffer up to 16× the
-// base, growth is capped at the partition's own edge count (a bigger
-// buffer than the chunk cannot combine anything extra), and the result
-// never shrinks below baseRecs. The
-// result is a deterministic function of (baseRecs, edges, verts), so
-// combining stays a deterministic function of the partition's edge order.
+// same-destination merges; dense partitions grow the buffer up to
+// MaxBufGrowth× the base, growth is capped at the partition's own edge
+// count (a bigger buffer than the chunk cannot combine anything extra), and
+// the result never shrinks below baseRecs. The result is a deterministic
+// function of (baseRecs, edges, verts), so combining stays a deterministic
+// function of the partition's edge order.
 func DegreeAwareBufRecs(baseRecs int, edges, verts int64) int {
 	if baseRecs < 1 {
 		baseRecs = 1
@@ -94,7 +132,7 @@ func DegreeAwareBufRecs(baseRecs int, edges, verts int64) int {
 		avg = 1
 	}
 	recs := int64(baseRecs) * avg
-	if lim := int64(baseRecs) * 16; recs > lim {
+	if lim := int64(baseRecs) * MaxBufGrowth; recs > lim {
 		recs = lim
 	}
 	if recs > edges {
@@ -135,11 +173,5 @@ func (c *CombineBuffer[M]) Drain(fn func([]Update[M])) {
 		fn(c.recs)
 	}
 	c.recs = c.recs[:0]
-	c.epoch++
-	if c.epoch == 0 { // epoch wrapped: stale slots could alias, clear them
-		for i := range c.slots {
-			c.slots[i] = 0
-		}
-		c.epoch = 1
-	}
+	c.bumpEpoch()
 }

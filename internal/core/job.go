@@ -205,10 +205,13 @@ type JobRun interface {
 	// NeedsTile reports whether an edge tile with the given source span
 	// may matter to the job this iteration.
 	NeedsTile(span SrcSpan) bool
-	// NewScatter returns a scatter sink for partition p whose edge chunk
-	// holds chunkEdges records. Sinks are single-goroutine; Flush must be
-	// called when the partition's edges are exhausted.
-	NewScatter(p int, chunkEdges int64) JobScatter
+	// NewScatter returns engine worker w's scatter sink (0 ≤ w < the
+	// setup's Threads), readied for partition p whose edge chunk holds
+	// chunkEdges records. The run owns one sink per worker for its whole
+	// life, so a worker must Flush its sink — when the partition's edges
+	// are exhausted — before asking for the next. Sinks are
+	// single-goroutine.
+	NewScatter(w, p int, chunkEdges int64) JobScatter
 	// SkipPartition accounts a whole partition chunk the job's frontier
 	// proved useless (the engine never handed it to a sink). Safe for
 	// concurrent use from partition tasks.
@@ -328,6 +331,11 @@ type jobRun[V, M any] struct {
 	sealed bool
 
 	basePriv int
+	// sinks holds one scatter sink per engine worker, made with its private
+	// buffer on the worker's first partition (by the worker: sinks count
+	// per edge, so two must not share a cache line) and reused until the
+	// run ends.
+	sinks    []*jobScatter[V, M]
 	done     bool
 	finished bool
 	iterSent int64
@@ -397,6 +405,7 @@ func (r *jobRun[V, M]) Setup(s JobSetup) error {
 	if r.basePriv < 1 {
 		r.basePriv = 1
 	}
+	r.sinks = make([]*jobScatter[V, M], max(s.Threads, 1))
 	r.verts = make([]V, s.NumVertices)
 	for i := range r.verts {
 		id := VertexID(i)
@@ -474,15 +483,23 @@ func (r *jobRun[V, M]) SkipTiles(edges, tiles int64) {
 	r.itSkipTiles.Add(tiles)
 }
 
-func (r *jobRun[V, M]) NewScatter(p int, chunkEdges int64) JobScatter {
-	s := &jobScatter[V, M]{r: r, p: uint32(p)}
+func (r *jobRun[V, M]) NewScatter(w, p int, chunkEdges int64) JobScatter {
+	s := r.sinks[w]
+	if s == nil {
+		s = new(jobScatter[V, M])
+		r.sinks[w] = s
+	}
+	*s = jobScatter[V, M]{r: r, p: uint32(p), cb: s.cb, priv: s.priv[:0]}
 	if r.combine != nil {
+		if s.cb == nil {
+			s.cb = NewCombineBuffer[M](MaxBufGrowth*r.basePriv, r.combine)
+		}
 		lo, hi := r.part.Range(p, r.setup.NumVertices)
-		s.cb = NewCombineBuffer[M](DegreeAwareBufRecs(r.basePriv, chunkEdges, hi-lo), r.combine)
+		s.cb.Reset(DegreeAwareBufRecs(r.basePriv, chunkEdges, hi-lo))
 		if r.rep != nil {
 			s.mb = r.mbPool.Get().(*MirrorBuffer[M])
 		}
-	} else {
+	} else if s.priv == nil {
 		s.priv = make([]Update[M], 0, r.basePriv)
 	}
 	return s

@@ -124,15 +124,32 @@ type edgeStream interface {
 	PhysBytes() int64
 }
 
-// openSegment opens the stream for one planned segment of an edge file.
-// verify only matters for compressed segments, whose tilecodec frames are
-// checksum-checked as they decode; raw segments are verified above the
-// reader by streamSegments' rawTileVerifier.
-func openSegment(f storage.File, seg edgeSegment, chunkRecs int, prefetch, verify bool) edgeStream {
-	if seg.tiles == nil {
-		return newChunkReaderRange[core.Edge](f, seg.lo*edgeRecSize, seg.hi*edgeRecSize, chunkRecs, prefetch)
+// edgeScratch is the edge-read side's run-lived buffer set: the record
+// double buffer and raw reader of readScratch plus what only the compressed
+// layout needs, the encoded-byte scratch and the tile reader. A solo run, a
+// shared pass and a backward-file build each own one and hand it to
+// streamSegments, which opens one segment's reader over it at a time.
+type edgeScratch struct {
+	readScratch[core.Edge]
+	raw  []byte // encoded bytes of one tile batch
+	tile tileReader
+}
+
+// openSegment opens the stream for one planned segment of an edge file over
+// sc's buffers. verify only matters for compressed segments, whose
+// tilecodec frames are checksum-checked as they decode; raw segments are
+// verified above the reader by streamSegments' rawTileVerifier. The
+// previous segment's reader must have been closed: a scratch still lent is
+// a bug.
+func (sc *edgeScratch) openSegment(f storage.File, seg edgeSegment, chunkRecs int, prefetch, verify bool) edgeStream {
+	if seg.tiles != nil {
+		if rd := sc.openTiles(f, seg.tiles, chunkRecs, prefetch, verify); rd != nil {
+			return rd
+		}
+	} else if rd := sc.openChunks(f, seg.lo*edgeRecSize, seg.hi*edgeRecSize, chunkRecs, prefetch); rd != nil {
+		return rd
 	}
-	return newTileReader(f, seg.tiles, chunkRecs, prefetch, verify)
+	panic("diskengine: edge reader scratch lent twice")
 }
 
 // rawTileVerifier re-checksums a raw edge file's streamed records against
@@ -220,7 +237,7 @@ func (v *rawTileVerifier) feed(chunk []core.Edge) error {
 // corruption. It returns the physical and logical byte volume delivered
 // (equal for the raw layout, phys < logical when tiles decoded to more
 // than was read) plus the byte volume checksum-verified.
-func streamSegments(ctx context.Context, pf *partFile, p int, tiles *diskTiles, verify bool, segs []edgeSegment, chunkRecs int, prefetch bool, fn func([]core.Edge) error) (phys, logical, checked int64, err error) {
+func streamSegments(ctx context.Context, sc *edgeScratch, pf *partFile, p int, tiles *diskTiles, verify bool, segs []edgeSegment, chunkRecs int, prefetch bool, fn func([]core.Edge) error) (phys, logical, checked int64, err error) {
 	var ver *rawTileVerifier
 	if verify {
 		ver = newRawTileVerifier(pf, tiles, p)
@@ -233,7 +250,7 @@ func streamSegments(ctx context.Context, pf *partFile, p int, tiles *diskTiles, 
 	for _, seg := range segs {
 		verSeg := ver != nil && ver.startSegment(seg.lo)
 		var segRecs int64
-		rd := openSegment(pf.f, seg, chunkRecs, prefetch, verify)
+		rd := sc.openSegment(pf.f, seg, chunkRecs, prefetch, verify)
 		for err == nil {
 			var chunk []core.Edge
 			chunk, err = rd.Next()
@@ -293,32 +310,27 @@ func streamSegments(ctx context.Context, pf *partFile, p int, tiles *diskTiles, 
 // one. Consecutive tiles are physically adjacent, so one ReadAt covers
 // each batch and the I/O stays sequential at the configured request size.
 type tileReader struct {
+	sc        *edgeScratch // nil once closed
 	f         storage.File
 	tiles     []tileSpan
+	idx       int // next tile to decode
 	chunkRecs int
+	capRecs   int // records the largest batch decodes to
 	verify    bool
 	phys      int64
-	cur       []core.Edge
-
-	// async mode
-	ready chan tileRes
-	free  chan []core.Edge
-	done  chan struct{}
-
-	// sync mode (prefetch disabled, used by the ablation)
-	idx int
-	buf []core.Edge
-
-	raw []byte // encoded-byte scratch, owned by whichever side decodes
+	prefetcher[core.Edge]
 }
 
-type tileRes struct {
-	recs []core.Edge
-	phys int64
-	err  error
-}
-
-func newTileReader(f storage.File, tiles []tileSpan, chunkRecs int, prefetch, verify bool) *tileReader {
+// openTiles lends the scratch to a reader decoding one planned run of
+// encoded tiles of f. With prefetch a dedicated goroutine reads and decodes
+// ahead (paying the decode CPU off the scatter threads) — unless the run is
+// a single batch, which has nothing to overlap with and is decoded inline
+// like the no-prefetch ablation. It returns nil when the scratch is still
+// lent to another reader.
+func (sc *edgeScratch) openTiles(f storage.File, tiles []tileSpan, chunkRecs int, prefetch, verify bool) *tileReader {
+	if !sc.busy.CompareAndSwap(false, true) {
+		return nil
+	}
 	// A decode buffer must hold the largest batch: consecutive tiles up to
 	// chunkRecs records, or any single oversized tile whole.
 	capRecs := chunkRecs
@@ -327,17 +339,11 @@ func newTileReader(f storage.File, tiles []tileSpan, chunkRecs int, prefetch, ve
 			capRecs = int(tl.recs)
 		}
 	}
-	r := &tileReader{f: f, tiles: tiles, chunkRecs: chunkRecs, verify: verify}
-	if !prefetch {
-		r.buf = make([]core.Edge, capRecs)
-		return r
+	r := &sc.tile
+	*r = tileReader{sc: sc, f: f, tiles: tiles, chunkRecs: chunkRecs, capRecs: capRecs, verify: verify}
+	if prefetch && len(tiles) > 0 && batchEnd(tiles, 0, chunkRecs) < len(tiles) {
+		r.start(sc.buf(0, capRecs), sc.buf(1, capRecs), r.fill)
 	}
-	r.ready = make(chan tileRes, 1)
-	r.free = make(chan []core.Edge, 2)
-	r.done = make(chan struct{})
-	r.free <- make([]core.Edge, capRecs)
-	r.free <- make([]core.Edge, capRecs)
-	go r.reader()
 	return r
 }
 
@@ -360,10 +366,10 @@ func batchEnd(tiles []tileSpan, i, chunkRecs int) int {
 func (r *tileReader) decodeBatch(i, j int, out []core.Edge) ([]core.Edge, int64, error) {
 	off := r.tiles[i].off
 	n := r.tiles[j-1].off + r.tiles[j-1].bytes - off
-	if int64(cap(r.raw)) < n {
-		r.raw = make([]byte, n)
+	if int64(cap(r.sc.raw)) < n {
+		r.sc.raw = make([]byte, n)
 	}
-	raw := r.raw[:n]
+	raw := r.sc.raw[:n]
 	if err := readBytes(r.f, raw, off); err != nil {
 		return nil, 0, err
 	}
@@ -385,67 +391,39 @@ func (r *tileReader) decodeBatch(i, j int, out []core.Edge) ([]core.Edge, int64,
 	return out[:used], n, nil
 }
 
-// reader is the dedicated decode goroutine (§3.3: one I/O thread per
-// stream — here it also pays the decode CPU off the scatter threads).
-func (r *tileReader) reader() {
-	defer close(r.ready)
-	for i := 0; i < len(r.tiles); {
-		var buf []core.Edge
-		select {
-		case buf = <-r.free:
-		case <-r.done:
-			return
-		}
-		j := batchEnd(r.tiles, i, r.chunkRecs)
-		recs, phys, err := r.decodeBatch(i, j, buf)
-		select {
-		case r.ready <- tileRes{recs: recs, phys: phys, err: err}:
-		case <-r.done:
-			return
-		}
-		if err != nil {
-			return
-		}
-		i = j
+// fill decodes the next batch of tiles into buf.
+func (r *tileReader) fill(buf []core.Edge) ([]core.Edge, int64, error) {
+	if r.idx >= len(r.tiles) {
+		return nil, 0, nil
 	}
+	j := batchEnd(r.tiles, r.idx, r.chunkRecs)
+	recs, phys, err := r.decodeBatch(r.idx, j, buf)
+	if err == nil {
+		r.idx = j
+	}
+	return recs, phys, err
 }
 
 // Next returns the next decoded batch, or nil at end of stream. The
 // returned slice is only valid until the following Next call.
-func (r *tileReader) Next() ([]core.Edge, error) {
-	if r.ready == nil { // synchronous mode
-		if r.idx >= len(r.tiles) {
-			return nil, nil
-		}
-		j := batchEnd(r.tiles, r.idx, r.chunkRecs)
-		recs, phys, err := r.decodeBatch(r.idx, j, r.buf)
-		if err != nil {
-			return nil, err
-		}
-		r.idx = j
-		r.phys += phys
-		return recs, nil
+func (r *tileReader) Next() (recs []core.Edge, err error) {
+	var phys int64
+	if r.ready == nil {
+		recs, phys, err = r.fill(r.sc.buf(0, r.capRecs))
+	} else {
+		recs, phys, err = r.next()
 	}
-	if r.cur != nil {
-		r.free <- r.cur[:cap(r.cur)]
-		r.cur = nil
-	}
-	res, ok := <-r.ready
-	if !ok {
-		return nil, nil
-	}
-	if res.err != nil {
-		return nil, res.err
-	}
-	r.cur = res.recs
-	r.phys += res.phys
-	return res.recs, nil
+	r.phys += phys
+	return recs, err
 }
 
-// Close releases the decode goroutine.
+// Close stops the prefetch and hands the scratch back (see
+// chunkReader.Close).
 func (r *tileReader) Close() {
-	if r.done != nil {
-		close(r.done)
+	if sc := r.sc; sc != nil {
+		r.stop()
+		r.sc = nil
+		sc.busy.Store(false)
 	}
 }
 

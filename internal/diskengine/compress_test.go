@@ -41,7 +41,7 @@ func partitionRecords(t *testing.T, f *partFile, tiles *diskTiles, p int, prefet
 	t.Helper()
 	var out []core.Edge
 	segs, _, _ := planSegments(tiles, p, nil, edgeFileRecs(f, tiles, p))
-	_, _, _, err := streamSegments(nil, f, p, tiles, true, segs, 512, prefetch, func(chunk []core.Edge) error {
+	_, _, _, err := streamSegments(nil, new(edgeScratch), f, p, tiles, true, segs, 512, prefetch, func(chunk []core.Edge) error {
 		out = append(out, append([]core.Edge(nil), chunk...)...)
 		return nil
 	})

@@ -18,6 +18,14 @@
 // memory budget, and the update files are bypassed when one scatter
 // phase's updates fit in a single stream buffer.
 //
+// Buffers are owned for the whole run, as in §3.2: the engine's edgeScratch
+// is the two edge input buffers every reader borrows and the file
+// transport's bucketWriter holds the three update output buffers — the five
+// stream buffers of §3.4 — while the transport's drain scratch, the gather
+// sub-shuffle pair and one private buffer per scatter worker are made on
+// first use. Nothing in the iteration loop allocates per chunk, segment or
+// partition; docs/ARCHITECTURE.md ("Buffer ownership") has owners and sizes.
+//
 // When the program implements core.Combiner the scatter's private buffers
 // combine same-destination updates and every shuffled buffer is folded
 // per partition before writeback, shrinking the update-file I/O that
@@ -62,6 +70,14 @@ type Config struct {
 	// evaluated in Figure 15 as "independent disks").
 	UpdateDevice storage.Device
 	// MemoryBudget is the main-memory budget M of §3.4. 0 means 256 MiB.
+	// It sizes the partition count by N/K + 5·S·K ≤ M and decides whether
+	// vertices spill, and that is all it covers: one partition's vertex
+	// window plus five stream buffers of S·K bytes (two edge input, three
+	// update output). Outside the sum, and not limited by M: the update
+	// read-back double buffer (2·S·K, once updates spill to files), the
+	// gather sub-shuffle pair (2·S·K, with Threads > 1), one combining
+	// buffer per scatter worker (Threads × ~0.4 MiB), the fold's slot
+	// tables, the frontier bitsets and the tile index.
 	MemoryBudget int64
 	// IOUnit is S of §3.4, the request size that saturates the device.
 	// 0 means 1 MiB (the paper uses 16 MiB on real hardware; scaled-down
@@ -386,6 +402,16 @@ type engine[V, M any] struct {
 
 	// gather sub-shuffle scratch (layered in-memory engine, §4.3)
 	subA, subB *streambuf.Buffer[core.Update[M]]
+	subPlan    streambuf.Plan
+
+	// rd is the edge-read scratch every streamSegments pass of the run
+	// borrows; priv holds each scatter worker's private buffer, made on
+	// the worker's first scatterRange and reused until the run ends.
+	rd   edgeScratch
+	priv []scatterPriv[M]
+	// overflow records a scatter batch the transport refused; the scatter
+	// phase turns it into an error.
+	overflow atomic.Bool
 
 	// tp is the update transport between scatter and gather: the file
 	// writeback pipeline by default, an exchange adapter when
@@ -439,6 +465,11 @@ func (e *engine[V, M]) plan() error {
 		return err
 	}
 	e.shufPlan = plan
+	subK := core.NextPow2(e.cfg.Threads * 4)
+	if e.subPlan, err = streambuf.NewPlan(subK, subK); err != nil {
+		return err
+	}
+	e.priv = make([]scatterPriv[M], e.cfg.Threads)
 
 	bufBytes := s * int64(k)
 	e.bufEdgeRecs = int(bufBytes / edgeRecSize)
@@ -495,25 +526,6 @@ func (e *engine[V, M]) setup(g core.EdgeSource) error {
 		}
 	}
 
-	// The update transport: scatter sends into it, gather drains from it.
-	key := func(u core.Update[M]) uint32 { return e.part.Of(u.Dst) }
-	if e.cfg.Exchange != nil {
-		e.tp = core.NewExchangeTransport(e.cfg.Exchange(e.k), e.k, e.bufUpdRecs, e.shufPlan, e.cfg.Threads, key, e.folder)
-	} else {
-		e.tp = newFileTransport(fileTransportConfig[M]{
-			files:      e.updFiles,
-			plan:       e.shufPlan,
-			key:        key,
-			threads:    e.cfg.Threads,
-			bufRecs:    e.bufUpdRecs,
-			fold:       e.updateFold(),
-			bypass:     !e.cfg.NoUpdateBypass,
-			prefetch:   !e.cfg.NoPrefetch,
-			verify:     !e.cfg.NoVerify,
-			onVerified: func(n int64) { e.stats.BytesChecksummed += n },
-		})
-	}
-
 	// Vertex state. With selective scheduling, Init doubles as the census
 	// seeding iteration 0's frontier.
 	if e.allVerts == nil {
@@ -536,7 +548,31 @@ func (e *engine[V, M]) setup(g core.EdgeSource) error {
 	if e.fp != nil || e.cfg.CompressTiles {
 		e.tilesFwd = newDiskTilesFor(e.k, e.cfg.TileEdges, e.cfg.CompressTiles)
 	}
-	return e.partitionEdges(g, e.edgeFiles, false, e.tilesFwd)
+	if err := e.partitionEdges(g, e.edgeFiles, false, e.tilesFwd); err != nil {
+		return err
+	}
+
+	// The update transport: scatter sends into it, gather drains from it.
+	// It holds its stream buffers for the whole run, so it is made once the
+	// pre-processing shuffle has let go of its own.
+	key := func(u core.Update[M]) uint32 { return e.part.Of(u.Dst) }
+	if e.cfg.Exchange != nil {
+		e.tp = core.NewExchangeTransport(e.cfg.Exchange(e.k), e.k, e.bufUpdRecs, e.shufPlan, e.cfg.Threads, key, e.folder)
+	} else {
+		e.tp = newFileTransport(fileTransportConfig[M]{
+			files:      e.updFiles,
+			plan:       e.shufPlan,
+			key:        key,
+			threads:    e.cfg.Threads,
+			bufRecs:    e.bufUpdRecs,
+			fold:       e.updateFold(),
+			bypass:     !e.cfg.NoUpdateBypass,
+			prefetch:   !e.cfg.NoPrefetch,
+			verify:     !e.cfg.NoVerify,
+			onVerified: func(n int64) { e.stats.BytesChecksummed += n },
+		})
+	}
+	return nil
 }
 
 // initVertexState (re)establishes the initial vertex state — in-memory or
@@ -802,7 +838,7 @@ func (e *engine[V, M]) buildBackwardFiles() error {
 			return err
 		}
 	}
-	src := &partFilesSource{files: e.edgeFiles, tiles: e.tilesFwd, nv: e.nv, chunkRecs: e.bufEdgeRecs, prefetch: !e.cfg.NoPrefetch, verify: !e.cfg.NoVerify}
+	src := &partFilesSource{sc: &e.rd, files: e.edgeFiles, tiles: e.tilesFwd, nv: e.nv, chunkRecs: e.bufEdgeRecs, prefetch: !e.cfg.NoPrefetch, verify: !e.cfg.NoVerify}
 	if e.fp != nil || e.cfg.CompressTiles {
 		e.tilesBwd = newDiskTilesFor(e.k, e.cfg.TileEdges, e.cfg.CompressTiles)
 	}
@@ -816,6 +852,7 @@ func (e *engine[V, M]) buildBackwardFiles() error {
 // partFilesSource re-streams already-partitioned edge files as one source,
 // decoding through the tile index when the layout is compressed.
 type partFilesSource struct {
+	sc        *edgeScratch // the owner's edge-read scratch
 	files     []*partFile
 	tiles     *diskTiles // nil or raw for raw files; decode index otherwise
 	nv        int64
@@ -841,7 +878,7 @@ func (s *partFilesSource) NumEdges() int64 {
 func (s *partFilesSource) Edges(fn func([]core.Edge) error) error {
 	for p, f := range s.files {
 		segs, _, _ := planSegments(s.tiles, p, nil, edgeFileRecs(f, s.tiles, p))
-		phys, logical, checked, err := streamSegments(nil, f, p, s.tiles, s.verify, segs, s.chunkRecs, s.prefetch, fn)
+		phys, logical, checked, err := streamSegments(nil, s.sc, f, p, s.tiles, s.verify, segs, s.chunkRecs, s.prefetch, fn)
 		s.phys += phys
 		s.logical += logical
 		s.checked += checked
@@ -850,6 +887,13 @@ func (s *partFilesSource) Edges(fn func([]core.Edge) error) error {
 		}
 	}
 	return nil
+}
+
+// scatterPriv is one scatter worker's private update buffer (§4.1):
+// combining when the program has a Combiner, plain append otherwise.
+type scatterPriv[M any] struct {
+	cb   *core.CombineBuffer[M]
+	recs []core.Update[M]
 }
 
 // scatterResult aggregates one scatter phase's accounting.
@@ -936,7 +980,7 @@ func (e *engine[V, M]) scatterPhase(edgeFiles []*partFile, tiles *diskTiles) (sc
 			return res, err
 		}
 		winHi := vlo + int64(len(verts))
-		phys, logical, checked, err := streamSegments(e.cfg.Context, edgeFiles[s], s, tiles, !e.cfg.NoVerify, segs, e.bufEdgeRecs, !e.cfg.NoPrefetch, func(chunk []core.Edge) error {
+		phys, logical, checked, err := streamSegments(e.cfg.Context, &e.rd, edgeFiles[s], s, tiles, !e.cfg.NoVerify, segs, e.bufEdgeRecs, !e.cfg.NoPrefetch, func(chunk []core.Edge) error {
 			// A corrupted record must never be dereferenced: the tile CRC
 			// only closes at tile granularity, after the chunk has
 			// scattered, so a bit-flipped Src or Dst would index outside
@@ -972,6 +1016,9 @@ func (e *engine[V, M]) scatterPhase(edgeFiles []*partFile, tiles *diskTiles) (sc
 				e.stats.CrossPartitionUpdates += nCross
 				off += take
 			}
+			if e.overflow.Load() {
+				return fmt.Errorf("diskengine: update transport refused a scatter batch that fit its window (capacity %d records)", e.tp.Cap())
+			}
 			return nil
 		})
 		res.physEdge += phys
@@ -1003,7 +1050,7 @@ const basePrivCap = 1024
 func (e *engine[V, M]) scatterSegment(edges []core.Edge, verts []V, lo int64, p, privCap int) (int64, int64, int64, int64) {
 	workers := e.cfg.Threads
 	if len(edges) < 4096 || workers <= 1 {
-		return e.scatterRange(edges, verts, lo, p, privCap)
+		return e.scatterRange(0, edges, verts, lo, p, privCap)
 	}
 	var total, totalCross, totalCombined, totalSynced atomic.Int64
 	var wg sync.WaitGroup
@@ -1017,14 +1064,14 @@ func (e *engine[V, M]) scatterSegment(edges []core.Edge, verts []V, lo int64, p,
 			break
 		}
 		wg.Add(1)
-		go func(a, b int) {
+		go func(wkr, a, b int) {
 			defer wg.Done()
-			nSent, nCross, nCombined, nSynced := e.scatterRange(edges[a:b], verts, lo, p, privCap)
+			nSent, nCross, nCombined, nSynced := e.scatterRange(wkr, edges[a:b], verts, lo, p, privCap)
 			total.Add(nSent)
 			totalCross.Add(nCross)
 			totalCombined.Add(nCombined)
 			totalSynced.Add(nSynced)
-		}(a, b)
+		}(wkr, a, b)
 	}
 	wg.Wait()
 	return total.Load(), totalCross.Load(), totalCombined.Load(), totalSynced.Load()
@@ -1037,10 +1084,25 @@ func (e *engine[V, M]) scatterSegment(edges []core.Edge, verts []V, lo int64, p,
 // than per partition (its segments are scattered by multiple threads), so
 // it flushes somewhat more syncs than the in-memory engine; the absorbed
 // flood is the same.
-func (e *engine[V, M]) scatterRange(edges []core.Edge, verts []V, lo int64, p, privCap int) (sent, cross, combined, synced int64) {
-	flush := func(recs []core.Update[M]) { e.tp.Send(p, recs) }
+//
+// w is the calling worker, whose private buffer is Reset to privCap — so a
+// range combines exactly as it would into a fresh buffer of that capacity.
+// The caller reserved room for the range in the transport's window, so a
+// Send the transport refuses means updates would be lost: it is recorded in
+// e.overflow and fails the iteration.
+func (e *engine[V, M]) scatterRange(w int, edges []core.Edge, verts []V, lo int64, p, privCap int) (sent, cross, combined, synced int64) {
+	flush := func(recs []core.Update[M]) {
+		if !e.tp.Send(p, recs) {
+			e.overflow.Store(true)
+		}
+	}
+	pv := &e.priv[w]
 	if e.combine != nil {
-		cb := core.NewCombineBuffer[M](privCap, e.combine)
+		if pv.cb == nil {
+			pv.cb = core.NewCombineBuffer[M](core.MaxBufGrowth*basePrivCap, e.combine)
+		}
+		cb := pv.cb
+		cb.Reset(privCap)
 		var mb *core.MirrorBuffer[M]
 		if e.rep != nil {
 			mb = e.mbPool.Get().(*core.MirrorBuffer[M])
@@ -1074,7 +1136,10 @@ func (e *engine[V, M]) scatterRange(edges []core.Edge, verts []V, lo int64, p, p
 		cb.Drain(flush)
 		return sent, cross, combined + cb.Combined, synced
 	}
-	priv := make([]core.Update[M], 0, privCap)
+	if pv.recs == nil {
+		pv.recs = make([]core.Update[M], 0, privCap)
+	}
+	priv := pv.recs[:0]
 	for _, ed := range edges {
 		if m, ok := e.prog.Scatter(ed, &verts[int64(ed.Src)-lo]); ok {
 			sent++
@@ -1115,6 +1180,7 @@ func (e *engine[V, M]) gatherPhase() error {
 		}
 		winHi := lo + int64(len(verts))
 		name := e.updFiles[p].name
+		subPart := core.NewSplit(int64(len(verts)), e.subPlan.K)
 		if err := e.tp.Drain(p, func(chunk []core.Update[M]) error {
 			for _, u := range chunk {
 				if int64(u.Dst) < lo || int64(u.Dst) >= winHi {
@@ -1122,7 +1188,7 @@ func (e *engine[V, M]) gatherPhase() error {
 						name, u.Dst, lo, winHi, storage.ErrCorrupted)
 				}
 			}
-			e.gatherChunk(chunk, verts, lo)
+			e.gatherChunk(chunk, verts, lo, subPart)
 			return nil
 		}); err != nil {
 			return err
@@ -1137,11 +1203,12 @@ func (e *engine[V, M]) gatherPhase() error {
 // gatherChunk applies a chunk of updates to the partition's vertex window.
 // With multiple workers the chunk is first shuffled by destination
 // sub-range so workers touch disjoint vertices — the in-memory engine
-// layered inside the disk engine (§4.3). With selective scheduling every
-// receiver is marked into the next frontier: receipt of an update, not a
-// state change, is what (conservatively) activates a vertex, so the
-// frontier is identical whether or not the stream was pre-combined.
-func (e *engine[V, M]) gatherChunk(chunk []core.Update[M], verts []V, lo int64) {
+// layered inside the disk engine (§4.3); subPart is that split of the
+// partition's window into the sub-shuffle plan's buckets. With selective
+// scheduling every receiver is marked into the next frontier: receipt of an
+// update, not a state change, is what (conservatively) activates a vertex,
+// so the frontier is identical whether or not the stream was pre-combined.
+func (e *engine[V, M]) gatherChunk(chunk []core.Update[M], verts []V, lo int64, subPart core.Split) {
 	workers := e.cfg.Threads
 	if workers <= 1 || len(chunk) < 8192 {
 		for _, u := range chunk {
@@ -1152,19 +1219,13 @@ func (e *engine[V, M]) gatherChunk(chunk []core.Update[M], verts []V, lo int64) 
 		}
 		return
 	}
-	subK := core.NextPow2(workers * 4)
-	subPart := core.NewSplit(int64(len(verts)), subK)
-	if e.subA == nil || e.subA.Cap() < e.bufUpdRecs {
+	subK := e.subPlan.K
+	if e.subA == nil {
 		e.subA = streambuf.New[core.Update[M]](e.bufUpdRecs)
 		e.subB = streambuf.New[core.Update[M]](e.bufUpdRecs)
 	}
-	plan, err := streambuf.NewPlan(subK, subK)
-	if err != nil { // cannot happen: subK is a power of two
-		panic(err)
-	}
-	e.subA.Reset()
 	e.subA.Fill(chunk)
-	res := streambuf.Shuffle(e.subA, e.subB, plan, workers, func(u core.Update[M]) uint32 {
+	res := streambuf.Shuffle(e.subA, e.subB, e.subPlan, workers, func(u core.Update[M]) uint32 {
 		return subPart.Of(core.VertexID(int64(u.Dst) - lo))
 	})
 	var cursor atomic.Int64

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/pod"
 	"repro/internal/storage"
@@ -87,91 +88,148 @@ func (p *partFile) remove() error {
 	return p.dev.Remove(p.name)
 }
 
-// chunkReader streams a partFile sequentially in fixed-size chunks of
-// records, prefetching the next chunk into a second buffer while the caller
-// processes the current one (prefetch distance 1, §3.3).
-type chunkReader[T any] struct {
-	recSize   int
-	cur       []T
-	delivered int64 // bytes returned through Next so far
-
-	// async mode
-	ready chan readRes[T]
-	free  chan []T
-	done  chan struct{}
-
-	// sync mode (prefetch disabled, used by the ablation)
-	f         storage.File
-	off, end  int64
-	start     int64
-	chunkRecs int
-	buf       []T
+// readScratch is the reader-side buffer set an engine run, a shared pass or
+// a file transport's drain side owns for its whole life and lends to one
+// open reader at a time: the two record buffers of the prefetch double
+// buffer (a reader that reads inline uses only the first) and the reader
+// itself. Buffers are made on first use and grown when a reader asks for
+// more; a reader's Close hands everything back.
+type readScratch[T any] struct {
+	busy atomic.Bool // lent to an open reader
+	bufs [2][]T
+	rd   chunkReader[T]
 }
 
-type readRes[T any] struct {
+// buf returns record buffer i with room for n records.
+func (sc *readScratch[T]) buf(i, n int) []T {
+	if cap(sc.bufs[i]) < n {
+		sc.bufs[i] = make([]T, n)
+	}
+	return sc.bufs[i][:n]
+}
+
+// prefetcher is the prefetch-distance-1 protocol of §3.3 both readers
+// share: a dedicated goroutine (one I/O thread per stream) fills the next
+// batch into a second buffer while the caller processes the current one.
+type prefetcher[T any] struct {
+	ready chan fetched[T] // nil: the reader fills inline on the caller's goroutine
+	free  chan []T
+	done  chan struct{}
+	cur   []T
+}
+
+type fetched[T any] struct {
 	recs []T
+	phys int64
 	err  error
 }
 
-// newChunkReader streams f from byte offset 0 to end. chunkRecs is the
-// number of records per I/O request.
-func newChunkReader[T any](f storage.File, end int64, chunkRecs int, prefetch bool) *chunkReader[T] {
-	return newChunkReaderRange[T](f, 0, end, chunkRecs, prefetch)
+// start runs fill one batch ahead of next over the buffers a and b. fill
+// returns the batch it put in the buffer and the device bytes behind it;
+// nil records and no error end the stream, as does the first error.
+func (p *prefetcher[T]) start(a, b []T, fill func(buf []T) ([]T, int64, error)) {
+	p.ready = make(chan fetched[T], 1)
+	p.free = make(chan []T, 2)
+	p.done = make(chan struct{})
+	p.free <- a
+	p.free <- b
+	go func() {
+		defer close(p.ready)
+		for {
+			var buf []T
+			select {
+			case buf = <-p.free:
+			case <-p.done:
+				return
+			}
+			recs, phys, err := fill(buf)
+			if recs == nil && err == nil {
+				return
+			}
+			select {
+			case p.ready <- fetched[T]{recs, phys, err}:
+			case <-p.done:
+				return
+			}
+			if err != nil {
+				return
+			}
+		}
+	}()
 }
 
-// newChunkReaderRange streams the byte range [start, end) of f — the
-// selective-scatter read path, where only the active segments of an edge
-// file are streamed and the skipped tiles in between are never read. Both
-// offsets must be record-aligned.
-func newChunkReaderRange[T any](f storage.File, start, end int64, chunkRecs int, prefetch bool) *chunkReader[T] {
-	r := &chunkReader[T]{recSize: pod.Size[T](), chunkRecs: chunkRecs, f: f, off: start, start: start, end: end}
-	if !prefetch {
-		r.buf = make([]T, chunkRecs)
-		return r
+// next hands the previous batch's buffer back and waits for the next one.
+func (p *prefetcher[T]) next() ([]T, int64, error) {
+	if p.cur != nil {
+		p.free <- p.cur[:cap(p.cur)]
+		p.cur = nil
 	}
-	r.ready = make(chan readRes[T], 1)
-	r.free = make(chan []T, 2)
-	r.done = make(chan struct{})
-	r.free <- make([]T, chunkRecs)
-	r.free <- make([]T, chunkRecs)
-	go r.reader()
+	res := <-p.ready // zero once the goroutine has closed it: end of stream
+	if res.err == nil {
+		p.cur = res.recs
+	}
+	return res.recs, res.phys, res.err
+}
+
+// stop ends the goroutine, if one was started, and waits for it to exit: it
+// may be inside a device read into one of the buffers.
+func (p *prefetcher[T]) stop() {
+	if p.done != nil {
+		close(p.done)
+		for range p.ready { // the goroutine closes ready as it exits
+		}
+	}
+}
+
+// chunkReader streams a partFile sequentially in fixed-size chunks of
+// records, prefetching the next chunk while the caller processes the
+// current one.
+type chunkReader[T any] struct {
+	sc        *readScratch[T] // nil once closed
+	f         storage.File
+	recSize   int
+	chunkRecs int
+	off, end  int64 // unread byte range
+	delivered int64 // bytes returned through Next so far
+	prefetcher[T]
+}
+
+// openChunks lends the scratch to a reader streaming the byte range
+// [start, end) of f, chunkRecs records per I/O request. Both offsets must
+// be record-aligned. With prefetch a dedicated goroutine reads ahead —
+// unless the range is a single chunk, which has nothing to overlap with
+// and is read inline like the no-prefetch ablation. It returns nil when the
+// scratch is still lent to another reader.
+func (sc *readScratch[T]) openChunks(f storage.File, start, end int64, chunkRecs int, prefetch bool) *chunkReader[T] {
+	if !sc.busy.CompareAndSwap(false, true) {
+		return nil
+	}
+	r := &sc.rd
+	*r = chunkReader[T]{sc: sc, f: f, recSize: pod.Size[T](), chunkRecs: chunkRecs, off: start, end: end}
+	if prefetch && end-start > int64(chunkRecs)*int64(r.recSize) {
+		r.start(sc.buf(0, chunkRecs), sc.buf(1, chunkRecs), r.fill)
+	}
 	return r
 }
 
-// reader is the dedicated I/O goroutine (§3.3: one I/O thread per stream).
-func (r *chunkReader[T]) reader() {
-	defer close(r.ready)
-	off := r.start
-	for off < r.end {
-		var buf []T
-		select {
-		case buf = <-r.free:
-		case <-r.done:
-			return
-		}
-		n := int64(r.chunkRecs)
-		if rem := (r.end - off) / int64(r.recSize); n > rem {
-			n = rem
-		}
-		recs, err := readFull(r.f, buf[:n], off, r.recSize)
-		if err == nil && len(recs) == 0 {
-			// Zero-progress EOF on a record boundary: the file is shorter
-			// than the caller's bookkeeping says — the shape a silently
-			// torn write leaves behind. End the stream instead of spinning;
-			// the caller's record-count check turns the shortfall into
-			// ErrCorrupted.
-			return
-		}
-		select {
-		case r.ready <- readRes[T]{recs: recs, err: err}:
-		case <-r.done:
-			return
-		}
-		if err != nil {
-			return
-		}
-		off += int64(len(recs)) * int64(r.recSize)
+// fill reads the next chunk into buf.
+func (r *chunkReader[T]) fill(buf []T) ([]T, int64, error) {
+	n := min(int64(r.chunkRecs), (r.end-r.off)/int64(r.recSize))
+	if n <= 0 {
+		return nil, 0, nil
 	}
+	// A read of zero records with no error is a zero-progress EOF on a
+	// record boundary: the file is shorter than the caller's bookkeeping
+	// says — the shape a silently torn write leaves behind. It ends the
+	// stream instead of spinning; the caller's record-count check turns the
+	// shortfall into ErrCorrupted.
+	recs, err := readFull(r.f, buf[:n], r.off, r.recSize)
+	if err != nil || len(recs) == 0 {
+		return nil, 0, err
+	}
+	bytes := int64(len(recs)) * int64(r.recSize)
+	r.off += bytes
+	return recs, bytes, nil
 }
 
 // readFull reads len(buf) records at byte offset off, retrying short reads.
@@ -199,48 +257,25 @@ func readFull[T any](f storage.File, buf []T, off int64, recSize int) ([]T, erro
 
 // Next returns the next chunk, or nil at end of stream. The returned slice
 // is only valid until the following Next call.
-func (r *chunkReader[T]) Next() ([]T, error) {
-	if r.ready == nil { // synchronous mode
-		if r.off >= r.end {
-			return nil, nil
-		}
-		n := int64(r.chunkRecs)
-		if rem := (r.end - r.off) / int64(r.recSize); n > rem {
-			n = rem
-		}
-		recs, err := readFull(r.f, r.buf[:n], r.off, r.recSize)
-		if err != nil {
-			return nil, err
-		}
-		if len(recs) == 0 {
-			// Zero-progress EOF (see reader): end the stream; the caller's
-			// record-count check reports the truncation.
-			return nil, nil
-		}
-		r.off += int64(len(recs)) * int64(r.recSize)
-		r.delivered += int64(len(recs)) * int64(r.recSize)
-		return recs, nil
+func (r *chunkReader[T]) Next() (recs []T, err error) {
+	var phys int64
+	if r.ready == nil {
+		recs, phys, err = r.fill(r.sc.buf(0, r.chunkRecs))
+	} else {
+		recs, phys, err = r.next()
 	}
-	if r.cur != nil {
-		r.free <- r.cur[:cap(r.cur)]
-		r.cur = nil
-	}
-	res, ok := <-r.ready
-	if !ok {
-		return nil, nil
-	}
-	if res.err != nil {
-		return nil, res.err
-	}
-	r.cur = res.recs
-	r.delivered += int64(len(res.recs)) * int64(r.recSize)
-	return res.recs, nil
+	r.delivered += phys
+	return recs, err
 }
 
-// Close releases the reader goroutine.
+// Close stops the prefetch and only then hands the scratch back: once it
+// is free the next reader may overwrite this one. Safe on every path — end
+// of stream, early close, read error — and idempotent.
 func (r *chunkReader[T]) Close() {
-	if r.done != nil {
-		close(r.done)
+	if sc := r.sc; sc != nil {
+		r.stop()
+		r.sc = nil
+		sc.busy.Store(false)
 	}
 }
 
@@ -390,40 +425,59 @@ func (w *bucketWriter[T]) Flush() error {
 	return w.Err()
 }
 
-// FinishBypass completes the pipeline. If nothing was ever flushed to disk
-// — all updates of the scatter phase fit in a single stream buffer — it
-// shuffles the buffer in memory and returns it, letting the gather phase
-// consume it directly (the §3.2 optimization). Otherwise it flushes the
-// tail and returns nil.
-func (w *bucketWriter[T]) FinishBypass() (*streambuf.Buffer[T], error) {
-	if w.flushes == 0 {
-		scratch := <-w.free
-		res := streambuf.Shuffle(w.cur, scratch, w.plan, w.threads, w.key)
-		if w.fold != nil {
-			w.combined += w.fold(res)
-		}
-		w.written += int64(res.Len())
-		close(w.queue)
-		w.wg.Wait()
-		return res, w.Err()
+// SyncBypass ends one scatter phase. If nothing was flushed to disk during
+// it — all its updates fit in a single stream buffer — it shuffles the
+// buffer in memory and returns it, letting the gather phase consume it
+// directly (the §3.2 optimization); the caller hands the buffer back with
+// Release once it is drained. Otherwise it is Sync and returns nil.
+func (w *bucketWriter[T]) SyncBypass() (*streambuf.Buffer[T], error) {
+	if w.flushes > 0 {
+		return nil, w.Sync()
 	}
-	if err := w.Flush(); err != nil {
-		close(w.queue)
-		w.wg.Wait()
-		return nil, err
+	scratch := <-w.free
+	res := streambuf.Shuffle(w.cur, scratch, w.plan, w.threads, w.key)
+	if w.fold != nil {
+		w.combined += w.fold(res)
 	}
-	close(w.queue)
-	w.wg.Wait()
-	return nil, w.Err()
+	w.written += int64(res.Len())
+	if res == w.cur {
+		w.cur = scratch
+	}
+	w.cur.Reset()
+	return res, w.Err()
 }
 
-// Finish flushes the tail and waits for all writes to complete.
-func (w *bucketWriter[T]) Finish() error {
+// Release returns the buffer SyncBypass lent out to the rotation.
+func (w *bucketWriter[T]) Release(buf *streambuf.Buffer[T]) {
+	buf.Reset()
+	w.free <- buf
+}
+
+// Sync flushes the tail and waits for all writes to complete — the end of
+// one scatter phase. The pipeline stays up for the next: while the caller
+// holds the current buffer, the other two are both free exactly when the
+// writer goroutine has nothing queued or in flight.
+func (w *bucketWriter[T]) Sync() error {
 	err := w.Flush()
-	close(w.queue)
-	w.wg.Wait()
+	a, b := <-w.free, <-w.free
+	w.free <- a
+	w.free <- b
 	if err != nil {
 		return err
 	}
 	return w.Err()
+}
+
+// Stop ends the writer goroutine; buffers still queued are written first,
+// the current one is dropped.
+func (w *bucketWriter[T]) Stop() {
+	close(w.queue)
+	w.wg.Wait()
+}
+
+// Finish is Sync then Stop, for a pipeline that serves a single phase.
+func (w *bucketWriter[T]) Finish() error {
+	err := w.Sync()
+	w.Stop()
+	return err
 }

@@ -161,8 +161,9 @@ func TestBucketWriterBypass(t *testing.T) {
 	files := []*partFile{mustPart(t, dev, "x"), mustPart(t, dev, "y")}
 	plan, _ := streambuf.NewPlan(2, 2)
 	w := newBucketWriter(1000, files, plan, func(r rec) uint32 { return r.K % 2 }, 2, nil)
+	defer w.Stop()
 	w.Buf().Append(makeRecs(100))
-	buf, err := w.FinishBypass()
+	buf, err := w.SyncBypass()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,8 +189,9 @@ func TestBucketWriterNoBypassAfterFlush(t *testing.T) {
 	if err := w.Flush(); err != nil {
 		t.Fatal(err)
 	}
+	defer w.Stop()
 	w.Buf().Append(makeRecs(10))
-	buf, err := w.FinishBypass()
+	buf, err := w.SyncBypass()
 	if err != nil {
 		t.Fatal(err)
 	}

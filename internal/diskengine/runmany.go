@@ -241,7 +241,7 @@ func (pp *Prepared) files(dir core.Direction) (files []*partFile, tiles *diskTil
 				return nil, nil, 0, 0, 0, 0, err
 			}
 		}
-		src := &partFilesSource{files: pp.edgeFiles, tiles: pp.tilesFwd, nv: pp.nv, chunkRecs: pp.bufEdgeRecs, prefetch: !pp.cfg.NoPrefetch, verify: !pp.cfg.NoVerify}
+		src := &partFilesSource{sc: new(edgeScratch), files: pp.edgeFiles, tiles: pp.tilesFwd, nv: pp.nv, chunkRecs: pp.bufEdgeRecs, prefetch: !pp.cfg.NoPrefetch, verify: !pp.cfg.NoVerify}
 		t := newDiskTilesFor(pp.k, pp.cfg.TileEdges, pp.cfg.CompressTiles)
 		if err := partitionEdgesInto(src, bwd, true, t, pp.bufEdgeRecs, pp.shufPlan, pp.part, pp.cfg.Threads); err != nil {
 			cleanup()
@@ -383,6 +383,7 @@ func (pp *Prepared) RunMany(ctx context.Context, set core.ProgramSet) ([]core.Jo
 	}
 
 	live := make([]core.JobRun, 0, len(runs))
+	var rd edgeScratch // the pass's edge-read buffers, lent to one segment at a time
 	// Per-iteration retry attribution: the run-level IORetries is a single
 	// end-of-pass delta; the loop samples the device counter at every
 	// iteration boundary so the per-iteration profile can slice it.
@@ -426,7 +427,7 @@ func (pp *Prepared) RunMany(ctx context.Context, set core.ProgramSet) ([]core.Jo
 			pass.BytesReadLogical += buildReadLogical
 			pass.BytesWritten += buildWritten
 			pass.BytesChecksummed += buildChecked
-			if err := pp.scatterShared(ctx, &pass, subs, files, tiles); err != nil {
+			if err := pp.scatterShared(ctx, &pass, &rd, subs, files, tiles); err != nil {
 				return nil, pass, err
 			}
 		}
@@ -542,7 +543,7 @@ func (pp *Prepared) RunMany(ctx context.Context, set core.ProgramSet) ([]core.Jo
 
 // scatterShared reads each partition's edge file (or only its needed tile
 // segments) once and feeds every chunk to every subscribing job.
-func (pp *Prepared) scatterShared(ctx context.Context, pass *core.Stats, subs []core.JobRun, files []*partFile, tiles *diskTiles) error {
+func (pp *Prepared) scatterShared(ctx context.Context, pass *core.Stats, rd *edgeScratch, subs []core.JobRun, files []*partFile, tiles *diskTiles) error {
 	cfg := pp.cfg
 	for p := 0; p < pp.k; p++ {
 		if err := ctx.Err(); err != nil { // between partition files
@@ -603,9 +604,9 @@ func (pp *Prepared) scatterShared(ctx context.Context, pass *core.Stats, subs []
 		var pEdges int64
 		scatters := make([]core.JobScatter, len(needing))
 		for i, r := range needing {
-			scatters[i] = r.NewScatter(p, fileRecs)
+			scatters[i] = r.NewScatter(0, p, fileRecs)
 		}
-		phys, logical, checked, err := streamSegments(ctx, files[p], p, tiles, !cfg.NoVerify, segs, pp.bufEdgeRecs, !cfg.NoPrefetch, func(chunk []core.Edge) error {
+		phys, logical, checked, err := streamSegments(ctx, rd, files[p], p, tiles, !cfg.NoVerify, segs, pp.bufEdgeRecs, !cfg.NoPrefetch, func(chunk []core.Edge) error {
 			pass.EdgesStreamed += int64(len(chunk))
 			pass.SequentialRefs += int64(len(chunk))
 			pEdges += int64(len(chunk))

@@ -2,7 +2,6 @@ package diskengine
 
 import (
 	"fmt"
-	"sync"
 
 	"repro/internal/core"
 	"repro/internal/pod"
@@ -14,11 +13,15 @@ import (
 // the update-file writeback path of §3.2, extracted behind the interface.
 // Sends append into a bucketWriter whose windowed shuffle+fold+write
 // pipeline overlaps combining and file appends with the caller's next fill;
-// Seal finishes the writer (or, when every update of the iteration fit one
+// Seal syncs the writer (or, when every update of the iteration fit one
 // stream buffer, keeps the shuffled buffer in memory — the single-buffer
 // bypass); Drain either walks that in-memory buffer or streams the
 // partition's update file back with prefetch, verifying size and running
 // CRC32C against the writer's accounting before the file is truncated.
+//
+// The transport owns its buffers for the whole run: the writer's three
+// stream buffers and goroutine are made once, by newFileTransport, and the
+// drain side's two read buffers on the first file Drain.
 type fileTransportConfig[M any] struct {
 	files   []*partFile // one update file per partition
 	plan    streambuf.Plan
@@ -40,27 +43,22 @@ type fileTransport[M any] struct {
 	cfg     fileTransportConfig[M]
 	recSize int
 
-	mu    sync.Mutex                    // guards lazy writer creation
-	w     *bucketWriter[core.Update[M]] // live writer, nil between iterations
+	w     *bucketWriter[core.Update[M]] // the run's write pipeline, nil once closed
 	inMem *streambuf.Buffer[core.Update[M]]
+	// drain is the read-back scratch. The engine drains one partition at a
+	// time; a Drain that finds it lent (the interface allows concurrent
+	// drains of distinct partitions) reads through a scratch of its own.
+	drain readScratch[core.Update[M]]
 
 	core.CounterSet
 }
 
 func newFileTransport[M any](cfg fileTransportConfig[M]) *fileTransport[M] {
-	return &fileTransport[M]{cfg: cfg, recSize: pod.Size[core.Update[M]]()}
-}
-
-// writer lazily starts the iteration's bucketWriter pipeline, matching the
-// pre-extraction engine which allocated one writer per scatter phase.
-// Concurrent senders may race to create it, hence the lock.
-func (t *fileTransport[M]) writer() *bucketWriter[core.Update[M]] {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if t.w == nil {
-		t.w = newBucketWriter(t.cfg.bufRecs, t.cfg.files, t.cfg.plan, t.cfg.key, t.cfg.threads, t.cfg.fold)
+	return &fileTransport[M]{
+		cfg:     cfg,
+		recSize: pod.Size[core.Update[M]](),
+		w:       newBucketWriter(cfg.bufRecs, cfg.files, cfg.plan, cfg.key, cfg.threads, cfg.fold),
 	}
-	return t.w
 }
 
 // Send implements core.UpdateTransport. It returns false when the batch
@@ -70,7 +68,7 @@ func (t *fileTransport[M]) Send(src int, batch []core.Update[M]) bool {
 	if len(batch) == 0 {
 		return true
 	}
-	if !t.writer().Buf().Append(batch) {
+	if !t.w.Buf().Append(batch) {
 		return false
 	}
 	t.Count(src, int64(len(batch)), core.CrossOf(batch, src, t.cfg.key), t.recSize)
@@ -79,29 +77,29 @@ func (t *fileTransport[M]) Send(src int, batch []core.Update[M]) bool {
 
 // Room implements core.UpdateTransport: remaining capacity of the current
 // shuffle window.
-func (t *fileTransport[M]) Room() int { return t.writer().Room() }
+func (t *fileTransport[M]) Room() int { return t.w.Room() }
 
 // Flush implements core.UpdateTransport: shuffle+fold the current window
 // and hand it to the writer goroutine.
-func (t *fileTransport[M]) Flush() error { return t.writer().Flush() }
+func (t *fileTransport[M]) Flush() error { return t.w.Flush() }
 
-// Seal implements core.UpdateTransport: finish the write pipeline. With the
-// bypass enabled and everything in one window, the shuffled buffer is kept
-// in memory for Drain instead of touching the update files.
+// Seal implements core.UpdateTransport: end the iteration's writes. With
+// the bypass enabled and everything in one window, the shuffled buffer is
+// kept in memory for Drain instead of touching the update files.
 func (t *fileTransport[M]) Seal() (core.IterFlow, error) {
-	w := t.writer()
+	w := t.w
 	var err error
 	if t.cfg.bypass {
-		t.inMem, err = w.FinishBypass()
+		t.inMem, err = w.SyncBypass()
 	} else {
-		err = w.Finish()
+		err = w.Sync()
 	}
 	flow := core.IterFlow{
 		Appended:  w.combined + w.written,
 		Combined:  w.combined,
 		Delivered: w.written,
 	}
-	t.w = nil
+	w.flushes, w.combined, w.written = 0, 0, 0
 	return flow, err
 }
 
@@ -132,7 +130,10 @@ func (t *fileTransport[M]) Drain(p int, fn func([]core.Update[M]) error) error {
 	uf := t.cfg.files[p]
 	var crc uint32
 	var got int64
-	rd := newChunkReader[core.Update[M]](uf.f, uf.size, t.cfg.bufRecs, t.cfg.prefetch)
+	rd := t.drain.openChunks(uf.f, 0, uf.size, t.cfg.bufRecs, t.cfg.prefetch)
+	if rd == nil {
+		rd = new(readScratch[core.Update[M]]).openChunks(uf.f, 0, uf.size, t.cfg.bufRecs, t.cfg.prefetch)
+	}
 	defer rd.Close()
 	for {
 		chunk, err := rd.Next()
@@ -162,25 +163,26 @@ func (t *fileTransport[M]) Drain(p int, fn func([]core.Update[M]) error) error {
 	return uf.truncate()
 }
 
-// EndIteration implements core.UpdateTransport: release the bypass buffer
-// (a sealed writer is already gone; the update files were truncated by
-// Drain).
+// EndIteration implements core.UpdateTransport: hand the bypass buffer back
+// to the writer (the update files were truncated by Drain).
 func (t *fileTransport[M]) EndIteration() error {
-	t.inMem = nil
+	if t.inMem != nil {
+		t.w.Release(t.inMem)
+		t.inMem = nil
+	}
 	return nil
 }
 
-// Close implements core.UpdateTransport: stop a live writer pipeline if an
-// error path abandoned the iteration mid-scatter. The update files
+// Close implements core.UpdateTransport: stop the write pipeline, wherever
+// an error path may have abandoned the iteration. The update files
 // themselves belong to the engine and are removed by its cleanup.
 func (t *fileTransport[M]) Close() error {
-	var err error
 	if t.w != nil {
-		err = t.w.Finish()
+		t.w.Stop()
 		t.w = nil
 	}
 	t.inMem = nil
-	return err
+	return nil
 }
 
 // Cap implements core.UpdateTransport: the per-window record capacity.

@@ -11,11 +11,15 @@ import (
 	"repro/internal/storage"
 )
 
-func testRegistry(t *testing.T) *dataset.Registry {
+func testRegistry(t *testing.T) *dataset.Registry { return testRegistryThreads(t, 2) }
+
+// testRegistryThreads is testRegistry with the in-memory dataset's engine
+// thread count chosen by the caller.
+func testRegistryThreads(t *testing.T, memThreads int) *dataset.Registry {
 	t.Helper()
 	reg := dataset.NewRegistry()
 	src := graphgen.RMAT(graphgen.RMATConfig{Scale: 9, EdgeFactor: 8, Seed: 81, Undirected: true})
-	if _, err := reg.Add("g", src, dataset.Options{Undirected: true, Threads: 2, MemPartitions: 16}); err != nil {
+	if _, err := reg.Add("g", src, dataset.Options{Undirected: true, Threads: memThreads, MemPartitions: 16}); err != nil {
 		t.Fatal(err)
 	}
 	disk := graphgen.RMAT(graphgen.RMATConfig{Scale: 9, EdgeFactor: 8, Seed: 82})
@@ -83,7 +87,13 @@ func TestSubmitValidation(t *testing.T) {
 // TestBatchingSameDataset: queued jobs on one dataset run as a single
 // shared pass, and the pass streams the edges once for all of them.
 func TestBatchingSameDataset(t *testing.T) {
-	reg := testRegistry(t)
+	// One engine thread: the exact-agreement check at the end compares two
+	// float-sum (PageRank) runs bit for bit, which holds only while the
+	// order partition tasks reach each job's update stream is fixed — with
+	// two threads the twins differed in the last ulp on every fifth run
+	// (ROADMAP "Fix first", step 2). Batching and sharing do not depend on
+	// the thread count.
+	reg := testRegistryThreads(t, 1)
 	s := New(reg, Config{Workers: 1})
 	defer s.Close()
 

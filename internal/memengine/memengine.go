@@ -319,6 +319,11 @@ type engine[V, M any] struct {
 	// counting shuffle by default (the engine's three stream buffers, §4),
 	// or an exchange adapter when Config.Exchange is set.
 	tp core.UpdateTransport[M]
+	// cbs and privs are the scatter workers' private buffers (combining
+	// or plain append, by whether the program has a Combiner), made on a
+	// worker's first partition task and reused for the rest of the run.
+	cbs   []*core.CombineBuffer[M]
+	privs [][]core.Update[M]
 
 	stats core.Stats
 }
@@ -343,6 +348,8 @@ func (e *engine[V, M]) setup(g core.EdgeSource) error {
 		e.tilesFwd = buildTileIndex(buf, e.part.K, e.cfg.TileEdges)
 	}
 
+	e.cbs = make([]*core.CombineBuffer[M], e.cfg.Threads)
+	e.privs = make([][]core.Update[M], e.cfg.Threads)
 	updCap := int(e.ne)
 	key := func(u core.Update[M]) uint32 { return e.part.Of(u.Dst) }
 	if e.cfg.Exchange != nil {
@@ -560,12 +567,18 @@ func (e *engine[V, M]) scatter(edges *streambuf.Buffer[core.Edge], tiles [][]cor
 		var scan func(run []core.Edge)
 		var finish func()
 		if e.combine != nil {
-			// One combining buffer per partition task: merging is a
-			// deterministic function of the partition's edge order,
-			// independent of which thread claims it. Its capacity scales
-			// with the partition's average out-degree — denser partitions
-			// repeat destinations more, so a wider window combines more.
-			cb := core.NewCombineBuffer[M](core.DegreeAwareBufRecs(basePriv, chunkLen, hi-lo), e.combine)
+			// The worker's combining buffer, Reset per partition task:
+			// merging is a deterministic function of the partition's edge
+			// order, independent of which thread claims it. Its capacity
+			// scales with the partition's average out-degree — denser
+			// partitions repeat destinations more, so a wider window
+			// combines more.
+			cb := e.cbs[w]
+			if cb == nil {
+				cb = core.NewCombineBuffer[M](core.MaxBufGrowth*basePriv, e.combine)
+				e.cbs[w] = cb
+			}
+			cb.Reset(core.DegreeAwareBufRecs(basePriv, chunkLen, hi-lo))
 			// With replication, updates addressed to mirrored hubs are
 			// merged into the partition-local mirror accumulator instead
 			// of entering the update stream; the accumulator flushes one
@@ -611,7 +624,10 @@ func (e *engine[V, M]) scatter(edges *streambuf.Buffer[core.Edge], tiles [][]cor
 				combinedTotal.Add(cb.Combined)
 			}
 		} else {
-			priv := make([]core.Update[M], 0, basePriv)
+			if e.privs[w] == nil {
+				e.privs[w] = make([]core.Update[M], 0, basePriv)
+			}
+			priv := e.privs[w][:0]
 			scan = func(run []core.Edge) {
 				if overflow.Load() {
 					return

@@ -388,7 +388,7 @@ func (pp *Prepared) scatterShared(ctx context.Context, pass *core.Stats, subs []
 		}
 		scatters := make([]core.JobScatter, len(needing))
 		for i, r := range needing {
-			scatters[i] = r.NewScatter(p, chunkLen)
+			scatters[i] = r.NewScatter(w, p, chunkLen)
 		}
 		if partial && tiles != nil {
 			// Tile-granular scheduling: a tile is streamed when any job's
