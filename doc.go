@@ -148,6 +148,16 @@
 // by every subsequent pass. ctx cancelation is honored between iterations
 // and chunks — as it is by RunMemory/RunDisk via Config.Context.
 //
+// The in-memory engine has exactly one iteration loop, the shared-pass one:
+// RunMemory wraps its program with NewJob, runs it as a ProgramSet of one
+// and hands back typed vertex states, so a solo run, a type-erased run and
+// a co-scheduled run execute the same code (Stats.CoJobs reads 1 for the
+// first two). Each job owns its update side — vertex state initialized in
+// parallel, one private scatter buffer per engine worker, the update
+// transport, a gather that walks partitions on the threads the job has to
+// itself — and the pass owns the edge stream. RunDisk keeps its own loop:
+// it is the only path that spills vertex state and updates to the device.
+//
 // On top of this sit internal/dataset (a named registry of ingested
 // graphs), internal/jobs (a scheduler with memory-budget admission
 // control, same-dataset batching into shared passes, per-job status and

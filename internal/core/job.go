@@ -44,38 +44,112 @@ func (s ProgramSet) Label() string {
 	return name
 }
 
+// NewRuns checks every job of the set, spawns its executor and sets it up
+// under the pass's shared setup. On failure the runs made so far are closed,
+// so a pass that cannot start leaks no transport.
+func (s ProgramSet) NewRuns(setup JobSetup) ([]JobRun, error) {
+	runs := make([]JobRun, 0, len(s))
+	for _, j := range s {
+		if err := j.Check(); err != nil {
+			CloseRuns(runs)
+			return nil, fmt.Errorf("job %s: %w", j.Name(), err)
+		}
+		r := j.NewRun()
+		runs = append(runs, r)
+		if err := r.Setup(setup); err != nil {
+			CloseRuns(runs)
+			return nil, err
+		}
+	}
+	return runs, nil
+}
+
+// CloseRuns releases every run's update transport. Engines defer it over a
+// pass's runs so a failed or cancelled pass closes what a completed one
+// closes in Finalize; closing twice is harmless.
+func CloseRuns(runs []JobRun) {
+	for _, r := range runs {
+		r.Close()
+	}
+}
+
 // EndAndGather shuffles, folds and gathers every live job's update stream
 // — the per-job half of a shared-pass iteration, run by both engines after
-// the shared scatter. Jobs are independent, so they proceed in parallel;
-// each job's own shuffle and fold parallelize internally as well.
-func EndAndGather(live []JobRun) error {
+// the shared scatter. Jobs are independent, so they proceed in parallel,
+// one goroutine each; each job's own shuffle and fold parallelize
+// internally, and its gather walks partitions on the share of the engine's
+// threads the job has to itself (threads / len(live): all of them for a
+// pass of one, a single goroutine once jobs outnumber threads). The
+// returned duration is how long it took until every live stream was
+// sealed — the shuffle part of the phase, for engines that report it apart
+// from the gather.
+func EndAndGather(live []JobRun, threads int) (shuffle time.Duration, err error) {
+	start := time.Now()
+	workers := max(threads/len(live), 1)
 	if len(live) == 1 {
 		if err := live[0].EndScatter(); err != nil {
-			return err
+			return 0, err
 		}
-		live[0].Gather()
-		return nil
+		shuffle = time.Since(start)
+		return shuffle, live[0].Gather(workers)
 	}
 	errs := make([]error, len(live))
+	sealed := make([]time.Duration, len(live))
 	var wg sync.WaitGroup
 	for i, r := range live {
 		wg.Add(1)
 		go func(i int, r JobRun) {
 			defer wg.Done()
-			if err := r.EndScatter(); err != nil {
-				errs[i] = err
+			if errs[i] = r.EndScatter(); errs[i] != nil {
 				return
 			}
-			r.Gather()
+			sealed[i] = time.Since(start)
+			errs[i] = r.Gather(workers)
 		}(i, r)
 	}
 	wg.Wait()
-	for _, err := range errs {
+	for i, err := range errs {
 		if err != nil {
-			return err
+			return 0, err
 		}
+		shuffle = max(shuffle, sealed[i])
 	}
-	return nil
+	return shuffle, nil
+}
+
+// FinishPass finalizes every run of a completed pass: it collects each
+// job's result, stamps the pass's identity (engine, partitioner, sizes,
+// co-job count) and total time since start onto the job's stats, folds the
+// per-job work counters into the pass stats and derives EdgesShared — the
+// edge reads the sharing avoided, the sum of per-job streams minus the
+// pass's one.
+func FinishPass(runs []JobRun, pass *Stats, start time.Time) ([]JobResult, error) {
+	results := make([]JobResult, len(runs))
+	for i, r := range runs {
+		verts, js, err := r.Finalize()
+		if err != nil {
+			return nil, err
+		}
+		js.Engine, js.Partitioner = pass.Engine, pass.Partitioner
+		js.Partitions, js.Threads, js.CoJobs = pass.Partitions, pass.Threads, pass.CoJobs
+		js.TotalTime = time.Since(start)
+		results[i] = JobResult{Vertices: verts, Stats: js}
+		pass.UpdatesSent += js.UpdatesSent
+		pass.WastedEdges += js.WastedEdges
+		pass.CrossPartitionUpdates += js.CrossPartitionUpdates
+		pass.UpdatesCombined += js.UpdatesCombined
+		pass.UpdateBytes += js.UpdateBytes
+		pass.RandomRefs += js.RandomRefs
+		pass.TransportBatches += js.TransportBatches
+		pass.TransportBytes += js.TransportBytes
+		pass.TransportCross += js.TransportCross
+		pass.EdgesShared += js.EdgesStreamed
+	}
+	pass.EdgesShared -= pass.EdgesStreamed
+	if pass.EdgesShared < 0 {
+		pass.EdgesShared = 0
+	}
+	return results, nil
 }
 
 // JobResult is one job's outcome from a shared pass: the final vertex
@@ -192,8 +266,9 @@ type JobRun interface {
 	// iteration (DirectedPrograms may ask for the transpose).
 	Direction(iter int) Direction
 	// BeginScatter resets the update stream and recomputes the frontier
-	// schedule; call once per iteration before any NewScatter.
-	BeginScatter()
+	// schedule; call once per iteration before any NewScatter. The error
+	// is the transport's, from releasing the previous iteration's stream.
+	BeginScatter() error
 	// Dense reports the job has no frontier and streams every partition.
 	Dense() bool
 	// NeedsPartition reports whether the job must see partition p's edges
@@ -222,13 +297,19 @@ type JobRun interface {
 	// EndScatter shuffles and folds the iteration's update stream.
 	EndScatter() error
 	// Gather streams the shuffled updates into vertex state and advances
-	// the frontier.
-	Gather()
+	// the frontier, walking partitions on up to workers goroutines
+	// (partitions own disjoint vertex ranges, so the result does not
+	// depend on the count). It returns the first transport error.
+	Gather(workers int) error
 	// EndIteration runs phase hooks and termination for the iteration.
 	EndIteration(iter int)
 	// Finalize returns the final vertex states ([]V, type-erased) in
-	// original input order, plus the job's accumulated stats.
+	// original input order, plus the job's accumulated stats, and closes
+	// the run.
 	Finalize() (any, Stats, error)
+	// Close releases the run's update transport. Idempotent, and safe on
+	// a run whose Setup failed or never ran.
+	Close()
 }
 
 // Snapshotter is the optional JobRun extension an engine's checkpoint path
@@ -293,10 +374,12 @@ type JobScatter interface {
 	Flush()
 }
 
-// jobRun is the generic JobRun implementation: a per-job slice of the
-// in-memory engine's update path, deliberately mirroring its structures
-// (same combining-buffer sizing, same shuffle plan, same fold, same
-// gather order) so a job's results are identical to a solo Run.
+// jobRun is the generic JobRun implementation: one job's update path —
+// vertex state, per-worker scatter sinks, transport, fold, gather,
+// frontier. It is the in-memory engine's only one (memengine.Run is a set
+// of one) and the out-of-core engine's shared-pass one, where it mirrors
+// the solo diskengine.Run's structures (same combining-buffer sizing, same
+// shuffle plan, same fold) so a job's results are identical to a solo run.
 type jobRun[V, M any] struct {
 	prog  Program[V, M]
 	setup JobSetup
@@ -329,6 +412,9 @@ type jobRun[V, M any] struct {
 	// stream has been sealed by EndScatter and not yet gathered.
 	tp     UpdateTransport[M]
 	sealed bool
+	// pending is Gather's run-lived scratch: the partitions with sealed
+	// updates this iteration.
+	pending []int
 
 	basePriv int
 	// sinks holds one scatter sink per engine worker, made with its private
@@ -406,14 +492,21 @@ func (r *jobRun[V, M]) Setup(s JobSetup) error {
 		r.basePriv = 1
 	}
 	r.sinks = make([]*jobScatter[V, M], max(s.Threads, 1))
+	r.pending = make([]int, 0, r.part.K)
 	r.verts = make([]V, s.NumVertices)
-	for i := range r.verts {
-		id := VertexID(i)
-		r.prog.Init(id, &r.verts[i])
-		if r.fp != nil && r.fp.InitiallyActive(id, &r.verts[i]) {
-			r.cur.Mark(id)
+	// Init in parallel over fixed blocks of vertices: programs initialize
+	// a vertex from its ID alone and Frontier.Mark is atomic.
+	const initBlock = 4096
+	n := len(r.verts)
+	ForEachClaimed((n+initBlock-1)/initBlock, s.Threads, func(_, b int) {
+		for i := b * initBlock; i < min(n, (b+1)*initBlock); i++ {
+			id := VertexID(i)
+			r.prog.Init(id, &r.verts[i])
+			if r.fp != nil && r.fp.InitiallyActive(id, &r.verts[i]) {
+				r.cur.Mark(id)
+			}
 		}
-	}
+	})
 	updCap := s.UpdateCap
 	if updCap < 1 {
 		updCap = 1
@@ -443,14 +536,17 @@ func (r *jobRun[V, M]) Direction(iter int) Direction {
 	return Forward
 }
 
-func (r *jobRun[V, M]) BeginScatter() {
-	r.tp.EndIteration()
+func (r *jobRun[V, M]) BeginScatter() error {
+	if err := r.tp.EndIteration(); err != nil {
+		return fmt.Errorf("job %s: %w", r.prog.Name(), err)
+	}
 	r.sealed = false
 	if r.fp != nil {
 		r.active = r.cur.CountByPartition(r.part)
 	}
 	r.iterMark = r.stats.MarkIter()
 	r.iterStart = time.Now()
+	return nil
 }
 
 func (r *jobRun[V, M]) Dense() bool { return r.fp == nil }
@@ -627,33 +723,88 @@ func (r *jobRun[V, M]) EndScatter() error {
 	return nil
 }
 
-func (r *jobRun[V, M]) Gather() {
+func (r *jobRun[V, M]) Gather(workers int) error {
 	if !r.sealed {
-		return
+		return nil
 	}
 	t0 := time.Now()
+	// Only partitions that received updates are walked, so an iteration
+	// that touched one partition (a narrow frontier) gathers inline
+	// instead of forking workers for empty streams.
+	r.pending = r.pending[:0]
 	for p := 0; p < r.part.K; p++ {
-		r.tp.Drain(p, func(run []Update[M]) error {
-			if r.fp != nil {
-				for _, u := range run {
-					r.prog.Gather(u.Dst, &r.verts[u.Dst], u.Val)
-					r.nxt.Mark(u.Dst)
-				}
-				return nil
-			}
+		if r.tp.Pending(p) > 0 {
+			r.pending = append(r.pending, p)
+		}
+	}
+	// With selective scheduling every receiver is marked into the next
+	// frontier — receipt of an update, not a state change, is what
+	// (conservatively) activates a vertex, so the frontier is identical
+	// whether or not the update stream was pre-combined.
+	apply := func(run []Update[M]) error {
+		if r.fp != nil {
 			for _, u := range run {
 				r.prog.Gather(u.Dst, &r.verts[u.Dst], u.Val)
+				r.nxt.Mark(u.Dst)
 			}
 			return nil
-		})
+		}
+		for _, u := range run {
+			r.prog.Gather(u.Dst, &r.verts[u.Dst], u.Val)
+		}
+		return nil
 	}
-	r.tp.EndIteration()
+	var mu sync.Mutex
+	var firstErr error
+	ForEachClaimed(len(r.pending), workers, func(_, i int) {
+		if err := r.tp.Drain(r.pending[i], apply); err != nil {
+			mu.Lock()
+			if firstErr == nil {
+				firstErr = err
+			}
+			mu.Unlock()
+		}
+	})
+	if err := r.tp.EndIteration(); err != nil && firstErr == nil {
+		firstErr = err
+	}
+	if firstErr != nil {
+		return fmt.Errorf("job %s: %w", r.prog.Name(), firstErr)
+	}
 	r.sealed = false
 	if r.fp != nil {
 		r.cur, r.nxt = r.nxt, r.cur
 		r.nxt.Clear()
 	}
 	r.stats.GatherTime += time.Since(t0)
+	return nil
+}
+
+// ForEachClaimed runs fn(w, i) for every i in [0, n) on up to workers
+// goroutines, worker w (0-based) claiming the next unprocessed index from a
+// shared cursor so that one stuck with an expensive index does not idle the
+// rest (work stealing, §4.1). One worker, or one index, runs inline. It
+// returns when every call has.
+func ForEachClaimed(n, workers int, fn func(w, i int)) {
+	workers = min(workers, n)
+	if workers <= 1 {
+		for i := 0; i < n; i++ {
+			fn(0, i)
+		}
+		return
+	}
+	var cursor atomic.Int64
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := int(cursor.Add(1)) - 1; i < n; i = int(cursor.Add(1)) - 1 {
+				fn(w, i)
+			}
+		}(w)
+	}
+	wg.Wait()
 }
 
 func (r *jobRun[V, M]) EndIteration(iter int) {
@@ -680,8 +831,8 @@ func (r *jobRun[V, M]) Finalize() (any, Stats, error) {
 		r.stats.TransportBatches = tc.Batches
 		r.stats.TransportBytes = tc.Bytes
 		r.stats.TransportCross = tc.Cross
-		r.tp.Close()
 	}
+	r.Close()
 	asg := r.setup.Assignment
 	verts := r.verts
 	if !asg.Identity() {
@@ -694,4 +845,13 @@ func (r *jobRun[V, M]) Finalize() (any, Stats, error) {
 	}
 	r.verts = nil
 	return verts, r.stats, nil
+}
+
+func (r *jobRun[V, M]) Close() {
+	if r.tp != nil {
+		// A close error changes nothing the caller can act on: the
+		// results are already final, or the pass already failed.
+		_ = r.tp.Close()
+		r.tp = nil
+	}
 }

@@ -71,8 +71,13 @@ type Stats struct {
 	EdgesShared int64
 
 	// Time split.
-	TotalTime      time.Duration
-	PreprocessTime time.Duration // initial partitioning of the input edge list
+	TotalTime time.Duration
+	// PreprocessTime is what the run spent before its first iteration:
+	// the initial partitioning of the input edge list (partitioner plus
+	// pre-processing shuffle) and setting up vertex state and transports.
+	// An in-memory pass over an already prepared dataset pays, and
+	// reports, only the set-up part.
+	PreprocessTime time.Duration
 	ScatterTime    time.Duration
 	ShuffleTime    time.Duration
 	GatherTime     time.Duration

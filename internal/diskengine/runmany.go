@@ -333,22 +333,15 @@ func (pp *Prepared) RunMany(ctx context.Context, set core.ProgramSet) ([]core.Jo
 	retriesBefore := cfg.Device.Stats().Retries
 
 	newRuns := func() ([]core.JobRun, error) {
-		runs := make([]core.JobRun, len(set))
-		for i, j := range set {
-			if err := j.Check(); err != nil {
-				return nil, fmt.Errorf("diskengine: job %s: %w", j.Name(), err)
-			}
-			runs[i] = j.NewRun()
-			err := runs[i].Setup(core.JobSetup{
-				Assignment: pp.asg, NumVertices: pp.nv, NumEdges: pp.ne,
-				Threads: cfg.Threads, Plan: pp.shufPlan, UpdateCap: int(pp.ne),
-				PrivateBufRecs: basePrivCap,
-				NoCombine:      cfg.NoCombine, Selective: cfg.Selective,
-				Exchange: cfg.Exchange,
-			})
-			if err != nil {
-				return nil, fmt.Errorf("diskengine: %w", err)
-			}
+		runs, err := set.NewRuns(core.JobSetup{
+			Assignment: pp.asg, NumVertices: pp.nv, NumEdges: pp.ne,
+			Threads: cfg.Threads, Plan: pp.shufPlan, UpdateCap: int(pp.ne),
+			PrivateBufRecs: basePrivCap,
+			NoCombine:      cfg.NoCombine, Selective: cfg.Selective,
+			Exchange: cfg.Exchange,
+		})
+		if err != nil {
+			return nil, fmt.Errorf("diskengine: %w", err)
 		}
 		return runs, nil
 	}
@@ -356,6 +349,9 @@ func (pp *Prepared) RunMany(ctx context.Context, set core.ProgramSet) ([]core.Jo
 	if err != nil {
 		return nil, pass, err
 	}
+	// runs is re-filled in place by a failed resume, so the deferred close
+	// sees whichever runs the pass ended with.
+	defer core.CloseRuns(runs)
 
 	// Resume a checkpointed pass from the newest valid snapshot a previous
 	// attempt with this prefix left behind: iterations [0, startIter) are
@@ -372,6 +368,7 @@ func (pp *Prepared) RunMany(ctx context.Context, set core.ProgramSet) ([]core.Jo
 			if err != nil {
 				return err
 			}
+			core.CloseRuns(runs)
 			copy(runs, rs)
 			copy(snaps, snapshotters(rs))
 			return nil
@@ -405,7 +402,9 @@ func (pp *Prepared) RunMany(ctx context.Context, set core.ProgramSet) ([]core.Jo
 		iterMark := pass.MarkIter()
 		for _, r := range live {
 			r.StartIteration(iter)
-			r.BeginScatter()
+			if err := r.BeginScatter(); err != nil {
+				return nil, pass, fmt.Errorf("diskengine: %w", err)
+			}
 		}
 
 		t0 := time.Now()
@@ -435,7 +434,9 @@ func (pp *Prepared) RunMany(ctx context.Context, set core.ProgramSet) ([]core.Jo
 		pass.ScatterTime += scatterDur
 
 		t1 := time.Now()
-		if err := core.EndAndGather(live); err != nil {
+		// This engine reports the shuffle inside its gather figure (§3), so
+		// the shuffle share EndAndGather returns is not split out.
+		if _, err := core.EndAndGather(live, cfg.Threads); err != nil {
 			return nil, pass, err
 		}
 		gatherDur := time.Since(t1)
@@ -492,30 +493,9 @@ func (pp *Prepared) RunMany(ctx context.Context, set core.ProgramSet) ([]core.Jo
 		pp.removeStaleTransposed()
 	}
 
-	results := make([]core.JobResult, len(runs))
-	for i, r := range runs {
-		verts, js, err := r.Finalize()
-		if err != nil {
-			return nil, pass, err
-		}
-		js.Engine, js.Partitioner = pass.Engine, pass.Partitioner
-		js.Partitions, js.Threads, js.CoJobs = pass.Partitions, pass.Threads, pass.CoJobs
-		js.TotalTime = time.Since(start)
-		results[i] = core.JobResult{Vertices: verts, Stats: js}
-		pass.UpdatesSent += js.UpdatesSent
-		pass.WastedEdges += js.WastedEdges
-		pass.CrossPartitionUpdates += js.CrossPartitionUpdates
-		pass.UpdatesCombined += js.UpdatesCombined
-		pass.UpdateBytes += js.UpdateBytes
-		pass.RandomRefs += js.RandomRefs
-		pass.TransportBatches += js.TransportBatches
-		pass.TransportBytes += js.TransportBytes
-		pass.TransportCross += js.TransportCross
-		pass.EdgesShared += js.EdgesStreamed
-	}
-	pass.EdgesShared -= pass.EdgesStreamed
-	if pass.EdgesShared < 0 {
-		pass.EdgesShared = 0
+	results, err := core.FinishPass(runs, &pass, start)
+	if err != nil {
+		return nil, pass, err
 	}
 	pass.BytesStreamed += pass.EdgesStreamed * edgeRecSize
 	var physTiles, logicalTiles int64

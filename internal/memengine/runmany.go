@@ -1,9 +1,10 @@
 package memengine
 
-// runmany.go is the in-memory engine's shared-pass execution path: a
-// Prepared caches everything about a dataset that is job-independent — the
-// edge list shuffled into partition chunks, the lazily built transpose, the
-// tile source index — and RunMany drives any number of co-scheduled jobs
+// runmany.go is the in-memory engine's execution path: every run is a
+// shared pass, a solo Run one of a single job. A Prepared caches
+// everything about a dataset that is job-independent — the edge list
+// shuffled into partition chunks, the lazily built transpose, the tile
+// source index — and RunMany drives any number of co-scheduled jobs
 // (core.ProgramSet) from one edge stream per iteration. Each streamed run
 // or tile is handed to every subscribing job's scatter sink, so the
 // sequential edge stream — the dominant, fixed cost of X-Stream's model —
@@ -11,8 +12,9 @@ package memengine
 // (core.FrontierProgram, Config.Selective) subscribe per partition and per
 // tile: a chunk is skipped only when *no* job needs it (the frontier
 // union), and a streamed tile is still withheld from jobs whose own
-// frontier misses it, so every job's results and skip stats match its solo
-// run. Jobs drop out as they converge; the pass ends when all are done.
+// frontier misses it, so every job's results and skip stats match a run
+// on its own. Jobs drop out as they converge; the pass ends when all are
+// done.
 
 import (
 	"context"
@@ -46,7 +48,6 @@ type Prepared struct {
 	part     core.Split
 	partName string
 	nv, ne   int64
-	prepTime time.Duration
 
 	mu       sync.Mutex
 	fwd, bwd *streambuf.Buffer[core.Edge]
@@ -64,11 +65,10 @@ func Prepare(g core.EdgeSource, cfg Config) (*Prepared, error) {
 }
 
 // prepare is Prepare with an explicit §4 vertex footprint for partition
-// auto-sizing — the direct RunMany/RunJob paths size from their jobs'
-// actual record widths, like the solo engine does.
+// auto-sizing — the direct Run/RunJob/RunMany paths size from their jobs'
+// actual record widths (the paper's rule), not the nominal one.
 func prepare(g core.EdgeSource, cfg Config, footprint int) (*Prepared, error) {
 	cfg = cfg.withDefaults()
-	t0 := time.Now()
 	nv, ne := g.NumVertices(), g.NumEdges()
 
 	k := cfg.Partitions
@@ -110,7 +110,7 @@ func prepare(g core.EdgeSource, cfg Config, footprint int) (*Prepared, error) {
 	}
 	return &Prepared{
 		cfg: cfg, plan: plan, asg: asg, part: asg.Split, partName: pr.Name(),
-		nv: nv, ne: ne, fwd: fwd, prepTime: time.Since(t0),
+		nv: nv, ne: ne, fwd: fwd,
 	}, nil
 }
 
@@ -167,8 +167,10 @@ func (pp *Prepared) edges(dir core.Direction, needTiles bool) (*streambuf.Buffer
 }
 
 // RunMany executes every job of set against g with the in-memory engine,
-// sharing one edge stream per iteration. See Prepared.RunMany.
+// sharing one edge stream per iteration. See Prepared.RunMany. The pass's
+// PreprocessTime, TotalTime and "run" span cover the ingest as well.
 func RunMany(ctx context.Context, g core.EdgeSource, set core.ProgramSet, cfg Config) ([]core.JobResult, core.Stats, error) {
+	start := time.Now()
 	foot := 0
 	for _, j := range set {
 		if f := core.Footprint(j.VertexBytes(), j.UpdateBytes()); f > foot {
@@ -182,11 +184,11 @@ func RunMany(ctx context.Context, g core.EdgeSource, set core.ProgramSet, cfg Co
 	if err != nil {
 		return nil, core.Stats{}, err
 	}
-	return pp.RunMany(ctx, set)
+	return pp.runMany(ctx, set, start)
 }
 
-// RunJob executes a single type-erased job — the registry-driven
-// counterpart of Run, used by cmd/xstream and single-job serving paths.
+// RunJob executes a single type-erased job — the registry-driven form of
+// Run, used by cmd/xstream and single-job serving paths.
 func RunJob(ctx context.Context, g core.EdgeSource, job *core.Job, cfg Config) (*core.JobResult, error) {
 	res, pass, err := RunMany(ctx, g, core.ProgramSet{job}, cfg)
 	if err != nil {
@@ -207,6 +209,15 @@ func RunJob(ctx context.Context, g core.EdgeSource, job *core.Job, cfg Config) (
 // EdgesShared counts the reads the sharing avoided. ctx cancels the pass
 // between iterations and between partition chunks; nil means Background.
 func (pp *Prepared) RunMany(ctx context.Context, set core.ProgramSet) ([]core.JobResult, core.Stats, error) {
+	return pp.runMany(ctx, set, time.Now())
+}
+
+// runMany is the engine's one iteration loop. start is when the pass's
+// work began — before the ingest for a pass that prepared its own dataset,
+// on entry for a pass over a cached one — so PreprocessTime (start to the
+// last job set up: partitioner, edge shuffle, vertex state, transports)
+// and TotalTime mean the same for both.
+func (pp *Prepared) runMany(ctx context.Context, set core.ProgramSet, start time.Time) ([]core.JobResult, core.Stats, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -214,32 +225,30 @@ func (pp *Prepared) RunMany(ctx context.Context, set core.ProgramSet) ([]core.Jo
 		return nil, core.Stats{}, fmt.Errorf("memengine: RunMany of an empty program set")
 	}
 	cfg := pp.cfg
-	start := time.Now()
+	tr := cfg.Tracer
 	pass := core.Stats{
 		Algorithm: set.Label(), Engine: "memory", Partitioner: pp.partName,
 		Partitions: pp.part.K, Threads: cfg.Threads, CoJobs: len(set),
-		PreprocessTime: pp.prepTime,
 	}
 
-	runs := make([]core.JobRun, len(set))
-	for i, j := range set {
-		if err := j.Check(); err != nil {
-			return nil, pass, fmt.Errorf("memengine: job %s: %w", j.Name(), err)
-		}
-		runs[i] = j.NewRun()
-		err := runs[i].Setup(core.JobSetup{
-			Assignment: pp.asg, NumVertices: pp.nv, NumEdges: pp.ne,
-			Threads: cfg.Threads, Plan: pp.plan, UpdateCap: int(pp.ne),
-			PrivateBufBytes: cfg.PrivateBufBytes,
-			NoCombine:       cfg.NoCombine, Selective: cfg.Selective,
-			Exchange: cfg.Exchange,
-		})
-		if err != nil {
-			return nil, pass, fmt.Errorf("memengine: %w", err)
-		}
+	runs, err := set.NewRuns(core.JobSetup{
+		Assignment: pp.asg, NumVertices: pp.nv, NumEdges: pp.ne,
+		Threads: cfg.Threads, Plan: pp.plan, UpdateCap: int(pp.ne),
+		PrivateBufBytes: cfg.PrivateBufBytes,
+		NoCombine:       cfg.NoCombine, Selective: cfg.Selective,
+		Exchange: cfg.Exchange,
+	})
+	if err != nil {
+		return nil, pass, fmt.Errorf("memengine: %w", err)
+	}
+	defer core.CloseRuns(runs)
+	pass.PreprocessTime = time.Since(start)
+	if tr != nil {
+		tr.Span(0, "preprocess", start, pass.PreprocessTime, nil)
 	}
 
 	live := make([]core.JobRun, 0, len(runs))
+	sc := newScatterScratch(len(runs), cfg.Threads)
 	for iter := 0; iter < cfg.MaxIterations; iter++ {
 		live = live[:0]
 		for _, r := range runs {
@@ -257,84 +266,78 @@ func (pp *Prepared) RunMany(ctx context.Context, set core.ProgramSet) ([]core.Jo
 		iterMark := pass.MarkIter()
 		for _, r := range live {
 			r.StartIteration(iter)
-			r.BeginScatter()
+			if err := r.BeginScatter(); err != nil {
+				return nil, pass, fmt.Errorf("memengine: %w", err)
+			}
 		}
 
 		// One shared scatter per direction a live job asked for: jobs that
 		// agree on orientation (the common same-algorithm batch) share the
 		// stream; disagreeing jobs cost one extra stream, never one per job.
-		t0 := time.Now()
-		for _, dir := range []core.Direction{core.Forward, core.Backward} {
-			var subs []core.JobRun
+		// The streams are resolved first — the transpose is a streaming
+		// pass of its own (§2), built the first time a job asks for it, and
+		// is not scatter time.
+		for dir := range sc.streams {
+			st := &sc.streams[dir]
+			st.subs = st.subs[:0]
 			needTiles := false
 			for _, r := range live {
-				if r.Direction(iter) == dir {
-					subs = append(subs, r)
+				if r.Direction(iter) == core.Direction(dir) {
+					st.subs = append(st.subs, r)
 					if !r.Dense() {
 						needTiles = true
 					}
 				}
 			}
-			if len(subs) == 0 {
+			if len(st.subs) == 0 {
 				continue
 			}
-			edges, tiles, err := pp.edges(dir, needTiles)
-			if err != nil {
+			if st.edges, st.tiles, err = pp.edges(core.Direction(dir), needTiles); err != nil {
 				return nil, pass, err
 			}
-			if err := pp.scatterShared(ctx, &pass, subs, edges, tiles); err != nil {
-				return nil, pass, err
+		}
+		t0 := time.Now()
+		for dir := range sc.streams {
+			if st := &sc.streams[dir]; len(st.subs) > 0 {
+				if err := pp.scatterShared(ctx, &pass, sc, st); err != nil {
+					return nil, pass, err
+				}
 			}
 		}
 		scatterDur := time.Since(t0)
 		pass.ScatterTime += scatterDur
 
+		// Shuffle, then gather (with selective scheduling it doubles as the
+		// census for the next frontier). Co-scheduled jobs overlap the two,
+		// so the pass splits the phase where the last stream was sealed.
 		t1 := time.Now()
-		if err := core.EndAndGather(live); err != nil {
-			return nil, pass, err
+		shuffleDur, err := core.EndAndGather(live, cfg.Threads)
+		if err != nil {
+			return nil, pass, fmt.Errorf("memengine: %w", err)
 		}
-		gatherDur := time.Since(t1)
+		gatherDur := time.Since(t1) - shuffleDur
+		pass.ShuffleTime += shuffleDur
 		pass.GatherTime += gatherDur
 		for _, r := range live {
 			r.EndIteration(iter)
 		}
 		pass.Iterations = iter + 1
 		pass.PushIter(iter, iterMark, time.Since(iterStart))
-		if tr := cfg.Tracer; tr != nil {
-			it := int64(iter)
-			tr.Span(0, "scatter", t0, scatterDur, map[string]int64{"iter": it, "jobs": int64(len(live))})
-			tr.Span(0, "gather", t1, gatherDur, map[string]int64{"iter": it, "jobs": int64(len(live))})
+		if tr != nil {
+			it, jobs := int64(iter), int64(len(live))
+			tr.Span(0, "scatter", t0, scatterDur, map[string]int64{"iter": it, "jobs": jobs})
+			tr.Span(0, "shuffle", t1, shuffleDur, map[string]int64{"iter": it, "jobs": jobs})
+			tr.Span(0, "gather", t1.Add(shuffleDur), gatherDur, map[string]int64{"iter": it, "jobs": jobs})
 			tr.Span(0, "iteration", iterStart, time.Since(iterStart), map[string]int64{"iter": it})
 		}
 	}
 
-	results := make([]core.JobResult, len(runs))
-	for i, r := range runs {
-		verts, js, err := r.Finalize()
-		if err != nil {
-			return nil, pass, err
-		}
-		js.Engine, js.Partitioner = pass.Engine, pass.Partitioner
-		js.Partitions, js.Threads, js.CoJobs = pass.Partitions, pass.Threads, pass.CoJobs
-		js.TotalTime = time.Since(start)
-		results[i] = core.JobResult{Vertices: verts, Stats: js}
-		pass.UpdatesSent += js.UpdatesSent
-		pass.WastedEdges += js.WastedEdges
-		pass.CrossPartitionUpdates += js.CrossPartitionUpdates
-		pass.UpdatesCombined += js.UpdatesCombined
-		pass.UpdateBytes += js.UpdateBytes
-		pass.RandomRefs += js.RandomRefs
-		pass.TransportBatches += js.TransportBatches
-		pass.TransportBytes += js.TransportBytes
-		pass.TransportCross += js.TransportCross
-		pass.EdgesShared += js.EdgesStreamed
-	}
-	pass.EdgesShared -= pass.EdgesStreamed
-	if pass.EdgesShared < 0 {
-		pass.EdgesShared = 0
+	results, err := core.FinishPass(runs, &pass, start)
+	if err != nil {
+		return nil, pass, err
 	}
 	pass.TotalTime = time.Since(start)
-	if tr := cfg.Tracer; tr != nil {
+	if tr != nil {
 		tr.Span(0, "run", start, pass.TotalTime, map[string]int64{
 			"iterations": int64(pass.Iterations), "jobs": int64(len(set)),
 		})
@@ -342,11 +345,47 @@ func (pp *Prepared) RunMany(ctx context.Context, set core.ProgramSet) ([]core.Jo
 	return results, pass, nil
 }
 
-// scatterShared streams every partition's edge chunk once, feeding each run
-// or tile to every subscribing job. Partitions are claimed by worker
-// threads from a shared cursor (work stealing, §4.1), exactly as in the
-// solo engine.
-func (pp *Prepared) scatterShared(ctx context.Context, pass *core.Stats, subs []core.JobRun, edges *streambuf.Buffer[core.Edge], tiles [][]core.SrcSpan) error {
+// scatterScratch is the pass-owned scratch of the shared scatter, made once
+// per pass and reused by every iteration: per edge list orientation the
+// iteration's stream, and for each engine worker the jobs that need the
+// partition it is on and their sinks. Worker w owns needing[w*n:(w+1)*n]
+// and the same window of scatters, n being the number of jobs in the set.
+type scatterScratch struct {
+	n        int
+	streams  [2]edgeStream // indexed by core.Direction
+	needing  []core.JobRun
+	scatters []core.JobScatter
+}
+
+// edgeStream is one orientation's share of an iteration: the live jobs
+// that stream it and the edge buffer (with its tile index, when a
+// subscriber has a frontier) they share.
+type edgeStream struct {
+	subs  []core.JobRun
+	edges *streambuf.Buffer[core.Edge]
+	tiles [][]core.SrcSpan
+}
+
+func newScatterScratch(jobs, workers int) *scatterScratch {
+	sc := &scatterScratch{
+		n:        jobs,
+		needing:  make([]core.JobRun, jobs*workers),
+		scatters: make([]core.JobScatter, jobs*workers),
+	}
+	for dir := range sc.streams {
+		sc.streams[dir].subs = make([]core.JobRun, 0, jobs)
+	}
+	return sc
+}
+
+// scatterShared streams every partition's edge chunk of st once, feeding
+// each run or tile to every subscribing job through that job's sink for the
+// worker — thread-private buffers, §4.1: plain append buffers normally,
+// combining buffers when the program has a Combiner; the job owns them, one
+// per worker, for the life of its run. Partitions are claimed by worker
+// threads from a shared cursor (work stealing, §4.1).
+func (pp *Prepared) scatterShared(ctx context.Context, pass *core.Stats, sc *scatterScratch, st *edgeStream) error {
+	edges, tiles := st.edges, st.tiles
 	var streamed, skippedEdges, skippedParts, skippedTiles atomic.Int64
 	var cancelled atomic.Bool
 	tr := pp.cfg.Tracer
@@ -365,9 +404,9 @@ func (pp *Prepared) scatterShared(ctx context.Context, pass *core.Stats, subs []
 		}
 		var pEdges int64
 		chunkLen := int64(edges.BucketLen(p))
-		needing := make([]core.JobRun, 0, len(subs))
+		needing := sc.needing[w*sc.n : w*sc.n : (w+1)*sc.n]
 		partial := false
-		for _, r := range subs {
+		for _, r := range st.subs {
 			if r.NeedsPartition(p) {
 				needing = append(needing, r)
 				if r.PartiallyActive(p) {
@@ -386,7 +425,7 @@ func (pp *Prepared) scatterShared(ctx context.Context, pass *core.Stats, subs []
 			}
 			return
 		}
-		scatters := make([]core.JobScatter, len(needing))
+		scatters := sc.scatters[w*sc.n : w*sc.n+len(needing)]
 		for i, r := range needing {
 			scatters[i] = r.NewScatter(w, p, chunkLen)
 		}
@@ -449,44 +488,21 @@ func (pp *Prepared) scatterShared(ctx context.Context, pass *core.Stats, subs []
 
 // forEachPartition runs fn over all partitions, passing the worker index
 // (0-based; tracers key per-worker span tracks off it) alongside the
-// partition: by default workers claim the next unprocessed partition
-// from a shared cursor (work stealing, §4.1); noSteal switches to the
-// static round-robin assignment of the solo engine's NoWorkStealing
-// ablation.
+// partition: by default workers claim the next unprocessed partition from
+// a shared cursor (work stealing, §4.1); noSteal switches to the static
+// round-robin assignment of the NoWorkStealing ablation.
 func forEachPartition(k, workers int, noSteal bool, fn func(w, p int)) {
-	if workers > k {
-		workers = k
-	}
-	if workers <= 1 {
-		for p := 0; p < k; p++ {
-			fn(0, p)
-		}
+	if !noSteal {
+		core.ForEachClaimed(k, workers, fn)
 		return
 	}
+	workers = min(workers, k)
 	var wg sync.WaitGroup
-	if noSteal {
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				for p := w; p < k; p += workers {
-					fn(w, p)
-				}
-			}(w)
-		}
-		wg.Wait()
-		return
-	}
-	var cursor atomic.Int64
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			for {
-				p := int(cursor.Add(1)) - 1
-				if p >= k {
-					return
-				}
+			for p := w; p < k; p += workers {
 				fn(w, p)
 			}
 		}(w)
