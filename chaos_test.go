@@ -18,6 +18,7 @@ package xstream_test
 // schedules over time. A failure always logs the seed that produced it.
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math"
@@ -103,6 +104,41 @@ func runChaosAlgo(algo string, src xstream.EdgeSource, cfg xstream.DiskConfig) (
 		return out, res.Stats, nil
 	}
 	panic("unknown chaos algorithm " + algo)
+}
+
+// runChaosShared is runChaosAlgo through the serving path: the same
+// workload as a shared pass of one job (RunManyDisk), which keeps vertex
+// state in memory and reads the edge files through the same partition
+// reader as the solo engine.
+func runChaosShared(algo string, src xstream.EdgeSource, cfg xstream.DiskConfig) ([]uint32, xstream.Stats, error) {
+	if algo == "pagerank" {
+		cfg.Threads = 1
+	}
+	job := map[string]func() *xstream.Job{
+		"bfs":      func() *xstream.Job { return xstream.NewJob(xstream.NewBFS(3)) },
+		"wcc":      func() *xstream.Job { return xstream.NewJob(xstream.NewWCC()) },
+		"pagerank": func() *xstream.Job { return xstream.NewJob(xstream.NewPageRank(5)) },
+	}[algo]()
+	res, pass, err := xstream.RunManyDisk(context.Background(), src, xstream.ProgramSet{job}, cfg)
+	if err != nil {
+		return nil, xstream.Stats{}, err
+	}
+	var out []uint32
+	switch verts := res[0].Vertices.(type) {
+	case []xstream.BFSState:
+		for _, v := range xstream.BFSLevels(verts) {
+			out = append(out, uint32(v))
+		}
+	case []xstream.WCCState:
+		for _, v := range xstream.WCCLabels(verts) {
+			out = append(out, uint32(v))
+		}
+	case []xstream.PRState:
+		for _, v := range xstream.PageRankValues(verts) {
+			out = append(out, math.Float32bits(v))
+		}
+	}
+	return out, pass, nil
 }
 
 func chaosConfig(dev xstream.Device, selective, compress bool) xstream.DiskConfig {
@@ -194,39 +230,49 @@ func TestChaosCorruptionDetected(t *testing.T) {
 		}
 		for _, k := range kinds {
 			t.Run(algo+"/"+k.name, func(t *testing.T) {
-				fired, detected := 0, 0
-				for i := 0; i < 6; i++ {
-					s := seed + int64(i)*1001
-					faulty := xstream.NewFaultyDevice(
-						xstream.NewSimDevice(xstream.SimSSD("chaos", 2, 0)), k.opts(s))
-					got, _, err := runChaosAlgo(algo, src, chaosConfig(faulty, false, false))
-					n := faulty.(xstream.FaultInjector).Faults()
-					if n > 0 {
-						fired++
-					}
-					if err != nil {
-						if !errors.Is(err, xstream.ErrCorrupted) {
-							t.Fatalf("seed %d: corruption surfaced as %v, want ErrCorrupted", s, err)
-						}
-						if n == 0 {
-							t.Fatalf("seed %d: ErrCorrupted reported with no injected fault", s)
-						}
-						detected++
-						continue
-					}
-					// The run returned results: they must be exactly right. An
-					// injected corruption that changed any bit of the output is
-					// the failure the checksum layer exists to prevent.
-					xstreamtest.AssertBitIdentical(t, got, want, fmt.Sprintf("seed %d: corruption reached the result", s))
-				}
-				if fired == 0 {
-					t.Fatal("fault schedule never fired across any seed")
-				}
-				if detected == 0 {
-					t.Fatal("no run surfaced ErrCorrupted: schedule too weak to prove detection")
-				}
+				corruptionDetected(t, runChaosAlgo, algo, src, want, seed, k.opts)
+			})
+			t.Run(algo+"/"+k.name+"-shared-pass", func(t *testing.T) {
+				corruptionDetected(t, runChaosShared, algo, src, want, seed, k.opts)
 			})
 		}
+	}
+}
+
+// corruptionDetected drives one workload, solo or as a shared pass, over six
+// seeded schedules of one silent-corruption kind.
+func corruptionDetected(t *testing.T, run func(string, xstream.EdgeSource, xstream.DiskConfig) ([]uint32, xstream.Stats, error),
+	algo string, src xstream.EdgeSource, want []uint32, seed int64, opts func(int64) xstream.FaultyOptions) {
+	fired, detected := 0, 0
+	for i := 0; i < 6; i++ {
+		s := seed + int64(i)*1001
+		faulty := xstream.NewFaultyDevice(
+			xstream.NewSimDevice(xstream.SimSSD("chaos", 2, 0)), opts(s))
+		got, _, err := run(algo, src, chaosConfig(faulty, false, false))
+		n := faulty.(xstream.FaultInjector).Faults()
+		if n > 0 {
+			fired++
+		}
+		if err != nil {
+			if !errors.Is(err, xstream.ErrCorrupted) {
+				t.Fatalf("seed %d: corruption surfaced as %v, want ErrCorrupted", s, err)
+			}
+			if n == 0 {
+				t.Fatalf("seed %d: ErrCorrupted reported with no injected fault", s)
+			}
+			detected++
+			continue
+		}
+		// The run returned results: they must be exactly right. An
+		// injected corruption that changed any bit of the output is
+		// the failure the checksum layer exists to prevent.
+		xstreamtest.AssertBitIdentical(t, got, want, fmt.Sprintf("seed %d: corruption reached the result", s))
+	}
+	if fired == 0 {
+		t.Fatal("fault schedule never fired across any seed")
+	}
+	if detected == 0 {
+		t.Fatal("no run surfaced ErrCorrupted: schedule too weak to prove detection")
 	}
 }
 

@@ -312,18 +312,29 @@ type JobRun interface {
 	Close()
 }
 
-// Snapshotter is the optional JobRun extension an engine's checkpoint path
-// uses to capture and restore a run's cross-iteration state. Everything a
-// resume needs between iterations is three things: the vertex bytes, the
-// frontier the next iteration scatters, and whether the job already
-// converged — update streams are empty at iteration boundaries by
-// construction. jobRun implements it; a custom JobRun that does not is
-// simply never checkpointed.
+// Snapshotter is what an engine's checkpoint path needs of a run to capture
+// and restore its cross-iteration state. Everything a resume needs between
+// iterations is three things: the vertex bytes, the frontier the next
+// iteration scatters, and whether the job already converged — update
+// streams are empty at iteration boundaries by construction. The vertex
+// bytes are visited a window at a time, never handed out whole, so a run
+// that spills its state to the device (the solo out-of-core engine)
+// implements it next to jobRun, whose single window is the live slice. A
+// custom JobRun that does not implement it is simply never checkpointed.
 type Snapshotter interface {
-	// StateBytes returns a live byte view of the run's vertex state in
-	// relabeled order. A checkpoint writer serializes it; a resume reads
-	// the snapshot's bytes directly back into it.
-	StateBytes() []byte
+	// Name identifies the run in the snapshot's identity.
+	Name() string
+	// Done reports the run had already converged when the snapshot is taken.
+	Done() bool
+	// StateSize returns the byte size of the run's vertex state.
+	StateSize() int64
+	// VisitState calls fn with consecutive windows of the vertex state, in
+	// relabeled vertex order, StateSize bytes in all. With restore false a
+	// window holds the current state for a checkpoint writer to serialize;
+	// with restore true its contents are unspecified, fn overwrites all of it
+	// with snapshot bytes, and the run keeps what fn left there. The first
+	// error, fn's or the run's own, ends the visit.
+	VisitState(restore bool, fn func(window []byte) error) error
 	// FrontierWords returns the backing words of the frontier the next
 	// iteration scatters, nil when the run is dense. The slice aliases
 	// live state (see Frontier.Words).
@@ -337,8 +348,13 @@ type Snapshotter interface {
 	MarkDone()
 }
 
-// StateBytes implements Snapshotter.
-func (r *jobRun[V, M]) StateBytes() []byte { return pod.AsBytes(r.verts) }
+// StateSize implements Snapshotter.
+func (r *jobRun[V, M]) StateSize() int64 { return int64(len(r.verts)) * int64(pod.Size[V]()) }
+
+// VisitState implements Snapshotter: the state is one in-memory window.
+func (r *jobRun[V, M]) VisitState(_ bool, fn func(window []byte) error) error {
+	return fn(pod.AsBytes(r.verts))
+}
 
 // FrontierWords implements Snapshotter.
 func (r *jobRun[V, M]) FrontierWords() []uint64 {

@@ -1,60 +1,89 @@
 package diskengine
 
-// checkpoint.go is the iteration-level checkpoint of the out-of-core
-// engine (Config.Checkpoint). After every completed iteration that does
-// not terminate the run, the engine snapshots the whole execution state a
-// resume needs — per-partition vertex windows (post-EndIteration, so any
-// phase fold is already applied), the frontier to scatter next, and the
-// iteration number — into one framed, checksummed file next to the
-// partition files. Snapshots double-buffer across two slots (iter&1), so
-// a crash mid-write can tear at most the slot being replaced while the
-// previous iteration's snapshot stays whole. The frame is
+// checkpoint.go is the out-of-core engine's iteration-level checkpoint
+// (Config.Checkpoint), one implementation and one format for a solo Run and
+// for a shared pass (Prepared.RunMany / RunJob). At an iteration boundary
+// the whole resumable state is, per job, exactly three things: the vertex
+// bytes (post-EndIteration, so any phase fold is already applied), the
+// frontier the next iteration scatters, and whether the job already
+// converged — update streams are empty between iterations by construction.
+// core.Snapshotter exposes those three, the vertex bytes a window at a time
+// so that a solo run whose state is spilled to vertex files snapshots
+// through the same code as a jobRun holding one slice: a solo run is a
+// snapshot of one section. The snapshot concatenates every job's section
+// into one framed, checksummed file next to the prepared partition files,
+// double-buffered across two slots (iter&1) with the magic written last, so
+// a torn write is indistinguishable from no snapshot:
 //
-//	[8B magic "XSCKPT1\n"][8B iteration][8B nv][8B vsize]
-//	[8B identity][8B flags][vertex bytes][frontier words?][4B crc32c]
+//	[8B magic "XSCKPS1\n"][8B iteration][8B jobs][8B identity][16B zero]
+//	per job: [8B flags][vertex bytes][frontier words?]
+//	[4B crc32c]
 //
-// with the CRC covering everything after the magic and before itself, and
-// the magic written last: a snapshot is visible only once its body and
-// trailer are durable, so a torn write is indistinguishable from no
-// snapshot. identity fingerprints the run shape (program, partitioner,
-// partition count, graph size, vertex record size) so a stale snapshot
-// from a different job can never be loaded. Resume picks the valid
-// candidate with the highest iteration, verifies its checksum end to end
-// before loading a byte of it, and falls back to a fresh start when no
-// candidate survives — a corrupt checkpoint costs the resume, never the
-// result.
+// The CRC covers everything after the magic and before itself. identity
+// fingerprints the pass shape (partitioner, partition count, graph size,
+// and each job's name, state size and frontier-ness) so a stale snapshot
+// from a different job set is never loaded; a solo Run and a RunJob of the
+// same program over the same layout share it, and either resumes the other's
+// snapshot. Resume picks the valid candidate with the highest iteration,
+// verifies its checksum end to end before loading a byte, and falls back to
+// a fresh start when none survives — a corrupt checkpoint costs the resume,
+// never the result. Checkpointing assumes one checkpointed run per prefix
+// at a time: this is the CLI/solo-job path, and the serving scheduler never
+// sets Config.Checkpoint.
 
 import (
 	"encoding/binary"
 	"fmt"
 
+	"repro/internal/core"
 	"repro/internal/pod"
 	"repro/internal/storage"
 )
 
 const (
-	ckptMagic     = "XSCKPT1\n"
+	ckptMagic     = "XSCKPS1\n"
 	ckptHeaderLen = 48
-	ckptFlagFront = 1 << 0 // snapshot carries frontier words
+	ckptDone      = 1 << 0 // job had already converged
+	ckptFront     = 1 << 1 // job section carries frontier words
 )
 
-func (e *engine[V, M]) ckptName(slot int) string {
-	return fmt.Sprintf("%scheckpoint-%d.xsck", e.cfg.Prefix, slot)
-}
-
-// ckptIdentity fingerprints the run shape a snapshot is only valid for.
-func (e *engine[V, M]) ckptIdentity() uint32 {
-	return storage.Checksum([]byte(fmt.Sprintf("%s|%s|%d|%d|%d|%d",
-		e.prog.Name(), e.stats.Partitioner, e.k, e.nv, e.ne, pod.Size[V]())))
-}
-
-// ckptFrontWords is the frontier word count a snapshot carries (0 when the
-// run is not selective).
-func (e *engine[V, M]) ckptFrontWords() int64 {
-	if e.fp == nil {
-		return 0
+// snapshotters returns every run's checkpoint extension, or nil when any
+// run does not implement core.Snapshotter — such a set is never
+// checkpointed rather than partially checkpointed.
+func snapshotters(runs []core.JobRun) []core.Snapshotter {
+	snaps := make([]core.Snapshotter, len(runs))
+	for i, r := range runs {
+		s, ok := r.(core.Snapshotter)
+		if !ok {
+			return nil
+		}
+		snaps[i] = s
 	}
-	return (e.nv + 63) / 64
+	return snaps
+}
+
+func (pp *Prepared) ckptName(slot int) string {
+	return fmt.Sprintf("%sds-checkpoint-%d.xsck", pp.cfg.Prefix, slot)
+}
+
+// ckptIdentity fingerprints the shape a snapshot is only valid for: the
+// prepared layout plus each job's name, state size and whether it runs
+// selectively.
+func (pp *Prepared) ckptIdentity(snaps []core.Snapshotter) uint32 {
+	s := fmt.Sprintf("%s|%d|%d|%d", pp.partName, pp.k, pp.nv, pp.ne)
+	for _, sn := range snaps {
+		s += fmt.Sprintf("|%s:%d:%t", sn.Name(), sn.StateSize(), sn.FrontierWords() != nil)
+	}
+	return storage.Checksum([]byte(s))
+}
+
+// ckptWant is the exact file size a valid snapshot of snaps must have.
+func ckptWant(snaps []core.Snapshotter) int64 {
+	want := int64(ckptHeaderLen)
+	for _, s := range snaps {
+		want += 8 + s.StateSize() + int64(len(s.FrontierWords()))*8
+	}
+	return want + 4
 }
 
 // writeFull writes all of b at off, retrying short writes.
@@ -73,37 +102,30 @@ func writeFull(f storage.File, b []byte, off int64) error {
 	return nil
 }
 
-// writeCheckpoint snapshots the state iteration iter+1 starts from. Called
-// after EndIteration, so phase folds (e.g. PageRank's rank update) are in
-// the vertex bytes, and after the frontier swap, so e.cur is the frontier
-// the next iteration scatters.
-func (e *engine[V, M]) writeCheckpoint(iter int) error {
-	name := e.ckptName(iter & 1)
-	f, err := e.cfg.Device.Create(name)
+// writeCheckpoint snapshots the state iteration iter+1 starts from — called
+// after every job's EndIteration, so phase folds (e.g. PageRank's rank
+// update) are in the vertex bytes and the frontier swap has happened.
+// Returns the bytes written, for a pass that tallies its own I/O.
+func (pp *Prepared) writeCheckpoint(iter int, snaps []core.Snapshotter) (int64, error) {
+	name := pp.ckptName(iter & 1)
+	f, err := pp.cfg.Device.Create(name)
 	if err != nil {
-		return fmt.Errorf("diskengine: checkpoint %s: %w", name, err)
+		return 0, fmt.Errorf("diskengine: checkpoint %s: %w", name, err)
 	}
-	fail := func(err error) error {
+	fail := func(err error) (int64, error) {
 		f.Close()
-		return fmt.Errorf("diskengine: checkpoint %s: %w", name, err)
+		return 0, fmt.Errorf("diskengine: checkpoint %s: %w", name, err)
 	}
 
 	hdr := make([]byte, ckptHeaderLen) // magic stays zero until the end
 	binary.LittleEndian.PutUint64(hdr[8:], uint64(iter))
-	binary.LittleEndian.PutUint64(hdr[16:], uint64(e.nv))
-	binary.LittleEndian.PutUint64(hdr[24:], uint64(pod.Size[V]()))
-	binary.LittleEndian.PutUint64(hdr[32:], uint64(e.ckptIdentity()))
-	var flags uint64
-	if e.fp != nil {
-		flags |= ckptFlagFront
-	}
-	binary.LittleEndian.PutUint64(hdr[40:], flags)
+	binary.LittleEndian.PutUint64(hdr[16:], uint64(len(snaps)))
+	binary.LittleEndian.PutUint64(hdr[24:], uint64(pp.ckptIdentity(snaps)))
 	if err := writeFull(f, hdr, 0); err != nil {
 		return fail(err)
 	}
 	crc := storage.ChecksumUpdate(0, hdr[8:])
 	off := int64(ckptHeaderLen)
-
 	writeBody := func(raw []byte) error {
 		if err := writeFull(f, raw, off); err != nil {
 			return err
@@ -112,27 +134,29 @@ func (e *engine[V, M]) writeCheckpoint(iter int) error {
 		off += int64(len(raw))
 		return nil
 	}
-	if e.allVerts != nil {
-		if err := writeBody(pod.AsBytes(e.allVerts)); err != nil {
+	var jf [8]byte
+	for _, s := range snaps {
+		var flags uint64
+		if s.Done() {
+			flags |= ckptDone
+		}
+		fw := s.FrontierWords()
+		if fw != nil {
+			flags |= ckptFront
+		}
+		binary.LittleEndian.PutUint64(jf[:], flags)
+		if err := writeBody(jf[:]); err != nil {
 			return fail(err)
 		}
-	} else {
-		for p := 0; p < e.k; p++ {
-			verts, _, err := e.loadVerts(p, false)
-			if err != nil {
-				return fail(err)
-			}
-			if err := writeBody(pod.AsBytes(verts)); err != nil {
+		if err := s.VisitState(false, writeBody); err != nil {
+			return fail(err)
+		}
+		if fw != nil {
+			if err := writeBody(pod.AsBytes(fw)); err != nil {
 				return fail(err)
 			}
 		}
 	}
-	if e.fp != nil {
-		if err := writeBody(pod.AsBytes(e.cur.Words())); err != nil {
-			return fail(err)
-		}
-	}
-
 	var trailer [4]byte
 	binary.LittleEndian.PutUint32(trailer[:], crc)
 	if err := writeFull(f, trailer[:], off); err != nil {
@@ -144,16 +168,17 @@ func (e *engine[V, M]) writeCheckpoint(iter int) error {
 		return fail(err)
 	}
 	if err := f.Close(); err != nil {
-		return fmt.Errorf("diskengine: checkpoint %s: %w", name, err)
+		return 0, fmt.Errorf("diskengine: checkpoint %s: %w", name, err)
 	}
-	return nil
+	return off + 4, nil
 }
 
-// ckptInspect fully validates slot's snapshot — magic, identity, size and
-// the end-to-end checksum — without loading any of it, and returns the
-// iteration it captured. Any defect just disqualifies the candidate.
-func (e *engine[V, M]) ckptInspect(slot int) (int, bool) {
-	f, err := e.cfg.Device.Open(e.ckptName(slot))
+// ckptInspect fully validates slot's snapshot — magic, shape, size and the
+// end-to-end checksum — without loading any of it, and returns the
+// iteration it captured. Any defect just disqualifies the candidate. The
+// verification reads are accounted on pass.
+func (pp *Prepared) ckptInspect(pass *core.Stats, slot int, snaps []core.Snapshotter) (int, bool) {
+	f, err := pp.cfg.Device.Open(pp.ckptName(slot))
 	if err != nil {
 		return 0, false
 	}
@@ -162,18 +187,17 @@ func (e *engine[V, M]) ckptInspect(slot int) (int, bool) {
 	if readBytes(f, hdr, 0) != nil || string(hdr[:8]) != ckptMagic {
 		return 0, false
 	}
+	pass.BytesRead += int64(ckptHeaderLen)
 	iter := binary.LittleEndian.Uint64(hdr[8:])
-	nv := binary.LittleEndian.Uint64(hdr[16:])
-	vsize := binary.LittleEndian.Uint64(hdr[24:])
-	ident := binary.LittleEndian.Uint64(hdr[32:])
-	flags := binary.LittleEndian.Uint64(hdr[40:])
-	if nv != uint64(e.nv) || vsize != uint64(pod.Size[V]()) || uint32(ident) != e.ckptIdentity() {
+	njobs := binary.LittleEndian.Uint64(hdr[16:])
+	ident := binary.LittleEndian.Uint64(hdr[24:])
+	if njobs != uint64(len(snaps)) || uint32(ident) != pp.ckptIdentity(snaps) {
 		return 0, false
 	}
-	if (flags&ckptFlagFront != 0) != (e.fp != nil) || iter > uint64(e.cfg.MaxIterations) {
+	if iter >= uint64(pp.cfg.MaxIterations) {
 		return 0, false
 	}
-	want := int64(ckptHeaderLen) + e.nv*int64(vsize) + e.ckptFrontWords()*8 + 4
+	want := ckptWant(snaps)
 	if f.Size() != want {
 		return 0, false
 	}
@@ -195,63 +219,68 @@ func (e *engine[V, M]) ckptInspect(slot int) (int, bool) {
 	if readBytes(f, trailer[:], end) != nil {
 		return 0, false
 	}
+	pass.BytesRead += want - int64(ckptHeaderLen)
 	if binary.LittleEndian.Uint32(trailer[:]) != crc {
 		return 0, false
 	}
+	pass.BytesChecksummed += want - 12 // everything between magic and CRC
 	return int(iter), true
 }
 
-// ckptLoad restores vertex state and frontier from slot's already-verified
-// snapshot.
-func (e *engine[V, M]) ckptLoad(slot int) bool {
-	f, err := e.cfg.Device.Open(e.ckptName(slot))
+// ckptLoad restores every job's vertex state, frontier and converged flag
+// from slot's already-verified snapshot.
+func (pp *Prepared) ckptLoad(pass *core.Stats, slot int, snaps []core.Snapshotter) bool {
+	f, err := pp.cfg.Device.Open(pp.ckptName(slot))
 	if err != nil {
 		return false
 	}
 	defer f.Close()
 	off := int64(ckptHeaderLen)
-	if e.allVerts != nil {
-		raw := pod.AsBytes(e.allVerts)
-		if readBytes(f, raw, off) != nil {
-			return false
+	readBody := func(raw []byte) error {
+		if err := readBytes(f, raw, off); err != nil {
+			return err
 		}
 		off += int64(len(raw))
-	} else {
-		for p := 0; p < e.k; p++ {
-			lo, hi := e.part.Range(p, e.nv)
-			raw := pod.AsBytes(e.vertsBuf[:hi-lo])
-			if readBytes(f, raw, off) != nil {
-				return false
-			}
-			off += int64(len(raw))
-			if e.vertFiles[p].writeAllAt(raw) != nil {
-				return false
-			}
-		}
+		pass.BytesRead += int64(len(raw))
+		return nil
 	}
-	if e.fp != nil {
-		words := make([]uint64, e.ckptFrontWords())
-		if readBytes(f, pod.AsBytes(words), off) != nil {
+	var jf [8]byte
+	for _, s := range snaps {
+		if readBody(jf[:]) != nil {
 			return false
 		}
-		if e.cur.LoadWords(words) != nil {
+		flags := binary.LittleEndian.Uint64(jf[:])
+		fw := s.FrontierWords()
+		if (flags&ckptFront != 0) != (fw != nil) {
 			return false
 		}
-		e.nxt.Clear()
+		if s.VisitState(true, readBody) != nil {
+			return false
+		}
+		if fw != nil {
+			words := make([]uint64, len(fw))
+			if readBody(pod.AsBytes(words)) != nil || s.RestoreFrontier(words) != nil {
+				return false
+			}
+		}
+		if flags&ckptDone != 0 {
+			s.MarkDone()
+		}
 	}
 	return true
 }
 
-// tryResume restores the newest valid checkpoint and returns the iteration
-// the loop should start from (0 when nothing usable was found). When a
-// verified candidate still fails to load — device trouble between the two
-// passes — the just-initialized state is re-established before falling
-// back, so a failed resume can never leave half-restored vertices behind.
-func (e *engine[V, M]) tryResume() int {
+// tryResume restores the newest valid snapshot into snaps and returns the
+// iteration the loop should start from (0 when nothing usable was found).
+// When a verified candidate still fails to load — device trouble between
+// the two passes — reinit must re-establish freshly initialized state behind
+// snaps, in place, before the next candidate is tried, so a failed resume
+// can never leave half-restored vertices behind.
+func (pp *Prepared) tryResume(pass *core.Stats, snaps []core.Snapshotter, reinit func() error) (int, error) {
 	type cand struct{ slot, iter int }
 	var cands []cand
 	for slot := 0; slot < 2; slot++ {
-		if it, ok := e.ckptInspect(slot); ok {
+		if it, ok := pp.ckptInspect(pass, slot, snaps); ok {
 			cands = append(cands, cand{slot, it})
 		}
 	}
@@ -259,23 +288,32 @@ func (e *engine[V, M]) tryResume() int {
 		cands[0], cands[1] = cands[1], cands[0]
 	}
 	for _, c := range cands {
-		if e.ckptLoad(c.slot) {
-			return c.iter + 1
+		if pp.ckptLoad(pass, c.slot, snaps) {
+			return c.iter + 1, nil
 		}
-		if e.initVertexState() != nil {
-			return 0
+		if err := reinit(); err != nil {
+			return 0, err
 		}
 	}
-	return 0
+	return 0, nil
 }
 
 // removeCheckpoints deletes both snapshot slots — the run completed, so
-// there is nothing left to resume.
-func (e *engine[V, M]) removeCheckpoints() {
-	if !e.cfg.Checkpoint {
+// there is nothing left to resume — and the transposed partition files a
+// crashed attempt built but this one never adopted: a resume can start past
+// the only backward iteration (PageRank's degree pass), in which case the
+// previous attempt's .redges files would otherwise be orphaned. Files this
+// Prepared did build belong to it and are left for Close.
+func (pp *Prepared) removeCheckpoints() {
+	for slot := 0; slot < 2; slot++ {
+		pp.cfg.Device.Remove(pp.ckptName(slot))
+	}
+	pp.mu.Lock()
+	defer pp.mu.Unlock()
+	if pp.bwdFiles != nil {
 		return
 	}
-	for slot := 0; slot < 2; slot++ {
-		e.cfg.Device.Remove(e.ckptName(slot))
+	for p := 0; p < pp.k; p++ {
+		pp.cfg.Device.Remove(fmt.Sprintf("%sds-p%04d.redges", pp.cfg.Prefix, p))
 	}
 }

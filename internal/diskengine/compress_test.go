@@ -120,8 +120,8 @@ func TestEngineParityCompressed(t *testing.T) {
 }
 
 func TestEngineParityCompressedSpillNoPrefetch(t *testing.T) {
-	runBothWCC(t, Config{Device: ssd(0), Threads: 2, IOUnit: 8 << 10, Partitions: 4,
-		CompressTiles: true, ForceVertexSpill: true, NoPrefetch: true})
+	runBothWCC(t, spilled(Config{Device: ssd(0), Threads: 2, IOUnit: 8 << 10, Partitions: 4,
+		CompressTiles: true, NoPrefetch: true}))
 }
 
 // TestCompressedStats runs the same job raw and compressed and checks the

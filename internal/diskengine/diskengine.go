@@ -18,6 +18,14 @@
 // memory budget, and the update files are bypassed when one scatter
 // phase's updates fit in a single stream buffer.
 //
+// Every run streams from a Prepared (runmany.go), the engine's one dataset
+// layer: the §3.4 partition sizing, the partitioner and relabeling, the
+// edge shuffle, the edge files with their tile index and lazily built
+// transpose, the partition reader and the checkpoint all live there, for a
+// solo Run and a shared pass alike. What this file keeps is what only a
+// solo run has: vertex windows that spill to the device, update files
+// behind a fileTransport, and scatter/gather parallelism inside a chunk.
+//
 // Buffers are owned for the whole run, as in §3.2: the engine's edgeScratch
 // is the two edge input buffers every reader borrows and the file
 // transport's bucketWriter holds the three update output buffers — the five
@@ -54,7 +62,6 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/graphio"
 	"repro/internal/pod"
 	"repro/internal/storage"
 	"repro/internal/streambuf"
@@ -92,18 +99,12 @@ type Config struct {
 	MaxIterations int
 	// Prefix namespaces this run's files on the device.
 	Prefix string
-	// KeepFiles leaves partition files on the device after the run.
-	KeepFiles bool
 	// NoPrefetch disables the second input/output buffers (prefetch
 	// distance 0); used by the prefetch ablation benchmark.
 	NoPrefetch bool
 	// NoUpdateBypass forces updates through the disk files even when
 	// they fit in one stream buffer; used by the bypass ablation.
 	NoUpdateBypass bool
-	// ForceVertexSpill keeps only one partition's vertices in memory
-	// even when the whole vertex set would fit; exercised by tests and
-	// the scaling benchmarks.
-	ForceVertexSpill bool
 	// Partitioner chooses how vertices map to streaming partitions. nil
 	// means core.RangePartitioner (the paper's fixed contiguous split).
 	// Locality-aware partitioners relabel vertices during pre-processing;
@@ -156,7 +157,7 @@ type Config struct {
 	// the last completed iteration instead of from scratch. Snapshots
 	// double-buffer across two files, are removed when the run completes,
 	// and are ignored (never trusted) when their checksum or identity does
-	// not match.
+	// not match. Run and RunJob write the same format (checkpoint.go).
 	Checkpoint bool
 	// Tracer receives run → iteration → phase → partition spans. nil
 	// (the default) disables tracing; a Tracer never changes any work
@@ -221,7 +222,7 @@ func Run[V, M any](g core.EdgeSource, prog core.Program[V, M], cfg Config) (*Res
 	}
 
 	start := time.Now()
-	e := &engine[V, M]{cfg: cfg, prog: prog, nv: g.NumVertices(), ne: g.NumEdges()}
+	e := &engine[V, M]{cfg: cfg, prog: prog, nv: g.NumVertices()}
 	if cb, ok := any(prog).(core.Combiner[M]); ok && !cfg.NoCombine {
 		e.combine = cb.Combine
 	}
@@ -237,47 +238,36 @@ func Run[V, M any](g core.EdgeSource, prog core.Program[V, M], cfg Config) (*Res
 			}
 		}
 	}
-	if err := e.plan(); err != nil {
+	readBefore, writtenBefore, retriesBefore := e.devCounters()
+
+	// Pre-processing: the dataset layer sizes the partitions, runs the
+	// partitioner and shuffles the edges — indexing tiles only when this run
+	// will read selectively — then the run sets up its own state and lets the
+	// program translate any ID-valued parameters.
+	t0 := time.Now()
+	pp, err := prepare(g, cfg, int64(pod.Size[V]()), e.fp != nil)
+	if err != nil {
 		return nil, err
 	}
-	devBefore := cfg.Device.Stats()
-	updBefore := cfg.UpdateDevice.Stats()
-
-	// Partitioning policy: plan the assignment (part of pre-processing —
-	// a locality-aware partitioner pays its streaming passes here),
-	// rewrite the edge stream through the relabeling, and let the program
-	// translate any ID-valued parameters.
-	t0 := time.Now()
-	pr := cfg.Partitioner
-	if pr == nil {
-		pr = core.RangePartitioner{}
+	// Both are idempotent: the success path runs them before it reads the
+	// device counters, every error path here. Checkpoints outlive a failed
+	// run on purpose — they are what the retry resumes from.
+	defer pp.Close()
+	defer e.cleanup()
+	if err := e.plan(pp); err != nil {
+		return nil, err
 	}
-	asg, err := pr.Assign(g, e.k)
-	if err != nil {
-		return nil, fmt.Errorf("diskengine: partitioner %s: %w", pr.Name(), err)
-	}
-	if err := asg.Validate(e.nv); err != nil {
-		return nil, fmt.Errorf("diskengine: partitioner %s: %w", pr.Name(), err)
-	}
-	e.asg = asg
-	e.stats.Partitioner = pr.Name()
 	// Vertex replication needs the Combiner to merge mirror accumulators;
 	// without one the assignment's mirror set is ignored (the fallback).
-	if e.combine != nil && asg.Mirrors.Len() > 0 {
-		e.rep = asg.Mirrors
-		e.stats.MirroredVertices = asg.Mirrors.Len()
+	if e.combine != nil && pp.asg.Mirrors.Len() > 0 {
+		e.rep = pp.asg.Mirrors
+		e.stats.MirroredVertices = e.rep.Len()
 		e.mbPool.New = func() any { return core.NewMirrorBuffer(e.rep, e.combine) }
 	}
 	if vm, ok := any(prog).(core.VertexMapper); ok {
-		vm.MapVertices(e.nv, asg.NewID, asg.OldID)
+		vm.MapVertices(e.nv, pp.asg.NewID, pp.asg.OldID)
 	}
-	if !asg.Identity() {
-		g = graphio.Relabeled(g, asg.Relabel)
-	}
-
-	if err := e.setup(g); err != nil {
-		e.closeTransport()
-		e.cleanup()
+	if err := e.setup(); err != nil {
 		return nil, err
 	}
 	e.stats.PreprocessTime = time.Since(t0)
@@ -287,59 +277,45 @@ func Run[V, M any](g core.EdgeSource, prog core.Program[V, M], cfg Config) (*Res
 
 	// Resume from the newest valid checkpoint of a previous attempt with
 	// this prefix: iterations [0, startIter) were restored, not executed.
-	// Invalid or corrupt snapshots are ignored, never trusted.
+	// Invalid or corrupt snapshots are ignored, never trusted. The device
+	// deltas below cover the snapshot I/O, so only the verified volume is
+	// kept of what the resume tallies.
 	startIter := 0
 	if cfg.Checkpoint {
-		startIter = e.tryResume()
+		var io core.Stats
+		if startIter, err = pp.tryResume(&io, []core.Snapshotter{e}, e.initVertexState); err != nil {
+			return nil, err
+		}
+		e.stats.BytesChecksummed += io.BytesChecksummed
 		e.stats.ResumedIterations = startIter
 	}
 
 	if err := e.loop(startIter); err != nil {
-		// Checkpoints outlive a failed run on purpose — they are what the
-		// retry resumes from.
-		e.closeTransport()
-		e.cleanup()
 		return nil, err
 	}
 
 	verts, err := e.materializeVertices()
 	if err != nil {
-		e.closeTransport()
-		e.cleanup()
 		return nil, err
 	}
 	tc := e.tp.Counters()
 	e.stats.TransportBatches = tc.Batches
 	e.stats.TransportBytes = tc.Bytes
 	e.stats.TransportCross = tc.Cross
-	e.closeTransport()
-	e.removeCheckpoints()
-	e.cleanup()
-
-	devAfter := cfg.Device.Stats()
-	updAfter := cfg.UpdateDevice.Stats()
-	e.stats.BytesRead = devAfter.BytesRead - devBefore.BytesRead
-	e.stats.BytesWritten = devAfter.BytesWritten - devBefore.BytesWritten
-	e.stats.IORetries = devAfter.Retries - devBefore.Retries
-	if cfg.UpdateDevice != cfg.Device {
-		e.stats.BytesRead += updAfter.BytesRead - updBefore.BytesRead
-		e.stats.BytesWritten += updAfter.BytesWritten - updBefore.BytesWritten
-		e.stats.IORetries += updAfter.Retries - updBefore.Retries
+	if cfg.Checkpoint {
+		pp.removeCheckpoints()
 	}
+	e.cleanup()
+	pp.Close()
+
+	read, written, retries := e.devCounters()
+	e.stats.BytesRead = read - readBefore
+	e.stats.BytesWritten = written - writtenBefore
+	e.stats.IORetries = retries - retriesBefore
 	// Logical read volume: everything counted physically, with the edge
 	// streams' physical bytes swapped for the record bytes they decoded to.
 	e.stats.BytesReadLogical = e.stats.BytesRead - e.physEdge + e.logicalEdge
-	var physTiles, logicalTiles int64
-	for _, t := range []*diskTiles{e.tilesFwd, e.tilesBwd} {
-		if t != nil && t.compressed {
-			e.stats.TilesCompressed += t.tilesCompressed
-			physTiles += t.physBytes
-			logicalTiles += t.logicalBytes
-		}
-	}
-	if logicalTiles > 0 {
-		e.stats.CompressedRatio = float64(physTiles) / float64(logicalTiles)
-	}
+	pp.layoutStats(&e.stats)
 	e.stats.TotalTime = time.Since(start)
 	if tr := cfg.Tracer; tr != nil {
 		tr.Span(0, "run", start, e.stats.TotalTime, map[string]int64{
@@ -353,13 +329,12 @@ func Run[V, M any](g core.EdgeSource, prog core.Program[V, M], cfg Config) (*Res
 type engine[V, M any] struct {
 	cfg  Config
 	prog core.Program[V, M]
+	// pp is the run's dataset layer: partitioning, edge files, tile index,
+	// partition reader, checkpoint slots. nv, k and part repeat its sizes.
+	pp   *Prepared
 	nv   int64
-	ne   int64
-
-	k        int
-	part     core.Split
-	asg      *core.Assignment
-	shufPlan streambuf.Plan
+	k    int
+	part core.Split
 	// combine is the program's update semigroup, nil when the program has
 	// none (or Config.NoCombine disabled it); folder is the reusable
 	// pre-writeback fold over it (nil when partitions are too wide); rep
@@ -374,21 +349,18 @@ type engine[V, M any] struct {
 	mbPool sync.Pool
 	// Selective scheduling state (nil fp = dense streaming): cur is the
 	// frontier scattered this iteration, nxt collects gather receivers for
-	// the next, active caches cur's per-partition counts for one scatter;
-	// tilesFwd/tilesBwd index the edge files' tile source summaries.
+	// the next, active caches cur's per-partition counts for one scatter.
 	fp       core.FrontierProgram[V]
 	cur, nxt *core.Frontier
 	active   []int64
-	tilesFwd *diskTiles
-	tilesBwd *diskTiles
 	// Edge-read volume split for BytesReadLogical: physical bytes the
 	// edge streams read vs the decoded record bytes they delivered —
 	// equal unless CompressTiles shrank the files.
 	physEdge    int64
 	logicalEdge int64
-	// bufRecs is the record capacity of one stream buffer (S·K bytes).
-	bufEdgeRecs int
-	bufUpdRecs  int
+	// bufUpdRecs is the record capacity of one update stream buffer (S·K
+	// bytes).
+	bufUpdRecs int
 
 	// Vertex state: either fully in memory (allVerts != nil) or spilled
 	// to per-partition vertex files with a reusable window buffer.
@@ -396,15 +368,13 @@ type engine[V, M any] struct {
 	vertsBuf  []V
 	vertFiles []*partFile
 
-	edgeFiles []*partFile // forward edge lists per partition
-	bwdFiles  []*partFile // transposed edge lists, built lazily
-	updFiles  []*partFile
+	updFiles []*partFile
 
 	// gather sub-shuffle scratch (layered in-memory engine, §4.3)
 	subA, subB *streambuf.Buffer[core.Update[M]]
 	subPlan    streambuf.Plan
 
-	// rd is the edge-read scratch every streamSegments pass of the run
+	// rd is the edge-read scratch every streamPartition call of the run
 	// borrows; priv holds each scatter worker's private buffer, made on
 	// the worker's first scatterRange and reused until the run ends.
 	rd   edgeScratch
@@ -421,65 +391,27 @@ type engine[V, M any] struct {
 	stats core.Stats
 }
 
-// plan picks the partition count from the §3.4 inequality, sizes the stream
-// buffers and decides whether vertices spill.
-func (e *engine[V, M]) plan() error {
-	vsize := pod.Size[V]()
-	usize := pod.Size[core.Update[M]]()
-	s := int64(e.cfg.IOUnit)
-	m := e.cfg.MemoryBudget
-	vertexBytes := e.nv * int64(vsize)
-
-	k := e.cfg.Partitions
-	if k == 0 {
-		found := false
-		for cand := 1; cand <= 1<<20; cand <<= 1 {
-			if vertexBytes/int64(cand)+5*s*int64(cand) <= m {
-				k, found = cand, true
-				break
-			}
-			if 5*s*int64(cand) > m {
-				break
-			}
-		}
-		if !found {
-			return fmt.Errorf("diskengine: no partition count satisfies N/K + 5·S·K ≤ M with N=%d S=%d M=%d (need ≥ %d bytes)",
-				vertexBytes, s, m, minMemory(vertexBytes, s))
-		}
-	}
-	if k&(k-1) != 0 {
-		return fmt.Errorf("diskengine: partition count %d is not a power of two", k)
-	}
-	e.k = k
-	e.part = core.NewSplit(e.nv, k)
+// plan adopts the dataset layer's partitioning, sizes the update stream
+// buffers and decides whether vertices spill: they do when the whole vertex
+// set next to the five stream buffers exceeds the budget.
+func (e *engine[V, M]) plan(pp *Prepared) error {
+	e.pp, e.k, e.part = pp, pp.k, pp.part
 	if e.combine != nil {
 		e.folder = core.NewUpdateFolder(e.part, e.cfg.Threads, e.combine)
 	}
-
-	fanout := k // disk engine: single-stage shuffle (K is small, §3.4)
-	if fanout < 2 {
-		fanout = 2
-	}
-	plan, err := streambuf.NewPlan(k, fanout)
-	if err != nil {
-		return err
-	}
-	e.shufPlan = plan
 	subK := core.NextPow2(e.cfg.Threads * 4)
+	var err error
 	if e.subPlan, err = streambuf.NewPlan(subK, subK); err != nil {
 		return err
 	}
 	e.priv = make([]scatterPriv[M], e.cfg.Threads)
 
-	bufBytes := s * int64(k)
-	e.bufEdgeRecs = int(bufBytes / edgeRecSize)
-	e.bufUpdRecs = int(bufBytes / int64(usize))
-	if e.bufEdgeRecs < 1 || e.bufUpdRecs < 1 {
-		return fmt.Errorf("diskengine: I/O unit %d too small for record sizes", e.cfg.IOUnit)
+	bufBytes := int64(e.cfg.IOUnit) * int64(e.k)
+	e.bufUpdRecs = int(bufBytes / int64(pod.Size[core.Update[M]]()))
+	if e.bufUpdRecs < 1 {
+		return fmt.Errorf("diskengine: I/O unit %d too small for update records", e.cfg.IOUnit)
 	}
-
-	spill := e.cfg.ForceVertexSpill || vertexBytes+5*bufBytes > m
-	if !spill {
+	if e.nv*int64(pod.Size[V]())+5*bufBytes <= e.cfg.MemoryBudget {
 		e.allVerts = make([]V, e.nv)
 	} else {
 		e.vertsBuf = make([]V, e.part.PerPartition())
@@ -487,68 +419,33 @@ func (e *engine[V, M]) plan() error {
 
 	e.stats.Algorithm = e.prog.Name()
 	e.stats.Engine = "disk:" + e.cfg.Device.Name()
-	e.stats.Partitions = k
+	e.stats.Partitioner = pp.partName
+	e.stats.Partitions = e.k
 	e.stats.Threads = e.cfg.Threads
 	return nil
 }
 
-func minMemory(n, s int64) int64 {
-	// 2*sqrt(5NS), §3.4.
-	v := float64(n) * float64(5*s)
-	r := int64(2 * sqrt(v))
-	return r
-}
-
-func sqrt(v float64) float64 {
-	if v <= 0 {
-		return 0
-	}
-	x := v
-	for i := 0; i < 64; i++ {
-		x = (x + v/x) / 2
-	}
-	return x
-}
-
-// setup creates partition files, initializes vertex state and shuffles the
-// input edge list into partition edge files (the engine's entire
-// pre-processing: one streaming pass, no sort).
-func (e *engine[V, M]) setup(g core.EdgeSource) error {
-	e.edgeFiles = make([]*partFile, e.k)
+// setup creates the run's own files — updates, and vertices when they
+// spill — initializes vertex state and makes the update transport.
+func (e *engine[V, M]) setup() error {
 	e.updFiles = make([]*partFile, e.k)
+	if e.allVerts == nil {
+		e.vertFiles = make([]*partFile, e.k)
+	}
 	for p := 0; p < e.k; p++ {
 		var err error
-		if e.edgeFiles[p], err = createPartFile(e.cfg.Device, fmt.Sprintf("%sp%04d.edges", e.cfg.Prefix, p)); err != nil {
-			return err
-		}
 		if e.updFiles[p], err = createPartFile(e.cfg.UpdateDevice, fmt.Sprintf("%sp%04d.updates", e.cfg.Prefix, p)); err != nil {
 			return err
 		}
-	}
-
-	// Vertex state. With selective scheduling, Init doubles as the census
-	// seeding iteration 0's frontier.
-	if e.allVerts == nil {
-		e.vertFiles = make([]*partFile, e.k)
-		for p := 0; p < e.k; p++ {
-			var err error
+		if e.allVerts == nil {
 			if e.vertFiles[p], err = createPartFile(e.cfg.Device, fmt.Sprintf("%sp%04d.verts", e.cfg.Prefix, p)); err != nil {
 				return err
 			}
 		}
 	}
+	// With selective scheduling, Init doubles as the census seeding
+	// iteration 0's frontier.
 	if err := e.initVertexState(); err != nil {
-		return err
-	}
-
-	// Partition the edge list (in-memory shuffle reused, §3.2), indexing
-	// tile source summaries along the way when selective scheduling is on.
-	// The compressed layout needs the index unconditionally — it is the
-	// only record of where each tile's bytes live.
-	if e.fp != nil || e.cfg.CompressTiles {
-		e.tilesFwd = newDiskTilesFor(e.k, e.cfg.TileEdges, e.cfg.CompressTiles)
-	}
-	if err := e.partitionEdges(g, e.edgeFiles, false, e.tilesFwd); err != nil {
 		return err
 	}
 
@@ -557,11 +454,11 @@ func (e *engine[V, M]) setup(g core.EdgeSource) error {
 	// pre-processing shuffle has let go of its own.
 	key := func(u core.Update[M]) uint32 { return e.part.Of(u.Dst) }
 	if e.cfg.Exchange != nil {
-		e.tp = core.NewExchangeTransport(e.cfg.Exchange(e.k), e.k, e.bufUpdRecs, e.shufPlan, e.cfg.Threads, key, e.folder)
+		e.tp = core.NewExchangeTransport(e.cfg.Exchange(e.k), e.k, e.bufUpdRecs, e.pp.shufPlan, e.cfg.Threads, key, e.folder)
 	} else {
 		e.tp = newFileTransport(fileTransportConfig[M]{
 			files:      e.updFiles,
-			plan:       e.shufPlan,
+			plan:       e.pp.shufPlan,
 			key:        key,
 			threads:    e.cfg.Threads,
 			bufRecs:    e.bufUpdRecs,
@@ -584,30 +481,19 @@ func (e *engine[V, M]) initVertexState() error {
 		e.cur.Clear()
 	}
 	if e.allVerts != nil {
-		var wg sync.WaitGroup
-		workers := e.cfg.Threads
+		// In parallel over fixed blocks of vertices, like core.jobRun: a
+		// program initializes a vertex from its ID alone and Frontier.Mark
+		// is atomic.
+		const initBlock = 4096
 		n := len(e.allVerts)
-		chunk := (n + workers - 1) / workers
-		for w := 0; w < workers; w++ {
-			lo, hi := w*chunk, (w+1)*chunk
-			if hi > n {
-				hi = n
-			}
-			if lo >= hi {
-				break
-			}
-			wg.Add(1)
-			go func(lo, hi int) {
-				defer wg.Done()
-				for i := lo; i < hi; i++ {
-					e.prog.Init(core.VertexID(i), &e.allVerts[i])
-					if e.fp != nil && e.fp.InitiallyActive(core.VertexID(i), &e.allVerts[i]) {
-						e.cur.Mark(core.VertexID(i))
-					}
+		core.ForEachClaimed((n+initBlock-1)/initBlock, e.cfg.Threads, func(_, b int) {
+			for i := b * initBlock; i < min(n, (b+1)*initBlock); i++ {
+				e.prog.Init(core.VertexID(i), &e.allVerts[i])
+				if e.fp != nil && e.fp.InitiallyActive(core.VertexID(i), &e.allVerts[i]) {
+					e.cur.Mark(core.VertexID(i))
 				}
-			}(lo, hi)
-		}
-		wg.Wait()
+			}
+		})
 		return nil
 	}
 	for p := 0; p < e.k; p++ {
@@ -623,68 +509,6 @@ func (e *engine[V, M]) initVertexState() error {
 		if err := e.vertFiles[p].writeAllAt(pod.AsBytes(buf)); err != nil {
 			return err
 		}
-	}
-	return nil
-}
-
-// partitionEdges streams src through the shuffle pipeline into files,
-// optionally transposing each edge first. A non-nil tiles index observes
-// every run written, building the selective-read tile summaries during
-// the shuffle itself.
-func (e *engine[V, M]) partitionEdges(src core.EdgeSource, files []*partFile, transpose bool, tiles *diskTiles) error {
-	return partitionEdgesInto(src, files, transpose, tiles, e.bufEdgeRecs, e.shufPlan, e.part, e.cfg.Threads)
-}
-
-// partitionEdgesInto is the engine-independent pre-processing shuffle: it
-// streams src into the partition edge files, shared by solo runs and by
-// Prepare's cached dataset handles.
-func partitionEdgesInto(src core.EdgeSource, files []*partFile, transpose bool, tiles *diskTiles, bufEdgeRecs int, plan streambuf.Plan, part core.Split, threads int) error {
-	w := newBucketWriter(bufEdgeRecs, files, plan, func(ed core.Edge) uint32 {
-		return part.Of(ed.Src)
-	}, threads, nil)
-	var comp *tileCompressor
-	switch {
-	case tiles != nil && tiles.compressed:
-		comp = newTileCompressor(files, tiles)
-		w.sink = comp.append
-	case tiles != nil:
-		w.observe = tiles.observe
-		defer tiles.finish()
-	}
-	err := src.Edges(func(batch []core.Edge) error {
-		if transpose {
-			for i := range batch {
-				batch[i].Src, batch[i].Dst = batch[i].Dst, batch[i].Src
-			}
-		}
-		for len(batch) > 0 {
-			room := w.Room()
-			if room == 0 {
-				if err := w.Flush(); err != nil {
-					return err
-				}
-				continue
-			}
-			take := len(batch)
-			if take > room {
-				take = room
-			}
-			if !w.Buf().Append(batch[:take]) {
-				return fmt.Errorf("diskengine: edge buffer overflow")
-			}
-			batch = batch[take:]
-		}
-		return nil
-	})
-	if err != nil {
-		w.Finish()
-		return err
-	}
-	if err := w.Finish(); err != nil {
-		return err
-	}
-	if comp != nil {
-		return comp.finish()
 	}
 	return nil
 }
@@ -717,15 +541,19 @@ func (e *engine[V, M]) loop(startIter int) error {
 			s.StartIteration(iter)
 		}
 
-		edgeFiles, tiles := e.edgeFiles, e.tilesFwd
-		if isDirected && directed.Direction(iter) == core.Backward {
-			if e.bwdFiles == nil {
-				if err := e.buildBackwardFiles(); err != nil {
-					return err
-				}
-			}
-			edgeFiles, tiles = e.bwdFiles, e.tilesBwd
+		dir := core.Forward
+		if isDirected {
+			dir = directed.Direction(iter)
 		}
+		// The transposed files are built on first use; the build's reads
+		// are edge-stream volume like any other.
+		edgeFiles, tiles, build, err := e.pp.files(dir)
+		if err != nil {
+			return err
+		}
+		e.physEdge += build.read
+		e.logicalEdge += build.logical
+		e.stats.BytesChecksummed += build.checked
 
 		t0 := time.Now()
 		if e.fp != nil {
@@ -742,17 +570,12 @@ func (e *engine[V, M]) loop(startIter int) error {
 		e.stats.EdgesStreamed += streamed
 		e.stats.UpdatesSent += sent
 		e.stats.WastedEdges += streamed - sent
-		e.stats.EdgesSkipped += sp.skippedEdges
-		e.stats.PartitionsSkipped += sp.skippedParts
-		e.stats.TilesSkipped += sp.skippedTiles
 		e.stats.RandomRefs += streamed
 		e.stats.SequentialRefs += streamed
 		e.stats.BytesStreamed += streamed*edgeRecSize + (appended+sp.written)*int64(usize)
 		e.stats.UpdatesCombined += sp.scatterCombined + sp.foldCombined
 		e.stats.MirrorSyncUpdates += sp.synced
 		e.stats.UpdateBytes += sp.written * int64(usize)
-		e.physEdge += sp.physEdge
-		e.logicalEdge += sp.logicalEdge
 
 		t1 := time.Now()
 		if err := e.gatherPhase(); err != nil {
@@ -802,7 +625,7 @@ func (e *engine[V, M]) loop(startIter int) error {
 		// needs no snapshot — its checkpoints are removed on success.
 		if e.cfg.Checkpoint {
 			cpStart := time.Now()
-			if err := e.writeCheckpoint(iter); err != nil {
+			if _, err := e.pp.writeCheckpoint(iter, []core.Snapshotter{e}); err != nil {
 				return err
 			}
 			if tr != nil {
@@ -814,8 +637,8 @@ func (e *engine[V, M]) loop(startIter int) error {
 }
 
 // devCounters samples the cumulative read/write/retry counters of the
-// run's device (and distinct update device), so the iteration loop can
-// attribute per-iteration I/O deltas.
+// run's device (and distinct update device): Run takes the whole run's
+// delta, the iteration loop per-iteration ones.
 func (e *engine[V, M]) devCounters() (read, written, retries int64) {
 	ds := e.cfg.Device.Stats()
 	read, written, retries = ds.BytesRead, ds.BytesWritten, ds.Retries
@@ -826,67 +649,6 @@ func (e *engine[V, M]) devCounters() (read, written, retries int64) {
 		retries += us.Retries
 	}
 	return read, written, retries
-}
-
-// buildBackwardFiles materializes the transposed partitioned edge list with
-// one streaming pass over the forward partition files.
-func (e *engine[V, M]) buildBackwardFiles() error {
-	e.bwdFiles = make([]*partFile, e.k)
-	for p := 0; p < e.k; p++ {
-		var err error
-		if e.bwdFiles[p], err = createPartFile(e.cfg.Device, fmt.Sprintf("%sp%04d.redges", e.cfg.Prefix, p)); err != nil {
-			return err
-		}
-	}
-	src := &partFilesSource{sc: &e.rd, files: e.edgeFiles, tiles: e.tilesFwd, nv: e.nv, chunkRecs: e.bufEdgeRecs, prefetch: !e.cfg.NoPrefetch, verify: !e.cfg.NoVerify}
-	if e.fp != nil || e.cfg.CompressTiles {
-		e.tilesBwd = newDiskTilesFor(e.k, e.cfg.TileEdges, e.cfg.CompressTiles)
-	}
-	err := e.partitionEdges(src, e.bwdFiles, true, e.tilesBwd)
-	e.physEdge += src.phys
-	e.logicalEdge += src.logical
-	e.stats.BytesChecksummed += src.checked
-	return err
-}
-
-// partFilesSource re-streams already-partitioned edge files as one source,
-// decoding through the tile index when the layout is compressed.
-type partFilesSource struct {
-	sc        *edgeScratch // the owner's edge-read scratch
-	files     []*partFile
-	tiles     *diskTiles // nil or raw for raw files; decode index otherwise
-	nv        int64
-	chunkRecs int
-	prefetch  bool
-	verify    bool
-	// phys and logical accumulate the byte volume of every Edges pass,
-	// for the caller's BytesReadLogical accounting; checked the volume
-	// checksum-verified along the way.
-	phys, logical, checked int64
-}
-
-func (s *partFilesSource) NumVertices() int64 { return s.nv }
-
-func (s *partFilesSource) NumEdges() int64 {
-	var n int64
-	for p, f := range s.files {
-		n += edgeFileRecs(f, s.tiles, p)
-	}
-	return n
-}
-
-func (s *partFilesSource) Edges(fn func([]core.Edge) error) error {
-	for p, f := range s.files {
-		segs, _, _ := planSegments(s.tiles, p, nil, edgeFileRecs(f, s.tiles, p))
-		phys, logical, checked, err := streamSegments(nil, s.sc, f, p, s.tiles, s.verify, segs, s.chunkRecs, s.prefetch, fn)
-		s.phys += phys
-		s.logical += logical
-		s.checked += checked
-		if err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // scatterPriv is one scatter worker's private update buffer (§4.1):
@@ -904,13 +666,6 @@ type scatterResult[M any] struct {
 	foldCombined    int64 // updates merged by the pre-writeback fold
 	written         int64 // update records written to files (or kept for bypass gather)
 	synced          int64 // master-mirror sync updates flushed (replication)
-	// selective-scheduling elisions — skipped edges are bytes never read
-	skippedEdges int64
-	skippedParts int64
-	skippedTiles int64
-	// edge-stream volume: physical bytes read vs decoded record bytes
-	physEdge    int64
-	logicalEdge int64
 }
 
 // updateFold returns the bucket fold the bucketWriter applies to each
@@ -945,7 +700,6 @@ func (e *engine[V, M]) scatterPhase(edgeFiles []*partFile, tiles *diskTiles) (sc
 		if tr != nil {
 			pStart = time.Now()
 		}
-		pStreamedBefore := res.streamed
 		fileRecs := edgeFileRecs(edgeFiles[s], tiles, s)
 		vlo, vhi := e.part.Range(s, e.nv)
 		if e.fp != nil && e.active[s] == 0 {
@@ -953,20 +707,14 @@ func (e *engine[V, M]) scatterPhase(edgeFiles []*partFile, tiles *diskTiles) (sc
 			// contract every edge here is a no-op, so the file is not
 			// read. An empty file elides nothing, so it is not counted.
 			if fileRecs > 0 {
-				res.skippedEdges += fileRecs
-				res.skippedParts++
+				e.stats.EdgesSkipped += fileRecs
+				e.stats.PartitionsSkipped++
 			}
 			continue
 		}
 		var need func(core.SrcSpan) bool
 		if e.fp != nil && e.active[s] < vhi-vlo && tiles != nil {
 			need = func(sp core.SrcSpan) bool { return sp.Intersects(e.cur) }
-		}
-		segs, nRecs, nTiles := planSegments(tiles, s, need, fileRecs)
-		res.skippedEdges += nRecs
-		res.skippedTiles += nTiles
-		if len(segs) == 0 {
-			continue
 		}
 		// Degree-aware combining buffers: a denser partition repeats
 		// update destinations more, so combining gets a wider window. A
@@ -975,25 +723,11 @@ func (e *engine[V, M]) scatterPhase(edgeFiles []*partFile, tiles *diskTiles) (sc
 		if e.combine != nil {
 			privCap = core.DegreeAwareBufRecs(basePrivCap, fileRecs, vhi-vlo)
 		}
-		verts, lo, err := e.loadVerts(s, false)
-		if err != nil {
-			return res, err
-		}
-		winHi := vlo + int64(len(verts))
-		phys, logical, checked, err := streamSegments(e.cfg.Context, &e.rd, edgeFiles[s], s, tiles, !e.cfg.NoVerify, segs, e.bufEdgeRecs, !e.cfg.NoPrefetch, func(chunk []core.Edge) error {
-			// A corrupted record must never be dereferenced: the tile CRC
-			// only closes at tile granularity, after the chunk has
-			// scattered, so a bit-flipped Src or Dst would index outside
-			// the vertex window or the shuffle plan before verification
-			// catches it. The shuffle invariant is that every record of
-			// partition s's file sources inside s's window.
-			for _, ed := range chunk {
-				if int64(ed.Src) < vlo || int64(ed.Src) >= winHi || int64(ed.Dst) >= e.nv {
-					return fmt.Errorf("diskengine: edge file %s: record (%d -> %d) outside partition %d window [%d,%d) of %d vertices: %w",
-						edgeFiles[s].name, ed.Src, ed.Dst, s, vlo, winHi, e.nv, storage.ErrCorrupted)
-				}
-			}
-			res.streamed += int64(len(chunk))
+		var verts []V
+		io, skippedRecs, skippedTiles, err := e.pp.streamPartition(e.cfg.Context, &e.rd, edgeFiles, tiles, s, fileRecs, need, func() (err error) {
+			verts, _, err = e.loadVerts(s, false)
+			return err
+		}, func(chunk []core.Edge) error {
 			// Scatter the chunk in segments that fit the output buffer
 			// (combining only ever shrinks a segment's append volume, so
 			// the room reserved for a segment still suffices).
@@ -1009,7 +743,7 @@ func (e *engine[V, M]) scatterPhase(edgeFiles []*partFile, tiles *diskTiles) (sc
 				if take > room {
 					take = room
 				}
-				nSent, nCross, nCombined, nSynced := e.scatterSegment(chunk[off:off+take], verts, lo, s, privCap)
+				nSent, nCross, nCombined, nSynced := e.scatterSegment(chunk[off:off+take], verts, vlo, s, privCap)
 				res.sent += nSent
 				res.scatterCombined += nCombined
 				res.synced += nSynced
@@ -1021,15 +755,19 @@ func (e *engine[V, M]) scatterPhase(edgeFiles []*partFile, tiles *diskTiles) (sc
 			}
 			return nil
 		})
-		res.physEdge += phys
-		res.logicalEdge += logical
-		e.stats.BytesChecksummed += checked
+		streamed := io.logical / edgeRecSize
+		res.streamed += streamed
+		e.stats.EdgesSkipped += skippedRecs
+		e.stats.TilesSkipped += skippedTiles
+		e.physEdge += io.read
+		e.logicalEdge += io.logical
+		e.stats.BytesChecksummed += io.checked
 		if err != nil {
 			return res, err
 		}
-		if tr != nil {
+		if tr != nil && streamed > 0 {
 			tr.Span(0, "partition", pStart, time.Since(pStart),
-				map[string]int64{"p": int64(s), "edges": res.streamed - pStreamedBefore})
+				map[string]int64{"p": int64(s), "edges": streamed})
 		}
 	}
 
@@ -1219,7 +957,6 @@ func (e *engine[V, M]) gatherChunk(chunk []core.Update[M], verts []V, lo int64, 
 		}
 		return
 	}
-	subK := e.subPlan.K
 	if e.subA == nil {
 		e.subA = streambuf.New[core.Update[M]](e.bufUpdRecs)
 		e.subB = streambuf.New[core.Update[M]](e.bufUpdRecs)
@@ -1228,29 +965,16 @@ func (e *engine[V, M]) gatherChunk(chunk []core.Update[M], verts []V, lo int64, 
 	res := streambuf.Shuffle(e.subA, e.subB, e.subPlan, workers, func(u core.Update[M]) uint32 {
 		return subPart.Of(core.VertexID(int64(u.Dst) - lo))
 	})
-	var cursor atomic.Int64
-	var wg sync.WaitGroup
-	for wkr := 0; wkr < workers; wkr++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				sp := int(cursor.Add(1)) - 1
-				if sp >= subK {
-					return
+	core.ForEachClaimed(e.subPlan.K, workers, func(_, sp int) {
+		res.Bucket(sp, func(run []core.Update[M]) {
+			for _, u := range run {
+				e.prog.Gather(u.Dst, &verts[int64(u.Dst)-lo], u.Val)
+				if e.fp != nil {
+					e.nxt.Mark(u.Dst)
 				}
-				res.Bucket(sp, func(run []core.Update[M]) {
-					for _, u := range run {
-						e.prog.Gather(u.Dst, &verts[int64(u.Dst)-lo], u.Val)
-						if e.fp != nil {
-							e.nxt.Mark(u.Dst)
-						}
-					}
-				})
 			}
-		}()
-	}
-	wg.Wait()
+		})
+	})
 }
 
 // loadVerts returns the vertex window of partition p starting at vertex lo.
@@ -1337,38 +1061,96 @@ func (e *engine[V, M]) materializeVertices() ([]V, error) {
 			copy(out[lo:], verts)
 		}
 	}
-	if e.asg != nil && !e.asg.Identity() {
+	if asg := e.pp.asg; !asg.Identity() {
 		if rm, ok := any(e.prog).(core.StateRemapper[V]); ok {
 			for i := range out {
-				rm.RemapState(&out[i], e.asg.OldID)
+				rm.RemapState(&out[i], asg.OldID)
 			}
 		}
-		out = core.RestoreOrder(out, e.asg.Relabel)
+		out = core.RestoreOrder(out, asg.Relabel)
 	}
 	return out, nil
 }
 
-// closeTransport shuts the update transport down — stopping any live write
-// pipeline an error path abandoned mid-scatter — before cleanup removes the
-// partition files underneath it. Safe when setup failed before the
-// transport existed.
-func (e *engine[V, M]) closeTransport() {
+// cleanup shuts the update transport down — stopping any live write
+// pipeline an error path abandoned mid-scatter — and then removes the run's
+// update and vertex files underneath it. Idempotent, and safe when setup
+// failed before the transport or some file existed; the edge files are the
+// Prepared's to remove.
+func (e *engine[V, M]) cleanup() {
 	if e.tp != nil {
 		e.tp.Close()
 		e.tp = nil
 	}
-}
-
-// cleanup removes partition files unless the caller asked to keep them.
-func (e *engine[V, M]) cleanup() {
-	if e.cfg.KeepFiles {
-		return
-	}
-	for _, fs := range [][]*partFile{e.edgeFiles, e.bwdFiles, e.updFiles, e.vertFiles} {
+	for _, fs := range [][]*partFile{e.updFiles, e.vertFiles} {
 		for _, f := range fs {
 			if f != nil {
 				f.remove()
 			}
 		}
 	}
+	e.updFiles, e.vertFiles = nil, nil
+}
+
+// The engine is its own core.Snapshotter: one section, whose vertex bytes
+// are the in-memory slice or, spilled, one window per partition read from
+// (restore: written back to) its vertex file.
+
+// Name implements core.Snapshotter.
+func (e *engine[V, M]) Name() string { return e.prog.Name() }
+
+// Done implements core.Snapshotter. A solo run is only snapshotted, and so
+// only ever restored, while it still has iterations to run.
+func (e *engine[V, M]) Done() bool { return false }
+
+// MarkDone implements core.Snapshotter; see Done.
+func (e *engine[V, M]) MarkDone() {}
+
+// StateSize implements core.Snapshotter.
+func (e *engine[V, M]) StateSize() int64 { return e.nv * int64(pod.Size[V]()) }
+
+// VisitState implements core.Snapshotter.
+func (e *engine[V, M]) VisitState(restore bool, fn func(window []byte) error) error {
+	if e.allVerts != nil {
+		return fn(pod.AsBytes(e.allVerts))
+	}
+	for p := 0; p < e.k; p++ {
+		lo, hi := e.part.Range(p, e.nv)
+		verts := e.vertsBuf[:hi-lo]
+		if !restore {
+			var err error
+			if verts, _, err = e.loadVerts(p, false); err != nil {
+				return err
+			}
+		}
+		if err := fn(pod.AsBytes(verts)); err != nil {
+			return err
+		}
+		if restore {
+			if err := e.storeVerts(p, verts); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
+// FrontierWords implements core.Snapshotter.
+func (e *engine[V, M]) FrontierWords() []uint64 {
+	if e.fp == nil {
+		return nil
+	}
+	return e.cur.Words()
+}
+
+// RestoreFrontier implements core.Snapshotter.
+func (e *engine[V, M]) RestoreFrontier(words []uint64) error {
+	if e.fp == nil {
+		return fmt.Errorf("diskengine: frontier restore on a dense run")
+	}
+	if err := e.cur.LoadWords(words); err != nil {
+		return err
+	}
+	e.nxt.Clear()
+	return nil
 }

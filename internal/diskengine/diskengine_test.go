@@ -48,6 +48,14 @@ func ssd(scale float64) storage.Device {
 	return storage.NewSim(storage.SSDParams("ssd", 2, scale))
 }
 
+// spilled returns cfg with the memory budget set to the five stream buffers
+// alone, so any vertex state at all breaks N + 5·S·K ≤ M and spills to the
+// device. cfg must force Partitions and IOUnit.
+func spilled(cfg Config) Config {
+	cfg.MemoryBudget = 5 * int64(cfg.IOUnit) * int64(cfg.Partitions)
+	return cfg
+}
+
 func smallGraph(seed int64) (core.EdgeSource, []core.Edge) {
 	src := graphgen.RMAT(graphgen.RMATConfig{Scale: 9, EdgeFactor: 8, Seed: seed, Undirected: true})
 	edges, _ := core.Materialize(src)
@@ -90,7 +98,7 @@ func TestEngineParityManyPartitions(t *testing.T) {
 }
 
 func TestEngineParityVertexSpill(t *testing.T) {
-	runBothWCC(t, Config{Device: ssd(0), Threads: 2, IOUnit: 8 << 10, Partitions: 4, ForceVertexSpill: true})
+	runBothWCC(t, spilled(Config{Device: ssd(0), Threads: 2, IOUnit: 8 << 10, Partitions: 4}))
 }
 
 func TestEngineParityNoBypass(t *testing.T) {
@@ -115,7 +123,7 @@ func TestEngineParityOSDevice(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	runBothWCC(t, Config{Device: dev, Threads: 2, IOUnit: 32 << 10, Partitions: 4, ForceVertexSpill: true, NoUpdateBypass: true})
+	runBothWCC(t, spilled(Config{Device: dev, Threads: 2, IOUnit: 32 << 10, Partitions: 4, NoUpdateBypass: true}))
 }
 
 // Degree program exercising phased termination and backward direction.
@@ -171,9 +179,9 @@ func (s *sumProg) EndIteration(iter int, sent int64, view core.VertexView[int32]
 func TestSpillViewWriteBack(t *testing.T) {
 	edges := []core.Edge{{Src: 0, Dst: 1, Weight: 1}, {Src: 1, Dst: 0, Weight: 1}}
 	src := core.NewSliceSource(edges, 2)
-	res, err := Run(src, &sumProg{}, Config{
-		Device: ssd(0), Threads: 1, IOUnit: 8 << 10, Partitions: 2, ForceVertexSpill: true,
-	})
+	res, err := Run(src, &sumProg{}, spilled(Config{
+		Device: ssd(0), Threads: 1, IOUnit: 8 << 10, Partitions: 2,
+	}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,26 +200,15 @@ func TestFilesCleanedUp(t *testing.T) {
 	if _, err := Run(src, &wccProg{}, Config{Device: dev, Threads: 2, IOUnit: 16 << 10, Partitions: 4}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := dev.Open("p0000.edges"); !errors.Is(err, storage.ErrNotExist) {
+	if _, err := dev.Open("ds-p0000.edges"); !errors.Is(err, storage.ErrNotExist) {
 		t.Fatalf("edge file survived cleanup: %v", err)
-	}
-}
-
-func TestKeepFiles(t *testing.T) {
-	dev := ssd(0)
-	src, _ := smallGraph(3)
-	if _, err := Run(src, &wccProg{}, Config{Device: dev, Threads: 2, IOUnit: 16 << 10, Partitions: 4, KeepFiles: true, Prefix: "run1-"}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := dev.Open("run1-p0000.edges"); err != nil {
-		t.Fatalf("edge file missing with KeepFiles: %v", err)
 	}
 }
 
 func TestUpdateFilesTrimmed(t *testing.T) {
 	dev := ssd(0)
 	src, _ := smallGraph(4)
-	_, err := Run(src, &wccProg{}, Config{Device: dev, Threads: 2, IOUnit: 8 << 10, Partitions: 4, NoUpdateBypass: true, KeepFiles: true})
+	_, err := Run(src, &wccProg{}, Config{Device: dev, Threads: 2, IOUnit: 8 << 10, Partitions: 4, NoUpdateBypass: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -236,6 +233,17 @@ func TestPartitionPlanning(t *testing.T) {
 	_, err := Run(src, &wccProg{}, Config{Device: ssd(0), MemoryBudget: 4 << 10, IOUnit: 4 << 10})
 	if err == nil || !strings.Contains(err.Error(), "N/K") {
 		t.Fatalf("want §3.4 infeasibility error, got %v", err)
+	}
+	// Solo and shared runs size partitions at one site, so both get the hint
+	// of what budget would do: 2·sqrt(5·N·S) with N = 16384 × 8 bytes.
+	_, perr := Prepare(src, Config{Device: ssd(0), MemoryBudget: 4 << 10, IOUnit: 4 << 10})
+	for _, e := range []error{err, perr} {
+		if e == nil || !strings.Contains(e.Error(), "need ≥ ") {
+			t.Fatalf("budget error without the minimum-budget hint: %v", e)
+		}
+	}
+	if !strings.Contains(err.Error(), "need ≥ 103621 bytes") {
+		t.Fatalf("minimum budget for N=131072 S=4096 should read 103621: %v", err)
 	}
 	// Forced non-power-of-two partitions error.
 	if _, err := Run(src, &wccProg{}, Config{Device: ssd(0), Partitions: 3}); err == nil {
@@ -338,7 +346,7 @@ func TestSelectiveBFSDisk(t *testing.T) {
 	}{
 		{"bypass", func(c *Config) {}},
 		{"nobypass", func(c *Config) { c.NoUpdateBypass = true }},
-		{"spill", func(c *Config) { c.ForceVertexSpill = true }},
+		{"spill", func(c *Config) { *c = spilled(*c) }},
 		{"noprefetch", func(c *Config) { c.NoPrefetch = true }},
 	} {
 		t.Run(variant.name, func(t *testing.T) {

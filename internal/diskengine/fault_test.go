@@ -4,18 +4,14 @@ package diskengine
 // level: error propagation out of the prefetch goroutines (a fault on the
 // distance-1 chunk must surface through Next, and the goroutine must exit,
 // not leak), stream termination on silently truncated files (the shape a
-// torn write leaves behind), and the checkpoint lifecycle — resume after a
-// crash, corrupt snapshots ignored, identity mismatches ignored, snapshots
-// removed on success.
+// torn write leaves behind). The checkpoint lifecycle is checkpoint_test.go.
 
 import (
 	"errors"
-	"fmt"
 	"testing"
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/memengine"
 	"repro/internal/pod"
 	"repro/internal/storage"
 	"repro/internal/tilecodec"
@@ -204,208 +200,4 @@ func TestTileReaderPrefetchFaultSurfaces(t *testing.T) {
 		t.Fatalf("prefetched-batch fault surfaced as %v, want ErrInjected", err)
 	}
 	drainClosed(t, rd.ready, "tileReader after fault")
-}
-
-// wccLabelsOf runs the reference in-memory engine for the crash tests.
-func wccLabelsOf(t *testing.T, src core.EdgeSource) []core.VertexID {
-	t.Helper()
-	res, err := memengine.Run(src, &wccProg{}, memengine.Config{Threads: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	labels := make([]core.VertexID, len(res.Vertices))
-	for i, v := range res.Vertices {
-		labels[i] = v.Label
-	}
-	return labels
-}
-
-func requireLabels(t *testing.T, got []wccState, want []core.VertexID, context string) {
-	t.Helper()
-	if len(got) != len(want) {
-		t.Fatalf("%s: %d vertices, want %d", context, len(got), len(want))
-	}
-	for i := range want {
-		if got[i].Label != want[i] {
-			t.Fatalf("%s: vertex %d label %d, want %d", context, i, got[i].Label, want[i])
-		}
-	}
-}
-
-// crashRun fails every device operation past budget and requires the run
-// to die; the checkpoints written before the crash survive on inner.
-func crashRun(t *testing.T, src core.EdgeSource, inner storage.Device, budget int64, cfg Config) bool {
-	t.Helper()
-	cfg.Device = storage.NewFaulty(inner, storage.FaultyOptions{FailAfterOps: budget})
-	_, err := Run(src, &wccProg{}, cfg)
-	return err != nil
-}
-
-// TestCheckpointResumeAfterCrash: kill a checkpointed run mid-stream, run
-// again on the clean device with the same prefix — the engine resumes past
-// the iterations the snapshot restored (Stats.ResumedIterations) and the
-// final labels still match the in-memory reference.
-func TestCheckpointResumeAfterCrash(t *testing.T) {
-	src, _ := smallGraph(31)
-	want := wccLabelsOf(t, src)
-	base := Config{Threads: 2, IOUnit: 8 << 10, Partitions: 4, Checkpoint: true}
-
-	clean := ssd(0)
-	cfg := base
-	cfg.Device = clean
-	res, err := Run(src, &wccProg{}, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	requireLabels(t, res.Vertices, want, "fault-free checkpointed run")
-	ds := clean.Stats()
-	totalOps := ds.Reads + ds.Writes
-
-	inner := ssd(0)
-	for _, frac := range []float64{0.6, 0.45, 0.75, 0.3, 0.9} {
-		budget := int64(float64(totalOps) * frac)
-		if budget < 1 {
-			budget = 1
-		}
-		if !crashRun(t, src, inner, budget, base) {
-			continue // budget outlasted the run
-		}
-		cfg := base
-		cfg.Device = inner
-		res, err := Run(src, &wccProg{}, cfg)
-		if err != nil {
-			t.Fatalf("resume after crash at %d ops: %v", budget, err)
-		}
-		if res.Stats.ResumedIterations == 0 {
-			continue // crashed before the first checkpoint
-		}
-		if res.Stats.ResumedIterations >= res.Stats.Iterations {
-			t.Fatalf("resumed %d of %d iterations: nothing was left to execute, yet the crashed run did not finish",
-				res.Stats.ResumedIterations, res.Stats.Iterations)
-		}
-		requireLabels(t, res.Vertices, want, "resumed run")
-		return
-	}
-	t.Fatal("no crash window produced a resumable checkpoint")
-}
-
-// TestCheckpointCorruptIgnored: flip one bit in every surviving snapshot —
-// the resume must reject them (never trust a corrupt checkpoint), start
-// from scratch, and still converge to the right labels.
-func TestCheckpointCorruptIgnored(t *testing.T) {
-	src, _ := smallGraph(31)
-	want := wccLabelsOf(t, src)
-	base := Config{Threads: 2, IOUnit: 8 << 10, Partitions: 4, Checkpoint: true}
-
-	clean := ssd(0)
-	cfg := base
-	cfg.Device = clean
-	if _, err := Run(src, &wccProg{}, cfg); err != nil {
-		t.Fatal(err)
-	}
-	ds := clean.Stats()
-	totalOps := ds.Reads + ds.Writes
-
-	for _, frac := range []float64{0.6, 0.45, 0.75, 0.3, 0.9} {
-		inner := ssd(0)
-		budget := int64(float64(totalOps) * frac)
-		if budget < 1 {
-			budget = 1
-		}
-		if !crashRun(t, src, inner, budget, base) {
-			continue
-		}
-		corrupted := 0
-		for slot := 0; slot < 2; slot++ {
-			f, err := inner.Open(fmt.Sprintf("checkpoint-%d.xsck", slot))
-			if err != nil {
-				continue
-			}
-			if f.Size() > ckptHeaderLen+8 {
-				b := make([]byte, 1)
-				if _, err := f.ReadAt(b, ckptHeaderLen+5); err != nil {
-					t.Fatal(err)
-				}
-				b[0] ^= 0x10
-				if _, err := f.WriteAt(b, ckptHeaderLen+5); err != nil {
-					t.Fatal(err)
-				}
-				corrupted++
-			}
-			f.Close()
-		}
-		if corrupted == 0 {
-			continue // crash predates any snapshot
-		}
-		cfg := base
-		cfg.Device = inner
-		res, err := Run(src, &wccProg{}, cfg)
-		if err != nil {
-			t.Fatalf("rerun over corrupt checkpoints: %v", err)
-		}
-		if res.Stats.ResumedIterations != 0 {
-			t.Fatalf("resumed %d iterations from corrupt snapshots", res.Stats.ResumedIterations)
-		}
-		requireLabels(t, res.Vertices, want, "run after rejecting corrupt checkpoints")
-		return
-	}
-	t.Fatal("no crash window left a checkpoint to corrupt")
-}
-
-// TestCheckpointIdentityMismatchIgnored: a snapshot from a different run
-// shape (here: another partition count) is never loaded.
-func TestCheckpointIdentityMismatchIgnored(t *testing.T) {
-	src, _ := smallGraph(31)
-	want := wccLabelsOf(t, src)
-	base := Config{Threads: 2, IOUnit: 8 << 10, Partitions: 4, Checkpoint: true}
-
-	clean := ssd(0)
-	cfg := base
-	cfg.Device = clean
-	if _, err := Run(src, &wccProg{}, cfg); err != nil {
-		t.Fatal(err)
-	}
-	ds := clean.Stats()
-	totalOps := ds.Reads + ds.Writes
-
-	for _, frac := range []float64{0.6, 0.75, 0.9} {
-		inner := ssd(0)
-		if !crashRun(t, src, inner, int64(float64(totalOps)*frac), base) {
-			continue
-		}
-		if _, err := inner.Open("checkpoint-0.xsck"); err != nil {
-			if _, err := inner.Open("checkpoint-1.xsck"); err != nil {
-				continue // nothing snapshotted before the crash
-			}
-		}
-		cfg := base
-		cfg.Device = inner
-		cfg.Partitions = 8 // different identity: k is in the fingerprint
-		res, err := Run(src, &wccProg{}, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.Stats.ResumedIterations != 0 {
-			t.Fatalf("resumed %d iterations from a foreign run's checkpoint", res.Stats.ResumedIterations)
-		}
-		requireLabels(t, res.Vertices, want, "run after rejecting foreign checkpoint")
-		return
-	}
-	t.Fatal("no crash window left a checkpoint to test against")
-}
-
-// TestCheckpointRemovedOnSuccess: a completed run leaves no snapshots.
-func TestCheckpointRemovedOnSuccess(t *testing.T) {
-	src, _ := smallGraph(31)
-	dev := ssd(0)
-	if _, err := Run(src, &wccProg{}, Config{Device: dev, Threads: 2, IOUnit: 8 << 10, Partitions: 4, Checkpoint: true}); err != nil {
-		t.Fatal(err)
-	}
-	for slot := 0; slot < 2; slot++ {
-		name := fmt.Sprintf("checkpoint-%d.xsck", slot)
-		if f, err := dev.Open(name); err == nil {
-			f.Close()
-			t.Fatalf("%s survived a successful run", name)
-		}
-	}
 }

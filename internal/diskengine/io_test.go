@@ -221,7 +221,7 @@ func TestEngineDeterministicAcrossConfigs(t *testing.T) {
 		{Device: ssd(0), Threads: 1, IOUnit: 8 << 10, Partitions: 1},
 		{Device: ssd(0), Threads: 2, IOUnit: 8 << 10, Partitions: 8, NoPrefetch: true},
 		{Device: ssd(0), Threads: 2, IOUnit: 32 << 10, Partitions: 2, NoUpdateBypass: true},
-		{Device: ssd(0), Threads: 2, IOUnit: 8 << 10, Partitions: 4, ForceVertexSpill: true},
+		spilled(Config{Device: ssd(0), Threads: 2, IOUnit: 8 << 10, Partitions: 4}),
 	} {
 		res, err := Run(src, &wccProg{}, cfg)
 		if err != nil {

@@ -17,11 +17,15 @@ package diskengine
 // control only co-schedules jobs whose combined footprint
 // (core.Job.MemoryEstimate) fits the budget, which is exactly the regime
 // where the bypasses are legal. Jobs too big for the budget run solo
-// through Run, which still spills vertices and updates to the device.
+// through Run, which streams the same Prepared — one pre-processing path,
+// one set of edge files, one tile index, one partition reader
+// (streamPartition) — and differs only in what it keeps of its own: vertex
+// windows and update files spilled to the device, and scatter parallelism
+// inside a chunk.
 //
 // Fault tolerance composes too: under Config.Checkpoint a pass snapshots
 // every job's resumable state after each completed iteration (see
-// checkpoint_shared.go), so a killed or faulted pass restarted with the
+// checkpoint.go), so a killed or faulted pass restarted with the
 // same prefix resumes from the last completed iteration — the path
 // cmd/xstream's -checkpoint flag takes through RunJob.
 //
@@ -35,12 +39,14 @@ package diskengine
 import (
 	"context"
 	"fmt"
+	"math"
 	"sync"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/graphio"
 	"repro/internal/pod"
+	"repro/internal/storage"
 	"repro/internal/streambuf"
 )
 
@@ -49,9 +55,10 @@ import (
 // shared by jobs of different state sizes.
 const sharedVertexBytes = 16
 
-// Prepared is a dataset's cached out-of-core pre-processing: partition
-// edge files plus tile index, shared read-only by any number of RunMany
-// passes. Close removes the files.
+// Prepared is a dataset's out-of-core pre-processing — partition edge files
+// plus tile index — and the engine's only dataset layer: a handle from
+// Prepare is shared read-only by any number of RunMany passes, and a solo
+// Run makes one for itself. Close removes the files.
 type Prepared struct {
 	cfg         Config
 	k           int
@@ -66,7 +73,7 @@ type Prepared struct {
 	mu        sync.Mutex
 	edgeFiles []*partFile
 	bwdFiles  []*partFile
-	tilesFwd  *diskTiles
+	tilesFwd  *diskTiles // nil: raw files nobody reads selectively
 	tilesBwd  *diskTiles
 	closed    bool
 }
@@ -77,13 +84,18 @@ type Prepared struct {
 // edge files, indexing tile source summaries along the way. The handle
 // serves any number of jobs until Close.
 func Prepare(g core.EdgeSource, cfg Config) (*Prepared, error) {
-	return prepare(g, cfg, sharedVertexBytes)
+	return prepare(g, cfg, sharedVertexBytes, true)
 }
 
 // prepare is Prepare with an explicit per-vertex state size for the §3.4
-// partition sizing — the direct RunMany/RunJob paths know their jobs'
-// actual sizes and must not fail a budget the solo engine would meet.
-func prepare(g core.EdgeSource, cfg Config, vertexBytes int64) (*Prepared, error) {
+// partition sizing — Run and the direct RunMany/RunJob paths know their
+// jobs' actual sizes — and the choice whether to index tiles during the
+// shuffle. A cached handle always does: it cannot know which job will read
+// selectively. A solo run knows, and a dense raw one skips the index and
+// verifies each file whole against its append checksum. The compressed
+// layout needs the index unconditionally — it is the only record of where
+// each tile's bytes live.
+func prepare(g core.EdgeSource, cfg Config, vertexBytes int64, index bool) (*Prepared, error) {
 	cfg = cfg.withDefaults()
 	if cfg.Device == nil {
 		return nil, fmt.Errorf("diskengine: Config.Device is required")
@@ -105,13 +117,15 @@ func prepare(g core.EdgeSource, cfg Config, vertexBytes int64) (*Prepared, error
 			}
 		}
 		if k == 0 {
-			return nil, fmt.Errorf("diskengine: no partition count satisfies N/K + 5·S·K ≤ M with N=%d S=%d M=%d", vb, s, m)
+			// The left side is smallest at K = sqrt(N/5S), where it is 2·sqrt(5NS).
+			return nil, fmt.Errorf("diskengine: no partition count satisfies N/K + 5·S·K ≤ M with N=%d S=%d M=%d (need ≥ %d bytes)",
+				vb, s, m, int64(2*math.Sqrt(float64(vb)*float64(5*s))))
 		}
 	}
 	if k&(k-1) != 0 {
 		return nil, fmt.Errorf("diskengine: partition count %d is not a power of two", k)
 	}
-	fanout := k
+	fanout := k // single-stage shuffle: K is small out of core (§3.4)
 	if fanout < 2 {
 		fanout = 2
 	}
@@ -124,6 +138,9 @@ func prepare(g core.EdgeSource, cfg Config, vertexBytes int64) (*Prepared, error
 		return nil, fmt.Errorf("diskengine: I/O unit %d too small for edge records", cfg.IOUnit)
 	}
 
+	// Partitioning policy: plan the assignment (a locality-aware partitioner
+	// pays its streaming passes here) and rewrite the edge stream through the
+	// relabeling.
 	pr := cfg.Partitioner
 	if pr == nil {
 		pr = core.RangePartitioner{}
@@ -150,7 +167,9 @@ func prepare(g core.EdgeSource, cfg Config, vertexBytes int64) (*Prepared, error
 			return nil, err
 		}
 	}
-	pp.tilesFwd = newDiskTilesFor(k, cfg.TileEdges, cfg.CompressTiles)
+	if index || cfg.CompressTiles {
+		pp.tilesFwd = newDiskTilesFor(k, cfg.TileEdges, cfg.CompressTiles)
+	}
 	if err := partitionEdgesInto(g, pp.edgeFiles, false, pp.tilesFwd, bufEdgeRecs, plan, pp.part, cfg.Threads); err != nil {
 		pp.removeFiles()
 		return nil, err
@@ -211,20 +230,34 @@ func (pp *Prepared) removeFiles() {
 	}
 }
 
+// edgeIO is edge-file traffic a caller tallies from what it actually moved —
+// never from global device counters, so concurrent passes on one device
+// stay correctly attributed: device bytes read, the record bytes they
+// decoded to (equal unless CompressTiles shrank the files), device bytes
+// written and bytes checksum-verified.
+type edgeIO struct{ read, logical, written, checked int64 }
+
+// addTo accrues the traffic onto a pass's stats.
+func (io edgeIO) addTo(s *core.Stats) {
+	s.BytesRead += io.read
+	s.BytesReadLogical += io.logical
+	s.BytesWritten += io.written
+	s.BytesChecksummed += io.checked
+}
+
 // files returns the partition edge files and tile index for a direction,
-// building the transposed files lazily, at most once. The build's own I/O
-// (one read and one write of the whole edge volume) is returned so the
-// triggering pass can account it — per-pass I/O is tallied from what the
-// pass actually reads, never from global device counters, so concurrent
-// passes on one device stay correctly attributed.
-func (pp *Prepared) files(dir core.Direction) (files []*partFile, tiles *diskTiles, buildRead, buildReadLogical, buildWritten, buildChecked int64, err error) {
+// building the transposed files lazily, at most once, with one streaming
+// pass over the forward files. The build's own I/O (one read and one write
+// of the whole edge volume) is returned so the triggering run can account
+// it.
+func (pp *Prepared) files(dir core.Direction) (files []*partFile, tiles *diskTiles, build edgeIO, err error) {
 	pp.mu.Lock()
 	defer pp.mu.Unlock()
 	if pp.closed {
-		return nil, nil, 0, 0, 0, 0, fmt.Errorf("diskengine: prepared dataset is closed")
+		return nil, nil, build, fmt.Errorf("diskengine: prepared dataset is closed")
 	}
 	if dir == core.Forward {
-		return pp.edgeFiles, pp.tilesFwd, 0, 0, 0, 0, nil
+		return pp.edgeFiles, pp.tilesFwd, build, nil
 	}
 	if pp.bwdFiles == nil {
 		bwd := make([]*partFile, pp.k)
@@ -238,22 +271,143 @@ func (pp *Prepared) files(dir core.Direction) (files []*partFile, tiles *diskTil
 		for p := 0; p < pp.k; p++ {
 			if bwd[p], err = createPartFile(pp.cfg.Device, fmt.Sprintf("%sds-p%04d.redges", pp.cfg.Prefix, p)); err != nil {
 				cleanup()
-				return nil, nil, 0, 0, 0, 0, err
+				return nil, nil, build, err
 			}
 		}
-		src := &partFilesSource{sc: new(edgeScratch), files: pp.edgeFiles, tiles: pp.tilesFwd, nv: pp.nv, chunkRecs: pp.bufEdgeRecs, prefetch: !pp.cfg.NoPrefetch, verify: !pp.cfg.NoVerify}
-		t := newDiskTilesFor(pp.k, pp.cfg.TileEdges, pp.cfg.CompressTiles)
+		src := &forwardSource{pp: pp, sc: new(edgeScratch)}
+		var t *diskTiles
+		if pp.tilesFwd != nil {
+			t = newDiskTilesFor(pp.k, pp.cfg.TileEdges, pp.cfg.CompressTiles)
+		}
 		if err := partitionEdgesInto(src, bwd, true, t, pp.bufEdgeRecs, pp.shufPlan, pp.part, pp.cfg.Threads); err != nil {
 			cleanup()
-			return nil, nil, 0, 0, 0, 0, err
+			return nil, nil, build, err
 		}
-		buildRead, buildReadLogical, buildChecked = src.phys, src.logical, src.checked
+		build = src.io
 		for p := 0; p < pp.k; p++ {
-			buildWritten += bwd[p].size
+			build.written += bwd[p].size
 		}
 		pp.bwdFiles, pp.tilesBwd = bwd, t
 	}
-	return pp.bwdFiles, pp.tilesBwd, buildRead, buildReadLogical, buildWritten, buildChecked, nil
+	return pp.bwdFiles, pp.tilesBwd, build, nil
+}
+
+// partitionEdgesInto is the pre-processing shuffle: it streams src through
+// the shuffle pipeline into the partition edge files, optionally transposing
+// each edge first. A non-nil tiles index observes every run written,
+// building the selective-read tile summaries during the shuffle itself.
+func partitionEdgesInto(src core.EdgeSource, files []*partFile, transpose bool, tiles *diskTiles, bufEdgeRecs int, plan streambuf.Plan, part core.Split, threads int) error {
+	w := newBucketWriter(bufEdgeRecs, files, plan, func(ed core.Edge) uint32 {
+		return part.Of(ed.Src)
+	}, threads, nil)
+	var comp *tileCompressor
+	switch {
+	case tiles != nil && tiles.compressed:
+		comp = newTileCompressor(files, tiles)
+		w.sink = comp.append
+	case tiles != nil:
+		w.observe = tiles.observe
+		defer tiles.finish()
+	}
+	err := src.Edges(func(batch []core.Edge) error {
+		if transpose {
+			for i := range batch {
+				batch[i].Src, batch[i].Dst = batch[i].Dst, batch[i].Src
+			}
+		}
+		for len(batch) > 0 {
+			room := w.Room()
+			if room == 0 {
+				if err := w.Flush(); err != nil {
+					return err
+				}
+				continue
+			}
+			take := len(batch)
+			if take > room {
+				take = room
+			}
+			if !w.Buf().Append(batch[:take]) {
+				return fmt.Errorf("diskengine: edge buffer overflow")
+			}
+			batch = batch[take:]
+		}
+		return nil
+	})
+	if err != nil {
+		w.Finish()
+		return err
+	}
+	if err := w.Finish(); err != nil {
+		return err
+	}
+	if comp != nil {
+		return comp.finish()
+	}
+	return nil
+}
+
+// forwardSource re-streams a Prepared's forward edge files as one edge
+// source — the transpose build's input — through the same guarded partition
+// reader as the scatter loops: the build keys each record by its Dst, so a
+// corrupted one must not reach the shuffle either.
+type forwardSource struct {
+	pp *Prepared
+	sc *edgeScratch
+	io edgeIO // accumulated over every Edges pass
+}
+
+func (s *forwardSource) NumVertices() int64 { return s.pp.nv }
+
+func (s *forwardSource) NumEdges() int64 { return s.pp.ne }
+
+func (s *forwardSource) Edges(fn func([]core.Edge) error) error {
+	pp := s.pp
+	for p, f := range pp.edgeFiles {
+		io, _, _, err := pp.streamPartition(nil, s.sc, pp.edgeFiles, pp.tilesFwd, p, edgeFileRecs(f, pp.tilesFwd, p), nil, func() error { return nil }, fn)
+		s.io.read += io.read
+		s.io.logical += io.logical
+		s.io.checked += io.checked
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// streamPartition is how every scatter loop, and the transpose build, reads
+// partition p's edge file: it plans the segments to read — the whole file,
+// or with a need predicate only the runs of tiles whose source spans
+// satisfy it — and streams them through fn under the config's verify and
+// prefetch settings. begin runs
+// once before the first chunk, and not at all when nothing is planned, so a
+// caller loads what scattering needs only for a partition that is read.
+// Every record is checked against the shuffle invariant before fn sees it:
+// a corrupted record must never be dereferenced, and the tile CRC only
+// closes at tile granularity, after earlier chunks of the tile have
+// scattered, so a bit-flipped Src or Dst would otherwise index outside the
+// vertex window or the shuffle plan before verification catches it.
+// fileRecs is the file's logical record count (edgeFileRecs). It returns
+// the traffic moved and the records and tiles need elided.
+func (pp *Prepared) streamPartition(ctx context.Context, rd *edgeScratch, files []*partFile, tiles *diskTiles, p int, fileRecs int64, need func(core.SrcSpan) bool, begin func() error, fn func([]core.Edge) error) (io edgeIO, skippedRecs, skippedTiles int64, err error) {
+	segs, skippedRecs, skippedTiles := planSegments(tiles, p, need, fileRecs)
+	if len(segs) == 0 {
+		return io, skippedRecs, skippedTiles, nil
+	}
+	if err := begin(); err != nil {
+		return io, skippedRecs, skippedTiles, err
+	}
+	lo, hi := pp.part.Range(p, pp.nv)
+	io.read, io.logical, io.checked, err = streamSegments(ctx, rd, files[p], p, tiles, !pp.cfg.NoVerify, segs, pp.bufEdgeRecs, !pp.cfg.NoPrefetch, func(chunk []core.Edge) error {
+		for _, ed := range chunk {
+			if int64(ed.Src) < lo || int64(ed.Src) >= hi || int64(ed.Dst) >= pp.nv {
+				return fmt.Errorf("diskengine: edge file %s: record (%d -> %d) outside partition %d window [%d,%d) of %d vertices: %w",
+					files[p].name, ed.Src, ed.Dst, p, lo, hi, pp.nv, storage.ErrCorrupted)
+			}
+		}
+		return fn(chunk)
+	})
+	return io, skippedRecs, skippedTiles, err
 }
 
 // RunMany executes every job of set against g out of core, sharing one
@@ -263,7 +417,7 @@ func RunMany(ctx context.Context, g core.EdgeSource, set core.ProgramSet, cfg Co
 	if vb == 0 {
 		vb = sharedVertexBytes
 	}
-	pp, err := prepare(g, cfg, vb)
+	pp, err := prepare(g, cfg, vb, true)
 	if err != nil {
 		return nil, core.Stats{}, err
 	}
@@ -363,7 +517,7 @@ func (pp *Prepared) RunMany(ctx context.Context, set core.ProgramSet) ([]core.Jo
 		snaps = snapshotters(runs)
 	}
 	if snaps != nil {
-		startIter, err = pp.trySharedResume(&pass, runs, snaps, func() error {
+		startIter, err = pp.tryResume(&pass, snaps, func() error {
 			rs, err := newRuns()
 			if err != nil {
 				return err
@@ -418,14 +572,11 @@ func (pp *Prepared) RunMany(ctx context.Context, set core.ProgramSet) ([]core.Jo
 			if len(subs) == 0 {
 				continue
 			}
-			files, tiles, buildRead, buildReadLogical, buildWritten, buildChecked, err := pp.files(dir)
+			files, tiles, build, err := pp.files(dir)
 			if err != nil {
 				return nil, pass, err
 			}
-			pass.BytesRead += buildRead
-			pass.BytesReadLogical += buildReadLogical
-			pass.BytesWritten += buildWritten
-			pass.BytesChecksummed += buildChecked
+			build.addTo(&pass)
 			if err := pp.scatterShared(ctx, &pass, &rd, subs, files, tiles); err != nil {
 				return nil, pass, err
 			}
@@ -467,7 +618,7 @@ func (pp *Prepared) RunMany(ctx context.Context, set core.ProgramSet) ([]core.Jo
 			}
 			if stillLive {
 				cpStart := time.Now()
-				n, err := pp.writeSharedCheckpoint(iter, runs, snaps)
+				n, err := pp.writeCheckpoint(iter, snaps)
 				if err != nil {
 					// Checkpoints of earlier iterations outlive the
 					// failure on purpose — they are what a retry resumes
@@ -489,8 +640,7 @@ func (pp *Prepared) RunMany(ctx context.Context, set core.ProgramSet) ([]core.Jo
 		pass.PushIter(iter, iterMark, time.Since(iterStart))
 	}
 	if snaps != nil {
-		pp.removeSharedCheckpoints()
-		pp.removeStaleTransposed()
+		pp.removeCheckpoints()
 	}
 
 	results, err := core.FinishPass(runs, &pass, start)
@@ -498,19 +648,7 @@ func (pp *Prepared) RunMany(ctx context.Context, set core.ProgramSet) ([]core.Jo
 		return nil, pass, err
 	}
 	pass.BytesStreamed += pass.EdgesStreamed * edgeRecSize
-	var physTiles, logicalTiles int64
-	pp.mu.Lock()
-	for _, t := range []*diskTiles{pp.tilesFwd, pp.tilesBwd} {
-		if t != nil && t.compressed {
-			pass.TilesCompressed += t.tilesCompressed
-			physTiles += t.physBytes
-			logicalTiles += t.logicalBytes
-		}
-	}
-	pp.mu.Unlock()
-	if logicalTiles > 0 {
-		pass.CompressedRatio = float64(physTiles) / float64(logicalTiles)
-	}
+	pp.layoutStats(&pass)
 	pass.IORetries = cfg.Device.Stats().Retries - retriesBefore
 	pass.TotalTime = time.Since(start)
 	if tr := cfg.Tracer; tr != nil {
@@ -521,13 +659,35 @@ func (pp *Prepared) RunMany(ctx context.Context, set core.ProgramSet) ([]core.Jo
 	return results, pass, nil
 }
 
+// layoutStats reports the compressed layout as written so far — encoded
+// tile count and physical over logical bytes, both orientations — on st.
+func (pp *Prepared) layoutStats(st *core.Stats) {
+	var physTiles, logicalTiles int64
+	pp.mu.Lock()
+	for _, t := range []*diskTiles{pp.tilesFwd, pp.tilesBwd} {
+		if t != nil && t.compressed {
+			st.TilesCompressed += t.tilesCompressed
+			physTiles += t.physBytes
+			logicalTiles += t.logicalBytes
+		}
+	}
+	pp.mu.Unlock()
+	if logicalTiles > 0 {
+		st.CompressedRatio = float64(physTiles) / float64(logicalTiles)
+	}
+}
+
 // scatterShared reads each partition's edge file (or only its needed tile
 // segments) once and feeds every chunk to every subscribing job.
 func (pp *Prepared) scatterShared(ctx context.Context, pass *core.Stats, rd *edgeScratch, subs []core.JobRun, files []*partFile, tiles *diskTiles) error {
-	cfg := pp.cfg
+	tr := pp.cfg.Tracer
 	for p := 0; p < pp.k; p++ {
 		if err := ctx.Err(); err != nil { // between partition files
 			return err
+		}
+		var pStart time.Time
+		if tr != nil {
+			pStart = time.Now()
 		}
 		fileRecs := edgeFileRecs(files[p], tiles, p)
 		needing := make([]core.JobRun, 0, len(subs))
@@ -565,7 +725,21 @@ func (pp *Prepared) scatterShared(ctx context.Context, pass *core.Stats, rd *edg
 				return false
 			}
 		}
-		segs, skippedRecs, skippedTiles := planSegments(tiles, p, need, fileRecs)
+		var scatters []core.JobScatter
+		io, skippedRecs, skippedTiles, err := pp.streamPartition(ctx, rd, files, tiles, p, fileRecs, need, func() error {
+			scatters = make([]core.JobScatter, len(needing))
+			for i, r := range needing {
+				scatters[i] = r.NewScatter(0, p, fileRecs)
+			}
+			return nil
+		}, func(chunk []core.Edge) error {
+			feedJobs(scatters, chunk)
+			return nil
+		})
+		pEdges := io.logical / edgeRecSize
+		pass.EdgesStreamed += pEdges
+		pass.SequentialRefs += pEdges
+		io.addTo(pass)
 		if need != nil {
 			pass.EdgesSkipped += skippedRecs
 			pass.TilesSkipped += skippedTiles
@@ -573,36 +747,13 @@ func (pp *Prepared) scatterShared(ctx context.Context, pass *core.Stats, rd *edg
 				r.SkipTiles(skippedRecs, skippedTiles)
 			}
 		}
-		if len(segs) == 0 {
-			continue
-		}
-		tr := cfg.Tracer
-		var pStart time.Time
-		if tr != nil {
-			pStart = time.Now()
-		}
-		var pEdges int64
-		scatters := make([]core.JobScatter, len(needing))
-		for i, r := range needing {
-			scatters[i] = r.NewScatter(0, p, fileRecs)
-		}
-		phys, logical, checked, err := streamSegments(ctx, rd, files[p], p, tiles, !cfg.NoVerify, segs, pp.bufEdgeRecs, !cfg.NoPrefetch, func(chunk []core.Edge) error {
-			pass.EdgesStreamed += int64(len(chunk))
-			pass.SequentialRefs += int64(len(chunk))
-			pEdges += int64(len(chunk))
-			feedJobs(scatters, chunk)
-			return nil
-		})
-		pass.BytesRead += phys
-		pass.BytesReadLogical += logical
-		pass.BytesChecksummed += checked
 		if err != nil {
 			return err
 		}
 		for _, sc := range scatters {
 			sc.Flush()
 		}
-		if tr != nil {
+		if tr != nil && pEdges > 0 {
 			tr.Span(0, "partition", pStart, time.Since(pStart), map[string]int64{"p": int64(p), "edges": pEdges, "jobs": int64(len(needing))})
 		}
 	}

@@ -18,6 +18,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/graphgen"
 	"repro/internal/partition2ps"
+	"repro/internal/pod"
 	"repro/internal/storage"
 )
 
@@ -201,27 +202,27 @@ func (s *stubTransport[M]) Close() error                                       {
 func (s *stubTransport[M]) Cap() int                                           { return 7 }
 func (s *stubTransport[M]) Counters() core.TransportCounters                   { return core.TransportCounters{} }
 
-// setupEngine runs Run's preamble — plan, range assignment, setup — and
-// returns the engine ready for loop, with tp in place of its transport.
+// setupEngine runs Run's preamble — prepare, plan, setup — and returns the
+// engine ready for loop, with tp in place of its transport.
 func setupEngine[V, M any](t *testing.T, src core.EdgeSource, prog core.Program[V, M], cfg Config, tp core.UpdateTransport[M]) *engine[V, M] {
 	t.Helper()
 	cfg = cfg.withDefaults()
-	e := &engine[V, M]{cfg: cfg, prog: prog, nv: src.NumVertices(), ne: src.NumEdges()}
+	e := &engine[V, M]{cfg: cfg, prog: prog, nv: src.NumVertices()}
 	if cb, ok := any(prog).(core.Combiner[M]); ok {
 		e.combine = cb.Combine
 	}
-	if err := e.plan(); err != nil {
-		t.Fatal(err)
-	}
-	asg, err := core.RangePartitioner{}.Assign(src, e.k)
+	pp, err := prepare(src, cfg, int64(pod.Size[V]()), false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	e.asg = asg
-	if err := e.setup(src); err != nil {
+	t.Cleanup(pp.Close)
+	if err := e.plan(pp); err != nil {
 		t.Fatal(err)
 	}
-	e.closeTransport()
+	if err := e.setup(); err != nil {
+		t.Fatal(err)
+	}
+	e.tp.Close()
 	e.tp = tp
 	t.Cleanup(e.cleanup)
 	return e
@@ -259,8 +260,9 @@ func TestScatterRangeAllocatesNothingWarm(t *testing.T) {
 	cfg := Config{Device: ssd(0), Threads: 1, Partitions: 1, IOUnit: 64 << 10}
 	run := func(name string, e *engine[int32, int32]) {
 		var edges []core.Edge
-		segs, _, _ := planSegments(nil, 0, nil, edgeFileRecs(e.edgeFiles[0], nil, 0))
-		if _, _, _, err := streamSegments(nil, &e.rd, e.edgeFiles[0], 0, nil, true, segs, e.bufEdgeRecs, true, func(chunk []core.Edge) error {
+		pf := e.pp.edgeFiles[0]
+		segs, _, _ := planSegments(nil, 0, nil, edgeFileRecs(pf, nil, 0))
+		if _, _, _, err := streamSegments(nil, &e.rd, pf, 0, nil, true, segs, e.pp.bufEdgeRecs, true, func(chunk []core.Edge) error {
 			edges = append(edges, chunk...)
 			return nil
 		}); err != nil {
