@@ -155,12 +155,13 @@
 // first two). Each job owns its update side — vertex state initialized in
 // parallel, one private scatter buffer per engine worker, the update
 // transport, a gather that walks partitions on the threads the job has to
-// itself — and the pass owns the edge stream. Out of core, RunDisk and
-// RunManyDisk stream from one dataset layer (DiskPrepared: partition
-// sizing, partitioner, edge shuffle, edge files and tile index, the
-// partition reader, the checkpoint format); RunDisk keeps only its own
-// state store and scatter/gather — it is the only path that spills vertex
-// state and updates to the device.
+// itself — and the pass owns the edge stream. The out-of-core engine has one
+// loop too, over one dataset layer (DiskPrepared: partition sizing,
+// partitioner, edge shuffle, edge files and tile index, the partition
+// reader, the checkpoint format), and two kinds of run it drives alike:
+// RunManyDisk's jobs hold vertex state and updates in memory, RunDisk's one
+// run may spill both to the device — which of the two a computation gets is
+// decided by its memory budget, not by a second code path.
 //
 // On top of this sit internal/dataset (a named registry of ingested
 // graphs), internal/jobs (a scheduler with memory-budget admission

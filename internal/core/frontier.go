@@ -46,6 +46,19 @@ type FrontierProgram[V any] interface {
 	InitiallyActive(id VertexID, v *V) bool
 }
 
+// SelectiveProgram returns prog's frontier contract when a run of it may be
+// scheduled selectively, nil when it must stream densely: selective is off,
+// the program has no contract, or it is phased — its EndIteration may
+// activate vertices through the VertexView without any update the frontier
+// could see.
+func SelectiveProgram[V, M any](prog Program[V, M], selective bool) FrontierProgram[V] {
+	fp, ok := any(prog).(FrontierProgram[V])
+	if _, phased := any(prog).(PhasedProgram[V, M]); !selective || !ok || phased {
+		return nil
+	}
+	return fp
+}
+
 // Frontier is a bitset of active vertices in execution (relabeled) ID
 // space. Mark is safe for concurrent use — gather phases mark destinations
 // from many goroutines — while the read-side methods assume marking has
@@ -209,4 +222,119 @@ func (f *Frontier) CountByPartition(s Split) []int64 {
 		out[p] = f.CountRange(lo, hi)
 	}
 	return out
+}
+
+// Schedule is the frontier schedule of one run — the part of a JobRun both
+// implementations (jobRun here, the out-of-core engine's spillable run)
+// embed rather than copy: which partitions and tiles the iteration's scatter
+// needs, the skips the engine reports back, the frontier's checkpoint view,
+// and the swap after gather. A dense schedule (no frontier: the program has
+// no FrontierProgram contract, is phased, or Selective is off) needs
+// everything and records nothing.
+type Schedule struct {
+	part     Split
+	nv       int64
+	cur, nxt *Frontier // scattered this iteration / receivers for the next
+	active   []int64   // cur's per-partition counts, for one scatter
+
+	skipEdges, skipParts, skipTiles atomic.Int64
+}
+
+// InitSchedule sizes the schedule for nv vertices under part, with empty
+// frontiers when selective and dense otherwise.
+func (s *Schedule) InitSchedule(part Split, nv int64, selective bool) {
+	s.part, s.nv, s.cur, s.nxt, s.active = part, nv, nil, nil, nil
+	if selective {
+		s.cur, s.nxt = NewFrontier(nv), NewFrontier(nv)
+	}
+}
+
+// Dense implements JobRun: the run has no frontier and streams every
+// partition.
+func (s *Schedule) Dense() bool { return s.cur == nil }
+
+// Seed marks v active for iteration 0. Safe for concurrent use; a no-op on
+// a dense schedule.
+func (s *Schedule) Seed(v VertexID) {
+	if s.cur != nil {
+		s.cur.Mark(v)
+	}
+}
+
+// Receivers returns the frontier gather marks update receivers into, nil on
+// a dense schedule.
+func (s *Schedule) Receivers() *Frontier { return s.nxt }
+
+// Recount refreshes the per-partition active counts the Needs methods
+// answer from; call once per iteration before the scatter.
+func (s *Schedule) Recount() {
+	if s.cur != nil {
+		s.active = s.cur.CountByPartition(s.part)
+	}
+}
+
+// Advance makes the receivers the next iteration's frontier; call once the
+// gather has quiesced.
+func (s *Schedule) Advance() {
+	if s.cur != nil {
+		s.cur, s.nxt = s.nxt, s.cur
+		s.nxt.Clear()
+	}
+}
+
+// NeedsPartition implements JobRun.
+func (s *Schedule) NeedsPartition(p int) bool { return s.cur == nil || s.active[p] > 0 }
+
+// PartiallyActive implements JobRun.
+func (s *Schedule) PartiallyActive(p int) bool {
+	if s.cur == nil {
+		return false
+	}
+	lo, hi := s.part.Range(p, s.nv)
+	return s.active[p] > 0 && s.active[p] < hi-lo
+}
+
+// NeedsTile implements JobRun.
+func (s *Schedule) NeedsTile(span SrcSpan) bool { return s.cur == nil || span.Intersects(s.cur) }
+
+// SkipPartition implements JobRun. An edgeless partition elides nothing, so
+// it is not counted.
+func (s *Schedule) SkipPartition(chunkEdges int64) {
+	if chunkEdges > 0 {
+		s.skipEdges.Add(chunkEdges)
+		s.skipParts.Add(1)
+	}
+}
+
+// SkipTiles implements JobRun.
+func (s *Schedule) SkipTiles(edges, tiles int64) {
+	s.skipEdges.Add(edges)
+	s.skipTiles.Add(tiles)
+}
+
+// TakeSkips moves the skips reported since the last call onto st.
+func (s *Schedule) TakeSkips(st *Stats) {
+	st.EdgesSkipped += s.skipEdges.Swap(0)
+	st.PartitionsSkipped += s.skipParts.Swap(0)
+	st.TilesSkipped += s.skipTiles.Swap(0)
+}
+
+// FrontierWords implements Snapshotter.
+func (s *Schedule) FrontierWords() []uint64 {
+	if s.cur == nil {
+		return nil
+	}
+	return s.cur.Words()
+}
+
+// RestoreFrontier implements Snapshotter.
+func (s *Schedule) RestoreFrontier(words []uint64) error {
+	if s.cur == nil {
+		return fmt.Errorf("core: frontier restore on a dense run")
+	}
+	if err := s.cur.LoadWords(words); err != nil {
+		return err
+	}
+	s.nxt.Clear()
+	return nil
 }

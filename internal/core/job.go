@@ -247,10 +247,17 @@ type JobSetup struct {
 	Exchange func(k int) Exchange
 }
 
-// JobRun drives one job through the iterations of a shared pass. The engine
-// owns the edge stream and the iteration loop; everything update-side is
-// behind this interface. Methods are called from the engine's coordinating
-// goroutine except NewScatter sinks, which run one per partition task.
+// JobRun drives one job through the iterations of a pass. The engine owns
+// the edge stream and the iteration loop; everything update-side — where
+// vertex state and updates live included — is behind this interface. There
+// are two implementations: jobRun here, which holds both in memory, and the
+// out-of-core engine's solo run, which may spill both to the device.
+// Methods are called from the engine's coordinating goroutine except
+// NewScatter sinks, which run one per partition task.
+//
+// A failure inside NewScatter or a sink's Edges — a refused batch, an I/O
+// error loading a spilled vertex window — is latched on the run: the sinks
+// turn into no-ops and EndScatter returns it.
 type JobRun interface {
 	// Name identifies the job in errors and stats.
 	Name() string
@@ -301,8 +308,9 @@ type JobRun interface {
 	// (partitions own disjoint vertex ranges, so the result does not
 	// depend on the count). It returns the first transport error.
 	Gather(workers int) error
-	// EndIteration runs phase hooks and termination for the iteration.
-	EndIteration(iter int)
+	// EndIteration runs phase hooks and termination for the iteration. The
+	// error is the run's own, from I/O behind the phase hook's vertex view.
+	EndIteration(iter int) error
 	// Finalize returns the final vertex states ([]V, type-erased) in
 	// original input order, plus the job's accumulated stats, and closes
 	// the run.
@@ -356,26 +364,6 @@ func (r *jobRun[V, M]) VisitState(_ bool, fn func(window []byte) error) error {
 	return fn(pod.AsBytes(r.verts))
 }
 
-// FrontierWords implements Snapshotter.
-func (r *jobRun[V, M]) FrontierWords() []uint64 {
-	if r.fp == nil {
-		return nil
-	}
-	return r.cur.Words()
-}
-
-// RestoreFrontier implements Snapshotter.
-func (r *jobRun[V, M]) RestoreFrontier(words []uint64) error {
-	if r.fp == nil {
-		return fmt.Errorf("job %s: frontier restore on a dense run", r.prog.Name())
-	}
-	if err := r.cur.LoadWords(words); err != nil {
-		return fmt.Errorf("job %s: %w", r.prog.Name(), err)
-	}
-	r.nxt.Clear()
-	return nil
-}
-
 // MarkDone implements Snapshotter.
 func (r *jobRun[V, M]) MarkDone() { r.done = true }
 
@@ -390,12 +378,13 @@ type JobScatter interface {
 	Flush()
 }
 
-// jobRun is the generic JobRun implementation: one job's update path —
-// vertex state, per-worker scatter sinks, transport, fold, gather,
-// frontier. It is the in-memory engine's only one (memengine.Run is a set
-// of one) and the out-of-core engine's shared-pass one, where it mirrors
-// the solo diskengine.Run's structures (same combining-buffer sizing, same
-// shuffle plan, same fold) so a job's results are identical to a solo run.
+// jobRun is the JobRun that holds vertex state and updates in memory: one
+// job's update path — vertex state, per-worker scatter sinks, transport,
+// fold, gather, frontier. It is the in-memory engine's only one
+// (memengine.Run is a set of one) and the out-of-core engine's shared-pass
+// one, where it mirrors the spillable solo run's structures (same
+// combining-buffer sizing, same shuffle plan, same fold) so a job's results
+// are identical to a solo run.
 type jobRun[V, M any] struct {
 	prog  Program[V, M]
 	setup JobSetup
@@ -409,13 +398,9 @@ type jobRun[V, M any] struct {
 	rep    *Replication
 	mbPool sync.Pool
 
-	// Selective scheduling state (nil fp = dense): cur is scattered this
-	// iteration, nxt collects gather receivers, active caches cur's
-	// per-partition counts for one scatter.
-	fp     FrontierProgram[V]
-	cur    *Frontier
-	nxt    *Frontier
-	active []int64
+	// Schedule is the selective scheduling state, dense unless fp is set.
+	Schedule
+	fp FrontierProgram[V]
 
 	phased   PhasedProgram[V, M]
 	starter  IterationStarter
@@ -448,15 +433,12 @@ type jobRun[V, M any] struct {
 	iterMark  IterMark
 	iterStart time.Time
 
-	overflow    atomic.Bool
-	itSent      atomic.Int64
-	itStreamed  atomic.Int64
-	itCross     atomic.Int64
-	itCombined  atomic.Int64
-	itSynced    atomic.Int64
-	itSkipEdges atomic.Int64
-	itSkipParts atomic.Int64
-	itSkipTiles atomic.Int64
+	overflow   atomic.Bool
+	itSent     atomic.Int64
+	itStreamed atomic.Int64
+	itCross    atomic.Int64
+	itCombined atomic.Int64
+	itSynced   atomic.Int64
 
 	stats Stats
 }
@@ -490,16 +472,8 @@ func (r *jobRun[V, M]) Setup(s JobSetup) error {
 		r.stats.MirroredVertices = r.rep.Len()
 		r.mbPool.New = func() any { return NewMirrorBuffer(r.rep, r.combine) }
 	}
-	// Same exclusion as the engines: selective scheduling needs the
-	// FrontierProgram contract and refuses phased programs, whose
-	// EndIteration can activate vertices the update stream never saw.
-	if s.Selective {
-		if fp, ok := any(r.prog).(FrontierProgram[V]); ok && r.phased == nil {
-			r.fp = fp
-			r.cur = NewFrontier(s.NumVertices)
-			r.nxt = NewFrontier(s.NumVertices)
-		}
-	}
+	r.fp = SelectiveProgram(r.prog, s.Selective)
+	r.InitSchedule(r.part, s.NumVertices, r.fp != nil)
 	r.basePriv = s.PrivateBufRecs
 	if r.basePriv <= 0 {
 		r.basePriv = s.PrivateBufBytes / pod.Size[Update[M]]()
@@ -519,7 +493,7 @@ func (r *jobRun[V, M]) Setup(s JobSetup) error {
 			id := VertexID(i)
 			r.prog.Init(id, &r.verts[i])
 			if r.fp != nil && r.fp.InitiallyActive(id, &r.verts[i]) {
-				r.cur.Mark(id)
+				r.Seed(id)
 			}
 		}
 	})
@@ -557,42 +531,10 @@ func (r *jobRun[V, M]) BeginScatter() error {
 		return fmt.Errorf("job %s: %w", r.prog.Name(), err)
 	}
 	r.sealed = false
-	if r.fp != nil {
-		r.active = r.cur.CountByPartition(r.part)
-	}
+	r.Recount()
 	r.iterMark = r.stats.MarkIter()
 	r.iterStart = time.Now()
 	return nil
-}
-
-func (r *jobRun[V, M]) Dense() bool { return r.fp == nil }
-
-func (r *jobRun[V, M]) NeedsPartition(p int) bool {
-	return r.fp == nil || r.active[p] > 0
-}
-
-func (r *jobRun[V, M]) PartiallyActive(p int) bool {
-	if r.fp == nil {
-		return false
-	}
-	lo, hi := r.part.Range(p, r.setup.NumVertices)
-	return r.active[p] > 0 && r.active[p] < hi-lo
-}
-
-func (r *jobRun[V, M]) NeedsTile(span SrcSpan) bool {
-	return r.fp == nil || span.Intersects(r.cur)
-}
-
-func (r *jobRun[V, M]) SkipPartition(chunkEdges int64) {
-	if chunkEdges > 0 {
-		r.itSkipEdges.Add(chunkEdges)
-		r.itSkipParts.Add(1)
-	}
-}
-
-func (r *jobRun[V, M]) SkipTiles(edges, tiles int64) {
-	r.itSkipEdges.Add(edges)
-	r.itSkipTiles.Add(tiles)
 }
 
 func (r *jobRun[V, M]) NewScatter(w, p int, chunkEdges int64) JobScatter {
@@ -708,9 +650,7 @@ func (r *jobRun[V, M]) EndScatter() error {
 	cross := r.itCross.Swap(0)
 	scatterCombined := r.itCombined.Swap(0)
 	r.stats.MirrorSyncUpdates += r.itSynced.Swap(0)
-	r.stats.EdgesSkipped += r.itSkipEdges.Swap(0)
-	r.stats.PartitionsSkipped += r.itSkipParts.Swap(0)
-	r.stats.TilesSkipped += r.itSkipTiles.Swap(0)
+	r.TakeSkips(&r.stats)
 	appended := sent - scatterCombined
 
 	t0 := time.Now()
@@ -758,10 +698,10 @@ func (r *jobRun[V, M]) Gather(workers int) error {
 	// (conservatively) activates a vertex, so the frontier is identical
 	// whether or not the update stream was pre-combined.
 	apply := func(run []Update[M]) error {
-		if r.fp != nil {
+		if nxt := r.Receivers(); nxt != nil {
 			for _, u := range run {
 				r.prog.Gather(u.Dst, &r.verts[u.Dst], u.Val)
-				r.nxt.Mark(u.Dst)
+				nxt.Mark(u.Dst)
 			}
 			return nil
 		}
@@ -788,10 +728,7 @@ func (r *jobRun[V, M]) Gather(workers int) error {
 		return fmt.Errorf("job %s: %w", r.prog.Name(), firstErr)
 	}
 	r.sealed = false
-	if r.fp != nil {
-		r.cur, r.nxt = r.nxt, r.cur
-		r.nxt.Clear()
-	}
+	r.Advance()
 	r.stats.GatherTime += time.Since(t0)
 	return nil
 }
@@ -823,18 +760,15 @@ func ForEachClaimed(n, workers int, fn func(w, i int)) {
 	wg.Wait()
 }
 
-func (r *jobRun[V, M]) EndIteration(iter int) {
+func (r *jobRun[V, M]) EndIteration(iter int) error {
 	r.stats.Iterations++
 	r.stats.PushIter(iter, r.iterMark, time.Since(r.iterStart))
 	if r.phased != nil {
-		if r.phased.EndIteration(iter, r.iterSent, SliceView[V](r.verts)) {
-			r.done = true
-		}
-		return
+		r.done = r.phased.EndIteration(iter, r.iterSent, SliceView[V](r.verts))
+	} else {
+		r.done = r.iterSent == 0
 	}
-	if r.iterSent == 0 {
-		r.done = true
-	}
+	return nil
 }
 
 func (r *jobRun[V, M]) Finalize() (any, Stats, error) {

@@ -75,8 +75,8 @@ type Stats struct {
 	// PreprocessTime is what the run spent before its first iteration:
 	// the initial partitioning of the input edge list (partitioner plus
 	// pre-processing shuffle) and setting up vertex state and transports.
-	// An in-memory pass over an already prepared dataset pays, and
-	// reports, only the set-up part.
+	// A pass over an already prepared dataset pays, and reports, only
+	// the set-up part.
 	PreprocessTime time.Duration
 	ScatterTime    time.Duration
 	ShuffleTime    time.Duration

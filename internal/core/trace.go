@@ -39,7 +39,8 @@ type IterStats struct {
 	Time time.Duration
 	// ScatterTime, ShuffleTime and GatherTime split Time by phase. On
 	// the out-of-core engine the shuffle is folded into the scatter
-	// pass (§3 of the paper), so ShuffleTime is zero there.
+	// pass (§3 of the paper), so ShuffleTime there is only what sealing
+	// the update stream at the end of the scatter took.
 	ScatterTime time.Duration
 	// ShuffleTime is the in-memory shuffle share of the iteration.
 	ShuffleTime time.Duration
@@ -119,22 +120,38 @@ func (s *Stats) PushIter(iter int, m IterMark, wall time.Duration) {
 	})
 }
 
-// GraftPassIters copies the pass-level per-iteration fields a job's own
-// accounting cannot observe — scatter time and device I/O, which belong
-// to the shared pass — onto the job's IterStats, index-aligned. RunJob
-// (a solo pass of one job) uses it so the job's profile carries the full
-// iteration picture.
-func GraftPassIters(job, pass []IterStats) {
-	for i := range job {
-		if i >= len(pass) {
-			return
+// GraftPass completes the stats of a pass's only job with what the pass
+// accounted on its behalf: the time before the first iteration and inside
+// the shared scatter, the iteration count (a resumed pass restores
+// iterations the job never executed), the edge-file layout, and the device
+// I/O the pass tallied — for the run as a whole and per iteration,
+// index-aligned. RunJob on either engine and the out-of-core solo Run use
+// it so the job's profile carries the full picture. The checksummed volume
+// adds to what the job verified itself. The other I/O fields replace the
+// job's — unless ownIO says the job measured the device itself (the
+// out-of-core solo run, whose update and vertex files the pass never sees),
+// which leaves only BytesReadLogical to derive: the job's reads less what
+// the pass saw the tile codec save.
+func GraftPass(job, pass *Stats, ownIO bool) {
+	job.PreprocessTime = pass.PreprocessTime
+	job.ScatterTime = pass.ScatterTime
+	job.Iterations = pass.Iterations
+	job.ResumedIterations = pass.ResumedIterations
+	job.TilesCompressed = pass.TilesCompressed
+	job.CompressedRatio = pass.CompressedRatio
+	job.ChecksumFailures = pass.ChecksumFailures
+	job.BytesChecksummed += pass.BytesChecksummed
+	if !ownIO {
+		job.BytesRead, job.BytesWritten, job.IORetries = pass.BytesRead, pass.BytesWritten, pass.IORetries
+	}
+	job.BytesReadLogical = job.BytesRead - (pass.BytesRead - pass.BytesReadLogical)
+	for i := range min(len(job.Iters), len(pass.Iters)) {
+		j, p := &job.Iters[i], &pass.Iters[i]
+		j.Time, j.ScatterTime = p.Time, p.ScatterTime
+		j.BytesChecksummed += p.BytesChecksummed
+		if !ownIO {
+			j.BytesRead, j.BytesWritten, j.IORetries = p.BytesRead, p.BytesWritten, p.IORetries
 		}
-		job[i].Time = pass[i].Time
-		job[i].ScatterTime = pass[i].ScatterTime
-		job[i].BytesRead = pass[i].BytesRead
-		job[i].BytesReadLogical = pass[i].BytesReadLogical
-		job[i].BytesWritten = pass[i].BytesWritten
-		job[i].BytesChecksummed = pass[i].BytesChecksummed
-		job[i].IORetries = pass[i].IORetries
+		j.BytesReadLogical = j.BytesRead - (p.BytesRead - p.BytesReadLogical)
 	}
 }

@@ -173,6 +173,14 @@ func (pp *Prepared) writeCheckpoint(iter int, snaps []core.Snapshotter) (int64, 
 	return off + 4, nil
 }
 
+// ckptRead accounts n snapshot bytes read on pass. Nothing encodes them, so
+// they count the same physically and logically — BytesRead less
+// BytesReadLogical stays exactly what the tile codec saved.
+func ckptRead(pass *core.Stats, n int64) {
+	pass.BytesRead += n
+	pass.BytesReadLogical += n
+}
+
 // ckptInspect fully validates slot's snapshot — magic, shape, size and the
 // end-to-end checksum — without loading any of it, and returns the
 // iteration it captured. Any defect just disqualifies the candidate. The
@@ -187,7 +195,7 @@ func (pp *Prepared) ckptInspect(pass *core.Stats, slot int, snaps []core.Snapsho
 	if readBytes(f, hdr, 0) != nil || string(hdr[:8]) != ckptMagic {
 		return 0, false
 	}
-	pass.BytesRead += int64(ckptHeaderLen)
+	ckptRead(pass, ckptHeaderLen)
 	iter := binary.LittleEndian.Uint64(hdr[8:])
 	njobs := binary.LittleEndian.Uint64(hdr[16:])
 	ident := binary.LittleEndian.Uint64(hdr[24:])
@@ -219,7 +227,7 @@ func (pp *Prepared) ckptInspect(pass *core.Stats, slot int, snaps []core.Snapsho
 	if readBytes(f, trailer[:], end) != nil {
 		return 0, false
 	}
-	pass.BytesRead += want - int64(ckptHeaderLen)
+	ckptRead(pass, want-ckptHeaderLen)
 	if binary.LittleEndian.Uint32(trailer[:]) != crc {
 		return 0, false
 	}
@@ -241,7 +249,7 @@ func (pp *Prepared) ckptLoad(pass *core.Stats, slot int, snaps []core.Snapshotte
 			return err
 		}
 		off += int64(len(raw))
-		pass.BytesRead += int64(len(raw))
+		ckptRead(pass, int64(len(raw)))
 		return nil
 	}
 	var jf [8]byte

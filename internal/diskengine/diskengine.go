@@ -18,15 +18,21 @@
 // memory budget, and the update files are bypassed when one scatter
 // phase's updates fit in a single stream buffer.
 //
-// Every run streams from a Prepared (runmany.go), the engine's one dataset
-// layer: the §3.4 partition sizing, the partitioner and relabeling, the
-// edge shuffle, the edge files with their tile index and lazily built
-// transpose, the partition reader and the checkpoint all live there, for a
-// solo Run and a shared pass alike. What this file keeps is what only a
-// solo run has: vertex windows that spill to the device, update files
-// behind a fileTransport, and scatter/gather parallelism inside a chunk.
+// There is one iteration loop, Prepared.runPass (runmany.go), over one
+// dataset layer, the Prepared: the §3.4 partition sizing, the partitioner
+// and relabeling, the edge shuffle, the edge files with their tile index and
+// lazily built transpose, the partition reader and the checkpoint all live
+// there. The loop drives core.JobRuns and there are two kinds: core.jobRun,
+// the run of a shared pass's job (RunMany, RunJob), holds vertex state and
+// updates in memory; the engine[V, M] in this file, the one run of a solo
+// Run, may spill both — vertex windows to per-partition vertex files,
+// updates to update files behind a fileTransport — and parallelizes scatter
+// and gather inside a chunk. Which of the two regimes a computation gets
+// follows from its memory budget; the iteration protocol (direction and
+// transpose accounting, partition and tile skips, spans, checkpoint timing,
+// resume, cancellation) is the loop's and is written once.
 //
-// Buffers are owned for the whole run, as in §3.2: the engine's edgeScratch
+// Buffers are owned for the whole run, as in §3.2: the pass's edgeScratch
 // is the two edge input buffers every reader borrows and the file
 // transport's bucketWriter holds the three update output buffers — the five
 // stream buffers of §3.4 — while the transport's drain scratch, the gather
@@ -208,7 +214,9 @@ type Result[V any] struct {
 	Stats    core.Stats
 }
 
-// Run executes prog on g with the out-of-core engine.
+// Run executes prog on g with the out-of-core engine: a pass of one over a
+// dataset prepared for it, whose one run may spill vertex state and updates
+// to the device.
 func Run[V, M any](g core.EdgeSource, prog core.Program[V, M], cfg Config) (*Result[V], error) {
 	cfg = cfg.withDefaults()
 	if cfg.Device == nil {
@@ -220,126 +228,71 @@ func Run[V, M any](g core.EdgeSource, prog core.Program[V, M], cfg Config) (*Res
 	if err := pod.Check[M](); err != nil {
 		return nil, fmt.Errorf("diskengine: update value: %w", err)
 	}
-
 	start := time.Now()
-	e := &engine[V, M]{cfg: cfg, prog: prog, nv: g.NumVertices()}
-	if cb, ok := any(prog).(core.Combiner[M]); ok && !cfg.NoCombine {
-		e.combine = cb.Combine
-	}
-	// Selective scheduling requires the FrontierProgram contract; phased
-	// programs are excluded because EndIteration may activate vertices
-	// through the VertexView without any update the frontier could see.
-	if cfg.Selective {
-		if fp, ok := any(prog).(core.FrontierProgram[V]); ok {
-			if _, phased := any(prog).(core.PhasedProgram[V, M]); !phased {
-				e.fp = fp
-				e.cur = core.NewFrontier(e.nv)
-				e.nxt = core.NewFrontier(e.nv)
-			}
-		}
-	}
-	readBefore, writtenBefore, retriesBefore := e.devCounters()
+	before := devCounters(cfg)
 
-	// Pre-processing: the dataset layer sizes the partitions, runs the
-	// partitioner and shuffles the edges — indexing tiles only when this run
-	// will read selectively — then the run sets up its own state and lets the
-	// program translate any ID-valued parameters.
-	t0 := time.Now()
-	pp, err := prepare(g, cfg, int64(pod.Size[V]()), e.fp != nil)
+	// The dataset layer sizes the partitions, runs the partitioner and
+	// shuffles the edges — indexing tiles only when this run will read
+	// selectively.
+	pp, err := prepare(g, cfg, int64(pod.Size[V]()), core.SelectiveProgram(prog, cfg.Selective) != nil)
 	if err != nil {
 		return nil, err
 	}
-	// Both are idempotent: the success path runs them before it reads the
-	// device counters, every error path here. Checkpoints outlive a failed
-	// run on purpose — they are what the retry resumes from.
+	// Idempotent: the success path closes before it reads the device
+	// counters, every error path here. Checkpoints outlive a failed run on
+	// purpose — they are what the retry resumes from.
 	defer pp.Close()
-	defer e.cleanup()
-	if err := e.plan(pp); err != nil {
-		return nil, err
-	}
-	// Vertex replication needs the Combiner to merge mirror accumulators;
-	// without one the assignment's mirror set is ignored (the fallback).
-	if e.combine != nil && pp.asg.Mirrors.Len() > 0 {
-		e.rep = pp.asg.Mirrors
-		e.stats.MirroredVertices = e.rep.Len()
-		e.mbPool.New = func() any { return core.NewMirrorBuffer(e.rep, e.combine) }
-	}
-	if vm, ok := any(prog).(core.VertexMapper); ok {
-		vm.MapVertices(e.nv, pp.asg.NewID, pp.asg.OldID)
-	}
-	if err := e.setup(); err != nil {
-		return nil, err
-	}
-	e.stats.PreprocessTime = time.Since(t0)
-	if tr := cfg.Tracer; tr != nil {
-		tr.Span(0, "preprocess", t0, e.stats.PreprocessTime, nil)
-	}
-
-	// Resume from the newest valid checkpoint of a previous attempt with
-	// this prefix: iterations [0, startIter) were restored, not executed.
-	// Invalid or corrupt snapshots are ignored, never trusted. The device
-	// deltas below cover the snapshot I/O, so only the verified volume is
-	// kept of what the resume tallies.
-	startIter := 0
-	if cfg.Checkpoint {
-		var io core.Stats
-		if startIter, err = pp.tryResume(&io, []core.Snapshotter{e}, e.initVertexState); err != nil {
-			return nil, err
-		}
-		e.stats.BytesChecksummed += io.BytesChecksummed
-		e.stats.ResumedIterations = startIter
-	}
-
-	if err := e.loop(startIter); err != nil {
-		return nil, err
-	}
-
-	verts, err := e.materializeVertices()
+	res, pass, err := pp.runPass(cfg.Context, start, prog.Name(), soloRuns(pp, prog))
 	if err != nil {
 		return nil, err
 	}
-	tc := e.tp.Counters()
-	e.stats.TransportBatches = tc.Batches
-	e.stats.TransportBytes = tc.Bytes
-	e.stats.TransportCross = tc.Cross
-	if cfg.Checkpoint {
-		pp.removeCheckpoints()
-	}
-	e.cleanup()
 	pp.Close()
 
-	read, written, retries := e.devCounters()
-	e.stats.BytesRead = read - readBefore
-	e.stats.BytesWritten = written - writtenBefore
-	e.stats.IORetries = retries - retriesBefore
-	// Logical read volume: everything counted physically, with the edge
-	// streams' physical bytes swapped for the record bytes they decoded to.
-	e.stats.BytesReadLogical = e.stats.BytesRead - e.physEdge + e.logicalEdge
-	pp.layoutStats(&e.stats)
-	e.stats.TotalTime = time.Since(start)
-	if tr := cfg.Tracer; tr != nil {
-		tr.Span(0, "run", start, e.stats.TotalTime, map[string]int64{
-			"iterations": int64(e.stats.Iterations),
-			"partitions": int64(e.stats.Partitions),
-		})
-	}
-	return &Result[V]{Vertices: verts, Stats: e.stats}, nil
+	// The device is the run's own, so its I/O is the whole run's device
+	// delta — the pre-processing shuffle, the update and vertex files and
+	// the materialization included, none of which the pass tallies.
+	st := &res[0].Stats
+	now := devCounters(cfg)
+	st.BytesRead = now.read - before.read
+	st.BytesWritten = now.written - before.written
+	st.IORetries = now.retries - before.retries
+	core.GraftPass(st, &pass, true)
+	st.TotalTime = time.Since(start)
+	return &Result[V]{Vertices: res[0].Vertices.([]V), Stats: *st}, nil
 }
 
+// soloRuns is the run factory of a solo pass over pp: one fresh spillable
+// engine for prog.
+func soloRuns[V, M any](pp *Prepared, prog core.Program[V, M]) func() ([]core.JobRun, error) {
+	return func() ([]core.JobRun, error) {
+		e := &engine[V, M]{cfg: pp.cfg, prog: prog}
+		if err := e.Setup(pp.jobSetup()); err != nil {
+			e.Close()
+			return nil, err
+		}
+		return []core.JobRun{e}, nil
+	}
+}
+
+// engine is the core.JobRun of a solo Run, the one that may spill: vertex
+// state lives in memory or in per-partition vertex files read a window at a
+// time, updates go through update files behind a fileTransport, and both
+// scatter and gather parallelize inside a chunk. The pass loop drives it
+// like any other run.
 type engine[V, M any] struct {
 	cfg  Config
 	prog core.Program[V, M]
-	// pp is the run's dataset layer: partitioning, edge files, tile index,
-	// partition reader, checkpoint slots. nv, k and part repeat its sizes.
-	pp   *Prepared
+	// asg is the pass's vertex->partition plan; nv, k and part repeat its
+	// sizes.
+	asg  *core.Assignment
 	nv   int64
 	k    int
 	part core.Split
 	// combine is the program's update semigroup, nil when the program has
-	// none (or Config.NoCombine disabled it); folder is the reusable
-	// pre-writeback fold over it (nil when partitions are too wide); rep
-	// is the assignment's mirror set, nil unless replication is active (a
-	// planned set with no Combiner falls back to nil).
+	// none (or NoCombine disabled it); folder is the reusable pre-writeback
+	// fold over it (nil when partitions are too wide); rep is the
+	// assignment's mirror set, nil unless replication is active (a planned
+	// set with no Combiner falls back to nil).
 	combine func(a, b M) M
 	folder  *streambuf.Folder[core.Update[M]]
 	rep     *core.Replication
@@ -347,17 +300,9 @@ type engine[V, M any] struct {
 	// flushed buffer is clean, and with the default hub cap scaling as
 	// n/64 a fresh allocation per range would dwarf the work saved.
 	mbPool sync.Pool
-	// Selective scheduling state (nil fp = dense streaming): cur is the
-	// frontier scattered this iteration, nxt collects gather receivers for
-	// the next, active caches cur's per-partition counts for one scatter.
-	fp       core.FrontierProgram[V]
-	cur, nxt *core.Frontier
-	active   []int64
-	// Edge-read volume split for BytesReadLogical: physical bytes the
-	// edge streams read vs the decoded record bytes they delivered —
-	// equal unless CompressTiles shrank the files.
-	physEdge    int64
-	logicalEdge int64
+	// Schedule is the selective scheduling state, dense unless fp is set.
+	core.Schedule
+	fp core.FrontierProgram[V]
 	// bufUpdRecs is the record capacity of one update stream buffer (S·K
 	// bytes).
 	bufUpdRecs int
@@ -374,37 +319,73 @@ type engine[V, M any] struct {
 	subA, subB *streambuf.Buffer[core.Update[M]]
 	subPlan    streambuf.Plan
 
-	// rd is the edge-read scratch every streamPartition call of the run
-	// borrows; priv holds each scatter worker's private buffer, made on
-	// the worker's first scatterRange and reused until the run ends.
-	rd   edgeScratch
+	// priv holds each scatter worker's private buffer, made on the worker's
+	// first scatterRange and reused until the run ends; sink is the run's
+	// one scatter sink, readied per partition by NewScatter.
 	priv []scatterPriv[M]
-	// overflow records a scatter batch the transport refused; the scatter
-	// phase turns it into an error.
+	sink soloScatter[V, M]
+	// overflow records a scatter batch the transport refused, from whichever
+	// worker saw it; err latches the run's first failure outside a call
+	// that can return one — the refusal, an I/O error readying or feeding
+	// the sink, one behind the phase hook's vertex view — for EndScatter or
+	// EndIteration to report.
 	overflow atomic.Bool
+	err      error
 
 	// tp is the update transport between scatter and gather: the file
-	// writeback pipeline by default, an exchange adapter when
-	// Config.Exchange is set. Created in setup once the update files exist.
+	// writeback pipeline by default, an exchange adapter when the setup
+	// carries an Exchange.
 	tp core.UpdateTransport[M]
+
+	// it counts the current scatter; iterSent is what the iteration's
+	// termination test sees of it. iterMark and iterStart open the
+	// per-iteration profile entry EndIteration pushes, last is the device
+	// sample its I/O deltas are taken against.
+	it        scatterCounts
+	iterSent  int64
+	done      bool
+	iterMark  core.IterMark
+	iterStart time.Time
+	last      devSample
 
 	stats core.Stats
 }
 
-// plan adopts the dataset layer's partitioning, sizes the update stream
-// buffers and decides whether vertices spill: they do when the whole vertex
-// set next to the five stream buffers exceeds the budget.
-func (e *engine[V, M]) plan(pp *Prepared) error {
-	e.pp, e.k, e.part = pp, pp.k, pp.part
-	if e.combine != nil {
-		e.folder = core.NewUpdateFolder(e.part, e.cfg.Threads, e.combine)
+// Name implements core.JobRun.
+func (e *engine[V, M]) Name() string { return e.prog.Name() }
+
+// Setup implements core.JobRun on a fresh engine: it adopts the pass's
+// partitioning, decides whether vertices spill — they do when the whole
+// vertex set next to the five stream buffers exceeds the budget — creates
+// the run's own files (updates, and vertices when they spill), initializes
+// vertex state and makes the update transport.
+func (e *engine[V, M]) Setup(s core.JobSetup) error {
+	e.asg, e.nv, e.part, e.k = s.Assignment, s.NumVertices, s.Assignment.Split, s.Assignment.Split.K
+	e.stats.Algorithm = e.prog.Name()
+	// The program translates any ID-valued parameters first.
+	if vm, ok := any(e.prog).(core.VertexMapper); ok {
+		vm.MapVertices(e.nv, e.asg.NewID, e.asg.OldID)
 	}
-	subK := core.NextPow2(e.cfg.Threads * 4)
+	if cb, ok := any(e.prog).(core.Combiner[M]); ok && !s.NoCombine {
+		e.combine = cb.Combine
+		e.folder = core.NewUpdateFolder(e.part, s.Threads, e.combine)
+	}
+	// Vertex replication needs the Combiner to merge mirror accumulators;
+	// without one the assignment's mirror set is ignored (the fallback).
+	if e.combine != nil && e.asg.Mirrors.Len() > 0 {
+		e.rep = e.asg.Mirrors
+		e.stats.MirroredVertices = e.rep.Len()
+		e.mbPool.New = func() any { return core.NewMirrorBuffer(e.rep, e.combine) }
+	}
+	e.fp = core.SelectiveProgram(e.prog, s.Selective)
+	e.InitSchedule(e.part, e.nv, e.fp != nil)
+	e.sink.e = e
+	e.priv = make([]scatterPriv[M], s.Threads)
+	subK := core.NextPow2(s.Threads * 4)
 	var err error
 	if e.subPlan, err = streambuf.NewPlan(subK, subK); err != nil {
 		return err
 	}
-	e.priv = make([]scatterPriv[M], e.cfg.Threads)
 
 	bufBytes := int64(e.cfg.IOUnit) * int64(e.k)
 	e.bufUpdRecs = int(bufBytes / int64(pod.Size[core.Update[M]]()))
@@ -415,25 +396,10 @@ func (e *engine[V, M]) plan(pp *Prepared) error {
 		e.allVerts = make([]V, e.nv)
 	} else {
 		e.vertsBuf = make([]V, e.part.PerPartition())
-	}
-
-	e.stats.Algorithm = e.prog.Name()
-	e.stats.Engine = "disk:" + e.cfg.Device.Name()
-	e.stats.Partitioner = pp.partName
-	e.stats.Partitions = e.k
-	e.stats.Threads = e.cfg.Threads
-	return nil
-}
-
-// setup creates the run's own files — updates, and vertices when they
-// spill — initializes vertex state and makes the update transport.
-func (e *engine[V, M]) setup() error {
-	e.updFiles = make([]*partFile, e.k)
-	if e.allVerts == nil {
 		e.vertFiles = make([]*partFile, e.k)
 	}
+	e.updFiles = make([]*partFile, e.k)
 	for p := 0; p < e.k; p++ {
-		var err error
 		if e.updFiles[p], err = createPartFile(e.cfg.UpdateDevice, fmt.Sprintf("%sp%04d.updates", e.cfg.Prefix, p)); err != nil {
 			return err
 		}
@@ -443,8 +409,6 @@ func (e *engine[V, M]) setup() error {
 			}
 		}
 	}
-	// With selective scheduling, Init doubles as the census seeding
-	// iteration 0's frontier.
 	if err := e.initVertexState(); err != nil {
 		return err
 	}
@@ -453,14 +417,14 @@ func (e *engine[V, M]) setup() error {
 	// It holds its stream buffers for the whole run, so it is made once the
 	// pre-processing shuffle has let go of its own.
 	key := func(u core.Update[M]) uint32 { return e.part.Of(u.Dst) }
-	if e.cfg.Exchange != nil {
-		e.tp = core.NewExchangeTransport(e.cfg.Exchange(e.k), e.k, e.bufUpdRecs, e.pp.shufPlan, e.cfg.Threads, key, e.folder)
+	if s.Exchange != nil {
+		e.tp = core.NewExchangeTransport(s.Exchange(e.k), e.k, e.bufUpdRecs, s.Plan, s.Threads, key, e.folder)
 	} else {
 		e.tp = newFileTransport(fileTransportConfig[M]{
 			files:      e.updFiles,
-			plan:       e.pp.shufPlan,
+			plan:       s.Plan,
 			key:        key,
-			threads:    e.cfg.Threads,
+			threads:    s.Threads,
 			bufRecs:    e.bufUpdRecs,
 			fold:       e.updateFold(),
 			bypass:     !e.cfg.NoUpdateBypass,
@@ -472,25 +436,21 @@ func (e *engine[V, M]) setup() error {
 	return nil
 }
 
-// initVertexState (re)establishes the initial vertex state — in-memory or
-// spilled to the vertex files — and, with selective scheduling, re-seeds
-// iteration 0's frontier. setup calls it once; a failed checkpoint resume
-// calls it again to guarantee no half-restored state survives.
+// initVertexState establishes the initial vertex state — in memory or
+// spilled to the vertex files. With selective scheduling, Init doubles as
+// the census seeding iteration 0's frontier.
 func (e *engine[V, M]) initVertexState() error {
-	if e.fp != nil {
-		e.cur.Clear()
-	}
 	if e.allVerts != nil {
 		// In parallel over fixed blocks of vertices, like core.jobRun: a
-		// program initializes a vertex from its ID alone and Frontier.Mark
-		// is atomic.
+		// program initializes a vertex from its ID alone and seeding the
+		// frontier is atomic.
 		const initBlock = 4096
 		n := len(e.allVerts)
 		core.ForEachClaimed((n+initBlock-1)/initBlock, e.cfg.Threads, func(_, b int) {
 			for i := b * initBlock; i < min(n, (b+1)*initBlock); i++ {
 				e.prog.Init(core.VertexID(i), &e.allVerts[i])
 				if e.fp != nil && e.fp.InitiallyActive(core.VertexID(i), &e.allVerts[i]) {
-					e.cur.Mark(core.VertexID(i))
+					e.Seed(core.VertexID(i))
 				}
 			}
 		})
@@ -503,7 +463,7 @@ func (e *engine[V, M]) initVertexState() error {
 			id := core.VertexID(lo + int64(i))
 			e.prog.Init(id, &buf[i])
 			if e.fp != nil && e.fp.InitiallyActive(id, &buf[i]) {
-				e.cur.Mark(id)
+				e.Seed(id)
 			}
 		}
 		if err := e.vertFiles[p].writeAllAt(pod.AsBytes(buf)); err != nil {
@@ -513,142 +473,55 @@ func (e *engine[V, M]) initVertexState() error {
 	return nil
 }
 
-// loop runs the synchronous scatter-shuffle-gather iterations (Figure 6),
-// starting at startIter (non-zero after a checkpoint resume).
-func (e *engine[V, M]) loop(startIter int) error {
-	directed, isDirected := any(e.prog).(core.DirectedProgram)
-	phased, isPhased := any(e.prog).(core.PhasedProgram[V, M])
-	usize := pod.Size[core.Update[M]]()
-	tr := e.cfg.Tracer
+// Done implements core.JobRun.
+func (e *engine[V, M]) Done() bool { return e.done }
 
-	// The run-level device accounting is a single end-of-run delta (see
-	// Run); for the per-iteration profile the loop samples the device
-	// counters at every iteration boundary and accrues the deltas into
-	// stats so PushIter can slice them. Run's final assignments overwrite
-	// these fields with the full-run totals, which additionally cover the
-	// out-of-loop I/O (pre-processing shuffle, vertex materialization) no
-	// iteration owns.
-	lastRead, lastWritten, lastRetries := e.devCounters()
-	lastPhys, lastLogical := e.physEdge, e.logicalEdge
-
-	for iter := startIter; iter < e.cfg.MaxIterations; iter++ {
-		if err := e.cfg.Context.Err(); err != nil {
-			return err
-		}
-		iterStart := time.Now()
-		iterMark := e.stats.MarkIter()
-		if s, ok := any(e.prog).(core.IterationStarter); ok {
-			s.StartIteration(iter)
-		}
-
-		dir := core.Forward
-		if isDirected {
-			dir = directed.Direction(iter)
-		}
-		// The transposed files are built on first use; the build's reads
-		// are edge-stream volume like any other.
-		edgeFiles, tiles, build, err := e.pp.files(dir)
-		if err != nil {
-			return err
-		}
-		e.physEdge += build.read
-		e.logicalEdge += build.logical
-		e.stats.BytesChecksummed += build.checked
-
-		t0 := time.Now()
-		if e.fp != nil {
-			e.active = e.cur.CountByPartition(e.part)
-		}
-		sp, err := e.scatterPhase(edgeFiles, tiles)
-		if err != nil {
-			return err
-		}
-		sent, streamed := sp.sent, sp.streamed
-		appended := sent - sp.scatterCombined
-		scatterDur := time.Since(t0)
-		e.stats.ScatterTime += scatterDur
-		e.stats.EdgesStreamed += streamed
-		e.stats.UpdatesSent += sent
-		e.stats.WastedEdges += streamed - sent
-		e.stats.RandomRefs += streamed
-		e.stats.SequentialRefs += streamed
-		e.stats.BytesStreamed += streamed*edgeRecSize + (appended+sp.written)*int64(usize)
-		e.stats.UpdatesCombined += sp.scatterCombined + sp.foldCombined
-		e.stats.MirrorSyncUpdates += sp.synced
-		e.stats.UpdateBytes += sp.written * int64(usize)
-
-		t1 := time.Now()
-		if err := e.gatherPhase(); err != nil {
-			return err
-		}
-		gatherDur := time.Since(t1)
-		e.stats.GatherTime += gatherDur
-		e.stats.RandomRefs += sp.written
-		e.stats.SequentialRefs += sp.written
-		if err := e.tp.EndIteration(); err != nil {
-			return err
-		}
-		if e.fp != nil {
-			e.cur, e.nxt = e.nxt, e.cur
-			e.nxt.Clear()
-		}
-
-		// Attribute this iteration's device I/O (a checkpoint write lands
-		// in the following iteration's delta — the final totals are exact
-		// either way) and record the per-iteration profile entry.
-		read, written, retries := e.devCounters()
-		e.stats.BytesRead += read - lastRead
-		e.stats.BytesWritten += written - lastWritten
-		e.stats.IORetries += retries - lastRetries
-		e.stats.BytesReadLogical += (read - lastRead) - (e.physEdge - lastPhys) + (e.logicalEdge - lastLogical)
-		lastRead, lastWritten, lastRetries = read, written, retries
-		lastPhys, lastLogical = e.physEdge, e.logicalEdge
-
-		e.stats.Iterations = iter + 1
-		e.stats.PushIter(iter, iterMark, time.Since(iterStart))
-		if tr != nil {
-			it := int64(iter)
-			tr.Span(0, "scatter", t0, scatterDur, map[string]int64{"iter": it, "edges": streamed, "updates": sent})
-			tr.Span(0, "gather", t1, gatherDur, map[string]int64{"iter": it, "updates": sp.written})
-			tr.Span(0, "iteration", iterStart, time.Since(iterStart), map[string]int64{"iter": it})
-		}
-		if isPhased {
-			if phased.EndIteration(iter, sent, e.vertexView()) {
-				return nil
-			}
-		} else if sent == 0 {
-			return nil
-		}
-		// Snapshot only when the run continues: EndIteration has already
-		// folded any phase state into the vertices, so the snapshot is
-		// exactly what iteration iter+1 starts from. A terminating run
-		// needs no snapshot — its checkpoints are removed on success.
-		if e.cfg.Checkpoint {
-			cpStart := time.Now()
-			if _, err := e.pp.writeCheckpoint(iter, []core.Snapshotter{e}); err != nil {
-				return err
-			}
-			if tr != nil {
-				tr.Span(0, "checkpoint", cpStart, time.Since(cpStart), map[string]int64{"iter": int64(iter)})
-			}
-		}
+// StartIteration implements core.JobRun.
+func (e *engine[V, M]) StartIteration(iter int) {
+	if s, ok := any(e.prog).(core.IterationStarter); ok {
+		s.StartIteration(iter)
 	}
+}
+
+// Direction implements core.JobRun.
+func (e *engine[V, M]) Direction(iter int) core.Direction {
+	if d, ok := any(e.prog).(core.DirectedProgram); ok {
+		return d.Direction(iter)
+	}
+	return core.Forward
+}
+
+// BeginScatter implements core.JobRun. The run's device accounting is a
+// single end-of-run delta (see Run); for the per-iteration profile the
+// device counters are sampled at every iteration boundary. The first
+// iteration's window opens here, past pre-processing and any resume; later
+// ones open where the previous closed, so a checkpoint write lands in the
+// following iteration's delta.
+func (e *engine[V, M]) BeginScatter() error {
+	e.Recount()
+	if len(e.stats.Iters) == 0 {
+		e.last = devCounters(e.cfg)
+	}
+	e.iterMark = e.stats.MarkIter()
+	e.iterStart = time.Now()
 	return nil
 }
 
-// devCounters samples the cumulative read/write/retry counters of the
-// run's device (and distinct update device): Run takes the whole run's
-// delta, the iteration loop per-iteration ones.
-func (e *engine[V, M]) devCounters() (read, written, retries int64) {
-	ds := e.cfg.Device.Stats()
-	read, written, retries = ds.BytesRead, ds.BytesWritten, ds.Retries
-	if e.cfg.UpdateDevice != e.cfg.Device {
-		us := e.cfg.UpdateDevice.Stats()
-		read += us.BytesRead
-		written += us.BytesWritten
-		retries += us.Retries
+// devSample is the cumulative read/write/retry counters of a run's device
+// (and distinct update device) at one instant: Run takes the whole run's
+// delta, EndIteration per-iteration ones.
+type devSample struct{ read, written, retries int64 }
+
+func devCounters(cfg Config) devSample {
+	ds := cfg.Device.Stats()
+	s := devSample{ds.BytesRead, ds.BytesWritten, ds.Retries}
+	if cfg.UpdateDevice != cfg.Device {
+		us := cfg.UpdateDevice.Stats()
+		s.read += us.BytesRead
+		s.written += us.BytesWritten
+		s.retries += us.Retries
 	}
-	return read, written, retries
+	return s
 }
 
 // scatterPriv is one scatter worker's private update buffer (§4.1):
@@ -658,21 +531,19 @@ type scatterPriv[M any] struct {
 	recs []core.Update[M]
 }
 
-// scatterResult aggregates one scatter phase's accounting.
-type scatterResult[M any] struct {
-	sent            int64 // updates produced by Scatter (pre-combining)
-	streamed        int64 // edge records streamed
-	scatterCombined int64 // updates merged in thread-private combining/mirror buffers
-	foldCombined    int64 // updates merged by the pre-writeback fold
-	written         int64 // update records written to files (or kept for bypass gather)
-	synced          int64 // master-mirror sync updates flushed (replication)
+// scatterCounts is one scatter phase's accounting, summed over its sinks.
+type scatterCounts struct {
+	sent     int64 // updates produced by Scatter (pre-combining)
+	streamed int64 // edge records streamed
+	combined int64 // updates merged in thread-private combining/mirror buffers
+	synced   int64 // master-mirror sync updates flushed (replication)
 }
 
 // updateFold returns the bucket fold the bucketWriter applies to each
 // shuffled update buffer before writeback — the out-of-core engine's
 // second combining stage, which shrinks the dominant update-file I/O
 // (§3.2). nil when the program has no Combiner or partitions are too
-// wide. The folder is built once per run (plan) so its slot tables are
+// wide. The folder is built once per run (Setup) so its slot tables are
 // reused across every flush.
 func (e *engine[V, M]) updateFold() func(*streambuf.Buffer[core.Update[M]]) int64 {
 	if e.folder == nil {
@@ -681,99 +552,107 @@ func (e *engine[V, M]) updateFold() func(*streambuf.Buffer[core.Update[M]]) int6
 	return e.folder.Fold
 }
 
-// scatterPhase runs the merged scatter/shuffle over every partition,
-// sending updates through the run's UpdateTransport and sealing it at the
-// end; the transport's IterFlow carries the fold/writeback accounting into
-// the result. With selective scheduling, a partition with no active source
-// is skipped without reading its edge file (or, in spill mode, its vertex
-// file); a partially active partition is read only in the record segments
-// whose tiles intersect the frontier.
-func (e *engine[V, M]) scatterPhase(edgeFiles []*partFile, tiles *diskTiles) (scatterResult[M], error) {
-	var res scatterResult[M]
-	tr := e.cfg.Tracer
+// fail latches the run's first failure.
+func (e *engine[V, M]) fail(err error) {
+	if e.err == nil {
+		e.err = err
+	}
+}
 
-	for s := 0; s < e.k; s++ {
-		if err := e.cfg.Context.Err(); err != nil { // between partition files
-			return res, err
-		}
-		var pStart time.Time
-		if tr != nil {
-			pStart = time.Now()
-		}
-		fileRecs := edgeFileRecs(edgeFiles[s], tiles, s)
-		vlo, vhi := e.part.Range(s, e.nv)
-		if e.fp != nil && e.active[s] == 0 {
-			// No active source in the partition: by the FrontierProgram
-			// contract every edge here is a no-op, so the file is not
-			// read. An empty file elides nothing, so it is not counted.
-			if fileRecs > 0 {
-				e.stats.EdgesSkipped += fileRecs
-				e.stats.PartitionsSkipped++
+// soloScatter is the engine's scatter sink for one partition: its vertex
+// window, starting at vertex lo, and the private-buffer capacity its edge
+// density earns.
+type soloScatter[V, M any] struct {
+	e       *engine[V, M]
+	verts   []V
+	lo      int64
+	p       int
+	privCap int
+}
+
+// NewScatter implements core.JobRun: it loads partition p's vertex window —
+// from the vertex file when state is spilled — and sizes the combining
+// buffers to the partition's degree: a denser partition repeats update
+// destinations more, so combining gets a wider window. A plain append buffer
+// gains nothing from width and stays at base. There is one sink and one
+// window buffer, so the worker index is ignored.
+func (e *engine[V, M]) NewScatter(_, p int, fileRecs int64) core.JobScatter {
+	s := &e.sink
+	var err error
+	if s.verts, s.lo, err = e.loadVerts(p); err != nil {
+		e.fail(err)
+	}
+	s.p, s.privCap = p, basePrivCap
+	if e.combine != nil {
+		s.privCap = core.DegreeAwareBufRecs(basePrivCap, fileRecs, int64(len(s.verts)))
+	}
+	return s
+}
+
+// Edges implements core.JobScatter: it scatters the chunk in segments that
+// fit the transport's output window (combining only ever shrinks a segment's
+// append volume, so the room reserved for a segment still suffices).
+func (s *soloScatter[V, M]) Edges(chunk []core.Edge) {
+	e := s.e
+	if e.err != nil {
+		return
+	}
+	e.it.streamed += int64(len(chunk))
+	for off := 0; off < len(chunk); {
+		room := e.tp.Room()
+		if room == 0 {
+			if err := e.tp.Flush(); err != nil {
+				e.fail(err)
+				return
 			}
 			continue
 		}
-		var need func(core.SrcSpan) bool
-		if e.fp != nil && e.active[s] < vhi-vlo && tiles != nil {
-			need = func(sp core.SrcSpan) bool { return sp.Intersects(e.cur) }
-		}
-		// Degree-aware combining buffers: a denser partition repeats
-		// update destinations more, so combining gets a wider window. A
-		// plain append buffer gains nothing from width and stays at base.
-		privCap := basePrivCap
-		if e.combine != nil {
-			privCap = core.DegreeAwareBufRecs(basePrivCap, fileRecs, vhi-vlo)
-		}
-		var verts []V
-		io, skippedRecs, skippedTiles, err := e.pp.streamPartition(e.cfg.Context, &e.rd, edgeFiles, tiles, s, fileRecs, need, func() (err error) {
-			verts, _, err = e.loadVerts(s, false)
-			return err
-		}, func(chunk []core.Edge) error {
-			// Scatter the chunk in segments that fit the output buffer
-			// (combining only ever shrinks a segment's append volume, so
-			// the room reserved for a segment still suffices).
-			for off := 0; off < len(chunk); {
-				room := e.tp.Room()
-				if room == 0 {
-					if err := e.tp.Flush(); err != nil {
-						return err
-					}
-					continue
-				}
-				take := len(chunk) - off
-				if take > room {
-					take = room
-				}
-				nSent, nCross, nCombined, nSynced := e.scatterSegment(chunk[off:off+take], verts, vlo, s, privCap)
-				res.sent += nSent
-				res.scatterCombined += nCombined
-				res.synced += nSynced
-				e.stats.CrossPartitionUpdates += nCross
-				off += take
-			}
-			if e.overflow.Load() {
-				return fmt.Errorf("diskengine: update transport refused a scatter batch that fit its window (capacity %d records)", e.tp.Cap())
-			}
-			return nil
-		})
-		streamed := io.logical / edgeRecSize
-		res.streamed += streamed
-		e.stats.EdgesSkipped += skippedRecs
-		e.stats.TilesSkipped += skippedTiles
-		e.physEdge += io.read
-		e.logicalEdge += io.logical
-		e.stats.BytesChecksummed += io.checked
-		if err != nil {
-			return res, err
-		}
-		if tr != nil && streamed > 0 {
-			tr.Span(0, "partition", pStart, time.Since(pStart),
-				map[string]int64{"p": int64(s), "edges": streamed})
-		}
+		take := min(len(chunk)-off, room)
+		sent, cross, combined, synced := e.scatterSegment(chunk[off:off+take], s.verts, s.lo, s.p, s.privCap)
+		e.it.sent += sent
+		e.it.combined += combined
+		e.it.synced += synced
+		e.stats.CrossPartitionUpdates += cross
+		off += take
 	}
+	if e.overflow.Load() {
+		e.fail(fmt.Errorf("diskengine: update transport refused a scatter batch that fit its window (capacity %d records)", e.tp.Cap()))
+	}
+}
 
+// Flush implements core.JobScatter. Every scatter range drains its private
+// buffer before it returns, so nothing is left to flush.
+func (s *soloScatter[V, M]) Flush() {}
+
+// EndScatter implements core.JobRun: it seals the transport — whose
+// IterFlow carries the fold/writeback accounting — and books the
+// iteration's scatter.
+func (e *engine[V, M]) EndScatter() error {
+	if e.err != nil {
+		return e.err
+	}
+	t0 := time.Now()
 	flow, err := e.tp.Seal()
-	res.foldCombined, res.written = flow.Combined, flow.Delivered
-	return res, err
+	if err != nil {
+		return err
+	}
+	e.stats.ShuffleTime += time.Since(t0)
+	it := e.it
+	e.it = scatterCounts{}
+	usize := int64(pod.Size[core.Update[M]]())
+	appended, written := it.sent-it.combined, flow.Delivered
+	e.stats.EdgesStreamed += it.streamed
+	e.stats.UpdatesSent += it.sent
+	e.stats.WastedEdges += it.streamed - it.sent
+	e.stats.RandomRefs += it.streamed + written
+	e.stats.SequentialRefs += it.streamed + written
+	e.stats.BytesStreamed += it.streamed*edgeRecSize + (appended+written)*usize
+	e.stats.UpdatesCombined += it.combined + flow.Combined
+	e.stats.MirrorSyncUpdates += it.synced
+	e.stats.UpdateBytes += written * usize
+	e.TakeSkips(&e.stats)
+	e.iterSent = it.sent
+	return nil
 }
 
 // basePrivCap is the baseline capacity (records) of the scatter's
@@ -895,24 +774,27 @@ func (e *engine[V, M]) scatterRange(w int, edges []core.Edge, verts []V, lo int6
 	return sent, cross, 0, 0
 }
 
-// gatherPhase drains each partition's sealed update stream from the
-// transport onto its vertex window. With selective scheduling an
-// update-empty partition is skipped outright: no gather can change its
-// state, so neither its update stream nor (in spill mode) its vertex file
-// is touched. The transport owns stream verification (the file transport
-// checks byte count and running CRC32C, the exchange validates frames);
-// the engine still refuses any update whose destination falls outside the
-// partition window before it indexes the vertex slice, since a stream
-// checksum only closes after the whole partition is consumed.
-func (e *engine[V, M]) gatherPhase() error {
+// Gather implements core.JobRun: it drains each partition's sealed update
+// stream from the transport onto its vertex window, partitions in order —
+// there is one window buffer — and up to workers goroutines inside a chunk.
+// With selective scheduling an update-empty partition is skipped outright:
+// no gather can change its state, so neither its update stream nor (in
+// spill mode) its vertex file is touched. The transport owns stream
+// verification (the file transport checks byte count and running CRC32C,
+// the exchange validates frames); the engine still refuses any update whose
+// destination falls outside the partition window before it indexes the
+// vertex slice, since a stream checksum only closes after the whole
+// partition is consumed.
+func (e *engine[V, M]) Gather(workers int) error {
+	t0 := time.Now()
 	for p := 0; p < e.k; p++ {
 		if err := e.cfg.Context.Err(); err != nil { // between partition files
 			return err
 		}
-		if e.fp != nil && e.tp.Pending(p) == 0 {
+		if !e.Dense() && e.tp.Pending(p) == 0 {
 			continue
 		}
-		verts, lo, err := e.loadVerts(p, true)
+		verts, lo, err := e.loadVerts(p)
 		if err != nil {
 			return err
 		}
@@ -926,7 +808,7 @@ func (e *engine[V, M]) gatherPhase() error {
 						name, u.Dst, lo, winHi, storage.ErrCorrupted)
 				}
 			}
-			e.gatherChunk(chunk, verts, lo, subPart)
+			e.gatherChunk(chunk, verts, lo, subPart, workers)
 			return nil
 		}); err != nil {
 			return err
@@ -935,6 +817,11 @@ func (e *engine[V, M]) gatherPhase() error {
 			return err
 		}
 	}
+	if err := e.tp.EndIteration(); err != nil {
+		return err
+	}
+	e.Advance()
+	e.stats.GatherTime += time.Since(t0)
 	return nil
 }
 
@@ -946,13 +833,13 @@ func (e *engine[V, M]) gatherPhase() error {
 // scheduling every receiver is marked into the next frontier: receipt of an
 // update, not a state change, is what (conservatively) activates a vertex,
 // so the frontier is identical whether or not the stream was pre-combined.
-func (e *engine[V, M]) gatherChunk(chunk []core.Update[M], verts []V, lo int64, subPart core.Split) {
-	workers := e.cfg.Threads
+func (e *engine[V, M]) gatherChunk(chunk []core.Update[M], verts []V, lo int64, subPart core.Split, workers int) {
+	nxt := e.Receivers()
 	if workers <= 1 || len(chunk) < 8192 {
 		for _, u := range chunk {
 			e.prog.Gather(u.Dst, &verts[int64(u.Dst)-lo], u.Val)
-			if e.fp != nil {
-				e.nxt.Mark(u.Dst)
+			if nxt != nil {
+				nxt.Mark(u.Dst)
 			}
 		}
 		return
@@ -969,8 +856,8 @@ func (e *engine[V, M]) gatherChunk(chunk []core.Update[M], verts []V, lo int64, 
 		res.Bucket(sp, func(run []core.Update[M]) {
 			for _, u := range run {
 				e.prog.Gather(u.Dst, &verts[int64(u.Dst)-lo], u.Val)
-				if e.fp != nil {
-					e.nxt.Mark(u.Dst)
+				if nxt != nil {
+					nxt.Mark(u.Dst)
 				}
 			}
 		})
@@ -978,10 +865,8 @@ func (e *engine[V, M]) gatherChunk(chunk []core.Update[M], verts []V, lo int64, 
 }
 
 // loadVerts returns the vertex window of partition p starting at vertex lo.
-// In spill mode the window is read from the partition's vertex file;
-// forWrite distinguishes gather loads (which will be stored back) purely
-// for symmetry — reads happen either way.
-func (e *engine[V, M]) loadVerts(p int, forWrite bool) ([]V, int64, error) {
+// In spill mode the window is read from the partition's vertex file.
+func (e *engine[V, M]) loadVerts(p int) ([]V, int64, error) {
 	lo, hi := e.part.Range(p, e.nv)
 	if e.allVerts != nil {
 		return e.allVerts[lo:hi], lo, nil
@@ -1018,6 +903,25 @@ func (e *engine[V, M]) storeVerts(p int, verts []V) error {
 	return e.vertFiles[p].writeAllAt(pod.AsBytes(verts))
 }
 
+// EndIteration implements core.JobRun: it closes the iteration's profile
+// entry with its device I/O, then runs the phase hook, or the sent == 0
+// termination test of a program without one.
+func (e *engine[V, M]) EndIteration(iter int) error {
+	d := devCounters(e.cfg)
+	e.stats.BytesRead += d.read - e.last.read
+	e.stats.BytesWritten += d.written - e.last.written
+	e.stats.IORetries += d.retries - e.last.retries
+	e.last = d
+	e.stats.Iterations++
+	e.stats.PushIter(iter, e.iterMark, time.Since(e.iterStart))
+	if phased, ok := any(e.prog).(core.PhasedProgram[V, M]); ok {
+		e.done = phased.EndIteration(iter, e.iterSent, e.vertexView())
+	} else {
+		e.done = e.iterSent == 0
+	}
+	return e.err
+}
+
 // vertexView returns the VertexView for phase hooks.
 func (e *engine[V, M]) vertexView() core.VertexView[V] {
 	if e.allVerts != nil {
@@ -1027,57 +931,67 @@ func (e *engine[V, M]) vertexView() core.VertexView[V] {
 }
 
 // spillView streams spilled partitions through phase hooks, persisting
-// mutations.
+// mutations. ForEach cannot return the I/O error that cuts a visit short —
+// the remaining partitions un-updated, or one stored torn — so the engine
+// latches it and EndIteration fails the iteration.
 type spillView[V, M any] struct{ e *engine[V, M] }
 
 func (s *spillView[V, M]) NumVertices() int64 { return s.e.nv }
 
 func (s *spillView[V, M]) ForEach(fn func(core.VertexID, *V)) {
 	for p := 0; p < s.e.k; p++ {
-		verts, lo, err := s.e.loadVerts(p, true)
+		verts, lo, err := s.e.loadVerts(p)
 		if err != nil {
+			s.e.fail(err)
 			return
 		}
 		for i := range verts {
 			fn(core.VertexID(lo+int64(i)), &verts[i])
 		}
 		if err := s.e.storeVerts(p, verts); err != nil {
+			s.e.fail(err)
 			return
 		}
 	}
 }
 
-// materializeVertices returns the full final vertex state in original
-// input order (ID-valued state remapped, relabeling undone).
-func (e *engine[V, M]) materializeVertices() ([]V, error) {
+// Finalize implements core.JobRun: the full final vertex state in original
+// input order (ID-valued state remapped, relabeling undone), the run's
+// stats, and the run closed.
+func (e *engine[V, M]) Finalize() (any, core.Stats, error) {
 	out := e.allVerts
 	if out == nil {
 		out = make([]V, e.nv)
 		for p := 0; p < e.k; p++ {
-			verts, lo, err := e.loadVerts(p, false)
+			verts, lo, err := e.loadVerts(p)
 			if err != nil {
-				return nil, err
+				return nil, e.stats, err
 			}
 			copy(out[lo:], verts)
 		}
 	}
-	if asg := e.pp.asg; !asg.Identity() {
+	if !e.asg.Identity() {
 		if rm, ok := any(e.prog).(core.StateRemapper[V]); ok {
 			for i := range out {
-				rm.RemapState(&out[i], asg.OldID)
+				rm.RemapState(&out[i], e.asg.OldID)
 			}
 		}
-		out = core.RestoreOrder(out, asg.Relabel)
+		out = core.RestoreOrder(out, e.asg.Relabel)
 	}
-	return out, nil
+	tc := e.tp.Counters()
+	e.stats.TransportBatches = tc.Batches
+	e.stats.TransportBytes = tc.Bytes
+	e.stats.TransportCross = tc.Cross
+	e.Close()
+	return out, e.stats, nil
 }
 
-// cleanup shuts the update transport down — stopping any live write
-// pipeline an error path abandoned mid-scatter — and then removes the run's
-// update and vertex files underneath it. Idempotent, and safe when setup
-// failed before the transport or some file existed; the edge files are the
-// Prepared's to remove.
-func (e *engine[V, M]) cleanup() {
+// Close implements core.JobRun: it shuts the update transport down —
+// stopping any live write pipeline an error path abandoned mid-scatter — and
+// then removes the run's update and vertex files underneath it. Idempotent,
+// and safe when Setup failed before the transport or some file existed; the
+// edge files are the Prepared's to remove.
+func (e *engine[V, M]) Close() {
 	if e.tp != nil {
 		e.tp.Close()
 		e.tp = nil
@@ -1094,17 +1008,11 @@ func (e *engine[V, M]) cleanup() {
 
 // The engine is its own core.Snapshotter: one section, whose vertex bytes
 // are the in-memory slice or, spilled, one window per partition read from
-// (restore: written back to) its vertex file.
+// (restore: written back to) its vertex file. The frontier half is the
+// embedded Schedule's.
 
-// Name implements core.Snapshotter.
-func (e *engine[V, M]) Name() string { return e.prog.Name() }
-
-// Done implements core.Snapshotter. A solo run is only snapshotted, and so
-// only ever restored, while it still has iterations to run.
-func (e *engine[V, M]) Done() bool { return false }
-
-// MarkDone implements core.Snapshotter; see Done.
-func (e *engine[V, M]) MarkDone() {}
+// MarkDone implements core.Snapshotter.
+func (e *engine[V, M]) MarkDone() { e.done = true }
 
 // StateSize implements core.Snapshotter.
 func (e *engine[V, M]) StateSize() int64 { return e.nv * int64(pod.Size[V]()) }
@@ -1119,7 +1027,7 @@ func (e *engine[V, M]) VisitState(restore bool, fn func(window []byte) error) er
 		verts := e.vertsBuf[:hi-lo]
 		if !restore {
 			var err error
-			if verts, _, err = e.loadVerts(p, false); err != nil {
+			if verts, _, err = e.loadVerts(p); err != nil {
 				return err
 			}
 		}
@@ -1132,25 +1040,5 @@ func (e *engine[V, M]) VisitState(restore bool, fn func(window []byte) error) er
 			}
 		}
 	}
-	return nil
-}
-
-// FrontierWords implements core.Snapshotter.
-func (e *engine[V, M]) FrontierWords() []uint64 {
-	if e.fp == nil {
-		return nil
-	}
-	return e.cur.Words()
-}
-
-// RestoreFrontier implements core.Snapshotter.
-func (e *engine[V, M]) RestoreFrontier(words []uint64) error {
-	if e.fp == nil {
-		return fmt.Errorf("diskengine: frontier restore on a dense run")
-	}
-	if err := e.cur.LoadWords(words); err != nil {
-		return err
-	}
-	e.nxt.Clear()
 	return nil
 }

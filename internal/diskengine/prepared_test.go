@@ -14,6 +14,7 @@ import (
 	"strings"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/algorithms"
 	"repro/internal/core"
@@ -157,34 +158,50 @@ func TestSoloRunsOnPrepared(t *testing.T) {
 // only once the whole tile has been fed, and with chunks smaller than a
 // tile (IOUnit 8 KiB × K 2 = 1365 records against 4096) the first chunks of
 // a tile scatter before that. A bit-flipped source beyond the vertex count
-// must come back from the shared pass as ErrCorrupted, not index a job's
-// vertex array.
+// must come back from the pass as ErrCorrupted, not index a run's vertex
+// array — one guard in the one partition reader, whichever kind of run the
+// loop drives.
 func TestCorruptedRecordSharedPass(t *testing.T) {
 	src, _ := smallGraph(41)
-	dev := ssd(0)
-	pp, err := Prepare(src, Config{Device: dev, Threads: 2, IOUnit: 8 << 10, Partitions: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer pp.Close()
-	if recs := edgeFileRecs(pp.edgeFiles[0], pp.tilesFwd, 0); recs <= int64(pp.bufEdgeRecs) {
-		t.Fatalf("partition 0 holds %d records, one chunk of %d: the tile CRC would close first", recs, pp.bufEdgeRecs)
-	}
-	f, err := dev.Open("ds-p0000.edges")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	var srcHi [1]byte // top byte of the first record's little-endian Src
-	if _, err := f.ReadAt(srcHi[:], 3); err != nil {
-		t.Fatal(err)
-	}
-	srcHi[0] ^= 0x80
-	if _, err := f.WriteAt(srcHi[:], 3); err != nil {
-		t.Fatal(err)
-	}
-	_, _, err = pp.RunMany(context.Background(), core.ProgramSet{core.NewJob[wccState, core.VertexID](&wccProg{})})
-	if !errors.Is(err, storage.ErrCorrupted) {
-		t.Fatalf("a pass over a corrupted record returned %v, want ErrCorrupted", err)
+	for _, kind := range []struct {
+		name string
+		run  func(pp *Prepared) error
+	}{
+		{"shared pass", func(pp *Prepared) error {
+			_, _, err := pp.RunMany(context.Background(), core.ProgramSet{core.NewJob[wccState, core.VertexID](&wccProg{})})
+			return err
+		}},
+		{"solo", func(pp *Prepared) error {
+			_, _, err := pp.runPass(nil, time.Now(), "wcc", soloRuns[wccState, core.VertexID](pp, &wccProg{}))
+			return err
+		}},
+	} {
+		t.Run(kind.name, func(t *testing.T) {
+			dev := ssd(0)
+			pp, err := Prepare(src, Config{Device: dev, Threads: 2, IOUnit: 8 << 10, Partitions: 2})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer pp.Close()
+			if recs := edgeFileRecs(pp.edgeFiles[0], pp.tilesFwd, 0); recs <= int64(pp.bufEdgeRecs) {
+				t.Fatalf("partition 0 holds %d records, one chunk of %d: the tile CRC would close first", recs, pp.bufEdgeRecs)
+			}
+			f, err := dev.Open("ds-p0000.edges")
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer f.Close()
+			var srcHi [1]byte // top byte of the first record's little-endian Src
+			if _, err := f.ReadAt(srcHi[:], 3); err != nil {
+				t.Fatal(err)
+			}
+			srcHi[0] ^= 0x80
+			if _, err := f.WriteAt(srcHi[:], 3); err != nil {
+				t.Fatal(err)
+			}
+			if err := kind.run(pp); !errors.Is(err, storage.ErrCorrupted) {
+				t.Fatalf("a pass over a corrupted record returned %v, want ErrCorrupted", err)
+			}
+		})
 	}
 }

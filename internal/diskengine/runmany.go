@@ -1,27 +1,27 @@
 package diskengine
 
-// runmany.go is the out-of-core engine's shared-pass execution path. A
-// Prepared holds a dataset's pre-processing output — the input edge list
-// shuffled once into partition edge files, the tile source index built
-// during that shuffle, and the lazily built transposed files — so the
-// shuffle is paid once per dataset instead of once per run. RunMany then
-// drives any number of co-scheduled jobs (core.ProgramSet) from one pass
-// over the edge files per iteration: each chunk read from a file is handed
-// to every subscribing job's scatter, so the edge-file I/O that dominates
-// out-of-core runs is amortized across jobs (BytesRead drops toward 1/K of
-// K sequential runs; the figshare experiment gates it).
+// runmany.go is the out-of-core engine's dataset layer and its one
+// iteration loop. A Prepared holds a dataset's pre-processing output — the
+// input edge list shuffled once into partition edge files, the tile source
+// index built during that shuffle, and the lazily built transposed files —
+// so the shuffle is paid once per dataset instead of once per run. runPass
+// then drives any number of runs (core.JobRun) from one pass over the edge
+// files per iteration: each chunk read from a file is handed to every
+// subscribing run's scatter sink, so the edge-file I/O that dominates
+// out-of-core runs is amortized across co-scheduled jobs (BytesRead drops
+// toward 1/K of K sequential runs; the figshare experiment gates it).
 //
-// Shared-pass jobs keep their vertex state and update streams in memory —
-// the §3.2 bypass optimizations applied unconditionally. That is a serving
-// design choice, not a loss of generality: the jobs scheduler's admission
-// control only co-schedules jobs whose combined footprint
+// One loop, two run kinds. The jobs of a program set (RunMany, RunJob) run
+// as core.jobRuns, which keep their vertex state and update streams in
+// memory — the §3.2 bypass optimizations applied unconditionally. That is a
+// serving design choice, not a loss of generality: the jobs scheduler's
+// admission control only co-schedules jobs whose combined footprint
 // (core.Job.MemoryEstimate) fits the budget, which is exactly the regime
-// where the bypasses are legal. Jobs too big for the budget run solo
-// through Run, which streams the same Prepared — one pre-processing path,
-// one set of edge files, one tile index, one partition reader
-// (streamPartition) — and differs only in what it keeps of its own: vertex
-// windows and update files spilled to the device, and scatter parallelism
-// inside a chunk.
+// where the bypasses are legal. A job too big for the budget runs solo
+// through Run, whose one run is the engine[V, M] of diskengine.go: the same
+// loop, the same Prepared, the same partition reader (streamPartition), but
+// a run that may spill vertex windows and update files to the device and
+// parallelizes inside a chunk.
 //
 // Fault tolerance composes too: under Config.Checkpoint a pass snapshots
 // every job's resumable state after each completed iteration (see
@@ -30,9 +30,9 @@ package diskengine
 // cmd/xstream's -checkpoint flag takes through RunJob.
 //
 // Selective streaming composes: a partition's edge file is not read at all
-// when no job's frontier reaches it, and when every subscribing job is
+// when no run's frontier reaches it, and when every subscribing run is
 // partially active the file is read only in the segments whose tiles some
-// job needs (the frontier union). Within a streamed chunk every job
+// run needs (the frontier union). Within a streamed chunk every run
 // scatters all records — extra records are wasted edges by the
 // FrontierProgram contract, never wrong results.
 
@@ -58,7 +58,8 @@ const sharedVertexBytes = 16
 // Prepared is a dataset's out-of-core pre-processing — partition edge files
 // plus tile index — and the engine's only dataset layer: a handle from
 // Prepare is shared read-only by any number of RunMany passes, and a solo
-// Run makes one for itself. Close removes the files.
+// Run makes one for itself. Every pass over it, of either kind, is a
+// runPass. Close removes the files.
 type Prepared struct {
 	cfg         Config
 	k           int
@@ -68,7 +69,6 @@ type Prepared struct {
 	shufPlan    streambuf.Plan
 	nv, ne      int64
 	bufEdgeRecs int
-	prepTime    time.Duration
 
 	mu        sync.Mutex
 	edgeFiles []*partFile
@@ -100,7 +100,6 @@ func prepare(g core.EdgeSource, cfg Config, vertexBytes int64, index bool) (*Pre
 	if cfg.Device == nil {
 		return nil, fmt.Errorf("diskengine: Config.Device is required")
 	}
-	t0 := time.Now()
 	nv, ne := g.NumVertices(), g.NumEdges()
 
 	k := cfg.Partitions
@@ -174,7 +173,6 @@ func prepare(g core.EdgeSource, cfg Config, vertexBytes int64, index bool) (*Pre
 		pp.removeFiles()
 		return nil, err
 	}
-	pp.prepTime = time.Since(t0)
 	return pp, nil
 }
 
@@ -349,7 +347,7 @@ func partitionEdgesInto(src core.EdgeSource, files []*partFile, transpose bool, 
 
 // forwardSource re-streams a Prepared's forward edge files as one edge
 // source — the transpose build's input — through the same guarded partition
-// reader as the scatter loops: the build keys each record by its Dst, so a
+// reader as the scatter loop: the build keys each record by its Dst, so a
 // corrupted one must not reach the shuffle either.
 type forwardSource struct {
 	pp *Prepared
@@ -364,7 +362,7 @@ func (s *forwardSource) NumEdges() int64 { return s.pp.ne }
 func (s *forwardSource) Edges(fn func([]core.Edge) error) error {
 	pp := s.pp
 	for p, f := range pp.edgeFiles {
-		io, _, _, err := pp.streamPartition(nil, s.sc, pp.edgeFiles, pp.tilesFwd, p, edgeFileRecs(f, pp.tilesFwd, p), nil, func() error { return nil }, fn)
+		io, _, _, err := pp.streamPartition(nil, s.sc, pp.edgeFiles, pp.tilesFwd, p, edgeFileRecs(f, pp.tilesFwd, p), nil, func() {}, fn)
 		s.io.read += io.read
 		s.io.logical += io.logical
 		s.io.checked += io.checked
@@ -375,13 +373,13 @@ func (s *forwardSource) Edges(fn func([]core.Edge) error) error {
 	return nil
 }
 
-// streamPartition is how every scatter loop, and the transpose build, reads
+// streamPartition is how the scatter loop, and the transpose build, reads
 // partition p's edge file: it plans the segments to read — the whole file,
 // or with a need predicate only the runs of tiles whose source spans
 // satisfy it — and streams them through fn under the config's verify and
-// prefetch settings. begin runs
-// once before the first chunk, and not at all when nothing is planned, so a
-// caller loads what scattering needs only for a partition that is read.
+// prefetch settings. begin runs once before the first chunk, and not at all
+// when nothing is planned, so a run readies what scattering needs only for
+// a partition that is read.
 // Every record is checked against the shuffle invariant before fn sees it:
 // a corrupted record must never be dereferenced, and the tile CRC only
 // closes at tile granularity, after earlier chunks of the tile have
@@ -389,14 +387,12 @@ func (s *forwardSource) Edges(fn func([]core.Edge) error) error {
 // vertex window or the shuffle plan before verification catches it.
 // fileRecs is the file's logical record count (edgeFileRecs). It returns
 // the traffic moved and the records and tiles need elided.
-func (pp *Prepared) streamPartition(ctx context.Context, rd *edgeScratch, files []*partFile, tiles *diskTiles, p int, fileRecs int64, need func(core.SrcSpan) bool, begin func() error, fn func([]core.Edge) error) (io edgeIO, skippedRecs, skippedTiles int64, err error) {
+func (pp *Prepared) streamPartition(ctx context.Context, rd *edgeScratch, files []*partFile, tiles *diskTiles, p int, fileRecs int64, need func(core.SrcSpan) bool, begin func(), fn func([]core.Edge) error) (io edgeIO, skippedRecs, skippedTiles int64, err error) {
 	segs, skippedRecs, skippedTiles := planSegments(tiles, p, need, fileRecs)
 	if len(segs) == 0 {
 		return io, skippedRecs, skippedTiles, nil
 	}
-	if err := begin(); err != nil {
-		return io, skippedRecs, skippedTiles, err
-	}
+	begin()
 	lo, hi := pp.part.Range(p, pp.nv)
 	io.read, io.logical, io.checked, err = streamSegments(ctx, rd, files[p], p, tiles, !pp.cfg.NoVerify, segs, pp.bufEdgeRecs, !pp.cfg.NoPrefetch, func(chunk []core.Edge) error {
 		for _, ed := range chunk {
@@ -411,8 +407,10 @@ func (pp *Prepared) streamPartition(ctx context.Context, rd *edgeScratch, files 
 }
 
 // RunMany executes every job of set against g out of core, sharing one
-// pass over the edge files per iteration. See Prepared.RunMany.
+// pass over the edge files per iteration. See Prepared.RunMany. The pass's
+// PreprocessTime, TotalTime and "run" span cover the ingest as well.
 func RunMany(ctx context.Context, g core.EdgeSource, set core.ProgramSet, cfg Config) ([]core.JobResult, core.Stats, error) {
+	start := time.Now()
 	vb := vertexBytesOf(set)
 	if vb == 0 {
 		vb = sharedVertexBytes
@@ -422,7 +420,7 @@ func RunMany(ctx context.Context, g core.EdgeSource, set core.ProgramSet, cfg Co
 		return nil, core.Stats{}, err
 	}
 	defer pp.Close()
-	return pp.RunMany(ctx, set)
+	return pp.runMany(ctx, set, start)
 }
 
 // vertexBytesOf returns the widest vertex state in the set.
@@ -438,30 +436,15 @@ func vertexBytesOf(set core.ProgramSet) int64 {
 
 // RunJob executes a single type-erased job — the registry-driven
 // counterpart of Run. Unlike Run it holds vertex state and updates in
-// memory (see the package notes on shared-pass execution).
+// memory (see the package notes on the two run kinds).
 func RunJob(ctx context.Context, g core.EdgeSource, job *core.Job, cfg Config) (*core.JobResult, error) {
 	res, pass, err := RunMany(ctx, g, core.ProgramSet{job}, cfg)
 	if err != nil {
 		return nil, err
 	}
-	out := res[0]
 	// A solo pass's shared-side accounting is the job's own.
-	out.Stats.PreprocessTime = pass.PreprocessTime
-	out.Stats.ScatterTime = pass.ScatterTime
-	out.Stats.BytesRead = pass.BytesRead
-	out.Stats.BytesReadLogical = pass.BytesReadLogical
-	out.Stats.BytesWritten = pass.BytesWritten
-	out.Stats.TilesCompressed = pass.TilesCompressed
-	out.Stats.CompressedRatio = pass.CompressedRatio
-	out.Stats.BytesChecksummed = pass.BytesChecksummed
-	out.Stats.ChecksumFailures = pass.ChecksumFailures
-	out.Stats.IORetries = pass.IORetries
-	// A resumed pass restores iterations instead of executing them; the
-	// job's own tally only counts executed ones.
-	out.Stats.Iterations = pass.Iterations
-	out.Stats.ResumedIterations = pass.ResumedIterations
-	core.GraftPassIters(out.Stats.Iters, pass.Iters)
-	return &out, nil
+	core.GraftPass(&res[0].Stats, &pass, false)
+	return &res[0], nil
 }
 
 // RunMany drives all jobs of set from one pass over the prepared edge
@@ -471,34 +454,71 @@ func RunJob(ctx context.Context, g core.EdgeSource, job *core.Job, cfg Config) (
 // BytesRead/BytesWritten the device traffic of this pass alone. ctx
 // cancels between iterations, files and chunks; nil means Background.
 func (pp *Prepared) RunMany(ctx context.Context, set core.ProgramSet) ([]core.JobResult, core.Stats, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
+	return pp.runMany(ctx, set, time.Now())
+}
+
+// runMany is a pass whose runs are a program set's: each job's core.jobRun,
+// vertex state and updates in memory.
+func (pp *Prepared) runMany(ctx context.Context, set core.ProgramSet, start time.Time) ([]core.JobResult, core.Stats, error) {
 	if len(set) == 0 {
 		return nil, core.Stats{}, fmt.Errorf("diskengine: RunMany of an empty program set")
 	}
-	cfg := pp.cfg
-	start := time.Now()
-	pass := core.Stats{
-		Algorithm: set.Label(), Engine: "disk:" + cfg.Device.Name(),
-		Partitioner: pp.partName, Partitions: pp.k, Threads: cfg.Threads,
-		CoJobs: len(set), PreprocessTime: pp.prepTime,
-	}
-	retriesBefore := cfg.Device.Stats().Retries
-
-	newRuns := func() ([]core.JobRun, error) {
-		runs, err := set.NewRuns(core.JobSetup{
-			Assignment: pp.asg, NumVertices: pp.nv, NumEdges: pp.ne,
-			Threads: cfg.Threads, Plan: pp.shufPlan, UpdateCap: int(pp.ne),
-			PrivateBufRecs: basePrivCap,
-			NoCombine:      cfg.NoCombine, Selective: cfg.Selective,
-			Exchange: cfg.Exchange,
-		})
+	return pp.runPass(ctx, start, set.Label(), func() ([]core.JobRun, error) {
+		runs, err := set.NewRuns(pp.jobSetup())
 		if err != nil {
 			return nil, fmt.Errorf("diskengine: %w", err)
 		}
 		return runs, nil
+	})
+}
+
+// jobSetup is the shared context every run of a pass over pp is set up
+// under.
+func (pp *Prepared) jobSetup() core.JobSetup {
+	cfg := pp.cfg
+	return core.JobSetup{
+		Assignment: pp.asg, NumVertices: pp.nv, NumEdges: pp.ne,
+		Threads: cfg.Threads, Plan: pp.shufPlan, UpdateCap: int(pp.ne),
+		PrivateBufRecs: basePrivCap,
+		NoCombine:      cfg.NoCombine, Selective: cfg.Selective,
+		Exchange: cfg.Exchange,
 	}
+}
+
+// passScratch is what a pass owns for its whole life and every iteration
+// reuses: the edge-read buffers, lent to one segment at a time, and — each
+// with room for every run of the pass — the runs still live, the ones
+// streaming the current direction, the ones needing the current partition
+// and their sinks.
+type passScratch struct {
+	rd       edgeScratch
+	live     []core.JobRun
+	subs     []core.JobRun
+	needing  []core.JobRun
+	scatters []core.JobScatter
+}
+
+// runPass is the engine's one iteration loop (Figure 6): the merged
+// scatter/shuffle over the partition files, then gather, for whatever runs
+// newRuns makes — a program set's in-memory runs or the one spillable run
+// of a solo Run; the loop cannot tell them apart. newRuns is called once up
+// front and again whenever a verified checkpoint fails to load, after the
+// half-restored runs were closed, so a failed resume never leaves state
+// behind. start is when the pass's work began — before the ingest for a
+// pass that prepared its own dataset, on entry for a pass over a cached one
+// — so PreprocessTime (start to the last run set up: partitioner, edge
+// shuffle, vertex state, transports) and TotalTime mean the same for both.
+func (pp *Prepared) runPass(ctx context.Context, start time.Time, label string, newRuns func() ([]core.JobRun, error)) ([]core.JobResult, core.Stats, error) {
+	if ctx == nil {
+		ctx = context.Background()
+	}
+	cfg, tr := pp.cfg, pp.cfg.Tracer
+	pass := core.Stats{
+		Algorithm: label, Engine: "disk:" + cfg.Device.Name(),
+		Partitioner: pp.partName, Partitions: pp.k, Threads: cfg.Threads,
+	}
+	retriesBefore := cfg.Device.Stats().Retries
+
 	runs, err := newRuns()
 	if err != nil {
 		return nil, pass, err
@@ -506,6 +526,11 @@ func (pp *Prepared) RunMany(ctx context.Context, set core.ProgramSet) ([]core.Jo
 	// runs is re-filled in place by a failed resume, so the deferred close
 	// sees whichever runs the pass ended with.
 	defer core.CloseRuns(runs)
+	pass.CoJobs = len(runs)
+	pass.PreprocessTime = time.Since(start)
+	if tr != nil {
+		tr.Span(0, "preprocess", start, pass.PreprocessTime, nil)
+	}
 
 	// Resume a checkpointed pass from the newest valid snapshot a previous
 	// attempt with this prefix left behind: iterations [0, startIter) are
@@ -518,11 +543,11 @@ func (pp *Prepared) RunMany(ctx context.Context, set core.ProgramSet) ([]core.Jo
 	}
 	if snaps != nil {
 		startIter, err = pp.tryResume(&pass, snaps, func() error {
+			core.CloseRuns(runs)
 			rs, err := newRuns()
 			if err != nil {
 				return err
 			}
-			core.CloseRuns(runs)
 			copy(runs, rs)
 			copy(snaps, snapshotters(rs))
 			return nil
@@ -533,14 +558,16 @@ func (pp *Prepared) RunMany(ctx context.Context, set core.ProgramSet) ([]core.Jo
 		pass.ResumedIterations = startIter
 	}
 
-	live := make([]core.JobRun, 0, len(runs))
-	var rd edgeScratch // the pass's edge-read buffers, lent to one segment at a time
+	sc := &passScratch{
+		live: make([]core.JobRun, 0, len(runs)), subs: make([]core.JobRun, 0, len(runs)),
+		needing: make([]core.JobRun, 0, len(runs)), scatters: make([]core.JobScatter, len(runs)),
+	}
 	// Per-iteration retry attribution: the run-level IORetries is a single
 	// end-of-pass delta; the loop samples the device counter at every
 	// iteration boundary so the per-iteration profile can slice it.
 	lastRetries := cfg.Device.Stats().Retries
 	for iter := startIter; iter < cfg.MaxIterations; iter++ {
-		live = live[:0]
+		live := sc.live[:0]
 		for _, r := range runs {
 			if !r.Done() {
 				live = append(live, r)
@@ -561,15 +588,18 @@ func (pp *Prepared) RunMany(ctx context.Context, set core.ProgramSet) ([]core.Jo
 			}
 		}
 
+		// One shared scatter per direction a live run asked for; the
+		// transposed files are built on first use, and the build's I/O is
+		// the triggering pass's.
 		t0 := time.Now()
 		for _, dir := range []core.Direction{core.Forward, core.Backward} {
-			var subs []core.JobRun
+			sc.subs = sc.subs[:0]
 			for _, r := range live {
 				if r.Direction(iter) == dir {
-					subs = append(subs, r)
+					sc.subs = append(sc.subs, r)
 				}
 			}
-			if len(subs) == 0 {
+			if len(sc.subs) == 0 {
 				continue
 			}
 			files, tiles, build, err := pp.files(dir)
@@ -577,7 +607,7 @@ func (pp *Prepared) RunMany(ctx context.Context, set core.ProgramSet) ([]core.Jo
 				return nil, pass, err
 			}
 			build.addTo(&pass)
-			if err := pp.scatterShared(ctx, &pass, &rd, subs, files, tiles); err != nil {
+			if err := pp.scatterShared(ctx, &pass, sc, files, tiles); err != nil {
 				return nil, pass, err
 			}
 		}
@@ -592,14 +622,18 @@ func (pp *Prepared) RunMany(ctx context.Context, set core.ProgramSet) ([]core.Jo
 		}
 		gatherDur := time.Since(t1)
 		pass.GatherTime += gatherDur
+		stillLive := false
 		for _, r := range live {
-			r.EndIteration(iter)
+			if err := r.EndIteration(iter); err != nil {
+				return nil, pass, err
+			}
+			stillLive = stillLive || !r.Done()
 		}
 		pass.Iterations = iter + 1
-		if tr := cfg.Tracer; tr != nil {
-			it := int64(iter)
-			tr.Span(0, "scatter", t0, scatterDur, map[string]int64{"iter": it, "jobs": int64(len(live))})
-			tr.Span(0, "gather", t1, gatherDur, map[string]int64{"iter": it, "jobs": int64(len(live))})
+		if tr != nil {
+			it, jobs := int64(iter), int64(len(live))
+			tr.Span(0, "scatter", t0, scatterDur, map[string]int64{"iter": it, "jobs": jobs})
+			tr.Span(0, "gather", t1, gatherDur, map[string]int64{"iter": it, "jobs": jobs})
 			tr.Span(0, "iteration", iterStart, time.Since(iterStart), map[string]int64{"iter": it})
 		}
 
@@ -607,28 +641,18 @@ func (pp *Prepared) RunMany(ctx context.Context, set core.ProgramSet) ([]core.Jo
 		// any phase state into the vertices and Gather swapped the
 		// frontiers, so the snapshot is exactly what iteration iter+1
 		// starts from. A terminating pass needs no snapshot — its
-		// checkpoints are removed on success below.
-		if snaps != nil {
-			stillLive := false
-			for _, r := range runs {
-				if !r.Done() {
-					stillLive = true
-					break
-				}
+		// checkpoints are removed on success below. Checkpoints of earlier
+		// iterations outlive a failed write on purpose — they are what a
+		// retry resumes from.
+		if snaps != nil && stillLive {
+			cpStart := time.Now()
+			n, err := pp.writeCheckpoint(iter, snaps)
+			if err != nil {
+				return nil, pass, err
 			}
-			if stillLive {
-				cpStart := time.Now()
-				n, err := pp.writeCheckpoint(iter, snaps)
-				if err != nil {
-					// Checkpoints of earlier iterations outlive the
-					// failure on purpose — they are what a retry resumes
-					// from.
-					return nil, pass, err
-				}
-				pass.BytesWritten += n
-				if tr := cfg.Tracer; tr != nil {
-					tr.Span(0, "checkpoint", cpStart, time.Since(cpStart), map[string]int64{"iter": int64(iter), "bytes": n})
-				}
+			pass.BytesWritten += n
+			if tr != nil {
+				tr.Span(0, "checkpoint", cpStart, time.Since(cpStart), map[string]int64{"iter": int64(iter), "bytes": n})
 			}
 		}
 		// Slice the device retry counter into this iteration's window; the
@@ -651,7 +675,7 @@ func (pp *Prepared) RunMany(ctx context.Context, set core.ProgramSet) ([]core.Jo
 	pp.layoutStats(&pass)
 	pass.IORetries = cfg.Device.Stats().Retries - retriesBefore
 	pass.TotalTime = time.Since(start)
-	if tr := cfg.Tracer; tr != nil {
+	if tr != nil {
 		tr.Span(0, "run", start, pass.TotalTime, map[string]int64{
 			"iterations": int64(pass.Iterations), "jobs": int64(len(runs)),
 		})
@@ -678,8 +702,8 @@ func (pp *Prepared) layoutStats(st *core.Stats) {
 }
 
 // scatterShared reads each partition's edge file (or only its needed tile
-// segments) once and feeds every chunk to every subscribing job.
-func (pp *Prepared) scatterShared(ctx context.Context, pass *core.Stats, rd *edgeScratch, subs []core.JobRun, files []*partFile, tiles *diskTiles) error {
+// segments) once and feeds every chunk to every run in sc.subs.
+func (pp *Prepared) scatterShared(ctx context.Context, pass *core.Stats, sc *passScratch, files []*partFile, tiles *diskTiles) error {
 	tr := pp.cfg.Tracer
 	for p := 0; p < pp.k; p++ {
 		if err := ctx.Err(); err != nil { // between partition files
@@ -690,9 +714,9 @@ func (pp *Prepared) scatterShared(ctx context.Context, pass *core.Stats, rd *edg
 			pStart = time.Now()
 		}
 		fileRecs := edgeFileRecs(files[p], tiles, p)
-		needing := make([]core.JobRun, 0, len(subs))
+		needing := sc.needing[:0]
 		allPartial := true
-		for _, r := range subs {
+		for _, r := range sc.subs {
 			if r.NeedsPartition(p) {
 				needing = append(needing, r)
 				if !r.PartiallyActive(p) {
@@ -703,7 +727,9 @@ func (pp *Prepared) scatterShared(ctx context.Context, pass *core.Stats, rd *edg
 			}
 		}
 		if len(needing) == 0 {
-			// No job reaches the partition: its edge file is never read.
+			// No run reaches the partition: by the FrontierProgram contract
+			// every edge here is a no-op, so its edge file is never read. An
+			// empty file elides nothing, so it is not counted.
 			if fileRecs > 0 {
 				pass.EdgesSkipped += fileRecs
 				pass.PartitionsSkipped++
@@ -713,9 +739,9 @@ func (pp *Prepared) scatterShared(ctx context.Context, pass *core.Stats, rd *edg
 		var need func(core.SrcSpan) bool
 		if allPartial && tiles != nil {
 			// Every subscriber can tile-skip: read only the segments whose
-			// tiles some job's frontier reaches. A tile no job needs is a
+			// tiles some run's frontier reaches. A tile no run needs is a
 			// byte range never read — and every subscriber would have
-			// skipped at least it in a solo run.
+			// skipped at least it in a pass of its own.
 			need = func(span core.SrcSpan) bool {
 				for _, r := range needing {
 					if r.NeedsTile(span) {
@@ -725,13 +751,14 @@ func (pp *Prepared) scatterShared(ctx context.Context, pass *core.Stats, rd *edg
 				return false
 			}
 		}
+		// A run readies its sink — a spillable one loads the partition's
+		// vertex window — only for a partition that is actually read.
 		var scatters []core.JobScatter
-		io, skippedRecs, skippedTiles, err := pp.streamPartition(ctx, rd, files, tiles, p, fileRecs, need, func() error {
-			scatters = make([]core.JobScatter, len(needing))
+		io, skippedRecs, skippedTiles, err := pp.streamPartition(ctx, &sc.rd, files, tiles, p, fileRecs, need, func() {
+			scatters = sc.scatters[:len(needing)]
 			for i, r := range needing {
 				scatters[i] = r.NewScatter(0, p, fileRecs)
 			}
-			return nil
 		}, func(chunk []core.Edge) error {
 			feedJobs(scatters, chunk)
 			return nil
@@ -750,8 +777,8 @@ func (pp *Prepared) scatterShared(ctx context.Context, pass *core.Stats, rd *edg
 		if err != nil {
 			return err
 		}
-		for _, sc := range scatters {
-			sc.Flush()
+		for _, s := range scatters {
+			s.Flush()
 		}
 		if tr != nil && pEdges > 0 {
 			tr.Span(0, "partition", pStart, time.Since(pStart), map[string]int64{"p": int64(p), "edges": pEdges, "jobs": int64(len(needing))})

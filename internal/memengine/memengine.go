@@ -57,8 +57,6 @@ type Config struct {
 	// CacheBytes is the per-core cache share used to size partitions.
 	// 0 means 2 MiB (the testbed's L2 share, §5.1).
 	CacheBytes int
-	// CacheLineBytes sizes the shuffler fanout bound. 0 means 64.
-	CacheLineBytes int
 	// Partitions forces the partition count (must be a power of two).
 	// 0 means automatic.
 	Partitions int
@@ -124,9 +122,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.CacheBytes <= 0 {
 		c.CacheBytes = 2 << 20
-	}
-	if c.CacheLineBytes <= 0 {
-		c.CacheLineBytes = 64
 	}
 	if c.MaxIterations <= 0 {
 		c.MaxIterations = 1 << 20

@@ -80,7 +80,8 @@ func prepare(g core.EdgeSource, cfg Config, footprint int) (*Prepared, error) {
 	}
 	fanout := cfg.Fanout
 	if fanout == 0 {
-		fanout = core.MemFanout(cfg.CacheBytes, cfg.CacheLineBytes)
+		const cacheLineBytes = 64 // §4.2: one staging line per bucket stays cache-resident
+		fanout = core.MemFanout(cfg.CacheBytes, cacheLineBytes)
 	}
 	if fanout > k && k > 1 {
 		fanout = k
@@ -194,12 +195,9 @@ func RunJob(ctx context.Context, g core.EdgeSource, job *core.Job, cfg Config) (
 	if err != nil {
 		return nil, err
 	}
-	out := res[0]
 	// A solo pass's shared-side accounting is the job's own.
-	out.Stats.PreprocessTime = pass.PreprocessTime
-	out.Stats.ScatterTime = pass.ScatterTime
-	core.GraftPassIters(out.Stats.Iters, pass.Iters)
-	return &out, nil
+	core.GraftPass(&res[0].Stats, &pass, false)
+	return &res[0], nil
 }
 
 // RunMany drives all jobs of set from one edge stream per iteration. It
@@ -319,7 +317,9 @@ func (pp *Prepared) runMany(ctx context.Context, set core.ProgramSet, start time
 		pass.ShuffleTime += shuffleDur
 		pass.GatherTime += gatherDur
 		for _, r := range live {
-			r.EndIteration(iter)
+			if err := r.EndIteration(iter); err != nil {
+				return nil, pass, fmt.Errorf("memengine: %w", err)
+			}
 		}
 		pass.Iterations = iter + 1
 		pass.PushIter(iter, iterMark, time.Since(iterStart))
