@@ -1,6 +1,10 @@
 package core
 
-import "repro/internal/streambuf"
+import (
+	"math/bits"
+
+	"repro/internal/streambuf"
+)
 
 // MaxFoldSlots bounds the per-worker dense slot tables of the
 // post-shuffle fold: beyond ~4M vertices per partition the tables stop
@@ -27,99 +31,103 @@ func NewUpdateFolder[M any](split Split, workers int, combine func(a, b M) M) *s
 	})
 }
 
-// CombineBuffer is the thread-private combining buffer the engines put in
-// front of the shared update stream when the program implements Combiner.
-// It replaces the plain private append buffer of §4.1: updates are staged
-// in a small dense record array, and a hash slot table keyed by destination
-// vertex lets a new update merge into a staged one addressed to the same
-// vertex instead of occupying a second record. The slot table is
-// direct-mapped — a collision between different destinations simply
-// forgets the older mapping (a missed combining opportunity, never a
-// correctness issue) — and is invalidated in O(1) on drain by bumping an
-// epoch rather than clearing.
+// CombineBuffer is the thread-private combining buffer the scatter kernel
+// puts in front of the shared update stream when the program implements
+// Combiner: a write-back, direct-mapped cache of update records keyed by
+// destination vertex, in front of the small append buffer of §4.1. An update
+// whose destination is resident merges in place (one memory access: entries
+// are inline {Dst, Val} records); one that maps to a slot held by another
+// destination evicts that record to the append buffer and takes the slot, so
+// every update added emits at most one record and a hot destination stays
+// resident until something displaces it. Sweep evicts what is left when the
+// scatter task ends. The slots in use are listed in the order they were first
+// taken, which makes Sweep and Reset cost O(residents), never O(table), and
+// the emission order a pure function of the Add sequence. An empty slot holds
+// a destination that cannot hash to it (emptyKey), so emptiness costs no tag
+// and every VertexID, 0xFFFFFFFF included, is a valid key.
 //
-// A CombineBuffer belongs to one goroutine; it is not safe for concurrent
-// use. Engines hold one per scatter worker for the whole run and Reset it
-// at the start of every scatter task to the capacity that task calls for,
-// so the combining it performs is a deterministic function of the task's
-// edge order, independent of thread scheduling and of what the buffer
-// staged before.
+// A CombineBuffer belongs to one goroutine. The kernel holds one per scatter
+// worker for the whole run and Resets it at the start of every scatter task
+// to the window that task calls for, so the combining it performs is a
+// deterministic function of the task's edge order, independent of thread
+// scheduling and of what the buffer held before.
 type CombineBuffer[M any] struct {
-	store   []Update[M] // backing array, sized for the largest capacity
-	recs    []Update[M] // store[:n:capacity] — the staged records
-	slots   []uint64    // epoch<<32 | (record index + 1)
-	mask    uint32
-	epoch   uint32
-	combine func(a, b M) M
+	table    []Update[M] // sized for the widest window; table[:1<<(32-shift)] is in use
+	occupied []uint32    // slots holding a resident, in first-taken order
+	out      []Update[M] // evicted records awaiting the next drain
+	shift    uint8
+	combine  func(a, b M) M
 
 	// Combined counts updates merged away since construction or Reset.
 	Combined int64
 }
 
-// NewCombineBuffer returns a combining buffer staging up to capacity
-// records between drains. The slot table is sized at twice the capacity to
-// keep the collision rate low.
-func NewCombineBuffer[M any](capacity int, combine func(a, b M) M) *CombineBuffer[M] {
-	if capacity < 1 {
-		capacity = 1
+// combineSlotsPerRec is the cache's slot count per record of window. At 4 the
+// table of a MaxBufGrowth window of 8-byte updates is 512 KiB, a quarter of
+// the L2 share the partition's vertices are sized for; see CHANGES.md (PR 20)
+// for what 1, 2 and 8 measured.
+const combineSlotsPerRec = 4
+
+const combineHash = 0x9E3779B1 // 2^32/φ, odd: the top bits of dst·combineHash spread any stride
+
+// emptyKey is the destination an empty slot h holds: 0 hashes to slot 0 and
+// 1 to the table's upper half (combineHash's top bit is set) whatever the
+// table's size ≥ 2, so neither can be a resident of the slot it marks.
+func emptyKey(h uint32) VertexID {
+	if h == 0 {
+		return 1
 	}
+	return 0
+}
+
+// NewCombineBuffer returns a combining buffer whose append buffer holds
+// baseRecs records and whose cache serves windows of up to
+// MaxBufGrowth·baseRecs records, readied for the widest.
+func NewCombineBuffer[M any](baseRecs int, combine func(a, b M) M) *CombineBuffer[M] {
+	baseRecs = max(baseRecs, 1)
+	slots := NextPow2(combineSlotsPerRec * MaxBufGrowth * baseRecs)
 	c := &CombineBuffer[M]{
-		store:   make([]Update[M], capacity),
-		slots:   make([]uint64, NextPow2(2*capacity)),
-		combine: combine,
+		table:    make([]Update[M], slots),
+		occupied: make([]uint32, 0, slots),
+		out:      make([]Update[M], 0, baseRecs),
+		combine:  combine,
 	}
-	c.Reset(capacity)
+	c.table[0].Dst = emptyKey(0) // the zero value already marks every other slot
+	c.Reset(MaxBufGrowth * baseRecs)
 	return c
 }
 
-// Reset empties the buffer, zeroes Combined and re-sizes it to stage up to
-// capacity records, in O(1): the allocation made by NewCombineBuffer is
-// kept (its capacity is the ceiling; a larger request is clamped to it),
-// the slot table shrinks to the prefix a fresh buffer of this capacity
-// would have, and every remembered slot is forgotten by the epoch bump. A
-// Reset buffer therefore combines, fills and drains exactly like
-// NewCombineBuffer(capacity, combine).
-func (c *CombineBuffer[M]) Reset(capacity int) {
-	if capacity < 1 {
-		capacity = 1
+// Reset forgets every resident and evicted record, zeroes Combined and sizes
+// the cache for a window of up to window records (clamped to what
+// NewCombineBuffer allocated), in O(residents) — O(1) after a Sweep. A Reset
+// buffer combines and emits exactly like a fresh one Reset to that window.
+func (c *CombineBuffer[M]) Reset(window int) {
+	for _, h := range c.occupied {
+		c.table[h].Dst = emptyKey(h)
 	}
-	if capacity > len(c.store) {
-		capacity = len(c.store)
-	}
-	c.recs = c.store[:0:capacity]
-	c.mask = uint32(NextPow2(2*capacity) - 1)
-	c.Combined = 0
-	c.bumpEpoch()
-}
-
-// bumpEpoch invalidates every slot in O(1).
-func (c *CombineBuffer[M]) bumpEpoch() {
-	c.epoch++
-	if c.epoch == 0 { // epoch wrapped: stale slots could alias, clear them
-		for i := range c.slots {
-			c.slots[i] = 0
-		}
-		c.epoch = 1
-	}
+	c.occupied, c.out, c.Combined = c.occupied[:0], c.out[:0], 0
+	slots := min(NextPow2(max(combineSlotsPerRec*window, 2)), len(c.table))
+	c.shift = uint8(32 - bits.TrailingZeros(uint(slots)))
 }
 
 // MaxBufGrowth is the ceiling of DegreeAwareBufRecs' growth over the base
-// capacity: a combining buffer made with MaxBufGrowth·baseRecs records can
-// be Reset to any capacity DegreeAwareBufRecs returns for that base.
+// capacity: NewCombineBuffer(baseRecs) serves any window DegreeAwareBufRecs
+// returns for that base.
 const MaxBufGrowth = 16
 
-// DegreeAwareBufRecs sizes a scatter-side combining buffer for one
-// partition from its average out-degree. baseRecs is the configured
-// capacity (PrivateBufBytes / record size); edges and verts describe the
-// partition being scattered. A vertex of out-degree d emits up to d updates
+// DegreeAwareBufRecs sizes the combining window (records; the cache gets
+// combineSlotsPerRec slots for each) of one scatter task from the average
+// out-degree of the partition it scatters. baseRecs is the configured
+// private buffer capacity (PrivateBufBytes / record size); edges and verts
+// describe the partition. A vertex of out-degree d emits up to d updates
 // whose destinations repeat across the partition's edge chunk, so a window
-// proportional to the average degree catches correspondingly more
-// same-destination merges; dense partitions grow the buffer up to
-// MaxBufGrowth× the base, growth is capped at the partition's own edge
-// count (a bigger buffer than the chunk cannot combine anything extra), and
-// the result never shrinks below baseRecs. The result is a deterministic
-// function of (baseRecs, edges, verts), so combining stays a deterministic
-// function of the partition's edge order.
+// proportional to the average degree keeps correspondingly more destinations
+// resident; dense partitions grow it up to MaxBufGrowth× the base, growth is
+// capped at the edge count (a task cannot make more residents than it has
+// edges — a caller that Resets per sub-range of the chunk caps at the
+// range's length as well), and the result never shrinks below baseRecs. It
+// is a pure function of (baseRecs, edges, verts), so combining stays a
+// deterministic function of the task's edge order.
 func DegreeAwareBufRecs(baseRecs int, edges, verts int64) int {
 	if baseRecs < 1 {
 		baseRecs = 1
@@ -144,34 +152,48 @@ func DegreeAwareBufRecs(baseRecs int, edges, verts int64) int {
 	return int(recs)
 }
 
-// Add stages one update, merging it into a staged update with the same
-// destination when the slot table still remembers one. It returns true when
-// the buffer is full and must be drained before the next Add.
-func (c *CombineBuffer[M]) Add(dst VertexID, val M) bool {
-	h := (uint32(dst) * 0x9E3779B1) >> 7 & c.mask
-	w := c.slots[h]
-	if uint32(w>>32) == c.epoch {
-		if r := &c.recs[uint32(w)-1]; r.Dst == dst {
-			r.Val = c.combine(r.Val, val)
+// Add merges a block of updates into the cache, one at a time, handing the
+// evicted records to fn (the slice aliases the buffer and is only valid
+// within fn) whenever the append buffer fills.
+func (c *CombineBuffer[M]) Add(us []Update[M], fn func([]Update[M])) {
+	table, shift := c.table, c.shift&31
+	for _, u := range us {
+		h := uint32(u.Dst) * combineHash >> shift
+		e := &table[h]
+		if e.Dst == u.Dst {
+			e.Val = c.combine(e.Val, u.Val)
 			c.Combined++
-			return false
+			continue
 		}
+		if e.Dst == emptyKey(h) {
+			c.occupied = append(c.occupied, h)
+		} else if c.out = append(c.out, *e); len(c.out) == cap(c.out) {
+			c.drain(fn)
+		}
+		*e = u
 	}
-	c.recs = append(c.recs, Update[M]{Dst: dst, Val: val})
-	c.slots[h] = uint64(c.epoch)<<32 | uint64(len(c.recs))
-	return len(c.recs) == cap(c.recs)
 }
 
-// Len returns the number of staged records.
-func (c *CombineBuffer[M]) Len() int { return len(c.recs) }
-
-// Drain hands the staged records to fn (the slice aliases the buffer and
-// is only valid within fn) and resets the buffer. Draining an empty buffer
-// skips fn.
-func (c *CombineBuffer[M]) Drain(fn func([]Update[M])) {
-	if len(c.recs) > 0 {
-		fn(c.recs)
+// drain hands the evicted records to fn and empties the append buffer;
+// residents stay. An empty buffer skips fn.
+func (c *CombineBuffer[M]) drain(fn func([]Update[M])) {
+	if len(c.out) > 0 {
+		fn(c.out)
 	}
-	c.recs = c.recs[:0]
-	c.bumpEpoch()
+	c.out = c.out[:0]
+}
+
+// Sweep evicts every resident, in the order their slots were first taken,
+// draining through fn as the append buffer fills and once at the end. It
+// leaves the buffer empty; Combined is kept for the caller to read.
+func (c *CombineBuffer[M]) Sweep(fn func([]Update[M])) {
+	for _, h := range c.occupied {
+		c.out = append(c.out, c.table[h])
+		c.table[h].Dst = emptyKey(h)
+		if len(c.out) == cap(c.out) {
+			c.drain(fn)
+		}
+	}
+	c.occupied = c.occupied[:0]
+	c.drain(fn)
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -189,75 +190,36 @@ func TestStats(t *testing.T) {
 	}
 }
 
-// TestCombineBuffer: same-destination updates merge while the slot table
-// remembers them, drains hand back exactly the surviving records, and the
-// epoch trick keeps drains independent.
+// TestCombineBuffer: an update merges into its resident destination, one
+// that maps to a taken slot evicts the resident to the append buffer, and a
+// sweep emits what is left and forgets it.
 func TestCombineBuffer(t *testing.T) {
 	cb := NewCombineBuffer[int64](4, func(a, b int64) int64 { return a + b })
-	if full := cb.Add(7, 1); full {
-		t.Fatal("full after one add")
+	cb.Reset(0) // the minimum, two slots
+	slot := func(dst VertexID) uint32 { return uint32(dst) * combineHash >> 31 }
+	a, b := VertexID(7), VertexID(8)
+	for slot(b) != slot(a) {
+		b++
 	}
-	cb.Add(7, 2) // merges
-	cb.Add(9, 5)
-	if cb.Combined != 1 || cb.Len() != 2 {
-		t.Fatalf("combined %d, len %d", cb.Combined, cb.Len())
+	var got []Update[int64]
+	take := func(recs []Update[int64]) { got = append(got, recs...) }
+	cb.Add([]Update[int64]{{Dst: a, Val: 1}, {Dst: a, Val: 2}}, take) // the second merges
+	if cb.Combined != 1 || len(cb.out) != 0 {
+		t.Fatalf("after a hit: combined %d, %d evicted", cb.Combined, len(cb.out))
 	}
-	var got map[VertexID]int64
-	cb.Drain(func(recs []Update[int64]) {
-		got = map[VertexID]int64{}
-		for _, r := range recs {
-			got[r.Dst] += r.Val
-		}
-	})
-	if got[7] != 3 || got[9] != 5 {
-		t.Fatalf("drained %v", got)
+	cb.Add([]Update[int64]{{Dst: b, Val: 5}}, take) // evicts a
+	if len(cb.out) != 1 || cb.out[0] != (Update[int64]{Dst: a, Val: 3}) {
+		t.Fatalf("evicted %v, want the combined record of %d", cb.out, a)
 	}
-	if cb.Len() != 0 {
-		t.Fatalf("len %d after drain", cb.Len())
+	cb.Add([]Update[int64]{{Dst: a, Val: 10}}, take) // a left the cache: evicts b, does not resurrect 3
+	cb.Sweep(take)
+	want := []Update[int64]{{Dst: a, Val: 3}, {Dst: b, Val: 5}, {Dst: a, Val: 10}}
+	if !slices.Equal(got, want) {
+		t.Fatalf("emitted %v, want %v", got, want)
 	}
-	// After a drain the table must not resurrect pre-drain records.
-	cb.Add(7, 10)
-	cb.Drain(func(recs []Update[int64]) {
-		if len(recs) != 1 || recs[0].Val != 10 {
-			t.Fatalf("second drain: %v", recs)
-		}
-	})
-}
-
-// TestCombineBufferTotalsPreserved: for any update stream, draining through
-// a combining buffer preserves per-destination sums and never exceeds
-// capacity between drains.
-func TestCombineBufferTotalsPreserved(t *testing.T) {
-	const cap = 8
-	cb := NewCombineBuffer[int64](cap, func(a, b int64) int64 { return a + b })
-	want := map[VertexID]int64{}
-	got := map[VertexID]int64{}
-	flush := func(recs []Update[int64]) {
-		if len(recs) > cap {
-			t.Fatalf("drained %d records from capacity %d", len(recs), cap)
-		}
-		for _, r := range recs {
-			got[r.Dst] += r.Val
-		}
-	}
-	for i := 0; i < 10000; i++ {
-		// 5 destinations cycle within the 8-record window, so every pass
-		// offers combining opportunities; the multiplier shuffles order.
-		dst := VertexID((i * 3) % 5)
-		val := int64(i%13 + 1)
-		want[dst] += val
-		if cb.Add(dst, val) {
-			cb.Drain(flush)
-		}
-	}
-	cb.Drain(flush)
-	if cb.Combined == 0 {
-		t.Fatal("no combining over a 37-destination stream")
-	}
-	for dst, w := range want {
-		if got[dst] != w {
-			t.Fatalf("dst %d: sum %d, want %d", dst, got[dst], w)
-		}
+	cb.Sweep(take)
+	if len(got) != 3 {
+		t.Fatalf("a second sweep emitted %d more records", len(got)-3)
 	}
 }
 

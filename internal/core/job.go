@@ -393,10 +393,8 @@ type jobRun[V, M any] struct {
 	combine func(a, b M) M
 	folder  *streambuf.Folder[Update[M]]
 	// rep is the assignment's mirror set, nil unless replication is
-	// active (a planned set with no Combiner falls back to nil); mbPool
-	// recycles mirror accumulators across partition sinks and iterations.
-	rep    *Replication
-	mbPool sync.Pool
+	// active (a planned set with no Combiner falls back to nil).
+	rep *Replication
 
 	// Schedule is the selective scheduling state, dense unless fp is set.
 	Schedule
@@ -418,10 +416,10 @@ type jobRun[V, M any] struct {
 	pending []int
 
 	basePriv int
-	// sinks holds one scatter sink per engine worker, made with its private
-	// buffer on the worker's first partition (by the worker: sinks count
-	// per edge, so two must not share a cache line) and reused until the
-	// run ends.
+	// sinks holds one scatter sink per engine worker, made with its kernel
+	// on the worker's first partition (by the worker: kernels count per
+	// block, so two must not share a cache line) and reused until the run
+	// ends.
 	sinks    []*jobScatter[V, M]
 	done     bool
 	finished bool
@@ -433,12 +431,11 @@ type jobRun[V, M any] struct {
 	iterMark  IterMark
 	iterStart time.Time
 
-	overflow   atomic.Bool
-	itSent     atomic.Int64
-	itStreamed atomic.Int64
-	itCross    atomic.Int64
-	itCombined atomic.Int64
-	itSynced   atomic.Int64
+	// overflow records a batch the transport refused; it sums the current
+	// scatter's sink counts under itMu.
+	overflow atomic.Bool
+	itMu     sync.Mutex
+	it       ScatterCounts
 
 	stats Stats
 }
@@ -470,7 +467,6 @@ func (r *jobRun[V, M]) Setup(s JobSetup) error {
 	if r.combine != nil && s.Assignment.Mirrors.Len() > 0 {
 		r.rep = s.Assignment.Mirrors
 		r.stats.MirroredVertices = r.rep.Len()
-		r.mbPool.New = func() any { return NewMirrorBuffer(r.rep, r.combine) }
 	}
 	r.fp = SelectiveProgram(r.prog, s.Selective)
 	r.InitSchedule(r.part, s.NumVertices, r.fp != nil)
@@ -540,116 +536,37 @@ func (r *jobRun[V, M]) BeginScatter() error {
 func (r *jobRun[V, M]) NewScatter(w, p int, chunkEdges int64) JobScatter {
 	s := r.sinks[w]
 	if s == nil {
-		s = new(jobScatter[V, M])
+		s = &jobScatter[V, M]{r: r, k: NewScatterKernel(r.prog, r.tp, &r.overflow, r.combine, r.rep, r.basePriv)}
 		r.sinks[w] = s
 	}
-	*s = jobScatter[V, M]{r: r, p: uint32(p), cb: s.cb, priv: s.priv[:0]}
-	if r.combine != nil {
-		if s.cb == nil {
-			s.cb = NewCombineBuffer[M](MaxBufGrowth*r.basePriv, r.combine)
-		}
-		lo, hi := r.part.Range(p, r.setup.NumVertices)
-		s.cb.Reset(DegreeAwareBufRecs(r.basePriv, chunkEdges, hi-lo))
-		if r.rep != nil {
-			s.mb = r.mbPool.Get().(*MirrorBuffer[M])
-		}
-	} else if s.priv == nil {
-		s.priv = make([]Update[M], 0, r.basePriv)
-	}
+	lo, hi := r.part.Range(p, r.setup.NumVertices)
+	s.k.Begin(p, r.part, r.verts, 0, DegreeAwareBufRecs(r.basePriv, chunkEdges, hi-lo))
 	return s
 }
 
-// jobScatter stages one partition's updates; it belongs to one goroutine.
+// jobScatter is one worker's scatter sink: the worker's kernel over the
+// whole vertex array.
 type jobScatter[V, M any] struct {
-	r    *jobRun[V, M]
-	p    uint32
-	cb   *CombineBuffer[M]
-	mb   *MirrorBuffer[M]
-	priv []Update[M]
-
-	sent, streamed, cross, synced int64
+	r *jobRun[V, M]
+	k *ScatterKernel[V, M]
 }
 
-func (s *jobScatter[V, M]) flush(recs []Update[M]) {
-	if !s.r.tp.Send(int(s.p), recs) {
-		s.r.overflow.Store(true)
-	}
-}
-
-func (s *jobScatter[V, M]) Edges(run []Edge) {
-	r := s.r
-	if r.overflow.Load() {
-		return
-	}
-	if s.cb != nil {
-		for _, ed := range run {
-			s.streamed++
-			if m, ok := r.prog.Scatter(ed, &r.verts[ed.Src]); ok {
-				s.sent++
-				if s.mb != nil && s.mb.Absorb(ed.Dst, m) {
-					continue // merged into the partition-local mirror
-				}
-				if r.part.Of(ed.Dst) != s.p {
-					s.cross++
-				}
-				if s.cb.Add(ed.Dst, m) {
-					s.cb.Drain(s.flush)
-				}
-			}
-		}
-		return
-	}
-	for _, ed := range run {
-		s.streamed++
-		if m, ok := r.prog.Scatter(ed, &r.verts[ed.Src]); ok {
-			s.sent++
-			if r.part.Of(ed.Dst) != s.p {
-				s.cross++
-			}
-			s.priv = append(s.priv, Update[M]{Dst: ed.Dst, Val: m})
-			if len(s.priv) == cap(s.priv) {
-				s.flush(s.priv)
-				s.priv = s.priv[:0]
-			}
-		}
-	}
-}
+func (s *jobScatter[V, M]) Edges(run []Edge) { s.k.Edges(run) }
 
 func (s *jobScatter[V, M]) Flush() {
-	if s.cb != nil {
-		if s.mb != nil {
-			s.r.itCombined.Add(s.mb.Merged)
-			s.synced = s.mb.Flush(func(u Update[M]) {
-				if s.r.part.Of(u.Dst) != s.p {
-					s.cross++
-				}
-				if s.cb.Add(u.Dst, u.Val) {
-					s.cb.Drain(s.flush)
-				}
-			})
-			s.r.mbPool.Put(s.mb)
-			s.mb = nil
-		}
-		s.cb.Drain(s.flush)
-		s.r.itCombined.Add(s.cb.Combined)
-	} else if len(s.priv) > 0 {
-		s.flush(s.priv)
-	}
-	s.r.itSent.Add(s.sent)
-	s.r.itStreamed.Add(s.streamed)
-	s.r.itCross.Add(s.cross)
-	s.r.itSynced.Add(s.synced)
+	n := s.k.End()
+	s.r.itMu.Lock()
+	s.r.it.Add(n)
+	s.r.itMu.Unlock()
 }
 
 func (r *jobRun[V, M]) EndScatter() error {
 	if r.overflow.Load() {
 		return fmt.Errorf("job %s: update buffer overflow (capacity %d)", r.prog.Name(), r.tp.Cap())
 	}
-	sent := r.itSent.Swap(0)
-	streamed := r.itStreamed.Swap(0)
-	cross := r.itCross.Swap(0)
-	scatterCombined := r.itCombined.Swap(0)
-	r.stats.MirrorSyncUpdates += r.itSynced.Swap(0)
+	sent, streamed, cross, scatterCombined := r.it.Sent, r.it.Streamed, r.it.Cross, r.it.Combined
+	r.stats.MirrorSyncUpdates += r.it.Synced
+	r.it = ScatterCounts{}
 	r.TakeSkips(&r.stats)
 	appended := sent - scatterCombined
 

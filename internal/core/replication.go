@@ -34,6 +34,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -54,16 +55,9 @@ type Replication struct {
 // NewReplication builds the mirror set for an n-vertex graph from a list
 // of hub execution IDs (order and duplicates are normalized away).
 func NewReplication(n int64, hubs []VertexID) *Replication {
-	sorted := make([]VertexID, 0, len(hubs))
-	sorted = append(sorted, hubs...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-	uniq := sorted[:0]
-	for i, h := range sorted {
-		if i == 0 || h != sorted[i-1] {
-			uniq = append(uniq, h)
-		}
-	}
-	r := &Replication{Hubs: uniq, slot: make([]int32, n)}
+	uniq := append(make([]VertexID, 0, len(hubs)), hubs...) // non-nil even when empty: see Assign
+	slices.Sort(uniq)
+	r := &Replication{Hubs: slices.Compact(uniq), slot: make([]int32, n)}
 	for i := range r.slot {
 		r.slot[i] = -1
 	}
@@ -142,9 +136,8 @@ type MirrorBuffer[M any] struct {
 }
 
 // NewMirrorBuffer returns a mirror accumulator over rep using the
-// program's Combiner. A flushed buffer is clean and may be reused for
-// another scatter task (the out-of-core engine pools them across
-// scatter ranges).
+// program's Combiner. A flushed buffer is clean and is reused for the next
+// scatter task (a ScatterKernel keeps one for the run).
 func NewMirrorBuffer[M any](rep *Replication, combine func(a, b M) M) *MirrorBuffer[M] {
 	return &MirrorBuffer[M]{
 		rep:     rep,
@@ -179,7 +172,7 @@ func (b *MirrorBuffer[M]) Absorb(dst VertexID, m M) bool {
 // size, so sparse tasks over large hub sets flush cheaply. The number of
 // emissions is what engines count into Stats.MirrorSyncUpdates.
 func (b *MirrorBuffer[M]) Flush(emit func(Update[M])) (synced int64) {
-	sort.Slice(b.order, func(i, j int) bool { return b.order[i] < b.order[j] })
+	slices.Sort(b.order)
 	for _, s := range b.order {
 		emit(Update[M]{Dst: b.rep.Hubs[s], Val: b.vals[s]})
 		b.touched[s] = false

@@ -36,9 +36,9 @@
 // is the two edge input buffers every reader borrows and the file
 // transport's bucketWriter holds the three update output buffers — the five
 // stream buffers of §3.4 — while the transport's drain scratch, the gather
-// sub-shuffle pair and one private buffer per scatter worker are made on
-// first use. Nothing in the iteration loop allocates per chunk, segment or
-// partition; docs/ARCHITECTURE.md ("Buffer ownership") has owners and sizes.
+// sub-shuffle pair and one scatter kernel per worker are made on first use.
+// Nothing in the iteration loop allocates per chunk, segment or partition;
+// docs/ARCHITECTURE.md ("Buffer ownership") has owners and sizes.
 //
 // When the program implements core.Combiner the scatter's private buffers
 // combine same-destination updates and every shuffled buffer is folded
@@ -88,8 +88,8 @@ type Config struct {
 	// window plus five stream buffers of S·K bytes (two edge input, three
 	// update output). Outside the sum, and not limited by M: the update
 	// read-back double buffer (2·S·K, once updates spill to files), the
-	// gather sub-shuffle pair (2·S·K, with Threads > 1), one combining
-	// buffer per scatter worker (Threads × ~0.4 MiB), the fold's slot
+	// gather sub-shuffle pair (2·S·K, with Threads > 1), one scatter
+	// kernel per worker (Threads × ~0.8 MiB with a Combiner), the fold's slot
 	// tables, the frontier bitsets and the tile index.
 	MemoryBudget int64
 	// IOUnit is S of §3.4, the request size that saturates the device.
@@ -296,10 +296,6 @@ type engine[V, M any] struct {
 	combine func(a, b M) M
 	folder  *streambuf.Folder[core.Update[M]]
 	rep     *core.Replication
-	// mbPool recycles mirror accumulators across scatter ranges: a
-	// flushed buffer is clean, and with the default hub cap scaling as
-	// n/64 a fresh allocation per range would dwarf the work saved.
-	mbPool sync.Pool
 	// Schedule is the selective scheduling state, dense unless fp is set.
 	core.Schedule
 	fp core.FrontierProgram[V]
@@ -319,11 +315,11 @@ type engine[V, M any] struct {
 	subA, subB *streambuf.Buffer[core.Update[M]]
 	subPlan    streambuf.Plan
 
-	// priv holds each scatter worker's private buffer, made on the worker's
-	// first scatterRange and reused until the run ends; sink is the run's
-	// one scatter sink, readied per partition by NewScatter.
-	priv []scatterPriv[M]
-	sink soloScatter[V, M]
+	// kernels holds each scatter worker's kernel, made on the worker's first
+	// scatterRange and reused until the run ends; sink is the run's one
+	// scatter sink, readied per partition by NewScatter.
+	kernels []*core.ScatterKernel[V, M]
+	sink    soloScatter[V, M]
 	// overflow records a scatter batch the transport refused, from whichever
 	// worker saw it; err latches the run's first failure outside a call
 	// that can return one — the refusal, an I/O error readying or feeding
@@ -341,7 +337,7 @@ type engine[V, M any] struct {
 	// termination test sees of it. iterMark and iterStart open the
 	// per-iteration profile entry EndIteration pushes, last is the device
 	// sample its I/O deltas are taken against.
-	it        scatterCounts
+	it        core.ScatterCounts
 	iterSent  int64
 	done      bool
 	iterMark  core.IterMark
@@ -375,12 +371,11 @@ func (e *engine[V, M]) Setup(s core.JobSetup) error {
 	if e.combine != nil && e.asg.Mirrors.Len() > 0 {
 		e.rep = e.asg.Mirrors
 		e.stats.MirroredVertices = e.rep.Len()
-		e.mbPool.New = func() any { return core.NewMirrorBuffer(e.rep, e.combine) }
 	}
 	e.fp = core.SelectiveProgram(e.prog, s.Selective)
 	e.InitSchedule(e.part, e.nv, e.fp != nil)
 	e.sink.e = e
-	e.priv = make([]scatterPriv[M], s.Threads)
+	e.kernels = make([]*core.ScatterKernel[V, M], s.Threads)
 	subK := core.NextPow2(s.Threads * 4)
 	var err error
 	if e.subPlan, err = streambuf.NewPlan(subK, subK); err != nil {
@@ -524,21 +519,6 @@ func devCounters(cfg Config) devSample {
 	return s
 }
 
-// scatterPriv is one scatter worker's private update buffer (§4.1):
-// combining when the program has a Combiner, plain append otherwise.
-type scatterPriv[M any] struct {
-	cb   *core.CombineBuffer[M]
-	recs []core.Update[M]
-}
-
-// scatterCounts is one scatter phase's accounting, summed over its sinks.
-type scatterCounts struct {
-	sent     int64 // updates produced by Scatter (pre-combining)
-	streamed int64 // edge records streamed
-	combined int64 // updates merged in thread-private combining/mirror buffers
-	synced   int64 // master-mirror sync updates flushed (replication)
-}
-
 // updateFold returns the bucket fold the bucketWriter applies to each
 // shuffled update buffer before writeback — the out-of-core engine's
 // second combining stage, which shrinks the dominant update-file I/O
@@ -560,21 +540,20 @@ func (e *engine[V, M]) fail(err error) {
 }
 
 // soloScatter is the engine's scatter sink for one partition: its vertex
-// window, starting at vertex lo, and the private-buffer capacity its edge
-// density earns.
+// window, starting at vertex lo, and the combining window its edge density
+// earns.
 type soloScatter[V, M any] struct {
-	e       *engine[V, M]
-	verts   []V
-	lo      int64
-	p       int
-	privCap int
+	e      *engine[V, M]
+	verts  []V
+	lo     int64
+	p      int
+	window int
 }
 
 // NewScatter implements core.JobRun: it loads partition p's vertex window —
-// from the vertex file when state is spilled — and sizes the combining
-// buffers to the partition's degree: a denser partition repeats update
-// destinations more, so combining gets a wider window. A plain append buffer
-// gains nothing from width and stays at base. There is one sink and one
+// from the vertex file when state is spilled — and sizes the combining window
+// to the partition's degree: a denser partition repeats update destinations
+// more, so more of them are worth keeping resident. There is one sink and one
 // window buffer, so the worker index is ignored.
 func (e *engine[V, M]) NewScatter(_, p int, fileRecs int64) core.JobScatter {
 	s := &e.sink
@@ -582,10 +561,7 @@ func (e *engine[V, M]) NewScatter(_, p int, fileRecs int64) core.JobScatter {
 	if s.verts, s.lo, err = e.loadVerts(p); err != nil {
 		e.fail(err)
 	}
-	s.p, s.privCap = p, basePrivCap
-	if e.combine != nil {
-		s.privCap = core.DegreeAwareBufRecs(basePrivCap, fileRecs, int64(len(s.verts)))
-	}
+	s.p, s.window = p, core.DegreeAwareBufRecs(basePrivCap, fileRecs, int64(len(s.verts)))
 	return s
 }
 
@@ -597,7 +573,6 @@ func (s *soloScatter[V, M]) Edges(chunk []core.Edge) {
 	if e.err != nil {
 		return
 	}
-	e.it.streamed += int64(len(chunk))
 	for off := 0; off < len(chunk); {
 		room := e.tp.Room()
 		if room == 0 {
@@ -608,11 +583,7 @@ func (s *soloScatter[V, M]) Edges(chunk []core.Edge) {
 			continue
 		}
 		take := min(len(chunk)-off, room)
-		sent, cross, combined, synced := e.scatterSegment(chunk[off:off+take], s.verts, s.lo, s.p, s.privCap)
-		e.it.sent += sent
-		e.it.combined += combined
-		e.it.synced += synced
-		e.stats.CrossPartitionUpdates += cross
+		e.it.Add(e.scatterSegment(chunk[off:off+take], s.verts, s.lo, s.p, s.window))
 		off += take
 	}
 	if e.overflow.Load() {
@@ -638,140 +609,69 @@ func (e *engine[V, M]) EndScatter() error {
 	}
 	e.stats.ShuffleTime += time.Since(t0)
 	it := e.it
-	e.it = scatterCounts{}
+	e.it = core.ScatterCounts{}
 	usize := int64(pod.Size[core.Update[M]]())
-	appended, written := it.sent-it.combined, flow.Delivered
-	e.stats.EdgesStreamed += it.streamed
-	e.stats.UpdatesSent += it.sent
-	e.stats.WastedEdges += it.streamed - it.sent
-	e.stats.RandomRefs += it.streamed + written
-	e.stats.SequentialRefs += it.streamed + written
-	e.stats.BytesStreamed += it.streamed*edgeRecSize + (appended+written)*usize
-	e.stats.UpdatesCombined += it.combined + flow.Combined
-	e.stats.MirrorSyncUpdates += it.synced
+	appended, written := it.Sent-it.Combined, flow.Delivered
+	e.stats.EdgesStreamed += it.Streamed
+	e.stats.UpdatesSent += it.Sent
+	e.stats.WastedEdges += it.Streamed - it.Sent
+	e.stats.CrossPartitionUpdates += it.Cross
+	e.stats.RandomRefs += it.Streamed + written
+	e.stats.SequentialRefs += it.Streamed + written
+	e.stats.BytesStreamed += it.Streamed*edgeRecSize + (appended+written)*usize
+	e.stats.UpdatesCombined += it.Combined + flow.Combined
+	e.stats.MirrorSyncUpdates += it.Synced
 	e.stats.UpdateBytes += written * usize
 	e.TakeSkips(&e.stats)
-	e.iterSent = it.sent
+	e.iterSent = it.Sent
 	return nil
 }
 
-// basePrivCap is the baseline capacity (records) of the scatter's
-// thread-private buffers; core.DegreeAwareBufRecs scales it per partition.
+// basePrivCap is the capacity (records) of a scatter kernel's private append
+// buffer; core.DegreeAwareBufRecs scales the combining window from it.
 const basePrivCap = 1024
 
-// scatterSegment applies Scatter to a slice of edges in parallel, appending
-// updates through thread-private buffers (§4.1). verts holds the current
+// scatterSegment scatters a slice of edges through the workers' kernels
+// (§4.1), one contiguous range per thread. verts holds the current
 // partition's vertex window starting at vertex id lo; p is the partition
-// being scattered, for cross-partition accounting; privCap is the
-// degree-aware private buffer capacity for this partition.
-func (e *engine[V, M]) scatterSegment(edges []core.Edge, verts []V, lo int64, p, privCap int) (int64, int64, int64, int64) {
+// being scattered; window is its degree-aware combining window.
+func (e *engine[V, M]) scatterSegment(edges []core.Edge, verts []V, lo int64, p, window int) core.ScatterCounts {
 	workers := e.cfg.Threads
 	if len(edges) < 4096 || workers <= 1 {
-		return e.scatterRange(0, edges, verts, lo, p, privCap)
+		return e.scatterRange(0, edges, verts, lo, p, window)
 	}
-	var total, totalCross, totalCombined, totalSynced atomic.Int64
-	var wg sync.WaitGroup
-	chunk := (len(edges) + workers - 1) / workers
-	for wkr := 0; wkr < workers; wkr++ {
-		a, b := wkr*chunk, (wkr+1)*chunk
-		if b > len(edges) {
-			b = len(edges)
-		}
-		if a >= b {
-			break
-		}
-		wg.Add(1)
-		go func(wkr, a, b int) {
-			defer wg.Done()
-			nSent, nCross, nCombined, nSynced := e.scatterRange(wkr, edges[a:b], verts, lo, p, privCap)
-			total.Add(nSent)
-			totalCross.Add(nCross)
-			totalCombined.Add(nCombined)
-			totalSynced.Add(nSynced)
-		}(wkr, a, b)
-	}
-	wg.Wait()
-	return total.Load(), totalCross.Load(), totalCombined.Load(), totalSynced.Load()
+	var mu sync.Mutex
+	var total core.ScatterCounts
+	per := (len(edges) + workers - 1) / workers
+	core.ForEachClaimed((len(edges)+per-1)/per, workers, func(w, i int) {
+		n := e.scatterRange(w, edges[i*per:min((i+1)*per, len(edges))], verts, lo, p, window)
+		mu.Lock()
+		total.Add(n)
+		mu.Unlock()
+	})
+	return total
 }
 
-// scatterRange scatters one thread's contiguous run of a segment. With
-// replication active, updates addressed to mirrored hubs are merged into a
-// range-local mirror accumulator and flushed as sync updates when the
-// range is done — the out-of-core engine syncs per scatter range rather
-// than per partition (its segments are scattered by multiple threads), so
-// it flushes somewhat more syncs than the in-memory engine; the absorbed
-// flood is the same.
+// scatterRange scatters one thread's contiguous run of a segment through
+// worker w's kernel, as a task of its own: the kernel is Reset for it and
+// ended with it, so a range combines exactly as it would through a fresh
+// kernel whichever worker runs it — within a window no wider than the range,
+// which cannot make more residents than it has edges — and the out-of-core
+// engine syncs mirrors per range rather than per partition, flushing
+// somewhat more syncs than the in-memory engine for the same absorbed flood.
 //
-// w is the calling worker, whose private buffer is Reset to privCap — so a
-// range combines exactly as it would into a fresh buffer of that capacity.
 // The caller reserved room for the range in the transport's window, so a
-// Send the transport refuses means updates would be lost: it is recorded in
-// e.overflow and fails the iteration.
-func (e *engine[V, M]) scatterRange(w int, edges []core.Edge, verts []V, lo int64, p, privCap int) (sent, cross, combined, synced int64) {
-	flush := func(recs []core.Update[M]) {
-		if !e.tp.Send(p, recs) {
-			e.overflow.Store(true)
-		}
+// Send the transport refuses means updates would be lost: the kernel records
+// it in e.overflow and the iteration fails.
+func (e *engine[V, M]) scatterRange(w int, edges []core.Edge, verts []V, lo int64, p, window int) core.ScatterCounts {
+	k := e.kernels[w]
+	if k == nil {
+		k = core.NewScatterKernel(e.prog, e.tp, &e.overflow, e.combine, e.rep, basePrivCap)
+		e.kernels[w] = k
 	}
-	pv := &e.priv[w]
-	if e.combine != nil {
-		if pv.cb == nil {
-			pv.cb = core.NewCombineBuffer[M](core.MaxBufGrowth*basePrivCap, e.combine)
-		}
-		cb := pv.cb
-		cb.Reset(privCap)
-		var mb *core.MirrorBuffer[M]
-		if e.rep != nil {
-			mb = e.mbPool.Get().(*core.MirrorBuffer[M])
-		}
-		for _, ed := range edges {
-			if m, ok := e.prog.Scatter(ed, &verts[int64(ed.Src)-lo]); ok {
-				sent++
-				if mb != nil && mb.Absorb(ed.Dst, m) {
-					continue
-				}
-				if e.part.Of(ed.Dst) != uint32(p) {
-					cross++
-				}
-				if cb.Add(ed.Dst, m) {
-					cb.Drain(flush)
-				}
-			}
-		}
-		if mb != nil {
-			combined += mb.Merged
-			synced = mb.Flush(func(u core.Update[M]) {
-				if e.part.Of(u.Dst) != uint32(p) {
-					cross++
-				}
-				if cb.Add(u.Dst, u.Val) {
-					cb.Drain(flush)
-				}
-			})
-			e.mbPool.Put(mb)
-		}
-		cb.Drain(flush)
-		return sent, cross, combined + cb.Combined, synced
-	}
-	if pv.recs == nil {
-		pv.recs = make([]core.Update[M], 0, privCap)
-	}
-	priv := pv.recs[:0]
-	for _, ed := range edges {
-		if m, ok := e.prog.Scatter(ed, &verts[int64(ed.Src)-lo]); ok {
-			sent++
-			if e.part.Of(ed.Dst) != uint32(p) {
-				cross++
-			}
-			priv = append(priv, core.Update[M]{Dst: ed.Dst, Val: m})
-			if len(priv) == cap(priv) {
-				flush(priv)
-				priv = priv[:0]
-			}
-		}
-	}
-	flush(priv)
-	return sent, cross, 0, 0
+	k.Begin(p, e.part, verts, core.VertexID(lo), min(window, len(edges)))
+	k.Edges(edges)
+	return k.End()
 }
 
 // Gather implements core.JobRun: it drains each partition's sealed update

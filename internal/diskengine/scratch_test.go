@@ -178,11 +178,12 @@ type sumCombProg struct{ sumProg }
 
 func (*sumCombProg) Combine(a, b int32) int32 { return a + b }
 
-// stubTransport accepts (or, with refuse set, rejects) every batch and
-// otherwise behaves like an empty transport.
+// stubTransport accepts (or, with refuse set, rejects) every batch — keeping
+// a copy when keep is set — and otherwise behaves like an empty transport.
 type stubTransport[M any] struct {
-	refuse bool
-	sent   int64
+	refuse, keep bool
+	sent         int64
+	recs         []core.Update[M]
 }
 
 func (s *stubTransport[M]) Send(src int, batch []core.Update[M]) bool {
@@ -190,6 +191,9 @@ func (s *stubTransport[M]) Send(src int, batch []core.Update[M]) bool {
 		return false
 	}
 	s.sent += int64(len(batch))
+	if s.keep {
+		s.recs = append(s.recs, batch...)
+	}
 	return true
 }
 func (s *stubTransport[M]) Room() int                                          { return 1 << 30 }
@@ -248,29 +252,35 @@ func TestScatterSendRefusedFailsIteration(t *testing.T) {
 	check("combining buffers", comb, pp)
 }
 
-// TestScatterRangeAllocatesNothingWarm: once a worker has its private
-// buffer, scattering a range through it — Reset, combine, drain, send —
-// allocates nothing, with or without a Combiner.
+// partitionEdges reads partition p's (raw, unindexed) edge file whole.
+func partitionEdges(t *testing.T, pp *Prepared, p int) (edges []core.Edge) {
+	t.Helper()
+	pf := pp.edgeFiles[p]
+	segs, _, _ := planSegments(nil, p, nil, edgeFileRecs(pf, nil, p))
+	if _, _, _, err := streamSegments(nil, new(edgeScratch), pf, p, nil, true, segs, pp.bufEdgeRecs, true, func(chunk []core.Edge) error {
+		edges = append(edges, chunk...)
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	return edges
+}
+
+// TestScatterRangeAllocatesNothingWarm: once a worker has its kernel,
+// scattering a range through it — Begin, combine, sweep, send — allocates
+// nothing, with or without a Combiner.
 func TestScatterRangeAllocatesNothingWarm(t *testing.T) {
 	src, _ := smallGraph(9)
 	cfg := Config{Device: ssd(0), Threads: 1, Partitions: 1, IOUnit: 64 << 10}
 	run := func(name string, e *engine[int32, int32], pp *Prepared) {
-		var edges []core.Edge
-		pf := pp.edgeFiles[0]
-		segs, _, _ := planSegments(nil, 0, nil, edgeFileRecs(pf, nil, 0))
-		if _, _, _, err := streamSegments(nil, new(edgeScratch), pf, 0, nil, true, segs, pp.bufEdgeRecs, true, func(chunk []core.Edge) error {
-			edges = append(edges, chunk...)
-			return nil
-		}); err != nil {
-			t.Fatal(err)
-		}
+		edges := partitionEdges(t, pp, 0)
 		sink := e.NewScatter(0, 0, int64(len(edges))).(*soloScatter[int32, int32])
 		if e.err != nil {
 			t.Fatal(e.err)
 		}
 		var sent int64
-		scatter := func() { sent, _, _, _ = e.scatterRange(0, edges, sink.verts, sink.lo, 0, sink.privCap) }
-		scatter() // warm: the worker's buffer is made here
+		scatter := func() { sent = e.scatterRange(0, edges, sink.verts, sink.lo, 0, sink.window).Sent }
+		scatter() // warm: the worker's kernel is made here
 		if allocs := testing.AllocsPerRun(20, scatter); allocs != 0 {
 			t.Errorf("%s: a warmed scatterRange allocates %.0f times per call", name, allocs)
 		}

@@ -1,6 +1,7 @@
 package memengine
 
 import (
+	"slices"
 	"sync"
 	"testing"
 
@@ -36,6 +37,41 @@ func TestDeterministicAcrossConfigs(t *testing.T) {
 				t.Fatalf("cfg %d: vertex %d: %d vs %d", i, v, res.Vertices[v].Label, want[v].Label)
 			}
 		}
+	}
+}
+
+// TestTransposeIndependentOfThreads: the transpose is built by parallel
+// workers, but every partition's chunk has a fixed place in it, so each
+// partition of the transposed buffer streams the same edges in the same order
+// whatever the worker count (the shuffle is stable within a slice and slices
+// are consecutive).
+func TestTransposeIndependentOfThreads(t *testing.T) {
+	src := graphgen.RMAT(graphgen.RMATConfig{Scale: 10, EdgeFactor: 8, Seed: 33})
+	pp, err := Prepare(src, Config{Threads: 1, Partitions: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	stream := func(threads, p int) (out []core.Edge) {
+		reverseShuffled(pp.fwd, pp.plan, pp.part, threads).Bucket(p, func(run []core.Edge) { out = append(out, run...) })
+		return out
+	}
+	total := 0
+	for p := 0; p < pp.part.K; p++ {
+		want := stream(1, p)
+		total += len(want)
+		for _, threads := range []int{2, 5} {
+			if got := stream(threads, p); !slices.Equal(got, want) {
+				t.Fatalf("partition %d: %d edges transposed on %d threads differ from the %d of one thread", p, len(got), threads, len(want))
+			}
+		}
+		for _, ed := range want {
+			if int(pp.part.Of(ed.Src)) != p {
+				t.Fatalf("partition %d holds transposed edge %v", p, ed)
+			}
+		}
+	}
+	if int64(total) != pp.ne {
+		t.Fatalf("transpose holds %d of %d edges", total, pp.ne)
 	}
 }
 

@@ -147,24 +147,20 @@ func (pp *Prepared) Bytes() int64 {
 
 // edges returns the edge buffer (and, when wanted, tile index) for a
 // direction, building the transpose and index lazily, at most once.
-func (pp *Prepared) edges(dir core.Direction, needTiles bool) (*streambuf.Buffer[core.Edge], [][]core.SrcSpan, error) {
+func (pp *Prepared) edges(dir core.Direction, needTiles bool) (*streambuf.Buffer[core.Edge], [][]core.SrcSpan) {
 	pp.mu.Lock()
 	defer pp.mu.Unlock()
 	buf, tiles := pp.fwd, &pp.tilesFwd
 	if dir == core.Backward {
 		if pp.bwd == nil {
-			rev, err := reverseShuffled(pp.fwd, pp.plan, pp.part, pp.cfg.Threads)
-			if err != nil {
-				return nil, nil, err
-			}
-			pp.bwd = rev
+			pp.bwd = reverseShuffled(pp.fwd, pp.plan, pp.part, pp.cfg.Threads)
 		}
 		buf, tiles = pp.bwd, &pp.tilesBwd
 	}
 	if needTiles && *tiles == nil {
 		*tiles = buildTileIndex(buf, pp.part.K, pp.cfg.TileEdges)
 	}
-	return buf, *tiles, nil
+	return buf, *tiles
 }
 
 // RunMany executes every job of set against g with the in-memory engine,
@@ -290,9 +286,7 @@ func (pp *Prepared) runMany(ctx context.Context, set core.ProgramSet, start time
 			if len(st.subs) == 0 {
 				continue
 			}
-			if st.edges, st.tiles, err = pp.edges(core.Direction(dir), needTiles); err != nil {
-				return nil, pass, err
-			}
+			st.edges, st.tiles = pp.edges(core.Direction(dir), needTiles)
 		}
 		t0 := time.Now()
 		for dir := range sc.streams {
@@ -530,33 +524,26 @@ func loadShuffled(src core.EdgeSource, plan streambuf.Plan, part core.Split, thr
 }
 
 // reverseShuffled builds the transposed, re-partitioned edge buffer with one
-// streaming pass over the forward buffer. A failed append means the
-// transpose would silently truncate, so it is fatal.
-func reverseShuffled(fwd *streambuf.Buffer[core.Edge], plan streambuf.Plan, part core.Split, threads int) (*streambuf.Buffer[core.Edge], error) {
+// streaming pass over the forward buffer, partitions transposed in parallel.
+// Each partition's chunk has a fixed place in the pass's output, so the
+// result does not depend on which worker wrote it, or when.
+func reverseShuffled(fwd *streambuf.Buffer[core.Edge], plan streambuf.Plan, part core.Split, threads int) *streambuf.Buffer[core.Edge] {
 	a := streambuf.New[core.Edge](fwd.Cap())
-	batch := make([]core.Edge, 0, 64<<10)
-	overflowed := false
-	for p := 0; p < part.K; p++ {
+	out := make([][]core.Edge, part.K)
+	for p := range out {
+		out[p] = a.Extend(fwd.BucketLen(p)) // fits: the chunks sum to fwd.Len() ≤ a.Cap()
+	}
+	core.ForEachClaimed(part.K, threads, func(_, p int) {
+		dst := out[p]
 		fwd.Bucket(p, func(run []core.Edge) {
-			for _, ed := range run {
-				batch = append(batch, core.Edge{Src: ed.Dst, Dst: ed.Src, Weight: ed.Weight})
-				if len(batch) == cap(batch) {
-					if !a.Append(batch) {
-						overflowed = true
-					}
-					batch = batch[:0]
-				}
+			for i, ed := range run {
+				dst[i] = core.Edge{Src: ed.Dst, Dst: ed.Src, Weight: ed.Weight}
 			}
+			dst = dst[len(run):]
 		})
-	}
-	if !a.Append(batch) {
-		overflowed = true
-	}
-	if overflowed {
-		return nil, fmt.Errorf("memengine: transpose overflow: more than %d edges in the forward buffer", a.Cap())
-	}
+	})
 	b := streambuf.New[core.Edge](a.Cap())
 	return streambuf.Shuffle(a, b, plan, threads, func(ed core.Edge) uint32 {
 		return part.Of(ed.Src)
-	}), nil
+	})
 }

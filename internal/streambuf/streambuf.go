@@ -89,16 +89,22 @@ func (b *Buffer[T]) Reset() {
 // for concurrent use. It returns false (appending nothing) if the buffer is
 // full; the caller is expected to have sized the buffer so this is fatal.
 func (b *Buffer[T]) Append(batch []T) bool {
-	if len(batch) == 0 {
-		return true
+	dst := b.Extend(len(batch))
+	copy(dst, batch)
+	return dst != nil
+}
+
+// Extend reserves the next n records atomically and returns them for the
+// caller to fill before the buffer is read — Append without the copy, for
+// producers that know their output's place in advance. Safe for concurrent
+// use. It returns nil (reserving nothing) if the records do not fit.
+func (b *Buffer[T]) Extend(n int) []T {
+	off := b.n.Add(int64(n)) - int64(n)
+	if off+int64(n) > int64(len(b.data)) {
+		b.n.Add(int64(-n))
+		return nil
 	}
-	off := b.n.Add(int64(len(batch))) - int64(len(batch))
-	if off+int64(len(batch)) > int64(len(b.data)) {
-		b.n.Add(int64(-len(batch)))
-		return false
-	}
-	copy(b.data[off:], batch)
-	return true
+	return b.data[off : off+int64(n) : off+int64(n)]
 }
 
 // Fill replaces the buffer contents with src (append state).

@@ -232,6 +232,43 @@ func TestConcurrentAppend(t *testing.T) {
 	}
 }
 
+// TestExtendReservesDisjointPlaces: concurrent Extends hand out disjoint
+// windows that together are the buffer's filled prefix, a window cannot be
+// appended past its end, and one that does not fit reserves nothing.
+func TestExtendReservesDisjointPlaces(t *testing.T) {
+	const workers, per = 8, 500
+	b := New[rec](workers*per + 3)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for _, n := range []int{per / 2, 0, per - per/2} {
+				win := b.Extend(n)
+				if len(win) != n || cap(win) != n {
+					t.Errorf("Extend(%d) gave len %d cap %d", n, len(win), cap(win))
+				}
+				for i := range win {
+					win[i] = rec{Key: uint32(w), Val: 1}
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	if b.Extend(4) != nil || b.Len() != workers*per {
+		t.Fatalf("an Extend past the capacity reserved records: Len = %d, want %d", b.Len(), workers*per)
+	}
+	counts := make([]int, workers)
+	for _, r := range b.Raw() {
+		counts[r.Key] += int(r.Val)
+	}
+	for w, c := range counts {
+		if c != per {
+			t.Fatalf("worker %d's windows hold %d of its %d records", w, c, per)
+		}
+	}
+}
+
 func TestAppendOverflow(t *testing.T) {
 	b := New[rec](5)
 	if !b.Append(make([]rec, 5)) {
