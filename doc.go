@@ -161,7 +161,10 @@
 // reader, the checkpoint format), and two kinds of run it drives alike:
 // RunManyDisk's jobs hold vertex state and updates in memory, RunDisk's one
 // run may spill both to the device — which of the two a computation gets is
-// decided by its memory budget, not by a second code path.
+// decided by its memory budget, not by a second code path. The update stream
+// thus has two transports: an in-memory shuffle, and RunDisk's update files;
+// one conformance suite (internal/transport/conformance) holds both to the
+// same contract.
 //
 // On top of this sit internal/dataset (a named registry of ingested
 // graphs), internal/jobs (a scheduler with memory-budget admission

@@ -241,10 +241,6 @@ type JobSetup struct {
 	NoCombine bool
 	// Selective enables per-job frontier scheduling for FrontierPrograms.
 	Selective bool
-	// Exchange, when non-nil, replaces each job's builtin shuffle transport
-	// with a frame-level update exchange (see core.Exchange); the factory is
-	// called once per job with the partition count.
-	Exchange func(k int) Exchange
 }
 
 // JobRun drives one job through the iterations of a pass. The engine owns
@@ -255,9 +251,10 @@ type JobSetup struct {
 // Methods are called from the engine's coordinating goroutine except
 // NewScatter sinks, which run one per partition task.
 //
-// A failure inside NewScatter or a sink's Edges — a refused batch, an I/O
-// error loading a spilled vertex window — is latched on the run: the sinks
-// turn into no-ops and EndScatter returns it.
+// A failure inside NewScatter or a sink — a refused batch, an I/O error
+// loading a spilled vertex window — is returned by the sink's next Edges or
+// Flush, and the engine fails the pass with it without streaming further
+// partitions.
 type JobRun interface {
 	// Name identifies the job in errors and stats.
 	Name() string
@@ -371,11 +368,14 @@ func (r *jobRun[V, M]) MarkDone() { r.done = true }
 // into it, the sink applies the program's Scatter and stages updates
 // through a private (combining) buffer into the job's update stream.
 type JobScatter interface {
-	// Edges scatters one contiguous run of the partition's edge chunk.
-	Edges(run []Edge)
+	// Edges scatters one contiguous run of the partition's edge chunk. A
+	// non-nil error — the sink's first failure, NewScatter's included —
+	// fails the iteration; the engine feeds the sink no more edges.
+	Edges(run []Edge) error
 	// Flush drains the private buffer and folds the sink's counts into
-	// the job; no Edges call may follow.
-	Flush()
+	// the job; no Edges call may follow. It returns the sink's first
+	// failure, like Edges.
+	Flush() error
 }
 
 // jobRun is the JobRun that holds vertex state and updates in memory: one
@@ -406,9 +406,9 @@ type jobRun[V, M any] struct {
 	remapper StateRemapper[V]
 
 	verts []V
-	// tp is the job's update transport (builtin shuffle unless the setup
-	// carries an Exchange); sealed tracks whether the current iteration's
-	// stream has been sealed by EndScatter and not yet gathered.
+	// tp is the job's update transport, the builtin shuffle; sealed tracks
+	// whether the current iteration's stream has been sealed by EndScatter
+	// and not yet gathered.
 	tp     UpdateTransport[M]
 	sealed bool
 	// pending is Gather's run-lived scratch: the partitions with sealed
@@ -431,11 +431,9 @@ type jobRun[V, M any] struct {
 	iterMark  IterMark
 	iterStart time.Time
 
-	// overflow records a batch the transport refused; it sums the current
-	// scatter's sink counts under itMu.
-	overflow atomic.Bool
-	itMu     sync.Mutex
-	it       ScatterCounts
+	// it sums the current scatter's sink counts under itMu.
+	itMu sync.Mutex
+	it   ScatterCounts
 
 	stats Stats
 }
@@ -498,11 +496,7 @@ func (r *jobRun[V, M]) Setup(s JobSetup) error {
 		updCap = 1
 	}
 	key := func(u Update[M]) uint32 { return r.part.Of(u.Dst) }
-	if s.Exchange != nil {
-		r.tp = NewExchangeTransport(s.Exchange(r.part.K), r.part.K, updCap, s.Plan, s.Threads, key, r.folder)
-	} else {
-		r.tp = NewShuffleTransport(updCap, s.Plan, s.Threads, key, r.folder)
-	}
+	r.tp = NewShuffleTransport(updCap, s.Plan, s.Threads, key, r.folder)
 	r.stats.Algorithm = r.prog.Name()
 	return nil
 }
@@ -536,7 +530,7 @@ func (r *jobRun[V, M]) BeginScatter() error {
 func (r *jobRun[V, M]) NewScatter(w, p int, chunkEdges int64) JobScatter {
 	s := r.sinks[w]
 	if s == nil {
-		s = &jobScatter[V, M]{r: r, k: NewScatterKernel(r.prog, r.tp, &r.overflow, r.combine, r.rep, r.basePriv)}
+		s = &jobScatter[V, M]{r: r, k: NewScatterKernel(r.prog, r.tp, r.combine, r.rep, r.basePriv)}
 		r.sinks[w] = s
 	}
 	lo, hi := r.part.Range(p, r.setup.NumVertices)
@@ -551,19 +545,25 @@ type jobScatter[V, M any] struct {
 	k *ScatterKernel[V, M]
 }
 
-func (s *jobScatter[V, M]) Edges(run []Edge) { s.k.Edges(run) }
+func (s *jobScatter[V, M]) Edges(run []Edge) error {
+	if err := s.k.Edges(run); err != nil {
+		return fmt.Errorf("job %s: %w", s.r.prog.Name(), err)
+	}
+	return nil
+}
 
-func (s *jobScatter[V, M]) Flush() {
-	n := s.k.End()
+func (s *jobScatter[V, M]) Flush() error {
+	n, err := s.k.End()
+	if err != nil {
+		return fmt.Errorf("job %s: %w", s.r.prog.Name(), err)
+	}
 	s.r.itMu.Lock()
 	s.r.it.Add(n)
 	s.r.itMu.Unlock()
+	return nil
 }
 
 func (r *jobRun[V, M]) EndScatter() error {
-	if r.overflow.Load() {
-		return fmt.Errorf("job %s: update buffer overflow (capacity %d)", r.prog.Name(), r.tp.Cap())
-	}
 	sent, streamed, cross, scatterCombined := r.it.Sent, r.it.Streamed, r.it.Cross, r.it.Combined
 	r.stats.MirrorSyncUpdates += r.it.Synced
 	r.it = ScatterCounts{}

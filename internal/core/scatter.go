@@ -1,6 +1,6 @@
 package core
 
-import "sync/atomic"
+import "fmt"
 
 // scatterBlock is how many edges the kernel scatters between combining
 // passes: the staged updates of one block stay L1-resident.
@@ -32,21 +32,22 @@ func (c *ScatterCounts) Add(o ScatterCounts) {
 // cross-partition ones and feeds the rest to the combining cache (the plain
 // append buffer for a program without a Combiner); End flushes the mirror
 // syncs and the buffer into the transport and returns the task's counts. A
-// batch the transport refuses is recorded in overflow and turns Edges into a
-// no-op. A kernel belongs to one goroutine at a time.
+// batch the transport refuses fails the task: Edges and End return the
+// refusal, and Edges scatters nothing more until the next Begin. A kernel
+// belongs to one goroutine at a time.
 type ScatterKernel[V, M any] struct {
-	prog     Program[V, M]
-	tp       UpdateTransport[M]
-	overflow *atomic.Bool
-	cb       *CombineBuffer[M] // nil without a Combiner
-	mb       *MirrorBuffer[M]  // nil unless replication is active
-	out      []Update[M]       // the plain append buffer; unused with a Combiner
+	prog Program[V, M]
+	tp   UpdateTransport[M]
+	cb   *CombineBuffer[M] // nil without a Combiner
+	mb   *MirrorBuffer[M]  // nil unless replication is active
+	out  []Update[M]       // the plain append buffer; unused with a Combiner
 
 	p       int
 	lo, per uint32 // partition p owns vertices [lo, lo+per)
 	verts   []V    // the task's vertex window, verts[0] being vertex base
 	base    VertexID
 	n       ScatterCounts
+	err     error // the task's refused batch, if any
 	stage   [scatterBlock]Update[M]
 }
 
@@ -54,8 +55,8 @@ type ScatterKernel[V, M any] struct {
 // buffer of baseRecs records: a combining cache when combine is non-nil
 // (with a mirror accumulator over rep when that is non-nil too), a plain
 // append buffer otherwise.
-func NewScatterKernel[V, M any](prog Program[V, M], tp UpdateTransport[M], overflow *atomic.Bool, combine func(a, b M) M, rep *Replication, baseRecs int) *ScatterKernel[V, M] {
-	k := &ScatterKernel[V, M]{prog: prog, tp: tp, overflow: overflow}
+func NewScatterKernel[V, M any](prog Program[V, M], tp UpdateTransport[M], combine func(a, b M) M, rep *Replication, baseRecs int) *ScatterKernel[V, M] {
+	k := &ScatterKernel[V, M]{prog: prog, tp: tp}
 	if combine == nil {
 		k.out = make([]Update[M], 0, max(baseRecs, 1))
 		return k
@@ -72,17 +73,18 @@ func NewScatterKernel[V, M any](prog Program[V, M], tp UpdateTransport[M], overf
 // combining within a window of up to window records.
 func (k *ScatterKernel[V, M]) Begin(p int, split Split, verts []V, base VertexID, window int) {
 	k.p, k.lo, k.per = p, uint32(p)*split.per, split.per
-	k.verts, k.base, k.n = verts, base, ScatterCounts{}
+	k.verts, k.base, k.n, k.err = verts, base, ScatterCounts{}, nil
 	k.out = k.out[:0]
 	if k.cb != nil {
 		k.cb.Reset(window)
 	}
 }
 
-// Edges scatters one contiguous run of the task's edges.
-func (k *ScatterKernel[V, M]) Edges(run []Edge) {
-	if k.overflow.Load() {
-		return
+// Edges scatters one contiguous run of the task's edges. It returns the
+// task's refused batch, if the transport has refused one.
+func (k *ScatterKernel[V, M]) Edges(run []Edge) error {
+	if k.err != nil {
+		return k.err
 	}
 	k.n.Streamed += int64(len(run))
 	for len(run) > 0 {
@@ -109,6 +111,7 @@ func (k *ScatterKernel[V, M]) Edges(run []Edge) {
 		}
 		k.route(us)
 	}
+	return k.err
 }
 
 // route counts the cross-partition updates of us — an unsigned range compare
@@ -137,15 +140,16 @@ func (k *ScatterKernel[V, M]) route(us []Update[M]) {
 }
 
 func (k *ScatterKernel[V, M]) send(recs []Update[M]) {
-	if !k.tp.Send(k.p, recs) {
-		k.overflow.Store(true)
+	if !k.tp.Send(k.p, recs) && k.err == nil {
+		k.err = fmt.Errorf("update transport refused a scatter batch of %d records (capacity %d records)", len(recs), k.tp.Cap())
 	}
 }
 
 // End finishes the task: the mirror accumulator's syncs join the stream, the
 // private buffer empties into the transport, and the task's counts are
-// returned. No Edges call may follow before the next Begin.
-func (k *ScatterKernel[V, M]) End() ScatterCounts {
+// returned with its refused batch, if any. No Edges call may follow before
+// the next Begin.
+func (k *ScatterKernel[V, M]) End() (ScatterCounts, error) {
 	if k.mb != nil {
 		k.n.Combined = k.mb.Merged
 		k.n.Synced = k.mb.Flush(func(u Update[M]) {
@@ -159,5 +163,5 @@ func (k *ScatterKernel[V, M]) End() ScatterCounts {
 	} else if len(k.out) > 0 {
 		k.send(k.out)
 	}
-	return k.n
+	return k.n, k.err
 }

@@ -1,7 +1,6 @@
 package core_test
 
 import (
-	"sync/atomic"
 	"testing"
 
 	"repro/internal/core"
@@ -62,13 +61,13 @@ func BenchmarkScatterKernel(b *testing.B) {
 	}{{"combine", func(a, b float32) float32 { return a + b }}, {"append", nil}} {
 		b.Run(v.name, func(b *testing.B) {
 			tp := new(countingTransport)
-			kern := core.NewScatterKernel[[2]float32, float32](rankProg{}, tp, new(atomic.Bool), v.combine, nil, baseRecs)
+			kern := core.NewScatterKernel[[2]float32, float32](rankProg{}, tp, v.combine, nil, baseRecs)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				kern.Begin(0, split, verts, 0, window)
 				kern.Edges(edges)
-				if n := kern.End(); n.Sent != int64(len(edges)) {
-					b.Fatalf("scattered %d updates from %d edges", n.Sent, len(edges))
+				if n, err := kern.End(); err != nil || n.Sent != int64(len(edges)) {
+					b.Fatalf("scattered %d updates from %d edges: %v", n.Sent, len(edges), err)
 				}
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(edges)), "ns/edge")

@@ -1,27 +1,20 @@
 package core
 
-// transport.go is the update-exchange seam between the scatter and gather
-// phases. The update stream is the only cross-partition traffic in the
-// engine (paper §3: edges and vertices are partition-local; only updates
-// move), which makes it the natural cut for distributing execution across
-// workers. UpdateTransport abstracts that cut: the engines send
-// per-partition update batches during scatter and drain per-partition
-// streams at gather, without knowing whether the bytes moved through an
-// in-memory shuffle, partition files on disk, or a network exchange.
+// transport.go is the update seam between the scatter and gather phases.
+// The update stream is the only cross-partition traffic in the engine
+// (paper §3: edges and vertices are partition-local; only updates move).
+// UpdateTransport abstracts it: the engines send per-partition update
+// batches during scatter and drain per-partition streams at gather,
+// without knowing whether the records moved through an in-memory shuffle
+// or partition files on disk.
 //
-// Two implementations live here: the builtin streambuf shuffle
-// (NewShuffleTransport, the in-memory engine's path) and a generic adapter
-// over a frame-level Exchange (NewExchangeTransport, used by the loopback
-// worker transport in internal/transport and shaped for a future network
-// exchange). The out-of-core engine's update-file writeback is the third,
-// in internal/diskengine.
+// There are two implementations: the builtin streambuf shuffle here
+// (NewShuffleTransport, every core.jobRun's) and the out-of-core engine's
+// update-file writeback (internal/diskengine's fileTransport, the solo
+// spillable run's). internal/transport/conformance is their shared contract
+// suite.
 
 import (
-	"encoding/binary"
-	"errors"
-	"fmt"
-	"hash/crc32"
-	"sync"
 	"sync/atomic"
 
 	"repro/internal/pod"
@@ -56,13 +49,10 @@ type TransportCounters struct {
 	// Bytes is the payload volume sent: records × sizeof(update record).
 	Bytes int64
 	// Cross is the number of sent records whose destination partition
-	// differed from the (non-negative) sending partition. Counted after
-	// send-side combining — the records that actually moved — unlike
+	// differed from the sending partition. Counted after send-side
+	// combining — the records that actually moved — unlike
 	// Stats.CrossPartitionUpdates, which counts before combining.
 	Cross int64
-	// Retries is the number of frame sends re-issued after a transient
-	// exchange error (always zero for the local transports).
-	Retries int64
 }
 
 // UpdateTransport is the update-exchange interface between scatter and
@@ -76,16 +66,13 @@ type TransportCounters struct {
 // idempotent.
 type UpdateTransport[M any] interface {
 	// Send routes one batch of updates produced while scattering partition
-	// src (src < 0 when the producer is unknown; cross accounting is then
-	// skipped). The batch may mix destination partitions — routing is the
-	// transport's job. It returns false only when the transport's fixed
-	// capacity is exhausted (the builtin shuffle); transports that cannot
-	// reject a batch report failures from Seal instead. The batch is
+	// src. The batch may mix destination partitions — routing is the
+	// transport's job. It returns false when the batch does not fit the
+	// transport's capacity (the current window's room). The batch is
 	// copied or consumed before Send returns; callers may reuse it.
 	Send(src int, batch []Update[M]) bool
 	// Room returns how many more records the current send window accepts,
-	// for coordinators that chunk their scatter to bounded buffers. A
-	// transport without a windowed send side returns a large constant.
+	// for coordinators that chunk their scatter to bounded buffers.
 	Room() int
 	// Flush closes the current send window, making Room available again.
 	// A no-op for transports without a windowed send side.
@@ -107,8 +94,8 @@ type UpdateTransport[M any] interface {
 	EndIteration() error
 	// Close releases all transport resources. Idempotent.
 	Close() error
-	// Cap returns the per-iteration record capacity of the send side, for
-	// overflow diagnostics (0 when unbounded).
+	// Cap returns the record capacity of the send side (one window), for
+	// overflow diagnostics.
 	Cap() int
 	// Counters returns the cumulative traffic accounting.
 	Counters() TransportCounters
@@ -121,18 +108,14 @@ type CounterSet struct {
 	batches atomic.Int64
 	bytes   atomic.Int64
 	cross   atomic.Int64
-	retries atomic.Int64
 }
 
-// Count records one accepted non-empty batch of n records from partition
-// src (cross of which were addressed outside src; not counted when src is
-// negative), each recSize bytes.
-func (c *CounterSet) Count(src int, n, cross int64, recSize int) {
+// Count records one accepted non-empty batch of n records, cross of which
+// were addressed outside the sending partition, each recSize bytes.
+func (c *CounterSet) Count(n, cross int64, recSize int) {
 	c.batches.Add(1)
 	c.bytes.Add(n * int64(recSize))
-	if src >= 0 {
-		c.cross.Add(cross)
-	}
+	c.cross.Add(cross)
 }
 
 // Snapshot returns the counters as a TransportCounters value.
@@ -141,16 +124,12 @@ func (c *CounterSet) Snapshot() TransportCounters {
 		Batches: c.batches.Load(),
 		Bytes:   c.bytes.Load(),
 		Cross:   c.cross.Load(),
-		Retries: c.retries.Load(),
 	}
 }
 
 // CrossOf counts the records of batch whose destination partition (per
-// key) differs from src; zero when src is negative (unknown producer).
+// key) differs from src.
 func CrossOf[M any](batch []Update[M], src int, key func(Update[M]) uint32) int64 {
-	if src < 0 {
-		return 0
-	}
 	var cross int64
 	for i := range batch {
 		if key(batch[i]) != uint32(src) {
@@ -200,7 +179,7 @@ func (t *ShuffleTransport[M]) Send(src int, batch []Update[M]) bool {
 	if !t.a.Append(batch) {
 		return false
 	}
-	t.Count(src, int64(len(batch)), CrossOf(batch, src, t.key), t.recSize)
+	t.Count(int64(len(batch)), CrossOf(batch, src, t.key), t.recSize)
 	return true
 }
 
@@ -265,272 +244,3 @@ func (t *ShuffleTransport[M]) Cap() int { return t.a.Cap() }
 
 // Counters implements UpdateTransport.
 func (t *ShuffleTransport[M]) Counters() TransportCounters { return t.Snapshot() }
-
-// Exchange is the frame-level SPI a worker-to-worker update exchange
-// implements: opaque frames addressed to destination partitions, with
-// whatever loss, duplication or corruption the medium exhibits.
-// NewExchangeTransport layers framing, checksums, sequence-number
-// deduplication, retry and loss detection on top, so an Exchange only
-// moves bytes. Send must be safe for concurrent use; Drain(dst) must
-// return every frame delivered for dst this iteration and is called once
-// per destination per iteration, after all sends.
-type Exchange interface {
-	// Send delivers one frame to destination partition dst. An error
-	// wrapping ErrExchangeTransient may be retried by the caller; any
-	// other error is fatal for the iteration.
-	Send(dst int, frame []byte) error
-	// Drain calls fn for every frame delivered to dst this iteration, in
-	// delivery order, then forgets them. Frames are only valid during the
-	// callback.
-	Drain(dst int, fn func(frame []byte) error) error
-	// Close releases the exchange's resources. Idempotent.
-	Close() error
-}
-
-// ErrExchangeTransient classifies an Exchange send failure as retryable:
-// the frame was not delivered, and re-sending it is safe. The exchange
-// transport retries such sends (counted in TransportCounters.Retries)
-// before giving up.
-var ErrExchangeTransient = errors.New("transport: transient exchange fault")
-
-// ErrExchangeLost reports that frames sent into an Exchange never arrived:
-// the per-iteration reconciliation at Seal counted fewer distinct frames
-// received than sent. Lost traffic always surfaces as this typed error,
-// never as a silently incomplete gather.
-var ErrExchangeLost = errors.New("transport: update frames lost in exchange")
-
-// ErrExchangeCorrupt reports that a received frame failed validation —
-// short header, payload length mismatch, or CRC32C mismatch. Corrupt
-// traffic always surfaces as this typed error, never as wrong updates.
-var ErrExchangeCorrupt = errors.New("transport: corrupt update frame")
-
-// frameHeaderSize is the fixed exchange frame header: src, seq, count and
-// CRC32C of the payload, each little-endian uint32.
-const frameHeaderSize = 16
-
-// castagnoli is the CRC32C table used for frame checksums, matching the
-// storage layer's artifact checksums.
-var castagnoli = crc32.MakeTable(crc32.Castagnoli)
-
-// sendRetries is how many times a transient exchange fault is retried
-// before the send is abandoned (surfacing at Seal as a lost frame or the
-// final transient error).
-const sendRetries = 8
-
-// ExchangeTransport adapts a frame-level Exchange to UpdateTransport. The
-// send side groups each batch by destination partition, frames each group
-// with a (src, seq, count, crc32c) header and hands it to the exchange,
-// retrying transient faults. Seal performs the receive: every partition's
-// frames are drained, validated, deduplicated by (src, seq), and the
-// surviving records are routed through the same counting shuffle and
-// combiner fold as the builtin transport — so out-of-order partition
-// arrival and duplicated frames never change the result, and lost or
-// corrupt frames surface as typed errors.
-type ExchangeTransport[M any] struct {
-	ex       Exchange
-	k        int
-	capacity int
-	plan     streambuf.Plan
-	threads  int
-	key      func(Update[M]) uint32
-	folder   *streambuf.Folder[Update[M]]
-	recSize  int
-
-	seqs      []atomic.Uint32 // k*k per-(src,dst) frame sequence numbers
-	iterSent  atomic.Int64    // frames sent this iteration
-	iterRecs  atomic.Int64    // records sent this iteration
-	sendErrMu sync.Mutex
-	sendErr   error // first fatal send error, surfaced at Seal
-
-	res *streambuf.Buffer[Update[M]]
-	CounterSet
-}
-
-// NewExchangeTransport wraps ex as an UpdateTransport for k partitions.
-// capacity is the expected per-iteration record volume (diagnostic only —
-// the receive side sizes itself to what actually arrives); plan, threads,
-// key and folder configure the receive-side routing exactly as for the
-// builtin shuffle.
-func NewExchangeTransport[M any](ex Exchange, k, capacity int, plan streambuf.Plan, threads int, key func(Update[M]) uint32, folder *streambuf.Folder[Update[M]]) *ExchangeTransport[M] {
-	return &ExchangeTransport[M]{
-		ex:       ex,
-		k:        k,
-		capacity: capacity,
-		plan:     plan,
-		threads:  threads,
-		key:      key,
-		folder:   folder,
-		recSize:  pod.Size[Update[M]](),
-		seqs:     make([]atomic.Uint32, k*k),
-	}
-}
-
-// Send implements UpdateTransport. The batch is grouped by destination
-// partition and each group is framed and sent; failures are deferred to
-// Seal, so Send always returns true.
-func (t *ExchangeTransport[M]) Send(src int, batch []Update[M]) bool {
-	if len(batch) == 0 {
-		return true
-	}
-	groups := make([][]Update[M], t.k)
-	for _, u := range batch {
-		p := t.key(u)
-		groups[p] = append(groups[p], u)
-	}
-	from := src
-	if from < 0 {
-		from = 0
-	}
-	for dst, g := range groups {
-		if len(g) == 0 {
-			continue
-		}
-		seq := t.seqs[from*t.k+dst].Add(1) - 1
-		frame := make([]byte, frameHeaderSize+len(g)*t.recSize)
-		binary.LittleEndian.PutUint32(frame[0:], uint32(from))
-		binary.LittleEndian.PutUint32(frame[4:], seq)
-		binary.LittleEndian.PutUint32(frame[8:], uint32(len(g)))
-		payload := frame[frameHeaderSize:]
-		copy(payload, pod.AsBytes(g))
-		binary.LittleEndian.PutUint32(frame[12:], crc32.Checksum(payload, castagnoli))
-		if err := t.sendFrame(dst, frame); err != nil {
-			t.sendErrMu.Lock()
-			if t.sendErr == nil {
-				t.sendErr = err
-			}
-			t.sendErrMu.Unlock()
-		}
-		t.iterSent.Add(1)
-	}
-	t.iterRecs.Add(int64(len(batch)))
-	t.Count(src, int64(len(batch)), CrossOf(batch, src, t.key), t.recSize)
-	return true
-}
-
-// sendFrame delivers one frame, retrying transient exchange faults.
-func (t *ExchangeTransport[M]) sendFrame(dst int, frame []byte) error {
-	var err error
-	for attempt := 0; attempt <= sendRetries; attempt++ {
-		if attempt > 0 {
-			t.retries.Add(1)
-		}
-		if err = t.ex.Send(dst, frame); err == nil {
-			return nil
-		}
-		if !errors.Is(err, ErrExchangeTransient) {
-			return err
-		}
-	}
-	return err
-}
-
-// Room implements UpdateTransport. The exchange applies backpressure at
-// the frame level, so the send side is effectively unwindowed.
-func (t *ExchangeTransport[M]) Room() int { return 1 << 20 }
-
-// Flush implements UpdateTransport as a no-op.
-func (t *ExchangeTransport[M]) Flush() error { return nil }
-
-// Seal implements UpdateTransport: receive, validate, deduplicate, then
-// route through the counting shuffle and fold.
-func (t *ExchangeTransport[M]) Seal() (IterFlow, error) {
-	t.sendErrMu.Lock()
-	err := t.sendErr
-	t.sendErrMu.Unlock()
-	if err != nil {
-		return IterFlow{}, err
-	}
-	expected := t.iterRecs.Load()
-	in := streambuf.New[Update[M]](int(expected))
-	seen := make(map[uint64]struct{})
-	var frames int64
-	for dst := 0; dst < t.k; dst++ {
-		drainErr := t.ex.Drain(dst, func(frame []byte) error {
-			if len(frame) < frameHeaderSize {
-				return fmt.Errorf("%w: %d-byte frame for partition %d", ErrExchangeCorrupt, len(frame), dst)
-			}
-			src := binary.LittleEndian.Uint32(frame[0:])
-			seq := binary.LittleEndian.Uint32(frame[4:])
-			count := binary.LittleEndian.Uint32(frame[8:])
-			sum := binary.LittleEndian.Uint32(frame[12:])
-			payload := frame[frameHeaderSize:]
-			if len(payload) != int(count)*t.recSize {
-				return fmt.Errorf("%w: partition %d: %d payload bytes for %d records", ErrExchangeCorrupt, dst, len(payload), count)
-			}
-			if crc32.Checksum(payload, castagnoli) != sum {
-				return fmt.Errorf("%w: partition %d: frame checksum mismatch (src %d seq %d)", ErrExchangeCorrupt, dst, src, seq)
-			}
-			id := uint64(src)<<40 | uint64(dst)<<32 | uint64(seq)
-			if _, dup := seen[id]; dup {
-				return nil // duplicated delivery, already applied
-			}
-			seen[id] = struct{}{}
-			frames++
-			recs := make([]Update[M], count)
-			copy(pod.AsBytes(recs), payload)
-			if !in.Append(recs) {
-				return fmt.Errorf("%w: partition %d: more records received than sent", ErrExchangeCorrupt, dst)
-			}
-			return nil
-		})
-		if drainErr != nil {
-			return IterFlow{}, drainErr
-		}
-	}
-	if sent := t.iterSent.Load(); frames != sent {
-		return IterFlow{}, fmt.Errorf("%w: %d of %d frames arrived", ErrExchangeLost, frames, sent)
-	}
-	scratch := streambuf.New[Update[M]](int(expected))
-	res := streambuf.Shuffle(in, scratch, t.plan, t.threads, t.key)
-	appended := int64(res.Len())
-	var combined int64
-	if t.folder != nil {
-		combined = t.folder.Fold(res)
-	}
-	t.res = res
-	return IterFlow{Appended: appended, Combined: combined, Delivered: appended - combined}, nil
-}
-
-// Pending implements UpdateTransport.
-func (t *ExchangeTransport[M]) Pending(p int) int64 {
-	if t.res == nil {
-		return 0
-	}
-	return int64(t.res.BucketLen(p))
-}
-
-// Drain implements UpdateTransport over the sealed buffer's bucket runs.
-func (t *ExchangeTransport[M]) Drain(p int, fn func([]Update[M]) error) error {
-	if t.res == nil {
-		return nil
-	}
-	var err error
-	t.res.Bucket(p, func(run []Update[M]) {
-		if err == nil {
-			err = fn(run)
-		}
-	})
-	return err
-}
-
-// EndIteration implements UpdateTransport: the sealed buffer and the
-// per-iteration frame accounting reset; sequence numbers keep advancing so
-// stale duplicates from earlier iterations can never alias fresh frames.
-func (t *ExchangeTransport[M]) EndIteration() error {
-	t.res = nil
-	t.iterSent.Store(0)
-	t.iterRecs.Store(0)
-	return nil
-}
-
-// Close implements UpdateTransport by closing the underlying exchange.
-func (t *ExchangeTransport[M]) Close() error {
-	t.res = nil
-	return t.ex.Close()
-}
-
-// Cap implements UpdateTransport.
-func (t *ExchangeTransport[M]) Cap() int { return t.capacity }
-
-// Counters implements UpdateTransport.
-func (t *ExchangeTransport[M]) Counters() TransportCounters { return t.Snapshot() }

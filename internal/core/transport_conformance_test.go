@@ -27,6 +27,5 @@ func TestShuffleTransportConformance(t *testing.T) {
 			key := func(u core.Update[int64]) uint32 { return split.Of(u.Dst) }
 			return core.NewShuffleTransport(capacity, plan, threads, key, folder)
 		},
-		SingleSenderFIFO: true,
 	})
 }

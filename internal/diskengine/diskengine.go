@@ -64,7 +64,6 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/core"
@@ -169,15 +168,6 @@ type Config struct {
 	// (the default) disables tracing; a Tracer never changes any work
 	// metric, only observes timing (the figobs experiment gates this).
 	Tracer core.Tracer
-	// Exchange, if non-nil, replaces the update-file writeback with a
-	// frame-level update exchange (core.NewExchangeTransport over the
-	// returned core.Exchange): scatter's update batches are framed and
-	// sent per destination partition instead of written to update files.
-	// Called once per run with the partition count. Results are identical
-	// to the builtin transport for deterministic programs; used by the
-	// loopback worker transport in internal/transport and the transport
-	// equivalence matrix.
-	Exchange func(k int) core.Exchange
 }
 
 func (c Config) withDefaults() Config {
@@ -320,17 +310,12 @@ type engine[V, M any] struct {
 	// scatter sink, readied per partition by NewScatter.
 	kernels []*core.ScatterKernel[V, M]
 	sink    soloScatter[V, M]
-	// overflow records a scatter batch the transport refused, from whichever
-	// worker saw it; err latches the run's first failure outside a call
-	// that can return one — the refusal, an I/O error readying or feeding
-	// the sink, one behind the phase hook's vertex view — for EndScatter or
-	// EndIteration to report.
-	overflow atomic.Bool
-	err      error
+	// err latches an I/O failure behind the phase hook's vertex view, whose
+	// ForEach cannot return it, for EndIteration to report.
+	err error
 
-	// tp is the update transport between scatter and gather: the file
-	// writeback pipeline by default, an exchange adapter when the setup
-	// carries an Exchange.
+	// tp is the update transport between scatter and gather, the update-file
+	// writeback pipeline.
 	tp core.UpdateTransport[M]
 
 	// it counts the current scatter; iterSent is what the iteration's
@@ -411,23 +396,18 @@ func (e *engine[V, M]) Setup(s core.JobSetup) error {
 	// The update transport: scatter sends into it, gather drains from it.
 	// It holds its stream buffers for the whole run, so it is made once the
 	// pre-processing shuffle has let go of its own.
-	key := func(u core.Update[M]) uint32 { return e.part.Of(u.Dst) }
-	if s.Exchange != nil {
-		e.tp = core.NewExchangeTransport(s.Exchange(e.k), e.k, e.bufUpdRecs, s.Plan, s.Threads, key, e.folder)
-	} else {
-		e.tp = newFileTransport(fileTransportConfig[M]{
-			files:      e.updFiles,
-			plan:       s.Plan,
-			key:        key,
-			threads:    s.Threads,
-			bufRecs:    e.bufUpdRecs,
-			fold:       e.updateFold(),
-			bypass:     !e.cfg.NoUpdateBypass,
-			prefetch:   !e.cfg.NoPrefetch,
-			verify:     !e.cfg.NoVerify,
-			onVerified: func(n int64) { e.stats.BytesChecksummed += n },
-		})
-	}
+	e.tp = newFileTransport(fileTransportConfig[M]{
+		files:      e.updFiles,
+		plan:       s.Plan,
+		key:        func(u core.Update[M]) uint32 { return e.part.Of(u.Dst) },
+		threads:    s.Threads,
+		bufRecs:    e.bufUpdRecs,
+		fold:       e.updateFold(),
+		bypass:     !e.cfg.NoUpdateBypass,
+		prefetch:   !e.cfg.NoPrefetch,
+		verify:     !e.cfg.NoVerify,
+		onVerified: func(n int64) { e.stats.BytesChecksummed += n },
+	})
 	return nil
 }
 
@@ -532,35 +512,27 @@ func (e *engine[V, M]) updateFold() func(*streambuf.Buffer[core.Update[M]]) int6
 	return e.folder.Fold
 }
 
-// fail latches the run's first failure.
-func (e *engine[V, M]) fail(err error) {
-	if e.err == nil {
-		e.err = err
-	}
-}
-
 // soloScatter is the engine's scatter sink for one partition: its vertex
-// window, starting at vertex lo, and the combining window its edge density
-// earns.
+// window, starting at vertex lo, the combining window its edge density
+// earns, and the sink's first failure.
 type soloScatter[V, M any] struct {
 	e      *engine[V, M]
 	verts  []V
 	lo     int64
 	p      int
 	window int
+	err    error
 }
 
 // NewScatter implements core.JobRun: it loads partition p's vertex window —
 // from the vertex file when state is spilled — and sizes the combining window
 // to the partition's degree: a denser partition repeats update destinations
-// more, so more of them are worth keeping resident. There is one sink and one
-// window buffer, so the worker index is ignored.
+// more, so more of them are worth keeping resident. A failed load is the
+// sink's first failure. There is one sink and one window buffer, so the
+// worker index is ignored.
 func (e *engine[V, M]) NewScatter(_, p int, fileRecs int64) core.JobScatter {
 	s := &e.sink
-	var err error
-	if s.verts, s.lo, err = e.loadVerts(p); err != nil {
-		e.fail(err)
-	}
+	s.verts, s.lo, s.err = e.loadVerts(p)
 	s.p, s.window = p, core.DegreeAwareBufRecs(basePrivCap, fileRecs, int64(len(s.verts)))
 	return s
 }
@@ -568,40 +540,32 @@ func (e *engine[V, M]) NewScatter(_, p int, fileRecs int64) core.JobScatter {
 // Edges implements core.JobScatter: it scatters the chunk in segments that
 // fit the transport's output window (combining only ever shrinks a segment's
 // append volume, so the room reserved for a segment still suffices).
-func (s *soloScatter[V, M]) Edges(chunk []core.Edge) {
+func (s *soloScatter[V, M]) Edges(chunk []core.Edge) error {
 	e := s.e
-	if e.err != nil {
-		return
-	}
-	for off := 0; off < len(chunk); {
+	for off := 0; off < len(chunk) && s.err == nil; {
 		room := e.tp.Room()
 		if room == 0 {
-			if err := e.tp.Flush(); err != nil {
-				e.fail(err)
-				return
-			}
+			s.err = e.tp.Flush()
 			continue
 		}
 		take := min(len(chunk)-off, room)
-		e.it.Add(e.scatterSegment(chunk[off:off+take], s.verts, s.lo, s.p, s.window))
+		var n core.ScatterCounts
+		n, s.err = e.scatterSegment(chunk[off:off+take], s.verts, s.lo, s.p, s.window)
+		e.it.Add(n)
 		off += take
 	}
-	if e.overflow.Load() {
-		e.fail(fmt.Errorf("diskengine: update transport refused a scatter batch that fit its window (capacity %d records)", e.tp.Cap()))
-	}
+	return s.err
 }
 
 // Flush implements core.JobScatter. Every scatter range drains its private
-// buffer before it returns, so nothing is left to flush.
-func (s *soloScatter[V, M]) Flush() {}
+// buffer before it returns, so nothing is left to flush but the sink's
+// failure.
+func (s *soloScatter[V, M]) Flush() error { return s.err }
 
 // EndScatter implements core.JobRun: it seals the transport — whose
 // IterFlow carries the fold/writeback accounting — and books the
 // iteration's scatter.
 func (e *engine[V, M]) EndScatter() error {
-	if e.err != nil {
-		return e.err
-	}
 	t0 := time.Now()
 	flow, err := e.tp.Seal()
 	if err != nil {
@@ -634,22 +598,27 @@ const basePrivCap = 1024
 // scatterSegment scatters a slice of edges through the workers' kernels
 // (§4.1), one contiguous range per thread. verts holds the current
 // partition's vertex window starting at vertex id lo; p is the partition
-// being scattered; window is its degree-aware combining window.
-func (e *engine[V, M]) scatterSegment(edges []core.Edge, verts []V, lo int64, p, window int) core.ScatterCounts {
+// being scattered; window is its degree-aware combining window. It returns
+// the segment's counts and the first range's refusal, if any.
+func (e *engine[V, M]) scatterSegment(edges []core.Edge, verts []V, lo int64, p, window int) (core.ScatterCounts, error) {
 	workers := e.cfg.Threads
 	if len(edges) < 4096 || workers <= 1 {
 		return e.scatterRange(0, edges, verts, lo, p, window)
 	}
 	var mu sync.Mutex
 	var total core.ScatterCounts
+	var first error
 	per := (len(edges) + workers - 1) / workers
 	core.ForEachClaimed((len(edges)+per-1)/per, workers, func(w, i int) {
-		n := e.scatterRange(w, edges[i*per:min((i+1)*per, len(edges))], verts, lo, p, window)
+		n, err := e.scatterRange(w, edges[i*per:min((i+1)*per, len(edges))], verts, lo, p, window)
 		mu.Lock()
 		total.Add(n)
+		if first == nil {
+			first = err
+		}
 		mu.Unlock()
 	})
-	return total
+	return total, first
 }
 
 // scatterRange scatters one thread's contiguous run of a segment through
@@ -661,16 +630,16 @@ func (e *engine[V, M]) scatterSegment(edges []core.Edge, verts []V, lo int64, p,
 // somewhat more syncs than the in-memory engine for the same absorbed flood.
 //
 // The caller reserved room for the range in the transport's window, so a
-// Send the transport refuses means updates would be lost: the kernel records
-// it in e.overflow and the iteration fails.
-func (e *engine[V, M]) scatterRange(w int, edges []core.Edge, verts []V, lo int64, p, window int) core.ScatterCounts {
+// Send the transport refuses means updates would be lost: the range returns
+// the refusal and the iteration fails.
+func (e *engine[V, M]) scatterRange(w int, edges []core.Edge, verts []V, lo int64, p, window int) (core.ScatterCounts, error) {
 	k := e.kernels[w]
 	if k == nil {
-		k = core.NewScatterKernel(e.prog, e.tp, &e.overflow, e.combine, e.rep, basePrivCap)
+		k = core.NewScatterKernel(e.prog, e.tp, e.combine, e.rep, basePrivCap)
 		e.kernels[w] = k
 	}
 	k.Begin(p, e.part, verts, core.VertexID(lo), min(window, len(edges)))
-	k.Edges(edges)
+	k.Edges(edges) // End returns the task's refusal, this call's included
 	return k.End()
 }
 
@@ -680,11 +649,10 @@ func (e *engine[V, M]) scatterRange(w int, edges []core.Edge, verts []V, lo int6
 // With selective scheduling an update-empty partition is skipped outright:
 // no gather can change its state, so neither its update stream nor (in
 // spill mode) its vertex file is touched. The transport owns stream
-// verification (the file transport checks byte count and running CRC32C,
-// the exchange validates frames); the engine still refuses any update whose
-// destination falls outside the partition window before it indexes the
-// vertex slice, since a stream checksum only closes after the whole
-// partition is consumed.
+// verification (byte count and running CRC32C); the engine still refuses any
+// update whose destination falls outside the partition window before it
+// indexes the vertex slice, since a stream checksum only closes after the
+// whole partition is consumed.
 func (e *engine[V, M]) Gather(workers int) error {
 	t0 := time.Now()
 	for p := 0; p < e.k; p++ {
@@ -833,7 +801,7 @@ func (e *engine[V, M]) vertexView() core.VertexView[V] {
 // spillView streams spilled partitions through phase hooks, persisting
 // mutations. ForEach cannot return the I/O error that cuts a visit short —
 // the remaining partitions un-updated, or one stored torn — so the engine
-// latches it and EndIteration fails the iteration.
+// latches it in e.err and EndIteration fails the iteration.
 type spillView[V, M any] struct{ e *engine[V, M] }
 
 func (s *spillView[V, M]) NumVertices() int64 { return s.e.nv }
@@ -842,14 +810,14 @@ func (s *spillView[V, M]) ForEach(fn func(core.VertexID, *V)) {
 	for p := 0; p < s.e.k; p++ {
 		verts, lo, err := s.e.loadVerts(p)
 		if err != nil {
-			s.e.fail(err)
+			s.e.err = err
 			return
 		}
 		for i := range verts {
 			fn(core.VertexID(lo+int64(i)), &verts[i])
 		}
 		if err := s.e.storeVerts(p, verts); err != nil {
-			s.e.fail(err)
+			s.e.err = err
 			return
 		}
 	}

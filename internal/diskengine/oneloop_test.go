@@ -13,6 +13,8 @@ import (
 	"errors"
 	"os"
 	"reflect"
+	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 
@@ -118,11 +120,15 @@ func TestSoloAndJobShareTheLoop(t *testing.T) {
 }
 
 // hookFaults is a device whose files go through a seeded storage.NewFaulty
-// layer only while armed — the window a phase hook's vertex I/O runs in.
+// layer only while armed — the window a phase hook's vertex I/O runs in —
+// and which logs the name of every file read while armed.
 type hookFaults struct {
 	storage.Device
 	faulty storage.Device
 	armed  atomic.Bool
+
+	mu    sync.Mutex
+	reads []string
 }
 
 func (d *hookFaults) Create(name string) (storage.File, error) {
@@ -135,24 +141,28 @@ func (d *hookFaults) Create(name string) (storage.File, error) {
 		f.Close()
 		return nil, err
 	}
-	return &hookFile{File: f, faulty: g, armed: &d.armed}, nil
+	return &hookFile{File: f, faulty: g, name: name, dev: d}, nil
 }
 
 type hookFile struct {
 	storage.File
 	faulty storage.File
-	armed  *atomic.Bool
+	name   string
+	dev    *hookFaults
 }
 
 func (f *hookFile) ReadAt(p []byte, off int64) (int, error) {
-	if f.armed.Load() {
+	if d := f.dev; d.armed.Load() {
+		d.mu.Lock()
+		d.reads = append(d.reads, f.name)
+		d.mu.Unlock()
 		return f.faulty.ReadAt(p, off)
 	}
 	return f.File.ReadAt(p, off)
 }
 
 func (f *hookFile) WriteAt(p []byte, off int64) (int, error) {
-	if f.armed.Load() {
+	if f.dev.armed.Load() {
 		return f.faulty.WriteAt(p, off)
 	}
 	return f.File.WriteAt(p, off)
@@ -208,6 +218,44 @@ func TestSpillViewFaultFailsIteration(t *testing.T) {
 				t.Fatalf("a fault inside the phase hook's window I/O returned %v, want ErrInjected", err)
 			}
 		})
+	}
+}
+
+// armedWCC is wccProg arming a flag when iteration at starts.
+type armedWCC struct {
+	wccProg
+	at  int
+	arm *atomic.Bool
+}
+
+func (p *armedWCC) StartIteration(iter int) {
+	p.wccProg.StartIteration(iter)
+	if iter == p.at {
+		p.arm.Store(true)
+	}
+}
+
+// TestSinkFaultStopsEdgeReads: a fault loading a spilled vertex window when
+// the run readies its sink for partition 0 fails the pass with the injected
+// error, and no later partition's edge file is read in that iteration — the
+// sink returns the failure from its first Edges call, which ends the walk,
+// instead of no-op'ing through the rest of the edge files.
+func TestSinkFaultStopsEdgeReads(t *testing.T) {
+	src, _ := smallGraph(31)
+	inner := ssd(0)
+	dev := &hookFaults{Device: inner, faulty: storage.NewFaulty(inner, storage.FaultyOptions{Seed: 7, ReadErr: 1, MaxFaults: 1})}
+	prog := &armedWCC{at: 1, arm: &dev.armed}
+	_, err := Run[wccState, core.VertexID](src, prog, spilled(Config{Device: dev, Threads: 1, IOUnit: 8 << 10, Partitions: 4}))
+	if !errors.Is(err, storage.ErrInjected) {
+		t.Fatalf("a fault loading a vertex window returned %v, want ErrInjected", err)
+	}
+	if n := dev.faulty.(storage.FaultInjector).Faults(); n != 1 || len(dev.reads) == 0 || dev.reads[0] != "p0000.verts" {
+		t.Fatalf("%d faults injected, reads %v: want one, on partition 0's vertex window", n, dev.reads)
+	}
+	for _, name := range dev.reads {
+		if strings.HasSuffix(name, ".edges") && name != "ds-p0000.edges" {
+			t.Errorf("edge file %s read after partition 0's sink failed (reads: %v)", name, dev.reads)
+		}
 	}
 }
 

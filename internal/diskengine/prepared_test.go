@@ -12,7 +12,6 @@ import (
 	"os"
 	"sort"
 	"strings"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -45,7 +44,8 @@ func (d *keepRemoved) Remove(name string) error {
 // TestSoloRunsOnPrepared: for a transposing PageRank, a selective BFS over
 // compressed tiles and WCC under 2PS, solo Run and RunJob on the same config
 // write byte-identical forward and transposed edge files, report the same
-// layout, and leave the device empty — as do a failed and a cancelled run.
+// layout, and leave the device empty — as do a run whose edge-file reads
+// fault and a cancelled run.
 func TestSoloRunsOnPrepared(t *testing.T) {
 	src, _ := smallGraph(17)
 	type workload struct {
@@ -136,15 +136,16 @@ func TestSoloRunsOnPrepared(t *testing.T) {
 				t.Error("compressed layout reports no encoded tiles")
 			}
 
-			var closed atomic.Int64
-			down := func(cfg *Config) {
-				cfg.Exchange = func(int) core.Exchange { return downExchange{&closed} }
+			// Pre-processing only writes, so the first read — an edge
+			// file's, or the transpose build's pass over them — faults.
+			faulty := func(cfg *Config) {
+				cfg.Device = storage.NewFaulty(cfg.Device, storage.FaultyOptions{Seed: 5, ReadErr: 1})
 			}
 			cancelled, cancel := context.WithCancel(context.Background())
 			cancel()
 			for _, solo := range []bool{true, false} {
-				if _, _, err := run("failed run", solo, context.Background(), down); !errors.Is(err, errWireDown) {
-					t.Errorf("solo=%v: a run over a dead exchange returned %v, want the wire error", solo, err)
+				if _, _, err := run("failed run", solo, context.Background(), faulty); !errors.Is(err, storage.ErrInjected) {
+					t.Errorf("solo=%v: a run whose edge-file reads fault returned %v, want ErrInjected", solo, err)
 				}
 				if _, _, err := run("cancelled run", solo, cancelled, nil); !errors.Is(err, context.Canceled) {
 					t.Errorf("solo=%v: a cancelled run returned %v, want context.Canceled", solo, err)

@@ -481,7 +481,6 @@ func (pp *Prepared) jobSetup() core.JobSetup {
 		Threads: cfg.Threads, Plan: pp.shufPlan, UpdateCap: int(pp.ne),
 		PrivateBufRecs: basePrivCap,
 		NoCombine:      cfg.NoCombine, Selective: cfg.Selective,
-		Exchange: cfg.Exchange,
 	}
 }
 
@@ -760,8 +759,7 @@ func (pp *Prepared) scatterShared(ctx context.Context, pass *core.Stats, sc *pas
 				scatters[i] = r.NewScatter(0, p, fileRecs)
 			}
 		}, func(chunk []core.Edge) error {
-			feedJobs(scatters, chunk)
-			return nil
+			return feedJobs(scatters, chunk)
 		})
 		pEdges := io.logical / edgeRecSize
 		pass.EdgesStreamed += pEdges
@@ -778,7 +776,9 @@ func (pp *Prepared) scatterShared(ctx context.Context, pass *core.Stats, sc *pas
 			return err
 		}
 		for _, s := range scatters {
-			s.Flush()
+			if err := s.Flush(); err != nil {
+				return err
+			}
 		}
 		if tr != nil && pEdges > 0 {
 			tr.Span(0, "partition", pStart, time.Since(pStart), map[string]int64{"p": int64(p), "edges": pEdges, "jobs": int64(len(needing))})
@@ -788,19 +788,26 @@ func (pp *Prepared) scatterShared(ctx context.Context, pass *core.Stats, sc *pas
 }
 
 // feedJobs scatters one read chunk for every subscribing job — the read is
-// paid once, the compute proceeds in parallel across jobs.
-func feedJobs(scatters []core.JobScatter, chunk []core.Edge) {
+// paid once, the compute proceeds in parallel across jobs. It returns the
+// first sink failure, which ends the partition's read.
+func feedJobs(scatters []core.JobScatter, chunk []core.Edge) error {
 	if len(scatters) == 1 {
-		scatters[0].Edges(chunk)
-		return
+		return scatters[0].Edges(chunk)
 	}
 	var wg sync.WaitGroup
-	for _, sc := range scatters {
+	errs := make([]error, len(scatters))
+	for i, sc := range scatters {
 		wg.Add(1)
-		go func(sc core.JobScatter) {
+		go func(i int, sc core.JobScatter) {
 			defer wg.Done()
-			sc.Edges(chunk)
-		}(sc)
+			errs[i] = sc.Edges(chunk)
+		}(i, sc)
 	}
 	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
 }

@@ -3,53 +3,85 @@ package diskengine
 import (
 	"context"
 	"errors"
-	"sync/atomic"
+	"os"
+	"slices"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/graphgen"
+	"repro/internal/storage"
 )
 
-// downExchange refuses every frame and counts how often it is closed.
-type downExchange struct{ closed *atomic.Int64 }
-
-var errWireDown = errors.New("wire down")
-
-func (downExchange) Send(int, []byte) error              { return errWireDown }
-func (downExchange) Drain(int, func([]byte) error) error { return nil }
-func (x downExchange) Close() error                      { x.closed.Add(1); return nil }
-
-// TestSharedPassClosesTransportsOnFailure: a shared pass that fails in its
-// first iteration, or is cancelled before it, still closes each run's
-// transport — once. Finalize, which a failed pass never reaches, used to
-// be the only place that did.
+// TestSharedPassClosesTransportsOnFailure: a pass whose edge-file reads
+// fault in its first iteration, or that is cancelled before it, returns the
+// typed error and closes every run it made — whichever kind runPass drives:
+// the solo run's update files are gone as soon as the pass returns, next to
+// the Prepared's edge files, and the Prepared's Close then leaves the device
+// directory empty.
 func TestSharedPassClosesTransportsOnFailure(t *testing.T) {
-	var made, closed atomic.Int64
-	pp, err := Prepare(graphgen.Chain(256, 1), Config{
-		Device: ssd(0), Threads: 2, Partitions: 4, IOUnit: 16 << 10,
-		Exchange: func(int) core.Exchange { made.Add(1); return downExchange{&closed} },
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer pp.Close()
-	set := func() core.ProgramSet {
-		return core.ProgramSet{core.NewJob[bfsState, int32](&bfsProg{root: 0}), core.NewJob[bfsState, int32](&bfsProg{root: 9})}
-	}
+	for _, kind := range []struct {
+		name string
+		run  func(ctx context.Context, pp *Prepared) error
+	}{
+		{"shared pass", func(ctx context.Context, pp *Prepared) error {
+			set := core.ProgramSet{core.NewJob[bfsState, int32](&bfsProg{root: 0}), core.NewJob[bfsState, int32](&bfsProg{root: 9})}
+			_, _, err := pp.RunMany(ctx, set)
+			return err
+		}},
+		{"solo", func(ctx context.Context, pp *Prepared) error {
+			_, _, err := pp.runPass(ctx, time.Now(), "bfs", soloRuns[bfsState, int32](pp, &bfsProg{root: 0}))
+			return err
+		}},
+	} {
+		t.Run(kind.name, func(t *testing.T) {
+			dir := t.TempDir()
+			osd, err := storage.NewOS("os", dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			dev := &hookFaults{Device: osd, faulty: storage.NewFaulty(osd, storage.FaultyOptions{Seed: 3, ReadErr: 1})}
+			pp, err := Prepare(graphgen.Chain(256, 1), Config{Device: dev, Threads: 2, Partitions: 4, IOUnit: 16 << 10})
+			if err != nil {
+				t.Fatal(err)
+			}
+			files := func() []string {
+				t.Helper()
+				entries, err := os.ReadDir(dir)
+				if err != nil {
+					t.Fatal(err)
+				}
+				var names []string
+				for _, f := range entries {
+					names = append(names, f.Name())
+				}
+				return names
+			}
+			edgeFiles := files()
 
-	if _, _, err := pp.RunMany(context.Background(), set()); !errors.Is(err, errWireDown) {
-		t.Fatalf("a pass over a dead exchange returned %v, want the wire error", err)
-	}
-	if m, c := made.Swap(0), closed.Swap(0); m != 2 || c != 2 {
-		t.Errorf("failed pass: %d exchanges made, %d closed, want 2 of each", m, c)
-	}
+			dev.armed.Store(true)
+			err = kind.run(context.Background(), pp)
+			dev.armed.Store(false)
+			if !errors.Is(err, storage.ErrInjected) {
+				t.Fatalf("a pass whose edge-file reads fault returned %v, want ErrInjected", err)
+			}
+			if left := files(); !slices.Equal(left, edgeFiles) {
+				t.Errorf("failed pass: %v on the device, want only the edge files %v", left, edgeFiles)
+			}
 
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	if _, _, err := pp.RunMany(ctx, set()); !errors.Is(err, context.Canceled) {
-		t.Fatalf("a cancelled pass returned %v, want context.Canceled", err)
-	}
-	if m, c := made.Swap(0), closed.Swap(0); m != 2 || c != 2 {
-		t.Errorf("cancelled pass: %d exchanges made, %d closed, want 2 of each", m, c)
+			ctx, cancel := context.WithCancel(context.Background())
+			cancel()
+			if err := kind.run(ctx, pp); !errors.Is(err, context.Canceled) {
+				t.Fatalf("a cancelled pass returned %v, want context.Canceled", err)
+			}
+			if left := files(); !slices.Equal(left, edgeFiles) {
+				t.Errorf("cancelled pass: %v on the device, want only the edge files %v", left, edgeFiles)
+			}
+
+			pp.Close()
+			if left := files(); len(left) != 0 {
+				t.Errorf("files left on the device: %v", left)
+			}
+		})
 	}
 }

@@ -275,17 +275,18 @@ func TestScatterRangeAllocatesNothingWarm(t *testing.T) {
 	run := func(name string, e *engine[int32, int32], pp *Prepared) {
 		edges := partitionEdges(t, pp, 0)
 		sink := e.NewScatter(0, 0, int64(len(edges))).(*soloScatter[int32, int32])
-		if e.err != nil {
-			t.Fatal(e.err)
+		if sink.err != nil {
+			t.Fatal(sink.err)
 		}
-		var sent int64
-		scatter := func() { sent = e.scatterRange(0, edges, sink.verts, sink.lo, 0, sink.window).Sent }
+		var n core.ScatterCounts
+		var err error
+		scatter := func() { n, err = e.scatterRange(0, edges, sink.verts, sink.lo, 0, sink.window) }
 		scatter() // warm: the worker's kernel is made here
 		if allocs := testing.AllocsPerRun(20, scatter); allocs != 0 {
 			t.Errorf("%s: a warmed scatterRange allocates %.0f times per call", name, allocs)
 		}
-		if sent != int64(len(edges)) {
-			t.Errorf("%s: scattered %d updates from %d edges", name, sent, len(edges))
+		if err != nil || n.Sent != int64(len(edges)) {
+			t.Errorf("%s: scattered %d updates from %d edges: %v", name, n.Sent, len(edges), err)
 		}
 	}
 	e, pp := setupEngine[int32, int32](t, src, &sumProg{rounds: 1}, cfg, &stubTransport[int32]{})

@@ -71,7 +71,7 @@ func (t *fileTransport[M]) Send(src int, batch []core.Update[M]) bool {
 	if !t.w.Buf().Append(batch) {
 		return false
 	}
-	t.Count(src, int64(len(batch)), core.CrossOf(batch, src, t.cfg.key), t.recSize)
+	t.Count(int64(len(batch)), core.CrossOf(batch, src, t.cfg.key), t.recSize)
 	return true
 }
 

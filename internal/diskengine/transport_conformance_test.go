@@ -90,8 +90,7 @@ func TestFileTransportConformance(t *testing.T) {
 					}
 					return newConformanceFileTransport(t, k, nv, capacity, bufRecs, threads, combine, sh.bypass)
 				},
-				Window:           sh.window,
-				SingleSenderFIFO: true,
+				Window: sh.window,
 			})
 		})
 	}

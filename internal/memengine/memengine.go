@@ -107,13 +107,6 @@ type Config struct {
 	// (the default) disables tracing; a Tracer never changes any work
 	// metric, only observes timing (the figobs experiment gates this).
 	Tracer core.Tracer
-	// Exchange, when non-nil, replaces the builtin in-memory shuffle
-	// transport with a frame-level update exchange (see core.Exchange):
-	// the factory is called once with the partition count and the run's
-	// update stream moves through core.NewExchangeTransport over it. Used
-	// by the loopback worker transport in internal/transport and, later,
-	// by a network exchange. nil (the default) keeps the builtin shuffle.
-	Exchange func(k int) core.Exchange
 }
 
 func (c Config) withDefaults() Config {

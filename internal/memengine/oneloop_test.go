@@ -2,12 +2,9 @@ package memengine
 
 import (
 	"context"
-	"errors"
 	"reflect"
 	"runtime"
 	"sort"
-	"sync"
-	"sync/atomic"
 	"testing"
 
 	"repro/internal/algorithms"
@@ -188,118 +185,4 @@ func TestMemPassIterationAllocation(t *testing.T) {
 	if med := deltas[len(deltas)/2]; med >= 16<<10 {
 		t.Errorf("a steady pass iteration allocates %d bytes (median of %d), want < 16 KiB", med, len(deltas))
 	}
-}
-
-// countingExchange is a minimal in-process core.Exchange that can be told
-// to fail, and counts how often it is closed.
-type countingExchange struct {
-	mu     sync.Mutex
-	boxes  [][][]byte
-	sends  atomic.Int64
-	failAt int64 // the send (1-based) that fails for good; 0 = never
-	closed *atomic.Int64
-}
-
-var errWire = errors.New("wire down")
-
-func (x *countingExchange) Send(dst int, frame []byte) error {
-	if n := x.sends.Add(1); x.failAt > 0 && n >= x.failAt {
-		return errWire
-	}
-	x.mu.Lock()
-	x.boxes[dst] = append(x.boxes[dst], append([]byte(nil), frame...))
-	x.mu.Unlock()
-	return nil
-}
-
-func (x *countingExchange) Drain(dst int, fn func([]byte) error) error {
-	x.mu.Lock()
-	frames := x.boxes[dst]
-	x.boxes[dst] = nil
-	x.mu.Unlock()
-	for _, f := range frames {
-		if err := fn(f); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func (x *countingExchange) Close() error {
-	x.closed.Add(1)
-	return nil
-}
-
-// cancelAt is bfsProg cancelling the pass's context when an iteration
-// starts.
-type cancelAt struct {
-	bfsProg
-	iter   int
-	cancel context.CancelFunc
-}
-
-func (c *cancelAt) StartIteration(iter int) {
-	c.bfsProg.StartIteration(iter)
-	if iter == c.iter {
-		c.cancel()
-	}
-}
-
-// TestPassClosesEveryTransport: however a pass ends — done, failed in the
-// middle of an iteration, cancelled, or refused at setup — each run's
-// transport is closed exactly once. (The typed solo loop deferred its
-// Close; RunMany used to close only in Finalize, which a failed pass never
-// reached.)
-func TestPassClosesEveryTransport(t *testing.T) {
-	src := graphgen.Chain(512, 1)
-	var made, closed atomic.Int64
-	exchange := func(failAt int64) func(k int) core.Exchange {
-		return func(k int) core.Exchange {
-			made.Add(1)
-			return &countingExchange{boxes: make([][][]byte, k), failAt: failAt, closed: &closed}
-		}
-	}
-	twoBFS := func() core.ProgramSet {
-		return core.ProgramSet{core.NewJob[bfsState, int32](&bfsProg{root: 0}), core.NewJob[bfsState, int32](&bfsProg{root: 7})}
-	}
-	check := func(name string, want int64) {
-		t.Helper()
-		if m, c := made.Swap(0), closed.Swap(0); m != want || c != want {
-			t.Errorf("%s: %d exchanges made, %d closed, want %d of each", name, m, c, want)
-		}
-	}
-
-	if _, _, err := RunMany(context.Background(), src, twoBFS(), Config{Threads: 2, Partitions: 4, Exchange: exchange(0)}); err != nil {
-		t.Fatal(err)
-	}
-	check("completed pass", 2)
-
-	_, _, err := RunMany(context.Background(), src, twoBFS(), Config{Threads: 2, Partitions: 4, Exchange: exchange(5)})
-	if !errors.Is(err, errWire) {
-		t.Fatalf("a pass over a failing exchange returned %v, want the wire error", err)
-	}
-	check("failed pass", 2)
-
-	if _, err := Run(src, &bfsProg{root: 0}, Config{Threads: 2, Partitions: 4, Exchange: exchange(5)}); !errors.Is(err, errWire) {
-		t.Fatalf("a solo run over a failing exchange returned %v, want the wire error", err)
-	}
-	check("failed solo run", 1)
-
-	ctx, cancel := context.WithCancel(context.Background())
-	set := core.ProgramSet{
-		core.NewJob[bfsState, int32](&cancelAt{bfsProg: bfsProg{root: 0}, iter: 3, cancel: cancel}),
-		core.NewJob[bfsState, int32](&bfsProg{root: 7}),
-	}
-	if _, _, err := RunMany(ctx, src, set, Config{Threads: 2, Partitions: 4, Exchange: exchange(0)}); !errors.Is(err, context.Canceled) {
-		t.Fatalf("a cancelled pass returned %v, want context.Canceled", err)
-	}
-	check("cancelled pass", 2)
-
-	// The second job is refused at setup (pointer state); the first one's
-	// transport already exists.
-	bad := core.ProgramSet{core.NewJob[bfsState, int32](&bfsProg{root: 0}), core.NewJob[*int32, int32](ptrProg{})}
-	if _, _, err := RunMany(context.Background(), src, bad, Config{Threads: 2, Partitions: 4, Exchange: exchange(0)}); err == nil {
-		t.Fatal("a set with a pointer-state job was accepted")
-	}
-	check("refused set", 1)
 }

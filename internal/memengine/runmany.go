@@ -230,7 +230,6 @@ func (pp *Prepared) runMany(ctx context.Context, set core.ProgramSet, start time
 		Threads: cfg.Threads, Plan: pp.plan, UpdateCap: int(pp.ne),
 		PrivateBufBytes: cfg.PrivateBufBytes,
 		NoCombine:       cfg.NoCombine, Selective: cfg.Selective,
-		Exchange: cfg.Exchange,
 	})
 	if err != nil {
 		return nil, pass, fmt.Errorf("memengine: %w", err)
@@ -377,19 +376,31 @@ func newScatterScratch(jobs, workers int) *scatterScratch {
 // worker — thread-private buffers, §4.1: plain append buffers normally,
 // combining buffers when the program has a Combiner; the job owns them, one
 // per worker, for the life of its run. Partitions are claimed by worker
-// threads from a shared cursor (work stealing, §4.1).
+// threads from a shared cursor (work stealing, §4.1). A cancelled context or
+// a failed sink stops the walk: no worker starts another partition, and the
+// first such error is returned.
 func (pp *Prepared) scatterShared(ctx context.Context, pass *core.Stats, sc *scatterScratch, st *edgeStream) error {
 	edges, tiles := st.edges, st.tiles
 	var streamed, skippedEdges, skippedParts, skippedTiles atomic.Int64
-	var cancelled atomic.Bool
+	var stopped atomic.Bool
+	var stopMu sync.Mutex
+	var stopErr error
+	stop := func(err error) {
+		stopMu.Lock()
+		if stopErr == nil {
+			stopErr = err
+		}
+		stopMu.Unlock()
+		stopped.Store(true)
+	}
 	tr := pp.cfg.Tracer
 
 	forEachPartition(pp.part.K, pp.cfg.Threads, pp.cfg.NoWorkStealing, func(w, p int) {
-		if cancelled.Load() {
+		if stopped.Load() {
 			return
 		}
-		if ctx.Err() != nil {
-			cancelled.Store(true)
+		if err := ctx.Err(); err != nil {
+			stop(err)
 			return
 		}
 		var pStart time.Time
@@ -423,6 +434,9 @@ func (pp *Prepared) scatterShared(ctx context.Context, pass *core.Stats, sc *sca
 		for i, r := range needing {
 			scatters[i] = r.NewScatter(w, p, chunkLen)
 		}
+		// err is the partition's first sink failure; once set, no sink is
+		// fed another edge.
+		var err error
 		if partial && tiles != nil {
 			// Tile-granular scheduling: a tile is streamed when any job's
 			// frontier intersects its source span, and still withheld from
@@ -431,12 +445,17 @@ func (pp *Prepared) scatterShared(ctx context.Context, pass *core.Stats, sc *sca
 			spans := tiles[p]
 			ti := 0
 			edges.BucketTiles(p, pp.cfg.TileEdges, func(tile []core.Edge) {
+				if err != nil {
+					return
+				}
 				span := spans[ti]
 				ti++
 				took := false
 				for i, r := range needing {
 					if r.NeedsTile(span) {
-						scatters[i].Edges(tile)
+						if err = scatters[i].Edges(tile); err != nil {
+							return
+						}
 						took = true
 					} else {
 						r.SkipTiles(int64(len(tile)), 1)
@@ -452,23 +471,34 @@ func (pp *Prepared) scatterShared(ctx context.Context, pass *core.Stats, sc *sca
 			})
 		} else {
 			edges.Bucket(p, func(run []core.Edge) {
+				if err != nil {
+					return
+				}
 				for _, sc := range scatters {
-					sc.Edges(run)
+					if err = sc.Edges(run); err != nil {
+						return
+					}
 				}
 				streamed.Add(int64(len(run)))
 				pEdges += int64(len(run))
 			})
 		}
 		for _, sc := range scatters {
-			sc.Flush()
+			if ferr := sc.Flush(); err == nil {
+				err = ferr
+			}
+		}
+		if err != nil {
+			stop(err)
+			return
 		}
 		if tr != nil {
 			tr.Span(1+w, "partition", pStart, time.Since(pStart),
 				map[string]int64{"p": int64(p), "edges": pEdges, "jobs": int64(len(needing))})
 		}
 	})
-	if cancelled.Load() {
-		return ctx.Err()
+	if stopErr != nil {
+		return stopErr
 	}
 	n := streamed.Load()
 	pass.EdgesStreamed += n

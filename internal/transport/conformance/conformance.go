@@ -1,12 +1,10 @@
-// Package conformance is the reusable contract suite every
-// core.UpdateTransport implementation must pass. The three shipped
-// transports — the builtin in-memory shuffle, the out-of-core update-file
-// writeback and the loopback worker exchange — all run the same battery:
-// delivery completeness, single-sender per-partition FIFO order, combiner
-// fold equivalence, flush/close idempotence and multi-iteration reuse,
+// Package conformance is the contract suite of core.UpdateTransport and the
+// fixture of its two implementations, the builtin in-memory shuffle and the
+// out-of-core update-file writeback. Both run the same battery: delivery
+// completeness, single-sender per-partition FIFO order, combiner fold
+// equivalence, flush/close idempotence and multi-iteration reuse,
 // concurrent-sender and concurrent-drain safety (meaningful under -race),
-// and the transport's own traffic counters. A fourth (network) transport
-// is exchangeable exactly when it passes this suite too.
+// and the transport's own traffic counters.
 package conformance
 
 import (
@@ -37,13 +35,6 @@ type Maker struct {
 	// uncoordinated concurrent senders may rely on. nil means the whole
 	// capacity (unwindowed transports).
 	Window func(capacity int) int
-	// SingleSenderFIFO declares that batches sent by a single goroutine
-	// drain from each partition in send order. All three shipped
-	// transports guarantee this (stable counting shuffle, in-order
-	// writeback windows, FIFO wires + stable shuffle); a transport that
-	// does not must document the absence by setting this false, which
-	// skips the ordering subtest.
-	SingleSenderFIFO bool
 }
 
 // update is shorthand for the suite's record type.
@@ -165,7 +156,7 @@ func checkSums(t *testing.T, want, got map[core.VertexID]int64) {
 
 // Run exercises one UpdateTransport implementation against the full
 // contract. Call it from each implementation's own package test so every
-// transport — present and future — is pinned to the same behavior.
+// transport is pinned to the same behavior.
 func Run(t *testing.T, mk Maker) {
 	window := mk.Window
 	if window == nil {
@@ -261,10 +252,10 @@ func Run(t *testing.T, mk Maker) {
 		}
 	})
 
+	// Batches sent by a single goroutine drain from each partition in send
+	// order: the counting shuffle is stable and writeback windows append in
+	// order.
 	t.Run("ordering", func(t *testing.T) {
-		if !mk.SingleSenderFIFO {
-			t.Skip("transport documents no per-partition ordering guarantee")
-		}
 		const n = 6000
 		target := 3
 		lo, hi := split.Range(target, nv)

@@ -144,32 +144,6 @@ func RunManyDisk(ctx context.Context, g EdgeSource, set ProgramSet, cfg DiskConf
 	return diskengine.RunMany(ctx, g, set, cfg)
 }
 
-// Update transport: engines route their scatter→gather update stream
-// through a core.UpdateTransport — the builtin in-memory shuffle or the
-// disk engine's update-file writeback by default, or any frame-level
-// Exchange plugged in via MemConfig/DiskConfig.Exchange (the seam a
-// future multi-node shard exchange slots into).
-type (
-	// Exchange is the frame-level worker-to-worker transport SPI: opaque
-	// framed byte slices sent to destination partitions and drained back.
-	// internal/transport's loopback is the in-process reference
-	// implementation, with seeded fault injection for chaos testing.
-	Exchange = core.Exchange
-)
-
-// Typed Exchange failure modes, distinguishable with errors.Is: transient
-// send failures are retried by the engines' transport adapter; lost and
-// corrupt frames fail the run rather than ever surfacing as wrong results.
-var (
-	// ErrExchangeTransient marks a retryable send failure.
-	ErrExchangeTransient = core.ErrExchangeTransient
-	// ErrExchangeLost marks frames that went missing in flight, detected
-	// by the receive-side reconciliation.
-	ErrExchangeLost = core.ErrExchangeLost
-	// ErrExchangeCorrupt marks frames whose payload failed its checksum.
-	ErrExchangeCorrupt = core.ErrExchangeCorrupt
-)
-
 // NewSliceSource wraps an in-memory edge list as an EdgeSource. If
 // numVertices is 0 it is inferred as max(id)+1.
 func NewSliceSource(edges []Edge, numVertices int64) EdgeSource {
