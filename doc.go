@@ -98,8 +98,11 @@
 // stream, and a per-partition fold after the shuffle merges the survivors,
 // so the gather phase streams — and the out-of-core engine writes — far
 // fewer records. PageRank, SpMV (sum), SSSP, BFS, WCC (min) and HyperANF
-// (sketch union) opt in; Conductance does not, because its Gather counts
-// arriving updates rather than reducing their values. Combining composes
+// (sketch union) opt in; the first five also declare their Combine to be
+// CombineSum or CombineMin (a CombineOp method), so both merges run inline
+// instead of calling Combine per update. Conductance does not opt in,
+// because its Gather counts arriving updates rather than reducing their
+// values. Combining composes
 // with any Partitioner and with VertexMapper/StateRemapper untouched: it
 // operates on execution-space destination IDs after the relabeling, and
 // never changes which updates exist logically — only how many records

@@ -78,6 +78,9 @@ func (b *BFS) Combine(a, m int32) int32 {
 	return m
 }
 
+// CombineOp declares Combine to be core.CombineMin.
+func (b *BFS) CombineOp() core.CombineOp { return core.CombineMin }
+
 // Levels extracts per-vertex hop distances (-1 = unreachable).
 func Levels(verts []BFSState) []int32 {
 	out := make([]int32, len(verts))

@@ -86,6 +86,9 @@ func (p *PageRank) Gather(dst core.VertexID, v *PRState, m float32) {
 // Config.NoCombine, which restores the exact one-update-per-edge count.
 func (p *PageRank) Combine(a, b float32) float32 { return a + b }
 
+// CombineOp declares Combine to be core.CombineSum.
+func (p *PageRank) CombineOp() core.CombineOp { return core.CombineSum }
+
 // EndIteration implements core.PhasedProgram: fold the accumulated rank
 // mass into the damped rank and reset the accumulator.
 func (p *PageRank) EndIteration(iter int, sent int64, view core.VertexView[PRState]) bool {

@@ -50,6 +50,9 @@ func (s *SpMV) Gather(dst core.VertexID, v *SpMVState, m float32) {
 // Combine implements core.Combiner: partial products sum.
 func (s *SpMV) Combine(a, b float32) float32 { return a + b }
 
+// CombineOp declares Combine to be core.CombineSum.
+func (s *SpMV) CombineOp() core.CombineOp { return core.CombineSum }
+
 // EndIteration implements core.PhasedProgram: SpMV is a single pass.
 func (s *SpMV) EndIteration(iter int, sent int64, view core.VertexView[SpMVState]) bool {
 	return true

@@ -83,6 +83,9 @@ func (s *SSSP) Combine(a, b float32) float32 {
 	return b
 }
 
+// CombineOp declares Combine to be core.CombineMin.
+func (s *SSSP) CombineOp() core.CombineOp { return core.CombineMin }
+
 // Distances extracts per-vertex distances.
 func Distances(verts []SSSPState) []float32 {
 	out := make([]float32, len(verts))

@@ -66,6 +66,9 @@ func (w *WCC) Combine(a, b core.VertexID) core.VertexID {
 	return b
 }
 
+// CombineOp declares Combine to be core.CombineMin.
+func (w *WCC) CombineOp() core.CombineOp { return core.CombineMin }
+
 // RemapState implements core.StateRemapper: labels are vertex IDs, so
 // after a relabeled run they are translated back to input IDs. The label
 // is then a valid representative of the component (the vertex whose

@@ -18,17 +18,146 @@ const MaxFoldSlots = 4 << 20
 // its destination's offset inside the partition's contiguous vertex range.
 // Returns nil when the partitions are too wide for dense slot tables
 // (MaxFoldSlots); the folder's tables are cached, so one folder should be
-// reused for every fold of a run.
+// reused for every fold of a run. The engines build theirs with Combining,
+// which merges inline when the program declares a CombineOp.
 func NewUpdateFolder[M any](split Split, workers int, combine func(a, b M) M) *streambuf.Folder[Update[M]] {
+	return newUpdateFolder(split, workers, combine, 0)
+}
+
+func newUpdateFolder[M any](split Split, workers int, combine func(a, b M) M, op CombineOp) *streambuf.Folder[Update[M]] {
 	per := split.PerPartition()
 	if per > MaxFoldSlots {
 		return nil
 	}
-	return streambuf.NewFolder(workers, int(per), func(p int, u Update[M]) uint32 {
-		return uint32(u.Dst) - uint32(p)*uint32(per)
-	}, func(dst *Update[M], src Update[M]) {
-		dst.Val = combine(dst.Val, src.Val)
-	})
+	fold := foldFunc(uint32(per), combine)
+	if l, ok := opLoopsFor[M](op); ok {
+		fold = l.fold(uint32(per))
+	}
+	return streambuf.NewFolder(workers, int(per), fold)
+}
+
+// opCombiner is a Combiner that declares its Combine to be a built-in op.
+type opCombiner interface{ CombineOp() CombineOp }
+
+// Combining resolves, once per run, how a run of prog merges updates to one
+// destination: combine is the program's Combine, nil when it has no Combiner
+// or noCombine is set; op is the CombineOp it declares, zero when none or when
+// combine is nil; folder is the post-shuffle fold over split for up to
+// workers workers, merging by both (nil when combine is, or when partitions
+// are wider than MaxFoldSlots). Both engines' run setups call it, so the
+// combining cache, the fold and the mirror accumulator cannot disagree on the
+// merge.
+func Combining[V, M any](prog Program[V, M], noCombine bool, split Split, workers int) (combine func(a, b M) M, op CombineOp, folder *streambuf.Folder[Update[M]]) {
+	cb, ok := prog.(Combiner[M])
+	if !ok || noCombine {
+		return nil, 0, nil
+	}
+	if d, ok := prog.(opCombiner); ok {
+		op = d.CombineOp()
+	}
+	return cb.Combine, op, newUpdateFolder(split, workers, cb.Combine, op)
+}
+
+// numeric is the update value types with op-specialised merge loops. The ops
+// are fixed in each loop body and the loops are generic over the value type
+// only: each of these types is its own GC shape, so the merge compiles to one
+// inline instruction, where a loop generic over the op would call it through
+// the instantiation's dictionary.
+type numeric interface{ ~float32 | ~int32 | ~uint32 }
+
+// opLoops are the merge loops of one op over values of type M: the combining
+// cache's block loop and the fold's chunk loop over partitions of per
+// vertices.
+type opLoops[M any] struct {
+	add  func(c *CombineBuffer[M], us []Update[M], fn func([]Update[M]))
+	fold func(per uint32) func(p int, recs []Update[M], pos []int32, gen []uint32, cur uint32) int
+}
+
+// opLoopsFor returns the loops that merge by op inline, ok false when op is
+// zero or M has no specialised loops (the func value merges then).
+func opLoopsFor[M any](op CombineOp) (l opLoops[M], ok bool) {
+	var loops any
+	switch any(*new(M)).(type) {
+	case float32:
+		loops = numericLoops[float32](op)
+	case int32:
+		loops = numericLoops[int32](op)
+	case VertexID:
+		loops = numericLoops[VertexID](op)
+	}
+	l, ok = loops.(opLoops[M])
+	return l, ok
+}
+
+func numericLoops[N numeric](op CombineOp) any {
+	switch op {
+	case CombineSum:
+		return opLoops[N]{addSum[N], foldSum[N]}
+	case CombineMin:
+		return opLoops[N]{addMin[N], foldMin[N]}
+	}
+	return nil
+}
+
+// foldFunc, foldSum and foldMin are the fold's chunk loops (see
+// streambuf.NewFolder): an update's slot is its destination's offset in
+// partition p, and a doomed update merges into its survivor through combine,
+// by a + b, or by a < b ? a : b, the survivor being a.
+func foldFunc[M any](per uint32, combine func(a, b M) M) func(int, []Update[M], []int32, []uint32, uint32) int {
+	return func(p int, recs []Update[M], pos []int32, gen []uint32, cur uint32) int {
+		base, keep := uint32(p)*per, 0
+		for i, u := range recs {
+			if k := uint32(u.Dst) - base; gen[k] == cur {
+				d := &recs[pos[k]]
+				d.Val = combine(d.Val, u.Val)
+			} else {
+				gen[k], pos[k] = cur, int32(keep)
+				if keep != i {
+					recs[keep] = u
+				}
+				keep++
+			}
+		}
+		return keep
+	}
+}
+
+func foldSum[N numeric](per uint32) func(int, []Update[N], []int32, []uint32, uint32) int {
+	return func(p int, recs []Update[N], pos []int32, gen []uint32, cur uint32) int {
+		base, keep := uint32(p)*per, 0
+		for i, u := range recs {
+			if k := uint32(u.Dst) - base; gen[k] == cur {
+				recs[pos[k]].Val += u.Val
+			} else {
+				gen[k], pos[k] = cur, int32(keep)
+				if keep != i {
+					recs[keep] = u
+				}
+				keep++
+			}
+		}
+		return keep
+	}
+}
+
+func foldMin[N numeric](per uint32) func(int, []Update[N], []int32, []uint32, uint32) int {
+	return func(p int, recs []Update[N], pos []int32, gen []uint32, cur uint32) int {
+		base, keep := uint32(p)*per, 0
+		for i, u := range recs {
+			if k := uint32(u.Dst) - base; gen[k] == cur {
+				if d := &recs[pos[k]]; !(d.Val < u.Val) {
+					d.Val = u.Val
+				}
+			} else {
+				gen[k], pos[k] = cur, int32(keep)
+				if keep != i {
+					recs[keep] = u
+				}
+				keep++
+			}
+		}
+		return keep
+	}
 }
 
 // CombineBuffer is the thread-private combining buffer the scatter kernel
@@ -51,12 +180,17 @@ func NewUpdateFolder[M any](split Split, workers int, combine func(a, b M) M) *s
 // to the window that task calls for, so the combining it performs is a
 // deterministic function of the task's edge order, independent of thread
 // scheduling and of what the buffer held before.
+//
+// A hit merges through the combine func, or inline when the buffer was made
+// with a CombineOp that has a loop specialised for M; the loop is picked at
+// construction, so Add dispatches once per block, not once per update.
 type CombineBuffer[M any] struct {
 	table    []Update[M] // sized for the widest window; table[:1<<(32-shift)] is in use
 	occupied []uint32    // slots holding a resident, in first-taken order
 	out      []Update[M] // evicted records awaiting the next drain
 	shift    uint8
 	combine  func(a, b M) M
+	add      func(c *CombineBuffer[M], us []Update[M], fn func([]Update[M]))
 
 	// Combined counts updates merged away since construction or Reset.
 	Combined int64
@@ -82,8 +216,9 @@ func emptyKey(h uint32) VertexID {
 
 // NewCombineBuffer returns a combining buffer whose append buffer holds
 // baseRecs records and whose cache serves windows of up to
-// MaxBufGrowth·baseRecs records, readied for the widest.
-func NewCombineBuffer[M any](baseRecs int, combine func(a, b M) M) *CombineBuffer[M] {
+// MaxBufGrowth·baseRecs records, readied for the widest. It merges by
+// combine, which op, when non-zero, declares combine to be (see Combining).
+func NewCombineBuffer[M any](baseRecs int, combine func(a, b M) M, op CombineOp) *CombineBuffer[M] {
 	baseRecs = max(baseRecs, 1)
 	slots := NextPow2(combineSlotsPerRec * MaxBufGrowth * baseRecs)
 	c := &CombineBuffer[M]{
@@ -91,6 +226,10 @@ func NewCombineBuffer[M any](baseRecs int, combine func(a, b M) M) *CombineBuffe
 		occupied: make([]uint32, 0, slots),
 		out:      make([]Update[M], 0, baseRecs),
 		combine:  combine,
+		add:      (*CombineBuffer[M]).addFunc,
+	}
+	if l, ok := opLoopsFor[M](op); ok {
+		c.add = l.add
 	}
 	c.table[0].Dst = emptyKey(0) // the zero value already marks every other slot
 	c.Reset(MaxBufGrowth * baseRecs)
@@ -155,23 +294,70 @@ func DegreeAwareBufRecs(baseRecs int, edges, verts int64) int {
 // Add merges a block of updates into the cache, one at a time, handing the
 // evicted records to fn (the slice aliases the buffer and is only valid
 // within fn) whenever the append buffer fills.
-func (c *CombineBuffer[M]) Add(us []Update[M], fn func([]Update[M])) {
-	table, shift := c.table, c.shift&31
+func (c *CombineBuffer[M]) Add(us []Update[M], fn func([]Update[M])) { c.add(c, us, fn) }
+
+// addFunc, addSum and addMin are Add's loops: a hit merges the update into
+// its resident e through combine, by e + u, or by e < u ? e : u; a miss takes
+// the slot, evicting its resident. The miss path is written out in each: a
+// method is too large to inline, and its call per miss shows in
+// BenchmarkScatterKernel.
+func (c *CombineBuffer[M]) addFunc(us []Update[M], fn func([]Update[M])) {
+	table, shift, combined, combine := c.table, c.shift&31, c.Combined, c.combine
 	for _, u := range us {
 		h := uint32(u.Dst) * combineHash >> shift
-		e := &table[h]
-		if e.Dst == u.Dst {
-			e.Val = c.combine(e.Val, u.Val)
-			c.Combined++
-			continue
+		if e := &table[h]; e.Dst == u.Dst {
+			e.Val = combine(e.Val, u.Val)
+			combined++
+		} else {
+			if e.Dst == emptyKey(h) {
+				c.occupied = append(c.occupied, h)
+			} else if c.out = append(c.out, *e); len(c.out) == cap(c.out) {
+				c.drain(fn)
+			}
+			*e = u
 		}
-		if e.Dst == emptyKey(h) {
-			c.occupied = append(c.occupied, h)
-		} else if c.out = append(c.out, *e); len(c.out) == cap(c.out) {
-			c.drain(fn)
-		}
-		*e = u
 	}
+	c.Combined = combined
+}
+
+func addSum[N numeric](c *CombineBuffer[N], us []Update[N], fn func([]Update[N])) {
+	table, shift, combined := c.table, c.shift&31, c.Combined
+	for _, u := range us {
+		h := uint32(u.Dst) * combineHash >> shift
+		if e := &table[h]; e.Dst == u.Dst {
+			e.Val += u.Val
+			combined++
+		} else {
+			if e.Dst == emptyKey(h) {
+				c.occupied = append(c.occupied, h)
+			} else if c.out = append(c.out, *e); len(c.out) == cap(c.out) {
+				c.drain(fn)
+			}
+			*e = u
+		}
+	}
+	c.Combined = combined
+}
+
+func addMin[N numeric](c *CombineBuffer[N], us []Update[N], fn func([]Update[N])) {
+	table, shift, combined := c.table, c.shift&31, c.Combined
+	for _, u := range us {
+		h := uint32(u.Dst) * combineHash >> shift
+		if e := &table[h]; e.Dst == u.Dst {
+			if !(e.Val < u.Val) {
+				e.Val = u.Val
+			}
+			combined++
+		} else {
+			if e.Dst == emptyKey(h) {
+				c.occupied = append(c.occupied, h)
+			} else if c.out = append(c.out, *e); len(c.out) == cap(c.out) {
+				c.drain(fn)
+			}
+			*e = u
+		}
+	}
+	c.Combined = combined
 }
 
 // drain hands the evicted records to fn and empties the append buffer;

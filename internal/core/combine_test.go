@@ -1,19 +1,24 @@
 package core
 
 import (
+	"bytes"
+	"math"
 	"math/rand"
 	"slices"
 	"testing"
+
+	"repro/internal/pod"
+	"repro/internal/streambuf"
 )
 
 // emissions feeds updates through cb (Reset to window first) in blocks of
 // step, sweeping at the end, and returns every record emitted, in order. It
 // fails the test when a block emits more records than it holds updates or a
 // drained batch exceeds the append buffer.
-func emissions(t *testing.T, cb *CombineBuffer[int64], window, step int, updates []Update[int64]) []Update[int64] {
+func emissions[M any](t *testing.T, cb *CombineBuffer[M], window, step int, updates []Update[M]) []Update[M] {
 	t.Helper()
-	var log []Update[int64]
-	drain := func(recs []Update[int64]) {
+	var log []Update[M]
+	drain := func(recs []Update[M]) {
 		if len(recs) > cap(cb.out) {
 			t.Fatalf("drained %d records from an append buffer of %d", len(recs), cap(cb.out))
 		}
@@ -40,7 +45,8 @@ func emissions(t *testing.T, cb *CombineBuffer[int64], window, step int, updates
 // record; the per-destination combination of everything emitted equals that of
 // everything added; Combined counts exactly the records merged away; and a
 // buffer dirtied by an abandoned stream and Reset, fed the stream in blocks,
-// emits the same records in the same order as a fresh one fed one at a time.
+// emits the same records in the same order as a fresh one fed one at a time;
+// and every op loop emits what the func loop it replaces does (checkOpLoops).
 func checkCombineBuffer(t *testing.T, baseRecs, window int, useMin bool, updates []Update[int64]) {
 	t.Helper()
 	combine := func(a, b int64) int64 { return a + b }
@@ -58,7 +64,7 @@ func checkCombineBuffer(t *testing.T, baseRecs, window int, useMin bool, updates
 		}
 		return m
 	}
-	fresh := NewCombineBuffer[int64](baseRecs, combine)
+	fresh := NewCombineBuffer[int64](baseRecs, combine, 0)
 	got := emissions(t, fresh, window, 1, updates)
 	if want := int64(len(updates) - len(got)); fresh.Combined != want {
 		t.Fatalf("Combined = %d, added %d - emitted %d = %d", fresh.Combined, len(updates), len(got), want)
@@ -73,13 +79,95 @@ func checkCombineBuffer(t *testing.T, baseRecs, window int, useMin bool, updates
 		}
 	}
 	// Dirty a second buffer at its widest window and abandon it mid-stream.
-	reused := NewCombineBuffer[int64](baseRecs, combine)
+	reused := NewCombineBuffer[int64](baseRecs, combine, 0)
 	reused.Add(updates[:len(updates)/2], func([]Update[int64]) {})
 	if again := emissions(t, reused, window, 1+len(updates)/3, updates); !slices.Equal(again, got) {
 		t.Fatalf("a dirtied buffer Reset to window %d emitted %d records that differ from a fresh buffer's %d", window, len(again), len(got))
 	}
 	if reused.Combined != fresh.Combined {
 		t.Fatalf("Combined %d after Reset, %d fresh", reused.Combined, fresh.Combined)
+	}
+	checkOpLoops(t, baseRecs, window, updates, f32Of)
+	checkOpLoops(t, baseRecs, window, updates, i32Of)
+	checkOpLoops(t, baseRecs, window, updates, vidOf)
+}
+
+// The value corpora the op loops are held to the func loops on: what a merge
+// gets wrong first — NaNs of two payloads, ±0, ±Inf, denormals, the extremes.
+var (
+	f32Corpus = []float32{float32(math.NaN()), math.Float32frombits(0xFFC00001), 0, float32(math.Copysign(0, -1)),
+		float32(math.Inf(1)), float32(math.Inf(-1)), math.SmallestNonzeroFloat32, -math.SmallestNonzeroFloat32,
+		math.MaxFloat32, -math.MaxFloat32, 1, -1}
+	i32Corpus = []int32{math.MinInt32, math.MaxInt32, 0, -1, 1}
+	vidCorpus = []VertexID{0, math.MaxUint32, 1, math.MaxUint32 - 1}
+)
+
+// f32Of, i32Of and vidOf turn a test stream's value into one of a
+// specialised type: a corpus value for every fourth, a spread of ordinary
+// ones (overflowing int32 and VertexID sums) otherwise.
+func f32Of(v int64) float32 {
+	if v%4 == 0 {
+		return f32Corpus[v/4%int64(len(f32Corpus))]
+	}
+	return float32(v)*0.37 - 20
+}
+
+func i32Of(v int64) int32 {
+	if v%4 == 0 {
+		return i32Corpus[v/4%int64(len(i32Corpus))]
+	}
+	return int32(v * 0x7654321)
+}
+
+func vidOf(v int64) VertexID {
+	if v%4 == 0 {
+		return vidCorpus[v/4%int64(len(vidCorpus))]
+	}
+	return VertexID(v * 0x9E3779B1)
+}
+
+// opFunc is the func an op declares Combine to be.
+func opFunc[N numeric](op CombineOp) func(a, b N) N {
+	if op == CombineSum {
+		return func(a, b N) N { return a + b }
+	}
+	return func(a, b N) N {
+		if a < b {
+			return a
+		}
+		return b
+	}
+}
+
+// inlineOnly is the combine func of a buffer or fold that must merge inline:
+// calling it panics (a fold calls it from its own workers).
+func inlineOnly[N any](a, b N) N { panic("an op loop called the combine func") }
+
+// convert gives updates values of type N through val.
+func convert[N any](updates []Update[int64], val func(int64) N) []Update[N] {
+	us := make([]Update[N], len(updates))
+	for i, u := range updates {
+		us[i] = Update[N]{Dst: u.Dst, Val: val(u.Val)}
+	}
+	return us
+}
+
+// checkOpLoops holds the combining cache's op loops to the func loop they
+// replace: one stream, its values turned into N by val, through a buffer
+// merging by the op's func and through one merging by the op inline, emits
+// bitwise the same records in the same order and counts the same Combined.
+func checkOpLoops[N numeric](t *testing.T, baseRecs, window int, updates []Update[int64], val func(int64) N) {
+	t.Helper()
+	us := convert(updates, val)
+	for _, op := range []CombineOp{CombineSum, CombineMin} {
+		ref := NewCombineBuffer(baseRecs, opFunc[N](op), 0)
+		inline := NewCombineBuffer(baseRecs, inlineOnly[N], op)
+		want := emissions(t, ref, window, scatterBlock, us)
+		got := emissions(t, inline, window, scatterBlock, us)
+		if !bytes.Equal(pod.AsBytes(got), pod.AsBytes(want)) || inline.Combined != ref.Combined {
+			t.Fatalf("op %d over %T: the inline loop emitted %d records and combined %d, the func loop %d and %d",
+				op, *new(N), len(got), inline.Combined, len(want), ref.Combined)
+		}
 	}
 }
 
@@ -135,7 +223,7 @@ func FuzzCombineBuffer(f *testing.F) {
 func TestCombineBufferEmptySlotEncoding(t *testing.T) {
 	sum := func(a, b int64) int64 { return a + b }
 	for _, window := range []int{0, 1, 2, 5, 64, MaxBufGrowth * 8} {
-		cb := NewCombineBuffer[int64](8, sum)
+		cb := NewCombineBuffer[int64](8, sum, 0)
 		var updates []Update[int64]
 		for round := int64(1); round <= 3; round++ {
 			for _, k := range edgeKeys {
@@ -160,4 +248,110 @@ func TestCombineBufferEmptySlotEncoding(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestFoldOpLoops holds the fold's op loops to the func loop they replace: on
+// one bucketed update buffer, folding by each op inline compacts every chunk
+// to bitwise the same records, and merges as many away, as folding by the
+// op's func.
+func TestFoldOpLoops(t *testing.T) {
+	rng := rand.New(rand.NewSource(22))
+	const nv = 1000
+	updates := make([]Update[int64], 20000)
+	for i := range updates {
+		updates[i] = Update[int64]{Dst: VertexID(rng.Intn(nv)), Val: rng.Int63n(1 << 20)}
+	}
+	checkFoldOpLoops(t, nv, updates, f32Of)
+	checkFoldOpLoops(t, nv, updates, i32Of)
+	checkFoldOpLoops(t, nv, updates, vidOf)
+}
+
+func checkFoldOpLoops[N numeric](t *testing.T, nv int64, updates []Update[int64], val func(int64) N) {
+	t.Helper()
+	const k, threads = 8, 3
+	split := NewSplit(nv, k)
+	plan, err := streambuf.NewPlan(k, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	us := convert(updates, val)
+	shuffled := func() *streambuf.Buffer[Update[N]] {
+		a, b := streambuf.New[Update[N]](len(us)), streambuf.New[Update[N]](len(us))
+		a.Fill(us)
+		return streambuf.Shuffle(a, b, plan, threads, func(u Update[N]) uint32 { return split.Of(u.Dst) })
+	}
+	for _, op := range []CombineOp{CombineSum, CombineMin} {
+		ref, inline := shuffled(), shuffled()
+		want := newUpdateFolder(split, threads, opFunc[N](op), 0).Fold(ref)
+		got := newUpdateFolder(split, threads, inlineOnly[N], op).Fold(inline)
+		if got != want || want == 0 {
+			t.Fatalf("op %d over %T: the inline fold merged %d records, the func fold %d", op, *new(N), got, want)
+		}
+		for p := 0; p < k; p++ {
+			var wantRuns, gotRuns [][]byte
+			ref.Bucket(p, func(run []Update[N]) { wantRuns = append(wantRuns, pod.AsBytes(run)) })
+			inline.Bucket(p, func(run []Update[N]) { gotRuns = append(gotRuns, pod.AsBytes(run)) })
+			if !slices.EqualFunc(gotRuns, wantRuns, bytes.Equal) {
+				t.Fatalf("op %d over %T: partition %d folds to different chunks inline", op, *new(N), p)
+			}
+		}
+	}
+}
+
+// int64Sum declares CombineSum over int64, a value type with no specialised
+// loops, and counts its Combine calls.
+type int64Sum struct{ calls *int }
+
+func (int64Sum) Name() string                           { return "int64-sum" }
+func (int64Sum) Init(VertexID, *int64)                  {}
+func (int64Sum) Scatter(e Edge, _ *int64) (int64, bool) { return int64(e.Src), true }
+func (int64Sum) Gather(_ VertexID, v *int64, m int64)   { *v += m }
+func (p int64Sum) Combine(a, b int64) int64             { *p.calls++; return a + b }
+func (int64Sum) CombineOp() CombineOp                   { return CombineSum }
+
+// TestCombineOpWithoutLoopsRunsFunc: a program that declares an op over a
+// value type with no specialised loops resolves to the op, and the cache and
+// the fold built from that resolution merge through its Combine, emitting
+// exactly what a buffer and a fold that know no op do.
+func TestCombineOpWithoutLoopsRunsFunc(t *testing.T) {
+	calls := 0
+	prog := int64Sum{&calls}
+	split := NewSplit(64, 2)
+	combine, op, folder := Combining[int64, int64](prog, false, split, 1)
+	if combine == nil || op != CombineSum || folder == nil {
+		t.Fatalf("Combining resolved combine %v, op %d, folder %v", combine != nil, op, folder != nil)
+	}
+	if c, o, f := Combining[int64, int64](prog, true, split, 1); c != nil || o != 0 || f != nil {
+		t.Fatal("NoCombine still resolved a merge")
+	}
+	rng := rand.New(rand.NewSource(7))
+	updates := make([]Update[int64], 5000)
+	for i := range updates {
+		updates[i] = Update[int64]{Dst: VertexID(rng.Intn(64)), Val: rng.Int63()}
+	}
+	want := emissions(t, NewCombineBuffer(16, func(a, b int64) int64 { return a + b }, 0), 64, scatterBlock, updates)
+	got := emissions(t, NewCombineBuffer(16, combine, op), 64, scatterBlock, updates)
+	if !slices.Equal(got, want) || calls == 0 {
+		t.Fatalf("op buffer emitted %d records through %d Combine calls, the func buffer %d", len(got), calls, len(want))
+	}
+	calls = 0
+	plan, _ := streambuf.NewPlan(2, 2)
+	fold := func(f *streambuf.Folder[Update[int64]]) (int64, []Update[int64]) {
+		a, b := streambuf.New[Update[int64]](len(updates)), streambuf.New[Update[int64]](len(updates))
+		a.Fill(updates)
+		res := streambuf.Shuffle(a, b, plan, 1, func(u Update[int64]) uint32 { return split.Of(u.Dst) })
+		n := f.Fold(res)
+		return n, append(collect(res, 0), collect(res, 1)...)
+	}
+	wantN, wantRecs := fold(NewUpdateFolder(split, 1, func(a, b int64) int64 { return a + b }))
+	gotN, gotRecs := fold(folder)
+	if gotN != wantN || !slices.Equal(gotRecs, wantRecs) || calls == 0 {
+		t.Fatalf("op fold merged %d through %d Combine calls, the func fold %d", gotN, calls, wantN)
+	}
+}
+
+func collect[T any](b *streambuf.Buffer[T], p int) []T {
+	var out []T
+	b.Bucket(p, func(run []T) { out = append(out, run...) })
+	return out
 }

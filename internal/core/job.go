@@ -391,6 +391,7 @@ type jobRun[V, M any] struct {
 	part  Split
 
 	combine func(a, b M) M
+	op      CombineOp
 	folder  *streambuf.Folder[Update[M]]
 	// rep is the assignment's mirror set, nil unless replication is
 	// active (a planned set with no Combiner falls back to nil).
@@ -456,10 +457,7 @@ func (r *jobRun[V, M]) Setup(s JobSetup) error {
 	r.starter, _ = any(r.prog).(IterationStarter)
 	r.directed, _ = any(r.prog).(DirectedProgram)
 	r.remapper, _ = any(r.prog).(StateRemapper[V])
-	if cb, ok := any(r.prog).(Combiner[M]); ok && !s.NoCombine {
-		r.combine = cb.Combine
-		r.folder = NewUpdateFolder(r.part, s.Threads, cb.Combine)
-	}
+	r.combine, r.op, r.folder = Combining(r.prog, s.NoCombine, r.part, s.Threads)
 	// Vertex replication needs the Combiner to merge mirror accumulators;
 	// without one the assignment's mirror set is ignored (the fallback).
 	if r.combine != nil && s.Assignment.Mirrors.Len() > 0 {
@@ -530,7 +528,7 @@ func (r *jobRun[V, M]) BeginScatter() error {
 func (r *jobRun[V, M]) NewScatter(w, p int, chunkEdges int64) JobScatter {
 	s := r.sinks[w]
 	if s == nil {
-		s = &jobScatter[V, M]{r: r, k: NewScatterKernel(r.prog, r.tp, r.combine, r.rep, r.basePriv)}
+		s = &jobScatter[V, M]{r: r, k: NewScatterKernel(r.prog, r.tp, r.combine, r.op, r.rep, r.basePriv)}
 		r.sinks[w] = s
 	}
 	lo, hi := r.part.Range(p, r.setup.NumVertices)

@@ -48,10 +48,31 @@ type Program[V, M any] interface {
 // Combining can be disabled per run (Config.NoCombine in either engine)
 // without changing results, which is how the equivalence suite proves the
 // contract.
+//
+// A Combiner whose Combine is exactly one of the built-in ops may also
+// implement CombineOp() CombineOp to say so. When M is float32, int32 or
+// VertexID, both engines then merge with the op inline, in the combining
+// cache and in the post-shuffle fold, instead of calling Combine through a
+// func value per update; results are bit-identical, because the same
+// operation runs on the same operands in the same order. Any other M, and
+// the mirror accumulator of replication, still call Combine. A type that
+// overrides an embedded program's Combine must override CombineOp too.
 type Combiner[M any] interface {
 	// Combine merges two update values addressed to the same vertex.
 	Combine(a, b M) M
 }
+
+// CombineOp is a built-in merge a Combiner declares its Combine to be (see
+// Combiner). The zero value declares none.
+type CombineOp uint8
+
+const (
+	// CombineSum is Combine(a, b) = a + b.
+	CombineSum CombineOp = iota + 1
+	// CombineMin is Combine(a, b) = a if a < b, else b — the expression, not
+	// the builtin min, which differs on NaN and on ±0.
+	CombineMin
+)
 
 // Direction selects which edge list an iteration streams.
 type Direction int

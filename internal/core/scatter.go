@@ -41,6 +41,10 @@ type ScatterKernel[V, M any] struct {
 	cb   *CombineBuffer[M] // nil without a Combiner
 	mb   *MirrorBuffer[M]  // nil unless replication is active
 	out  []Update[M]       // the plain append buffer; unused with a Combiner
+	// drain is send as a func value, made once with cb: Add passes it on
+	// through the loop it picked, a func value, so a method value made per
+	// block would escape to the heap.
+	drain func([]Update[M])
 
 	p       int
 	lo, per uint32 // partition p owns vertices [lo, lo+per)
@@ -52,16 +56,16 @@ type ScatterKernel[V, M any] struct {
 }
 
 // NewScatterKernel makes a kernel scattering prog into tp through a private
-// buffer of baseRecs records: a combining cache when combine is non-nil
-// (with a mirror accumulator over rep when that is non-nil too), a plain
-// append buffer otherwise.
-func NewScatterKernel[V, M any](prog Program[V, M], tp UpdateTransport[M], combine func(a, b M) M, rep *Replication, baseRecs int) *ScatterKernel[V, M] {
+// buffer of baseRecs records: a combining cache merging by combine and op
+// (both from Combining) when combine is non-nil, with a mirror accumulator
+// over rep when that is non-nil too; a plain append buffer otherwise.
+func NewScatterKernel[V, M any](prog Program[V, M], tp UpdateTransport[M], combine func(a, b M) M, op CombineOp, rep *Replication, baseRecs int) *ScatterKernel[V, M] {
 	k := &ScatterKernel[V, M]{prog: prog, tp: tp}
 	if combine == nil {
 		k.out = make([]Update[M], 0, max(baseRecs, 1))
 		return k
 	}
-	k.cb = NewCombineBuffer(baseRecs, combine)
+	k.cb, k.drain = NewCombineBuffer(baseRecs, combine, op), k.send
 	if rep != nil {
 		k.mb = NewMirrorBuffer(rep, combine)
 	}
@@ -126,7 +130,7 @@ func (k *ScatterKernel[V, M]) route(us []Update[M]) {
 	}
 	k.n.Cross += int64(cross)
 	if k.cb != nil {
-		k.cb.Add(us, k.send)
+		k.cb.Add(us, k.drain)
 		return
 	}
 	for len(us) > 0 {
@@ -158,7 +162,7 @@ func (k *ScatterKernel[V, M]) End() (ScatterCounts, error) {
 		})
 	}
 	if k.cb != nil {
-		k.cb.Sweep(k.send)
+		k.cb.Sweep(k.drain)
 		k.n.Combined += k.cb.Combined
 	} else if len(k.out) > 0 {
 		k.send(k.out)

@@ -279,11 +279,13 @@ type engine[V, M any] struct {
 	k    int
 	part core.Split
 	// combine is the program's update semigroup, nil when the program has
-	// none (or NoCombine disabled it); folder is the reusable pre-writeback
-	// fold over it (nil when partitions are too wide); rep is the
-	// assignment's mirror set, nil unless replication is active (a planned
-	// set with no Combiner falls back to nil).
+	// none (or NoCombine disabled it), and op the CombineOp it declares;
+	// folder is the reusable pre-writeback fold over them (nil when
+	// partitions are too wide); rep is the assignment's mirror set, nil
+	// unless replication is active (a planned set with no Combiner falls
+	// back to nil).
 	combine func(a, b M) M
+	op      core.CombineOp
 	folder  *streambuf.Folder[core.Update[M]]
 	rep     *core.Replication
 	// Schedule is the selective scheduling state, dense unless fp is set.
@@ -347,10 +349,7 @@ func (e *engine[V, M]) Setup(s core.JobSetup) error {
 	if vm, ok := any(e.prog).(core.VertexMapper); ok {
 		vm.MapVertices(e.nv, e.asg.NewID, e.asg.OldID)
 	}
-	if cb, ok := any(e.prog).(core.Combiner[M]); ok && !s.NoCombine {
-		e.combine = cb.Combine
-		e.folder = core.NewUpdateFolder(e.part, s.Threads, e.combine)
-	}
+	e.combine, e.op, e.folder = core.Combining(e.prog, s.NoCombine, e.part, s.Threads)
 	// Vertex replication needs the Combiner to merge mirror accumulators;
 	// without one the assignment's mirror set is ignored (the fallback).
 	if e.combine != nil && e.asg.Mirrors.Len() > 0 {
@@ -635,7 +634,7 @@ func (e *engine[V, M]) scatterSegment(edges []core.Edge, verts []V, lo int64, p,
 func (e *engine[V, M]) scatterRange(w int, edges []core.Edge, verts []V, lo int64, p, window int) (core.ScatterCounts, error) {
 	k := e.kernels[w]
 	if k == nil {
-		k = core.NewScatterKernel(e.prog, e.tp, e.combine, e.rep, basePrivCap)
+		k = core.NewScatterKernel(e.prog, e.tp, e.combine, e.op, e.rep, basePrivCap)
 		e.kernels[w] = k
 	}
 	k.Begin(p, e.part, verts, core.VertexID(lo), min(window, len(edges)))

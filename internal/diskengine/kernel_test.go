@@ -23,24 +23,35 @@ type pushCombProg struct{ pushProg }
 
 func (pushCombProg) Combine(a, b int32) int32 { return a + b }
 
+// pushOpProg declares its Combine to be core.CombineSum and panics when
+// called through the func value, so a caller that does not merge inline shows.
+type pushOpProg struct{ pushProg }
+
+func (pushOpProg) Combine(a, b int32) int32  { panic("merged through the func value, not inline") }
+func (pushOpProg) CombineOp() core.CombineOp { return core.CombineSum }
+
 // TestMemSinkAndDiskRangeShareTheKernel: the in-memory run's partition sink
 // and the spillable run's scatter range are two callers of one kernel, so
 // from the same edges they account the same (sent, cross, combined, synced),
 // put the same number of records into their transports and deliver the same
 // total to every destination — with and without a Combiner, with and without
-// a mirror set (which a program without a Combiner must ignore).
+// a mirror set (which a program without a Combiner must ignore), and with a
+// Combiner that declares an op, which both must merge inline.
 func TestMemSinkAndDiskRangeShareTheKernel(t *testing.T) {
 	src := graphgen.RMAT(graphgen.RMATConfig{Scale: 12, EdgeFactor: 8, Seed: 20})
 	for _, c := range []struct {
-		name            string
-		combine, mirror bool
-	}{{"plain", false, false}, {"combine", true, false}, {"combine+mirrors", true, true}, {"mirrors ignored", false, true}} {
+		name                string
+		combine, op, mirror bool
+	}{{"plain", false, false, false}, {"combine", true, false, false}, {"combine op", true, true, false},
+		{"combine+mirrors", true, false, true}, {"mirrors ignored", false, false, true}} {
 		cfg := Config{Device: ssd(0), Threads: 1, Partitions: 4, IOUnit: 64 << 10, Prefix: c.name}
 		if c.mirror {
 			cfg.Partitioner = core.NewReplicatingPartitioner(core.RangePartitioner{}, core.ReplicationConfig{})
 		}
 		var prog core.Program[int32, int32] = pushProg{}
-		if c.combine {
+		if c.op {
+			prog = pushOpProg{}
+		} else if c.combine {
 			prog = pushCombProg{}
 		}
 		disk := &stubTransport[int32]{keep: true}

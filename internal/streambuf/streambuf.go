@@ -141,13 +141,6 @@ func (b *Buffer[T]) BucketLen(p int) int {
 	return total
 }
 
-// BucketRuns returns the contiguous runs of bucket p without copying.
-func (b *Buffer[T]) BucketRuns(p int) [][]T {
-	var runs [][]T
-	b.Bucket(p, func(r []T) { runs = append(runs, r) })
-	return runs
-}
-
 // BucketTiles streams bucket p exactly as Bucket does, but in tiles of at
 // most tileRecs records; tiles never span a slice-chunk boundary, so the
 // tiling is a pure function of the bucketed layout and tileRecs. These are
@@ -270,36 +263,30 @@ func Shuffle[T any](in, out *Buffer[T], plan Plan, p int, key func(T) uint32) *B
 	return cur
 }
 
-// FoldBuckets merges records that share a slot within every (slice, bucket)
-// chunk of a bucketed buffer, in place, and returns the number of records
-// merged away. slot maps a record of the given bucket to a dense index in
-// [0, slots) — for update streams, the destination vertex's offset inside
-// its partition's vertex range — and merge folds a doomed record into its
+// Folder merges records that share a slot within every (slice, bucket) chunk
+// of a bucketed buffer, in place. A record of a bucket maps to a dense slot
+// in [0, slots) — for update streams, the destination vertex's offset inside
+// its partition's vertex range — and a doomed record merges into its
 // surviving twin. Chunks are compacted towards their own start, so the
-// buffer's chunk index stays valid and consumers simply see shorter
-// buckets; only a Reset restores the invariant that slice regions are
-// densely filled.
+// buffer's chunk index stays valid and consumers simply see shorter buckets;
+// only a Reset restores the invariant that slice regions are densely filled.
 //
 // This is the shuffler's combining step: when updates form a semigroup
 // (core.Combiner), folding each partition's chunk after the final shuffle
 // stage shrinks the stream the gather phase random-accesses vertices for —
 // and, in the out-of-core engine, the bytes written to the update files.
-// Each worker touches only its own slices, so the fold is lock-free like
-// the shuffle itself; records of the same destination that landed in
-// different slices stay separate (the gather merges them anyway).
-func (b *Buffer[T]) FoldBuckets(workers, slots int, slot func(bucket int, rec T) uint32, merge func(dst *T, src T)) int64 {
-	return NewFolder(workers, slots, slot, merge).Fold(b)
-}
-
-// Folder folds buffers repeatedly with cached per-worker slot tables. The
-// out-of-core engine folds every flushed update buffer, so re-allocating
-// the tables (8 bytes per slot per worker) on each fold would put pure
-// zeroing work on the write path; a Folder pays it once. A Folder is safe
-// for sequential reuse, not for concurrent Fold calls.
+// Each worker touches only its own slices, so the fold is lock-free like the
+// shuffle itself; records of the same destination that landed in different
+// slices stay separate (the gather merges them anyway).
+//
+// A Folder keeps its per-worker slot tables across folds. The out-of-core
+// engine folds every flushed update buffer, so re-allocating the tables (8
+// bytes per slot per worker) on each fold would put pure zeroing work on the
+// write path; a Folder pays it once. A Folder is safe for sequential reuse,
+// not for concurrent Fold calls.
 type Folder[T any] struct {
 	slots int
-	slot  func(bucket int, rec T) uint32
-	merge func(dst *T, src T)
+	fold  func(bucket int, recs []T, pos []int32, gen []uint32, cur uint32) int
 	// Per-worker tables: pos remembers, per slot, the compacted position
 	// of the slot's surviving record; gen invalidates a worker's whole
 	// table in O(1) per chunk via the cur counter.
@@ -309,9 +296,14 @@ type Folder[T any] struct {
 }
 
 // NewFolder prepares a fold over records mapped to [0, slots) dense slots
-// per bucket, merging doomed records into their surviving twin, with at
-// most workers parallel slice workers.
-func NewFolder[T any](workers, slots int, slot func(bucket int, rec T) uint32, merge func(dst *T, src T)) *Folder[T] {
+// per bucket, with at most workers parallel slice workers. fold compacts
+// recs, one chunk of bucket, in place and returns how many records it kept,
+// walking them in order: a record whose slot k already has a survivor in the
+// chunk (gen[k] == cur) merges into recs[pos[k]]; any other moves to the
+// next kept position and claims its slot (gen[k] = cur, pos[k] = that
+// position). Taking the whole chunk lets a caller inline the slot and the
+// merge into its loop.
+func NewFolder[T any](workers, slots int, fold func(bucket int, recs []T, pos []int32, gen []uint32, cur uint32) int) *Folder[T] {
 	if slots < 1 {
 		slots = 1
 	}
@@ -320,8 +312,7 @@ func NewFolder[T any](workers, slots int, slot func(bucket int, rec T) uint32, m
 	}
 	f := &Folder[T]{
 		slots: slots,
-		slot:  slot,
-		merge: merge,
+		fold:  fold,
 		pos:   make([][]int32, workers),
 		gen:   make([][]uint32, workers),
 		cur:   make([]uint32, workers),
@@ -334,7 +325,7 @@ func NewFolder[T any](workers, slots int, slot func(bucket int, rec T) uint32, m
 }
 
 // Fold runs the fold over a bucketed buffer and returns the number of
-// records merged away (see FoldBuckets).
+// records merged away.
 func (f *Folder[T]) Fold(b *Buffer[T]) int64 {
 	if b.buckets == 0 {
 		panic("streambuf: fold of a buffer in append state")
@@ -364,21 +355,7 @@ func (f *Folder[T]) Fold(b *Buffer[T]) int64 {
 						}
 						cur = 1
 					}
-					keep := 0
-					recs := b.data[c.Off : c.Off+c.Len]
-					for i, rec := range recs {
-						k := f.slot(g, rec)
-						if gen[k] == cur {
-							f.merge(&recs[pos[k]], rec)
-							continue
-						}
-						gen[k] = cur
-						pos[k] = int32(keep)
-						if keep != i {
-							recs[keep] = rec
-						}
-						keep++
-					}
+					keep := f.fold(g, b.data[c.Off:c.Off+c.Len], pos, gen, cur)
 					n += int64(c.Len - keep)
 					c.Len = keep
 					fill += keep

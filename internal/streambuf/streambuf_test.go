@@ -314,8 +314,10 @@ func TestBucketRunsSliceCount(t *testing.T) {
 	plan, _ := NewPlan(k, 4)
 	res := Shuffle(a, b, plan, p, keyOf)
 	for pt := 0; pt < k; pt++ {
-		if runs := res.BucketRuns(pt); len(runs) > p {
-			t.Fatalf("bucket %d has %d runs > P=%d", pt, len(runs), p)
+		runs := 0
+		res.Bucket(pt, func([]rec) { runs++ })
+		if runs > p {
+			t.Fatalf("bucket %d has %d runs > P=%d", pt, runs, p)
 		}
 	}
 }
@@ -351,6 +353,24 @@ func TestShuffleReshuffleBucketed(t *testing.T) {
 	checkShuffled(t, in, res2, 64)
 }
 
+// sumBySlot is a Folder chunk fold that merges the records of one slot by
+// adding their values.
+func sumBySlot(slot func(bucket int, r rec) uint32) func(int, []rec, []int32, []uint32, uint32) int {
+	return func(g int, recs []rec, pos []int32, gen []uint32, cur uint32) int {
+		keep := 0
+		for _, r := range recs {
+			if k := slot(g, r); gen[k] == cur {
+				recs[pos[k]].Val += r.Val
+			} else {
+				gen[k], pos[k] = cur, int32(keep)
+				recs[keep] = r
+				keep++
+			}
+		}
+		return keep
+	}
+}
+
 // TestFoldBucketsMergesDuplicates: after a fold, every (slice, bucket)
 // chunk holds at most one record per key, sums are preserved, and the
 // buffer's Len/BucketLen reflect the compaction.
@@ -370,8 +390,7 @@ func TestFoldBucketsMergesDuplicates(t *testing.T) {
 	res := Shuffle(a, b, plan, 3, func(r rec) uint32 { return r.Key / 4 })
 
 	before := res.Len()
-	merged := res.FoldBuckets(3, 4, func(bucket int, r rec) uint32 { return r.Key % 4 },
-		func(dst *rec, src rec) { dst.Val += src.Val })
+	merged := NewFolder(3, 4, sumBySlot(func(bucket int, r rec) uint32 { return r.Key % 4 })).Fold(res)
 	if merged <= 0 {
 		t.Fatal("nothing merged from a duplicate-heavy stream")
 	}
@@ -423,7 +442,7 @@ func TestFoldBucketsSingleBucket(t *testing.T) {
 	a.Fill(in)
 	plan, _ := NewPlan(1, 2)
 	res := Shuffle(a, b, plan, 2, keyOf)
-	merged := res.FoldBuckets(2, 5, func(_ int, r rec) uint32 { return r.Key }, func(dst *rec, src rec) { dst.Val += src.Val })
+	merged := NewFolder(2, 5, sumBySlot(func(_ int, r rec) uint32 { return r.Key })).Fold(res)
 	// Two slices of 50 records with 5 keys each -> at most 10 survivors.
 	if res.Len() > 10 {
 		t.Fatalf("Len %d after fold, want <= 10", res.Len())
@@ -451,7 +470,7 @@ func TestFoldBucketsAppendStatePanics(t *testing.T) {
 	}()
 	b := New[rec](10)
 	b.Fill([]rec{{1, 1}})
-	b.FoldBuckets(1, 1, func(int, rec) uint32 { return 0 }, func(*rec, rec) {})
+	NewFolder(1, 1, sumBySlot(func(int, rec) uint32 { return 0 })).Fold(b)
 }
 
 // TestBucketTiles: tiling must concatenate to exactly the Bucket stream,

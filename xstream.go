@@ -28,8 +28,12 @@ type (
 	// semigroup, letting the engines pre-aggregate the update stream
 	// (thread-private combining buffers at scatter time plus a
 	// per-partition fold after the shuffle). Disable per run with
-	// MemConfig/DiskConfig.NoCombine.
+	// MemConfig/DiskConfig.NoCombine. A Combiner whose Combine is exactly
+	// CombineSum or CombineMin may say so with a CombineOp() CombineOp
+	// method; the engines then merge by the op inline.
 	Combiner[M any] = core.Combiner[M]
+	// CombineOp is a built-in merge a Combiner declares its Combine to be.
+	CombineOp = core.CombineOp
 	// FrontierProgram marks programs whose Scatter is a no-op for
 	// vertices that received no update last iteration, letting engines
 	// with MemConfig/DiskConfig.Selective skip inactive partitions and
@@ -58,6 +62,14 @@ type (
 const (
 	Forward  = core.Forward
 	Backward = core.Backward
+)
+
+// Built-in combine ops (see Combiner).
+const (
+	// CombineSum declares Combine(a, b) = a + b.
+	CombineSum = core.CombineSum
+	// CombineMin declares Combine(a, b) = a if a < b, else b.
+	CombineMin = core.CombineMin
 )
 
 // Engine configuration and results.
