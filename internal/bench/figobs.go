@@ -2,8 +2,6 @@ package bench
 
 import (
 	"fmt"
-	"reflect"
-	"time"
 
 	"repro/internal/algorithms"
 	"repro/internal/core"
@@ -22,8 +20,9 @@ import (
 //
 // Three claims, each gated:
 //   - tracing is work-free: the untraced and traced runs agree on every
-//     deterministic work metric (asserted field-by-field via reflection —
-//     a new Stats counter is covered automatically), and the untraced
+//     deterministic work metric (asserted field-by-field over every
+//     non-timing class of core.StatClasses — a new Stats counter is
+//     covered as soon as it is classed), and the untraced
 //     numbers are pinned so the per-iteration bookkeeping itself cannot
 //     drift the engines;
 //   - the per-iteration profile is exact: each run's Iters work counters
@@ -35,33 +34,14 @@ func init() {
 	register("figobs", "Observability overhead: tracing changes no work metric, per-iteration profiles sum exactly", runFigObs)
 }
 
-// workMetrics flattens every deterministic numeric counter of a Stats via
-// reflection — int/int64/float64 fields, excluding durations (wall time is
-// never gated) and the Iters profile itself.
-func workMetrics(s core.Stats) map[string]float64 {
-	out := map[string]float64{}
-	v := reflect.ValueOf(s)
-	t := v.Type()
-	durType := reflect.TypeOf(time.Duration(0))
-	for i := 0; i < t.NumField(); i++ {
-		f := t.Field(i)
-		if f.Type == durType {
-			continue
-		}
-		fv := v.Field(i)
-		switch fv.Kind() {
-		case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
-			out[f.Name] = float64(fv.Int())
-		case reflect.Float32, reflect.Float64:
-			out[f.Name] = fv.Float()
-		}
-	}
-	return out
-}
+// workMetrics are the numeric counters of a Stats that two runs of one
+// workload agree on at one thread: every class in core.StatClasses but
+// timing (wall time is never gated).
+var workMetrics = []core.StatClass{core.StatWork, core.StatSchedule, core.StatIdentity}
 
 // diffWorkMetrics returns the names of counters on which a and b disagree.
 func diffWorkMetrics(a, b core.Stats) []string {
-	am, bm := workMetrics(a), workMetrics(b)
+	am, bm := a.Counters(workMetrics...), b.Counters(workMetrics...)
 	var diff []string
 	for name, av := range am {
 		if bv := bm[name]; av != bv {

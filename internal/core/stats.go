@@ -2,6 +2,8 @@ package core
 
 import (
 	"fmt"
+	"reflect"
+	"slices"
 	"time"
 )
 
@@ -147,10 +149,81 @@ type Stats struct {
 	// destination partition differed from the scattering partition —
 	// measured after send-side combining (the records that actually
 	// moved), unlike CrossPartitionUpdates, which counts before combining.
-	// All three are deterministic work measures for a fixed workload.
+	// Send-side combining is scoped to one scatter task, so all three are
+	// deterministic work measures for a fixed workload.
 	TransportBatches int64
 	TransportBytes   int64
 	TransportCross   int64
+}
+
+// StatClass says what a Stats field measures, and so when two runs of one
+// workload must agree on it.
+type StatClass uint8
+
+const (
+	// StatWork is deterministic work: what the program and the layout did —
+	// iterations, edges streamed, skipped and shared, updates produced and
+	// where they were addressed, what each scatter task sent, the stored
+	// tile layout. Two runs of one workload agree on it at any Threads.
+	StatWork StatClass = iota + 1
+	// StatSchedule is work that depends on which worker reached which task
+	// first: what combining merged away in all (the post-shuffle fold works
+	// on chunks whose make-up follows the workers' order) and every volume
+	// downstream of it — the update stream, device bytes, memory
+	// references — plus retries and checksum failures, which follow the
+	// device's operation order. Two runs agree on it at Threads 1 only.
+	StatSchedule
+	// StatTiming is wall-clock time; two runs never agree on it. Iters is
+	// classed here: it carries each iteration's times, and its work
+	// counters are checked by their sums, the cumulative fields.
+	StatTiming
+	// StatIdentity names the run rather than measuring it: the algorithm,
+	// engine and partitioner, and the shape it ran at.
+	StatIdentity
+)
+
+// StatClasses gives every Stats field, by name, its class: the one list
+// that work-metric compares read.
+var StatClasses = map[string]StatClass{
+	"Algorithm": StatIdentity, "Engine": StatIdentity, "Partitioner": StatIdentity,
+	"Partitions": StatIdentity, "Threads": StatIdentity, "CoJobs": StatIdentity,
+
+	"Iterations": StatWork, "EdgesStreamed": StatWork, "UpdatesSent": StatWork,
+	"WastedEdges": StatWork, "CrossPartitionUpdates": StatWork,
+	"MirroredVertices": StatWork, "MirrorSyncUpdates": StatWork,
+	"EdgesSkipped": StatWork, "PartitionsSkipped": StatWork, "TilesSkipped": StatWork,
+	"EdgesShared": StatWork, "TilesCompressed": StatWork, "CompressedRatio": StatWork,
+	"TransportBatches": StatWork, "TransportBytes": StatWork, "TransportCross": StatWork,
+	"ResumedIterations": StatWork,
+
+	"UpdatesCombined": StatSchedule, "UpdateBytes": StatSchedule,
+	"BytesStreamed": StatSchedule, "BytesRead": StatSchedule, "BytesWritten": StatSchedule,
+	"BytesReadLogical": StatSchedule, "BytesChecksummed": StatSchedule,
+	"IORetries": StatSchedule, "ChecksumFailures": StatSchedule,
+	"RandomRefs": StatSchedule, "SequentialRefs": StatSchedule,
+
+	"TotalTime": StatTiming, "PreprocessTime": StatTiming, "ScatterTime": StatTiming,
+	"ShuffleTime": StatTiming, "GatherTime": StatTiming, "Iters": StatTiming,
+}
+
+// Counters returns the numeric fields of s — integers, floats and
+// durations — whose class is one of classes, by field name.
+func (s Stats) Counters(classes ...StatClass) map[string]float64 {
+	out := map[string]float64{}
+	v := reflect.ValueOf(s)
+	for i := 0; i < v.NumField(); i++ {
+		name := v.Type().Field(i).Name
+		if !slices.Contains(classes, StatClasses[name]) {
+			continue
+		}
+		switch f := v.Field(i); f.Kind() {
+		case reflect.Int, reflect.Int64:
+			out[name] = float64(f.Int())
+		case reflect.Float64:
+			out[name] = f.Float()
+		}
+	}
+	return out
 }
 
 // WastedFraction returns the fraction of streamed edges that produced no

@@ -24,6 +24,12 @@
 // runs lock-free on per-thread slices (§4.2). A job gathers on the threads
 // it has to itself: all of them alone, Threads / jobs when co-scheduled.
 //
+// The transposed edge list a Backward iteration streams is built the first
+// time a job asks for it by streaming the forward buffer (§2), never by
+// sorting it: one pass counts each thread's slice of it by destination
+// partition, and one placement pass writes every edge, transposed, straight
+// into its final place in the one buffer allocated.
+//
 // When the program implements core.Combiner the private buffers become
 // combining buffers and the shuffled result is folded per partition, so
 // the stream the gather phase random-accesses vertices for is
@@ -60,8 +66,10 @@ type Config struct {
 	// Partitions forces the partition count (must be a power of two).
 	// 0 means automatic.
 	Partitions int
-	// Fanout forces the shuffler fanout (power of two >= 2). 0 means
-	// automatic.
+	// Fanout forces the shuffler fanout (power of two >= 2) of the
+	// pre-processing and update shuffles. 0 means automatic. The transpose
+	// is one placement pass whatever the fanout: every shuffle stage is
+	// stable, so its layout is the same at any.
 	Fanout int
 	// MaxIterations bounds the scatter-gather loop as a safety net.
 	// 0 means 1<<20.

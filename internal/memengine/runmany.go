@@ -146,14 +146,17 @@ func (pp *Prepared) Bytes() int64 {
 }
 
 // edges returns the edge buffer (and, when wanted, tile index) for a
-// direction, building the transpose and index lazily, at most once.
+// direction, building the transpose and index lazily, at most once. The
+// transpose is one count pass and one placement pass over the forward
+// buffer, straight into the transposed buffer: no transposed copy is made
+// to shuffle from.
 func (pp *Prepared) edges(dir core.Direction, needTiles bool) (*streambuf.Buffer[core.Edge], [][]core.SrcSpan) {
 	pp.mu.Lock()
 	defer pp.mu.Unlock()
 	buf, tiles := pp.fwd, &pp.tilesFwd
 	if dir == core.Backward {
 		if pp.bwd == nil {
-			pp.bwd = reverseShuffled(pp.fwd, pp.plan, pp.part, pp.cfg.Threads)
+			pp.bwd = transpose(pp.fwd, pp.part, pp.cfg.Threads)
 		}
 		buf, tiles = pp.bwd, &pp.tilesBwd
 	}
@@ -553,27 +556,55 @@ func loadShuffled(src core.EdgeSource, plan streambuf.Plan, part core.Split, thr
 	}), nil
 }
 
-// reverseShuffled builds the transposed, re-partitioned edge buffer with one
-// streaming pass over the forward buffer, partitions transposed in parallel.
-// Each partition's chunk has a fixed place in the pass's output, so the
-// result does not depend on which worker wrote it, or when.
-func reverseShuffled(fwd *streambuf.Buffer[core.Edge], plan streambuf.Plan, part core.Split, threads int) *streambuf.Buffer[core.Edge] {
-	a := streambuf.New[core.Edge](fwd.Cap())
-	out := make([][]core.Edge, part.K)
-	for p := range out {
-		out[p] = a.Extend(fwd.BucketLen(p)) // fits: the chunks sum to fwd.Len() ≤ a.Cap()
+// transpose builds the transposed edge buffer — fwd's edges with source and
+// destination swapped, bucketed by the new source's partition — in the
+// layout a shuffle of the transposed sequence would give: that sequence
+// (fwd's buckets in partition order, each in Bucket order) cut into one
+// equal slice per thread, each slice ordered stably by partition. Every
+// shuffle stage is stable, so this is the layout at any fanout, and it is
+// reached in one count pass and one placement pass over fwd per slice, each
+// edge written once, into the only edge buffer allocated. Each edge's place
+// is fixed by the counts, so the result does not depend on which worker
+// wrote it, or when.
+func transpose(fwd *streambuf.Buffer[core.Edge], part core.Split, threads int) *streambuf.Buffer[core.Edge] {
+	var runs [][]core.Edge
+	for p := 0; p < part.K; p++ {
+		fwd.Bucket(p, func(run []core.Edge) { runs = append(runs, run) })
 	}
-	core.ForEachClaimed(part.K, threads, func(_, p int) {
-		dst := out[p]
-		fwd.Bucket(p, func(run []core.Edge) {
-			for i, ed := range run {
-				dst[i] = core.Edge{Src: ed.Dst, Dst: ed.Src, Weight: ed.Weight}
+	n := fwd.Len()
+	// share calls fn on the pieces of the transposed sequence in slice i.
+	share := func(i int, fn func([]core.Edge)) {
+		lo, hi := i*n/threads, (i+1)*n/threads
+		off := 0
+		for _, run := range runs {
+			if a, b := max(lo-off, 0), min(hi-off, len(run)); a < b {
+				fn(run[a:b])
 			}
-			dst = dst[len(run):]
+			if off += len(run); off >= hi {
+				return
+			}
+		}
+	}
+	counts := make([][]int, threads)
+	core.ForEachClaimed(threads, threads, func(_, i int) {
+		c := make([]int, part.K)
+		share(i, func(run []core.Edge) {
+			for _, ed := range run {
+				c[part.Of(ed.Dst)]++
+			}
+		})
+		counts[i] = c
+	})
+	bwd, dst := streambuf.NewBucketed[core.Edge](fwd.Cap(), counts)
+	core.ForEachClaimed(threads, threads, func(_, i int) {
+		cur := counts[i]
+		share(i, func(run []core.Edge) {
+			for _, ed := range run {
+				p := part.Of(ed.Dst)
+				dst[cur[p]] = core.Edge{Src: ed.Dst, Dst: ed.Src, Weight: ed.Weight}
+				cur[p]++
+			}
 		})
 	})
-	b := streambuf.New[core.Edge](a.Cap())
-	return streambuf.Shuffle(a, b, plan, threads, func(ed core.Edge) uint32 {
-		return part.Of(ed.Src)
-	})
+	return bwd
 }

@@ -16,6 +16,13 @@
 // single-stage shuffle with huge K loses cache locality and prefetcher
 // coverage, so F is bounded by the number of cache lines in the target
 // cache.
+//
+// A producer that can walk its records twice and count each slice's
+// records per bucket needs neither the stages nor the second buffer:
+// NewBucketed lays the chunk index out from its counts, and one placement
+// pass writes every record straight into its final place. Every shuffle
+// stage is stable, so that is the layout a Shuffle of the same slices
+// gives, at any fanout.
 package streambuf
 
 import (
@@ -37,8 +44,8 @@ type Chunk struct {
 //
 //   - append state: records are appended (concurrently) at the shared
 //     cursor; there is no partition structure yet.
-//   - bucketed state: after Shuffle (or Slice for K=1), every slice has an
-//     index array of K chunks and Bucket/BucketLen are meaningful.
+//   - bucketed state: after Shuffle, or from NewBucketed, every slice has
+//     an index array of K chunks and Bucket/BucketLen are meaningful.
 type Buffer[T any] struct {
 	data []T
 	n    atomic.Int64 // shared append cursor (append state)
@@ -89,22 +96,58 @@ func (b *Buffer[T]) Reset() {
 // for concurrent use. It returns false (appending nothing) if the buffer is
 // full; the caller is expected to have sized the buffer so this is fatal.
 func (b *Buffer[T]) Append(batch []T) bool {
-	dst := b.Extend(len(batch))
-	copy(dst, batch)
-	return dst != nil
+	n := int64(len(batch))
+	off := b.n.Add(n) - n
+	if off+n > int64(len(b.data)) {
+		b.n.Add(-n)
+		return false
+	}
+	copy(b.data[off:off+n], batch)
+	return true
 }
 
-// Extend reserves the next n records atomically and returns them for the
-// caller to fill before the buffer is read — Append without the copy, for
-// producers that know their output's place in advance. Safe for concurrent
-// use. It returns nil (reserving nothing) if the records do not fit.
-func (b *Buffer[T]) Extend(n int) []T {
-	off := b.n.Add(int64(n)) - int64(n)
-	if off+int64(n) > int64(len(b.data)) {
-		b.n.Add(int64(-n))
-		return nil
+// NewBucketed allocates a buffer of the given capacity already in bucketed
+// state, for a producer that has counted its records itself: the filled
+// prefix is len(counts) slices laid back to back, slice i holding
+// counts[i][g] records of bucket g, bucket by bucket. Every counts[i] has
+// one entry per bucket. NewBucketed rewrites each counts[i][g] into the
+// offset of chunk (i, g) in the returned record array — the cursor the
+// producer's placement pass advances as it writes the chunk's records in
+// order. The array aliases the buffer; every counted record must be written
+// before the buffer is read.
+func NewBucketed[T any](capacity int, counts [][]int) (*Buffer[T], []T) {
+	if len(counts) == 0 || len(counts[0]) == 0 {
+		panic("streambuf: NewBucketed needs at least one slice and one bucket")
 	}
-	return b.data[off : off+int64(n) : off+int64(n)]
+	b := New[T](capacity)
+	b.buckets = len(counts[0])
+	b.slices = make([]slice, len(counts))
+	base := 0
+	for i, c := range counts {
+		if len(c) != b.buckets {
+			panic(fmt.Sprintf("streambuf: NewBucketed slice %d has %d buckets, slice 0 has %d", i, len(c), b.buckets))
+		}
+		idx, end := chunkIndex(base, c)
+		if end > capacity {
+			panic(fmt.Sprintf("streambuf: NewBucketed of %d+ records into capacity %d", end, capacity))
+		}
+		b.slices[i] = slice{base: base, limit: end, fill: end - base, idx: idx}
+		base = end
+	}
+	return b, b.data
+}
+
+// chunkIndex lays one slice's bucket counts out back to back from base and
+// returns the slice's chunk index and where it ends. It rewrites counts[g]
+// into chunk g's offset, the write cursor of a placement pass.
+func chunkIndex(base int, counts []int) ([]Chunk, int) {
+	idx := make([]Chunk, len(counts))
+	for g, c := range counts {
+		idx[g] = Chunk{Off: base, Len: c}
+		counts[g] = base
+		base += c
+	}
+	return idx, base
 }
 
 // Fill replaces the buffer contents with src (append state).
@@ -394,24 +437,16 @@ func stageShuffle[T any](cur, nxt *Buffer[T], oldBuckets, sub, shift, p int, key
 					counts[nb]++
 				}
 			}
-			// Prefix sums -> chunk offsets within the slice region.
-			idx := make([]Chunk, newBuckets)
-			off := dst.base
-			for nb := 0; nb < newBuckets; nb++ {
-				idx[nb] = Chunk{Off: off, Len: counts[nb]}
-				off += counts[nb]
-			}
+			// Prefix sums -> chunk offsets within the slice region; the
+			// counts become the write cursors.
+			idx, _ := chunkIndex(dst.base, counts)
 			// Pass 2: scatter records to their chunks.
-			cursor := make([]int, newBuckets)
-			for nb := range cursor {
-				cursor[nb] = idx[nb].Off
-			}
 			for g := 0; g < oldBuckets; g++ {
 				c := src.idx[g]
 				for _, rec := range cur.data[c.Off : c.Off+c.Len] {
 					nb := g*sub + int(key(rec))>>shift&(sub-1)
-					nxt.data[cursor[nb]] = rec
-					cursor[nb]++
+					nxt.data[counts[nb]] = rec
+					counts[nb]++
 				}
 			}
 			dst.idx = idx

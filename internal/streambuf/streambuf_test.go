@@ -2,6 +2,7 @@ package streambuf
 
 import (
 	"math/rand"
+	"reflect"
 	"sort"
 	"sync"
 	"testing"
@@ -232,10 +233,11 @@ func TestConcurrentAppend(t *testing.T) {
 	}
 }
 
-// TestExtendReservesDisjointPlaces: concurrent Extends hand out disjoint
-// windows that together are the buffer's filled prefix, a window cannot be
-// appended past its end, and one that does not fit reserves nothing.
-func TestExtendReservesDisjointPlaces(t *testing.T) {
+// TestAppendReservesDisjointPlaces: concurrent Appends of batches of
+// differing sizes (empty ones included) land in disjoint places that
+// together are the buffer's filled prefix, and one that does not fit
+// reserves nothing.
+func TestAppendReservesDisjointPlaces(t *testing.T) {
 	const workers, per = 8, 500
 	b := New[rec](workers*per + 3)
 	var wg sync.WaitGroup
@@ -244,19 +246,19 @@ func TestExtendReservesDisjointPlaces(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for _, n := range []int{per / 2, 0, per - per/2} {
-				win := b.Extend(n)
-				if len(win) != n || cap(win) != n {
-					t.Errorf("Extend(%d) gave len %d cap %d", n, len(win), cap(win))
+				batch := make([]rec, n)
+				for i := range batch {
+					batch[i] = rec{Key: uint32(w), Val: 1}
 				}
-				for i := range win {
-					win[i] = rec{Key: uint32(w), Val: 1}
+				if !b.Append(batch) {
+					t.Errorf("Append of %d records within capacity failed", n)
 				}
 			}
 		}(w)
 	}
 	wg.Wait()
-	if b.Extend(4) != nil || b.Len() != workers*per {
-		t.Fatalf("an Extend past the capacity reserved records: Len = %d, want %d", b.Len(), workers*per)
+	if b.Append(make([]rec, 4)) || b.Len() != workers*per {
+		t.Fatalf("an Append past the capacity reserved records: Len = %d, want %d", b.Len(), workers*per)
 	}
 	counts := make([]int, workers)
 	for _, r := range b.Raw() {
@@ -318,6 +320,53 @@ func TestBucketRunsSliceCount(t *testing.T) {
 		res.Bucket(pt, func([]rec) { runs++ })
 		if runs > p {
 			t.Fatalf("bucket %d has %d runs > P=%d", pt, runs, p)
+		}
+	}
+}
+
+// TestNewBucketedMatchesShuffle: a producer that counts each of P equal
+// slices of its records by key and places them through NewBucketed's
+// cursors builds the layout a Shuffle of the same records on P workers
+// builds, run by run, whatever the stage count — every stage is stable.
+func TestNewBucketedMatchesShuffle(t *testing.T) {
+	for _, tc := range []struct{ n, k, fanout, p int }{
+		{1000, 8, 8, 4}, {1000, 64, 4, 3}, {5, 16, 2, 8}, {0, 4, 2, 2}, {100, 1, 2, 3},
+	} {
+		in := makeRecs(tc.n, uint32(tc.k), int64(tc.n+tc.k))
+		a, b := New[rec](tc.n), New[rec](tc.n)
+		a.Fill(in)
+		plan, err := NewPlan(tc.k, tc.fanout)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := Shuffle(a, b, plan, tc.p, keyOf)
+
+		counts := make([][]int, tc.p)
+		for i := range counts {
+			counts[i] = make([]int, tc.k)
+			for _, r := range in[i*tc.n/tc.p : (i+1)*tc.n/tc.p] {
+				counts[i][r.Key]++
+			}
+		}
+		got, data := NewBucketed[rec](tc.n, counts)
+		for i, cur := range counts {
+			for _, r := range in[i*tc.n/tc.p : (i+1)*tc.n/tc.p] {
+				data[cur[r.Key]] = r
+				cur[r.Key]++
+			}
+		}
+
+		if got.Len() != want.Len() || got.Cap() != want.Cap() || got.Buckets() != want.Buckets() {
+			t.Fatalf("%+v: Len/Cap/Buckets %d/%d/%d, want %d/%d/%d", tc,
+				got.Len(), got.Cap(), got.Buckets(), want.Len(), want.Cap(), want.Buckets())
+		}
+		for p := 0; p < tc.k; p++ {
+			var gotRuns, wantRuns [][]rec
+			got.Bucket(p, func(run []rec) { gotRuns = append(gotRuns, run) })
+			want.Bucket(p, func(run []rec) { wantRuns = append(wantRuns, run) })
+			if !reflect.DeepEqual(gotRuns, wantRuns) {
+				t.Fatalf("%+v: bucket %d runs differ from the shuffle's", tc, p)
+			}
 		}
 	}
 }
