@@ -77,10 +77,11 @@ func runFigChecksum(cfg Config) (*Table, error) {
 
 	// PageRank, verified (default) vs NoVerify: same physical reads, same
 	// bits out, and the verified run's coverage is the headline metric.
-	// The three PageRank runs use one thread, the only count at which two
-	// runs of a float-sum program compare bit for bit and byte for byte:
-	// with more, the order scatter ranges reach the update stream depends
-	// on scheduling (ROADMAP "Fix first", step 2).
+	// The three PageRank runs use one thread, the count the gated baseline
+	// was recorded at. A solo run compares bit for bit and byte for byte at
+	// any thread count (its scatter stripes are fixed and reach the update
+	// stream in kernel order), so un-pinning them is a baseline change
+	// (ROADMAP "Fix first", step (c)).
 	one := cfg
 	one.Threads = 1
 	var prStats [2]core.Stats

@@ -263,8 +263,7 @@ const MaxBufGrowth = 16
 // proportional to the average degree keeps correspondingly more destinations
 // resident; dense partitions grow it up to MaxBufGrowth× the base, growth is
 // capped at the edge count (a task cannot make more residents than it has
-// edges — a caller that Resets per sub-range of the chunk caps at the
-// range's length as well), and the result never shrinks below baseRecs. It
+// edges), and the result never shrinks below baseRecs. It
 // is a pure function of (baseRecs, edges, verts), so combining stays a
 // deterministic function of the task's edge order.
 func DegreeAwareBufRecs(baseRecs int, edges, verts int64) int {

@@ -27,7 +27,12 @@
 // updates in memory; the engine[V, M] in this file, the one run of a solo
 // Run, may spill both — vertex windows to per-partition vertex files,
 // updates to update files behind a fileTransport — and parallelizes scatter
-// and gather inside a chunk. Which of the two regimes a computation gets
+// and gather inside a chunk. Its scatter cuts each segment of a chunk into
+// one stripe per worker, stripe i always through worker i's kernel, whose
+// combining window stays open for the whole partition; what the kernels
+// send reaches the transport in kernel order, so its combining, mirror syncs
+// (flushed per partition and stripe) and update and device bytes do not
+// depend on scheduling. Which of the two regimes a computation gets
 // follows from its memory budget; the iteration protocol (direction and
 // transpose accounting, partition and tile skips, spans, checkpoint timing,
 // resume, cancellation) is the loop's and is written once.
@@ -63,7 +68,6 @@ import (
 	"context"
 	"fmt"
 	"runtime"
-	"sync"
 	"time"
 
 	"repro/internal/core"
@@ -266,9 +270,10 @@ func soloRuns[V, M any](pp *Prepared, prog core.Program[V, M]) func() ([]core.Jo
 
 // engine is the core.JobRun of a solo Run, the one that may spill: vertex
 // state lives in memory or in per-partition vertex files read a window at a
-// time, updates go through update files behind a fileTransport, and both
-// scatter and gather parallelize inside a chunk. The pass loop drives it
-// like any other run.
+// time, updates go through update files behind a fileTransport, scatter
+// parallelizes over fixed stripes of a partition's segments with one
+// partition-lived kernel per worker, and gather inside a chunk. The pass loop
+// drives it like any other run.
 type engine[V, M any] struct {
 	cfg  Config
 	prog core.Program[V, M]
@@ -307,9 +312,10 @@ type engine[V, M any] struct {
 	subA, subB *streambuf.Buffer[core.Update[M]]
 	subPlan    streambuf.Plan
 
-	// kernels holds each scatter worker's kernel, made on the worker's first
-	// scatterRange and reused until the run ends; sink is the run's one
-	// scatter sink, readied per partition by NewScatter.
+	// kernels holds each scatter worker's kernel, made by the first
+	// NewScatter and reused until the run ends; sink is the run's one
+	// scatter sink, which NewScatter readies — every kernel Begun — per
+	// partition.
 	kernels []*core.ScatterKernel[V, M]
 	sink    soloScatter[V, M]
 	// err latches an I/O failure behind the phase hook's vertex view, whose
@@ -511,34 +517,44 @@ func (e *engine[V, M]) updateFold() func(*streambuf.Buffer[core.Update[M]]) int6
 	return e.folder.Fold
 }
 
-// soloScatter is the engine's scatter sink for one partition: its vertex
-// window, starting at vertex lo, the combining window its edge density
-// earns, and the sink's first failure.
+// soloScatter is the engine's scatter sink for one partition: the workers'
+// kernels, Begun on the partition's vertex window, and the sink's first
+// failure.
 type soloScatter[V, M any] struct {
-	e      *engine[V, M]
-	verts  []V
-	lo     int64
-	p      int
-	window int
-	err    error
+	e   *engine[V, M]
+	err error
 }
 
 // NewScatter implements core.JobRun: it loads partition p's vertex window —
-// from the vertex file when state is spilled — and sizes the combining window
-// to the partition's degree: a denser partition repeats update destinations
+// from the vertex file when state is spilled — and Begins every worker's
+// kernel on it for the whole partition, with the combining window the
+// partition's degree earns: a denser partition repeats update destinations
 // more, so more of them are worth keeping resident. A failed load is the
 // sink's first failure. There is one sink and one window buffer, so the
 // worker index is ignored.
 func (e *engine[V, M]) NewScatter(_, p int, fileRecs int64) core.JobScatter {
 	s := &e.sink
-	s.verts, s.lo, s.err = e.loadVerts(p)
-	s.p, s.window = p, core.DegreeAwareBufRecs(basePrivCap, fileRecs, int64(len(s.verts)))
+	var verts []V
+	var lo int64
+	if verts, lo, s.err = e.loadVerts(p); s.err != nil {
+		return s
+	}
+	window := core.DegreeAwareBufRecs(basePrivCap, fileRecs, int64(len(verts)))
+	for w, k := range e.kernels {
+		if k == nil {
+			k = core.NewScatterKernel(e.prog, e.tp, e.combine, e.op, e.rep, basePrivCap)
+			k.HoldSends()
+			e.kernels[w] = k
+		}
+		k.Begin(p, e.part, verts, core.VertexID(lo), window)
+	}
 	return s
 }
 
 // Edges implements core.JobScatter: it scatters the chunk in segments that
-// fit the transport's output window (combining only ever shrinks a segment's
-// append volume, so the room reserved for a segment still suffices).
+// fit the transport's output window. A kernel drained after its stripe has
+// put at most one record per edge into the transport, so the room reserved
+// for a segment suffices whatever its kernels keep resident.
 func (s *soloScatter[V, M]) Edges(chunk []core.Edge) error {
 	e := s.e
 	for off := 0; off < len(chunk) && s.err == nil; {
@@ -548,18 +564,62 @@ func (s *soloScatter[V, M]) Edges(chunk []core.Edge) error {
 			continue
 		}
 		take := min(len(chunk)-off, room)
-		var n core.ScatterCounts
-		n, s.err = e.scatterSegment(chunk[off:off+take], s.verts, s.lo, s.p, s.window)
-		e.it.Add(n)
+		s.err = s.segment(chunk[off : off+take])
 		off += take
 	}
 	return s.err
 }
 
-// Flush implements core.JobScatter. Every scatter range drains its private
-// buffer before it returns, so nothing is left to flush but the sink's
-// failure.
-func (s *soloScatter[V, M]) Flush() error { return s.err }
+// stripeMin is the shortest segment cut into stripes; a shorter one is
+// scattered by kernel 0 alone.
+const stripeMin = 4096
+
+// segment scatters a slice of edges through the workers' kernels (§4.1): cut
+// into one equal stripe per worker, stripe i always goes to kernel i. Keyed
+// on the stripe, not on the goroutine that claims it, every kernel sees a
+// fixed edge sequence — its stripe of every segment in order — so what it
+// combines is a pure function of the partition's edges, the transport's
+// window and Threads. The kernels hold what they send until the stripes are
+// done, and are drained here in index order, so the transport receives the
+// same records in the same order whichever goroutine finished first. Room
+// was reserved for the segment, so a batch the transport refuses means
+// updates would be lost: segment returns the refusal and the iteration fails.
+func (s *soloScatter[V, M]) segment(edges []core.Edge) error {
+	ks := s.e.kernels
+	if len(edges) < stripeMin || len(ks) <= 1 {
+		ks[0].Edges(edges)
+	} else {
+		per := (len(edges) + len(ks) - 1) / len(ks)
+		core.ForEachClaimed((len(edges)+per-1)/per, len(ks), func(_, i int) {
+			ks[i].Edges(edges[i*per : min((i+1)*per, len(edges))])
+		})
+	}
+	for _, k := range ks {
+		if err := k.Drain(); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// Flush implements core.JobScatter, on the coordinator at the end of the
+// partition: it ends the kernels in index order and books their counts. A
+// sweep can hold more residents than the transport's window has room for;
+// no stripe is running, so the kernels flush the window as it fills.
+func (s *soloScatter[V, M]) Flush() error {
+	if s.err != nil {
+		return s.err
+	}
+	for _, k := range s.e.kernels {
+		n, err := k.End()
+		s.e.it.Add(n)
+		if err != nil {
+			s.err = err
+			return err
+		}
+	}
+	return nil
+}
 
 // EndScatter implements core.JobRun: it seals the transport — whose
 // IterFlow carries the fold/writeback accounting — and books the
@@ -593,54 +653,6 @@ func (e *engine[V, M]) EndScatter() error {
 // basePrivCap is the capacity (records) of a scatter kernel's private append
 // buffer; core.DegreeAwareBufRecs scales the combining window from it.
 const basePrivCap = 1024
-
-// scatterSegment scatters a slice of edges through the workers' kernels
-// (§4.1), one contiguous range per thread. verts holds the current
-// partition's vertex window starting at vertex id lo; p is the partition
-// being scattered; window is its degree-aware combining window. It returns
-// the segment's counts and the first range's refusal, if any.
-func (e *engine[V, M]) scatterSegment(edges []core.Edge, verts []V, lo int64, p, window int) (core.ScatterCounts, error) {
-	workers := e.cfg.Threads
-	if len(edges) < 4096 || workers <= 1 {
-		return e.scatterRange(0, edges, verts, lo, p, window)
-	}
-	var mu sync.Mutex
-	var total core.ScatterCounts
-	var first error
-	per := (len(edges) + workers - 1) / workers
-	core.ForEachClaimed((len(edges)+per-1)/per, workers, func(w, i int) {
-		n, err := e.scatterRange(w, edges[i*per:min((i+1)*per, len(edges))], verts, lo, p, window)
-		mu.Lock()
-		total.Add(n)
-		if first == nil {
-			first = err
-		}
-		mu.Unlock()
-	})
-	return total, first
-}
-
-// scatterRange scatters one thread's contiguous run of a segment through
-// worker w's kernel, as a task of its own: the kernel is Reset for it and
-// ended with it, so a range combines exactly as it would through a fresh
-// kernel whichever worker runs it — within a window no wider than the range,
-// which cannot make more residents than it has edges — and the out-of-core
-// engine syncs mirrors per range rather than per partition, flushing
-// somewhat more syncs than the in-memory engine for the same absorbed flood.
-//
-// The caller reserved room for the range in the transport's window, so a
-// Send the transport refuses means updates would be lost: the range returns
-// the refusal and the iteration fails.
-func (e *engine[V, M]) scatterRange(w int, edges []core.Edge, verts []V, lo int64, p, window int) (core.ScatterCounts, error) {
-	k := e.kernels[w]
-	if k == nil {
-		k = core.NewScatterKernel(e.prog, e.tp, e.combine, e.op, e.rep, basePrivCap)
-		e.kernels[w] = k
-	}
-	k.Begin(p, e.part, verts, core.VertexID(lo), min(window, len(edges)))
-	k.Edges(edges) // End returns the task's refusal, this call's included
-	return k.End()
-}
 
 // Gather implements core.JobRun: it drains each partition's sealed update
 // stream from the transport onto its vertex window, partitions in order —

@@ -30,14 +30,105 @@ type pushOpProg struct{ pushProg }
 func (pushOpProg) Combine(a, b int32) int32  { panic("merged through the func value, not inline") }
 func (pushOpProg) CombineOp() core.CombineOp { return core.CombineSum }
 
-// TestMemSinkAndDiskRangeShareTheKernel: the in-memory run's partition sink
-// and the spillable run's scatter range are two callers of one kernel, so
-// from the same edges they account the same (sent, cross, combined, synced),
-// put the same number of records into their transports and deliver the same
-// total to every destination — with and without a Combiner, with and without
-// a mirror set (which a program without a Combiner must ignore), and with a
-// Combiner that declares an op, which both must merge inline.
-func TestMemSinkAndDiskRangeShareTheKernel(t *testing.T) {
+// scatterPartitions drives e's sink over every partition of pp as the pass
+// does — NewScatter, Edges per read chunk, Flush — and returns the counts it
+// booked.
+func scatterPartitions[V, M any](t *testing.T, e *engine[V, M], pp *Prepared) core.ScatterCounts {
+	t.Helper()
+	for p := 0; p < pp.k; p++ {
+		edges := partitionEdges(t, pp, p)
+		sink := e.NewScatter(0, p, int64(len(edges)))
+		for off := 0; off < len(edges); off += pp.bufEdgeRecs {
+			if err := sink.Edges(edges[off:min(off+pp.bufEdgeRecs, len(edges))]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := sink.Flush(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	n := e.it
+	e.it = core.ScatterCounts{}
+	return n
+}
+
+// memSink runs prog's in-memory sink — a core.jobRun set up by pp — through
+// one scatter of every partition and one gather, and returns the gathered
+// vertex states and the run's stats.
+func memSink(t *testing.T, pp *Prepared, prog core.Program[int32, int32]) ([]int32, core.Stats) {
+	t.Helper()
+	run := core.NewJob(prog).NewRun()
+	defer run.Close()
+	if err := run.Setup(pp.jobSetup()); err != nil {
+		t.Fatal(err)
+	}
+	if err := run.BeginScatter(); err != nil {
+		t.Fatal(err)
+	}
+	for p := 0; p < pp.k; p++ {
+		edges := partitionEdges(t, pp, p)
+		ms := run.NewScatter(0, p, int64(len(edges)))
+		if err := ms.Edges(edges); err != nil {
+			t.Fatal(err)
+		}
+		if err := ms.Flush(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := run.EndScatter(); err != nil {
+		t.Fatal(err)
+	}
+	if err := run.Gather(1); err != nil {
+		t.Fatal(err)
+	}
+	verts, st, err := run.Finalize()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return verts.([]int32), st
+}
+
+// memSequence is the record sequence the in-memory sink emits over pp's
+// partitions: per partition one kernel task Begun on the whole vertex array
+// with the partition's degree-aware window, fed the partition's edges and
+// ended, as core's jobScatter runs it, into a transport that keeps what it
+// is sent.
+func memSequence(t *testing.T, pp *Prepared, prog core.Program[int32, int32]) []core.Update[int32] {
+	t.Helper()
+	combine, op, _ := core.Combining(prog, false, pp.part, 1)
+	var rep *core.Replication
+	if combine != nil && pp.asg.Mirrors.Len() > 0 {
+		rep = pp.asg.Mirrors
+	}
+	tp := &stubTransport[int32]{keep: true}
+	k := core.NewScatterKernel(prog, tp, combine, op, rep, basePrivCap)
+	verts := make([]int32, pp.nv)
+	for v := range verts {
+		prog.Init(core.VertexID(v), &verts[v])
+	}
+	for p := 0; p < pp.k; p++ {
+		edges := partitionEdges(t, pp, p)
+		lo, hi := pp.part.Range(p, pp.nv)
+		k.Begin(p, pp.part, verts, 0, core.DegreeAwareBufRecs(basePrivCap, int64(len(edges)), hi-lo))
+		k.Edges(edges)
+		if _, err := k.End(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return tp.recs
+}
+
+// TestMemSinkAndDiskSinkShareTheKernel: the in-memory run's partition sink
+// and the spillable run's sink are two callers of one kernel, which at
+// Threads 1 both keep open for a whole partition. So from the same edges they
+// account the same (sent, cross, combined, synced), emit the same record
+// sequence — the disk sink's cut into Room-bounded segments, drained after
+// each and swept through a window too small to hold the sweep, none of which
+// may reorder a record — and deliver the same total to every destination:
+// with and without a Combiner, with and without a mirror set (which a program
+// without a Combiner must ignore), and with a Combiner that declares an op,
+// which both must merge inline.
+func TestMemSinkAndDiskSinkShareTheKernel(t *testing.T) {
 	src := graphgen.RMAT(graphgen.RMATConfig{Scale: 12, EdgeFactor: 8, Seed: 20})
 	for _, c := range []struct {
 		name                string
@@ -54,56 +145,23 @@ func TestMemSinkAndDiskRangeShareTheKernel(t *testing.T) {
 		} else if c.combine {
 			prog = pushCombProg{}
 		}
-		disk := &stubTransport[int32]{keep: true}
+		disk := &stubTransport[int32]{keep: true, window: 1000}
 		e, pp := setupEngine(t, src, prog, cfg, disk)
 		if got := pp.asg.Mirrors.Len() > 0; got != c.mirror || !pp.asg.Identity() {
 			t.Fatalf("%s: mirror set planned: %v, identity relabeling: %v", c.name, got, pp.asg.Identity())
 		}
-		run := core.NewJob(prog).NewRun()
-		if err := run.Setup(pp.jobSetup()); err != nil {
-			t.Fatal(err)
-		}
-		defer run.Close()
-		if err := run.BeginScatter(); err != nil {
-			t.Fatal(err)
-		}
-
-		var n core.ScatterCounts
-		for p := 0; p < pp.k; p++ {
-			edges := partitionEdges(t, pp, p)
-			if len(edges) < basePrivCap {
-				t.Fatalf("partition %d has %d edges: a range shorter than the base window combines in a narrower one than the sink", p, len(edges))
-			}
-			sink := e.NewScatter(0, p, int64(len(edges))).(*soloScatter[int32, int32])
-			dn, err := e.scatterRange(0, edges, sink.verts, sink.lo, p, sink.window)
-			if err != nil {
-				t.Fatal(err)
-			}
-			n.Add(dn)
-			ms := run.NewScatter(0, p, int64(len(edges)))
-			if err := ms.Edges(edges); err != nil {
-				t.Fatal(err)
-			}
-			if err := ms.Flush(); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if err := run.EndScatter(); err != nil {
-			t.Fatal(err)
-		}
-		if err := run.Gather(1); err != nil {
-			t.Fatal(err)
-		}
-		verts, st, err := run.Finalize()
-		if err != nil {
-			t.Fatal(err)
-		}
+		n := scatterPartitions(t, e, pp)
+		got, st := memSink(t, pp, prog)
+		seq := memSequence(t, pp, prog)
 
 		if n.Sent == 0 || n.Sent == n.Streamed || n.Cross == 0 || (n.Combined > 0) != c.combine || (n.Synced > 0) != (c.combine && c.mirror) {
 			t.Fatalf("%s: workload lost its shape: %+v", c.name, n)
 		}
+		if disk.flushes == 0 {
+			t.Fatalf("%s: the disk sink's window never filled", c.name)
+		}
 		if n.Combined != n.Sent-int64(len(disk.recs)) {
-			t.Errorf("%s: disk range combined %d of %d sent but emitted %d", c.name, n.Combined, n.Sent, len(disk.recs))
+			t.Errorf("%s: disk sink combined %d of %d sent but emitted %d", c.name, n.Combined, n.Sent, len(disk.recs))
 		}
 		memEmitted := st.TransportBytes / int64(pod.Size[core.Update[int32]]())
 		memCounts := core.ScatterCounts{
@@ -111,15 +169,19 @@ func TestMemSinkAndDiskRangeShareTheKernel(t *testing.T) {
 			Combined: st.UpdatesSent - memEmitted, Synced: st.MirrorSyncUpdates,
 		}
 		if memCounts != n {
-			t.Errorf("%s: mem sink counted %+v, disk range %+v", c.name, memCounts, n)
+			t.Errorf("%s: mem sink counted %+v, disk sink %+v", c.name, memCounts, n)
 		}
-		if memEmitted != int64(len(disk.recs)) {
-			t.Errorf("%s: mem sink emitted %d updates, disk range %d", c.name, memEmitted, len(disk.recs))
+		if memEmitted != int64(len(disk.recs)) || len(seq) != len(disk.recs) {
+			t.Fatalf("%s: mem sink emitted %d updates (one task per partition: %d), disk sink %d", c.name, memEmitted, len(seq), len(disk.recs))
+		}
+		for i := range seq {
+			if seq[i] != disk.recs[i] {
+				t.Fatalf("%s: record %d: one task per partition emits %+v, the disk sink %+v", c.name, i, seq[i], disk.recs[i])
+			}
 		}
 		// The mem run gathered its stream onto Init's states; the disk
-		// range's records, summed per destination, must account for every
+		// sink's records, summed per destination, must account for every
 		// vertex's difference.
-		got := verts.([]int32)
 		want := make([]int32, len(got))
 		for v := range want {
 			prog.Init(core.VertexID(v), &want[v])
@@ -129,7 +191,7 @@ func TestMemSinkAndDiskRangeShareTheKernel(t *testing.T) {
 		}
 		for v := range want {
 			if got[v] != want[v] {
-				t.Fatalf("%s: vertex %d gathered to %d from the mem sink, %d from the disk range's updates", c.name, v, got[v], want[v])
+				t.Fatalf("%s: vertex %d gathered to %d from the mem sink, %d from the disk sink's updates", c.name, v, got[v], want[v])
 			}
 		}
 	}

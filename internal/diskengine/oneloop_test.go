@@ -11,6 +11,7 @@ package diskengine
 import (
 	"context"
 	"errors"
+	"fmt"
 	"os"
 	"reflect"
 	"strings"
@@ -38,7 +39,8 @@ func spanCounts(rec *obs.Recorder) map[string]int {
 // TestSoloAndJobShareTheLoop: with vertex state in memory and spilled, for
 // PageRank with its transpose pass, a selective BFS over compressed tiles
 // and WCC under 2PS, solo Run and RunJob give bit-identical vertices, equal
-// loop-owned counters and the same span-name multiset.
+// loop-owned counters — at one thread the transport's bytes too — and the
+// same span-name multiset.
 func TestSoloAndJobShareTheLoop(t *testing.T) {
 	dense, _ := smallGraph(23)
 	type workload struct {
@@ -91,6 +93,11 @@ func TestSoloAndJobShareTheLoop(t *testing.T) {
 				if a != b {
 					t.Errorf("Run and RunJob disagree on loop-owned counters:\n solo %+v\n job  %+v", a, b)
 				}
+				// At one thread both kinds scatter a partition through one
+				// kernel whose combining window stays open for all of it.
+				if w.cfg.Threads == 1 && solo.TransportBytes != job.TransportBytes {
+					t.Errorf("Run sent the transport %d bytes, RunJob %d", solo.TransportBytes, job.TransportBytes)
+				}
 				if w.cfg.Selective && a.tiles == 0 {
 					t.Error("selective workload skipped no tiles")
 				}
@@ -115,6 +122,62 @@ func TestSoloAndJobShareTheLoop(t *testing.T) {
 					t.Error("no partition spans")
 				}
 			})
+		}
+	}
+}
+
+// TestSoloRunRepeatable: every kernel of a solo run sees a fixed edge
+// sequence — its stripe of every segment of a partition — and what the
+// kernels send reaches the transport in kernel order, so two solo runs of one
+// workload agree on every work counter, on what combining merged away, on the
+// update stream and device bytes it left and on every vertex bit, float sums
+// included, at Threads 2 and 4: PageRank and WCC, vertex state in memory and
+// spilled. Partitions hold several chunks of more than stripeMin edges, so
+// segments are cut into stripes, and more destinations than a combining
+// window, so kernels evict while they scatter.
+func TestSoloRunRepeatable(t *testing.T) {
+	src := graphgen.RMAT(graphgen.RMATConfig{Scale: 15, EdgeFactor: 4, Seed: 43, Undirected: true})
+	pagerank, _ := soloAndJob(func() core.Program[algorithms.PRState, float32] { return algorithms.NewPageRank(3) })
+	wcc, _ := soloAndJob(func() core.Program[algorithms.WCCState, core.VertexID] { return algorithms.NewWCC() })
+	for _, w := range []struct {
+		name string
+		run  typedRun
+	}{{"pagerank", pagerank}, {"wcc", wcc}} {
+		for _, threads := range []int{2, 4} {
+			for _, spill := range []bool{false, true} {
+				name := fmt.Sprintf("%s/threads %d/spilled %v", w.name, threads, spill)
+				cfg := Config{Threads: threads, Partitions: 4, IOUnit: 64 << 10}
+				if spill {
+					cfg = spilled(cfg)
+				}
+				var first map[string]float64
+				var firstVerts any
+				for i := 0; i < 2; i++ {
+					cfg.Device = ssd(0)
+					verts, st, err := w.run(src, cfg)
+					if err != nil {
+						t.Fatal(err)
+					}
+					got := st.Counters(core.StatWork)
+					got["UpdatesCombined"], got["UpdateBytes"] = float64(st.UpdatesCombined), float64(st.UpdateBytes)
+					got["BytesRead"], got["BytesWritten"] = float64(st.BytesRead), float64(st.BytesWritten)
+					if st.UpdatesCombined == 0 || st.BytesWritten == 0 {
+						t.Fatalf("%s: workload lost its shape: %d combined, %d bytes written", name, st.UpdatesCombined, st.BytesWritten)
+					}
+					if first == nil {
+						first, firstVerts = got, verts
+						continue
+					}
+					if !reflect.DeepEqual(verts, firstVerts) {
+						t.Errorf("%s: two runs disagree on vertex states", name)
+					}
+					for k, v := range first {
+						if got[k] != v {
+							t.Errorf("%s: %s is %v in one run, %v in another", name, k, v, got[k])
+						}
+					}
+				}
+			}
 		}
 	}
 }

@@ -3,12 +3,14 @@ package diskengine
 // scratch_test.go pins the run-lived buffer ownership of the iteration
 // loop: readers hand their scratch back on every exit path and leave no
 // goroutine behind, a scatter batch the transport refuses fails the
-// iteration, and a warmed scatter range, a warmed single-tile read and a
-// steady-state shared-pass iteration allocate (next to) nothing.
+// iteration while a full window is flushed instead, and a warmed partition
+// through the scatter sink, a warmed single-tile read and a steady-state
+// shared-pass iteration allocate (next to) nothing.
 
 import (
 	"context"
 	"errors"
+	"fmt"
 	"runtime"
 	"sort"
 	"strings"
@@ -180,30 +182,56 @@ func (*sumCombProg) Combine(a, b int32) int32 { return a + b }
 
 // stubTransport accepts (or, with refuse set, rejects) every batch — keeping
 // a copy when keep is set — and otherwise behaves like an empty transport.
+// With window set it holds that many records between flushes and refuses a
+// batch that would overflow them, like the file transport's shuffle window.
+// It is not safe for concurrent sends: the solo sink sends from its
+// coordinator only, and the race detector says so if it does not.
 type stubTransport[M any] struct {
 	refuse, keep bool
+	window       int
+	fill         int
+	flushes      int
 	sent         int64
 	recs         []core.Update[M]
 }
 
 func (s *stubTransport[M]) Send(src int, batch []core.Update[M]) bool {
-	if s.refuse {
+	if s.refuse || len(batch) > s.Room() {
 		return false
 	}
 	s.sent += int64(len(batch))
+	s.fill += len(batch)
 	if s.keep {
 		s.recs = append(s.recs, batch...)
 	}
 	return true
 }
-func (s *stubTransport[M]) Room() int                                          { return 1 << 30 }
-func (s *stubTransport[M]) Flush() error                                       { return nil }
+
+func (s *stubTransport[M]) Room() int {
+	if s.window == 0 {
+		return 1 << 30
+	}
+	return s.window - s.fill
+}
+
+func (s *stubTransport[M]) Flush() error {
+	s.fill = 0
+	s.flushes++
+	return nil
+}
+
+func (s *stubTransport[M]) Cap() int {
+	if s.window == 0 {
+		return 7
+	}
+	return s.window
+}
+
 func (s *stubTransport[M]) Seal() (core.IterFlow, error)                       { return core.IterFlow{}, nil }
 func (s *stubTransport[M]) Pending(p int) int64                                { return 0 }
 func (s *stubTransport[M]) Drain(p int, fn func([]core.Update[M]) error) error { return nil }
 func (s *stubTransport[M]) EndIteration() error                                { return nil }
 func (s *stubTransport[M]) Close() error                                       { return nil }
-func (s *stubTransport[M]) Cap() int                                           { return 7 }
 func (s *stubTransport[M]) Counters() core.TransportCounters                   { return core.TransportCounters{} }
 
 // setupEngine runs Run's preamble — prepare the dataset, set a fresh engine
@@ -228,8 +256,9 @@ func setupEngine[V, M any](t *testing.T, src core.EdgeSource, prog core.Program[
 }
 
 // TestScatterSendRefusedFailsIteration: the scatter reserves room in the
-// transport's window before it scatters a range, so a Send that still says
-// no means updates would vanish. That must fail the pass with an error
+// transport's window before it scatters a segment and flushes a full window
+// before it sweeps on, so a Send that still says no means updates would
+// vanish. That must fail the pass with an error
 // naming the transport's capacity — never a quietly wrong result — with
 // and without a Combiner in front of the transport.
 func TestScatterSendRefusedFailsIteration(t *testing.T) {
@@ -252,6 +281,79 @@ func TestScatterSendRefusedFailsIteration(t *testing.T) {
 	check("combining buffers", comb, pp)
 }
 
+// TestScatterRoomProtocol: the solo sink scatters a partition in segments
+// its transport's window has room for, drains every kernel after its stripe
+// and sweeps the kernels at the partition's end, flushing the window whenever
+// a batch would not fit. Through a window of 64 records — full between
+// segments and in mid-sweep — and one just wide enough to cut segments into
+// stripes, for destinations that never repeat and for sixteen hot ones, at
+// Threads 1, 2 and 4 with vertex state in memory and spilled: nothing is
+// refused, every update sent is delivered or combined away, and every
+// destination receives the total the in-memory sink gathers.
+func TestScatterRoomProtocol(t *testing.T) {
+	const n = 1 << 15
+	distinct, hot := make([]core.Edge, n), make([]core.Edge, n)
+	for i := range distinct {
+		distinct[i] = core.Edge{Src: core.VertexID(i), Dst: core.VertexID((i*7919 + 13) % n)} // odd stride: a permutation
+		hot[i] = core.Edge{Src: core.VertexID(i), Dst: core.VertexID(i % 16 * (n / 16))}
+	}
+	for _, g := range []struct {
+		name  string
+		edges []core.Edge
+	}{{"distinct", distinct}, {"hot", hot}} {
+		for _, window := range []int{64, stripeMin + 404} {
+			for _, threads := range []int{1, 2, 4} {
+				for _, spill := range []bool{false, true} {
+					name := fmt.Sprintf("%s/window %d/threads %d/spilled %v", g.name, window, threads, spill)
+					cfg := Config{Device: ssd(0), Threads: threads, Partitions: 4, IOUnit: 64 << 10}
+					if spill {
+						cfg = spilled(cfg)
+					}
+					tp := &stubTransport[int32]{keep: true, window: window}
+					e, pp := setupEngine[int32, int32](t, core.NewSliceSource(g.edges, n), pushCombProg{}, cfg, tp)
+					if (e.allVerts == nil) != spill {
+						t.Fatalf("%s: vertex state spilled: %v", name, e.allVerts == nil)
+					}
+					var segFlushes, sweepFlushes int
+					for p := 0; p < pp.k; p++ {
+						edges := partitionEdges(t, pp, p)
+						sink := e.NewScatter(0, p, int64(len(edges)))
+						before := tp.flushes
+						if err := sink.Edges(edges); err != nil {
+							t.Fatalf("%s: %v", name, err)
+						}
+						mid := tp.flushes
+						if err := sink.Flush(); err != nil {
+							t.Fatalf("%s: %v", name, err)
+						}
+						segFlushes, sweepFlushes = segFlushes+mid-before, sweepFlushes+tp.flushes-mid
+					}
+					sent := e.it
+					if g.name == "distinct" && window == 64 && (segFlushes == 0 || sweepFlushes == 0) {
+						t.Errorf("%s: %d flushes between segments and %d in sweeps: the window forced too few", name, segFlushes, sweepFlushes)
+					}
+					if int64(len(tp.recs)) != sent.Sent-sent.Combined {
+						t.Errorf("%s: %d records delivered, %d sent − %d combined", name, len(tp.recs), sent.Sent, sent.Combined)
+					}
+					got, _ := memSink(t, pp, pushCombProg{})
+					want := make([]int32, len(got))
+					for v := range want {
+						pushProg{}.Init(core.VertexID(v), &want[v])
+					}
+					for _, u := range tp.recs {
+						want[u.Dst] += u.Val
+					}
+					for v := range want {
+						if got[v] != want[v] {
+							t.Fatalf("%s: vertex %d gathered to %d from the mem sink, %d from the disk sink's updates", name, v, got[v], want[v])
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
 // partitionEdges reads partition p's (raw, unindexed) edge file whole.
 func partitionEdges(t *testing.T, pp *Prepared, p int) (edges []core.Edge) {
 	t.Helper()
@@ -266,34 +368,52 @@ func partitionEdges(t *testing.T, pp *Prepared, p int) (edges []core.Edge) {
 	return edges
 }
 
-// TestScatterRangeAllocatesNothingWarm: once a worker has its kernel,
-// scattering a range through it — Begin, combine, sweep, send — allocates
-// nothing, with or without a Combiner.
-func TestScatterRangeAllocatesNothingWarm(t *testing.T) {
-	src, _ := smallGraph(9)
-	cfg := Config{Device: ssd(0), Threads: 1, Partitions: 1, IOUnit: 64 << 10}
-	run := func(name string, e *engine[int32, int32], pp *Prepared) {
+// TestScatterSinkAllocatesNothingWarm: once the run has its kernels, a
+// partition through the solo sink — NewScatter Begins them, Edges scatters and
+// drains segment by segment, Flush sweeps — allocates nothing, with or without
+// a Combiner, and also when the transport's window is so small that segments
+// end on flushes and the sweep flushes mid-way.
+func TestScatterSinkAllocatesNothingWarm(t *testing.T) {
+	// Sparse, so the combining window is narrow next to the destinations:
+	// they evict while a segment scatters, not only in the sweep.
+	src := graphgen.RMAT(graphgen.RMATConfig{Scale: 14, EdgeFactor: 2, Seed: 9})
+	for _, c := range []struct {
+		name   string
+		prog   core.Program[int32, int32]
+		window int
+	}{
+		{"append buffers", &sumProg{rounds: 1}, 0},
+		{"combining buffers", &sumCombProg{sumProg{rounds: 1}}, 0},
+		{"combining buffers, 64-record window", &sumCombProg{sumProg{rounds: 1}}, 64},
+	} {
+		cfg := Config{Device: ssd(0), Threads: 1, Partitions: 1, IOUnit: 64 << 10}
+		tp := &stubTransport[int32]{window: c.window}
+		e, pp := setupEngine(t, src, c.prog, cfg, tp)
 		edges := partitionEdges(t, pp, 0)
-		sink := e.NewScatter(0, 0, int64(len(edges))).(*soloScatter[int32, int32])
-		if sink.err != nil {
-			t.Fatal(sink.err)
-		}
-		var n core.ScatterCounts
 		var err error
-		scatter := func() { n, err = e.scatterRange(0, edges, sink.verts, sink.lo, 0, sink.window) }
-		scatter() // warm: the worker's kernel is made here
-		if allocs := testing.AllocsPerRun(20, scatter); allocs != 0 {
-			t.Errorf("%s: a warmed scatterRange allocates %.0f times per call", name, allocs)
+		var segFlushes, sweepFlushes int
+		scatter := func() {
+			sink := e.NewScatter(0, 0, int64(len(edges)))
+			before := tp.flushes
+			if err = sink.Edges(edges); err != nil {
+				return
+			}
+			mid := tp.flushes
+			err = sink.Flush()
+			segFlushes, sweepFlushes = mid-before, tp.flushes-mid
 		}
-		if err != nil || n.Sent != int64(len(edges)) {
-			t.Errorf("%s: scattered %d updates from %d edges: %v", name, n.Sent, len(edges), err)
+		scatter() // warm: the kernels are made here
+		e.it = core.ScatterCounts{}
+		if allocs := testing.AllocsPerRun(20, scatter); allocs != 0 {
+			t.Errorf("%s: a warmed partition through the sink allocates %.0f times", c.name, allocs)
+		}
+		if err != nil || e.it.Sent != 21*int64(len(edges)) { // AllocsPerRun calls scatter once more than it counts
+			t.Errorf("%s: scattered %d updates from 21 × %d edges: %v", c.name, e.it.Sent, len(edges), err)
+		}
+		if c.window > 0 && (segFlushes == 0 || sweepFlushes == 0) {
+			t.Errorf("%s: %d flushes between segments and %d in the sweep: the window forced no flush", c.name, segFlushes, sweepFlushes)
 		}
 	}
-	e, pp := setupEngine[int32, int32](t, src, &sumProg{rounds: 1}, cfg, &stubTransport[int32]{})
-	run("append buffers", e, pp)
-	cfg.Prefix = "comb-"
-	e, pp = setupEngine[int32, int32](t, src, &sumCombProg{sumProg{rounds: 1}}, cfg, &stubTransport[int32]{})
-	run("combining buffers", e, pp)
 }
 
 // TestSingleTileStreamAllocatesNothingWarm: what a selective iteration
