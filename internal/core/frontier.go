@@ -214,9 +214,14 @@ func (s SrcSpan) Intersects(f *Frontier) bool {
 // CountByPartition returns the active-vertex count of every partition of
 // the split — the per-iteration schedule selective engines consult: zero
 // means the partition's whole edge chunk (or edge file) is skipped, a
-// partial count routes the partition through tile-granular skipping.
-func (f *Frontier) CountByPartition(s Split) []int64 {
-	out := make([]int64, s.K)
+// partial count routes the partition through tile-granular skipping. The
+// counts are written into dst's storage when it has room for s.K of them.
+func (f *Frontier) CountByPartition(s Split, dst []int64) []int64 {
+	out := dst[:0]
+	if cap(out) < s.K {
+		out = make([]int64, s.K)
+	}
+	out = out[:s.K]
 	for p := range out {
 		lo, hi := s.Range(p, f.n)
 		out[p] = f.CountRange(lo, hi)
@@ -266,10 +271,10 @@ func (s *Schedule) Seed(v VertexID) {
 func (s *Schedule) Receivers() *Frontier { return s.nxt }
 
 // Recount refreshes the per-partition active counts the Needs methods
-// answer from; call once per iteration before the scatter.
+// answer from, in place; call once per iteration before the scatter.
 func (s *Schedule) Recount() {
 	if s.cur != nil {
-		s.active = s.cur.CountByPartition(s.part)
+		s.active = s.cur.CountByPartition(s.part, s.active)
 	}
 }
 

@@ -57,9 +57,13 @@ func TestFrontierAgainstReference(t *testing.T) {
 		// Per-partition counts match per-range counts for any power-of-two K.
 		k := 1 << rng.Intn(5)
 		split := NewSplit(n, k)
-		counts := f.CountByPartition(split)
+		counts := f.CountByPartition(split, nil)
 		if len(counts) != k {
 			t.Fatalf("CountByPartition returned %d entries, want %d", len(counts), k)
+		}
+		// Recounting into the same storage reuses it.
+		if again := f.CountByPartition(split, counts); &again[0] != &counts[0] {
+			t.Fatal("CountByPartition did not reuse a large enough dst")
 		}
 		var total int64
 		for p, c := range counts {

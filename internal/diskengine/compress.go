@@ -89,7 +89,7 @@ func (c *tileCompressor) flushTile(p int, edges []core.Edge) error {
 		span.Add(ed.Src)
 	}
 	t := c.tiles
-	t.parts[p] = append(t.parts[p], tileSpan{
+	t.appendTile(p, tileSpan{
 		recs: int64(len(edges)), span: span, off: off, bytes: int64(len(c.buf)),
 	})
 	t.logicalBytes += int64(len(edges)) * edgeRecSize

@@ -472,9 +472,9 @@ func (a *allocProbe) StartIteration(iter int) {
 // TestSharedPassIterationAllocation: a steady-state iteration of a
 // selective BFS shared pass over the benchmark's layout (clique chain, 2PS,
 // compressed tiles) borrows every buffer it needs from the pass and the
-// job, the pass's run and sink lists included — what it still allocates is
-// bookkeeping (the frontier's per-partition counts, the closures handed to
-// the partition reader, span-free stats): 1216 bytes, gated at twice that.
+// job, the pass's run and sink lists and the frontier's per-partition counts
+// included — what it still allocates is bookkeeping (the closures handed to
+// the partition reader, span-free stats): 1024 bytes, gated at 1.5× that.
 // The median over the steady iterations is taken because a few of them pay
 // for the amortised growth of the per-iteration stats and of this probe's
 // samples.
@@ -501,7 +501,9 @@ func TestSharedPassIterationAllocation(t *testing.T) {
 		deltas = append(deltas, probe.total[i+1]-probe.total[i])
 	}
 	sort.Slice(deltas, func(i, j int) bool { return deltas[i] < deltas[j] })
-	if med := deltas[len(deltas)/2]; med >= 2432 {
-		t.Errorf("a steady shared-pass iteration allocates %d bytes (median of %d), want < 2432", med, len(deltas))
+	med := deltas[len(deltas)/2]
+	t.Logf("a steady shared-pass iteration allocates %d bytes (median of %d)", med, len(deltas))
+	if med >= 1536 {
+		t.Errorf("a steady shared-pass iteration allocates %d bytes (median of %d), want < 1536", med, len(deltas))
 	}
 }

@@ -41,6 +41,7 @@ type diskTiles struct {
 	// files at all — a compressed file cannot be streamed without it.
 	compressed bool
 	parts      [][]tileSpan
+	partRecs   []int64    // per-partition record total of parts, kept by appendTile
 	open       []tileSpan // per-partition tile still being filled
 	// Codec accounting, filled during the shuffle alongside the index:
 	// delta-encoded tile count, and the logical (decoded) vs physical
@@ -54,6 +55,7 @@ func newDiskTiles(k, tileRecs int) *diskTiles {
 	return &diskTiles{
 		tileRecs: int64(tileRecs),
 		parts:    make([][]tileSpan, k),
+		partRecs: make([]int64, k),
 		open:     make([]tileSpan, k),
 	}
 }
@@ -68,12 +70,13 @@ func newDiskTilesFor(k, tileRecs int, compressed bool) *diskTiles {
 // totalRecs returns the logical record count of partition p's edge file —
 // for the compressed layout the file size says nothing about it, the
 // index is the source of truth.
-func (t *diskTiles) totalRecs(p int) int64 {
-	var n int64
-	for _, tile := range t.parts[p] {
-		n += tile.recs
-	}
-	return n
+func (t *diskTiles) totalRecs(p int) int64 { return t.partRecs[p] }
+
+// appendTile closes tile as the next tile of partition p. Every tile enters
+// the index here, so the per-partition totals stay in step with it.
+func (t *diskTiles) appendTile(p int, tile tileSpan) {
+	t.parts[p] = append(t.parts[p], tile)
+	t.partRecs[p] += tile.recs
 }
 
 // observe folds one appended run into partition p's tiles, accumulating
@@ -96,7 +99,7 @@ func (t *diskTiles) observe(p int, run []core.Edge) {
 		open.recs += take
 		run = run[take:]
 		if open.recs == t.tileRecs {
-			t.parts[p] = append(t.parts[p], *open)
+			t.appendTile(p, *open)
 			open.recs, open.crc = 0, 0
 		}
 	}
@@ -107,7 +110,7 @@ func (t *diskTiles) observe(p int, run []core.Edge) {
 func (t *diskTiles) finish() {
 	for p := range t.open {
 		if t.open[p].recs > 0 {
-			t.parts[p] = append(t.parts[p], t.open[p])
+			t.appendTile(p, t.open[p])
 			t.open[p].recs, t.open[p].crc = 0, 0
 		}
 	}
@@ -132,11 +135,7 @@ func (t *diskTiles) activeSegments(p int, front *core.Frontier, wantRecs int64) 
 // shared-pass execution streams a tile when *any* co-scheduled job's
 // frontier needs it, so the predicate there is a union over jobs.
 func (t *diskTiles) activeSegmentsFunc(p int, need func(core.SrcSpan) bool, wantRecs int64) (segs []recRange, skippedRecs, skippedTiles int64) {
-	var total int64
-	for _, tile := range t.parts[p] {
-		total += tile.recs
-	}
-	if total != wantRecs {
+	if t.totalRecs(p) != wantRecs {
 		return []recRange{{0, wantRecs}}, 0, 0
 	}
 	off := int64(0)
@@ -171,7 +170,8 @@ type edgeSegment struct {
 // edgeFileRecs). The skip counts are zero when need is nil. It is the one
 // place both layouts' read planning meets: the raw path delegates to
 // activeSegmentsFunc (keeping its whole-file safety net), the compressed
-// path walks its authoritative index directly.
+// path walks its authoritative index directly. Either way need is asked
+// once per tile.
 func planSegments(t *diskTiles, p int, need func(core.SrcSpan) bool, fileRecs int64) (segs []edgeSegment, skippedRecs, skippedTiles int64) {
 	if t == nil || (need == nil && !t.compressed) {
 		if fileRecs == 0 {
@@ -187,22 +187,24 @@ func planSegments(t *diskTiles, p int, need func(core.SrcSpan) bool, fileRecs in
 		return segs, sr, st
 	}
 	tiles := t.parts[p]
-	off := int64(0)
-	for i := 0; i < len(tiles); {
-		if need != nil && !need(tiles[i].span) {
-			skippedRecs += tiles[i].recs
+	first, lo, off := -1, int64(0), int64(0) // first tile and record of the open run; -1: none
+	for i, tile := range tiles {
+		if need == nil || need(tile.span) {
+			if first < 0 {
+				first, lo = i, off
+			}
+		} else {
+			if first >= 0 {
+				segs = append(segs, edgeSegment{lo: lo, hi: off, tiles: tiles[first:i]})
+				first = -1
+			}
+			skippedRecs += tile.recs
 			skippedTiles++
-			off += tiles[i].recs
-			i++
-			continue
 		}
-		j, lo := i, off
-		for j < len(tiles) && (need == nil || need(tiles[j].span)) {
-			off += tiles[j].recs
-			j++
-		}
-		segs = append(segs, edgeSegment{lo: lo, hi: off, tiles: tiles[i:j]})
-		i = j
+		off += tile.recs
+	}
+	if first >= 0 {
+		segs = append(segs, edgeSegment{lo: lo, hi: off, tiles: tiles[first:]})
 	}
 	return segs, skippedRecs, skippedTiles
 }

@@ -227,9 +227,28 @@ func DecodeVerify(data []byte, out []core.Edge, verify bool) ([]core.Edge, int, 
 		return out, end, nil
 	}
 
+	// The two ID columns decode on inline fast paths first: a one- or
+	// two-byte source delta, a one- to three-byte destination, each taken
+	// only when the varint terminates inside bytes the fast path has already
+	// bounds-checked. Their values cannot overflow 32 bits, so they need no
+	// check of their own. A longer, unterminated or payload-end varint falls
+	// through to the binary.Varint/Uvarint decoder, which owns every error.
 	q := 0
 	prev := uint32(0)
 	for i := range out {
+		if rest := payload[q:]; len(rest) >= 2 {
+			if b0 := rest[0]; b0 < 0x80 {
+				prev += unzigzag(uint32(b0))
+				out[i].Src = core.VertexID(prev)
+				q++
+				continue
+			} else if b1 := rest[1]; b1 < 0x80 {
+				prev += unzigzag(uint32(b0&0x7f) | uint32(b1)<<7)
+				out[i].Src = core.VertexID(prev)
+				q += 2
+				continue
+			}
+		}
 		d, k := binary.Varint(payload[q:])
 		if k <= 0 {
 			return nil, 0, fmt.Errorf("tilecodec: malformed source delta at record %d", i)
@@ -242,6 +261,23 @@ func DecodeVerify(data []byte, out []core.Edge, verify bool) ([]core.Edge, int, 
 		out[i].Src = core.VertexID(prev)
 	}
 	for i := range out {
+		if rest := payload[q:]; len(rest) >= 3 {
+			b0, b1, b2 := rest[0], rest[1], rest[2]
+			switch {
+			case b0 < 0x80:
+				out[i].Dst = core.VertexID(b0)
+				q++
+				continue
+			case b1 < 0x80:
+				out[i].Dst = core.VertexID(uint32(b0&0x7f) | uint32(b1)<<7)
+				q += 2
+				continue
+			case b2 < 0x80:
+				out[i].Dst = core.VertexID(uint32(b0&0x7f) | uint32(b1&0x7f)<<7 | uint32(b2)<<14)
+				q += 3
+				continue
+			}
+		}
 		v, k := binary.Uvarint(payload[q:])
 		if k <= 0 {
 			return nil, 0, fmt.Errorf("tilecodec: malformed destination at record %d", i)
@@ -283,3 +319,7 @@ func DecodeVerify(data []byte, out []core.Edge, verify bool) ([]core.Edge, int, 
 	}
 	return out, end, nil
 }
+
+// unzigzag maps a zigzag-encoded delta back to its two's-complement value
+// in wrapping uint32 arithmetic, as binary.Varint followed by int32 does.
+func unzigzag(u uint32) uint32 { return u>>1 ^ -(u & 1) }

@@ -1,7 +1,9 @@
 package tilecodec
 
 import (
+	"encoding/binary"
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -267,6 +269,277 @@ func TestChecksumMismatchIsErrCorrupted(t *testing.T) {
 	if _, _, err := DecodeVerify(buf, nil, false); err != nil {
 		t.Fatalf("unverified decode of payload corruption: %v", err)
 	}
+}
+
+// referenceDecode is DecodeVerify without the fast paths: every ID goes
+// through binary.Varint/Uvarint. It is the oracle TestDecodeMatchesReference
+// and FuzzDecodeTile hold the decoder to — same records, same bytes
+// consumed, same error text.
+func referenceDecode(data []byte, out []core.Edge, verify bool) ([]core.Edge, int, error) {
+	if len(data) < 3 {
+		return nil, 0, fmt.Errorf("tilecodec: tile header truncated: %d bytes", len(data))
+	}
+	flag := data[0] &^ FlagCRC
+	hasCRC := data[0]&FlagCRC != 0
+	if flag != FlagRaw && flag != FlagDelta {
+		return nil, 0, fmt.Errorf("tilecodec: unknown tile flag 0x%02x", data[0])
+	}
+	pos := 1
+	n64, k := binary.Uvarint(data[pos:])
+	if k <= 0 {
+		return nil, 0, fmt.Errorf("tilecodec: malformed record count")
+	}
+	pos += k
+	if n64 == 0 || n64 > MaxTileRecs {
+		return nil, 0, fmt.Errorf("tilecodec: record count %d outside (0, %d]", n64, MaxTileRecs)
+	}
+	n := int(n64)
+	plen64, k := binary.Uvarint(data[pos:])
+	if k <= 0 {
+		return nil, 0, fmt.Errorf("tilecodec: malformed payload length")
+	}
+	pos += k
+	avail := uint64(len(data) - pos)
+	trailer := uint64(0)
+	if hasCRC {
+		trailer = 4
+	}
+	if plen64 > avail || plen64+trailer > avail {
+		return nil, 0, fmt.Errorf("tilecodec: payload truncated: header claims %d bytes, %d available", plen64+trailer, avail)
+	}
+	payload := data[pos : pos+int(plen64)]
+	end := pos + int(plen64+trailer)
+	if hasCRC && verify {
+		want := binary.LittleEndian.Uint32(data[pos+int(plen64):])
+		if got := storage.Checksum(payload); got != want {
+			return nil, 0, fmt.Errorf("tilecodec: tile payload checksum %08x, want %08x: %w",
+				got, want, storage.ErrCorrupted)
+		}
+	}
+
+	if cap(out) < n {
+		out = make([]core.Edge, n)
+	}
+	out = out[:n]
+
+	if flag == FlagRaw {
+		if len(payload) != n*EdgeBytes {
+			return nil, 0, fmt.Errorf("tilecodec: raw payload of %d bytes for %d records", len(payload), n)
+		}
+		for i := range out {
+			rec := payload[i*EdgeBytes:]
+			out[i] = core.Edge{
+				Src:    core.VertexID(binary.LittleEndian.Uint32(rec)),
+				Dst:    core.VertexID(binary.LittleEndian.Uint32(rec[4:])),
+				Weight: math.Float32frombits(binary.LittleEndian.Uint32(rec[8:])),
+			}
+		}
+		return out, end, nil
+	}
+
+	q := 0
+	prev := uint32(0)
+	for i := range out {
+		d, k := binary.Varint(payload[q:])
+		if k <= 0 {
+			return nil, 0, fmt.Errorf("tilecodec: malformed source delta at record %d", i)
+		}
+		if d < math.MinInt32 || d > math.MaxInt32 {
+			return nil, 0, fmt.Errorf("tilecodec: source delta %d overflows 32 bits at record %d", d, i)
+		}
+		q += k
+		prev += uint32(int32(d))
+		out[i].Src = core.VertexID(prev)
+	}
+	for i := range out {
+		v, k := binary.Uvarint(payload[q:])
+		if k <= 0 {
+			return nil, 0, fmt.Errorf("tilecodec: malformed destination at record %d", i)
+		}
+		if v > math.MaxUint32 {
+			return nil, 0, fmt.Errorf("tilecodec: destination %d overflows 32 bits at record %d", v, i)
+		}
+		q += k
+		out[i].Dst = core.VertexID(v)
+	}
+	if q >= len(payload) {
+		return nil, 0, fmt.Errorf("tilecodec: weight block missing")
+	}
+	switch payload[q] {
+	case weightConst:
+		q++
+		if len(payload)-q < 4 {
+			return nil, 0, fmt.Errorf("tilecodec: constant weight truncated")
+		}
+		w := math.Float32frombits(binary.LittleEndian.Uint32(payload[q:]))
+		q += 4
+		for i := range out {
+			out[i].Weight = w
+		}
+	case weightRaw:
+		q++
+		if len(payload)-q < n*4 {
+			return nil, 0, fmt.Errorf("tilecodec: weight block of %d bytes for %d records", len(payload)-q, n)
+		}
+		for i := range out {
+			out[i].Weight = math.Float32frombits(binary.LittleEndian.Uint32(payload[q+4*i:]))
+		}
+		q += n * 4
+	default:
+		return nil, 0, fmt.Errorf("tilecodec: unknown weight mode 0x%02x", payload[q])
+	}
+	if q != len(payload) {
+		return nil, 0, fmt.Errorf("tilecodec: %d bytes of trailing garbage in tile payload", len(payload)-q)
+	}
+	return out, end, nil
+}
+
+// matchReference decodes data with DecodeVerify and referenceDecode and
+// reports the first way they differ: accept/reject, error text, bytes
+// consumed, or any record bit.
+func matchReference(data []byte, verify bool) error {
+	got, gn, gerr := DecodeVerify(data, nil, verify)
+	want, wn, werr := referenceDecode(data, nil, verify)
+	if (gerr == nil) != (werr == nil) || (gerr != nil && gerr.Error() != werr.Error()) {
+		return fmt.Errorf("decode error %v, reference %v", gerr, werr)
+	}
+	if gn != wn || len(got) != len(want) {
+		return fmt.Errorf("decoded %d records in %d bytes, reference %d in %d", len(got), gn, len(want), wn)
+	}
+	for i := range want {
+		g, w := got[i], want[i]
+		if g.Src != w.Src || g.Dst != w.Dst || math.Float32bits(g.Weight) != math.Float32bits(w.Weight) {
+			return fmt.Errorf("record %d: %+v, reference %+v", i, g, w)
+		}
+	}
+	return nil
+}
+
+// deltaTile frames a hand-built FlagDelta payload claiming n records, with
+// a valid checksum, so the payload decoder sees it exactly as written.
+func deltaTile(n int, payload []byte) []byte {
+	tile := []byte{FlagDelta | FlagCRC}
+	tile = binary.AppendUvarint(tile, uint64(n))
+	tile = binary.AppendUvarint(tile, uint64(len(payload)))
+	tile = append(tile, payload...)
+	return binary.LittleEndian.AppendUint32(tile, storage.Checksum(payload))
+}
+
+// constWeight is a constant-weight block: the mode byte and one float32.
+var constWeight = []byte{weightConst, 0, 0, 0x80, 0x3f}
+
+// boundaryTiles are delta tiles whose IDs sit on and around every fast-path
+// boundary — value boundaries, non-minimal encodings, 32-bit overflows and
+// varints that end at or run past the payload's last byte — encoded both
+// in one-record tiles and in runs long enough that the fast paths have room
+// to fire.
+func boundaryTiles() [][]byte {
+	dsts := []uint64{0, 1, 0x7f, 0x80, 0x81, 1<<14 - 1, 1 << 14, 1<<14 + 1,
+		1<<21 - 1, 1 << 21, 1<<21 + 1, 1<<28 - 1, 1 << 28, math.MaxUint32, math.MaxUint32 + 1, math.MaxUint64}
+	deltas := []int64{0, 1, -1, 63, -63, 64, -64, 65, -65, 8191, -8191, 8192, -8192, 8193, -8193,
+		1<<20 - 1, -1 << 20, math.MaxInt32, math.MinInt32, math.MaxInt32 + 1, math.MinInt32 - 1, math.MaxInt64, math.MinInt64}
+	// Non-minimal and unterminated byte strings, used as a source delta
+	// and as a destination.
+	odd := [][]byte{
+		{0x80, 0x00}, {0xff, 0x00}, {0x80, 0x80, 0x00}, {0xff, 0xff, 0x00}, {0x81, 0x80, 0x00},
+		{0x80, 0x80, 0x80, 0x00}, {0xff, 0xff, 0xff, 0x7f}, {0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x01},
+		{0x80}, {0x80, 0x80}, {0x80, 0x80, 0x80}, {0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01},
+	}
+	var tiles [][]byte
+	add := func(n int, parts ...[]byte) {
+		var p []byte
+		for _, b := range parts {
+			p = append(p, b...)
+		}
+		tiles = append(tiles, deltaTile(n, p))
+	}
+	one := binary.AppendVarint(nil, 1)
+	for _, v := range dsts {
+		d := binary.AppendUvarint(nil, v)
+		add(1, one, d, constWeight)
+		add(3, one, one, one, d, d, d, constWeight)
+		add(1, one, d) // the destination ends on the payload's last byte
+	}
+	for _, v := range deltas {
+		d := binary.AppendVarint(nil, v)
+		add(1, d, one, constWeight)
+		add(3, d, d, d, one, one, one, constWeight)
+		add(1, d) // the delta ends on the payload's last byte
+	}
+	for _, b := range odd {
+		add(1, b, one, constWeight)
+		add(2, b, b, one, one, constWeight)
+		add(1, one, b, constWeight)
+		add(2, one, one, b, b, constWeight)
+		add(1, b)
+		add(1, one, b)
+	}
+	return tiles
+}
+
+// TestDecodeMatchesReference holds the fast-path decoder to the plain
+// varint loops it replaced, on every fast-path boundary and on every
+// truncation of a valid tile: identical records, bytes consumed and error
+// text, with the checksum verified and skipped alike.
+func TestDecodeMatchesReference(t *testing.T) {
+	inputs := boundaryTiles()
+	// Encoder-built tiles around the same boundaries, and every truncation
+	// of them: of the tile bytes (header and framing errors) and of the
+	// payload re-framed with a valid header and checksum (payload-end
+	// errors, mid-varint included).
+	var enc Encoder
+	rng := rand.New(rand.NewSource(10))
+	for _, edges := range [][]core.Edge{
+		{{Src: 0x7f, Dst: 0x80}, {Src: 0x7f + 64, Dst: 1<<14 - 1}, {Src: 0x7f, Dst: 1 << 14}, {Src: 0x7f + 8192, Dst: 1<<21 - 1}, {Src: 0x7f, Dst: 1 << 21}},
+		{{Src: math.MaxUint32, Dst: math.MaxUint32, Weight: 1}, {Src: 0, Dst: 0, Weight: 2}, {Src: 1 << 31, Dst: 1 << 21, Weight: 3}},
+		clusteredEdges(rng, 200),
+	} {
+		valid, _, err := enc.Encode(nil, edges)
+		if err != nil {
+			t.Fatal(err)
+		}
+		inputs = append(inputs, valid)
+		for cut := 0; cut < len(valid); cut++ {
+			inputs = append(inputs, valid[:cut])
+		}
+		_, countBytes := binary.Uvarint(valid[1:])
+		_, plenBytes := binary.Uvarint(valid[1+countBytes:])
+		payload := valid[1+countBytes+plenBytes : len(valid)-4]
+		for cut := 0; cut < len(payload); cut++ {
+			inputs = append(inputs, deltaTile(len(edges), payload[:cut]))
+		}
+	}
+	// Random payloads over the bytes that steer the varint decoders.
+	steer := []byte{0x00, 0x01, 0x3f, 0x40, 0x7f, 0x80, 0x81, 0xfe, 0xff}
+	for i := 0; i < 4000; i++ {
+		p := make([]byte, rng.Intn(24))
+		for j := range p {
+			p[j] = steer[rng.Intn(len(steer))]
+		}
+		inputs = append(inputs, deltaTile(1+rng.Intn(4), p))
+	}
+	for i, data := range inputs {
+		for _, verify := range []bool{true, false} {
+			if err := matchReference(data, verify); err != nil {
+				t.Fatalf("input %d (% x), verify=%v: %v", i, data, verify, err)
+			}
+		}
+	}
+}
+
+// clusteredEdges is a run shaped like a 2PS-relabeled tile: sources in a
+// band of 20 000, so deltas take one to three bytes and fast paths
+// interleave with the fallback; destinations below 2²¹.
+func clusteredEdges(rng *rand.Rand, n int) []core.Edge {
+	edges := make([]core.Edge, n)
+	for i := range edges {
+		edges[i] = core.Edge{
+			Src:    core.VertexID(5000 + rng.Intn(20000)),
+			Dst:    core.VertexID(rng.Intn(1 << 21)),
+			Weight: rng.Float32(),
+		}
+	}
+	return edges
 }
 
 func TestDecodeAcceptsPreChecksumTiles(t *testing.T) {

@@ -10,11 +10,14 @@ import (
 // FuzzDecodeTile fuzzes the tile decoder: whatever the input bytes —
 // malformed headers, truncated payloads, overflowing varints, hostile
 // length fields — Decode must either return a clean error or a well-formed
-// batch, never panic, never over-read, and never mis-decode: anything it
-// accepts must survive a re-encode/re-decode round trip bit-identically.
-// Seed cases cover valid tiles of both encodings plus the malformed shapes
-// we know about; the checked-in corpus under testdata/fuzz/FuzzDecodeTile
-// adds regression inputs.
+// batch, never panic, never over-read, and never mis-decode: it must agree
+// with referenceDecode (the plain varint loops) on records, bytes consumed
+// and error text, checksum verified and skipped — skipping lets mutated
+// payloads reach the ID decoders — and anything it accepts must survive a
+// re-encode/re-decode round trip bit-identically. Seed cases cover valid
+// tiles of both encodings, the malformed shapes we know about and
+// boundaryTiles' fast-path edges; the checked-in corpus under
+// testdata/fuzz/FuzzDecodeTile adds regression inputs.
 func FuzzDecodeTile(f *testing.F) {
 	var enc Encoder
 	small, _, _ := enc.Encode(nil, []core.Edge{
@@ -39,10 +42,16 @@ func FuzzDecodeTile(f *testing.F) {
 		small[:len(small)-1], delta[:3], raw[:5], // truncations
 		append(append([]byte{}, small...), 0xff), // trailing byte after a valid tile
 	}
+	seeds = append(seeds, boundaryTiles()...)
 	for _, s := range seeds {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
+		for _, verify := range []bool{true, false} {
+			if err := matchReference(data, verify); err != nil {
+				t.Fatalf("verify=%v: %v", verify, err)
+			}
+		}
 		edges, consumed, err := Decode(data, nil)
 		if err != nil {
 			return // rejected inputs just need to fail cleanly
