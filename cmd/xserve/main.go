@@ -11,7 +11,6 @@
 //	xserve -addr :8080 -dataset social=rmat:18:16:1 \
 //	       -dataset roads=file:/data/usa.xsedge:undirected
 //	xserve -dataset g=rmat:16 -partitioner 2ps -device os -dir /mnt/fast/xs
-//	xserve -dataset g=rmat:18 -partitioner 2psv -replicate 256  # volume-balanced + mirrors
 //
 // Dataset specs are name=rmat:scale[:edgefactor[:seed]][:undirected] or
 // name=file:path[:undirected]; mark a spec undirected when the edge list
@@ -75,7 +74,6 @@ func main() {
 	var (
 		addr      = flag.String("addr", ":8080", "listen address")
 		partition = flag.String("partitioner", "range", "partitioning policy for all datasets: range|2ps|2psv")
-		replicate = flag.Int("replicate", 0, "mirror up to N high-in-degree vertices per dataset (0 = off)")
 		device    = flag.String("device", "none", "out-of-core device: none|os|sim-ssd|sim-hdd")
 		dir       = flag.String("dir", os.TempDir(), "directory for -device os")
 		threads   = flag.Int("threads", 0, "worker threads per engine (0 = GOMAXPROCS)")
@@ -142,7 +140,6 @@ func main() {
 		}
 		_, err = reg.Add(name, src, dataset.Options{
 			Partitioner:   *partition,
-			Replicate:     *replicate,
 			Undirected:    undirected,
 			Threads:       *threads,
 			Device:        dev,

@@ -11,8 +11,6 @@
 //	xstream -algo pagerank -rmat 18 -partitioner 2ps \
 //	        -save-permutation g.xsperm                # pay the clustering pass once...
 //	xstream -algo wcc -rmat 18 -load-permutation g.xsperm  # ...replay it later
-//	xstream -algo pagerank -rmat 18 -partitioner 2psv \
-//	        -replicate 256                            # volume-balanced + hub mirrors
 //	xstream -algo pagerank -rmat 18 -combine=false    # disable update pre-aggregation
 //	xstream -algo bfs -rmat 18 -selective=false       # stream densely even with a frontier
 //	xstream -algo pagerank -rmat 18 -trace-out t.json # span trace for Perfetto/chrome://tracing
@@ -64,8 +62,7 @@ func main() {
 		budget     = flag.String("budget", "256m", "disk engine memory budget (e.g. 8g)")
 		ioUnit     = flag.String("iounit", "1m", "disk engine I/O unit (e.g. 16m)")
 		threads    = flag.Int("threads", 0, "worker threads (0 = GOMAXPROCS)")
-		partition  = flag.String("partitioner", "range", "partitioning policy: range|2ps|2psv (2psv = volume-balanced packing, pair with -replicate)")
-		replicate  = flag.Int("replicate", 0, "mirror up to N high-in-degree vertices so their cross-partition updates collapse to per-partition syncs (0 = off; needs an algorithm with a combiner)")
+		partition  = flag.String("partitioner", "range", "partitioning policy: range|2ps|2psv (2psv = volume-balanced packing)")
 		combine    = flag.Bool("combine", true, "pre-aggregate the update stream when the algorithm has a combiner")
 		selective  = flag.Bool("selective", true, "skip inactive partitions and edge tiles when the algorithm has a frontier (bfs/sssp/wcc)")
 		compress   = flag.Bool("compress-tiles", false, "disk engine: store partition edge files as delta-varint compressed tiles (bit-identical results, fewer physical bytes read)")
@@ -91,9 +88,6 @@ func main() {
 	default:
 		fatal("unknown -partitioner %q", *partition)
 	}
-	if *replicate > 0 {
-		partitioner = xstream.NewReplicatingPartitioner(partitioner, xstream.ReplicationConfig{MaxMirrors: *replicate})
-	}
 	// A saved permutation replaces the partitioning pass entirely; saving
 	// wraps the chosen partitioner so the pass is paid once per dataset.
 	if *loadPerm != "" {
@@ -107,11 +101,6 @@ func main() {
 		partitioner, err = xstream.LoadPartitioner(dev, name)
 		if err != nil {
 			fatal("load permutation: %v", err)
-		}
-		// A loaded file replays its persisted mirror set; an explicit
-		// -replicate re-selects hubs on top of the replayed relabeling.
-		if *replicate > 0 {
-			partitioner = xstream.NewReplicatingPartitioner(partitioner, xstream.ReplicationConfig{MaxMirrors: *replicate})
 		}
 	} else if *savePerm != "" {
 		dev, name, err := fileDevice(*savePerm)
@@ -243,10 +232,6 @@ func main() {
 	if stats.UpdatesCombined > 0 {
 		fmt.Printf("combiner: %d of %d updates pre-aggregated (%.1f%%), %d-byte update stream\n",
 			stats.UpdatesCombined, stats.UpdatesSent, 100*stats.CombinedFraction(), stats.UpdateBytes)
-	}
-	if stats.MirroredVertices > 0 {
-		fmt.Printf("replication: %d mirrored vertices, %d master-mirror sync updates\n",
-			stats.MirroredVertices, stats.MirrorSyncUpdates)
 	}
 	if stats.EdgesSkipped > 0 {
 		fmt.Printf("selective: %d of %d edges skipped (%.1f%%), %d partitions + %d tiles elided\n",

@@ -67,18 +67,10 @@
 // streaming passes of pre-processing. The figlocality experiment in
 // internal/bench quantifies the trade.
 //
-// Two refinements compose with any policy. NewReplicatingPartitioner
-// mirrors high-in-degree hub vertices (HDRF/HEP style): each scattering
-// partition absorbs hub-addressed updates into a partition-local
-// accumulator merged by the program's Combiner and flushes one sync
-// update per iteration, collapsing a hub's cross-partition update flood
-// to at most K-1 records (programs without a Combiner fall back to the
-// plain path). New2PSVolumePartitioner switches 2PS's packing to
-// HEP-style volume balance — partitions even in degree sum, not vertex
-// count — which spreads the dense core and is therefore meant to be
-// paired with replication; figlocality's "2psv+rep" row shows the
-// composition carrying about half of range's cross-partition traffic
-// while plain 2PS manages 0.85x.
+// New2PSVolumePartitioner switches 2PS's packing to HEP-style volume
+// balance — partitions even in degree sum, not vertex count — which
+// spreads the dense core and so raises cross-partition traffic on
+// power-law graphs; figlocality's "2psv" row shows by how much.
 //
 // Programs parameterized by vertex IDs (a BFS root) implement
 // VertexMapper to translate their parameters into execution ID space;

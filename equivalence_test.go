@@ -3,7 +3,6 @@ package xstream_test
 import (
 	"math"
 	"math/rand"
-	"strings"
 	"testing"
 
 	xstream "repro"
@@ -737,22 +736,18 @@ func TestCompressedTilesEquivalencePageRank(t *testing.T) {
 
 // ---- vertex replication (mirror) equivalence ----
 
-// repCase is one (engine, partitioner, replication) combination. The full
-// matrix — both engines x partitioners (range, 2ps, volume-balanced 2psv)
-// x replication on/off — proves the mirror contract: absorbing
-// hub-addressed updates into partition-local accumulators merged by the
-// program's Combiner and flushing one sync per partition never changes a
-// min-lattice result bit-for-bit, and sum-based programs agree within
-// reduction-order tolerance.
-type repCase struct {
-	name      string
-	mem       bool
-	part      func() xstream.Partitioner
-	replicate bool
+// partCase is one (engine, partitioner) combination of the partitioner
+// matrix: both engines x range, 2ps and volume-balanced 2psv, at 8
+// partitions. A relabeling partitioner must never change a min-lattice
+// result, and sum-based programs agree within reduction-order tolerance.
+type partCase struct {
+	name string
+	mem  bool
+	part func() xstream.Partitioner
 }
 
-func repCases() []repCase {
-	var out []repCase
+func partCases() []partCase {
+	var out []partCase
 	for _, mem := range []bool{true, false} {
 		for _, part := range []struct {
 			name string
@@ -762,48 +757,32 @@ func repCases() []repCase {
 			{"2ps", xstream.New2PSPartitioner},
 			{"2psv", xstream.New2PSVolumePartitioner},
 		} {
-			for _, rep := range []bool{false, true} {
-				eng := "disk"
-				if mem {
-					eng = "mem"
-				}
-				mode := "plain"
-				if rep {
-					mode = "mirrored"
-				}
-				out = append(out, repCase{
-					name:      eng + "/" + part.name + "/" + mode,
-					mem:       mem,
-					part:      part.mk,
-					replicate: rep,
-				})
+			eng := "disk"
+			if mem {
+				eng = "mem"
 			}
+			out = append(out, partCase{name: eng + "/" + part.name, mem: mem, part: part.mk})
 		}
 	}
 	return out
 }
 
-// runRep executes prog on the case's engine with threads workers,
-// returning states and stats. Partitions are forced to 8 on both engines:
-// the mem auto-sizer picks K=1 on test-size graphs, and K=1 disables
-// replication outright.
-func runRep[V, M any](t *testing.T, c repCase, threads int, src xstream.EdgeSource, prog xstream.Program[V, M]) ([]V, xstream.Stats) {
+// runPart executes prog on the case's engine with threads workers,
+// returning states and stats. Partitions are forced to 8 on the in-memory
+// engine, whose auto-sizer picks K=1 on test-size graphs.
+func runPart[V, M any](t *testing.T, c partCase, threads int, src xstream.EdgeSource, prog xstream.Program[V, M]) ([]V, xstream.Stats) {
 	t.Helper()
-	part := c.part()
-	if c.replicate {
-		part = xstream.NewReplicatingPartitioner(part, xstream.ReplicationConfig{})
-	}
 	if c.mem {
 		cfg := xstreamtest.MemConfig()
-		cfg.Threads, cfg.Partitions, cfg.Partitioner = threads, 8, part
+		cfg.Threads, cfg.Partitions, cfg.Partitioner = threads, 8, c.part()
 		res, err := xstream.RunMemory(src, prog, cfg)
 		if err != nil {
 			t.Fatalf("%s: %v", c.name, err)
 		}
 		return res.Vertices, res.Stats
 	}
-	cfg := xstreamtest.DiskConfig("rep-equiv")
-	cfg.Threads, cfg.Partitioner = threads, part
+	cfg := xstreamtest.DiskConfig("part-equiv")
+	cfg.Threads, cfg.Partitioner = threads, c.part()
 	res, err := xstream.RunDisk(src, prog, cfg)
 	if err != nil {
 		t.Fatalf("%s: %v", c.name, err)
@@ -811,35 +790,26 @@ func runRep[V, M any](t *testing.T, c repCase, threads int, src xstream.EdgeSour
 	return res.Vertices, res.Stats
 }
 
-// checkRepStats asserts the replication bookkeeping: mirrored runs on a
-// scale-free input must actually mirror and sync; plain runs must not.
-func checkRepStats(t *testing.T, c repCase, s xstream.Stats) {
+// checkPartStats asserts the run was partitioned: with one partition
+// nothing could cross, and the matrix would prove nothing.
+func checkPartStats(t *testing.T, c partCase, s xstream.Stats) {
 	t.Helper()
-	if !c.replicate {
-		if s.MirroredVertices != 0 || s.MirrorSyncUpdates != 0 {
-			t.Fatalf("%s: plain run reported mirrors: %d vertices, %d syncs", c.name, s.MirroredVertices, s.MirrorSyncUpdates)
-		}
-		return
-	}
-	if s.MirroredVertices == 0 {
-		t.Fatalf("%s: replicated run mirrored nothing", c.name)
-	}
-	if s.MirrorSyncUpdates == 0 {
-		t.Fatalf("%s: replicated run flushed no sync updates", c.name)
+	if s.Partitions < 2 || s.CrossPartitionUpdates == 0 {
+		t.Fatalf("%s: %d partitions, %d cross-partition updates", c.name, s.Partitions, s.CrossPartitionUpdates)
 	}
 }
 
-// TestReplicationEquivalenceBFS: min-lattice, so every case must be
+// TestPartitionerEquivalenceBFS: min-lattice, so every case must be
 // bit-exact against the reference.
-func TestReplicationEquivalenceBFS(t *testing.T) {
+func TestPartitionerEquivalenceBFS(t *testing.T) {
 	src := xstreamtest.RMAT(10, 61)
 	edges := xstreamtest.Materialize(t, src)
 	const root = 3
 	want := refalgo.BFSLevels(src.NumVertices(), edges, root)
-	for _, c := range repCases() {
+	for _, c := range partCases() {
 		t.Run(c.name, func(t *testing.T) {
-			verts, stats := runRep(t, c, 3, src, xstream.NewBFS(root))
-			checkRepStats(t, c, stats)
+			verts, stats := runPart(t, c, 3, src, xstream.NewBFS(root))
+			checkPartStats(t, c, stats)
 			got := xstream.BFSLevels(verts)
 			for v := range want {
 				if got[v] != want[v] {
@@ -850,17 +820,17 @@ func TestReplicationEquivalenceBFS(t *testing.T) {
 	}
 }
 
-// TestReplicationEquivalenceSSSP: float min is exact (no rounding), so
-// mirrored runs must be bit-exact too.
-func TestReplicationEquivalenceSSSP(t *testing.T) {
+// TestPartitionerEquivalenceSSSP: float min is exact (no rounding), so the
+// engines agree with the float64 reference up to float32 precision.
+func TestPartitionerEquivalenceSSSP(t *testing.T) {
 	src := xstreamtest.RMAT(10, 62)
 	edges := xstreamtest.Materialize(t, src)
 	const root = 1
 	want := refalgo.Dijkstra(src.NumVertices(), edges, root)
-	for _, c := range repCases() {
+	for _, c := range partCases() {
 		t.Run(c.name, func(t *testing.T) {
-			verts, stats := runRep(t, c, 3, src, xstream.NewSSSP(root))
-			checkRepStats(t, c, stats)
+			verts, stats := runPart(t, c, 3, src, xstream.NewSSSP(root))
+			checkPartStats(t, c, stats)
 			got := xstream.SSSPDistances(verts)
 			for v := range want {
 				diff := math.Abs(float64(got[v]) - want[v])
@@ -872,16 +842,16 @@ func TestReplicationEquivalenceSSSP(t *testing.T) {
 	}
 }
 
-// TestReplicationEquivalenceWCC: label propagation over min — component
+// TestPartitionerEquivalenceWCC: label propagation over min — component
 // membership must match the reference partition exactly.
-func TestReplicationEquivalenceWCC(t *testing.T) {
+func TestPartitionerEquivalenceWCC(t *testing.T) {
 	src := xstreamtest.RMATUndirected(10, 63)
 	edges := xstreamtest.Materialize(t, src)
 	want := refalgo.Components(src.NumVertices(), edges)
-	for _, c := range repCases() {
+	for _, c := range partCases() {
 		t.Run(c.name, func(t *testing.T) {
-			verts, stats := runRep(t, c, 3, src, xstream.NewWCC())
-			checkRepStats(t, c, stats)
+			verts, stats := runPart(t, c, 3, src, xstream.NewWCC())
+			checkPartStats(t, c, stats)
 			got := xstream.WCCLabels(verts)
 			if err := xstreamtest.SameComponents(got, want); err != nil {
 				t.Fatalf("%v", err)
@@ -890,19 +860,18 @@ func TestReplicationEquivalenceWCC(t *testing.T) {
 	}
 }
 
-// TestReplicationParityPageRank: sum-based, so mirror merging regroups
-// float additions. At Threads=1 every case must agree with the reference
-// (and its own unmirrored twin) within reduction-order tolerance.
-func TestReplicationParityPageRank(t *testing.T) {
+// TestPartitionerParityPageRank: sum-based, so a relabeling regroups float
+// additions. At Threads=1 every case must agree with the reference within
+// reduction-order tolerance.
+func TestPartitionerParityPageRank(t *testing.T) {
 	src := xstreamtest.RMAT(10, 64)
 	edges := xstreamtest.Materialize(t, src)
 	const iters = 5
 	want := refalgo.PageRank(src.NumVertices(), edges, iters)
-	plain := map[string][]float32{}
-	for _, c := range repCases() {
+	for _, c := range partCases() {
 		t.Run(c.name, func(t *testing.T) {
-			verts, stats := runRep(t, c, 1, src, xstream.NewPageRank(iters))
-			checkRepStats(t, c, stats)
+			verts, stats := runPart(t, c, 1, src, xstream.NewPageRank(iters))
+			checkPartStats(t, c, stats)
 			got := xstream.PageRankValues(verts)
 			for v := range want {
 				diff := math.Abs(float64(got[v]) - want[v])
@@ -910,54 +879,6 @@ func TestReplicationParityPageRank(t *testing.T) {
 					t.Fatalf("vertex %d: rank %g, want %g", v, got[v], want[v])
 				}
 			}
-			// Mirrored vs plain twin: same engine+partitioner, tighter bar.
-			key := c.name[:strings.LastIndex(c.name, "/")]
-			if !c.replicate {
-				plain[key] = got
-				return
-			}
-			twin := plain[key]
-			if twin == nil {
-				return // twin filtered out by -run
-			}
-			for v := range got {
-				diff := math.Abs(float64(got[v]) - float64(twin[v]))
-				if diff > 1e-4*(1+math.Abs(float64(twin[v]))) {
-					t.Fatalf("vertex %d: mirrored rank %g vs plain %g", v, got[v], twin[v])
-				}
-			}
 		})
-	}
-}
-
-// TestReplicationFallbackNoCombine: a program stripped of its Combiner
-// (NoCombine) cannot merge mirror accumulators, so a replicating
-// assignment must fall back to the plain update path — no mirrors, no
-// syncs, identical results.
-func TestReplicationFallbackNoCombine(t *testing.T) {
-	src := xstreamtest.RMAT(10, 65)
-	part := xstream.NewReplicatingPartitioner(xstream.New2PSVolumePartitioner(), xstream.ReplicationConfig{})
-	const root = 3
-	base, err := xstream.RunMemory(src, xstream.NewBFS(root), xstream.MemConfig{
-		Threads: 2, Partitions: 8, Partitioner: xstream.New2PSVolumePartitioner(), NoCombine: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := xstream.RunMemory(src, xstream.NewBFS(root), xstream.MemConfig{
-		Threads: 2, Partitions: 8, Partitioner: part, NoCombine: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Stats.MirroredVertices != 0 || res.Stats.MirrorSyncUpdates != 0 {
-		t.Fatalf("NoCombine run still mirrored: %d vertices, %d syncs",
-			res.Stats.MirroredVertices, res.Stats.MirrorSyncUpdates)
-	}
-	a, b := xstream.BFSLevels(base.Vertices), xstream.BFSLevels(res.Vertices)
-	for v := range a {
-		if a[v] != b[v] {
-			t.Fatalf("vertex %d: %d vs %d", v, b[v], a[v])
-		}
 	}
 }

@@ -15,14 +15,10 @@ import (
 // figlocality quantifies what the partitioner layer buys: the fraction of
 // updates that must cross streaming partitions in the shuffle (pure
 // shuffle traffic) and the end-to-end time, for the paper's fixed range
-// split versus the 2PS-style streaming clusterer of internal/partition2ps
-// — plus the replication-aware composition: 2PS with HEP-style
-// volume-balanced packing ("2psv") wrapped in hub replication ("+rep"),
-// where high-in-degree vertices are mirrored so their cross-partition
-// update flood collapses to per-partition syncs. The "2psv" row alone
-// shows the cost of balancing volume on a power-law graph (the dense core
-// gets spread, cross traffic rises); the "2psv+rep" row shows mirrors
-// paying for it several times over.
+// split versus the 2PS-style streaming clusterer of internal/partition2ps,
+// with count-balanced ("2ps") and HEP-style volume-balanced ("2psv")
+// packing. The "2psv" row shows the cost of balancing volume on a
+// power-law graph: the dense core gets spread, cross traffic rises.
 //
 // Two inputs expose the two regimes. "rmat" is the generator's native
 // ordering, where the recursive quadrant construction already gives range
@@ -33,7 +29,7 @@ import (
 // range partitioning collapses to ~(1-1/K) cross traffic while 2PS
 // recovers the structure.
 func init() {
-	register("figlocality", "Cross-partition update traffic: range vs 2PS vs replication-aware 2psv", runFigLocality)
+	register("figlocality", "Cross-partition update traffic: range vs 2PS vs volume-balanced 2psv", runFigLocality)
 }
 
 func runFigLocality(cfg Config) (*Table, error) {
@@ -55,7 +51,7 @@ func runFigLocality(cfg Config) (*Table, error) {
 		ID:    "figlocality",
 		Title: fmt.Sprintf("Locality-aware partitioning, RMAT scale %d, K=%d (in-memory engine)", scale, parts),
 		Columns: []string{"graph", "algorithm", "partitioner", "cross-updates",
-			"mirrors", "syncs", "combined", "update-bytes", "preproc", "scatter+shuffle", "total"},
+			"combined", "update-bytes", "preproc", "scatter+shuffle", "total"},
 	}
 
 	type variant struct {
@@ -66,7 +62,6 @@ func runFigLocality(cfg Config) (*Table, error) {
 		{"range", core.RangePartitioner{}},
 		{"2ps", partition2ps.New()},
 		{"2psv", partition2ps.NewVolumeBalanced()},
-		{"2psv+rep", core.NewReplicatingPartitioner(partition2ps.NewVolumeBalanced(), core.ReplicationConfig{})},
 	}
 	crossBy := map[string]float64{}
 
@@ -88,8 +83,6 @@ func runFigLocality(cfg Config) (*Table, error) {
 				t.Rows = append(t.Rows, []string{
 					in.name, algo, v.name,
 					fmt.Sprintf("%.1f%%", 100*s.CrossFraction()),
-					fmt.Sprintf("%d", s.MirroredVertices),
-					fmt.Sprintf("%d", s.MirrorSyncUpdates),
 					fmt.Sprintf("%.1f%%", 100*s.CombinedFraction()),
 					fmt.Sprintf("%d", s.UpdateBytes),
 					fmtDur(s.PreprocessTime),
@@ -111,8 +104,8 @@ func runFigLocality(cfg Config) (*Table, error) {
 			"%s: 2PS carries %.2fx the cross-partition traffic of range (%.1f%% vs %.1f%%)",
 			in.name, ratio("2ps"), 100*crossBy[in.name+"/2ps"], 100*rng))
 		t.Notes = append(t.Notes, fmt.Sprintf(
-			"%s: replication-aware 2psv+rep carries %.2fx (%.1f%%) — volume-balanced partitions AND less shuffle traffic than plain 2PS (%.2fx)",
-			in.name, ratio("2psv+rep"), 100*crossBy[in.name+"/2psv+rep"], ratio("2ps")))
+			"%s: volume-balanced 2psv carries %.2fx (%.1f%%)",
+			in.name, ratio("2psv"), 100*crossBy[in.name+"/2psv"]))
 	}
 	sortRows(t)
 	return t, nil

@@ -45,8 +45,7 @@ type opCombiner interface{ CombineOp() CombineOp }
 // combine is nil; folder is the post-shuffle fold over split for up to
 // workers workers, merging by both (nil when combine is, or when partitions
 // are wider than MaxFoldSlots). Both engines' run setups call it, so the
-// combining cache, the fold and the mirror accumulator cannot disagree on the
-// merge.
+// combining cache and the fold cannot disagree on the merge.
 func Combining[V, M any](prog Program[V, M], noCombine bool, split Split, workers int) (combine func(a, b M) M, op CombineOp, folder *streambuf.Folder[Update[M]]) {
 	cb, ok := prog.(Combiner[M])
 	if !ok || noCombine {

@@ -393,9 +393,6 @@ type jobRun[V, M any] struct {
 	combine func(a, b M) M
 	op      CombineOp
 	folder  *streambuf.Folder[Update[M]]
-	// rep is the assignment's mirror set, nil unless replication is
-	// active (a planned set with no Combiner falls back to nil).
-	rep *Replication
 
 	// Schedule is the selective scheduling state, dense unless fp is set.
 	Schedule
@@ -458,12 +455,6 @@ func (r *jobRun[V, M]) Setup(s JobSetup) error {
 	r.directed, _ = any(r.prog).(DirectedProgram)
 	r.remapper, _ = any(r.prog).(StateRemapper[V])
 	r.combine, r.op, r.folder = Combining(r.prog, s.NoCombine, r.part, s.Threads)
-	// Vertex replication needs the Combiner to merge mirror accumulators;
-	// without one the assignment's mirror set is ignored (the fallback).
-	if r.combine != nil && s.Assignment.Mirrors.Len() > 0 {
-		r.rep = s.Assignment.Mirrors
-		r.stats.MirroredVertices = r.rep.Len()
-	}
 	r.fp = SelectiveProgram(r.prog, s.Selective)
 	r.InitSchedule(r.part, s.NumVertices, r.fp != nil)
 	r.basePriv = s.PrivateBufRecs
@@ -528,7 +519,7 @@ func (r *jobRun[V, M]) BeginScatter() error {
 func (r *jobRun[V, M]) NewScatter(w, p int, chunkEdges int64) JobScatter {
 	s := r.sinks[w]
 	if s == nil {
-		s = &jobScatter[V, M]{r: r, k: NewScatterKernel(r.prog, r.tp, r.combine, r.op, r.rep, r.basePriv)}
+		s = &jobScatter[V, M]{r: r, k: NewScatterKernel(r.prog, r.tp, r.combine, r.op, r.basePriv)}
 		r.sinks[w] = s
 	}
 	lo, hi := r.part.Range(p, r.setup.NumVertices)
@@ -563,7 +554,6 @@ func (s *jobScatter[V, M]) Flush() error {
 
 func (r *jobRun[V, M]) EndScatter() error {
 	sent, streamed, cross, scatterCombined := r.it.Sent, r.it.Streamed, r.it.Cross, r.it.Combined
-	r.stats.MirrorSyncUpdates += r.it.Synced
 	r.it = ScatterCounts{}
 	r.TakeSkips(&r.stats)
 	appended := sent - scatterCombined

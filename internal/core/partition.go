@@ -67,12 +67,6 @@ type Assignment struct {
 	Relabel []VertexID
 	// Inverse maps relabeled ID -> original ID. nil = identity.
 	Inverse []VertexID
-	// Mirrors is the replication set: hub vertices (execution IDs) whose
-	// updates the engines absorb into partition-local mirror accumulators
-	// and flush as per-partition sync updates — see replication.go. nil
-	// means no vertex is mirrored. Only programs with a Combiner use it;
-	// others fall back to the plain update path.
-	Mirrors *Replication
 }
 
 // Identity reports whether the assignment keeps original IDs.
@@ -107,11 +101,6 @@ func (a *Assignment) Of(v VertexID) uint32 { return a.Split.Of(a.NewID(v)) }
 func (a *Assignment) Validate(n int64) error {
 	if want := NewSplit(n, a.Split.K); want != a.Split {
 		return fmt.Errorf("core: assignment split %+v is not the contiguous equal split %+v", a.Split, want)
-	}
-	if a.Mirrors != nil {
-		if err := a.Mirrors.Validate(n); err != nil {
-			return err
-		}
 	}
 	if a.Relabel == nil && a.Inverse == nil {
 		return nil
@@ -185,13 +174,10 @@ func (RangePartitioner) Assign(src EdgeSource, k int) (*Assignment, error) {
 // with graphio.WritePermutation, and later runs replay it here for free.
 // The permutation maps original vertex ID -> relabeled ID; nil replays the
 // identity. Any partition count works, because contiguous equal ranges
-// over a fixed relabeling remain a valid Split for every K — and so does a
-// persisted mirror set (WithMirrors), because mirror accumulators are
-// per-partition runtime state, not part of the layout.
+// over a fixed relabeling remain a valid Split for every K.
 type PermutationPartitioner struct {
 	name    string
 	relabel []VertexID
-	hubs    []VertexID
 }
 
 // NewPermutationPartitioner wraps a saved old->new relabeling as a
@@ -203,28 +189,13 @@ func NewPermutationPartitioner(name string, relabel []VertexID) *PermutationPart
 	return &PermutationPartitioner{name: name, relabel: relabel}
 }
 
-// WithMirrors attaches a saved replication set — mirrored hubs as
-// execution (relabeled) IDs — so replayed assignments carry it. Returns
-// the receiver for chaining; nil or empty hubs leave the partitioner
-// unchanged.
-func (p *PermutationPartitioner) WithMirrors(hubs []VertexID) *PermutationPartitioner {
-	if len(hubs) > 0 {
-		p.hubs = hubs
-	}
-	return p
-}
-
 // Name implements Partitioner.
 func (p *PermutationPartitioner) Name() string { return p.name }
 
-// Assign implements Partitioner by replaying the stored permutation (and
-// mirror set, if one was attached).
+// Assign implements Partitioner by replaying the stored permutation.
 func (p *PermutationPartitioner) Assign(src EdgeSource, k int) (*Assignment, error) {
 	n := src.NumVertices()
 	asg := &Assignment{Split: NewSplit(n, k)}
-	if p.hubs != nil {
-		asg.Mirrors = NewReplication(n, p.hubs)
-	}
 	if p.relabel == nil {
 		return asg, nil
 	}

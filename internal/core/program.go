@@ -54,9 +54,9 @@ type Program[V, M any] interface {
 // VertexID, both engines then merge with the op inline, in the combining
 // cache and in the post-shuffle fold, instead of calling Combine through a
 // func value per update; results are bit-identical, because the same
-// operation runs on the same operands in the same order. Any other M, and
-// the mirror accumulator of replication, still call Combine. A type that
-// overrides an embedded program's Combine must override CombineOp too.
+// operation runs on the same operands in the same order. Any other M still
+// calls Combine. A type that overrides an embedded program's Combine must
+// override CombineOp too.
 type Combiner[M any] interface {
 	// Combine merges two update values addressed to the same vertex.
 	Combine(a, b M) M

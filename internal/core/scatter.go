@@ -11,8 +11,7 @@ type ScatterCounts struct {
 	Streamed int64 // edge records scattered
 	Sent     int64 // updates produced by Scatter (pre-combining)
 	Cross    int64 // of those that entered the update stream, addressed outside the scattered partition
-	Combined int64 // updates merged away in the mirror and combining buffers
-	Synced   int64 // master-mirror sync updates flushed (replication)
+	Combined int64 // updates merged away in the combining buffer
 }
 
 // Add accumulates o into c.
@@ -21,17 +20,15 @@ func (c *ScatterCounts) Add(o ScatterCounts) {
 	c.Sent += o.Sent
 	c.Cross += o.Cross
 	c.Combined += o.Combined
-	c.Synced += o.Synced
 }
 
 // ScatterKernel is one scatter worker's run-lived kernel, the engines' only
 // per-edge scatter loop (§4.1). Begin readies it for a task — a partition's
 // edges, or one worker's stripes of them; Edges scatters a run of the task's
 // edges in blocks: loop A applies the program's Scatter into the stage array,
-// loop B absorbs hub updates into the mirror accumulator, counts the
-// cross-partition ones and feeds the rest to the combining cache (the plain
-// append buffer for a program without a Combiner); Drain hands what the task
-// has evicted so far to the transport; End flushes the mirror syncs and the
+// loop B counts the cross-partition updates and feeds them to the combining
+// cache (the plain append buffer for a program without a Combiner); Drain
+// hands what the task has evicted so far to the transport; End flushes the
 // buffer into the transport and returns the task's counts. A batch the
 // transport refuses fails the task: Edges, Drain and End return the refusal,
 // and Edges scatters nothing more until the next Begin. A kernel belongs to
@@ -40,7 +37,6 @@ type ScatterKernel[V, M any] struct {
 	prog Program[V, M]
 	tp   UpdateTransport[M]
 	cb   *CombineBuffer[M] // nil without a Combiner
-	mb   *MirrorBuffer[M]  // nil unless replication is active
 	out  []Update[M]       // the plain append buffer; unused with a Combiner
 	// drain is send as a func value, made once with cb: Add passes it on
 	// through the loop it picked, a func value, so a method value made per
@@ -62,18 +58,15 @@ type ScatterKernel[V, M any] struct {
 
 // NewScatterKernel makes a kernel scattering prog into tp through a private
 // buffer of baseRecs records: a combining cache merging by combine and op
-// (both from Combining) when combine is non-nil, with a mirror accumulator
-// over rep when that is non-nil too; a plain append buffer otherwise.
-func NewScatterKernel[V, M any](prog Program[V, M], tp UpdateTransport[M], combine func(a, b M) M, op CombineOp, rep *Replication, baseRecs int) *ScatterKernel[V, M] {
+// (both from Combining) when combine is non-nil, a plain append buffer
+// otherwise.
+func NewScatterKernel[V, M any](prog Program[V, M], tp UpdateTransport[M], combine func(a, b M) M, op CombineOp, baseRecs int) *ScatterKernel[V, M] {
 	k := &ScatterKernel[V, M]{prog: prog, tp: tp}
 	if combine == nil {
 		k.out = make([]Update[M], 0, max(baseRecs, 1))
 		return k
 	}
 	k.cb, k.drain = NewCombineBuffer(baseRecs, combine, op), k.send
-	if rep != nil {
-		k.mb = NewMirrorBuffer(rep, combine)
-	}
 	return k
 }
 
@@ -117,17 +110,7 @@ func (k *ScatterKernel[V, M]) Edges(run []Edge) error {
 			}
 		}
 		k.n.Sent += int64(n)
-		us := k.stage[:n]
-		if k.mb != nil {
-			kept := us[:0]
-			for _, u := range us {
-				if !k.mb.Absorb(u.Dst, u.Val) {
-					kept = append(kept, u)
-				}
-			}
-			us = kept
-		}
-		k.route(us)
+		k.route(k.stage[:n])
 	}
 	return k.err
 }
@@ -213,18 +196,10 @@ func (k *ScatterKernel[V, M]) Drain() error {
 	return k.err
 }
 
-// End finishes the task: the mirror accumulator's syncs join the stream, the
-// private buffer empties into the transport, and the task's counts are
-// returned with its refused batch, if any. No Edges call may follow before
-// the next Begin.
+// End finishes the task: the private buffer empties into the transport, and
+// the task's counts are returned with its refused batch, if any. No Edges
+// call may follow before the next Begin.
 func (k *ScatterKernel[V, M]) End() (ScatterCounts, error) {
-	if k.mb != nil {
-		k.n.Combined = k.mb.Merged
-		k.n.Synced = k.mb.Flush(func(u Update[M]) {
-			k.stage[0] = u
-			k.route(k.stage[:1])
-		})
-	}
 	if k.cb != nil {
 		k.cb.Sweep(k.drain)
 		k.n.Combined += k.cb.Combined

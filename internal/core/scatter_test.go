@@ -73,7 +73,7 @@ func BenchmarkScatterKernel(b *testing.B) {
 	}{{"combine", func(a, b float32) float32 { return a + b }, 0}, {"sum", sum, op}, {"append", nil, 0}} {
 		b.Run(v.name, func(b *testing.B) {
 			tp := new(countingTransport)
-			kern := core.NewScatterKernel[[2]float32, float32](rankProg{}, tp, v.combine, v.op, nil, baseRecs)
+			kern := core.NewScatterKernel[[2]float32, float32](rankProg{}, tp, v.combine, v.op, baseRecs)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				kern.Begin(0, split, verts, 0, window)

@@ -26,27 +26,12 @@ type Stats struct {
 	// CrossPartitionUpdates counts updates whose destination lies outside
 	// the partition that produced them — the shuffle traffic a
 	// locality-aware partitioner exists to reduce. Counted before any
-	// combining, so it is comparable across combiner on/off runs. With
-	// vertex replication active, updates absorbed into a partition-local
-	// mirror never cross; the per-partition sync updates that replace
-	// them are counted here when the hub's master partition differs.
+	// combining, so it is comparable across combiner on/off runs.
 	CrossPartitionUpdates int64
 	// UpdatesCombined counts update records merged away by the program's
 	// Combiner before gather: at scatter time in thread-private combining
-	// buffers, in partition-local mirror accumulators, and in the
-	// per-partition fold after the shuffle.
+	// buffers and in the per-partition fold after the shuffle.
 	UpdatesCombined int64
-
-	// Vertex replication (mirrors for high-degree vertices, planned by a
-	// core.ReplicatingPartitioner and honored for Combiner programs).
-	// MirroredVertices is the size of the run's active mirror set — zero
-	// when replication was planned but the program has no Combiner (the
-	// fallback) or none was planned. MirrorSyncUpdates counts the
-	// master-mirror sync updates flushed into the shuffle: each replaces
-	// the (usually much larger) set of hub-addressed updates a scattering
-	// partition absorbed locally.
-	MirroredVertices  int
-	MirrorSyncUpdates int64
 
 	// Selective streaming (frontier-aware scheduling, Config.Selective in
 	// either engine, programs implementing FrontierProgram). EdgesSkipped
@@ -190,7 +175,6 @@ var StatClasses = map[string]StatClass{
 
 	"Iterations": StatWork, "EdgesStreamed": StatWork, "UpdatesSent": StatWork,
 	"WastedEdges": StatWork, "CrossPartitionUpdates": StatWork,
-	"MirroredVertices": StatWork, "MirrorSyncUpdates": StatWork,
 	"EdgesSkipped": StatWork, "PartitionsSkipped": StatWork, "TilesSkipped": StatWork,
 	"EdgesShared": StatWork, "TilesCompressed": StatWork, "CompressedRatio": StatWork,
 	"TransportBatches": StatWork, "TransportBytes": StatWork, "TransportCross": StatWork,
@@ -286,8 +270,8 @@ func (s Stats) Ratio(seqBandwidth float64) float64 {
 // String renders the profile as the one-line summary the CLI prints:
 // iteration count and the phase time split first — each phase as a
 // fraction of TotalTime, the paper's Figure 12b quantity — then
-// whichever optional subsystems (combining, replication, selective
-// streaming, shared passes) did work.
+// whichever optional subsystems (combining, selective streaming, shared
+// passes) did work.
 func (s Stats) String() string {
 	out := fmt.Sprintf("%s[%s]: %d iters, %d parts, %v total (scatter %v/%.0f%%, shuffle %v/%.0f%%, gather %v/%.0f%%), %d edges streamed, %d updates, %.0f%% wasted",
 		s.Algorithm, s.Engine, s.Iterations, s.Partitions, s.TotalTime.Round(time.Millisecond),
@@ -300,10 +284,6 @@ func (s Stats) String() string {
 	}
 	if s.UpdateBytes > 0 {
 		out += fmt.Sprintf(", %s update stream", humanBytes(s.UpdateBytes))
-	}
-	if s.MirroredVertices > 0 {
-		out += fmt.Sprintf(", %d mirrored vertices (%d sync updates)",
-			s.MirroredVertices, s.MirrorSyncUpdates)
 	}
 	if s.EdgesSkipped > 0 {
 		out += fmt.Sprintf(", %d edges skipped (%.0f%%: %d partitions, %d tiles)",

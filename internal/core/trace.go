@@ -61,8 +61,6 @@ type IterStats struct {
 	UpdatesCombined int64
 	// CrossPartitionUpdates counts updates that crossed a partition.
 	CrossPartitionUpdates int64
-	// MirrorSyncUpdates counts master-mirror sync updates flushed.
-	MirrorSyncUpdates int64
 	// UpdateBytes is the post-combining update-stream volume.
 	UpdateBytes int64
 
@@ -110,7 +108,6 @@ func (s *Stats) PushIter(iter int, m IterMark, wall time.Duration) {
 		UpdatesSent:           s.UpdatesSent - a.UpdatesSent,
 		UpdatesCombined:       s.UpdatesCombined - a.UpdatesCombined,
 		CrossPartitionUpdates: s.CrossPartitionUpdates - a.CrossPartitionUpdates,
-		MirrorSyncUpdates:     s.MirrorSyncUpdates - a.MirrorSyncUpdates,
 		UpdateBytes:           s.UpdateBytes - a.UpdateBytes,
 		BytesRead:             s.BytesRead - a.BytesRead,
 		BytesReadLogical:      s.BytesReadLogical - a.BytesReadLogical,

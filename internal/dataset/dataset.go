@@ -41,16 +41,11 @@ import (
 type Options struct {
 	// Partitioner is the partitioning policy: "range" (default), "2ps"
 	// (locality-aware clustering, count-balanced packing) or "2psv"
-	// (clustering with HEP-style volume-balanced packing — pair it with
-	// Replicate). With "2ps"/"2psv" the clustering permutation is
-	// computed once per dataset — and, when a Device is set, persisted
-	// there so later processes replay it for free.
+	// (clustering with HEP-style volume-balanced packing). With
+	// "2ps"/"2psv" the clustering permutation is computed once per
+	// dataset — and, when a Device is set, persisted there so later
+	// processes replay it for free.
 	Partitioner string
-	// Replicate enables hub replication: up to this many high-in-degree
-	// vertices are mirrored so their cross-partition updates collapse to
-	// per-partition syncs (Combiner programs only). 0 disables. The hub
-	// set persists alongside the clustering permutation.
-	Replicate int
 	// Undirected records that the source already stores both directions
 	// of every edge. Algorithms that require a symmetrized input
 	// (hyperanf) are admitted only on such datasets.
@@ -104,7 +99,6 @@ type Dataset struct {
 
 	permOnce sync.Once
 	perm     []core.VertexID
-	hubs     []core.VertexID
 	permErr  error
 
 	// lastUse is the registry's LRU clock tick of the most recent
@@ -157,9 +151,6 @@ func (d *Dataset) Info() Info {
 	if part == "" {
 		part = "range"
 	}
-	if d.opts.Replicate > 0 {
-		part += "+rep"
-	}
 	d.mu.Lock()
 	resident := d.memBytes + d.diskBytes
 	d.mu.Unlock()
@@ -173,84 +164,41 @@ func (d *Dataset) Info() Info {
 }
 
 // permFile names the persisted partitioning plan on the device. The name
-// keys the *configuration* — policy and mirror cap — so changing either
-// across restarts recomputes the plan instead of silently replaying a
-// stale one under the new label.
+// keys the policy, so changing it across restarts recomputes the plan
+// instead of silently replaying a stale one under the new label.
 func (d *Dataset) permFile() string {
-	pol := d.opts.Partitioner
-	if pol == "" {
-		pol = "range"
-	}
-	if d.opts.Replicate > 0 {
-		return fmt.Sprintf("xserve-%s-%s-rep%d.xsperm", d.name, pol, d.opts.Replicate)
-	}
-	return fmt.Sprintf("xserve-%s-%s.xsperm", d.name, pol)
+	return fmt.Sprintf("xserve-%s-%s.xsperm", d.name, d.opts.Partitioner)
 }
 
-// replicating wraps pr with hub selection when Options.Replicate asks for
-// it.
-func (d *Dataset) replicating(pr core.Partitioner) core.Partitioner {
-	if d.opts.Replicate <= 0 {
-		return pr
-	}
-	return core.NewReplicatingPartitioner(pr, core.ReplicationConfig{MaxMirrors: d.opts.Replicate})
-}
-
-// partitioner returns the policy engines prepare with. Anything beyond
-// the plain range split — clustering passes, hub-selection census — runs
-// at most once per dataset per process (the plan survives eviction), and
-// not at all when a plan persisted by an earlier process under the same
-// configuration is on the device.
+// partitioner returns the policy engines prepare with. The clustering
+// passes of "2ps"/"2psv" run at most once per dataset per process (the
+// plan survives eviction), and not at all when a plan persisted by an
+// earlier process under the same policy is on the device. Add has checked
+// the policy name.
 func (d *Dataset) partitioner() (core.Partitioner, error) {
-	pol := d.opts.Partitioner
-	if pol == "" {
-		pol = "range"
-	}
-	switch pol {
-	case "range":
-		if d.opts.Replicate <= 0 {
-			return core.RangePartitioner{}, nil
-		}
-	case "2ps", "2psv":
-	default:
-		return nil, fmt.Errorf("dataset %s: unknown partitioner %q", d.name, pol)
+	if d.opts.Partitioner == "" || d.opts.Partitioner == "range" {
+		return core.RangePartitioner{}, nil
 	}
 	d.permOnce.Do(d.plan)
 	if d.permErr != nil {
 		return nil, d.permErr
 	}
-	return core.NewPermutationPartitioner(pol, d.perm).WithMirrors(d.hubs), nil
+	return core.NewPermutationPartitioner(d.opts.Partitioner, d.perm), nil
 }
 
-// plan computes (or reloads) the persisted partitioning plan: the
-// 2PS/2psv relabeling permutation (an explicit identity for range) and,
-// with Replicate set, the mirrored hub set.
+// plan computes (or reloads) the persisted partitioning plan: the 2PS/2psv
+// relabeling permutation.
 func (d *Dataset) plan() {
 	if d.opts.Device != nil {
-		if perm, hubs, err := graphio.ReadPermutationMirrors(d.opts.Device, d.permFile()); err == nil {
-			// The file name keys the configuration, but guard anyway: a
-			// replicating configuration needs an explicit hub list (even
-			// an empty one), and a non-replicating one must never
-			// inherit mirrors.
-			if d.opts.Replicate <= 0 {
-				hubs = nil
-			}
-			if int64(len(perm)) == d.nv && (d.opts.Replicate <= 0 || hubs != nil) {
-				d.perm, d.hubs = perm, hubs
-				return
-			}
+		if perm, err := graphio.ReadPermutation(d.opts.Device, d.permFile()); err == nil && int64(len(perm)) == d.nv {
+			d.perm = perm
+			return
 		}
 	}
-	var inner core.Partitioner
-	switch d.opts.Partitioner {
-	case "2ps":
-		inner = partition2ps.New()
-	case "2psv":
-		inner = partition2ps.NewVolumeBalanced()
-	default:
-		inner = core.RangePartitioner{}
+	var pr core.Partitioner = partition2ps.New()
+	if d.opts.Partitioner == "2psv" {
+		pr = partition2ps.NewVolumeBalanced()
 	}
-	pr := d.replicating(inner)
 	if d.opts.Device != nil {
 		// Persist through the same wrapper the CLI's -save-permutation
 		// uses, so the file formats interoperate.
@@ -266,9 +214,6 @@ func (d *Dataset) plan() {
 		return
 	}
 	d.perm = asg.Relabel
-	if asg.Mirrors != nil {
-		d.hubs = asg.Mirrors.Hubs
-	}
 }
 
 // touch stamps the dataset as most-recently-used.
@@ -658,9 +603,6 @@ func (r *Registry) Add(name string, src core.EdgeSource, opts Options) (*Dataset
 	case "", "range", "2ps", "2psv":
 	default:
 		return nil, fmt.Errorf("dataset %s: unknown partitioner %q", name, opts.Partitioner)
-	}
-	if opts.Replicate < 0 {
-		return nil, fmt.Errorf("dataset %s: negative Replicate %d", name, opts.Replicate)
 	}
 	d := &Dataset{
 		name: name, src: src, opts: opts, reg: r, version: 1,

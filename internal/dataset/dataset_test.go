@@ -2,6 +2,8 @@ package dataset
 
 import (
 	"context"
+	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/algorithms"
@@ -151,75 +153,60 @@ func Test2PSPermutationSaved(t *testing.T) {
 	r.Close()
 }
 
-// TestReplicateIgnoresStaleMirrors: a non-replicating configuration must
-// not inherit hubs a previous replicating process persisted on the
-// device.
-func TestReplicateIgnoresStaleMirrors(t *testing.T) {
+// TestStaleHubPlanFileIgnored: a plan file an earlier release saved
+// under its hub-replication name (xserve-<name>-<policy>-rep<N>.xsperm) is
+// neither read nor overwritten: the registry plans into, and a restarted
+// registry replays, xserve-g-2ps.xsperm, and a job's vertices equal those a
+// registry without a device computes.
+func TestStaleHubPlanFileIgnored(t *testing.T) {
 	src := testSource()
-	n := src.NumVertices()
 	dev := storage.NewSim(storage.SSDParams("perm", 2, 0))
-	planted := make([]core.VertexID, n)
-	for i := range planted {
-		planted[i] = core.VertexID(i)
+	stale := make([]core.VertexID, src.NumVertices())
+	for i := range stale {
+		stale[i] = core.VertexID(len(stale) - 1 - i)
 	}
-	r := NewRegistry()
-	d, err := r.Add("g", src, Options{Partitioner: "2ps", Device: dev, Threads: 2, MemPartitions: 16})
+	if err := graphio.WritePermutation(dev, "xserve-g-2ps-rep256.xsperm", stale); err != nil {
+		t.Fatal(err)
+	}
+	wcc := func(dev storage.Device) any {
+		t.Helper()
+		r := NewRegistry()
+		t.Cleanup(r.Close)
+		d, err := r.Add("g", src, Options{Partitioner: "2ps", Device: dev, Threads: 2, MemPartitions: 16})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if dev != nil && d.permFile() != "xserve-g-2ps.xsperm" {
+			t.Fatalf("plan file %q", d.permFile())
+		}
+		pp, err := d.Mem()
+		if err != nil {
+			t.Fatal(err)
+		}
+		inst, err := mustSpec(t, "wcc").New(algorithms.Params{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, _, err := pp.RunMany(context.Background(), core.ProgramSet{inst.Job})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res[0].Vertices
+	}
+	planned := wcc(dev)
+	saved, err := graphio.ReadPermutation(dev, "xserve-g-2ps.xsperm")
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("plan not saved under the policy's name: %v", err)
 	}
-	// Simulate a file written by an earlier -replicate process.
-	if err := graphio.WritePermutationMirrors(dev, d.permFile(), planted, []core.VertexID{1, 3}); err != nil {
-		t.Fatal(err)
+	if slices.Equal(saved, stale) {
+		t.Fatal("the stale plan was replayed")
 	}
-	pr, err := d.partitioner()
-	if err != nil {
-		t.Fatal(err)
+	replayed := wcc(dev)
+	fresh := wcc(nil)
+	if !reflect.DeepEqual(planned, fresh) || !reflect.DeepEqual(replayed, fresh) {
+		t.Fatal("vertices differ from a registry without a device")
 	}
-	asg, err := pr.Assign(src, 16)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if asg.Mirrors != nil {
-		t.Fatalf("Replicate=0 dataset replayed %d stale mirrors", asg.Mirrors.Len())
-	}
-}
-
-// TestReplicateEmptyHubCachePersists: Replicate>0 on a graph with no hub
-// above threshold must persist an explicit empty mirror set so restarts
-// reuse the cached permutation instead of re-clustering forever.
-func TestReplicateEmptyHubCachePersists(t *testing.T) {
-	// A grid has max degree 4, far below any hub threshold: selection
-	// legitimately finds nothing, exercising the empty-mirror rewrite.
-	src := graphgen.Grid(24, 24, 5)
-	dev := storage.NewSim(storage.SSDParams("perm", 2, 0))
-	r := NewRegistry()
-	d, err := r.Add("g", src, Options{Partitioner: "2ps", Replicate: 8, Device: dev, Threads: 2, MemPartitions: 16})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := d.partitioner(); err != nil {
-		t.Fatal(err)
-	}
-	perm, hubs, err := graphio.ReadPermutationMirrors(dev, d.permFile())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if int64(len(perm)) != src.NumVertices() {
-		t.Fatalf("persisted permutation has %d entries", len(perm))
-	}
-	if hubs == nil {
-		t.Fatal("no explicit hub list persisted: every restart would re-cluster")
-	}
-	// A second dataset over the same device must accept the cache.
-	r2 := NewRegistry()
-	d2, err := r2.Add("g", src, Options{Partitioner: "2ps", Replicate: 8, Device: dev, Threads: 2, MemPartitions: 16})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := d2.partitioner(); err != nil {
-		t.Fatal(err)
-	}
-	if d2.perm == nil {
-		t.Fatal("cached permutation not replayed")
+	if got, err := graphio.ReadPermutation(dev, "xserve-g-2ps-rep256.xsperm"); err != nil || !slices.Equal(got, stale) {
+		t.Fatalf("stale plan file changed: %v", err)
 	}
 }

@@ -30,12 +30,12 @@
 // and gather inside a chunk. Its scatter cuts each segment of a chunk into
 // one stripe per worker, stripe i always through worker i's kernel, whose
 // combining window stays open for the whole partition; what the kernels
-// send reaches the transport in kernel order, so its combining, mirror syncs
-// (flushed per partition and stripe) and update and device bytes do not
-// depend on scheduling. Which of the two regimes a computation gets
-// follows from its memory budget; the iteration protocol (direction and
-// transpose accounting, partition and tile skips, spans, checkpoint timing,
-// resume, cancellation) is the loop's and is written once.
+// send reaches the transport in kernel order, so its combining and update
+// and device bytes do not depend on scheduling. Which of the two regimes a
+// computation gets follows from its memory budget; the iteration protocol
+// (direction and transpose accounting, partition and tile skips, spans,
+// checkpoint timing, resume, cancellation) is the loop's and is written
+// once.
 //
 // Buffers are owned for the whole run, as in §3.2: the pass's edgeScratch
 // is the two edge input buffers every reader borrows and the file
@@ -286,13 +286,10 @@ type engine[V, M any] struct {
 	// combine is the program's update semigroup, nil when the program has
 	// none (or NoCombine disabled it), and op the CombineOp it declares;
 	// folder is the reusable pre-writeback fold over them (nil when
-	// partitions are too wide); rep is the assignment's mirror set, nil
-	// unless replication is active (a planned set with no Combiner falls
-	// back to nil).
+	// partitions are too wide).
 	combine func(a, b M) M
 	op      core.CombineOp
 	folder  *streambuf.Folder[core.Update[M]]
-	rep     *core.Replication
 	// Schedule is the selective scheduling state, dense unless fp is set.
 	core.Schedule
 	fp core.FrontierProgram[V]
@@ -356,12 +353,6 @@ func (e *engine[V, M]) Setup(s core.JobSetup) error {
 		vm.MapVertices(e.nv, e.asg.NewID, e.asg.OldID)
 	}
 	e.combine, e.op, e.folder = core.Combining(e.prog, s.NoCombine, e.part, s.Threads)
-	// Vertex replication needs the Combiner to merge mirror accumulators;
-	// without one the assignment's mirror set is ignored (the fallback).
-	if e.combine != nil && e.asg.Mirrors.Len() > 0 {
-		e.rep = e.asg.Mirrors
-		e.stats.MirroredVertices = e.rep.Len()
-	}
 	e.fp = core.SelectiveProgram(e.prog, s.Selective)
 	e.InitSchedule(e.part, e.nv, e.fp != nil)
 	e.sink.e = e
@@ -542,7 +533,7 @@ func (e *engine[V, M]) NewScatter(_, p int, fileRecs int64) core.JobScatter {
 	window := core.DegreeAwareBufRecs(basePrivCap, fileRecs, int64(len(verts)))
 	for w, k := range e.kernels {
 		if k == nil {
-			k = core.NewScatterKernel(e.prog, e.tp, e.combine, e.op, e.rep, basePrivCap)
+			k = core.NewScatterKernel(e.prog, e.tp, e.combine, e.op, basePrivCap)
 			k.HoldSends()
 			e.kernels[w] = k
 		}
@@ -643,7 +634,6 @@ func (e *engine[V, M]) EndScatter() error {
 	e.stats.SequentialRefs += it.Streamed + written
 	e.stats.BytesStreamed += it.Streamed*edgeRecSize + (appended+written)*usize
 	e.stats.UpdatesCombined += it.Combined + flow.Combined
-	e.stats.MirrorSyncUpdates += it.Synced
 	e.stats.UpdateBytes += written * usize
 	e.TakeSkips(&e.stats)
 	e.iterSent = it.Sent

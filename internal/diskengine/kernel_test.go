@@ -96,12 +96,8 @@ func memSink(t *testing.T, pp *Prepared, prog core.Program[int32, int32]) ([]int
 func memSequence(t *testing.T, pp *Prepared, prog core.Program[int32, int32]) []core.Update[int32] {
 	t.Helper()
 	combine, op, _ := core.Combining(prog, false, pp.part, 1)
-	var rep *core.Replication
-	if combine != nil && pp.asg.Mirrors.Len() > 0 {
-		rep = pp.asg.Mirrors
-	}
 	tp := &stubTransport[int32]{keep: true}
-	k := core.NewScatterKernel(prog, tp, combine, op, rep, basePrivCap)
+	k := core.NewScatterKernel(prog, tp, combine, op, basePrivCap)
 	verts := make([]int32, pp.nv)
 	for v := range verts {
 		prog.Init(core.VertexID(v), &verts[v])
@@ -121,24 +117,19 @@ func memSequence(t *testing.T, pp *Prepared, prog core.Program[int32, int32]) []
 // TestMemSinkAndDiskSinkShareTheKernel: the in-memory run's partition sink
 // and the spillable run's sink are two callers of one kernel, which at
 // Threads 1 both keep open for a whole partition. So from the same edges they
-// account the same (sent, cross, combined, synced), emit the same record
-// sequence — the disk sink's cut into Room-bounded segments, drained after
-// each and swept through a window too small to hold the sweep, none of which
-// may reorder a record — and deliver the same total to every destination:
-// with and without a Combiner, with and without a mirror set (which a program
-// without a Combiner must ignore), and with a Combiner that declares an op,
-// which both must merge inline.
+// account the same (sent, cross, combined), emit the same record sequence —
+// the disk sink's cut into Room-bounded segments, drained after each and
+// swept through a window too small to hold the sweep, none of which may
+// reorder a record — and deliver the same total to every destination: with
+// and without a Combiner, and with a Combiner that declares an op, which both
+// must merge inline.
 func TestMemSinkAndDiskSinkShareTheKernel(t *testing.T) {
 	src := graphgen.RMAT(graphgen.RMATConfig{Scale: 12, EdgeFactor: 8, Seed: 20})
 	for _, c := range []struct {
-		name                string
-		combine, op, mirror bool
-	}{{"plain", false, false, false}, {"combine", true, false, false}, {"combine op", true, true, false},
-		{"combine+mirrors", true, false, true}, {"mirrors ignored", false, false, true}} {
+		name        string
+		combine, op bool
+	}{{"plain", false, false}, {"combine", true, false}, {"combine op", true, true}} {
 		cfg := Config{Device: ssd(0), Threads: 1, Partitions: 4, IOUnit: 64 << 10, Prefix: c.name}
-		if c.mirror {
-			cfg.Partitioner = core.NewReplicatingPartitioner(core.RangePartitioner{}, core.ReplicationConfig{})
-		}
 		var prog core.Program[int32, int32] = pushProg{}
 		if c.op {
 			prog = pushOpProg{}
@@ -147,14 +138,14 @@ func TestMemSinkAndDiskSinkShareTheKernel(t *testing.T) {
 		}
 		disk := &stubTransport[int32]{keep: true, window: 1000}
 		e, pp := setupEngine(t, src, prog, cfg, disk)
-		if got := pp.asg.Mirrors.Len() > 0; got != c.mirror || !pp.asg.Identity() {
-			t.Fatalf("%s: mirror set planned: %v, identity relabeling: %v", c.name, got, pp.asg.Identity())
+		if !pp.asg.Identity() {
+			t.Fatalf("%s: range partitioning planned a relabeling", c.name)
 		}
 		n := scatterPartitions(t, e, pp)
 		got, st := memSink(t, pp, prog)
 		seq := memSequence(t, pp, prog)
 
-		if n.Sent == 0 || n.Sent == n.Streamed || n.Cross == 0 || (n.Combined > 0) != c.combine || (n.Synced > 0) != (c.combine && c.mirror) {
+		if n.Sent == 0 || n.Sent == n.Streamed || n.Cross == 0 || (n.Combined > 0) != c.combine {
 			t.Fatalf("%s: workload lost its shape: %+v", c.name, n)
 		}
 		if disk.flushes == 0 {
@@ -166,7 +157,7 @@ func TestMemSinkAndDiskSinkShareTheKernel(t *testing.T) {
 		memEmitted := st.TransportBytes / int64(pod.Size[core.Update[int32]]())
 		memCounts := core.ScatterCounts{
 			Streamed: st.EdgesStreamed, Sent: st.UpdatesSent, Cross: st.CrossPartitionUpdates,
-			Combined: st.UpdatesSent - memEmitted, Synced: st.MirrorSyncUpdates,
+			Combined: st.UpdatesSent - memEmitted,
 		}
 		if memCounts != n {
 			t.Errorf("%s: mem sink counted %+v, disk sink %+v", c.name, memCounts, n)

@@ -11,11 +11,7 @@ import (
 // clustering pass (2PS streams the edge list twice) be paid once per
 // dataset: save on the first run, replay on every later one. An identity
 // assignment is saved as an explicit identity permutation, so the file
-// always exists after a run and loads uniformly. Replication metadata
-// round-trips too: an assignment with a mirror set (a
-// core.ReplicatingPartitioner inner) is saved as a version-2 file whose
-// hub list LoadPartitioner replays, so the hub-selection pass is also
-// paid once per dataset.
+// always exists after a run and loads uniformly.
 func SavingPartitioner(inner core.Partitioner, dev storage.Device, name string) core.Partitioner {
 	return &savingPartitioner{inner: inner, dev: dev, file: name}
 }
@@ -44,11 +40,7 @@ func (s *savingPartitioner) Assign(src core.EdgeSource, k int) (*core.Assignment
 			perm[i] = core.VertexID(i)
 		}
 	}
-	var hubs []core.VertexID
-	if asg.Mirrors != nil {
-		hubs = asg.Mirrors.Hubs
-	}
-	if err := WritePermutationMirrors(s.dev, s.file, perm, hubs); err != nil {
+	if err := WritePermutation(s.dev, s.file, perm); err != nil {
 		return nil, err
 	}
 	s.saved = true
@@ -56,14 +48,13 @@ func (s *savingPartitioner) Assign(src core.EdgeSource, k int) (*core.Assignment
 }
 
 // LoadPartitioner reads a permutation file written by SavingPartitioner (or
-// WritePermutation) and returns a partitioner that replays it — including
-// any persisted replication metadata — skipping the clustering and
-// hub-selection passes entirely. The partitioner reports itself as
+// WritePermutation) and returns a partitioner that replays it, skipping the
+// clustering passes entirely. The partitioner reports itself as
 // "perm:<file>" in stats tables.
 func LoadPartitioner(dev storage.Device, name string) (core.Partitioner, error) {
-	perm, hubs, err := ReadPermutationMirrors(dev, name)
+	perm, err := ReadPermutation(dev, name)
 	if err != nil {
 		return nil, err
 	}
-	return core.NewPermutationPartitioner("perm:"+name, perm).WithMirrors(hubs), nil
+	return core.NewPermutationPartitioner("perm:"+name, perm), nil
 }

@@ -2,6 +2,10 @@ package graphio
 
 import (
 	"encoding/binary"
+	"encoding/hex"
+	"errors"
+	"fmt"
+	"slices"
 	"testing"
 
 	"repro/internal/core"
@@ -10,33 +14,56 @@ import (
 	"repro/internal/storage"
 )
 
-// writeLegacyPerm emits a pre-checksum permutation file byte-for-byte as
-// the old writer did — version 1 when hubs is nil, version 2 otherwise —
-// so reader compatibility with already-persisted datasets stays pinned
-// now that the writer emits checksummed version-3 files.
-func writeLegacyPerm(t *testing.T, dev storage.Device, name string, perm, hubs []core.VertexID) {
-	t.Helper()
-	magic := "XSPERM1\n"
-	if hubs != nil {
-		magic = "XSPERM2\n"
-	}
-	buf := append([]byte(nil), magic...)
+// legacyPerm returns a permutation file byte-for-byte as an earlier writer
+// emitted it: version 1 (no hub list), version 2 (hub list, no checksum) or
+// version 3 with the hub-list flag set, its hub list checksummed with the
+// rest. The writer emits none of these today; the reader must keep loading
+// all of them.
+func legacyPerm(version int, perm, hubs []core.VertexID) []byte {
+	buf := fmt.Appendf(nil, "XSPERM%d\n", version)
 	buf = binary.LittleEndian.AppendUint64(buf, uint64(len(perm)))
+	if version == 3 {
+		buf = binary.LittleEndian.AppendUint64(buf, permFlagMirrors)
+	}
 	buf = append(buf, pod.AsBytes(perm)...)
-	if hubs != nil {
+	if version > 1 {
 		buf = binary.LittleEndian.AppendUint64(buf, uint64(len(hubs)))
 		buf = append(buf, pod.AsBytes(hubs)...)
 	}
+	if version == 3 {
+		buf = binary.LittleEndian.AppendUint32(buf, storage.ChecksumUpdate(0, buf[8:]))
+	}
+	return buf
+}
+
+// putFile stores b as the whole of file name on dev.
+func putFile(t testing.TB, dev storage.Device, name string, b []byte) {
+	t.Helper()
 	f, err := dev.Create(name)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := f.WriteAt(buf, 0); err != nil {
+	if _, err := f.WriteAt(b, 0); err != nil {
 		t.Fatal(err)
 	}
 	if err := f.Close(); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// readFile returns the whole of file name on dev.
+func readFile(t testing.TB, dev storage.Device, name string) []byte {
+	t.Helper()
+	f, err := dev.Open(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	b := make([]byte, f.Size())
+	if err := readFullAt(f, b, 0); err != nil {
+		t.Fatal(err)
+	}
+	return b
 }
 
 // TestSaveLoadPartitionerRoundTrip: a 2PS assignment saved during Assign
@@ -112,142 +139,167 @@ func TestLoadPartitionerMissingFile(t *testing.T) {
 	}
 }
 
-// hubGraph builds a graph where vertex 0 receives an edge from everyone —
-// an unambiguous replication hub.
-func hubGraph(n int) core.EdgeSource {
-	edges := make([]core.Edge, 0, 2*n)
-	for v := 1; v < n; v++ {
-		edges = append(edges, core.Edge{Src: core.VertexID(v), Dst: 0})
-		edges = append(edges, core.Edge{Src: core.VertexID(v), Dst: core.VertexID((v + 1) % n)})
+// Files the writer of the previous format revision produced for the
+// permutation [2 0 3 1]: without a hub list (the only shape it still
+// writes), with the hub list [0 3], and with an empty hub list.
+const (
+	goldenPermV3      = "58535045524d330a04000000000000000000000000000000020000000000000003000000010000005a35ff9b"
+	goldenPermV3Hubs  = "58535045524d330a040000000000000001000000000000000200000000000000030000000100000002000000000000000000000003000000fed80c81"
+	goldenPermV3NoHub = "58535045524d330a0400000000000000010000000000000002000000000000000300000001000000000000000000000087ef374e"
+)
+
+func goldenBytes(t testing.TB, h string) []byte {
+	t.Helper()
+	b, err := hex.DecodeString(h)
+	if err != nil {
+		t.Fatal(err)
 	}
-	return core.NewSliceSource(edges, int64(n))
+	return b
 }
 
-// TestSaveLoadMirrorsRoundTrip: an assignment with a replication set must
-// persist its hub list (version-2 file) and replay it — permutation and
-// mirrors both — through LoadPartitioner.
-func TestSaveLoadMirrorsRoundTrip(t *testing.T) {
+// TestWritePermutationGoldenBytes: the writer's output is byte-identical
+// to what the previous format revision wrote for a permutation without a
+// hub list, and legacyPerm reproduces that revision's files with one.
+func TestWritePermutationGoldenBytes(t *testing.T) {
 	dev := storage.NewSim(storage.SSDParams("perm", 1, 0))
-	src := hubGraph(64)
-	inner := core.NewReplicatingPartitioner(partition2ps.NewVolumeBalanced(),
-		core.ReplicationConfig{DegreeFactor: 1, MinInDegree: 4})
-	saving := SavingPartitioner(inner, dev, "m.xsperm")
-	want, err := saving.Assign(src, 4)
-	if err != nil {
+	perm := []core.VertexID{2, 0, 3, 1}
+	if err := WritePermutation(dev, "g.xsperm", perm); err != nil {
 		t.Fatal(err)
 	}
-	if want.Mirrors == nil || want.Mirrors.Len() == 0 {
-		t.Fatal("no mirrors planned on a hub graph")
+	if got := hex.EncodeToString(readFile(t, dev, "g.xsperm")); got != goldenPermV3 {
+		t.Fatalf("writer emitted %s, want %s", got, goldenPermV3)
 	}
+	if got := hex.EncodeToString(legacyPerm(3, perm, []core.VertexID{0, 3})); got != goldenPermV3Hubs {
+		t.Fatalf("legacyPerm v3 with hubs = %s, want %s", got, goldenPermV3Hubs)
+	}
+	if got := hex.EncodeToString(legacyPerm(3, perm, []core.VertexID{})); got != goldenPermV3NoHub {
+		t.Fatalf("legacyPerm v3 with an empty hub list = %s, want %s", got, goldenPermV3NoHub)
+	}
+}
 
-	loaded, err := LoadPartitioner(dev, "m.xsperm")
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := loaded.Assign(src, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := got.Validate(64); err != nil {
-		t.Fatal(err)
-	}
-	if got.Mirrors == nil || got.Mirrors.Len() != want.Mirrors.Len() {
-		t.Fatalf("replayed %d mirrors, want %d", got.Mirrors.Len(), want.Mirrors.Len())
-	}
-	for i, h := range want.Mirrors.Hubs {
-		if got.Mirrors.Hubs[i] != h {
-			t.Fatalf("mirror %d: replayed hub %d, want %d", i, got.Mirrors.Hubs[i], h)
+// TestLoadPartitionerLegacyHubList: a file the previous writer saved
+// with a hub list replays through LoadPartitioner to the same relabeling
+// as the file without one.
+func TestLoadPartitionerLegacyHubList(t *testing.T) {
+	dev := storage.NewSim(storage.SSDParams("perm", 1, 0))
+	src := core.NewSliceSource([]core.Edge{{Src: 1, Dst: 0}, {Src: 2, Dst: 0}, {Src: 3, Dst: 2}}, 4)
+	putFile(t, dev, "plain.xsperm", goldenBytes(t, goldenPermV3))
+	putFile(t, dev, "hubs.xsperm", goldenBytes(t, goldenPermV3Hubs))
+	var asgs []*core.Assignment
+	for _, name := range []string{"plain.xsperm", "hubs.xsperm"} {
+		pr, err := LoadPartitioner(dev, name)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
 		}
+		asg, err := pr.Assign(src, 2)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if err := asg.Validate(4); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		asgs = append(asgs, asg)
 	}
-	for v := core.VertexID(0); v < 64; v++ {
-		if got.NewID(v) != want.NewID(v) {
-			t.Fatalf("vertex %d: replayed id %d, want %d", v, got.NewID(v), want.NewID(v))
+	for v := core.VertexID(0); v < 4; v++ {
+		if asgs[1].NewID(v) != asgs[0].NewID(v) {
+			t.Fatalf("vertex %d: replayed id %d with a hub list, %d without", v, asgs[1].NewID(v), asgs[0].NewID(v))
 		}
 	}
 }
 
-// TestPermutationVersionCompat: legacy version-1 files (no mirrors) and
-// version-2 files (mirrors, no checksum) keep loading through both
-// readers, and ReadPermutation ignores replication metadata.
+// TestPermutationVersionCompat: version-1 files (no hub list), version-2
+// files (hub list, no checksum) and version-3 files with or without a hub
+// list all load to the same permutation; the hub list is discarded.
 func TestPermutationVersionCompat(t *testing.T) {
 	dev := storage.NewSim(storage.SSDParams("perm", 1, 0))
-	perm := []core.VertexID{2, 0, 1}
-	writeLegacyPerm(t, dev, "v1.xsperm", perm, nil)
-	got, hubs, err := ReadPermutationMirrors(dev, "v1.xsperm")
-	if err != nil {
-		t.Fatal(err)
+	perm := []core.VertexID{2, 0, 3, 1}
+	files := map[string][]byte{
+		"v1":            legacyPerm(1, perm, nil),
+		"v2":            legacyPerm(2, perm, []core.VertexID{0, 2}),
+		"v2-empty-hubs": legacyPerm(2, perm, []core.VertexID{}),
+		"v3":            goldenBytes(t, goldenPermV3),
+		"v3-hubs":       goldenBytes(t, goldenPermV3Hubs),
+		"v3-empty-hubs": goldenBytes(t, goldenPermV3NoHub),
 	}
-	if hubs != nil {
-		t.Fatalf("version-1 file yielded hubs %v", hubs)
-	}
-	for i := range perm {
-		if got[i] != perm[i] {
-			t.Fatalf("entry %d: %d, want %d", i, got[i], perm[i])
+	for name, b := range files {
+		putFile(t, dev, name, b)
+		got, err := ReadPermutation(dev, name)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
 		}
-	}
-
-	writeLegacyPerm(t, dev, "v2.xsperm", perm, []core.VertexID{0, 2})
-	got2, err := ReadPermutation(dev, "v2.xsperm")
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range perm {
-		if got2[i] != perm[i] {
-			t.Fatalf("v2 entry %d: %d, want %d", i, got2[i], perm[i])
+		if !slices.Equal(got, perm) {
+			t.Fatalf("%s: loaded %v, want %v", name, got, perm)
 		}
-	}
-	_, hubs2, err := ReadPermutationMirrors(dev, "v2.xsperm")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(hubs2) != 2 || hubs2[0] != 0 || hubs2[1] != 2 {
-		t.Fatalf("v2 hubs = %v, want [0 2]", hubs2)
 	}
 }
 
-// TestPermutationBadMirrorsRejected: corrupt mirror lists (out of range,
-// unsorted) must error, not load.
+// TestPermutationBadMirrorsRejected: a malformed legacy hub list (out of
+// range, unsorted) is an error, not a list silently dropped.
 func TestPermutationBadMirrorsRejected(t *testing.T) {
 	dev := storage.NewSim(storage.SSDParams("perm", 1, 0))
 	perm := []core.VertexID{0, 1, 2}
-	if err := WritePermutationMirrors(dev, "bad1.xsperm", perm, []core.VertexID{5}); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := ReadPermutationMirrors(dev, "bad1.xsperm"); err == nil {
-		t.Fatal("out-of-range hub accepted")
-	}
-	if err := WritePermutationMirrors(dev, "bad2.xsperm", perm, []core.VertexID{2, 1}); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := ReadPermutationMirrors(dev, "bad2.xsperm"); err == nil {
-		t.Fatal("unsorted hub list accepted")
+	for _, version := range []int{2, 3} {
+		for _, hubs := range [][]core.VertexID{{5}, {2, 1}} {
+			putFile(t, dev, "bad.xsperm", legacyPerm(version, perm, hubs))
+			if _, err := ReadPermutation(dev, "bad.xsperm"); err == nil {
+				t.Fatalf("version %d hub list %v accepted", version, hubs)
+			}
+		}
 	}
 }
 
 // TestPermutationTruncatedMirrorHeaderRejected: a v2 file cut right after
-// the permutation must error rather than silently load with no mirrors.
+// the permutation is a damaged file and must error.
 func TestPermutationTruncatedMirrorHeaderRejected(t *testing.T) {
 	dev := storage.NewSim(storage.SSDParams("perm", 1, 0))
 	perm := []core.VertexID{1, 0, 2}
-	writeLegacyPerm(t, dev, "t.xsperm", perm, []core.VertexID{0, 2})
-	full, err := dev.Open("t.xsperm")
-	if err != nil {
-		t.Fatal(err)
-	}
-	buf := make([]byte, 16+len(perm)*4) // header + permutation, no hub count
-	if _, err := full.ReadAt(buf, 0); err != nil {
-		t.Fatal(err)
-	}
-	full.Close()
-	cut, err := dev.Create("cut.xsperm")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := cut.WriteAt(buf, 0); err != nil {
-		t.Fatal(err)
-	}
-	cut.Close()
-	if _, _, err := ReadPermutationMirrors(dev, "cut.xsperm"); err == nil {
+	full := legacyPerm(2, perm, []core.VertexID{0, 2})
+	putFile(t, dev, "cut.xsperm", full[:16+len(perm)*4]) // header + permutation, no hub count
+	if _, err := ReadPermutation(dev, "cut.xsperm"); err == nil {
 		t.Fatal("truncated v2 file accepted")
 	}
+}
+
+// TestPermutationHeaderCountBounded: an unverified v1/v2 header whose entry
+// count the file cannot hold — including counts that turn negative, or
+// overflow when multiplied by the entry size — is a typed corruption error,
+// never an allocation panic.
+func TestPermutationHeaderCountBounded(t *testing.T) {
+	dev := storage.NewSim(storage.SSDParams("perm", 1, 0))
+	for _, magic := range []string{"XSPERM1\n", "XSPERM2\n"} {
+		for _, n := range []uint64{1 << 63, 1<<62 + 1, 1<<61 + 3, 3} {
+			b := binary.LittleEndian.AppendUint64([]byte(magic), n)
+			b = append(b, make([]byte, 8)...) // 24 bytes: room for two entries
+			putFile(t, dev, "n.xsperm", b)
+			if _, err := ReadPermutation(dev, "n.xsperm"); !errors.Is(err, storage.ErrCorrupted) {
+				t.Fatalf("%q count %#x: got %v, want ErrCorrupted", magic[:7], n, err)
+			}
+		}
+	}
+}
+
+// FuzzReadPermutation: whatever the bytes, the reader returns an error or
+// a permutation of [0, n) — it never panics. Seeded with every shape the
+// writers have emitted.
+func FuzzReadPermutation(f *testing.F) {
+	perm := []core.VertexID{2, 0, 3, 1}
+	f.Add(legacyPerm(1, perm, nil))
+	f.Add(legacyPerm(2, perm, []core.VertexID{0, 3}))
+	f.Add(goldenBytes(f, goldenPermV3))
+	f.Add(goldenBytes(f, goldenPermV3Hubs))
+	f.Fuzz(func(t *testing.T, b []byte) {
+		dev := storage.NewSim(storage.SSDParams("perm", 1, 0))
+		putFile(t, dev, "f.xsperm", b)
+		got, err := ReadPermutation(dev, "f.xsperm")
+		if err != nil {
+			return
+		}
+		seen := make([]bool, len(got))
+		for i, v := range got {
+			if int(v) >= len(got) || seen[v] {
+				t.Fatalf("entry %d = %d: %v is not a permutation", i, v, got)
+			}
+			seen[v] = true
+		}
+	})
 }

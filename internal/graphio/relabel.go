@@ -67,27 +67,26 @@ func WriteRelabeledEdges(dev storage.Device, name string, src core.EdgeSource, p
 // in the original ID space.
 var permMagic = [8]byte{'X', 'S', 'P', 'E', 'R', 'M', '1', '\n'}
 
-// permMagic2 identifies version-2 permutation files, which append the
-// assignment's replication metadata after the permutation: a hub count
-// followed by the mirrored vertices' execution IDs in ascending order.
-// Version-1 files remain readable (they simply carry no mirrors), so
-// permutations persisted before replication existed keep loading.
+// permMagic2 identifies version-2 permutation files, which append a list
+// of hub vertices after the permutation: a hub count followed by the hubs'
+// execution IDs in ascending order. No engine uses the list; the reader
+// checks it and discards it, so these files keep loading.
 var permMagic2 = [8]byte{'X', 'S', 'P', 'E', 'R', 'M', '2', '\n'}
 
 // permMagic3 identifies version-3 permutation files, the format the writer
 // emits today. Version 3 widens the header to 24 bytes — magic, entry
-// count, and a flags word whose low bit records whether replication
-// metadata follows — and appends a CRC32C trailer covering everything
-// between the magic and the trailer. A permutation steers every edge of
-// every later run, so a silently corrupted file would skew results with
-// no visible failure; the checksum turns that into a typed
-// storage.ErrCorrupted at load time. Versions 1 and 2 keep loading
-// unverified, so existing datasets need no migration.
+// count, and a flags word whose low bit records whether a legacy hub list
+// follows — and appends a CRC32C trailer covering everything between the
+// magic and the trailer. A permutation steers every edge of every later
+// run, so a silently corrupted file would skew results with no visible
+// failure; the checksum turns that into a typed storage.ErrCorrupted at
+// load time. Versions 1 and 2 keep loading unverified, so existing
+// datasets need no migration.
 var permMagic3 = [8]byte{'X', 'S', 'P', 'E', 'R', 'M', '3', '\n'}
 
 const (
 	permV3HeaderLen = 24
-	permFlagMirrors = 1 << 0 // a mirror count + hub list follows the permutation
+	permFlagMirrors = 1 << 0 // a legacy hub count + hub list follows the permutation
 )
 
 // writeFullAt writes all of b at off, retrying short writes.
@@ -123,18 +122,9 @@ func readFullAt(f storage.File, b []byte, off int64) error {
 	return nil
 }
 
-// WritePermutation stores a vertex ID map as a binary permutation file
-// with no replication metadata.
+// WritePermutation stores a vertex ID map as a checksummed version-3
+// permutation file with flags 0.
 func WritePermutation(dev storage.Device, name string, perm []core.VertexID) error {
-	return WritePermutationMirrors(dev, name, perm, nil)
-}
-
-// WritePermutationMirrors stores a vertex ID map plus the mirrored-hub
-// list of a replication-aware assignment as a checksummed version-3 file.
-// A nil hub list omits the replication section entirely (and reloads as
-// nil), keeping the v1/v2 distinction between "no mirror metadata" and
-// "zero mirrors".
-func WritePermutationMirrors(dev storage.Device, name string, perm, hubs []core.VertexID) error {
 	f, err := dev.Create(name)
 	if err != nil {
 		return err
@@ -146,40 +136,18 @@ func WritePermutationMirrors(dev storage.Device, name string, perm, hubs []core.
 	hdr := make([]byte, permV3HeaderLen)
 	copy(hdr, permMagic3[:])
 	binary.LittleEndian.PutUint64(hdr[8:], uint64(len(perm)))
-	var flags uint64
-	if hubs != nil {
-		flags |= permFlagMirrors
-	}
-	binary.LittleEndian.PutUint64(hdr[16:], flags)
 	if err := writeFullAt(f, hdr, 0); err != nil {
 		return fail(err)
 	}
 	crc := storage.ChecksumUpdate(0, hdr[8:])
 	off := int64(permV3HeaderLen)
-	writePart := func(b []byte) error {
-		if err := writeFullAt(f, b, off); err != nil {
-			return err
-		}
-		crc = storage.ChecksumUpdate(crc, b)
-		off += int64(len(b))
-		return nil
-	}
 	if len(perm) > 0 {
-		if err := writePart(pod.AsBytes(perm)); err != nil {
+		body := pod.AsBytes(perm)
+		if err := writeFullAt(f, body, off); err != nil {
 			return fail(err)
 		}
-	}
-	if hubs != nil {
-		cnt := make([]byte, 8)
-		binary.LittleEndian.PutUint64(cnt, uint64(len(hubs)))
-		if err := writePart(cnt); err != nil {
-			return fail(err)
-		}
-		if len(hubs) > 0 {
-			if err := writePart(pod.AsBytes(hubs)); err != nil {
-				return fail(err)
-			}
-		}
+		crc = storage.ChecksumUpdate(crc, body)
+		off += int64(len(body))
 	}
 	var trailer [4]byte
 	binary.LittleEndian.PutUint32(trailer[:], crc)
@@ -193,99 +161,86 @@ func WritePermutationMirrors(dev storage.Device, name string, perm, hubs []core.
 }
 
 // ReadPermutation loads a binary permutation file and validates that it is
-// a permutation of [0, n). Version-2 replication metadata, if present, is
-// ignored; use ReadPermutationMirrors to recover it.
+// a permutation of [0, n). A legacy hub list (version 2, or version 3 with
+// the mirror flag) must be well formed, and is then discarded. Version-3
+// files are checksum-verified before a single field is trusted; a mismatch,
+// or an entry count the file is too short to hold, surfaces as an error
+// wrapping storage.ErrCorrupted.
 func ReadPermutation(dev storage.Device, name string) ([]core.VertexID, error) {
-	perm, _, err := ReadPermutationMirrors(dev, name)
-	return perm, err
-}
-
-// ReadPermutationMirrors loads a binary permutation file plus its
-// replication metadata: the mirrored hubs as execution (relabeled) IDs,
-// strictly ascending. Version-1 files return nil hubs. Version-3 files
-// are checksum-verified before a single field is trusted; a mismatch
-// surfaces as an error wrapping storage.ErrCorrupted.
-func ReadPermutationMirrors(dev storage.Device, name string) (perm, hubs []core.VertexID, err error) {
 	f, err := dev.Open(name)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	defer f.Close()
 	if f.Size() < 16 {
-		return nil, nil, fmt.Errorf("graphio: %s: not a permutation file", name)
+		return nil, fmt.Errorf("graphio: %s: not a permutation file", name)
 	}
 	hdr := make([]byte, 16)
 	if err := readFullAt(f, hdr, 0); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	if string(hdr[:8]) == string(permMagic3[:]) {
 		return readPermV3(f, name)
 	}
 	v2 := string(hdr[:8]) == string(permMagic2[:])
 	if !v2 && string(hdr[:8]) != string(permMagic[:]) {
-		return nil, nil, fmt.Errorf("graphio: %s: not a permutation file", name)
+		return nil, fmt.Errorf("graphio: %s: not a permutation file", name)
 	}
+	size := f.Size()
 	n := int64(binary.LittleEndian.Uint64(hdr[8:]))
-	if want := int64(len(hdr)) + n*4; f.Size() < want {
-		return nil, nil, fmt.Errorf("graphio: %s: truncated: %d bytes, want %d", name, f.Size(), want)
+	if n < 0 || n > (size-int64(len(hdr)))/4 {
+		return nil, fmt.Errorf("graphio: %s: truncated: %d entries in a %d-byte file: %w", name, uint64(n), size, storage.ErrCorrupted)
 	}
-	perm = make([]core.VertexID, n)
+	perm := make([]core.VertexID, n)
 	if n > 0 {
 		if err := readFullAt(f, pod.AsBytes(perm), int64(len(hdr))); err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 	}
 	if err := validatePermEntries(name, perm); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	if !v2 {
-		return perm, nil, nil
+		return perm, nil
 	}
 	off := int64(len(hdr)) + n*4
 	// The hub count must actually be present: a v2 file cut right after
-	// the permutation would otherwise read as zero hubs and silently
-	// drop the mirror set.
-	if f.Size() < off+8 {
-		return nil, nil, fmt.Errorf("graphio: %s: truncated mirror header: %d bytes, want %d", name, f.Size(), off+8)
+	// the permutation is a damaged file, not one without a hub list.
+	if size < off+8 {
+		return nil, fmt.Errorf("graphio: %s: truncated mirror header: %d bytes, want %d", name, size, off+8)
 	}
 	cnt := make([]byte, 8)
 	if err := readFullAt(f, cnt, off); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	h := int64(binary.LittleEndian.Uint64(cnt))
 	if h < 0 || h > n {
-		return nil, nil, fmt.Errorf("graphio: %s: %d mirrored hubs for %d vertices", name, h, n)
+		return nil, fmt.Errorf("graphio: %s: %d mirrored hubs for %d vertices", name, h, n)
 	}
-	if want := off + 8 + h*4; f.Size() < want {
-		return nil, nil, fmt.Errorf("graphio: %s: truncated mirror list: %d bytes, want %d", name, f.Size(), want)
+	if want := off + 8 + h*4; size < want {
+		return nil, fmt.Errorf("graphio: %s: truncated mirror list: %d bytes, want %d", name, size, want)
 	}
-	hubs = make([]core.VertexID, h)
-	if h > 0 {
-		if err := readFullAt(f, pod.AsBytes(hubs), off+8); err != nil {
-			return nil, nil, err
-		}
+	if err := checkHubList(f, name, off+8, h, n); err != nil {
+		return nil, err
 	}
-	if err := validateHubEntries(name, hubs, n); err != nil {
-		return nil, nil, err
-	}
-	return perm, hubs, nil
+	return perm, nil
 }
 
 // readPermV3 loads a version-3 permutation file. The trailer checksum is
 // verified over the whole payload before any field is interpreted, so a
-// flipped bit anywhere — header, permutation, mirror list — is reported
-// as storage.ErrCorrupted rather than loaded.
-func readPermV3(f storage.File, name string) (perm, hubs []core.VertexID, err error) {
+// flipped bit anywhere — header, permutation, hub list — is reported as
+// storage.ErrCorrupted rather than loaded.
+func readPermV3(f storage.File, name string) ([]core.VertexID, error) {
 	corrupt := func(detail string) error {
 		return fmt.Errorf("graphio: %s: %s: %w", name, detail, storage.ErrCorrupted)
 	}
 	size := f.Size()
 	if size < permV3HeaderLen+4 {
-		return nil, nil, corrupt(fmt.Sprintf("truncated: %d bytes", size))
+		return nil, corrupt(fmt.Sprintf("truncated: %d bytes", size))
 	}
 	hdr := make([]byte, permV3HeaderLen)
 	if err := readFullAt(f, hdr, 0); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	crc := storage.ChecksumUpdate(0, hdr[8:])
 	buf := make([]byte, 1<<20)
@@ -296,63 +251,57 @@ func readPermV3(f storage.File, name string) (perm, hubs []core.VertexID, err er
 			n = end - off
 		}
 		if err := readFullAt(f, buf[:n], off); err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		crc = storage.ChecksumUpdate(crc, buf[:n])
 		off += n
 	}
 	var trailer [4]byte
 	if err := readFullAt(f, trailer[:], end); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	if binary.LittleEndian.Uint32(trailer[:]) != crc {
-		return nil, nil, corrupt("checksum mismatch")
+		return nil, corrupt("checksum mismatch")
 	}
 
 	n := int64(binary.LittleEndian.Uint64(hdr[8:]))
 	flags := binary.LittleEndian.Uint64(hdr[16:])
 	if n < 0 || n > (size-permV3HeaderLen-4)/4 {
-		return nil, nil, corrupt(fmt.Sprintf("%d entries in a %d-byte file", n, size))
+		return nil, corrupt(fmt.Sprintf("%d entries in a %d-byte file", n, size))
 	}
 	off := int64(permV3HeaderLen)
-	perm = make([]core.VertexID, n)
+	perm := make([]core.VertexID, n)
 	if n > 0 {
 		if err := readFullAt(f, pod.AsBytes(perm), off); err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 	}
 	off += n * 4
+	var hubOff, h int64
 	if flags&permFlagMirrors != 0 {
 		if size < off+8+4 {
-			return nil, nil, corrupt("truncated mirror header")
+			return nil, corrupt("truncated mirror header")
 		}
 		cnt := make([]byte, 8)
 		if err := readFullAt(f, cnt, off); err != nil {
-			return nil, nil, err
+			return nil, err
 		}
-		h := int64(binary.LittleEndian.Uint64(cnt))
-		if h < 0 || h > n {
-			return nil, nil, corrupt(fmt.Sprintf("%d mirrored hubs for %d vertices", h, n))
+		if h = int64(binary.LittleEndian.Uint64(cnt)); h < 0 || h > n {
+			return nil, corrupt(fmt.Sprintf("%d mirrored hubs for %d vertices", h, n))
 		}
-		off += 8
-		hubs = make([]core.VertexID, h)
-		if h > 0 {
-			if err := readFullAt(f, pod.AsBytes(hubs), off); err != nil {
-				return nil, nil, err
-			}
-		}
-		off += h * 4
+		hubOff = off + 8
+		off = hubOff + h*4
 	}
 	if off+4 != size {
-		return nil, nil, corrupt(fmt.Sprintf("%d bytes, sections account for %d", size, off+4))
+		return nil, corrupt(fmt.Sprintf("%d bytes, sections account for %d", size, off+4))
 	}
 	if err := validatePermEntries(name, perm); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	if err := validateHubEntries(name, hubs, n); err != nil {
-		return nil, nil, err
+	if err := checkHubList(f, name, hubOff, h, n); err != nil {
+		return nil, err
 	}
-	return perm, hubs, nil
+	return perm, nil
 }
 
 // validatePermEntries checks that perm is a permutation of [0, len(perm)).
@@ -368,8 +317,15 @@ func validatePermEntries(name string, perm []core.VertexID) error {
 	return nil
 }
 
-// validateHubEntries checks that hubs is strictly ascending in [0, n).
-func validateHubEntries(name string, hubs []core.VertexID, n int64) error {
+// checkHubList reads the h-entry legacy hub list at off and checks that it
+// is strictly ascending in [0, n).
+func checkHubList(f storage.File, name string, off, h, n int64) error {
+	hubs := make([]core.VertexID, h)
+	if h > 0 {
+		if err := readFullAt(f, pod.AsBytes(hubs), off); err != nil {
+			return err
+		}
+	}
 	for i, hv := range hubs {
 		if int64(hv) >= n || (i > 0 && hv <= hubs[i-1]) {
 			return fmt.Errorf("graphio: %s: mirror entry %d = %d is not strictly ascending in [0,%d)", name, i, hv, n)

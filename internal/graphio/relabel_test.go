@@ -108,8 +108,8 @@ func TestPermutationFileRoundTrip(t *testing.T) {
 }
 
 // TestPermutationChecksumDetectsCorruption: a single flipped bit anywhere
-// in a version-3 permutation file — header count, permutation body, hub
-// list, or the trailer itself — must surface as storage.ErrCorrupted,
+// in a version-3 permutation file — header count, permutation body, legacy
+// hub list, or the trailer itself — must surface as storage.ErrCorrupted,
 // never as a silently different permutation.
 func TestPermutationChecksumDetectsCorruption(t *testing.T) {
 	dev := storage.NewSim(storage.SSDParams("t", 1, 0))
@@ -118,11 +118,8 @@ func TestPermutationChecksumDetectsCorruption(t *testing.T) {
 	for i := range perm {
 		perm[i] = core.VertexID(n - 1 - i)
 	}
-	hubs := []core.VertexID{3, 17, 41}
-	if err := WritePermutationMirrors(dev, "c.xsperm", perm, hubs); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := ReadPermutationMirrors(dev, "c.xsperm"); err != nil {
+	putFile(t, dev, "c.xsperm", legacyPerm(3, perm, []core.VertexID{3, 17, 41}))
+	if _, err := ReadPermutation(dev, "c.xsperm"); err != nil {
 		t.Fatalf("pristine file rejected: %v", err)
 	}
 	f, err := dev.Open("c.xsperm")
@@ -135,7 +132,7 @@ func TestPermutationChecksumDetectsCorruption(t *testing.T) {
 		8,                          // header: entry count
 		16,                         // header: flags word
 		permV3HeaderLen + 13,       // permutation body
-		permV3HeaderLen + 4*64,     // mirror count
+		permV3HeaderLen + 4*64,     // hub count
 		permV3HeaderLen + 4*64 + 9, // hub list
 		size - 2,                   // trailer checksum
 	}
@@ -156,11 +153,11 @@ func TestPermutationChecksumDetectsCorruption(t *testing.T) {
 			f.Close()
 		}
 		flip()
-		if _, _, err := ReadPermutationMirrors(dev, "c.xsperm"); !errors.Is(err, storage.ErrCorrupted) {
+		if _, err := ReadPermutation(dev, "c.xsperm"); !errors.Is(err, storage.ErrCorrupted) {
 			t.Fatalf("bit flip at offset %d: got %v, want ErrCorrupted", off, err)
 		}
 		flip() // restore for the next offset
-		if _, _, err := ReadPermutationMirrors(dev, "c.xsperm"); err != nil {
+		if _, err := ReadPermutation(dev, "c.xsperm"); err != nil {
 			t.Fatalf("restored file rejected after offset %d: %v", off, err)
 		}
 	}
@@ -170,10 +167,8 @@ func TestPermutationChecksumDetectsCorruption(t *testing.T) {
 // reported as corruption, including cuts too short to hold the frame.
 func TestPermutationTruncationDetected(t *testing.T) {
 	dev := storage.NewSim(storage.SSDParams("t", 1, 0))
-	perm := []core.VertexID{3, 1, 0, 2}
-	if err := WritePermutationMirrors(dev, "t.xsperm", perm, []core.VertexID{1}); err != nil {
-		t.Fatal(err)
-	}
+	file := legacyPerm(3, []core.VertexID{3, 1, 0, 2}, []core.VertexID{1})
+	putFile(t, dev, "t.xsperm", file)
 	f, err := dev.Open("t.xsperm")
 	if err != nil {
 		t.Fatal(err)
@@ -189,7 +184,7 @@ func TestPermutationTruncationDetected(t *testing.T) {
 			t.Fatal(err)
 		}
 		f.Close()
-		_, _, err = ReadPermutationMirrors(dev, "t.xsperm")
+		_, err = ReadPermutation(dev, "t.xsperm")
 		if cut >= 16 {
 			if !errors.Is(err, storage.ErrCorrupted) {
 				t.Fatalf("cut to %d bytes: got %v, want ErrCorrupted", cut, err)
@@ -197,9 +192,7 @@ func TestPermutationTruncationDetected(t *testing.T) {
 		} else if err == nil {
 			t.Fatalf("cut to %d bytes accepted", cut)
 		}
-		if err := WritePermutationMirrors(dev, "t.xsperm", perm, []core.VertexID{1}); err != nil {
-			t.Fatal(err)
-		}
+		putFile(t, dev, "t.xsperm", file)
 	}
 }
 
@@ -210,10 +203,8 @@ func TestPermutationShortReadRecovery(t *testing.T) {
 	inner := storage.NewSim(storage.SSDParams("t", 1, 0))
 	dev := storage.NewFaulty(inner, storage.FaultyOptions{ShortReads: 1})
 	perm := testPerm()
-	if err := WritePermutationMirrors(dev, "s.xsperm", perm, []core.VertexID{0, 3}); err != nil {
-		t.Fatal(err)
-	}
-	got, hubs, err := ReadPermutationMirrors(dev, "s.xsperm")
+	putFile(t, dev, "s.xsperm", legacyPerm(3, perm, []core.VertexID{0, 3}))
+	got, err := ReadPermutation(dev, "s.xsperm")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,9 +212,6 @@ func TestPermutationShortReadRecovery(t *testing.T) {
 		if got[i] != perm[i] {
 			t.Fatalf("entry %d: %d, want %d", i, got[i], perm[i])
 		}
-	}
-	if len(hubs) != 2 || hubs[0] != 0 || hubs[1] != 3 {
-		t.Fatalf("hubs = %v, want [0 3]", hubs)
 	}
 }
 

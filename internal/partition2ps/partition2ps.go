@@ -23,13 +23,11 @@
 //     core-periphery graphs concentrates the dense core into few
 //     partitions and wins the most cross-partition traffic, and HEP-style
 //     volume-balanced packing ("2psv", Config.VolumeBalance), which evens
-//     partitions out by degree sum instead — the policy to pair with hub
-//     replication (core.ReplicatingPartitioner), since mirrors make hub
-//     placement irrelevant to update traffic and so make the balance
-//     affordable. Either way the partitions stay contiguous ID ranges —
-//     X-Stream's sequential vertex-state access, partition files and
-//     shuffle plans are all untouched — but now a range boundary is a
-//     cluster boundary, not an accident of input order.
+//     partitions out by degree sum instead. Either way the partitions
+//     stay contiguous ID ranges — X-Stream's sequential vertex-state
+//     access, partition files and shuffle plans are all untouched — but
+//     now a range boundary is a cluster boundary, not an accident of
+//     input order.
 //
 // The result plugs into engines through core.Partitioner; preprocessing
 // cost is two edge streams plus an O(V log V) sort, and the engines remap
@@ -60,11 +58,8 @@ type Config struct {
 	// VolumeBalance switches phase 2 to HEP-style volume-balanced packing:
 	// partitions are evened out by degree sum (the work a partition
 	// causes) instead of best-fit on vertex count. On power-law graphs
-	// this spreads the dense core and *raises* the cross-edge fraction, so
-	// it is meant to be paired with hub replication
-	// (core.ReplicatingPartitioner), which collapses the spread hubs'
-	// cross updates into per-partition syncs. The partitioner reports
-	// itself as "2psv" in this mode.
+	// this spreads the dense core and *raises* the cross-edge fraction.
+	// The partitioner reports itself as "2psv" in this mode.
 	VolumeBalance bool
 }
 
@@ -79,8 +74,7 @@ type Partitioner struct {
 func New() *Partitioner { return &Partitioner{} }
 
 // NewVolumeBalanced returns a 2PS partitioner with volume-balanced
-// packing ("2psv") — pair it with core.NewReplicatingPartitioner, which
-// is what makes spreading the hubs affordable.
+// packing ("2psv").
 func NewVolumeBalanced() *Partitioner {
 	return &Partitioner{cfg: Config{VolumeBalance: true}}
 }
@@ -278,10 +272,7 @@ func (c *clustering) observe(u, v core.VertexID) {
 //     bins only toward under-target volume, so partitions end up even in
 //     the work they cause — edges streamed, updates received — not
 //     merely in vertex count. Spreading the dense core this way raises
-//     the cross-*edge* fraction on power-law graphs; it is designed to
-//     be paired with hub replication (core.ReplicatingPartitioner),
-//     which makes hub placement irrelevant to update traffic and so
-//     makes the balance affordable.
+//     the cross-*edge* fraction on power-law graphs.
 //
 // In both policies the hard constraint is the ID room — every bin holds
 // exactly one partition's worth of vertex IDs. Clusters that fit nowhere

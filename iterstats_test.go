@@ -21,8 +21,7 @@ import (
 // iterSums accumulates Stats.Iters field-by-field.
 type iterSums struct {
 	edgesStreamed, edgesSkipped, partsSkipped, tilesSkipped                int64
-	updatesSent, updatesCombined, crossUpdates, mirrorUpdates              int64
-	updateBytes                                                            int64
+	updatesSent, updatesCombined, crossUpdates, updateBytes                int64
 	bytesRead, bytesReadLogical, bytesWritten, bytesChecksummed, ioRetries int64
 }
 
@@ -37,7 +36,6 @@ func sumIters(iters []xstream.IterStats) iterSums {
 		s.updatesSent += it.UpdatesSent
 		s.updatesCombined += it.UpdatesCombined
 		s.crossUpdates += it.CrossPartitionUpdates
-		s.mirrorUpdates += it.MirrorSyncUpdates
 		s.updateBytes += it.UpdateBytes
 		s.bytesRead += it.BytesRead
 		s.bytesReadLogical += it.BytesReadLogical
@@ -83,7 +81,6 @@ func assertIterParity(t *testing.T, name string, st xstream.Stats, exactUpdates 
 		{"UpdatesSent", s.updatesSent, st.UpdatesSent},
 		{"UpdatesCombined", s.updatesCombined, st.UpdatesCombined},
 		{"CrossPartitionUpdates", s.crossUpdates, st.CrossPartitionUpdates},
-		{"MirrorSyncUpdates", s.mirrorUpdates, st.MirrorSyncUpdates},
 		{"UpdateBytes", s.updateBytes, st.UpdateBytes},
 	}
 	if exactUpdates {

@@ -29,9 +29,11 @@ func runManyCases() []runManyCase {
 		{"mem/range", true, xstream.NewRangePartitioner, false},
 		{"mem/range/selective", true, xstream.NewRangePartitioner, true},
 		{"mem/2ps/selective", true, xstream.New2PSPartitioner, true},
+		{"mem/2psv", true, xstream.New2PSVolumePartitioner, false},
 		{"disk/range", false, xstream.NewRangePartitioner, false},
 		{"disk/range/selective", false, xstream.NewRangePartitioner, true},
 		{"disk/2ps/selective", false, xstream.New2PSPartitioner, true},
+		{"disk/2psv", false, xstream.New2PSVolumePartitioner, false},
 	}
 }
 
@@ -218,42 +220,5 @@ func TestRunManyCancel(t *testing.T) {
 	dcfg.Context = ctx
 	if _, err := xstream.RunDisk(src, xstream.NewPageRank(50), dcfg); err != context.Canceled {
 		t.Fatalf("RunDisk: err = %v, want context.Canceled", err)
-	}
-}
-
-// TestRunManyReplication: the shared-pass path has its own scatter sink
-// (core.jobRun), so mirrors must be proven there too — a replicated
-// RunMany job must mirror, sync, and agree bit-for-bit with its solo Run
-// under the same replicating assignment (min-lattice algorithm).
-func TestRunManyReplication(t *testing.T) {
-	src := xstreamtest.RMAT(10, 71)
-	repPart := func() xstream.Partitioner {
-		return xstream.NewReplicatingPartitioner(xstream.New2PSVolumePartitioner(), xstream.ReplicationConfig{})
-	}
-	for _, c := range []runManyCase{
-		{"mem/2psv+rep", true, repPart, false},
-		{"disk/2psv+rep", false, repPart, false},
-	} {
-		t.Run(c.name, func(t *testing.T) {
-			const root = 3
-			want := xstream.BFSLevels(soloVertices(t, c, src, xstream.NewBFS(root)))
-			results, _ := runManySet(t, c, src, xstream.ProgramSet{
-				xstream.NewJob(xstream.NewBFS(root)),
-				xstream.NewJob(xstream.NewBFS(root)),
-			})
-			for i, r := range results {
-				s := r.Stats
-				if s.MirroredVertices == 0 || s.MirrorSyncUpdates == 0 {
-					t.Fatalf("job %d: no mirroring in shared pass: %d vertices, %d syncs",
-						i, s.MirroredVertices, s.MirrorSyncUpdates)
-				}
-				got := xstream.BFSLevels(r.Vertices.([]xstream.BFSState))
-				for v := range want {
-					if got[v] != want[v] {
-						t.Fatalf("job %d vertex %d: level %d, want %d", i, v, got[v], want[v])
-					}
-				}
-			}
-		})
 	}
 }

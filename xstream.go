@@ -178,14 +178,8 @@ type (
 	// Partitioner decides how vertices map to streaming partitions.
 	Partitioner = core.Partitioner
 	// Assignment is a planned partitioning: contiguous split plus the
-	// vertex relabeling that realizes it (and, optionally, a mirror set).
+	// vertex relabeling that realizes it.
 	Assignment = core.Assignment
-	// Replication is the mirror set of an assignment: hub vertices whose
-	// cross-partition updates the engines absorb into partition-local
-	// accumulators and flush as per-partition sync updates.
-	Replication = core.Replication
-	// ReplicationConfig tunes hub selection for NewReplicatingPartitioner.
-	ReplicationConfig = core.ReplicationConfig
 )
 
 // NewRangePartitioner returns the paper's fixed policy: partitions are
@@ -202,21 +196,8 @@ func New2PSPartitioner() Partitioner { return partition2ps.New() }
 // New2PSVolumePartitioner returns the 2PS partitioner with HEP-style
 // volume-balanced packing ("2psv"): partitions are evened out by degree
 // sum — the work they cause — instead of vertex count. On power-law
-// graphs this spreads the dense core and raises cross-edge traffic, so
-// pair it with NewReplicatingPartitioner, which makes hub placement
-// irrelevant to update traffic.
+// graphs this spreads the dense core and raises cross-edge traffic.
 func New2PSVolumePartitioner() Partitioner { return partition2ps.NewVolumeBalanced() }
-
-// NewReplicatingPartitioner wraps any Partitioner with HDRF/HEP-style hub
-// selection: one extra streaming pass counts in-degrees and the vertices
-// above the configured threshold are mirrored — engines absorb their
-// updates into partition-local accumulators merged by the program's
-// Combiner and flush one sync update per partition per iteration,
-// collapsing the hubs' cross-partition update flood. Programs without a
-// Combiner fall back to the unwrapped behavior.
-func NewReplicatingPartitioner(inner Partitioner, cfg ReplicationConfig) Partitioner {
-	return core.NewReplicatingPartitioner(inner, cfg)
-}
 
 // NewPermutationPartitioner replays a saved old->new vertex relabeling as
 // a Partitioner (nil = identity), so a clustering pass persisted with
