@@ -153,12 +153,12 @@ func Test2PSPermutationSaved(t *testing.T) {
 	r.Close()
 }
 
-// TestStaleHubPlanFileIgnored: a plan file an earlier release saved
+// TestReplicateIgnoresStaleMirrors: a plan file an earlier release saved
 // under its hub-replication name (xserve-<name>-<policy>-rep<N>.xsperm) is
 // neither read nor overwritten: the registry plans into, and a restarted
 // registry replays, xserve-g-2ps.xsperm, and a job's vertices equal those a
 // registry without a device computes.
-func TestStaleHubPlanFileIgnored(t *testing.T) {
+func TestReplicateIgnoresStaleMirrors(t *testing.T) {
 	src := testSource()
 	dev := storage.NewSim(storage.SSDParams("perm", 2, 0))
 	stale := make([]core.VertexID, src.NumVertices())
@@ -208,5 +208,49 @@ func TestStaleHubPlanFileIgnored(t *testing.T) {
 	}
 	if got, err := graphio.ReadPermutation(dev, "xserve-g-2ps-rep256.xsperm"); err != nil || !slices.Equal(got, stale) {
 		t.Fatalf("stale plan file changed: %v", err)
+	}
+}
+
+// TestReplicateEmptyHubCachePersists: on a graph with no hubs (a grid, max
+// degree 4) the plan is saved with no hub list at all, and a restarted
+// registry replays the saved file instead of planning again.
+func TestReplicateEmptyHubCachePersists(t *testing.T) {
+	src := graphgen.Grid(24, 24, 5)
+	dev := storage.NewSim(storage.SSDParams("perm", 2, 0))
+	opts := Options{Partitioner: "2ps", Device: dev, Threads: 2, MemPartitions: 16}
+	r := NewRegistry()
+	defer r.Close()
+	d, err := r.Add("g", src, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := d.partitioner(); err != nil {
+		t.Fatal(err)
+	}
+	perm, err := graphio.ReadPermutation(dev, d.permFile())
+	if err != nil {
+		t.Fatalf("plan not persisted: %v", err)
+	}
+	if int64(len(perm)) != src.NumVertices() {
+		t.Fatalf("persisted permutation has %d entries", len(perm))
+	}
+	// Replace the saved plan with a different valid one: only a replay,
+	// not a fresh plan, yields it.
+	planted := slices.Clone(perm)
+	slices.Reverse(planted)
+	if err := graphio.WritePermutation(dev, d.permFile(), planted); err != nil {
+		t.Fatal(err)
+	}
+	r2 := NewRegistry()
+	defer r2.Close()
+	d2, err := r2.Add("g", src, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := d2.partitioner(); err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(d2.perm, planted) {
+		t.Fatal("cached permutation not replayed")
 	}
 }
