@@ -181,6 +181,19 @@ func runDisk[V, M any](src core.EdgeSource, p core.Program[V, M], dev storage.De
 	return res.Stats, nil
 }
 
+// spilledUpdates reports whether a disk run wrote update files. Without
+// checkpoints or spilled vertex state, the device writes its iterations are
+// charged with are update-file appends: some iteration's updates outgrew the
+// transport's window, one stream buffer of IOUnit·Partitions bytes.
+func spilledUpdates(s core.Stats) bool {
+	for _, it := range s.Iters {
+		if it.BytesWritten > 0 {
+			return true
+		}
+	}
+	return false
+}
+
 // fmtDur formats a duration the way the paper's tables do.
 func fmtDur(d time.Duration) string {
 	switch {

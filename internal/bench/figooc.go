@@ -161,10 +161,17 @@ func runFig23(cfg Config) (*Table, error) {
 
 	xsDev := ssdDev("f23-xs", ts)
 	xsDev.ResetStats()
-	if _, err := runDisk(src, algorithms.NewPageRank(3), xsDev, cfg, func(c *diskengine.Config) {
-		c.NoUpdateBypass = true // keep update traffic on the device, as with a real big graph
-	}); err != nil {
+	// Keep update traffic on the device, as with a real big graph: one
+	// stream buffer is smaller than an iteration's updates.
+	xs, err := runDisk(src, algorithms.NewPageRank(3), xsDev, cfg, func(c *diskengine.Config) {
+		c.Partitions = 1
+		c.IOUnit = cfg.pick(64<<10, 8<<10)
+	})
+	if err != nil {
 		return nil, err
+	}
+	if !spilledUpdates(xs) {
+		return nil, fmt.Errorf("fig23: X-Stream wrote no update files")
 	}
 	sample("X-Stream", xsDev, ts)
 

@@ -5,14 +5,17 @@ package core
 // (paper §3: edges and vertices are partition-local; only updates move).
 // UpdateTransport abstracts it: the engines send per-partition update
 // batches during scatter and drain per-partition streams at gather,
-// without knowing whether the records moved through an in-memory shuffle
-// or partition files on disk.
+// without knowing whether the records stayed in memory or went through
+// partition files on disk.
 //
-// There are two implementations: the builtin streambuf shuffle here
-// (NewShuffleTransport, every core.jobRun's) and the out-of-core engine's
-// update-file writeback (internal/diskengine's fileTransport, the solo
-// spillable run's). internal/transport/conformance is their shared contract
-// suite.
+// There is one implementation, ShuffleTransport, in three shapes that
+// differ only in window size. Without a spill store its one window holds a
+// whole iteration (NewShuffleTransport, every core.jobRun's). Over a spill
+// store (NewSpillTransport, the solo out-of-core run's update files) a full
+// window is shuffled, folded and spilled, mid-iteration or on every batch,
+// and an iteration that never fills one stays in memory.
+// internal/transport/conformance is the contract suite all three shapes
+// pass.
 
 import (
 	"sync/atomic"
@@ -101,35 +104,9 @@ type UpdateTransport[M any] interface {
 	Counters() TransportCounters
 }
 
-// CounterSet is the concurrency-safe accounting every UpdateTransport
-// implementation embeds (including the out-of-core file transport in
-// internal/diskengine); its methods back Counters.
-type CounterSet struct {
-	batches atomic.Int64
-	bytes   atomic.Int64
-	cross   atomic.Int64
-}
-
-// Count records one accepted non-empty batch of n records, cross of which
-// were addressed outside the sending partition, each recSize bytes.
-func (c *CounterSet) Count(n, cross int64, recSize int) {
-	c.batches.Add(1)
-	c.bytes.Add(n * int64(recSize))
-	c.cross.Add(cross)
-}
-
-// Snapshot returns the counters as a TransportCounters value.
-func (c *CounterSet) Snapshot() TransportCounters {
-	return TransportCounters{
-		Batches: c.batches.Load(),
-		Bytes:   c.bytes.Load(),
-		Cross:   c.cross.Load(),
-	}
-}
-
-// CrossOf counts the records of batch whose destination partition (per
+// crossOf counts the records of batch whose destination partition (per
 // key) differs from src.
-func CrossOf[M any](batch []Update[M], src int, key func(Update[M]) uint32) int64 {
+func crossOf[M any](batch []Update[M], src int, key func(Update[M]) uint32) int64 {
 	var cross int64
 	for i := range batch {
 		if key(batch[i]) != uint32(src) {
@@ -139,108 +116,147 @@ func CrossOf[M any](batch []Update[M], src int, key func(Update[M]) uint32) int6
 	return cross
 }
 
-// ShuffleTransport is the builtin in-memory transport: sends append into a
-// fixed-capacity stream buffer, Seal runs the multi-stage counting shuffle
-// (paper §4.2) plus the per-partition combiner fold, and Drain walks the
-// resulting buckets. This is the extracted form of the path the in-memory
-// engine and the shared-pass job runner always used.
-type ShuffleTransport[M any] struct {
-	a, b    *streambuf.Buffer[Update[M]]
-	res     *streambuf.Buffer[Update[M]]
-	plan    streambuf.Plan
-	threads int
-	key     func(Update[M]) uint32
-	folder  *streambuf.Folder[Update[M]]
-	recSize int
-	CounterSet
+// SpillStore is where a ShuffleTransport spills the windows an iteration
+// outgrows: one append-only record stream per partition (the update files
+// of §3.2). Append runs on the transport's writer goroutine, in window
+// order; Pending and Drain run after Seal, with UpdateTransport's
+// concurrency.
+type SpillStore[M any] interface {
+	// Append appends one shuffled run of partition p's records.
+	Append(p int, run []Update[M]) error
+	// Pending returns the number of records stored for partition p.
+	Pending(p int) int64
+	// Drain streams partition p's records through fn in append order,
+	// checks them against what was appended and empties the stream.
+	Drain(p int, fn func([]Update[M]) error) error
 }
 
-// NewShuffleTransport builds the builtin shuffle transport: capacity
+// ShuffleTransport is the update transport: sends append into a window
+// stream buffer, Seal runs the multi-stage counting shuffle (paper §4.2) and
+// the per-partition combiner fold over it, and Drain walks the resulting
+// buckets. Without a spill store there is one window per iteration: Flush is
+// a no-op and Send refuses a batch past the window. Over a store the window
+// is bounded: Flush shuffles, folds and spills a full window through an
+// async write pipeline while the next one fills, Seal waits for the writes,
+// and Drain reads a spilled iteration back from the store. An iteration that
+// never flushed stays in memory either way (the §3.2 bypass).
+type ShuffleTransport[M any] struct {
+	w       *streambuf.Writer[Update[M]]
+	store   SpillStore[M]
+	res     *streambuf.Buffer[Update[M]] // the sealed window of an iteration that stayed in memory
+	key     func(Update[M]) uint32
+	recSize int
+
+	batches, bytes, cross atomic.Int64
+}
+
+// NewShuffleTransport builds a transport that never spills: capacity
 // records per iteration, routed by key through plan with the given shuffle
 // parallelism, folded by folder when non-nil.
 func NewShuffleTransport[M any](capacity int, plan streambuf.Plan, threads int, key func(Update[M]) uint32, folder *streambuf.Folder[Update[M]]) *ShuffleTransport[M] {
+	return NewSpillTransport(capacity, plan, threads, key, folder, nil)
+}
+
+// NewSpillTransport is NewShuffleTransport with windows of window records
+// that spill to store; a nil store never spills.
+func NewSpillTransport[M any](window int, plan streambuf.Plan, threads int, key func(Update[M]) uint32, folder *streambuf.Folder[Update[M]], store SpillStore[M]) *ShuffleTransport[M] {
+	var fold func(*streambuf.Buffer[Update[M]]) int64
+	if folder != nil {
+		fold = folder.Fold
+	}
+	var sink func(int, []Update[M]) error
+	if store != nil {
+		sink = store.Append
+	}
 	return &ShuffleTransport[M]{
-		a:       streambuf.New[Update[M]](capacity),
-		b:       streambuf.New[Update[M]](capacity),
-		plan:    plan,
-		threads: threads,
+		w:       streambuf.NewWriter(window, plan, threads, key, fold, sink),
+		store:   store,
 		key:     key,
-		folder:  folder,
 		recSize: pod.Size[Update[M]](),
 	}
 }
 
 // Send implements UpdateTransport. It returns false when the batch does
-// not fit the remaining buffer capacity.
+// not fit the current window's room.
 func (t *ShuffleTransport[M]) Send(src int, batch []Update[M]) bool {
 	if len(batch) == 0 {
 		return true
 	}
-	if !t.a.Append(batch) {
+	if !t.w.Buf().Append(batch) {
 		return false
 	}
-	t.Count(int64(len(batch)), CrossOf(batch, src, t.key), t.recSize)
+	t.batches.Add(1)
+	t.bytes.Add(int64(len(batch)) * int64(t.recSize))
+	t.cross.Add(crossOf(batch, src, t.key))
 	return true
 }
 
-// Room implements UpdateTransport: the remaining buffer capacity.
-func (t *ShuffleTransport[M]) Room() int { return t.a.Cap() - t.a.Len() }
+// Room implements UpdateTransport: the current window's remaining capacity.
+func (t *ShuffleTransport[M]) Room() int { return t.w.Room() }
 
-// Flush implements UpdateTransport as a no-op: the shuffle has a single
-// per-iteration window.
-func (t *ShuffleTransport[M]) Flush() error { return nil }
+// Flush implements UpdateTransport: over a store it spills the current
+// window; without one it is a no-op.
+func (t *ShuffleTransport[M]) Flush() error { return t.w.Flush() }
 
-// Seal implements UpdateTransport: one shuffle pass plus one fold.
+// Seal implements UpdateTransport: the last window is shuffled and folded,
+// kept in memory when it is the iteration's only one and spilled after the
+// others otherwise.
 func (t *ShuffleTransport[M]) Seal() (IterFlow, error) {
-	res := streambuf.Shuffle(t.a, t.b, t.plan, t.threads, t.key)
-	appended := int64(res.Len())
-	var combined int64
-	if t.folder != nil {
-		combined = t.folder.Fold(res)
-	}
+	res, tally, err := t.w.Seal()
 	t.res = res
-	return IterFlow{Appended: appended, Combined: combined, Delivered: appended - combined}, nil
+	return IterFlow{Appended: tally.Combined + tally.Kept, Combined: tally.Combined, Delivered: tally.Kept}, err
 }
 
 // Pending implements UpdateTransport.
 func (t *ShuffleTransport[M]) Pending(p int) int64 {
-	if t.res == nil {
-		return 0
+	switch {
+	case t.res != nil:
+		return int64(t.res.BucketLen(p))
+	case t.store != nil:
+		return t.store.Pending(p)
 	}
-	return int64(t.res.BucketLen(p))
+	return 0
 }
 
-// Drain implements UpdateTransport over the sealed buffer's bucket runs.
+// Drain implements UpdateTransport over the kept window's bucket runs or
+// the store's stream.
 func (t *ShuffleTransport[M]) Drain(p int, fn func([]Update[M]) error) error {
-	if t.res == nil {
-		return nil
+	switch {
+	case t.res != nil:
+		var err error
+		t.res.Bucket(p, func(run []Update[M]) {
+			if err == nil {
+				err = fn(run)
+			}
+		})
+		return err
+	case t.store != nil:
+		return t.store.Drain(p, fn)
 	}
-	var err error
-	t.res.Bucket(p, func(run []Update[M]) {
-		if err == nil {
-			err = fn(run)
-		}
-	})
-	return err
+	return nil
 }
 
-// EndIteration implements UpdateTransport: both ping-pong buffers reset.
+// EndIteration implements UpdateTransport. The kept window goes back to the
+// writer at its next Flush or Seal; Drain emptied a spilled iteration's
+// streams.
 func (t *ShuffleTransport[M]) EndIteration() error {
 	t.res = nil
-	t.a.Reset()
-	t.b.Reset()
 	return nil
 }
 
-// Close implements UpdateTransport. The buffers are garbage-collected; no
-// other resources are held.
+// Close implements UpdateTransport: it stops the write pipeline, wherever
+// an error path may have abandoned the iteration. The store's files belong
+// to its owner.
 func (t *ShuffleTransport[M]) Close() error {
+	t.w.Stop()
 	t.res = nil
 	return nil
 }
 
-// Cap implements UpdateTransport.
-func (t *ShuffleTransport[M]) Cap() int { return t.a.Cap() }
+// Cap implements UpdateTransport: the window capacity.
+func (t *ShuffleTransport[M]) Cap() int { return t.w.Buf().Cap() }
 
 // Counters implements UpdateTransport.
-func (t *ShuffleTransport[M]) Counters() TransportCounters { return t.Snapshot() }
+func (t *ShuffleTransport[M]) Counters() TransportCounters {
+	return TransportCounters{Batches: t.batches.Load(), Bytes: t.bytes.Load(), Cross: t.cross.Load()}
+}

@@ -1,7 +1,7 @@
 package diskengine
 
 // compress.go is the compressed edge-tile layout (Config.CompressTiles).
-// The write side is a bucketWriter sink that encodes whole tiles with
+// The write side is a streambuf.Writer sink that encodes whole tiles with
 // internal/tilecodec during the pre-processing shuffle; the read side is a
 // tileReader that decodes batches of tiles with the same prefetch
 // discipline as chunkReader. Both hide behind the edgeStream interface and
@@ -24,8 +24,8 @@ import (
 // accumulates each partition's appended runs into fixed-size tiles,
 // encodes every full tile and appends the encoded blob to the partition
 // file, recording the tile's source span and physical placement in the
-// index. It replaces both the bucketWriter's raw append and the diskTiles
-// observer, and runs on the single writer goroutine; finish (called after
+// index. It replaces both the raw append and the diskTiles observer, and
+// runs on the single writer goroutine; finish (called after
 // the writer drains) flushes each partition's trailing short tile.
 type tileCompressor struct {
 	files    []*partFile
@@ -101,7 +101,7 @@ func (c *tileCompressor) flushTile(p int, edges []core.Edge) error {
 }
 
 // finish encodes every partition's trailing short tile. Call after the
-// bucketWriter's Finish, when no more runs will arrive.
+// write pipeline's Finish, when no more runs will arrive.
 func (c *tileCompressor) finish() error {
 	for p, pend := range c.pending {
 		if len(pend) > 0 {

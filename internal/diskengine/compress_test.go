@@ -130,7 +130,7 @@ func TestEngineParityCompressedSpillNoPrefetch(t *testing.T) {
 // run's, and the layout metrics must be populated.
 func TestCompressedStats(t *testing.T) {
 	src, _ := smallGraph(21)
-	base := Config{Device: ssd(0), Threads: 2, IOUnit: 8 << 10, Partitions: 4, NoUpdateBypass: true}
+	base := spillsUpdates(t, Config{Device: ssd(0), Threads: 2, IOUnit: 4 << 10, Partitions: 4})
 	rawRes, err := Run(src, &wccProg{}, base)
 	if err != nil {
 		t.Fatal(err)

@@ -15,8 +15,9 @@
 // buffer, and a dedicated goroutine writes shuffled output buffers while
 // the scatter fills the next. Both §3.2 optimizations are implemented: the
 // vertex files are bypassed entirely when all vertex state fits in the
-// memory budget, and the update files are bypassed when one scatter
-// phase's updates fit in a single stream buffer.
+// memory budget, and the update files whenever one scatter phase's updates
+// fit in a single stream buffer — the update transport's window is one
+// stream buffer, and only an iteration that outgrows it spills.
 //
 // There is one iteration loop, Prepared.runPass (runmany.go), over one
 // dataset layer, the Prepared: the §3.4 partition sizing, the partitioner
@@ -26,8 +27,9 @@
 // the run of a shared pass's job (RunMany, RunJob), holds vertex state and
 // updates in memory; the engine[V, M] in this file, the one run of a solo
 // Run, may spill both — vertex windows to per-partition vertex files,
-// updates to update files behind a fileTransport — and parallelizes scatter
-// and gather inside a chunk. Its scatter cuts each segment of a chunk into
+// updates to update files, the spill store of the same core.ShuffleTransport
+// every core.jobRun uses without one — and parallelizes scatter and gather
+// inside a chunk. Its scatter cuts each segment of a chunk into
 // one stripe per worker, stripe i always through worker i's kernel, whose
 // combining window stays open for the whole partition; what the kernels
 // send reaches the transport in kernel order, so its combining and update
@@ -38,10 +40,11 @@
 // once.
 //
 // Buffers are owned for the whole run, as in §3.2: the pass's edgeScratch
-// is the two edge input buffers every reader borrows and the file
-// transport's bucketWriter holds the three update output buffers — the five
-// stream buffers of §3.4 — while the transport's drain scratch, the gather
-// sub-shuffle pair and one scatter kernel per worker are made on first use.
+// is the two edge input buffers every reader borrows and the update
+// transport's streambuf.Writer holds the three update output buffers, the
+// third made when an iteration first spills — the five stream buffers of
+// §3.4 — while the update store's drain scratch, the gather sub-shuffle pair
+// and one scatter kernel per worker are made on first use.
 // Nothing in the iteration loop allocates per chunk, segment or partition;
 // docs/ARCHITECTURE.md ("Buffer ownership") has owners and sizes.
 //
@@ -89,7 +92,8 @@ type Config struct {
 	// It sizes the partition count by N/K + 5·S·K ≤ M and decides whether
 	// vertices spill, and that is all it covers: one partition's vertex
 	// window plus five stream buffers of S·K bytes (two edge input, three
-	// update output). Outside the sum, and not limited by M: the update
+	// update output, the third made only once an iteration's updates
+	// outgrow one). Outside the sum, and not limited by M: the update
 	// read-back double buffer (2·S·K, once updates spill to files), the
 	// gather sub-shuffle pair (2·S·K, with Threads > 1), one scatter
 	// kernel per worker (Threads × ~0.8 MiB with a Combiner), the fold's slot
@@ -111,9 +115,6 @@ type Config struct {
 	// NoPrefetch disables the second input/output buffers (prefetch
 	// distance 0); used by the prefetch ablation benchmark.
 	NoPrefetch bool
-	// NoUpdateBypass forces updates through the disk files even when
-	// they fit in one stream buffer; used by the bypass ablation.
-	NoUpdateBypass bool
 	// Partitioner chooses how vertices map to streaming partitions. nil
 	// means core.RangePartitioner (the paper's fixed contiguous split).
 	// Locality-aware partitioners relabel vertices during pre-processing;
@@ -270,7 +271,7 @@ func soloRuns[V, M any](pp *Prepared, prog core.Program[V, M]) func() ([]core.Jo
 
 // engine is the core.JobRun of a solo Run, the one that may spill: vertex
 // state lives in memory or in per-partition vertex files read a window at a
-// time, updates go through update files behind a fileTransport, scatter
+// time, updates go through a transport that spills to update files, scatter
 // parallelizes over fixed stripes of a partition's segments with one
 // partition-lived kernel per worker, and gather inside a chunk. The pass loop
 // drives it like any other run.
@@ -319,8 +320,8 @@ type engine[V, M any] struct {
 	// ForEach cannot return it, for EndIteration to report.
 	err error
 
-	// tp is the update transport between scatter and gather, the update-file
-	// writeback pipeline.
+	// tp is the update transport between scatter and gather, a
+	// core.ShuffleTransport spilling to the update files.
 	tp core.UpdateTransport[M]
 
 	// it counts the current scatter; iterSent is what the iteration's
@@ -390,20 +391,18 @@ func (e *engine[V, M]) Setup(s core.JobSetup) error {
 	}
 
 	// The update transport: scatter sends into it, gather drains from it.
-	// It holds its stream buffers for the whole run, so it is made once the
-	// pre-processing shuffle has let go of its own.
-	e.tp = newFileTransport(fileTransportConfig[M]{
-		files:      e.updFiles,
-		plan:       s.Plan,
-		key:        func(u core.Update[M]) uint32 { return e.part.Of(u.Dst) },
-		threads:    s.Threads,
-		bufRecs:    e.bufUpdRecs,
-		fold:       e.updateFold(),
-		bypass:     !e.cfg.NoUpdateBypass,
-		prefetch:   !e.cfg.NoPrefetch,
-		verify:     !e.cfg.NoVerify,
-		onVerified: func(n int64) { e.stats.BytesChecksummed += n },
-	})
+	// Its window is one stream buffer, spilled to the update files when an
+	// iteration outgrows it. It holds its stream buffers for the whole run,
+	// so it is made once the pre-processing shuffle has let go of its own.
+	e.tp = core.NewSpillTransport(e.bufUpdRecs, s.Plan, s.Threads,
+		func(u core.Update[M]) uint32 { return e.part.Of(u.Dst) }, e.folder,
+		&updateStore[M]{
+			files:     e.updFiles,
+			chunkRecs: e.bufUpdRecs,
+			prefetch:  !e.cfg.NoPrefetch,
+			verify:    !e.cfg.NoVerify,
+			verified:  func(n int64) { e.stats.BytesChecksummed += n },
+		})
 	return nil
 }
 
@@ -493,19 +492,6 @@ func devCounters(cfg Config) devSample {
 		s.retries += us.Retries
 	}
 	return s
-}
-
-// updateFold returns the bucket fold the bucketWriter applies to each
-// shuffled update buffer before writeback — the out-of-core engine's
-// second combining stage, which shrinks the dominant update-file I/O
-// (§3.2). nil when the program has no Combiner or partitions are too
-// wide. The folder is built once per run (Setup) so its slot tables are
-// reused across every flush.
-func (e *engine[V, M]) updateFold() func(*streambuf.Buffer[core.Update[M]]) int64 {
-	if e.folder == nil {
-		return nil
-	}
-	return e.folder.Fold
 }
 
 // soloScatter is the engine's scatter sink for one partition: the workers'

@@ -101,8 +101,10 @@ func TestEngineParityVertexSpill(t *testing.T) {
 	runBothWCC(t, spilled(Config{Device: ssd(0), Threads: 2, IOUnit: 8 << 10, Partitions: 4}))
 }
 
+// TestEngineParityNoBypass: a window smaller than an iteration's updates
+// takes them through the update files instead of the §3.2 bypass.
 func TestEngineParityNoBypass(t *testing.T) {
-	runBothWCC(t, Config{Device: ssd(0), Threads: 2, IOUnit: 8 << 10, Partitions: 4, NoUpdateBypass: true})
+	runBothWCC(t, spillsUpdates(t, Config{Device: ssd(0), Threads: 2, IOUnit: 4 << 10, Partitions: 4}))
 }
 
 func TestEngineParityNoPrefetch(t *testing.T) {
@@ -111,7 +113,7 @@ func TestEngineParityNoPrefetch(t *testing.T) {
 
 func TestEngineParitySeparateUpdateDevice(t *testing.T) {
 	upd := storage.NewSim(storage.SSDParams("upd", 1, 0))
-	runBothWCC(t, Config{Device: ssd(0), UpdateDevice: upd, Threads: 2, IOUnit: 8 << 10, Partitions: 4, NoUpdateBypass: true})
+	runBothWCC(t, spillsUpdates(t, Config{Device: ssd(0), UpdateDevice: upd, Threads: 2, IOUnit: 4 << 10, Partitions: 4}))
 }
 
 func TestEngineParitySingleThread(t *testing.T) {
@@ -123,7 +125,11 @@ func TestEngineParityOSDevice(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	runBothWCC(t, spilled(Config{Device: dev, Threads: 2, IOUnit: 32 << 10, Partitions: 4, NoUpdateBypass: true}))
+	upd, err := storage.NewOS("upd", t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	runBothWCC(t, spillsUpdates(t, spilled(Config{Device: dev, UpdateDevice: upd, Threads: 2, IOUnit: 4 << 10, Partitions: 4})))
 }
 
 // Degree program exercising phased termination and backward direction.
@@ -205,15 +211,35 @@ func TestFilesCleanedUp(t *testing.T) {
 	}
 }
 
+// spillsUpdates returns cfg with its update files on a device of their own
+// (cfg's UpdateDevice, or a fresh simulated SSD) and fails t at the end of
+// the test unless a run under cfg appended to them: cfg must force
+// Partitions and an IOUnit whose window, IOUnit·Partitions bytes, is smaller
+// than an iteration's updates.
+func spillsUpdates(t *testing.T, cfg Config) Config {
+	t.Helper()
+	if cfg.UpdateDevice == nil {
+		cfg.UpdateDevice = storage.NewSim(storage.SSDParams("upd", 1, 0))
+	}
+	upd := cfg.UpdateDevice
+	t.Cleanup(func() {
+		if upd.Stats().BytesWritten == 0 {
+			t.Errorf("no update was spilled: a %d-byte window held every iteration", cfg.IOUnit*cfg.Partitions)
+		}
+	})
+	return cfg
+}
+
 func TestUpdateFilesTrimmed(t *testing.T) {
-	dev := ssd(0)
 	src, _ := smallGraph(4)
-	_, err := Run(src, &wccProg{}, Config{Device: dev, Threads: 2, IOUnit: 8 << 10, Partitions: 4, NoUpdateBypass: true})
-	if err != nil {
+	cfg := spillsUpdates(t, Config{Device: ssd(0), Threads: 2, IOUnit: 4 << 10, Partitions: 4})
+	if _, err := Run(src, &wccProg{}, cfg); err != nil {
 		t.Fatal(err)
 	}
-	if s := dev.Stats(); s.Trims == 0 {
-		t.Fatal("update files were never truncated (TRIM, §3.3)")
+	// Removing the four update files at the end of the run trims each of
+	// them once; every other trim is a drained file truncated.
+	if s := cfg.UpdateDevice.Stats(); s.Trims <= 4 {
+		t.Fatalf("update files were never truncated (TRIM, §3.3): %d trims", s.Trims)
 	}
 }
 
@@ -221,7 +247,7 @@ func TestInjectedFaultSurfaces(t *testing.T) {
 	inner := ssd(0)
 	dev := storage.NewFaulty(inner, storage.FaultyOptions{FailAfterOps: 30})
 	src, _ := smallGraph(5)
-	_, err := Run(src, &wccProg{}, Config{Device: dev, Threads: 2, IOUnit: 8 << 10, Partitions: 4, NoUpdateBypass: true})
+	_, err := Run(src, &wccProg{}, Config{Device: dev, Threads: 2, IOUnit: 4 << 10, Partitions: 4})
 	if !errors.Is(err, storage.ErrInjected) {
 		t.Fatalf("want injected fault, got %v", err)
 	}
@@ -336,8 +362,10 @@ func (b *bfsProg) InitiallyActive(id core.VertexID, v *bfsState) bool { return i
 // TestSelectiveBFSDisk: a path graph keeps the BFS frontier one vertex
 // wide, so the selective disk engine must skip whole edge files, skip
 // tiles inside the frontier's own partition, read far fewer bytes — and
-// still produce bit-identical state, across the bypass, no-bypass and
-// vertex-spill configurations.
+// still produce bit-identical state, across the in-memory, vertex-spill and
+// no-prefetch configurations. (A one-vertex frontier sends two updates an
+// iteration, fewer than any window holds, so updates never spill here;
+// TestSelectiveDiskMemParity covers selective runs whose updates do.)
 func TestSelectiveBFSDisk(t *testing.T) {
 	src := graphgen.Chain(2048, 13)
 	for _, variant := range []struct {
@@ -345,7 +373,6 @@ func TestSelectiveBFSDisk(t *testing.T) {
 		mod  func(*Config)
 	}{
 		{"bypass", func(c *Config) {}},
-		{"nobypass", func(c *Config) { c.NoUpdateBypass = true }},
 		{"spill", func(c *Config) { *c = spilled(*c) }},
 		{"noprefetch", func(c *Config) { c.NoPrefetch = true }},
 	} {
@@ -394,7 +421,8 @@ func TestSelectiveBFSDisk(t *testing.T) {
 }
 
 // TestSelectiveDiskMemParity: both engines under selective scheduling must
-// agree with each other and with their dense selves on a scale-free graph.
+// agree with each other and with their dense selves on a scale-free graph,
+// out of core also when the updates spill.
 func TestSelectiveDiskMemParity(t *testing.T) {
 	src, _ := smallGraph(31)
 	memRes, err := memengine.Run(src, &bfsProg{root: 3}, memengine.Config{Threads: 2, Selective: true})
@@ -426,6 +454,21 @@ func TestSelectiveDiskMemParity(t *testing.T) {
 	}
 	if memRes.Stats.UpdatesSent != diskRes.Stats.UpdatesSent {
 		t.Fatalf("updates sent: mem %d, disk %d", memRes.Stats.UpdatesSent, diskRes.Stats.UpdatesSent)
+	}
+	spill, err := Run(src, &bfsProg{root: 3}, spillsUpdates(t, Config{
+		Device: ssd(0), Threads: 2, IOUnit: 1 << 10, Partitions: 8, Selective: true, TileEdges: 512,
+	}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for v := range memRes.Vertices {
+		if spill.Vertices[v] != memRes.Vertices[v] {
+			t.Fatalf("vertex %d: spilled selective disk %+v, mem %+v", v, spill.Vertices[v], memRes.Vertices[v])
+		}
+	}
+	if spill.Stats.UpdatesSent != diskRes.Stats.UpdatesSent || spill.Stats.EdgesStreamed != diskRes.Stats.EdgesStreamed {
+		t.Fatalf("spilled selective run: %d updates, %d edges; in memory %d, %d",
+			spill.Stats.UpdatesSent, spill.Stats.EdgesStreamed, diskRes.Stats.UpdatesSent, diskRes.Stats.EdgesStreamed)
 	}
 }
 

@@ -3,12 +3,10 @@ package diskengine
 import (
 	"fmt"
 	"io"
-	"sync"
 	"sync/atomic"
 
 	"repro/internal/pod"
 	"repro/internal/storage"
-	"repro/internal/streambuf"
 )
 
 // partFile is one append-only partition file (edges, updates or vertices).
@@ -89,7 +87,7 @@ func (p *partFile) remove() error {
 }
 
 // readScratch is the reader-side buffer set an engine run, a shared pass or
-// a file transport's drain side owns for its whole life and lends to one
+// the update store's drain side owns for its whole life and lends to one
 // open reader at a time: the two record buffers of the prefetch double
 // buffer (a reader that reads inline uses only the first) and the reader
 // itself. Buffers are made on first use and grown when a reader asks for
@@ -282,202 +280,3 @@ func (r *chunkReader[T]) Close() {
 // PhysBytes returns the byte volume delivered through Next so far. A raw
 // reader's physical and logical volumes coincide (see edgeStream).
 func (r *chunkReader[T]) PhysBytes() int64 { return r.delivered }
-
-// bucketWriter is the merged shuffle+write pipeline of the scatter phase
-// (paper Figure 6): records are appended into the current stream buffer;
-// when it fills it is shuffled into per-partition chunks which a dedicated
-// writer goroutine appends to the partition files, overlapped with the
-// caller filling the next buffer. Three stream buffers rotate through the
-// roles current / in-flight / shuffle-scratch, which together with the two
-// input buffers gives the five buffers of §3.4.
-type bucketWriter[T any] struct {
-	files   []*partFile
-	plan    streambuf.Plan
-	key     func(T) uint32
-	threads int
-	// fold, when non-nil, is applied to every shuffled buffer before its
-	// buckets are written — the combining stage that merges
-	// same-destination records so fewer bytes reach the update files. It
-	// returns the number of records merged away.
-	fold func(*streambuf.Buffer[T]) int64
-	// observe, when non-nil, sees every bucket run in exactly the order it
-	// is appended to its file. It runs on the writer goroutine (single-
-	// threaded, overlapped with the caller's next fill) and is how the
-	// selective-streaming tile index is built during the existing edge
-	// shuffle, without an extra pass. Set before the first Flush.
-	observe func(bucket int, run []T)
-	// sink, when non-nil, replaces the raw bucket append entirely: the
-	// run is handed to it instead of being written, and the sink owns the
-	// file append (the compressed-tile layout encodes whole tiles here).
-	// Like observe it runs on the writer goroutine, in exact append
-	// order. Set before the first Flush; mutually exclusive with observe.
-	sink func(bucket int, run []T) error
-
-	cur     *streambuf.Buffer[T]
-	free    chan *streambuf.Buffer[T]
-	queue   chan *streambuf.Buffer[T]
-	wg      sync.WaitGroup
-	flushes int
-	// combined and written account the fold: records merged away, and
-	// records that survived to be written (or, for the bypass path, kept
-	// for the in-memory gather). Only touched by the coordinating
-	// goroutine; read after Finish/FinishBypass.
-	combined int64
-	written  int64
-
-	mu  sync.Mutex
-	err error
-}
-
-func newBucketWriter[T any](capacity int, files []*partFile, plan streambuf.Plan, key func(T) uint32, threads int, fold func(*streambuf.Buffer[T]) int64) *bucketWriter[T] {
-	w := &bucketWriter[T]{
-		files:   files,
-		plan:    plan,
-		key:     key,
-		threads: threads,
-		fold:    fold,
-		free:    make(chan *streambuf.Buffer[T], 3),
-		queue:   make(chan *streambuf.Buffer[T], 1),
-	}
-	w.cur = streambuf.New[T](capacity)
-	w.free <- streambuf.New[T](capacity)
-	w.free <- streambuf.New[T](capacity)
-	w.wg.Add(1)
-	go w.writer()
-	return w
-}
-
-func (w *bucketWriter[T]) setErr(err error) {
-	w.mu.Lock()
-	if w.err == nil {
-		w.err = err
-	}
-	w.mu.Unlock()
-}
-
-// Err returns the first error encountered by the pipeline.
-func (w *bucketWriter[T]) Err() error {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.err
-}
-
-// writer drains shuffled buffers, appending each bucket to its file.
-func (w *bucketWriter[T]) writer() {
-	defer w.wg.Done()
-	for buf := range w.queue {
-		for p := range w.files {
-			var err error
-			buf.Bucket(p, func(run []T) {
-				if err == nil {
-					if w.sink != nil {
-						err = w.sink(p, run)
-						return
-					}
-					if w.observe != nil {
-						w.observe(p, run)
-					}
-					err = w.files[p].appendBytes(pod.AsBytes(run))
-				}
-			})
-			if err != nil {
-				w.setErr(err)
-				break
-			}
-		}
-		buf.Reset()
-		w.free <- buf
-	}
-}
-
-// Buf returns the current append target. Concurrent appenders may use it
-// until the next Flush/Finish call from the coordinating goroutine.
-func (w *bucketWriter[T]) Buf() *streambuf.Buffer[T] { return w.cur }
-
-// Room returns the remaining capacity of the current buffer.
-func (w *bucketWriter[T]) Room() int { return w.cur.Cap() - w.cur.Len() }
-
-// Flush shuffles the current buffer and hands it to the writer goroutine,
-// installing a fresh append target. Must be called from the coordinating
-// goroutine only.
-func (w *bucketWriter[T]) Flush() error {
-	if err := w.Err(); err != nil {
-		return err
-	}
-	if w.cur.Len() == 0 {
-		return nil
-	}
-	w.flushes++
-	scratch := <-w.free
-	res := streambuf.Shuffle(w.cur, scratch, w.plan, w.threads, w.key)
-	if w.fold != nil {
-		w.combined += w.fold(res)
-	}
-	w.written += int64(res.Len())
-	other := scratch
-	if res == scratch {
-		other = w.cur
-	}
-	other.Reset()
-	w.free <- other
-	w.queue <- res
-	w.cur = <-w.free
-	return w.Err()
-}
-
-// SyncBypass ends one scatter phase. If nothing was flushed to disk during
-// it — all its updates fit in a single stream buffer — it shuffles the
-// buffer in memory and returns it, letting the gather phase consume it
-// directly (the §3.2 optimization); the caller hands the buffer back with
-// Release once it is drained. Otherwise it is Sync and returns nil.
-func (w *bucketWriter[T]) SyncBypass() (*streambuf.Buffer[T], error) {
-	if w.flushes > 0 {
-		return nil, w.Sync()
-	}
-	scratch := <-w.free
-	res := streambuf.Shuffle(w.cur, scratch, w.plan, w.threads, w.key)
-	if w.fold != nil {
-		w.combined += w.fold(res)
-	}
-	w.written += int64(res.Len())
-	if res == w.cur {
-		w.cur = scratch
-	}
-	w.cur.Reset()
-	return res, w.Err()
-}
-
-// Release returns the buffer SyncBypass lent out to the rotation.
-func (w *bucketWriter[T]) Release(buf *streambuf.Buffer[T]) {
-	buf.Reset()
-	w.free <- buf
-}
-
-// Sync flushes the tail and waits for all writes to complete — the end of
-// one scatter phase. The pipeline stays up for the next: while the caller
-// holds the current buffer, the other two are both free exactly when the
-// writer goroutine has nothing queued or in flight.
-func (w *bucketWriter[T]) Sync() error {
-	err := w.Flush()
-	a, b := <-w.free, <-w.free
-	w.free <- a
-	w.free <- b
-	if err != nil {
-		return err
-	}
-	return w.Err()
-}
-
-// Stop ends the writer goroutine; buffers still queued are written first,
-// the current one is dropped.
-func (w *bucketWriter[T]) Stop() {
-	close(w.queue)
-	w.wg.Wait()
-}
-
-// Finish is Sync then Stop, for a pipeline that serves a single phase.
-func (w *bucketWriter[T]) Finish() error {
-	err := w.Sync()
-	w.Stop()
-	return err
-}

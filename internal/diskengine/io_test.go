@@ -1,6 +1,8 @@
 package diskengine
 
 import (
+	"errors"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/pod"
@@ -93,30 +95,36 @@ func TestChunkReaderEarlyClose(t *testing.T) {
 	rd.Close() // must not deadlock with the reader goroutine mid-flight
 }
 
-// TestBucketWriterPipeline stresses the flush pipeline: many flushes, all
+// newFileWriter is the write pipeline over partition files the way the
+// edge shuffle and the update spill drive it: records keyed by K mod
+// len(files), every run appended to its bucket's file.
+func newFileWriter(capacity, threads int, files []*partFile) *streambuf.Writer[rec] {
+	k := len(files)
+	plan, _ := streambuf.NewPlan(k, max(k, 2))
+	return streambuf.NewWriter(capacity, plan, threads, func(r rec) uint32 { return r.K % uint32(k) }, nil,
+		func(p int, run []rec) error { return files[p].appendBytes(pod.AsBytes(run)) })
+}
+
+// TestBucketWriterPipeline stresses the write pipeline: many flushes, all
 // records land in the right files in append order per bucket.
 func TestBucketWriterPipeline(t *testing.T) {
 	dev := storage.NewSim(storage.SSDParams("t", 1, 0))
 	const k = 4
 	files := make([]*partFile, k)
-	for p := 0; p < k; p++ {
-		var err error
-		files[p], err = createPartFile(dev, string(rune('a'+p)))
-		if err != nil {
-			t.Fatal(err)
-		}
+	for p := range files {
+		files[p] = mustPart(t, dev, string(rune('a'+p)))
 	}
-	plan, _ := streambuf.NewPlan(k, k)
-	w := newBucketWriter(64, files, plan, func(r rec) uint32 { return r.K % k }, 2, nil)
+	w := newFileWriter(64, 2, files)
 
 	const total = 10_000
-	next := 0
+	next, flushes := 0, 0
 	for next < total {
 		room := w.Room()
 		if room == 0 {
 			if err := w.Flush(); err != nil {
 				t.Fatal(err)
 			}
+			flushes++
 			continue
 		}
 		batch := make([]rec, 0, room)
@@ -131,8 +139,8 @@ func TestBucketWriterPipeline(t *testing.T) {
 	if err := w.Finish(); err != nil {
 		t.Fatal(err)
 	}
-	if w.flushes < 2 {
-		t.Fatalf("expected multiple flushes, got %d", w.flushes)
+	if flushes < 2 {
+		t.Fatalf("expected multiple flushes, got %d", flushes)
 	}
 
 	seen := 0
@@ -143,10 +151,15 @@ func TestBucketWriterPipeline(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		last := -1
 		for _, r := range recs {
 			if int(r.K%k) != p {
 				t.Fatalf("record %d landed in bucket %d", r.K, p)
 			}
+			if int(r.V) <= last {
+				t.Fatalf("bucket %d: record %d after %d", p, r.V, last)
+			}
+			last = int(r.V)
 		}
 		seen += len(recs)
 	}
@@ -155,23 +168,23 @@ func TestBucketWriterPipeline(t *testing.T) {
 	}
 }
 
-// TestBucketWriterBypass returns the in-memory buffer when nothing spilled.
+// TestBucketWriterBypass: a phase that never flushed is sealed in memory —
+// Seal returns its shuffled window and no file is written.
 func TestBucketWriterBypass(t *testing.T) {
 	dev := storage.NewSim(storage.SSDParams("t", 1, 0))
 	files := []*partFile{mustPart(t, dev, "x"), mustPart(t, dev, "y")}
-	plan, _ := streambuf.NewPlan(2, 2)
-	w := newBucketWriter(1000, files, plan, func(r rec) uint32 { return r.K % 2 }, 2, nil)
+	w := newFileWriter(1000, 2, files)
 	defer w.Stop()
 	w.Buf().Append(makeRecs(100))
-	buf, err := w.SyncBypass()
+	buf, tally, err := w.Seal()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if buf == nil {
 		t.Fatal("bypass did not trigger")
 	}
-	if buf.BucketLen(0)+buf.BucketLen(1) != 100 {
-		t.Fatalf("bypass buffer holds %d records", buf.BucketLen(0)+buf.BucketLen(1))
+	if buf.BucketLen(0)+buf.BucketLen(1) != 100 || tally.Kept != 100 {
+		t.Fatalf("bypass buffer holds %d records, tally %+v", buf.BucketLen(0)+buf.BucketLen(1), tally)
 	}
 	if files[0].size != 0 || files[1].size != 0 {
 		t.Fatal("bypass still wrote files")
@@ -183,23 +196,71 @@ func TestBucketWriterBypass(t *testing.T) {
 func TestBucketWriterNoBypassAfterFlush(t *testing.T) {
 	dev := storage.NewSim(storage.SSDParams("t", 1, 0))
 	files := []*partFile{mustPart(t, dev, "x"), mustPart(t, dev, "y")}
-	plan, _ := streambuf.NewPlan(2, 2)
-	w := newBucketWriter(64, files, plan, func(r rec) uint32 { return r.K % 2 }, 1, nil)
+	w := newFileWriter(64, 1, files)
 	w.Buf().Append(makeRecs(64))
 	if err := w.Flush(); err != nil {
 		t.Fatal(err)
 	}
 	defer w.Stop()
 	w.Buf().Append(makeRecs(10))
-	buf, err := w.SyncBypass()
+	buf, tally, err := w.Seal()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if buf != nil {
 		t.Fatal("bypass triggered after a flush")
 	}
-	if files[0].size+files[1].size != 74*int64(pod.Size[rec]()) {
-		t.Fatalf("files hold %d bytes", files[0].size+files[1].size)
+	if files[0].size+files[1].size != 74*int64(pod.Size[rec]()) || tally.Kept != 74 {
+		t.Fatalf("files hold %d bytes, tally %+v", files[0].size+files[1].size, tally)
+	}
+}
+
+// gate fails the first WriteAt through any of its files, once release is
+// closed, and counts every WriteAt.
+type gate struct {
+	release chan struct{}
+	writes  atomic.Int64
+}
+
+type gatedFile struct {
+	storage.File
+	g *gate
+}
+
+func (f gatedFile) WriteAt(p []byte, off int64) (int, error) {
+	if f.g.writes.Add(1) == 1 {
+		<-f.g.release
+		return 0, storage.ErrInjected
+	}
+	return f.File.WriteAt(p, off)
+}
+
+// TestWritePipelineStopsAfterFailedAppend: a window queued behind the one
+// whose append fails is recycled without touching the device — before, the
+// writer goroutine went on appending it to every file, and Stop wrote
+// whatever was still queued.
+func TestWritePipelineStopsAfterFailedAppend(t *testing.T) {
+	dev := storage.NewSim(storage.SSDParams("t", 1, 0))
+	g := &gate{release: make(chan struct{})}
+	files := []*partFile{mustPart(t, dev, "x"), mustPart(t, dev, "y")}
+	for _, f := range files {
+		f.f = gatedFile{f.f, g}
+	}
+	w := newFileWriter(64, 1, files)
+	// The first window reaches the writer goroutine and blocks in its first
+	// WriteAt; the second is queued behind it before that WriteAt fails.
+	for i := 0; i < 2; i++ {
+		w.Buf().Append(makeRecs(64))
+		if err := w.Flush(); err != nil {
+			t.Fatalf("flush %d: %v", i, err)
+		}
+	}
+	close(g.release)
+	if err := w.Finish(); !errors.Is(err, storage.ErrInjected) {
+		t.Fatalf("Finish: %v, want the failed append", err)
+	}
+	if n := g.writes.Load() - 1; n != 0 {
+		t.Fatalf("%d writes after the failed append", n)
 	}
 }
 
@@ -213,14 +274,15 @@ func mustPart(t *testing.T, dev storage.Device, name string) *partFile {
 }
 
 // TestEngineDeterministicAcrossConfigs: WCC must give identical results
-// regardless of thread count, partition count, prefetching or bypass.
+// regardless of thread count, partition count, prefetching or whether the
+// updates spill.
 func TestEngineDeterministicAcrossConfigs(t *testing.T) {
 	src, _ := smallGraph(77)
 	var want []wccState
 	for i, cfg := range []Config{
 		{Device: ssd(0), Threads: 1, IOUnit: 8 << 10, Partitions: 1},
 		{Device: ssd(0), Threads: 2, IOUnit: 8 << 10, Partitions: 8, NoPrefetch: true},
-		{Device: ssd(0), Threads: 2, IOUnit: 32 << 10, Partitions: 2, NoUpdateBypass: true},
+		spillsUpdates(t, Config{Device: ssd(0), Threads: 2, IOUnit: 8 << 10, Partitions: 2}),
 		spilled(Config{Device: ssd(0), Threads: 2, IOUnit: 8 << 10, Partitions: 4}),
 	} {
 		res, err := Run(src, &wccProg{}, cfg)

@@ -295,18 +295,22 @@ func (pp *Prepared) files(dir core.Direction) (files []*partFile, tiles *diskTil
 // each edge first. A non-nil tiles index observes every run written,
 // building the selective-read tile summaries during the shuffle itself.
 func partitionEdgesInto(src core.EdgeSource, files []*partFile, transpose bool, tiles *diskTiles, bufEdgeRecs int, plan streambuf.Plan, part core.Split, threads int) error {
-	w := newBucketWriter(bufEdgeRecs, files, plan, func(ed core.Edge) uint32 {
-		return part.Of(ed.Src)
-	}, threads, nil)
+	sink := func(p int, run []core.Edge) error { return files[p].appendBytes(pod.AsBytes(run)) }
 	var comp *tileCompressor
 	switch {
 	case tiles != nil && tiles.compressed:
 		comp = newTileCompressor(files, tiles)
-		w.sink = comp.append
+		sink = comp.append
 	case tiles != nil:
-		w.observe = tiles.observe
+		sink = func(p int, run []core.Edge) error {
+			tiles.observe(p, run)
+			return files[p].appendBytes(pod.AsBytes(run))
+		}
 		defer tiles.finish()
 	}
+	w := streambuf.NewWriter(bufEdgeRecs, plan, threads, func(ed core.Edge) uint32 {
+		return part.Of(ed.Src)
+	}, nil, sink)
 	err := src.Edges(func(batch []core.Edge) error {
 		if transpose {
 			for i := range batch {

@@ -27,8 +27,8 @@ type tileSpan struct {
 }
 
 // diskTiles is the per-partition tile index of a set of edge files. It is
-// built *during* the pre-processing edge shuffle: the bucketWriter's
-// observer hands it every run in exactly file-append order, so tile i of
+// built *during* the pre-processing edge shuffle: the write pipeline's
+// sink hands it every run in exactly file-append order, so tile i of
 // partition p always describes records [i*tileRecs, ...) of edge file p.
 // observe runs on the single writer goroutine; the index is read-only
 // afterwards.
@@ -106,7 +106,7 @@ func (t *diskTiles) observe(p int, run []core.Edge) {
 }
 
 // finish closes every partition's trailing short tile. Call after the
-// bucketWriter's Finish, when no more runs will be observed.
+// write pipeline's Finish, when no more runs will be observed.
 func (t *diskTiles) finish() {
 	for p := range t.open {
 		if t.open[p].recs > 0 {

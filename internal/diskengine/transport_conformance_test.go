@@ -1,8 +1,8 @@
 package diskengine
 
 import (
+	"errors"
 	"fmt"
-	"sync/atomic"
 	"testing"
 
 	"repro/internal/core"
@@ -11,28 +11,29 @@ import (
 	"repro/internal/transport/conformance"
 )
 
-// closingFileTransport closes the update files it drains through with the
-// transport, so the conformance suite can own the full lifecycle.
-type closingFileTransport struct {
-	*fileTransport[int64]
+// spillingTransport is the solo run's update transport over update files of
+// its own, which it removes when it closes, so the conformance suite can own
+// the full lifecycle.
+type spillingTransport struct {
+	*core.ShuffleTransport[int64]
 	files []*partFile
 }
 
-func (c *closingFileTransport) Close() error {
-	err := c.fileTransport.Close()
-	for _, f := range c.files {
+func (s *spillingTransport) Close() error {
+	err := s.ShuffleTransport.Close()
+	for _, f := range s.files {
 		f.remove()
 	}
 	return err
 }
 
-// newConformanceFileTransport builds a fileTransport over fresh update
-// files on a zero-latency simulated SSD.
-func newConformanceFileTransport(t *testing.T, k int, nv int64, capacity, bufRecs, threads int, combine, bypass bool) core.UpdateTransport[int64] {
+// newSpillingTransport builds a core.ShuffleTransport of window-record
+// windows spilling to fresh update files on dev, the way the solo engine
+// sets its transport up.
+func newSpillingTransport(t *testing.T, dev storage.Device, k int, nv int64, window, threads int, combine bool) *spillingTransport {
 	t.Helper()
-	dev := storage.NewSim(storage.SSDParams("conf", 1, 0))
 	files := make([]*partFile, k)
-	for p := 0; p < k; p++ {
+	for p := range files {
 		var err error
 		if files[p], err = createPartFile(dev, fmt.Sprintf("conf-p%04d.updates", p)); err != nil {
 			t.Fatalf("createPartFile: %v", err)
@@ -43,55 +44,111 @@ func newConformanceFileTransport(t *testing.T, k int, nv int64, capacity, bufRec
 	if err != nil {
 		t.Fatalf("NewPlan: %v", err)
 	}
-	var fold func(*streambuf.Buffer[core.Update[int64]]) int64
+	var folder *streambuf.Folder[core.Update[int64]]
 	if combine {
-		fold = core.NewUpdateFolder(split, threads, func(a, b int64) int64 { return a + b }).Fold
+		folder = core.NewUpdateFolder(split, threads, func(a, b int64) int64 { return a + b })
 	}
-	var checked atomic.Int64
-	tp := newFileTransport(fileTransportConfig[int64]{
-		files:      files,
-		plan:       plan,
-		key:        func(u core.Update[int64]) uint32 { return split.Of(u.Dst) },
-		threads:    threads,
-		bufRecs:    bufRecs,
-		fold:       fold,
-		bypass:     bypass,
-		prefetch:   true,
-		verify:     true,
-		onVerified: func(n int64) { checked.Add(n) },
-	})
-	return &closingFileTransport{fileTransport: tp, files: files}
+	store := &updateStore[int64]{files: files, chunkRecs: window, prefetch: true, verify: true}
+	tp := core.NewSpillTransport(window, plan, threads, func(u core.Update[int64]) uint32 { return split.Of(u.Dst) }, folder, store)
+	return &spillingTransport{ShuffleTransport: tp, files: files}
 }
 
-// TestFileTransportConformance pins the out-of-core update-file writeback
-// to the UpdateTransport contract in its three operating shapes: the
-// single-buffer bypass (updates never touch disk), the always-write path
-// (bypass off, one window), and the windowed path (several shuffle+write
-// flushes per iteration).
+// TestFileTransportConformance runs the contract suite over the solo run's
+// transport spilling to update files, in its three shapes: a window that
+// holds the whole iteration ("bypass", never spills), a quarter of it
+// ("windowed", spills mid-iteration) and one 64-record send batch
+// ("writeback", spills every batch). The fault rows follow.
 func TestFileTransportConformance(t *testing.T) {
 	shapes := []struct {
 		name   string
-		bypass bool
 		window func(capacity int) int
+		spills bool
 	}{
-		{"bypass", true, nil},
-		{"writeback", false, nil},
-		{"windowed", false, func(capacity int) int { return (capacity + 3) / 4 }},
+		{"bypass", func(capacity int) int { return capacity }, false},
+		{"windowed", func(capacity int) int { return (capacity + 3) / 4 }, true},
+		{"writeback", func(int) int { return 64 }, true},
 	}
 	for _, sh := range shapes {
-		sh := sh
 		t.Run(sh.name, func(t *testing.T) {
+			dev := storage.NewSim(storage.SSDParams("conf", 1, 0))
 			conformance.Run(t, conformance.Maker{
 				Name: "disk-file-" + sh.name,
 				New: func(t *testing.T, k int, nv int64, capacity, threads int, combine bool) core.UpdateTransport[int64] {
-					bufRecs := capacity
-					if sh.window != nil {
-						bufRecs = sh.window(capacity)
-					}
-					return newConformanceFileTransport(t, k, nv, capacity, bufRecs, threads, combine, sh.bypass)
+					return newSpillingTransport(t, dev, k, nv, sh.window(capacity), threads, combine)
 				},
 				Window: sh.window,
 			})
+			if spilled := dev.Stats().BytesWritten > 0; spilled != sh.spills {
+				t.Fatalf("spilled to the device: %v, want %v", spilled, sh.spills)
+			}
 		})
 	}
+
+	const k, nv = 4, 1 << 10
+	split := core.NewSplit(nv, k)
+	updates := make([]core.Update[int64], 1000)
+	for i := range updates {
+		updates[i] = core.Update[int64]{Dst: core.VertexID(i % nv), Val: int64(i)}
+	}
+	// send sends updates through 100-record windows, flushing each full one,
+	// and returns the first Flush error.
+	send := func(tp core.UpdateTransport[int64]) error {
+		for off := 0; off < len(updates); off += 100 {
+			if err := tp.Flush(); err != nil {
+				return err
+			}
+			if !tp.Send(0, updates[off:off+100]) {
+				t.Fatalf("Send refused 100 records with room %d", tp.Room())
+			}
+		}
+		return nil
+	}
+
+	t.Run("bit-flip", func(t *testing.T) {
+		tp := newSpillingTransport(t, storage.NewSim(storage.SSDParams("conf", 1, 0)), k, nv, 100, 2, false)
+		defer tp.Close()
+		if err := send(tp); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := tp.Seal(); err != nil {
+			t.Fatal(err)
+		}
+		f := tp.files[1]
+		b := make([]byte, 1)
+		if _, err := f.f.ReadAt(b, 5); err != nil {
+			t.Fatal(err)
+		}
+		b[0] ^= 0x10
+		if _, err := f.f.WriteAt(b, 5); err != nil {
+			t.Fatal(err)
+		}
+		err := tp.Drain(1, func([]core.Update[int64]) error { return nil })
+		if !errors.Is(err, storage.ErrCorrupted) {
+			t.Fatalf("Drain of a flipped update file: %v, want ErrCorrupted", err)
+		}
+		if err := tp.Drain(2, func(run []core.Update[int64]) error {
+			for _, u := range run {
+				if split.Of(u.Dst) != 2 {
+					return fmt.Errorf("update for vertex %d drained from partition 2", u.Dst)
+				}
+			}
+			return nil
+		}); err != nil {
+			t.Fatalf("Drain of an intact update file: %v", err)
+		}
+	})
+
+	t.Run("failed-append", func(t *testing.T) {
+		dev := storage.NewFaulty(storage.NewSim(storage.SSDParams("conf", 1, 0)), storage.FaultyOptions{FailAfterOps: 1})
+		tp := newSpillingTransport(t, dev, k, nv, 100, 2, false)
+		defer tp.Close()
+		flushErr := send(tp)
+		_, sealErr := tp.Seal()
+		if !errors.Is(sealErr, storage.ErrInjected) {
+			t.Fatalf("Seal after a failed append: %v (Flush: %v), want the injected fault", sealErr, flushErr)
+		}
+		if flushErr != nil && !errors.Is(flushErr, storage.ErrInjected) {
+			t.Fatalf("Flush: %v, want the injected fault", flushErr)
+		}
+	})
 }

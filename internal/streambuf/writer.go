@@ -1,0 +1,199 @@
+package streambuf
+
+import "sync"
+
+// Writer is the windowed shuffle→sink pipeline of the merged scatter/shuffle
+// phase (paper Figure 6): records are appended to the current stream buffer;
+// when it fills, Flush shuffles and folds it, and a dedicated goroutine hands
+// every bucket run to the sink, overlapped with the caller filling the next
+// buffer (§3.3). Three buffers rotate through the roles current / in flight /
+// shuffle scratch, which with the two edge input buffers gives the five
+// stream buffers of §3.4.
+//
+// The third buffer and the goroutine are made by the first Flush. A phase
+// that never flushes — the updates of an iteration that fit one buffer, or
+// any phase of a Writer without a sink — runs on two buffers and no
+// goroutine, and Seal keeps its shuffled window in memory instead of sinking
+// it (the single-buffer bypass of §3.2).
+type Writer[T any] struct {
+	plan    Plan
+	threads int
+	key     func(T) uint32
+	// fold, when non-nil, is applied to every shuffled window before it is
+	// sunk or kept — the combining stage that merges same-destination
+	// records. It returns the number of records merged away.
+	fold func(*Buffer[T]) int64
+	// sink receives every bucket run of every flushed window, on the writer
+	// goroutine, in exactly the order the runs are appended; nil means a
+	// window never leaves memory and Flush is a no-op.
+	sink func(bucket int, run []T) error
+
+	cur     *Buffer[T]
+	kept    *Buffer[T]      // the window Seal kept, recycled by the next Flush or Seal
+	free    chan *Buffer[T] // buffers neither current, kept nor queued
+	queue   chan *Buffer[T] // shuffled windows for the goroutine; nil until the first Flush
+	wg      sync.WaitGroup
+	flushed bool // a window of the current phase went to the sink
+	tally   Tally
+
+	mu  sync.Mutex
+	err error
+}
+
+// Tally is what one phase of a Writer moved: the records its fold merged
+// away and the records that survived, to the sink or to the kept window.
+type Tally struct {
+	Combined int64
+	Kept     int64
+}
+
+// NewWriter returns a pipeline of capacity-record windows, shuffled into
+// plan.K buckets by key with the given parallelism, folded by fold and
+// written by sink; fold and sink may be nil.
+func NewWriter[T any](capacity int, plan Plan, threads int, key func(T) uint32, fold func(*Buffer[T]) int64, sink func(bucket int, run []T) error) *Writer[T] {
+	w := &Writer[T]{
+		plan:    plan,
+		threads: threads,
+		key:     key,
+		fold:    fold,
+		sink:    sink,
+		cur:     New[T](capacity),
+		free:    make(chan *Buffer[T], 3),
+	}
+	w.free <- New[T](capacity)
+	return w
+}
+
+// Err returns the first error the sink returned.
+func (w *Writer[T]) Err() error {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return w.err
+}
+
+// Buf returns the current window. Concurrent appenders may use it until the
+// next Flush or Seal call from the coordinating goroutine.
+func (w *Writer[T]) Buf() *Buffer[T] { return w.cur }
+
+// Room returns the remaining capacity of the current window.
+func (w *Writer[T]) Room() int { return w.cur.Cap() - w.cur.Len() }
+
+// Flush shuffles and folds the current window, hands it to the writer
+// goroutine and installs an empty one. Coordinating goroutine only. Once the
+// sink has failed, Flush returns its error and queues nothing more.
+func (w *Writer[T]) Flush() error {
+	if w.sink == nil {
+		return nil
+	}
+	if err := w.Err(); err != nil {
+		return err
+	}
+	if w.cur.Len() == 0 {
+		return nil
+	}
+	if w.queue == nil {
+		w.free <- New[T](w.cur.Cap())
+		w.queue = make(chan *Buffer[T], 1)
+		w.wg.Add(1)
+		go w.run()
+	}
+	w.flushed = true
+	w.queue <- w.shuffle()
+	return w.Err()
+}
+
+// Seal ends one phase and returns what it moved. A phase that flushed has its
+// tail flushed and every write waited for, and Seal returns a nil window. A
+// phase that never did is shuffled and folded in memory: Seal returns the
+// bucketed window, valid until the next Flush or Seal.
+func (w *Writer[T]) Seal() (*Buffer[T], Tally, error) {
+	var err error
+	if w.flushed {
+		err = w.Flush()
+		// Idle exactly when the two buffers other than the current are free.
+		a, b := <-w.free, <-w.free
+		w.free <- a
+		w.free <- b
+	} else {
+		w.kept = w.shuffle()
+	}
+	tally := w.tally
+	w.tally, w.flushed = Tally{}, false
+	if err == nil {
+		err = w.Err()
+	}
+	return w.kept, tally, err
+}
+
+// Finish flushes the tail, waits for every write and stops the goroutine —
+// the end of a Writer that serves a single phase.
+func (w *Writer[T]) Finish() error {
+	err := w.Flush()
+	w.Stop()
+	if err != nil {
+		return err
+	}
+	return w.Err()
+}
+
+// Stop ends the writer goroutine, if one was started, once it has dealt with
+// every queued window; the current window is dropped. Idempotent.
+func (w *Writer[T]) Stop() {
+	if w.queue != nil {
+		close(w.queue)
+		w.wg.Wait()
+		w.queue = nil
+	}
+}
+
+// shuffle shuffles and folds the current window through a free scratch
+// buffer and returns the bucketed result. The buffer it leaves empty becomes
+// the current window.
+func (w *Writer[T]) shuffle() *Buffer[T] {
+	if w.kept != nil {
+		w.kept.Reset()
+		w.free <- w.kept
+		w.kept = nil
+	}
+	scratch := <-w.free
+	res := Shuffle(w.cur, scratch, w.plan, w.threads, w.key)
+	if w.fold != nil {
+		w.tally.Combined += w.fold(res)
+	}
+	w.tally.Kept += int64(res.Len())
+	if res == w.cur {
+		w.cur = scratch
+	}
+	return res
+}
+
+// run sinks the queued windows and recycles them. After the sink's first
+// failure the windows still queued are recycled unwritten.
+func (w *Writer[T]) run() {
+	defer w.wg.Done()
+	for buf := range w.queue {
+		if w.Err() == nil {
+			if err := w.write(buf); err != nil {
+				w.mu.Lock()
+				w.err = err
+				w.mu.Unlock()
+			}
+		}
+		buf.Reset()
+		w.free <- buf
+	}
+}
+
+// write hands buf's runs to the sink bucket by bucket, stopping at the first
+// failure.
+func (w *Writer[T]) write(buf *Buffer[T]) error {
+	var err error
+	for p := 0; p < w.plan.K && err == nil; p++ {
+		buf.Bucket(p, func(run []T) {
+			if err == nil {
+				err = w.sink(p, run)
+			}
+		})
+	}
+	return err
+}

@@ -1,6 +1,8 @@
 // Package conformance is the contract suite of core.UpdateTransport and the
-// fixture of its two implementations, the builtin in-memory shuffle and the
-// out-of-core update-file writeback. Both run the same battery: delivery
+// fixture of its one implementation, core.ShuffleTransport, in its shapes:
+// without a spill store, and over the out-of-core update files with a window
+// that never spills, spills mid-iteration or spills every batch. Every shape
+// runs the same battery: delivery
 // completeness, single-sender per-partition FIFO order, combiner fold
 // equivalence, flush/close idempotence and multi-iteration reuse,
 // concurrent-sender and concurrent-drain safety (meaningful under -race),
@@ -18,7 +20,7 @@ import (
 	"repro/internal/pod"
 )
 
-// Maker describes one UpdateTransport implementation to Run. New must
+// Maker describes one UpdateTransport shape to Run. New must
 // build a transport for k partitions over nv vertices that (a) routes by
 // core.NewSplit(nv, k).Of(u.Dst), (b) accepts capacity records per
 // iteration through the Send/Room/Flush window protocol, and (c) when
@@ -26,7 +28,7 @@ import (
 // (core.NewUpdateFolder over the same split). The suite owns the
 // transport's lifecycle and closes it.
 type Maker struct {
-	// Name labels the implementation in subtest paths.
+	// Name labels the shape in subtest paths.
 	Name string
 	// New builds a fresh transport under test; see the Maker contract.
 	New func(t *testing.T, k int, nv int64, capacity, threads int, combine bool) core.UpdateTransport[int64]
