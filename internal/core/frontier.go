@@ -229,13 +229,12 @@ func (f *Frontier) CountByPartition(s Split, dst []int64) []int64 {
 	return out
 }
 
-// Schedule is the frontier schedule of one run — the part of a JobRun both
-// implementations (jobRun here, the out-of-core engine's spillable run)
-// embed rather than copy: which partitions and tiles the iteration's scatter
-// needs, the skips the engine reports back, the frontier's checkpoint view,
-// and the swap after gather. A dense schedule (no frontier: the program has
-// no FrontierProgram contract, is phased, or Selective is off) needs
-// everything and records nothing.
+// Schedule is the frontier schedule of one run — the part of jobRun that
+// implements JobRun's scheduling half: which partitions and tiles the
+// iteration's scatter needs, the skips the engine reports back, the
+// frontier's checkpoint view, and the swap after gather. A dense schedule
+// (no frontier: the program has no FrontierProgram contract, is phased, or
+// Selective is off) needs everything and records nothing.
 type Schedule struct {
 	part     Split
 	nv       int64

@@ -241,15 +241,26 @@ type JobSetup struct {
 	NoCombine bool
 	// Selective enables per-job frontier scheduling for FrontierPrograms.
 	Selective bool
+	// Stripes, when positive, says the engine streams one partition at a
+	// time through sink 0, as the out-of-core pass does: the run then
+	// scatters each segment of a chunk on its own workers, in up to Stripes
+	// stripes (see stripedScatter). Otherwise every engine worker scatters
+	// whole partitions through a sink of its own.
+	Stripes int
+	// Spill, when non-nil, opens the device-backed stores an out-of-core
+	// engine lends the run (see Spill). Setup calls it once, with the
+	// run's vertex and update record sizes and the hook its stores report
+	// verified read bytes to. Without it vertex state and the update stream
+	// stay in memory, in a window of UpdateCap records.
+	Spill func(vertexBytes, updateBytes int, verified func(n int64)) (*Spill, error)
 }
 
 // JobRun drives one job through the iterations of a pass. The engine owns
 // the edge stream and the iteration loop; everything update-side — where
-// vertex state and updates live included — is behind this interface. There
-// are two implementations: jobRun here, which holds both in memory, and the
-// out-of-core engine's solo run, which may spill both to the device.
-// Methods are called from the engine's coordinating goroutine except
-// NewScatter sinks, which run one per partition task.
+// vertex state and updates live included — is behind this interface, whose
+// one implementation is jobRun. Methods are called from the engine's
+// coordinating goroutine except NewScatter sinks, which run one per
+// partition task.
 //
 // A failure inside NewScatter or a sink — a refused batch, an I/O error
 // loading a spilled vertex window — is returned by the sink's next Edges or
@@ -287,9 +298,10 @@ type JobRun interface {
 	// NewScatter returns engine worker w's scatter sink (0 ≤ w < the
 	// setup's Threads), readied for partition p whose edge chunk holds
 	// chunkEdges records. The run owns one sink per worker for its whole
-	// life, so a worker must Flush its sink — when the partition's edges
-	// are exhausted — before asking for the next. Sinks are
-	// single-goroutine.
+	// life — under a striped setup only worker 0's, which scatters on the
+	// run's own workers — so a worker must Flush its sink, when the
+	// partition's edges are exhausted, before asking for the next. Sinks
+	// are single-goroutine.
 	NewScatter(w, p int, chunkEdges int64) JobScatter
 	// SkipPartition accounts a whole partition chunk the job's frontier
 	// proved useless (the engine never handed it to a sink). Safe for
@@ -322,10 +334,10 @@ type JobRun interface {
 // iterations is three things: the vertex bytes, the frontier the next
 // iteration scatters, and whether the job already converged — update
 // streams are empty at iteration boundaries by construction. The vertex
-// bytes are visited a window at a time, never handed out whole, so a run
-// that spills its state to the device (the solo out-of-core engine)
-// implements it next to jobRun, whose single window is the live slice. A
-// custom JobRun that does not implement it is simply never checkpointed.
+// bytes are visited a window at a time, never handed out whole: one window
+// per partition for a run whose state lives in a VertexStore, the live slice
+// otherwise. A JobRun that does not implement it is simply never
+// checkpointed.
 type Snapshotter interface {
 	// Name identifies the run in the snapshot's identity.
 	Name() string
@@ -354,11 +366,34 @@ type Snapshotter interface {
 }
 
 // StateSize implements Snapshotter.
-func (r *jobRun[V, M]) StateSize() int64 { return int64(len(r.verts)) * int64(pod.Size[V]()) }
+func (r *jobRun[V, M]) StateSize() int64 { return r.setup.NumVertices * int64(pod.Size[V]()) }
 
-// VisitState implements Snapshotter: the state is one in-memory window.
-func (r *jobRun[V, M]) VisitState(_ bool, fn func(window []byte) error) error {
-	return fn(pod.AsBytes(r.verts))
+// VisitState implements Snapshotter: in-memory state is one window; state
+// in a VertexStore is visited a partition window at a time, and stored back
+// only on restore — a checkpoint write leaves the vertex files alone.
+func (r *jobRun[V, M]) VisitState(restore bool, fn func(window []byte) error) error {
+	if r.vstore == nil {
+		return fn(pod.AsBytes(r.verts))
+	}
+	for p := 0; p < r.part.K; p++ {
+		lo, hi := r.part.Range(p, r.setup.NumVertices)
+		verts := r.win[:hi-lo]
+		if !restore {
+			var err error
+			if verts, _, err = r.window(p); err != nil {
+				return err
+			}
+		}
+		if err := fn(pod.AsBytes(verts)); err != nil {
+			return err
+		}
+		if restore {
+			if err := r.storeWindow(p, verts); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
 }
 
 // MarkDone implements Snapshotter.
@@ -378,13 +413,14 @@ type JobScatter interface {
 	Flush() error
 }
 
-// jobRun is the JobRun that holds vertex state and updates in memory: one
-// job's update path — vertex state, per-worker scatter sinks, transport,
-// fold, gather, frontier. It is the in-memory engine's only one
-// (memengine.Run is a set of one) and the out-of-core engine's shared-pass
-// one, where it mirrors the spillable solo run's structures (same
-// combining-buffer sizing, same shuffle plan, same fold) so a job's results
-// are identical to a solo run.
+// jobRun is the JobRun: one job's update path — vertex state, scatter
+// sinks, transport, fold, gather, frontier. Every run of either engine is
+// one (memengine.Run and diskengine.Run are passes of one). Three parts are
+// optional and follow from the setup: the striped sink of an engine that
+// streams one partition at a time (JobSetup.Stripes), an update transport
+// that spills full windows to the engine's update store, and vertex state
+// that lives in the engine's vertex store, a window per partition, with the
+// windowed gather (both JobSetup.Spill).
 type jobRun[V, M any] struct {
 	prog  Program[V, M]
 	setup JobSetup
@@ -403,7 +439,25 @@ type jobRun[V, M any] struct {
 	directed DirectedProgram
 	remapper StateRemapper[V]
 
-	verts []V
+	// verts is the vertex state, nil when it lives in vstore; then win is
+	// the one partition window buffer, and subA, subB and subPlan the
+	// windowed gather's sub-shuffle scratch (the in-memory engine layered
+	// inside a partition, §4.3), the pair made on first use.
+	verts      []V
+	win        []V
+	vstore     VertexStore
+	subA, subB *streambuf.Buffer[Update[M]]
+	subPlan    streambuf.Plan
+	// spill is what the engine lent the run, nil when it lent nothing;
+	// checked sums the bytes its stores verified until EndIteration books
+	// them (a gather drains partitions concurrently), last is the device
+	// sample the per-iteration I/O deltas are taken against, and err
+	// latches an I/O failure behind the phase hook's vertex view, whose
+	// ForEach cannot return it.
+	spill   *Spill
+	checked atomic.Int64
+	last    DeviceIO
+	err     error
 	// tp is the job's update transport, the builtin shuffle; sealed tracks
 	// whether the current iteration's stream has been sealed by EndScatter
 	// and not yet gathered.
@@ -417,8 +471,9 @@ type jobRun[V, M any] struct {
 	// sinks holds one scatter sink per engine worker, made with its kernel
 	// on the worker's first partition (by the worker: kernels count per
 	// block, so two must not share a cache line) and reused until the run
-	// ends.
+	// ends; striped is the one sink of a striped setup instead.
 	sinks    []*jobScatter[V, M]
+	striped  *stripedScatter[V, M]
 	done     bool
 	finished bool
 	iterSent int64
@@ -429,7 +484,8 @@ type jobRun[V, M any] struct {
 	iterMark  IterMark
 	iterStart time.Time
 
-	// it sums the current scatter's sink counts under itMu.
+	// it sums the current scatter's sink counts: per-worker sinks add
+	// under itMu, the striped sink on the engine's goroutine.
 	itMu sync.Mutex
 	it   ScatterCounts
 
@@ -464,29 +520,70 @@ func (r *jobRun[V, M]) Setup(s JobSetup) error {
 	if r.basePriv < 1 {
 		r.basePriv = 1
 	}
-	r.sinks = make([]*jobScatter[V, M], max(s.Threads, 1))
-	r.pending = make([]int, 0, r.part.K)
-	r.verts = make([]V, s.NumVertices)
-	// Init in parallel over fixed blocks of vertices: programs initialize
-	// a vertex from its ID alone and Frontier.Mark is atomic.
-	const initBlock = 4096
-	n := len(r.verts)
-	ForEachClaimed((n+initBlock-1)/initBlock, s.Threads, func(_, b int) {
-		for i := b * initBlock; i < min(n, (b+1)*initBlock); i++ {
-			id := VertexID(i)
-			r.prog.Init(id, &r.verts[i])
-			if r.fp != nil && r.fp.InitiallyActive(id, &r.verts[i]) {
-				r.Seed(id)
-			}
-		}
-	})
-	updCap := s.UpdateCap
-	if updCap < 1 {
-		updCap = 1
+	if s.Stripes > 0 {
+		r.striped = &stripedScatter[V, M]{r: r, ks: make([]*ScatterKernel[V, M], s.Stripes)}
+	} else {
+		r.sinks = make([]*jobScatter[V, M], max(s.Threads, 1))
 	}
-	key := func(u Update[M]) uint32 { return r.part.Of(u.Dst) }
-	r.tp = NewShuffleTransport(updCap, s.Plan, s.Threads, key, r.folder)
+	r.pending = make([]int, 0, r.part.K)
 	r.stats.Algorithm = r.prog.Name()
+	updCap, store := max(s.UpdateCap, 1), SpillStore(nil)
+	if s.Spill != nil {
+		sp, err := s.Spill(pod.Size[V](), pod.Size[Update[M]](), func(n int64) { r.checked.Add(n) })
+		if err != nil {
+			return err
+		}
+		r.spill, r.vstore, updCap, store = sp, sp.Vertices, sp.Window, sp.Updates
+	}
+	if err := r.initVertices(); err != nil {
+		return err
+	}
+	// The transport holds its stream buffers for the whole run; over an
+	// update store a full window spills to it.
+	key := func(u Update[M]) uint32 { return r.part.Of(u.Dst) }
+	r.tp = NewSpillTransport(updCap, s.Plan, s.Threads, key, r.folder, store)
+	return nil
+}
+
+// initVertices establishes the initial vertex state, with selective
+// scheduling seeding iteration 0's frontier as it goes: in parallel over
+// fixed blocks of vertices — a program initializes a vertex from its ID
+// alone and Frontier.Mark is atomic — or, in a vertex store, a partition
+// window at a time.
+func (r *jobRun[V, M]) initVertices() error {
+	init := func(id VertexID, v *V) {
+		r.prog.Init(id, v)
+		if r.fp != nil && r.fp.InitiallyActive(id, v) {
+			r.Seed(id)
+		}
+	}
+	if r.vstore == nil {
+		r.verts = make([]V, r.setup.NumVertices)
+		const initBlock = 4096
+		n := len(r.verts)
+		ForEachClaimed((n+initBlock-1)/initBlock, r.setup.Threads, func(_, b int) {
+			for i := b * initBlock; i < min(n, (b+1)*initBlock); i++ {
+				init(VertexID(i), &r.verts[i])
+			}
+		})
+		return nil
+	}
+	r.win = make([]V, r.part.PerPartition())
+	subK := NextPow2(r.setup.Threads * 4)
+	var err error
+	if r.subPlan, err = streambuf.NewPlan(subK, subK); err != nil {
+		return err
+	}
+	for p := 0; p < r.part.K; p++ {
+		lo, hi := r.part.Range(p, r.setup.NumVertices)
+		win := r.win[:hi-lo]
+		for i := range win {
+			init(VertexID(lo+int64(i)), &win[i])
+		}
+		if err := r.storeWindow(p, win); err != nil {
+			return err
+		}
+	}
 	return nil
 }
 
@@ -511,12 +608,20 @@ func (r *jobRun[V, M]) BeginScatter() error {
 	}
 	r.sealed = false
 	r.Recount()
+	if r.spill != nil && len(r.stats.Iters) == 0 {
+		// The first iteration's device window opens here, past set-up and
+		// any resume; later ones open where the previous closed.
+		r.last = r.spill.Device()
+	}
 	r.iterMark = r.stats.MarkIter()
 	r.iterStart = time.Now()
 	return nil
 }
 
 func (r *jobRun[V, M]) NewScatter(w, p int, chunkEdges int64) JobScatter {
+	if r.striped != nil {
+		return r.striped.begin(p, chunkEdges)
+	}
 	s := r.sinks[w]
 	if s == nil {
 		s = &jobScatter[V, M]{r: r, k: NewScatterKernel(r.prog, r.tp, r.combine, r.op, r.basePriv)}
@@ -591,34 +696,31 @@ func (r *jobRun[V, M]) Gather(workers int) error {
 	t0 := time.Now()
 	// Only partitions that received updates are walked, so an iteration
 	// that touched one partition (a narrow frontier) gathers inline
-	// instead of forking workers for empty streams.
+	// instead of forking workers for empty streams — except that a dense
+	// run over a vertex store loads and stores every window.
 	r.pending = r.pending[:0]
 	for p := 0; p < r.part.K; p++ {
-		if r.tp.Pending(p) > 0 {
+		if r.tp.Pending(p) > 0 || r.vstore != nil && r.Dense() {
 			r.pending = append(r.pending, p)
 		}
 	}
-	// With selective scheduling every receiver is marked into the next
-	// frontier — receipt of an update, not a state change, is what
-	// (conservatively) activates a vertex, so the frontier is identical
-	// whether or not the update stream was pre-combined.
-	apply := func(run []Update[M]) error {
-		if nxt := r.Receivers(); nxt != nil {
-			for _, u := range run {
-				r.prog.Gather(u.Dst, &r.verts[u.Dst], u.Val)
-				nxt.Mark(u.Dst)
-			}
-			return nil
-		}
-		for _, u := range run {
-			r.prog.Gather(u.Dst, &r.verts[u.Dst], u.Val)
-		}
-		return nil
+	// Partitions own disjoint windows, so in memory they are gathered in
+	// parallel; a vertex store has one window buffer, so its partitions go
+	// in order and the workers share each chunk instead.
+	outer, inner := workers, 1
+	if r.vstore != nil {
+		outer, inner = 1, workers
 	}
 	var mu sync.Mutex
 	var firstErr error
-	ForEachClaimed(len(r.pending), workers, func(_, i int) {
-		if err := r.tp.Drain(r.pending[i], apply); err != nil {
+	ForEachClaimed(len(r.pending), outer, func(_, i int) {
+		mu.Lock()
+		failed := firstErr != nil
+		mu.Unlock()
+		if failed {
+			return
+		}
+		if err := r.gatherPartition(r.pending[i], inner); err != nil {
 			mu.Lock()
 			if firstErr == nil {
 				firstErr = err
@@ -666,14 +768,22 @@ func ForEachClaimed(n, workers int, fn func(w, i int)) {
 }
 
 func (r *jobRun[V, M]) EndIteration(iter int) error {
+	if r.spill != nil {
+		r.stats.BytesChecksummed += r.checked.Swap(0)
+		d := r.spill.Device()
+		r.stats.BytesRead += d.Read - r.last.Read
+		r.stats.BytesWritten += d.Written - r.last.Written
+		r.stats.IORetries += d.Retries - r.last.Retries
+		r.last = d
+	}
 	r.stats.Iterations++
 	r.stats.PushIter(iter, r.iterMark, time.Since(r.iterStart))
 	if r.phased != nil {
-		r.done = r.phased.EndIteration(iter, r.iterSent, SliceView[V](r.verts))
+		r.done = r.phased.EndIteration(iter, r.iterSent, r)
 	} else {
 		r.done = r.iterSent == 0
 	}
-	return nil
+	return r.err
 }
 
 func (r *jobRun[V, M]) Finalize() (any, Stats, error) {
@@ -681,6 +791,18 @@ func (r *jobRun[V, M]) Finalize() (any, Stats, error) {
 		return nil, r.stats, fmt.Errorf("job %s: finalized twice", r.prog.Name())
 	}
 	r.finished = true
+	verts := r.verts
+	if r.vstore != nil {
+		verts = make([]V, r.setup.NumVertices)
+		for p := 0; p < r.part.K; p++ {
+			win, lo, err := r.window(p)
+			if err != nil {
+				return nil, r.stats, fmt.Errorf("job %s: %w", r.prog.Name(), err)
+			}
+			copy(verts[lo:], win)
+		}
+		r.stats.BytesChecksummed += r.checked.Swap(0)
+	}
 	if r.tp != nil {
 		tc := r.tp.Counters()
 		r.stats.TransportBatches = tc.Batches
@@ -689,7 +811,6 @@ func (r *jobRun[V, M]) Finalize() (any, Stats, error) {
 	}
 	r.Close()
 	asg := r.setup.Assignment
-	verts := r.verts
 	if !asg.Identity() {
 		if r.remapper != nil {
 			for i := range verts {
@@ -702,6 +823,9 @@ func (r *jobRun[V, M]) Finalize() (any, Stats, error) {
 	return verts, r.stats, nil
 }
 
+// Close releases the update transport and then removes the stores' files
+// underneath it; the transport's write pipeline may still be live on a path
+// that abandoned an iteration mid-scatter.
 func (r *jobRun[V, M]) Close() {
 	if r.tp != nil {
 		// A close error changes nothing the caller can act on: the
@@ -709,4 +833,19 @@ func (r *jobRun[V, M]) Close() {
 		_ = r.tp.Close()
 		r.tp = nil
 	}
+	if r.spill != nil {
+		r.spill.Close()
+	}
+}
+
+// SwapTransport replaces the update transport of r — a run of a
+// Job[V, M], set up and not yet scattering — with tp, closing the one Setup
+// made, and returns r's tally of the scatter counts its sinks have flushed
+// and EndScatter has not yet booked. It is for engine tests that drive a
+// run's sinks against a stub transport.
+func SwapTransport[V, M any](r JobRun, tp UpdateTransport[M]) *ScatterCounts {
+	jr := r.(*jobRun[V, M])
+	_ = jr.tp.Close()
+	jr.tp = tp
+	return &jr.it
 }

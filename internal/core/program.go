@@ -157,16 +157,3 @@ type PhasedProgram[V, M any] interface {
 	Program[V, M]
 	EndIteration(iter int, updatesSent int64, view VertexView[V]) (done bool)
 }
-
-// SliceView adapts an in-memory vertex array to VertexView.
-type SliceView[V any] []V
-
-// NumVertices returns the vertex count.
-func (s SliceView[V]) NumVertices() int64 { return int64(len(s)) }
-
-// ForEach calls fn for every vertex in id order.
-func (s SliceView[V]) ForEach(fn func(VertexID, *V)) {
-	for i := range s {
-		fn(VertexID(i), &s[i])
-	}
-}

@@ -118,17 +118,19 @@ func crossOf[M any](batch []Update[M], src int, key func(Update[M]) uint32) int6
 
 // SpillStore is where a ShuffleTransport spills the windows an iteration
 // outgrows: one append-only record stream per partition (the update files
-// of §3.2). Append runs on the transport's writer goroutine, in window
-// order; Pending and Drain run after Seal, with UpdateTransport's
-// concurrency.
-type SpillStore[M any] interface {
+// of §3.2). It is byte-level, so an engine can lend one to a type-erased
+// run; the transport reinterprets its records. Append runs on the
+// transport's writer goroutine, in window order; Pending and Drain run after
+// Seal, with UpdateTransport's concurrency.
+type SpillStore interface {
 	// Append appends one shuffled run of partition p's records.
-	Append(p int, run []Update[M]) error
-	// Pending returns the number of records stored for partition p.
+	Append(p int, run []byte) error
+	// Pending returns the number of bytes stored for partition p.
 	Pending(p int) int64
-	// Drain streams partition p's records through fn in append order,
-	// checks them against what was appended and empties the stream.
-	Drain(p int, fn func([]Update[M]) error) error
+	// Drain streams partition p's bytes through fn in append order, in
+	// runs of whole records, checks them against what was appended and
+	// empties the stream.
+	Drain(p int, fn func(run []byte) error) error
 }
 
 // ShuffleTransport is the update transport: sends append into a window
@@ -142,7 +144,7 @@ type SpillStore[M any] interface {
 // never flushed stays in memory either way (the §3.2 bypass).
 type ShuffleTransport[M any] struct {
 	w       *streambuf.Writer[Update[M]]
-	store   SpillStore[M]
+	store   SpillStore
 	res     *streambuf.Buffer[Update[M]] // the sealed window of an iteration that stayed in memory
 	key     func(Update[M]) uint32
 	recSize int
@@ -159,14 +161,14 @@ func NewShuffleTransport[M any](capacity int, plan streambuf.Plan, threads int, 
 
 // NewSpillTransport is NewShuffleTransport with windows of window records
 // that spill to store; a nil store never spills.
-func NewSpillTransport[M any](window int, plan streambuf.Plan, threads int, key func(Update[M]) uint32, folder *streambuf.Folder[Update[M]], store SpillStore[M]) *ShuffleTransport[M] {
+func NewSpillTransport[M any](window int, plan streambuf.Plan, threads int, key func(Update[M]) uint32, folder *streambuf.Folder[Update[M]], store SpillStore) *ShuffleTransport[M] {
 	var fold func(*streambuf.Buffer[Update[M]]) int64
 	if folder != nil {
 		fold = folder.Fold
 	}
 	var sink func(int, []Update[M]) error
 	if store != nil {
-		sink = store.Append
+		sink = func(p int, run []Update[M]) error { return store.Append(p, pod.AsBytes(run)) }
 	}
 	return &ShuffleTransport[M]{
 		w:       streambuf.NewWriter(window, plan, threads, key, fold, sink),
@@ -213,7 +215,7 @@ func (t *ShuffleTransport[M]) Pending(p int) int64 {
 	case t.res != nil:
 		return int64(t.res.BucketLen(p))
 	case t.store != nil:
-		return t.store.Pending(p)
+		return t.store.Pending(p) / int64(t.recSize)
 	}
 	return 0
 }
@@ -231,7 +233,7 @@ func (t *ShuffleTransport[M]) Drain(p int, fn func([]Update[M]) error) error {
 		})
 		return err
 	case t.store != nil:
-		return t.store.Drain(p, fn)
+		return t.store.Drain(p, func(run []byte) error { return fn(pod.FromBytes[Update[M]](run)) })
 	}
 	return nil
 }

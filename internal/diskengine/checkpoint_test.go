@@ -14,6 +14,7 @@ package diskengine
 import (
 	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -283,6 +284,67 @@ func TestCheckpointInterchangeable(t *testing.T) {
 		}
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("%s resuming %s: vertices differ from the fault-free run's", pair[1].name, pair[0].name)
+		}
+	}
+}
+
+// ckptCounting counts the bytes written to the snapshot slots of the device
+// it wraps.
+type ckptCounting struct {
+	storage.Device
+	written *int64
+}
+
+type ckptCountingFile struct {
+	storage.File
+	written *int64
+}
+
+func (d ckptCounting) Create(name string) (storage.File, error) {
+	f, err := d.Device.Create(name)
+	if err != nil || !strings.Contains(name, "checkpoint") {
+		return f, err
+	}
+	return ckptCountingFile{f, d.written}, nil
+}
+
+func (f ckptCountingFile) WriteAt(p []byte, off int64) (int, error) {
+	n, err := f.File.WriteAt(p, off)
+	*f.written += int64(n)
+	return n, err
+}
+
+// TestCheckpointWritesOnlySnapshots: checkpointing a solo run adds exactly
+// the snapshot bytes to its BytesWritten — serializing a spilled run's
+// vertex windows reads the vertex files and never writes them back.
+func TestCheckpointWritesOnlySnapshots(t *testing.T) {
+	for _, w := range ckptWorkloads() {
+		for _, mode := range ckptModes[:2] {
+			t.Run(w.name+"/"+mode.name, func(t *testing.T) {
+				cfg := w.cfg
+				cfg.Checkpoint = false
+				cfg.Device = ssd(0)
+				want, plain, err := mode.run(w, w, cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				var snapBytes int64
+				cfg.Checkpoint = true
+				cfg.Device = ckptCounting{ssd(0), &snapBytes}
+				got, ckpt, err := mode.run(w, w, cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(got, want) {
+					t.Fatal("checkpointed run's vertices differ from the plain run's")
+				}
+				if snapBytes == 0 {
+					t.Fatal("checkpointed run wrote no snapshot")
+				}
+				if extra := ckpt.BytesWritten - plain.BytesWritten; extra != snapBytes {
+					t.Fatalf("checkpointing added %d bytes written, want the %d snapshot bytes", extra, snapBytes)
+				}
+			})
 		}
 	}
 }

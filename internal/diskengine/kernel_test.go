@@ -32,8 +32,8 @@ func (pushOpProg) CombineOp() core.CombineOp { return core.CombineSum }
 
 // scatterPartitions drives e's sink over every partition of pp as the pass
 // does — NewScatter, Edges per read chunk, Flush — and returns the counts it
-// booked.
-func scatterPartitions[V, M any](t *testing.T, e *engine[V, M], pp *Prepared) core.ScatterCounts {
+// tallied.
+func scatterPartitions(t *testing.T, e *probedRun, pp *Prepared) core.ScatterCounts {
 	t.Helper()
 	for p := 0; p < pp.k; p++ {
 		edges := partitionEdges(t, pp, p)
@@ -47,19 +47,22 @@ func scatterPartitions[V, M any](t *testing.T, e *engine[V, M], pp *Prepared) co
 			t.Fatal(err)
 		}
 	}
-	n := e.it
-	e.it = core.ScatterCounts{}
+	n := *e.it
+	*e.it = core.ScatterCounts{}
 	return n
 }
 
-// memSink runs prog's in-memory sink — a core.jobRun set up by pp — through
-// one scatter of every partition and one gather, and returns the gathered
-// vertex states and the run's stats.
+// memSink runs prog's in-memory sink — the per-worker sink of a run set up
+// by pp as the in-memory engine sets its runs up, unstriped — through one
+// scatter of every partition and one gather, and returns the gathered vertex
+// states and the run's stats.
 func memSink(t *testing.T, pp *Prepared, prog core.Program[int32, int32]) ([]int32, core.Stats) {
 	t.Helper()
 	run := core.NewJob(prog).NewRun()
 	defer run.Close()
-	if err := run.Setup(pp.jobSetup()); err != nil {
+	setup := pp.jobSetup()
+	setup.Stripes = 0
+	if err := run.Setup(setup); err != nil {
 		t.Fatal(err)
 	}
 	if err := run.BeginScatter(); err != nil {
@@ -114,9 +117,9 @@ func memSequence(t *testing.T, pp *Prepared, prog core.Program[int32, int32]) []
 	return tp.recs
 }
 
-// TestMemSinkAndDiskSinkShareTheKernel: the in-memory run's partition sink
-// and the spillable run's sink are two callers of one kernel, which at
-// Threads 1 both keep open for a whole partition. So from the same edges they
+// TestMemSinkAndDiskSinkShareTheKernel: the in-memory engine's per-worker
+// sink and the out-of-core engine's striped sink are two callers of one
+// kernel, which at Threads 1 both keep open for a whole partition. So from the same edges they
 // account the same (sent, cross, combined), emit the same record sequence —
 // the disk sink's cut into Room-bounded segments, drained after each and
 // swept through a window too small to hold the sweep, none of which may
@@ -137,7 +140,7 @@ func TestMemSinkAndDiskSinkShareTheKernel(t *testing.T) {
 			prog = pushCombProg{}
 		}
 		disk := &stubTransport[int32]{keep: true, window: 1000}
-		e, pp := setupEngine(t, src, prog, cfg, disk)
+		e, pp := setupRun(t, src, prog, cfg, disk)
 		if !pp.asg.Identity() {
 			t.Fatalf("%s: range partitioning planned a relabeling", c.name)
 		}

@@ -1,15 +1,17 @@
 package diskengine
 
 // oneloop_test.go pins that the out-of-core engine has one iteration loop
-// and two run kinds: a solo Run (the spillable engine) and a RunJob
-// (core.jobRun) of the same program over the same config are driven by
-// runPass alike — same results, same loop-owned counters, same spans — and
-// that what only the spillable run can hit, an I/O fault behind the phase
-// hook's vertex view or a cancel between two chunks of one partition's
-// vertex window, fails the run with a typed error and leaves nothing behind.
+// and one run type: a solo Run (a core.jobRun lent the engine's stores) and
+// a RunJob (a core.jobRun lent none) of the same program over the same
+// config are driven by runPass alike — same results, same loop-owned
+// counters, same spans — and that what only a run with stores can hit, an
+// I/O fault behind the phase hook's vertex view, a corrupted vertex window or
+// update stream, or a cancel between two chunks of one partition's vertex
+// window, fails the run with a typed error and leaves nothing behind.
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"os"
@@ -252,8 +254,8 @@ func (p *armedPageRank) EndIteration(iter int, sent int64, view core.VertexView[
 }
 
 // TestSpillViewFaultFailsIteration: spilled PageRank folds its ranks
-// through the spill view in EndIteration, and the view's ForEach has no
-// error to return. One injected fault on a vertex-window read or write
+// through the run's view of its stored windows in EndIteration, and the
+// view's ForEach has no error to return. One injected fault on a vertex-window read or write
 // inside the hook — in the last iteration nothing afterwards would trip
 // over it — must fail the run with the injected error, not leave the
 // remaining partitions (or a torn window) un-updated and carry on.
@@ -318,6 +320,119 @@ func TestSinkFaultStopsEdgeReads(t *testing.T) {
 	for _, name := range dev.reads {
 		if strings.HasSuffix(name, ".edges") && name != "ds-p0000.edges" {
 			t.Errorf("edge file %s read after partition 0's sink failed (reads: %v)", name, dev.reads)
+		}
+	}
+}
+
+// flipAtStart is PageRank running flip as iteration at starts: after the
+// previous iteration stored every vertex window, before this one loads any.
+type flipAtStart struct {
+	*algorithms.PageRank
+	at   int
+	flip func()
+}
+
+func (p *flipAtStart) StartIteration(iter int) {
+	p.PageRank.StartIteration(iter)
+	if iter == p.at {
+		p.flip()
+	}
+}
+
+// flipByte flips the low bit of the byte at off in file name on dev, behind
+// the back of whoever wrote it.
+func flipByte(dev storage.Device, name string, off int64) error {
+	f, err := dev.Open(name)
+	if err != nil {
+		return err
+	}
+	defer f.Close()
+	var b [1]byte
+	if _, err := f.ReadAt(b[:], off); err != nil {
+		return err
+	}
+	b[0] ^= 1
+	_, err = f.WriteAt(b[:], off)
+	return err
+}
+
+// TestSpilledVertexFlipIsCorrupted: a solo PageRank whose vertex state
+// spills, with one byte of partition 2's vertex file flipped between the
+// store that wrote it and the load that reads it back, fails with
+// storage.ErrCorrupted — the window's checksum, not a wrong rank.
+func TestSpilledVertexFlipIsCorrupted(t *testing.T) {
+	src, _ := smallGraph(43)
+	dev := ssd(0)
+	var flipErr error
+	prog := &flipAtStart{PageRank: algorithms.NewPageRank(3), at: 1, flip: func() { flipErr = flipByte(dev, "p0002.verts", 5) }}
+	_, err := Run[algorithms.PRState, float32](src, prog, spilled(Config{Device: dev, Threads: 2, IOUnit: 8 << 10, Partitions: 4}))
+	if flipErr != nil {
+		t.Fatalf("flipping a byte of the spilled vertex file: %v", flipErr)
+	}
+	if !errors.Is(err, storage.ErrCorrupted) {
+		t.Fatalf("a run over a flipped vertex window returned %v, want ErrCorrupted", err)
+	}
+}
+
+// rewriteDst is a device whose file name, once created, reads back with the
+// destination of its first record replaced by dst, and which counts those
+// reads.
+type rewriteDst struct {
+	storage.Device
+	name  string
+	dst   uint32
+	reads atomic.Int64
+}
+
+func (d *rewriteDst) Create(name string) (storage.File, error) {
+	f, err := d.Device.Create(name)
+	if err != nil || name != d.name {
+		return f, err
+	}
+	return &rewriteFile{File: f, dev: d}, nil
+}
+
+type rewriteFile struct {
+	storage.File
+	dev *rewriteDst
+}
+
+func (f *rewriteFile) ReadAt(p []byte, off int64) (int, error) {
+	n, err := f.File.ReadAt(p, off)
+	if off == 0 && n >= 4 {
+		binary.LittleEndian.PutUint32(p, f.dev.dst)
+		f.dev.reads.Add(1)
+	}
+	return n, err
+}
+
+// TestSpilledUpdateOutsideWindowIsCorrupted: with verification off nothing
+// checksums the update files, so the gather's window check is what stands
+// between a spilled update whose destination was rewritten on read — into
+// another partition, or past the last vertex — and the vertex state. With
+// vertex state in memory and spilled, the run fails with
+// storage.ErrCorrupted: never an index panic, never a result.
+func TestSpilledUpdateOutsideWindowIsCorrupted(t *testing.T) {
+	src, _ := smallGraph(47)
+	for _, c := range []struct {
+		name string
+		dst  uint32
+	}{{"other partition", 0}, {"beyond the graph", 1 << 30}} {
+		for _, spill := range []bool{false, true} {
+			t.Run(fmt.Sprintf("%s/spilled %v", c.name, spill), func(t *testing.T) {
+				upd := &rewriteDst{Device: ssd(0), name: "p0001.updates", dst: c.dst}
+				cfg := Config{Device: ssd(0), UpdateDevice: upd, Threads: 2, IOUnit: 4 << 10, Partitions: 4, NoVerify: true}
+				if spill {
+					cfg = spilled(cfg)
+				}
+				_, err := Run(src, &wccProg{}, spillsUpdates(t, cfg))
+				if upd.reads.Load() == 0 {
+					t.Fatal("partition 1's update file was never read back")
+				}
+				if !errors.Is(err, storage.ErrCorrupted) {
+					t.Fatalf("a rewritten update destination returned %v, want ErrCorrupted", err)
+				}
+			})
 		}
 	}
 }

@@ -173,7 +173,7 @@ func TestCorruptedRecordSharedPass(t *testing.T) {
 			return err
 		}},
 		{"solo", func(pp *Prepared) error {
-			_, _, err := pp.runPass(nil, time.Now(), "wcc", soloRuns[wccState, core.VertexID](pp, &wccProg{}))
+			_, _, err := pp.runPass(nil, time.Now(), "wcc", pp.runs(core.ProgramSet{core.NewJob[wccState, core.VertexID](&wccProg{})}, true))
 			return err
 		}},
 	} {

@@ -11,17 +11,21 @@ package diskengine
 // out-of-core runs is amortized across co-scheduled jobs (BytesRead drops
 // toward 1/K of K sequential runs; the figshare experiment gates it).
 //
-// One loop, two run kinds. The jobs of a program set (RunMany, RunJob) run
-// as core.jobRuns, which keep their vertex state and update streams in
-// memory — the §3.2 bypass optimizations applied unconditionally. That is a
-// serving design choice, not a loss of generality: the jobs scheduler's
-// admission control only co-schedules jobs whose combined footprint
-// (core.Job.MemoryEstimate) fits the budget, which is exactly the regime
-// where the bypasses are legal. A job too big for the budget runs solo
-// through Run, whose one run is the engine[V, M] of diskengine.go: the same
-// loop, the same Prepared, the same partition reader (streamPartition), but
-// a run that may spill vertex windows and update files to the device and
-// parallelizes inside a chunk.
+// One loop, one run kind: every run is a core.jobRun, and every one scatters
+// through the striped sink, since the loop streams one partition at a time
+// through sink 0 — over Threads kernels for a solo Run's run, over one for
+// each run of a program set (see runs). What differs is what the engine
+// lends a run. The jobs of a
+// program set (RunMany, RunJob) get no stores and keep their vertex state
+// and update streams in memory — the §3.2 bypass optimizations applied
+// unconditionally. That is a serving design choice, not a loss of
+// generality: the jobs scheduler's admission control only co-schedules jobs
+// whose combined footprint (core.Job.MemoryEstimate) fits the budget, which
+// is exactly the regime where the bypasses are legal. A job too big for the
+// budget runs solo through Run, whose run gets the stores of openStores: the
+// same loop, the same Prepared, the same partition reader
+// (streamPartition), but vertex windows and update files that may spill to
+// the device.
 //
 // Fault tolerance composes too: under Config.Checkpoint a pass snapshots
 // every job's resumable state after each completed iteration (see
@@ -439,8 +443,8 @@ func vertexBytesOf(set core.ProgramSet) int64 {
 }
 
 // RunJob executes a single type-erased job — the registry-driven
-// counterpart of Run. Unlike Run it holds vertex state and updates in
-// memory (see the package notes on the two run kinds).
+// counterpart of Run. Unlike Run it lends the run no stores, so vertex state
+// and updates stay in memory (see the notes in runmany.go).
 func RunJob(ctx context.Context, g core.EdgeSource, job *core.Job, cfg Config) (*core.JobResult, error) {
 	res, pass, err := RunMany(ctx, g, core.ProgramSet{job}, cfg)
 	if err != nil {
@@ -467,13 +471,28 @@ func (pp *Prepared) runMany(ctx context.Context, set core.ProgramSet, start time
 	if len(set) == 0 {
 		return nil, core.Stats{}, fmt.Errorf("diskengine: RunMany of an empty program set")
 	}
-	return pp.runPass(ctx, start, set.Label(), func() ([]core.JobRun, error) {
-		runs, err := set.NewRuns(pp.jobSetup())
+	return pp.runPass(ctx, start, set.Label(), pp.runs(set, false))
+}
+
+// runs is the run factory of a pass over pp: the set's runs, set up under
+// jobSetup, lent the stores of openStores when stores is set. A run lent
+// stores — a solo Run's — stripes each segment over Threads kernels; a
+// program set's runs each scatter through one kernel, on the goroutine
+// feedJobs gives every run: on 2 cores stripes made passes of 1, 2 and 4
+// PageRank jobs 12–22 % slower.
+func (pp *Prepared) runs(set core.ProgramSet, stores bool) func() ([]core.JobRun, error) {
+	return func() ([]core.JobRun, error) {
+		setup := pp.jobSetup()
+		if stores {
+			setup.Spill = pp.openStores
+			setup.Stripes = max(pp.cfg.Threads, 1)
+		}
+		runs, err := set.NewRuns(setup)
 		if err != nil {
 			return nil, fmt.Errorf("diskengine: %w", err)
 		}
 		return runs, nil
-	})
+	}
 }
 
 // jobSetup is the shared context every run of a pass over pp is set up
@@ -485,6 +504,7 @@ func (pp *Prepared) jobSetup() core.JobSetup {
 		Threads: cfg.Threads, Plan: pp.shufPlan, UpdateCap: int(pp.ne),
 		PrivateBufRecs: basePrivCap,
 		NoCombine:      cfg.NoCombine, Selective: cfg.Selective,
+		Stripes: 1,
 	}
 }
 
@@ -503,8 +523,8 @@ type passScratch struct {
 
 // runPass is the engine's one iteration loop (Figure 6): the merged
 // scatter/shuffle over the partition files, then gather, for whatever runs
-// newRuns makes — a program set's in-memory runs or the one spillable run
-// of a solo Run; the loop cannot tell them apart. newRuns is called once up
+// newRuns makes — a program set's in-memory runs or a solo Run's one run
+// with stores; the loop cannot tell them apart. newRuns is called once up
 // front and again whenever a verified checkpoint fails to load, after the
 // half-restored runs were closed, so a failed resume never leaves state
 // behind. start is when the pass's work began — before the ingest for a
@@ -754,8 +774,10 @@ func (pp *Prepared) scatterShared(ctx context.Context, pass *core.Stats, sc *pas
 				return false
 			}
 		}
-		// A run readies its sink — a spillable one loads the partition's
-		// vertex window — only for a partition that is actually read.
+		// A run readies its sink — one with a vertex store loads the
+		// partition's vertex window — only for a partition that is actually
+		// read. Each run has the one sink, fed by one goroutine (feedJobs),
+		// so no run's transport is ever sent to concurrently.
 		var scatters []core.JobScatter
 		io, skippedRecs, skippedTiles, err := pp.streamPartition(ctx, &sc.rd, files, tiles, p, fileRecs, need, func() {
 			scatters = sc.scatters[:len(needing)]

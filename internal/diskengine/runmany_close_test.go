@@ -30,7 +30,7 @@ func TestSharedPassClosesTransportsOnFailure(t *testing.T) {
 			return err
 		}},
 		{"solo", func(ctx context.Context, pp *Prepared) error {
-			_, _, err := pp.runPass(ctx, time.Now(), "bfs", soloRuns[bfsState, int32](pp, &bfsProg{root: 0}))
+			_, _, err := pp.runPass(ctx, time.Now(), "bfs", pp.runs(core.ProgramSet{core.NewJob[bfsState, int32](&bfsProg{root: 0})}, true))
 			return err
 		}},
 	} {

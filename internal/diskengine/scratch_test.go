@@ -184,7 +184,7 @@ func (*sumCombProg) Combine(a, b int32) int32 { return a + b }
 // a copy when keep is set — and otherwise behaves like an empty transport.
 // With window set it holds that many records between flushes and refuses a
 // batch that would overflow them, like the file transport's shuffle window.
-// It is not safe for concurrent sends: the solo sink sends from its
+// It is not safe for concurrent sends: the striped sink sends from its
 // coordinator only, and the race detector says so if it does not.
 type stubTransport[M any] struct {
 	refuse, keep bool
@@ -234,25 +234,36 @@ func (s *stubTransport[M]) EndIteration() error                                {
 func (s *stubTransport[M]) Close() error                                       { return nil }
 func (s *stubTransport[M]) Counters() core.TransportCounters                   { return core.TransportCounters{} }
 
-// setupEngine runs Run's preamble — prepare the dataset, set a fresh engine
-// up under it — and returns both, the engine with tp in place of its
+// probedRun is a solo run set up over a stub transport: it, its tally of
+// the scatter counts its sink has flushed and EndScatter has not booked, and
+// whether its vertex state lives in the vertex files.
+type probedRun struct {
+	core.JobRun
+	it      *core.ScatterCounts
+	spilled bool
+}
+
+// setupRun runs Run's preamble — prepare the dataset, make its run with the
+// stores Run lends it — and returns both, the run with tp in place of its
 // transport.
-func setupEngine[V, M any](t *testing.T, src core.EdgeSource, prog core.Program[V, M], cfg Config, tp core.UpdateTransport[M]) (*engine[V, M], *Prepared) {
+func setupRun[V, M any](t *testing.T, src core.EdgeSource, prog core.Program[V, M], cfg Config, tp core.UpdateTransport[M]) (*probedRun, *Prepared) {
 	t.Helper()
 	pp, err := prepare(src, cfg, int64(pod.Size[V]()), false)
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(pp.Close)
-	runs, err := soloRuns(pp, prog)()
+	runs, err := pp.runs(core.ProgramSet{core.NewJob(prog)}, true)()
 	if err != nil {
 		t.Fatal(err)
 	}
-	e := runs[0].(*engine[V, M])
-	t.Cleanup(e.Close)
-	e.tp.Close()
-	e.tp = tp
-	return e, pp
+	r := &probedRun{JobRun: runs[0], it: core.SwapTransport[V, M](runs[0], tp)}
+	t.Cleanup(r.Close)
+	if f, err := pp.cfg.Device.Open(pp.cfg.Prefix + "p0000.verts"); err == nil {
+		f.Close()
+		r.spilled = true
+	}
+	return r, pp
 }
 
 // TestScatterSendRefusedFailsIteration: the scatter reserves room in the
@@ -264,9 +275,9 @@ func setupEngine[V, M any](t *testing.T, src core.EdgeSource, prog core.Program[
 func TestScatterSendRefusedFailsIteration(t *testing.T) {
 	src, _ := smallGraph(5)
 	cfg := Config{Device: ssd(0), Threads: 2, Partitions: 4, IOUnit: 16 << 10}
-	check := func(name string, e core.JobRun, pp *Prepared) {
+	check := func(name string, e *probedRun, pp *Prepared) {
 		t.Helper()
-		_, _, err := pp.runPass(nil, time.Now(), name, func() ([]core.JobRun, error) { return []core.JobRun{e}, nil })
+		_, _, err := pp.runPass(nil, time.Now(), name, func() ([]core.JobRun, error) { return []core.JobRun{e.JobRun}, nil })
 		if err == nil {
 			t.Fatalf("%s: a refused scatter batch was dropped silently", name)
 		}
@@ -274,14 +285,14 @@ func TestScatterSendRefusedFailsIteration(t *testing.T) {
 			t.Fatalf("%s: error does not name the refusal and the transport capacity: %v", name, err)
 		}
 	}
-	plain, pp := setupEngine[int32, int32](t, src, &sumProg{rounds: 2}, cfg, &stubTransport[int32]{refuse: true})
+	plain, pp := setupRun[int32, int32](t, src, &sumProg{rounds: 2}, cfg, &stubTransport[int32]{refuse: true})
 	check("append buffers", plain, pp)
 	cfg.Prefix = "comb-"
-	comb, pp := setupEngine[int32, int32](t, src, &sumCombProg{sumProg{rounds: 2}}, cfg, &stubTransport[int32]{refuse: true})
+	comb, pp := setupRun[int32, int32](t, src, &sumCombProg{sumProg{rounds: 2}}, cfg, &stubTransport[int32]{refuse: true})
 	check("combining buffers", comb, pp)
 }
 
-// TestScatterRoomProtocol: the solo sink scatters a partition in segments
+// TestScatterRoomProtocol: the striped sink scatters a partition in segments
 // its transport's window has room for, drains every kernel after its stripe
 // and sweeps the kernels at the partition's end, flushing the window whenever
 // a batch would not fit. Through a window of 64 records — full between
@@ -289,7 +300,8 @@ func TestScatterSendRefusedFailsIteration(t *testing.T) {
 // stripes, for destinations that never repeat and for sixteen hot ones, at
 // Threads 1, 2 and 4 with vertex state in memory and spilled: nothing is
 // refused, every update sent is delivered or combined away, and every
-// destination receives the total the in-memory sink gathers.
+// destination receives the total the in-memory engine's per-worker sink
+// gathers.
 func TestScatterRoomProtocol(t *testing.T) {
 	const n = 1 << 15
 	distinct, hot := make([]core.Edge, n), make([]core.Edge, n)
@@ -301,7 +313,9 @@ func TestScatterRoomProtocol(t *testing.T) {
 		name  string
 		edges []core.Edge
 	}{{"distinct", distinct}, {"hot", hot}} {
-		for _, window := range []int{64, stripeMin + 404} {
+		// 4096 edges is the shortest segment the striped sink cuts into
+		// stripes.
+		for _, window := range []int{64, 4096 + 404} {
 			for _, threads := range []int{1, 2, 4} {
 				for _, spill := range []bool{false, true} {
 					name := fmt.Sprintf("%s/window %d/threads %d/spilled %v", g.name, window, threads, spill)
@@ -310,9 +324,9 @@ func TestScatterRoomProtocol(t *testing.T) {
 						cfg = spilled(cfg)
 					}
 					tp := &stubTransport[int32]{keep: true, window: window}
-					e, pp := setupEngine[int32, int32](t, core.NewSliceSource(g.edges, n), pushCombProg{}, cfg, tp)
-					if (e.allVerts == nil) != spill {
-						t.Fatalf("%s: vertex state spilled: %v", name, e.allVerts == nil)
+					e, pp := setupRun[int32, int32](t, core.NewSliceSource(g.edges, n), pushCombProg{}, cfg, tp)
+					if e.spilled != spill {
+						t.Fatalf("%s: vertex state spilled: %v", name, e.spilled)
 					}
 					var segFlushes, sweepFlushes int
 					for p := 0; p < pp.k; p++ {
@@ -328,7 +342,7 @@ func TestScatterRoomProtocol(t *testing.T) {
 						}
 						segFlushes, sweepFlushes = segFlushes+mid-before, sweepFlushes+tp.flushes-mid
 					}
-					sent := e.it
+					sent := *e.it
 					if g.name == "distinct" && window == 64 && (segFlushes == 0 || sweepFlushes == 0) {
 						t.Errorf("%s: %d flushes between segments and %d in sweeps: the window forced too few", name, segFlushes, sweepFlushes)
 					}
@@ -369,7 +383,7 @@ func partitionEdges(t *testing.T, pp *Prepared, p int) (edges []core.Edge) {
 }
 
 // TestScatterSinkAllocatesNothingWarm: once the run has its kernels, a
-// partition through the solo sink — NewScatter Begins them, Edges scatters and
+// partition through the striped sink — NewScatter Begins them, Edges scatters and
 // drains segment by segment, Flush sweeps — allocates nothing, with or without
 // a Combiner, and also when the transport's window is so small that segments
 // end on flushes and the sweep flushes mid-way.
@@ -388,7 +402,7 @@ func TestScatterSinkAllocatesNothingWarm(t *testing.T) {
 	} {
 		cfg := Config{Device: ssd(0), Threads: 1, Partitions: 1, IOUnit: 64 << 10}
 		tp := &stubTransport[int32]{window: c.window}
-		e, pp := setupEngine(t, src, c.prog, cfg, tp)
+		e, pp := setupRun(t, src, c.prog, cfg, tp)
 		edges := partitionEdges(t, pp, 0)
 		var err error
 		var segFlushes, sweepFlushes int
@@ -403,7 +417,7 @@ func TestScatterSinkAllocatesNothingWarm(t *testing.T) {
 			segFlushes, sweepFlushes = mid-before, tp.flushes-mid
 		}
 		scatter() // warm: the kernels are made here
-		e.it = core.ScatterCounts{}
+		*e.it = core.ScatterCounts{}
 		if allocs := testing.AllocsPerRun(20, scatter); allocs != 0 {
 			t.Errorf("%s: a warmed partition through the sink allocates %.0f times", c.name, allocs)
 		}

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/pod"
 	"repro/internal/storage"
 	"repro/internal/streambuf"
 	"repro/internal/transport/conformance"
@@ -28,8 +29,8 @@ func (s *spillingTransport) Close() error {
 }
 
 // newSpillingTransport builds a core.ShuffleTransport of window-record
-// windows spilling to fresh update files on dev, the way the solo engine
-// sets its transport up.
+// windows spilling to fresh update files on dev, the way a run lent the
+// engine's stores sets its transport up.
 func newSpillingTransport(t *testing.T, dev storage.Device, k int, nv int64, window, threads int, combine bool) *spillingTransport {
 	t.Helper()
 	files := make([]*partFile, k)
@@ -48,12 +49,13 @@ func newSpillingTransport(t *testing.T, dev storage.Device, k int, nv int64, win
 	if combine {
 		folder = core.NewUpdateFolder(split, threads, func(a, b int64) int64 { return a + b })
 	}
-	store := &updateStore[int64]{files: files, chunkRecs: window, prefetch: true, verify: true}
+	rec := pod.Size[core.Update[int64]]()
+	store := &updateStore{files: files, recSize: rec, chunkBytes: window * rec, prefetch: true, verify: true, drain: make([]readScratch[byte], threads)}
 	tp := core.NewSpillTransport(window, plan, threads, func(u core.Update[int64]) uint32 { return split.Of(u.Dst) }, folder, store)
 	return &spillingTransport{ShuffleTransport: tp, files: files}
 }
 
-// TestFileTransportConformance runs the contract suite over the solo run's
+// TestFileTransportConformance runs the contract suite over a solo run's
 // transport spilling to update files, in its three shapes: a window that
 // holds the whole iteration ("bypass", never spills), a quarter of it
 // ("windowed", spills mid-iteration) and one 64-record send batch

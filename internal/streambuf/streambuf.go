@@ -209,7 +209,8 @@ func (b *Buffer[T]) BucketTiles(p, tileRecs int, fn func(tile []T)) {
 	})
 }
 
-// slicesFor computes P equal slices over the filled region.
+// sliceAppendState cuts the filled region into p equal slices, the first
+// stage's input.
 func (b *Buffer[T]) sliceAppendState(p int) {
 	n := int(b.n.Load())
 	b.slices = make([]slice, p)
