@@ -19,9 +19,9 @@
 // Algorithms are dispatched through the registry in internal/algorithms —
 // the same table cmd/xserve serves jobs from — and executed as type-erased
 // jobs (the shared-pass path; a solo CLI run is a shared pass of one). On
-// the disk engine -budget still sizes partitions and stream buffers by the
-// §3.4 rule, but vertex state and updates stay in memory (the shared-pass
-// bypass; use the library's RunDisk for vertex spilling). It prints the
+// the disk engine -budget sizes partitions and stream buffers by the §3.4
+// rule and decides whether vertex state spills to the device; updates spill
+// whenever an iteration outgrows one stream buffer. It prints the
 // execution Stats (iterations, partitions, wasted edges, phase times) and
 // an algorithm-specific summary.
 package main

@@ -153,13 +153,12 @@
 // itself — and the pass owns the edge stream. The out-of-core engine has one
 // loop too, over one dataset layer (DiskPrepared: partition sizing,
 // partitioner, edge shuffle, edge files and tile index, the partition
-// reader, the checkpoint format), and two kinds of run it drives alike:
-// RunManyDisk's jobs hold vertex state and updates in memory, RunDisk's one
-// run may spill both to the device — which of the two a computation gets is
-// decided by its memory budget, not by a second code path. The update stream
-// thus has two transports: an in-memory shuffle, and RunDisk's update files;
-// one conformance suite (internal/transport/conformance) holds both to the
-// same contract.
+// reader, the checkpoint format), and one kind of run: RunDisk is a pass of
+// one, and every run of a pass may spill its vertex state and updates to
+// the device, as its share of the memory budget decides. The update stream
+// has one transport, a windowed shuffle that spills to update files out of
+// core; one conformance suite (internal/transport/conformance) holds every
+// shape of it to the same contract.
 //
 // On top of this sit internal/dataset (a named registry of ingested
 // graphs), internal/jobs (a scheduler with memory-budget admission

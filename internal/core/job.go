@@ -120,9 +120,9 @@ func EndAndGather(live []JobRun, threads int) (shuffle time.Duration, err error)
 // FinishPass finalizes every run of a completed pass: it collects each
 // job's result, stamps the pass's identity (engine, partitioner, sizes,
 // co-job count) and total time since start onto the job's stats, folds the
-// per-job work counters into the pass stats and derives EdgesShared — the
-// edge reads the sharing avoided, the sum of per-job streams minus the
-// pass's one.
+// per-job work counters and the I/O of the jobs' stores into the pass stats
+// and derives EdgesShared — the edge reads the sharing avoided, the sum of
+// per-job streams minus the pass's one.
 func FinishPass(runs []JobRun, pass *Stats, start time.Time) ([]JobResult, error) {
 	results := make([]JobResult, len(runs))
 	for i, r := range runs {
@@ -144,6 +144,7 @@ func FinishPass(runs []JobRun, pass *Stats, start time.Time) ([]JobResult, error
 		pass.TransportBytes += js.TransportBytes
 		pass.TransportCross += js.TransportCross
 		pass.EdgesShared += js.EdgesStreamed
+		pass.addIO(&js)
 	}
 	pass.EdgesShared -= pass.EdgesStreamed
 	if pass.EdgesShared < 0 {
@@ -244,15 +245,16 @@ type JobSetup struct {
 	// Stripes, when positive, says the engine streams one partition at a
 	// time through sink 0, as the out-of-core pass does: the run then
 	// scatters each segment of a chunk on its own workers, in up to Stripes
-	// stripes (see stripedScatter). Otherwise every engine worker scatters
-	// whole partitions through a sink of its own.
+	// stripes (see stripedScatter) — one, as the out-of-core engine sets
+	// every run up. Otherwise every engine worker scatters whole partitions
+	// through a sink of its own.
 	Stripes int
 	// Spill, when non-nil, opens the device-backed stores an out-of-core
 	// engine lends the run (see Spill). Setup calls it once, with the
-	// run's vertex and update record sizes and the hook its stores report
-	// verified read bytes to. Without it vertex state and the update stream
-	// stay in memory, in a window of UpdateCap records.
-	Spill func(vertexBytes, updateBytes int, verified func(n int64)) (*Spill, error)
+	// run's vertex and update record sizes and the tally its stores count
+	// their I/O on. Without it vertex state and the update stream stay in
+	// memory, in a window of UpdateCap records.
+	Spill func(vertexBytes, updateBytes int, io *SpillIO) (*Spill, error)
 }
 
 // JobRun drives one job through the iterations of a pass. The engine owns
@@ -448,16 +450,14 @@ type jobRun[V, M any] struct {
 	vstore     VertexStore
 	subA, subB *streambuf.Buffer[Update[M]]
 	subPlan    streambuf.Plan
-	// spill is what the engine lent the run, nil when it lent nothing;
-	// checked sums the bytes its stores verified until EndIteration books
-	// them (a gather drains partitions concurrently), last is the device
-	// sample the per-iteration I/O deltas are taken against, and err
-	// latches an I/O failure behind the phase hook's vertex view, whose
-	// ForEach cannot return it.
-	spill   *Spill
-	checked atomic.Int64
-	last    DeviceIO
-	err     error
+	// spill is what the engine lent the run, nil when it lent nothing; io
+	// tallies what its stores moved until book puts it on the stats (a
+	// gather drains partitions concurrently), and err latches an I/O
+	// failure behind the phase hook's vertex view, whose ForEach cannot
+	// return it.
+	spill *Spill
+	io    SpillIO
+	err   error
 	// tp is the job's update transport, the builtin shuffle; sealed tracks
 	// whether the current iteration's stream has been sealed by EndScatter
 	// and not yet gathered.
@@ -529,7 +529,7 @@ func (r *jobRun[V, M]) Setup(s JobSetup) error {
 	r.stats.Algorithm = r.prog.Name()
 	updCap, store := max(s.UpdateCap, 1), SpillStore(nil)
 	if s.Spill != nil {
-		sp, err := s.Spill(pod.Size[V](), pod.Size[Update[M]](), func(n int64) { r.checked.Add(n) })
+		sp, err := s.Spill(pod.Size[V](), pod.Size[Update[M]](), &r.io)
 		if err != nil {
 			return err
 		}
@@ -608,11 +608,9 @@ func (r *jobRun[V, M]) BeginScatter() error {
 	}
 	r.sealed = false
 	r.Recount()
-	if r.spill != nil && len(r.stats.Iters) == 0 {
-		// The first iteration's device window opens here, past set-up and
-		// any resume; later ones open where the previous closed.
-		r.last = r.spill.Device()
-	}
+	// What the stores moved outside an iteration — set-up, a resume, a
+	// checkpoint — is the run's, not the iteration's.
+	r.book()
 	r.iterMark = r.stats.MarkIter()
 	r.iterStart = time.Now()
 	return nil
@@ -767,15 +765,18 @@ func ForEachClaimed(n, workers int, fn func(w, i int)) {
 	wg.Wait()
 }
 
+// book moves what the run's stores moved since the last call onto its
+// stats. Nothing in the stores is encoded, so a read counts logically too.
+func (r *jobRun[V, M]) book() {
+	read := r.io.Read.Swap(0)
+	r.stats.BytesRead += read
+	r.stats.BytesReadLogical += read
+	r.stats.BytesWritten += r.io.Written.Swap(0)
+	r.stats.BytesChecksummed += r.io.Checked.Swap(0)
+}
+
 func (r *jobRun[V, M]) EndIteration(iter int) error {
-	if r.spill != nil {
-		r.stats.BytesChecksummed += r.checked.Swap(0)
-		d := r.spill.Device()
-		r.stats.BytesRead += d.Read - r.last.Read
-		r.stats.BytesWritten += d.Written - r.last.Written
-		r.stats.IORetries += d.Retries - r.last.Retries
-		r.last = d
-	}
+	r.book()
 	r.stats.Iterations++
 	r.stats.PushIter(iter, r.iterMark, time.Since(r.iterStart))
 	if r.phased != nil {
@@ -801,8 +802,8 @@ func (r *jobRun[V, M]) Finalize() (any, Stats, error) {
 			}
 			copy(verts[lo:], win)
 		}
-		r.stats.BytesChecksummed += r.checked.Swap(0)
 	}
+	r.book()
 	if r.tp != nil {
 		tc := r.tp.Counters()
 		r.stats.TransportBatches = tc.Batches

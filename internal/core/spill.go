@@ -9,6 +9,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"sync/atomic"
 
 	"repro/internal/pod"
 	"repro/internal/storage"
@@ -25,17 +26,16 @@ type Spill struct {
 	// engine's memory budget rules it out of memory; nil keeps it one
 	// in-memory slice.
 	Vertices VertexStore
-	// Device samples the cumulative traffic of the devices the stores live
-	// on, for the per-iteration profile.
-	Device func() DeviceIO
 	// Context cancels the windowed gather between partitions.
 	Context context.Context
 	// Close removes the stores' files. It is idempotent.
 	Close func()
 }
 
-// DeviceIO is a device's cumulative traffic at one instant.
-type DeviceIO struct{ Read, Written, Retries int64 }
+// SpillIO tallies what a run's stores moved: bytes read from and written to
+// the device, and bytes checksum-verified on the way back. The stores add to
+// it from any goroutine; the run books it onto its stats.
+type SpillIO struct{ Read, Written, Checked atomic.Int64 }
 
 // VertexStore holds a run's vertex state on the device, one window per
 // partition: the vertex files of §3.2. A window is the state of the

@@ -78,8 +78,13 @@ type Stats struct {
 
 	// Data volume in bytes, for computing the streaming-time lower bound.
 	BytesStreamed int64 // records moved through stream buffers
-	BytesRead     int64 // device reads (out-of-core only)
-	BytesWritten  int64 // device writes (out-of-core only)
+	// BytesRead and BytesWritten are the engine's own device traffic (out
+	// of core only), counted where it is moved: the edge files (their
+	// shuffle too, when the call prepared them), the checkpoints and the
+	// runs' update and vertex files. Reading the caller's EdgeSource is the
+	// caller's.
+	BytesRead    int64
+	BytesWritten int64
 	// BytesReadLogical is BytesRead with edge-file reads counted at their
 	// decoded size: with compressed edge tiles (DiskConfig.CompressTiles)
 	// the device moves fewer physical bytes than the scatter consumes, and
@@ -103,7 +108,9 @@ type Stats struct {
 
 	// Fault tolerance (retry layer, checksummed artifacts, checkpoints).
 	// IORetries counts device operations the storage retry layer
-	// re-issued after a transient failure during this run. BytesChecksummed
+	// re-issued after a transient failure during this run, on the devices
+	// the run used — a concurrent run's on a shared device included.
+	// BytesChecksummed
 	// is the volume of on-disk data CRC-verified on the read path (edge
 	// tiles, update streams, spilled vertex windows) — a deterministic
 	// work measure the figchecksum experiment gates. ChecksumFailures

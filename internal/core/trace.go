@@ -117,19 +117,32 @@ func (s *Stats) PushIter(iter int, m IterMark, wall time.Duration) {
 	})
 }
 
+// addIO adds a job's I/O — what its stores moved — onto the pass's, for the
+// run as a whole and per iteration, index-aligned: every job of a pass starts
+// at the pass's first iteration and only drops out at its end.
+func (s *Stats) addIO(job *Stats) {
+	s.BytesRead += job.BytesRead
+	s.BytesReadLogical += job.BytesReadLogical
+	s.BytesWritten += job.BytesWritten
+	s.BytesChecksummed += job.BytesChecksummed
+	for i := range min(len(s.Iters), len(job.Iters)) {
+		p, j := &s.Iters[i], &job.Iters[i]
+		p.BytesRead += j.BytesRead
+		p.BytesReadLogical += j.BytesReadLogical
+		p.BytesWritten += j.BytesWritten
+		p.BytesChecksummed += j.BytesChecksummed
+	}
+}
+
 // GraftPass completes the stats of a pass's only job with what the pass
 // accounted on its behalf: the time before the first iteration and inside
 // the shared scatter, the iteration count (a resumed pass restores
-// iterations the job never executed), the edge-file layout, and the device
-// I/O the pass tallied — for the run as a whole and per iteration,
-// index-aligned. RunJob on either engine and the out-of-core solo Run use
-// it so the job's profile carries the full picture. The checksummed volume
-// adds to what the job verified itself. The other I/O fields replace the
-// job's — unless ownIO says the job measured the device itself (the
-// out-of-core solo run, whose update and vertex files the pass never sees),
-// which leaves only BytesReadLogical to derive: the job's reads less what
-// the pass saw the tile codec save.
-func GraftPass(job, pass *Stats, ownIO bool) {
+// iterations the job never executed), the edge-file layout, and the I/O —
+// what the pass's reader, its checkpoints and the job's stores moved (see
+// FinishPass) — for the run as a whole and per iteration, index-aligned.
+// RunJob on either engine uses it so the job's profile carries the full
+// picture.
+func GraftPass(job, pass *Stats) {
 	job.PreprocessTime = pass.PreprocessTime
 	job.ScatterTime = pass.ScatterTime
 	job.Iterations = pass.Iterations
@@ -137,18 +150,12 @@ func GraftPass(job, pass *Stats, ownIO bool) {
 	job.TilesCompressed = pass.TilesCompressed
 	job.CompressedRatio = pass.CompressedRatio
 	job.ChecksumFailures = pass.ChecksumFailures
-	job.BytesChecksummed += pass.BytesChecksummed
-	if !ownIO {
-		job.BytesRead, job.BytesWritten, job.IORetries = pass.BytesRead, pass.BytesWritten, pass.IORetries
-	}
-	job.BytesReadLogical = job.BytesRead - (pass.BytesRead - pass.BytesReadLogical)
+	job.BytesRead, job.BytesReadLogical, job.BytesWritten = pass.BytesRead, pass.BytesReadLogical, pass.BytesWritten
+	job.BytesChecksummed, job.IORetries = pass.BytesChecksummed, pass.IORetries
 	for i := range min(len(job.Iters), len(pass.Iters)) {
 		j, p := &job.Iters[i], &pass.Iters[i]
 		j.Time, j.ScatterTime = p.Time, p.ScatterTime
-		j.BytesChecksummed += p.BytesChecksummed
-		if !ownIO {
-			j.BytesRead, j.BytesWritten, j.IORetries = p.BytesRead, p.BytesWritten, p.IORetries
-		}
-		j.BytesReadLogical = j.BytesRead - (p.BytesRead - p.BytesReadLogical)
+		j.BytesRead, j.BytesReadLogical, j.BytesWritten = p.BytesRead, p.BytesReadLogical, p.BytesWritten
+		j.BytesChecksummed, j.IORetries = p.BytesChecksummed, p.IORetries
 	}
 }

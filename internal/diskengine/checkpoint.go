@@ -105,7 +105,8 @@ func writeFull(f storage.File, b []byte, off int64) error {
 // writeCheckpoint snapshots the state iteration iter+1 starts from — called
 // after every job's EndIteration, so phase folds (e.g. PageRank's rank
 // update) are in the vertex bytes and the frontier swap has happened.
-// Returns the bytes written, for a pass that tallies its own I/O.
+// Returns the bytes written — the magic twice, zeroed and then published —
+// for the pass's I/O.
 func (pp *Prepared) writeCheckpoint(iter int, snaps []core.Snapshotter) (int64, error) {
 	name := pp.ckptName(iter & 1)
 	f, err := pp.cfg.Device.Create(name)
@@ -170,7 +171,7 @@ func (pp *Prepared) writeCheckpoint(iter int, snaps []core.Snapshotter) (int64, 
 	if err := f.Close(); err != nil {
 		return 0, fmt.Errorf("diskengine: checkpoint %s: %w", name, err)
 	}
-	return off + 4, nil
+	return off + 4 + int64(len(ckptMagic)), nil
 }
 
 // ckptRead accounts n snapshot bytes read on pass. Nothing encodes them, so

@@ -23,22 +23,24 @@
 // dataset layer, the Prepared: the §3.4 partition sizing, the partitioner
 // and relabeling, the edge shuffle, the edge files with their tile index and
 // lazily built transpose, the partition reader and the checkpoint all live
-// there. The loop drives one run type, core.jobRun, and streams a partition
-// at a time through each run's striped sink: each segment of a chunk of a
-// partition the run needs whole is cut into stripes — Threads of them for a
-// solo Run's run, one for a program set's, which scatter on a goroutine
-// each — stripe i always through kernel i, whose combining window stays
-// open for
-// the whole partition, and what the kernels send reaches the transport in
-// kernel order, so its combining and update and device bytes do not depend
-// on scheduling. What a run's updates
-// and vertex state live in follows from what the engine lends it: a solo Run
-// lends its run the stores of openStores (stores.go) — update files behind
-// the transport, and vertex files, read and gathered a window at a time, when
-// the state does not fit the memory budget — while RunMany and RunJob lend
-// none, so their runs keep both in memory. The iteration protocol (direction
-// and transpose accounting, partition and tile skips, spans, checkpoint
-// timing, resume, cancellation) is the loop's and is written once.
+// there. The loop drives one run type, core.jobRun, in one configuration,
+// and streams a partition at a time through each run's striped sink: each
+// segment of a chunk of a partition the run needs whole is cut into
+// stripes, stripe i always through kernel i, whose combining window stays
+// open for the whole partition, and what the kernels send reaches the
+// transport in kernel order, so its combining and update and device bytes do
+// not depend on scheduling. Every run is lent the stores of openStores
+// (stores.go) — update files behind the transport, and vertex files, read and
+// gathered a window at a time, when the state does not fit the run's share
+// of the memory budget. The J runs of a pass split the budget, M/J each, and
+// each scatters through one kernel. Run is RunJob with its types kept, and
+// RunJob a RunMany of one. The iteration protocol (direction and transpose
+// accounting, partition and tile skips, spans, checkpoint timing, resume,
+// cancellation) is the loop's and is written once. Bytes are counted where
+// they are moved: by the reader, the checkpoint and each run's stores, so
+// concurrent passes on one device report their own. IORetries is the
+// exception: it is sampled from the devices' retry counters, so a pass
+// reports every retry on its devices while it ran, another pass's included.
 //
 // Buffers are owned for the whole run, as in §3.2: the pass's edgeScratch
 // is the two edge input buffers every reader borrows and the update
@@ -70,9 +72,7 @@ package diskengine
 
 import (
 	"context"
-	"fmt"
 	"runtime"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/pod"
@@ -90,15 +90,20 @@ type Config struct {
 	UpdateDevice storage.Device
 	// MemoryBudget is the main-memory budget M of §3.4. 0 means 256 MiB.
 	// It sizes the partition count by N/K + 5·S·K ≤ M and decides whether
-	// vertices spill, and that is all it covers: one partition's vertex
-	// window plus five stream buffers of S·K bytes (two edge input, three
-	// update output, the third made only once an iteration's updates
-	// outgrow one). Outside the sum, and not limited by M: the update
-	// read-back double buffer (2·S·K per gather worker, once updates spill
-	// to files), the gather sub-shuffle pair (2·S·K, with spilled vertices
-	// and Threads > 1), one scatter kernel per worker (Threads × ~0.8 MiB
-	// with a Combiner), the fold's slot tables, the frontier bitsets and the
-	// tile index.
+	// vertices spill — the J runs of a pass share it, so a run's state
+	// spills when nv·|V| + 5·S·K > M/J — and that is all it covers: one
+	// partition's vertex window plus five stream buffers of S·K bytes (two
+	// edge input, three update output, the third made only once an
+	// iteration's updates outgrow one). RunMany over a graph sizes K for
+	// its J runs, each with its own vertex window and update buffers next to
+	// the shared edge buffers: ΣN/K + (2 + 3·J)·S·K ≤ M. Prepare sizes K for
+	// one run of 16-byte state, so a pass of several jobs over a cached
+	// handle splits M only in the spill decision. Outside the sum, and not limited by
+	// M: the update read-back double buffer (2·S·K per gather worker, once
+	// updates spill to files), the gather sub-shuffle pair (2·S·K, with
+	// spilled vertices and Threads > 1), one scatter kernel per stripe
+	// (~0.8 MiB each with a Combiner), the fold's slot tables, the frontier
+	// bitsets and the tile index.
 	MemoryBudget int64
 	// IOUnit is S of §3.4, the request size that saturates the device.
 	// 0 means 1 MiB (the paper uses 16 MiB on real hardware; scaled-down
@@ -210,66 +215,27 @@ type Result[V any] struct {
 	Stats    core.Stats
 }
 
-// Run executes prog on g with the out-of-core engine: a pass of one over a
-// dataset prepared for it, whose run the engine lends its stores, so vertex
-// state and updates may spill to the device.
+// Run executes prog on g with the out-of-core engine: RunJob of the
+// program's job, its vertex states typed.
 func Run[V, M any](g core.EdgeSource, prog core.Program[V, M], cfg Config) (*Result[V], error) {
-	cfg = cfg.withDefaults()
-	if cfg.Device == nil {
-		return nil, fmt.Errorf("diskengine: Config.Device is required")
-	}
-	if err := pod.Check[V](); err != nil {
-		return nil, fmt.Errorf("diskengine: vertex state: %w", err)
-	}
-	if err := pod.Check[M](); err != nil {
-		return nil, fmt.Errorf("diskengine: update value: %w", err)
-	}
-	start := time.Now()
-	before := devCounters(cfg)
-
-	// The dataset layer sizes the partitions, runs the partitioner and
-	// shuffles the edges — indexing tiles only when this run will read
-	// selectively.
-	pp, err := prepare(g, cfg, int64(pod.Size[V]()), core.SelectiveProgram(prog, cfg.Selective) != nil)
+	res, err := RunJob(cfg.Context, g, core.NewJob(prog), cfg)
 	if err != nil {
 		return nil, err
 	}
-	// Idempotent: the success path closes before it reads the device
-	// counters, every error path here. Checkpoints outlive a failed run on
-	// purpose — they are what the retry resumes from.
-	defer pp.Close()
-	res, pass, err := pp.runPass(cfg.Context, start, prog.Name(), pp.runs(core.ProgramSet{core.NewJob(prog)}, true))
-	if err != nil {
-		return nil, err
-	}
-	pp.Close()
-
-	// The device is the run's own, so its I/O is the whole run's device
-	// delta — the pre-processing shuffle, the update and vertex files and
-	// the materialization included, none of which the pass tallies.
-	st := &res[0].Stats
-	now := devCounters(cfg)
-	st.BytesRead = now.Read - before.Read
-	st.BytesWritten = now.Written - before.Written
-	st.IORetries = now.Retries - before.Retries
-	core.GraftPass(st, &pass, true)
-	st.TotalTime = time.Since(start)
-	return &Result[V]{Vertices: res[0].Vertices.([]V), Stats: *st}, nil
+	return &Result[V]{Vertices: res.Vertices.([]V), Stats: res.Stats}, nil
 }
 
-// devCounters samples the cumulative traffic of a run's device and distinct
-// update device: Run takes the whole run's delta, a run with stores
-// per-iteration ones.
-func devCounters(cfg Config) core.DeviceIO {
-	ds := cfg.Device.Stats()
-	s := core.DeviceIO{Read: ds.BytesRead, Written: ds.BytesWritten, Retries: ds.Retries}
-	if cfg.UpdateDevice != cfg.Device {
-		us := cfg.UpdateDevice.Stats()
-		s.Read += us.BytesRead
-		s.Written += us.BytesWritten
-		s.Retries += us.Retries
+// retries is the cumulative retry count of c's devices, a distinct update
+// device's included.
+func (c Config) retries() int64 {
+	var n int64
+	if c.Device != nil {
+		n = c.Device.Stats().Retries
 	}
-	return s
+	if c.UpdateDevice != nil && c.UpdateDevice != c.Device {
+		n += c.UpdateDevice.Stats().Retries
+	}
+	return n
 }
 
 // basePrivCap is the capacity (records) of a scatter kernel's private append

@@ -60,8 +60,8 @@ func memSink(t *testing.T, pp *Prepared, prog core.Program[int32, int32]) ([]int
 	t.Helper()
 	run := core.NewJob(prog).NewRun()
 	defer run.Close()
-	setup := pp.jobSetup()
-	setup.Stripes = 0
+	setup := pp.jobSetup(nil, 1)
+	setup.Stripes, setup.Spill, setup.UpdateCap = 0, nil, int(pp.ne)
 	if err := run.Setup(setup); err != nil {
 		t.Fatal(err)
 	}

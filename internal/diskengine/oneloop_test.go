@@ -1,10 +1,9 @@
 package diskengine
 
 // oneloop_test.go pins that the out-of-core engine has one iteration loop
-// and one run type: a solo Run (a core.jobRun lent the engine's stores) and
-// a RunJob (a core.jobRun lent none) of the same program over the same
-// config are driven by runPass alike — same results, same loop-owned
-// counters, same spans — and that what only a run with stores can hit, an
+// and one run configuration: a solo Run and a RunJob of the same program over
+// the same config are driven by runPass alike — same results, same counters,
+// I/O included, same spans — and that what only a run's stores can hit, an
 // I/O fault behind the phase hook's vertex view, a corrupted vertex window or
 // update stream, or a cancel between two chunks of one partition's vertex
 // window, fails the run with a typed error and leaves nothing behind.
@@ -20,6 +19,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/algorithms"
 	"repro/internal/core"
@@ -41,8 +41,9 @@ func spanCounts(rec *obs.Recorder) map[string]int {
 // TestSoloAndJobShareTheLoop: with vertex state in memory and spilled, for
 // PageRank with its transpose pass, a selective BFS over compressed tiles
 // and WCC under 2PS, solo Run and RunJob give bit-identical vertices, equal
-// loop-owned counters — at one thread the transport's bytes too — and the
-// same span-name multiset.
+// loop-owned counters — at one thread the transport's bytes too, and with
+// spilled state the bytes the stores moved — and the same span-name
+// multiset.
 func TestSoloAndJobShareTheLoop(t *testing.T) {
 	dense, _ := smallGraph(23)
 	type workload struct {
@@ -100,6 +101,9 @@ func TestSoloAndJobShareTheLoop(t *testing.T) {
 				if w.cfg.Threads == 1 && solo.TransportBytes != job.TransportBytes {
 					t.Errorf("Run sent the transport %d bytes, RunJob %d", solo.TransportBytes, job.TransportBytes)
 				}
+				if state == "spilled" && (solo.BytesRead != job.BytesRead || solo.BytesWritten != job.BytesWritten) {
+					t.Errorf("Run moved %d bytes in and %d out, RunJob %d and %d", solo.BytesRead, solo.BytesWritten, job.BytesRead, job.BytesWritten)
+				}
 				if w.cfg.Selective && a.tiles == 0 {
 					t.Error("selective workload skipped no tiles")
 				}
@@ -133,22 +137,23 @@ func TestSoloAndJobShareTheLoop(t *testing.T) {
 // kernels send reaches the transport in kernel order, so two solo runs of one
 // workload agree on every work counter, on what combining merged away, on the
 // update stream and device bytes it left and on every vertex bit, float sums
-// included, at Threads 2 and 4: PageRank and WCC, vertex state in memory and
+// included, through one kernel at Threads 2, as every run is set up, and
+// through three at Threads 4: PageRank and WCC, vertex state in memory and
 // spilled. Partitions hold several chunks of more than stripeMin edges, so
-// segments are cut into stripes, and more destinations than a combining
-// window, so kernels evict while they scatter.
+// three kernels cut segments into stripes, and more destinations than a
+// combining window, so kernels evict while they scatter.
 func TestSoloRunRepeatable(t *testing.T) {
 	src := graphgen.RMAT(graphgen.RMATConfig{Scale: 15, EdgeFactor: 4, Seed: 43, Undirected: true})
-	pagerank, _ := soloAndJob(func() core.Program[algorithms.PRState, float32] { return algorithms.NewPageRank(3) })
-	wcc, _ := soloAndJob(func() core.Program[algorithms.WCCState, core.VertexID] { return algorithms.NewWCC() })
+	_, pagerank := soloAndJob(func() core.Program[algorithms.PRState, float32] { return algorithms.NewPageRank(3) })
+	_, wcc := soloAndJob(func() core.Program[algorithms.WCCState, core.VertexID] { return algorithms.NewWCC() })
 	for _, w := range []struct {
 		name string
-		run  typedRun
+		job  func() *core.Job
 	}{{"pagerank", pagerank}, {"wcc", wcc}} {
-		for _, threads := range []int{2, 4} {
+		for _, c := range []struct{ threads, stripes int }{{2, 1}, {4, 3}} {
 			for _, spill := range []bool{false, true} {
-				name := fmt.Sprintf("%s/threads %d/spilled %v", w.name, threads, spill)
-				cfg := Config{Threads: threads, Partitions: 4, IOUnit: 64 << 10}
+				name := fmt.Sprintf("%s/threads %d/spilled %v", w.name, c.threads, spill)
+				cfg := Config{Threads: c.threads, Partitions: 4, IOUnit: 64 << 10}
 				if spill {
 					cfg = spilled(cfg)
 				}
@@ -156,7 +161,7 @@ func TestSoloRunRepeatable(t *testing.T) {
 				var firstVerts any
 				for i := 0; i < 2; i++ {
 					cfg.Device = ssd(0)
-					verts, st, err := w.run(src, cfg)
+					verts, st, err := stripedRun(src, w.job(), cfg, c.stripes)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -182,6 +187,30 @@ func TestSoloRunRepeatable(t *testing.T) {
 			}
 		}
 	}
+}
+
+// stripedRun runs job over src as RunJob does, its run scattering through
+// stripes kernels — set on its JobSetup directly, since every run the engine
+// makes scatters through one — and returns its vertices and stats.
+func stripedRun(src core.EdgeSource, job *core.Job, cfg Config, stripes int) (any, core.Stats, error) {
+	pp, err := prepare(src, cfg, int64(job.VertexBytes()), 1, cfg.Selective)
+	if err != nil {
+		return nil, core.Stats{}, err
+	}
+	defer pp.Close()
+	res, pass, err := pp.runPass(context.Background(), time.Now(), job.Name(), func() ([]core.JobRun, error) {
+		setup := pp.jobSetup(context.Background(), 1)
+		setup.Stripes = stripes
+		return core.ProgramSet{job}.NewRuns(setup)
+	})
+	if err != nil {
+		return nil, core.Stats{}, err
+	}
+	for _, f := range pp.edgeFiles {
+		pass.BytesWritten += f.size
+	}
+	core.GraftPass(&res[0].Stats, &pass)
+	return res[0].Vertices, res[0].Stats, nil
 }
 
 // hookFaults is a device whose files go through a seeded storage.NewFaulty
@@ -314,7 +343,7 @@ func TestSinkFaultStopsEdgeReads(t *testing.T) {
 	if !errors.Is(err, storage.ErrInjected) {
 		t.Fatalf("a fault loading a vertex window returned %v, want ErrInjected", err)
 	}
-	if n := dev.faulty.(storage.FaultInjector).Faults(); n != 1 || len(dev.reads) == 0 || dev.reads[0] != "p0000.verts" {
+	if n := dev.faulty.(storage.FaultInjector).Faults(); n != 1 || len(dev.reads) == 0 || dev.reads[0] != "r0-p0000.verts" {
 		t.Fatalf("%d faults injected, reads %v: want one, on partition 0's vertex window", n, dev.reads)
 	}
 	for _, name := range dev.reads {
@@ -364,7 +393,7 @@ func TestSpilledVertexFlipIsCorrupted(t *testing.T) {
 	src, _ := smallGraph(43)
 	dev := ssd(0)
 	var flipErr error
-	prog := &flipAtStart{PageRank: algorithms.NewPageRank(3), at: 1, flip: func() { flipErr = flipByte(dev, "p0002.verts", 5) }}
+	prog := &flipAtStart{PageRank: algorithms.NewPageRank(3), at: 1, flip: func() { flipErr = flipByte(dev, "r0-p0002.verts", 5) }}
 	_, err := Run[algorithms.PRState, float32](src, prog, spilled(Config{Device: dev, Threads: 2, IOUnit: 8 << 10, Partitions: 4}))
 	if flipErr != nil {
 		t.Fatalf("flipping a byte of the spilled vertex file: %v", flipErr)
@@ -420,7 +449,7 @@ func TestSpilledUpdateOutsideWindowIsCorrupted(t *testing.T) {
 	}{{"other partition", 0}, {"beyond the graph", 1 << 30}} {
 		for _, spill := range []bool{false, true} {
 			t.Run(fmt.Sprintf("%s/spilled %v", c.name, spill), func(t *testing.T) {
-				upd := &rewriteDst{Device: ssd(0), name: "p0001.updates", dst: c.dst}
+				upd := &rewriteDst{Device: ssd(0), name: "r0-p0001.updates", dst: c.dst}
 				cfg := Config{Device: ssd(0), UpdateDevice: upd, Threads: 2, IOUnit: 4 << 10, Partitions: 4, NoVerify: true}
 				if spill {
 					cfg = spilled(cfg)

@@ -13,7 +13,6 @@ import (
 	"sort"
 	"strings"
 	"testing"
-	"time"
 
 	"repro/internal/algorithms"
 	"repro/internal/core"
@@ -160,8 +159,8 @@ func TestSoloRunsOnPrepared(t *testing.T) {
 // tile (IOUnit 8 KiB × K 2 = 1365 records against 4096) the first chunks of
 // a tile scatter before that. A bit-flipped source beyond the vertex count
 // must come back from the pass as ErrCorrupted, not index a run's vertex
-// array — one guard in the one partition reader, whichever kind of run the
-// loop drives.
+// array — one guard in the one partition reader, for a pass of one run or
+// of two.
 func TestCorruptedRecordSharedPass(t *testing.T) {
 	src, _ := smallGraph(41)
 	for _, kind := range []struct {
@@ -169,11 +168,11 @@ func TestCorruptedRecordSharedPass(t *testing.T) {
 		run  func(pp *Prepared) error
 	}{
 		{"shared pass", func(pp *Prepared) error {
-			_, _, err := pp.RunMany(context.Background(), core.ProgramSet{core.NewJob[wccState, core.VertexID](&wccProg{})})
+			_, _, err := pp.RunMany(context.Background(), core.ProgramSet{core.NewJob[wccState, core.VertexID](&wccProg{}), core.NewJob[bfsState, int32](&bfsProg{root: 0})})
 			return err
 		}},
 		{"solo", func(pp *Prepared) error {
-			_, _, err := pp.runPass(nil, time.Now(), "wcc", pp.runs(core.ProgramSet{core.NewJob[wccState, core.VertexID](&wccProg{})}, true))
+			_, _, err := pp.RunMany(nil, core.ProgramSet{core.NewJob[wccState, core.VertexID](&wccProg{})})
 			return err
 		}},
 	} {

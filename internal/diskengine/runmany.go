@@ -11,21 +11,14 @@ package diskengine
 // out-of-core runs is amortized across co-scheduled jobs (BytesRead drops
 // toward 1/K of K sequential runs; the figshare experiment gates it).
 //
-// One loop, one run kind: every run is a core.jobRun, and every one scatters
-// through the striped sink, since the loop streams one partition at a time
-// through sink 0 — over Threads kernels for a solo Run's run, over one for
-// each run of a program set (see runs). What differs is what the engine
-// lends a run. The jobs of a
-// program set (RunMany, RunJob) get no stores and keep their vertex state
-// and update streams in memory — the §3.2 bypass optimizations applied
-// unconditionally. That is a serving design choice, not a loss of
-// generality: the jobs scheduler's admission control only co-schedules jobs
-// whose combined footprint (core.Job.MemoryEstimate) fits the budget, which
-// is exactly the regime where the bypasses are legal. A job too big for the
-// budget runs solo through Run, whose run gets the stores of openStores: the
-// same loop, the same Prepared, the same partition reader
-// (streamPartition), but vertex windows and update files that may spill to
-// the device.
+// One loop, one run kind, one run configuration: every run is a
+// core.jobRun, every one scatters through the striped sink, since the loop
+// streams one partition at a time through sink 0, and every one is lent the
+// stores of openStores (stores.go) — update files behind the transport, and
+// vertex files, read and gathered a window at a time, when its share of the
+// memory budget does not hold its state. The J runs of a pass share the
+// budget M, each getting M/J, and each scatters through one kernel (see
+// jobSetup). A solo Run is RunJob with its types kept.
 //
 // Fault tolerance composes too: under Config.Checkpoint a pass snapshots
 // every job's resumable state after each completed iteration (see
@@ -42,9 +35,11 @@ package diskengine
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/core"
@@ -61,9 +56,9 @@ const sharedVertexBytes = 16
 
 // Prepared is a dataset's out-of-core pre-processing — partition edge files
 // plus tile index — and the engine's only dataset layer: a handle from
-// Prepare is shared read-only by any number of RunMany passes, and a solo
-// Run makes one for itself. Every pass over it, of either kind, is a
-// runPass. Close removes the files.
+// Prepare is shared read-only by any number of RunMany passes, and RunMany
+// over a graph makes one for itself. Every pass over it is a runPass. Close
+// removes the files.
 type Prepared struct {
 	cfg         Config
 	k           int
@@ -73,6 +68,8 @@ type Prepared struct {
 	shufPlan    streambuf.Plan
 	nv, ne      int64
 	bufEdgeRecs int
+	// runSeq numbers the runs made over the handle, naming their files.
+	runSeq atomic.Int64
 
 	mu        sync.Mutex
 	edgeFiles []*partFile
@@ -88,18 +85,23 @@ type Prepared struct {
 // edge files, indexing tile source summaries along the way. The handle
 // serves any number of jobs until Close.
 func Prepare(g core.EdgeSource, cfg Config) (*Prepared, error) {
-	return prepare(g, cfg, sharedVertexBytes, true)
+	return prepare(g, cfg, sharedVertexBytes, 1, true)
 }
 
-// prepare is Prepare with an explicit per-vertex state size for the §3.4
-// partition sizing — Run and the direct RunMany/RunJob paths know their
-// jobs' actual sizes — and the choice whether to index tiles during the
-// shuffle. A cached handle always does: it cannot know which job will read
-// selectively. A solo run knows, and a dense raw one skips the index and
-// verifies each file whole against its append checksum. The compressed
-// layout needs the index unconditionally — it is the only record of where
-// each tile's bytes live.
-func prepare(g core.EdgeSource, cfg Config, vertexBytes int64, index bool) (*Prepared, error) {
+// prepare is Prepare with the vertex state size and the run count of the
+// §3.4 partition sizing — RunMany over a graph knows its jobs, a cached
+// handle sizes for one run of sharedVertexBytes — and the choice whether to
+// index tiles during the shuffle. vertexBytes is the runs' per-vertex state
+// summed. K is the smallest power of two at which one partition's vertex
+// windows of every run, the two shared edge input buffers and each run's
+// three update output buffers fit M: nv·vertexBytes/K + (2 + 3·runs)·S·K ≤
+// M, N/K + 5·S·K ≤ M for one run. A cached handle always indexes tiles: it
+// cannot know which job will read selectively. RunMany over a graph indexes
+// only under Config.Selective; without it every run is dense, and a raw
+// file is verified whole against its append checksum. The compressed layout
+// needs the index unconditionally — it is the only record of where each
+// tile's bytes live.
+func prepare(g core.EdgeSource, cfg Config, vertexBytes int64, runs int, index bool) (*Prepared, error) {
 	cfg = cfg.withDefaults()
 	if cfg.Device == nil {
 		return nil, fmt.Errorf("diskengine: Config.Device is required")
@@ -109,20 +111,20 @@ func prepare(g core.EdgeSource, cfg Config, vertexBytes int64, index bool) (*Pre
 	k := cfg.Partitions
 	if k == 0 {
 		s, m := int64(cfg.IOUnit), cfg.MemoryBudget
-		vb := nv * vertexBytes
+		vb, bufs := nv*vertexBytes, 2+3*int64(runs)
 		for cand := 1; cand <= 1<<20; cand <<= 1 {
-			if vb/int64(cand)+5*s*int64(cand) <= m {
+			if vb/int64(cand)+bufs*s*int64(cand) <= m {
 				k = cand
 				break
 			}
-			if 5*s*int64(cand) > m {
+			if bufs*s*int64(cand) > m {
 				break
 			}
 		}
 		if k == 0 {
-			// The left side is smallest at K = sqrt(N/5S), where it is 2·sqrt(5NS).
-			return nil, fmt.Errorf("diskengine: no partition count satisfies N/K + 5·S·K ≤ M with N=%d S=%d M=%d (need ≥ %d bytes)",
-				vb, s, m, int64(2*math.Sqrt(float64(vb)*float64(5*s))))
+			// The left side is smallest at K = sqrt(N/BS), where it is 2·sqrt(BNS).
+			return nil, fmt.Errorf("diskengine: no partition count satisfies N/K + B·S·K ≤ M with N=%d B=%d S=%d M=%d (need ≥ %d bytes)",
+				vb, bufs, s, m, int64(2*math.Sqrt(float64(vb)*float64(bufs*s))))
 		}
 	}
 	if k&(k-1) != 0 {
@@ -415,43 +417,48 @@ func (pp *Prepared) streamPartition(ctx context.Context, rd *edgeScratch, files 
 }
 
 // RunMany executes every job of set against g out of core, sharing one
-// pass over the edge files per iteration. See Prepared.RunMany. The pass's
-// PreprocessTime, TotalTime and "run" span cover the ingest as well.
+// pass over the edge files per iteration. See Prepared.RunMany. Every job is
+// checked before the ingest, and the partitions are sized for the whole set
+// (see Config.MemoryBudget). The pass's PreprocessTime, TotalTime and "run"
+// span cover the ingest as well, and its I/O the edge shuffle's writes and
+// the retries since before it.
 func RunMany(ctx context.Context, g core.EdgeSource, set core.ProgramSet, cfg Config) ([]core.JobResult, core.Stats, error) {
-	start := time.Now()
-	vb := vertexBytesOf(set)
-	if vb == 0 {
-		vb = sharedVertexBytes
+	start, before := time.Now(), cfg.retries()
+	if len(set) == 0 {
+		return nil, core.Stats{}, errEmptySet
 	}
-	pp, err := prepare(g, cfg, vb, true)
+	var vb int64
+	for _, j := range set {
+		if err := j.Check(); err != nil {
+			return nil, core.Stats{}, fmt.Errorf("diskengine: job %s: %w", j.Name(), err)
+		}
+		vb += int64(j.VertexBytes())
+	}
+	pp, err := prepare(g, cfg, vb, len(set), cfg.Selective)
 	if err != nil {
 		return nil, core.Stats{}, err
 	}
 	defer pp.Close()
-	return pp.runMany(ctx, set, start)
-}
-
-// vertexBytesOf returns the widest vertex state in the set.
-func vertexBytesOf(set core.ProgramSet) int64 {
-	var vb int64
-	for _, j := range set {
-		if int64(j.VertexBytes()) > vb {
-			vb = int64(j.VertexBytes())
-		}
+	prepRetries := pp.cfg.retries() - before
+	res, pass, err := pp.runMany(ctx, set, start)
+	for _, f := range pp.edgeFiles {
+		pass.BytesWritten += f.size
 	}
-	return vb
+	pass.IORetries += prepRetries
+	return res, pass, err
 }
 
-// RunJob executes a single type-erased job — the registry-driven
-// counterpart of Run. Unlike Run it lends the run no stores, so vertex state
-// and updates stay in memory (see the notes in runmany.go).
+// errEmptySet is what a pass of no jobs fails with.
+var errEmptySet = errors.New("diskengine: RunMany of an empty program set")
+
+// RunJob executes a single type-erased job: a RunMany of one, whose pass's
+// accounting is the job's own. Run is RunJob with the program's types kept.
 func RunJob(ctx context.Context, g core.EdgeSource, job *core.Job, cfg Config) (*core.JobResult, error) {
 	res, pass, err := RunMany(ctx, g, core.ProgramSet{job}, cfg)
 	if err != nil {
 		return nil, err
 	}
-	// A solo pass's shared-side accounting is the job's own.
-	core.GraftPass(&res[0].Stats, &pass, false)
+	core.GraftPass(&res[0].Stats, &pass)
 	return &res[0], nil
 }
 
@@ -459,52 +466,42 @@ func RunJob(ctx context.Context, g core.EdgeSource, job *core.Job, cfg Config) (
 // files per iteration. It returns each job's result plus pass-level stats:
 // EdgesStreamed counts every edge record read once however many jobs
 // consumed it, EdgesShared the reads the sharing avoided, and
-// BytesRead/BytesWritten the device traffic of this pass alone. ctx
-// cancels between iterations, files and chunks; nil means Background.
+// BytesRead/BytesWritten the device traffic of this pass alone — what its
+// reader, its checkpoints and its runs' stores moved. ctx cancels between
+// iterations, files and chunks; nil means Background.
 func (pp *Prepared) RunMany(ctx context.Context, set core.ProgramSet) ([]core.JobResult, core.Stats, error) {
 	return pp.runMany(ctx, set, time.Now())
 }
 
-// runMany is a pass whose runs are a program set's: each job's core.jobRun,
-// vertex state and updates in memory.
+// runMany is a pass whose runs are set's, set up under jobSetup.
 func (pp *Prepared) runMany(ctx context.Context, set core.ProgramSet, start time.Time) ([]core.JobResult, core.Stats, error) {
 	if len(set) == 0 {
-		return nil, core.Stats{}, fmt.Errorf("diskengine: RunMany of an empty program set")
+		return nil, core.Stats{}, errEmptySet
 	}
-	return pp.runPass(ctx, start, set.Label(), pp.runs(set, false))
-}
-
-// runs is the run factory of a pass over pp: the set's runs, set up under
-// jobSetup, lent the stores of openStores when stores is set. A run lent
-// stores — a solo Run's — stripes each segment over Threads kernels; a
-// program set's runs each scatter through one kernel, on the goroutine
-// feedJobs gives every run: on 2 cores stripes made passes of 1, 2 and 4
-// PageRank jobs 12–22 % slower.
-func (pp *Prepared) runs(set core.ProgramSet, stores bool) func() ([]core.JobRun, error) {
-	return func() ([]core.JobRun, error) {
-		setup := pp.jobSetup()
-		if stores {
-			setup.Spill = pp.openStores
-			setup.Stripes = max(pp.cfg.Threads, 1)
-		}
-		runs, err := set.NewRuns(setup)
+	return pp.runPass(ctx, start, set.Label(), func() ([]core.JobRun, error) {
+		runs, err := set.NewRuns(pp.jobSetup(ctx, len(set)))
 		if err != nil {
 			return nil, fmt.Errorf("diskengine: %w", err)
 		}
 		return runs, nil
-	}
+	})
 }
 
-// jobSetup is the shared context every run of a pass over pp is set up
-// under.
-func (pp *Prepared) jobSetup() core.JobSetup {
+// jobSetup is what each run of a pass of jobs runs over pp is set up
+// under. Each run is lent the stores of openStores under its share of the
+// budget, and scatters through one kernel: on 2 cores one kernel ran passes
+// of 1, 2 and 4 PageRank jobs and a solo spilled PageRank fastest, and more
+// stripes are unmeasured on more cores.
+func (pp *Prepared) jobSetup(ctx context.Context, jobs int) core.JobSetup {
 	cfg := pp.cfg
 	return core.JobSetup{
 		Assignment: pp.asg, NumVertices: pp.nv, NumEdges: pp.ne,
-		Threads: cfg.Threads, Plan: pp.shufPlan, UpdateCap: int(pp.ne),
-		PrivateBufRecs: basePrivCap,
-		NoCombine:      cfg.NoCombine, Selective: cfg.Selective,
+		Threads: cfg.Threads, Plan: pp.shufPlan, PrivateBufRecs: basePrivCap,
+		NoCombine: cfg.NoCombine, Selective: cfg.Selective,
 		Stripes: 1,
+		Spill: func(vertexBytes, updateBytes int, io *core.SpillIO) (*core.Spill, error) {
+			return pp.openStores(ctx, jobs, vertexBytes, updateBytes, io)
+		},
 	}
 }
 
@@ -523,14 +520,13 @@ type passScratch struct {
 
 // runPass is the engine's one iteration loop (Figure 6): the merged
 // scatter/shuffle over the partition files, then gather, for whatever runs
-// newRuns makes — a program set's in-memory runs or a solo Run's one run
-// with stores; the loop cannot tell them apart. newRuns is called once up
-// front and again whenever a verified checkpoint fails to load, after the
-// half-restored runs were closed, so a failed resume never leaves state
-// behind. start is when the pass's work began — before the ingest for a
-// pass that prepared its own dataset, on entry for a pass over a cached one
-// — so PreprocessTime (start to the last run set up: partitioner, edge
-// shuffle, vertex state, transports) and TotalTime mean the same for both.
+// newRuns makes. newRuns is called once up front and again whenever a
+// verified checkpoint fails to load, after the half-restored runs were
+// closed, so a failed resume never leaves state behind. start is when the
+// pass's work began — before the ingest for a pass that prepared its own
+// dataset, on entry for a pass over a cached one — so PreprocessTime (start
+// to the last run set up: partitioner, edge shuffle, vertex state,
+// transports) and TotalTime mean the same for both.
 func (pp *Prepared) runPass(ctx context.Context, start time.Time, label string, newRuns func() ([]core.JobRun, error)) ([]core.JobResult, core.Stats, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -540,7 +536,7 @@ func (pp *Prepared) runPass(ctx context.Context, start time.Time, label string, 
 		Algorithm: label, Engine: "disk:" + cfg.Device.Name(),
 		Partitioner: pp.partName, Partitions: pp.k, Threads: cfg.Threads,
 	}
-	retriesBefore := cfg.Device.Stats().Retries
+	retriesBefore := cfg.retries()
 
 	runs, err := newRuns()
 	if err != nil {
@@ -586,9 +582,9 @@ func (pp *Prepared) runPass(ctx context.Context, start time.Time, label string, 
 		needing: make([]core.JobRun, 0, len(runs)), scatters: make([]core.JobScatter, len(runs)),
 	}
 	// Per-iteration retry attribution: the run-level IORetries is a single
-	// end-of-pass delta; the loop samples the device counter at every
+	// end-of-pass delta; the loop samples the devices' counters at every
 	// iteration boundary so the per-iteration profile can slice it.
-	lastRetries := cfg.Device.Stats().Retries
+	lastRetries := cfg.retries()
 	for iter := startIter; iter < cfg.MaxIterations; iter++ {
 		live := sc.live[:0]
 		for _, r := range runs {
@@ -678,10 +674,10 @@ func (pp *Prepared) runPass(ctx context.Context, start time.Time, label string, 
 				tr.Span(0, "checkpoint", cpStart, time.Since(cpStart), map[string]int64{"iter": int64(iter), "bytes": n})
 			}
 		}
-		// Slice the device retry counter into this iteration's window; the
-		// end-of-pass assignment below overwrites the accrual with the exact
-		// total, so sampling here cannot drift the run-level stat.
-		retriesNow := cfg.Device.Stats().Retries
+		// Slice the devices' retry counters into this iteration's window;
+		// the end-of-pass assignment below overwrites the accrual with the
+		// exact total, so sampling here cannot drift the run-level stat.
+		retriesNow := cfg.retries()
 		pass.IORetries += retriesNow - lastRetries
 		lastRetries = retriesNow
 		pass.PushIter(iter, iterMark, time.Since(iterStart))
@@ -696,7 +692,7 @@ func (pp *Prepared) runPass(ctx context.Context, start time.Time, label string, 
 	}
 	pass.BytesStreamed += pass.EdgesStreamed * edgeRecSize
 	pp.layoutStats(&pass)
-	pass.IORetries = cfg.Device.Stats().Retries - retriesBefore
+	pass.IORetries = cfg.retries() - retriesBefore
 	pass.TotalTime = time.Since(start)
 	if tr != nil {
 		tr.Span(0, "run", start, pass.TotalTime, map[string]int64{

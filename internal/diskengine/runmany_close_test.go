@@ -6,7 +6,6 @@ import (
 	"os"
 	"slices"
 	"testing"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/graphgen"
@@ -15,10 +14,9 @@ import (
 
 // TestSharedPassClosesTransportsOnFailure: a pass whose edge-file reads
 // fault in its first iteration, or that is cancelled before it, returns the
-// typed error and closes every run it made — whichever kind runPass drives:
-// the solo run's update files are gone as soon as the pass returns, next to
-// the Prepared's edge files, and the Prepared's Close then leaves the device
-// directory empty.
+// typed error and closes every run it made, one or two: their update files
+// are gone as soon as the pass returns, next to the Prepared's edge files,
+// and the Prepared's Close then leaves the device directory empty.
 func TestSharedPassClosesTransportsOnFailure(t *testing.T) {
 	for _, kind := range []struct {
 		name string
@@ -30,7 +28,7 @@ func TestSharedPassClosesTransportsOnFailure(t *testing.T) {
 			return err
 		}},
 		{"solo", func(ctx context.Context, pp *Prepared) error {
-			_, _, err := pp.runPass(ctx, time.Now(), "bfs", pp.runs(core.ProgramSet{core.NewJob[bfsState, int32](&bfsProg{root: 0})}, true))
+			_, _, err := pp.RunMany(ctx, core.ProgramSet{core.NewJob[bfsState, int32](&bfsProg{root: 0})})
 			return err
 		}},
 	} {

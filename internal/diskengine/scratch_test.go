@@ -243,23 +243,26 @@ type probedRun struct {
 	spilled bool
 }
 
-// setupRun runs Run's preamble — prepare the dataset, make its run with the
-// stores Run lends it — and returns both, the run with tp in place of its
-// transport.
+// setupRun runs a solo pass's preamble — prepare the dataset, make its run
+// with the stores every run is lent — and returns both, the run with tp in
+// place of its transport. The run scatters through one kernel per thread, so
+// at Threads ≥ 2 segments are cut into stripes.
 func setupRun[V, M any](t *testing.T, src core.EdgeSource, prog core.Program[V, M], cfg Config, tp core.UpdateTransport[M]) (*probedRun, *Prepared) {
 	t.Helper()
-	pp, err := prepare(src, cfg, int64(pod.Size[V]()), false)
+	pp, err := prepare(src, cfg, int64(pod.Size[V]()), 1, false)
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(pp.Close)
-	runs, err := pp.runs(core.ProgramSet{core.NewJob(prog)}, true)()
+	setup := pp.jobSetup(nil, 1)
+	setup.Stripes = pp.cfg.Threads
+	runs, err := core.ProgramSet{core.NewJob(prog)}.NewRuns(setup)
 	if err != nil {
 		t.Fatal(err)
 	}
 	r := &probedRun{JobRun: runs[0], it: core.SwapTransport[V, M](runs[0], tp)}
 	t.Cleanup(r.Close)
-	if f, err := pp.cfg.Device.Open(pp.cfg.Prefix + "p0000.verts"); err == nil {
+	if f, err := pp.cfg.Device.Open(pp.cfg.Prefix + "r0-p0000.verts"); err == nil {
 		f.Close()
 		r.spilled = true
 	}

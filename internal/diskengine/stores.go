@@ -1,19 +1,23 @@
 package diskengine
 
 import (
+	"context"
 	"fmt"
 
 	"repro/internal/core"
 	"repro/internal/storage"
 )
 
-// openStores is the core.JobSetup.Spill of a solo run over pp: the run's own
-// files, next to the Prepared's edge files. The update transport's window is
-// one stream buffer (S·K bytes) and its spill store the update files; the
-// vertex state spills to the vertex files when it does not fit next to the
-// five stream buffers in the budget (§3.4: nv·|V| + 5·S·K > M). verified is
-// the run's BytesChecksummed hook.
-func (pp *Prepared) openStores(vertexBytes, updateBytes int, verified func(int64)) (*core.Spill, error) {
+// openStores is the core.JobSetup.Spill of each run of a pass of jobs runs
+// over pp: the run's own files, next to the Prepared's edge files and named
+// by a sequence number of the Prepared's (<prefix>r<n>-p0000.updates), so no
+// two runs — of one pass or of concurrent passes — share one. The update
+// transport's window is one stream buffer (S·K bytes) and its spill store
+// the update files; the vertex state spills to the vertex files when it does
+// not fit next to the five stream buffers in the run's share of the budget
+// (§3.4: nv·|V| + 5·S·K > M/jobs). The stores count what they move on io,
+// and a windowed gather stops between partitions once ctx is done.
+func (pp *Prepared) openStores(ctx context.Context, jobs, vertexBytes, updateBytes int, io *core.SpillIO) (*core.Spill, error) {
 	cfg := pp.cfg
 	bufBytes := int64(cfg.IOUnit) * int64(pp.k)
 	window := int(bufBytes / int64(updateBytes))
@@ -22,12 +26,12 @@ func (pp *Prepared) openStores(vertexBytes, updateBytes int, verified func(int64
 	}
 	upd := &updateStore{
 		files: make([]*partFile, pp.k), recSize: updateBytes, chunkBytes: window * updateBytes,
-		prefetch: !cfg.NoPrefetch, verify: !cfg.NoVerify, verified: verified,
+		prefetch: !cfg.NoPrefetch, verify: !cfg.NoVerify, io: io,
 		drain: make([]readScratch[byte], cfg.Threads),
 	}
 	var verts *vertexStore
-	if pp.nv*int64(vertexBytes)+5*bufBytes > cfg.MemoryBudget {
-		verts = &vertexStore{files: make([]*partFile, pp.k), recSize: vertexBytes, verify: !cfg.NoVerify, verified: verified}
+	if pp.nv*int64(vertexBytes)+5*bufBytes > cfg.MemoryBudget/int64(jobs) {
+		verts = &vertexStore{files: make([]*partFile, pp.k), recSize: vertexBytes, verify: !cfg.NoVerify, io: io}
 	}
 	files := [][]*partFile{upd.files}
 	if verts != nil {
@@ -43,21 +47,18 @@ func (pp *Prepared) openStores(vertexBytes, updateBytes int, verified func(int64
 		}
 		files = nil
 	}
+	name := fmt.Sprintf("%sr%d-p", cfg.Prefix, pp.runSeq.Add(1)-1)
 	for p := 0; p < pp.k; p++ {
 		var err error
-		if upd.files[p], err = createPartFile(cfg.UpdateDevice, fmt.Sprintf("%sp%04d.updates", cfg.Prefix, p)); err == nil && verts != nil {
-			verts.files[p], err = createPartFile(cfg.Device, fmt.Sprintf("%sp%04d.verts", cfg.Prefix, p))
+		if upd.files[p], err = createPartFile(cfg.UpdateDevice, fmt.Sprintf("%s%04d.updates", name, p)); err == nil && verts != nil {
+			verts.files[p], err = createPartFile(cfg.Device, fmt.Sprintf("%s%04d.verts", name, p))
 		}
 		if err != nil {
 			closeFiles()
 			return nil, err
 		}
 	}
-	sp := &core.Spill{
-		Updates: upd, Window: window, Context: cfg.Context,
-		Device: func() core.DeviceIO { return devCounters(cfg) },
-		Close:  closeFiles,
-	}
+	sp := &core.Spill{Updates: upd, Window: window, Context: ctx, Close: closeFiles}
 	if verts != nil {
 		sp.Vertices = verts
 	}
@@ -77,9 +78,7 @@ type updateStore struct {
 	chunkBytes int // bytes per read request, whole records
 	prefetch   bool
 	verify     bool
-	// verified is called with the byte count of every update file that
-	// passed verification.
-	verified func(int64)
+	io         *core.SpillIO
 	// drain is the read-back scratch, one per gather worker, each made on
 	// first use. A Drain that finds them all lent reads through a scratch
 	// of its own.
@@ -88,7 +87,11 @@ type updateStore struct {
 
 // Append implements core.SpillStore.
 func (s *updateStore) Append(p int, run []byte) error {
-	return s.files[p].appendBytes(run)
+	if err := s.files[p].appendBytes(run); err != nil {
+		return err
+	}
+	s.io.Written.Add(int64(len(run)))
+	return nil
 }
 
 // Pending implements core.SpillStore: the bytes appended to partition p's
@@ -120,9 +123,10 @@ func (s *updateStore) Drain(p int, fn func([]byte) error) error {
 			return fmt.Errorf("diskengine: update file %s: torn record: %d bytes at offset %d: %w",
 				uf.name, len(chunk), got, storage.ErrCorrupted)
 		}
+		got += int64(len(chunk))
+		s.io.Read.Add(int64(len(chunk)))
 		if s.verify {
 			crc = storage.ChecksumUpdate(crc, chunk)
-			got += int64(len(chunk))
 		}
 		if err := fn(chunk); err != nil {
 			return err
@@ -133,9 +137,7 @@ func (s *updateStore) Drain(p int, fn func([]byte) error) error {
 			return fmt.Errorf("diskengine: update file %s: %d of %d bytes, checksum %08x, want %08x: %w",
 				uf.name, got, uf.size, crc, uf.crc, storage.ErrCorrupted)
 		}
-		if s.verified != nil {
-			s.verified(got)
-		}
+		s.io.Checked.Add(got)
 	}
 	return uf.truncate()
 }
@@ -145,10 +147,10 @@ func (s *updateStore) Drain(p int, fn func([]byte) error) error {
 // after every change. Load checks the file's size and, unless verification
 // is off, its running CRC32C — a mismatch is storage.ErrCorrupted.
 type vertexStore struct {
-	files    []*partFile
-	recSize  int // bytes per vertex record
-	verify   bool
-	verified func(int64)
+	files   []*partFile
+	recSize int // bytes per vertex record
+	verify  bool
+	io      *core.SpillIO
 }
 
 // Load implements core.VertexStore.
@@ -158,6 +160,7 @@ func (s *vertexStore) Load(p int, window []byte) error {
 	if err != nil {
 		return err
 	}
+	s.io.Read.Add(int64(len(got)))
 	if len(got) != len(window) {
 		return fmt.Errorf("diskengine: vertex file %s short: %d records, want %d: %w",
 			vf.name, len(got)/s.recSize, len(window)/s.recSize, storage.ErrCorrupted)
@@ -167,7 +170,7 @@ func (s *vertexStore) Load(p int, window []byte) error {
 			return fmt.Errorf("diskengine: vertex file %s: checksum %08x, want %08x: %w",
 				vf.name, sum, vf.crc, storage.ErrCorrupted)
 		}
-		s.verified(int64(len(window)))
+		s.io.Checked.Add(int64(len(window)))
 	}
 	return nil
 }
@@ -175,5 +178,9 @@ func (s *vertexStore) Load(p int, window []byte) error {
 // Store implements core.VertexStore. The rewrite resets the file's running
 // checksum, so the next Load verifies against exactly this window.
 func (s *vertexStore) Store(p int, window []byte) error {
-	return s.files[p].writeAllAt(window)
+	if err := s.files[p].writeAllAt(window); err != nil {
+		return err
+	}
+	s.io.Written.Add(int64(len(window)))
+	return nil
 }

@@ -50,7 +50,7 @@ func newSpillingTransport(t *testing.T, dev storage.Device, k int, nv int64, win
 		folder = core.NewUpdateFolder(split, threads, func(a, b int64) int64 { return a + b })
 	}
 	rec := pod.Size[core.Update[int64]]()
-	store := &updateStore{files: files, recSize: rec, chunkBytes: window * rec, prefetch: true, verify: true, drain: make([]readScratch[byte], threads)}
+	store := &updateStore{files: files, recSize: rec, chunkBytes: window * rec, prefetch: true, verify: true, io: new(core.SpillIO), drain: make([]readScratch[byte], threads)}
 	tp := core.NewSpillTransport(window, plan, threads, func(u core.Update[int64]) uint32 { return split.Of(u.Dst) }, folder, store)
 	return &spillingTransport{ShuffleTransport: tp, files: files}
 }

@@ -195,7 +195,7 @@ func RunJob(ctx context.Context, g core.EdgeSource, job *core.Job, cfg Config) (
 		return nil, err
 	}
 	// A solo pass's shared-side accounting is the job's own.
-	core.GraftPass(&res[0].Stats, &pass, false)
+	core.GraftPass(&res[0].Stats, &pass)
 	return &res[0], nil
 }
 

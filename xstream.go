@@ -150,8 +150,9 @@ func RunManyMemory(ctx context.Context, g EdgeSource, set ProgramSet, cfg MemCon
 
 // RunManyDisk executes every job of set over g out of core, sharing one
 // pass over the partition edge files per iteration, so edge-file reads are
-// amortized across jobs. Jobs hold vertex state and updates in memory;
-// size co-scheduled sets with Job.MemoryEstimate.
+// amortized across jobs. The jobs share the memory budget: a job's vertex
+// state and updates spill to the device when its share does not hold them,
+// as RunDisk's do.
 func RunManyDisk(ctx context.Context, g EdgeSource, set ProgramSet, cfg DiskConfig) ([]JobResult, Stats, error) {
 	return diskengine.RunMany(ctx, g, set, cfg)
 }
