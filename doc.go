@@ -110,21 +110,23 @@
 // its worst case is a traversal on a high-diameter graph: the frontier
 // advances one hop per iteration while the engine re-reads the entire edge
 // list (§5.3; Stats.WastedEdges). A program whose Scatter is a no-op for
-// vertices that received no update last iteration opts into selective
-// scheduling by implementing FrontierProgram (BFS, SSSP and WCC do; dense
-// programs like PageRank must not). With MemConfig/DiskConfig.Selective
-// set, the engines maintain an active-vertex frontier across iterations
-// and skip the edge chunks of partitions with no active source — the
-// out-of-core engine skips the edge-file reads outright — and, inside
-// partially active partitions, skip fixed-size edge tiles whose source
-// summary (indexed during the pre-processing shuffle) misses the frontier.
+// vertices whose state the last iteration's gather left unchanged opts
+// into selective scheduling by implementing FrontierProgram (BFS, SSSP and
+// WCC do; dense programs like PageRank must not). With
+// MemConfig/DiskConfig.Selective set, the engines maintain an
+// active-vertex frontier across iterations (an update receiver joins it
+// only when its Gather changed its bytes) and skip the edge chunks of
+// partitions with no active source — the out-of-core engine skips the
+// edge-file reads outright — and, inside partially active partitions,
+// skip fixed-size edge tiles whose source summary (indexed during the
+// pre-processing shuffle) misses the frontier.
 // Skips are pure elision, so results are bit-identical either way (the
 // equivalence suite proves it across engines and partitioners); Stats
 // reports EdgesSkipped, PartitionsSkipped and TilesSkipped. Selective
 // scheduling composes with the 2PS partitioner, which packs communities —
 // and therefore frontiers — into fewer partitions, making skips more
-// likely; the figfrontier experiment measures both effects (a ~20x
-// edge-stream and edge-byte reduction for BFS on a clique chain).
+// likely; the figfrontier experiment measures both effects (28-64x fewer
+// edge records and edge bytes for BFS on a clique chain).
 //
 // # Shared-pass execution and the serving layer
 //

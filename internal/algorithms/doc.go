@@ -29,8 +29,8 @@
 // "wasted edges" (Figure 12b).
 //
 // The frontier algorithms — BFS, SSSP, WCC — promote that field into the
-// core.FrontierProgram contract (Scatter of a vertex that received no
-// update is a no-op), which lets engines with Selective enabled skip
+// core.FrontierProgram contract (Scatter of a vertex whose state the last
+// gather left unchanged is a no-op), which lets engines with Selective enabled skip
 // inactive partitions and edge tiles instead of streaming them. The dense
 // algorithms (PageRank, SpMV, HyperANF, Conductance, ALS, BP) scatter from
 // every vertex each iteration and deliberately do not opt in; the phased

@@ -54,8 +54,8 @@ func (s *SSSP) Init(id core.VertexID, v *SSSPState) {
 func (s *SSSP) StartIteration(iter int) { s.iter = int32(iter) }
 
 // InitiallyActive implements core.FrontierProgram: Bellman–Ford relaxes
-// only edges whose source improved last iteration, so a source that
-// received no update cannot scatter.
+// only edges whose source improved last iteration, so a source whose
+// distance the last gather left unchanged cannot scatter.
 func (s *SSSP) InitiallyActive(id core.VertexID, v *SSSPState) bool { return id == s.cur }
 
 // Scatter implements core.Program.

@@ -27,6 +27,9 @@ import (
 // frontier into fewer partitions and making skips more likely — the
 // composition of PR 1's partitioner layer with this PR's scheduler. All
 // metrics are deterministic work measures, gated by cmd/benchgate.
+//
+// A third input, a path, runs ≥ 10⁴ iterations of a one-vertex frontier
+// on both engines at their default tile sizes.
 func init() {
 	register("figfrontier", "Frontier-aware selective streaming: BFS skips on a high-diameter graph", runFigFrontier)
 }
@@ -143,6 +146,37 @@ func runFigFrontier(cfg Config) (*Table, error) {
 		t.Notes = append(t.Notes, fmt.Sprintf(
 			"shuffled input: 2PS-packed frontiers stream %.2fx the edges of range (%.0f vs %.0f)",
 			shufBy["2ps"]/r, shufBy["2ps"], r))
+	}
+
+	// A path keeps the frontier one vertex wide for ≥ 10⁴ iterations at the
+	// engines' default tile sizes: an iteration streams the tile or two
+	// holding its one source, so EdgesStreamed and TilesSkipped gate what
+	// one iteration costs on the longest traversal there is.
+	path := graphgen.Chain(int64(cfg.pick(20_001, 10_001)), 11)
+	ms, err := runMem(path, algorithms.NewBFS(0), cfg, func(mc *memengine.Config) {
+		mc.Partitions = memParts
+		mc.Selective = true
+	})
+	if err != nil {
+		return nil, fmt.Errorf("path/mem: %w", err)
+	}
+	ds, err := runDisk(path, algorithms.NewBFS(0), ssdDev("frontier-path", 0), cfg, func(dc *diskengine.Config) {
+		dc.Partitions = diskParts
+		dc.Selective = true
+		dc.IOUnit = 32 << 10
+	})
+	if err != nil {
+		return nil, fmt.Errorf("path/disk: %w", err)
+	}
+	for _, r := range []struct {
+		eng string
+		s   core.Stats
+	}{{"mem", ms}, {"disk", ds}} {
+		addRow("path", r.s, true)
+		t.SetMetric("bfs_path_"+r.eng+"_edges_streamed", float64(r.s.EdgesStreamed))
+		t.SetMetric("bfs_path_"+r.eng+"_tiles_skipped", float64(r.s.TilesSkipped))
+		t.Notes = append(t.Notes, fmt.Sprintf("path, %s: %d iterations stream %.1f edge records each",
+			r.eng, r.s.Iterations, float64(r.s.EdgesStreamed)/float64(r.s.Iterations)))
 	}
 	return t, nil
 }

@@ -7,8 +7,9 @@ package core
 // BFS, SSSP, the converging tail of WCC — pay for edges whose sources are
 // provably inactive (Stats.WastedEdges measures exactly this). A Frontier
 // is a bitset over execution vertex IDs that the engines maintain across
-// iterations: a vertex is active in iteration i+1 iff it received an update
-// in iteration i (Init seeds iteration 0 through FrontierProgram). Engines
+// iterations: a vertex is active in iteration i+1 iff an update it received
+// in iteration i changed its state — its Gather left different bytes
+// behind (Init seeds iteration 0 through FrontierProgram). Engines
 // with Config.Selective enabled consult per-partition active counts to skip
 // whole partition edge scans — on the out-of-core engine, whole edge-file
 // reads — and per-tile source summaries to skip at sub-chunk granularity
@@ -25,13 +26,17 @@ import (
 
 // FrontierProgram is the opt-in contract for selective scheduling. A
 // program implementing it asserts: Scatter(e, src) returns false — sends no
-// update — whenever the source vertex received no update in the previous
-// iteration (and, in iteration 0, whenever InitiallyActive reported false).
+// update — whenever the previous iteration's gather left the source
+// vertex's state unchanged, byte for byte, whether or not it received
+// updates (and, in iteration 0, whenever InitiallyActive reported false).
 // Under that assertion the engines may skip streaming any edge whose source
-// is outside the frontier without changing any result.
+// is outside the frontier without changing any result. A frontier may hold
+// more than the changed vertices — a snapshot that marked every receiver,
+// say — but never fewer: an extra source sends nothing.
 //
 // Frontier algorithms qualify because their Scatter already gates on a
-// per-vertex "updated last iteration" mark: BFS, SSSP and WCC opt in.
+// per-vertex "changed last iteration" stamp that Gather writes only when it
+// improves the state: BFS, SSSP and WCC opt in.
 // Dense algorithms (PageRank, SpMV, HyperANF, Conductance) scatter from
 // every vertex each iteration and must not implement it; they simply run
 // all-active. Programs whose phase hooks (PhasedProgram.EndIteration,

@@ -4,6 +4,8 @@ import (
 	"math/rand"
 	"sync"
 	"testing"
+
+	"repro/internal/streambuf"
 )
 
 // TestFrontierAgainstReference drives a Frontier and a reference map with
@@ -144,5 +146,93 @@ func TestDegreeAwareBufRecs(t *testing.T) {
 		if got := DegreeAwareBufRecs(c.base, c.edges, c.verts); got != c.want {
 			t.Errorf("DegreeAwareBufRecs(%d, %d, %d) = %d, want %d", c.base, c.edges, c.verts, got, c.want)
 		}
+	}
+}
+
+// maxLabel is a frontier program whose gather keeps the largest label it
+// is sent: an update no larger than the label leaves the vertex unchanged.
+type maxLabel struct{}
+
+type maxState struct{ Label, Stamp int32 }
+
+func (maxLabel) Name() string                             { return "max-label" }
+func (maxLabel) Init(id VertexID, v *maxState)            { v.Label = int32(id % 7) }
+func (maxLabel) Scatter(Edge, *maxState) (int32, bool)    { return 0, false }
+func (maxLabel) InitiallyActive(VertexID, *maxState) bool { return false }
+func (maxLabel) Gather(_ VertexID, v *maxState, m int32) {
+	if m > v.Label {
+		v.Label, v.Stamp = m, v.Stamp+1
+	}
+}
+
+// memVertexStore keeps a run's vertex windows in memory.
+type memVertexStore map[int][]byte
+
+func (s memVertexStore) Load(p int, w []byte) error  { copy(w, s[p]); return nil }
+func (s memVertexStore) Store(p int, w []byte) error { s[p] = append(s[p][:0], w...); return nil }
+
+// TestGatherMarksOnlyChangedReceivers: a chunk of updates of which many
+// leave their receiver unchanged — a smaller label, or one a vertex already
+// took from an earlier update of the chunk — marks exactly the vertices
+// whose state changed into the next frontier, through the serial gather and
+// through the sub-shuffled one a windowed run takes for chunks of 8192
+// updates and more. The state compare allocates nothing.
+func TestGatherMarksOnlyChangedReceivers(t *testing.T) {
+	// Two partitions, the chunk partition 0's: the window holds [0, n/2).
+	const n = 1 << 15
+	chunk := make([]Update[int32], 3*8192)
+	for i := range chunk {
+		chunk[i] = Update[int32]{Dst: VertexID(i * 40503 % (n / 2)), Val: int32(i * 31 % 11)}
+	}
+	ref := make([]maxState, n)
+	want := NewFrontier(n)
+	var prog maxLabel
+	for i := range ref {
+		prog.Init(VertexID(i), &ref[i])
+	}
+	for _, u := range chunk {
+		old := ref[u.Dst]
+		prog.Gather(u.Dst, &ref[u.Dst], u.Val)
+		if ref[u.Dst] != old {
+			want.Mark(u.Dst)
+		}
+	}
+	if c := want.Count(); c == 0 || c == n/2 {
+		t.Fatalf("workload lost its shape: %d of %d receivers changed", c, n/2)
+	}
+	for _, workers := range []int{1, 4} {
+		plan, err := streambuf.NewPlan(2, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		store := memVertexStore{}
+		r := NewJob[maxState, int32](maxLabel{}).NewRun().(*jobRun[maxState, int32])
+		if err := r.Setup(JobSetup{
+			Assignment: &Assignment{Split: NewSplit(n, 2)}, NumVertices: n, NumEdges: n,
+			Threads: workers, Plan: plan, UpdateCap: len(chunk), Selective: true,
+			Spill: func(int, int, *SpillIO) (*Spill, error) {
+				return &Spill{Window: len(chunk), Vertices: store, Close: func() {}}, nil
+			},
+		}); err != nil {
+			t.Fatal(err)
+		}
+		verts, lo, err := r.window(0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r.gatherChunk(chunk, verts, lo, NewSplit(int64(len(verts)), r.subPlan.K), workers)
+		if workers > 1 && r.subA == nil {
+			t.Fatalf("workers %d: the chunk was not sub-shuffled", workers)
+		}
+		for v := VertexID(0); v < n/2; v++ {
+			if got := r.Receivers().Active(v); got != want.Active(v) || verts[v] != ref[v] {
+				t.Fatalf("workers %d: vertex %d: marked %v, state %+v; want marked %v, state %+v",
+					workers, v, got, verts[v], want.Active(v), ref[v])
+			}
+		}
+		if allocs := testing.AllocsPerRun(10, func() { r.gatherRun(chunk, verts, lo) }); allocs != 0 {
+			t.Errorf("workers %d: the selective gather allocates %.0f times per chunk", workers, allocs)
+		}
+		r.Close()
 	}
 }

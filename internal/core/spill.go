@@ -120,14 +120,8 @@ func inWindow[M any](chunk []Update[M], p int, lo, hi int64) error {
 // the window into the sub-shuffle plan's buckets. The shuffle is stable, so
 // every vertex receives its updates in stream order either way.
 func (r *jobRun[V, M]) gatherChunk(chunk []Update[M], verts []V, lo int64, sub Split, workers int) {
-	nxt := r.Receivers()
 	if workers <= 1 || len(chunk) < 8192 {
-		for _, u := range chunk {
-			r.prog.Gather(u.Dst, &verts[int64(u.Dst)-lo], u.Val)
-			if nxt != nil {
-				nxt.Mark(u.Dst)
-			}
-		}
+		r.gatherRun(chunk, verts, lo)
 		return
 	}
 	if r.subA == nil {
@@ -139,15 +133,33 @@ func (r *jobRun[V, M]) gatherChunk(chunk []Update[M], verts []V, lo int64, sub S
 		return sub.Of(VertexID(int64(u.Dst) - lo))
 	})
 	ForEachClaimed(r.subPlan.K, workers, func(_, sp int) {
-		res.Bucket(sp, func(run []Update[M]) {
-			for _, u := range run {
-				r.prog.Gather(u.Dst, &verts[int64(u.Dst)-lo], u.Val)
-				if nxt != nil {
-					nxt.Mark(u.Dst)
-				}
-			}
-		})
+		res.Bucket(sp, func(run []Update[M]) { r.gatherRun(run, verts, lo) })
 	})
+}
+
+// gatherRun applies a run of updates in order. On a selective schedule a
+// receiver joins the next frontier only when its Gather changed the
+// vertex's bytes (the FrontierProgram contract): the state is snapshotted
+// on the stack before the call and compared after. Setup has checked that
+// the state holds no pointers, so its bytes are all of it; a copy
+// differing from it in padding alone only adds a receiver whose Scatter
+// sends nothing. A dense run compares nothing.
+func (r *jobRun[V, M]) gatherRun(run []Update[M], verts []V, lo int64) {
+	nxt := r.Receivers()
+	if nxt == nil {
+		for _, u := range run {
+			r.prog.Gather(u.Dst, &verts[int64(u.Dst)-lo], u.Val)
+		}
+		return
+	}
+	for _, u := range run {
+		v := &verts[int64(u.Dst)-lo]
+		old := *v
+		r.prog.Gather(u.Dst, v, u.Val)
+		if !pod.Equal(&old, v) {
+			nxt.Mark(u.Dst)
+		}
+	}
 }
 
 // NumVertices implements VertexView: the run is the phase hooks' view of its

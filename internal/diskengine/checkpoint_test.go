@@ -12,6 +12,7 @@ package diskengine
 // fresh start with the right result; and leave no slot behind on success.
 
 import (
+	"encoding/binary"
 	"fmt"
 	"reflect"
 	"strings"
@@ -347,4 +348,80 @@ func TestCheckpointWritesOnlySnapshots(t *testing.T) {
 			})
 		}
 	}
+}
+
+// TestCheckpointResumesFromWiderFrontier: a snapshot's frontier may hold
+// more than the vertices the last gather changed — one written while every
+// update receiver joined the frontier holds them all. The selective BFS's
+// snapshots are widened to every vertex already reached, a superset of
+// both, and re-sealed: the resumed run scatters from sources that send
+// nothing, and ends with bit-identical vertices after the same number of
+// iterations as the fault-free run.
+func TestCheckpointResumesFromWiderFrontier(t *testing.T) {
+	w := ckptWorkloads()[1]
+	nv := w.src.NumVertices()
+	run := func(dev storage.Device) (*core.JobResult, error) {
+		cfg := w.cfg
+		cfg.Device = dev
+		return RunJob(nil, w.src, w.job(), cfg)
+	}
+	clean := ssd(0)
+	want, err := run(clean)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ds := clean.Stats()
+	inner := crashed(t, ds.Reads+ds.Writes, func(dev storage.Device) error {
+		_, err := run(dev)
+		return err
+	})
+	added := 0
+	for _, f := range ckptSlots(inner) {
+		added += widenFrontier(t, f, nv)
+		f.Close()
+	}
+	if added == 0 {
+		t.Fatal("no snapshot frontier was widened")
+	}
+	got, err := run(inner)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Stats.ResumedIterations == 0 {
+		t.Fatal("the widened snapshot was not resumed")
+	}
+	if got.Stats.Iterations != want.Stats.Iterations {
+		t.Fatalf("resumed run took %d iterations, the fault-free run %d", got.Stats.Iterations, want.Stats.Iterations)
+	}
+	if !reflect.DeepEqual(got.Vertices, want.Vertices) {
+		t.Fatal("resumed run's vertices differ from the fault-free run's")
+	}
+}
+
+// widenFrontier marks every reached vertex (Dist ≥ 0) in the frontier of a
+// one-job bfsState snapshot, re-seals its checksum, and returns the number
+// of bits it added.
+func widenFrontier(t *testing.T, f storage.File, nv int64) int {
+	t.Helper()
+	b := make([]byte, f.Size())
+	if err := readBytes(f, b, 0); err != nil {
+		t.Fatal(err)
+	}
+	state := b[ckptHeaderLen+8:]
+	words := state[nv*8:]
+	added := 0
+	for v := int64(0); v < nv; v++ {
+		dist := int32(binary.LittleEndian.Uint32(state[v*8:]))
+		w := words[v>>6*8:]
+		word := binary.LittleEndian.Uint64(w)
+		if bit := uint64(1) << (v & 63); dist >= 0 && word&bit == 0 {
+			binary.LittleEndian.PutUint64(w, word|bit)
+			added++
+		}
+	}
+	binary.LittleEndian.PutUint32(b[len(b)-4:], storage.ChecksumUpdate(0, b[8:len(b)-4]))
+	if _, err := f.WriteAt(b, 0); err != nil {
+		t.Fatal(err)
+	}
+	return added
 }

@@ -1,6 +1,7 @@
 package diskengine
 
 import (
+	"context"
 	"errors"
 	"strings"
 	"testing"
@@ -8,6 +9,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/graphgen"
 	"repro/internal/memengine"
+	"repro/internal/partition2ps"
 	"repro/internal/storage"
 )
 
@@ -417,6 +419,32 @@ func TestSelectiveBFSDisk(t *testing.T) {
 				t.Fatalf("dense run reported skips: %+v", off.Stats)
 			}
 		})
+	}
+}
+
+// TestSelectiveCliqueChainReadsItsEdgesTwice: a selective BFS over the
+// benchmark's layout (clique chain, 2PS, compressed tiles, the default tile
+// size) streams at most twice the graph's edge records in a whole run. Each
+// clique is reached through one entry vertex and then its other members, so
+// a tight frontier streams every edge about once; the tile granularity and
+// receivers that changed nothing are what push a run past that.
+func TestSelectiveCliqueChainReadsItsEdgesTwice(t *testing.T) {
+	src := graphgen.CliqueChain(128, 48, 7)
+	res, err := RunJob(context.Background(), src, core.NewJob[bfsState, int32](&bfsProg{root: 0}), Config{
+		Device: ssd(0), Threads: 2, Partitions: 8, IOUnit: 16 << 10,
+		Partitioner: partition2ps.New(), Selective: true, CompressTiles: true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, edges := res.Stats, src.NumEdges()
+	t.Logf("%d iterations stream %d records of %d (%.2fx), %d tiles skipped",
+		st.Iterations, st.EdgesStreamed, edges, float64(st.EdgesStreamed)/float64(edges), st.TilesSkipped)
+	if st.Iterations < 256 || st.TilesSkipped == 0 {
+		t.Fatalf("workload lost its shape: %d iterations, %d tiles skipped", st.Iterations, st.TilesSkipped)
+	}
+	if st.EdgesStreamed > 2*edges {
+		t.Errorf("a selective BFS streams %d edge records, more than twice the graph's %d", st.EdgesStreamed, edges)
 	}
 }
 

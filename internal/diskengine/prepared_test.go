@@ -178,7 +178,7 @@ func TestCorruptedRecordSharedPass(t *testing.T) {
 	} {
 		t.Run(kind.name, func(t *testing.T) {
 			dev := ssd(0)
-			pp, err := Prepare(src, Config{Device: dev, Threads: 2, IOUnit: 8 << 10, Partitions: 2})
+			pp, err := Prepare(src, Config{Device: dev, Threads: 2, IOUnit: 8 << 10, Partitions: 2, TileEdges: 4096})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -73,6 +73,15 @@ func AsBytes[T any](s []T) []byte {
 	return unsafe.Slice((*byte)(unsafe.Pointer(&s[0])), n)
 }
 
+// Equal reports whether two records hold the same bytes, padding included:
+// a record copied field by field may differ in its padding alone, which
+// Equal reports as a difference.
+func Equal[T any](a, b *T) bool {
+	n := Size[T]()
+	return string(unsafe.Slice((*byte)(unsafe.Pointer(a)), n)) ==
+		string(unsafe.Slice((*byte)(unsafe.Pointer(b)), n))
+}
+
 // FromBytes reinterprets raw bytes as a slice of records without copying.
 // len(b) must be a multiple of Size[T](); FromBytes panics otherwise, since
 // a partial trailing record always indicates file corruption or a caller

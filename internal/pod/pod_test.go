@@ -100,3 +100,18 @@ func TestRoundTripProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+func TestEqual(t *testing.T) {
+	a := rec{A: 1, B: 2, C: [3]uint16{3, 4, 5}}
+	b := a
+	if !Equal(&a, &b) {
+		t.Fatal("Equal: identical records differ")
+	}
+	b.C[2]++
+	if Equal(&a, &b) {
+		t.Fatal("Equal: records differing in the last field compare equal")
+	}
+	if allocs := testing.AllocsPerRun(100, func() { _ = Equal(&a, &b) }); allocs != 0 {
+		t.Fatalf("Equal allocates %.0f times", allocs)
+	}
+}

@@ -12,12 +12,12 @@ import (
 const (
 	// benchTileRecs is the out-of-core engine's default tile size
 	// (diskengine.Config.TileEdges).
-	benchTileRecs = 4096
+	benchTileRecs = 1024
 	// benchTiles is how many tiles of each shape are decoded: about 1 MB
 	// encoded, so the set stays in cache as a tile the engine has just
 	// read does, and the figure is decode cost rather than memory
 	// bandwidth.
-	benchTiles = 32
+	benchTiles = 128
 )
 
 // partitionTiles streams src, maps every edge through relabel, buckets the

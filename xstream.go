@@ -35,7 +35,8 @@ type (
 	// CombineOp is a built-in merge a Combiner declares its Combine to be.
 	CombineOp = core.CombineOp
 	// FrontierProgram marks programs whose Scatter is a no-op for
-	// vertices that received no update last iteration, letting engines
+	// vertices whose state the last iteration's gather left unchanged,
+	// letting engines
 	// with MemConfig/DiskConfig.Selective skip inactive partitions and
 	// edge tiles (the out-of-core engine skips the file reads outright).
 	// BFS, SSSP and WCC opt in; results are identical either way.
