@@ -145,19 +145,20 @@
 // by every subsequent pass. ctx cancelation is honored between iterations
 // and chunks — as it is by RunMemory/RunDisk via Config.Context.
 //
-// The in-memory engine has exactly one iteration loop, the shared-pass one:
-// RunMemory wraps its program with NewJob, runs it as a ProgramSet of one
-// and hands back typed vertex states, so a solo run, a type-erased run and
-// a co-scheduled run execute the same code (Stats.CoJobs reads 1 for the
-// first two). Each job owns its update side — vertex state initialized in
-// parallel, one private scatter buffer per engine worker, the update
-// transport, a gather that walks partitions on the threads the job has to
-// itself — and the pass owns the edge stream. The out-of-core engine has one
-// loop too, over one dataset layer (DiskPrepared: partition sizing,
-// partitioner, edge shuffle, edge files and tile index, the partition
-// reader, the checkpoint format), and one kind of run: RunDisk is a pass of
-// one, and every run of a pass may spill its vertex state and updates to
-// the device, as its share of the memory budget decides. The update stream
+// Both engines have exactly one iteration loop between them, the shared-pass
+// one (core.RunPass): RunMemory and RunDisk wrap their program with NewJob,
+// run it as a ProgramSet of one and hand back typed vertex states, so a solo
+// run, a type-erased run and a co-scheduled run execute the same code
+// (Stats.CoJobs reads 1 for the first two), and the two engines differ only
+// in how a partition's edges reach the scatter. Each job owns its update
+// side — vertex state initialized in parallel, one private scatter buffer
+// per engine worker, the update transport, a gather that walks partitions
+// on the threads the job has to itself — and the pass owns the edge stream.
+// The out-of-core engine has one dataset layer (DiskPrepared: partition
+// sizing, partitioner, edge shuffle, edge files and tile index, the
+// partition reader, the checkpoint format), and every run of a pass may
+// spill its vertex state and updates to the device, as its share of the
+// memory budget decides. The update stream
 // has one transport, a windowed shuffle that spills to update files out of
 // core; one conformance suite (internal/transport/conformance) holds every
 // shape of it to the same contract.

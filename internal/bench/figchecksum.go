@@ -79,8 +79,8 @@ func runFigChecksum(cfg Config) (*Table, error) {
 	// bits out, and the verified run's coverage is the headline metric.
 	// The three PageRank runs use one thread, the count the gated baseline
 	// was recorded at. A solo run compares bit for bit and byte for byte at
-	// any thread count (its scatter stripes are fixed and reach the update
-	// stream in kernel order), so un-pinning them is a baseline change
+	// any thread count (it scatters a partition through one kernel), so
+	// un-pinning them is a baseline change
 	// (ROADMAP "Fix first", step (c)).
 	one := cfg
 	one.Threads = 1

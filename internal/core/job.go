@@ -14,6 +14,7 @@ package core
 // iteration; Stats.CoJobs and Stats.EdgesShared measure the amortization.
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -44,10 +45,31 @@ func (s ProgramSet) Label() string {
 	return name
 }
 
+// errEmptySet is what a pass of no jobs fails with.
+var errEmptySet = errors.New("RunMany of an empty program set")
+
+// Check rejects an empty set and a set with a job whose types fail
+// Job.Check: what an engine asks of a set before it ingests a graph for it.
+func (s ProgramSet) Check() error {
+	if len(s) == 0 {
+		return errEmptySet
+	}
+	for _, j := range s {
+		if err := j.Check(); err != nil {
+			return fmt.Errorf("job %s: %w", j.Name(), err)
+		}
+	}
+	return nil
+}
+
 // NewRuns checks every job of the set, spawns its executor and sets it up
-// under the pass's shared setup. On failure the runs made so far are closed,
-// so a pass that cannot start leaks no transport.
+// under the pass's shared setup; an empty set is refused. On failure the
+// runs made so far are closed, so a pass that cannot start leaks no
+// transport.
 func (s ProgramSet) NewRuns(setup JobSetup) ([]JobRun, error) {
+	if len(s) == 0 {
+		return nil, errEmptySet
+	}
 	runs := make([]JobRun, 0, len(s))
 	for _, j := range s {
 		if err := j.Check(); err != nil {
@@ -161,6 +183,22 @@ type JobResult struct {
 	Stats    Stats
 }
 
+// Result is a typed run's outcome: the final vertex states in input vertex
+// order and the run's stats.
+type Result[V any] struct {
+	Vertices []V
+	Stats    Stats
+}
+
+// Typed returns res with its vertex states typed: an engine's Run is Typed
+// of its RunJob.
+func Typed[V any](res *JobResult, err error) (*Result[V], error) {
+	if err != nil {
+		return nil, err
+	}
+	return &Result[V]{Vertices: res.Vertices.([]V), Stats: res.Stats}, nil
+}
+
 // Job is a type-erased handle over one Program[V, M], created with NewJob.
 // It captures the program's concrete types in closures so engines can spawn
 // typed executors (JobRun) without generic plumbing. A Job describes one
@@ -242,25 +280,21 @@ type JobSetup struct {
 	NoCombine bool
 	// Selective enables per-job frontier scheduling for FrontierPrograms.
 	Selective bool
-	// Stripes, when positive, says the engine streams one partition at a
-	// time through sink 0, as the out-of-core pass does: the run then
-	// scatters each segment of a chunk on its own workers, in up to Stripes
-	// stripes (see stripedScatter) — one, as the out-of-core engine sets
-	// every run up. Otherwise every engine worker scatters whole partitions
-	// through a sink of its own.
-	Stripes int
 	// Spill, when non-nil, opens the device-backed stores an out-of-core
 	// engine lends the run (see Spill). Setup calls it once, with the
 	// run's vertex and update record sizes and the tally its stores count
-	// their I/O on. Without it vertex state and the update stream stay in
-	// memory, in a window of UpdateCap records.
+	// their I/O on. Such an engine streams one partition at a time through
+	// sink 0, which holds its kernel's sends to the transport's window (see
+	// jobScatter). Without it vertex state and the update stream stay in
+	// memory, in a window of UpdateCap records, and every engine worker
+	// scatters whole partitions through a sink of its own.
 	Spill func(vertexBytes, updateBytes int, io *SpillIO) (*Spill, error)
 }
 
 // JobRun drives one job through the iterations of a pass. The engine owns
-// the edge stream and the iteration loop; everything update-side — where
-// vertex state and updates live included — is behind this interface, whose
-// one implementation is jobRun. Methods are called from the engine's
+// the edge stream, RunPass the iteration loop; everything update-side —
+// where vertex state and updates live included — is behind this interface,
+// whose one implementation is jobRun. Methods are called from the engine's
 // coordinating goroutine except NewScatter sinks, which run one per
 // partition task.
 //
@@ -300,10 +334,9 @@ type JobRun interface {
 	// NewScatter returns engine worker w's scatter sink (0 ≤ w < the
 	// setup's Threads), readied for partition p whose edge chunk holds
 	// chunkEdges records. The run owns one sink per worker for its whole
-	// life — under a striped setup only worker 0's, which scatters on the
-	// run's own workers — so a worker must Flush its sink, when the
-	// partition's edges are exhausted, before asking for the next. Sinks
-	// are single-goroutine.
+	// life — with stores lent (JobSetup.Spill) only worker 0's — so a
+	// worker must Flush its sink, when the partition's edges are exhausted,
+	// before asking for the next. Sinks are single-goroutine.
 	NewScatter(w, p int, chunkEdges int64) JobScatter
 	// SkipPartition accounts a whole partition chunk the job's frontier
 	// proved useless (the engine never handed it to a sink). Safe for
@@ -418,11 +451,10 @@ type JobScatter interface {
 // jobRun is the JobRun: one job's update path — vertex state, scatter
 // sinks, transport, fold, gather, frontier. Every run of either engine is
 // one (memengine.Run and diskengine.Run are passes of one). Three parts are
-// optional and follow from the setup: the striped sink of an engine that
-// streams one partition at a time (JobSetup.Stripes), an update transport
-// that spills full windows to the engine's update store, and vertex state
-// that lives in the engine's vertex store, a window per partition, with the
-// windowed gather (both JobSetup.Spill).
+// optional and follow from JobSetup.Spill: the window sink of an engine that
+// streams one partition at a time, an update transport that spills full
+// windows to the engine's update store, and vertex state that lives in the
+// engine's vertex store, a window per partition, with the windowed gather.
 type jobRun[V, M any] struct {
 	prog  Program[V, M]
 	setup JobSetup
@@ -468,12 +500,9 @@ type jobRun[V, M any] struct {
 	pending []int
 
 	basePriv int
-	// sinks holds one scatter sink per engine worker, made with its kernel
-	// on the worker's first partition (by the worker: kernels count per
-	// block, so two must not share a cache line) and reused until the run
-	// ends; striped is the one sink of a striped setup instead.
+	// sinks holds one scatter sink per engine worker, made on the worker's
+	// first partition and reused until the run ends (see NewScatter).
 	sinks    []*jobScatter[V, M]
-	striped  *stripedScatter[V, M]
 	done     bool
 	finished bool
 	iterSent int64
@@ -484,8 +513,7 @@ type jobRun[V, M any] struct {
 	iterMark  IterMark
 	iterStart time.Time
 
-	// it sums the current scatter's sink counts: per-worker sinks add
-	// under itMu, the striped sink on the engine's goroutine.
+	// it sums the current scatter's sink counts, added under itMu.
 	itMu sync.Mutex
 	it   ScatterCounts
 
@@ -494,13 +522,8 @@ type jobRun[V, M any] struct {
 
 func (r *jobRun[V, M]) Name() string { return r.prog.Name() }
 
+// Setup implements JobRun. NewRuns has checked the job's types.
 func (r *jobRun[V, M]) Setup(s JobSetup) error {
-	if err := pod.Check[V](); err != nil {
-		return fmt.Errorf("job %s: vertex state: %w", r.prog.Name(), err)
-	}
-	if err := pod.Check[M](); err != nil {
-		return fmt.Errorf("job %s: update value: %w", r.prog.Name(), err)
-	}
 	r.setup = s
 	r.part = s.Assignment.Split
 	if vm, ok := any(r.prog).(VertexMapper); ok {
@@ -520,11 +543,7 @@ func (r *jobRun[V, M]) Setup(s JobSetup) error {
 	if r.basePriv < 1 {
 		r.basePriv = 1
 	}
-	if s.Stripes > 0 {
-		r.striped = &stripedScatter[V, M]{r: r, ks: make([]*ScatterKernel[V, M], s.Stripes)}
-	} else {
-		r.sinks = make([]*jobScatter[V, M], max(s.Threads, 1))
-	}
+	r.sinks = make([]*jobScatter[V, M], max(s.Threads, 1))
 	r.pending = make([]int, 0, r.part.K)
 	r.stats.Algorithm = r.prog.Name()
 	updCap, store := max(s.UpdateCap, 1), SpillStore(nil)
@@ -616,45 +635,6 @@ func (r *jobRun[V, M]) BeginScatter() error {
 	return nil
 }
 
-func (r *jobRun[V, M]) NewScatter(w, p int, chunkEdges int64) JobScatter {
-	if r.striped != nil {
-		return r.striped.begin(p, chunkEdges)
-	}
-	s := r.sinks[w]
-	if s == nil {
-		s = &jobScatter[V, M]{r: r, k: NewScatterKernel(r.prog, r.tp, r.combine, r.op, r.basePriv)}
-		r.sinks[w] = s
-	}
-	lo, hi := r.part.Range(p, r.setup.NumVertices)
-	s.k.Begin(p, r.part, r.verts, 0, DegreeAwareBufRecs(r.basePriv, chunkEdges, hi-lo))
-	return s
-}
-
-// jobScatter is one worker's scatter sink: the worker's kernel over the
-// whole vertex array.
-type jobScatter[V, M any] struct {
-	r *jobRun[V, M]
-	k *ScatterKernel[V, M]
-}
-
-func (s *jobScatter[V, M]) Edges(run []Edge) error {
-	if err := s.k.Edges(run); err != nil {
-		return fmt.Errorf("job %s: %w", s.r.prog.Name(), err)
-	}
-	return nil
-}
-
-func (s *jobScatter[V, M]) Flush() error {
-	n, err := s.k.End()
-	if err != nil {
-		return fmt.Errorf("job %s: %w", s.r.prog.Name(), err)
-	}
-	s.r.itMu.Lock()
-	s.r.it.Add(n)
-	s.r.itMu.Unlock()
-	return nil
-}
-
 func (r *jobRun[V, M]) EndScatter() error {
 	sent, streamed, cross, scatterCombined := r.it.Sent, r.it.Streamed, r.it.Cross, r.it.Combined
 	r.it = ScatterCounts{}
@@ -709,28 +689,14 @@ func (r *jobRun[V, M]) Gather(workers int) error {
 	if r.vstore != nil {
 		outer, inner = 1, workers
 	}
-	var mu sync.Mutex
-	var firstErr error
-	ForEachClaimed(len(r.pending), outer, func(_, i int) {
-		mu.Lock()
-		failed := firstErr != nil
-		mu.Unlock()
-		if failed {
-			return
-		}
-		if err := r.gatherPartition(r.pending[i], inner); err != nil {
-			mu.Lock()
-			if firstErr == nil {
-				firstErr = err
-			}
-			mu.Unlock()
-		}
+	err := ForEachClaimedUntil(len(r.pending), outer, func(_, i int) error {
+		return r.gatherPartition(r.pending[i], inner)
 	})
-	if err := r.tp.EndIteration(); err != nil && firstErr == nil {
-		firstErr = err
+	if eerr := r.tp.EndIteration(); err == nil {
+		err = eerr
 	}
-	if firstErr != nil {
-		return fmt.Errorf("job %s: %w", r.prog.Name(), firstErr)
+	if err != nil {
+		return fmt.Errorf("job %s: %w", r.prog.Name(), err)
 	}
 	r.sealed = false
 	r.Advance()
@@ -763,6 +729,32 @@ func ForEachClaimed(n, workers int, fn func(w, i int)) {
 		}(w)
 	}
 	wg.Wait()
+}
+
+// ForEachClaimedUntil is ForEachClaimed over a fallible fn: once a call has
+// failed no worker starts another, and the first failure is returned. Its
+// state is one allocation: every gather of every iteration walks through it.
+func ForEachClaimedUntil(n, workers int, fn func(w, i int) error) error {
+	var st struct {
+		sync.Mutex
+		first error
+	}
+	ForEachClaimed(n, workers, func(w, i int) {
+		st.Lock()
+		failed := st.first != nil
+		st.Unlock()
+		if failed {
+			return
+		}
+		if err := fn(w, i); err != nil {
+			st.Lock()
+			if st.first == nil {
+				st.first = err
+			}
+			st.Unlock()
+		}
+	})
+	return st.first
 }
 
 // book moves what the run's stores moved since the last call onto its

@@ -23,11 +23,11 @@ func (c *ScatterCounts) Add(o ScatterCounts) {
 }
 
 // ScatterKernel is one scatter worker's run-lived kernel, the engines' only
-// per-edge scatter loop (§4.1). Begin readies it for a task — a partition's
-// edges, or one worker's stripes of them; Edges scatters a run of the task's
-// edges in blocks: loop A applies the program's Scatter into the stage array,
-// loop B counts the cross-partition updates and feeds them to the combining
-// cache (the plain append buffer for a program without a Combiner); Drain
+// per-edge scatter loop (§4.1). Begin readies it for a task, a partition's
+// edges; Edges scatters a run of the task's edges in blocks: loop A applies
+// the program's Scatter into the stage array, loop B counts the
+// cross-partition updates and feeds them to the combining cache (the plain
+// append buffer for a program without a Combiner); Drain
 // hands what the task has evicted so far to the transport; End flushes the
 // buffer into the transport and returns the task's counts. A batch the
 // transport refuses fails the task: Edges, Drain and End return the refusal,
@@ -72,11 +72,10 @@ func NewScatterKernel[V, M any](prog Program[V, M], tp UpdateTransport[M], combi
 
 // HoldSends makes the kernel keep every batch it sends until the next Drain
 // or End, which put them into the transport, filling its window and flushing
-// it whenever a batch would not fit. It is for a caller that scatters one
-// partition on several goroutines into one transport: it calls Drain and End
-// only where no other goroutine sends into the transport, kernel by kernel in
-// a fixed order, so what lands in the transport, and in which order, does
-// not depend on the goroutines' timing.
+// it whenever a batch would not fit. It is for a caller that streams a
+// partition through the transport's window: Drain after every segment puts
+// at most one record per edge of the segment into the transport, and End's
+// sweep flushes the window as often as its residents need.
 func (k *ScatterKernel[V, M]) HoldSends() { k.hold = true }
 
 // Begin readies the kernel for a task over edges of partition p of split

@@ -37,12 +37,13 @@ type IterStats struct {
 	Iter int
 	// Time is the iteration's wall-clock duration.
 	Time time.Duration
-	// ScatterTime, ShuffleTime and GatherTime split Time by phase. On
-	// the out-of-core engine the shuffle is folded into the scatter
-	// pass (§3 of the paper), so ShuffleTime there is only what sealing
-	// the update stream at the end of the scatter took.
+	// ScatterTime, ShuffleTime and GatherTime split Time by phase, the
+	// same way on both engines (RunPass).
 	ScatterTime time.Duration
-	// ShuffleTime is the in-memory shuffle share of the iteration.
+	// ShuffleTime runs from the end of the scatter until every live run's
+	// update stream is sealed. In memory that is the shuffle; out of core
+	// full windows are shuffled to the update files during the scatter
+	// (§3 of the paper), so it is what sealing the last window took.
 	ShuffleTime time.Duration
 	// GatherTime is the gather share of the iteration.
 	GatherTime time.Duration
@@ -134,15 +135,19 @@ func (s *Stats) addIO(job *Stats) {
 	}
 }
 
-// GraftPass completes the stats of a pass's only job with what the pass
-// accounted on its behalf: the time before the first iteration and inside
-// the shared scatter, the iteration count (a resumed pass restores
-// iterations the job never executed), the edge-file layout, and the I/O —
-// what the pass's reader, its checkpoints and the job's stores moved (see
-// FinishPass) — for the run as a whole and per iteration, index-aligned.
-// RunJob on either engine uses it so the job's profile carries the full
-// picture.
-func GraftPass(job, pass *Stats) {
+// Solo returns the result of a pass of one job — an engine's RunJob is Solo
+// of its RunMany — its stats completed with what the pass accounted on the
+// job's behalf, so the job's profile carries the full picture: the time
+// before the first iteration and inside the shared scatter, the iteration
+// count (a resumed pass restores iterations the job never executed), the
+// edge-file layout, and the I/O — what the pass's reader, its checkpoints
+// and the job's stores moved (see FinishPass) — for the run as a whole and
+// per iteration, index-aligned.
+func Solo(res []JobResult, pass Stats, err error) (*JobResult, error) {
+	if err != nil {
+		return nil, err
+	}
+	job := &res[0].Stats
 	job.PreprocessTime = pass.PreprocessTime
 	job.ScatterTime = pass.ScatterTime
 	job.Iterations = pass.Iterations
@@ -158,4 +163,5 @@ func GraftPass(job, pass *Stats) {
 		j.BytesRead, j.BytesReadLogical, j.BytesWritten = p.BytesRead, p.BytesReadLogical, p.BytesWritten
 		j.BytesChecksummed, j.IORetries = p.BytesChecksummed, p.IORetries
 	}
+	return &res[0], nil
 }

@@ -28,7 +28,7 @@ func shuffleLayout(t *testing.T, compressed bool, tileRecs int) ([]*partFile, *d
 			t.Fatal(err)
 		}
 	}
-	tiles := newDiskTilesFor(k, tileRecs, compressed)
+	tiles := newDiskTiles(k, tileRecs, compressed)
 	if err := partitionEdgesInto(src, files, false, tiles, 1024, plan, part, 1); err != nil {
 		t.Fatal(err)
 	}

@@ -19,24 +19,21 @@
 // fit in a single stream buffer — the update transport's window is one
 // stream buffer, and only an iteration that outgrows it spills.
 //
-// There is one iteration loop, Prepared.runPass (runmany.go), over one
-// dataset layer, the Prepared: the §3.4 partition sizing, the partitioner
-// and relabeling, the edge shuffle, the edge files with their tile index and
-// lazily built transpose, the partition reader and the checkpoint all live
-// there. The loop drives one run type, core.jobRun, in one configuration,
-// and streams a partition at a time through each run's striped sink: each
-// segment of a chunk of a partition the run needs whole is cut into
-// stripes, stripe i always through kernel i, whose combining window stays
-// open for the whole partition, and what the kernels send reaches the
-// transport in kernel order, so its combining and update and device bytes do
-// not depend on scheduling. Every run is lent the stores of openStores
+// Every pass is driven by core.RunPass, the iteration loop of both engines,
+// over one dataset layer, the Prepared: the §3.4 partition sizing, the
+// partitioner and relabeling, the edge shuffle, the edge files with their
+// tile index and lazily built transpose, the partition reader and the
+// checkpoint all live there, and Prepared.runPass (runmany.go) supplies how
+// a partition's edges reach the scatter, the checkpoint after each
+// iteration and the resume before the first. The loop drives one run type,
+// core.jobRun, in one configuration, and streams a partition at a time
+// through each run's window sink: one kernel, whose combining window stays
+// open for the whole partition, so its combining and update and device bytes
+// do not depend on scheduling. Every run is lent the stores of openStores
 // (stores.go) — update files behind the transport, and vertex files, read and
 // gathered a window at a time, when the state does not fit the run's share
-// of the memory budget. The J runs of a pass split the budget, M/J each, and
-// each scatters through one kernel. Run is RunJob with its types kept, and
-// RunJob a RunMany of one. The iteration protocol (direction and transpose
-// accounting, partition and tile skips, spans, checkpoint timing, resume,
-// cancellation) is the loop's and is written once. Bytes are counted where
+// of the memory budget. The J runs of a pass split the budget, M/J each. Run
+// is RunJob with its types kept, and RunJob a RunMany of one. Bytes are counted where
 // they are moved: by the reader, the checkpoint and each run's stores, so
 // concurrent passes on one device report their own. IORetries is the
 // exception: it is sampled from the devices' retry counters, so a pass
@@ -47,7 +44,7 @@
 // transport's streambuf.Writer holds the three update output buffers, the
 // third made when an iteration first spills — the five stream buffers of
 // §3.4 — while the update store's drain scratch, the gather sub-shuffle pair
-// and one scatter kernel per stripe are made on first use.
+// and each run's scatter kernel are made on first use.
 // Nothing in the iteration loop allocates per chunk, segment or partition;
 // docs/ARCHITECTURE.md ("Buffer ownership") has owners and sizes.
 //
@@ -101,8 +98,8 @@ type Config struct {
 	// handle splits M only in the spill decision. Outside the sum, and not limited by
 	// M: the update read-back double buffer (2·S·K per gather worker, once
 	// updates spill to files), the gather sub-shuffle pair (2·S·K, with
-	// spilled vertices and Threads > 1), one scatter kernel per stripe
-	// (~0.8 MiB each with a Combiner), the fold's slot tables, the frontier
+	// spilled vertices and Threads > 1), each run's scatter kernel
+	// (~0.8 MiB with a Combiner), the fold's slot tables, the frontier
 	// bitsets and the tile index.
 	MemoryBudget int64
 	// IOUnit is S of §3.4, the request size that saturates the device.
@@ -214,19 +211,12 @@ func (c Config) withDefaults() Config {
 var edgeRecSize = int64(pod.Size[core.Edge]())
 
 // Result carries final vertex states and execution statistics.
-type Result[V any] struct {
-	Vertices []V
-	Stats    core.Stats
-}
+type Result[V any] = core.Result[V]
 
 // Run executes prog on g with the out-of-core engine: RunJob of the
 // program's job, its vertex states typed.
 func Run[V, M any](g core.EdgeSource, prog core.Program[V, M], cfg Config) (*Result[V], error) {
-	res, err := RunJob(cfg.Context, g, core.NewJob(prog), cfg)
-	if err != nil {
-		return nil, err
-	}
-	return &Result[V]{Vertices: res.Vertices.([]V), Stats: res.Stats}, nil
+	return core.Typed[V](RunJob(cfg.Context, g, core.NewJob(prog), cfg))
 }
 
 // retries is the cumulative retry count of c's devices, a distinct update

@@ -523,7 +523,7 @@ func TestSelectiveIgnoredWithoutContractDisk(t *testing.T) {
 // mismatch falls back to a full scan, active tiles coalesce into maximal
 // segments, and skipped record counts reconcile.
 func TestDiskTilesSegments(t *testing.T) {
-	dt := newDiskTiles(1, 4)
+	dt := newDiskTiles(1, 4, false)
 	edges := make([]core.Edge, 10)
 	for i := range edges {
 		edges[i].Src = core.VertexID(i * 10) // tiles span [0,30],[40,70],[80,90]
@@ -536,7 +536,8 @@ func TestDiskTilesSegments(t *testing.T) {
 
 	front := core.NewFrontier(100)
 	front.Mark(45) // activates only the middle tile
-	segs, skipRecs, skipTiles := dt.activeSegments(0, front, 10)
+	intersects := func(s core.SrcSpan) bool { return s.Intersects(front) }
+	segs, skipRecs, skipTiles := dt.activeSegmentsFunc(0, intersects, 10)
 	if len(segs) != 1 || segs[0] != (recRange{4, 8}) {
 		t.Fatalf("segments %+v, want [{4 8}]", segs)
 	}
@@ -546,7 +547,7 @@ func TestDiskTilesSegments(t *testing.T) {
 
 	// Adjacent active tiles coalesce.
 	front.Mark(0)
-	segs, skipRecs, skipTiles = dt.activeSegments(0, front, 10)
+	segs, skipRecs, skipTiles = dt.activeSegmentsFunc(0, intersects, 10)
 	if len(segs) != 1 || segs[0] != (recRange{0, 8}) {
 		t.Fatalf("segments %+v, want [{0 8}]", segs)
 	}
@@ -555,7 +556,7 @@ func TestDiskTilesSegments(t *testing.T) {
 	}
 
 	// Coverage mismatch (index says 10 records, file has 12): full scan.
-	segs, skipRecs, skipTiles = dt.activeSegments(0, front, 12)
+	segs, skipRecs, skipTiles = dt.activeSegmentsFunc(0, intersects, 12)
 	if len(segs) != 1 || segs[0] != (recRange{0, 12}) || skipRecs != 0 || skipTiles != 0 {
 		t.Fatalf("fallback segments %+v (skip %d/%d), want full scan", segs, skipRecs, skipTiles)
 	}

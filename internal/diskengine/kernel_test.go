@@ -53,7 +53,7 @@ func scatterPartitions(t *testing.T, e *probedRun, pp *Prepared) core.ScatterCou
 }
 
 // memSink runs prog's in-memory sink — the per-worker sink of a run set up
-// by pp as the in-memory engine sets its runs up, unstriped — through one
+// by pp as the in-memory engine sets its runs up, lent no stores — through one
 // scatter of every partition and one gather, and returns the gathered vertex
 // states and the run's stats.
 func memSink(t *testing.T, pp *Prepared, prog core.Program[int32, int32]) ([]int32, core.Stats) {
@@ -61,7 +61,7 @@ func memSink(t *testing.T, pp *Prepared, prog core.Program[int32, int32]) ([]int
 	run := core.NewJob(prog).NewRun()
 	defer run.Close()
 	setup := pp.jobSetup(nil, 1)
-	setup.Stripes, setup.Spill, setup.UpdateCap = 0, nil, int(pp.ne)
+	setup.Spill, setup.UpdateCap = nil, int(pp.ne)
 	if err := run.Setup(setup); err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +118,7 @@ func memSequence(t *testing.T, pp *Prepared, prog core.Program[int32, int32]) []
 }
 
 // TestMemSinkAndDiskSinkShareTheKernel: the in-memory engine's per-worker
-// sink and the out-of-core engine's striped sink are two callers of one
+// sink and the out-of-core engine's window sink are two callers of one
 // kernel, which at Threads 1 both keep open for a whole partition. So from the same edges they
 // account the same (sent, cross, combined), emit the same record sequence —
 // the disk sink's cut into Room-bounded segments, drained after each and

@@ -3,7 +3,9 @@ package diskengine
 // oneloop_test.go pins that the out-of-core engine has one iteration loop
 // and one run configuration: a solo Run and a RunJob of the same program over
 // the same config are driven by runPass alike — same results, same counters,
-// I/O included, same spans — and that what only a run's stores can hit, an
+// I/O included, same spans —, that both engines' passes run core.RunPass
+// alike and reject a bad program set before the ingest, and that what only
+// a run's stores can hit, an
 // I/O fault behind the phase hook's vertex view, a corrupted vertex window or
 // update stream, or a cancel between two chunks of one partition's vertex
 // window, fails the run with a typed error and leaves nothing behind.
@@ -19,11 +21,11 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"repro/internal/algorithms"
 	"repro/internal/core"
 	"repro/internal/graphgen"
+	"repro/internal/memengine"
 	"repro/internal/obs"
 	"repro/internal/partition2ps"
 	"repro/internal/storage"
@@ -132,16 +134,124 @@ func TestSoloAndJobShareTheLoop(t *testing.T) {
 	}
 }
 
-// TestSoloRunRepeatable: every kernel of a solo run sees a fixed edge
-// sequence — its stripe of every segment of a partition — and what the
-// kernels send reaches the transport in kernel order, so two solo runs of one
+// TestEnginesShareThePassLoop: both engines drive their passes through
+// core.RunPass, so a selective BFS and a PageRank record the same spans per
+// iteration on each — one scatter, shuffle, gather and iteration span, and a
+// partition span only for a partition that streamed edges — split the phase
+// after the scatter into a shuffle and a gather alike (pass-level ShuffleTime
+// > 0) and profile every iteration: in memory, and out of core with vertex
+// state in memory and spilled, at Threads 2.
+func TestEnginesShareThePassLoop(t *testing.T) {
+	dense, _ := smallGraph(53)
+	for _, w := range []struct {
+		name string
+		src  core.EdgeSource
+		job  func() *core.Job
+	}{
+		// A chain keeps the frontier narrow: partitions and tiles go unread.
+		{"bfs-selective", graphgen.Chain(384, 13), func() *core.Job { return core.NewJob[bfsState, int32](&bfsProg{root: 0}) }},
+		{"pagerank", dense, func() *core.Job { return core.NewJob[algorithms.PRState, float32](algorithms.NewPageRank(3)) }},
+	} {
+		for _, engine := range []string{"memory", "disk", "disk-spilled"} {
+			t.Run(w.name+"/"+engine, func(t *testing.T) {
+				rec := obs.NewRecorder()
+				set := core.ProgramSet{w.job()}
+				var pass core.Stats
+				var err error
+				if engine == "memory" {
+					cfg := memengine.Config{Threads: 2, Partitions: 4, Selective: true, TileEdges: 32, Tracer: rec}
+					_, pass, err = memengine.RunMany(context.Background(), w.src, set, cfg)
+				} else {
+					cfg := Config{Device: ssd(0), Threads: 2, Partitions: 4, IOUnit: 8 << 10, Selective: true, TileEdges: 32, Tracer: rec}
+					if engine == "disk-spilled" {
+						cfg = spilled(cfg)
+					}
+					_, pass, err = RunMany(context.Background(), w.src, set, cfg)
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+				perIter := map[int64]map[string]int{}
+				for _, e := range rec.Events() {
+					switch e.Name {
+					case "run", "preprocess":
+					case "partition":
+						if e.Args["edges"] <= 0 {
+							t.Errorf("partition %d recorded a span for %d edges streamed", e.Args["p"], e.Args["edges"])
+						}
+					case "scatter", "shuffle", "gather", "iteration":
+						it := e.Args["iter"]
+						if perIter[it] == nil {
+							perIter[it] = map[string]int{}
+						}
+						perIter[it][e.Name]++
+					default:
+						t.Errorf("unexpected %q span", e.Name)
+					}
+				}
+				if len(perIter) != pass.Iterations {
+					t.Errorf("spans for %d iterations of %d", len(perIter), pass.Iterations)
+				}
+				for it, count := range perIter {
+					for _, name := range []string{"scatter", "shuffle", "gather", "iteration"} {
+						if count[name] != 1 {
+							t.Errorf("iteration %d: %d %q spans, want 1", it, count[name], name)
+						}
+					}
+				}
+				if pass.ShuffleTime <= 0 {
+					t.Errorf("pass ShuffleTime %v", pass.ShuffleTime)
+				}
+				if len(pass.Iters) != pass.Iterations {
+					t.Errorf("%d Iters entries for %d iterations", len(pass.Iters), pass.Iterations)
+				}
+			})
+		}
+	}
+}
+
+// ingestTrap is an edge source that fails the test if it is ever streamed.
+type ingestTrap struct{ t *testing.T }
+
+func (s ingestTrap) NumVertices() int64 { return 64 }
+func (s ingestTrap) NumEdges() int64    { return 64 }
+func (s ingestTrap) Edges(func([]core.Edge) error) error {
+	s.t.Error("the graph was ingested for a set that cannot run")
+	return errors.New("ingested")
+}
+
+// TestRunManyRejectsBeforeIngest: RunMany over a graph rejects an empty set,
+// and a set with a job whose types fail Check, on either engine before it
+// streams the graph.
+func TestRunManyRejectsBeforeIngest(t *testing.T) {
+	bad := core.ProgramSet{core.NewJob[bfsState, int32](&bfsProg{root: 0}), core.NewJob[[]int32, int32](ptrProg{})}
+	for _, c := range []struct {
+		name string
+		set  core.ProgramSet
+	}{{"empty set", nil}, {"job fails Check", bad}} {
+		for _, engine := range []string{"memory", "disk"} {
+			t.Run(c.name+"/"+engine, func(t *testing.T) {
+				var err error
+				if engine == "memory" {
+					_, _, err = memengine.RunMany(context.Background(), ingestTrap{t}, c.set, memengine.Config{Threads: 2})
+				} else {
+					_, _, err = RunMany(context.Background(), ingestTrap{t}, c.set, Config{Device: ssd(0), Threads: 2})
+				}
+				if err == nil {
+					t.Fatal("a set that cannot run was accepted")
+				}
+			})
+		}
+	}
+}
+
+// TestSoloRunRepeatable: the one kernel of a solo run sees a fixed edge
+// sequence — every segment of a partition in order — so two solo runs of one
 // workload agree on every work counter, on what combining merged away, on the
 // update stream and device bytes it left and on every vertex bit, float sums
-// included, through one kernel at Threads 2, as every run is set up, and
-// through three at Threads 4: PageRank and WCC, vertex state in memory and
-// spilled. Partitions hold several chunks of more than stripeMin edges, so
-// three kernels cut segments into stripes, and more destinations than a
-// combining window, so kernels evict while they scatter.
+// included, at Threads 2: PageRank and WCC, vertex state in memory and
+// spilled. Partitions hold several chunks, and more destinations than a
+// combining window, so the kernel evicts while it scatters.
 func TestSoloRunRepeatable(t *testing.T) {
 	src := graphgen.RMAT(graphgen.RMATConfig{Scale: 15, EdgeFactor: 4, Seed: 43, Undirected: true})
 	_, pagerank := soloAndJob(func() core.Program[algorithms.PRState, float32] { return algorithms.NewPageRank(3) })
@@ -150,67 +260,42 @@ func TestSoloRunRepeatable(t *testing.T) {
 		name string
 		job  func() *core.Job
 	}{{"pagerank", pagerank}, {"wcc", wcc}} {
-		for _, c := range []struct{ threads, stripes int }{{2, 1}, {4, 3}} {
-			for _, spill := range []bool{false, true} {
-				name := fmt.Sprintf("%s/threads %d/spilled %v", w.name, c.threads, spill)
-				cfg := Config{Threads: c.threads, Partitions: 4, IOUnit: 64 << 10}
-				if spill {
-					cfg = spilled(cfg)
+		for _, spill := range []bool{false, true} {
+			name := fmt.Sprintf("%s/threads 2/spilled %v", w.name, spill)
+			cfg := Config{Threads: 2, Partitions: 4, IOUnit: 64 << 10}
+			if spill {
+				cfg = spilled(cfg)
+			}
+			var first map[string]float64
+			var firstVerts any
+			for i := 0; i < 2; i++ {
+				cfg.Device = ssd(0)
+				res, err := RunJob(context.Background(), src, w.job(), cfg)
+				if err != nil {
+					t.Fatal(err)
 				}
-				var first map[string]float64
-				var firstVerts any
-				for i := 0; i < 2; i++ {
-					cfg.Device = ssd(0)
-					verts, st, err := stripedRun(src, w.job(), cfg, c.stripes)
-					if err != nil {
-						t.Fatal(err)
-					}
-					got := st.Counters(core.StatWork)
-					got["UpdatesCombined"], got["UpdateBytes"] = float64(st.UpdatesCombined), float64(st.UpdateBytes)
-					got["BytesRead"], got["BytesWritten"] = float64(st.BytesRead), float64(st.BytesWritten)
-					if st.UpdatesCombined == 0 || st.BytesWritten == 0 {
-						t.Fatalf("%s: workload lost its shape: %d combined, %d bytes written", name, st.UpdatesCombined, st.BytesWritten)
-					}
-					if first == nil {
-						first, firstVerts = got, verts
-						continue
-					}
-					if !reflect.DeepEqual(verts, firstVerts) {
-						t.Errorf("%s: two runs disagree on vertex states", name)
-					}
-					for k, v := range first {
-						if got[k] != v {
-							t.Errorf("%s: %s is %v in one run, %v in another", name, k, v, got[k])
-						}
+				verts, st := res.Vertices, res.Stats
+				got := st.Counters(core.StatWork)
+				got["UpdatesCombined"], got["UpdateBytes"] = float64(st.UpdatesCombined), float64(st.UpdateBytes)
+				got["BytesRead"], got["BytesWritten"] = float64(st.BytesRead), float64(st.BytesWritten)
+				if st.UpdatesCombined == 0 || st.BytesWritten == 0 {
+					t.Fatalf("%s: workload lost its shape: %d combined, %d bytes written", name, st.UpdatesCombined, st.BytesWritten)
+				}
+				if first == nil {
+					first, firstVerts = got, verts
+					continue
+				}
+				if !reflect.DeepEqual(verts, firstVerts) {
+					t.Errorf("%s: two runs disagree on vertex states", name)
+				}
+				for k, v := range first {
+					if got[k] != v {
+						t.Errorf("%s: %s is %v in one run, %v in another", name, k, v, got[k])
 					}
 				}
 			}
 		}
 	}
-}
-
-// stripedRun runs job over src as RunJob does, its run scattering through
-// stripes kernels — set on its JobSetup directly, since every run the engine
-// makes scatters through one — and returns its vertices and stats.
-func stripedRun(src core.EdgeSource, job *core.Job, cfg Config, stripes int) (any, core.Stats, error) {
-	pp, err := prepare(src, cfg, int64(job.VertexBytes()), 1, cfg.Selective)
-	if err != nil {
-		return nil, core.Stats{}, err
-	}
-	defer pp.Close()
-	res, pass, err := pp.runPass(context.Background(), time.Now(), job.Name(), func() ([]core.JobRun, error) {
-		setup := pp.jobSetup(context.Background(), 1)
-		setup.Stripes = stripes
-		return core.ProgramSet{job}.NewRuns(setup)
-	})
-	if err != nil {
-		return nil, core.Stats{}, err
-	}
-	for _, f := range pp.edgeFiles {
-		pass.BytesWritten += f.size
-	}
-	core.GraftPass(&res[0].Stats, &pass)
-	return res[0].Vertices, res[0].Stats, nil
 }
 
 // hookFaults is a device whose files go through a seeded storage.NewFaulty

@@ -1,24 +1,25 @@
 package diskengine
 
-// runmany.go is the out-of-core engine's dataset layer and its one
-// iteration loop. A Prepared holds a dataset's pre-processing output — the
-// input edge list shuffled once into partition edge files, the tile source
-// index built during that shuffle, and the lazily built transposed files —
-// so the shuffle is paid once per dataset instead of once per run. runPass
-// then drives any number of runs (core.JobRun) from one pass over the edge
-// files per iteration: each chunk read from a file is handed to every
-// subscribing run's scatter sink, so the edge-file I/O that dominates
-// out-of-core runs is amortized across co-scheduled jobs (BytesRead drops
-// toward 1/K of K sequential runs; the figshare experiment gates it).
+// runmany.go is the out-of-core engine's dataset layer and what it supplies
+// to the iteration loop of both engines, core.RunPass. A Prepared holds a
+// dataset's pre-processing output — the input edge list shuffled once into
+// partition edge files, the tile source index built during that shuffle, and
+// the lazily built transposed files — so the shuffle is paid once per
+// dataset instead of once per run. runPass then drives any number of runs
+// (core.JobRun) from one pass over the edge files per iteration: each chunk
+// read from a file is handed to every subscribing run's scatter sink, so the
+// edge-file I/O that dominates out-of-core runs is amortized across
+// co-scheduled jobs (BytesRead drops toward 1/K of K sequential runs; the
+// figshare experiment gates it).
 //
 // One loop, one run kind, one run configuration: every run is a
-// core.jobRun, every one scatters through the striped sink, since the loop
-// streams one partition at a time through sink 0, and every one is lent the
-// stores of openStores (stores.go) — update files behind the transport, and
-// vertex files, read and gathered a window at a time, when its share of the
-// memory budget does not hold its state. The J runs of a pass share the
-// budget M, each getting M/J, and each scatters through one kernel (see
-// jobSetup). A solo Run is RunJob with its types kept.
+// core.jobRun, every one is lent the stores of openStores (stores.go) —
+// update files behind the transport, and vertex files, read and gathered a
+// window at a time, when its share of the memory budget does not hold its
+// state — and so scatters through the window sink, since the loop streams
+// one partition at a time through sink 0. The J runs of a pass share the
+// budget M, each getting M/J (see jobSetup). A solo Run is RunJob with its
+// types kept.
 //
 // Fault tolerance composes too: under Config.Checkpoint a pass snapshots
 // every job's resumable state after each completed iteration (see
@@ -26,16 +27,15 @@ package diskengine
 // same prefix resumes from the last completed iteration — the path
 // cmd/xstream's -checkpoint flag takes through RunJob.
 //
-// Selective streaming composes: a partition's edge file is not read at all
-// when no run's frontier reaches it, and when every subscribing run is
-// partially active the file is read only in the segments whose tiles some
-// run needs (the frontier union). Within a streamed chunk every run
-// scatters all records — extra records are wasted edges by the
-// FrontierProgram contract, never wrong results.
+// Selective streaming composes (core.PartitionPlan): a partition's edge file
+// is not read at all when no run's frontier reaches it, and when some
+// needing run is partially active the file is read only in the segments
+// whose tiles some run needs (the frontier union). Within a streamed chunk
+// every needing run scatters all records — extra records are wasted edges by
+// the FrontierProgram contract, never wrong results.
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"math"
 	"sync"
@@ -143,26 +143,12 @@ func prepare(g core.EdgeSource, cfg Config, vertexBytes int64, runs int, index b
 		return nil, fmt.Errorf("diskengine: I/O unit %d too small for edge records", cfg.IOUnit)
 	}
 
-	// Partitioning policy: plan the assignment (a locality-aware partitioner
-	// pays its streaming passes here) and rewrite the edge stream through the
-	// relabeling.
-	pr := cfg.Partitioner
-	if pr == nil {
-		pr = core.RangePartitioner{}
-	}
-	asg, err := pr.Assign(g, k)
+	g, asg, partName, err := graphio.Partition(g, cfg.Partitioner, k)
 	if err != nil {
-		return nil, fmt.Errorf("diskengine: partitioner %s: %w", pr.Name(), err)
+		return nil, fmt.Errorf("diskengine: %w", err)
 	}
-	if err := asg.Validate(nv); err != nil {
-		return nil, fmt.Errorf("diskengine: partitioner %s: %w", pr.Name(), err)
-	}
-	if !asg.Identity() {
-		g = graphio.Relabeled(g, asg.Relabel)
-	}
-
 	pp := &Prepared{
-		cfg: cfg, k: k, part: asg.Split, asg: asg, partName: pr.Name(),
+		cfg: cfg, k: k, part: asg.Split, asg: asg, partName: partName,
 		shufPlan: plan, nv: nv, ne: ne, bufEdgeRecs: bufEdgeRecs,
 	}
 	pp.edgeFiles = make([]*partFile, k)
@@ -173,7 +159,7 @@ func prepare(g core.EdgeSource, cfg Config, vertexBytes int64, runs int, index b
 		}
 	}
 	if index || cfg.CompressTiles {
-		pp.tilesFwd = newDiskTilesFor(k, cfg.TileEdges, cfg.CompressTiles)
+		pp.tilesFwd = newDiskTiles(k, cfg.TileEdges, cfg.CompressTiles)
 	}
 	if err := partitionEdgesInto(g, pp.edgeFiles, false, pp.tilesFwd, bufEdgeRecs, plan, pp.part, cfg.Threads); err != nil {
 		pp.removeFiles()
@@ -281,7 +267,7 @@ func (pp *Prepared) files(dir core.Direction) (files []*partFile, tiles *diskTil
 		src := &forwardSource{pp: pp, sc: new(edgeScratch)}
 		var t *diskTiles
 		if pp.tilesFwd != nil {
-			t = newDiskTilesFor(pp.k, pp.cfg.TileEdges, pp.cfg.CompressTiles)
+			t = newDiskTiles(pp.k, pp.cfg.TileEdges, pp.cfg.CompressTiles)
 		}
 		if err := partitionEdgesInto(src, bwd, true, t, pp.bufEdgeRecs, pp.shufPlan, pp.part, pp.cfg.Threads); err != nil {
 			cleanup()
@@ -331,10 +317,7 @@ func partitionEdgesInto(src core.EdgeSource, files []*partFile, transpose bool, 
 				}
 				continue
 			}
-			take := len(batch)
-			if take > room {
-				take = room
-			}
+			take := min(len(batch), room)
 			if !w.Buf().Append(batch[:take]) {
 				return fmt.Errorf("diskengine: edge buffer overflow")
 			}
@@ -372,7 +355,8 @@ func (s *forwardSource) NumEdges() int64 { return s.pp.ne }
 func (s *forwardSource) Edges(fn func([]core.Edge) error) error {
 	pp := s.pp
 	for p, f := range pp.edgeFiles {
-		io, _, _, err := pp.streamPartition(nil, s.sc, pp.edgeFiles, pp.tilesFwd, p, edgeFileRecs(f, pp.tilesFwd, p), nil, func() {}, fn)
+		segs, _, _ := planSegments(pp.tilesFwd, p, nil, edgeFileRecs(f, pp.tilesFwd, p))
+		io, err := pp.streamPartition(nil, s.sc, pp.edgeFiles, pp.tilesFwd, p, segs, fn)
 		s.io.read += io.read
 		s.io.logical += io.logical
 		s.io.checked += io.checked
@@ -384,25 +368,14 @@ func (s *forwardSource) Edges(fn func([]core.Edge) error) error {
 }
 
 // streamPartition is how the scatter loop, and the transpose build, reads
-// partition p's edge file: it plans the segments to read — the whole file,
-// or with a need predicate only the runs of tiles whose source spans
-// satisfy it — and streams them through fn under the config's verify and
-// prefetch settings. begin runs once before the first chunk, and not at all
-// when nothing is planned, so a run readies what scattering needs only for
-// a partition that is read.
-// Every record is checked against the shuffle invariant before fn sees it:
-// a corrupted record must never be dereferenced, and the tile CRC only
-// closes at tile granularity, after earlier chunks of the tile have
-// scattered, so a bit-flipped Src or Dst would otherwise index outside the
-// vertex window or the shuffle plan before verification catches it.
-// fileRecs is the file's logical record count (edgeFileRecs). It returns
-// the traffic moved and the records and tiles need elided.
-func (pp *Prepared) streamPartition(ctx context.Context, rd *edgeScratch, files []*partFile, tiles *diskTiles, p int, fileRecs int64, need func(core.SrcSpan) bool, begin func(), fn func([]core.Edge) error) (io edgeIO, skippedRecs, skippedTiles int64, err error) {
-	segs, skippedRecs, skippedTiles := planSegments(tiles, p, need, fileRecs)
-	if len(segs) == 0 {
-		return io, skippedRecs, skippedTiles, nil
-	}
-	begin()
+// partition p's edge file: it streams the segments planSegments planned
+// through fn under the config's verify and prefetch settings, and returns
+// the traffic moved. Every record is checked against the shuffle invariant
+// before fn sees it: a corrupted record must never be dereferenced, and the
+// tile CRC only closes at tile granularity, after earlier chunks of the tile
+// have scattered, so a bit-flipped Src or Dst would otherwise index outside
+// the vertex window or the shuffle plan before verification catches it.
+func (pp *Prepared) streamPartition(ctx context.Context, rd *edgeScratch, files []*partFile, tiles *diskTiles, p int, segs []edgeSegment, fn func([]core.Edge) error) (io edgeIO, err error) {
 	lo, hi := pp.part.Range(p, pp.nv)
 	io.read, io.logical, io.checked, err = streamSegments(ctx, rd, files[p], p, tiles, !pp.cfg.NoVerify, segs, pp.bufEdgeRecs, !pp.cfg.NoPrefetch, func(chunk []core.Edge) error {
 		for _, ed := range chunk {
@@ -413,7 +386,7 @@ func (pp *Prepared) streamPartition(ctx context.Context, rd *edgeScratch, files 
 		}
 		return fn(chunk)
 	})
-	return io, skippedRecs, skippedTiles, err
+	return io, err
 }
 
 // RunMany executes every job of set against g out of core, sharing one
@@ -424,14 +397,11 @@ func (pp *Prepared) streamPartition(ctx context.Context, rd *edgeScratch, files 
 // the retries since before it.
 func RunMany(ctx context.Context, g core.EdgeSource, set core.ProgramSet, cfg Config) ([]core.JobResult, core.Stats, error) {
 	start, before := time.Now(), cfg.retries()
-	if len(set) == 0 {
-		return nil, core.Stats{}, errEmptySet
+	if err := set.Check(); err != nil {
+		return nil, core.Stats{}, fmt.Errorf("diskengine: %w", err)
 	}
 	var vb int64
 	for _, j := range set {
-		if err := j.Check(); err != nil {
-			return nil, core.Stats{}, fmt.Errorf("diskengine: job %s: %w", j.Name(), err)
-		}
 		vb += int64(j.VertexBytes())
 	}
 	pp, err := prepare(g, cfg, vb, len(set), cfg.Selective)
@@ -448,18 +418,10 @@ func RunMany(ctx context.Context, g core.EdgeSource, set core.ProgramSet, cfg Co
 	return res, pass, err
 }
 
-// errEmptySet is what a pass of no jobs fails with.
-var errEmptySet = errors.New("diskengine: RunMany of an empty program set")
-
 // RunJob executes a single type-erased job: a RunMany of one, whose pass's
 // accounting is the job's own. Run is RunJob with the program's types kept.
 func RunJob(ctx context.Context, g core.EdgeSource, job *core.Job, cfg Config) (*core.JobResult, error) {
-	res, pass, err := RunMany(ctx, g, core.ProgramSet{job}, cfg)
-	if err != nil {
-		return nil, err
-	}
-	core.GraftPass(&res[0].Stats, &pass)
-	return &res[0], nil
+	return core.Solo(RunMany(ctx, g, core.ProgramSet{job}, cfg))
 }
 
 // RunMany drives all jobs of set from one pass over the prepared edge
@@ -475,9 +437,6 @@ func (pp *Prepared) RunMany(ctx context.Context, set core.ProgramSet) ([]core.Jo
 
 // runMany is a pass whose runs are set's, set up under jobSetup.
 func (pp *Prepared) runMany(ctx context.Context, set core.ProgramSet, start time.Time) ([]core.JobResult, core.Stats, error) {
-	if len(set) == 0 {
-		return nil, core.Stats{}, errEmptySet
-	}
 	return pp.runPass(ctx, start, set.Label(), func() ([]core.JobRun, error) {
 		runs, err := set.NewRuns(pp.jobSetup(ctx, len(set)))
 		if err != nil {
@@ -489,49 +448,29 @@ func (pp *Prepared) runMany(ctx context.Context, set core.ProgramSet, start time
 
 // jobSetup is what each run of a pass of jobs runs over pp is set up
 // under. Each run is lent the stores of openStores under its share of the
-// budget, and scatters through one kernel: on 2 cores one kernel ran passes
-// of 1, 2 and 4 PageRank jobs and a solo spilled PageRank fastest, and more
-// stripes are unmeasured on more cores.
+// budget.
 func (pp *Prepared) jobSetup(ctx context.Context, jobs int) core.JobSetup {
 	cfg := pp.cfg
 	return core.JobSetup{
 		Assignment: pp.asg, NumVertices: pp.nv, NumEdges: pp.ne,
 		Threads: cfg.Threads, Plan: pp.shufPlan, PrivateBufRecs: basePrivCap,
 		NoCombine: cfg.NoCombine, Selective: cfg.Selective,
-		Stripes: 1,
 		Spill: func(vertexBytes, updateBytes int, io *core.SpillIO) (*core.Spill, error) {
 			return pp.openStores(ctx, jobs, vertexBytes, updateBytes, io)
 		},
 	}
 }
 
-// passScratch is what a pass owns for its whole life and every iteration
-// reuses: the edge-read buffers, lent to one segment at a time, and — each
-// with room for every run of the pass — the runs still live, the ones
-// streaming the current direction, the ones needing the current partition
-// and their sinks.
-type passScratch struct {
-	rd       edgeScratch
-	live     []core.JobRun
-	subs     []core.JobRun
-	needing  []core.JobRun
-	scatters []core.JobScatter
-}
-
-// runPass is the engine's one iteration loop (Figure 6): the merged
-// scatter/shuffle over the partition files, then gather, for whatever runs
-// newRuns makes. newRuns is called once up front and again whenever a
-// verified checkpoint fails to load, after the half-restored runs were
-// closed, so a failed resume never leaves state behind. start is when the
-// pass's work began — before the ingest for a pass that prepared its own
-// dataset, on entry for a pass over a cached one — so PreprocessTime (start
-// to the last run set up: partitioner, edge shuffle, vertex state,
-// transports) and TotalTime mean the same for both.
+// runPass drives whatever runs newRuns makes through core.RunPass, the
+// iteration loop of both engines, with a diskPass streaming the partition
+// files (Figure 6: the merged scatter/shuffle over the files, then gather).
+// newRuns is called once up front and again whenever a verified checkpoint
+// fails to load, after the half-restored runs were closed, so a failed
+// resume never leaves state behind; a resumed pass hands RunPass the
+// iteration after the snapshot's. start is when the pass's work began (see
+// core.Pass).
 func (pp *Prepared) runPass(ctx context.Context, start time.Time, label string, newRuns func() ([]core.JobRun, error)) ([]core.JobResult, core.Stats, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	cfg, tr := pp.cfg, pp.cfg.Tracer
+	cfg := pp.cfg
 	pass := core.Stats{
 		Algorithm: label, Engine: "disk:" + cfg.Device.Name(),
 		Partitioner: pp.partName, Partitions: pp.k, Threads: cfg.Threads,
@@ -546,29 +485,25 @@ func (pp *Prepared) runPass(ctx context.Context, start time.Time, label string, 
 	// sees whichever runs the pass ended with.
 	defer core.CloseRuns(runs)
 	pass.CoJobs = len(runs)
-	pass.PreprocessTime = time.Since(start)
-	if tr != nil {
-		tr.Span(0, "preprocess", start, pass.PreprocessTime, nil)
-	}
+	dp := &diskPass{pp: pp, scatters: make([]core.JobScatter, len(runs))}
 
 	// Resume a checkpointed pass from the newest valid snapshot a previous
 	// attempt with this prefix left behind: iterations [0, startIter) are
 	// restored, not executed. Invalid or corrupt snapshots are ignored,
 	// never trusted.
 	startIter := 0
-	var snaps []core.Snapshotter
 	if cfg.Checkpoint {
-		snaps = snapshotters(runs)
+		dp.snaps = snapshotters(runs)
 	}
-	if snaps != nil {
-		startIter, err = pp.tryResume(&pass, snaps, func() error {
+	if dp.snaps != nil {
+		startIter, err = pp.tryResume(&pass, dp.snaps, func() error {
 			core.CloseRuns(runs)
 			rs, err := newRuns()
 			if err != nil {
 				return err
 			}
 			copy(runs, rs)
-			copy(snaps, snapshotters(rs))
+			copy(dp.snaps, snapshotters(rs))
 			return nil
 		})
 		if err != nil {
@@ -577,129 +512,82 @@ func (pp *Prepared) runPass(ctx context.Context, start time.Time, label string, 
 		pass.ResumedIterations = startIter
 	}
 
-	sc := &passScratch{
-		live: make([]core.JobRun, 0, len(runs)), subs: make([]core.JobRun, 0, len(runs)),
-		needing: make([]core.JobRun, 0, len(runs)), scatters: make([]core.JobScatter, len(runs)),
-	}
-	// Per-iteration retry attribution: the run-level IORetries is a single
-	// end-of-pass delta; the loop samples the devices' counters at every
-	// iteration boundary so the per-iteration profile can slice it.
-	lastRetries := cfg.retries()
-	for iter := startIter; iter < cfg.MaxIterations; iter++ {
-		live := sc.live[:0]
-		for _, r := range runs {
-			if !r.Done() {
-				live = append(live, r)
-			}
-		}
-		if len(live) == 0 {
-			break
-		}
-		if err := ctx.Err(); err != nil {
-			return nil, pass, err
-		}
-		iterStart := time.Now()
-		iterMark := pass.MarkIter()
-		for _, r := range live {
-			r.StartIteration(iter)
-			if err := r.BeginScatter(); err != nil {
-				return nil, pass, fmt.Errorf("diskengine: %w", err)
-			}
-		}
-
-		// One shared scatter per direction a live run asked for; the
-		// transposed files are built on first use, and the build's I/O is
-		// the triggering pass's.
-		t0 := time.Now()
-		for _, dir := range []core.Direction{core.Forward, core.Backward} {
-			sc.subs = sc.subs[:0]
-			for _, r := range live {
-				if r.Direction(iter) == dir {
-					sc.subs = append(sc.subs, r)
-				}
-			}
-			if len(sc.subs) == 0 {
-				continue
-			}
-			files, tiles, build, err := pp.files(dir)
-			if err != nil {
-				return nil, pass, err
-			}
-			build.addTo(&pass)
-			if err := pp.scatterShared(ctx, &pass, sc, files, tiles); err != nil {
-				return nil, pass, err
-			}
-		}
-		scatterDur := time.Since(t0)
-		pass.ScatterTime += scatterDur
-
-		t1 := time.Now()
-		// This engine reports the shuffle inside its gather figure (§3), so
-		// the shuffle share EndAndGather returns is not split out.
-		if _, err := core.EndAndGather(live, cfg.Threads); err != nil {
-			return nil, pass, err
-		}
-		gatherDur := time.Since(t1)
-		pass.GatherTime += gatherDur
-		stillLive := false
-		for _, r := range live {
-			if err := r.EndIteration(iter); err != nil {
-				return nil, pass, err
-			}
-			stillLive = stillLive || !r.Done()
-		}
-		pass.Iterations = iter + 1
-		if tr != nil {
-			it, jobs := int64(iter), int64(len(live))
-			tr.Span(0, "scatter", t0, scatterDur, map[string]int64{"iter": it, "jobs": jobs})
-			tr.Span(0, "gather", t1, gatherDur, map[string]int64{"iter": it, "jobs": jobs})
-			tr.Span(0, "iteration", iterStart, time.Since(iterStart), map[string]int64{"iter": it})
-		}
-
-		// Snapshot only when the pass continues: EndIteration has folded
-		// any phase state into the vertices and Gather swapped the
-		// frontiers, so the snapshot is exactly what iteration iter+1
-		// starts from. A terminating pass needs no snapshot — its
-		// checkpoints are removed on success below. Checkpoints of earlier
-		// iterations outlive a failed write on purpose — they are what a
-		// retry resumes from.
-		if snaps != nil && stillLive {
-			cpStart := time.Now()
-			n, err := pp.writeCheckpoint(iter, snaps)
-			if err != nil {
-				return nil, pass, err
-			}
-			pass.BytesWritten += n
-			if tr != nil {
-				tr.Span(0, "checkpoint", cpStart, time.Since(cpStart), map[string]int64{"iter": int64(iter), "bytes": n})
-			}
-		}
-		// Slice the devices' retry counters into this iteration's window;
-		// the end-of-pass assignment below overwrites the accrual with the
-		// exact total, so sampling here cannot drift the run-level stat.
-		retriesNow := cfg.retries()
-		pass.IORetries += retriesNow - lastRetries
-		lastRetries = retriesNow
-		pass.PushIter(iter, iterMark, time.Since(iterStart))
-	}
-	if snaps != nil {
-		pp.removeCheckpoints()
-	}
-
-	results, err := core.FinishPass(runs, &pass, start)
+	dp.retries = cfg.retries()
+	results, err := core.RunPass(ctx, core.Pass{
+		Engine: dp, Runs: runs, Start: start, FirstIter: startIter,
+		MaxIterations: cfg.MaxIterations, Threads: cfg.Threads, Tracer: cfg.Tracer,
+	}, &pass)
 	if err != nil {
 		return nil, pass, err
 	}
-	pass.BytesStreamed += pass.EdgesStreamed * edgeRecSize
+	if dp.snaps != nil {
+		pp.removeCheckpoints()
+	}
 	pp.layoutStats(&pass)
 	pass.IORetries = cfg.retries() - retriesBefore
-	pass.TotalTime = time.Since(start)
-	if tr != nil {
-		tr.Span(0, "run", start, pass.TotalTime, map[string]int64{
-			"iterations": int64(pass.Iterations), "jobs": int64(len(runs)),
-		})
-	}
 	return results, pass, nil
+}
+
+// diskPass is a pass's core.PassEngine, made once per pass and reused by
+// every iteration: per direction the partition files and tile index it
+// resolved; the edge-read buffers, lent to one segment at a time; the
+// partition plan and the needing runs' sinks; and, under Config.Checkpoint,
+// the runs' snapshotters. retries is the devices' retry count when the
+// current iteration began.
+type diskPass struct {
+	pp       *Prepared
+	streams  [2]fileStream // indexed by core.Direction
+	rd       edgeScratch
+	plan     core.PartitionPlan
+	scatters []core.JobScatter
+	snaps    []core.Snapshotter
+	retries  int64
+}
+
+// fileStream is one orientation's partition edge files and tile index.
+type fileStream struct {
+	files []*partFile
+	tiles *diskTiles
+}
+
+// Resolve implements core.PassEngine: the transposed files are built on
+// first use, and the build's I/O is the triggering pass's.
+func (d *diskPass) Resolve(dir core.Direction, _ []core.JobRun, pass *core.Stats) error {
+	files, tiles, build, err := d.pp.files(dir)
+	if err != nil {
+		return err
+	}
+	build.addTo(pass)
+	d.streams[dir] = fileStream{files, tiles}
+	return nil
+}
+
+// AfterIteration implements core.IterationHook. It snapshots the runs only
+// when the pass continues: EndIteration has folded any phase state into the
+// vertices and Gather swapped the frontiers, so the snapshot is exactly what
+// iteration iter+1 starts from. A terminating pass needs no snapshot — its
+// checkpoints are removed on success. Checkpoints of earlier iterations
+// outlive a failed write on purpose — they are what a retry resumes from.
+// Then it slices the devices' retry counters into the iteration's window;
+// runPass overwrites the accrual with the exact total at the end, so the
+// sampling cannot drift the run-level stat.
+func (d *diskPass) AfterIteration(iter int, continues bool, pass *core.Stats) error {
+	pp := d.pp
+	if d.snaps != nil && continues {
+		cpStart := time.Now()
+		n, err := pp.writeCheckpoint(iter, d.snaps)
+		if err != nil {
+			return err
+		}
+		pass.BytesWritten += n
+		if tr := pp.cfg.Tracer; tr != nil {
+			tr.Span(0, "checkpoint", cpStart, time.Since(cpStart), map[string]int64{"iter": int64(iter), "bytes": n})
+		}
+	}
+	now := pp.cfg.retries()
+	pass.IORetries += now - d.retries
+	d.retries = now
+	return nil
 }
 
 // layoutStats reports the compressed layout as written so far — encoded
@@ -720,10 +608,13 @@ func (pp *Prepared) layoutStats(st *core.Stats) {
 	}
 }
 
-// scatterShared reads each partition's edge file (or only its needed tile
-// segments) once and feeds every chunk to every run in sc.subs.
-func (pp *Prepared) scatterShared(ctx context.Context, pass *core.Stats, sc *passScratch, files []*partFile, tiles *diskTiles) error {
+// Scatter implements core.PassEngine: it reads each partition's edge file
+// of dir (or only its needed tile segments) once and feeds every chunk to
+// every run that needs the partition.
+func (d *diskPass) Scatter(ctx context.Context, dir core.Direction, subs []core.JobRun, pass *core.Stats) error {
+	pp := d.pp
 	tr := pp.cfg.Tracer
+	files, tiles := d.streams[dir].files, d.streams[dir].tiles
 	for p := 0; p < pp.k; p++ {
 		if err := ctx.Err(); err != nil { // between partition files
 			return err
@@ -733,18 +624,8 @@ func (pp *Prepared) scatterShared(ctx context.Context, pass *core.Stats, sc *pas
 			pStart = time.Now()
 		}
 		fileRecs := edgeFileRecs(files[p], tiles, p)
-		needing := sc.needing[:0]
-		allPartial := true
-		for _, r := range sc.subs {
-			if r.NeedsPartition(p) {
-				needing = append(needing, r)
-				if !r.PartiallyActive(p) {
-					allPartial = false
-				}
-			} else {
-				r.SkipPartition(fileRecs)
-			}
-		}
+		d.plan.Plan(subs, p, fileRecs, tiles != nil)
+		needing := d.plan.Needing
 		if len(needing) == 0 {
 			// No run reaches the partition: by the FrontierProgram contract
 			// every edge here is a no-op, so its edge file is never read. An
@@ -756,44 +637,36 @@ func (pp *Prepared) scatterShared(ctx context.Context, pass *core.Stats, sc *pas
 			continue
 		}
 		var need func(core.SrcSpan) bool
-		if allPartial && tiles != nil {
-			// Every subscriber can tile-skip: read only the segments whose
-			// tiles some run's frontier reaches. A tile no run needs is a
-			// byte range never read — and every subscriber would have
-			// skipped at least it in a pass of its own.
-			need = func(span core.SrcSpan) bool {
-				for _, r := range needing {
-					if r.NeedsTile(span) {
-						return true
-					}
-				}
-				return false
-			}
+		if d.plan.Tiled {
+			// Read only the segments whose tiles some run's frontier
+			// reaches: a tile no run needs is a byte range never read.
+			need = d.plan.NeedsTile
+		}
+		segs, skippedRecs, skippedTiles := planSegments(tiles, p, need, fileRecs)
+		pass.EdgesSkipped += skippedRecs
+		pass.TilesSkipped += skippedTiles
+		for _, r := range needing {
+			r.SkipTiles(skippedRecs, skippedTiles)
+		}
+		if len(segs) == 0 {
+			continue
 		}
 		// A run readies its sink — one with a vertex store loads the
 		// partition's vertex window — only for a partition that is actually
 		// read. Each run has the one sink, fed by one goroutine (feedJobs),
 		// so no run's transport is ever sent to concurrently.
-		var scatters []core.JobScatter
-		io, skippedRecs, skippedTiles, err := pp.streamPartition(ctx, &sc.rd, files, tiles, p, fileRecs, need, func() {
-			scatters = sc.scatters[:len(needing)]
-			for i, r := range needing {
-				scatters[i] = r.NewScatter(0, p, fileRecs)
-			}
-		}, func(chunk []core.Edge) error {
+		scatters := d.scatters[:len(needing)]
+		for i, r := range needing {
+			scatters[i] = r.NewScatter(0, p, fileRecs)
+		}
+		io, err := pp.streamPartition(ctx, &d.rd, files, tiles, p, segs, func(chunk []core.Edge) error {
 			return feedJobs(scatters, chunk)
 		})
 		pEdges := io.logical / edgeRecSize
 		pass.EdgesStreamed += pEdges
 		pass.SequentialRefs += pEdges
+		pass.BytesStreamed += io.logical
 		io.addTo(pass)
-		if need != nil {
-			pass.EdgesSkipped += skippedRecs
-			pass.TilesSkipped += skippedTiles
-			for _, r := range needing {
-				r.SkipTiles(skippedRecs, skippedTiles)
-			}
-		}
 		if err != nil {
 			return err
 		}

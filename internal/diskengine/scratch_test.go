@@ -184,8 +184,8 @@ func (*sumCombProg) Combine(a, b int32) int32 { return a + b }
 // a copy when keep is set — and otherwise behaves like an empty transport.
 // With window set it holds that many records between flushes and refuses a
 // batch that would overflow them, like the file transport's shuffle window.
-// It is not safe for concurrent sends: the striped sink sends from its
-// coordinator only, and the race detector says so if it does not.
+// It is not safe for concurrent sends: the window sink sends from the
+// engine's goroutine only, and the race detector says so if it does not.
 type stubTransport[M any] struct {
 	refuse, keep bool
 	window       int
@@ -245,8 +245,7 @@ type probedRun struct {
 
 // setupRun runs a solo pass's preamble — prepare the dataset, make its run
 // with the stores every run is lent — and returns both, the run with tp in
-// place of its transport. The run scatters through one kernel per thread, so
-// at Threads ≥ 2 segments are cut into stripes.
+// place of its transport. The run scatters through the window sink.
 func setupRun[V, M any](t *testing.T, src core.EdgeSource, prog core.Program[V, M], cfg Config, tp core.UpdateTransport[M]) (*probedRun, *Prepared) {
 	t.Helper()
 	pp, err := prepare(src, cfg, int64(pod.Size[V]()), 1, false)
@@ -254,9 +253,7 @@ func setupRun[V, M any](t *testing.T, src core.EdgeSource, prog core.Program[V, 
 		t.Fatal(err)
 	}
 	t.Cleanup(pp.Close)
-	setup := pp.jobSetup(nil, 1)
-	setup.Stripes = pp.cfg.Threads
-	runs, err := core.ProgramSet{core.NewJob(prog)}.NewRuns(setup)
+	runs, err := core.ProgramSet{core.NewJob(prog)}.NewRuns(pp.jobSetup(nil, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -295,12 +292,12 @@ func TestScatterSendRefusedFailsIteration(t *testing.T) {
 	check("combining buffers", comb, pp)
 }
 
-// TestScatterRoomProtocol: the striped sink scatters a partition in segments
-// its transport's window has room for, drains every kernel after its stripe
-// and sweeps the kernels at the partition's end, flushing the window whenever
-// a batch would not fit. Through a window of 64 records — full between
-// segments and in mid-sweep — and one just wide enough to cut segments into
-// stripes, for destinations that never repeat and for sixteen hot ones, at
+// TestScatterRoomProtocol: the window sink scatters a partition in segments
+// its transport's window has room for, drains its kernel after every segment
+// and sweeps it at the partition's end, flushing the window whenever a batch
+// would not fit. Through a window of 64 records — full between segments and
+// in mid-sweep — and one of 4500, for destinations that never repeat and for
+// sixteen hot ones, at
 // Threads 1, 2 and 4 with vertex state in memory and spilled: nothing is
 // refused, every update sent is delivered or combined away, and every
 // destination receives the total the in-memory engine's per-worker sink
@@ -316,8 +313,6 @@ func TestScatterRoomProtocol(t *testing.T) {
 		name  string
 		edges []core.Edge
 	}{{"distinct", distinct}, {"hot", hot}} {
-		// 4096 edges is the shortest segment the striped sink cuts into
-		// stripes.
 		for _, window := range []int{64, 4096 + 404} {
 			for _, threads := range []int{1, 2, 4} {
 				for _, spill := range []bool{false, true} {
@@ -386,7 +381,7 @@ func partitionEdges(t *testing.T, pp *Prepared, p int) (edges []core.Edge) {
 }
 
 // TestScatterSinkAllocatesNothingWarm: once the run has its kernels, a
-// partition through the striped sink — NewScatter Begins them, Edges scatters and
+// partition through the window sink — NewScatter Begins it, Edges scatters and
 // drains segment by segment, Flush sweeps — allocates nothing, with or without
 // a Combiner, and also when the transport's window is so small that segments
 // end on flushes and the sweep flushes mid-way.

@@ -51,20 +51,15 @@ type diskTiles struct {
 	physBytes       int64
 }
 
-func newDiskTiles(k, tileRecs int) *diskTiles {
+// newDiskTiles returns a tile index for the raw or compressed layout.
+func newDiskTiles(k, tileRecs int, compressed bool) *diskTiles {
 	return &diskTiles{
-		tileRecs: int64(tileRecs),
-		parts:    make([][]tileSpan, k),
-		partRecs: make([]int64, k),
-		open:     make([]tileSpan, k),
+		tileRecs:   int64(tileRecs),
+		compressed: compressed,
+		parts:      make([][]tileSpan, k),
+		partRecs:   make([]int64, k),
+		open:       make([]tileSpan, k),
 	}
-}
-
-// newDiskTilesFor returns a tile index for the raw or compressed layout.
-func newDiskTilesFor(k, tileRecs int, compressed bool) *diskTiles {
-	t := newDiskTiles(k, tileRecs)
-	t.compressed = compressed
-	return t
 }
 
 // totalRecs returns the logical record count of partition p's edge file —
@@ -121,19 +116,14 @@ type recRange struct {
 	lo, hi int64
 }
 
-// activeSegments walks partition p's tiles against the frontier and
-// returns the coalesced record ranges that must be streamed, plus the
-// number of records and tiles skipped. wantRecs is the file's actual
-// record count: if the index does not cover it exactly (it always should;
-// this is a safety net, not an expected path) the whole file is returned
-// as one segment and nothing is skipped.
-func (t *diskTiles) activeSegments(p int, front *core.Frontier, wantRecs int64) (segs []recRange, skippedRecs, skippedTiles int64) {
-	return t.activeSegmentsFunc(p, func(s core.SrcSpan) bool { return s.Intersects(front) }, wantRecs)
-}
-
-// activeSegmentsFunc is activeSegments over an arbitrary tile predicate —
-// shared-pass execution streams a tile when *any* co-scheduled job's
-// frontier needs it, so the predicate there is a union over jobs.
+// activeSegmentsFunc walks partition p's tiles against the tile predicate
+// need — shared-pass execution streams a tile when *any* co-scheduled job's
+// frontier needs it, so need is a union over jobs — and returns the
+// coalesced record ranges that must be streamed, plus the number of records
+// and tiles skipped. wantRecs is the file's actual record count: if the
+// index does not cover it exactly (it always should; this is a safety net,
+// not an expected path) the whole file is returned as one segment and
+// nothing is skipped.
 func (t *diskTiles) activeSegmentsFunc(p int, need func(core.SrcSpan) bool, wantRecs int64) (segs []recRange, skippedRecs, skippedTiles int64) {
 	if t.totalRecs(p) != wantRecs {
 		return []recRange{{0, wantRecs}}, 0, 0

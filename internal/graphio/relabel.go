@@ -10,6 +10,25 @@ import (
 	"repro/internal/storage"
 )
 
+// Partition plans src's partitioning into k parts with pr — the range
+// partitioner when nil, a locality-aware one paying its streaming passes
+// now — and returns the validated plan, the partitioner's name and src
+// rewritten through the plan's relabeling: both engines' ingest up to
+// their edge shuffle.
+func Partition(src core.EdgeSource, pr core.Partitioner, k int) (core.EdgeSource, *core.Assignment, string, error) {
+	if pr == nil {
+		pr = core.RangePartitioner{}
+	}
+	asg, err := pr.Assign(src, k)
+	if err == nil {
+		err = asg.Validate(src.NumVertices())
+	}
+	if err != nil {
+		return nil, nil, "", fmt.Errorf("partitioner %s: %w", pr.Name(), err)
+	}
+	return Relabeled(src, asg.Relabel), asg, pr.Name(), nil
+}
+
 // Relabeled returns an EdgeSource streaming src with both endpoints of
 // every edge rewritten through perm (original ID -> relabeled ID). It is a
 // pure streaming transformation, the remap stage engines insert between

@@ -143,21 +143,14 @@ func (c Config) withDefaults() Config {
 }
 
 // Result carries the final vertex states and execution statistics.
-type Result[V any] struct {
-	Vertices []V
-	Stats    core.Stats
-}
+type Result[V any] = core.Result[V]
 
 // Run executes prog on g with the in-memory engine and returns the final
 // vertex states. It is RunJob with the types kept: the program runs as a
 // ProgramSet of one through the engine's only loop (Prepared.RunMany), so
 // a typed run and a type-erased or co-scheduled one cannot drift apart.
 func Run[V, M any](g core.EdgeSource, prog core.Program[V, M], cfg Config) (*Result[V], error) {
-	res, err := RunJob(cfg.Context, g, core.NewJob(prog), cfg)
-	if err != nil {
-		return nil, err
-	}
-	return &Result[V]{Vertices: res.Vertices.([]V), Stats: res.Stats}, nil
+	return core.Typed[V](RunJob(cfg.Context, g, core.NewJob(prog), cfg))
 }
 
 // buildTileIndex walks every partition's edge chunk in BucketTiles order

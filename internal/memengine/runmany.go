@@ -5,16 +5,19 @@ package memengine
 // everything about a dataset that is job-independent — the edge list
 // shuffled into partition chunks, the lazily built transpose, the tile
 // source index — and RunMany drives any number of co-scheduled jobs
-// (core.ProgramSet) from one edge stream per iteration. Each streamed run
-// or tile is handed to every subscribing job's scatter sink, so the
-// sequential edge stream — the dominant, fixed cost of X-Stream's model —
-// is paid once per pass instead of once per job. Jobs with a frontier
+// (core.ProgramSet) from one edge stream per iteration through
+// core.RunPass, the iteration loop of both engines; this file supplies only
+// how a partition's edges reach the scatter (memPass). Each streamed run or
+// tile is handed to every subscribing job's scatter sink, so the sequential
+// edge stream — the dominant, fixed cost of X-Stream's model — is paid once
+// per pass instead of once per job. Jobs with a frontier
 // (core.FrontierProgram, Config.Selective) subscribe per partition and per
-// tile: a chunk is skipped only when *no* job needs it (the frontier
-// union), and a streamed tile is still withheld from jobs whose own
-// frontier misses it, so every job's results and skip stats match a run
-// on its own. Jobs drop out as they converge; the pass ends when all are
-// done.
+// tile (core.PartitionPlan): a chunk is skipped only when *no* job needs it
+// (the frontier union), a partition some job is partially active in is
+// streamed tile by tile, and a streamed tile is still withheld from jobs
+// whose own frontier misses it, so every job's results and skip stats match
+// a run on its own. Jobs drop out as they converge; the pass ends when all
+// are done.
 
 import (
 	"context"
@@ -91,26 +94,16 @@ func prepare(g core.EdgeSource, cfg Config, footprint int) (*Prepared, error) {
 		return nil, fmt.Errorf("memengine: %w", err)
 	}
 
-	pr := cfg.Partitioner
-	if pr == nil {
-		pr = core.RangePartitioner{}
-	}
-	asg, err := pr.Assign(g, k)
+	g, asg, partName, err := graphio.Partition(g, cfg.Partitioner, k)
 	if err != nil {
-		return nil, fmt.Errorf("memengine: partitioner %s: %w", pr.Name(), err)
-	}
-	if err := asg.Validate(nv); err != nil {
-		return nil, fmt.Errorf("memengine: partitioner %s: %w", pr.Name(), err)
-	}
-	if !asg.Identity() {
-		g = graphio.Relabeled(g, asg.Relabel)
+		return nil, fmt.Errorf("memengine: %w", err)
 	}
 	fwd, err := loadShuffled(g, plan, asg.Split, cfg.Threads)
 	if err != nil {
 		return nil, err
 	}
 	return &Prepared{
-		cfg: cfg, plan: plan, asg: asg, part: asg.Split, partName: pr.Name(),
+		cfg: cfg, plan: plan, asg: asg, part: asg.Split, partName: partName,
 		nv: nv, ne: ne, fwd: fwd,
 	}, nil
 }
@@ -167,18 +160,17 @@ func (pp *Prepared) edges(dir core.Direction, needTiles bool) (*streambuf.Buffer
 }
 
 // RunMany executes every job of set against g with the in-memory engine,
-// sharing one edge stream per iteration. See Prepared.RunMany. The pass's
-// PreprocessTime, TotalTime and "run" span cover the ingest as well.
+// sharing one edge stream per iteration. See Prepared.RunMany. Every job is
+// checked before the ingest. The pass's PreprocessTime, TotalTime and "run"
+// span cover the ingest as well.
 func RunMany(ctx context.Context, g core.EdgeSource, set core.ProgramSet, cfg Config) ([]core.JobResult, core.Stats, error) {
 	start := time.Now()
+	if err := set.Check(); err != nil {
+		return nil, core.Stats{}, fmt.Errorf("memengine: %w", err)
+	}
 	foot := 0
 	for _, j := range set {
-		if f := core.Footprint(j.VertexBytes(), j.UpdateBytes()); f > foot {
-			foot = f
-		}
-	}
-	if foot == 0 {
-		foot = core.Footprint(sharedVertexBytes, sharedUpdateBytes)
+		foot = max(foot, core.Footprint(j.VertexBytes(), j.UpdateBytes()))
 	}
 	pp, err := prepare(g, cfg, foot)
 	if err != nil {
@@ -190,13 +182,7 @@ func RunMany(ctx context.Context, g core.EdgeSource, set core.ProgramSet, cfg Co
 // RunJob executes a single type-erased job — the registry-driven form of
 // Run, used by cmd/xstream and single-job serving paths.
 func RunJob(ctx context.Context, g core.EdgeSource, job *core.Job, cfg Config) (*core.JobResult, error) {
-	res, pass, err := RunMany(ctx, g, core.ProgramSet{job}, cfg)
-	if err != nil {
-		return nil, err
-	}
-	// A solo pass's shared-side accounting is the job's own.
-	core.GraftPass(&res[0].Stats, &pass)
-	return &res[0], nil
+	return core.Solo(RunMany(ctx, g, core.ProgramSet{job}, cfg))
 }
 
 // RunMany drives all jobs of set from one edge stream per iteration. It
@@ -209,25 +195,15 @@ func (pp *Prepared) RunMany(ctx context.Context, set core.ProgramSet) ([]core.Jo
 	return pp.runMany(ctx, set, time.Now())
 }
 
-// runMany is the engine's one iteration loop. start is when the pass's
-// work began — before the ingest for a pass that prepared its own dataset,
-// on entry for a pass over a cached one — so PreprocessTime (start to the
-// last job set up: partitioner, edge shuffle, vertex state, transports)
-// and TotalTime mean the same for both.
+// runMany sets set's runs up and drives them through core.RunPass, the
+// iteration loop of both engines, with a memPass streaming the buffers.
+// start is when the pass's work began (see core.Pass).
 func (pp *Prepared) runMany(ctx context.Context, set core.ProgramSet, start time.Time) ([]core.JobResult, core.Stats, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	if len(set) == 0 {
-		return nil, core.Stats{}, fmt.Errorf("memengine: RunMany of an empty program set")
-	}
 	cfg := pp.cfg
-	tr := cfg.Tracer
 	pass := core.Stats{
 		Algorithm: set.Label(), Engine: "memory", Partitioner: pp.partName,
 		Partitions: pp.part.K, Threads: cfg.Threads, CoJobs: len(set),
 	}
-
 	runs, err := set.NewRuns(core.JobSetup{
 		Assignment: pp.asg, NumVertices: pp.nv, NumEdges: pp.ne,
 		Threads: cfg.Threads, Plan: pp.plan, UpdateCap: int(pp.ne),
@@ -238,173 +214,67 @@ func (pp *Prepared) runMany(ctx context.Context, set core.ProgramSet, start time
 		return nil, pass, fmt.Errorf("memengine: %w", err)
 	}
 	defer core.CloseRuns(runs)
-	pass.PreprocessTime = time.Since(start)
-	if tr != nil {
-		tr.Span(0, "preprocess", start, pass.PreprocessTime, nil)
-	}
-
-	live := make([]core.JobRun, 0, len(runs))
-	sc := newScatterScratch(len(runs), cfg.Threads)
-	for iter := 0; iter < cfg.MaxIterations; iter++ {
-		live = live[:0]
-		for _, r := range runs {
-			if !r.Done() {
-				live = append(live, r)
-			}
-		}
-		if len(live) == 0 {
-			break
-		}
-		if err := ctx.Err(); err != nil {
-			return nil, pass, err
-		}
-		iterStart := time.Now()
-		iterMark := pass.MarkIter()
-		for _, r := range live {
-			r.StartIteration(iter)
-			if err := r.BeginScatter(); err != nil {
-				return nil, pass, fmt.Errorf("memengine: %w", err)
-			}
-		}
-
-		// One shared scatter per direction a live job asked for: jobs that
-		// agree on orientation (the common same-algorithm batch) share the
-		// stream; disagreeing jobs cost one extra stream, never one per job.
-		// The streams are resolved first — the transpose is a streaming
-		// pass of its own (§2), built the first time a job asks for it, and
-		// is not scatter time.
-		for dir := range sc.streams {
-			st := &sc.streams[dir]
-			st.subs = st.subs[:0]
-			needTiles := false
-			for _, r := range live {
-				if r.Direction(iter) == core.Direction(dir) {
-					st.subs = append(st.subs, r)
-					if !r.Dense() {
-						needTiles = true
-					}
-				}
-			}
-			if len(st.subs) == 0 {
-				continue
-			}
-			st.edges, st.tiles = pp.edges(core.Direction(dir), needTiles)
-		}
-		t0 := time.Now()
-		for dir := range sc.streams {
-			if st := &sc.streams[dir]; len(st.subs) > 0 {
-				if err := pp.scatterShared(ctx, &pass, sc, st); err != nil {
-					return nil, pass, err
-				}
-			}
-		}
-		scatterDur := time.Since(t0)
-		pass.ScatterTime += scatterDur
-
-		// Shuffle, then gather (with selective scheduling it doubles as the
-		// census for the next frontier). Co-scheduled jobs overlap the two,
-		// so the pass splits the phase where the last stream was sealed.
-		t1 := time.Now()
-		shuffleDur, err := core.EndAndGather(live, cfg.Threads)
-		if err != nil {
-			return nil, pass, fmt.Errorf("memengine: %w", err)
-		}
-		gatherDur := time.Since(t1) - shuffleDur
-		pass.ShuffleTime += shuffleDur
-		pass.GatherTime += gatherDur
-		for _, r := range live {
-			if err := r.EndIteration(iter); err != nil {
-				return nil, pass, fmt.Errorf("memengine: %w", err)
-			}
-		}
-		pass.Iterations = iter + 1
-		pass.PushIter(iter, iterMark, time.Since(iterStart))
-		if tr != nil {
-			it, jobs := int64(iter), int64(len(live))
-			tr.Span(0, "scatter", t0, scatterDur, map[string]int64{"iter": it, "jobs": jobs})
-			tr.Span(0, "shuffle", t1, shuffleDur, map[string]int64{"iter": it, "jobs": jobs})
-			tr.Span(0, "gather", t1.Add(shuffleDur), gatherDur, map[string]int64{"iter": it, "jobs": jobs})
-			tr.Span(0, "iteration", iterStart, time.Since(iterStart), map[string]int64{"iter": it})
-		}
-	}
-
-	results, err := core.FinishPass(runs, &pass, start)
-	if err != nil {
-		return nil, pass, err
-	}
-	pass.TotalTime = time.Since(start)
-	if tr != nil {
-		tr.Span(0, "run", start, pass.TotalTime, map[string]int64{
-			"iterations": int64(pass.Iterations), "jobs": int64(len(set)),
-		})
-	}
-	return results, pass, nil
+	results, err := core.RunPass(ctx, core.Pass{
+		Engine: newMemPass(pp, len(runs)), Runs: runs, Start: start,
+		MaxIterations: cfg.MaxIterations, Threads: cfg.Threads, Tracer: cfg.Tracer,
+	}, &pass)
+	return results, pass, err
 }
 
-// scatterScratch is the pass-owned scratch of the shared scatter, made once
-// per pass and reused by every iteration: per edge list orientation the
-// iteration's stream, and for each engine worker the jobs that need the
-// partition it is on and their sinks. Worker w owns needing[w*n:(w+1)*n]
-// and the same window of scatters, n being the number of jobs in the set.
-type scatterScratch struct {
+// memPass is a pass's core.PassEngine, made once per pass and reused by
+// every iteration: per edge list orientation the buffer it resolved, and for
+// each engine worker its partition plan and the needing runs' sinks. Worker
+// w owns scatters[w*n:(w+1)*n], n being the number of runs in the pass.
+type memPass struct {
+	pp       *Prepared
 	n        int
 	streams  [2]edgeStream // indexed by core.Direction
-	needing  []core.JobRun
+	plans    []core.PartitionPlan
 	scatters []core.JobScatter
 }
 
-// edgeStream is one orientation's share of an iteration: the live jobs
-// that stream it and the edge buffer (with its tile index, when a
-// subscriber has a frontier) they share.
+// edgeStream is one orientation's edge buffer, with its tile index when a
+// subscriber has a frontier.
 type edgeStream struct {
-	subs  []core.JobRun
 	edges *streambuf.Buffer[core.Edge]
 	tiles [][]core.SrcSpan
 }
 
-func newScatterScratch(jobs, workers int) *scatterScratch {
-	sc := &scatterScratch{
-		n:        jobs,
-		needing:  make([]core.JobRun, jobs*workers),
-		scatters: make([]core.JobScatter, jobs*workers),
+func newMemPass(pp *Prepared, runs int) *memPass {
+	return &memPass{
+		pp: pp, n: runs,
+		plans:    make([]core.PartitionPlan, pp.cfg.Threads),
+		scatters: make([]core.JobScatter, runs*pp.cfg.Threads),
 	}
-	for dir := range sc.streams {
-		sc.streams[dir].subs = make([]core.JobRun, 0, jobs)
-	}
-	return sc
 }
 
-// scatterShared streams every partition's edge chunk of st once, feeding
-// each run or tile to every subscribing job through that job's sink for the
-// worker — thread-private buffers, §4.1: plain append buffers normally,
-// combining buffers when the program has a Combiner; the job owns them, one
-// per worker, for the life of its run. Partitions are claimed by worker
-// threads from a shared cursor (work stealing, §4.1). A cancelled context or
-// a failed sink stops the walk: no worker starts another partition, and the
-// first such error is returned.
-func (pp *Prepared) scatterShared(ctx context.Context, pass *core.Stats, sc *scatterScratch, st *edgeStream) error {
-	edges, tiles := st.edges, st.tiles
-	var streamed, skippedEdges, skippedParts, skippedTiles atomic.Int64
-	var stopped atomic.Bool
-	var stopMu sync.Mutex
-	var stopErr error
-	stop := func(err error) {
-		stopMu.Lock()
-		if stopErr == nil {
-			stopErr = err
-		}
-		stopMu.Unlock()
-		stopped.Store(true)
+// Resolve implements core.PassEngine: the transpose and the tile index are
+// built the first time a run asks for them.
+func (m *memPass) Resolve(dir core.Direction, subs []core.JobRun, _ *core.Stats) error {
+	needTiles := false
+	for _, r := range subs {
+		needTiles = needTiles || !r.Dense()
 	}
-	tr := pp.cfg.Tracer
+	st := &m.streams[dir]
+	st.edges, st.tiles = m.pp.edges(dir, needTiles)
+	return nil
+}
 
-	forEachPartition(pp.part.K, pp.cfg.Threads, pp.cfg.NoWorkStealing, func(w, p int) {
-		if stopped.Load() {
-			return
-		}
+// Scatter implements core.PassEngine: it streams every partition's edge
+// chunk of dir once, feeding each run or tile to every needing run through
+// that run's sink for the worker — thread-private buffers, §4.1: plain
+// append buffers normally, combining buffers when the program has a
+// Combiner; the run owns them, one per worker, for its life. Partitions are
+// claimed by worker threads from a shared cursor (work stealing, §4.1). A
+// cancelled context or a failed sink stops the walk (forEachPartition).
+func (m *memPass) Scatter(ctx context.Context, dir core.Direction, subs []core.JobRun, pass *core.Stats) error {
+	pp := m.pp
+	edges, tiles := m.streams[dir].edges, m.streams[dir].tiles
+	var streamed, skippedEdges, skippedParts, skippedTiles atomic.Int64
+	tr := pp.cfg.Tracer
+	err := forEachPartition(pp.part.K, pp.cfg.Threads, pp.cfg.NoWorkStealing, func(w, p int) error {
 		if err := ctx.Err(); err != nil {
-			stop(err)
-			return
+			return err
 		}
 		var pStart time.Time
 		if tr != nil {
@@ -412,39 +282,30 @@ func (pp *Prepared) scatterShared(ctx context.Context, pass *core.Stats, sc *sca
 		}
 		var pEdges int64
 		chunkLen := int64(edges.BucketLen(p))
-		needing := sc.needing[w*sc.n : w*sc.n : (w+1)*sc.n]
-		partial := false
-		for _, r := range st.subs {
-			if r.NeedsPartition(p) {
-				needing = append(needing, r)
-				if r.PartiallyActive(p) {
-					partial = true
-				}
-			} else {
-				r.SkipPartition(chunkLen)
-			}
-		}
+		plan := &m.plans[w]
+		plan.Plan(subs, p, chunkLen, tiles != nil)
+		needing := plan.Needing
 		if len(needing) == 0 {
-			// No job needs the chunk: the pass skips it whole. An edgeless
+			// No run needs the chunk: the pass skips it whole. An edgeless
 			// partition elides nothing, so it is not counted.
 			if chunkLen > 0 {
 				skippedEdges.Add(chunkLen)
 				skippedParts.Add(1)
 			}
-			return
+			return nil
 		}
-		scatters := sc.scatters[w*sc.n : w*sc.n+len(needing)]
+		scatters := m.scatters[w*m.n : w*m.n+len(needing)]
 		for i, r := range needing {
 			scatters[i] = r.NewScatter(w, p, chunkLen)
 		}
 		// err is the partition's first sink failure; once set, no sink is
 		// fed another edge.
 		var err error
-		if partial && tiles != nil {
-			// Tile-granular scheduling: a tile is streamed when any job's
-			// frontier intersects its source span, and still withheld from
-			// the jobs whose own frontier misses it — per-job results and
-			// skip accounting match a solo selective run.
+		if plan.Tiled {
+			// A tile is streamed when any run's frontier intersects its
+			// source span, and still withheld from the runs whose own
+			// frontier misses it — per-run results and skip accounting
+			// match a solo selective run.
 			spans := tiles[p]
 			ti := 0
 			edges.BucketTiles(p, pp.cfg.TileEdges, func(tile []core.Edge) {
@@ -492,16 +353,16 @@ func (pp *Prepared) scatterShared(ctx context.Context, pass *core.Stats, sc *sca
 			}
 		}
 		if err != nil {
-			stop(err)
-			return
+			return err
 		}
-		if tr != nil {
+		if tr != nil && pEdges > 0 {
 			tr.Span(1+w, "partition", pStart, time.Since(pStart),
 				map[string]int64{"p": int64(p), "edges": pEdges, "jobs": int64(len(needing))})
 		}
+		return nil
 	})
-	if stopErr != nil {
-		return stopErr
+	if err != nil {
+		return err
 	}
 	n := streamed.Load()
 	pass.EdgesStreamed += n
@@ -517,24 +378,34 @@ func (pp *Prepared) scatterShared(ctx context.Context, pass *core.Stats, sc *sca
 // (0-based; tracers key per-worker span tracks off it) alongside the
 // partition: by default workers claim the next unprocessed partition from
 // a shared cursor (work stealing, §4.1); noSteal switches to the static
-// round-robin assignment of the NoWorkStealing ablation.
-func forEachPartition(k, workers int, noSteal bool, fn func(w, p int)) {
+// round-robin assignment of the NoWorkStealing ablation. Once fn has failed
+// no worker starts another partition, and a failure is returned.
+func forEachPartition(k, workers int, noSteal bool, fn func(w, p int) error) error {
 	if !noSteal {
-		core.ForEachClaimed(k, workers, fn)
-		return
+		return core.ForEachClaimedUntil(k, workers, fn)
 	}
 	workers = min(workers, k)
+	var failed atomic.Bool
+	errs := make([]error, workers)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			for p := w; p < k; p += workers {
-				fn(w, p)
+			for p := w; p < k && !failed.Load(); p += workers {
+				if errs[w] = fn(w, p); errs[w] != nil {
+					failed.Store(true)
+				}
 			}
 		}(w)
 	}
 	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // loadShuffled streams src into a buffer and shuffles it by source
