@@ -143,7 +143,7 @@
 // 2PS clustering permutation, the shuffled edge chunks (in memory) or
 // pre-processed partition edge files plus tile index (out of core), shared
 // by every subsequent pass. ctx cancelation is honored between iterations
-// and chunks — as it is by RunMemory/RunDisk via Config.Context.
+// and chunks.
 //
 // Both engines have exactly one iteration loop between them, the shared-pass
 // one (core.RunPass): RunMemory and RunDisk wrap their program with NewJob,

@@ -125,51 +125,6 @@ func TestMemFanout(t *testing.T) {
 	}
 }
 
-func TestDiskPartitionsInequality(t *testing.T) {
-	// §3.4's worked example: N = 1 TB of vertex data, S = 16 MB => the
-	// minimum memory is 2*sqrt(5NS) ≈ 17 GB with under 120 partitions.
-	n := int64(1) << 40
-	s := 16 << 20
-	k, err := DiskPartitions(n, s, 18<<30)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if k > 120 {
-		t.Fatalf("K = %d, paper says under 120", k)
-	}
-	// Inequality must hold for the returned K.
-	if lhs := n/int64(k) + 5*int64(s)*int64(k); lhs > 18<<30 {
-		t.Fatalf("inequality violated: %d > %d", lhs, 18<<30)
-	}
-	// An impossible budget errors.
-	if _, err := DiskPartitions(n, s, 1<<30); err == nil {
-		t.Fatal("expected error for tiny budget")
-	}
-}
-
-func TestDiskPartitionsProperty(t *testing.T) {
-	f := func(nRaw uint32, budgetRaw uint32) bool {
-		n := int64(nRaw) + 1
-		s := 1 << 20
-		budget := int64(budgetRaw)%(1<<30) + 64<<20
-		k, err := DiskPartitions(n, s, budget)
-		if err != nil {
-			// Must genuinely be infeasible at the optimum.
-			kstar := int64(1)
-			for need(n, s, kstar+1) < need(n, s, kstar) {
-				kstar++
-			}
-			return need(n, s, kstar) > budget
-		}
-		return k >= 1 && need(n, s, int64(k)) <= budget
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func need(n int64, s int, k int64) int64 { return (n+k-1)/k + 5*int64(s)*k }
-
 func TestFootprint(t *testing.T) {
 	if got := Footprint(8, 8); got != 28 {
 		t.Fatalf("Footprint = %d, want 28", got)

@@ -284,10 +284,11 @@ type JobSetup struct {
 	// engine lends the run (see Spill). Setup calls it once, with the
 	// run's vertex and update record sizes and the tally its stores count
 	// their I/O on. Such an engine streams one partition at a time through
-	// sink 0, which holds its kernel's sends to the transport's window (see
-	// jobScatter). Without it vertex state and the update stream stay in
-	// memory, in a window of UpdateCap records, and every engine worker
-	// scatters whole partitions through a sink of its own.
+	// sink 0, fed by one goroutine at a time, whose kernel sends into a transport
+	// that spills each window the sends fill (see jobScatter). Without it
+	// vertex state and the update stream stay in memory, in a window of
+	// UpdateCap records, and every engine worker scatters whole partitions
+	// through a sink of its own.
 	Spill func(vertexBytes, updateBytes int, io *SpillIO) (*Spill, error)
 }
 
@@ -334,9 +335,10 @@ type JobRun interface {
 	// NewScatter returns engine worker w's scatter sink (0 ≤ w < the
 	// setup's Threads), readied for partition p whose edge chunk holds
 	// chunkEdges records. The run owns one sink per worker for its whole
-	// life — with stores lent (JobSetup.Spill) only worker 0's — so a
-	// worker must Flush its sink, when the partition's edges are exhausted,
-	// before asking for the next. Sinks are single-goroutine.
+	// life — with stores lent (JobSetup.Spill) only worker 0's, because a
+	// transport over a store takes sends from one goroutine at a time — so
+	// a worker must Flush its sink, when the partition's edges are
+	// exhausted, before asking for the next. Sinks are single-goroutine.
 	NewScatter(w, p int, chunkEdges int64) JobScatter
 	// SkipPartition accounts a whole partition chunk the job's frontier
 	// proved useless (the engine never handed it to a sink). Safe for

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"math"
 	"math/bits"
 	"unsafe"
 )
@@ -263,46 +262,6 @@ func MemFanout(cacheBytes, cacheLineBytes int) int {
 	}
 	// Round down to a power of two.
 	return 1 << (bits.Len(uint(lines)) - 1)
-}
-
-// DiskPartitions computes the number of streaming partitions for the
-// out-of-core engine from the §3.4 inequality
-//
-//	N/K + 5·S·K ≤ M
-//
-// where N is total vertex state bytes, S the I/O unit and M the memory
-// budget (five stream buffers: two input, two output, one shuffle). It
-// returns the smallest viable K, preferring small K to maximize sequential
-// runs. If even the optimum K = sqrt(N/(5S)) violates the budget, an error
-// reports the minimum memory required, 2·sqrt(5·N·S).
-func DiskPartitions(vertexBytes int64, ioUnit int, memBudget int64) (int, error) {
-	if vertexBytes <= 0 {
-		return 1, nil
-	}
-	s := int64(ioUnit)
-	need := func(k int64) int64 {
-		return (vertexBytes+k-1)/k + 5*s*k
-	}
-	// Minimum of the left-hand side is at K* = sqrt(N/5S).
-	kstar := int64(math.Sqrt(float64(vertexBytes) / float64(5*s)))
-	if kstar < 1 {
-		kstar = 1
-	}
-	minMem := need(kstar)
-	if m := need(kstar + 1); m < minMem {
-		minMem, kstar = m, kstar+1
-	}
-	if minMem > memBudget {
-		return 0, fmt.Errorf("core: out-of-core run needs at least %d bytes of memory (budget %d): %d bytes of vertex state with %d-byte I/O units",
-			minMem, memBudget, vertexBytes, ioUnit)
-	}
-	// Smallest K satisfying the inequality.
-	for k := int64(1); k <= kstar; k++ {
-		if need(k) <= memBudget {
-			return int(k), nil
-		}
-	}
-	return int(kstar), nil
 }
 
 // Footprint returns the §4 vertex footprint used to size in-memory

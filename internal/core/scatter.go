@@ -27,12 +27,12 @@ func (c *ScatterCounts) Add(o ScatterCounts) {
 // edges; Edges scatters a run of the task's edges in blocks: loop A applies
 // the program's Scatter into the stage array, loop B counts the
 // cross-partition updates and feeds them to the combining cache (the plain
-// append buffer for a program without a Combiner); Drain
-// hands what the task has evicted so far to the transport; End flushes the
-// buffer into the transport and returns the task's counts. A batch the
-// transport refuses fails the task: Edges, Drain and End return the refusal,
-// and Edges scatters nothing more until the next Begin. A kernel belongs to
-// one goroutine at a time.
+// append buffer for a program without a Combiner), which sends every full
+// batch straight into the transport; End empties the buffer into the
+// transport and returns the task's counts. A batch the transport refuses
+// fails the task: Edges and End return the refusal with the transport's
+// reason, and Edges scatters nothing more until the next Begin. A kernel
+// belongs to one goroutine at a time.
 type ScatterKernel[V, M any] struct {
 	prog Program[V, M]
 	tp   UpdateTransport[M]
@@ -42,10 +42,6 @@ type ScatterKernel[V, M any] struct {
 	// through the loop it picked, a func value, so a method value made per
 	// block would escape to the heap.
 	drain func([]Update[M])
-	// hold is set by HoldSends; held is then every batch sent since the last
-	// Drain, in order.
-	hold bool
-	held []Update[M]
 
 	p       int
 	lo, per uint32 // partition p owns vertices [lo, lo+per)
@@ -70,21 +66,13 @@ func NewScatterKernel[V, M any](prog Program[V, M], tp UpdateTransport[M], combi
 	return k
 }
 
-// HoldSends makes the kernel keep every batch it sends until the next Drain
-// or End, which put them into the transport, filling its window and flushing
-// it whenever a batch would not fit. It is for a caller that streams a
-// partition through the transport's window: Drain after every segment puts
-// at most one record per edge of the segment into the transport, and End's
-// sweep flushes the window as often as its residents need.
-func (k *ScatterKernel[V, M]) HoldSends() { k.hold = true }
-
 // Begin readies the kernel for a task over edges of partition p of split
 // whose sources lie in verts, the vertex window starting at vertex base,
 // combining within a window of up to window records.
 func (k *ScatterKernel[V, M]) Begin(p int, split Split, verts []V, base VertexID, window int) {
 	k.p, k.lo, k.per = p, uint32(p)*split.per, split.per
 	k.verts, k.base, k.n, k.err = verts, base, ScatterCounts{}, nil
-	k.out, k.held = k.out[:0], k.held[:0]
+	k.out = k.out[:0]
 	if k.cb != nil {
 		k.cb.Reset(window)
 	}
@@ -139,60 +127,11 @@ func (k *ScatterKernel[V, M]) route(us []Update[M]) {
 	}
 }
 
-// send hands a full batch on: into the transport, or to held while sends
-// are held.
+// send hands a full batch to the transport; a refusal fails the task.
 func (k *ScatterKernel[V, M]) send(recs []Update[M]) {
-	if k.hold {
-		k.held = append(k.held, recs...)
-		return
-	}
-	k.put(recs)
-}
-
-// put sends recs into the transport; a refusal fails the task.
-func (k *ScatterKernel[V, M]) put(recs []Update[M]) {
 	if !k.tp.Send(k.p, recs) && k.err == nil {
-		k.err = fmt.Errorf("update transport refused a scatter batch of %d records (capacity %d records)", len(recs), k.tp.Cap())
+		k.err = fmt.Errorf("update transport refused a scatter batch of %d records: %w", len(recs), k.tp.Err())
 	}
-}
-
-// release puts the held batches into the transport in pieces that fit its
-// window, flushing the window whenever it is full. A window still full after
-// a flush is left to refuse the rest; a failed flush fails the task.
-func (k *ScatterKernel[V, M]) release() {
-	recs := k.held
-	k.held = k.held[:0]
-	for len(recs) > 0 && k.err == nil {
-		room := k.tp.Room()
-		if room == 0 {
-			if k.err = k.tp.Flush(); k.err != nil {
-				return
-			}
-			room = max(k.tp.Room(), 1)
-		}
-		n := min(room, len(recs))
-		k.put(recs[:n])
-		recs = recs[n:]
-	}
-}
-
-// Drain hands the transport what the task has evicted so far — a combining
-// cache's append buffer, or the whole plain buffer — and, when sends are
-// held, every batch held since the last Drain; a cache's residents stay. It
-// returns the task's refused batch, if any. A task drained after every run
-// of Edges has put at most one record into the transport per edge of that
-// run, so a caller can bound a run by the room it reserved.
-func (k *ScatterKernel[V, M]) Drain() error {
-	if k.cb != nil {
-		k.cb.drain(k.drain)
-	} else if len(k.out) > 0 {
-		k.send(k.out)
-		k.out = k.out[:0]
-	}
-	if k.hold {
-		k.release()
-	}
-	return k.err
 }
 
 // End finishes the task: the private buffer empties into the transport, and
@@ -202,7 +141,9 @@ func (k *ScatterKernel[V, M]) End() (ScatterCounts, error) {
 	if k.cb != nil {
 		k.cb.Sweep(k.drain)
 		k.n.Combined += k.cb.Combined
+	} else if len(k.out) > 0 {
+		k.send(k.out)
+		k.out = k.out[:0]
 	}
-	k.Drain()
 	return k.n, k.err
 }

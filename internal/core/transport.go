@@ -8,16 +8,17 @@ package core
 // without knowing whether the records stayed in memory or went through
 // partition files on disk.
 //
-// There is one implementation, ShuffleTransport, in three shapes that
-// differ only in window size. Without a spill store its one window holds a
-// whole iteration (NewShuffleTransport, every core.jobRun's). Over a spill
-// store (NewSpillTransport, the solo out-of-core run's update files) a full
-// window is shuffled, folded and spilled, mid-iteration or on every batch,
-// and an iteration that never fills one stays in memory.
-// internal/transport/conformance is the contract suite all three shapes
-// pass.
+// There is one implementation, ShuffleTransport. Without a spill store its
+// one window holds a whole iteration (NewShuffleTransport, the in-memory
+// runs'). Over a spill store (NewSpillTransport, the update files of a run
+// lent an out-of-core engine's stores) Send fills a window and, when the
+// next record needs room, shuffles, folds and spills it itself; an
+// iteration that never outgrows one window stays in memory.
+// internal/transport/conformance is the contract suite both pass, over a
+// store in three window sizes.
 
 import (
+	"sync"
 	"sync/atomic"
 
 	"repro/internal/pod"
@@ -61,25 +62,26 @@ type TransportCounters struct {
 // UpdateTransport is the update-exchange interface between scatter and
 // gather. One iteration's lifecycle is:
 //
-//	Send* (concurrent) → [Room/Flush]* → Seal → Pending*/Drain* → EndIteration
+//	Send* → Seal → Pending*/Drain* → EndIteration
 //
-// Send is safe for concurrent use; Room, Flush, Seal and EndIteration are
-// coordinator-only. Drain is safe for concurrent use across distinct
-// partitions once Seal has returned. Close releases resources and is
-// idempotent.
+// Without a spill store Send is safe for concurrent use. Over a store it is
+// called from one goroutine at a time: a run lent stores has one sink, fed
+// by one goroutine at a time, and each of the engine's concurrent feeders
+// drives a different run. Seal and EndIteration are coordinator-only. Drain is safe for
+// concurrent use across distinct partitions once Seal has returned. Close
+// releases resources and is idempotent.
 type UpdateTransport[M any] interface {
 	// Send routes one batch of updates produced while scattering partition
 	// src. The batch may mix destination partitions — routing is the
-	// transport's job. It returns false when the batch does not fit the
-	// transport's capacity (the current window's room). The batch is
-	// copied or consumed before Send returns; callers may reuse it.
+	// transport's job — and may be of any size: a transport over a store
+	// spills every window the batch fills. It returns false when the batch
+	// is refused (it overflows a transport that has no store) or a spill
+	// failed; Err says which. The batch is copied or consumed before Send
+	// returns; callers may reuse it.
 	Send(src int, batch []Update[M]) bool
-	// Room returns how many more records the current send window accepts,
-	// for coordinators that chunk their scatter to bounded buffers.
-	Room() int
-	// Flush closes the current send window, making Room available again.
-	// A no-op for transports without a windowed send side.
-	Flush() error
+	// Err returns why the last Send returned false: a refusal that names
+	// the capacity, or the failed spill's own error.
+	Err() error
 	// Seal ends the send side of the iteration: all updates are routed to
 	// their destination partitions, the combiner fold (if any) runs, and
 	// the resulting per-partition streams become drainable. No Send may be
@@ -97,9 +99,6 @@ type UpdateTransport[M any] interface {
 	EndIteration() error
 	// Close releases all transport resources. Idempotent.
 	Close() error
-	// Cap returns the record capacity of the send side (one window), for
-	// overflow diagnostics.
-	Cap() int
 	// Counters returns the cumulative traffic accounting.
 	Counters() TransportCounters
 }
@@ -136,12 +135,12 @@ type SpillStore interface {
 // ShuffleTransport is the update transport: sends append into a window
 // stream buffer, Seal runs the multi-stage counting shuffle (paper §4.2) and
 // the per-partition combiner fold over it, and Drain walks the resulting
-// buckets. Without a spill store there is one window per iteration: Flush is
-// a no-op and Send refuses a batch past the window. Over a store the window
-// is bounded: Flush shuffles, folds and spills a full window through an
-// async write pipeline while the next one fills, Seal waits for the writes,
-// and Drain reads a spilled iteration back from the store. An iteration that
-// never flushed stays in memory either way (the §3.2 bypass).
+// buckets. Without a spill store there is one window per iteration and Send
+// refuses a batch past it. Over a store the window is bounded: Send spills
+// each window it fills through an async write pipeline while the next one
+// fills (streambuf.Writer.Append), Seal waits for the writes, and Drain
+// reads a spilled iteration back from the store. An iteration that never
+// outgrew its window stays in memory either way (the §3.2 bypass).
 type ShuffleTransport[M any] struct {
 	w       *streambuf.Writer[Update[M]]
 	store   SpillStore
@@ -150,6 +149,9 @@ type ShuffleTransport[M any] struct {
 	recSize int
 
 	batches, bytes, cross atomic.Int64
+
+	mu  sync.Mutex
+	err error // why the last Send returned false
 }
 
 // NewShuffleTransport builds a transport that never spills: capacity
@@ -178,13 +180,15 @@ func NewSpillTransport[M any](window int, plan streambuf.Plan, threads int, key 
 	}
 }
 
-// Send implements UpdateTransport. It returns false when the batch does
-// not fit the current window's room.
+// Send implements UpdateTransport through the writer's Append.
 func (t *ShuffleTransport[M]) Send(src int, batch []Update[M]) bool {
 	if len(batch) == 0 {
 		return true
 	}
-	if !t.w.Buf().Append(batch) {
+	if err := t.w.Append(batch); err != nil {
+		t.mu.Lock()
+		t.err = err
+		t.mu.Unlock()
 		return false
 	}
 	t.batches.Add(1)
@@ -193,12 +197,17 @@ func (t *ShuffleTransport[M]) Send(src int, batch []Update[M]) bool {
 	return true
 }
 
-// Room implements UpdateTransport: the current window's remaining capacity.
-func (t *ShuffleTransport[M]) Room() int { return t.w.Room() }
+// Err implements UpdateTransport.
+func (t *ShuffleTransport[M]) Err() error {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return t.err
+}
 
-// Flush implements UpdateTransport: over a store it spills the current
-// window; without one it is a no-op.
-func (t *ShuffleTransport[M]) Flush() error { return t.w.Flush() }
+// Room returns the current window's remaining capacity. No engine needs it,
+// since Send spills a full window itself; it stays for perf's
+// measureTransport, which reports it when Send refuses a batch.
+func (t *ShuffleTransport[M]) Room() int { return t.w.Room() }
 
 // Seal implements UpdateTransport: the last window is shuffled and folded,
 // kept in memory when it is the iteration's only one and spilled after the
@@ -239,7 +248,7 @@ func (t *ShuffleTransport[M]) Drain(p int, fn func([]Update[M]) error) error {
 }
 
 // EndIteration implements UpdateTransport. The kept window goes back to the
-// writer at its next Flush or Seal; Drain emptied a spilled iteration's
+// writer at its next flush or Seal; Drain emptied a spilled iteration's
 // streams.
 func (t *ShuffleTransport[M]) EndIteration() error {
 	t.res = nil
@@ -254,9 +263,6 @@ func (t *ShuffleTransport[M]) Close() error {
 	t.res = nil
 	return nil
 }
-
-// Cap implements UpdateTransport: the window capacity.
-func (t *ShuffleTransport[M]) Cap() int { return t.w.Buf().Cap() }
 
 // Counters implements UpdateTransport.
 func (t *ShuffleTransport[M]) Counters() TransportCounters {

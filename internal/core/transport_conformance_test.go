@@ -1,7 +1,9 @@
 package core_test
 
 import (
+	"fmt"
 	"runtime"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -34,9 +36,9 @@ func TestShuffleTransportConformance(t *testing.T) {
 
 // TestShuffleTransportHoldsTwoWindows is the no-regression guard of the
 // in-memory runs' peak RSS: a transport without a spill store allocates its
-// two window buffers and nothing of their size besides, and a Flush starts
+// two window buffers and nothing of their size besides, and a Send starts
 // no write goroutine, across iterations that fill the window; a batch past
-// the window is refused.
+// the window is refused, and Err names the capacity.
 func TestShuffleTransportHoldsTwoWindows(t *testing.T) {
 	const (
 		k        = 8
@@ -61,19 +63,19 @@ func TestShuffleTransportHoldsTwoWindows(t *testing.T) {
 	for iter := 0; iter < 3; iter++ {
 		for i := 0; i < 4; i++ {
 			if !tp.Send(i, batch) {
-				t.Fatalf("iteration %d: Send refused a batch within the window", iter)
-			}
-			if err := tp.Flush(); err != nil {
-				t.Fatal(err)
+				t.Fatalf("iteration %d: Send refused a batch within the window: %v", iter, tp.Err())
 			}
 		}
 		if iter == 0 {
 			if n := runtime.NumGoroutine(); n > goroutines {
-				t.Fatalf("%d goroutines after Flush, %d before the transport", n, goroutines)
+				t.Fatalf("%d goroutines after a full window of Sends, %d before the transport", n, goroutines)
 			}
 		}
 		if tp.Send(0, batch[:1]) {
 			t.Fatalf("iteration %d: Send accepted a record past the window", iter)
+		}
+		if err := tp.Err(); err == nil || !strings.Contains(err.Error(), fmt.Sprintf("capacity %d records", capacity)) {
+			t.Fatalf("iteration %d: a refused Send's reason does not name the capacity: %v", iter, err)
 		}
 		flow, err := tp.Seal()
 		if err != nil || flow.Delivered != capacity {

@@ -156,11 +156,6 @@ type Config struct {
 	// the figcompress experiment). Composes with Selective — the tile
 	// index doubles as the skip index.
 	CompressTiles bool
-	// Context cancels the run: it is checked between iterations, between
-	// partition files and between streamed chunks, so server jobs honor
-	// cancelation and deadlines promptly. nil means context.Background(),
-	// keeping batch callers unchanged.
-	Context context.Context
 	// NoVerify disables read-path checksum verification of on-disk
 	// artifacts (edge tiles, update streams, spilled vertex windows).
 	// Verification is on by default: every byte the iteration loop reads
@@ -201,9 +196,6 @@ func (c Config) withDefaults() Config {
 	if c.TileEdges <= 0 {
 		c.TileEdges = 1024
 	}
-	if c.Context == nil {
-		c.Context = context.Background()
-	}
 	return c
 }
 
@@ -216,7 +208,7 @@ type Result[V any] = core.Result[V]
 // Run executes prog on g with the out-of-core engine: RunJob of the
 // program's job, its vertex states typed.
 func Run[V, M any](g core.EdgeSource, prog core.Program[V, M], cfg Config) (*Result[V], error) {
-	return core.Typed[V](RunJob(cfg.Context, g, core.NewJob(prog), cfg))
+	return core.Typed[V](RunJob(context.Background(), g, core.NewJob(prog), cfg))
 }
 
 // retries is the cumulative retry count of c's devices, a distinct update

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"strings"
 	"testing"
+	"testing/quick"
 
 	"repro/internal/core"
 	"repro/internal/graphgen"
@@ -559,5 +560,53 @@ func TestDiskTilesSegments(t *testing.T) {
 	segs, skipRecs, skipTiles = dt.activeSegmentsFunc(0, intersects, 12)
 	if len(segs) != 1 || segs[0] != (recRange{0, 12}) || skipRecs != 0 || skipTiles != 0 {
 		t.Fatalf("fallback segments %+v (skip %d/%d), want full scan", segs, skipRecs, skipTiles)
+	}
+}
+
+// satisfies reports whether K partitions fit the §3.4 inequality
+// N/K + B·S·K ≤ M.
+func satisfies(n, b int64, s int, m int64, k int64) bool { return n/k+b*int64(s)*k <= m }
+
+// TestDiskPartitionsInequality: §3.4's worked example — N = 1 TB of vertex
+// data, S = 16 MB and one run's five stream buffers need about 17 GB —
+// sizes K as the smallest power of two that satisfies the inequality, and
+// a budget under the minimum is an error naming it.
+func TestDiskPartitionsInequality(t *testing.T) {
+	n, s := int64(1)<<40, 16<<20
+	k, err := partitionCount(n, 5, s, 18<<30)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if k&(k-1) != 0 || !satisfies(n, 5, s, 18<<30, int64(k)) || k > 1 && satisfies(n, 5, s, 18<<30, int64(k/2)) {
+		t.Fatalf("K = %d is not the smallest power of two satisfying the inequality", k)
+	}
+	// The minimum, 2·sqrt(5NS), is 19 207 677 669 bytes (≈ 17.9 GiB).
+	if _, err := partitionCount(n, 5, s, 1<<30); err == nil || !strings.Contains(err.Error(), "need ≥ 19207677669 bytes") {
+		t.Fatalf("a 1 GiB budget: %v, want an error naming the minimum", err)
+	}
+}
+
+// TestDiskPartitionsProperty: for any vertex volume, run count and budget,
+// partitionCount returns the smallest power of two satisfying the
+// inequality, or an error naming the minimum when no power of two does.
+func TestDiskPartitionsProperty(t *testing.T) {
+	const s = 1 << 20
+	f := func(nRaw uint32, runsRaw uint8, budgetRaw uint32) bool {
+		n := int64(nRaw) + 1
+		b := 2 + 3*(int64(runsRaw)%4+1)
+		m := int64(budgetRaw)%(1<<30) + 16<<20
+		k, err := partitionCount(n, b, s, m)
+		if err != nil {
+			for k := int64(1); k <= 1<<20; k <<= 1 {
+				if satisfies(n, b, s, m, k) {
+					return false
+				}
+			}
+			return strings.Contains(err.Error(), "need ≥")
+		}
+		return k&(k-1) == 0 && satisfies(n, b, s, m, int64(k)) && (k == 1 || !satisfies(n, b, s, m, int64(k/2)))
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -116,31 +116,24 @@ func TestBucketWriterPipeline(t *testing.T) {
 	}
 	w := newFileWriter(64, 2, files)
 
+	// Batches of 1 to 150 records through 64-record windows: a batch may
+	// fill a window exactly, straddle one or span several.
 	const total = 10_000
-	next, flushes := 0, 0
-	for next < total {
-		room := w.Room()
-		if room == 0 {
-			if err := w.Flush(); err != nil {
-				t.Fatal(err)
-			}
-			flushes++
-			continue
-		}
-		batch := make([]rec, 0, room)
-		for len(batch) < room && next < total {
+	for next, size := 0, 1; next < total; size = size%150 + 1 {
+		batch := make([]rec, 0, size)
+		for len(batch) < size && next < total {
 			batch = append(batch, rec{K: uint32(next), V: uint32(next)})
 			next++
 		}
-		if !w.Buf().Append(batch) {
-			t.Fatal("append failed with room available")
+		if err := w.Append(batch); err != nil {
+			t.Fatal(err)
 		}
 	}
 	if err := w.Finish(); err != nil {
 		t.Fatal(err)
 	}
-	if flushes < 2 {
-		t.Fatalf("expected multiple flushes, got %d", flushes)
+	if windows := (total + 63) / 64; dev.Stats().Writes < int64(windows) {
+		t.Fatalf("%d writes for %d full windows", dev.Stats().Writes, windows)
 	}
 
 	seen := 0
@@ -175,7 +168,9 @@ func TestBucketWriterBypass(t *testing.T) {
 	files := []*partFile{mustPart(t, dev, "x"), mustPart(t, dev, "y")}
 	w := newFileWriter(1000, 2, files)
 	defer w.Stop()
-	w.Buf().Append(makeRecs(100))
+	if err := w.Append(makeRecs(100)); err != nil {
+		t.Fatal(err)
+	}
 	buf, tally, err := w.Seal()
 	if err != nil {
 		t.Fatal(err)
@@ -197,12 +192,10 @@ func TestBucketWriterNoBypassAfterFlush(t *testing.T) {
 	dev := storage.NewSim(storage.SSDParams("t", 1, 0))
 	files := []*partFile{mustPart(t, dev, "x"), mustPart(t, dev, "y")}
 	w := newFileWriter(64, 1, files)
-	w.Buf().Append(makeRecs(64))
-	if err := w.Flush(); err != nil {
+	defer w.Stop()
+	if err := w.Append(makeRecs(74)); err != nil {
 		t.Fatal(err)
 	}
-	defer w.Stop()
-	w.Buf().Append(makeRecs(10))
 	buf, tally, err := w.Seal()
 	if err != nil {
 		t.Fatal(err)
@@ -247,13 +240,11 @@ func TestWritePipelineStopsAfterFailedAppend(t *testing.T) {
 		f.f = gatedFile{f.f, g}
 	}
 	w := newFileWriter(64, 1, files)
-	// The first window reaches the writer goroutine and blocks in its first
-	// WriteAt; the second is queued behind it before that WriteAt fails.
-	for i := 0; i < 2; i++ {
-		w.Buf().Append(makeRecs(64))
-		if err := w.Flush(); err != nil {
-			t.Fatalf("flush %d: %v", i, err)
-		}
+	// Two full windows and a record: the first window reaches the writer
+	// goroutine and blocks in its first WriteAt; the second is queued behind
+	// it before that WriteAt fails.
+	if err := w.Append(makeRecs(129)); err != nil {
+		t.Fatalf("append: %v", err)
 	}
 	close(g.release)
 	if err := w.Finish(); !errors.Is(err, storage.ErrInjected) {

@@ -121,9 +121,9 @@ func memSequence(t *testing.T, pp *Prepared, prog core.Program[int32, int32]) []
 // sink and the out-of-core engine's window sink are two callers of one
 // kernel, which at Threads 1 both keep open for a whole partition. So from the same edges they
 // account the same (sent, cross, combined), emit the same record sequence —
-// the disk sink's cut into Room-bounded segments, drained after each and
-// swept through a window too small to hold the sweep, none of which may
-// reorder a record — and deliver the same total to every destination: with
+// the disk sink's sent straight into a transport whose window fills and
+// flushes while the sink scatters and sweeps, which may reorder no record —
+// and deliver the same total to every destination: with
 // and without a Combiner, and with a Combiner that declares an op, which both
 // must merge inline.
 func TestMemSinkAndDiskSinkShareTheKernel(t *testing.T) {

@@ -578,7 +578,7 @@ func TestSoloCancelBetweenChunks(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	cfg := spilled(Config{Device: dev, Threads: 2, IOUnit: 8 << 10, Partitions: 2, Context: ctx})
+	cfg := spilled(Config{Device: dev, Threads: 2, IOUnit: 8 << 10, Partitions: 2})
 	chunkRecs := int64(cfg.IOUnit) * int64(cfg.Partitions) / edgeRecSize
 	var first int64 // records of partition 0, the first one scattered
 	for _, e := range edges {
@@ -590,7 +590,7 @@ func TestSoloCancelBetweenChunks(t *testing.T) {
 		t.Fatalf("partition 0 holds %d records, one chunk of %d: nothing to cancel between", first, chunkRecs)
 	}
 	prog := &cancelOnScatter{cancel: cancel}
-	_, err = Run[wccState, core.VertexID](src, prog, cfg)
+	_, err = RunJob(ctx, src, core.NewJob[wccState, core.VertexID](prog), cfg)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled run returned %v, want context.Canceled", err)
 	}

@@ -44,7 +44,7 @@ func (d *keepRemoved) Remove(name string) error {
 // compressed tiles and WCC under 2PS, solo Run and RunJob on the same config
 // write byte-identical forward and transposed edge files, report the same
 // layout, and leave the device empty — as do a run whose edge-file reads
-// fault and a cancelled run.
+// fault and a cancelled RunJob.
 func TestSoloRunsOnPrepared(t *testing.T) {
 	src, _ := smallGraph(17)
 	type workload struct {
@@ -62,8 +62,8 @@ func TestSoloRunsOnPrepared(t *testing.T) {
 	workloads := []workload{pagerank, bfs, wcc}
 	for _, w := range workloads {
 		t.Run(w.name, func(t *testing.T) {
-			// run executes the workload solo or as a job on a fresh directory
-			// and requires the directory empty afterwards.
+			// run executes the workload solo or as a job under ctx on a fresh
+			// directory and requires the directory empty afterwards.
 			run := func(context string, solo bool, ctx context.Context, mod func(*Config)) (core.Stats, map[string][]byte, error) {
 				t.Helper()
 				dir := t.TempDir()
@@ -73,7 +73,7 @@ func TestSoloRunsOnPrepared(t *testing.T) {
 				}
 				dev := &keepRemoved{Device: osd, edges: map[string][]byte{}}
 				cfg := w.cfg
-				cfg.Device, cfg.Threads, cfg.IOUnit, cfg.Partitions, cfg.Context = dev, 2, 8<<10, 4, ctx
+				cfg.Device, cfg.Threads, cfg.IOUnit, cfg.Partitions = dev, 2, 8<<10, 4
 				if mod != nil {
 					mod(&cfg)
 				}
@@ -146,9 +146,9 @@ func TestSoloRunsOnPrepared(t *testing.T) {
 				if _, _, err := run("failed run", solo, context.Background(), faulty); !errors.Is(err, storage.ErrInjected) {
 					t.Errorf("solo=%v: a run whose edge-file reads fault returned %v, want ErrInjected", solo, err)
 				}
-				if _, _, err := run("cancelled run", solo, cancelled, nil); !errors.Is(err, context.Canceled) {
-					t.Errorf("solo=%v: a cancelled run returned %v, want context.Canceled", solo, err)
-				}
+			}
+			if _, _, err := run("cancelled run", false, cancelled, nil); !errors.Is(err, context.Canceled) {
+				t.Errorf("a cancelled RunJob returned %v, want context.Canceled", err)
 			}
 		})
 	}

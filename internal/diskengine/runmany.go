@@ -92,15 +92,15 @@ func Prepare(g core.EdgeSource, cfg Config) (*Prepared, error) {
 // §3.4 partition sizing — RunMany over a graph knows its jobs, a cached
 // handle sizes for one run of sharedVertexBytes — and the choice whether to
 // index tiles during the shuffle. vertexBytes is the runs' per-vertex state
-// summed. K is the smallest power of two at which one partition's vertex
-// windows of every run, the two shared edge input buffers and each run's
-// three update output buffers fit M: nv·vertexBytes/K + (2 + 3·runs)·S·K ≤
-// M, N/K + 5·S·K ≤ M for one run. A cached handle always indexes tiles: it
-// cannot know which job will read selectively. RunMany over a graph indexes
-// only under Config.Selective; without it every run is dense, and a raw
-// file is verified whole against its append checksum. The compressed layout
-// needs the index unconditionally — it is the only record of where each
-// tile's bytes live.
+// summed. K is partitionCount's: the smallest power of two at which one
+// partition's vertex windows of every run, the two shared edge input buffers
+// and each run's three update output buffers fit M, nv·vertexBytes/K + (2 +
+// 3·runs)·S·K ≤ M (N/K + 5·S·K ≤ M for one run). A cached handle always
+// indexes tiles: it cannot know which job will read selectively. RunMany
+// over a graph indexes only under Config.Selective; without it every run is
+// dense, and a raw file is verified whole against its append checksum. The
+// compressed layout needs the index unconditionally — it is the only record
+// of where each tile's bytes live.
 func prepare(g core.EdgeSource, cfg Config, vertexBytes int64, runs int, index bool) (*Prepared, error) {
 	cfg = cfg.withDefaults()
 	if cfg.Device == nil {
@@ -110,21 +110,9 @@ func prepare(g core.EdgeSource, cfg Config, vertexBytes int64, runs int, index b
 
 	k := cfg.Partitions
 	if k == 0 {
-		s, m := int64(cfg.IOUnit), cfg.MemoryBudget
-		vb, bufs := nv*vertexBytes, 2+3*int64(runs)
-		for cand := 1; cand <= 1<<20; cand <<= 1 {
-			if vb/int64(cand)+bufs*s*int64(cand) <= m {
-				k = cand
-				break
-			}
-			if bufs*s*int64(cand) > m {
-				break
-			}
-		}
-		if k == 0 {
-			// The left side is smallest at K = sqrt(N/BS), where it is 2·sqrt(BNS).
-			return nil, fmt.Errorf("diskengine: no partition count satisfies N/K + B·S·K ≤ M with N=%d B=%d S=%d M=%d (need ≥ %d bytes)",
-				vb, bufs, s, m, int64(2*math.Sqrt(float64(vb)*float64(bufs*s))))
+		var err error
+		if k, err = partitionCount(nv*vertexBytes, 2+3*int64(runs), cfg.IOUnit, cfg.MemoryBudget); err != nil {
+			return nil, err
 		}
 	}
 	if k&(k-1) != 0 {
@@ -166,6 +154,25 @@ func prepare(g core.EdgeSource, cfg Config, vertexBytes int64, runs int, index b
 		return nil, err
 	}
 	return pp, nil
+}
+
+// partitionCount is the §3.4 partition sizing: the smallest power of two K
+// at which one partition's share of n bytes of vertex state and b stream
+// buffers of S·K bytes (S the I/O unit) fit the memory budget M,
+//
+//	N/K + B·S·K ≤ M.
+//
+// A budget no K satisfies is an error naming the least memory that could:
+// the left side is smallest at K = sqrt(N/BS), where it is 2·sqrt(BNS).
+func partitionCount(n, b int64, ioUnit int, m int64) (int, error) {
+	s := int64(ioUnit)
+	for k := int64(1); k <= 1<<20 && b*s*k <= m; k <<= 1 {
+		if n/k+b*s*k <= m {
+			return int(k), nil
+		}
+	}
+	return 0, fmt.Errorf("diskengine: no partition count satisfies N/K + B·S·K ≤ M with N=%d B=%d S=%d M=%d (need ≥ %d bytes)",
+		n, b, s, m, int64(2*math.Sqrt(float64(n)*float64(b*s))))
 }
 
 // NumVertices returns the prepared graph's vertex count.
@@ -309,21 +316,7 @@ func partitionEdgesInto(src core.EdgeSource, files []*partFile, transpose bool, 
 				batch[i].Src, batch[i].Dst = batch[i].Dst, batch[i].Src
 			}
 		}
-		for len(batch) > 0 {
-			room := w.Room()
-			if room == 0 {
-				if err := w.Flush(); err != nil {
-					return err
-				}
-				continue
-			}
-			take := min(len(batch), room)
-			if !w.Buf().Append(batch[:take]) {
-				return fmt.Errorf("diskengine: edge buffer overflow")
-			}
-			batch = batch[take:]
-		}
-		return nil
+		return w.Append(batch)
 	})
 	if err != nil {
 		w.Finish()

@@ -182,10 +182,11 @@ func (*sumCombProg) Combine(a, b int32) int32 { return a + b }
 
 // stubTransport accepts (or, with refuse set, rejects) every batch — keeping
 // a copy when keep is set — and otherwise behaves like an empty transport.
-// With window set it holds that many records between flushes and refuses a
-// batch that would overflow them, like the file transport's shuffle window.
-// It is not safe for concurrent sends: the window sink sends from the
-// engine's goroutine only, and the race detector says so if it does not.
+// With window set it counts the flushes of a spilling transport's windows of
+// that many records: a window is flushed once full, when the next record
+// needs room, and Seal starts the next iteration's window. It is not safe
+// for concurrent sends: the window sink sends from the engine's goroutine
+// only, and the race detector says so if it does not.
 type stubTransport[M any] struct {
 	refuse, keep bool
 	window       int
@@ -196,38 +197,29 @@ type stubTransport[M any] struct {
 }
 
 func (s *stubTransport[M]) Send(src int, batch []core.Update[M]) bool {
-	if s.refuse || len(batch) > s.Room() {
+	if s.refuse {
 		return false
 	}
 	s.sent += int64(len(batch))
-	s.fill += len(batch)
+	if s.window > 0 && len(batch) > 0 {
+		full := (s.fill + len(batch) - 1) / s.window
+		s.flushes += full
+		s.fill += len(batch) - full*s.window
+	}
 	if s.keep {
 		s.recs = append(s.recs, batch...)
 	}
 	return true
 }
 
-func (s *stubTransport[M]) Room() int {
-	if s.window == 0 {
-		return 1 << 30
-	}
-	return s.window - s.fill
+func (s *stubTransport[M]) Err() error {
+	return fmt.Errorf("stub transport refuses every batch (capacity 7 records)")
 }
 
-func (s *stubTransport[M]) Flush() error {
+func (s *stubTransport[M]) Seal() (core.IterFlow, error) {
 	s.fill = 0
-	s.flushes++
-	return nil
+	return core.IterFlow{}, nil
 }
-
-func (s *stubTransport[M]) Cap() int {
-	if s.window == 0 {
-		return 7
-	}
-	return s.window
-}
-
-func (s *stubTransport[M]) Seal() (core.IterFlow, error)                       { return core.IterFlow{}, nil }
 func (s *stubTransport[M]) Pending(p int) int64                                { return 0 }
 func (s *stubTransport[M]) Drain(p int, fn func([]core.Update[M]) error) error { return nil }
 func (s *stubTransport[M]) EndIteration() error                                { return nil }
@@ -266,12 +258,11 @@ func setupRun[V, M any](t *testing.T, src core.EdgeSource, prog core.Program[V, 
 	return r, pp
 }
 
-// TestScatterSendRefusedFailsIteration: the scatter reserves room in the
-// transport's window before it scatters a segment and flushes a full window
-// before it sweeps on, so a Send that still says no means updates would
-// vanish. That must fail the pass with an error
-// naming the transport's capacity — never a quietly wrong result — with
-// and without a Combiner in front of the transport.
+// TestScatterSendRefusedFailsIteration: a transport over a store spills its
+// full windows itself, and one without a store holds the whole iteration, so
+// a Send that says no means updates would vanish. That must fail the pass
+// with an error naming the transport's capacity — never a quietly wrong
+// result — with and without a Combiner in front of the transport.
 func TestScatterSendRefusedFailsIteration(t *testing.T) {
 	src, _ := smallGraph(5)
 	cfg := Config{Device: ssd(0), Threads: 2, Partitions: 4, IOUnit: 16 << 10}
@@ -292,16 +283,15 @@ func TestScatterSendRefusedFailsIteration(t *testing.T) {
 	check("combining buffers", comb, pp)
 }
 
-// TestScatterRoomProtocol: the window sink scatters a partition in segments
-// its transport's window has room for, drains its kernel after every segment
-// and sweeps it at the partition's end, flushing the window whenever a batch
-// would not fit. Through a window of 64 records — full between segments and
-// in mid-sweep — and one of 4500, for destinations that never repeat and for
-// sixteen hot ones, at
-// Threads 1, 2 and 4 with vertex state in memory and spilled: nothing is
-// refused, every update sent is delivered or combined away, and every
-// destination receives the total the in-memory engine's per-worker sink
-// gathers.
+// TestScatterRoomProtocol: the window sink's kernel sends its full batches
+// straight into the transport, while it scatters and as it sweeps at the
+// partition's end, and the transport flushes only full windows: over an
+// iteration, ⌈delivered / window⌉ − 1 flushes. Through a window of 64
+// records — filled while scattering and in mid-sweep — and one of 4500, for
+// destinations that never repeat and for sixteen hot ones, at Threads 1, 2
+// and 4 with vertex state in memory and spilled: nothing is refused, every
+// update sent is delivered or combined away, and every destination receives
+// the total the in-memory engine's per-worker sink gathers.
 func TestScatterRoomProtocol(t *testing.T) {
 	const n = 1 << 15
 	distinct, hot := make([]core.Edge, n), make([]core.Edge, n)
@@ -342,10 +332,13 @@ func TestScatterRoomProtocol(t *testing.T) {
 					}
 					sent := *e.it
 					if g.name == "distinct" && window == 64 && (segFlushes == 0 || sweepFlushes == 0) {
-						t.Errorf("%s: %d flushes between segments and %d in sweeps: the window forced too few", name, segFlushes, sweepFlushes)
+						t.Errorf("%s: %d flushes while scattering and %d in sweeps: the window forced too few", name, segFlushes, sweepFlushes)
 					}
 					if int64(len(tp.recs)) != sent.Sent-sent.Combined {
 						t.Errorf("%s: %d records delivered, %d sent − %d combined", name, len(tp.recs), sent.Sent, sent.Combined)
+					}
+					if want := (len(tp.recs)+window-1)/window - 1; tp.flushes != want {
+						t.Errorf("%s: %d flushes for %d records through %d-record windows, want %d", name, tp.flushes, len(tp.recs), window, want)
 					}
 					got, _ := memSink(t, pp, pushCombProg{})
 					want := make([]int32, len(got))
@@ -381,13 +374,13 @@ func partitionEdges(t *testing.T, pp *Prepared, p int) (edges []core.Edge) {
 }
 
 // TestScatterSinkAllocatesNothingWarm: once the run has its kernels, a
-// partition through the window sink — NewScatter Begins it, Edges scatters and
-// drains segment by segment, Flush sweeps — allocates nothing, with or without
-// a Combiner, and also when the transport's window is so small that segments
-// end on flushes and the sweep flushes mid-way.
+// partition through the window sink — NewScatter Begins it, Edges scatters,
+// Flush sweeps — allocates nothing, with or without a Combiner, and also when
+// the transport's window is so small that it fills while the sink scatters
+// and again mid-sweep.
 func TestScatterSinkAllocatesNothingWarm(t *testing.T) {
 	// Sparse, so the combining window is narrow next to the destinations:
-	// they evict while a segment scatters, not only in the sweep.
+	// they evict while the sink scatters, not only in the sweep.
 	src := graphgen.RMAT(graphgen.RMATConfig{Scale: 14, EdgeFactor: 2, Seed: 9})
 	for _, c := range []struct {
 		name   string
@@ -423,7 +416,7 @@ func TestScatterSinkAllocatesNothingWarm(t *testing.T) {
 			t.Errorf("%s: scattered %d updates from 21 × %d edges: %v", c.name, e.it.Sent, len(edges), err)
 		}
 		if c.window > 0 && (segFlushes == 0 || sweepFlushes == 0) {
-			t.Errorf("%s: %d flushes between segments and %d in the sweep: the window forced no flush", c.name, segFlushes, sweepFlushes)
+			t.Errorf("%s: %d flushes while scattering and %d in the sweep: the window forced no flush", c.name, segFlushes, sweepFlushes)
 		}
 	}
 }

@@ -3,119 +3,12 @@ package graphgen
 import "repro/internal/core"
 
 // Dataset is a named workload: a stand-in for one of the paper's Figure 10
-// datasets at a scale that runs on this testbed, or a native synthetic
-// graph.
+// datasets at a scale that runs on a small host, or a native synthetic
+// graph. The benchmark suite (internal/bench) builds the stand-ins at its
+// own scales.
 type Dataset struct {
 	Name       string
 	StandInFor string // paper dataset this substitutes, "" if native
 	Kind       string // "directed", "undirected", "bipartite"
 	Source     core.EdgeSource
-}
-
-// Scale knobs: the default sizes keep full benchmark sweeps in minutes on a
-// few cores; tests use Tiny variants.
-const (
-	inMemScale = 18 // in-memory stand-ins: 256K–512K vertices
-	oocScale   = 20 // out-of-core stand-ins: 1M vertices, 16M edge records
-)
-
-// AmazonLike stands in for amazon0601 (403K vertices / 3.4M directed
-// edges): a small scale-free directed graph.
-func AmazonLike() Dataset {
-	return Dataset{
-		Name:       "amazon-like",
-		StandInFor: "amazon0601",
-		Kind:       "directed",
-		Source:     RMAT(RMATConfig{Scale: inMemScale - 2, EdgeFactor: 8, Seed: 42}),
-	}
-}
-
-// PatentsLike stands in for cit-Patents (3.8M vertices / 16.5M edges): a
-// sparser directed citation-style graph.
-func PatentsLike() Dataset {
-	return Dataset{
-		Name:       "patents-like",
-		StandInFor: "cit-Patents",
-		Kind:       "directed",
-		Source:     RMAT(RMATConfig{Scale: inMemScale, EdgeFactor: 4, Seed: 43}),
-	}
-}
-
-// LiveJournalLike stands in for soc-livejournal (4.8M vertices / 69M
-// edges): a denser scale-free social graph.
-func LiveJournalLike() Dataset {
-	return Dataset{
-		Name:       "livejournal-like",
-		StandInFor: "soc-livejournal",
-		Kind:       "directed",
-		Source:     RMAT(RMATConfig{Scale: inMemScale, EdgeFactor: 16, Seed: 44}),
-	}
-}
-
-// DimacsLike stands in for dimacs-usa (24M vertices / 58M edges): the
-// high-diameter road network whose traversals dominate Figure 12's worst
-// cases. A 2-D grid reproduces the pathology (diameter ~ 2*side).
-func DimacsLike() Dataset {
-	return Dataset{
-		Name:       "dimacs-like",
-		StandInFor: "dimacs-usa",
-		Kind:       "undirected",
-		Source:     Grid(320, 320, 45),
-	}
-}
-
-// TwitterLike stands in for the Twitter follower graph (41.7M vertices /
-// 1.4B directed edges), the paper's main out-of-core workload.
-func TwitterLike() Dataset {
-	return Dataset{
-		Name:       "twitter-like",
-		StandInFor: "Twitter",
-		Kind:       "directed",
-		Source:     RMAT(RMATConfig{Scale: oocScale, EdgeFactor: 16, Seed: 46}),
-	}
-}
-
-// FriendsterLike stands in for Friendster (65.6M vertices / 1.8B
-// undirected edges).
-func FriendsterLike() Dataset {
-	return Dataset{
-		Name:       "friendster-like",
-		StandInFor: "Friendster",
-		Kind:       "undirected",
-		Source:     RMAT(RMATConfig{Scale: oocScale - 1, EdgeFactor: 16, Seed: 47, Undirected: true}),
-	}
-}
-
-// SkLike stands in for sk-2005 (50.6M vertices / 1.9B directed edges), a
-// web crawl.
-func SkLike() Dataset {
-	return Dataset{
-		Name:       "sk-like",
-		StandInFor: "sk-2005",
-		Kind:       "directed",
-		Source:     RMAT(RMATConfig{Scale: oocScale - 1, EdgeFactor: 32, Seed: 48}),
-	}
-}
-
-// NetflixLike stands in for the Netflix prize ratings (0.5M vertices /
-// 0.1B bipartite edges) used for ALS.
-func NetflixLike() Dataset {
-	return Dataset{
-		Name:       "netflix-like",
-		StandInFor: "Netflix",
-		Kind:       "bipartite",
-		Source:     Bipartite(60000, 4000, 1_000_000, 49),
-	}
-}
-
-// InMemoryDatasets returns the stand-ins for the paper's four in-memory
-// graphs (Figure 10, top half).
-func InMemoryDatasets() []Dataset {
-	return []Dataset{AmazonLike(), PatentsLike(), LiveJournalLike(), DimacsLike()}
-}
-
-// OutOfCoreDatasets returns the stand-ins for the paper's out-of-core
-// graphs used in the Figure 12 SSD/disk rows.
-func OutOfCoreDatasets() []Dataset {
-	return []Dataset{TwitterLike(), FriendsterLike(), SkLike()}
 }

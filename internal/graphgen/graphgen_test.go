@@ -157,23 +157,6 @@ func TestChain(t *testing.T) {
 	}
 }
 
-func TestDatasets(t *testing.T) {
-	for _, d := range append(InMemoryDatasets(), NetflixLike()) {
-		if d.Name == "" || d.Source == nil {
-			t.Fatalf("bad dataset %+v", d)
-		}
-		if d.Source.NumEdges() <= 0 || d.Source.NumVertices() <= 0 {
-			t.Fatalf("%s: empty", d.Name)
-		}
-	}
-	// Out-of-core stand-ins are declared but not materialized here (big).
-	for _, d := range OutOfCoreDatasets() {
-		if d.Source.NumEdges() < 1<<22 {
-			t.Fatalf("%s too small for an out-of-core stand-in: %d", d.Name, d.Source.NumEdges())
-		}
-	}
-}
-
 // refBFS computes hop distances with a plain queue — the reference the
 // high-diameter generators' eccentricity claims are checked against.
 func refBFS(n int64, edges []core.Edge, root core.VertexID) []int32 {

@@ -60,9 +60,6 @@ import (
 type Config struct {
 	// Threads is the number of worker threads. 0 means GOMAXPROCS.
 	Threads int
-	// CacheBytes is the per-core cache share used to size partitions.
-	// 0 means 2 MiB (the testbed's L2 share, §5.1).
-	CacheBytes int
 	// Partitions forces the partition count (must be a power of two).
 	// 0 means automatic.
 	Partitions int
@@ -109,11 +106,6 @@ type Config struct {
 	// tiles made the serving workload's shared passes slower with the
 	// per-tile test they add.
 	TileEdges int
-	// Context cancels the run: it is checked between iterations and
-	// between partition chunks inside the scatter phase, so server jobs
-	// honor cancelation and deadlines promptly. nil means
-	// context.Background(), keeping batch callers unchanged.
-	Context context.Context
 	// Tracer receives run → iteration → phase → partition spans. nil
 	// (the default) disables tracing; a Tracer never changes any work
 	// metric, only observes timing (the figobs experiment gates this).
@@ -124,9 +116,6 @@ func (c Config) withDefaults() Config {
 	if c.Threads <= 0 {
 		c.Threads = runtime.GOMAXPROCS(0)
 	}
-	if c.CacheBytes <= 0 {
-		c.CacheBytes = 2 << 20
-	}
 	if c.MaxIterations <= 0 {
 		c.MaxIterations = 1 << 20
 	}
@@ -135,9 +124,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.TileEdges <= 0 {
 		c.TileEdges = 4096
-	}
-	if c.Context == nil {
-		c.Context = context.Background()
 	}
 	return c
 }
@@ -150,7 +136,7 @@ type Result[V any] = core.Result[V]
 // ProgramSet of one through the engine's only loop (Prepared.RunMany), so
 // a typed run and a type-erased or co-scheduled one cannot drift apart.
 func Run[V, M any](g core.EdgeSource, prog core.Program[V, M], cfg Config) (*Result[V], error) {
-	return core.Typed[V](RunJob(cfg.Context, g, core.NewJob(prog), cfg))
+	return core.Typed[V](RunJob(context.Background(), g, core.NewJob(prog), cfg))
 }
 
 // buildTileIndex walks every partition's edge chunk in BucketTiles order

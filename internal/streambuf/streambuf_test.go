@@ -1,9 +1,11 @@
 package streambuf
 
 import (
+	"errors"
 	"math/rand"
 	"reflect"
 	"sort"
+	"strings"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -282,6 +284,111 @@ func TestAppendOverflow(t *testing.T) {
 	if b.Len() != 5 {
 		t.Fatalf("Len after failed append = %d", b.Len())
 	}
+}
+
+// TestWriterAppend: with a sink, Append fills the current window exactly
+// and flushes it only when the next record needs room, cutting a batch at
+// window boundaries in order, and once the sink has failed it returns the
+// sink's error and appends nothing; without a sink a batch past the window
+// is refused with the capacity named.
+func TestWriterAppend(t *testing.T) {
+	const win = 100
+	plan, err := NewPlan(1, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seq := func(lo, n int) []int {
+		out := make([]int, n)
+		for i := range out {
+			out[i] = lo + i
+		}
+		return out
+	}
+	// One bucket and one shuffle thread: each flushed window reaches the
+	// sink as one run holding its records in append order.
+	var runs [][]int
+	var sinkErr error
+	newWriter := func() *Writer[int] {
+		runs, sinkErr = nil, nil
+		return NewWriter(win, plan, 1, func(int) uint32 { return 0 }, nil, func(_ int, run []int) error {
+			runs = append(runs, append([]int(nil), run...))
+			return sinkErr
+		})
+	}
+	appendAll := func(w *Writer[int], batches ...[]int) {
+		t.Helper()
+		for _, b := range batches {
+			if err := w.Append(b); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+
+	t.Run("one window stays in memory", func(t *testing.T) {
+		w := newWriter()
+		defer w.Stop()
+		appendAll(w, seq(0, 60), seq(60, 40))
+		buf, tally, err := w.Seal()
+		if err != nil || buf == nil || len(runs) != 0 || tally.Kept != win {
+			t.Fatalf("Seal kept %v with tally %+v after %d sink runs: %v", buf != nil, tally, len(runs), err)
+		}
+		var kept []int
+		buf.Bucket(0, func(run []int) { kept = append(kept, run...) })
+		if !reflect.DeepEqual(kept, seq(0, win)) {
+			t.Fatalf("kept window %v", kept)
+		}
+	})
+
+	t.Run("one more record flushes one full window", func(t *testing.T) {
+		w := newWriter()
+		defer w.Stop()
+		appendAll(w, seq(0, win), seq(win, 1))
+		buf, tally, err := w.Seal()
+		if err != nil || buf != nil || tally.Kept != win+1 {
+			t.Fatalf("Seal kept %v with tally %+v: %v", buf != nil, tally, err)
+		}
+		if want := [][]int{seq(0, win), seq(win, 1)}; !reflect.DeepEqual(runs, want) {
+			t.Fatalf("sink runs %v, want the full window, then the tail at Seal", runs)
+		}
+	})
+
+	t.Run("a batch is cut at window boundaries", func(t *testing.T) {
+		w := newWriter()
+		defer w.Stop()
+		appendAll(w, seq(0, 2*win+win/2))
+		if _, _, err := w.Seal(); err != nil {
+			t.Fatal(err)
+		}
+		if want := [][]int{seq(0, win), seq(win, win), seq(2*win, win/2)}; !reflect.DeepEqual(runs, want) {
+			t.Fatalf("sink runs %v, want two full windows and the half", runs)
+		}
+	})
+
+	t.Run("a failed sink refuses further appends", func(t *testing.T) {
+		w := newWriter()
+		defer w.Stop()
+		sinkErr = errors.New("device gone")
+		if err := w.Append(seq(0, win+1)); err != nil && !errors.Is(err, sinkErr) {
+			t.Fatal(err)
+		}
+		if _, _, err := w.Seal(); !errors.Is(err, sinkErr) {
+			t.Fatalf("Seal: %v, want the sink's error", err)
+		}
+		if err := w.Append(seq(0, 5)); !errors.Is(err, sinkErr) {
+			t.Fatalf("Append after the failure: %v, want the sink's error", err)
+		}
+		if w.Room() != win {
+			t.Fatalf("Append after the failure left %d of %d records of room", w.Room(), win)
+		}
+	})
+
+	t.Run("without a sink a batch past the window is refused", func(t *testing.T) {
+		w := NewWriter[int](win, plan, 1, func(int) uint32 { return 0 }, nil, nil)
+		appendAll(w, seq(0, win))
+		if err := w.Append(seq(win, 1)); err == nil || !strings.Contains(err.Error(), "capacity 100 records") {
+			t.Fatalf("Append past the window: %v, want a refusal naming the capacity", err)
+		}
+	})
 }
 
 func TestPlanValidation(t *testing.T) {

@@ -1,16 +1,19 @@
 package streambuf
 
-import "sync"
+import (
+	"fmt"
+	"sync"
+)
 
 // Writer is the windowed shuffle→sink pipeline of the merged scatter/shuffle
-// phase (paper Figure 6): records are appended to the current stream buffer;
-// when it fills, Flush shuffles and folds it, and a dedicated goroutine hands
-// every bucket run to the sink, overlapped with the caller filling the next
-// buffer (§3.3). Three buffers rotate through the roles current / in flight /
-// shuffle scratch, which with the two edge input buffers gives the five
-// stream buffers of §3.4.
+// phase (paper Figure 6): Append fills the current stream buffer; when it is
+// full and the next record needs room, Append shuffles and folds it, and a
+// dedicated goroutine hands every bucket run to the sink, overlapped with
+// the caller filling the next buffer (§3.3). Three buffers rotate through
+// the roles current / in flight / shuffle scratch, which with the two edge
+// input buffers gives the five stream buffers of §3.4.
 //
-// The third buffer and the goroutine are made by the first Flush. A phase
+// The third buffer and the goroutine are made by the first flush. A phase
 // that never flushes — the updates of an iteration that fit one buffer, or
 // any phase of a Writer without a sink — runs on two buffers and no
 // goroutine, and Seal keeps its shuffled window in memory instead of sinking
@@ -24,14 +27,14 @@ type Writer[T any] struct {
 	// records. It returns the number of records merged away.
 	fold func(*Buffer[T]) int64
 	// sink receives every bucket run of every flushed window, on the writer
-	// goroutine, in exactly the order the runs are appended; nil means a
-	// window never leaves memory and Flush is a no-op.
+	// goroutine, in exactly the order the runs are appended; nil means the
+	// window is the whole phase and never leaves memory.
 	sink func(bucket int, run []T) error
 
 	cur     *Buffer[T]
-	kept    *Buffer[T]      // the window Seal kept, recycled by the next Flush or Seal
+	kept    *Buffer[T]      // the window Seal kept, recycled by the next flush or Seal
 	free    chan *Buffer[T] // buffers neither current, kept nor queued
-	queue   chan *Buffer[T] // shuffled windows for the goroutine; nil until the first Flush
+	queue   chan *Buffer[T] // shuffled windows for the goroutine; nil until the first flush
 	wg      sync.WaitGroup
 	flushed bool // a window of the current phase went to the sink
 	tally   Tally
@@ -47,10 +50,11 @@ type Tally struct {
 	Kept     int64
 }
 
-// NewWriter returns a pipeline of capacity-record windows, shuffled into
-// plan.K buckets by key with the given parallelism, folded by fold and
-// written by sink; fold and sink may be nil.
+// NewWriter returns a pipeline of capacity-record windows (at least one
+// record), shuffled into plan.K buckets by key with the given parallelism,
+// folded by fold and written by sink; fold and sink may be nil.
 func NewWriter[T any](capacity int, plan Plan, threads int, key func(T) uint32, fold func(*Buffer[T]) int64, sink func(bucket int, run []T) error) *Writer[T] {
+	capacity = max(capacity, 1)
 	w := &Writer[T]{
 		plan:    plan,
 		threads: threads,
@@ -71,17 +75,45 @@ func (w *Writer[T]) Err() error {
 	return w.err
 }
 
-// Buf returns the current window. Concurrent appenders may use it until the
-// next Flush or Seal call from the coordinating goroutine.
-func (w *Writer[T]) Buf() *Buffer[T] { return w.cur }
-
 // Room returns the remaining capacity of the current window.
 func (w *Writer[T]) Room() int { return w.cur.Cap() - w.cur.Len() }
 
-// Flush shuffles and folds the current window, hands it to the writer
-// goroutine and installs an empty one. Coordinating goroutine only. Once the
-// sink has failed, Flush returns its error and queues nothing more.
-func (w *Writer[T]) Flush() error {
+// Append adds batch to the phase. With a sink it fills the current window
+// exactly and flushes it only when the next record needs room, so a phase
+// that exactly fills one window stays in memory; it is then for one
+// goroutine at a time, and once the sink has failed it returns the sink's
+// error and appends nothing. Without a sink the window is the whole phase:
+// concurrent appenders share it, and a batch that does not fit is refused
+// with an error that names the capacity.
+func (w *Writer[T]) Append(batch []T) error {
+	if w.sink == nil {
+		if !w.cur.Append(batch) {
+			return fmt.Errorf("streambuf: a batch of %d records overflows the window (capacity %d records)", len(batch), w.cur.Cap())
+		}
+		return nil
+	}
+	if err := w.Err(); err != nil {
+		return err
+	}
+	for len(batch) > 0 {
+		room := w.Room()
+		if room == 0 {
+			if err := w.flush(); err != nil {
+				return err
+			}
+			continue
+		}
+		n := min(room, len(batch))
+		w.cur.Append(batch[:n])
+		batch = batch[n:]
+	}
+	return nil
+}
+
+// flush shuffles and folds the current window, hands it to the writer
+// goroutine and installs an empty one. Once the sink has failed, flush
+// returns its error and queues nothing more.
+func (w *Writer[T]) flush() error {
 	if w.sink == nil {
 		return nil
 	}
@@ -105,11 +137,11 @@ func (w *Writer[T]) Flush() error {
 // Seal ends one phase and returns what it moved. A phase that flushed has its
 // tail flushed and every write waited for, and Seal returns a nil window. A
 // phase that never did is shuffled and folded in memory: Seal returns the
-// bucketed window, valid until the next Flush or Seal.
+// bucketed window, valid until the next flush or Seal.
 func (w *Writer[T]) Seal() (*Buffer[T], Tally, error) {
 	var err error
 	if w.flushed {
-		err = w.Flush()
+		err = w.flush()
 		// Idle exactly when the two buffers other than the current are free.
 		a, b := <-w.free, <-w.free
 		w.free <- a
@@ -128,7 +160,7 @@ func (w *Writer[T]) Seal() (*Buffer[T], Tally, error) {
 // Finish flushes the tail, waits for every write and stops the goroutine —
 // the end of a Writer that serves a single phase.
 func (w *Writer[T]) Finish() error {
-	err := w.Flush()
+	err := w.flush()
 	w.Stop()
 	if err != nil {
 		return err

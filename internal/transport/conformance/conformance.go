@@ -2,11 +2,12 @@
 // fixture of its one implementation, core.ShuffleTransport, in its shapes:
 // without a spill store, and over the out-of-core update files with a window
 // that never spills, spills mid-iteration or spills every batch. Every shape
-// runs the same battery: delivery
-// completeness, single-sender per-partition FIFO order, combiner fold
-// equivalence, flush/close idempotence and multi-iteration reuse,
-// concurrent-sender and concurrent-drain safety (meaningful under -race),
-// and the transport's own traffic counters.
+// runs the same battery: delivery completeness, single-sender per-partition
+// FIFO order, combiner fold equivalence, close idempotence and
+// multi-iteration reuse, sends from several goroutines and concurrent
+// drains (meaningful under -race), and the transport's own traffic
+// counters. A shape over a store also takes a batch of several windows in
+// one Send and spills the full ones itself.
 package conformance
 
 import (
@@ -23,20 +24,24 @@ import (
 // Maker describes one UpdateTransport shape to Run. New must
 // build a transport for k partitions over nv vertices that (a) routes by
 // core.NewSplit(nv, k).Of(u.Dst), (b) accepts capacity records per
-// iteration through the Send/Room/Flush window protocol, and (c) when
-// combine is set, folds same-destination updates with int64 addition
-// (core.NewUpdateFolder over the same split). The suite owns the
-// transport's lifecycle and closes it.
+// iteration in Sends of any size — any number over a store, which spills
+// the windows they fill — and (c) when combine is set, folds
+// same-destination updates with int64 addition (core.NewUpdateFolder over
+// the same split). The suite owns the transport's lifecycle and closes it.
 type Maker struct {
 	// Name labels the shape in subtest paths.
 	Name string
 	// New builds a fresh transport under test; see the Maker contract.
 	New func(t *testing.T, k int, nv int64, capacity, threads int, combine bool) core.UpdateTransport[int64]
-	// Window returns how many records fit one send window without an
-	// intervening Flush, given the per-iteration capacity — what
-	// uncoordinated concurrent senders may rely on. nil means the whole
-	// capacity (unwindowed transports).
+	// Window returns the records of one window of a transport built for
+	// the given per-iteration capacity. nil means the whole capacity.
 	Window func(capacity int) int
+	// StoreWindows, for a shape over a spill store, returns how many
+	// windows the store of the sealed transport tp has taken, counting
+	// windows whose records reach every partition. nil means the shape has
+	// no store: its Send is then safe for concurrent use, where a shape
+	// over a store takes Send from one goroutine at a time.
+	StoreWindows func(tp core.UpdateTransport[int64]) int
 }
 
 // update is shorthand for the suite's record type.
@@ -63,32 +68,12 @@ func genUpdates(n int, nv int64, seed uint64) []update {
 	return out
 }
 
-// sendAll drives the engines' coordinator protocol: reserve room, flush a
-// full window, split batches that exceed the window.
-func sendAll(t *testing.T, tp core.UpdateTransport[int64], src int, batch []update) (sends int) {
+// sendAll sends batch in one Send, which must accept it.
+func sendAll(t *testing.T, tp core.UpdateTransport[int64], src int, batch []update) {
 	t.Helper()
-	for len(batch) > 0 {
-		room := tp.Room()
-		if room == 0 {
-			if err := tp.Flush(); err != nil {
-				t.Fatalf("Flush: %v", err)
-			}
-			if tp.Room() == 0 {
-				t.Fatalf("Room still 0 after Flush")
-			}
-			continue
-		}
-		take := len(batch)
-		if take > room {
-			take = room
-		}
-		if !tp.Send(src, batch[:take]) {
-			t.Fatalf("Send rejected %d records with room %d", take, room)
-		}
-		sends++
-		batch = batch[take:]
+	if !tp.Send(src, batch) {
+		t.Fatalf("Send refused %d records: %v", len(batch), tp.Err())
 	}
-	return sends
 }
 
 // seal wraps Seal with the IterFlow invariant check.
@@ -189,7 +174,8 @@ func Run(t *testing.T, mk Maker) {
 					cross++
 				}
 			}
-			sends += sendAll(t, tp, src, ups[off:end])
+			sendAll(t, tp, src, ups[off:end])
+			sends++
 			off = end
 		}
 		flow := seal(t, tp)
@@ -327,10 +313,6 @@ func Run(t *testing.T, mk Maker) {
 		tp := mk.New(t, k, nv, n, threads, true)
 		defer tp.Close()
 		for iter := 0; iter < 3; iter++ {
-			// Redundant flushes of an empty window are no-ops.
-			if err := tp.Flush(); err != nil {
-				t.Fatalf("iter %d: empty Flush: %v", iter, err)
-			}
 			ups := genUpdates(n, nv, uint64(100+iter))
 			for off := 0; off < n; off += 500 {
 				sendAll(t, tp, (off/500)%k, ups[off:off+500])
@@ -376,13 +358,51 @@ func Run(t *testing.T, mk Maker) {
 		}
 	})
 
+	// One Send of three and a half windows into a transport over a store:
+	// Send spills the three full windows itself, Seal spills the tail after
+	// them, and every record is delivered in send order.
+	if mk.StoreWindows != nil {
+		t.Run("spill-batch", func(t *testing.T) {
+			const capacity = 16000
+			win := window(capacity)
+			n := 3*win + win/2
+			tp := mk.New(t, k, nv, capacity, threads, false)
+			defer tp.Close()
+			ups := make([]update, n)
+			for i := range ups {
+				lo, hi := split.Range(i%k, nv)
+				ups[i] = update{Dst: core.VertexID(lo + int64(i/k)%(hi-lo)), Val: int64(i)}
+			}
+			sendAll(t, tp, 0, ups)
+			if flow := seal(t, tp); flow.Appended != int64(n) {
+				t.Fatalf("Appended = %d, sent %d", flow.Appended, n)
+			}
+			if got := mk.StoreWindows(tp); got != 4 {
+				t.Fatalf("the store took %d windows, want three full ones and the tail", got)
+			}
+			got := drainAll(t, tp, split)
+			for p := 0; p < k; p++ {
+				want := p
+				for _, u := range got[p] {
+					if u.Val != int64(want) {
+						t.Fatalf("partition %d: drained record %d, want %d (send order lost)", p, u.Val, want)
+					}
+					want += k
+				}
+				if want < n {
+					t.Fatalf("partition %d: drained up to record %d of %d", p, want-k, n)
+				}
+			}
+		})
+	}
+
+	// Senders on several goroutines: without a store at once, sharing the
+	// window as the in-memory engine's scatter workers do; over a store one
+	// at a time, each handing over to the next, as the out-of-core pass
+	// feeds a run each chunk from a goroutine of its own.
 	t.Run("concurrent-send", func(t *testing.T) {
 		const capacity = 16000
-		win := window(capacity)
-		if win > capacity {
-			win = capacity
-		}
-		per := win / k
+		per := capacity / k
 		tp := mk.New(t, k, nv, capacity, threads, false)
 		defer tp.Close()
 		batches := make([][]update, k)
@@ -394,20 +414,20 @@ func Run(t *testing.T, mk Maker) {
 			wg.Add(1)
 			go func(s int) {
 				defer wg.Done()
-				// Uncoordinated senders within one window, as engine
-				// scatter workers send within the coordinator's reserved
-				// room.
 				for off := 0; off < per; off += 64 {
 					end := off + 64
 					if end > per {
 						end = per
 					}
 					if !tp.Send(s, batches[s][off:end]) {
-						t.Errorf("sender %d: Send rejected within window", s)
+						t.Errorf("sender %d: Send rejected within capacity: %v", s, tp.Err())
 						return
 					}
 				}
 			}(s)
+			if mk.StoreWindows != nil {
+				wg.Wait()
+			}
 		}
 		wg.Wait()
 		if t.Failed() {

@@ -213,12 +213,4 @@ func TestRunManyCancel(t *testing.T) {
 	if _, _, err := xstream.RunManyDisk(ctx, src, set, dcfg); err != context.Canceled {
 		t.Fatalf("disk: err = %v, want context.Canceled", err)
 	}
-	// The classic Run paths honor Config.Context the same way.
-	if _, err := xstream.RunMemory(src, xstream.NewPageRank(50), xstream.MemConfig{Threads: 2, Context: ctx}); err != context.Canceled {
-		t.Fatalf("RunMemory: err = %v, want context.Canceled", err)
-	}
-	dcfg.Context = ctx
-	if _, err := xstream.RunDisk(src, xstream.NewPageRank(50), dcfg); err != context.Canceled {
-		t.Fatalf("RunDisk: err = %v, want context.Canceled", err)
-	}
 }
