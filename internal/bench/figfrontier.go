@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"fmt"
 
 	"repro/internal/algorithms"
@@ -28,8 +29,10 @@ import (
 // composition of PR 1's partitioner layer with this PR's scheduler. All
 // metrics are deterministic work measures, gated by cmd/benchgate.
 //
-// A third input, a path, runs ≥ 10⁴ iterations of a one-vertex frontier
-// on both engines at their default tile sizes.
+// Two BFS jobs from opposite ends of the chain then share one pass on both
+// engines, so their skips gate the union of two frontiers' tile plans. A
+// last input, a path, runs ≥ 10⁴ iterations of a one-vertex frontier on
+// both engines at their default tile sizes.
 func init() {
 	register("figfrontier", "Frontier-aware selective streaming: BFS skips on a high-diameter graph", runFigFrontier)
 }
@@ -146,6 +149,37 @@ func runFigFrontier(cfg Config) (*Table, error) {
 		t.Notes = append(t.Notes, fmt.Sprintf(
 			"shuffled input: 2PS-packed frontiers stream %.2fx the edges of range (%.0f vs %.0f)",
 			shufBy["2ps"]/r, shufBy["2ps"], r))
+	}
+
+	// Two BFS roots, one at each end of the chain, in one shared pass: a
+	// partition either frontier reaches is planned for the union of both,
+	// so the pass's skips gate the union tile plan on both engines.
+	twoRoots := func() core.ProgramSet {
+		return core.ProgramSet{
+			core.NewJob(algorithms.NewBFS(0)),
+			core.NewJob(algorithms.NewBFS(core.VertexID(chain.NumVertices() - 1))),
+		}
+	}
+	_, mp, err := memengine.RunMany(context.Background(), chain, twoRoots(), memengine.Config{
+		Threads: cfg.Threads, Partitions: memParts, Selective: true, TileEdges: tile,
+	})
+	if err != nil {
+		return nil, fmt.Errorf("two roots/mem: %w", err)
+	}
+	_, dp, err := diskengine.RunMany(context.Background(), chain, twoRoots(), diskengine.Config{
+		Device: ssdDev("frontier-two", 0), Threads: cfg.Threads, IOUnit: 32 << 10,
+		Partitions: diskParts, Selective: true, TileEdges: tile,
+	})
+	if err != nil {
+		return nil, fmt.Errorf("two roots/disk: %w", err)
+	}
+	for _, r := range []struct {
+		eng string
+		s   core.Stats
+	}{{"mem", mp}, {"disk", dp}} {
+		addRow("chain, 2 roots", r.s, true)
+		t.SetMetric("bfs_two_roots_"+r.eng+"_edges_skipped", float64(r.s.EdgesSkipped))
+		t.SetMetric("bfs_two_roots_"+r.eng+"_tiles_skipped", float64(r.s.TilesSkipped))
 	}
 
 	// A path keeps the frontier one vertex wide for ≥ 10⁴ iterations at the

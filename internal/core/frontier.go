@@ -21,6 +21,7 @@ package core
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 	"sync/atomic"
 )
 
@@ -69,22 +70,51 @@ func SelectiveProgram[V, M any](prog Program[V, M], selective bool) FrontierProg
 // from many goroutines — while the read-side methods assume marking has
 // quiesced (the engines separate phases with joins, which establishes the
 // necessary happens-before).
+//
+// Beside the bits a frontier lists the words it touched: the words holding
+// an active vertex, each listed once. Clear zeroes only those, and the
+// per-partition counts and the tile plan walk only those, so a frontier
+// costs what it holds, not what it ranges over.
 type Frontier struct {
 	n    int64
 	bits []uint64
+	// touched[:nTouched] are the non-zero words of bits, in marking order
+	// until touchedWords sorts them. Every word enters at most once between
+	// Clears, so the list never outgrows len(bits).
+	touched  []uint32
+	nTouched atomic.Int64
 }
 
 // NewFrontier returns an empty frontier over n vertices.
 func NewFrontier(n int64) *Frontier {
-	return &Frontier{n: n, bits: make([]uint64, (n+63)/64)}
+	words := (n + 63) / 64
+	return &Frontier{n: n, bits: make([]uint64, words), touched: make([]uint32, words)}
 }
 
 // Len returns the number of vertices the frontier ranges over.
 func (f *Frontier) Len() int64 { return f.n }
 
-// Mark sets vertex v active. Safe for concurrent use.
+// Mark sets vertex v active. Safe for concurrent use: of the marks that
+// find a word zero, exactly one swaps it from 0 and lists the word. It is
+// a compare-and-swap loop rather than a test of atomic.OrUint64's old
+// value: with the latter inlined into another package, the go1.24.0 amd64
+// compiler reused the register holding the word index for the OR's
+// operand, and listed the mask instead of the word.
 func (f *Frontier) Mark(v VertexID) {
-	atomic.OrUint64(&f.bits[v>>6], 1<<(v&63))
+	w, bit := v>>6, uint64(1)<<(v&63)
+	word := &f.bits[w]
+	for {
+		old := atomic.LoadUint64(word)
+		if old&bit != 0 {
+			return
+		}
+		if atomic.CompareAndSwapUint64(word, old, old|bit) {
+			if old == 0 {
+				f.touched[f.nTouched.Add(1)-1] = uint32(w)
+			}
+			return
+		}
+	}
 }
 
 // Active reports whether vertex v is active.
@@ -92,35 +122,50 @@ func (f *Frontier) Active(v VertexID) bool {
 	return f.bits[v>>6]>>(v&63)&1 != 0
 }
 
-// Clear deactivates every vertex.
+// Clear deactivates every vertex, zeroing only the touched words.
 func (f *Frontier) Clear() {
-	clear(f.bits)
+	for _, w := range f.touchedList() {
+		f.bits[w] = 0
+	}
+	f.nTouched.Store(0)
+}
+
+// touchedList returns the touched words in their current order.
+func (f *Frontier) touchedList() []uint32 { return f.touched[:f.nTouched.Load()] }
+
+// touchedWords returns the index of every word holding an active vertex
+// (word i holds vertices [64i, 64i+64)), ascending. It sorts the frontier's
+// own list in place and the result aliases it: call it once marking has
+// quiesced, and do not retain it across Mark or Clear.
+func (f *Frontier) touchedWords() []uint32 {
+	w := f.touchedList()
+	slices.Sort(w)
+	return w
 }
 
 // Words exposes the frontier's backing bit words (word i holds vertices
 // [64i, 64i+64), LSB first) for checkpoint serialization. The slice
-// aliases live state: callers must not retain it across Mark/Clear.
+// aliases live state: callers must not retain it across Mark/Clear, nor
+// write to it (LoadWords is the one way in).
 func (f *Frontier) Words() []uint64 { return f.bits }
 
-// LoadWords overwrites the frontier from checkpoint words. The word count
-// must match the frontier's own.
+// LoadWords overwrites the frontier from checkpoint words, relisting the
+// touched words with one scan. The word count must match the frontier's
+// own.
 func (f *Frontier) LoadWords(w []uint64) error {
 	if len(w) != len(f.bits) {
 		return fmt.Errorf("core: frontier restore: %d words, want %d", len(w), len(f.bits))
 	}
 	copy(f.bits, w)
+	n := 0
+	for i, word := range f.bits {
+		if word != 0 {
+			f.touched[n] = uint32(i)
+			n++
+		}
+	}
+	f.nTouched.Store(int64(n))
 	return nil
-}
-
-// MarkAll activates every vertex — the dense state a program without a
-// frontier contract implicitly runs in.
-func (f *Frontier) MarkAll() {
-	for i := range f.bits {
-		f.bits[i] = ^uint64(0)
-	}
-	if rem := uint(f.n) & 63; rem != 0 && len(f.bits) > 0 {
-		f.bits[len(f.bits)-1] &= 1<<rem - 1
-	}
 }
 
 // Count returns the number of active vertices.
@@ -219,17 +264,31 @@ func (s SrcSpan) Intersects(f *Frontier) bool {
 // CountByPartition returns the active-vertex count of every partition of
 // the split — the per-iteration schedule selective engines consult: zero
 // means the partition's whole edge chunk (or edge file) is skipped, a
-// partial count routes the partition through tile-granular skipping. The
-// counts are written into dst's storage when it has room for s.K of them.
+// partial count routes the partition through tile-granular skipping. It
+// walks the touched words only; a word that straddles a partition boundary
+// (a partition narrower than 64 vertices, or not 64-aligned) is split with
+// CountRange. The counts are written into dst's storage when it has room
+// for s.K of them.
 func (f *Frontier) CountByPartition(s Split, dst []int64) []int64 {
 	out := dst[:0]
 	if cap(out) < s.K {
 		out = make([]int64, s.K)
 	}
 	out = out[:s.K]
-	for p := range out {
-		lo, hi := s.Range(p, f.n)
-		out[p] = f.CountRange(lo, hi)
+	clear(out)
+	per := s.PerPartition()
+	for _, w := range f.touchedList() {
+		lo := int64(w) << 6
+		hi := min(lo+64, f.n)
+		p0, p1 := int(lo/per), int((hi-1)/per)
+		if p0 == p1 {
+			out[p0] += int64(bits.OnesCount64(f.bits[w]))
+			continue
+		}
+		for p := p0; p <= p1; p++ {
+			plo, phi := s.Range(p, f.n)
+			out[p] += f.CountRange(max(plo, lo), min(phi, hi))
+		}
 	}
 	return out
 }
@@ -245,6 +304,7 @@ type Schedule struct {
 	nv       int64
 	cur, nxt *Frontier // scattered this iteration / receivers for the next
 	active   []int64   // cur's per-partition counts, for one scatter
+	words    []uint32  // cur's touched words, ascending, for one scatter
 
 	skipEdges, skipParts, skipTiles atomic.Int64
 }
@@ -252,7 +312,7 @@ type Schedule struct {
 // InitSchedule sizes the schedule for nv vertices under part, with empty
 // frontiers when selective and dense otherwise.
 func (s *Schedule) InitSchedule(part Split, nv int64, selective bool) {
-	s.part, s.nv, s.cur, s.nxt, s.active = part, nv, nil, nil, nil
+	s.part, s.nv, s.cur, s.nxt, s.active, s.words = part, nv, nil, nil, nil, nil
 	if selective {
 		s.cur, s.nxt = NewFrontier(nv), NewFrontier(nv)
 	}
@@ -274,10 +334,12 @@ func (s *Schedule) Seed(v VertexID) {
 // a dense schedule.
 func (s *Schedule) Receivers() *Frontier { return s.nxt }
 
-// Recount refreshes the per-partition active counts the Needs methods
-// answer from, in place; call once per iteration before the scatter.
+// Recount refreshes the per-partition active counts and the touched words
+// the Needs methods and ActiveWords answer from, in place; call once per
+// iteration before the scatter.
 func (s *Schedule) Recount() {
 	if s.cur != nil {
+		s.words = s.cur.touchedWords()
 		s.active = s.cur.CountByPartition(s.part, s.active)
 	}
 }
@@ -305,6 +367,17 @@ func (s *Schedule) PartiallyActive(p int) bool {
 
 // NeedsTile implements JobRun.
 func (s *Schedule) NeedsTile(span SrcSpan) bool { return s.cur == nil || span.Intersects(s.cur) }
+
+// ActiveWords implements JobRun.
+func (s *Schedule) ActiveWords(p int) []uint32 {
+	lo, hi := s.part.Range(p, s.nv)
+	if s.cur == nil || lo >= hi {
+		return nil
+	}
+	i, _ := slices.BinarySearch(s.words, uint32(lo>>6))
+	j, _ := slices.BinarySearch(s.words, uint32((hi-1)>>6)+1)
+	return s.words[i:j]
+}
 
 // SkipPartition implements JobRun. An edgeless partition elides nothing, so
 // it is not counted.

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 
@@ -81,14 +82,20 @@ func TestFrontierAgainstReference(t *testing.T) {
 	}
 }
 
-// TestFrontierClearMarkAll checks the bulk transitions, including the tail
-// word of a non-multiple-of-64 vertex count.
+// TestFrontierClearMarkAll checks the bulk transitions — every vertex
+// marked, so the touched list is full, then Clear — including the tail word
+// of a non-multiple-of-64 vertex count.
 func TestFrontierClearMarkAll(t *testing.T) {
 	for _, n := range []int64{1, 63, 64, 65, 100, 128, 1000} {
 		f := NewFrontier(n)
-		f.MarkAll()
+		for v := int64(0); v < n; v++ {
+			f.Mark(VertexID(v))
+		}
 		if got := f.Count(); got != n {
-			t.Fatalf("n=%d: MarkAll then Count = %d", n, got)
+			t.Fatalf("n=%d: marking every vertex then Count = %d", n, got)
+		}
+		if got := len(f.touchedWords()); got != len(f.Words()) {
+			t.Fatalf("n=%d: %d touched words of %d", n, got, len(f.Words()))
 		}
 		if f.AnyInRange(n, n+100) {
 			t.Fatalf("n=%d: active vertices past Len", n)
@@ -124,6 +131,79 @@ func TestFrontierConcurrentMark(t *testing.T) {
 	wg.Wait()
 	if got := f.Count(); got != n {
 		t.Fatalf("Count = %d, want %d", got, n)
+	}
+}
+
+// TestFrontierTouchedWords: the touched-word list stays exact through the
+// frontier's life — marks from 8 goroutines at once, Clear, a checkpoint
+// restore, marks again. After each step the touched words are the non-zero
+// words, ascending and each once, and CountByPartition, which walks only
+// them, equals a full scan at partition sizes below and above one word;
+// after Clear every bit is zero.
+func TestFrontierTouchedWords(t *testing.T) {
+	const n = 5000
+	rng := rand.New(rand.NewSource(34))
+	f := NewFrontier(n)
+	check := func(step string) {
+		t.Helper()
+		var want []uint32
+		for i, w := range f.Words() {
+			if w != 0 {
+				want = append(want, uint32(i))
+			}
+		}
+		if got := f.touchedWords(); !slices.Equal(got, want) {
+			t.Fatalf("%s: touched words %v, want the non-zero words %v", step, got, want)
+		}
+		for _, k := range []int{1, 3, 16, 100, 512} {
+			split := NewSplit(n, k)
+			got := f.CountByPartition(split, nil)
+			for p := range got {
+				lo, hi := split.Range(p, n)
+				if want := f.CountRange(lo, hi); got[p] != want {
+					t.Fatalf("%s, K=%d: partition %d counts %d, a full scan %d", step, k, p, got[p], want)
+				}
+			}
+		}
+	}
+	markConcurrently := func(marks int) {
+		vs := make([]VertexID, marks)
+		for i := range vs {
+			vs[i] = VertexID(rng.Int63n(n))
+		}
+		var wg sync.WaitGroup
+		for w := 0; w < 8; w++ {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				for i := w; i < len(vs); i += 8 {
+					f.Mark(vs[i])
+					f.Mark(vs[(i+1)%len(vs)]) // the neighbour stripe's word too
+				}
+			}(w)
+		}
+		wg.Wait()
+	}
+	markConcurrently(300)
+	check("concurrent marks")
+	saved := slices.Clone(f.Words())
+	f.Clear()
+	for i, w := range f.Words() {
+		if w != 0 {
+			t.Fatalf("Clear left word %d = %#x", i, w)
+		}
+	}
+	check("Clear")
+	if err := f.LoadWords(saved); err != nil {
+		t.Fatal(err)
+	}
+	check("LoadWords")
+	markConcurrently(2000)
+	check("marks after LoadWords")
+	f.Clear()
+	check("second Clear")
+	if f.Count() != 0 {
+		t.Fatalf("Count %d after Clear", f.Count())
 	}
 }
 

@@ -332,6 +332,11 @@ type JobRun interface {
 	// NeedsTile reports whether an edge tile with the given source span
 	// may matter to the job this iteration.
 	NeedsTile(span SrcSpan) bool
+	// ActiveWords returns, ascending, the frontier words (word i holds
+	// vertices [64i, 64i+64)) that hold an active vertex of partition p this
+	// iteration — the candidates of the tile plan (PartitionPlan.NeededTiles);
+	// nil on a dense run.
+	ActiveWords(p int) []uint32
 	// NewScatter returns engine worker w's scatter sink (0 ≤ w < the
 	// setup's Threads), readied for partition p whose edge chunk holds
 	// chunkEdges records. The run owns one sink per worker for its whole

@@ -9,6 +9,7 @@ package core
 
 import (
 	"context"
+	"slices"
 	"time"
 )
 
@@ -206,4 +207,37 @@ func (pl *PartitionPlan) NeedsTile(span SrcSpan) bool {
 		}
 	}
 	return false
+}
+
+// NeededTiles returns, ascending and in dst's storage, the ids of partition
+// p's tiles in ix that NeedsTile accepts — the tiles of a Tiled plan that
+// are streamed. When every needing run is partially active the candidates
+// are the tiles ix files under the runs' active words in p, plus the wide
+// ones, so the plan costs what the frontiers hold; a dense or fully active
+// run makes every tile a candidate. Each candidate is then decided by
+// NeedsTile, so the result is exactly a walk of every tile.
+func (pl *PartitionPlan) NeededTiles(ix *TileIndex, p int, dst []int32) []int32 {
+	ids := dst[:0]
+	all := false
+	for _, r := range pl.Needing {
+		all = all || !r.PartiallyActive(p)
+	}
+	if all {
+		for i := range ix.Tiles(p) {
+			ids = append(ids, int32(i))
+		}
+	} else {
+		for _, r := range pl.Needing {
+			ids = ix.candidates(p, r.ActiveWords(p), ids)
+		}
+		slices.Sort(ids)
+		ids = slices.Compact(ids)
+	}
+	kept := ids[:0]
+	for _, i := range ids {
+		if pl.NeedsTile(ix.Span(p, int(i))) {
+			kept = append(kept, i)
+		}
+	}
+	return kept
 }

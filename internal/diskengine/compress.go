@@ -170,9 +170,9 @@ type rawTileVerifier struct {
 }
 
 // newRawTileVerifier returns a verifier for partition p of a raw layout,
-// or nil when the index cannot vouch for the file (the whole-file safety
-// net of activeSegmentsFunc, where index and file disagree on the record
-// count — planSegments then streams the whole file unverified).
+// or nil when the index cannot vouch for the file (planSegments' whole-file
+// safety net, where index and file disagree on the record count — the
+// whole file is then streamed unverified).
 func newRawTileVerifier(pf *partFile, t *diskTiles, p int) *rawTileVerifier {
 	if t == nil || t.compressed || t.tileRecs <= 0 {
 		return nil

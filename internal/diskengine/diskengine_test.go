@@ -520,9 +520,9 @@ func TestSelectiveIgnoredWithoutContractDisk(t *testing.T) {
 	}
 }
 
-// TestDiskTilesSegments exercises the tile index directly: coverage
-// mismatch falls back to a full scan, active tiles coalesce into maximal
-// segments, and skipped record counts reconcile.
+// TestDiskTilesSegments exercises the tile index directly: needed tiles
+// become segments, adjacent ones coalesce, skipped record counts reconcile,
+// and in the raw layout a coverage mismatch falls back to a full scan.
 func TestDiskTilesSegments(t *testing.T) {
 	dt := newDiskTiles(1, 4, false)
 	edges := make([]core.Edge, 10)
@@ -535,21 +535,18 @@ func TestDiskTilesSegments(t *testing.T) {
 		t.Fatalf("tile count %d, want 3", got)
 	}
 
-	front := core.NewFrontier(100)
-	front.Mark(45) // activates only the middle tile
-	intersects := func(s core.SrcSpan) bool { return s.Intersects(front) }
-	segs, skipRecs, skipTiles := dt.activeSegmentsFunc(0, intersects, 10)
-	if len(segs) != 1 || segs[0] != (recRange{4, 8}) {
+	// Only the middle tile is needed.
+	segs, skipRecs, skipTiles := planSegments(dt, 0, true, []int32{1}, 10, nil)
+	if len(segs) != 1 || segs[0].lo != 4 || segs[0].hi != 8 {
 		t.Fatalf("segments %+v, want [{4 8}]", segs)
 	}
 	if skipRecs != 6 || skipTiles != 2 {
 		t.Fatalf("skipped %d recs / %d tiles, want 6 / 2", skipRecs, skipTiles)
 	}
 
-	// Adjacent active tiles coalesce.
-	front.Mark(0)
-	segs, skipRecs, skipTiles = dt.activeSegmentsFunc(0, intersects, 10)
-	if len(segs) != 1 || segs[0] != (recRange{0, 8}) {
+	// Adjacent needed tiles coalesce.
+	segs, skipRecs, skipTiles = planSegments(dt, 0, true, []int32{0, 1}, 10, nil)
+	if len(segs) != 1 || segs[0].lo != 0 || segs[0].hi != 8 {
 		t.Fatalf("segments %+v, want [{0 8}]", segs)
 	}
 	if skipRecs != 2 || skipTiles != 1 {
@@ -557,8 +554,8 @@ func TestDiskTilesSegments(t *testing.T) {
 	}
 
 	// Coverage mismatch (index says 10 records, file has 12): full scan.
-	segs, skipRecs, skipTiles = dt.activeSegmentsFunc(0, intersects, 12)
-	if len(segs) != 1 || segs[0] != (recRange{0, 12}) || skipRecs != 0 || skipTiles != 0 {
+	segs, skipRecs, skipTiles = planSegments(dt, 0, true, []int32{0, 1}, 12, nil)
+	if len(segs) != 1 || segs[0].lo != 0 || segs[0].hi != 12 || skipRecs != 0 || skipTiles != 0 {
 		t.Fatalf("fallback segments %+v (skip %d/%d), want full scan", segs, skipRecs, skipTiles)
 	}
 }

@@ -185,10 +185,10 @@ func (pp *Prepared) NumEdges() int64 { return pp.ne }
 func (pp *Prepared) Partitions() int { return pp.k }
 
 // Bytes returns the handle's resident in-memory footprint: the tile
-// indexes plus per-file bookkeeping. The partition edge files themselves
-// live on the device (BytesRead accounts their traffic), so an out-of-core
-// handle is cheap to keep resident — but not free, which is what the
-// dataset registry's memory cap charges.
+// indexes, word→tile ones included, plus per-file bookkeeping. The
+// partition edge files themselves live on the device (BytesRead accounts
+// their traffic), so an out-of-core handle is cheap to keep resident — but
+// not free, which is what the dataset registry's memory cap charges.
 func (pp *Prepared) Bytes() int64 {
 	pp.mu.Lock()
 	defer pp.mu.Unlock()
@@ -201,6 +201,9 @@ func (pp *Prepared) Bytes() int64 {
 		}
 		for _, spans := range t.parts {
 			n += int64(len(spans)) * spanBytes
+		}
+		if t.index != nil {
+			n += t.index.Bytes()
 		}
 	}
 	return n
@@ -244,18 +247,31 @@ func (io edgeIO) addTo(s *core.Stats) {
 
 // files returns the partition edge files and tile index for a direction,
 // building the transposed files lazily, at most once, with one streaming
-// pass over the forward files. The build's own I/O (one read and one write
-// of the whole edge volume) is returned so the triggering run can account
-// it.
-func (pp *Prepared) files(dir core.Direction) (files []*partFile, tiles *diskTiles, build edgeIO, err error) {
+// pass over the forward files, and — when selective says a run will plan
+// tiles — the tiles' word→tile index. The build's own I/O (one read and one
+// write of the whole edge volume) is returned so the triggering run can
+// account it.
+func (pp *Prepared) files(dir core.Direction, selective bool) (fs fileStream, build edgeIO, err error) {
 	pp.mu.Lock()
 	defer pp.mu.Unlock()
 	if pp.closed {
-		return nil, nil, build, fmt.Errorf("diskengine: prepared dataset is closed")
+		return fs, build, fmt.Errorf("diskengine: prepared dataset is closed")
 	}
-	if dir == core.Forward {
-		return pp.edgeFiles, pp.tilesFwd, build, nil
+	fs.files, fs.tiles = pp.edgeFiles, pp.tilesFwd
+	if dir == core.Backward {
+		if fs.files, fs.tiles, build, err = pp.transposed(); err != nil {
+			return fs, build, err
+		}
 	}
+	if selective && fs.tiles != nil {
+		fs.index = fs.tiles.tileIndex()
+	}
+	return fs, build, nil
+}
+
+// transposed returns the transposed files and their tiles, building them on
+// first use; the caller holds pp.mu.
+func (pp *Prepared) transposed() (files []*partFile, tiles *diskTiles, build edgeIO, err error) {
 	if pp.bwdFiles == nil {
 		bwd := make([]*partFile, pp.k)
 		cleanup := func() {
@@ -348,7 +364,7 @@ func (s *forwardSource) NumEdges() int64 { return s.pp.ne }
 func (s *forwardSource) Edges(fn func([]core.Edge) error) error {
 	pp := s.pp
 	for p, f := range pp.edgeFiles {
-		segs, _, _ := planSegments(pp.tilesFwd, p, nil, edgeFileRecs(f, pp.tilesFwd, p))
+		segs, _, _ := planSegments(pp.tilesFwd, p, false, nil, edgeFileRecs(f, pp.tilesFwd, p), nil)
 		io, err := pp.streamPartition(nil, s.sc, pp.edgeFiles, pp.tilesFwd, p, segs, fn)
 		s.io.read += io.read
 		s.io.logical += io.logical
@@ -532,26 +548,35 @@ type diskPass struct {
 	streams  [2]fileStream // indexed by core.Direction
 	rd       edgeScratch
 	plan     core.PartitionPlan
+	ids      []int32       // the partition's needed tiles, for one plan
+	segs     []edgeSegment // the partition's planned reads, for one plan
 	scatters []core.JobScatter
 	snaps    []core.Snapshotter
 	retries  int64
 }
 
-// fileStream is one orientation's partition edge files and tile index.
+// fileStream is one orientation's partition edge files and tile index,
+// with the word→tile index when a subscriber has a frontier.
 type fileStream struct {
 	files []*partFile
 	tiles *diskTiles
+	index *core.TileIndex
 }
 
-// Resolve implements core.PassEngine: the transposed files are built on
-// first use, and the build's I/O is the triggering pass's.
-func (d *diskPass) Resolve(dir core.Direction, _ []core.JobRun, pass *core.Stats) error {
-	files, tiles, build, err := d.pp.files(dir)
+// Resolve implements core.PassEngine: the transposed files and the
+// word→tile index are built on first use, and the build's I/O is the
+// triggering pass's.
+func (d *diskPass) Resolve(dir core.Direction, subs []core.JobRun, pass *core.Stats) error {
+	selective := false
+	for _, r := range subs {
+		selective = selective || !r.Dense()
+	}
+	fs, build, err := d.pp.files(dir, selective)
 	if err != nil {
 		return err
 	}
 	build.addTo(pass)
-	d.streams[dir] = fileStream{files, tiles}
+	d.streams[dir] = fs
 	return nil
 }
 
@@ -607,7 +632,7 @@ func (pp *Prepared) layoutStats(st *core.Stats) {
 func (d *diskPass) Scatter(ctx context.Context, dir core.Direction, subs []core.JobRun, pass *core.Stats) error {
 	pp := d.pp
 	tr := pp.cfg.Tracer
-	files, tiles := d.streams[dir].files, d.streams[dir].tiles
+	files, tiles, index := d.streams[dir].files, d.streams[dir].tiles, d.streams[dir].index
 	for p := 0; p < pp.k; p++ {
 		if err := ctx.Err(); err != nil { // between partition files
 			return err
@@ -617,7 +642,7 @@ func (d *diskPass) Scatter(ctx context.Context, dir core.Direction, subs []core.
 			pStart = time.Now()
 		}
 		fileRecs := edgeFileRecs(files[p], tiles, p)
-		d.plan.Plan(subs, p, fileRecs, tiles != nil)
+		d.plan.Plan(subs, p, fileRecs, index != nil)
 		needing := d.plan.Needing
 		if len(needing) == 0 {
 			// No run reaches the partition: by the FrontierProgram contract
@@ -629,13 +654,13 @@ func (d *diskPass) Scatter(ctx context.Context, dir core.Direction, subs []core.
 			}
 			continue
 		}
-		var need func(core.SrcSpan) bool
 		if d.plan.Tiled {
 			// Read only the segments whose tiles some run's frontier
 			// reaches: a tile no run needs is a byte range never read.
-			need = d.plan.NeedsTile
+			d.ids = d.plan.NeededTiles(index, p, d.ids)
 		}
-		segs, skippedRecs, skippedTiles := planSegments(tiles, p, need, fileRecs)
+		segs, skippedRecs, skippedTiles := planSegments(tiles, p, d.plan.Tiled, d.ids, fileRecs, d.segs)
+		d.segs = segs
 		pass.EdgesSkipped += skippedRecs
 		pass.TilesSkipped += skippedTiles
 		for _, r := range needing {

@@ -81,7 +81,7 @@ func readerLifecycle(t *testing.T, compressed bool) {
 	if fileRecs < 4*chunkRecs {
 		t.Fatalf("partition %d holds %d records, too few to keep a prefetch in flight", p, fileRecs)
 	}
-	segs, _, _ := planSegments(tiles, p, nil, fileRecs)
+	segs, _, _ := planSegments(tiles, p, false, nil, fileRecs, nil)
 	want := partitionRecords(t, pf, tiles, p, false)
 
 	sc := new(edgeScratch)
@@ -156,7 +156,7 @@ func TestTileReaderLifecycle(t *testing.T)  { readerLifecycle(t, true) }
 func TestSingleBatchSegmentReadsInline(t *testing.T) {
 	for _, compressed := range []bool{false, true} {
 		files, tiles := shuffleLayout(t, compressed, 128)
-		segs, _, _ := planSegments(tiles, 0, nil, edgeFileRecs(files[0], tiles, 0))
+		segs, _, _ := planSegments(tiles, 0, false, nil, edgeFileRecs(files[0], tiles, 0), nil)
 		sc := new(edgeScratch)
 		base := runtime.NumGoroutine()
 		rd := sc.openSegment(files[0].f, segs[0], 1<<20, true, true)
@@ -363,7 +363,7 @@ func TestScatterRoomProtocol(t *testing.T) {
 func partitionEdges(t *testing.T, pp *Prepared, p int) (edges []core.Edge) {
 	t.Helper()
 	pf := pp.edgeFiles[p]
-	segs, _, _ := planSegments(nil, p, nil, edgeFileRecs(pf, nil, p))
+	segs, _, _ := planSegments(nil, p, false, nil, edgeFileRecs(pf, nil, p), nil)
 	if _, _, _, err := streamSegments(nil, new(edgeScratch), pf, p, nil, true, segs, pp.bufEdgeRecs, true, func(chunk []core.Edge) error {
 		edges = append(edges, chunk...)
 		return nil
@@ -428,9 +428,7 @@ func TestScatterSinkAllocatesNothingWarm(t *testing.T) {
 func TestSingleTileStreamAllocatesNothingWarm(t *testing.T) {
 	for _, compressed := range []bool{false, true} {
 		files, tiles := shuffleLayout(t, compressed, 128)
-		first := tiles.parts[0][0].span
-		segs, _, _ := planSegments(tiles, 0, func(sp core.SrcSpan) bool { return sp == first }, edgeFileRecs(files[0], tiles, 0))
-		segs = segs[:1]
+		segs, _, _ := planSegments(tiles, 0, true, []int32{0}, edgeFileRecs(files[0], tiles, 0), nil)
 		if got := segs[0].hi - segs[0].lo; got != 128 {
 			t.Fatalf("compressed=%v: planned a %d-record segment, want one 128-record tile", compressed, got)
 		}
@@ -477,9 +475,10 @@ func (a *allocProbe) StartIteration(iter int) {
 // TestSharedPassIterationAllocation: a steady-state iteration of a
 // selective BFS shared pass over the benchmark's layout (clique chain, 2PS,
 // compressed tiles) borrows every buffer it needs from the pass and the
-// job, the pass's run and sink lists and the frontier's per-partition counts
+// job, the pass's run and sink lists, the frontier's per-partition counts,
+// the tile plan's id and segment lists and the shuffle's chunk indexes
 // included — what it still allocates is bookkeeping (the closures handed to
-// the partition reader, span-free stats): 1024 bytes, gated at 1.5× that.
+// the partition reader, span-free stats): 216 bytes, gated at 1.5× that.
 // The median over the steady iterations is taken because a few of them pay
 // for the amortised growth of the per-iteration stats and of this probe's
 // samples.
@@ -508,7 +507,7 @@ func TestSharedPassIterationAllocation(t *testing.T) {
 	sort.Slice(deltas, func(i, j int) bool { return deltas[i] < deltas[j] })
 	med := deltas[len(deltas)/2]
 	t.Logf("a steady shared-pass iteration allocates %d bytes (median of %d)", med, len(deltas))
-	if med >= 1536 {
-		t.Errorf("a steady shared-pass iteration allocates %d bytes (median of %d), want < 1536", med, len(deltas))
+	if med >= 324 {
+		t.Errorf("a steady shared-pass iteration allocates %d bytes (median of %d), want < 324", med, len(deltas))
 	}
 }

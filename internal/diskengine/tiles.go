@@ -12,6 +12,7 @@ import (
 // frontier — with a locality-aware partitioner packing communities into
 // contiguous ID ranges, spans are narrow and skips frequent.
 type tileSpan struct {
+	lo   int64 // the tile's first record in its partition's file, set by appendTile
 	recs int64
 	span core.SrcSpan
 	// Physical placement of the encoded tile in its edge file. Raw-layout
@@ -43,6 +44,9 @@ type diskTiles struct {
 	parts      [][]tileSpan
 	partRecs   []int64    // per-partition record total of parts, kept by appendTile
 	open       []tileSpan // per-partition tile still being filled
+	// index is the word→tile index of the finished tiles, built by
+	// tileIndex the first time a selective run streams the files.
+	index *core.TileIndex
 	// Codec accounting, filled during the shuffle alongside the index:
 	// delta-encoded tile count, and the logical (decoded) vs physical
 	// (encoded) byte volume of the layout as written.
@@ -68,8 +72,10 @@ func newDiskTiles(k, tileRecs int, compressed bool) *diskTiles {
 func (t *diskTiles) totalRecs(p int) int64 { return t.partRecs[p] }
 
 // appendTile closes tile as the next tile of partition p. Every tile enters
-// the index here, so the per-partition totals stay in step with it.
+// the index here, so the per-partition totals and the tiles' record offsets
+// stay in step with it.
 func (t *diskTiles) appendTile(p int, tile tileSpan) {
+	tile.lo = t.partRecs[p]
 	t.parts[p] = append(t.parts[p], tile)
 	t.partRecs[p] += tile.recs
 }
@@ -111,38 +117,20 @@ func (t *diskTiles) finish() {
 	}
 }
 
-// recRange is a contiguous record range [lo, hi) of one edge file.
-type recRange struct {
-	lo, hi int64
-}
-
-// activeSegmentsFunc walks partition p's tiles against the tile predicate
-// need — shared-pass execution streams a tile when *any* co-scheduled job's
-// frontier needs it, so need is a union over jobs — and returns the
-// coalesced record ranges that must be streamed, plus the number of records
-// and tiles skipped. wantRecs is the file's actual record count: if the
-// index does not cover it exactly (it always should; this is a safety net,
-// not an expected path) the whole file is returned as one segment and
-// nothing is skipped.
-func (t *diskTiles) activeSegmentsFunc(p int, need func(core.SrcSpan) bool, wantRecs int64) (segs []recRange, skippedRecs, skippedTiles int64) {
-	if t.totalRecs(p) != wantRecs {
-		return []recRange{{0, wantRecs}}, 0, 0
-	}
-	off := int64(0)
-	for _, tile := range t.parts[p] {
-		if need(tile.span) {
-			if n := len(segs); n > 0 && segs[n-1].hi == off {
-				segs[n-1].hi = off + tile.recs
-			} else {
-				segs = append(segs, recRange{off, off + tile.recs})
+// tileIndex returns the word→tile index of the finished tiles, building it
+// on first use. The caller serialises calls (Prepared.files holds pp.mu).
+func (t *diskTiles) tileIndex() *core.TileIndex {
+	if t.index == nil {
+		spans := make([][]core.SrcSpan, len(t.parts))
+		for p, tiles := range t.parts {
+			spans[p] = make([]core.SrcSpan, len(tiles))
+			for i, tile := range tiles {
+				spans[p][i] = tile.span
 			}
-		} else {
-			skippedRecs += tile.recs
-			skippedTiles++
 		}
-		off += tile.recs
+		t.index = core.NewTileIndex(spans)
 	}
-	return segs, skippedRecs, skippedTiles
+	return t.index
 }
 
 // edgeSegment is one contiguous read of an edge file as planned by
@@ -154,49 +142,43 @@ type edgeSegment struct {
 	tiles  []tileSpan
 }
 
-// planSegments plans the streaming of partition p's edge file: the whole
-// file when need is nil, else only the coalesced runs whose tile source
-// spans satisfy need. fileRecs is the file's logical record count (see
-// edgeFileRecs). The skip counts are zero when need is nil. It is the one
-// place both layouts' read planning meets: the raw path delegates to
-// activeSegmentsFunc (keeping its whole-file safety net), the compressed
-// path walks its authoritative index directly. Either way need is asked
-// once per tile.
-func planSegments(t *diskTiles, p int, need func(core.SrcSpan) bool, fileRecs int64) (segs []edgeSegment, skippedRecs, skippedTiles int64) {
-	if t == nil || (need == nil && !t.compressed) {
+// planSegments plans the streaming of partition p's edge file into dst's
+// storage: the whole file unless tiled, else the tiles needed lists — tile
+// ids of t's partition p, ascending (core.PartitionPlan.NeededTiles) — with
+// runs of consecutive ids coalesced into one segment each, and the records
+// and tiles of the others skipped. fileRecs is the file's logical record
+// count (see edgeFileRecs). The raw layout keeps a safety net: if its index
+// does not cover the file exactly (it always should), the whole file is
+// one segment and nothing is skipped.
+func planSegments(t *diskTiles, p int, tiled bool, needed []int32, fileRecs int64, dst []edgeSegment) (segs []edgeSegment, skippedRecs, skippedTiles int64) {
+	segs = dst[:0]
+	if t == nil || !tiled || (!t.compressed && t.totalRecs(p) != fileRecs) {
 		if fileRecs == 0 {
-			return nil, 0, 0
+			return segs, 0, 0
 		}
-		return []edgeSegment{{lo: 0, hi: fileRecs}}, 0, 0
-	}
-	if !t.compressed {
-		rr, sr, st := t.activeSegmentsFunc(p, need, fileRecs)
-		for _, r := range rr {
-			segs = append(segs, edgeSegment{lo: r.lo, hi: r.hi})
+		seg := edgeSegment{lo: 0, hi: fileRecs}
+		if t != nil && t.compressed {
+			seg.tiles = t.parts[p]
 		}
-		return segs, sr, st
+		return append(segs, seg), 0, 0
 	}
 	tiles := t.parts[p]
-	first, lo, off := -1, int64(0), int64(0) // first tile and record of the open run; -1: none
-	for i, tile := range tiles {
-		if need == nil || need(tile.span) {
-			if first < 0 {
-				first, lo = i, off
-			}
-		} else {
-			if first >= 0 {
-				segs = append(segs, edgeSegment{lo: lo, hi: off, tiles: tiles[first:i]})
-				first = -1
-			}
-			skippedRecs += tile.recs
-			skippedTiles++
+	streamed := int64(0)
+	for i := 0; i < len(needed); {
+		j := i + 1
+		for j < len(needed) && needed[j] == needed[j-1]+1 {
+			j++
 		}
-		off += tile.recs
+		first, last := tiles[needed[i]], tiles[needed[j-1]]
+		seg := edgeSegment{lo: first.lo, hi: last.lo + last.recs}
+		if t.compressed {
+			seg.tiles = tiles[needed[i] : needed[j-1]+1]
+		}
+		segs = append(segs, seg)
+		streamed += seg.hi - seg.lo
+		i = j
 	}
-	if first >= 0 {
-		segs = append(segs, edgeSegment{lo: lo, hi: off, tiles: tiles[first:]})
-	}
-	return segs, skippedRecs, skippedTiles
+	return segs, t.totalRecs(p) - streamed, int64(len(tiles) - len(needed))
 }
 
 // edgeFileRecs returns the logical record count of partition p's edge

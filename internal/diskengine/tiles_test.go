@@ -8,81 +8,149 @@ import (
 	"repro/internal/core"
 )
 
-// referencePlanSegments is planSegments as a two-pass walk that re-asks
-// need at every run boundary and re-sums the index — the planner the
-// one-pass walk replaced, kept as its oracle.
+// referencePlanSegments is the tile plan as a per-tile walk: the whole file
+// when need is nil, else every tile asked need once and runs of needed
+// tiles coalesced, with the raw layout's whole-file safety net — the
+// planner the word→tile plan replaced, kept as its oracle.
 func referencePlanSegments(t *diskTiles, p int, need func(core.SrcSpan) bool, fileRecs int64) (segs []edgeSegment, skippedRecs, skippedTiles int64) {
-	if !t.compressed {
-		var total int64
-		for _, tile := range t.parts[p] {
-			total += tile.recs
+	if t == nil || (need == nil && !t.compressed) || (!t.compressed && t.totalRecs(p) != fileRecs) {
+		if fileRecs == 0 {
+			return nil, 0, 0
 		}
-		if total != fileRecs {
-			return []edgeSegment{{lo: 0, hi: fileRecs}}, 0, 0
-		}
-		rr, sr, st := t.activeSegmentsFunc(p, need, fileRecs)
-		for _, r := range rr {
-			segs = append(segs, edgeSegment{lo: r.lo, hi: r.hi})
-		}
-		return segs, sr, st
+		return []edgeSegment{{lo: 0, hi: fileRecs}}, 0, 0
 	}
 	tiles := t.parts[p]
-	off := int64(0)
-	for i := 0; i < len(tiles); {
-		if need != nil && !need(tiles[i].span) {
-			skippedRecs += tiles[i].recs
+	first, lo, off := -1, int64(0), int64(0) // first tile and record of the open run; -1: none
+	closeRun := func(end int) {
+		seg := edgeSegment{lo: lo, hi: off}
+		if t.compressed {
+			seg.tiles = tiles[first:end]
+		}
+		segs = append(segs, seg)
+		first = -1
+	}
+	for i, tile := range tiles {
+		if need == nil || need(tile.span) {
+			if first < 0 {
+				first, lo = i, off
+			}
+		} else {
+			if first >= 0 {
+				closeRun(i)
+			}
+			skippedRecs += tile.recs
 			skippedTiles++
-			off += tiles[i].recs
-			i++
-			continue
 		}
-		j, lo := i, off
-		for j < len(tiles) && (need == nil || need(tiles[j].span)) {
-			off += tiles[j].recs
-			j++
-		}
-		segs = append(segs, edgeSegment{lo: lo, hi: off, tiles: tiles[i:j]})
-		i = j
+		off += tile.recs
+	}
+	if first >= 0 {
+		closeRun(len(tiles))
 	}
 	return segs, skippedRecs, skippedTiles
 }
 
-// TestPlanSegmentsAsksOncePerTile: over both layouts' indexes, the planner
-// asks need exactly once per tile and plans what the two-pass walk planned
-// — segments, their tile runs and the skip counts — on random need masks,
-// and every partition's kept record total equals its tiles' sum.
-func TestPlanSegmentsAsksOncePerTile(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	for _, compressed := range []bool{false, true} {
-		files, tiles := shuffleLayout(t, compressed, 64)
-		for p := range files {
-			var sum int64
-			for _, tl := range tiles.parts[p] {
-				sum += tl.recs
+// scheduleRun is a core.JobRun whose scheduling half is a core.Schedule —
+// everything a partition plan asks of a run.
+type scheduleRun struct {
+	core.JobRun
+	s *core.Schedule
+}
+
+func (r scheduleRun) NeedsPartition(p int) bool        { return r.s.NeedsPartition(p) }
+func (r scheduleRun) PartiallyActive(p int) bool       { return r.s.PartiallyActive(p) }
+func (r scheduleRun) NeedsTile(span core.SrcSpan) bool { return r.s.NeedsTile(span) }
+func (r scheduleRun) ActiveWords(p int) []uint32       { return r.s.ActiveWords(p) }
+func (r scheduleRun) SkipPartition(chunkEdges int64)   { r.s.SkipPartition(chunkEdges) }
+
+// TestTilePlanMatchesWalk: over seeded random tile indexes — narrow and wide
+// spans, raw and compressed layouts, splits whose partitions are narrower
+// and wider than a frontier word — and random frontiers for one to three
+// runs, among them a fully active and a dense one, planSegments over the
+// word→tile plan reads the segments the per-tile walk reads and skips the
+// same records and tiles. The shuffled layouts of both formats plan the same
+// way on random frontiers too.
+func TestTilePlanMatchesWalk(t *testing.T) {
+	rng := rand.New(rand.NewSource(34))
+	check := func(name string, tiles *diskTiles, part core.Split, nv int64, fileRecs func(p int) int64) {
+		t.Helper()
+		ix := tiles.tileIndex()
+		runs := randomRuns(rng, part, nv)
+		var plan core.PartitionPlan
+		var ids []int32
+		for p := 0; p < part.K; p++ {
+			recs := fileRecs(p)
+			plan.Plan(runs, p, recs, true)
+			var need func(core.SrcSpan) bool
+			if plan.Tiled {
+				ids = plan.NeededTiles(ix, p, ids)
+				need = plan.NeedsTile
 			}
-			if got := tiles.totalRecs(p); got != sum {
-				t.Fatalf("compressed=%v partition %d: total %d records, tiles sum to %d", compressed, p, got, sum)
-			}
-			fileRecs := edgeFileRecs(files[p], tiles, p)
-			for trial := 0; trial < 50; trial++ {
-				density := rng.Float64()
-				mask := map[core.SrcSpan]bool{}
-				for _, tl := range tiles.parts[p] {
-					if _, ok := mask[tl.span]; !ok {
-						mask[tl.span] = rng.Float64() < density
-					}
-				}
-				calls := 0
-				segs, sr, st := planSegments(tiles, p, func(s core.SrcSpan) bool { calls++; return mask[s] }, fileRecs)
-				if calls != len(tiles.parts[p]) {
-					t.Fatalf("compressed=%v partition %d: need asked %d times over %d tiles", compressed, p, calls, len(tiles.parts[p]))
-				}
-				want, wsr, wst := referencePlanSegments(tiles, p, func(s core.SrcSpan) bool { return mask[s] }, fileRecs)
-				if !reflect.DeepEqual(segs, want) || sr != wsr || st != wst {
-					t.Fatalf("compressed=%v partition %d: planned %+v skipping %d/%d, two-pass walk %+v skipping %d/%d",
-						compressed, p, segs, sr, st, want, wsr, wst)
-				}
+			segs, sr, st := planSegments(tiles, p, plan.Tiled, ids, recs, nil)
+			want, wsr, wst := referencePlanSegments(tiles, p, need, recs)
+			if !reflect.DeepEqual(segs, want) || sr != wsr || st != wst {
+				t.Fatalf("%s partition %d (tiled %v): planned %+v skipping %d/%d, the walk %+v skipping %d/%d",
+					name, p, plan.Tiled, segs, sr, st, want, wsr, wst)
 			}
 		}
 	}
+	for trial := 0; trial < 200; trial++ {
+		nv := 1 + rng.Int63n(3000)
+		part := core.NewSplit(nv, 1+rng.Intn(64))
+		for _, compressed := range []bool{false, true} {
+			tiles := newDiskTiles(part.K, 64, compressed)
+			for p := 0; p < part.K; p++ {
+				lo, hi := part.Range(p, nv)
+				if lo >= hi {
+					continue
+				}
+				for range rng.Intn(40) {
+					width := 1 + rng.Int63n(min(hi-lo, 64*(1+rng.Int63n(10))))
+					if rng.Intn(8) == 0 {
+						width = 1 + rng.Int63n(hi-lo)
+					}
+					a := lo + rng.Int63n(hi-lo-width+1)
+					tiles.appendTile(p, tileSpan{recs: 1 + rng.Int63n(64), span: core.SrcSpan{Lo: core.VertexID(a), Hi: core.VertexID(a + width - 1)}})
+				}
+			}
+			check("random", tiles, part, nv, tiles.totalRecs)
+		}
+	}
+	for _, compressed := range []bool{false, true} {
+		files, tiles := shuffleLayout(t, compressed, 64)
+		nv, _ := smallGraph(33)
+		part := core.NewSplit(nv.NumVertices(), len(files))
+		for trial := 0; trial < 50; trial++ {
+			check("shuffled", tiles, part, nv.NumVertices(), func(p int) int64 { return edgeFileRecs(files[p], tiles, p) })
+		}
+	}
+}
+
+// randomRuns draws one to three runs over nv vertices split as part:
+// mostly partially active frontiers of random density, and among them,
+// when drawn, one fully active run and one dense run.
+func randomRuns(rng *rand.Rand, part core.Split, nv int64) []core.JobRun {
+	runs := make([]core.JobRun, 1+rng.Intn(3))
+	for i := range runs {
+		s := new(core.Schedule)
+		switch kind := rng.Intn(6); {
+		case kind == 0 && i == 0: // dense
+			s.InitSchedule(part, nv, false)
+		case kind == 1 && i == 1: // fully active
+			s.InitSchedule(part, nv, true)
+			for v := int64(0); v < nv; v++ {
+				s.Seed(core.VertexID(v))
+			}
+		default:
+			s.InitSchedule(part, nv, true)
+			density := rng.Float64() * rng.Float64() * 0.2
+			for v := int64(0); v < nv; v++ {
+				if rng.Float64() < density {
+					s.Seed(core.VertexID(v))
+				}
+			}
+		}
+		s.Recount()
+		runs[i] = scheduleRun{s: s}
+	}
+	return runs
 }

@@ -49,6 +49,7 @@ package memengine
 import (
 	"context"
 	"runtime"
+	"unsafe"
 
 	"repro/internal/core"
 	"repro/internal/streambuf"
@@ -139,20 +140,41 @@ func Run[V, M any](g core.EdgeSource, prog core.Program[V, M], cfg Config) (*Res
 	return core.Typed[V](RunJob(context.Background(), g, core.NewJob(prog), cfg))
 }
 
+// edgeTiles is one orientation's tile index: every partition's tiles in
+// BucketTiles order, aliasing the edge buffer, and the word→tile index over
+// their source spans. The buffer is shuffled once at setup and never
+// changes, so the tiles stay exactly what a BucketTiles walk with the same
+// tile size would see.
+type edgeTiles struct {
+	tiles [][][]core.Edge // tiles[p][i] is partition p's tile i
+	index *core.TileIndex
+}
+
 // buildTileIndex walks every partition's edge chunk in BucketTiles order
-// and records each tile's source span. The buffer is shuffled once at
-// setup and never changes, so a scatter walking BucketTiles with the same
-// tile size sees exactly the indexed tiles.
-func buildTileIndex(buf *streambuf.Buffer[core.Edge], k, tileRecs int) [][]core.SrcSpan {
-	idx := make([][]core.SrcSpan, k)
+// and indexes each tile's source span.
+func buildTileIndex(buf *streambuf.Buffer[core.Edge], k, tileRecs int) *edgeTiles {
+	et := &edgeTiles{tiles: make([][][]core.Edge, k)}
+	spans := make([][]core.SrcSpan, k)
 	for p := 0; p < k; p++ {
 		buf.BucketTiles(p, tileRecs, func(tile []core.Edge) {
 			span := core.NewSrcSpan(tile[0].Src)
 			for _, ed := range tile[1:] {
 				span.Add(ed.Src)
 			}
-			idx[p] = append(idx[p], span)
+			et.tiles[p] = append(et.tiles[p], tile)
+			spans[p] = append(spans[p], span)
 		})
 	}
-	return idx
+	et.index = core.NewTileIndex(spans)
+	return et
+}
+
+// bytes returns the index's resident size: the tile headers and the
+// word→tile index, spans included.
+func (et *edgeTiles) bytes() int64 {
+	n := et.index.Bytes()
+	for _, ts := range et.tiles {
+		n += int64(len(ts)) * int64(unsafe.Sizeof([]core.Edge(nil)))
+	}
+	return n
 }

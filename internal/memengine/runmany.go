@@ -54,8 +54,8 @@ type Prepared struct {
 
 	mu       sync.Mutex
 	fwd, bwd *streambuf.Buffer[core.Edge]
-	tilesFwd [][]core.SrcSpan
-	tilesBwd [][]core.SrcSpan
+	tilesFwd *edgeTiles
+	tilesBwd *edgeTiles
 }
 
 // Prepare ingests a graph once for shared-pass execution: it plans the
@@ -129,14 +129,13 @@ func (pp *Prepared) Bytes() int64 {
 	pp.mu.Lock()
 	defer pp.mu.Unlock()
 	edgeBytes := int64(pod.Size[core.Edge]())
-	spanBytes := int64(pod.Size[core.SrcSpan]())
 	n := int64(pp.fwd.Cap()) * edgeBytes
 	if pp.bwd != nil {
 		n += int64(pp.bwd.Cap()) * edgeBytes
 	}
-	for _, tiles := range [][][]core.SrcSpan{pp.tilesFwd, pp.tilesBwd} {
-		for _, t := range tiles {
-			n += int64(len(t)) * spanBytes
+	for _, tiles := range []*edgeTiles{pp.tilesFwd, pp.tilesBwd} {
+		if tiles != nil {
+			n += tiles.bytes()
 		}
 	}
 	return n
@@ -147,7 +146,7 @@ func (pp *Prepared) Bytes() int64 {
 // transpose is one count pass and one placement pass over the forward
 // buffer, straight into the transposed buffer: no transposed copy is made
 // to shuffle from.
-func (pp *Prepared) edges(dir core.Direction, needTiles bool) (*streambuf.Buffer[core.Edge], [][]core.SrcSpan) {
+func (pp *Prepared) edges(dir core.Direction, needTiles bool) (*streambuf.Buffer[core.Edge], *edgeTiles) {
 	pp.mu.Lock()
 	defer pp.mu.Unlock()
 	buf, tiles := pp.fwd, &pp.tilesFwd
@@ -234,6 +233,7 @@ type memPass struct {
 	n        int
 	streams  [2]edgeStream // indexed by core.Direction
 	plans    []core.PartitionPlan
+	ids      [][]int32 // per worker, its partition's needed tiles
 	scatters []core.JobScatter
 }
 
@@ -241,13 +241,14 @@ type memPass struct {
 // subscriber has a frontier.
 type edgeStream struct {
 	edges *streambuf.Buffer[core.Edge]
-	tiles [][]core.SrcSpan
+	tiles *edgeTiles
 }
 
 func newMemPass(pp *Prepared, runs int) *memPass {
 	return &memPass{
 		pp: pp, n: runs,
 		plans:    make([]core.PartitionPlan, pp.cfg.Threads),
+		ids:      make([][]int32, pp.cfg.Threads),
 		scatters: make([]core.JobScatter, runs*pp.cfg.Threads),
 	}
 }
@@ -309,34 +310,35 @@ func (m *memPass) Scatter(ctx context.Context, dir core.Direction, subs []core.J
 			// A tile is streamed when any run's frontier intersects its
 			// source span, and still withheld from the runs whose own
 			// frontier misses it — per-run results and skip accounting
-			// match a solo selective run.
-			spans := tiles[p]
-			ti := 0
-			edges.BucketTiles(p, pp.cfg.TileEdges, func(tile []core.Edge) {
-				if err != nil {
-					return
-				}
-				span := spans[ti]
-				ti++
-				took := false
+			// match a solo selective run. The tiles no run needs are
+			// skipped by all of them.
+			ids := plan.NeededTiles(tiles.index, p, m.ids[w])
+			m.ids[w] = ids
+			var took int64
+			for _, id := range ids {
+				tile, span := tiles.tiles[p][id], tiles.index.Span(p, int(id))
 				for i, r := range needing {
-					if r.NeedsTile(span) {
-						if err = scatters[i].Edges(tile); err != nil {
-							return
-						}
-						took = true
-					} else {
+					if !r.NeedsTile(span) {
 						r.SkipTiles(int64(len(tile)), 1)
+					} else if err = scatters[i].Edges(tile); err != nil {
+						break
 					}
 				}
-				if took {
-					streamed.Add(int64(len(tile)))
-					pEdges += int64(len(tile))
-				} else {
-					skippedEdges.Add(int64(len(tile)))
-					skippedTiles.Add(1)
+				if err != nil {
+					break
 				}
-			})
+				took += int64(len(tile))
+			}
+			if skipTiles := int64(tiles.index.Tiles(p) - len(ids)); err == nil && skipTiles > 0 {
+				skipEdges := chunkLen - took
+				for _, r := range needing {
+					r.SkipTiles(skipEdges, skipTiles)
+				}
+				skippedEdges.Add(skipEdges)
+				skippedTiles.Add(skipTiles)
+			}
+			streamed.Add(took)
+			pEdges += took
 		} else {
 			edges.Bucket(p, func(run []core.Edge) {
 				if err != nil {

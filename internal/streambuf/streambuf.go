@@ -85,11 +85,12 @@ func (b *Buffer[T]) Len() int {
 // into, or 0 if the buffer is in append state.
 func (b *Buffer[T]) Buckets() int { return b.buckets }
 
-// Reset returns the buffer to the empty append state.
+// Reset returns the buffer to the empty append state. The slices' storage
+// is kept for the next shuffle to reuse.
 func (b *Buffer[T]) Reset() {
 	b.n.Store(0)
 	b.buckets = 0
-	b.slices = nil
+	b.slices = b.slices[:0]
 }
 
 // Append reserves space for batch atomically and copies it in. It is safe
@@ -209,16 +210,38 @@ func (b *Buffer[T]) BucketTiles(p, tileRecs int, fn func(tile []T)) {
 	})
 }
 
-// sliceAppendState cuts the filled region into p equal slices, the first
-// stage's input.
+// sliceAppendState cuts the filled region into p equal slices of one
+// bucket each, the first stage's input.
 func (b *Buffer[T]) sliceAppendState(p int) {
 	n := int(b.n.Load())
-	b.slices = make([]slice, p)
-	for i := 0; i < p; i++ {
-		lo := i * n / p
-		hi := (i + 1) * n / p
-		b.slices[i] = slice{base: lo, limit: hi, fill: hi - lo}
+	b.slices = resliced(b.slices, p)
+	for i := range b.slices {
+		s := &b.slices[i]
+		s.base, s.limit = i*n/p, (i+1)*n/p
+		s.fill = s.limit - s.base
+		s.idx = append(s.idx[:0], Chunk{Off: s.base, Len: s.fill})
 	}
+	b.buckets = 1
+}
+
+// resliced returns ss with length n, reusing its storage — each slice's
+// chunk index included — when it has room.
+func resliced(ss []slice, n int) []slice {
+	if cap(ss) < n {
+		return append(ss[:cap(ss)], make([]slice, n-cap(ss))...)
+	}
+	return ss[:n]
+}
+
+// minParallelRecs is the fewest records worth a goroutine of their own: a
+// shuffle stage or a fold starts at most one goroutine per minParallelRecs
+// records, and runs on the caller's goroutine below that.
+const minParallelRecs = 4096
+
+// workersFor returns how many goroutines share the records of b's slices,
+// at most limit and at least one.
+func (b *Buffer[T]) workersFor(limit int) int {
+	return max(1, min(limit, len(b.slices), b.Len()/minParallelRecs))
 }
 
 // Plan describes a multi-stage shuffle: the number of buckets after each
@@ -277,11 +300,6 @@ func Shuffle[T any](in, out *Buffer[T], plan Plan, p int, key func(T) uint32) *B
 	}
 	if in.buckets == 0 {
 		in.sliceAppendState(p)
-		for i := range in.slices {
-			s := &in.slices[i]
-			s.idx = []Chunk{{Off: s.base, Len: s.fill}}
-		}
-		in.buckets = 1
 	}
 	if plan.K == 1 {
 		return in
@@ -291,14 +309,14 @@ func Shuffle[T any](in, out *Buffer[T], plan Plan, p int, key func(T) uint32) *B
 	cur, nxt := in, out
 	prevBuckets := in.buckets
 	// Mirror slice boundaries onto the scratch buffer once.
-	nxt.slices = make([]slice, len(cur.slices))
+	nxt.slices = resliced(nxt.slices, len(cur.slices))
 	for _, want := range plan.Stages {
 		if want <= prevBuckets {
 			continue
 		}
 		shift := kb - bits.TrailingZeros(uint(want))
 		sub := want / prevBuckets
-		stageShuffle(cur, nxt, prevBuckets, sub, shift, p, key)
+		stageShuffle(cur, nxt, prevBuckets, sub, shift, key)
 		cur, nxt = nxt, cur
 		prevBuckets = want
 	}
@@ -369,14 +387,16 @@ func NewFolder[T any](workers, slots int, fold func(bucket int, recs []T, pos []
 }
 
 // Fold runs the fold over a bucketed buffer and returns the number of
-// records merged away.
+// records merged away. Worker w folds slices w, w+workers, ...; a buffer of
+// fewer than minParallelRecs records per worker takes fewer workers, down
+// to the caller's goroutine alone.
 func (f *Folder[T]) Fold(b *Buffer[T]) int64 {
 	if b.buckets == 0 {
 		panic("streambuf: fold of a buffer in append state")
 	}
-	workers := len(f.pos)
-	if workers > len(b.slices) {
-		workers = len(b.slices)
+	workers := b.workersFor(len(f.pos))
+	if workers == 1 {
+		return f.foldSlices(b, 0, 1)
 	}
 	var merged atomic.Int64
 	var wg sync.WaitGroup
@@ -384,74 +404,108 @@ func (f *Folder[T]) Fold(b *Buffer[T]) int64 {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			pos, gen := f.pos[w], f.gen[w]
-			cur := f.cur[w]
-			var n int64
-			for si := w; si < len(b.slices); si += workers {
-				s := &b.slices[si]
-				fill := 0
-				for g := range s.idx {
-					c := &s.idx[g]
-					cur++
-					if cur == 0 { // counter wrapped: stale gen entries could alias
-						for i := range gen {
-							gen[i] = 0
-						}
-						cur = 1
-					}
-					keep := f.fold(g, b.data[c.Off:c.Off+c.Len], pos, gen, cur)
-					n += int64(c.Len - keep)
-					c.Len = keep
-					fill += keep
-				}
-				s.fill = fill
-			}
-			f.cur[w] = cur
-			merged.Add(n)
+			merged.Add(f.foldSlices(b, w, workers))
 		}(w)
 	}
 	wg.Wait()
 	return merged.Load()
 }
 
+// foldSlices is worker w's share of a Fold over workers workers, with the
+// worker's own slot tables; it returns the records it merged away.
+func (f *Folder[T]) foldSlices(b *Buffer[T], w, workers int) int64 {
+	pos, gen := f.pos[w], f.gen[w]
+	cur := f.cur[w]
+	var n int64
+	for si := w; si < len(b.slices); si += workers {
+		s := &b.slices[si]
+		fill := 0
+		for g := range s.idx {
+			c := &s.idx[g]
+			cur++
+			if cur == 0 { // counter wrapped: stale gen entries could alias
+				for i := range gen {
+					gen[i] = 0
+				}
+				cur = 1
+			}
+			keep := f.fold(g, b.data[c.Off:c.Off+c.Len], pos, gen, cur)
+			n += int64(c.Len - keep)
+			c.Len = keep
+			fill += keep
+		}
+		s.fill = fill
+	}
+	f.cur[w] = cur
+	return n
+}
+
 // stageShuffle performs one shuffle stage: every existing bucket of cur is
 // split into sub sub-buckets ordered by (key >> shift) within each slice.
-// Slices are processed by parallel workers; a worker touches only its own
-// slice in both buffers, so no synchronization is needed until the final
-// join.
-func stageShuffle[T any](cur, nxt *Buffer[T], oldBuckets, sub, shift, p int, key func(T) uint32) {
-	newBuckets := oldBuckets * sub
+// A worker touches only its own slices in both buffers, so no
+// synchronization is needed until the final join; a stage of fewer than
+// minParallelRecs records per slice worker takes fewer workers, down to
+// the caller's goroutine alone. The layout depends on the slices, never on
+// the workers.
+func stageShuffle[T any](cur, nxt *Buffer[T], oldBuckets, sub, shift int, key func(T) uint32) {
+	workers := cur.workersFor(len(cur.slices))
+	if workers == 1 {
+		for si := range cur.slices {
+			shuffleSlice(cur, nxt, si, oldBuckets, sub, shift, key)
+		}
+		return
+	}
 	var wg sync.WaitGroup
-	for si := range cur.slices {
+	for w := 0; w < workers; w++ {
 		wg.Add(1)
-		go func(si int) {
+		go func(w int) {
 			defer wg.Done()
-			src := &cur.slices[si]
-			dst := &nxt.slices[si]
-			*dst = slice{base: src.base, limit: src.limit, fill: src.fill}
-			counts := make([]int, newBuckets)
-			// Pass 1: count records per new bucket.
-			for g := 0; g < oldBuckets; g++ {
-				c := src.idx[g]
-				for _, rec := range cur.data[c.Off : c.Off+c.Len] {
-					nb := g*sub + int(key(rec))>>shift&(sub-1)
-					counts[nb]++
-				}
+			for si := w; si < len(cur.slices); si += workers {
+				shuffleSlice(cur, nxt, si, oldBuckets, sub, shift, key)
 			}
-			// Prefix sums -> chunk offsets within the slice region; the
-			// counts become the write cursors.
-			idx, _ := chunkIndex(dst.base, counts)
-			// Pass 2: scatter records to their chunks.
-			for g := 0; g < oldBuckets; g++ {
-				c := src.idx[g]
-				for _, rec := range cur.data[c.Off : c.Off+c.Len] {
-					nb := g*sub + int(key(rec))>>shift&(sub-1)
-					nxt.data[counts[nb]] = rec
-					counts[nb]++
-				}
-			}
-			dst.idx = idx
-		}(si)
+		}(w)
 	}
 	wg.Wait()
+}
+
+// shuffleSlice is one slice's share of a shuffle stage. The new chunk
+// index, reusing nxt's storage for the slice, first counts each new
+// bucket's records, then lays the chunks out and serves as the placement
+// pass's write cursors.
+func shuffleSlice[T any](cur, nxt *Buffer[T], si, oldBuckets, sub, shift int, key func(T) uint32) {
+	src, dst := &cur.slices[si], &nxt.slices[si]
+	dst.base, dst.limit, dst.fill = src.base, src.limit, src.fill
+	idx := dst.idx[:0]
+	if n := oldBuckets * sub; cap(idx) < n {
+		idx = make([]Chunk, n)
+	} else {
+		idx = idx[:n]
+		clear(idx)
+	}
+	// Pass 1: count records per new bucket.
+	for g := 0; g < oldBuckets; g++ {
+		c := src.idx[g]
+		for _, rec := range cur.data[c.Off : c.Off+c.Len] {
+			idx[g*sub+int(key(rec))>>shift&(sub-1)].Len++
+		}
+	}
+	// Chunk offsets within the slice region, then pass 2 scatters records
+	// to their chunks, advancing each chunk's Off as its cursor.
+	off := dst.base
+	for i := range idx {
+		idx[i].Off = off
+		off += idx[i].Len
+	}
+	for g := 0; g < oldBuckets; g++ {
+		c := src.idx[g]
+		for _, rec := range cur.data[c.Off : c.Off+c.Len] {
+			nb := g*sub + int(key(rec))>>shift&(sub-1)
+			nxt.data[idx[nb].Off] = rec
+			idx[nb].Off++
+		}
+	}
+	for i := range idx {
+		idx[i].Off -= idx[i].Len
+	}
+	dst.idx = idx
 }

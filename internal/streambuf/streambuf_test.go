@@ -706,3 +706,47 @@ func collectBucket(b *Buffer[rec], p int) []rec {
 	b.Bucket(p, func(run []rec) { out = append(out, run...) })
 	return out
 }
+
+// TestShuffleLayoutIndependentOfWorkers: a stream of fewer than
+// minParallelRecs records per slice worker is shuffled on the caller's
+// goroutine, a larger one by slice workers; either way bucket p holds each
+// slice's records of key p in their input order, slice by slice. A warm
+// shuffle and fold of a small stream allocate nothing: no goroutine is
+// started and every chunk index is reused.
+func TestShuffleLayoutIndependentOfWorkers(t *testing.T) {
+	const k, p = 16, 4
+	plan, _ := NewPlan(k, 4)
+	for _, n := range []int{0, 1000, 3*minParallelRecs + 17, 9 * minParallelRecs} {
+		in := makeRecs(n, k, int64(n))
+		a, b := New[rec](n), New[rec](n)
+		for round := 0; round < 2; round++ { // the second reuses the chunk indexes
+			a.Fill(in)
+			res := Shuffle(a, b, plan, p, keyOf)
+			for g := 0; g < k; g++ {
+				var got, want []rec
+				res.Bucket(g, func(run []rec) { got = append(got, run...) })
+				for i := 0; i < p; i++ {
+					for _, r := range in[i*n/p : (i+1)*n/p] {
+						if int(r.Key) == g {
+							want = append(want, r)
+						}
+					}
+				}
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("n=%d round %d: bucket %d holds %v, want %v", n, round, g, got, want)
+				}
+			}
+		}
+	}
+	in := makeRecs(1000, k, 7)
+	a, b := New[rec](len(in)), New[rec](len(in))
+	folder := NewFolder(p, 1, sumBySlot(func(int, rec) uint32 { return 0 }))
+	shuffleAndFold := func() {
+		a.Fill(in)
+		folder.Fold(Shuffle(a, b, plan, p, keyOf))
+	}
+	shuffleAndFold()
+	if allocs := testing.AllocsPerRun(20, shuffleAndFold); allocs != 0 {
+		t.Fatalf("a warm shuffle and fold of %d records allocate %.0f times", len(in), allocs)
+	}
+}
