@@ -123,7 +123,7 @@ func (d *simDevice) Create(name string) (File, error) {
 		d.files[name] = f
 	}
 	f.mu.Lock()
-	f.data = f.data[:0]
+	f.shrink(0)
 	f.mu.Unlock()
 	return f, nil
 }
@@ -146,9 +146,9 @@ func (d *simDevice) Remove(name string) error {
 		return ErrNotExist
 	}
 	f.mu.Lock()
-	d.trimmedBytes.Add(int64(len(f.data)))
+	d.trimmedBytes.Add(f.size)
 	d.trims.Add(1)
-	f.data = nil
+	f.shrink(0)
 	f.mu.Unlock()
 	delete(d.files, name)
 	return nil
@@ -184,30 +184,33 @@ type segment struct {
 	bytes int
 }
 
-// split maps a (file offset, length) request onto member-disk segments.
-// The stripes a contiguous request places on one member are contiguous in
-// that member's LBA space, so each member receives exactly one coalesced
-// segment — a RAID controller issues one transfer per member, not one per
-// stripe.
-func (d *simDevice) split(off int64, n int) []segment {
+// inlineSegments is how many member segments a request fills on the stack;
+// only an array of more members than this makes split allocate.
+const inlineSegments = 8
+
+// split maps a (file offset, length) request onto member-disk segments,
+// appending them to segs[:0]. The stripes a contiguous request places on one
+// member are contiguous in that member's LBA space, so each member receives
+// exactly one coalesced segment — a RAID controller issues one transfer per
+// member, not one per stripe. The i-th stripe of the request lands on the
+// member of its (i mod NumDisks)-th segment.
+func (d *simDevice) split(off int64, n int, segs []segment) []segment {
 	su := int64(d.p.StripeUnit)
 	nd := int64(d.p.NumDisks)
-	var segs []segment
-	byDisk := make([]int, d.p.NumDisks) // index+1 into segs, 0 = absent
+	first := off / su
+	segs = segs[:0]
 	for n > 0 {
 		stripe := off / su
-		disk := int(stripe % nd)
 		within := off % su
 		take := int(su - within)
 		if take > n {
 			take = n
 		}
-		if i := byDisk[disk]; i > 0 {
-			segs[i-1].bytes += take
-		} else {
+		if i := stripe - first; i < nd {
 			lba := (stripe/nd)*su + within
-			segs = append(segs, segment{disk: disk, lba: lba, bytes: take})
-			byDisk[disk] = len(segs)
+			segs = append(segs, segment{disk: int(stripe % nd), lba: lba, bytes: take})
+		} else {
+			segs[i%nd].bytes += take
 		}
 		off += int64(take)
 		n -= take
@@ -217,12 +220,28 @@ func (d *simDevice) split(off int64, n int) []segment {
 
 // serve charges the cost of a request against its member disks, sleeping if
 // TimeScale > 0. It reports whether the request as a whole continued a
-// sequential run (true iff every member segment did).
+// sequential run (true iff every member segment did). Busy time and
+// sequentiality are per member, so at TimeScale 0, where nothing sleeps,
+// the members are charged one after another on the caller's goroutine;
+// only a request that really sleeps starts one goroutine per member.
 func (d *simDevice) serve(f *simFile, off int64, n int, write bool) bool {
-	segs := d.split(off, n)
-	if len(segs) == 1 {
-		return d.serveSegment(f, segs[0], write)
+	var buf [inlineSegments]segment
+	segs := d.split(off, n, buf[:0])
+	if len(segs) > 1 && d.p.TimeScale > 0 {
+		return d.serveParallel(f, segs, write)
 	}
+	seq := true
+	for _, s := range segs {
+		if !d.serveSegment(f, s, write) {
+			seq = false
+		}
+	}
+	return seq
+}
+
+// serveParallel charges a request's members at once, one goroutine each,
+// so their scaled sleeps overlap as RAID-0 members' transfers do.
+func (d *simDevice) serveParallel(f *simFile, segs []segment, write bool) bool {
 	var notSeq atomic.Bool
 	var wg sync.WaitGroup
 	for _, s := range segs {
@@ -272,28 +291,20 @@ func (d *simDevice) serveSegment(f *simFile, s segment, write bool) bool {
 // Used to regenerate the paper's Figure 9 bandwidth-vs-request-size curves
 // and the Figure 11 random/sequential table analytically.
 func (d *simDevice) Cost(off int64, n int, write, sequential bool) time.Duration {
-	segs := d.split(off, n)
-	perDisk := make(map[int]time.Duration)
-	for _, s := range segs {
+	seek, bw := d.p.SeekRead, d.p.ReadBW
+	if write {
+		seek, bw = d.p.SeekWrite, d.p.WriteBW
+	}
+	var buf [inlineSegments]segment
+	var max time.Duration
+	for _, s := range d.split(off, n, buf[:0]) {
 		cost := d.p.PerRequest
 		if !sequential {
-			if write {
-				cost += d.p.SeekWrite
-			} else {
-				cost += d.p.SeekRead
-			}
-		}
-		bw := d.p.ReadBW
-		if write {
-			bw = d.p.WriteBW
+			cost += seek
 		}
 		cost += time.Duration(float64(s.bytes) / bw * float64(time.Second))
-		perDisk[s.disk] += cost
-	}
-	var max time.Duration
-	for _, c := range perDisk {
-		if c > max {
-			max = c
+		if cost > max {
+			max = cost
 		}
 	}
 	return max
@@ -306,23 +317,43 @@ type CostModel interface {
 
 var _ CostModel = (*simDevice)(nil)
 
+// simExtent is the size of the blocks a simulated file stores its bytes in.
+// A file grows by whole extents, so a byte once stored is never copied
+// again, and shrinks by whole extents, so a trimmed block is released.
+const simExtent = 64 << 10
+
+// simFile holds a file's bytes in fixed-size extents: extent i holds bytes
+// [i·simExtent, (i+1)·simExtent). There are exactly ⌈size/simExtent⌉ of
+// them, and the last one is zero past size, so a write that grows the file
+// leaves zeros in any gap it opens, as a real file does.
 type simFile struct {
 	dev  *simDevice
 	name string
 
-	mu   sync.RWMutex
-	data []byte
+	mu      sync.RWMutex
+	extents [][]byte
+	size    int64
 }
 
 func (f *simFile) ReadAt(p []byte, off int64) (int, error) {
+	if off < 0 {
+		return 0, fmt.Errorf("storage: negative offset %d", off)
+	}
 	seq := f.dev.serve(f, off, len(p), false)
 	f.mu.RLock()
 	defer f.mu.RUnlock()
-	if off >= int64(len(f.data)) {
+	if off >= f.size {
 		f.dev.record(0, false, seq)
 		return 0, io.EOF
 	}
-	n := copy(p, f.data[off:])
+	n := len(p)
+	if rest := f.size - off; int64(n) > rest {
+		n = int(rest)
+	}
+	for done := 0; done < n; {
+		at := off + int64(done)
+		done += copy(p[done:n], f.extents[at/simExtent][at%simExtent:])
+	}
 	f.dev.record(n, false, seq)
 	if n < len(p) {
 		return n, io.EOF
@@ -336,43 +367,61 @@ func (f *simFile) WriteAt(p []byte, off int64) (int, error) {
 	}
 	seq := f.dev.serve(f, off, len(p), true)
 	f.mu.Lock()
-	end := off + int64(len(p))
-	if end > int64(len(f.data)) {
-		if end > int64(cap(f.data)) {
-			grown := make([]byte, end, end+end/2)
-			copy(grown, f.data)
-			f.data = grown
-		} else {
-			f.data = f.data[:end]
-		}
+	if end := off + int64(len(p)); end > f.size {
+		f.grow(end)
 	}
-	n := copy(f.data[off:end], p)
+	for done := 0; done < len(p); {
+		at := off + int64(done)
+		done += copy(f.extents[at/simExtent][at%simExtent:], p[done:])
+	}
 	f.mu.Unlock()
-	f.dev.record(n, true, seq)
-	return n, nil
+	f.dev.record(len(p), true, seq)
+	return len(p), nil
 }
 
 func (f *simFile) Size() int64 {
 	f.mu.RLock()
 	defer f.mu.RUnlock()
-	return int64(len(f.data))
+	return f.size
 }
 
 func (f *simFile) Truncate(size int64) error {
+	if size < 0 {
+		return fmt.Errorf("storage: negative size %d", size)
+	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	old := int64(len(f.data))
-	switch {
+	switch old := f.size; {
 	case size < old:
-		f.data = f.data[:size]
+		f.shrink(size)
 		f.dev.trims.Add(1)
 		f.dev.trimmedBytes.Add(old - size)
 	case size > old:
-		for int64(len(f.data)) < size {
-			f.data = append(f.data, 0)
-		}
+		f.grow(size)
 	}
 	return nil
 }
 
 func (f *simFile) Close() error { return nil }
+
+// grow extends the file to size bytes with zeroed extents. The caller holds
+// f.mu and size > f.size.
+func (f *simFile) grow(size int64) {
+	for int64(len(f.extents))*simExtent < size {
+		f.extents = append(f.extents, make([]byte, simExtent))
+	}
+	f.size = size
+}
+
+// shrink cuts the file to size bytes: it releases every extent past the
+// new end and zeroes the tail of the last one it keeps. The caller holds
+// f.mu and size <= f.size.
+func (f *simFile) shrink(size int64) {
+	keep := (size + simExtent - 1) / simExtent
+	clear(f.extents[keep:])
+	f.extents = f.extents[:keep]
+	if tail := size % simExtent; tail > 0 {
+		clear(f.extents[keep-1][tail:])
+	}
+	f.size = size
+}

@@ -117,6 +117,12 @@ type counters struct {
 
 const defaultTimelineBucket = 50 * time.Millisecond
 
+// maxTimelinePoints bounds the timeline of a device that is never reset: a
+// full timeline doubles its bucket width and merges neighbouring pairs of
+// points, keeping the byte totals. At the default width the first merge
+// comes after 4096 busy buckets, ≈ 3.4 minutes of continuous I/O.
+const maxTimelinePoints = 4096
+
 func (c *counters) init() {
 	c.start = time.Now()
 	c.bucket = defaultTimelineBucket
@@ -147,6 +153,7 @@ func (c *counters) reset() {
 	c.mu.Lock()
 	c.start = time.Now()
 	c.timeline = nil
+	c.bucket = defaultTimelineBucket
 	c.mu.Unlock()
 }
 
@@ -172,9 +179,16 @@ func (c *counters) sample(n int, write bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	at := time.Since(c.start)
-	bucketStart := at - at%c.bucket
-	if len(c.timeline) == 0 || c.timeline[len(c.timeline)-1].At != bucketStart {
-		c.timeline = append(c.timeline, TimelinePoint{At: bucketStart})
+	for {
+		bucketStart := at - at%c.bucket
+		if k := len(c.timeline); k > 0 && c.timeline[k-1].At == bucketStart {
+			break
+		}
+		if len(c.timeline) < maxTimelinePoints {
+			c.timeline = append(c.timeline, TimelinePoint{At: bucketStart})
+			break
+		}
+		c.coarsen()
 	}
 	p := &c.timeline[len(c.timeline)-1]
 	if write {
@@ -182,6 +196,23 @@ func (c *counters) sample(n int, write bool) {
 	} else {
 		p.BytesRead += int64(n)
 	}
+}
+
+// coarsen doubles the bucket width and merges the points that now share a
+// bucket, in place. The caller holds c.mu.
+func (c *counters) coarsen() {
+	c.bucket *= 2
+	merged := c.timeline[:0]
+	for _, p := range c.timeline {
+		p.At -= p.At % c.bucket
+		if k := len(merged); k > 0 && merged[k-1].At == p.At {
+			merged[k-1].BytesRead += p.BytesRead
+			merged[k-1].BytesWritten += p.BytesWritten
+		} else {
+			merged = append(merged, p)
+		}
+	}
+	c.timeline = merged
 }
 
 func (c *counters) timelineCopy() []TimelinePoint {

@@ -186,7 +186,7 @@ func TestSplitCoversRequest(t *testing.T) {
 		if n == 0 {
 			return true
 		}
-		segs := dev.split(int64(off), int(n))
+		segs := dev.split(int64(off), int(n), nil)
 		total := 0
 		for _, s := range segs {
 			if s.disk < 0 || s.disk >= 3 || s.bytes <= 0 {
@@ -206,7 +206,7 @@ func TestSplitStriping(t *testing.T) {
 	// A 4 KiB request at offset 0 covers stripes 0..3 -> disks 0,1,0,1.
 	// Each member's stripes are LBA-contiguous, so it receives one
 	// coalesced 2 KiB segment starting at member LBA 0.
-	segs := dev.split(0, 4096)
+	segs := dev.split(0, 4096, nil)
 	if len(segs) != 2 {
 		t.Fatalf("segments: %+v", segs)
 	}
@@ -218,7 +218,7 @@ func TestSplitStriping(t *testing.T) {
 	// An unaligned request: [512,2560) puts 512B of stripe 0 and 512B of
 	// stripe 2 on disk 0 (LBA-contiguous at 512..1536) and stripe 1 on
 	// disk 1.
-	segs = dev.split(512, 2048)
+	segs = dev.split(512, 2048, nil)
 	if len(segs) != 2 || segs[0].disk != 0 || segs[0].lba != 512 || segs[0].bytes != 1024 ||
 		segs[1].disk != 1 || segs[1].lba != 0 || segs[1].bytes != 1024 {
 		t.Fatalf("unaligned segments: %+v", segs)
