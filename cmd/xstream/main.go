@@ -143,55 +143,24 @@ func main() {
 		tracer = obs.NewRecorder()
 	}
 
-	var out *core.JobResult
+	cfg := xstream.Config{
+		Threads: *threads, Partitioner: partitioner, NoCombine: !*combine, Selective: *selective,
+		MemoryBudget: parseBytes(*budget), IOUnit: int(parseBytes(*ioUnit)),
+		CompressTiles: *compress, NoVerify: !*verify, Checkpoint: *checkpoint,
+	}
+	if tracer != nil {
+		cfg.Tracer = tracer
+	}
+	runJob := memengine.RunJob
 	switch *engine {
 	case "mem":
-		memCfg := xstream.MemConfig{
-			Threads: *threads, Partitioner: partitioner, NoCombine: !*combine, Selective: *selective,
-		}
-		if tracer != nil {
-			memCfg.Tracer = tracer
-		}
-		out, err = memengine.RunJob(context.Background(), src, inst.Job, memCfg)
 	case "disk":
-		var dev xstream.Device
-		switch *device {
-		case "os":
-			dev, err = xstream.NewOSDevice("scratch", *dir)
-			if err != nil {
-				fatal("device: %v", err)
-			}
-		case "sim-ssd":
-			dev = xstream.NewSimDevice(xstream.SimSSD("ssd", 2, 1.0))
-		case "sim-hdd":
-			dev = xstream.NewSimDevice(xstream.SimHDD("hdd", 2, 1.0))
-		default:
-			fatal("unknown -device %q", *device)
-		}
-		if *ioRetries > 0 {
-			// MaxAttempts counts the first try; -io-retries counts only the
-			// re-issues, so N retries is N+1 attempts.
-			dev = xstream.NewRetryDevice(dev, xstream.RetryOptions{MaxAttempts: *ioRetries + 1})
-		}
-		diskCfg := xstream.DiskConfig{
-			Device:        dev,
-			MemoryBudget:  parseBytes(*budget),
-			IOUnit:        int(parseBytes(*ioUnit)),
-			Threads:       *threads,
-			Partitioner:   partitioner,
-			NoCombine:     !*combine,
-			Selective:     *selective,
-			CompressTiles: *compress,
-			NoVerify:      !*verify,
-			Checkpoint:    *checkpoint,
-		}
-		if tracer != nil {
-			diskCfg.Tracer = tracer
-		}
-		out, err = diskengine.RunJob(context.Background(), src, inst.Job, diskCfg)
+		cfg.Device = openDevice(*device, *dir, *ioRetries)
+		runJob = diskengine.RunJob
 	default:
 		fatal("unknown -engine %q", *engine)
 	}
+	out, err := runJob(context.Background(), src, inst.Job, cfg)
 	if err != nil {
 		fatal("%v", err)
 	}
@@ -250,6 +219,31 @@ func main() {
 			fmt.Println(inst.EvalEdges(out.Vertices, edges))
 		}
 	}
+}
+
+// openDevice makes the out-of-core engine's device, retry-wrapped unless
+// retries is 0.
+func openDevice(kind, dir string, retries int) xstream.Device {
+	var dev xstream.Device
+	switch kind {
+	case "os":
+		var err error
+		if dev, err = xstream.NewOSDevice("scratch", dir); err != nil {
+			fatal("device: %v", err)
+		}
+	case "sim-ssd":
+		dev = xstream.NewSimDevice(xstream.SimSSD("ssd", 2, 1.0))
+	case "sim-hdd":
+		dev = xstream.NewSimDevice(xstream.SimHDD("hdd", 2, 1.0))
+	default:
+		fatal("unknown -device %q", kind)
+	}
+	if retries > 0 {
+		// MaxAttempts counts the first try; -io-retries counts only the
+		// re-issues, so N retries is N+1 attempts.
+		dev = xstream.NewRetryDevice(dev, xstream.RetryOptions{MaxAttempts: retries + 1})
+	}
+	return dev
 }
 
 func loadInput(input string, rmat, ef int, seed int64, undirected bool) xstream.EdgeSource {

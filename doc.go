@@ -17,18 +17,28 @@
 //
 //	edges := xstream.RMAT(xstream.RMATConfig{Scale: 20, EdgeFactor: 16, Seed: 1, Undirected: true})
 //	wcc := xstream.NewWCC()
-//	res, err := xstream.RunMemory(edges, wcc, xstream.MemConfig{})
+//	res, err := xstream.RunMemory(edges, wcc, xstream.Config{})
 //	if err != nil { ... }
 //	labels := xstream.WCCLabels(res.Vertices)
 //
 // For graphs larger than memory, run the same program out of core:
 //
 //	dev, _ := xstream.NewOSDevice("scratch", "/mnt/fast/xstream")
-//	res, err := xstream.RunDisk(edges, wcc, xstream.DiskConfig{
+//	res, err := xstream.RunDisk(edges, wcc, xstream.Config{
 //		Device:       dev,
 //		MemoryBudget: 8 << 30,
 //		IOUnit:       16 << 20,
 //	})
+//
+// Both engines take the one Config: the fields they share (Threads,
+// Partitions, MaxIterations, Partitioner, NoCombine, Selective, TileEdges,
+// Tracer), two only the in-memory engine reads (Fanout, NoWorkStealing)
+// and nine only the out-of-core engine reads (Device, UpdateDevice,
+// MemoryBudget, IOUnit, Prefix, NoPrefetch, CompressTiles, NoVerify,
+// Checkpoint). Zero fields take the engine's own default: TileEdges is
+// 4096 in memory and 1024 out of core, and only out of core do
+// MemoryBudget (256 MiB), IOUnit (1 MiB) and UpdateDevice (Device) apply.
+// MemConfig and DiskConfig are other names for Config.
 //
 // # Writing algorithms
 //
@@ -98,7 +108,7 @@
 // with any Partitioner and with VertexMapper/StateRemapper untouched: it
 // operates on execution-space destination IDs after the relabeling, and
 // never changes which updates exist logically — only how many records
-// carry them. Set MemConfig/DiskConfig.NoCombine (or cmd/xstream's
+// carry them. Set Config.NoCombine (or cmd/xstream's
 // -combine=false) to disable it per run; the equivalence suite runs every
 // combining algorithm both ways to prove results are identical, and the
 // figcombine experiment measures the update-stream volume saved (~80-90%
@@ -113,7 +123,7 @@
 // vertices whose state the last iteration's gather left unchanged opts
 // into selective scheduling by implementing FrontierProgram (BFS, SSSP and
 // WCC do; dense programs like PageRank must not). With
-// MemConfig/DiskConfig.Selective set, the engines maintain an
+// Config.Selective set, the engines maintain an
 // active-vertex frontier across iterations (an update receiver joins it
 // only when its Gather changed its bytes) and skip the edge chunks of
 // partitions with no active source — the out-of-core engine skips the
@@ -142,8 +152,11 @@
 // PrepareDisk return immutable handles holding the partitioning plan, any
 // 2PS clustering permutation, the shuffled edge chunks (in memory) or
 // pre-processed partition edge files plus tile index (out of core), shared
-// by every subsequent pass. ctx cancelation is honored between iterations
-// and chunks.
+// by every subsequent pass. Both handles have one method set (NumVertices,
+// NumEdges, Partitions, Bytes, RunMany, Close; Close removes the files out
+// of core and does nothing in memory), so the serving layer keeps either in
+// one kind of slot. ctx cancelation is honored between iterations and
+// chunks.
 //
 // Both engines have exactly one iteration loop between them, the shared-pass
 // one (core.RunPass): RunMemory and RunDisk wrap their program with NewJob,

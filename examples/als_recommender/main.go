@@ -20,7 +20,7 @@ func main() {
 	fmt.Printf("ratings graph: %d users, %d items, %d ratings\n", users, items, ratings)
 
 	prog := xstream.NewALS(users, 5)
-	res, err := xstream.RunMemory(g, prog, xstream.MemConfig{})
+	res, err := xstream.RunMemory(g, prog, xstream.Config{})
 	if err != nil {
 		log.Fatal(err)
 	}

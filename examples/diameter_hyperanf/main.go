@@ -14,7 +14,7 @@ import (
 
 func probe(name string, g xstream.EdgeSource) {
 	prog := xstream.NewHyperANF()
-	res, err := xstream.RunMemory(g, prog, xstream.MemConfig{})
+	res, err := xstream.RunMemory(g, prog, xstream.Config{})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -23,7 +23,7 @@ func main() {
 	// example finishes quickly while keeping the I/O patterns honest.
 	dev := xstream.NewSimDevice(xstream.SimSSD("ssd", 2, 0.1))
 
-	res, err := xstream.RunDisk(g, xstream.NewPageRank(5), xstream.DiskConfig{
+	res, err := xstream.RunDisk(g, xstream.NewPageRank(5), xstream.Config{
 		Device:       dev,
 		MemoryBudget: 6 << 20, // deliberately tight: forces real partitioning
 		IOUnit:       128 << 10,

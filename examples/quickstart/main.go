@@ -23,7 +23,7 @@ func main() {
 	})
 	fmt.Printf("graph: %d vertices, %d edge records\n", g.NumVertices(), g.NumEdges())
 
-	res, err := xstream.RunMemory(g, xstream.NewWCC(), xstream.MemConfig{})
+	res, err := xstream.RunMemory(g, xstream.NewWCC(), xstream.Config{})
 	if err != nil {
 		log.Fatal(err)
 	}

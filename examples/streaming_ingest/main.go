@@ -34,7 +34,7 @@ func main() {
 			n = len(edges)
 		}
 		acc := xstream.NewSliceSource(edges[:n], full.NumVertices())
-		res, err := xstream.RunDisk(acc, xstream.NewWCC(), xstream.DiskConfig{
+		res, err := xstream.RunDisk(acc, xstream.NewWCC(), xstream.Config{
 			Device: dev,
 			IOUnit: 512 << 10,
 			Prefix: fmt.Sprintf("batch%02d-", b),

@@ -36,8 +36,8 @@ func ChainGraph(n, seed int64) EdgeSource { return graphgen.Chain(n, seed) }
 
 // CliqueChain returns cliques chained by single bridge edges, stored
 // undirected: a high-diameter graph with community structure, the designed
-// stress case for frontier-aware selective streaming (MemConfig/
-// DiskConfig.Selective) and its composition with the 2PS partitioner.
+// stress case for frontier-aware selective streaming (Config.Selective)
+// and its composition with the 2PS partitioner.
 func CliqueChain(cliques, cliqueSize int, seed int64) EdgeSource {
 	return graphgen.CliqueChain(cliques, cliqueSize, seed)
 }

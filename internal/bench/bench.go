@@ -151,30 +151,19 @@ func Get(id string) (Runner, bool) {
 
 // ---- shared run helpers ----
 
-// runMem executes a program on the in-memory engine.
-func runMem[V, M any](src core.EdgeSource, p core.Program[V, M], cfg Config, mods ...func(*memengine.Config)) (core.Stats, error) {
-	mc := memengine.Config{Threads: cfg.Threads}
-	for _, m := range mods {
-		m(&mc)
-	}
-	res, err := memengine.Run(src, p, mc)
-	if err != nil {
-		return core.Stats{}, err
-	}
-	return res.Stats, nil
-}
-
-// runDisk executes a program on the out-of-core engine over dev.
-func runDisk[V, M any](src core.EdgeSource, p core.Program[V, M], dev storage.Device, cfg Config, mods ...func(*diskengine.Config)) (core.Stats, error) {
-	dc := diskengine.Config{
-		Device:  dev,
-		Threads: cfg.Threads,
-		IOUnit:  256 << 10,
+// runOn executes a program out of core over dev (256 KiB I/O unit unless a
+// mod says otherwise), or in memory when dev is nil.
+func runOn[V, M any](src core.EdgeSource, p core.Program[V, M], dev storage.Device, cfg Config, mods ...func(*core.Config)) (core.Stats, error) {
+	c := core.Config{Threads: cfg.Threads, Device: dev}
+	run := memengine.Run[V, M]
+	if dev != nil {
+		c.IOUnit = 256 << 10
+		run = diskengine.Run[V, M]
 	}
 	for _, m := range mods {
-		m(&dc)
+		m(&c)
 	}
-	res, err := diskengine.Run(src, p, dc)
+	res, err := run(src, p, c)
 	if err != nil {
 		return core.Stats{}, err
 	}

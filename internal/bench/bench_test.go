@@ -77,7 +77,7 @@ func TestFig12aShape(t *testing.T) {
 		if !strings.Contains(d.Name, "dimacs") && !strings.Contains(d.Name, "livejournal") {
 			continue
 		}
-		s, err := runMem(sym(d), algorithms.NewWCC(), cfg)
+		s, err := runOn(sym(d), algorithms.NewWCC(), nil, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}

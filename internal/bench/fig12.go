@@ -17,12 +17,12 @@ func init() {
 	register("fig13", "HyperANF steps to cover the graph (paper Figure 13)", runFig13)
 }
 
-// algoColumn is one column of Figure 12a: a name and a runner for each
-// engine. Algorithms needing symmetric inputs get them via Symmetrize.
+// algoColumn is one column of Figure 12a: a name and a runner, out of core
+// on dev or in memory when dev is nil. Algorithms needing symmetric inputs
+// get them via Symmetrize.
 type algoColumn struct {
 	name string
-	mem  func(d graphgen.Dataset, cfg Config) (core.Stats, error)
-	disk func(d graphgen.Dataset, dev storage.Device, cfg Config) (core.Stats, error)
+	run  func(d graphgen.Dataset, dev storage.Device, cfg Config) (core.Stats, error)
 }
 
 // sym returns an undirected view of directed datasets.
@@ -34,57 +34,34 @@ func sym(d graphgen.Dataset) core.EdgeSource {
 }
 
 func algoColumns() []algoColumn {
-	mk := func(memRun func(d graphgen.Dataset, cfg Config) (core.Stats, error),
-		diskRun func(d graphgen.Dataset, dev storage.Device, cfg Config) (core.Stats, error),
-		name string) algoColumn {
-		return algoColumn{name: name, mem: memRun, disk: diskRun}
-	}
 	return []algoColumn{
-		mk(func(d graphgen.Dataset, cfg Config) (core.Stats, error) {
-			return runMem(sym(d), algorithms.NewWCC(), cfg)
-		}, func(d graphgen.Dataset, dev storage.Device, cfg Config) (core.Stats, error) {
-			return runDisk(sym(d), algorithms.NewWCC(), dev, cfg)
-		}, "WCC"),
-		mk(func(d graphgen.Dataset, cfg Config) (core.Stats, error) {
-			return runMem(d.Source, algorithms.NewSCC(), cfg)
-		}, func(d graphgen.Dataset, dev storage.Device, cfg Config) (core.Stats, error) {
-			return runDisk(d.Source, algorithms.NewSCC(), dev, cfg)
-		}, "SCC"),
-		mk(func(d graphgen.Dataset, cfg Config) (core.Stats, error) {
-			return runMem(sym(d), algorithms.NewSSSP(0), cfg)
-		}, func(d graphgen.Dataset, dev storage.Device, cfg Config) (core.Stats, error) {
-			return runDisk(sym(d), algorithms.NewSSSP(0), dev, cfg)
-		}, "SSSP"),
-		mk(func(d graphgen.Dataset, cfg Config) (core.Stats, error) {
-			return runMem(sym(d), algorithms.NewMCST(), cfg)
-		}, func(d graphgen.Dataset, dev storage.Device, cfg Config) (core.Stats, error) {
-			return runDisk(sym(d), algorithms.NewMCST(), dev, cfg)
-		}, "MCST"),
-		mk(func(d graphgen.Dataset, cfg Config) (core.Stats, error) {
-			return runMem(sym(d), algorithms.NewMIS(), cfg)
-		}, func(d graphgen.Dataset, dev storage.Device, cfg Config) (core.Stats, error) {
-			return runDisk(sym(d), algorithms.NewMIS(), dev, cfg)
-		}, "MIS"),
-		mk(func(d graphgen.Dataset, cfg Config) (core.Stats, error) {
-			return runMem(d.Source, algorithms.NewConductance(nil), cfg)
-		}, func(d graphgen.Dataset, dev storage.Device, cfg Config) (core.Stats, error) {
-			return runDisk(d.Source, algorithms.NewConductance(nil), dev, cfg)
-		}, "Cond."),
-		mk(func(d graphgen.Dataset, cfg Config) (core.Stats, error) {
-			return runMem(d.Source, algorithms.NewSpMV(), cfg)
-		}, func(d graphgen.Dataset, dev storage.Device, cfg Config) (core.Stats, error) {
-			return runDisk(d.Source, algorithms.NewSpMV(), dev, cfg)
-		}, "SpMV"),
-		mk(func(d graphgen.Dataset, cfg Config) (core.Stats, error) {
-			return runMem(d.Source, algorithms.NewPageRank(5), cfg)
-		}, func(d graphgen.Dataset, dev storage.Device, cfg Config) (core.Stats, error) {
-			return runDisk(d.Source, algorithms.NewPageRank(5), dev, cfg)
-		}, "Pagerank"),
-		mk(func(d graphgen.Dataset, cfg Config) (core.Stats, error) {
-			return runMem(d.Source, algorithms.NewBP(5), cfg)
-		}, func(d graphgen.Dataset, dev storage.Device, cfg Config) (core.Stats, error) {
-			return runDisk(d.Source, algorithms.NewBP(5), dev, cfg)
-		}, "BP"),
+		{"WCC", func(d graphgen.Dataset, dev storage.Device, cfg Config) (core.Stats, error) {
+			return runOn(sym(d), algorithms.NewWCC(), dev, cfg)
+		}},
+		{"SCC", func(d graphgen.Dataset, dev storage.Device, cfg Config) (core.Stats, error) {
+			return runOn(d.Source, algorithms.NewSCC(), dev, cfg)
+		}},
+		{"SSSP", func(d graphgen.Dataset, dev storage.Device, cfg Config) (core.Stats, error) {
+			return runOn(sym(d), algorithms.NewSSSP(0), dev, cfg)
+		}},
+		{"MCST", func(d graphgen.Dataset, dev storage.Device, cfg Config) (core.Stats, error) {
+			return runOn(sym(d), algorithms.NewMCST(), dev, cfg)
+		}},
+		{"MIS", func(d graphgen.Dataset, dev storage.Device, cfg Config) (core.Stats, error) {
+			return runOn(sym(d), algorithms.NewMIS(), dev, cfg)
+		}},
+		{"Cond.", func(d graphgen.Dataset, dev storage.Device, cfg Config) (core.Stats, error) {
+			return runOn(d.Source, algorithms.NewConductance(nil), dev, cfg)
+		}},
+		{"SpMV", func(d graphgen.Dataset, dev storage.Device, cfg Config) (core.Stats, error) {
+			return runOn(d.Source, algorithms.NewSpMV(), dev, cfg)
+		}},
+		{"Pagerank", func(d graphgen.Dataset, dev storage.Device, cfg Config) (core.Stats, error) {
+			return runOn(d.Source, algorithms.NewPageRank(5), dev, cfg)
+		}},
+		{"BP", func(d graphgen.Dataset, dev storage.Device, cfg Config) (core.Stats, error) {
+			return runOn(d.Source, algorithms.NewBP(5), dev, cfg)
+		}},
 	}
 }
 
@@ -100,7 +77,7 @@ func runFig12a(cfg Config) (*Table, error) {
 	for _, d := range memDatasets(cfg) {
 		row := []string{"mem/" + d.Name}
 		for _, c := range cols {
-			s, err := c.mem(d, cfg)
+			s, err := c.run(d, nil, cfg)
 			if err != nil {
 				return nil, fmt.Errorf("%s on %s: %w", c.name, d.Name, err)
 			}
@@ -121,7 +98,7 @@ func runFig12a(cfg Config) (*Table, error) {
 			row := []string{mediumDev.medium + "/" + d.Name}
 			for _, c := range cols {
 				dev := mediumDev.mk(mediumDev.medium + d.Name + c.name)
-				s, err := c.disk(d, dev, cfg)
+				s, err := c.run(d, dev, cfg)
 				if err != nil {
 					return nil, fmt.Errorf("%s on %s/%s: %w", c.name, mediumDev.medium, d.Name, err)
 				}
@@ -154,7 +131,7 @@ func runFig12b(cfg Config) (*Table, error) {
 	}
 	memBW := membench.SequentialRead(cfg.Threads, 32<<20, 150*time.Millisecond).BPS
 	for _, d := range memDatasets(cfg) {
-		s, err := runMem(sym(d), algorithms.NewWCC(), cfg)
+		s, err := runOn(sym(d), algorithms.NewWCC(), nil, cfg)
 		if err != nil {
 			return nil, err
 		}
@@ -168,7 +145,7 @@ func runFig12b(cfg Config) (*Table, error) {
 	ts := cfg.timeScale(1.0)
 	for _, d := range oocDatasets(cfg) {
 		dev := ssdDev("f12b"+d.Name, ts)
-		s, err := runDisk(sym(d), algorithms.NewWCC(), dev, cfg)
+		s, err := runOn(sym(d), algorithms.NewWCC(), dev, cfg)
 		if err != nil {
 			return nil, err
 		}
@@ -210,7 +187,7 @@ func runFig13(cfg Config) (*Table, error) {
 	}
 	for _, s := range sets {
 		prog := algorithms.NewHyperANF()
-		if _, err := runMem(s.src, prog, cfg); err != nil {
+		if _, err := runOn(s.src, prog, nil, cfg); err != nil {
 			return nil, err
 		}
 		t.Rows = append(t.Rows, []string{s.name, fmt.Sprintf("%d", prog.Steps()), s.analogue})

@@ -5,9 +5,7 @@ import (
 
 	"repro/internal/algorithms"
 	"repro/internal/core"
-	"repro/internal/diskengine"
 	"repro/internal/graphgen"
-	"repro/internal/memengine"
 )
 
 // figcombine quantifies what the update-combining layer buys: the update
@@ -102,12 +100,12 @@ func runFigCombine(cfg Config) (*Table, error) {
 func runCombineCase[V, M any](src core.EdgeSource, prog core.Program[V, M],
 	engine string, parts int, combineOn bool, cfg Config) (core.Stats, error) {
 	if engine == "mem" {
-		return runMem(src, prog, cfg, func(mc *memengine.Config) {
+		return runOn(src, prog, nil, cfg, func(mc *core.Config) {
 			mc.Partitions = parts
 			mc.NoCombine = !combineOn
 		})
 	}
-	return runDisk(src, prog, ssdDev("combine", 0), cfg, func(dc *diskengine.Config) {
+	return runOn(src, prog, ssdDev("combine", 0), cfg, func(dc *core.Config) {
 		dc.Partitions = pickDiskParts(parts)
 		dc.NoCombine = !combineOn
 		dc.IOUnit = 128 << 10

@@ -91,7 +91,7 @@ func runFig19(cfg Config) (*Table, error) {
 
 		c := cfg
 		c.Threads = th
-		s, err := runMem(src, algorithms.NewBFS(0), c)
+		s, err := runOn(src, algorithms.NewBFS(0), nil, c)
 		if err != nil {
 			return nil, err
 		}
@@ -128,7 +128,7 @@ func runFig20(cfg Config) (*Table, error) {
 		lb := time.Since(t0)
 		c := cfg
 		c.Threads = th
-		sb, err := runMem(src, algorithms.NewBFS(0), c)
+		sb, err := runOn(src, algorithms.NewBFS(0), nil, c)
 		if err != nil {
 			return nil, err
 		}
@@ -142,7 +142,7 @@ func runFig20(cfg Config) (*Table, error) {
 		t1 := time.Now()
 		l.PageRank(5)
 		lp := time.Since(t1)
-		sp, err := runMem(src, algorithms.NewPageRank(5), c)
+		sp, err := runOn(src, algorithms.NewPageRank(5), nil, c)
 		if err != nil {
 			return nil, err
 		}
@@ -178,7 +178,7 @@ func runFig21(cfg Config) (*Table, error) {
 			"ns/edge-touch"},
 	}
 
-	s, err := runMem(src, algorithms.NewBFS(0), cfg)
+	s, err := runOn(src, algorithms.NewBFS(0), nil, cfg)
 	if err != nil {
 		return nil, err
 	}

@@ -4,9 +4,8 @@ import (
 	"fmt"
 
 	"repro/internal/algorithms"
-	"repro/internal/diskengine"
+	"repro/internal/core"
 	"repro/internal/graphgen"
-	"repro/internal/memengine"
 )
 
 func init() {
@@ -30,7 +29,7 @@ func runFig24(cfg Config) (*Table, error) {
 	for k := 1; k <= maxK; k *= 8 {
 		row := []string{fmt.Sprintf("%d", k)}
 		for _, a := range scalingAlgos() {
-			s, err := a.run(src, cfg, func(c *memengine.Config) { c.Partitions = k })
+			s, err := a.run(src, cfg, func(c *core.Config) { c.Partitions = k })
 			if err != nil {
 				return nil, err
 			}
@@ -81,7 +80,7 @@ func runFig25(cfg Config) (*Table, error) {
 		row := []string{fmt.Sprintf("%d", stages), fmt.Sprintf("%d", fanout)}
 		var times []float64
 		for _, a := range scalingAlgos() {
-			s, err := a.run(src, cfg, func(c *memengine.Config) {
+			s, err := a.run(src, cfg, func(c *core.Config) {
 				c.Partitions = k
 				c.Fanout = fanout
 			})
@@ -119,15 +118,15 @@ func runAblations(cfg Config) (*Table, error) {
 	// stays on the device, as with a graph bigger than memory: one stream
 	// buffer is smaller than an iteration's updates at any Threads (256 KiB
 	// is not with one thread, whose combining leaves the fewest).
-	smallWindow := func(c *diskengine.Config) {
+	smallWindow := func(c *core.Config) {
 		c.Partitions = 1
 		c.IOUnit = cfg.pick(128<<10, 8<<10)
 	}
-	on, err := runDisk(src, algorithms.NewWCC(), hddDev("pf-on", ts), cfg, smallWindow)
+	on, err := runOn(src, algorithms.NewWCC(), hddDev("pf-on", ts), cfg, smallWindow)
 	if err != nil {
 		return nil, err
 	}
-	off, err := runDisk(src, algorithms.NewWCC(), hddDev("pf-off", ts), cfg, smallWindow, func(c *diskengine.Config) {
+	off, err := runOn(src, algorithms.NewWCC(), hddDev("pf-off", ts), cfg, smallWindow, func(c *core.Config) {
 		c.NoPrefetch = true
 	})
 	if err != nil {
@@ -145,14 +144,14 @@ func runAblations(cfg Config) (*Table, error) {
 	// 2. Update-buffer bypass (§3.2): measured by device write volume. The
 	// update files are bypassed when one stream buffer holds a scatter's
 	// updates (a generous I/O unit) and written when it does not.
-	byp, err := runDisk(src, algorithms.NewSpMV(), ssdDev("byp-on", 0), cfg, func(c *diskengine.Config) {
+	byp, err := runOn(src, algorithms.NewSpMV(), ssdDev("byp-on", 0), cfg, func(c *core.Config) {
 		c.Partitions = 1
 		c.IOUnit = 16 << 20
 	})
 	if err != nil {
 		return nil, err
 	}
-	nobyp, err := runDisk(src, algorithms.NewSpMV(), ssdDev("byp-off", 0), cfg, smallWindow)
+	nobyp, err := runOn(src, algorithms.NewSpMV(), ssdDev("byp-off", 0), cfg, smallWindow)
 	if err != nil {
 		return nil, err
 	}
@@ -168,13 +167,13 @@ func runAblations(cfg Config) (*Table, error) {
 	})
 
 	// 3. Work stealing (§4.1) under partition skew.
-	steal, err := runMem(src, algorithms.NewPageRank(5), cfg, func(c *memengine.Config) {
+	steal, err := runOn(src, algorithms.NewPageRank(5), nil, cfg, func(c *core.Config) {
 		c.Partitions = 64
 	})
 	if err != nil {
 		return nil, err
 	}
-	static, err := runMem(src, algorithms.NewPageRank(5), cfg, func(c *memengine.Config) {
+	static, err := runOn(src, algorithms.NewPageRank(5), nil, cfg, func(c *core.Config) {
 		c.Partitions = 64
 		c.NoWorkStealing = true
 	})

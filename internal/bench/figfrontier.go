@@ -81,7 +81,7 @@ func runFigFrontier(cfg Config) (*Table, error) {
 		if sel {
 			mode = "on"
 		}
-		ms, err := runMem(chain, algorithms.NewBFS(0), cfg, func(mc *memengine.Config) {
+		ms, err := runOn(chain, algorithms.NewBFS(0), nil, cfg, func(mc *core.Config) {
 			mc.Partitions = memParts
 			mc.Selective = sel
 			mc.TileEdges = tile
@@ -93,7 +93,7 @@ func runFigFrontier(cfg Config) (*Table, error) {
 		t.SetMetric("bfs_mem_edges_streamed_"+mode, float64(ms.EdgesStreamed))
 		streamedBy["mem_"+mode] = float64(ms.EdgesStreamed)
 
-		ds, err := runDisk(chain, algorithms.NewBFS(0), ssdDev("frontier", 0), cfg, func(dc *diskengine.Config) {
+		ds, err := runOn(chain, algorithms.NewBFS(0), ssdDev("frontier", 0), cfg, func(dc *core.Config) {
 			dc.Partitions = diskParts
 			dc.Selective = sel
 			dc.TileEdges = tile
@@ -132,7 +132,7 @@ func runFigFrontier(cfg Config) (*Table, error) {
 		{"range", core.RangePartitioner{}},
 		{"2ps", partition2ps.New()},
 	} {
-		s, err := runMem(shuffled, algorithms.NewBFS(0), cfg, func(mc *memengine.Config) {
+		s, err := runOn(shuffled, algorithms.NewBFS(0), nil, cfg, func(mc *core.Config) {
 			mc.Partitions = memParts
 			mc.Partitioner = v.part
 			mc.Selective = true
@@ -187,14 +187,14 @@ func runFigFrontier(cfg Config) (*Table, error) {
 	// holding its one source, so EdgesStreamed and TilesSkipped gate what
 	// one iteration costs on the longest traversal there is.
 	path := graphgen.Chain(int64(cfg.pick(20_001, 10_001)), 11)
-	ms, err := runMem(path, algorithms.NewBFS(0), cfg, func(mc *memengine.Config) {
+	ms, err := runOn(path, algorithms.NewBFS(0), nil, cfg, func(mc *core.Config) {
 		mc.Partitions = memParts
 		mc.Selective = true
 	})
 	if err != nil {
 		return nil, fmt.Errorf("path/mem: %w", err)
 	}
-	ds, err := runDisk(path, algorithms.NewBFS(0), ssdDev("frontier-path", 0), cfg, func(dc *diskengine.Config) {
+	ds, err := runOn(path, algorithms.NewBFS(0), ssdDev("frontier-path", 0), cfg, func(dc *core.Config) {
 		dc.Partitions = diskParts
 		dc.Selective = true
 		dc.IOUnit = 32 << 10

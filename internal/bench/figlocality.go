@@ -8,7 +8,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/graphgen"
 	"repro/internal/graphio"
-	"repro/internal/memengine"
 	"repro/internal/partition2ps"
 )
 
@@ -67,15 +66,15 @@ func runFigLocality(cfg Config) (*Table, error) {
 
 	for _, in := range inputs {
 		for _, v := range variants {
-			mod := func(mc *memengine.Config) {
+			mod := func(mc *core.Config) {
 				mc.Partitions = parts
 				mc.Partitioner = v.part
 			}
-			prs, err := runMem(in.src, algorithms.NewPageRank(prIters), cfg, mod)
+			prs, err := runOn(in.src, algorithms.NewPageRank(prIters), nil, cfg, mod)
 			if err != nil {
 				return nil, fmt.Errorf("%s/%s pagerank: %w", in.name, v.name, err)
 			}
-			bfs, err := runMem(in.src, algorithms.NewBFS(0), cfg, mod)
+			bfs, err := runOn(in.src, algorithms.NewBFS(0), nil, cfg, mod)
 			if err != nil {
 				return nil, fmt.Errorf("%s/%s bfs: %w", in.name, v.name, err)
 			}

@@ -5,9 +5,7 @@ import (
 
 	"repro/internal/algorithms"
 	"repro/internal/core"
-	"repro/internal/diskengine"
 	"repro/internal/graphgen"
-	"repro/internal/memengine"
 	"repro/internal/obs"
 )
 
@@ -102,15 +100,15 @@ func runFigObs(cfg Config) (*Table, error) {
 	// records with or without a tracer; ROADMAP "Fix first", step 2).
 	one := cfg
 	one.Threads = 1
-	prOff, err := runMem(src, algorithms.NewPageRank(5), one,
-		func(mc *memengine.Config) { mc.Partitions = 16 })
+	prOff, err := runOn(src, algorithms.NewPageRank(5), nil, one,
+		func(mc *core.Config) { mc.Partitions = 16 })
 	if err != nil {
 		return nil, fmt.Errorf("pagerank untraced: %w", err)
 	}
 	addRow("pagerank/mem", "off", prOff, 0)
 	rec := obs.NewRecorder()
-	prOn, err := runMem(src, algorithms.NewPageRank(5), one,
-		func(mc *memengine.Config) { mc.Partitions = 16; mc.Tracer = rec })
+	prOn, err := runOn(src, algorithms.NewPageRank(5), nil, one,
+		func(mc *core.Config) { mc.Partitions = 16; mc.Tracer = rec })
 	if err != nil {
 		return nil, fmt.Errorf("pagerank traced: %w", err)
 	}
@@ -134,21 +132,21 @@ func runFigObs(cfg Config) (*Table, error) {
 	// Selective BFS, out of core: the frontier varies work per iteration,
 	// so the per-iteration slices are non-trivial, and skipped partitions
 	// must not emit phantom spans.
-	mkDisk := func(tr core.Tracer) func(*diskengine.Config) {
-		return func(dc *diskengine.Config) {
+	mkDisk := func(tr core.Tracer) func(*core.Config) {
+		return func(dc *core.Config) {
 			dc.IOUnit = 32 << 10
 			dc.Partitions = 16
 			dc.Selective = true
 			dc.Tracer = tr
 		}
 	}
-	bfsOff, err := runDisk(src, algorithms.NewBFS(0), ssdDev("obs-off", 0), cfg, mkDisk(nil))
+	bfsOff, err := runOn(src, algorithms.NewBFS(0), ssdDev("obs-off", 0), cfg, mkDisk(nil))
 	if err != nil {
 		return nil, fmt.Errorf("bfs untraced: %w", err)
 	}
 	addRow("bfs/disk", "off", bfsOff, 0)
 	drec := obs.NewRecorder()
-	bfsOn, err := runDisk(src, algorithms.NewBFS(0), ssdDev("obs-on", 0), cfg, mkDisk(drec))
+	bfsOn, err := runOn(src, algorithms.NewBFS(0), ssdDev("obs-on", 0), cfg, mkDisk(drec))
 	if err != nil {
 		return nil, fmt.Errorf("bfs traced: %w", err)
 	}

@@ -7,7 +7,6 @@ import (
 	"repro/internal/algorithms"
 	"repro/internal/baseline"
 	"repro/internal/core"
-	"repro/internal/diskengine"
 	"repro/internal/graphgen"
 	"repro/internal/storage"
 )
@@ -42,7 +41,7 @@ func runFig22(cfg Config) (*Table, error) {
 			name: "twitter-like pagerank",
 			src:  twitter,
 			xsRun: func(dev storage.Device) (core.Stats, error) {
-				return runDisk(twitter, algorithms.NewPageRank(5), dev, cfg)
+				return runOn(twitter, algorithms.NewPageRank(5), dev, cfg)
 			},
 			kernel: baseline.PageRankKernel(5),
 		},
@@ -51,7 +50,7 @@ func runFig22(cfg Config) (*Table, error) {
 			src:  netflix.Source,
 			xsRun: func(dev storage.Device) (core.Stats, error) {
 				users := netflix.Source.NumVertices() - int64(cfg.pick(4000, 200))
-				return runDisk(netflix.Source, algorithms.NewALS(users, 5), dev, cfg)
+				return runOn(netflix.Source, algorithms.NewALS(users, 5), dev, cfg)
 			},
 			kernel: baseline.ALSLikeKernel(10),
 		},
@@ -59,7 +58,7 @@ func runFig22(cfg Config) (*Table, error) {
 			name: "rmat WCC",
 			src:  rmatU,
 			xsRun: func(dev storage.Device) (core.Stats, error) {
-				return runDisk(rmatU, algorithms.NewWCC(), dev, cfg)
+				return runOn(rmatU, algorithms.NewWCC(), dev, cfg)
 			},
 			kernel: baseline.WCCKernel(),
 		},
@@ -67,7 +66,7 @@ func runFig22(cfg Config) (*Table, error) {
 			name: "twitter-like BP",
 			src:  twitter,
 			xsRun: func(dev storage.Device) (core.Stats, error) {
-				return runDisk(twitter, algorithms.NewBP(5), dev, cfg)
+				return runOn(twitter, algorithms.NewBP(5), dev, cfg)
 			},
 			kernel: baseline.BPKernel(5),
 		},
@@ -163,7 +162,7 @@ func runFig23(cfg Config) (*Table, error) {
 	xsDev.ResetStats()
 	// Keep update traffic on the device, as with a real big graph: one
 	// stream buffer is smaller than an iteration's updates.
-	xs, err := runDisk(src, algorithms.NewPageRank(3), xsDev, cfg, func(c *diskengine.Config) {
+	xs, err := runOn(src, algorithms.NewPageRank(3), xsDev, cfg, func(c *core.Config) {
 		c.Partitions = 1
 		c.IOUnit = cfg.pick(64<<10, 8<<10)
 	})

@@ -6,9 +6,7 @@ import (
 
 	"repro/internal/algorithms"
 	"repro/internal/core"
-	"repro/internal/diskengine"
 	"repro/internal/graphgen"
-	"repro/internal/memengine"
 	"repro/internal/storage"
 )
 
@@ -22,23 +20,23 @@ func init() {
 // scalingAlgos are the four workloads the scaling figures share.
 func scalingAlgos() []struct {
 	name string
-	run  func(src core.EdgeSource, cfg Config, mods ...func(*memengine.Config)) (core.Stats, error)
+	run  func(src core.EdgeSource, cfg Config, mods ...func(*core.Config)) (core.Stats, error)
 } {
 	return []struct {
 		name string
-		run  func(src core.EdgeSource, cfg Config, mods ...func(*memengine.Config)) (core.Stats, error)
+		run  func(src core.EdgeSource, cfg Config, mods ...func(*core.Config)) (core.Stats, error)
 	}{
-		{"WCC", func(src core.EdgeSource, cfg Config, mods ...func(*memengine.Config)) (core.Stats, error) {
-			return runMem(src, algorithms.NewWCC(), cfg, mods...)
+		{"WCC", func(src core.EdgeSource, cfg Config, mods ...func(*core.Config)) (core.Stats, error) {
+			return runOn(src, algorithms.NewWCC(), nil, cfg, mods...)
 		}},
-		{"Pagerank", func(src core.EdgeSource, cfg Config, mods ...func(*memengine.Config)) (core.Stats, error) {
-			return runMem(src, algorithms.NewPageRank(5), cfg, mods...)
+		{"Pagerank", func(src core.EdgeSource, cfg Config, mods ...func(*core.Config)) (core.Stats, error) {
+			return runOn(src, algorithms.NewPageRank(5), nil, cfg, mods...)
 		}},
-		{"BFS", func(src core.EdgeSource, cfg Config, mods ...func(*memengine.Config)) (core.Stats, error) {
-			return runMem(src, algorithms.NewBFS(0), cfg, mods...)
+		{"BFS", func(src core.EdgeSource, cfg Config, mods ...func(*core.Config)) (core.Stats, error) {
+			return runOn(src, algorithms.NewBFS(0), nil, cfg, mods...)
 		}},
-		{"SpMV", func(src core.EdgeSource, cfg Config, mods ...func(*memengine.Config)) (core.Stats, error) {
-			return runMem(src, algorithms.NewSpMV(), cfg, mods...)
+		{"SpMV", func(src core.EdgeSource, cfg Config, mods ...func(*core.Config)) (core.Stats, error) {
+			return runOn(src, algorithms.NewSpMV(), nil, cfg, mods...)
 		}},
 	}
 }
@@ -98,8 +96,8 @@ func runFig15(cfg Config) (*Table, error) {
 	// reach the devices, so an iteration's updates have to outgrow one
 	// stream buffer: combining is off, and the smoke scale shrinks the
 	// I/O unit with the graph.
-	mods := func(upd storage.Device) func(*diskengine.Config) {
-		return func(c *diskengine.Config) {
+	mods := func(upd storage.Device) func(*core.Config) {
+		return func(c *core.Config) {
 			c.UpdateDevice = upd
 			c.Partitions = 1
 			c.NoCombine = true
@@ -111,16 +109,16 @@ func runFig15(cfg Config) (*Table, error) {
 		run  func(dev, upd storage.Device) (core.Stats, error)
 	}{
 		{"SpMV", func(dev, upd storage.Device) (core.Stats, error) {
-			return runDisk(src, algorithms.NewSpMV(), dev, cfg, mods(upd))
+			return runOn(src, algorithms.NewSpMV(), dev, cfg, mods(upd))
 		}},
 		{"WCC", func(dev, upd storage.Device) (core.Stats, error) {
-			return runDisk(src, algorithms.NewWCC(), dev, cfg, mods(upd))
+			return runOn(src, algorithms.NewWCC(), dev, cfg, mods(upd))
 		}},
 		{"Pagerank", func(dev, upd storage.Device) (core.Stats, error) {
-			return runDisk(src, algorithms.NewPageRank(5), dev, cfg, mods(upd))
+			return runOn(src, algorithms.NewPageRank(5), dev, cfg, mods(upd))
 		}},
 		{"BFS", func(dev, upd storage.Device) (core.Stats, error) {
-			return runDisk(src, algorithms.NewBFS(0), dev, cfg, mods(upd))
+			return runOn(src, algorithms.NewBFS(0), dev, cfg, mods(upd))
 		}},
 	}
 
@@ -190,24 +188,24 @@ func runFig16(cfg Config) (*Table, error) {
 		var err error
 		switch medium {
 		case "mem":
-			if wcc, err = runMem(src, algorithms.NewWCC(), cfg); err != nil {
+			if wcc, err = runOn(src, algorithms.NewWCC(), nil, cfg); err != nil {
 				return nil, err
 			}
-			if spmv, err = runMem(src, algorithms.NewSpMV(), cfg); err != nil {
+			if spmv, err = runOn(src, algorithms.NewSpMV(), nil, cfg); err != nil {
 				return nil, err
 			}
 		case "ssd":
-			if wcc, err = runDisk(src, algorithms.NewWCC(), ssdDev("f16w", ts), cfg); err != nil {
+			if wcc, err = runOn(src, algorithms.NewWCC(), ssdDev("f16w", ts), cfg); err != nil {
 				return nil, err
 			}
-			if spmv, err = runDisk(src, algorithms.NewSpMV(), ssdDev("f16s", ts), cfg); err != nil {
+			if spmv, err = runOn(src, algorithms.NewSpMV(), ssdDev("f16s", ts), cfg); err != nil {
 				return nil, err
 			}
 		case "disk":
-			if wcc, err = runDisk(src, algorithms.NewWCC(), hddDev("f16w", ts), cfg); err != nil {
+			if wcc, err = runOn(src, algorithms.NewWCC(), hddDev("f16w", ts), cfg); err != nil {
 				return nil, err
 			}
-			if spmv, err = runDisk(src, algorithms.NewSpMV(), hddDev("f16s", ts), cfg); err != nil {
+			if spmv, err = runOn(src, algorithms.NewSpMV(), hddDev("f16s", ts), cfg); err != nil {
 				return nil, err
 			}
 		}
@@ -248,7 +246,7 @@ func runFig17(cfg Config) (*Table, error) {
 			n = len(edges)
 		}
 		src := core.NewSliceSource(edges[:n], full.NumVertices())
-		s, err := runDisk(src, algorithms.NewWCC(), dev, cfg, func(c *diskengine.Config) {
+		s, err := runOn(src, algorithms.NewWCC(), dev, cfg, func(c *core.Config) {
 			c.Prefix = fmt.Sprintf("b%02d-", b)
 		})
 		if err != nil {

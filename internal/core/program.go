@@ -45,7 +45,7 @@ type Program[V, M any] interface {
 // addition is accepted as associative here, exactly as the paper's own
 // PageRank tolerates reduction-order rounding differences.
 //
-// Combining can be disabled per run (Config.NoCombine in either engine)
+// Combining can be disabled per run (Config.NoCombine, in either engine)
 // without changing results, which is how the equivalence suite proves the
 // contract.
 //

@@ -86,7 +86,7 @@ type Stats struct {
 	BytesRead    int64
 	BytesWritten int64
 	// BytesReadLogical is BytesRead with edge-file reads counted at their
-	// decoded size: with compressed edge tiles (DiskConfig.CompressTiles)
+	// decoded size: with compressed edge tiles (Config.CompressTiles)
 	// the device moves fewer physical bytes than the scatter consumes, and
 	// the gap between the two is exactly what the codec saved. Equal to
 	// BytesRead when tiles are stored raw.

@@ -3,8 +3,8 @@ package core
 import "time"
 
 // Tracer receives execution spans from an engine run: run → iteration →
-// phase (scatter/shuffle/gather) → per-partition work. Both engine
-// Configs carry an optional Tracer; nil (the default) disables tracing
+// phase (scatter/shuffle/gather) → per-partition work. Config carries an
+// optional Tracer for either engine; nil (the default) disables tracing
 // at zero cost — engines only measure and emit spans when one is set,
 // and a Tracer never alters any work metric, only adds timing.
 //

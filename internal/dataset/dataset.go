@@ -68,7 +68,7 @@ type Options struct {
 	MemoryBudget int64
 	// CompressTiles stores the out-of-core partition edge files as
 	// delta-varint compressed tiles: results are bit-identical while
-	// physical edge reads shrink (see diskengine.Config.CompressTiles).
+	// physical edge reads shrink (see core.Config.CompressTiles).
 	CompressTiles bool
 }
 
@@ -88,7 +88,8 @@ type Info struct {
 	ResidentBytes int64 `json:"resident_bytes"`
 }
 
-// Dataset is one ingested graph and its cached engine state.
+// Dataset is one ingested graph and its cached engine state: a prepared
+// handle per edge placement, each in a slot of its own.
 type Dataset struct {
 	name    string
 	src     core.EdgeSource
@@ -105,24 +106,30 @@ type Dataset struct {
 	// Acquire/Mem/Disk; the sweeper evicts in ascending order.
 	lastUse atomic.Int64
 
-	memReady  atomic.Bool
-	diskReady atomic.Bool
-
 	// mu guards the evictable engine state below. Builds run outside the
-	// lock under a building flag (cond signals completion), so status
-	// snapshots and pin operations never block behind a multi-second
-	// prepare.
-	mu           sync.Mutex
-	cond         *sync.Cond
-	pins         int
-	memBuilding  bool
-	mem          *memengine.Prepared
-	memErr       error
-	memBytes     int64
-	diskBuilding bool
-	disk         *diskengine.Prepared
-	diskErr      error
-	diskBytes    int64
+	// lock under a slot's building flag (cond signals completion), so
+	// status snapshots and pin operations never block behind a
+	// multi-second prepare.
+	mu     sync.Mutex
+	cond   *sync.Cond
+	pins   int
+	slots  [2]slot // indexed by memSlot, diskSlot
+	closed bool    // by Registry.Close: nothing builds again
+}
+
+// The placements a dataset prepares its graph for.
+const (
+	memSlot  = iota // in memory: memengine.Prepared
+	diskSlot        // out of core: diskengine.Prepared on Options.Device
+)
+
+// slot is one placement's prepared handle, built lazily, at most once at a
+// time, and evictable. A build error is sticky until the slot is emptied.
+type slot struct {
+	building bool
+	pp       core.Prepared
+	err      error
+	bytes    int64 // pp's footprint as last charged to the registry
 }
 
 // Name returns the registry name.
@@ -152,14 +159,13 @@ func (d *Dataset) Info() Info {
 		part = "range"
 	}
 	d.mu.Lock()
-	resident := d.memBytes + d.diskBytes
-	d.mu.Unlock()
+	defer d.mu.Unlock()
 	return Info{
 		Name: d.name, Version: d.version, Vertices: d.nv, Edges: d.ne,
 		Undirected: d.opts.Undirected, Partitioner: part,
 		Disk:        d.opts.Device != nil,
-		MemPrepared: d.memReady.Load(), DiskPrepared: d.diskReady.Load(),
-		ResidentBytes: resident,
+		MemPrepared: d.slots[memSlot].pp != nil, DiskPrepared: d.slots[diskSlot].pp != nil,
+		ResidentBytes: d.slots[memSlot].bytes + d.slots[diskSlot].bytes,
 	}
 }
 
@@ -251,51 +257,62 @@ func (d *Dataset) Release() {
 	}
 }
 
-// resampleLocked re-reads the built engines' footprints and returns the
+// resampleLocked re-reads the built handles' footprints and returns the
 // change versus what was last charged. Caller holds d.mu.
 func (d *Dataset) resampleLocked() int64 {
 	var delta int64
-	if d.mem != nil {
-		n := d.mem.Bytes()
-		delta += n - d.memBytes
-		d.memBytes = n
-	}
-	if d.disk != nil {
-		n := d.disk.Bytes()
-		delta += n - d.diskBytes
-		d.diskBytes = n
+	for i := range d.slots {
+		if s := &d.slots[i]; s.pp != nil {
+			n := s.pp.Bytes()
+			delta += n - s.bytes
+			s.bytes = n
+		}
 	}
 	return delta
 }
 
-// Mem returns the dataset's in-memory engine handle, preparing it on first
-// use (partition plan, relabeled edge stream shuffled into chunks) and
-// rebuilding it after an eviction. Concurrent callers share one build.
-func (d *Dataset) Mem() (*memengine.Prepared, error) {
+// Mem returns the dataset's in-memory engine handle (a memengine.Prepared:
+// partition plan, relabeled edge stream shuffled into chunks), preparing it
+// on first use and rebuilding it after an eviction.
+func (d *Dataset) Mem() (core.Prepared, error) { return d.prepared(memSlot, d.buildMem) }
+
+// Disk returns the dataset's out-of-core engine handle (a
+// diskengine.Prepared: the pre-processing shuffle into partition edge files
+// on the configured device, plus the tile index), preparing it on first use
+// and rebuilding it after an eviction.
+func (d *Dataset) Disk() (core.Prepared, error) { return d.prepared(diskSlot, d.buildDisk) }
+
+// prepared returns slot i's handle, building it with build when the slot
+// is empty and charging its footprint to the registry. Concurrent callers
+// share one build; a closed dataset builds nothing.
+func (d *Dataset) prepared(i int, build func() (core.Prepared, error)) (core.Prepared, error) {
+	s := &d.slots[i]
 	d.mu.Lock()
-	for d.memBuilding {
+	for s.building {
 		d.cond.Wait()
 	}
-	if d.mem != nil || d.memErr != nil {
-		pp, err := d.mem, d.memErr
+	if d.closed {
+		d.mu.Unlock()
+		return nil, fmt.Errorf("dataset %s: registry closed", d.name)
+	}
+	if s.pp != nil || s.err != nil {
+		pp, err := s.pp, s.err
 		d.mu.Unlock()
 		d.touch()
 		return pp, err
 	}
-	d.memBuilding = true
+	s.building = true
 	d.mu.Unlock()
 
-	pp, err := d.buildMem()
+	pp, err := build()
 
 	d.mu.Lock()
-	d.memBuilding = false
-	d.mem, d.memErr = pp, err
-	var grew int64
+	s.building = false
+	s.pp, s.err = pp, err
 	if err == nil {
-		d.memBytes = pp.Bytes()
-		grew = d.memBytes
-		d.memReady.Store(true)
+		s.bytes = pp.Bytes()
 	}
+	grew := s.bytes
 	d.cond.Broadcast()
 	d.mu.Unlock()
 	d.touch()
@@ -306,68 +323,30 @@ func (d *Dataset) Mem() (*memengine.Prepared, error) {
 }
 
 // buildMem runs the in-memory prepare with no dataset locks held.
-func (d *Dataset) buildMem() (*memengine.Prepared, error) {
+func (d *Dataset) buildMem() (core.Prepared, error) {
 	pr, err := d.partitioner()
 	if err != nil {
 		return nil, err
 	}
-	return memengine.Prepare(d.src, memengine.Config{
+	return handle(memengine.Prepare(d.src, memengine.Config{
 		Threads:     d.opts.Threads,
 		Partitions:  d.opts.MemPartitions,
 		TileEdges:   d.opts.TileEdges,
 		Partitioner: pr,
 		Selective:   true,
-	})
-}
-
-// Disk returns the dataset's out-of-core engine handle, preparing it on
-// first use (the pre-processing shuffle into partition edge files plus the
-// tile index, on the configured device) and rebuilding it after an
-// eviction. Concurrent callers share one build.
-func (d *Dataset) Disk() (*diskengine.Prepared, error) {
-	if d.opts.Device == nil {
-		return nil, fmt.Errorf("dataset %s: no device configured for the out-of-core engine", d.name)
-	}
-	d.mu.Lock()
-	for d.diskBuilding {
-		d.cond.Wait()
-	}
-	if d.disk != nil || d.diskErr != nil {
-		pp, err := d.disk, d.diskErr
-		d.mu.Unlock()
-		d.touch()
-		return pp, err
-	}
-	d.diskBuilding = true
-	d.mu.Unlock()
-
-	pp, err := d.buildDisk()
-
-	d.mu.Lock()
-	d.diskBuilding = false
-	d.disk, d.diskErr = pp, err
-	var grew int64
-	if err == nil {
-		d.diskBytes = pp.Bytes()
-		grew = d.diskBytes
-		d.diskReady.Store(true)
-	}
-	d.cond.Broadcast()
-	d.mu.Unlock()
-	d.touch()
-	if grew > 0 && d.reg != nil {
-		d.reg.noteResident(grew)
-	}
-	return pp, err
+	}))
 }
 
 // buildDisk runs the out-of-core prepare with no dataset locks held.
-func (d *Dataset) buildDisk() (*diskengine.Prepared, error) {
+func (d *Dataset) buildDisk() (core.Prepared, error) {
+	if d.opts.Device == nil {
+		return nil, fmt.Errorf("dataset %s: no device configured for the out-of-core engine", d.name)
+	}
 	pr, err := d.partitioner()
 	if err != nil {
 		return nil, err
 	}
-	return diskengine.Prepare(d.src, diskengine.Config{
+	return handle(diskengine.Prepare(d.src, diskengine.Config{
 		Device:        d.opts.Device,
 		MemoryBudget:  d.opts.MemoryBudget,
 		IOUnit:        d.opts.IOUnit,
@@ -378,30 +357,53 @@ func (d *Dataset) buildDisk() (*diskengine.Prepared, error) {
 		Partitioner:   pr,
 		Selective:     true,
 		CompressTiles: d.opts.CompressTiles,
-	})
+	}))
 }
 
-// evict drops the dataset's prepared engine state — the in-memory edge
-// chunks are released to the collector and the out-of-core handle's
-// partition files are removed via its existing close path — and returns
-// the bytes freed. Pinned or mid-build datasets refuse (ok false);
-// build errors are cleared so the next use retries. The dataset stays
-// registered and rebuilds lazily.
-func (d *Dataset) evict() (freed int64, ok bool) {
+// handle is an engine's Prepare result as a core.Prepared: nil, not a nil
+// pointer in a non-nil interface, when the prepare failed.
+func handle[P core.Prepared](pp P, err error) (core.Prepared, error) {
+	if err != nil {
+		return nil, err
+	}
+	return pp, nil
+}
+
+// evict drops the dataset's prepared engine state (see release). Pinned or
+// mid-build datasets refuse (ok false). The dataset stays registered and
+// rebuilds lazily.
+func (d *Dataset) evict() (freed int64, ok bool) { return d.release(false) }
+
+// release empties every slot — the in-memory edge chunks go to the
+// collector, the out-of-core handle's partition files are removed by its
+// Close — and returns the bytes they were charged, for the caller to take
+// off the registry's residency. Build errors are cleared, so the next use
+// retries. Unless closing, a pinned or mid-build dataset refuses (ok
+// false); closing waits out the builds instead and marks the dataset
+// closed, so no later use rebuilds files nobody would remove.
+func (d *Dataset) release(closing bool) (freed int64, ok bool) {
 	d.mu.Lock()
-	if d.pins > 0 || d.memBuilding || d.diskBuilding {
+	if closing {
+		d.closed = true
+		for d.slots[memSlot].building || d.slots[diskSlot].building {
+			d.cond.Wait()
+		}
+	} else if d.pins > 0 || d.slots[memSlot].building || d.slots[diskSlot].building {
 		d.mu.Unlock()
 		return 0, false
 	}
-	freed = d.memBytes + d.diskBytes
-	disk := d.disk
-	d.mem, d.memErr, d.memBytes = nil, nil, 0
-	d.disk, d.diskErr, d.diskBytes = nil, nil, 0
-	d.memReady.Store(false)
-	d.diskReady.Store(false)
+	var handles []core.Prepared
+	for i := range d.slots {
+		s := &d.slots[i]
+		if s.pp != nil {
+			handles = append(handles, s.pp)
+		}
+		freed += s.bytes
+		*s = slot{}
+	}
 	d.mu.Unlock()
-	if disk != nil {
-		disk.Close()
+	for _, pp := range handles {
+		pp.Close()
 	}
 	return freed, true
 }
@@ -428,19 +430,6 @@ func (d *Dataset) InvalidateCorrupted() bool {
 		d.reg.corruptions.Add(1)
 	}
 	return true
-}
-
-// close releases the dataset's device-backed state (registry shutdown).
-func (d *Dataset) close() {
-	d.mu.Lock()
-	disk := d.disk
-	d.disk = nil
-	d.diskBytes = 0
-	d.diskReady.Store(false)
-	d.mu.Unlock()
-	if disk != nil {
-		disk.Close()
-	}
 }
 
 // Metrics are the registry's cumulative residency counters.
@@ -638,15 +627,18 @@ func (r *Registry) List() []Info {
 	return out
 }
 
-// Close stops the sweeper and releases device-backed state of every
-// dataset. Callers must have drained in-flight passes first (the jobs
-// scheduler's Close does).
+// Close stops the sweeper and releases every dataset's prepared engine
+// state, taking it off the residency. A dataset used after Close fails
+// instead of rebuilding. Callers must have drained in-flight passes first
+// (the jobs scheduler's Close does).
 func (r *Registry) Close() {
 	r.closeOnce.Do(func() { close(r.done) })
 	r.wg.Wait()
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	for _, d := range r.m {
-		d.close()
+		if freed, _ := d.release(true); freed > 0 {
+			r.resident.Add(-freed)
+		}
 	}
 }

@@ -3,7 +3,9 @@ package dataset
 import (
 	"context"
 	"reflect"
+	"runtime"
 	"slices"
+	"sync"
 	"testing"
 
 	"repro/internal/algorithms"
@@ -45,34 +47,153 @@ func TestRegistryAddGetList(t *testing.T) {
 	}
 }
 
+// TestMemPreparedOnceAndServes: each placement's handle — in memory and
+// out of core — is built once, reported by Info and charged to the
+// registry, serves a WCC job, and eviction takes it off the residency.
 func TestMemPreparedOnceAndServes(t *testing.T) {
+	for _, tc := range []struct {
+		name     string
+		prepared func(*Dataset) (core.Prepared, error)
+		built    func(Info) bool
+	}{
+		{"mem", (*Dataset).Mem, func(i Info) bool { return i.MemPrepared }},
+		{"disk", (*Dataset).Disk, func(i Info) bool { return i.DiskPrepared }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			r := NewRegistry()
+			defer r.Close()
+			dev := storage.NewSim(storage.SSDParams("ds", 2, 0))
+			d, err := r.Add("g", testSource(), Options{Threads: 2, MemPartitions: 16, Device: dev, IOUnit: 16 << 10})
+			if err != nil {
+				t.Fatal(err)
+			}
+			pp1, err := tc.prepared(d)
+			if err != nil {
+				t.Fatal(err)
+			}
+			pp2, err := tc.prepared(d)
+			if err != nil || pp1 != pp2 {
+				t.Fatalf("handle not cached: %p vs %p (%v)", pp1, pp2, err)
+			}
+			info := d.Info()
+			if !tc.built(info) {
+				t.Fatal("Info does not report the prepared state")
+			}
+			if info.ResidentBytes <= 0 || info.ResidentBytes != pp1.Bytes() || r.Metrics().ResidentBytes != info.ResidentBytes {
+				t.Fatalf("resident %d bytes, registry %d, handle %d", info.ResidentBytes, r.Metrics().ResidentBytes, pp1.Bytes())
+			}
+			// The handle actually serves jobs.
+			inst, err := mustSpec(t, "wcc").New(algorithms.Params{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			d.Acquire()
+			res, pass, err := pp1.RunMany(context.Background(), core.ProgramSet{inst.Job})
+			d.Release()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if pass.CoJobs != 1 || len(res) != 1 {
+				t.Fatalf("unexpected pass: %+v", pass)
+			}
+			// A 1-byte cap evicts it, and the registry stops charging it.
+			r.SetMemoryCap(1)
+			m := waitResidentUnder(t, r, 0)
+			if info := d.Info(); tc.built(info) || info.ResidentBytes != 0 || m.Evictions != 1 {
+				t.Fatalf("after eviction: %+v, %+v", info, m)
+			}
+		})
+	}
+}
+
+// TestCloseReleasesPreparedState: Registry.Close takes every prepared
+// handle off the residency it was charged, removes the partition files,
+// and a dataset used afterwards fails instead of rebuilding files nobody
+// would remove.
+func TestCloseReleasesPreparedState(t *testing.T) {
+	dev := storage.NewSim(storage.SSDParams("close", 2, 0))
 	r := NewRegistry()
-	d, err := r.Add("g", testSource(), Options{Threads: 2, MemPartitions: 16})
+	d, err := r.Add("g", testSource(), Options{Threads: 2, MemPartitions: 16, Device: dev})
 	if err != nil {
 		t.Fatal(err)
 	}
-	pp1, err := d.Mem()
+	if _, err := d.Mem(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := d.Disk(); err != nil {
+		t.Fatal(err)
+	}
+	r.Close()
+	if reg, ds := r.Metrics().ResidentBytes, d.Info().ResidentBytes; reg != 0 || ds != 0 {
+		t.Fatalf("after Close: registry charges %d bytes, the dataset holds %d", reg, ds)
+	}
+	if _, err := dev.Open("xserve-g-ds-p0000.edges"); err == nil {
+		t.Fatal("a partition file survived Close")
+	}
+	if _, err := d.Disk(); err == nil {
+		t.Fatal("Disk rebuilt the partition files after Close")
+	}
+	if _, err := d.Mem(); err == nil {
+		t.Fatal("Mem rebuilt after Close")
+	}
+	if reg := r.Metrics().ResidentBytes; reg != 0 {
+		t.Fatalf("a use after Close charged %d bytes", reg)
+	}
+}
+
+// TestCloseWaitsOutBuilds: Registry.Close while uses of both placements
+// are building from several goroutines waits for the builds, releases what
+// they made and leaves nothing charged; every use that returns after it
+// fails.
+func TestCloseWaitsOutBuilds(t *testing.T) {
+	dev := storage.NewSim(storage.SSDParams("close", 2, 0))
+	r := NewRegistry()
+	d, err := r.Add("g", testSource(), Options{Threads: 2, MemPartitions: 16, Device: dev})
 	if err != nil {
 		t.Fatal(err)
 	}
-	pp2, err := d.Mem()
-	if err != nil || pp1 != pp2 {
-		t.Fatalf("Mem not cached: %p vs %p (%v)", pp1, pp2, err)
+	var wg sync.WaitGroup
+	closed := make(chan struct{})
+	for i := 0; i < 4; i++ {
+		prepared := d.Mem
+		if i%2 == 1 {
+			prepared = d.Disk
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-closed:
+					if _, err := prepared(); err == nil {
+						t.Error("a use after Close built a handle")
+					}
+					return
+				default:
+					prepared()
+				}
+			}
+		}()
 	}
-	if !d.Info().MemPrepared {
-		t.Fatal("Info does not report the prepared state")
+	// Close once a build is in flight, or both are done.
+	for {
+		d.mu.Lock()
+		m, k := &d.slots[memSlot], &d.slots[diskSlot]
+		started := m.building || k.building || (m.pp != nil && k.pp != nil)
+		d.mu.Unlock()
+		if started {
+			break
+		}
+		runtime.Gosched()
 	}
-	// The handle actually serves jobs.
-	inst, err := mustSpec(t, "wcc").New(algorithms.Params{})
-	if err != nil {
-		t.Fatal(err)
+	r.Close()
+	close(closed)
+	wg.Wait()
+	if reg, ds := r.Metrics().ResidentBytes, d.Info().ResidentBytes; reg != 0 || ds != 0 {
+		t.Fatalf("after Close: registry charges %d bytes, the dataset holds %d", reg, ds)
 	}
-	res, pass, err := pp1.RunMany(context.Background(), core.ProgramSet{inst.Job})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if pass.CoJobs != 1 || len(res) != 1 {
-		t.Fatalf("unexpected pass: %+v", pass)
+	if _, err := dev.Open("xserve-g-ds-p0000.edges"); err == nil {
+		t.Fatal("a partition file survived Close")
 	}
 }
 

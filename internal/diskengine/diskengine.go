@@ -65,136 +65,40 @@
 // out-of-core engine's dominant loss case on frontier algorithms (§5.3);
 // Stats.EdgesSkipped / PartitionsSkipped / TilesSkipped and the drop in
 // BytesRead quantify the recovery (see the figfrontier experiment).
+//
+// Config is core.Config, the one configuration of both engines: this engine
+// reads the fields both share plus Device, UpdateDevice, MemoryBudget,
+// IOUnit, Prefix, NoPrefetch, CompressTiles, NoVerify and Checkpoint, and
+// ignores Fanout and NoWorkStealing. Its own defaults are 1024-record tiles,
+// a 256 MiB budget, a 1 MiB I/O unit and the update files on Device.
+// Prepared satisfies core.Prepared, the handle interface of both engines;
+// its Close removes the partition files.
 package diskengine
 
 import (
 	"context"
-	"runtime"
 
 	"repro/internal/core"
 	"repro/internal/pod"
-	"repro/internal/storage"
 )
 
-// Config tunes the out-of-core engine.
-type Config struct {
-	// Device holds the partition files (vertices + edges) and, unless
-	// UpdateDevice is set, the update files too. Required.
-	Device storage.Device
-	// UpdateDevice, if non-nil, holds the update files so edge reads and
-	// update writes proceed on different devices in parallel (§3.3,
-	// evaluated in Figure 15 as "independent disks").
-	UpdateDevice storage.Device
-	// MemoryBudget is the main-memory budget M of §3.4. 0 means 256 MiB.
-	// It sizes the partition count by N/K + 5·S·K ≤ M and decides whether
-	// vertices spill — the J runs of a pass share it, so a run's state
-	// spills when nv·|V| + 5·S·K > M/J — and that is all it covers: one
-	// partition's vertex window plus five stream buffers of S·K bytes (two
-	// edge input, three update output, the third made only once an
-	// iteration's updates outgrow one). RunMany over a graph sizes K for
-	// its J runs, each with its own vertex window and update buffers next to
-	// the shared edge buffers: ΣN/K + (2 + 3·J)·S·K ≤ M. Prepare sizes K for
-	// one run of 16-byte state, so a pass of several jobs over a cached
-	// handle splits M only in the spill decision. Outside the sum, and not limited by
-	// M: the update read-back double buffer (2·S·K per gather worker, once
-	// updates spill to files), the gather sub-shuffle pair (2·S·K, with
-	// spilled vertices and Threads > 1), each run's scatter kernel
-	// (~0.8 MiB with a Combiner), the fold's slot tables, the frontier
-	// bitsets and the tile index.
-	MemoryBudget int64
-	// IOUnit is S of §3.4, the request size that saturates the device.
-	// 0 means 1 MiB (the paper uses 16 MiB on real hardware; scaled-down
-	// graphs use scaled-down units).
-	IOUnit int
-	// Threads is the worker count for in-memory work. 0 = GOMAXPROCS.
-	Threads int
-	// Partitions forces the partition count (power of two); 0 = auto
-	// from the §3.4 inequality.
-	Partitions int
-	// MaxIterations bounds the loop. 0 means 1<<20.
-	MaxIterations int
-	// Prefix namespaces this run's files on the device.
-	Prefix string
-	// NoPrefetch disables the second input/output buffers (prefetch
-	// distance 0); used by the prefetch ablation benchmark.
-	NoPrefetch bool
-	// Partitioner chooses how vertices map to streaming partitions. nil
-	// means core.RangePartitioner (the paper's fixed contiguous split).
-	// Locality-aware partitioners relabel vertices during pre-processing;
-	// the engine still returns vertex states in original input order.
-	// Note the partitioner's own working state is O(V) in memory, the
-	// same order as one iteration's vertex windows.
-	Partitioner core.Partitioner
-	// NoCombine disables update combining even when the program
-	// implements core.Combiner; used by ablation benchmarks and the
-	// combiner-equivalence tests.
-	NoCombine bool
-	// Selective enables frontier-aware selective streaming for programs
-	// implementing core.FrontierProgram: edge files of partitions with no
-	// active source are not read, partially active partitions are read
-	// only in their active tile segments, and update-empty partitions
-	// skip gather. Results are identical with Selective on or off by the
-	// FrontierProgram contract; ignored for programs without it (and for
-	// PhasedPrograms, whose EndIteration can activate vertices without an
-	// update).
-	Selective bool
-	// TileEdges is the tile granularity (edge records) of the selective
-	// read index. 0 means 1024, about half the edges of one of the
-	// 48-vertex cliques 2PS packs together: a selective BFS over such a
-	// chain then streams 1.9x its edge records per job, against 4.7x at
-	// 4096, while compressed tiles stay as small (CompressedRatio 0.699 on
-	// RMAT-16 at both) and a record decodes within 10 % of 4096's cost.
-	TileEdges int
-	// CompressTiles stores the partition edge files as encoded tiles
-	// (internal/tilecodec: delta-varint sources exploiting the
-	// relabeling's locality, varint targets, raw fallback when
-	// compression doesn't pay) instead of raw records. Decoding
-	// reproduces the exact record stream, so results are bit-identical to
-	// the raw layout while physical edge-file reads shrink:
-	// Stats.BytesRead then reports physical traffic, BytesReadLogical the
-	// decoded volume, and TilesCompressed/CompressedRatio the layout (see
-	// the figcompress experiment). Composes with Selective — the tile
-	// index doubles as the skip index.
-	CompressTiles bool
-	// NoVerify disables read-path checksum verification of on-disk
-	// artifacts (edge tiles, update streams, spilled vertex windows).
-	// Verification is on by default: every byte the iteration loop reads
-	// back is covered by a CRC32C recorded when it was written, and a
-	// mismatch surfaces as storage.ErrCorrupted — never a wrong result.
-	// The figchecksum experiment uses this ablation to measure overhead.
-	NoVerify bool
-	// Checkpoint persists a checksummed snapshot (vertex state, frontier,
-	// iteration number) on the device after every completed iteration, so
-	// a faulted or killed run restarted with the same Prefix resumes from
-	// the last completed iteration instead of from scratch. Snapshots
-	// double-buffer across two files, are removed when the run completes,
-	// and are ignored (never trusted) when their checksum or identity does
-	// not match. Run and RunJob write the same format (checkpoint.go).
-	Checkpoint bool
-	// Tracer receives run → iteration → phase → partition spans. nil
-	// (the default) disables tracing; a Tracer never changes any work
-	// metric, only observes timing (the figobs experiment gates this).
-	Tracer core.Tracer
-}
+// Config tunes the engine: core.Config, of which the package doc names the
+// fields this engine reads.
+type Config = core.Config
 
-func (c Config) withDefaults() Config {
+// withDefaults fills the out-of-core defaults: 1024-record tiles (see
+// Config.TileEdges), a 256 MiB memory budget, a 1 MiB I/O unit and the
+// update files on Device.
+func withDefaults(c Config) Config {
+	c = c.Defaults(1024)
 	if c.MemoryBudget <= 0 {
 		c.MemoryBudget = 256 << 20
 	}
 	if c.IOUnit <= 0 {
 		c.IOUnit = 1 << 20
 	}
-	if c.Threads <= 0 {
-		c.Threads = runtime.GOMAXPROCS(0)
-	}
-	if c.MaxIterations <= 0 {
-		c.MaxIterations = 1 << 20
-	}
 	if c.UpdateDevice == nil {
 		c.UpdateDevice = c.Device
-	}
-	if c.TileEdges <= 0 {
-		c.TileEdges = 1024
 	}
 	return c
 }
@@ -213,7 +117,7 @@ func Run[V, M any](g core.EdgeSource, prog core.Program[V, M], cfg Config) (*Res
 
 // retries is the cumulative retry count of c's devices, a distinct update
 // device's included.
-func (c Config) retries() int64 {
+func retries(c Config) int64 {
 	var n int64
 	if c.Device != nil {
 		n = c.Device.Stats().Retries

@@ -102,7 +102,7 @@ func Prepare(g core.EdgeSource, cfg Config) (*Prepared, error) {
 // compressed layout needs the index unconditionally — it is the only record
 // of where each tile's bytes live.
 func prepare(g core.EdgeSource, cfg Config, vertexBytes int64, runs int, index bool) (*Prepared, error) {
-	cfg = cfg.withDefaults()
+	cfg = withDefaults(cfg)
 	if cfg.Device == nil {
 		return nil, fmt.Errorf("diskengine: Config.Device is required")
 	}
@@ -405,7 +405,7 @@ func (pp *Prepared) streamPartition(ctx context.Context, rd *edgeScratch, files 
 // span cover the ingest as well, and its I/O the edge shuffle's writes and
 // the retries since before it.
 func RunMany(ctx context.Context, g core.EdgeSource, set core.ProgramSet, cfg Config) ([]core.JobResult, core.Stats, error) {
-	start, before := time.Now(), cfg.retries()
+	start, before := time.Now(), retries(cfg)
 	if err := set.Check(); err != nil {
 		return nil, core.Stats{}, fmt.Errorf("diskengine: %w", err)
 	}
@@ -418,7 +418,7 @@ func RunMany(ctx context.Context, g core.EdgeSource, set core.ProgramSet, cfg Co
 		return nil, core.Stats{}, err
 	}
 	defer pp.Close()
-	prepRetries := pp.cfg.retries() - before
+	prepRetries := retries(pp.cfg) - before
 	res, pass, err := pp.runMany(ctx, set, start)
 	for _, f := range pp.edgeFiles {
 		pass.BytesWritten += f.size
@@ -484,7 +484,7 @@ func (pp *Prepared) runPass(ctx context.Context, start time.Time, label string, 
 		Algorithm: label, Engine: "disk:" + cfg.Device.Name(),
 		Partitioner: pp.partName, Partitions: pp.k, Threads: cfg.Threads,
 	}
-	retriesBefore := cfg.retries()
+	retriesBefore := retries(cfg)
 
 	runs, err := newRuns()
 	if err != nil {
@@ -521,7 +521,7 @@ func (pp *Prepared) runPass(ctx context.Context, start time.Time, label string, 
 		pass.ResumedIterations = startIter
 	}
 
-	dp.retries = cfg.retries()
+	dp.retries = retries(cfg)
 	results, err := core.RunPass(ctx, core.Pass{
 		Engine: dp, Runs: runs, Start: start, FirstIter: startIter,
 		MaxIterations: cfg.MaxIterations, Threads: cfg.Threads, Tracer: cfg.Tracer,
@@ -533,7 +533,7 @@ func (pp *Prepared) runPass(ctx context.Context, start time.Time, label string, 
 		pp.removeCheckpoints()
 	}
 	pp.layoutStats(&pass)
-	pass.IORetries = cfg.retries() - retriesBefore
+	pass.IORetries = retries(cfg) - retriesBefore
 	return results, pass, nil
 }
 
@@ -602,7 +602,7 @@ func (d *diskPass) AfterIteration(iter int, continues bool, pass *core.Stats) er
 			tr.Span(0, "checkpoint", cpStart, time.Since(cpStart), map[string]int64{"iter": int64(iter), "bytes": n})
 		}
 	}
-	now := pp.cfg.retries()
+	now := retries(pp.cfg)
 	pass.IORetries += now - d.retries
 	d.retries = now
 	return nil

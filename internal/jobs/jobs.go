@@ -614,24 +614,15 @@ func (s *Scheduler) runBatch(b *batchState) {
 	}
 	var results []core.JobResult
 	var pass core.Stats
-	var err error
 	j0 := b.jobs[0]
+	prepared := j0.ds.Mem
+	if j0.req.Engine == EngineDisk {
+		prepared = j0.ds.Disk
+	}
 	j0.ds.Acquire()
-	switch j0.req.Engine {
-	case EngineMem:
-		pp, perr := j0.ds.Mem()
-		if perr != nil {
-			err = perr
-		} else {
-			results, pass, err = pp.RunMany(b.ctx, set)
-		}
-	case EngineDisk:
-		pp, perr := j0.ds.Disk()
-		if perr != nil {
-			err = perr
-		} else {
-			results, pass, err = pp.RunMany(b.ctx, set)
-		}
+	pp, err := prepared()
+	if err == nil {
+		results, pass, err = pp.RunMany(b.ctx, set)
 	}
 	j0.ds.Release()
 

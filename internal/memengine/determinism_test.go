@@ -1,6 +1,7 @@
 package memengine
 
 import (
+	"cmp"
 	"fmt"
 	"reflect"
 	"runtime"
@@ -22,15 +23,21 @@ import (
 func TestDeterministicAcrossConfigs(t *testing.T) {
 	src := graphgen.RMAT(graphgen.RMATConfig{Scale: 11, EdgeFactor: 8, Seed: 31, Undirected: true})
 	var want []wccState
-	for i, cfg := range []Config{
-		{Threads: 1, Partitions: 1},
-		{Threads: 1, Partitions: 256, Fanout: 4},
-		{Threads: 4, Partitions: 16},
-		{Threads: 3, Partitions: 64, Fanout: 8},
-		{Threads: 4, Partitions: 16, NoWorkStealing: true},
-		{Threads: 2, PrivateBufBytes: 64}, // tiny private buffers: many flushes
+	def := privateBufBytes
+	defer func() { privateBufBytes = def }()
+	for i, row := range []struct {
+		cfg     Config
+		privBuf int // 0: the engine's 8 KiB
+	}{
+		{cfg: Config{Threads: 1, Partitions: 1}},
+		{cfg: Config{Threads: 1, Partitions: 256, Fanout: 4}},
+		{cfg: Config{Threads: 4, Partitions: 16}},
+		{cfg: Config{Threads: 3, Partitions: 64, Fanout: 8}},
+		{cfg: Config{Threads: 4, Partitions: 16, NoWorkStealing: true}},
+		{cfg: Config{Threads: 2}, privBuf: 64}, // tiny private buffers: many flushes
 	} {
-		res, err := Run(src, &wccProg{}, cfg)
+		privateBufBytes = cmp.Or(row.privBuf, def)
+		res, err := Run(src, &wccProg{}, row.cfg)
 		if err != nil {
 			t.Fatalf("cfg %d: %v", i, err)
 		}
@@ -114,9 +121,8 @@ func TestTransposeIndependentOfThreads(t *testing.T) {
 				}
 				name := fmt.Sprintf("%s K=%d fanout=%d %s threads=%d", g.name, l.k, l.fanout, pp.partName, threads)
 				got, want := transpose(pp.fwd, pp.part, threads), twoPassTranspose(pp.fwd, pp.plan, pp.part, threads)
-				if got.Len() != want.Len() || got.Cap() != want.Cap() || got.Buckets() != want.Buckets() {
-					t.Fatalf("%s: Len/Cap/Buckets %d/%d/%d, want %d/%d/%d", name,
-						got.Len(), got.Cap(), got.Buckets(), want.Len(), want.Cap(), want.Buckets())
+				if got.Len() != want.Len() || got.Cap() != want.Cap() {
+					t.Fatalf("%s: Len/Cap %d/%d, want %d/%d", name, got.Len(), got.Cap(), want.Len(), want.Cap())
 				}
 				if int64(got.Len()) != pp.ne {
 					t.Fatalf("%s: transpose holds %d of %d edges", name, got.Len(), pp.ne)

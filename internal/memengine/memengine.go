@@ -44,90 +44,34 @@
 // paper's §5.3 loss case (frontier algorithms re-streaming edges whose
 // sources cannot scatter) while preserving the streaming-partition
 // architecture; see the figfrontier experiment.
+//
+// Config is core.Config, the one configuration of both engines: this engine
+// reads the fields both share plus Fanout and NoWorkStealing, and ignores the
+// out-of-core ones. Its own defaults are 4096-record tiles and the paper's
+// 8 KiB private append buffers, which are not a setting. Prepared satisfies
+// core.Prepared, the handle interface of both engines; its Close does
+// nothing.
 package memengine
 
 import (
 	"context"
-	"runtime"
 	"unsafe"
 
 	"repro/internal/core"
 	"repro/internal/streambuf"
 )
 
-// Config tunes the in-memory engine. The zero value auto-sizes everything
-// the way the paper describes: partitions from the cache size and vertex
-// footprint (§4), shuffler fanout from the cache line count (§4.2).
-type Config struct {
-	// Threads is the number of worker threads. 0 means GOMAXPROCS.
-	Threads int
-	// Partitions forces the partition count (must be a power of two).
-	// 0 means automatic.
-	Partitions int
-	// Fanout forces the shuffler fanout (power of two >= 2) of the
-	// pre-processing and update shuffles. 0 means automatic. The transpose
-	// is one placement pass whatever the fanout: every shuffle stage is
-	// stable, so its layout is the same at any.
-	Fanout int
-	// MaxIterations bounds the scatter-gather loop as a safety net.
-	// 0 means 1<<20.
-	MaxIterations int
-	// NoWorkStealing statically assigns partitions to threads instead of
-	// letting idle threads claim the next unprocessed partition. Only
-	// used by the work-stealing ablation benchmark.
-	NoWorkStealing bool
-	// PrivateBufBytes is the size of each thread's private append buffer
-	// (§4.1). 0 means 8 KiB, the paper's value.
-	PrivateBufBytes int
-	// Partitioner chooses how vertices map to streaming partitions. nil
-	// means core.RangePartitioner (the paper's fixed contiguous split).
-	// Locality-aware partitioners relabel vertices during pre-processing;
-	// the engine still returns vertex states in original input order.
-	Partitioner core.Partitioner
-	// NoCombine disables update combining even when the program
-	// implements core.Combiner; used by ablation benchmarks and the
-	// combiner-equivalence tests.
-	NoCombine bool
-	// Selective enables frontier-aware selective scatter for programs
-	// implementing core.FrontierProgram: the engine maintains an active-
-	// vertex bitset across iterations (a vertex is active iff an update
-	// it received last iteration changed its state) and skips the edge chunk of any partition
-	// with no active source — and, inside partially active partitions,
-	// any fixed-size edge tile whose source summary holds no active
-	// vertex. By the FrontierProgram contract every skipped edge would
-	// have produced no update, so results are identical with Selective on
-	// or off; Stats.EdgesSkipped / PartitionsSkipped / TilesSkipped
-	// measure the elided work. Ignored for programs without the contract
-	// (and for PhasedPrograms, whose EndIteration hook can activate
-	// vertices the update stream never saw).
-	Selective bool
-	// TileEdges is the tile granularity (edge records) of selective
-	// skipping inside partially active partitions. 0 means 4096: in
-	// memory a skipped tile saves no read, only a scan, and 1024-record
-	// tiles made the serving workload's shared passes slower with the
-	// per-tile test they add.
-	TileEdges int
-	// Tracer receives run → iteration → phase → partition spans. nil
-	// (the default) disables tracing; a Tracer never changes any work
-	// metric, only observes timing (the figobs experiment gates this).
-	Tracer core.Tracer
-}
+// Config tunes the engine: core.Config, of which the package doc names the
+// fields this engine reads.
+type Config = core.Config
 
-func (c Config) withDefaults() Config {
-	if c.Threads <= 0 {
-		c.Threads = runtime.GOMAXPROCS(0)
-	}
-	if c.MaxIterations <= 0 {
-		c.MaxIterations = 1 << 20
-	}
-	if c.PrivateBufBytes <= 0 {
-		c.PrivateBufBytes = 8 << 10
-	}
-	if c.TileEdges <= 0 {
-		c.TileEdges = 4096
-	}
-	return c
-}
+// withDefaults fills the in-memory defaults: 4096-record tiles (see
+// Config.TileEdges).
+func withDefaults(c Config) Config { return c.Defaults(4096) }
+
+// privateBufBytes is the size of each thread's private append buffer
+// (§4.1): 8 KiB, the paper's value.
+var privateBufBytes = 8 << 10
 
 // Result carries the final vertex states and execution statistics.
 type Result[V any] = core.Result[V]

@@ -75,7 +75,7 @@ const cacheBytes = 2 << 20
 // auto-sizing — the direct Run/RunJob/RunMany paths size from their jobs'
 // actual record widths (the paper's rule), not the nominal one.
 func prepare(g core.EdgeSource, cfg Config, footprint int) (*Prepared, error) {
-	cfg = cfg.withDefaults()
+	cfg = withDefaults(cfg)
 	nv, ne := g.NumVertices(), g.NumEdges()
 
 	k := cfg.Partitions
@@ -140,6 +140,10 @@ func (pp *Prepared) Bytes() int64 {
 	}
 	return n
 }
+
+// Close implements core.Prepared: an in-memory handle holds nothing but Go
+// memory, so it does nothing.
+func (pp *Prepared) Close() {}
 
 // edges returns the edge buffer (and, when wanted, tile index) for a
 // direction, building the transpose and index lazily, at most once. The
@@ -210,7 +214,7 @@ func (pp *Prepared) runMany(ctx context.Context, set core.ProgramSet, start time
 	runs, err := set.NewRuns(core.JobSetup{
 		Assignment: pp.asg, NumVertices: pp.nv, NumEdges: pp.ne,
 		Threads: cfg.Threads, Plan: pp.plan, UpdateCap: int(pp.ne),
-		PrivateBufBytes: cfg.PrivateBufBytes,
+		PrivateBufBytes: privateBufBytes,
 		NoCombine:       cfg.NoCombine, Selective: cfg.Selective,
 	})
 	if err != nil {

@@ -79,9 +79,6 @@ func NewVolumeBalanced() *Partitioner {
 	return &Partitioner{cfg: Config{VolumeBalance: true}}
 }
 
-// NewWithConfig returns a 2PS partitioner with explicit tuning.
-func NewWithConfig(cfg Config) *Partitioner { return &Partitioner{cfg: cfg} }
-
 // Name implements core.Partitioner.
 func (p *Partitioner) Name() string {
 	if p.cfg.VolumeBalance {

@@ -14,9 +14,9 @@ func partitioners() map[string]core.Partitioner {
 		"range":      core.RangePartitioner{},
 		"2ps":        New(),
 		"2psv":       NewVolumeBalanced(),
-		"2ps-tight":  NewWithConfig(Config{VolumeCapFactor: 0.25, Passes: 1}),
-		"2ps-loose":  NewWithConfig(Config{VolumeCapFactor: 4, Passes: 3}),
-		"2psv-tight": NewWithConfig(Config{VolumeCapFactor: 0.25, Passes: 1, VolumeBalance: true}),
+		"2ps-tight":  &Partitioner{cfg: Config{VolumeCapFactor: 0.25, Passes: 1}},
+		"2ps-loose":  &Partitioner{cfg: Config{VolumeCapFactor: 4, Passes: 3}},
+		"2psv-tight": &Partitioner{cfg: Config{VolumeCapFactor: 0.25, Passes: 1, VolumeBalance: true}},
 	}
 }
 

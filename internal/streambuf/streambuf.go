@@ -81,10 +81,6 @@ func (b *Buffer[T]) Len() int {
 	return int(b.n.Load())
 }
 
-// Buckets returns the number of buckets the buffer is currently shuffled
-// into, or 0 if the buffer is in append state.
-func (b *Buffer[T]) Buckets() int { return b.buckets }
-
 // Reset returns the buffer to the empty append state. The slices' storage
 // is kept for the next shuffle to reuse.
 func (b *Buffer[T]) Reset() {
@@ -160,10 +156,6 @@ func (b *Buffer[T]) Fill(src []T) {
 	copy(b.data, src)
 	b.n.Store(int64(len(src)))
 }
-
-// Raw returns the filled prefix of the chunk array in append state. The
-// slice aliases the buffer.
-func (b *Buffer[T]) Raw() []T { return b.data[:b.n.Load()] }
 
 // Bucket calls fn for each contiguous run of records in bucket p, in slice
 // order. The slices passed to fn alias the buffer.

@@ -227,7 +227,7 @@ func TestConcurrentAppend(t *testing.T) {
 	}
 	// All values present exactly once.
 	seen := make([]bool, workers*per)
-	for _, r := range b.Raw() {
+	for _, r := range b.data[:b.n.Load()] {
 		if seen[r.Val] {
 			t.Fatalf("value %d duplicated", r.Val)
 		}
@@ -263,7 +263,7 @@ func TestAppendReservesDisjointPlaces(t *testing.T) {
 		t.Fatalf("an Append past the capacity reserved records: Len = %d, want %d", b.Len(), workers*per)
 	}
 	counts := make([]int, workers)
-	for _, r := range b.Raw() {
+	for _, r := range b.data[:b.n.Load()] {
 		counts[r.Key] += int(r.Val)
 	}
 	for w, c := range counts {
@@ -463,9 +463,9 @@ func TestNewBucketedMatchesShuffle(t *testing.T) {
 			}
 		}
 
-		if got.Len() != want.Len() || got.Cap() != want.Cap() || got.Buckets() != want.Buckets() {
+		if got.Len() != want.Len() || got.Cap() != want.Cap() || got.buckets != want.buckets {
 			t.Fatalf("%+v: Len/Cap/Buckets %d/%d/%d, want %d/%d/%d", tc,
-				got.Len(), got.Cap(), got.Buckets(), want.Len(), want.Cap(), want.Buckets())
+				got.Len(), got.Cap(), got.buckets, want.Len(), want.Cap(), want.buckets)
 		}
 		for p := 0; p < tc.k; p++ {
 			var gotRuns, wantRuns [][]rec
@@ -485,7 +485,7 @@ func TestFillReset(t *testing.T) {
 		t.Fatalf("Len = %d", b.Len())
 	}
 	b.Reset()
-	if b.Len() != 0 || b.Buckets() != 0 {
+	if b.Len() != 0 || b.buckets != 0 {
 		t.Fatal("reset did not clear")
 	}
 }

@@ -11,7 +11,7 @@ import (
 
 const (
 	// benchTileRecs is the out-of-core engine's default tile size
-	// (diskengine.Config.TileEdges).
+	// (core.Config.TileEdges).
 	benchTileRecs = 1024
 	// benchTiles is how many tiles of each shape are decoded: about 1 MB
 	// encoded, so the set stays in cache as a tile the engine has just

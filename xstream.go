@@ -28,7 +28,7 @@ type (
 	// semigroup, letting the engines pre-aggregate the update stream
 	// (thread-private combining buffers at scatter time plus a
 	// per-partition fold after the shuffle). Disable per run with
-	// MemConfig/DiskConfig.NoCombine. A Combiner whose Combine is exactly
+	// Config.NoCombine. A Combiner whose Combine is exactly
 	// CombineSum or CombineMin may say so with a CombineOp() CombineOp
 	// method; the engines then merge by the op inline.
 	Combiner[M any] = core.Combiner[M]
@@ -36,8 +36,7 @@ type (
 	CombineOp = core.CombineOp
 	// FrontierProgram marks programs whose Scatter is a no-op for
 	// vertices whose state the last iteration's gather left unchanged,
-	// letting engines
-	// with MemConfig/DiskConfig.Selective skip inactive partitions and
+	// letting engines with Config.Selective skip inactive partitions and
 	// edge tiles (the out-of-core engine skips the file reads outright).
 	// BFS, SSSP and WCC opt in; results are identical either way.
 	FrontierProgram[V any] = core.FrontierProgram[V]
@@ -75,11 +74,15 @@ const (
 
 // Engine configuration and results.
 type (
-	// MemConfig tunes the in-memory engine (§4 of the paper). The zero
-	// value auto-sizes partitions and shuffler fanout.
-	MemConfig = memengine.Config
-	// DiskConfig tunes the out-of-core engine (§3 of the paper).
-	DiskConfig = diskengine.Config
+	// Config tunes a run of either engine. The zero value auto-sizes
+	// partitions (from the CPU cache in memory, §4; from MemoryBudget out
+	// of core, §3.4) and the shuffler fanout. Each field says which engine
+	// reads it; Device is required out of core.
+	Config = core.Config
+	// MemConfig is Config, as the in-memory engine (§4) takes it.
+	MemConfig = Config
+	// DiskConfig is Config, as the out-of-core engine (§3) takes it.
+	DiskConfig = Config
 	// MemResult carries final vertex state and stats.
 	MemResult[V any] = memengine.Result[V]
 	// DiskResult carries final vertex state and stats.
