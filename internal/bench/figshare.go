@@ -58,32 +58,42 @@ func runFigShare(cfg Config) (*Table, error) {
 		})
 	}
 
+	// sharePasses serves both engines' rows from one prepared handle: a
+	// warmup pass, k sequential single-job passes and one shared k-job pass.
+	// It returns the sequential passes' totals and the shared pass's stats.
+	sharePasses := func(engine string, pp core.Prepared) (seq, shared core.Stats, err error) {
+		if _, _, err := pp.RunMany(ctx, newSet(1)); err != nil { // warmup: build the transpose
+			return seq, shared, fmt.Errorf("%s warmup: %w", engine, err)
+		}
+		var seqTime string
+		for i := 0; i < k; i++ {
+			_, pass, err := pp.RunMany(ctx, newSet(1))
+			if err != nil {
+				return seq, shared, fmt.Errorf("%s seq %d: %w", engine, i, err)
+			}
+			seq.EdgesStreamed += pass.EdgesStreamed
+			seq.BytesRead += pass.BytesRead
+			seqTime = fmtDur(pass.TotalTime)
+		}
+		addRow(engine, "sequential", k, seq.EdgesStreamed, 0, seq.BytesRead, seqTime+"/job")
+		if _, shared, err = pp.RunMany(ctx, newSet(k)); err != nil {
+			return seq, shared, fmt.Errorf("%s shared: %w", engine, err)
+		}
+		addRow(engine, "shared", k, shared.EdgesStreamed, shared.EdgesShared, shared.BytesRead, fmtDur(shared.TotalTime))
+		return seq, shared, nil
+	}
+
 	// In-memory engine over one prepared handle, as the dataset registry
 	// serves it.
 	mp, err := memengine.Prepare(src, memengine.Config{Threads: cfg.Threads})
 	if err != nil {
 		return nil, err
 	}
-	if _, _, err := mp.RunMany(ctx, newSet(1)); err != nil { // warmup: build the transpose
+	memSeq, memPass, err := sharePasses("memory", mp)
+	if err != nil {
 		return nil, err
 	}
-	var memSeq int64
-	var memSeqTime string
-	for i := 0; i < k; i++ {
-		_, pass, err := mp.RunMany(ctx, newSet(1))
-		if err != nil {
-			return nil, fmt.Errorf("mem seq %d: %w", i, err)
-		}
-		memSeq += pass.EdgesStreamed
-		memSeqTime = fmtDur(pass.TotalTime)
-	}
-	addRow("memory", "sequential", k, memSeq, 0, 0, memSeqTime+"/job")
-	_, memPass, err := mp.RunMany(ctx, newSet(k))
-	if err != nil {
-		return nil, fmt.Errorf("mem shared: %w", err)
-	}
-	addRow("memory", "shared", k, memPass.EdgesStreamed, memPass.EdgesShared, 0, fmtDur(memPass.TotalTime))
-	t.SetMetric("pagerank_mem_edges_streamed_seq", float64(memSeq))
+	t.SetMetric("pagerank_mem_edges_streamed_seq", float64(memSeq.EdgesStreamed))
 	t.SetMetric("pagerank_mem_edges_streamed_shared", float64(memPass.EdgesStreamed))
 
 	// Result cache: batching amortizes the stream across co-scheduled
@@ -120,41 +130,25 @@ func runFigShare(cfg Config) (*Table, error) {
 		return nil, err
 	}
 	defer dp.Close()
-	if _, _, err := dp.RunMany(ctx, newSet(1)); err != nil { // warmup: build the transposed files
+	diskSeq, diskPass, err := sharePasses("disk:sim-ssd", dp)
+	if err != nil {
 		return nil, err
 	}
-	var diskSeq, diskSeqRead int64
-	var diskSeqTime string
-	for i := 0; i < k; i++ {
-		_, pass, err := dp.RunMany(ctx, newSet(1))
-		if err != nil {
-			return nil, fmt.Errorf("disk seq %d: %w", i, err)
-		}
-		diskSeq += pass.EdgesStreamed
-		diskSeqRead += pass.BytesRead
-		diskSeqTime = fmtDur(pass.TotalTime)
-	}
-	addRow("disk:sim-ssd", "sequential", k, diskSeq, 0, diskSeqRead, diskSeqTime+"/job")
-	_, diskPass, err := dp.RunMany(ctx, newSet(k))
-	if err != nil {
-		return nil, fmt.Errorf("disk shared: %w", err)
-	}
-	addRow("disk:sim-ssd", "shared", k, diskPass.EdgesStreamed, diskPass.EdgesShared, diskPass.BytesRead, fmtDur(diskPass.TotalTime))
-	t.SetMetric("pagerank_disk_edges_streamed_seq", float64(diskSeq))
+	t.SetMetric("pagerank_disk_edges_streamed_seq", float64(diskSeq.EdgesStreamed))
 	t.SetMetric("pagerank_disk_edges_streamed_shared", float64(diskPass.EdgesStreamed))
-	t.SetMetric("pagerank_disk_bytes_read_seq", float64(diskSeqRead))
+	t.SetMetric("pagerank_disk_bytes_read_seq", float64(diskSeq.BytesRead))
 	t.SetMetric("pagerank_disk_bytes_read_shared", float64(diskPass.BytesRead))
 
 	if memPass.EdgesStreamed > 0 {
 		t.Notes = append(t.Notes, fmt.Sprintf(
 			"memory: %d shared jobs stream %.2fx fewer edge records than %d sequential runs (%d -> %d)",
-			k, float64(memSeq)/float64(memPass.EdgesStreamed), k, memSeq, memPass.EdgesStreamed))
+			k, float64(memSeq.EdgesStreamed)/float64(memPass.EdgesStreamed), k, memSeq.EdgesStreamed, memPass.EdgesStreamed))
 	}
 	if diskPass.BytesRead > 0 {
 		t.Notes = append(t.Notes, fmt.Sprintf(
 			"disk: sharing reads %.2fx fewer bytes (%d -> %d) and streams %.2fx fewer records",
-			float64(diskSeqRead)/float64(diskPass.BytesRead), diskSeqRead, diskPass.BytesRead,
-			float64(diskSeq)/float64(diskPass.EdgesStreamed)))
+			float64(diskSeq.BytesRead)/float64(diskPass.BytesRead), diskSeq.BytesRead, diskPass.BytesRead,
+			float64(diskSeq.EdgesStreamed)/float64(diskPass.EdgesStreamed)))
 	}
 	t.Notes = append(t.Notes, fmt.Sprintf(
 		"result cache: %d identical sequential jobs computed %d pass(es), served %d from cache with zero edges streamed",

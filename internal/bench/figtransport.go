@@ -15,7 +15,7 @@ import (
 // builtin shuffle and selective BFS through the out-of-core engine's
 // update-file writeback. Each run's update count and the transport's own
 // counters — batches sent and bytes moved — are gated metrics, so a change
-// to the scatter kernel, the combining cache or either transport that
+// to the scatter kernel, the combining buffer or either transport that
 // shifts what crosses the seam shows in the baseline (every other
 // experiment's pinned update/stream metrics gate the same seam across its
 // own workloads).

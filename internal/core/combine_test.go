@@ -34,19 +34,68 @@ func emissions[M any](t *testing.T, cb *CombineBuffer[M], window, step int, upda
 		}
 	}
 	cb.Sweep(drain)
-	if len(cb.occupied) != 0 || len(cb.out) != 0 {
-		t.Fatalf("swept buffer still holds %d residents, %d evicted records", len(cb.occupied), len(cb.out))
+	if len(cb.occupied) != 0 || len(cb.touched) != 0 || len(cb.out) != 0 {
+		t.Fatalf("swept buffer still holds %d residents, %d touched words, %d evicted records", len(cb.occupied), len(cb.touched), len(cb.out))
+	}
+	for w, bits := range cb.seen {
+		if bits != 0 {
+			t.Fatalf("swept dense buffer still marks word %d: %#x", w, bits)
+		}
 	}
 	return log
 }
 
-// checkCombineBuffer is the cache's contract on one update stream: whatever
-// the table size and eviction pattern, an update added emits at most one
-// record; the per-destination combination of everything emitted equals that of
+// denseStream maps a test stream's destinations into [0, nv), nv being one
+// more than its largest two-byte destination, so a dense accumulator can
+// take it; the edge keys land wherever the modulus puts them.
+func denseStream(updates []Update[int64]) ([]Update[int64], int64) {
+	nv := int64(1)
+	for _, u := range updates {
+		if u.Dst < 1<<16 {
+			nv = max(nv, int64(u.Dst)+1)
+		}
+	}
+	us := make([]Update[int64], len(updates))
+	for i, u := range updates {
+		us[i] = Update[int64]{Dst: VertexID(int64(u.Dst) % nv), Val: u.Val}
+	}
+	return us, nv
+}
+
+// denseOrder is the order a dense accumulator emits the destinations of
+// updates in: the bitmap words in the order an update first touched them,
+// each word's destinations ascending.
+func denseOrder(updates []Update[int64]) []VertexID {
+	var words []VertexID
+	dsts := map[VertexID][]VertexID{}
+	for _, u := range updates {
+		w := u.Dst >> 6
+		if _, ok := dsts[w]; !ok {
+			words = append(words, w)
+		}
+		if !slices.Contains(dsts[w], u.Dst) {
+			dsts[w] = append(dsts[w], u.Dst)
+		}
+	}
+	var order []VertexID
+	for _, w := range words {
+		slices.Sort(dsts[w])
+		order = append(order, dsts[w]...)
+	}
+	return order
+}
+
+// checkCombineBuffer is the combining buffer's contract on one update
+// stream, held by the cache and, with the stream's destinations mapped into
+// [0, nv) (denseStream), by the dense accumulator: whatever the table size and
+// eviction pattern, an update added emits at most one record; the
+// per-destination combination of everything emitted equals that of
 // everything added; Combined counts exactly the records merged away; and a
-// buffer dirtied by an abandoned stream and Reset, fed the stream in blocks,
-// emits the same records in the same order as a fresh one fed one at a time;
+// buffer swept, or dirtied by an abandoned stream, and Reset, fed the stream
+// in blocks, emits the same records in the same order as a fresh one fed one
+// at a time;
 // and every op loop emits what the func loop it replaces does (checkOpLoops).
+// The dense accumulator emits each destination once, in denseOrder.
 func checkCombineBuffer(t *testing.T, baseRecs, window int, useMin bool, updates []Update[int64]) {
 	t.Helper()
 	combine := func(a, b int64) int64 { return a + b }
@@ -64,32 +113,53 @@ func checkCombineBuffer(t *testing.T, baseRecs, window int, useMin bool, updates
 		}
 		return m
 	}
-	fresh := NewCombineBuffer[int64](baseRecs, combine, 0)
-	got := emissions(t, fresh, window, 1, updates)
-	if want := int64(len(updates) - len(got)); fresh.Combined != want {
-		t.Fatalf("Combined = %d, added %d - emitted %d = %d", fresh.Combined, len(updates), len(got), want)
-	}
-	have, want := fold(got), fold(updates)
-	if len(have) != len(want) {
-		t.Fatalf("emitted %d destinations, added %d", len(have), len(want))
-	}
-	for dst, w := range want {
-		if have[dst] != w {
-			t.Fatalf("dst %d: emitted records combine to %d, added ones to %d", dst, have[dst], w)
+	for _, dense := range []bool{false, true} {
+		us, nv := updates, int64(0)
+		if dense {
+			us, nv = denseStream(updates)
 		}
+		fresh := newCombineBuffer[int64](baseRecs, nv, dense, combine, 0)
+		got := emissions(t, fresh, window, 1, us)
+		if want := int64(len(us) - len(got)); fresh.Combined != want {
+			t.Fatalf("dense %v: Combined = %d, added %d - emitted %d = %d", dense, fresh.Combined, len(us), len(got), want)
+		}
+		have, want := fold(got), fold(us)
+		if len(have) != len(want) {
+			t.Fatalf("dense %v: emitted %d destinations, added %d", dense, len(have), len(want))
+		}
+		for dst, w := range want {
+			if have[dst] != w {
+				t.Fatalf("dense %v: dst %d: emitted records combine to %d, added ones to %d", dense, dst, have[dst], w)
+			}
+		}
+		if dense {
+			order := denseOrder(us)
+			if len(got) != len(order) {
+				t.Fatalf("dense: emitted %d records for %d destinations", len(got), len(order))
+			}
+			for i, u := range got {
+				if u.Dst != order[i] {
+					t.Fatalf("dense: record %d went to %d, want %d (touched words first-touched first, ascending within)", i, u.Dst, order[i])
+				}
+			}
+		}
+		// A swept buffer is as good as fresh.
+		if again := emissions(t, fresh, window, scatterBlock, us); !slices.Equal(again, got) {
+			t.Fatalf("dense %v: a swept buffer fed the stream again emitted %d records that differ from its first %d", dense, len(again), len(got))
+		}
+		// Dirty a second buffer at its widest window and abandon it mid-stream.
+		reused := newCombineBuffer[int64](baseRecs, nv, dense, combine, 0)
+		reused.Add(us[:len(us)/2], func([]Update[int64]) {})
+		if again := emissions(t, reused, window, 1+len(us)/3, us); !slices.Equal(again, got) {
+			t.Fatalf("dense %v: a dirtied buffer Reset to window %d emitted %d records that differ from a fresh buffer's %d", dense, window, len(again), len(got))
+		}
+		if reused.Combined != fresh.Combined {
+			t.Fatalf("dense %v: Combined %d after Reset, %d fresh", dense, reused.Combined, fresh.Combined)
+		}
+		checkOpLoops(t, baseRecs, window, nv, dense, us, f32Of)
+		checkOpLoops(t, baseRecs, window, nv, dense, us, i32Of)
+		checkOpLoops(t, baseRecs, window, nv, dense, us, vidOf)
 	}
-	// Dirty a second buffer at its widest window and abandon it mid-stream.
-	reused := NewCombineBuffer[int64](baseRecs, combine, 0)
-	reused.Add(updates[:len(updates)/2], func([]Update[int64]) {})
-	if again := emissions(t, reused, window, 1+len(updates)/3, updates); !slices.Equal(again, got) {
-		t.Fatalf("a dirtied buffer Reset to window %d emitted %d records that differ from a fresh buffer's %d", window, len(again), len(got))
-	}
-	if reused.Combined != fresh.Combined {
-		t.Fatalf("Combined %d after Reset, %d fresh", reused.Combined, fresh.Combined)
-	}
-	checkOpLoops(t, baseRecs, window, updates, f32Of)
-	checkOpLoops(t, baseRecs, window, updates, i32Of)
-	checkOpLoops(t, baseRecs, window, updates, vidOf)
 }
 
 // The value corpora the op loops are held to the func loops on: what a merge
@@ -152,21 +222,22 @@ func convert[N any](updates []Update[int64], val func(int64) N) []Update[N] {
 	return us
 }
 
-// checkOpLoops holds the combining cache's op loops to the func loop they
-// replace: one stream, its values turned into N by val, through a buffer
-// merging by the op's func and through one merging by the op inline, emits
-// bitwise the same records in the same order and counts the same Combined.
-func checkOpLoops[N numeric](t *testing.T, baseRecs, window int, updates []Update[int64], val func(int64) N) {
+// checkOpLoops holds the combining buffer's op loops to the func loop they
+// replace, in one representation: one stream, its values turned into N by
+// val, through a buffer merging by the op's func and through one merging by
+// the op inline, emits bitwise the same records in the same order and counts
+// the same Combined.
+func checkOpLoops[N numeric](t *testing.T, baseRecs, window int, nv int64, dense bool, updates []Update[int64], val func(int64) N) {
 	t.Helper()
 	us := convert(updates, val)
 	for _, op := range []CombineOp{CombineSum, CombineMin} {
-		ref := NewCombineBuffer(baseRecs, opFunc[N](op), 0)
-		inline := NewCombineBuffer(baseRecs, inlineOnly[N], op)
+		ref := newCombineBuffer(baseRecs, nv, dense, opFunc[N](op), 0)
+		inline := newCombineBuffer(baseRecs, nv, dense, inlineOnly[N], op)
 		want := emissions(t, ref, window, scatterBlock, us)
 		got := emissions(t, inline, window, scatterBlock, us)
 		if !bytes.Equal(pod.AsBytes(got), pod.AsBytes(want)) || inline.Combined != ref.Combined {
-			t.Fatalf("op %d over %T: the inline loop emitted %d records and combined %d, the func loop %d and %d",
-				op, *new(N), len(got), inline.Combined, len(want), ref.Combined)
+			t.Fatalf("dense %v, op %d over %T: the inline loop emitted %d records and combined %d, the func loop %d and %d",
+				dense, op, *new(N), len(got), inline.Combined, len(want), ref.Combined)
 		}
 	}
 }
@@ -176,7 +247,8 @@ var edgeKeys = []VertexID{0, 1, 2, 0xFFFFFFFF, 0xFFFFFFFE, 0x80000000, 0x7FFFFFF
 
 // TestCombineBufferProperties runs the contract over seeded random streams at
 // every table size from the minimum to the ceiling, with destination ranges
-// from all-hits to all-misses and the edge keys mixed in.
+// from all-hits to all-misses and the edge keys mixed in (the cache's; the
+// dense accumulator takes the stream mapped into its range).
 func TestCombineBufferProperties(t *testing.T) {
 	rng := rand.New(rand.NewSource(20))
 	for trial := 0; trial < 300; trial++ {
@@ -223,7 +295,7 @@ func FuzzCombineBuffer(f *testing.F) {
 func TestCombineBufferEmptySlotEncoding(t *testing.T) {
 	sum := func(a, b int64) int64 { return a + b }
 	for _, window := range []int{0, 1, 2, 5, 64, MaxBufGrowth * 8} {
-		cb := NewCombineBuffer[int64](8, sum, 0)
+		cb := NewCombineBuffer[int64](8, 0, sum, 0)
 		var updates []Update[int64]
 		for round := int64(1); round <= 3; round++ {
 			for _, k := range edgeKeys {
@@ -310,8 +382,9 @@ func (p int64Sum) Combine(a, b int64) int64             { *p.calls++; return a +
 func (int64Sum) CombineOp() CombineOp                   { return CombineSum }
 
 // TestCombineOpWithoutLoopsRunsFunc: a program that declares an op over a
-// value type with no specialised loops resolves to the op, and the cache and
-// the fold built from that resolution merge through its Combine, emitting
+// value type with no specialised loops resolves to the op, and the cache, the
+// dense accumulator and the fold built from that resolution merge through its
+// Combine, emitting
 // exactly what a buffer and a fold that know no op do.
 func TestCombineOpWithoutLoopsRunsFunc(t *testing.T) {
 	calls := 0
@@ -329,10 +402,13 @@ func TestCombineOpWithoutLoopsRunsFunc(t *testing.T) {
 	for i := range updates {
 		updates[i] = Update[int64]{Dst: VertexID(rng.Intn(64)), Val: rng.Int63()}
 	}
-	want := emissions(t, NewCombineBuffer(16, func(a, b int64) int64 { return a + b }, 0), 64, scatterBlock, updates)
-	got := emissions(t, NewCombineBuffer(16, combine, op), 64, scatterBlock, updates)
-	if !slices.Equal(got, want) || calls == 0 {
-		t.Fatalf("op buffer emitted %d records through %d Combine calls, the func buffer %d", len(got), calls, len(want))
+	for _, nv := range []int64{0, 64} { // the cache, then the dense accumulator
+		calls = 0
+		want := emissions(t, NewCombineBuffer(16, nv, func(a, b int64) int64 { return a + b }, 0), 64, scatterBlock, updates)
+		got := emissions(t, NewCombineBuffer(16, nv, combine, op), 64, scatterBlock, updates)
+		if !slices.Equal(got, want) || calls == 0 {
+			t.Fatalf("nv %d: op buffer emitted %d records through %d Combine calls, the func buffer %d", nv, len(got), calls, len(want))
+		}
 	}
 	calls = 0
 	plan, _ := streambuf.NewPlan(2, 2)
@@ -348,6 +424,76 @@ func TestCombineOpWithoutLoopsRunsFunc(t *testing.T) {
 	if gotN != wantN || !slices.Equal(gotRecs, wantRecs) || calls == 0 {
 		t.Fatalf("op fold merged %d through %d Combine calls, the func fold %d", gotN, calls, wantN)
 	}
+}
+
+// TestCombineBufferDenseBoundary: the representation follows nv·sizeof(M)
+// against denseCombineBytes — dense at the budget, the cache one destination
+// past it or when the range is unknown — for a 4-byte and an 8-byte M, and
+// the scatter kernel builds the buffer the rule selects.
+func TestCombineBufferDenseBoundary(t *testing.T) {
+	sum32 := func(a, b float32) float32 { return a + b }
+	sum64 := func(a, b int64) int64 { return a + b }
+	at32, at64 := int64(denseCombineBytes/4), int64(denseCombineBytes/8)
+	for _, c := range []struct {
+		name  string
+		dense bool
+		cb    interface{ isDense() bool }
+	}{
+		{"float32 at the budget", true, NewCombineBuffer(1, at32, sum32, CombineSum)},
+		{"float32 past the budget", false, NewCombineBuffer(1, at32+1, sum32, CombineSum)},
+		{"int64 at the budget", true, NewCombineBuffer(1, at64, sum64, 0)},
+		{"int64 past the budget", false, NewCombineBuffer(1, at64+1, sum64, 0)},
+		{"unknown range", false, NewCombineBuffer(1, 0, sum64, 0)},
+		{"kernel at the budget", true, NewScatterKernel[int64, int64](int64Sum{new(int)}, nil, sum64, CombineSum, 1, at64).cb},
+		{"kernel past the budget", false, NewScatterKernel[int64, int64](int64Sum{new(int)}, nil, sum64, CombineSum, 1, at64+1).cb},
+	} {
+		if got := c.cb.isDense(); got != c.dense {
+			t.Errorf("%s: dense %v, want %v", c.name, got, c.dense)
+		}
+	}
+}
+
+// TestMemoryEstimateCountsDenseAccumulators: DenseCombineFootprint is what
+// a combining buffer over nv destinations allocates for its dense
+// accumulator (nothing past the budget), and a combining job's estimate
+// holds one per scatter kernel, a job that does not combine none.
+func TestMemoryEstimateCountsDenseAccumulators(t *testing.T) {
+	sum64 := func(a, b int64) int64 { return a + b }
+	comb, plain := NewJob[int64, int64](int64Sum{new(int)}), NewJob[int64, int64](int64Plain{})
+	at64 := int64(denseCombineBytes / 8)
+	for _, nv := range []int64{100, at64, at64 + 1} {
+		cb := NewCombineBuffer(1, nv, sum64, 0)
+		held := int64(cap(cb.acc))*8 + int64(cap(cb.seen))*8 + int64(cap(cb.touched))*4
+		if got := DenseCombineFootprint[int64](nv); got != held {
+			t.Errorf("nv %d: footprint %d, the buffer holds %d", nv, got, held)
+		}
+		if got := comb.MemoryEstimate(nv, 10, 3) - plain.MemoryEstimate(nv, 10, 3); got != 3*held {
+			t.Errorf("nv %d: 3 combining kernels add %d, want %d", nv, got, 3*held)
+		}
+		if got := plain.MemoryEstimate(nv, 10, 3) - plain.MemoryEstimate(nv, 10, 1); got != 0 {
+			t.Errorf("nv %d: kernels that do not combine add %d", nv, got)
+		}
+	}
+	if got, want := DenseCombineFootprint[int64](at64), at64*8+at64/8+at64/16; got != want {
+		t.Errorf("footprint at the budget %d, want nv·8 + nv/8 + nv/16 = %d", got, want)
+	}
+}
+
+// int64Plain is int64Sum without a Combiner.
+type int64Plain struct{}
+
+func (int64Plain) Name() string                           { return "int64-plain" }
+func (int64Plain) Init(VertexID, *int64)                  {}
+func (int64Plain) Scatter(e Edge, _ *int64) (int64, bool) { return int64(e.Src), true }
+func (int64Plain) Gather(_ VertexID, v *int64, m int64)   { *v += m }
+
+// isDense reports the representation, checking that the other one's tables
+// were never allocated.
+func (c *CombineBuffer[M]) isDense() bool {
+	if (c.acc == nil) == (c.table == nil) {
+		panic("a combining buffer holds both representations or neither")
+	}
+	return c.acc != nil
 }
 
 func collect[T any](b *streambuf.Buffer[T], p int) []T {

@@ -149,7 +149,7 @@ func TestStats(t *testing.T) {
 // that maps to a taken slot evicts the resident to the append buffer, and a
 // sweep emits what is left and forgets it.
 func TestCombineBuffer(t *testing.T) {
-	cb := NewCombineBuffer[int64](4, func(a, b int64) int64 { return a + b }, 0)
+	cb := NewCombineBuffer[int64](4, 0, func(a, b int64) int64 { return a + b }, 0)
 	cb.Reset(0) // the minimum, two slots
 	slot := func(dst VertexID) uint32 { return uint32(dst) * combineHash >> 31 }
 	a, b := VertexID(7), VertexID(8)

@@ -208,6 +208,7 @@ type Job struct {
 	name        string
 	vertexBytes int
 	updateBytes int
+	combineAcc  func(nv int64) int64 // one scatter kernel's dense accumulator
 	check       func() error
 	newRun      func() JobRun
 }
@@ -218,6 +219,12 @@ func NewJob[V, M any](prog Program[V, M]) *Job {
 		name:        prog.Name(),
 		vertexBytes: pod.Size[V](),
 		updateBytes: pod.Size[Update[M]](),
+		combineAcc: func(nv int64) int64 {
+			if _, ok := prog.(Combiner[M]); !ok {
+				return 0
+			}
+			return DenseCombineFootprint[M](nv)
+		},
 		check: func() error {
 			if err := pod.Check[V](); err != nil {
 				return fmt.Errorf("vertex state: %w", err)
@@ -248,12 +255,16 @@ func (j *Job) Check() error { return j.check() }
 func (j *Job) NewRun() JobRun { return j.newRun() }
 
 // MemoryEstimate returns the bytes one run of the job holds in memory on a
-// graph of nv vertices and ne edge records: the vertex state array, the two
-// update stream buffers (sized to the worst-case scatter output), and the
-// frontier bitsets. The jobs scheduler's admission control co-schedules
-// jobs only while the sum of their estimates fits the memory budget.
-func (j *Job) MemoryEstimate(nv, ne int64) int64 {
-	return nv*int64(j.vertexBytes) + 2*ne*int64(j.updateBytes) + nv/4
+// graph of nv vertices and ne edge records, scattered by kernels scatter
+// kernels (the in-memory engine makes one per thread, the out-of-core engine
+// one): the vertex state array, the two update stream buffers (sized to the
+// worst-case scatter output), the frontier bitsets, and each kernel's dense
+// combining accumulator when the program combines and nv selects one
+// (DenseCombineFootprint). The jobs scheduler's admission control
+// co-schedules jobs only while the sum of their estimates fits the memory
+// budget.
+func (j *Job) MemoryEstimate(nv, ne int64, kernels int) int64 {
+	return nv*int64(j.vertexBytes) + 2*ne*int64(j.updateBytes) + nv/4 + int64(kernels)*j.combineAcc(nv)
 }
 
 // JobSetup is the shared-pass context an engine hands every job's executor:

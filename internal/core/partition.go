@@ -235,6 +235,12 @@ func NextPow2(n int) int {
 	return 1 << bits.Len(uint(n-1))
 }
 
+// CacheBytes is the per-core cache share of §4: 2 MiB, the paper testbed's
+// L2 share (§5.1). The in-memory engine sizes its partitions (MemPartitions)
+// and its shuffle fanout (MemFanout) by it, and the combining buffer its
+// dense accumulator (denseCombineBytes).
+const CacheBytes = 2 << 20
+
 // MemPartitions computes the number of streaming partitions for the
 // in-memory engine (§4): the vertex *footprint* — vertex state plus the
 // edge and update that reference it without displacing it — of one

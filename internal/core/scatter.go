@@ -26,7 +26,7 @@ func (c *ScatterCounts) Add(o ScatterCounts) {
 // per-edge scatter loop (§4.1). Begin readies it for a task, a partition's
 // edges; Edges scatters a run of the task's edges in blocks: loop A applies
 // the program's Scatter into the stage array, loop B counts the
-// cross-partition updates and feeds them to the combining cache (the plain
+// cross-partition updates and feeds them to the combining buffer (the plain
 // append buffer for a program without a Combiner), which sends every full
 // batch straight into the transport; End empties the buffer into the
 // transport and returns the task's counts. A batch the transport refuses
@@ -52,23 +52,25 @@ type ScatterKernel[V, M any] struct {
 	stage   [scatterBlock]Update[M]
 }
 
-// NewScatterKernel makes a kernel scattering prog into tp through a private
-// buffer of baseRecs records: a combining cache merging by combine and op
-// (both from Combining) when combine is non-nil, a plain append buffer
-// otherwise.
-func NewScatterKernel[V, M any](prog Program[V, M], tp UpdateTransport[M], combine func(a, b M) M, op CombineOp, baseRecs int) *ScatterKernel[V, M] {
+// NewScatterKernel makes a kernel scattering prog, over a graph of nv
+// vertices, into tp through a private buffer of baseRecs records: a
+// combining buffer merging by combine and op (both from Combining) when
+// combine is non-nil — dense over the nv destinations when they fit (see
+// NewCombineBuffer) — a plain append buffer otherwise.
+func NewScatterKernel[V, M any](prog Program[V, M], tp UpdateTransport[M], combine func(a, b M) M, op CombineOp, baseRecs int, nv int64) *ScatterKernel[V, M] {
 	k := &ScatterKernel[V, M]{prog: prog, tp: tp}
 	if combine == nil {
 		k.out = make([]Update[M], 0, max(baseRecs, 1))
 		return k
 	}
-	k.cb, k.drain = NewCombineBuffer(baseRecs, combine, op), k.send
+	k.cb, k.drain = NewCombineBuffer(baseRecs, nv, combine, op), k.send
 	return k
 }
 
 // Begin readies the kernel for a task over edges of partition p of split
 // whose sources lie in verts, the vertex window starting at vertex base,
-// combining within a window of up to window records.
+// combining within a window of up to window records (a dense combining
+// buffer has none).
 func (k *ScatterKernel[V, M]) Begin(p int, split Split, verts []V, base VertexID, window int) {
 	k.p, k.lo, k.per = p, uint32(p)*split.per, split.per
 	k.verts, k.base, k.n, k.err = verts, base, ScatterCounts{}, nil

@@ -23,7 +23,7 @@ type jobScatter[V, M any] struct {
 func (r *jobRun[V, M]) NewScatter(w, p int, chunkEdges int64) JobScatter {
 	s := r.sinks[w]
 	if s == nil {
-		s = &jobScatter[V, M]{r: r, k: NewScatterKernel(r.prog, r.tp, r.combine, r.op, r.basePriv)}
+		s = &jobScatter[V, M]{r: r, k: NewScatterKernel(r.prog, r.tp, r.combine, r.op, r.basePriv, r.setup.NumVertices)}
 		r.sinks[w] = s
 	}
 	// In memory the kernel scatters from the whole vertex array; a stored

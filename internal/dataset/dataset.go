@@ -146,6 +146,10 @@ func (d *Dataset) NumVertices() int64 { return d.nv }
 // NumEdges returns the edge record count.
 func (d *Dataset) NumEdges() int64 { return d.ne }
 
+// Threads returns the engines' thread count: Options.Threads, GOMAXPROCS
+// when unset, as core.Config.Defaults resolves it.
+func (d *Dataset) Threads() int { return core.Config{Threads: d.opts.Threads}.Defaults(0).Threads }
+
 // Undirected reports whether the source stores both edge directions.
 func (d *Dataset) Undirected() bool { return d.opts.Undirected }
 

@@ -100,7 +100,7 @@ func memSequence(t *testing.T, pp *Prepared, prog core.Program[int32, int32]) []
 	t.Helper()
 	combine, op, _ := core.Combining(prog, false, pp.part, 1)
 	tp := &stubTransport[int32]{keep: true}
-	k := core.NewScatterKernel(prog, tp, combine, op, basePrivCap)
+	k := core.NewScatterKernel(prog, tp, combine, op, basePrivCap, pp.nv)
 	verts := make([]int32, pp.nv)
 	for v := range verts {
 		prog.Init(core.VertexID(v), &verts[v])
@@ -117,6 +117,55 @@ func memSequence(t *testing.T, pp *Prepared, prog core.Program[int32, int32]) []
 	return tp.recs
 }
 
+// taskDestinations is the number of distinct destinations prog sends
+// updates to from each of pp's partitions, summed over them.
+func taskDestinations(t *testing.T, pp *Prepared, prog core.Program[int32, int32]) int64 {
+	t.Helper()
+	var n int64
+	for p := 0; p < pp.k; p++ {
+		dsts := map[core.VertexID]bool{}
+		for _, ed := range partitionEdges(t, pp, p) {
+			var src int32
+			prog.Init(ed.Src, &src)
+			if _, ok := prog.Scatter(ed, &src); ok {
+				dsts[ed.Dst] = true
+			}
+		}
+		n += int64(len(dsts))
+	}
+	return n
+}
+
+// spreadGraph is src with vertex v renamed v·stride, over stride times as
+// many vertices: the same edges and, under range partitioning into a power of
+// two dividing src's vertex count, the same partitions, over a destination
+// range stride times wider.
+func spreadGraph(t *testing.T, src core.EdgeSource, stride int64) core.EdgeSource {
+	t.Helper()
+	var edges []core.Edge
+	if err := src.Edges(func(batch []core.Edge) error {
+		for _, ed := range batch {
+			edges = append(edges, core.Edge{Src: ed.Src * core.VertexID(stride), Dst: ed.Dst * core.VertexID(stride)})
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	return core.NewSliceSource(edges, src.NumVertices()*stride)
+}
+
+// cacheGraph is src spread (spreadGraph) by the smallest power of two that
+// makes its int32 destinations too many for the dense accumulator, so the
+// combining buffers of runs over it are caches.
+func cacheGraph(t *testing.T, src core.EdgeSource) core.EdgeSource {
+	t.Helper()
+	stride := int64(2)
+	for core.DenseCombines[int32](src.NumVertices() * stride) {
+		stride *= 2
+	}
+	return spreadGraph(t, src, stride)
+}
+
 // TestMemSinkAndDiskSinkShareTheKernel: the in-memory engine's per-worker
 // sink and the out-of-core engine's window sink are two callers of one
 // kernel, which at Threads 1 both keep open for a whole partition. So from the same edges they
@@ -125,19 +174,34 @@ func memSequence(t *testing.T, pp *Prepared, prog core.Program[int32, int32]) []
 // flushes while the sink scatters and sweeps, which may reorder no record —
 // and deliver the same total to every destination: with
 // and without a Combiner, and with a Combiner that declares an op, which both
-// must merge inline.
+// must merge inline. Each Combiner row runs in both combining
+// representations: over the RMAT graph, whose destinations fit the dense
+// accumulator, and over the graph spread until they do not (cacheGraph),
+// which selects the cache.
 func TestMemSinkAndDiskSinkShareTheKernel(t *testing.T) {
-	src := graphgen.RMAT(graphgen.RMATConfig{Scale: 12, EdgeFactor: 8, Seed: 20})
+	rmat := graphgen.RMAT(graphgen.RMATConfig{Scale: 12, EdgeFactor: 8, Seed: 20})
+	spread := cacheGraph(t, rmat)
 	for _, c := range []struct {
-		name        string
-		combine, op bool
-	}{{"plain", false, false}, {"combine", true, false}, {"combine op", true, true}} {
+		name               string
+		combine, op, dense bool
+	}{
+		{"plain", false, false, true},
+		{"combine dense", true, false, true}, {"combine op dense", true, true, true},
+		{"combine cache", true, false, false}, {"combine op cache", true, true, false},
+	} {
 		cfg := Config{Device: ssd(0), Threads: 1, Partitions: 4, IOUnit: 64 << 10, Prefix: c.name}
 		var prog core.Program[int32, int32] = pushProg{}
 		if c.op {
 			prog = pushOpProg{}
 		} else if c.combine {
 			prog = pushCombProg{}
+		}
+		src := rmat
+		if !c.dense {
+			src = spread
+		}
+		if core.DenseCombines[int32](src.NumVertices()) != c.dense {
+			t.Fatalf("%s: %d destinations do not select the representation the row names", c.name, src.NumVertices())
 		}
 		disk := &stubTransport[int32]{keep: true, window: 1000}
 		e, pp := setupRun(t, src, prog, cfg, disk)
@@ -164,6 +228,11 @@ func TestMemSinkAndDiskSinkShareTheKernel(t *testing.T) {
 		}
 		if memCounts != n {
 			t.Errorf("%s: mem sink counted %+v, disk sink %+v", c.name, memCounts, n)
+		}
+		// A combining task emits a record per destination at least; a dense
+		// one exactly that.
+		if perTask := taskDestinations(t, pp, prog); c.combine && (int64(len(disk.recs)) < perTask || c.dense != (int64(len(disk.recs)) == perTask)) {
+			t.Fatalf("%s: emitted %d records for %d destinations of partition tasks", c.name, len(disk.recs), perTask)
 		}
 		if memEmitted != int64(len(disk.recs)) || len(seq) != len(disk.recs) {
 			t.Fatalf("%s: mem sink emitted %d updates (one task per partition: %d), disk sink %d", c.name, memEmitted, len(seq), len(disk.recs))

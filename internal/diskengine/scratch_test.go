@@ -287,11 +287,14 @@ func TestScatterSendRefusedFailsIteration(t *testing.T) {
 // straight into the transport, while it scatters and as it sweeps at the
 // partition's end, and the transport flushes only full windows: over an
 // iteration, ⌈delivered / window⌉ − 1 flushes. Through a window of 64
-// records — filled while scattering and in mid-sweep — and one of 4500, for
-// destinations that never repeat and for sixteen hot ones, at Threads 1, 2
-// and 4 with vertex state in memory and spilled: nothing is refused, every
-// update sent is delivered or combined away, and every destination receives
-// the total the in-memory engine's per-worker sink gathers.
+// records — filled while scattering and in mid-sweep by the combining cache,
+// in the sweep alone by the dense accumulator — and one of 4500, for
+// destinations that never repeat and for sixteen hot ones, in both
+// representations (the cache over the graph spread by cacheGraph), at
+// Threads 1, 2 and 4 with vertex state in memory and spilled: nothing is
+// refused, every update sent is delivered or combined away, and every
+// destination receives the total the in-memory engine's per-worker sink
+// gathers.
 func TestScatterRoomProtocol(t *testing.T) {
 	const n = 1 << 15
 	distinct, hot := make([]core.Edge, n), make([]core.Edge, n)
@@ -299,10 +302,20 @@ func TestScatterRoomProtocol(t *testing.T) {
 		distinct[i] = core.Edge{Src: core.VertexID(i), Dst: core.VertexID((i*7919 + 13) % n)} // odd stride: a permutation
 		hot[i] = core.Edge{Src: core.VertexID(i), Dst: core.VertexID(i % 16 * (n / 16))}
 	}
+	type graph struct {
+		name  string
+		dense bool
+		src   core.EdgeSource
+	}
+	var graphs []graph
 	for _, g := range []struct {
 		name  string
 		edges []core.Edge
 	}{{"distinct", distinct}, {"hot", hot}} {
+		src := core.NewSliceSource(g.edges, n)
+		graphs = append(graphs, graph{g.name + "/dense", true, src}, graph{g.name + "/cache", false, cacheGraph(t, src)})
+	}
+	for _, g := range graphs {
 		for _, window := range []int{64, 4096 + 404} {
 			for _, threads := range []int{1, 2, 4} {
 				for _, spill := range []bool{false, true} {
@@ -312,7 +325,7 @@ func TestScatterRoomProtocol(t *testing.T) {
 						cfg = spilled(cfg)
 					}
 					tp := &stubTransport[int32]{keep: true, window: window}
-					e, pp := setupRun[int32, int32](t, core.NewSliceSource(g.edges, n), pushCombProg{}, cfg, tp)
+					e, pp := setupRun[int32, int32](t, g.src, pushCombProg{}, cfg, tp)
 					if e.spilled != spill {
 						t.Fatalf("%s: vertex state spilled: %v", name, e.spilled)
 					}
@@ -331,7 +344,10 @@ func TestScatterRoomProtocol(t *testing.T) {
 						segFlushes, sweepFlushes = segFlushes+mid-before, sweepFlushes+tp.flushes-mid
 					}
 					sent := *e.it
-					if g.name == "distinct" && window == 64 && (segFlushes == 0 || sweepFlushes == 0) {
+					if g.dense && segFlushes != 0 {
+						t.Errorf("%s: the dense accumulator filled %d windows while scattering", name, segFlushes)
+					}
+					if strings.HasPrefix(g.name, "distinct") && window == 64 && (sweepFlushes == 0 || !g.dense && segFlushes == 0) {
 						t.Errorf("%s: %d flushes while scattering and %d in sweeps: the window forced too few", name, segFlushes, sweepFlushes)
 					}
 					if int64(len(tp.recs)) != sent.Sent-sent.Combined {
@@ -377,23 +393,28 @@ func partitionEdges(t *testing.T, pp *Prepared, p int) (edges []core.Edge) {
 // partition through the window sink — NewScatter Begins it, Edges scatters,
 // Flush sweeps — allocates nothing, with or without a Combiner, and also when
 // the transport's window is so small that it fills while the sink scatters
-// and again mid-sweep.
+// and again mid-sweep, in both combining representations.
 func TestScatterSinkAllocatesNothingWarm(t *testing.T) {
-	// Sparse, so the combining window is narrow next to the destinations:
-	// they evict while the sink scatters, not only in the sweep.
-	src := graphgen.RMAT(graphgen.RMATConfig{Scale: 14, EdgeFactor: 2, Seed: 9})
+	// Sparse, so the combining cache's window is narrow next to the
+	// destinations: they evict while the sink scatters, not only in the
+	// sweep. Spread, its destinations select the cache.
+	dense := graphgen.RMAT(graphgen.RMATConfig{Scale: 14, EdgeFactor: 2, Seed: 9})
+	cache := cacheGraph(t, dense)
 	for _, c := range []struct {
 		name   string
 		prog   core.Program[int32, int32]
+		src    core.EdgeSource
 		window int
 	}{
-		{"append buffers", &sumProg{rounds: 1}, 0},
-		{"combining buffers", &sumCombProg{sumProg{rounds: 1}}, 0},
-		{"combining buffers, 64-record window", &sumCombProg{sumProg{rounds: 1}}, 64},
+		{"append buffers", &sumProg{rounds: 1}, dense, 0},
+		{"combining cache", &sumCombProg{sumProg{rounds: 1}}, cache, 0},
+		{"combining cache, 64-record window", &sumCombProg{sumProg{rounds: 1}}, cache, 64},
+		{"dense combining", &sumCombProg{sumProg{rounds: 1}}, dense, 0},
+		{"dense combining, 64-record window", &sumCombProg{sumProg{rounds: 1}}, dense, 64},
 	} {
 		cfg := Config{Device: ssd(0), Threads: 1, Partitions: 1, IOUnit: 64 << 10}
 		tp := &stubTransport[int32]{window: c.window}
-		e, pp := setupRun(t, src, c.prog, cfg, tp)
+		e, pp := setupRun(t, c.src, c.prog, cfg, tp)
 		edges := partitionEdges(t, pp, 0)
 		var err error
 		var segFlushes, sweepFlushes int
@@ -415,8 +436,8 @@ func TestScatterSinkAllocatesNothingWarm(t *testing.T) {
 		if err != nil || e.it.Sent != 21*int64(len(edges)) { // AllocsPerRun calls scatter once more than it counts
 			t.Errorf("%s: scattered %d updates from 21 × %d edges: %v", c.name, e.it.Sent, len(edges), err)
 		}
-		if c.window > 0 && (segFlushes == 0 || sweepFlushes == 0) {
-			t.Errorf("%s: %d flushes while scattering and %d in the sweep: the window forced no flush", c.name, segFlushes, sweepFlushes)
+		if c.window > 0 && (sweepFlushes == 0 || (segFlushes == 0) != (c.src == dense)) {
+			t.Errorf("%s: %d flushes while scattering and %d in the sweep: the window forced no flush, or the dense accumulator emitted while scattering", c.name, segFlushes, sweepFlushes)
 		}
 	}
 }

@@ -16,10 +16,11 @@
 //     HTTP layer's 503), and a tenant at MaxRunning stops being admitted
 //     until its passes finish.
 //   - Admission control: a job's memory footprint (core.Job.MemoryEstimate
-//     over the dataset's sizes) is checked at submit — jobs above the whole
-//     budget are rejected — and the combined footprint of running jobs
-//     never exceeds Config.MemoryBudget; jobs wait in the queue until
-//     memory frees up.
+//     over the dataset's sizes, with each scatter kernel's dense combining
+//     accumulator: one kernel per engine thread in memory, one out of
+//     core) is checked at submit — jobs above the whole budget are
+//     rejected — and the combined footprint of running jobs never exceeds
+//     Config.MemoryBudget; jobs wait in the queue until memory frees up.
 //   - Priority lanes: the seed of the next batch is the
 //     highest-priority admissible queued job (Request.Priority, FIFO
 //     within a lane). Lanes order draining, they do not preempt: a
@@ -402,7 +403,7 @@ func (s *Scheduler) Submit(req Request) (string, error) {
 	if err != nil {
 		return "", fmt.Errorf("algorithm %s: %w", req.Algo, err)
 	}
-	est := inst.Job.MemoryEstimate(ds.NumVertices(), ds.NumEdges())
+	est := memoryEstimate(inst.Job, ds, req.Engine)
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -467,6 +468,17 @@ func (s *Scheduler) Submit(req Request) (string, error) {
 		"dataset", dsRef(ds), "algo", req.Algo, "engine", string(req.Engine),
 		"priority", req.Priority)
 	return j.id, nil
+}
+
+// memoryEstimate is job's admission footprint on ds under engine: the
+// in-memory engine scatters with one kernel per thread, the out-of-core
+// engine with one.
+func memoryEstimate(job *core.Job, ds *dataset.Dataset, engine Engine) int64 {
+	kernels := 1
+	if engine == EngineMem {
+		kernels = ds.Threads()
+	}
+	return job.MemoryEstimate(ds.NumVertices(), ds.NumEdges(), kernels)
 }
 
 // dsRef renders a dataset@version log attribute, so log lines disambiguate

@@ -42,7 +42,7 @@ func jobEstimate(t *testing.T, reg *dataset.Registry, algo string) int64 {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return inst.Job.MemoryEstimate(ds.NumVertices(), ds.NumEdges())
+	return memoryEstimate(inst.Job, ds, EngineMem)
 }
 
 func waitDone(t *testing.T, s *Scheduler, id string) Info {

@@ -67,10 +67,6 @@ func Prepare(g core.EdgeSource, cfg Config) (*Prepared, error) {
 	return prepare(g, cfg, core.Footprint(sharedVertexBytes, sharedUpdateBytes))
 }
 
-// cacheBytes is the per-core cache share the §4 rule sizes partitions and
-// the shuffle fanout by: 2 MiB, the paper testbed's L2 share (§5.1).
-const cacheBytes = 2 << 20
-
 // prepare is Prepare with an explicit §4 vertex footprint for partition
 // auto-sizing — the direct Run/RunJob/RunMany paths size from their jobs'
 // actual record widths (the paper's rule), not the nominal one.
@@ -80,7 +76,7 @@ func prepare(g core.EdgeSource, cfg Config, footprint int) (*Prepared, error) {
 
 	k := cfg.Partitions
 	if k == 0 {
-		k = core.MemPartitions(nv, footprint, cacheBytes)
+		k = core.MemPartitions(nv, footprint, core.CacheBytes)
 	}
 	if k&(k-1) != 0 {
 		return nil, fmt.Errorf("memengine: partition count %d is not a power of two", k)
@@ -88,7 +84,7 @@ func prepare(g core.EdgeSource, cfg Config, footprint int) (*Prepared, error) {
 	fanout := cfg.Fanout
 	if fanout == 0 {
 		const cacheLineBytes = 64 // §4.2: one staging line per bucket stays cache-resident
-		fanout = core.MemFanout(cacheBytes, cacheLineBytes)
+		fanout = core.MemFanout(core.CacheBytes, cacheLineBytes)
 	}
 	if fanout > k && k > 1 {
 		fanout = k
