@@ -58,16 +58,7 @@ var chaosAlgos = []string{"bfs", "wcc", "pagerank"}
 // runChaosAlgo executes one workload out of core and canonicalizes the
 // result to raw bits, so every equivalence check below is an exact bit
 // comparison — float ranks included.
-//
-// PageRank runs on one worker: rank mass folds in shuffle-arrival order,
-// which concurrent scatter threads make timing-dependent at the ulp level
-// (the engine's documented benign nondeterminism), so bit-identity is only
-// a guarantee single-threaded. BFS and WCC are integer min-lattices —
-// order-insensitive — and keep the concurrent path under chaos.
 func runChaosAlgo(algo string, src xstream.EdgeSource, cfg xstream.DiskConfig) ([]uint32, xstream.Stats, error) {
-	if algo == "pagerank" {
-		cfg.Threads = 1
-	}
 	switch algo {
 	case "bfs":
 		res, err := xstream.RunDisk(src, xstream.NewBFS(3), cfg)
@@ -111,9 +102,6 @@ func runChaosAlgo(algo string, src xstream.EdgeSource, cfg xstream.DiskConfig) (
 // state in memory and reads the edge files through the same partition
 // reader as the solo engine.
 func runChaosShared(algo string, src xstream.EdgeSource, cfg xstream.DiskConfig) ([]uint32, xstream.Stats, error) {
-	if algo == "pagerank" {
-		cfg.Threads = 1
-	}
 	job := map[string]func() *xstream.Job{
 		"bfs":      func() *xstream.Job { return xstream.NewJob(xstream.NewBFS(3)) },
 		"wcc":      func() *xstream.Job { return xstream.NewJob(xstream.NewWCC()) },

@@ -3,16 +3,19 @@
 // fails (exit 1) when any shared metric moved beyond the threshold — in
 // either direction.
 //
-//	benchgate -baseline BENCH_baseline.json -current BENCH_ci.json -threshold 0.20
+//	benchgate -baseline BENCH_baseline.json -current BENCH_ci.json -threshold 0
 //	benchgate -baseline BENCH_baseline.json -current BENCH_ci.json -update
 //
 // Metrics are, by convention, deterministic work measures where lower is
 // better — update-stream bytes, record counts, cross-partition fractions.
 // Wall-clock seconds appear in the reports for trend tracking but are
-// never gated: CI runner noise would make a time gate flap. The threshold
-// exists to absorb the one benign nondeterminism the work metrics have
-// (which records share a shuffle slice, and therefore fold together,
-// varies slightly run to run), not timing jitter.
+// never gated: CI runner noise would make a time gate flap. The work
+// metrics are exact: every count is a pure function of the workload and
+// the -threads the report was made at, whatever the host's core count or
+// the workers' interleaving, so CI gates at -threshold 0 and any move is
+// either a regression or a stale baseline. A threshold above 0 is for
+// comparing reports made at different -threads or on purpose-built
+// variants.
 //
 // The gate is direction-aware. A metric above baseline by more than the
 // threshold is a regression. A metric *below* baseline by more than the
@@ -40,7 +43,7 @@ import (
 
 // runList is every experiment the CI bench-smoke job runs; the regen hint
 // printed on failure must stay in lockstep with .github/workflows/ci.yml.
-const runList = "figchecksum,figcombine,figcompress,figfrontier,figlocality,figobs,figshare"
+const runList = "figchecksum,figcombine,figcompress,figfrontier,figlocality,figobs,figshare,figtransport"
 
 type report struct {
 	Results []struct {
@@ -72,7 +75,7 @@ func main() {
 	var (
 		baselinePath = flag.String("baseline", "BENCH_baseline.json", "checked-in baseline report")
 		currentPath  = flag.String("current", "BENCH_ci.json", "freshly generated report")
-		threshold    = flag.Float64("threshold", 0.20, "allowed relative change before a metric counts as regressed (above) or stale (below)")
+		threshold    = flag.Float64("threshold", 0, "allowed relative change before a metric counts as regressed (above) or stale (below)")
 		update       = flag.Bool("update", false, "rewrite the baseline from the current report and exit clean")
 	)
 	flag.Parse()

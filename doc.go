@@ -97,11 +97,11 @@
 // implementing Combiner (Combine(a, b) must be commutative and
 // associative): thread-private combining buffers then absorb
 // same-destination updates at scatter time before they reach the shared
-// stream, and a per-partition fold after the shuffle merges the survivors,
-// so the gather phase streams — and the out-of-core engine writes — far
-// fewer records. PageRank, SpMV (sum), SSSP, BFS, WCC (min) and HyperANF
+// stream — one record per destination per scatter task — so the gather
+// phase streams, and the out-of-core engine writes, far fewer records. The
+// shuffle merges nothing: combining happens once, at scatter. PageRank, SpMV (sum), SSSP, BFS, WCC (min) and HyperANF
 // (sketch union) opt in; the first five also declare their Combine to be
-// CombineSum or CombineMin (a CombineOp method), so both merges run inline
+// CombineSum or CombineMin (a CombineOp method), so the merge runs inline
 // instead of calling Combine per update. Conductance does not opt in,
 // because its Gather counts arriving updates rather than reducing their
 // values. Combining composes

@@ -12,9 +12,10 @@ import (
 // stream is X-Stream's dominant cost (§3.2 — generated per edge, shuffled,
 // gathered; written to and re-read from storage out of core), and a
 // program whose updates form a semigroup (core.Combiner) lets the engines
-// pre-aggregate it in two places — thread-private combining buffers at
-// scatter time and a per-partition fold after the shuffle, the latter also
-// shrinking the update files the out-of-core engine writes.
+// pre-aggregate it in thread-private combining buffers at scatter time, one
+// record per destination per scatter task, which also shrinks the update
+// files the out-of-core engine writes. Both engines run the same kernel
+// over the same tasks, so they report the same volumes.
 //
 // PageRank (sum) and SSSP (min) cover the two canonical semigroups; both
 // engines run each with the combiner on and off, and the table reports the

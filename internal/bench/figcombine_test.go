@@ -8,9 +8,9 @@ import (
 // TestFigCombineReduction pins the experiment's headline claim (and the
 // PR's acceptance criterion): with the combiner enabled, the update-stream
 // volume shrinks by at least 25% for PageRank on an RMAT graph, on both
-// engines. Quick scale keeps the test fast; the fold's merge rate only
-// improves at full scale, where partitions hold more duplicate
-// destinations per shuffled buffer.
+// engines. Quick scale keeps the test fast; the merge rate only improves
+// at full scale, where a scatter task's edges hold more duplicate
+// destinations.
 func TestFigCombineReduction(t *testing.T) {
 	tab, err := runFigCombine(Config{Quick: true, Threads: 2})
 	if err != nil {

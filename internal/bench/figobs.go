@@ -32,9 +32,9 @@ func init() {
 	register("figobs", "Observability overhead: tracing changes no work metric, per-iteration profiles sum exactly", runFigObs)
 }
 
-// workMetrics are the numeric counters of a Stats that two runs of one
-// workload agree on at one thread: every class in core.StatClasses but
-// timing (wall time is never gated).
+// workMetrics are the numeric counters of a Stats that a traced and an
+// untraced run of one workload must agree on: every class in
+// core.StatClasses but timing (wall time is never gated).
 var workMetrics = []core.StatClass{core.StatWork, core.StatSchedule, core.StatIdentity}
 
 // diffWorkMetrics returns the names of counters on which a and b disagree.
@@ -93,21 +93,15 @@ func runFigObs(cfg Config) (*Table, error) {
 		})
 	}
 
-	// Dense PageRank, in-memory: untraced vs traced — at one thread, the
-	// only count at which two identical runs agree on the combining
-	// metrics (with more, the order partition tasks reach the update
-	// stream depends on scheduling, so UpdatesCombined wobbles by tens of
-	// records with or without a tracer; ROADMAP "Fix first", step 2).
-	one := cfg
-	one.Threads = 1
-	prOff, err := runOn(src, algorithms.NewPageRank(5), nil, one,
+	// Dense PageRank, in-memory: untraced vs traced.
+	prOff, err := runOn(src, algorithms.NewPageRank(5), nil, cfg,
 		func(mc *core.Config) { mc.Partitions = 16 })
 	if err != nil {
 		return nil, fmt.Errorf("pagerank untraced: %w", err)
 	}
 	addRow("pagerank/mem", "off", prOff, 0)
 	rec := obs.NewRecorder()
-	prOn, err := runOn(src, algorithms.NewPageRank(5), nil, one,
+	prOn, err := runOn(src, algorithms.NewPageRank(5), nil, cfg,
 		func(mc *core.Config) { mc.Partitions = 16; mc.Tracer = rec })
 	if err != nil {
 		return nil, fmt.Errorf("pagerank traced: %w", err)

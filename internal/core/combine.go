@@ -4,38 +4,7 @@ import (
 	"math/bits"
 
 	"repro/internal/pod"
-	"repro/internal/streambuf"
 )
-
-// MaxFoldSlots bounds the per-worker dense slot tables of the
-// post-shuffle fold: beyond ~4M vertices per partition the tables stop
-// being worth their footprint and engines skip the fold (scatter-side
-// combining still applies).
-const MaxFoldSlots = 4 << 20
-
-// NewUpdateFolder builds the per-partition combining fold both engines
-// apply to shuffled update buffers: within each partition's chunk, updates
-// to the same destination merge through combine. The slot of an update is
-// its destination's offset inside the partition's contiguous vertex range.
-// Returns nil when the partitions are too wide for dense slot tables
-// (MaxFoldSlots); the folder's tables are cached, so one folder should be
-// reused for every fold of a run. The engines build theirs with Combining,
-// which merges inline when the program declares a CombineOp.
-func NewUpdateFolder[M any](split Split, workers int, combine func(a, b M) M) *streambuf.Folder[Update[M]] {
-	return newUpdateFolder(split, workers, combine, 0)
-}
-
-func newUpdateFolder[M any](split Split, workers int, combine func(a, b M) M, op CombineOp) *streambuf.Folder[Update[M]] {
-	per := split.PerPartition()
-	if per > MaxFoldSlots {
-		return nil
-	}
-	fold := foldFunc(uint32(per), combine)
-	if l, ok := opLoopsFor[M](op); ok {
-		fold = l.fold(uint32(per))
-	}
-	return streambuf.NewFolder(workers, int(per), fold)
-}
 
 // opCombiner is a Combiner that declares its Combine to be a built-in op.
 type opCombiner interface{ CombineOp() CombineOp }
@@ -43,19 +12,17 @@ type opCombiner interface{ CombineOp() CombineOp }
 // Combining resolves, once per run, how a run of prog merges updates to one
 // destination: combine is the program's Combine, nil when it has no Combiner
 // or noCombine is set; op is the CombineOp it declares, zero when none or when
-// combine is nil; folder is the post-shuffle fold over split for up to
-// workers workers, merging by both (nil when combine is, or when partitions
-// are wider than MaxFoldSlots). Both engines' run setups call it, so the
-// combining buffer and the fold cannot disagree on the merge.
-func Combining[V, M any](prog Program[V, M], noCombine bool, split Split, workers int) (combine func(a, b M) M, op CombineOp, folder *streambuf.Folder[Update[M]]) {
+// combine is nil. Both engines' run setups call it and hand both to the
+// scatter kernel, so its inline loops and the func cannot disagree.
+func Combining[V, M any](prog Program[V, M], noCombine bool) (combine func(a, b M) M, op CombineOp) {
 	cb, ok := prog.(Combiner[M])
 	if !ok || noCombine {
-		return nil, 0, nil
+		return nil, 0
 	}
 	if d, ok := prog.(opCombiner); ok {
 		op = d.CombineOp()
 	}
-	return cb.Combine, op, newUpdateFolder(split, workers, cb.Combine, op)
+	return cb.Combine, op
 }
 
 // numeric is the update value types with op-specialised merge loops. The ops
@@ -65,12 +32,10 @@ func Combining[V, M any](prog Program[V, M], noCombine bool, split Split, worker
 // the instantiation's dictionary.
 type numeric interface{ ~float32 | ~int32 | ~uint32 }
 
-// opLoops are the merge loops of one op over values of type M: the combining
-// buffer's block loops, over the cache (add) and over the dense accumulator
-// (dense), and the fold's chunk loop over partitions of per vertices.
+// opLoops are the combining buffer's block loops of one op over values of
+// type M: over the cache (add) and over the dense accumulator (dense).
 type opLoops[M any] struct {
 	add, dense func(c *CombineBuffer[M], us []Update[M], fn func([]Update[M]))
-	fold       func(per uint32) func(p int, recs []Update[M], pos []int32, gen []uint32, cur uint32) int
 }
 
 // opLoopsFor returns the loops that merge by op inline, ok false when op is
@@ -92,72 +57,11 @@ func opLoopsFor[M any](op CombineOp) (l opLoops[M], ok bool) {
 func numericLoops[N numeric](op CombineOp) any {
 	switch op {
 	case CombineSum:
-		return opLoops[N]{addSum[N], denseSum[N], foldSum[N]}
+		return opLoops[N]{addSum[N], denseSum[N]}
 	case CombineMin:
-		return opLoops[N]{addMin[N], denseMin[N], foldMin[N]}
+		return opLoops[N]{addMin[N], denseMin[N]}
 	}
 	return nil
-}
-
-// foldFunc, foldSum and foldMin are the fold's chunk loops (see
-// streambuf.NewFolder): an update's slot is its destination's offset in
-// partition p, and a doomed update merges into its survivor through combine,
-// by a + b, or by a < b ? a : b, the survivor being a.
-func foldFunc[M any](per uint32, combine func(a, b M) M) func(int, []Update[M], []int32, []uint32, uint32) int {
-	return func(p int, recs []Update[M], pos []int32, gen []uint32, cur uint32) int {
-		base, keep := uint32(p)*per, 0
-		for i, u := range recs {
-			if k := uint32(u.Dst) - base; gen[k] == cur {
-				d := &recs[pos[k]]
-				d.Val = combine(d.Val, u.Val)
-			} else {
-				gen[k], pos[k] = cur, int32(keep)
-				if keep != i {
-					recs[keep] = u
-				}
-				keep++
-			}
-		}
-		return keep
-	}
-}
-
-func foldSum[N numeric](per uint32) func(int, []Update[N], []int32, []uint32, uint32) int {
-	return func(p int, recs []Update[N], pos []int32, gen []uint32, cur uint32) int {
-		base, keep := uint32(p)*per, 0
-		for i, u := range recs {
-			if k := uint32(u.Dst) - base; gen[k] == cur {
-				recs[pos[k]].Val += u.Val
-			} else {
-				gen[k], pos[k] = cur, int32(keep)
-				if keep != i {
-					recs[keep] = u
-				}
-				keep++
-			}
-		}
-		return keep
-	}
-}
-
-func foldMin[N numeric](per uint32) func(int, []Update[N], []int32, []uint32, uint32) int {
-	return func(p int, recs []Update[N], pos []int32, gen []uint32, cur uint32) int {
-		base, keep := uint32(p)*per, 0
-		for i, u := range recs {
-			if k := uint32(u.Dst) - base; gen[k] == cur {
-				if d := &recs[pos[k]]; !(d.Val < u.Val) {
-					d.Val = u.Val
-				}
-			} else {
-				gen[k], pos[k] = cur, int32(keep)
-				if keep != i {
-					recs[keep] = u
-				}
-				keep++
-			}
-		}
-		return keep
-	}
 }
 
 // CombineBuffer is the thread-private combining buffer the scatter kernel

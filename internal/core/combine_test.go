@@ -209,8 +209,8 @@ func opFunc[N numeric](op CombineOp) func(a, b N) N {
 	}
 }
 
-// inlineOnly is the combine func of a buffer or fold that must merge inline:
-// calling it panics (a fold calls it from its own workers).
+// inlineOnly is the combine func of a buffer that must merge inline: calling
+// it panics.
 func inlineOnly[N any](a, b N) N { panic("an op loop called the combine func") }
 
 // convert gives updates values of type N through val.
@@ -322,54 +322,6 @@ func TestCombineBufferEmptySlotEncoding(t *testing.T) {
 	}
 }
 
-// TestFoldOpLoops holds the fold's op loops to the func loop they replace: on
-// one bucketed update buffer, folding by each op inline compacts every chunk
-// to bitwise the same records, and merges as many away, as folding by the
-// op's func.
-func TestFoldOpLoops(t *testing.T) {
-	rng := rand.New(rand.NewSource(22))
-	const nv = 1000
-	updates := make([]Update[int64], 20000)
-	for i := range updates {
-		updates[i] = Update[int64]{Dst: VertexID(rng.Intn(nv)), Val: rng.Int63n(1 << 20)}
-	}
-	checkFoldOpLoops(t, nv, updates, f32Of)
-	checkFoldOpLoops(t, nv, updates, i32Of)
-	checkFoldOpLoops(t, nv, updates, vidOf)
-}
-
-func checkFoldOpLoops[N numeric](t *testing.T, nv int64, updates []Update[int64], val func(int64) N) {
-	t.Helper()
-	const k, threads = 8, 3
-	split := NewSplit(nv, k)
-	plan, err := streambuf.NewPlan(k, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	us := convert(updates, val)
-	shuffled := func() *streambuf.Buffer[Update[N]] {
-		a, b := streambuf.New[Update[N]](len(us)), streambuf.New[Update[N]](len(us))
-		a.Fill(us)
-		return streambuf.Shuffle(a, b, plan, threads, func(u Update[N]) uint32 { return split.Of(u.Dst) })
-	}
-	for _, op := range []CombineOp{CombineSum, CombineMin} {
-		ref, inline := shuffled(), shuffled()
-		want := newUpdateFolder(split, threads, opFunc[N](op), 0).Fold(ref)
-		got := newUpdateFolder(split, threads, inlineOnly[N], op).Fold(inline)
-		if got != want || want == 0 {
-			t.Fatalf("op %d over %T: the inline fold merged %d records, the func fold %d", op, *new(N), got, want)
-		}
-		for p := 0; p < k; p++ {
-			var wantRuns, gotRuns [][]byte
-			ref.Bucket(p, func(run []Update[N]) { wantRuns = append(wantRuns, pod.AsBytes(run)) })
-			inline.Bucket(p, func(run []Update[N]) { gotRuns = append(gotRuns, pod.AsBytes(run)) })
-			if !slices.EqualFunc(gotRuns, wantRuns, bytes.Equal) {
-				t.Fatalf("op %d over %T: partition %d folds to different chunks inline", op, *new(N), p)
-			}
-		}
-	}
-}
-
 // int64Sum declares CombineSum over int64, a value type with no specialised
 // loops, and counts its Combine calls.
 type int64Sum struct{ calls *int }
@@ -382,19 +334,17 @@ func (p int64Sum) Combine(a, b int64) int64             { *p.calls++; return a +
 func (int64Sum) CombineOp() CombineOp                   { return CombineSum }
 
 // TestCombineOpWithoutLoopsRunsFunc: a program that declares an op over a
-// value type with no specialised loops resolves to the op, and the cache, the
-// dense accumulator and the fold built from that resolution merge through its
-// Combine, emitting
-// exactly what a buffer and a fold that know no op do.
+// value type with no specialised loops resolves to the op, and the cache and
+// the dense accumulator built from that resolution merge through its Combine,
+// emitting exactly what a buffer that knows no op does.
 func TestCombineOpWithoutLoopsRunsFunc(t *testing.T) {
 	calls := 0
 	prog := int64Sum{&calls}
-	split := NewSplit(64, 2)
-	combine, op, folder := Combining[int64, int64](prog, false, split, 1)
-	if combine == nil || op != CombineSum || folder == nil {
-		t.Fatalf("Combining resolved combine %v, op %d, folder %v", combine != nil, op, folder != nil)
+	combine, op := Combining[int64, int64](prog, false)
+	if combine == nil || op != CombineSum {
+		t.Fatalf("Combining resolved combine %v, op %d", combine != nil, op)
 	}
-	if c, o, f := Combining[int64, int64](prog, true, split, 1); c != nil || o != 0 || f != nil {
+	if c, o := Combining[int64, int64](prog, true); c != nil || o != 0 {
 		t.Fatal("NoCombine still resolved a merge")
 	}
 	rng := rand.New(rand.NewSource(7))
@@ -409,20 +359,6 @@ func TestCombineOpWithoutLoopsRunsFunc(t *testing.T) {
 		if !slices.Equal(got, want) || calls == 0 {
 			t.Fatalf("nv %d: op buffer emitted %d records through %d Combine calls, the func buffer %d", nv, len(got), calls, len(want))
 		}
-	}
-	calls = 0
-	plan, _ := streambuf.NewPlan(2, 2)
-	fold := func(f *streambuf.Folder[Update[int64]]) (int64, []Update[int64]) {
-		a, b := streambuf.New[Update[int64]](len(updates)), streambuf.New[Update[int64]](len(updates))
-		a.Fill(updates)
-		res := streambuf.Shuffle(a, b, plan, 1, func(u Update[int64]) uint32 { return split.Of(u.Dst) })
-		n := f.Fold(res)
-		return n, append(collect(res, 0), collect(res, 1)...)
-	}
-	wantN, wantRecs := fold(NewUpdateFolder(split, 1, func(a, b int64) int64 { return a + b }))
-	gotN, gotRecs := fold(folder)
-	if gotN != wantN || !slices.Equal(gotRecs, wantRecs) || calls == 0 {
-		t.Fatalf("op fold merged %d through %d Combine calls, the func fold %d", gotN, calls, wantN)
 	}
 }
 

@@ -100,7 +100,7 @@ type Config struct {
 	// buffer (2·S·K per gather worker, once updates spill to files), the
 	// gather sub-shuffle pair (2·S·K, with spilled vertices and
 	// Threads > 1), each run's scatter kernel (~0.8 MiB with a Combiner),
-	// the fold's slot tables, the frontier bitsets and the tile index.
+	// the frontier bitsets and the tile index.
 	MemoryBudget int64
 	// IOUnit is S of §3.4, the request size that saturates the device,
 	// out of core. 0 means 1 MiB (the paper uses 16 MiB on real hardware;

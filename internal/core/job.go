@@ -7,11 +7,11 @@ package core
 // phase. A Job type-erases one Program[V, M] behind an interface the engines
 // can drive without knowing V or M; a ProgramSet collects the co-scheduled
 // jobs of one shared pass. Each job owns its entire update path — vertex
-// state, update stream buffers, scatter-side combining, post-shuffle fold,
-// gather, frontier — while the engine owns the one thing the jobs share:
-// the edge stream. RunMany in internal/memengine and internal/diskengine
-// feed every job's scatter from each streamed edge chunk exactly once per
-// iteration; Stats.CoJobs and Stats.EdgesShared measure the amortization.
+// state, update stream buffers, scatter-side combining, gather, frontier —
+// while the engine owns the one thing the jobs share: the edge stream.
+// RunMany in internal/memengine and internal/diskengine feed every job's
+// scatter from each streamed edge chunk exactly once per iteration;
+// Stats.CoJobs and Stats.EdgesShared measure the amortization.
 
 import (
 	"errors"
@@ -95,10 +95,10 @@ func CloseRuns(runs []JobRun) {
 	}
 }
 
-// EndAndGather shuffles, folds and gathers every live job's update stream
+// EndAndGather shuffles and gathers every live job's update stream
 // — the per-job half of a shared-pass iteration, run by both engines after
 // the shared scatter. Jobs are independent, so they proceed in parallel,
-// one goroutine each; each job's own shuffle and fold parallelize
+// one goroutine each; each job's own shuffle parallelizes
 // internally, and its gather walks partitions on the share of the engine's
 // threads the job has to itself (threads / len(live): all of them for a
 // pass of one, a single goroutine once jobs outnumber threads). The
@@ -277,7 +277,7 @@ type JobSetup struct {
 	// NumVertices and NumEdges describe the prepared graph.
 	NumVertices int64
 	NumEdges    int64
-	// Threads bounds the job's internal parallelism (shuffle, fold).
+	// Threads bounds the job's internal parallelism (shuffle, gather).
 	Threads int
 	// Plan is the update shuffle plan matching the assignment's split.
 	Plan streambuf.Plan
@@ -363,7 +363,7 @@ type JobRun interface {
 	// SkipTiles accounts tiles the job's frontier proved useless. Safe
 	// for concurrent use from partition tasks.
 	SkipTiles(edges, tiles int64)
-	// EndScatter shuffles and folds the iteration's update stream.
+	// EndScatter shuffles the iteration's update stream.
 	EndScatter() error
 	// Gather streams the shuffled updates into vertex state and advances
 	// the frontier, walking partitions on up to workers goroutines
@@ -467,7 +467,7 @@ type JobScatter interface {
 }
 
 // jobRun is the JobRun: one job's update path — vertex state, scatter
-// sinks, transport, fold, gather, frontier. Every run of either engine is
+// sinks, transport, gather, frontier. Every run of either engine is
 // one (memengine.Run and diskengine.Run are passes of one). Three parts are
 // optional and follow from JobSetup.Spill: the window sink of an engine that
 // streams one partition at a time, an update transport that spills full
@@ -480,7 +480,6 @@ type jobRun[V, M any] struct {
 
 	combine func(a, b M) M
 	op      CombineOp
-	folder  *streambuf.Folder[Update[M]]
 
 	// Schedule is the selective scheduling state, dense unless fp is set.
 	Schedule
@@ -551,7 +550,7 @@ func (r *jobRun[V, M]) Setup(s JobSetup) error {
 	r.starter, _ = any(r.prog).(IterationStarter)
 	r.directed, _ = any(r.prog).(DirectedProgram)
 	r.remapper, _ = any(r.prog).(StateRemapper[V])
-	r.combine, r.op, r.folder = Combining(r.prog, s.NoCombine, r.part, s.Threads)
+	r.combine, r.op = Combining(r.prog, s.NoCombine)
 	r.fp = SelectiveProgram(r.prog, s.Selective)
 	r.InitSchedule(r.part, s.NumVertices, r.fp != nil)
 	r.basePriv = s.PrivateBufRecs
@@ -578,7 +577,7 @@ func (r *jobRun[V, M]) Setup(s JobSetup) error {
 	// The transport holds its stream buffers for the whole run; over an
 	// update store a full window spills to it.
 	key := func(u Update[M]) uint32 { return r.part.Of(u.Dst) }
-	r.tp = NewSpillTransport(updCap, s.Plan, s.Threads, key, r.folder, store)
+	r.tp = NewSpillTransport(updCap, s.Plan, s.Threads, key, store)
 	return nil
 }
 
@@ -654,21 +653,20 @@ func (r *jobRun[V, M]) BeginScatter() error {
 }
 
 func (r *jobRun[V, M]) EndScatter() error {
-	sent, streamed, cross, scatterCombined := r.it.Sent, r.it.Streamed, r.it.Cross, r.it.Combined
+	sent, streamed, cross, combined := r.it.Sent, r.it.Streamed, r.it.Cross, r.it.Combined
 	r.it = ScatterCounts{}
 	r.TakeSkips(&r.stats)
-	appended := sent - scatterCombined
+	// The transport merges nothing: gather sees every record the kernels
+	// appended.
+	appended := sent - combined
 
 	t0 := time.Now()
-	flow, err := r.tp.Seal()
-	if err != nil {
+	if _, err := r.tp.Seal(); err != nil {
 		return fmt.Errorf("job %s: %w", r.prog.Name(), err)
 	}
-	foldCombined := flow.Combined
 	r.sealed = true
 	r.stats.ShuffleTime += time.Since(t0)
 
-	gathered := appended - foldCombined
 	usize := int64(pod.Size[Update[M]]())
 	esize := int64(pod.Size[Edge]())
 	stages := int64(r.setup.Plan.NumStages())
@@ -676,11 +674,11 @@ func (r *jobRun[V, M]) EndScatter() error {
 	r.stats.UpdatesSent += sent
 	r.stats.WastedEdges += streamed - sent
 	r.stats.CrossPartitionUpdates += cross
-	r.stats.UpdatesCombined += scatterCombined + foldCombined
-	r.stats.UpdateBytes += gathered * usize
-	r.stats.BytesStreamed += streamed*esize + (appended*(stages+1)+gathered)*usize
-	r.stats.RandomRefs += streamed + gathered
-	r.stats.SequentialRefs += streamed + appended*(stages+1) + gathered
+	r.stats.UpdatesCombined += combined
+	r.stats.UpdateBytes += appended * usize
+	r.stats.BytesStreamed += streamed*esize + appended*(stages+2)*usize
+	r.stats.RandomRefs += streamed + appended
+	r.stats.SequentialRefs += streamed + appended*(stages+2)
 	r.iterSent = sent
 	return nil
 }

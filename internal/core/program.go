@@ -34,9 +34,9 @@ type Program[V, M any] interface {
 // When a program implements Combiner, the engines pre-aggregate the update
 // stream before it is shuffled and gathered (the update stream dominates
 // X-Stream's cost model, §3.2): thread-private combining buffers absorb
-// same-destination updates at scatter time, and a per-partition fold merges
-// the survivors after the shuffle, so fewer records cross RAM — and, in the
-// out-of-core engine, fewer bytes are written to the update files.
+// same-destination updates at scatter time, so fewer records cross RAM —
+// and, in the out-of-core engine, fewer bytes are written to the update
+// files. Nothing merges after the shuffle.
 //
 // Typical combiners: sum (PageRank, SpMV), min (SSSP, BFS levels, WCC
 // labels), set union (HyperANF sketches). Programs whose Gather is not a
@@ -52,8 +52,7 @@ type Program[V, M any] interface {
 // A Combiner whose Combine is exactly one of the built-in ops may also
 // implement CombineOp() CombineOp to say so. When M is float32, int32 or
 // VertexID, both engines then merge with the op inline, in the combining
-// cache and in the post-shuffle fold, instead of calling Combine through a
-// func value per update; results are bit-identical, because the same
+// buffer, instead of calling Combine through a func value per update; results are bit-identical, because the same
 // operation runs on the same operands in the same order. Any other M still
 // calls Combine. A type that overrides an embedded program's Combine must
 // override CombineOp too.

@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/graphgen"
-	"repro/internal/streambuf"
 )
 
 // rankProg scatters like PageRank's rank iterations: a float quotient of the
@@ -109,7 +108,7 @@ func BenchmarkScatterKernel(b *testing.B) {
 	split, edges := rmatPartition0(b)
 	verts := rankVerts(split)
 	nv := int64(split.PerPartition()) * int64(split.K)
-	sum, op, _ := core.Combining[[2]float32, float32](rankProg{}, false, split, 1)
+	sum, op := core.Combining[[2]float32, float32](rankProg{}, false)
 	for _, v := range []struct {
 		name    string
 		combine func(a, b float32) float32
@@ -141,7 +140,7 @@ func BenchmarkCombineBudget(b *testing.B) {
 		split, edges := rmatPartition0At(b, scale)
 		verts := rankVerts(split)
 		nv := int64(1) << scale
-		sum, op, _ := core.Combining[[2]float32, float32](rankProg{}, false, split, 1)
+		sum, op := core.Combining[[2]float32, float32](rankProg{}, false)
 		for _, dense := range []bool{true, false} {
 			name := fmt.Sprintf("%dMiB/cache", nv*4>>20)
 			if dense {
@@ -153,43 +152,5 @@ func BenchmarkCombineBudget(b *testing.B) {
 				scatterKernelRow(b, kern, tp, split, verts, edges)
 			})
 		}
-	}
-}
-
-// BenchmarkUpdateFold is the per-record cost of the post-shuffle fold over
-// the update stream of rmatPartition0's edges, shuffled into its split's 4
-// partitions by 2 threads, folded by a func value (func, core.NewUpdateFolder)
-// and by the declared op inline (sum, core.Combining). Only the fold is timed;
-// merged/rec is the share it merged away.
-func BenchmarkUpdateFold(b *testing.B) {
-	const threads = 2
-	split, edges := rmatPartition0(b)
-	updates := make([]core.Update[float32], len(edges))
-	for i, ed := range edges {
-		updates[i] = core.Update[float32]{Dst: ed.Dst, Val: float32(ed.Src%7) + 0.5}
-	}
-	plan, err := streambuf.NewPlan(split.K, split.K)
-	if err != nil {
-		b.Fatal(err)
-	}
-	in, out := streambuf.New[core.Update[float32]](len(updates)), streambuf.New[core.Update[float32]](len(updates))
-	_, _, sum := core.Combining[[2]float32, float32](rankProg{}, false, split, threads)
-	for _, v := range []struct {
-		name   string
-		folder *streambuf.Folder[core.Update[float32]]
-	}{{"func", core.NewUpdateFolder(split, threads, func(a, b float32) float32 { return a + b })}, {"sum", sum}} {
-		b.Run(v.name, func(b *testing.B) {
-			var merged int64
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				b.StopTimer()
-				in.Fill(updates)
-				res := streambuf.Shuffle(in, out, plan, threads, func(u core.Update[float32]) uint32 { return split.Of(u.Dst) })
-				b.StartTimer()
-				merged += v.folder.Fold(res)
-			}
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(updates)), "ns/rec")
-			b.ReportMetric(float64(merged)/float64(b.N*len(updates)), "merged/rec")
-		})
 	}
 }

@@ -29,8 +29,8 @@ type Stats struct {
 	// combining, so it is comparable across combiner on/off runs.
 	CrossPartitionUpdates int64
 	// UpdatesCombined counts update records merged away by the program's
-	// Combiner before gather: at scatter time in thread-private combining
-	// buffers and in the per-partition fold after the shuffle.
+	// Combiner before gather, all of them at scatter time, in each scatter
+	// task's combining buffer.
 	UpdatesCombined int64
 
 	// Selective streaming (frontier-aware scheduling, Config.Selective in
@@ -155,15 +155,16 @@ type StatClass uint8
 const (
 	// StatWork is deterministic work: what the program and the layout did —
 	// iterations, edges streamed, skipped and shared, updates produced and
-	// where they were addressed, what each scatter task sent, the stored
-	// tile layout. Two runs of one workload agree on it at any Threads.
+	// where they were addressed, what each scatter task sent and combined
+	// away, the update stream that left and the memory references it
+	// cost, the stored tile layout. Combining is a pure function of each
+	// task's edge order. Two runs of one workload agree on it at any
+	// Threads.
 	StatWork StatClass = iota + 1
-	// StatSchedule is work that depends on which worker reached which task
-	// first: what combining merged away in all (the post-shuffle fold works
-	// on chunks whose make-up follows the workers' order) and every volume
-	// downstream of it — the update stream, device bytes, memory
-	// references — plus retries and checksum failures, which follow the
-	// device's operation order. Two runs agree on it at Threads 1 only.
+	// StatSchedule is device work: bytes read, written and checksummed,
+	// retries and checksum failures. Retries and failures follow the
+	// device's operation order; two runs are held to agree on this class
+	// at Threads 1 only.
 	StatSchedule
 	// StatTiming is wall-clock time; two runs never agree on it. Iters is
 	// classed here: it carries each iteration's times, and its work
@@ -185,13 +186,12 @@ var StatClasses = map[string]StatClass{
 	"EdgesSkipped": StatWork, "PartitionsSkipped": StatWork, "TilesSkipped": StatWork,
 	"EdgesShared": StatWork, "TilesCompressed": StatWork, "CompressedRatio": StatWork,
 	"TransportBatches": StatWork, "TransportBytes": StatWork, "TransportCross": StatWork,
-	"ResumedIterations": StatWork,
+	"ResumedIterations": StatWork, "UpdatesCombined": StatWork, "UpdateBytes": StatWork,
+	"BytesStreamed": StatWork, "RandomRefs": StatWork, "SequentialRefs": StatWork,
 
-	"UpdatesCombined": StatSchedule, "UpdateBytes": StatSchedule,
-	"BytesStreamed": StatSchedule, "BytesRead": StatSchedule, "BytesWritten": StatSchedule,
+	"BytesRead": StatSchedule, "BytesWritten": StatSchedule,
 	"BytesReadLogical": StatSchedule, "BytesChecksummed": StatSchedule,
 	"IORetries": StatSchedule, "ChecksumFailures": StatSchedule,
-	"RandomRefs": StatSchedule, "SequentialRefs": StatSchedule,
 
 	"TotalTime": StatTiming, "PreprocessTime": StatTiming, "ScatterTime": StatTiming,
 	"ShuffleTime": StatTiming, "GatherTime": StatTiming, "Iters": StatTiming,

@@ -12,8 +12,10 @@ package core
 // one window holds a whole iteration (NewShuffleTransport, the in-memory
 // runs'). Over a spill store (NewSpillTransport, the update files of a run
 // lent an out-of-core engine's stores) Send fills a window and, when the
-// next record needs room, shuffles, folds and spills it itself; an
-// iteration that never outgrows one window stays in memory.
+// next record needs room, shuffles and spills it itself; an iteration that
+// never outgrows one window stays in memory. The transport merges nothing:
+// updates to one destination are combined once, at scatter, in each task's
+// CombineBuffer, and gather sees every record sent.
 // internal/transport/conformance is the contract suite both pass, over a
 // store in three window sizes.
 
@@ -26,19 +28,13 @@ import (
 )
 
 // IterFlow summarizes one iteration's traffic through a transport, returned
-// by Seal. The invariant every implementation must satisfy is
-// Appended - Combined == Delivered: records accepted minus records merged
-// away by the transport-side combiner fold equals records available to
-// gather.
+// by Seal. The transport merges nothing, so the two are equal.
 type IterFlow struct {
 	// Appended is the number of update records the transport accepted via
 	// Send this iteration.
 	Appended int64
-	// Combined is the number of records the transport's combiner fold
-	// merged away after routing (zero when the transport has no folder).
-	Combined int64
 	// Delivered is the number of records the gather phase will see across
-	// all partitions: Appended - Combined.
+	// all partitions.
 	Delivered int64
 }
 
@@ -83,9 +79,8 @@ type UpdateTransport[M any] interface {
 	// the capacity, or the failed spill's own error.
 	Err() error
 	// Seal ends the send side of the iteration: all updates are routed to
-	// their destination partitions, the combiner fold (if any) runs, and
-	// the resulting per-partition streams become drainable. No Send may be
-	// in flight when Seal is called.
+	// their destination partitions and the per-partition streams become
+	// drainable. No Send may be in flight when Seal is called.
 	Seal() (IterFlow, error)
 	// Pending returns the number of records sealed for partition p, so a
 	// selective gather can skip empty partitions without draining them.
@@ -133,10 +128,9 @@ type SpillStore interface {
 }
 
 // ShuffleTransport is the update transport: sends append into a window
-// stream buffer, Seal runs the multi-stage counting shuffle (paper §4.2) and
-// the per-partition combiner fold over it, and Drain walks the resulting
-// buckets. Without a spill store there is one window per iteration and Send
-// refuses a batch past it. Over a store the window is bounded: Send spills
+// stream buffer, Seal runs the multi-stage counting shuffle (paper §4.2)
+// over it, and Drain walks the resulting buckets. Without a spill store
+// there is one window per iteration and Send refuses a batch past it. Over a store the window is bounded: Send spills
 // each window it fills through an async write pipeline while the next one
 // fills (streambuf.Writer.Append), Seal waits for the writes, and Drain
 // reads a spilled iteration back from the store. An iteration that never
@@ -154,26 +148,32 @@ type ShuffleTransport[M any] struct {
 	err error // why the last Send returned false
 }
 
+// UpdateFolder is the type of NewShuffleTransport's last parameter, which
+// the transport ignores: it merges nothing (see IterFlow). The type,
+// NewUpdateFolder and the parameter remain only because the benchmark
+// module's transport measurement still passes one; they go when that module
+// stops passing it.
+type UpdateFolder[M any] struct{}
+
+// NewUpdateFolder returns nil; see UpdateFolder.
+func NewUpdateFolder[M any](Split, int, func(a, b M) M) *UpdateFolder[M] { return nil }
+
 // NewShuffleTransport builds a transport that never spills: capacity
 // records per iteration, routed by key through plan with the given shuffle
-// parallelism, folded by folder when non-nil.
-func NewShuffleTransport[M any](capacity int, plan streambuf.Plan, threads int, key func(Update[M]) uint32, folder *streambuf.Folder[Update[M]]) *ShuffleTransport[M] {
-	return NewSpillTransport(capacity, plan, threads, key, folder, nil)
+// parallelism. The last parameter is ignored; see UpdateFolder.
+func NewShuffleTransport[M any](capacity int, plan streambuf.Plan, threads int, key func(Update[M]) uint32, _ *UpdateFolder[M]) *ShuffleTransport[M] {
+	return NewSpillTransport(capacity, plan, threads, key, nil)
 }
 
 // NewSpillTransport is NewShuffleTransport with windows of window records
 // that spill to store; a nil store never spills.
-func NewSpillTransport[M any](window int, plan streambuf.Plan, threads int, key func(Update[M]) uint32, folder *streambuf.Folder[Update[M]], store SpillStore) *ShuffleTransport[M] {
-	var fold func(*streambuf.Buffer[Update[M]]) int64
-	if folder != nil {
-		fold = folder.Fold
-	}
+func NewSpillTransport[M any](window int, plan streambuf.Plan, threads int, key func(Update[M]) uint32, store SpillStore) *ShuffleTransport[M] {
 	var sink func(int, []Update[M]) error
 	if store != nil {
 		sink = func(p int, run []Update[M]) error { return store.Append(p, pod.AsBytes(run)) }
 	}
 	return &ShuffleTransport[M]{
-		w:       streambuf.NewWriter(window, plan, threads, key, fold, sink),
+		w:       streambuf.NewWriter(window, plan, threads, key, sink),
 		store:   store,
 		key:     key,
 		recSize: pod.Size[Update[M]](),
@@ -209,13 +209,13 @@ func (t *ShuffleTransport[M]) Err() error {
 // measureTransport, which reports it when Send refuses a batch.
 func (t *ShuffleTransport[M]) Room() int { return t.w.Room() }
 
-// Seal implements UpdateTransport: the last window is shuffled and folded,
-// kept in memory when it is the iteration's only one and spilled after the
-// others otherwise.
+// Seal implements UpdateTransport: the last window is shuffled, kept in
+// memory when it is the iteration's only one and spilled after the others
+// otherwise.
 func (t *ShuffleTransport[M]) Seal() (IterFlow, error) {
-	res, tally, err := t.w.Seal()
+	res, moved, err := t.w.Seal()
 	t.res = res
-	return IterFlow{Appended: tally.Combined + tally.Kept, Combined: tally.Combined, Delivered: tally.Kept}, err
+	return IterFlow{Appended: moved, Delivered: moved}, err
 }
 
 // Pending implements UpdateTransport.

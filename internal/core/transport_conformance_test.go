@@ -18,18 +18,14 @@ import (
 func TestShuffleTransportConformance(t *testing.T) {
 	conformance.Run(t, conformance.Maker{
 		Name: "shuffle",
-		New: func(t *testing.T, k int, nv int64, capacity, threads int, combine bool) core.UpdateTransport[int64] {
+		New: func(t *testing.T, k int, nv int64, capacity, threads int) core.UpdateTransport[int64] {
 			split := core.NewSplit(nv, k)
 			plan, err := streambuf.NewPlan(k, k)
 			if err != nil {
 				t.Fatalf("NewPlan: %v", err)
 			}
-			var folder *streambuf.Folder[core.Update[int64]]
-			if combine {
-				folder = core.NewUpdateFolder(split, threads, func(a, b int64) int64 { return a + b })
-			}
 			key := func(u core.Update[int64]) uint32 { return split.Of(u.Dst) }
-			return core.NewShuffleTransport(capacity, plan, threads, key, folder)
+			return core.NewShuffleTransport(capacity, plan, threads, key, nil)
 		},
 	})
 }

@@ -49,10 +49,9 @@
 // docs/ARCHITECTURE.md ("Buffer ownership") has owners and sizes.
 //
 // When the program implements core.Combiner the scatter's private buffers
-// combine same-destination updates and every shuffled buffer is folded
-// per partition before writeback, shrinking the update-file I/O that
-// dominates out-of-core runs (see Config.NoCombine and the figcombine
-// experiment).
+// combine same-destination updates before they reach the update stream,
+// shrinking the update-file I/O that dominates out-of-core runs (see
+// Config.NoCombine and the figcombine experiment).
 //
 // When the program additionally implements core.FrontierProgram and
 // Config.Selective is set, the engine keeps an active-vertex frontier

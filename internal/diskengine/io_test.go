@@ -101,7 +101,7 @@ func TestChunkReaderEarlyClose(t *testing.T) {
 func newFileWriter(capacity, threads int, files []*partFile) *streambuf.Writer[rec] {
 	k := len(files)
 	plan, _ := streambuf.NewPlan(k, max(k, 2))
-	return streambuf.NewWriter(capacity, plan, threads, func(r rec) uint32 { return r.K % uint32(k) }, nil,
+	return streambuf.NewWriter(capacity, plan, threads, func(r rec) uint32 { return r.K % uint32(k) },
 		func(p int, run []rec) error { return files[p].appendBytes(pod.AsBytes(run)) })
 }
 
@@ -171,15 +171,15 @@ func TestBucketWriterBypass(t *testing.T) {
 	if err := w.Append(makeRecs(100)); err != nil {
 		t.Fatal(err)
 	}
-	buf, tally, err := w.Seal()
+	buf, moved, err := w.Seal()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if buf == nil {
 		t.Fatal("bypass did not trigger")
 	}
-	if buf.BucketLen(0)+buf.BucketLen(1) != 100 || tally.Kept != 100 {
-		t.Fatalf("bypass buffer holds %d records, tally %+v", buf.BucketLen(0)+buf.BucketLen(1), tally)
+	if buf.BucketLen(0)+buf.BucketLen(1) != 100 || moved != 100 {
+		t.Fatalf("bypass buffer holds %d records, moved %d", buf.BucketLen(0)+buf.BucketLen(1), moved)
 	}
 	if files[0].size != 0 || files[1].size != 0 {
 		t.Fatal("bypass still wrote files")
@@ -196,15 +196,15 @@ func TestBucketWriterNoBypassAfterFlush(t *testing.T) {
 	if err := w.Append(makeRecs(74)); err != nil {
 		t.Fatal(err)
 	}
-	buf, tally, err := w.Seal()
+	buf, moved, err := w.Seal()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if buf != nil {
 		t.Fatal("bypass triggered after a flush")
 	}
-	if files[0].size+files[1].size != 74*int64(pod.Size[rec]()) || tally.Kept != 74 {
-		t.Fatalf("files hold %d bytes, tally %+v", files[0].size+files[1].size, tally)
+	if files[0].size+files[1].size != 74*int64(pod.Size[rec]()) || moved != 74 {
+		t.Fatalf("files hold %d bytes, moved %d", files[0].size+files[1].size, moved)
 	}
 }
 

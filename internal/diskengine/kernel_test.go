@@ -98,7 +98,7 @@ func memSink(t *testing.T, pp *Prepared, prog core.Program[int32, int32]) ([]int
 // is sent.
 func memSequence(t *testing.T, pp *Prepared, prog core.Program[int32, int32]) []core.Update[int32] {
 	t.Helper()
-	combine, op, _ := core.Combining(prog, false, pp.part, 1)
+	combine, op := core.Combining(prog, false)
 	tp := &stubTransport[int32]{keep: true}
 	k := core.NewScatterKernel(prog, tp, combine, op, basePrivCap, pp.nv)
 	verts := make([]int32, pp.nv)

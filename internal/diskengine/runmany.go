@@ -325,7 +325,7 @@ func partitionEdgesInto(src core.EdgeSource, files []*partFile, transpose bool, 
 	}
 	w := streambuf.NewWriter(bufEdgeRecs, plan, threads, func(ed core.Edge) uint32 {
 		return part.Of(ed.Src)
-	}, nil, sink)
+	}, sink)
 	err := src.Edges(func(batch []core.Edge) error {
 		if transpose {
 			for i := range batch {

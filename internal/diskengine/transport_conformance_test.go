@@ -49,7 +49,7 @@ func (s *spillingTransport) Close() error {
 // newSpillingTransport builds a core.ShuffleTransport of window-record
 // windows spilling to fresh update files on dev, the way a run lent the
 // engine's stores sets its transport up.
-func newSpillingTransport(t *testing.T, dev storage.Device, k int, nv int64, window, threads int, combine bool) *spillingTransport {
+func newSpillingTransport(t *testing.T, dev storage.Device, k int, nv int64, window, threads int) *spillingTransport {
 	t.Helper()
 	files := make([]*partFile, k)
 	for p := range files {
@@ -63,13 +63,9 @@ func newSpillingTransport(t *testing.T, dev storage.Device, k int, nv int64, win
 	if err != nil {
 		t.Fatalf("NewPlan: %v", err)
 	}
-	var folder *streambuf.Folder[core.Update[int64]]
-	if combine {
-		folder = core.NewUpdateFolder(split, threads, func(a, b int64) int64 { return a + b })
-	}
 	rec := pod.Size[core.Update[int64]]()
 	store := &windowCount{SpillStore: &updateStore{files: files, recSize: rec, chunkBytes: window * rec, prefetch: true, verify: true, io: new(core.SpillIO), drain: make([]readScratch[byte], threads)}}
-	tp := core.NewSpillTransport(window, plan, threads, func(u core.Update[int64]) uint32 { return split.Of(u.Dst) }, folder, store)
+	tp := core.NewSpillTransport(window, plan, threads, func(u core.Update[int64]) uint32 { return split.Of(u.Dst) }, store)
 	return &spillingTransport{ShuffleTransport: tp, files: files, store: store}
 }
 
@@ -95,8 +91,8 @@ func TestFileTransportConformance(t *testing.T) {
 			var made []*spillingTransport
 			conformance.Run(t, conformance.Maker{
 				Name: "disk-file-" + sh.name,
-				New: func(t *testing.T, k int, nv int64, capacity, threads int, combine bool) core.UpdateTransport[int64] {
-					tp := newSpillingTransport(t, dev, k, nv, sh.window(capacity), threads, combine)
+				New: func(t *testing.T, k int, nv int64, capacity, threads int) core.UpdateTransport[int64] {
+					tp := newSpillingTransport(t, dev, k, nv, sh.window(capacity), threads)
 					made = append(made, tp)
 					return tp
 				},
@@ -135,7 +131,7 @@ func TestFileTransportConformance(t *testing.T) {
 	}
 
 	t.Run("bit-flip", func(t *testing.T) {
-		tp := newSpillingTransport(t, storage.NewSim(storage.SSDParams("conf", 1, 0)), k, nv, 100, 2, false)
+		tp := newSpillingTransport(t, storage.NewSim(storage.SSDParams("conf", 1, 0)), k, nv, 100, 2)
 		defer tp.Close()
 		if err := send(tp); err != nil {
 			t.Fatal(err)
@@ -170,7 +166,7 @@ func TestFileTransportConformance(t *testing.T) {
 
 	t.Run("failed-append", func(t *testing.T) {
 		dev := storage.NewFaulty(storage.NewSim(storage.SSDParams("conf", 1, 0)), storage.FaultyOptions{FailAfterOps: 1})
-		tp := newSpillingTransport(t, dev, k, nv, 100, 2, false)
+		tp := newSpillingTransport(t, dev, k, nv, 100, 2)
 		defer tp.Close()
 		sendErr := send(tp)
 		_, sealErr := tp.Seal()

@@ -14,8 +14,7 @@
 // loop owns what jobs share (the shuffled edge buffers, the partition
 // tasks, the trace spans); each job's core.JobRun owns everything
 // update-side: vertex state, one scatter sink with a private buffer per
-// engine worker, the update transport, the fold, the gather and the
-// frontier.
+// engine worker, the update transport, the gather and the frontier.
 //
 // Parallelism follows the paper: partitions are the unit of work for
 // scatter and gather, claimed by threads from a shared cursor (work
@@ -31,9 +30,9 @@
 // into its final place in the one buffer allocated.
 //
 // When the program implements core.Combiner the private buffers become
-// combining buffers and the shuffled result is folded per partition, so
-// the stream the gather phase random-accesses vertices for is
-// pre-aggregated (see Config.NoCombine and the figcombine experiment).
+// combining buffers, so the stream the gather phase random-accesses
+// vertices for is pre-aggregated at scatter time (see Config.NoCombine and
+// the figcombine experiment).
 //
 // When the program additionally implements core.FrontierProgram and
 // Config.Selective is set, the engine keeps an active-vertex frontier

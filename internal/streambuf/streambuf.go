@@ -57,7 +57,6 @@ type Buffer[T any] struct {
 
 type slice struct {
 	base, limit int     // record region [base, limit) of data
-	fill        int     // records stored (compacted from base)
 	idx         []Chunk // one entry per bucket, absolute offsets
 }
 
@@ -74,7 +73,7 @@ func (b *Buffer[T]) Len() int {
 	if b.buckets > 0 {
 		total := 0
 		for i := range b.slices {
-			total += b.slices[i].fill
+			total += b.slices[i].limit - b.slices[i].base
 		}
 		return total
 	}
@@ -128,7 +127,7 @@ func NewBucketed[T any](capacity int, counts [][]int) (*Buffer[T], []T) {
 		if end > capacity {
 			panic(fmt.Sprintf("streambuf: NewBucketed of %d+ records into capacity %d", end, capacity))
 		}
-		b.slices[i] = slice{base: base, limit: end, fill: end - base, idx: idx}
+		b.slices[i] = slice{base: base, limit: end, idx: idx}
 		base = end
 	}
 	return b, b.data
@@ -210,8 +209,7 @@ func (b *Buffer[T]) sliceAppendState(p int) {
 	for i := range b.slices {
 		s := &b.slices[i]
 		s.base, s.limit = i*n/p, (i+1)*n/p
-		s.fill = s.limit - s.base
-		s.idx = append(s.idx[:0], Chunk{Off: s.base, Len: s.fill})
+		s.idx = append(s.idx[:0], Chunk{Off: s.base, Len: s.limit - s.base})
 	}
 	b.buckets = 1
 }
@@ -226,14 +224,14 @@ func resliced(ss []slice, n int) []slice {
 }
 
 // minParallelRecs is the fewest records worth a goroutine of their own: a
-// shuffle stage or a fold starts at most one goroutine per minParallelRecs
+// shuffle stage starts at most one goroutine per minParallelRecs
 // records, and runs on the caller's goroutine below that.
 const minParallelRecs = 4096
 
-// workersFor returns how many goroutines share the records of b's slices,
-// at most limit and at least one.
-func (b *Buffer[T]) workersFor(limit int) int {
-	return max(1, min(limit, len(b.slices), b.Len()/minParallelRecs))
+// workersFor returns how many goroutines share the records of b's slices:
+// at most one per slice and at least one.
+func (b *Buffer[T]) workersFor() int {
+	return max(1, min(len(b.slices), b.Len()/minParallelRecs))
 }
 
 // Plan describes a multi-stage shuffle: the number of buckets after each
@@ -317,121 +315,6 @@ func Shuffle[T any](in, out *Buffer[T], plan Plan, p int, key func(T) uint32) *B
 	return cur
 }
 
-// Folder merges records that share a slot within every (slice, bucket) chunk
-// of a bucketed buffer, in place. A record of a bucket maps to a dense slot
-// in [0, slots) — for update streams, the destination vertex's offset inside
-// its partition's vertex range — and a doomed record merges into its
-// surviving twin. Chunks are compacted towards their own start, so the
-// buffer's chunk index stays valid and consumers simply see shorter buckets;
-// only a Reset restores the invariant that slice regions are densely filled.
-//
-// This is the shuffler's combining step: when updates form a semigroup
-// (core.Combiner), folding each partition's chunk after the final shuffle
-// stage shrinks the stream the gather phase random-accesses vertices for —
-// and, in the out-of-core engine, the bytes written to the update files.
-// Each worker touches only its own slices, so the fold is lock-free like the
-// shuffle itself; records of the same destination that landed in different
-// slices stay separate (the gather merges them anyway).
-//
-// A Folder keeps its per-worker slot tables across folds. The out-of-core
-// engine folds every flushed update buffer, so re-allocating the tables (8
-// bytes per slot per worker) on each fold would put pure zeroing work on the
-// write path; a Folder pays it once. A Folder is safe for sequential reuse,
-// not for concurrent Fold calls.
-type Folder[T any] struct {
-	slots int
-	fold  func(bucket int, recs []T, pos []int32, gen []uint32, cur uint32) int
-	// Per-worker tables: pos remembers, per slot, the compacted position
-	// of the slot's surviving record; gen invalidates a worker's whole
-	// table in O(1) per chunk via the cur counter.
-	pos [][]int32
-	gen [][]uint32
-	cur []uint32
-}
-
-// NewFolder prepares a fold over records mapped to [0, slots) dense slots
-// per bucket, with at most workers parallel slice workers. fold compacts
-// recs, one chunk of bucket, in place and returns how many records it kept,
-// walking them in order: a record whose slot k already has a survivor in the
-// chunk (gen[k] == cur) merges into recs[pos[k]]; any other moves to the
-// next kept position and claims its slot (gen[k] = cur, pos[k] = that
-// position). Taking the whole chunk lets a caller inline the slot and the
-// merge into its loop.
-func NewFolder[T any](workers, slots int, fold func(bucket int, recs []T, pos []int32, gen []uint32, cur uint32) int) *Folder[T] {
-	if slots < 1 {
-		slots = 1
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	f := &Folder[T]{
-		slots: slots,
-		fold:  fold,
-		pos:   make([][]int32, workers),
-		gen:   make([][]uint32, workers),
-		cur:   make([]uint32, workers),
-	}
-	for w := range f.pos {
-		f.pos[w] = make([]int32, slots)
-		f.gen[w] = make([]uint32, slots)
-	}
-	return f
-}
-
-// Fold runs the fold over a bucketed buffer and returns the number of
-// records merged away. Worker w folds slices w, w+workers, ...; a buffer of
-// fewer than minParallelRecs records per worker takes fewer workers, down
-// to the caller's goroutine alone.
-func (f *Folder[T]) Fold(b *Buffer[T]) int64 {
-	if b.buckets == 0 {
-		panic("streambuf: fold of a buffer in append state")
-	}
-	workers := b.workersFor(len(f.pos))
-	if workers == 1 {
-		return f.foldSlices(b, 0, 1)
-	}
-	var merged atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			merged.Add(f.foldSlices(b, w, workers))
-		}(w)
-	}
-	wg.Wait()
-	return merged.Load()
-}
-
-// foldSlices is worker w's share of a Fold over workers workers, with the
-// worker's own slot tables; it returns the records it merged away.
-func (f *Folder[T]) foldSlices(b *Buffer[T], w, workers int) int64 {
-	pos, gen := f.pos[w], f.gen[w]
-	cur := f.cur[w]
-	var n int64
-	for si := w; si < len(b.slices); si += workers {
-		s := &b.slices[si]
-		fill := 0
-		for g := range s.idx {
-			c := &s.idx[g]
-			cur++
-			if cur == 0 { // counter wrapped: stale gen entries could alias
-				for i := range gen {
-					gen[i] = 0
-				}
-				cur = 1
-			}
-			keep := f.fold(g, b.data[c.Off:c.Off+c.Len], pos, gen, cur)
-			n += int64(c.Len - keep)
-			c.Len = keep
-			fill += keep
-		}
-		s.fill = fill
-	}
-	f.cur[w] = cur
-	return n
-}
-
 // stageShuffle performs one shuffle stage: every existing bucket of cur is
 // split into sub sub-buckets ordered by (key >> shift) within each slice.
 // A worker touches only its own slices in both buffers, so no
@@ -440,7 +323,7 @@ func (f *Folder[T]) foldSlices(b *Buffer[T], w, workers int) int64 {
 // the caller's goroutine alone. The layout depends on the slices, never on
 // the workers.
 func stageShuffle[T any](cur, nxt *Buffer[T], oldBuckets, sub, shift int, key func(T) uint32) {
-	workers := cur.workersFor(len(cur.slices))
+	workers := cur.workersFor()
 	if workers == 1 {
 		for si := range cur.slices {
 			shuffleSlice(cur, nxt, si, oldBuckets, sub, shift, key)
@@ -466,7 +349,7 @@ func stageShuffle[T any](cur, nxt *Buffer[T], oldBuckets, sub, shift int, key fu
 // pass's write cursors.
 func shuffleSlice[T any](cur, nxt *Buffer[T], si, oldBuckets, sub, shift int, key func(T) uint32) {
 	src, dst := &cur.slices[si], &nxt.slices[si]
-	dst.base, dst.limit, dst.fill = src.base, src.limit, src.fill
+	dst.base, dst.limit = src.base, src.limit
 	idx := dst.idx[:0]
 	if n := oldBuckets * sub; cap(idx) < n {
 		idx = make([]Chunk, n)

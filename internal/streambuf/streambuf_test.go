@@ -310,7 +310,7 @@ func TestWriterAppend(t *testing.T) {
 	var sinkErr error
 	newWriter := func() *Writer[int] {
 		runs, sinkErr = nil, nil
-		return NewWriter(win, plan, 1, func(int) uint32 { return 0 }, nil, func(_ int, run []int) error {
+		return NewWriter(win, plan, 1, func(int) uint32 { return 0 }, func(_ int, run []int) error {
 			runs = append(runs, append([]int(nil), run...))
 			return sinkErr
 		})
@@ -328,9 +328,9 @@ func TestWriterAppend(t *testing.T) {
 		w := newWriter()
 		defer w.Stop()
 		appendAll(w, seq(0, 60), seq(60, 40))
-		buf, tally, err := w.Seal()
-		if err != nil || buf == nil || len(runs) != 0 || tally.Kept != win {
-			t.Fatalf("Seal kept %v with tally %+v after %d sink runs: %v", buf != nil, tally, len(runs), err)
+		buf, moved, err := w.Seal()
+		if err != nil || buf == nil || len(runs) != 0 || moved != win {
+			t.Fatalf("Seal kept %v having moved %d after %d sink runs: %v", buf != nil, moved, len(runs), err)
 		}
 		var kept []int
 		buf.Bucket(0, func(run []int) { kept = append(kept, run...) })
@@ -343,9 +343,9 @@ func TestWriterAppend(t *testing.T) {
 		w := newWriter()
 		defer w.Stop()
 		appendAll(w, seq(0, win), seq(win, 1))
-		buf, tally, err := w.Seal()
-		if err != nil || buf != nil || tally.Kept != win+1 {
-			t.Fatalf("Seal kept %v with tally %+v: %v", buf != nil, tally, err)
+		buf, moved, err := w.Seal()
+		if err != nil || buf != nil || moved != win+1 {
+			t.Fatalf("Seal kept %v having moved %d: %v", buf != nil, moved, err)
 		}
 		if want := [][]int{seq(0, win), seq(win, 1)}; !reflect.DeepEqual(runs, want) {
 			t.Fatalf("sink runs %v, want the full window, then the tail at Seal", runs)
@@ -383,7 +383,7 @@ func TestWriterAppend(t *testing.T) {
 	})
 
 	t.Run("without a sink a batch past the window is refused", func(t *testing.T) {
-		w := NewWriter[int](win, plan, 1, func(int) uint32 { return 0 }, nil, nil)
+		w := NewWriter[int](win, plan, 1, func(int) uint32 { return 0 }, nil)
 		appendAll(w, seq(0, win))
 		if err := w.Append(seq(win, 1)); err == nil || !strings.Contains(err.Error(), "capacity 100 records") {
 			t.Fatalf("Append past the window: %v, want a refusal naming the capacity", err)
@@ -509,126 +509,6 @@ func TestShuffleReshuffleBucketed(t *testing.T) {
 	checkShuffled(t, in, res2, 64)
 }
 
-// sumBySlot is a Folder chunk fold that merges the records of one slot by
-// adding their values.
-func sumBySlot(slot func(bucket int, r rec) uint32) func(int, []rec, []int32, []uint32, uint32) int {
-	return func(g int, recs []rec, pos []int32, gen []uint32, cur uint32) int {
-		keep := 0
-		for _, r := range recs {
-			if k := slot(g, r); gen[k] == cur {
-				recs[pos[k]].Val += r.Val
-			} else {
-				gen[k], pos[k] = cur, int32(keep)
-				recs[keep] = r
-				keep++
-			}
-		}
-		return keep
-	}
-}
-
-// TestFoldBucketsMergesDuplicates: after a fold, every (slice, bucket)
-// chunk holds at most one record per key, sums are preserved, and the
-// buffer's Len/BucketLen reflect the compaction.
-func TestFoldBucketsMergesDuplicates(t *testing.T) {
-	const n, k = 5000, 16
-	rng := rand.New(rand.NewSource(99))
-	in := make([]rec, n)
-	sums := map[uint32]uint32{}
-	for i := range in {
-		key := uint32(rng.Intn(k * 4)) // 4 distinct "vertices" per bucket
-		in[i] = rec{Key: key, Val: uint32(1 + rng.Intn(10))}
-		sums[key] += in[i].Val
-	}
-	a, b := New[rec](n), New[rec](n)
-	a.Fill(in)
-	plan, _ := NewPlan(k, 4)
-	res := Shuffle(a, b, plan, 3, func(r rec) uint32 { return r.Key / 4 })
-
-	before := res.Len()
-	merged := NewFolder(3, 4, sumBySlot(func(bucket int, r rec) uint32 { return r.Key % 4 })).Fold(res)
-	if merged <= 0 {
-		t.Fatal("nothing merged from a duplicate-heavy stream")
-	}
-	if got := res.Len(); got != before-int(merged) {
-		t.Fatalf("Len %d after folding %d of %d", got, merged, before)
-	}
-
-	got := map[uint32]uint32{}
-	total := 0
-	for p := 0; p < k; p++ {
-		if bl := res.BucketLen(p); bl > 3*4 {
-			t.Fatalf("bucket %d still holds %d records over 4 keys x 3 slices", p, bl)
-		}
-		run := 0
-		res.Bucket(p, func(rs []rec) {
-			seen := map[uint32]bool{}
-			for _, r := range rs {
-				if int(r.Key/4) != p {
-					t.Fatalf("bucket %d contains key %d", p, r.Key)
-				}
-				if seen[r.Key] {
-					t.Fatalf("bucket %d run %d holds key %d twice after fold", p, run, r.Key)
-				}
-				seen[r.Key] = true
-				got[r.Key] += r.Val
-				total++
-			}
-			run++
-		})
-	}
-	if total != res.Len() {
-		t.Fatalf("bucket walk saw %d records, Len says %d", total, res.Len())
-	}
-	for key, want := range sums {
-		if got[key] != want {
-			t.Fatalf("key %d: folded sum %d, want %d", key, got[key], want)
-		}
-	}
-}
-
-// TestFoldBucketsSingleBucket: K=1 (append state sliced, one bucket) folds
-// across the whole stream.
-func TestFoldBucketsSingleBucket(t *testing.T) {
-	a, b := New[rec](100), New[rec](100)
-	in := make([]rec, 100)
-	for i := range in {
-		in[i] = rec{Key: uint32(i % 5), Val: 1}
-	}
-	a.Fill(in)
-	plan, _ := NewPlan(1, 2)
-	res := Shuffle(a, b, plan, 2, keyOf)
-	merged := NewFolder(2, 5, sumBySlot(func(_ int, r rec) uint32 { return r.Key })).Fold(res)
-	// Two slices of 50 records with 5 keys each -> at most 10 survivors.
-	if res.Len() > 10 {
-		t.Fatalf("Len %d after fold, want <= 10", res.Len())
-	}
-	if merged != int64(100-res.Len()) {
-		t.Fatalf("merged %d, Len %d", merged, res.Len())
-	}
-	var sum uint32
-	res.Bucket(0, func(rs []rec) {
-		for _, r := range rs {
-			sum += r.Val
-		}
-	})
-	if sum != 100 {
-		t.Fatalf("folded total %d, want 100", sum)
-	}
-}
-
-// TestFoldBucketsAppendStatePanics: folding requires bucket structure.
-func TestFoldBucketsAppendStatePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("no panic on append-state fold")
-		}
-	}()
-	b := New[rec](10)
-	b.Fill([]rec{{1, 1}})
-	NewFolder(1, 1, sumBySlot(func(int, rec) uint32 { return 0 })).Fold(b)
-}
-
 // TestBucketTiles: tiling must concatenate to exactly the Bucket stream,
 // cap every tile at tileRecs, never span a run boundary, and be stable
 // across repeated walks of an unchanged buffer — the invariant selective
@@ -711,8 +591,8 @@ func collectBucket(b *Buffer[rec], p int) []rec {
 // minParallelRecs records per slice worker is shuffled on the caller's
 // goroutine, a larger one by slice workers; either way bucket p holds each
 // slice's records of key p in their input order, slice by slice. A warm
-// shuffle and fold of a small stream allocate nothing: no goroutine is
-// started and every chunk index is reused.
+// shuffle of a small stream allocates nothing: no goroutine is started and
+// every chunk index is reused.
 func TestShuffleLayoutIndependentOfWorkers(t *testing.T) {
 	const k, p = 16, 4
 	plan, _ := NewPlan(k, 4)
@@ -740,13 +620,12 @@ func TestShuffleLayoutIndependentOfWorkers(t *testing.T) {
 	}
 	in := makeRecs(1000, k, 7)
 	a, b := New[rec](len(in)), New[rec](len(in))
-	folder := NewFolder(p, 1, sumBySlot(func(int, rec) uint32 { return 0 }))
-	shuffleAndFold := func() {
+	shuffle := func() {
 		a.Fill(in)
-		folder.Fold(Shuffle(a, b, plan, p, keyOf))
+		Shuffle(a, b, plan, p, keyOf)
 	}
-	shuffleAndFold()
-	if allocs := testing.AllocsPerRun(20, shuffleAndFold); allocs != 0 {
-		t.Fatalf("a warm shuffle and fold of %d records allocate %.0f times", len(in), allocs)
+	shuffle()
+	if allocs := testing.AllocsPerRun(20, shuffle); allocs != 0 {
+		t.Fatalf("a warm shuffle of %d records allocates %.0f times", len(in), allocs)
 	}
 }

@@ -7,7 +7,7 @@ import (
 
 // Writer is the windowed shuffle→sink pipeline of the merged scatter/shuffle
 // phase (paper Figure 6): Append fills the current stream buffer; when it is
-// full and the next record needs room, Append shuffles and folds it, and a
+// full and the next record needs room, Append shuffles it, and a
 // dedicated goroutine hands every bucket run to the sink, overlapped with
 // the caller filling the next buffer (§3.3). Three buffers rotate through
 // the roles current / in flight / shuffle scratch, which with the two edge
@@ -22,10 +22,6 @@ type Writer[T any] struct {
 	plan    Plan
 	threads int
 	key     func(T) uint32
-	// fold, when non-nil, is applied to every shuffled window before it is
-	// sunk or kept — the combining stage that merges same-destination
-	// records. It returns the number of records merged away.
-	fold func(*Buffer[T]) int64
 	// sink receives every bucket run of every flushed window, on the writer
 	// goroutine, in exactly the order the runs are appended; nil means the
 	// window is the whole phase and never leaves memory.
@@ -36,30 +32,22 @@ type Writer[T any] struct {
 	free    chan *Buffer[T] // buffers neither current, kept nor queued
 	queue   chan *Buffer[T] // shuffled windows for the goroutine; nil until the first flush
 	wg      sync.WaitGroup
-	flushed bool // a window of the current phase went to the sink
-	tally   Tally
+	flushed bool  // a window of the current phase went to the sink
+	moved   int64 // records the current phase shuffled, to the sink or kept
 
 	mu  sync.Mutex
 	err error
 }
 
-// Tally is what one phase of a Writer moved: the records its fold merged
-// away and the records that survived, to the sink or to the kept window.
-type Tally struct {
-	Combined int64
-	Kept     int64
-}
-
 // NewWriter returns a pipeline of capacity-record windows (at least one
-// record), shuffled into plan.K buckets by key with the given parallelism,
-// folded by fold and written by sink; fold and sink may be nil.
-func NewWriter[T any](capacity int, plan Plan, threads int, key func(T) uint32, fold func(*Buffer[T]) int64, sink func(bucket int, run []T) error) *Writer[T] {
+// record), shuffled into plan.K buckets by key with the given parallelism
+// and written by sink, which may be nil.
+func NewWriter[T any](capacity int, plan Plan, threads int, key func(T) uint32, sink func(bucket int, run []T) error) *Writer[T] {
 	capacity = max(capacity, 1)
 	w := &Writer[T]{
 		plan:    plan,
 		threads: threads,
 		key:     key,
-		fold:    fold,
 		sink:    sink,
 		cur:     New[T](capacity),
 		free:    make(chan *Buffer[T], 3),
@@ -110,7 +98,7 @@ func (w *Writer[T]) Append(batch []T) error {
 	return nil
 }
 
-// flush shuffles and folds the current window, hands it to the writer
+// flush shuffles the current window, hands it to the writer
 // goroutine and installs an empty one. Once the sink has failed, flush
 // returns its error and queues nothing more.
 func (w *Writer[T]) flush() error {
@@ -134,11 +122,11 @@ func (w *Writer[T]) flush() error {
 	return w.Err()
 }
 
-// Seal ends one phase and returns what it moved. A phase that flushed has its
-// tail flushed and every write waited for, and Seal returns a nil window. A
-// phase that never did is shuffled and folded in memory: Seal returns the
+// Seal ends one phase and returns the records it moved. A phase that flushed
+// has its tail flushed and every write waited for, and Seal returns a nil
+// window. A phase that never did is shuffled in memory: Seal returns the
 // bucketed window, valid until the next flush or Seal.
-func (w *Writer[T]) Seal() (*Buffer[T], Tally, error) {
+func (w *Writer[T]) Seal() (*Buffer[T], int64, error) {
 	var err error
 	if w.flushed {
 		err = w.flush()
@@ -149,12 +137,12 @@ func (w *Writer[T]) Seal() (*Buffer[T], Tally, error) {
 	} else {
 		w.kept = w.shuffle()
 	}
-	tally := w.tally
-	w.tally, w.flushed = Tally{}, false
+	moved := w.moved
+	w.moved, w.flushed = 0, false
 	if err == nil {
 		err = w.Err()
 	}
-	return w.kept, tally, err
+	return w.kept, moved, err
 }
 
 // Finish flushes the tail, waits for every write and stops the goroutine —
@@ -178,7 +166,7 @@ func (w *Writer[T]) Stop() {
 	}
 }
 
-// shuffle shuffles and folds the current window through a free scratch
+// shuffle shuffles the current window through a free scratch
 // buffer and returns the bucketed result. The buffer it leaves empty becomes
 // the current window.
 func (w *Writer[T]) shuffle() *Buffer[T] {
@@ -189,10 +177,7 @@ func (w *Writer[T]) shuffle() *Buffer[T] {
 	}
 	scratch := <-w.free
 	res := Shuffle(w.cur, scratch, w.plan, w.threads, w.key)
-	if w.fold != nil {
-		w.tally.Combined += w.fold(res)
-	}
-	w.tally.Kept += int64(res.Len())
+	w.moved += int64(res.Len())
 	if res == w.cur {
 		w.cur = scratch
 	}

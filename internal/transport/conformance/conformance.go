@@ -3,8 +3,8 @@
 // without a spill store, and over the out-of-core update files with a window
 // that never spills, spills mid-iteration or spills every batch. Every shape
 // runs the same battery: delivery completeness, single-sender per-partition
-// FIFO order, combiner fold equivalence, close idempotence and
-// multi-iteration reuse, sends from several goroutines and concurrent
+// FIFO order, duplicate destinations delivered unmerged, close idempotence
+// and multi-iteration reuse, sends from several goroutines and concurrent
 // drains (meaningful under -race), and the transport's own traffic
 // counters. A shape over a store also takes a batch of several windows in
 // one Send and spills the full ones itself.
@@ -23,16 +23,15 @@ import (
 
 // Maker describes one UpdateTransport shape to Run. New must
 // build a transport for k partitions over nv vertices that (a) routes by
-// core.NewSplit(nv, k).Of(u.Dst), (b) accepts capacity records per
+// core.NewSplit(nv, k).Of(u.Dst) and (b) accepts capacity records per
 // iteration in Sends of any size — any number over a store, which spills
-// the windows they fill — and (c) when combine is set, folds
-// same-destination updates with int64 addition (core.NewUpdateFolder over
-// the same split). The suite owns the transport's lifecycle and closes it.
+// the windows they fill. The suite owns the transport's lifecycle and
+// closes it.
 type Maker struct {
 	// Name labels the shape in subtest paths.
 	Name string
 	// New builds a fresh transport under test; see the Maker contract.
-	New func(t *testing.T, k int, nv int64, capacity, threads int, combine bool) core.UpdateTransport[int64]
+	New func(t *testing.T, k int, nv int64, capacity, threads int) core.UpdateTransport[int64]
 	// Window returns the records of one window of a transport built for
 	// the given per-iteration capacity. nil means the whole capacity.
 	Window func(capacity int) int
@@ -76,16 +75,16 @@ func sendAll(t *testing.T, tp core.UpdateTransport[int64], src int, batch []upda
 	}
 }
 
-// seal wraps Seal with the IterFlow invariant check.
+// seal wraps Seal with the IterFlow invariant check: a transport merges
+// nothing, so it delivers every record it accepted.
 func seal(t *testing.T, tp core.UpdateTransport[int64]) core.IterFlow {
 	t.Helper()
 	flow, err := tp.Seal()
 	if err != nil {
 		t.Fatalf("Seal: %v", err)
 	}
-	if flow.Appended-flow.Combined != flow.Delivered {
-		t.Fatalf("IterFlow invariant violated: appended %d - combined %d != delivered %d",
-			flow.Appended, flow.Combined, flow.Delivered)
+	if flow.Appended != flow.Delivered {
+		t.Fatalf("IterFlow invariant violated: appended %d != delivered %d", flow.Appended, flow.Delivered)
 	}
 	return flow
 }
@@ -118,7 +117,7 @@ func drainAll(t *testing.T, tp core.UpdateTransport[int64], split core.Split) []
 }
 
 // sumsByDst folds updates into per-destination sums — the semantic content
-// a transport must preserve whatever it combines.
+// a transport must preserve.
 func sumsByDst(batches ...[]update) map[core.VertexID]int64 {
 	m := make(map[core.VertexID]int64)
 	for _, b := range batches {
@@ -159,7 +158,7 @@ func Run(t *testing.T, mk Maker) {
 
 	t.Run("delivery", func(t *testing.T) {
 		const n = 20000
-		tp := mk.New(t, k, nv, n, threads, false)
+		tp := mk.New(t, k, nv, n, threads)
 		defer tp.Close()
 		ups := genUpdates(n, nv, 1)
 		var sends, cross int
@@ -181,9 +180,6 @@ func Run(t *testing.T, mk Maker) {
 		flow := seal(t, tp)
 		if flow.Appended != n {
 			t.Fatalf("Appended = %d, sent %d", flow.Appended, n)
-		}
-		if flow.Combined != 0 {
-			t.Fatalf("Combined = %d without a combiner", flow.Combined)
 		}
 		got := drainAll(t, tp, split)
 		var total int
@@ -247,7 +243,7 @@ func Run(t *testing.T, mk Maker) {
 		const n = 6000
 		target := 3
 		lo, hi := split.Range(target, nv)
-		tp := mk.New(t, k, nv, n, threads, false)
+		tp := mk.New(t, k, nv, n, threads)
 		defer tp.Close()
 		ups := make([]update, n)
 		for i := range ups {
@@ -276,11 +272,13 @@ func Run(t *testing.T, mk Maker) {
 		}
 	})
 
+	// Updates to one destination are combined at scatter, before Send; the
+	// transport combines none of them, so a duplicate-heavy stream reaches
+	// gather record for record.
 	t.Run("combining", func(t *testing.T) {
 		const n = 20000
-		tp := mk.New(t, k, nv, n, threads, true)
+		tp := mk.New(t, k, nv, n, threads)
 		defer tp.Close()
-		// Concentrated destinations so the fold has duplicates to merge.
 		r := rng(11)
 		ups := make([]update, n)
 		for i := range ups {
@@ -289,28 +287,27 @@ func Run(t *testing.T, mk Maker) {
 		for off := 0; off < n; off += 1000 {
 			sendAll(t, tp, (off/1000)%k, ups[off:off+1000])
 		}
-		flow := seal(t, tp)
-		if flow.Appended != n {
-			t.Fatalf("Appended = %d, sent %d", flow.Appended, n)
+		if flow := seal(t, tp); flow.Delivered != n {
+			t.Fatalf("Delivered = %d of %d records over 64 destinations", flow.Delivered, n)
 		}
 		got := drainAll(t, tp, split)
-		var drained int64
+		seen := make(map[int64]bool, n)
 		for _, g := range got {
-			drained += int64(len(g))
+			for _, u := range g {
+				if u.Val < 1 || u.Val > n || ups[u.Val-1] != u || seen[u.Val] {
+					t.Fatalf("drained %+v: not a record sent, or drained twice", u)
+				}
+				seen[u.Val] = true
+			}
 		}
-		if drained != flow.Delivered {
-			t.Fatalf("drained %d records, Delivered = %d", drained, flow.Delivered)
+		if len(seen) != n {
+			t.Fatalf("drained %d of %d records", len(seen), n)
 		}
-		all := make([]update, 0, drained)
-		for _, g := range got {
-			all = append(all, g...)
-		}
-		checkSums(t, sumsByDst(ups), sumsByDst(all))
 	})
 
 	t.Run("iterations", func(t *testing.T) {
 		const n = 5000
-		tp := mk.New(t, k, nv, n, threads, true)
+		tp := mk.New(t, k, nv, n, threads)
 		defer tp.Close()
 		for iter := 0; iter < 3; iter++ {
 			ups := genUpdates(n, nv, uint64(100+iter))
@@ -334,7 +331,7 @@ func Run(t *testing.T, mk Maker) {
 	})
 
 	t.Run("empty-iteration", func(t *testing.T) {
-		tp := mk.New(t, k, nv, 1000, threads, false)
+		tp := mk.New(t, k, nv, 1000, threads)
 		defer tp.Close()
 		flow := seal(t, tp)
 		if flow.Appended != 0 || flow.Delivered != 0 {
@@ -366,7 +363,7 @@ func Run(t *testing.T, mk Maker) {
 			const capacity = 16000
 			win := window(capacity)
 			n := 3*win + win/2
-			tp := mk.New(t, k, nv, capacity, threads, false)
+			tp := mk.New(t, k, nv, capacity, threads)
 			defer tp.Close()
 			ups := make([]update, n)
 			for i := range ups {
@@ -403,7 +400,7 @@ func Run(t *testing.T, mk Maker) {
 	t.Run("concurrent-send", func(t *testing.T) {
 		const capacity = 16000
 		per := capacity / k
-		tp := mk.New(t, k, nv, capacity, threads, false)
+		tp := mk.New(t, k, nv, capacity, threads)
 		defer tp.Close()
 		batches := make([][]update, k)
 		for s := 0; s < k; s++ {
@@ -447,7 +444,7 @@ func Run(t *testing.T, mk Maker) {
 
 	t.Run("concurrent-drain", func(t *testing.T) {
 		const n = 16000
-		tp := mk.New(t, k, nv, n, threads, false)
+		tp := mk.New(t, k, nv, n, threads)
 		defer tp.Close()
 		ups := genUpdates(n, nv, 31)
 		for off := 0; off < n; off += 800 {
@@ -485,7 +482,7 @@ func Run(t *testing.T, mk Maker) {
 	})
 
 	t.Run("drain-error", func(t *testing.T) {
-		tp := mk.New(t, k, nv, 2000, threads, false)
+		tp := mk.New(t, k, nv, 2000, threads)
 		defer tp.Close()
 		ups := genUpdates(2000, nv, 77)
 		sendAll(t, tp, 0, ups)
@@ -509,7 +506,7 @@ func Run(t *testing.T, mk Maker) {
 
 	t.Run("close-idempotent", func(t *testing.T) {
 		// Close mid-iteration (live send side, never sealed) and again.
-		tp := mk.New(t, k, nv, 1000, threads, false)
+		tp := mk.New(t, k, nv, 1000, threads)
 		sendAll(t, tp, 0, genUpdates(100, nv, 9))
 		if err := tp.Close(); err != nil {
 			t.Fatalf("Close with a live send side: %v", err)

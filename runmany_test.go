@@ -149,7 +149,7 @@ func TestRunManyEquivalence(t *testing.T) {
 
 // TestRunManyBitExact: with one thread the in-memory engine is fully
 // deterministic, so a co-scheduled PageRank must match its solo run to the
-// last bit — same combining windows, same shuffle, same fold order.
+// last bit — same combining windows, same shuffle, same gather order.
 func TestRunManyBitExact(t *testing.T) {
 	src := xstreamtest.RMAT(9, 62)
 	cfg := xstream.MemConfig{Threads: 1, Partitions: 16}

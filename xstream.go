@@ -26,8 +26,8 @@ type (
 	PhasedProgram[V, M any] = core.PhasedProgram[V, M]
 	// Combiner marks programs whose update values form a commutative
 	// semigroup, letting the engines pre-aggregate the update stream
-	// (thread-private combining buffers at scatter time plus a
-	// per-partition fold after the shuffle). Disable per run with
+	// (thread-private combining buffers at scatter time; the shuffle
+	// merges nothing). Disable per run with
 	// Config.NoCombine. A Combiner whose Combine is exactly
 	// CombineSum or CombineMin may say so with a CombineOp() CombineOp
 	// method; the engines then merge by the op inline.
