@@ -1,6 +1,8 @@
 package xstream_test
 
 import (
+	"cmp"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -19,23 +21,25 @@ import (
 // changes gather results.
 
 // equivCase is one (engine, partitioner, combining) combination under test.
+// threads overrides the suite's standard thread count when set.
 type equivCase struct {
 	name      string
 	mem       bool
 	part      xstream.Partitioner
 	noCombine bool
+	threads   int
 }
 
 func equivCases() []equivCase {
 	return []equivCase{
-		{"mem/range", true, xstream.NewRangePartitioner(), false},
-		{"mem/2ps", true, xstream.New2PSPartitioner(), false},
-		{"disk/range", false, xstream.NewRangePartitioner(), false},
-		{"disk/2ps", false, xstream.New2PSPartitioner(), false},
-		{"mem/range/nocombine", true, xstream.NewRangePartitioner(), true},
-		{"mem/2ps/nocombine", true, xstream.New2PSPartitioner(), true},
-		{"disk/range/nocombine", false, xstream.NewRangePartitioner(), true},
-		{"disk/2ps/nocombine", false, xstream.New2PSPartitioner(), true},
+		{"mem/range", true, xstream.NewRangePartitioner(), false, 0},
+		{"mem/2ps", true, xstream.New2PSPartitioner(), false, 0},
+		{"disk/range", false, xstream.NewRangePartitioner(), false, 0},
+		{"disk/2ps", false, xstream.New2PSPartitioner(), false, 0},
+		{"mem/range/nocombine", true, xstream.NewRangePartitioner(), true, 0},
+		{"mem/2ps/nocombine", true, xstream.New2PSPartitioner(), true, 0},
+		{"disk/range/nocombine", false, xstream.NewRangePartitioner(), true, 0},
+		{"disk/2ps/nocombine", false, xstream.New2PSPartitioner(), true, 0},
 	}
 }
 
@@ -58,6 +62,7 @@ func runEquivStats[V, M any](t *testing.T, c equivCase, src xstream.EdgeSource, 
 	if c.mem {
 		cfg := xstreamtest.MemConfig()
 		cfg.Partitioner, cfg.NoCombine = c.part, c.noCombine
+		cfg.Threads = cmp.Or(c.threads, cfg.Threads)
 		res, err := xstream.RunMemory(src, prog, cfg)
 		if err != nil {
 			t.Fatalf("%s: %v", c.name, err)
@@ -66,6 +71,7 @@ func runEquivStats[V, M any](t *testing.T, c equivCase, src xstream.EdgeSource, 
 	}
 	cfg := xstreamtest.DiskConfig("equiv")
 	cfg.Partitioner, cfg.NoCombine = c.part, c.noCombine
+	cfg.Threads = cmp.Or(c.threads, cfg.Threads)
 	res, err := xstream.RunDisk(src, prog, cfg)
 	if err != nil {
 		t.Fatalf("%s: %v", c.name, err)
@@ -90,6 +96,10 @@ func TestEquivalenceBFS(t *testing.T) {
 	}
 }
 
+// TestEquivalencePageRank: a one-thread run agrees with the float64
+// reference within reduction-order tolerance, and the suite's three-thread
+// run with the one-thread run bit for bit: no float sum depends on the
+// thread count.
 func TestEquivalencePageRank(t *testing.T) {
 	src := xstreamtest.RMAT(10, 22)
 	edges := xstreamtest.Materialize(t, src)
@@ -97,14 +107,62 @@ func TestEquivalencePageRank(t *testing.T) {
 	want := refalgo.PageRank(src.NumVertices(), edges, iters)
 	for _, c := range equivCases() {
 		t.Run(c.name, func(t *testing.T) {
-			got := xstream.PageRankValues(runEquiv(t, c, src, xstream.NewPageRank(iters)))
+			one := c
+			one.threads = 1
+			got := xstream.PageRankValues(runEquiv(t, one, src, xstream.NewPageRank(iters)))
 			for v := range want {
 				diff := math.Abs(float64(got[v]) - want[v])
 				if diff > 1e-3*(1+math.Abs(want[v])) {
 					t.Fatalf("vertex %d: rank %g, want %g", v, got[v], want[v])
 				}
 			}
+			checkBitIdentical(t, xstream.PageRankValues(runEquiv(t, c, src, xstream.NewPageRank(iters))), got, "threads 3 vs 1")
 		})
+	}
+}
+
+// TestMemPageRankIndependentOfThreads: in memory, a float-sum program's
+// result is a function of the graph and the configuration, not of the
+// thread count or the scheduling: each partition's updates reach their
+// bucket in partition order, whichever worker sent them first. PageRank and
+// SpMV on RMAT-12 in 16 partitions, twice at each of 1, 2 and 4 threads,
+// are all bit-identical.
+func TestMemPageRankIndependentOfThreads(t *testing.T) {
+	src := xstreamtest.RMAT(12, 91)
+	var ranks, ys []float32
+	for _, threads := range []int{1, 2, 4} {
+		for run := 0; run < 2; run++ {
+			cfg := xstream.MemConfig{Threads: threads, Partitions: 16}
+			what := fmt.Sprintf("threads %d run %d", threads, run)
+			pr, err := xstream.RunMemory(src, xstream.NewPageRank(5), cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			spmv, err := xstream.RunMemory(src, xstream.NewSpMV(), cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			y := make([]float32, len(spmv.Vertices))
+			for v, s := range spmv.Vertices {
+				y[v] = s.Y
+			}
+			if ranks == nil {
+				ranks, ys = xstream.PageRankValues(pr.Vertices), y
+				continue
+			}
+			checkBitIdentical(t, xstream.PageRankValues(pr.Vertices), ranks, "PageRank "+what)
+			checkBitIdentical(t, y, ys, "SpMV "+what)
+		}
+	}
+}
+
+// checkBitIdentical compares two float vectors bit by bit.
+func checkBitIdentical(t *testing.T, got, want []float32, context string) {
+	t.Helper()
+	for v := range want {
+		if math.Float32bits(got[v]) != math.Float32bits(want[v]) {
+			t.Fatalf("%s: vertex %d: %g, want %g (bitwise)", context, v, got[v], want[v])
+		}
 	}
 }
 
@@ -714,16 +772,16 @@ func TestCompressedTilesEquivalenceWCC(t *testing.T) {
 	}
 }
 
-// TestCompressedTilesEquivalencePageRank: float sums at Threads 1, where
-// the record order the decoder reproduces is the accumulation order —
-// compression must be bit-exact. (At Threads>1 chunk boundaries differ
-// between the raw and tile readers, legitimately regrouping additions.)
+// TestCompressedTilesEquivalencePageRank: float sums, bit parity at
+// Threads 3 across the full matrix: the record order the decoder
+// reproduces is the accumulation order, and the scatter merges a
+// destination's updates in edge order however the readers chunk the file.
 func TestCompressedTilesEquivalencePageRank(t *testing.T) {
 	src := xstreamtest.RMAT(10, 73)
 	for _, c := range compressCases() {
 		t.Run(c.name, func(t *testing.T) {
-			raw, rs := runCompress(t, c, 1, false, src, xstream.NewPageRank(5))
-			cmp, cs := runCompress(t, c, 1, true, src, xstream.NewPageRank(5))
+			raw, rs := runCompress(t, c, 3, false, src, xstream.NewPageRank(5))
+			cmp, cs := runCompress(t, c, 3, true, src, xstream.NewPageRank(5))
 			checkCompressStats(t, c, rs, cs)
 			for v := range raw {
 				if raw[v] != cmp[v] {
@@ -862,7 +920,8 @@ func TestPartitionerEquivalenceWCC(t *testing.T) {
 
 // TestPartitionerParityPageRank: sum-based, so a relabeling regroups float
 // additions. At Threads=1 every case must agree with the reference within
-// reduction-order tolerance.
+// reduction-order tolerance, and at Threads=3 with its Threads=1 run bit
+// for bit.
 func TestPartitionerParityPageRank(t *testing.T) {
 	src := xstreamtest.RMAT(10, 64)
 	edges := xstreamtest.Materialize(t, src)
@@ -879,6 +938,8 @@ func TestPartitionerParityPageRank(t *testing.T) {
 					t.Fatalf("vertex %d: rank %g, want %g", v, got[v], want[v])
 				}
 			}
+			verts, _ = runPart(t, c, 3, src, xstream.NewPageRank(iters))
+			checkBitIdentical(t, xstream.PageRankValues(verts), got, "threads 3 vs 1")
 		})
 	}
 }

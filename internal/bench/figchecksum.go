@@ -77,17 +77,13 @@ func runFigChecksum(cfg Config) (*Table, error) {
 
 	// PageRank, verified (default) vs NoVerify: same physical reads, same
 	// bits out, and the verified run's coverage is the headline metric.
-	// The three PageRank runs use one thread, the count the gated baseline
-	// was recorded at. A solo run compares bit for bit and byte for byte at
-	// any thread count (it scatters a partition through one kernel), so
-	// un-pinning them is a baseline change
-	// (ROADMAP "Fix first", step (c)).
-	one := cfg
-	one.Threads = 1
+	// A solo run compares bit for bit and byte for byte at any thread count
+	// (it scatters a partition through one kernel), so the runs take the
+	// figure's thread count.
 	var prStats [2]core.Stats
 	var prVerts [2][]algorithms.PRState
 	for i, noVerify := range []bool{false, true} {
-		res, err := figChecksumRun(one, src, algorithms.NewPageRank(5),
+		res, err := figChecksumRun(cfg, src, algorithms.NewPageRank(5),
 			func(dc *diskengine.Config) { dc.NoVerify = noVerify })
 		if err != nil {
 			return nil, fmt.Errorf("pagerank noverify=%v: %w", noVerify, err)
@@ -120,7 +116,7 @@ func runFigChecksum(cfg Config) (*Table, error) {
 
 	// PageRank with checkpoints: the write overhead is exactly the
 	// snapshot volume, pinned so it can't silently grow.
-	ckptRes, err := figChecksumRun(one, src, algorithms.NewPageRank(5),
+	ckptRes, err := figChecksumRun(cfg, src, algorithms.NewPageRank(5),
 		func(dc *diskengine.Config) { dc.Checkpoint = true })
 	if err != nil {
 		return nil, fmt.Errorf("pagerank checkpoint: %w", err)

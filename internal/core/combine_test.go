@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"repro/internal/pod"
-	"repro/internal/streambuf"
 )
 
 // emissions feeds updates through cb (Reset to window first) in blocks of
@@ -430,10 +429,4 @@ func (c *CombineBuffer[M]) isDense() bool {
 		panic("a combining buffer holds both representations or neither")
 	}
 	return c.acc != nil
-}
-
-func collect[T any](b *streambuf.Buffer[T], p int) []T {
-	var out []T
-	b.Bucket(p, func(run []T) { out = append(out, run...) })
-	return out
 }

@@ -68,10 +68,8 @@ type Config struct {
 
 	// Fanout forces the shuffler fanout (power of two >= 2) of the
 	// pre-processing and update shuffles, in memory. 0 means automatic,
-	// from the cache line count (§4.2). The transpose is one placement
-	// pass whatever the fanout: every shuffle stage is stable, so its
-	// layout is the same at any. Out of core the shuffle is one stage of
-	// fanout K.
+	// from the cache line count (§4.2). The layout is the same at any
+	// fanout. Out of core the shuffle is one stage of fanout K.
 	Fanout int
 	// NoWorkStealing statically assigns partitions to threads instead of
 	// letting idle threads claim the next unprocessed partition, in

@@ -300,8 +300,8 @@ func TestGatherMarksOnlyChangedReceivers(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		r.gatherChunk(chunk, verts, lo, NewSplit(int64(len(verts)), r.subPlan.K), workers)
-		if workers > 1 && r.subA == nil {
+		r.gatherChunk(chunk, verts, lo, NewSplit(int64(len(verts)), r.subK), workers)
+		if workers > 1 && r.sub == nil {
 			t.Fatalf("workers %d: the chunk was not sub-shuffled", workers)
 		}
 		for v := VertexID(0); v < n/2; v++ {

@@ -491,14 +491,14 @@ type jobRun[V, M any] struct {
 	remapper StateRemapper[V]
 
 	// verts is the vertex state, nil when it lives in vstore; then win is
-	// the one partition window buffer, and subA, subB and subPlan the
-	// windowed gather's sub-shuffle scratch (the in-memory engine layered
-	// inside a partition, §4.3), the pair made on first use.
-	verts      []V
-	win        []V
-	vstore     VertexStore
-	subA, subB *streambuf.Buffer[Update[M]]
-	subPlan    streambuf.Plan
+	// the one partition window buffer, and sub, of subK buckets, the
+	// windowed gather's sub-shuffle (the in-memory engine layered inside a
+	// partition, §4.3), made on first use.
+	verts  []V
+	win    []V
+	vstore VertexStore
+	sub    *streambuf.Buffer[Update[M]]
+	subK   int
 	// spill is what the engine lent the run, nil when it lent nothing; io
 	// tallies what its stores moved until book puts it on the stats (a
 	// gather drains partitions concurrently), and err latches an I/O
@@ -605,11 +605,7 @@ func (r *jobRun[V, M]) initVertices() error {
 		return nil
 	}
 	r.win = make([]V, r.part.PerPartition())
-	subK := NextPow2(r.setup.Threads * 4)
-	var err error
-	if r.subPlan, err = streambuf.NewPlan(subK, subK); err != nil {
-		return err
-	}
+	r.subK = NextPow2(r.setup.Threads * 4)
 	for p := 0; p < r.part.K; p++ {
 		lo, hi := r.part.Range(p, r.setup.NumVertices)
 		win := r.win[:hi-lo]

@@ -84,7 +84,7 @@ func (r *jobRun[V, M]) gatherPartition(p, workers int) error {
 		return err
 	}
 	hi := lo + int64(len(verts))
-	sub := NewSplit(int64(len(verts)), r.subPlan.K)
+	sub := NewSplit(int64(len(verts)), r.subK)
 	if err := r.tp.Drain(p, func(chunk []Update[M]) error {
 		if r.spill != nil {
 			if err := inWindow(chunk, p, lo, hi); err != nil {
@@ -117,24 +117,18 @@ func inWindow[M any](chunk []Update[M], p int, lo, hi int64) error {
 // verts, whose first vertex is lo. With multiple workers the chunk is first
 // shuffled by destination sub-range so workers touch disjoint vertices — the
 // in-memory engine layered inside the partition (§4.3); sub is that split of
-// the window into the sub-shuffle plan's buckets. The shuffle is stable, so
-// every vertex receives its updates in stream order either way.
+// the window into sub.K buckets. The placement is stable, so every vertex
+// receives its updates in stream order either way.
 func (r *jobRun[V, M]) gatherChunk(chunk []Update[M], verts []V, lo int64, sub Split, workers int) {
 	if workers <= 1 || len(chunk) < 8192 {
 		r.gatherRun(chunk, verts, lo)
 		return
 	}
-	if r.subA == nil {
-		r.subA = streambuf.New[Update[M]](r.spill.Window)
-		r.subB = streambuf.New[Update[M]](r.spill.Window)
+	if r.sub == nil {
+		r.sub = streambuf.New[Update[M]](r.spill.Window)
 	}
-	r.subA.Fill(chunk)
-	res := streambuf.Shuffle(r.subA, r.subB, r.subPlan, workers, func(u Update[M]) uint32 {
-		return sub.Of(VertexID(int64(u.Dst) - lo))
-	})
-	ForEachClaimed(r.subPlan.K, workers, func(_, sp int) {
-		res.Bucket(sp, func(run []Update[M]) { r.gatherRun(run, verts, lo) })
-	})
+	r.sub.Place(chunk, sub.K, workers, func(u Update[M]) uint32 { return sub.Of(VertexID(int64(u.Dst) - lo)) })
+	ForEachClaimed(sub.K, workers, func(_, sp int) { r.gatherRun(r.sub.Bucket(sp), verts, lo) })
 }
 
 // gatherRun applies a run of updates in order. On a selective schedule a

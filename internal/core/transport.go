@@ -60,7 +60,8 @@ type TransportCounters struct {
 //
 //	Send* → Seal → Pending*/Drain* → EndIteration
 //
-// Without a spill store Send is safe for concurrent use. Over a store it is
+// Without a spill store Send is safe for concurrent use, each source
+// partition's sends from one goroutine at a time. Over a store it is
 // called from one goroutine at a time: a run lent stores has one sink, fed
 // by one goroutine at a time, and each of the engine's concurrent feeders
 // drives a different run. Seal and EndIteration are coordinator-only. Drain is safe for
@@ -180,12 +181,13 @@ func NewSpillTransport[M any](window int, plan streambuf.Plan, threads int, key 
 	}
 }
 
-// Send implements UpdateTransport through the writer's Append.
+// Send implements UpdateTransport through the writer's AppendFrom, which
+// without a store keeps the batch's chunk under its source partition.
 func (t *ShuffleTransport[M]) Send(src int, batch []Update[M]) bool {
 	if len(batch) == 0 {
 		return true
 	}
-	if err := t.w.Append(batch); err != nil {
+	if err := t.w.AppendFrom(src, batch); err != nil {
 		t.mu.Lock()
 		t.err = err
 		t.mu.Unlock()
@@ -211,7 +213,8 @@ func (t *ShuffleTransport[M]) Room() int { return t.w.Room() }
 
 // Seal implements UpdateTransport: the last window is shuffled, kept in
 // memory when it is the iteration's only one and spilled after the others
-// otherwise.
+// otherwise. Without a store each bucket holds the sending partitions in
+// partition order, however the senders' goroutines interleaved.
 func (t *ShuffleTransport[M]) Seal() (IterFlow, error) {
 	res, moved, err := t.w.Seal()
 	t.res = res
@@ -222,25 +225,22 @@ func (t *ShuffleTransport[M]) Seal() (IterFlow, error) {
 func (t *ShuffleTransport[M]) Pending(p int) int64 {
 	switch {
 	case t.res != nil:
-		return int64(t.res.BucketLen(p))
+		return int64(len(t.res.Bucket(p)))
 	case t.store != nil:
 		return t.store.Pending(p) / int64(t.recSize)
 	}
 	return 0
 }
 
-// Drain implements UpdateTransport over the kept window's bucket runs or
-// the store's stream.
+// Drain implements UpdateTransport over the kept window's bucket or the
+// store's stream.
 func (t *ShuffleTransport[M]) Drain(p int, fn func([]Update[M]) error) error {
 	switch {
 	case t.res != nil:
-		var err error
-		t.res.Bucket(p, func(run []Update[M]) {
-			if err == nil {
-				err = fn(run)
-			}
-		})
-		return err
+		if run := t.res.Bucket(p); len(run) > 0 {
+			return fn(run)
+		}
+		return nil
 	case t.store != nil:
 		return t.store.Drain(p, func(run []byte) error { return fn(pod.FromBytes[Update[M]](run)) })
 	}

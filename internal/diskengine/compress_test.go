@@ -10,7 +10,8 @@ import (
 
 // shuffleLayout runs the pre-processing shuffle of a small RMAT graph into
 // partition edge files in the given layout and returns the files plus the
-// tile index. Single-threaded so the two layouts see identical run order.
+// tile index. The shuffle's layout, and so the run order the two layouts
+// see, is the same at any thread count.
 func shuffleLayout(t *testing.T, compressed bool, tileRecs int) ([]*partFile, *diskTiles) {
 	t.Helper()
 	src, _ := smallGraph(33)
@@ -29,7 +30,7 @@ func shuffleLayout(t *testing.T, compressed bool, tileRecs int) ([]*partFile, *d
 		}
 	}
 	tiles := newDiskTiles(k, tileRecs, compressed)
-	if err := partitionEdgesInto(src, files, false, tiles, 1024, plan, part, 1); err != nil {
+	if err := partitionEdgesInto(src, files, false, tiles, 1024, plan, part, 3); err != nil {
 		t.Fatal(err)
 	}
 	return files, tiles

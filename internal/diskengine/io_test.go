@@ -178,8 +178,8 @@ func TestBucketWriterBypass(t *testing.T) {
 	if buf == nil {
 		t.Fatal("bypass did not trigger")
 	}
-	if buf.BucketLen(0)+buf.BucketLen(1) != 100 || moved != 100 {
-		t.Fatalf("bypass buffer holds %d records, moved %d", buf.BucketLen(0)+buf.BucketLen(1), moved)
+	if held := len(buf.Bucket(0)) + len(buf.Bucket(1)); held != 100 || moved != 100 {
+		t.Fatalf("bypass buffer holds %d records, moved %d", held, moved)
 	}
 	if files[0].size != 0 || files[1].size != 0 {
 		t.Fatal("bypass still wrote files")

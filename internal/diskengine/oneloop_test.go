@@ -43,9 +43,8 @@ func spanCounts(rec *obs.Recorder) map[string]int {
 // TestSoloAndJobShareTheLoop: with vertex state in memory and spilled, for
 // PageRank with its transpose pass, a selective BFS over compressed tiles
 // and WCC under 2PS, solo Run and RunJob give bit-identical vertices, equal
-// loop-owned counters — at one thread the transport's bytes too, and with
-// spilled state the bytes the stores moved — and the same span-name
-// multiset.
+// loop-owned counters and transport bytes — and with spilled state the
+// bytes the stores moved — and the same span-name multiset.
 func TestSoloAndJobShareTheLoop(t *testing.T) {
 	dense, _ := smallGraph(23)
 	type workload struct {
@@ -55,8 +54,7 @@ func TestSoloAndJobShareTheLoop(t *testing.T) {
 		solo typedRun
 		job  func() *core.Job
 	}
-	// PageRank at one thread: its float sums are bit-exact only there.
-	pagerank := workload{name: "pagerank", src: dense, cfg: Config{Threads: 1}}
+	pagerank := workload{name: "pagerank", src: dense, cfg: Config{Threads: 3}}
 	pagerank.solo, pagerank.job = soloAndJob(func() core.Program[algorithms.PRState, float32] { return algorithms.NewPageRank(3) })
 	// A chain keeps the frontier narrow, so tiles are skipped, not just
 	// partitions.
@@ -98,9 +96,9 @@ func TestSoloAndJobShareTheLoop(t *testing.T) {
 				if a != b {
 					t.Errorf("Run and RunJob disagree on loop-owned counters:\n solo %+v\n job  %+v", a, b)
 				}
-				// At one thread both kinds scatter a partition through one
-				// kernel whose combining window stays open for all of it.
-				if w.cfg.Threads == 1 && solo.TransportBytes != job.TransportBytes {
+				// Both kinds scatter a partition through one kernel whose
+				// combining window stays open for all of it.
+				if solo.TransportBytes != job.TransportBytes {
 					t.Errorf("Run sent the transport %d bytes, RunJob %d", solo.TransportBytes, job.TransportBytes)
 				}
 				if state == "spilled" && (solo.BytesRead != job.BytesRead || solo.BytesWritten != job.BytesWritten) {

@@ -3,7 +3,6 @@ package memengine
 import (
 	"cmp"
 	"fmt"
-	"reflect"
 	"runtime"
 	"slices"
 	"sync"
@@ -56,32 +55,20 @@ func TestDeterministicAcrossConfigs(t *testing.T) {
 // twoPassTranspose is the reference transpose build: every edge copied,
 // transposed, into a buffer of its own in the forward buffer's bucket order,
 // then that copy shuffled by the new source's partition under the plan.
-// transpose must give its layout run by run in one placement pass.
+// transpose must give its layout in one placement pass.
 func twoPassTranspose(fwd *streambuf.Buffer[core.Edge], plan streambuf.Plan, part core.Split, threads int) *streambuf.Buffer[core.Edge] {
 	a := streambuf.New[core.Edge](fwd.Cap())
-	for p := 0; p < part.K; p++ {
-		fwd.Bucket(p, func(run []core.Edge) {
-			rev := make([]core.Edge, len(run))
-			for i, ed := range run {
-				rev[i] = core.Edge{Src: ed.Dst, Dst: ed.Src, Weight: ed.Weight}
-			}
-			a.Append(rev)
-		})
+	for _, ed := range fwd.Records() {
+		a.Append([]core.Edge{{Src: ed.Dst, Dst: ed.Src, Weight: ed.Weight}})
 	}
 	return streambuf.Shuffle(a, streambuf.New[core.Edge](a.Cap()), plan, threads, func(ed core.Edge) uint32 {
 		return part.Of(ed.Src)
 	})
 }
 
-// bucketRuns returns bucket p's runs as Bucket streams them.
-func bucketRuns(b *streambuf.Buffer[core.Edge], p int) (runs [][]core.Edge) {
-	b.Bucket(p, func(run []core.Edge) { runs = append(runs, run) })
-	return runs
-}
-
 // TestTransposeIndependentOfThreads: the transpose is the two-pass build's
-// layout run by run — every bucket the same runs, of the same lengths,
-// holding the same edges — for any thread count, partition count,
+// layout — every bucket the same edges in the same order — for any thread
+// count, partition count,
 // partitioner and shuffle plan, on graphs with empty partitions, with no
 // edges and with fewer edges than threads. Every partition's chunk has a
 // fixed place in it, so each partition streams the same edges in the same
@@ -128,11 +115,10 @@ func TestTransposeIndependentOfThreads(t *testing.T) {
 					t.Fatalf("%s: transpose holds %d of %d edges", name, got.Len(), pp.ne)
 				}
 				for p := 0; p < pp.part.K; p++ {
-					gotRuns, wantRuns := bucketRuns(got, p), bucketRuns(want, p)
-					if !reflect.DeepEqual(gotRuns, wantRuns) {
-						t.Fatalf("%s: partition %d streams %d runs unlike the two-pass build's %d", name, p, len(gotRuns), len(wantRuns))
+					stream := got.Bucket(p)
+					if !slices.Equal(stream, want.Bucket(p)) {
+						t.Fatalf("%s: partition %d streams %d edges unlike the two-pass build's %d", name, p, len(stream), len(want.Bucket(p)))
 					}
-					stream := slices.Concat(gotRuns...)
 					for _, ed := range stream {
 						if int(pp.part.Of(ed.Src)) != p {
 							t.Fatalf("%s: partition %d holds transposed edge %v", name, p, ed)

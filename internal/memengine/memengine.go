@@ -19,15 +19,15 @@
 // Parallelism follows the paper: partitions are the unit of work for
 // scatter and gather, claimed by threads from a shared cursor (work
 // stealing, §4.1); threads append updates through small private buffers
-// flushed into the shared output buffer by atomic reservation; the shuffle
-// runs lock-free on per-thread slices (§4.2). A job gathers on the threads
-// it has to itself: all of them alone, Threads / jobs when co-scheduled.
+// flushed into the shared output buffer by atomic reservation, each under
+// its partition, and the shuffle places them lock-free in partition order
+// (§4.2). A job gathers on the threads it has to itself: all of them alone,
+// Threads / jobs when co-scheduled.
 //
 // The transposed edge list a Backward iteration streams is built the first
 // time a job asks for it by streaming the forward buffer (§2), never by
-// sorting it: one pass counts each thread's slice of it by destination
-// partition, and one placement pass writes every edge, transposed, straight
-// into its final place in the one buffer allocated.
+// sorting it: one placement by destination partition into the one buffer
+// allocated.
 //
 // When the program implements core.Combiner the private buffers become
 // combining buffers, so the stream the gather phase random-accesses
@@ -83,30 +83,29 @@ func Run[V, M any](g core.EdgeSource, prog core.Program[V, M], cfg Config) (*Res
 	return core.Typed[V](RunJob(context.Background(), g, core.NewJob(prog), cfg))
 }
 
-// edgeTiles is one orientation's tile index: every partition's tiles in
-// BucketTiles order, aliasing the edge buffer, and the word→tile index over
-// their source spans. The buffer is shuffled once at setup and never
-// changes, so the tiles stay exactly what a BucketTiles walk with the same
-// tile size would see.
+// edgeTiles is one orientation's tile index: every partition's tiles
+// (BucketTiles), aliasing the edge buffer, and the word→tile index over
+// their source spans. The buffer is placed once at setup and never
+// changes, so the tiles stay the ones the spans describe.
 type edgeTiles struct {
 	tiles [][][]core.Edge // tiles[p][i] is partition p's tile i
 	index *core.TileIndex
 }
 
-// buildTileIndex walks every partition's edge chunk in BucketTiles order
-// and indexes each tile's source span.
+// buildTileIndex cuts every partition's edge chunk into tiles and indexes
+// each tile's source span.
 func buildTileIndex(buf *streambuf.Buffer[core.Edge], k, tileRecs int) *edgeTiles {
 	et := &edgeTiles{tiles: make([][][]core.Edge, k)}
 	spans := make([][]core.SrcSpan, k)
 	for p := 0; p < k; p++ {
-		buf.BucketTiles(p, tileRecs, func(tile []core.Edge) {
+		et.tiles[p] = buf.BucketTiles(p, tileRecs)
+		for _, tile := range et.tiles[p] {
 			span := core.NewSrcSpan(tile[0].Src)
 			for _, ed := range tile[1:] {
 				span.Add(ed.Src)
 			}
-			et.tiles[p] = append(et.tiles[p], tile)
 			spans[p] = append(spans[p], span)
-		})
+		}
 	}
 	et.index = core.NewTileIndex(spans)
 	return et

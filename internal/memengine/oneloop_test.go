@@ -16,7 +16,7 @@ import (
 )
 
 // workOnly strips the wall-clock fields from a profile, leaving what two
-// runs of the same work at one thread must agree on exactly.
+// runs of the same work must agree on exactly.
 func workOnly(s core.Stats) core.Stats {
 	s.TotalTime, s.PreprocessTime, s.ScatterTime, s.ShuffleTime, s.GatherTime = 0, 0, 0, 0, 0
 	iters := make([]core.IterStats, len(s.Iters))
@@ -81,22 +81,21 @@ func soloCase[V, M any](t *testing.T, src core.EdgeSource, cfg Config, mk func()
 	}
 }
 
-// TestSoloIsSetOfOne: Run is RunJob with the types kept. One thread, so
-// that every counter — the combining ones included — is a pure function
-// of the input.
+// TestSoloIsSetOfOne: Run is RunJob with the types kept, every counter —
+// the combining ones included — and every float equal at three threads.
 func TestSoloIsSetOfOne(t *testing.T) {
 	rmat := graphgen.RMAT(graphgen.RMATConfig{Scale: 10, EdgeFactor: 8, Seed: 21, Undirected: true})
 	t.Run("pagerank", func(t *testing.T) {
 		// Phased, and iteration 0 streams the transpose.
-		soloCase(t, rmat, Config{Threads: 1, Partitions: 8},
+		soloCase(t, rmat, Config{Threads: 3, Partitions: 8},
 			func() core.Program[algorithms.PRState, float32] { return algorithms.NewPageRank(4) })
 	})
 	t.Run("bfs-selective", func(t *testing.T) {
-		soloCase(t, graphgen.CliqueChain(24, 8, 3), Config{Threads: 1, Partitions: 8, Selective: true, TileEdges: 16},
+		soloCase(t, graphgen.CliqueChain(24, 8, 3), Config{Threads: 3, Partitions: 8, Selective: true, TileEdges: 16},
 			func() core.Program[algorithms.BFSState, int32] { return algorithms.NewBFS(5) })
 	})
 	t.Run("wcc-2ps", func(t *testing.T) {
-		soloCase(t, rmat, Config{Threads: 1, Partitions: 8, Partitioner: partition2ps.New()},
+		soloCase(t, rmat, Config{Threads: 3, Partitions: 8, Partitioner: partition2ps.New()},
 			func() core.Program[algorithms.WCCState, core.VertexID] { return algorithms.NewWCC() })
 	})
 }

@@ -142,10 +142,7 @@ func (pp *Prepared) Bytes() int64 {
 func (pp *Prepared) Close() {}
 
 // edges returns the edge buffer (and, when wanted, tile index) for a
-// direction, building the transpose and index lazily, at most once. The
-// transpose is one count pass and one placement pass over the forward
-// buffer, straight into the transposed buffer: no transposed copy is made
-// to shuffle from.
+// direction, building the transpose and index lazily, at most once.
 func (pp *Prepared) edges(dir core.Direction, needTiles bool) (*streambuf.Buffer[core.Edge], *edgeTiles) {
 	pp.mu.Lock()
 	defer pp.mu.Unlock()
@@ -286,7 +283,8 @@ func (m *memPass) Scatter(ctx context.Context, dir core.Direction, subs []core.J
 			pStart = time.Now()
 		}
 		var pEdges int64
-		chunkLen := int64(edges.BucketLen(p))
+		chunk := edges.Bucket(p)
+		chunkLen := int64(len(chunk))
 		plan := &m.plans[w]
 		plan.Plan(subs, p, chunkLen, tiles != nil)
 		needing := plan.Needing
@@ -340,18 +338,15 @@ func (m *memPass) Scatter(ctx context.Context, dir core.Direction, subs []core.J
 			streamed.Add(took)
 			pEdges += took
 		} else {
-			edges.Bucket(p, func(run []core.Edge) {
-				if err != nil {
-					return
+			for _, sc := range scatters {
+				if err = sc.Edges(chunk); err != nil {
+					break
 				}
-				for _, sc := range scatters {
-					if err = sc.Edges(run); err != nil {
-						return
-					}
-				}
-				streamed.Add(int64(len(run)))
-				pEdges += int64(len(run))
-			})
+			}
+			if err == nil {
+				streamed.Add(chunkLen)
+				pEdges += chunkLen
+			}
 		}
 		for _, sc := range scatters {
 			if ferr := sc.Flush(); err == nil {
@@ -433,55 +428,18 @@ func loadShuffled(src core.EdgeSource, plan streambuf.Plan, part core.Split, thr
 	}), nil
 }
 
-// transpose builds the transposed edge buffer — fwd's edges with source and
-// destination swapped, bucketed by the new source's partition — in the
-// layout a shuffle of the transposed sequence would give: that sequence
-// (fwd's buckets in partition order, each in Bucket order) cut into one
-// equal slice per thread, each slice ordered stably by partition. Every
-// shuffle stage is stable, so this is the layout at any fanout, and it is
-// reached in one count pass and one placement pass over fwd per slice, each
-// edge written once, into the only edge buffer allocated. Each edge's place
-// is fixed by the counts, so the result does not depend on which worker
-// wrote it, or when.
+// transpose builds the transposed edge buffer, bucketed by the new source's
+// partition: one placement of fwd's records by destination partition into
+// the only edge buffer allocated, then every edge's ends swapped in place.
 func transpose(fwd *streambuf.Buffer[core.Edge], part core.Split, threads int) *streambuf.Buffer[core.Edge] {
-	var runs [][]core.Edge
-	for p := 0; p < part.K; p++ {
-		fwd.Bucket(p, func(run []core.Edge) { runs = append(runs, run) })
-	}
-	n := fwd.Len()
-	// share calls fn on the pieces of the transposed sequence in slice i.
-	share := func(i int, fn func([]core.Edge)) {
-		lo, hi := i*n/threads, (i+1)*n/threads
-		off := 0
-		for _, run := range runs {
-			if a, b := max(lo-off, 0), min(hi-off, len(run)); a < b {
-				fn(run[a:b])
-			}
-			if off += len(run); off >= hi {
-				return
-			}
+	bwd := streambuf.New[core.Edge](fwd.Cap())
+	bwd.Place(fwd.Records(), part.K, threads, func(ed core.Edge) uint32 { return part.Of(ed.Dst) })
+	edges := bwd.Records()
+	const block = 1 << 16
+	core.ForEachClaimed((len(edges)+block-1)/block, threads, func(_, b int) {
+		for i := b * block; i < min(len(edges), (b+1)*block); i++ {
+			edges[i].Src, edges[i].Dst = edges[i].Dst, edges[i].Src
 		}
-	}
-	counts := make([][]int, threads)
-	core.ForEachClaimed(threads, threads, func(_, i int) {
-		c := make([]int, part.K)
-		share(i, func(run []core.Edge) {
-			for _, ed := range run {
-				c[part.Of(ed.Dst)]++
-			}
-		})
-		counts[i] = c
-	})
-	bwd, dst := streambuf.NewBucketed[core.Edge](fwd.Cap(), counts)
-	core.ForEachClaimed(threads, threads, func(_, i int) {
-		cur := counts[i]
-		share(i, func(run []core.Edge) {
-			for _, ed := range run {
-				p := part.Of(ed.Dst)
-				dst[cur[p]] = core.Edge{Src: ed.Dst, Dst: ed.Src, Weight: ed.Weight}
-				cur[p]++
-			}
-		})
 	})
 	return bwd
 }

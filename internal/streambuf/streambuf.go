@@ -3,26 +3,20 @@
 // Figure 7).
 //
 // A stream buffer is a statically sized chunk array of fixed-size records
-// plus index arrays that describe, for each streaming partition, the chunk
-// of records belonging to it. To allow lock-free parallel shuffling the
-// buffer is divided into P disjoint slices, one per thread; each slice
-// carries its own index array and a thread only ever touches its own slice.
-// The chunk for a partition is the union of that partition's chunks across
-// all slices, so consuming a partition costs at most P extra random
-// accesses (negligible next to the records themselves).
+// plus an index array that describes, for each streaming partition, the
+// chunk of records belonging to it: K+1 offsets, bucket p being the records
+// between offsets p and p+1. A bucket is one run.
+//
+// Every bucketed layout comes from one placement routine, place: a stable
+// partition of an ordered input, so the layout is a function of the input
+// and the keys alone, whatever the parallelism.
 //
 // Shuffling into K partitions proceeds in ⌈log_F K⌉ stages of fanout F,
-// ping-ponging between two buffers, exactly as described in the paper: a
+// ping-ponging between two buffers, as described in the paper: a
 // single-stage shuffle with huge K loses cache locality and prefetcher
 // coverage, so F is bounded by the number of cache lines in the target
-// cache.
-//
-// A producer that can walk its records twice and count each slice's
-// records per bucket needs neither the stages nor the second buffer:
-// NewBucketed lays the chunk index out from its counts, and one placement
-// pass writes every record straight into its final place. Every shuffle
-// stage is stable, so that is the layout a Shuffle of the same slices
-// gives, at any fanout.
+// cache. Every stage after the first places each bucket of the stage
+// before inside that bucket's range, so any fanout gives one layout.
 package streambuf
 
 import (
@@ -32,32 +26,23 @@ import (
 	"sync/atomic"
 )
 
-// Chunk locates a contiguous run of records inside the chunk array.
-type Chunk struct {
-	Off int // absolute record offset into the chunk array
-	Len int // number of records
-}
-
 // Buffer is a stream buffer of fixed-size records of type T.
 //
 // A Buffer is in one of two states:
 //
 //   - append state: records are appended (concurrently) at the shared
 //     cursor; there is no partition structure yet.
-//   - bucketed state: after Shuffle, or from NewBucketed, every slice has
-//     an index array of K chunks and Bucket/BucketLen are meaningful.
+//   - bucketed state: after a placement (Shuffle, Place, a Writer's Seal)
+//     off holds K+1 offsets and Bucket returns bucket p's run.
 type Buffer[T any] struct {
 	data []T
 	n    atomic.Int64 // shared append cursor (append state)
+	off  []int        // bucketed state: bucket p is data[off[p]:off[p+1]]; empty in append state
 
-	// bucketed state
-	buckets int     // number of buckets (0 = append state)
-	slices  []slice // per-thread slices
-}
-
-type slice struct {
-	base, limit int     // record region [base, limit) of data
-	idx         []Chunk // one entry per bucket, absolute offsets
+	// runs and pl are scratch reused by every placement into the buffer:
+	// a one-run input list and the placement routine's state.
+	runs [][]T
+	pl   placement[T]
 }
 
 // New allocates a stream buffer with room for capacity records.
@@ -70,80 +55,42 @@ func (b *Buffer[T]) Cap() int { return len(b.data) }
 
 // Len returns the number of records currently held.
 func (b *Buffer[T]) Len() int {
-	if b.buckets > 0 {
-		total := 0
-		for i := range b.slices {
-			total += b.slices[i].limit - b.slices[i].base
-		}
-		return total
+	if k := len(b.off) - 1; k > 0 {
+		return b.off[k]
 	}
 	return int(b.n.Load())
 }
 
-// Reset returns the buffer to the empty append state. The slices' storage
-// is kept for the next shuffle to reuse.
+// Records returns the records held: in append state the filled prefix, in
+// bucketed state every bucket back to back in bucket order. It aliases the
+// buffer.
+func (b *Buffer[T]) Records() []T { return b.data[:b.Len()] }
+
+// Reset returns the buffer to the empty append state. The offset array and
+// the placement scratch are kept for the next placement to reuse.
 func (b *Buffer[T]) Reset() {
 	b.n.Store(0)
-	b.buckets = 0
-	b.slices = b.slices[:0]
+	b.off = b.off[:0]
 }
 
 // Append reserves space for batch atomically and copies it in. It is safe
 // for concurrent use. It returns false (appending nothing) if the buffer is
 // full; the caller is expected to have sized the buffer so this is fatal.
 func (b *Buffer[T]) Append(batch []T) bool {
+	_, ok := b.reserve(batch)
+	return ok
+}
+
+// reserve is Append that also returns where batch landed.
+func (b *Buffer[T]) reserve(batch []T) (int, bool) {
 	n := int64(len(batch))
 	off := b.n.Add(n) - n
 	if off+n > int64(len(b.data)) {
 		b.n.Add(-n)
-		return false
+		return 0, false
 	}
 	copy(b.data[off:off+n], batch)
-	return true
-}
-
-// NewBucketed allocates a buffer of the given capacity already in bucketed
-// state, for a producer that has counted its records itself: the filled
-// prefix is len(counts) slices laid back to back, slice i holding
-// counts[i][g] records of bucket g, bucket by bucket. Every counts[i] has
-// one entry per bucket. NewBucketed rewrites each counts[i][g] into the
-// offset of chunk (i, g) in the returned record array — the cursor the
-// producer's placement pass advances as it writes the chunk's records in
-// order. The array aliases the buffer; every counted record must be written
-// before the buffer is read.
-func NewBucketed[T any](capacity int, counts [][]int) (*Buffer[T], []T) {
-	if len(counts) == 0 || len(counts[0]) == 0 {
-		panic("streambuf: NewBucketed needs at least one slice and one bucket")
-	}
-	b := New[T](capacity)
-	b.buckets = len(counts[0])
-	b.slices = make([]slice, len(counts))
-	base := 0
-	for i, c := range counts {
-		if len(c) != b.buckets {
-			panic(fmt.Sprintf("streambuf: NewBucketed slice %d has %d buckets, slice 0 has %d", i, len(c), b.buckets))
-		}
-		idx, end := chunkIndex(base, c)
-		if end > capacity {
-			panic(fmt.Sprintf("streambuf: NewBucketed of %d+ records into capacity %d", end, capacity))
-		}
-		b.slices[i] = slice{base: base, limit: end, idx: idx}
-		base = end
-	}
-	return b, b.data
-}
-
-// chunkIndex lays one slice's bucket counts out back to back from base and
-// returns the slice's chunk index and where it ends. It rewrites counts[g]
-// into chunk g's offset, the write cursor of a placement pass.
-func chunkIndex(base int, counts []int) ([]Chunk, int) {
-	idx := make([]Chunk, len(counts))
-	for g, c := range counts {
-		idx[g] = Chunk{Off: base, Len: c}
-		counts[g] = base
-		base += c
-	}
-	return idx, base
+	return int(off), true
 }
 
 // Fill replaces the buffer contents with src (append state).
@@ -156,82 +103,152 @@ func (b *Buffer[T]) Fill(src []T) {
 	b.n.Store(int64(len(src)))
 }
 
-// Bucket calls fn for each contiguous run of records in bucket p, in slice
-// order. The slices passed to fn alias the buffer.
-func (b *Buffer[T]) Bucket(p int, fn func([]T)) {
-	for i := range b.slices {
-		c := b.slices[i].idx[p]
-		if c.Len > 0 {
-			fn(b.data[c.Off : c.Off+c.Len])
-		}
+// Bucket returns bucket p's records, one run in input order. It aliases
+// the buffer.
+func (b *Buffer[T]) Bucket(p int) []T { return b.data[b.off[p]:b.off[p+1]] }
+
+// BucketTiles returns bucket p cut into tiles of tileRecs records, the last
+// one shorter; tileRecs < 1 makes the whole bucket one tile, and an empty
+// bucket has none. The tiling is a pure function of the bucket and
+// tileRecs. These are the tile boundaries of selective streaming: an engine
+// indexes a per-tile source summary once, and as long as the buffer is not
+// placed again or reset, every tile stays the one its summary describes.
+// The tiles alias the buffer.
+func (b *Buffer[T]) BucketTiles(p, tileRecs int) [][]T {
+	run := b.Bucket(p)
+	if tileRecs < 1 {
+		tileRecs = max(len(run), 1)
 	}
+	tiles := make([][]T, 0, (len(run)+tileRecs-1)/tileRecs)
+	for off := 0; off < len(run); off += tileRecs {
+		tiles = append(tiles, run[off:min(off+tileRecs, len(run))])
+	}
+	return tiles
 }
 
-// BucketLen returns the number of records in bucket p.
-func (b *Buffer[T]) BucketLen(p int) int {
-	total := 0
-	for i := range b.slices {
-		total += b.slices[i].idx[p].Len
-	}
-	return total
+// Place lays in out in b as k buckets, bucket p holding, in input order,
+// every record r of in with key(r) = p, with the given parallelism. b must
+// have room for in, and in must not alias b.
+func (b *Buffer[T]) Place(in []T, k, threads int, key func(T) uint32) {
+	b.runs = append(b.runs[:0], in)
+	b.setOff(k)
+	place(b, b.off, b.runs, 0, k, threads, key, 0, ^uint32(0))
 }
 
-// BucketTiles streams bucket p exactly as Bucket does, but in tiles of at
-// most tileRecs records; tiles never span a slice-chunk boundary, so the
-// tiling is a pure function of the bucketed layout and tileRecs. These are
-// the tile boundaries of selective streaming: an engine walks the tiles
-// once to index a per-tile source summary, and — as long as the buffer is
-// not re-shuffled or reset between walks — every later walk with the same
-// tileRecs sees the identical i-th tile, letting it skip tiles whose
-// summary proves no record matters this iteration. tileRecs < 1 degrades
-// to whole runs (one tile per run).
-func (b *Buffer[T]) BucketTiles(p, tileRecs int, fn func(tile []T)) {
-	b.Bucket(p, func(run []T) {
-		if tileRecs < 1 || tileRecs >= len(run) {
-			fn(run)
-			return
-		}
-		for off := 0; off < len(run); off += tileRecs {
-			end := off + tileRecs
-			if end > len(run) {
-				end = len(run)
-			}
-			fn(run[off:end])
-		}
-	})
+// setOff sizes b's offset array for k buckets, reusing its storage.
+func (b *Buffer[T]) setOff(k int) {
+	if cap(b.off) < k+1 {
+		b.off = make([]int, k+1)
+	}
+	b.off = b.off[:k+1]
 }
 
-// sliceAppendState cuts the filled region into p equal slices of one
-// bucket each, the first stage's input.
-func (b *Buffer[T]) sliceAppendState(p int) {
-	n := int(b.n.Load())
-	b.slices = resliced(b.slices, p)
-	for i := range b.slices {
-		s := &b.slices[i]
-		s.base, s.limit = i*n/p, (i+1)*n/p
-		s.idx = append(s.idx[:0], Chunk{Off: s.base, Len: s.limit - s.base})
-	}
-	b.buckets = 1
-}
-
-// resliced returns ss with length n, reusing its storage — each slice's
-// chunk index included — when it has room.
-func resliced(ss []slice, n int) []slice {
-	if cap(ss) < n {
-		return append(ss[:cap(ss)], make([]slice, n-cap(ss))...)
-	}
-	return ss[:n]
-}
+// pad is the gap, in cursors, between two slices' cursors: one cache line,
+// so slices advancing their own cursors never share a line.
+const pad = 8
 
 // minParallelRecs is the fewest records worth a goroutine of their own: a
-// shuffle stage starts at most one goroutine per minParallelRecs
+// placement cuts its input into at most one slice per minParallelRecs
 // records, and runs on the caller's goroutine below that.
 const minParallelRecs = 4096
 
-// workersFor returns how many goroutines share the records of b's slices:
-// at most one per slice and at least one.
-func (b *Buffer[T]) workersFor() int {
-	return max(1, min(len(b.slices), b.Len()/minParallelRecs))
+// placement is the state of one call of place.
+type placement[T any] struct {
+	dst     []T   // where the buckets go
+	runs    [][]T // the ordered input
+	n       int   // records in runs
+	k       int
+	slices  int
+	key     func(T) uint32
+	shift   uint
+	mask    uint32
+	cursors []int // slice i's cursors are cursors[i*(k+pad):][:k]
+}
+
+// place is the one placement routine. It lays the n records of runs, an
+// ordered input, out in b.data[base:base+n] as k buckets: bucket g holds,
+// in input order, every record r with key(r)>>shift&mask == g, and lies
+// between off[g] and off[g+1], which place writes (off has k+1 entries).
+// The input is cut into equal slices, at most threads and at least
+// minParallelRecs records each: the slices are counted per bucket in
+// parallel, the counts are laid out bucket-major, slice by slice within a
+// bucket, and the slices are placed in parallel, each (bucket, slice) pair
+// advancing a cursor of its own. The layout depends on the input alone.
+func place[T any](b *Buffer[T], off []int, runs [][]T, base, k, threads int, key func(T) uint32, shift uint, mask uint32) {
+	pl := &b.pl
+	n := 0
+	for _, r := range runs {
+		n += len(r)
+	}
+	slices := max(1, min(threads, n/minParallelRecs))
+	if cap(pl.cursors) < slices*(k+pad) {
+		pl.cursors = make([]int, slices*(k+pad))
+	}
+	pl.dst, pl.runs, pl.n, pl.k, pl.slices = b.data[base:base+n], runs, n, k, slices
+	pl.key, pl.shift, pl.mask = key, shift, mask
+	pl.cursors = pl.cursors[:slices*(k+pad)]
+
+	pl.each(false)
+	pos := 0
+	for g := 0; g < k; g++ {
+		off[g] = base + pos
+		for i := g; i < len(pl.cursors); i += k + pad {
+			c := pl.cursors[i]
+			pl.cursors[i] = pos
+			pos += c
+		}
+	}
+	off[k] = base + n
+	pl.each(true)
+	pl.dst, pl.runs, pl.key = nil, nil, nil
+}
+
+// each counts, or places, every slice, slice 0 on the caller's goroutine.
+func (pl *placement[T]) each(placing bool) {
+	if pl.slices == 1 {
+		pl.work(0, placing)
+		return
+	}
+	var wg sync.WaitGroup
+	wg.Add(pl.slices - 1)
+	for i := 1; i < pl.slices; i++ {
+		go func(i int) {
+			defer wg.Done()
+			pl.work(i, placing)
+		}(i)
+	}
+	pl.work(0, placing)
+	wg.Wait()
+}
+
+// work counts slice i's records per bucket into its cursors or, placing,
+// writes them to their places, advancing the cursors.
+func (pl *placement[T]) work(i int, placing bool) {
+	cur := pl.cursors[i*(pl.k+pad):][:pl.k]
+	if !placing {
+		clear(cur)
+	}
+	dst, key, shift, mask := pl.dst, pl.key, pl.shift, pl.mask
+	lo, hi := i*pl.n/pl.slices, (i+1)*pl.n/pl.slices
+	off := 0
+	for _, run := range pl.runs {
+		if a, b := max(lo-off, 0), min(hi-off, len(run)); a < b {
+			if placing {
+				for _, r := range run[a:b] {
+					g := key(r) >> shift & mask
+					dst[cur[g]] = r
+					cur[g]++
+				}
+			} else {
+				for _, r := range run[a:b] {
+					cur[key(r)>>shift&mask]++
+				}
+			}
+		}
+		if off += len(run); off >= hi {
+			return
+		}
+	}
 }
 
 // Plan describes a multi-stage shuffle: the number of buckets after each
@@ -276,111 +293,61 @@ func (p Plan) NumStages() int {
 }
 
 // Shuffle partitions the records of in into plan.K buckets by the top bits
-// of key(record), using p parallel slice workers and ping-ponging between
-// in and out (which must have equal capacity). It returns the buffer that
-// holds the final bucketed result (in or out, depending on stage parity).
+// of key(record), with the given parallelism, ping-ponging between in and
+// out (which must have equal capacity). It returns the buffer that holds
+// the final bucketed result (in or out, depending on stage parity). An
+// append-state in is placed in append order; a bucketed one has each of its
+// buckets split further.
 //
 // key must return a value in [0, plan.K).
-func Shuffle[T any](in, out *Buffer[T], plan Plan, p int, key func(T) uint32) *Buffer[T] {
+func Shuffle[T any](in, out *Buffer[T], plan Plan, threads int, key func(T) uint32) *Buffer[T] {
 	if len(in.data) != len(out.data) {
 		panic("streambuf: Shuffle buffers must have equal capacity")
 	}
-	if p < 1 {
-		p = 1
+	if len(in.off) > 0 || plan.K == 1 {
+		if len(in.off) == 0 {
+			n := in.Len()
+			in.setOff(1)
+			in.off[0], in.off[1] = 0, n
+		}
+		return stages(in, out, plan, threads, key)
 	}
-	if in.buckets == 0 {
-		in.sliceAppendState(p)
-	}
-	if plan.K == 1 {
-		return in
-	}
+	in.runs = append(in.runs[:0], in.Records())
+	return shuffleRuns(in.runs, out, in, plan, threads, key)
+}
 
+// shuffleRuns is Shuffle of the ordered input runs: the first stage places
+// them in dst, the later ones ping-pong between dst and spare, which the
+// runs may alias. It returns the buffer holding the result and resets the
+// other.
+func shuffleRuns[T any](runs [][]T, dst, spare *Buffer[T], plan Plan, threads int, key func(T) uint32) *Buffer[T] {
+	k := plan.Stages[0]
+	dst.setOff(k)
+	place(dst, dst.off, runs, 0, k, threads, key, uint(bits.TrailingZeros(uint(plan.K/k))), uint32(k-1))
+	return stages(dst, spare, plan, threads, key)
+}
+
+// stages runs the stages of plan that cur's buckets have not yet taken,
+// each placing every bucket of cur within the bucket's own range of nxt,
+// and returns the buffer holding the result, the other one reset.
+func stages[T any](cur, nxt *Buffer[T], plan Plan, threads int, key func(T) uint32) *Buffer[T] {
 	kb := bits.TrailingZeros(uint(plan.K))
-	cur, nxt := in, out
-	prevBuckets := in.buckets
-	// Mirror slice boundaries onto the scratch buffer once.
-	nxt.slices = resliced(nxt.slices, len(cur.slices))
 	for _, want := range plan.Stages {
-		if want <= prevBuckets {
+		prev := len(cur.off) - 1
+		if want <= prev {
 			continue
 		}
-		shift := kb - bits.TrailingZeros(uint(want))
-		sub := want / prevBuckets
-		stageShuffle(cur, nxt, prevBuckets, sub, shift, key)
+		sub := want / prev
+		shift := uint(kb - bits.TrailingZeros(uint(want)))
+		nxt.setOff(want)
+		for g := 0; g < prev; g++ {
+			// Bucket g's sub-buckets take offsets g*sub..(g+1)*sub of nxt,
+			// the last being bucket g+1's first.
+			nxt.runs = append(nxt.runs[:0], cur.Bucket(g))
+			place(nxt, nxt.off[g*sub:(g+1)*sub+1], nxt.runs, cur.off[g], sub, threads, key, shift, uint32(sub-1))
+		}
 		cur, nxt = nxt, cur
-		prevBuckets = want
 	}
-	cur.buckets = prevBuckets
 	nxt.Reset()
 	return cur
-}
-
-// stageShuffle performs one shuffle stage: every existing bucket of cur is
-// split into sub sub-buckets ordered by (key >> shift) within each slice.
-// A worker touches only its own slices in both buffers, so no
-// synchronization is needed until the final join; a stage of fewer than
-// minParallelRecs records per slice worker takes fewer workers, down to
-// the caller's goroutine alone. The layout depends on the slices, never on
-// the workers.
-func stageShuffle[T any](cur, nxt *Buffer[T], oldBuckets, sub, shift int, key func(T) uint32) {
-	workers := cur.workersFor()
-	if workers == 1 {
-		for si := range cur.slices {
-			shuffleSlice(cur, nxt, si, oldBuckets, sub, shift, key)
-		}
-		return
-	}
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for si := w; si < len(cur.slices); si += workers {
-				shuffleSlice(cur, nxt, si, oldBuckets, sub, shift, key)
-			}
-		}(w)
-	}
-	wg.Wait()
-}
-
-// shuffleSlice is one slice's share of a shuffle stage. The new chunk
-// index, reusing nxt's storage for the slice, first counts each new
-// bucket's records, then lays the chunks out and serves as the placement
-// pass's write cursors.
-func shuffleSlice[T any](cur, nxt *Buffer[T], si, oldBuckets, sub, shift int, key func(T) uint32) {
-	src, dst := &cur.slices[si], &nxt.slices[si]
-	dst.base, dst.limit = src.base, src.limit
-	idx := dst.idx[:0]
-	if n := oldBuckets * sub; cap(idx) < n {
-		idx = make([]Chunk, n)
-	} else {
-		idx = idx[:n]
-		clear(idx)
-	}
-	// Pass 1: count records per new bucket.
-	for g := 0; g < oldBuckets; g++ {
-		c := src.idx[g]
-		for _, rec := range cur.data[c.Off : c.Off+c.Len] {
-			idx[g*sub+int(key(rec))>>shift&(sub-1)].Len++
-		}
-	}
-	// Chunk offsets within the slice region, then pass 2 scatters records
-	// to their chunks, advancing each chunk's Off as its cursor.
-	off := dst.base
-	for i := range idx {
-		idx[i].Off = off
-		off += idx[i].Len
-	}
-	for g := 0; g < oldBuckets; g++ {
-		c := src.idx[g]
-		for _, rec := range cur.data[c.Off : c.Off+c.Len] {
-			nb := g*sub + int(key(rec))>>shift&(sub-1)
-			nxt.data[idx[nb].Off] = rec
-			idx[nb].Off++
-		}
-	}
-	for i := range idx {
-		idx[i].Off -= idx[i].Len
-	}
-	dst.idx = idx
 }

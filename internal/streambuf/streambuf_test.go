@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -31,7 +32,7 @@ func makeRecs(n int, k uint32, seed int64) []rec {
 func collect(b *Buffer[rec], k int) []rec {
 	var out []rec
 	for p := 0; p < k; p++ {
-		b.Bucket(p, func(run []rec) { out = append(out, run...) })
+		out = append(out, b.Bucket(p)...)
 	}
 	return out
 }
@@ -44,13 +45,11 @@ func checkShuffled(t *testing.T, in []rec, b *Buffer[rec], k int) {
 	}
 	// Every record in bucket p must have key p.
 	for p := 0; p < k; p++ {
-		b.Bucket(p, func(run []rec) {
-			for _, r := range run {
-				if int(r.Key) != p {
-					t.Fatalf("bucket %d contains key %d", p, r.Key)
-				}
+		for _, r := range b.Bucket(p) {
+			if int(r.Key) != p {
+				t.Fatalf("bucket %d contains key %d", p, r.Key)
 			}
-		})
+		}
 	}
 	// Multiset equality via sorted Val (Vals are unique).
 	a := make([]int, len(in))
@@ -114,7 +113,7 @@ func TestShuffleStagesEquivalent(t *testing.T) {
 		res := Shuffle(a, b, plan, 4, keyOf)
 		out := make([][]rec, k)
 		for p := 0; p < k; p++ {
-			res.Bucket(p, func(run []rec) { out[p] = append(out[p], run...) })
+			out[p] = append(out[p], res.Bucket(p)...)
 			sort.Slice(out[p], func(i, j int) bool { return out[p][i].Val < out[p][j].Val })
 		}
 		return out
@@ -157,7 +156,7 @@ func TestShuffleEmpty(t *testing.T) {
 		t.Fatalf("Len = %d", res.Len())
 	}
 	for p := 0; p < 4; p++ {
-		if res.BucketLen(p) != 0 {
+		if len(res.Bucket(p)) != 0 {
 			t.Fatalf("bucket %d non-empty", p)
 		}
 	}
@@ -177,18 +176,12 @@ func TestShuffleProperty(t *testing.T) {
 		res := Shuffle(a, b, plan, 4, keyOf)
 		total := 0
 		for p := 0; p < k; p++ {
-			ok := true
-			res.Bucket(p, func(run []rec) {
-				for _, r := range run {
-					if int(r.Key) != p {
-						ok = false
-					}
+			for _, r := range res.Bucket(p) {
+				if int(r.Key) != p {
+					return false
 				}
-			})
-			if !ok {
-				return false
 			}
-			total += res.BucketLen(p)
+			total += len(res.Bucket(p))
 		}
 		return total == nn
 	}
@@ -332,9 +325,7 @@ func TestWriterAppend(t *testing.T) {
 		if err != nil || buf == nil || len(runs) != 0 || moved != win {
 			t.Fatalf("Seal kept %v having moved %d after %d sink runs: %v", buf != nil, moved, len(runs), err)
 		}
-		var kept []int
-		buf.Bucket(0, func(run []int) { kept = append(kept, run...) })
-		if !reflect.DeepEqual(kept, seq(0, win)) {
+		if kept := buf.Bucket(0); !reflect.DeepEqual(kept, seq(0, win)) {
 			t.Fatalf("kept window %v", kept)
 		}
 	})
@@ -382,6 +373,37 @@ func TestWriterAppend(t *testing.T) {
 		}
 	})
 
+	t.Run("a flushed window sinks one run per non-empty bucket", func(t *testing.T) {
+		const k, big = 8, 3 * minParallelRecs
+		plan, _ := NewPlan(k, k)
+		in := makeRecs(2*big, k-1, 9) // bucket k-1 stays empty
+		type call struct {
+			bucket int
+			run    []rec
+		}
+		var calls []call
+		w := NewWriter(big, plan, 4, keyOf, func(p int, run []rec) error {
+			calls = append(calls, call{p, append([]rec(nil), run...)})
+			return nil
+		})
+		defer w.Stop()
+		if err := w.Append(in); err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := w.Seal(); err != nil {
+			t.Fatal(err)
+		}
+		if len(calls) != 2*(k-1) {
+			t.Fatalf("two windows of %d non-empty buckets took %d sink calls", k-1, len(calls))
+		}
+		for i, c := range calls {
+			win := i / (k - 1)
+			if want := stablePartition(in[win*big:(win+1)*big], k)[c.bucket]; c.bucket != i%(k-1) || !slices.Equal(c.run, want) {
+				t.Fatalf("sink call %d: bucket %d, %d records; want bucket %d as one run of its window", i, c.bucket, len(c.run), i%(k-1))
+			}
+		}
+	})
+
 	t.Run("without a sink a batch past the window is refused", func(t *testing.T) {
 		w := NewWriter[int](win, plan, 1, func(int) uint32 { return 0 }, nil)
 		appendAll(w, seq(0, win))
@@ -413,71 +435,6 @@ func TestPlanValidation(t *testing.T) {
 	}
 }
 
-func TestBucketRunsSliceCount(t *testing.T) {
-	// With P slices, a bucket has at most P runs (paper §4.2: at most P
-	// random accesses to recover a chunk).
-	const n, k, p = 10000, 16, 7
-	in := makeRecs(n, k, 11)
-	a, b := New[rec](n), New[rec](n)
-	a.Fill(in)
-	plan, _ := NewPlan(k, 4)
-	res := Shuffle(a, b, plan, p, keyOf)
-	for pt := 0; pt < k; pt++ {
-		runs := 0
-		res.Bucket(pt, func([]rec) { runs++ })
-		if runs > p {
-			t.Fatalf("bucket %d has %d runs > P=%d", pt, runs, p)
-		}
-	}
-}
-
-// TestNewBucketedMatchesShuffle: a producer that counts each of P equal
-// slices of its records by key and places them through NewBucketed's
-// cursors builds the layout a Shuffle of the same records on P workers
-// builds, run by run, whatever the stage count — every stage is stable.
-func TestNewBucketedMatchesShuffle(t *testing.T) {
-	for _, tc := range []struct{ n, k, fanout, p int }{
-		{1000, 8, 8, 4}, {1000, 64, 4, 3}, {5, 16, 2, 8}, {0, 4, 2, 2}, {100, 1, 2, 3},
-	} {
-		in := makeRecs(tc.n, uint32(tc.k), int64(tc.n+tc.k))
-		a, b := New[rec](tc.n), New[rec](tc.n)
-		a.Fill(in)
-		plan, err := NewPlan(tc.k, tc.fanout)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want := Shuffle(a, b, plan, tc.p, keyOf)
-
-		counts := make([][]int, tc.p)
-		for i := range counts {
-			counts[i] = make([]int, tc.k)
-			for _, r := range in[i*tc.n/tc.p : (i+1)*tc.n/tc.p] {
-				counts[i][r.Key]++
-			}
-		}
-		got, data := NewBucketed[rec](tc.n, counts)
-		for i, cur := range counts {
-			for _, r := range in[i*tc.n/tc.p : (i+1)*tc.n/tc.p] {
-				data[cur[r.Key]] = r
-				cur[r.Key]++
-			}
-		}
-
-		if got.Len() != want.Len() || got.Cap() != want.Cap() || got.buckets != want.buckets {
-			t.Fatalf("%+v: Len/Cap/Buckets %d/%d/%d, want %d/%d/%d", tc,
-				got.Len(), got.Cap(), got.buckets, want.Len(), want.Cap(), want.buckets)
-		}
-		for p := 0; p < tc.k; p++ {
-			var gotRuns, wantRuns [][]rec
-			got.Bucket(p, func(run []rec) { gotRuns = append(gotRuns, run) })
-			want.Bucket(p, func(run []rec) { wantRuns = append(wantRuns, run) })
-			if !reflect.DeepEqual(gotRuns, wantRuns) {
-				t.Fatalf("%+v: bucket %d runs differ from the shuffle's", tc, p)
-			}
-		}
-	}
-}
-
 func TestFillReset(t *testing.T) {
 	b := New[rec](10)
 	b.Fill([]rec{{1, 1}, {2, 2}})
@@ -485,7 +442,7 @@ func TestFillReset(t *testing.T) {
 		t.Fatalf("Len = %d", b.Len())
 	}
 	b.Reset()
-	if b.Len() != 0 || b.buckets != 0 {
+	if b.Len() != 0 || len(b.off) != 0 {
 		t.Fatal("reset did not clear")
 	}
 }
@@ -509,10 +466,10 @@ func TestShuffleReshuffleBucketed(t *testing.T) {
 	checkShuffled(t, in, res2, 64)
 }
 
-// TestBucketTiles: tiling must concatenate to exactly the Bucket stream,
-// cap every tile at tileRecs, never span a run boundary, and be stable
-// across repeated walks of an unchanged buffer — the invariant selective
-// engines index tile summaries against.
+// TestBucketTiles: the tiles of a bucket concatenate to exactly the
+// bucket, each full-sized but the last, and an unchanged buffer gives the
+// same tiles on every call — the invariant selective engines index tile
+// summaries against.
 func TestBucketTiles(t *testing.T) {
 	const k = 8
 	recs := makeRecs(5000, k, 33)
@@ -527,92 +484,149 @@ func TestBucketTiles(t *testing.T) {
 
 	for _, tileRecs := range []int{1, 7, 64, 100000, 0, -5} {
 		for p := 0; p < k; p++ {
-			runEnds := map[int]bool{} // cumulative record offsets of run ends
-			off := 0
-			res.Bucket(p, func(run []rec) {
-				off += len(run)
-				runEnds[off] = true
-			})
-
-			walk := func() ([]rec, []int) {
-				var flat []rec
-				var sizes []int
-				res.BucketTiles(p, tileRecs, func(tile []rec) {
-					flat = append(flat, tile...)
-					sizes = append(sizes, len(tile))
-				})
-				return flat, sizes
+			tiles := res.BucketTiles(p, tileRecs)
+			if flat := slices.Concat(tiles...); !slices.Equal(flat, res.Bucket(p)) {
+				t.Fatalf("tileRecs=%d p=%d: the tiles hold %d records unlike the bucket's %d", tileRecs, p, len(flat), len(res.Bucket(p)))
 			}
-			flat, sizes := walk()
-			want := collectBucket(res, p)
-			if len(flat) != len(want) {
-				t.Fatalf("tileRecs=%d p=%d: %d records, want %d", tileRecs, p, len(flat), len(want))
-			}
-			for i := range flat {
-				if flat[i] != want[i] {
-					t.Fatalf("tileRecs=%d p=%d: record %d differs", tileRecs, p, i)
+			for i, tile := range tiles {
+				full := tileRecs < 1 || len(tile) == tileRecs
+				if len(tile) == 0 || (i < len(tiles)-1 && !full) || (tileRecs >= 1 && len(tile) > tileRecs) {
+					t.Fatalf("tileRecs=%d p=%d: tile %d of %d holds %d records", tileRecs, p, i, len(tiles), len(tile))
 				}
 			}
-			pos := 0
-			for _, sz := range sizes {
-				if sz == 0 {
-					t.Fatalf("tileRecs=%d p=%d: empty tile", tileRecs, p)
-				}
-				if tileRecs >= 1 && sz > tileRecs {
-					t.Fatalf("tileRecs=%d p=%d: tile of %d records", tileRecs, p, sz)
-				}
-				pos += sz
-				// A tile may end inside a run only when it is full-sized:
-				// otherwise it must end exactly at a run boundary.
-				if (tileRecs < 1 || sz < tileRecs) && !runEnds[pos] {
-					t.Fatalf("tileRecs=%d p=%d: short tile ends at %d, not a run boundary", tileRecs, p, pos)
-				}
-			}
-			flat2, sizes2 := walk()
-			if len(sizes2) != len(sizes) || len(flat2) != len(flat) {
-				t.Fatalf("tileRecs=%d p=%d: second walk differs", tileRecs, p)
-			}
-			for i := range sizes {
-				if sizes[i] != sizes2[i] {
-					t.Fatalf("tileRecs=%d p=%d: tile %d resized between walks", tileRecs, p, i)
-				}
+			if again := res.BucketTiles(p, tileRecs); !reflect.DeepEqual(again, tiles) {
+				t.Fatalf("tileRecs=%d p=%d: a second call cut other tiles", tileRecs, p)
 			}
 		}
 	}
 }
 
-func collectBucket(b *Buffer[rec], p int) []rec {
-	var out []rec
-	b.Bucket(p, func(run []rec) { out = append(out, run...) })
+// stablePartition is the layout every placement must give: per bucket, the
+// records of that key in input order.
+func stablePartition(in []rec, k int) [][]rec {
+	out := make([][]rec, k)
+	for _, r := range in {
+		out[r.Key] = append(out[r.Key], r)
+	}
 	return out
+}
+
+// cut splits in into runs of pseudo-random lengths, empty ones included.
+func cut(in []rec, seed int64) [][]rec {
+	rng := rand.New(rand.NewSource(seed))
+	var runs [][]rec
+	for len(in) > 0 {
+		n := min(rng.Intn(3*minParallelRecs/2), len(in))
+		runs = append(runs, in[:n])
+		in = in[n:]
+	}
+	return runs
+}
+
+// TestPlacementIsStablePartition: every plan — one stage, several, K = 1,
+// an empty input — and every way into the placement routine (Shuffle of a
+// filled buffer, the runs of an ordered input, Place) gives each bucket as
+// one run equal to the stable partition of the ordered input, the same at
+// 1 to 8 workers.
+func TestPlacementIsStablePartition(t *testing.T) {
+	for _, tc := range []struct{ n, k, fanout int }{
+		{1000, 8, 8}, {3*minParallelRecs + 5, 16, 16}, {3*minParallelRecs + 5, 64, 4},
+		{9 * minParallelRecs, 256, 2}, {5, 16, 2}, {0, 4, 2}, {100, 1, 2}, {2 * minParallelRecs, 1, 2},
+	} {
+		in := makeRecs(tc.n, uint32(tc.k), int64(tc.n+tc.k))
+		want := stablePartition(in, tc.k)
+		plan, err := NewPlan(tc.k, tc.fanout)
+		if err != nil {
+			t.Fatal(err)
+		}
+		check := func(how string, workers int, res *Buffer[rec]) {
+			t.Helper()
+			if res.Len() != tc.n {
+				t.Fatalf("%+v %s, %d workers: Len %d", tc, how, workers, res.Len())
+			}
+			for p := 0; p < tc.k; p++ {
+				if got := res.Bucket(p); !slices.Equal(got, want[p]) {
+					t.Fatalf("%+v %s, %d workers: bucket %d holds %d records, not the stable partition's %d", tc, how, workers, p, len(got), len(want[p]))
+				}
+			}
+		}
+		for workers := 1; workers <= 8; workers++ {
+			a, b := New[rec](tc.n), New[rec](tc.n)
+			a.Fill(in)
+			check("Shuffle", workers, Shuffle(a, b, plan, workers, keyOf))
+
+			a.Fill(in)
+			runs := cut(a.Records(), int64(workers))
+			check("shuffleRuns", workers, shuffleRuns(runs, New[rec](tc.n), a, plan, workers, keyOf))
+
+			c := New[rec](tc.n)
+			c.Place(in, tc.k, workers, keyOf)
+			check("Place", workers, c)
+		}
+	}
+}
+
+// TestWriterPlacesSourcesInOrder: without a sink, concurrent AppendFroms
+// of several sources are sealed source by source, each source's batches in
+// append order, whichever source reserved room first.
+func TestWriterPlacesSourcesInOrder(t *testing.T) {
+	const k, sources, per, batch = 8, 8, 3000, 100
+	plan, _ := NewPlan(k, k)
+	src := make([][]rec, sources)
+	var all []rec
+	for s := range src {
+		src[s] = makeRecs(per, k, int64(s))
+		for i := range src[s] {
+			src[s][i].Val = uint32(s*per + i)
+		}
+		all = append(all, src[s]...)
+	}
+	want := stablePartition(all, k)
+	w := NewWriter[rec](sources*per, plan, 4, keyOf, nil)
+	for round := 0; round < 3; round++ {
+		var wg sync.WaitGroup
+		for s := sources - 1; s >= 0; s-- {
+			wg.Add(1)
+			go func(s int) {
+				defer wg.Done()
+				for off := 0; off < per; off += batch {
+					if err := w.AppendFrom(s, src[s][off:off+batch]); err != nil {
+						t.Error(err)
+						return
+					}
+				}
+			}(s)
+		}
+		wg.Wait()
+		buf, moved, err := w.Seal()
+		if err != nil || moved != sources*per {
+			t.Fatalf("round %d: Seal moved %d of %d: %v", round, moved, sources*per, err)
+		}
+		for p := 0; p < k; p++ {
+			if got := buf.Bucket(p); !slices.Equal(got, want[p]) {
+				t.Fatalf("round %d: bucket %d is not in source order", round, p)
+			}
+		}
+	}
 }
 
 // TestShuffleLayoutIndependentOfWorkers: a stream of fewer than
 // minParallelRecs records per slice worker is shuffled on the caller's
-// goroutine, a larger one by slice workers; either way bucket p holds each
-// slice's records of key p in their input order, slice by slice. A warm
-// shuffle of a small stream allocates nothing: no goroutine is started and
-// every chunk index is reused.
+// goroutine, a larger one by slice workers; either way bucket p holds the
+// records of key p in their input order. A warm shuffle of a small stream
+// allocates nothing: no goroutine is started and every offset array and
+// cursor is reused.
 func TestShuffleLayoutIndependentOfWorkers(t *testing.T) {
 	const k, p = 16, 4
 	plan, _ := NewPlan(k, 4)
 	for _, n := range []int{0, 1000, 3*minParallelRecs + 17, 9 * minParallelRecs} {
 		in := makeRecs(n, k, int64(n))
 		a, b := New[rec](n), New[rec](n)
-		for round := 0; round < 2; round++ { // the second reuses the chunk indexes
+		for round := 0; round < 2; round++ { // the second reuses the offsets and cursors
 			a.Fill(in)
 			res := Shuffle(a, b, plan, p, keyOf)
-			for g := 0; g < k; g++ {
-				var got, want []rec
-				res.Bucket(g, func(run []rec) { got = append(got, run...) })
-				for i := 0; i < p; i++ {
-					for _, r := range in[i*n/p : (i+1)*n/p] {
-						if int(r.Key) == g {
-							want = append(want, r)
-						}
-					}
-				}
-				if !reflect.DeepEqual(got, want) {
+			for g, want := range stablePartition(in, k) {
+				if got := res.Bucket(g); !slices.Equal(got, want) {
 					t.Fatalf("n=%d round %d: bucket %d holds %v, want %v", n, round, g, got, want)
 				}
 			}

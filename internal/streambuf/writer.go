@@ -35,6 +35,11 @@ type Writer[T any] struct {
 	flushed bool  // a window of the current phase went to the sink
 	moved   int64 // records the current phase shuffled, to the sink or kept
 
+	// from[s] lists, without a sink, the chunks source s appended, in
+	// order; runs is Seal's list of them in source order.
+	from [][]chunk
+	runs [][]T
+
 	mu  sync.Mutex
 	err error
 }
@@ -52,9 +57,15 @@ func NewWriter[T any](capacity int, plan Plan, threads int, key func(T) uint32, 
 		cur:     New[T](capacity),
 		free:    make(chan *Buffer[T], 3),
 	}
+	if sink == nil {
+		w.from = make([][]chunk, plan.K)
+	}
 	w.free <- New[T](capacity)
 	return w
 }
+
+// chunk is a run of the window: n records from offset off.
+type chunk struct{ off, n int }
 
 // Err returns the first error the sink returned.
 func (w *Writer[T]) Err() error {
@@ -70,14 +81,22 @@ func (w *Writer[T]) Room() int { return w.cur.Cap() - w.cur.Len() }
 // exactly and flushes it only when the next record needs room, so a phase
 // that exactly fills one window stays in memory; it is then for one
 // goroutine at a time, and once the sink has failed it returns the sink's
-// error and appends nothing. Without a sink the window is the whole phase:
-// concurrent appenders share it, and a batch that does not fit is refused
-// with an error that names the capacity.
-func (w *Writer[T]) Append(batch []T) error {
+// error and appends nothing. Without a sink it is AppendFrom(0, batch).
+func (w *Writer[T]) Append(batch []T) error { return w.AppendFrom(0, batch) }
+
+// AppendFrom adds batch from source src, in [0, plan.K), to the phase. With
+// a sink it is Append. Without a sink the window is the whole phase:
+// appends from different sources may run concurrently, those of one source
+// one at a time, and a batch that does not fit is refused with an error
+// that names the capacity. Seal lays the window out source by source, each
+// source's batches in append order, whichever source reserved room first.
+func (w *Writer[T]) AppendFrom(src int, batch []T) error {
 	if w.sink == nil {
-		if !w.cur.Append(batch) {
+		off, ok := w.cur.reserve(batch)
+		if !ok {
 			return fmt.Errorf("streambuf: a batch of %d records overflows the window (capacity %d records)", len(batch), w.cur.Cap())
 		}
+		w.from[src] = append(w.from[src], chunk{off, len(batch)})
 		return nil
 	}
 	if err := w.Err(); err != nil {
@@ -176,7 +195,12 @@ func (w *Writer[T]) shuffle() *Buffer[T] {
 		w.kept = nil
 	}
 	scratch := <-w.free
-	res := Shuffle(w.cur, scratch, w.plan, w.threads, w.key)
+	var res *Buffer[T]
+	if runs := w.sourceRuns(); runs != nil {
+		res = shuffleRuns(runs, scratch, w.cur, w.plan, w.threads, w.key)
+	} else {
+		res = Shuffle(w.cur, scratch, w.plan, w.threads, w.key)
+	}
 	w.moved += int64(res.Len())
 	if res == w.cur {
 		w.cur = scratch
@@ -204,13 +228,33 @@ func (w *Writer[T]) run() {
 // write hands buf's runs to the sink bucket by bucket, stopping at the first
 // failure.
 func (w *Writer[T]) write(buf *Buffer[T]) error {
-	var err error
-	for p := 0; p < w.plan.K && err == nil; p++ {
-		buf.Bucket(p, func(run []T) {
-			if err == nil {
-				err = w.sink(p, run)
+	for p := 0; p < w.plan.K; p++ {
+		if run := buf.Bucket(p); len(run) > 0 {
+			if err := w.sink(p, run); err != nil {
+				return err
 			}
-		})
+		}
 	}
-	return err
+	return nil
+}
+
+// sourceRuns empties the sources' chunk lists into the window's runs in
+// source order. It returns nil when that order is the window's own (a
+// phase of a sink, or sources that appended one after another): a plain
+// shuffle of the window then places the same.
+func (w *Writer[T]) sourceRuns() [][]T {
+	w.runs = w.runs[:0]
+	end, inOrder := 0, true
+	for s, cs := range w.from {
+		for _, c := range cs {
+			inOrder = inOrder && c.off == end
+			end = c.off + c.n
+			w.runs = append(w.runs, w.cur.data[c.off:end])
+		}
+		w.from[s] = cs[:0]
+	}
+	if inOrder {
+		return nil
+	}
+	return w.runs
 }

@@ -147,30 +147,32 @@ func TestRunManyEquivalence(t *testing.T) {
 	}
 }
 
-// TestRunManyBitExact: with one thread the in-memory engine is fully
-// deterministic, so a co-scheduled PageRank must match its solo run to the
-// last bit — same combining windows, same shuffle, same gather order.
+// TestRunManyBitExact: the in-memory engine is deterministic at any thread
+// count, so a co-scheduled PageRank must match its solo run to the last
+// bit — same combining windows, same update layout, same gather order.
 func TestRunManyBitExact(t *testing.T) {
 	src := xstreamtest.RMAT(9, 62)
-	cfg := xstream.MemConfig{Threads: 1, Partitions: 16}
-	solo, err := xstream.RunMemory(src, xstream.NewPageRank(5), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	set := xstream.ProgramSet{
-		xstream.NewJob[xstream.PRState, float32](xstream.NewPageRank(5)),
-		xstream.NewJob[xstream.PRState, float32](xstream.NewPageRank(5)),
-		xstream.NewJob[xstream.PRState, float32](xstream.NewPageRank(5)),
-	}
-	results, _, err := xstream.RunManyMemory(context.Background(), src, set, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, r := range results {
-		got := r.Vertices.([]xstream.PRState)
-		for v := range solo.Vertices {
-			if got[v] != solo.Vertices[v] {
-				t.Fatalf("job %d vertex %d: %+v, want %+v (bitwise)", i, v, got[v], solo.Vertices[v])
+	for _, threads := range []int{1, 2, 4} {
+		cfg := xstream.MemConfig{Threads: threads, Partitions: 16}
+		solo, err := xstream.RunMemory(src, xstream.NewPageRank(5), cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		set := xstream.ProgramSet{
+			xstream.NewJob[xstream.PRState, float32](xstream.NewPageRank(5)),
+			xstream.NewJob[xstream.PRState, float32](xstream.NewPageRank(5)),
+			xstream.NewJob[xstream.PRState, float32](xstream.NewPageRank(5)),
+		}
+		results, _, err := xstream.RunManyMemory(context.Background(), src, set, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, r := range results {
+			got := r.Vertices.([]xstream.PRState)
+			for v := range solo.Vertices {
+				if got[v] != solo.Vertices[v] {
+					t.Fatalf("threads %d: job %d vertex %d: %+v, want %+v (bitwise)", threads, i, v, got[v], solo.Vertices[v])
+				}
 			}
 		}
 	}
