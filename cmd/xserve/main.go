@@ -73,7 +73,7 @@ func main() {
 	var specs datasetSpecs
 	var (
 		addr      = flag.String("addr", ":8080", "listen address")
-		partition = flag.String("partitioner", "range", "partitioning policy for all datasets: range|2ps|2psv")
+		partition = flag.String("partitioner", "range", "partitioning policy for all datasets: range|2ps")
 		device    = flag.String("device", "none", "out-of-core device: none|os|sim-ssd|sim-hdd")
 		dir       = flag.String("dir", os.TempDir(), "directory for -device os")
 		threads   = flag.Int("threads", 0, "worker threads per engine (0 = GOMAXPROCS)")

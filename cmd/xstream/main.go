@@ -62,7 +62,7 @@ func main() {
 		budget     = flag.String("budget", "256m", "disk engine memory budget (e.g. 8g)")
 		ioUnit     = flag.String("iounit", "1m", "disk engine I/O unit (e.g. 16m)")
 		threads    = flag.Int("threads", 0, "worker threads (0 = GOMAXPROCS)")
-		partition  = flag.String("partitioner", "range", "partitioning policy: range|2ps|2psv (2psv = volume-balanced packing)")
+		partition  = flag.String("partitioner", "range", "partitioning policy: range|2ps")
 		combine    = flag.Bool("combine", true, "pre-aggregate the update stream when the algorithm has a combiner")
 		selective  = flag.Bool("selective", true, "skip inactive partitions and edge tiles when the algorithm has a frontier (bfs/sssp/wcc)")
 		compress   = flag.Bool("compress-tiles", false, "disk engine: store partition edge files as delta-varint compressed tiles (bit-identical results, fewer physical bytes read)")
@@ -83,8 +83,6 @@ func main() {
 		partitioner = xstream.NewRangePartitioner()
 	case "2ps":
 		partitioner = xstream.New2PSPartitioner()
-	case "2psv":
-		partitioner = xstream.New2PSVolumePartitioner()
 	default:
 		fatal("unknown -partitioner %q", *partition)
 	}

@@ -77,11 +77,6 @@
 // streaming passes of pre-processing. The figlocality experiment in
 // internal/bench quantifies the trade.
 //
-// New2PSVolumePartitioner switches 2PS's packing to HEP-style volume
-// balance — partitions even in degree sum, not vertex count — which
-// spreads the dense core and so raises cross-partition traffic on
-// power-law graphs; figlocality's "2psv" row shows by how much.
-//
 // Programs parameterized by vertex IDs (a BFS root) implement
 // VertexMapper to translate their parameters into execution ID space;
 // programs whose state stores vertex IDs (WCC labels) implement

@@ -792,11 +792,10 @@ func TestCompressedTilesEquivalencePageRank(t *testing.T) {
 	}
 }
 
-// ---- vertex replication (mirror) equivalence ----
+// ---- partitioner equivalence ----
 
 // partCase is one (engine, partitioner) combination of the partitioner
-// matrix: both engines x range, 2ps and volume-balanced 2psv, at 8
-// partitions. A relabeling partitioner must never change a min-lattice
+// matrix: both engines x range and 2ps, at 8 partitions. A relabeling partitioner must never change a min-lattice
 // result, and sum-based programs agree within reduction-order tolerance.
 type partCase struct {
 	name string
@@ -813,7 +812,6 @@ func partCases() []partCase {
 		}{
 			{"range", xstream.NewRangePartitioner},
 			{"2ps", xstream.New2PSPartitioner},
-			{"2psv", xstream.New2PSVolumePartitioner},
 		} {
 			eng := "disk"
 			if mem {

@@ -14,10 +14,7 @@ import (
 // figlocality quantifies what the partitioner layer buys: the fraction of
 // updates that must cross streaming partitions in the shuffle (pure
 // shuffle traffic) and the end-to-end time, for the paper's fixed range
-// split versus the 2PS-style streaming clusterer of internal/partition2ps,
-// with count-balanced ("2ps") and HEP-style volume-balanced ("2psv")
-// packing. The "2psv" row shows the cost of balancing volume on a
-// power-law graph: the dense core gets spread, cross traffic rises.
+// split versus the 2PS-style streaming clusterer of internal/partition2ps.
 //
 // Two inputs expose the two regimes. "rmat" is the generator's native
 // ordering, where the recursive quadrant construction already gives range
@@ -28,7 +25,7 @@ import (
 // range partitioning collapses to ~(1-1/K) cross traffic while 2PS
 // recovers the structure.
 func init() {
-	register("figlocality", "Cross-partition update traffic: range vs 2PS vs volume-balanced 2psv", runFigLocality)
+	register("figlocality", "Cross-partition update traffic: range vs 2PS", runFigLocality)
 }
 
 func runFigLocality(cfg Config) (*Table, error) {
@@ -60,7 +57,6 @@ func runFigLocality(cfg Config) (*Table, error) {
 	variants := []variant{
 		{"range", core.RangePartitioner{}},
 		{"2ps", partition2ps.New()},
-		{"2psv", partition2ps.NewVolumeBalanced()},
 	}
 	crossBy := map[string]float64{}
 
@@ -92,19 +88,14 @@ func runFigLocality(cfg Config) (*Table, error) {
 			crossBy[in.name+"/"+v.name] = prs.CrossFraction()
 			t.SetMetric(fmt.Sprintf("pagerank_%s_%s_cross_fraction", in.name, v.name), prs.CrossFraction())
 		}
-		rng := crossBy[in.name+"/range"]
-		ratio := func(v string) float64 {
-			if rng > 0 {
-				return crossBy[in.name+"/"+v] / rng
-			}
-			return 0
+		rng, twops := crossBy[in.name+"/range"], crossBy[in.name+"/2ps"]
+		ratio := 0.0
+		if rng > 0 {
+			ratio = twops / rng
 		}
 		t.Notes = append(t.Notes, fmt.Sprintf(
 			"%s: 2PS carries %.2fx the cross-partition traffic of range (%.1f%% vs %.1f%%)",
-			in.name, ratio("2ps"), 100*crossBy[in.name+"/2ps"], 100*rng))
-		t.Notes = append(t.Notes, fmt.Sprintf(
-			"%s: volume-balanced 2psv carries %.2fx (%.1f%%)",
-			in.name, ratio("2psv"), 100*crossBy[in.name+"/2psv"]))
+			in.name, ratio, 100*twops, 100*rng))
 	}
 	sortRows(t)
 	return t, nil

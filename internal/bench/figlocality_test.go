@@ -25,6 +25,6 @@ func TestFigLocality2PSBeatsRange(t *testing.T) {
 		if twops >= rng {
 			t.Fatalf("%s: 2ps cross fraction %.4f not below range (%.4f)", input, twops, rng)
 		}
-		t.Logf("%s: range %.3f, 2ps %.3f, 2psv %.3f (2ps at %.2fx of range)", input, rng, twops, get("2psv"), twops/rng)
+		t.Logf("%s: range %.3f, 2ps %.3f (2ps at %.2fx of range)", input, rng, twops, twops/rng)
 	}
 }

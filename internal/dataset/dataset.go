@@ -39,12 +39,10 @@ import (
 
 // Options configures how a dataset is ingested.
 type Options struct {
-	// Partitioner is the partitioning policy: "range" (default), "2ps"
-	// (locality-aware clustering, count-balanced packing) or "2psv"
-	// (clustering with HEP-style volume-balanced packing). With
-	// "2ps"/"2psv" the clustering permutation is computed once per
-	// dataset — and, when a Device is set, persisted there so later
-	// processes replay it for free.
+	// Partitioner is the partitioning policy: "range" (default) or "2ps"
+	// (locality-aware clustering). With "2ps" the clustering permutation
+	// is computed once per dataset — and, when a Device is set, persisted
+	// there so later processes replay it for free.
 	Partitioner string
 	// Undirected records that the source already stores both directions
 	// of every edge. Algorithms that require a symmetrized input
@@ -181,7 +179,7 @@ func (d *Dataset) permFile() string {
 }
 
 // partitioner returns the policy engines prepare with. The clustering
-// passes of "2ps"/"2psv" run at most once per dataset per process (the
+// passes of "2ps" run at most once per dataset per process (the
 // plan survives eviction), and not at all when a plan persisted by an
 // earlier process under the same policy is on the device. Add has checked
 // the policy name.
@@ -196,8 +194,10 @@ func (d *Dataset) partitioner() (core.Partitioner, error) {
 	return core.NewPermutationPartitioner(d.opts.Partitioner, d.perm), nil
 }
 
-// plan computes (or reloads) the persisted partitioning plan: the 2PS/2psv
-// relabeling permutation.
+// plan computes (or reloads) the persisted partitioning plan: the 2PS
+// relabeling permutation. A plan file that does not read back — corrupt,
+// of a retired format, or for another vertex count — is planned again and
+// rewritten.
 func (d *Dataset) plan() {
 	if d.opts.Device != nil {
 		if perm, err := graphio.ReadPermutation(d.opts.Device, d.permFile()); err == nil && int64(len(perm)) == d.nv {
@@ -206,9 +206,6 @@ func (d *Dataset) plan() {
 		}
 	}
 	var pr core.Partitioner = partition2ps.New()
-	if d.opts.Partitioner == "2psv" {
-		pr = partition2ps.NewVolumeBalanced()
-	}
 	if d.opts.Device != nil {
 		// Persist through the same wrapper the CLI's -save-permutation
 		// uses, so the file formats interoperate.
@@ -593,7 +590,7 @@ func (r *Registry) Add(name string, src core.EdgeSource, opts Options) (*Dataset
 		return nil, fmt.Errorf("dataset: empty name")
 	}
 	switch opts.Partitioner {
-	case "", "range", "2ps", "2psv":
+	case "", "range", "2ps":
 	default:
 		return nil, fmt.Errorf("dataset %s: unknown partitioner %q", name, opts.Partitioner)
 	}

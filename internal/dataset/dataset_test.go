@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"runtime"
 	"slices"
+	"strings"
 	"sync"
 	"testing"
 
@@ -24,8 +25,10 @@ func TestRegistryAddGetList(t *testing.T) {
 	if _, err := r.Add("", testSource(), Options{}); err == nil {
 		t.Fatal("empty name accepted")
 	}
-	if _, err := r.Add("g", testSource(), Options{Partitioner: "bogus"}); err == nil {
-		t.Fatal("bogus partitioner accepted")
+	for _, policy := range []string{"bogus", "2psv"} {
+		if _, err := r.Add("g", testSource(), Options{Partitioner: policy}); err == nil || !strings.Contains(err.Error(), "unknown partitioner") {
+			t.Fatalf("partitioner %q: got %v, want an unknown-partitioner error", policy, err)
+		}
 	}
 	d, err := r.Add("g", testSource(), Options{Undirected: true})
 	if err != nil {

@@ -3,7 +3,6 @@ package graphio
 import (
 	"encoding/binary"
 	"encoding/hex"
-	"errors"
 	"fmt"
 	"slices"
 	"testing"
@@ -17,13 +16,12 @@ import (
 // legacyPerm returns a permutation file byte-for-byte as an earlier writer
 // emitted it: version 1 (no hub list), version 2 (hub list, no checksum) or
 // version 3 with the hub-list flag set, its hub list checksummed with the
-// rest. The writer emits none of these today; the reader must keep loading
-// all of them.
+// rest. The writer emits none of these today, and the reader loads none.
 func legacyPerm(version int, perm, hubs []core.VertexID) []byte {
 	buf := fmt.Appendf(nil, "XSPERM%d\n", version)
 	buf = binary.LittleEndian.AppendUint64(buf, uint64(len(perm)))
 	if version == 3 {
-		buf = binary.LittleEndian.AppendUint64(buf, permFlagMirrors)
+		buf = binary.LittleEndian.AppendUint64(buf, 1) // the hub-list flag
 	}
 	buf = append(buf, pod.AsBytes(perm)...)
 	if version > 1 {
@@ -177,64 +175,62 @@ func TestWritePermutationGoldenBytes(t *testing.T) {
 	}
 }
 
-// TestLoadPartitionerLegacyHubList: a file the previous writer saved
-// with a hub list replays through LoadPartitioner to the same relabeling
-// as the file without one.
+// TestLoadPartitionerLegacyHubList: a file an earlier writer saved with a
+// hub list does not replay through LoadPartitioner, while the same
+// permutation without one does.
 func TestLoadPartitionerLegacyHubList(t *testing.T) {
 	dev := storage.NewSim(storage.SSDParams("perm", 1, 0))
 	src := core.NewSliceSource([]core.Edge{{Src: 1, Dst: 0}, {Src: 2, Dst: 0}, {Src: 3, Dst: 2}}, 4)
 	putFile(t, dev, "plain.xsperm", goldenBytes(t, goldenPermV3))
 	putFile(t, dev, "hubs.xsperm", goldenBytes(t, goldenPermV3Hubs))
-	var asgs []*core.Assignment
-	for _, name := range []string{"plain.xsperm", "hubs.xsperm"} {
-		pr, err := LoadPartitioner(dev, name)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		asg, err := pr.Assign(src, 2)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		if err := asg.Validate(4); err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		asgs = append(asgs, asg)
+	pr, err := LoadPartitioner(dev, "plain.xsperm")
+	if err != nil {
+		t.Fatal(err)
 	}
-	for v := core.VertexID(0); v < 4; v++ {
-		if asgs[1].NewID(v) != asgs[0].NewID(v) {
-			t.Fatalf("vertex %d: replayed id %d with a hub list, %d without", v, asgs[1].NewID(v), asgs[0].NewID(v))
-		}
+	asg, err := pr.Assign(src, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := asg.Validate(4); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := LoadPartitioner(dev, "hubs.xsperm"); err == nil {
+		t.Fatal("LoadPartitioner replays a file with a hub list")
 	}
 }
 
-// TestPermutationVersionCompat: version-1 files (no hub list), version-2
-// files (hub list, no checksum) and version-3 files with or without a hub
-// list all load to the same permutation; the hub list is discarded.
+// TestPermutationVersionCompat: ReadPermutation reads only what
+// WritePermutation writes. Version-1 files, version-2 files and version-3
+// files with the hub-list flag are errors, even though each holds a valid
+// permutation; the current file loads.
 func TestPermutationVersionCompat(t *testing.T) {
 	dev := storage.NewSim(storage.SSDParams("perm", 1, 0))
 	perm := []core.VertexID{2, 0, 3, 1}
-	files := map[string][]byte{
+	putFile(t, dev, "v3", goldenBytes(t, goldenPermV3))
+	got, err := ReadPermutation(dev, "v3")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(got, perm) {
+		t.Fatalf("v3: loaded %v, want %v", got, perm)
+	}
+	retired := map[string][]byte{
 		"v1":            legacyPerm(1, perm, nil),
 		"v2":            legacyPerm(2, perm, []core.VertexID{0, 2}),
 		"v2-empty-hubs": legacyPerm(2, perm, []core.VertexID{}),
-		"v3":            goldenBytes(t, goldenPermV3),
 		"v3-hubs":       goldenBytes(t, goldenPermV3Hubs),
 		"v3-empty-hubs": goldenBytes(t, goldenPermV3NoHub),
 	}
-	for name, b := range files {
+	for name, b := range retired {
 		putFile(t, dev, name, b)
-		got, err := ReadPermutation(dev, name)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		if !slices.Equal(got, perm) {
-			t.Fatalf("%s: loaded %v, want %v", name, got, perm)
+		if got, err := ReadPermutation(dev, name); err == nil {
+			t.Fatalf("%s: loaded %v from a retired format", name, got)
 		}
 	}
 }
 
-// TestPermutationBadMirrorsRejected: a malformed legacy hub list (out of
-// range, unsorted) is an error, not a list silently dropped.
+// TestPermutationBadMirrorsRejected: a file with a malformed hub list (out
+// of range, unsorted) is an error like every file with a hub list.
 func TestPermutationBadMirrorsRejected(t *testing.T) {
 	dev := storage.NewSim(storage.SSDParams("perm", 1, 0))
 	perm := []core.VertexID{0, 1, 2}
@@ -248,39 +244,9 @@ func TestPermutationBadMirrorsRejected(t *testing.T) {
 	}
 }
 
-// TestPermutationTruncatedMirrorHeaderRejected: a v2 file cut right after
-// the permutation is a damaged file and must error.
-func TestPermutationTruncatedMirrorHeaderRejected(t *testing.T) {
-	dev := storage.NewSim(storage.SSDParams("perm", 1, 0))
-	perm := []core.VertexID{1, 0, 2}
-	full := legacyPerm(2, perm, []core.VertexID{0, 2})
-	putFile(t, dev, "cut.xsperm", full[:16+len(perm)*4]) // header + permutation, no hub count
-	if _, err := ReadPermutation(dev, "cut.xsperm"); err == nil {
-		t.Fatal("truncated v2 file accepted")
-	}
-}
-
-// TestPermutationHeaderCountBounded: an unverified v1/v2 header whose entry
-// count the file cannot hold — including counts that turn negative, or
-// overflow when multiplied by the entry size — is a typed corruption error,
-// never an allocation panic.
-func TestPermutationHeaderCountBounded(t *testing.T) {
-	dev := storage.NewSim(storage.SSDParams("perm", 1, 0))
-	for _, magic := range []string{"XSPERM1\n", "XSPERM2\n"} {
-		for _, n := range []uint64{1 << 63, 1<<62 + 1, 1<<61 + 3, 3} {
-			b := binary.LittleEndian.AppendUint64([]byte(magic), n)
-			b = append(b, make([]byte, 8)...) // 24 bytes: room for two entries
-			putFile(t, dev, "n.xsperm", b)
-			if _, err := ReadPermutation(dev, "n.xsperm"); !errors.Is(err, storage.ErrCorrupted) {
-				t.Fatalf("%q count %#x: got %v, want ErrCorrupted", magic[:7], n, err)
-			}
-		}
-	}
-}
-
 // FuzzReadPermutation: whatever the bytes, the reader returns an error or
 // a permutation of [0, n) — it never panics. Seeded with every shape the
-// writers have emitted.
+// writers have emitted, the retired ones included.
 func FuzzReadPermutation(f *testing.F) {
 	perm := []core.VertexID{2, 0, 3, 1}
 	f.Add(legacyPerm(1, perm, nil))

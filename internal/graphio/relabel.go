@@ -73,40 +73,19 @@ func (r *relabeledSource) Edges(fn func([]core.Edge) error) error {
 	})
 }
 
-// WriteRelabeledEdges rewrites src through perm and writes the result as a
-// binary edge file on dev — the offline remap for graphs processed many
-// times, so the relabeling pass is paid once instead of per run.
-func WriteRelabeledEdges(dev storage.Device, name string, src core.EdgeSource, perm []core.VertexID) error {
-	return WriteEdges(dev, name, Relabeled(src, perm))
-}
+// permMagic identifies binary permutation files. A permutation file
+// stores a vertex ID map — a partitioner's plan, persisted so its passes
+// are paid once per dataset — as a 24-byte header (magic, entry count, a
+// flags word that must be 0), the entries, and a CRC32C trailer covering
+// everything between the magic and the trailer. A permutation steers every
+// edge of every later run, so a silently corrupted file would skew results
+// with no visible failure; the checksum turns that into a typed
+// storage.ErrCorrupted at load time. The "3" is the format's revision:
+// earlier revisions are not read, a plan being a derived artifact that
+// its planner recomputes.
+var permMagic = [8]byte{'X', 'S', 'P', 'E', 'R', 'M', '3', '\n'}
 
-// permMagic identifies binary permutation files (version 1). A permutation
-// file stores the relabeled->original inverse map alongside a relabeled
-// edge file, so results computed over the rewritten graph can be reported
-// in the original ID space.
-var permMagic = [8]byte{'X', 'S', 'P', 'E', 'R', 'M', '1', '\n'}
-
-// permMagic2 identifies version-2 permutation files, which append a list
-// of hub vertices after the permutation: a hub count followed by the hubs'
-// execution IDs in ascending order. No engine uses the list; the reader
-// checks it and discards it, so these files keep loading.
-var permMagic2 = [8]byte{'X', 'S', 'P', 'E', 'R', 'M', '2', '\n'}
-
-// permMagic3 identifies version-3 permutation files, the format the writer
-// emits today. Version 3 widens the header to 24 bytes — magic, entry
-// count, and a flags word whose low bit records whether a legacy hub list
-// follows — and appends a CRC32C trailer covering everything between the
-// magic and the trailer. A permutation steers every edge of every later
-// run, so a silently corrupted file would skew results with no visible
-// failure; the checksum turns that into a typed storage.ErrCorrupted at
-// load time. Versions 1 and 2 keep loading unverified, so existing
-// datasets need no migration.
-var permMagic3 = [8]byte{'X', 'S', 'P', 'E', 'R', 'M', '3', '\n'}
-
-const (
-	permV3HeaderLen = 24
-	permFlagMirrors = 1 << 0 // a legacy hub count + hub list follows the permutation
-)
+const permHeaderLen = 24
 
 // writeFullAt writes all of b at off, retrying short writes.
 func writeFullAt(f storage.File, b []byte, off int64) error {
@@ -141,8 +120,8 @@ func readFullAt(f storage.File, b []byte, off int64) error {
 	return nil
 }
 
-// WritePermutation stores a vertex ID map as a checksummed version-3
-// permutation file with flags 0.
+// WritePermutation stores a vertex ID map as a checksummed permutation
+// file.
 func WritePermutation(dev storage.Device, name string, perm []core.VertexID) error {
 	f, err := dev.Create(name)
 	if err != nil {
@@ -152,14 +131,14 @@ func WritePermutation(dev storage.Device, name string, perm []core.VertexID) err
 		f.Close()
 		return fmt.Errorf("graphio: write %s: %w", name, err)
 	}
-	hdr := make([]byte, permV3HeaderLen)
-	copy(hdr, permMagic3[:])
+	hdr := make([]byte, permHeaderLen)
+	copy(hdr, permMagic[:])
 	binary.LittleEndian.PutUint64(hdr[8:], uint64(len(perm)))
 	if err := writeFullAt(f, hdr, 0); err != nil {
 		return fail(err)
 	}
 	crc := storage.ChecksumUpdate(0, hdr[8:])
-	off := int64(permV3HeaderLen)
+	off := int64(permHeaderLen)
 	if len(perm) > 0 {
 		body := pod.AsBytes(perm)
 		if err := writeFullAt(f, body, off); err != nil {
@@ -179,145 +158,63 @@ func WritePermutation(dev storage.Device, name string, perm []core.VertexID) err
 	return nil
 }
 
-// ReadPermutation loads a binary permutation file and validates that it is
-// a permutation of [0, n). A legacy hub list (version 2, or version 3 with
-// the mirror flag) must be well formed, and is then discarded. Version-3
-// files are checksum-verified before a single field is trusted; a mismatch,
-// or an entry count the file is too short to hold, surfaces as an error
-// wrapping storage.ErrCorrupted.
+// ReadPermutation loads a permutation file as WritePermutation writes it
+// and validates that it is a permutation of [0, n). The checksum is
+// verified over the whole payload before a single field is trusted; a
+// mismatch, or an entry count that does not match the file's length,
+// surfaces as an error wrapping storage.ErrCorrupted. A file of an earlier
+// revision (another magic, or nonzero flags) is an error too.
 func ReadPermutation(dev storage.Device, name string) ([]core.VertexID, error) {
 	f, err := dev.Open(name)
 	if err != nil {
 		return nil, err
 	}
 	defer f.Close()
-	if f.Size() < 16 {
-		return nil, fmt.Errorf("graphio: %s: not a permutation file", name)
-	}
-	hdr := make([]byte, 16)
-	if err := readFullAt(f, hdr, 0); err != nil {
-		return nil, err
-	}
-	if string(hdr[:8]) == string(permMagic3[:]) {
-		return readPermV3(f, name)
-	}
-	v2 := string(hdr[:8]) == string(permMagic2[:])
-	if !v2 && string(hdr[:8]) != string(permMagic[:]) {
-		return nil, fmt.Errorf("graphio: %s: not a permutation file", name)
-	}
 	size := f.Size()
-	n := int64(binary.LittleEndian.Uint64(hdr[8:]))
-	if n < 0 || n > (size-int64(len(hdr)))/4 {
-		return nil, fmt.Errorf("graphio: %s: truncated: %d entries in a %d-byte file: %w", name, uint64(n), size, storage.ErrCorrupted)
+	hdr := make([]byte, permHeaderLen)
+	if size < 8 {
+		return nil, fmt.Errorf("graphio: %s: not a permutation file", name)
 	}
-	perm := make([]core.VertexID, n)
-	if n > 0 {
-		if err := readFullAt(f, pod.AsBytes(perm), int64(len(hdr))); err != nil {
-			return nil, err
+	if err := readFullAt(f, hdr[:8], 0); err != nil {
+		return nil, err
+	}
+	if string(hdr[:8]) != string(permMagic[:]) {
+		if string(hdr[:6]) == string(permMagic[:6]) {
+			return nil, fmt.Errorf("graphio: %s: permutation format %q is no longer read; plan again to rewrite it", name, hdr[:7])
 		}
+		return nil, fmt.Errorf("graphio: %s: not a permutation file", name)
 	}
-	if err := validatePermEntries(name, perm); err != nil {
-		return nil, err
-	}
-	if !v2 {
-		return perm, nil
-	}
-	off := int64(len(hdr)) + n*4
-	// The hub count must actually be present: a v2 file cut right after
-	// the permutation is a damaged file, not one without a hub list.
-	if size < off+8 {
-		return nil, fmt.Errorf("graphio: %s: truncated mirror header: %d bytes, want %d", name, size, off+8)
-	}
-	cnt := make([]byte, 8)
-	if err := readFullAt(f, cnt, off); err != nil {
-		return nil, err
-	}
-	h := int64(binary.LittleEndian.Uint64(cnt))
-	if h < 0 || h > n {
-		return nil, fmt.Errorf("graphio: %s: %d mirrored hubs for %d vertices", name, h, n)
-	}
-	if want := off + 8 + h*4; size < want {
-		return nil, fmt.Errorf("graphio: %s: truncated mirror list: %d bytes, want %d", name, size, want)
-	}
-	if err := checkHubList(f, name, off+8, h, n); err != nil {
-		return nil, err
-	}
-	return perm, nil
-}
-
-// readPermV3 loads a version-3 permutation file. The trailer checksum is
-// verified over the whole payload before any field is interpreted, so a
-// flipped bit anywhere — header, permutation, hub list — is reported as
-// storage.ErrCorrupted rather than loaded.
-func readPermV3(f storage.File, name string) ([]core.VertexID, error) {
 	corrupt := func(detail string) error {
 		return fmt.Errorf("graphio: %s: %s: %w", name, detail, storage.ErrCorrupted)
 	}
-	size := f.Size()
-	if size < permV3HeaderLen+4 {
+	body := size - permHeaderLen - 4
+	if body < 0 || body%4 != 0 {
 		return nil, corrupt(fmt.Sprintf("truncated: %d bytes", size))
 	}
-	hdr := make([]byte, permV3HeaderLen)
-	if err := readFullAt(f, hdr, 0); err != nil {
-		return nil, err
-	}
-	crc := storage.ChecksumUpdate(0, hdr[8:])
-	buf := make([]byte, 1<<20)
-	end := size - 4
-	for off := int64(permV3HeaderLen); off < end; {
-		n := int64(len(buf))
-		if n > end-off {
-			n = end - off
-		}
-		if err := readFullAt(f, buf[:n], off); err != nil {
-			return nil, err
-		}
-		crc = storage.ChecksumUpdate(crc, buf[:n])
-		off += n
-	}
+	// The entries are read once, sized by the file rather than by the
+	// not yet verified header, and checksummed in place.
+	perm := make([]core.VertexID, body/4)
 	var trailer [4]byte
-	if err := readFullAt(f, trailer[:], end); err != nil {
+	if err := readFullAt(f, hdr[8:], 8); err != nil {
 		return nil, err
 	}
+	if err := readFullAt(f, pod.AsBytes(perm), permHeaderLen); err != nil {
+		return nil, err
+	}
+	if err := readFullAt(f, trailer[:], size-4); err != nil {
+		return nil, err
+	}
+	crc := storage.ChecksumUpdate(storage.ChecksumUpdate(0, hdr[8:]), pod.AsBytes(perm))
 	if binary.LittleEndian.Uint32(trailer[:]) != crc {
 		return nil, corrupt("checksum mismatch")
 	}
-
-	n := int64(binary.LittleEndian.Uint64(hdr[8:]))
-	flags := binary.LittleEndian.Uint64(hdr[16:])
-	if n < 0 || n > (size-permV3HeaderLen-4)/4 {
+	if flags := binary.LittleEndian.Uint64(hdr[16:]); flags != 0 {
+		return nil, fmt.Errorf("graphio: %s: permutation flags %#x are no longer read; plan again to rewrite it", name, flags)
+	}
+	if n := binary.LittleEndian.Uint64(hdr[8:]); n != uint64(len(perm)) {
 		return nil, corrupt(fmt.Sprintf("%d entries in a %d-byte file", n, size))
 	}
-	off := int64(permV3HeaderLen)
-	perm := make([]core.VertexID, n)
-	if n > 0 {
-		if err := readFullAt(f, pod.AsBytes(perm), off); err != nil {
-			return nil, err
-		}
-	}
-	off += n * 4
-	var hubOff, h int64
-	if flags&permFlagMirrors != 0 {
-		if size < off+8+4 {
-			return nil, corrupt("truncated mirror header")
-		}
-		cnt := make([]byte, 8)
-		if err := readFullAt(f, cnt, off); err != nil {
-			return nil, err
-		}
-		if h = int64(binary.LittleEndian.Uint64(cnt)); h < 0 || h > n {
-			return nil, corrupt(fmt.Sprintf("%d mirrored hubs for %d vertices", h, n))
-		}
-		hubOff = off + 8
-		off = hubOff + h*4
-	}
-	if off+4 != size {
-		return nil, corrupt(fmt.Sprintf("%d bytes, sections account for %d", size, off+4))
-	}
 	if err := validatePermEntries(name, perm); err != nil {
-		return nil, err
-	}
-	if err := checkHubList(f, name, hubOff, h, n); err != nil {
 		return nil, err
 	}
 	return perm, nil
@@ -332,23 +229,6 @@ func validatePermEntries(name string, perm []core.VertexID) error {
 			return fmt.Errorf("graphio: %s: entry %d = %d is not part of a permutation of [0,%d)", name, i, v, n)
 		}
 		seen[v] = true
-	}
-	return nil
-}
-
-// checkHubList reads the h-entry legacy hub list at off and checks that it
-// is strictly ascending in [0, n).
-func checkHubList(f storage.File, name string, off, h, n int64) error {
-	hubs := make([]core.VertexID, h)
-	if h > 0 {
-		if err := readFullAt(f, pod.AsBytes(hubs), off); err != nil {
-			return err
-		}
-	}
-	for i, hv := range hubs {
-		if int64(hv) >= n || (i > 0 && hv <= hubs[i-1]) {
-			return fmt.Errorf("graphio: %s: mirror entry %d = %d is not strictly ascending in [0,%d)", name, i, hv, n)
-		}
 	}
 	return nil
 }

@@ -56,30 +56,6 @@ func TestRelabeledSourceErrors(t *testing.T) {
 	}
 }
 
-func TestWriteRelabeledEdgesRoundTrip(t *testing.T) {
-	dev := storage.NewSim(storage.SSDParams("t", 1, 0))
-	edges := []core.Edge{{Src: 0, Dst: 1, Weight: 1}, {Src: 1, Dst: 2, Weight: 2}, {Src: 3, Dst: 3, Weight: 3}}
-	src := core.NewSliceSource(edges, 4)
-	perm := testPerm()
-	if err := WriteRelabeledEdges(dev, "g.rel", src, perm); err != nil {
-		t.Fatal(err)
-	}
-	fs, err := OpenEdges(dev, "g.rel")
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := core.Materialize(fs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, e := range edges {
-		want := core.Edge{Src: perm[e.Src], Dst: perm[e.Dst], Weight: e.Weight}
-		if got[i] != want {
-			t.Fatalf("edge %d: %+v, want %+v", i, got[i], want)
-		}
-	}
-}
-
 func TestPermutationFileRoundTrip(t *testing.T) {
 	dev := storage.NewSim(storage.SSDParams("t", 1, 0))
 	perm := testPerm()
@@ -108,9 +84,9 @@ func TestPermutationFileRoundTrip(t *testing.T) {
 }
 
 // TestPermutationChecksumDetectsCorruption: a single flipped bit anywhere
-// in a version-3 permutation file — header count, permutation body, legacy
-// hub list, or the trailer itself — must surface as storage.ErrCorrupted,
-// never as a silently different permutation.
+// in a permutation file — header count, flags word, permutation body, or
+// the trailer itself — must surface as storage.ErrCorrupted, never as a
+// silently different permutation.
 func TestPermutationChecksumDetectsCorruption(t *testing.T) {
 	dev := storage.NewSim(storage.SSDParams("t", 1, 0))
 	n := 64
@@ -118,7 +94,9 @@ func TestPermutationChecksumDetectsCorruption(t *testing.T) {
 	for i := range perm {
 		perm[i] = core.VertexID(n - 1 - i)
 	}
-	putFile(t, dev, "c.xsperm", legacyPerm(3, perm, []core.VertexID{3, 17, 41}))
+	if err := WritePermutation(dev, "c.xsperm", perm); err != nil {
+		t.Fatal(err)
+	}
 	if _, err := ReadPermutation(dev, "c.xsperm"); err != nil {
 		t.Fatalf("pristine file rejected: %v", err)
 	}
@@ -129,12 +107,10 @@ func TestPermutationChecksumDetectsCorruption(t *testing.T) {
 	size := f.Size()
 	f.Close()
 	offsets := []int64{
-		8,                          // header: entry count
-		16,                         // header: flags word
-		permV3HeaderLen + 13,       // permutation body
-		permV3HeaderLen + 4*64,     // hub count
-		permV3HeaderLen + 4*64 + 9, // hub list
-		size - 2,                   // trailer checksum
+		8,                  // header: entry count
+		16,                 // header: flags word
+		permHeaderLen + 13, // permutation body
+		size - 2,           // trailer checksum
 	}
 	for _, off := range offsets {
 		flip := func() {
@@ -163,12 +139,14 @@ func TestPermutationChecksumDetectsCorruption(t *testing.T) {
 	}
 }
 
-// TestPermutationTruncationDetected: cutting a version-3 file anywhere is
-// reported as corruption, including cuts too short to hold the frame.
+// TestPermutationTruncationDetected: cutting a permutation file anywhere
+// is reported as corruption, including cuts too short to hold the frame.
 func TestPermutationTruncationDetected(t *testing.T) {
 	dev := storage.NewSim(storage.SSDParams("t", 1, 0))
-	file := legacyPerm(3, []core.VertexID{3, 1, 0, 2}, []core.VertexID{1})
-	putFile(t, dev, "t.xsperm", file)
+	if err := WritePermutation(dev, "t.xsperm", []core.VertexID{3, 1, 0, 2}); err != nil {
+		t.Fatal(err)
+	}
+	file := readFile(t, dev, "t.xsperm")
 	f, err := dev.Open("t.xsperm")
 	if err != nil {
 		t.Fatal(err)
@@ -203,7 +181,7 @@ func TestPermutationShortReadRecovery(t *testing.T) {
 	inner := storage.NewSim(storage.SSDParams("t", 1, 0))
 	dev := storage.NewFaulty(inner, storage.FaultyOptions{ShortReads: 1})
 	perm := testPerm()
-	putFile(t, dev, "s.xsperm", legacyPerm(3, perm, []core.VertexID{0, 3}))
+	putFile(t, dev, "s.xsperm", goldenBytes(t, goldenPermV3))
 	got, err := ReadPermutation(dev, "s.xsperm")
 	if err != nil {
 		t.Fatal(err)

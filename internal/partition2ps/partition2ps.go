@@ -18,16 +18,13 @@
 //
 //   - Phase 2 (packing) never touches the edge list: clusters are packed
 //     whole into the K equal-sized partitions, and the packing is emitted
-//     as a vertex *relabeling permutation*. Two packing policies exist:
-//     the default best-fit decreasing on vertex count ("2ps"), which on
-//     core-periphery graphs concentrates the dense core into few
-//     partitions and wins the most cross-partition traffic, and HEP-style
-//     volume-balanced packing ("2psv", Config.VolumeBalance), which evens
-//     partitions out by degree sum instead. Either way the partitions
-//     stay contiguous ID ranges — X-Stream's sequential vertex-state
-//     access, partition files and shuffle plans are all untouched — but
-//     now a range boundary is a cluster boundary, not an accident of
-//     input order.
+//     as a vertex *relabeling permutation*. Packing is best-fit
+//     decreasing on vertex count, which on core-periphery graphs
+//     concentrates the dense core into few partitions and wins the most
+//     cross-partition traffic. The partitions stay contiguous ID ranges —
+//     X-Stream's sequential vertex-state access, partition files and
+//     shuffle plans are all untouched — but now a range boundary is a
+//     cluster boundary, not an accident of input order.
 //
 // The result plugs into engines through core.Partitioner; preprocessing
 // cost is two edge streams plus an O(V log V) sort, and the engines remap
@@ -42,50 +39,35 @@ import (
 	"repro/internal/core"
 )
 
-// Config tunes the clustering phase.
-type Config struct {
-	// VolumeCapFactor scales the per-cluster volume cap relative to the
-	// average partition volume 2·E/K. Smaller caps give the packer more,
-	// smaller clusters to balance with; larger caps chase bigger
-	// communities at the risk of fragmenting the packing. 0 means 1.0,
-	// i.e. a cluster may grow to one partition's worth of edge volume.
-	VolumeCapFactor float64
-	// Passes is the number of clustering passes over the edge list.
-	// Later passes revisit every edge with the cluster structure of the
-	// previous pass in place, letting early edges join clusters that did
-	// not exist yet when they first streamed by. 0 means 2.
-	Passes int
-	// VolumeBalance switches phase 2 to HEP-style volume-balanced packing:
-	// partitions are evened out by degree sum (the work a partition
-	// causes) instead of best-fit on vertex count. On power-law graphs
-	// this spreads the dense core and *raises* the cross-edge fraction.
-	// The partitioner reports itself as "2psv" in this mode.
-	VolumeBalance bool
-}
+// Clustering defaults. The per-cluster volume cap is volumeCapFactor times
+// the average partition volume 2·E/K: a cluster may grow to one
+// partition's worth of edge volume. Smaller caps give the packer more,
+// smaller clusters to place; larger ones chase bigger communities at the
+// risk of fragmenting the packing. Each of the clusteringPasses passes
+// revisits every edge with the previous pass's clusters in place, so early
+// edges can join clusters that did not exist yet when they first streamed
+// by.
+const (
+	volumeCapFactor  = 1.0
+	clusteringPasses = 2
+)
 
 // Partitioner implements core.Partitioner with two-phase streaming
-// clustering. The zero value uses default tuning; values are safe to reuse
+// clustering. The zero value is the policy; values are safe to reuse
 // across Assign calls but not concurrently.
 type Partitioner struct {
-	cfg Config
+	// capFactor and passes override volumeCapFactor and clusteringPasses
+	// when positive. Only this package's tests set them, to reach the
+	// cap-fragmenting and one- and three-pass paths.
+	capFactor float64
+	passes    int
 }
 
-// New returns a 2PS partitioner with default tuning.
+// New returns a 2PS partitioner.
 func New() *Partitioner { return &Partitioner{} }
 
-// NewVolumeBalanced returns a 2PS partitioner with volume-balanced
-// packing ("2psv").
-func NewVolumeBalanced() *Partitioner {
-	return &Partitioner{cfg: Config{VolumeBalance: true}}
-}
-
 // Name implements core.Partitioner.
-func (p *Partitioner) Name() string {
-	if p.cfg.VolumeBalance {
-		return "2psv"
-	}
-	return "2ps"
-}
+func (p *Partitioner) Name() string { return "2ps" }
 
 // noCluster marks a vertex not yet claimed by any cluster.
 const noCluster = int32(-1)
@@ -126,9 +108,9 @@ func (p *Partitioner) Assign(src core.EdgeSource, k int) (*core.Assignment, erro
 		return nil, err
 	}
 
-	capFactor := p.cfg.VolumeCapFactor
+	capFactor := p.capFactor
 	if capFactor <= 0 {
-		capFactor = 1.0
+		capFactor = volumeCapFactor
 	}
 	capVol := int64(float64(totalVol) / float64(k) * capFactor)
 	if capVol < 2 {
@@ -149,9 +131,9 @@ func (p *Partitioner) Assign(src core.EdgeSource, k int) (*core.Assignment, erro
 	// Phase 1: grow clusters along the edge stream. Re-streaming is free
 	// of any ordering assumptions: whatever order the source yields,
 	// endpoints sharing many edges tend to end up sharing a cluster.
-	passes := p.cfg.Passes
+	passes := p.passes
 	if passes <= 0 {
-		passes = 2
+		passes = clusteringPasses
 	}
 	for pass := 0; pass < passes; pass++ {
 		err = src.Edges(func(batch []core.Edge) error {
@@ -165,7 +147,7 @@ func (p *Partitioner) Assign(src core.EdgeSource, k int) (*core.Assignment, erro
 		}
 	}
 
-	relabel, inverse := pack(c, split, n, p.cfg.VolumeBalance)
+	relabel, inverse := pack(c, split, n)
 	return &core.Assignment{Split: split, Relabel: relabel, Inverse: inverse}, nil
 }
 
@@ -253,34 +235,22 @@ func (c *clustering) observe(u, v core.VertexID) {
 }
 
 // pack lays clusters out into the K contiguous ranges and returns the
-// relabeling permutation. Two policies share the machinery:
+// relabeling permutation: best-fit decreasing on member count. Bins fill
+// snuggest-first, which keeps scan-order-adjacent clusters together and —
+// on core-periphery graphs like R-MAT — piles the cap-sized fragments of
+// the dense core back into few partitions. That concentration is where
+// most of 2PS's cross-traffic win comes from, at the price of skewed
+// per-partition edge volume (4x the mean is common).
 //
-//   - Count packing (the default): best-fit decreasing on member count.
-//     Bins fill snuggest-first, which keeps scan-order-adjacent clusters
-//     together and — on core-periphery graphs like R-MAT — piles the
-//     cap-sized fragments of the dense core back into few partitions.
-//     That concentration is where most of 2PS's cross-traffic win comes
-//     from, at the price of heavily skewed per-partition edge volume
-//     (4x the mean is common).
-//
-//   - Volume packing (HEP-style, volumeBalance=true): heavy clusters go
-//     largest-degree-sum first into the least-volume bin with ID room
-//     (LPT scheduling); the light tail then pours sequentially, hopping
-//     bins only toward under-target volume, so partitions end up even in
-//     the work they cause — edges streamed, updates received — not
-//     merely in vertex count. Spreading the dense core this way raises
-//     the cross-*edge* fraction on power-law graphs.
-//
-// In both policies the hard constraint is the ID room — every bin holds
-// exactly one partition's worth of vertex IDs. Clusters that fit nowhere
-// whole are split across the bins with remaining room — the correctness
-// fallback that makes the packing total — and isolated vertices (degree
-// 0, never seen on an edge) pad the remaining room.
-func pack(c *clustering, split core.Split, n int64, volumeBalance bool) (relabel, inverse []core.VertexID) {
+// The hard constraint is the ID room — every bin holds exactly one
+// partition's worth of vertex IDs. A cluster that fits nowhere whole is
+// split over the bins with remaining room in bin order — the correctness
+// fallback that makes the packing total — and isolated vertices (degree 0,
+// never seen on an edge) pad the remaining room.
+func pack(c *clustering, split core.Split, n int64) (relabel, inverse []core.VertexID) {
 	// Dense cluster indices in vertex-scan order (deterministic).
 	denseOf := make(map[int32]int32, 64)
 	var counts []int64
-	var vols []int64              // degree sum of each dense cluster
 	clusterOf := make([]int32, n) // vertex -> dense cluster index, -1 isolated
 	var isolated int64
 	for v := int64(0); v < n; v++ {
@@ -296,11 +266,9 @@ func pack(c *clustering, split core.Split, n int64, volumeBalance bool) (relabel
 			idx = int32(len(counts))
 			denseOf[root] = idx
 			counts = append(counts, 0)
-			vols = append(vols, 0)
 		}
 		clusterOf[v] = idx
 		counts[idx]++
-		vols[idx] += int64(c.deg[v])
 	}
 
 	// Bucket members by cluster, ascending vertex ID within each.
@@ -322,165 +290,59 @@ func pack(c *clustering, split core.Split, n int64, volumeBalance bool) (relabel
 
 	k := split.K
 	room := make([]int64, k)
+	next := make([]int64, k) // next relabeled ID to hand out per bin
 	for i := 0; i < k; i++ {
 		lo, hi := split.Range(i, n)
-		room[i] = hi - lo
-	}
-	binVol := make([]int64, k) // accumulated degree volume per bin
-	next := make([]int64, k)   // next relabeled ID to hand out per bin
-	for i := 0; i < k; i++ {
-		next[i], _ = split.Range(i, n)
+		room[i], next[i] = hi-lo, lo
 	}
 	relabel = make([]core.VertexID, n)
 	place := func(bin int, verts []core.VertexID) {
 		for _, v := range verts {
 			relabel[v] = core.VertexID(next[bin])
 			next[bin]++
-			binVol[bin] += int64(c.deg[v])
 		}
 		room[bin] -= int64(len(verts))
 	}
-	// emptiest returns the least-volume bin with ID room for cnt more
-	// vertices (ties to the lower index, for determinism), or -1.
-	emptiest := func(cnt int64) int {
-		best := -1
-		for i := 0; i < k; i++ {
-			if room[i] >= cnt && (best < 0 || binVol[i] < binVol[best]) {
-				best = i
-			}
-		}
-		return best
-	}
 	// fragment splits a cluster that fits nowhere whole over the bins
-	// with remaining room — the correctness fallback. The volume policy
-	// spreads emptiest-volume-first; the count policy keeps its historic
-	// bin-index order, so default "2ps" permutations are unchanged by
-	// the volume-balancing refactor.
+	// with remaining room, in bin order.
 	fragment := func(verts []core.VertexID) {
-		if !volumeBalance {
-			for i := 0; i < k && len(verts) > 0; i++ {
-				take := room[i]
-				if take > int64(len(verts)) {
-					take = int64(len(verts))
-				}
-				if take > 0 {
-					place(i, verts[:take])
-					verts = verts[take:]
-				}
-			}
-			return
-		}
-		for len(verts) > 0 {
-			bin := -1
-			for i := 0; i < k; i++ {
-				if room[i] > 0 && (bin < 0 || binVol[i] < binVol[bin]) {
-					bin = i
-				}
-			}
-			if bin < 0 {
-				return // cannot happen: total room always covers all vertices
-			}
-			take := room[bin]
+		for i := 0; i < k && len(verts) > 0; i++ {
+			take := room[i]
 			if take > int64(len(verts)) {
 				take = int64(len(verts))
 			}
-			place(bin, verts[:take])
-			verts = verts[take:]
+			if take > 0 {
+				place(i, verts[:take])
+				verts = verts[take:]
+			}
 		}
 	}
 
-	if volumeBalance {
-		// Volume packing in two tiers. Heavy clusters — the ones whose
-		// placement decides the volume balance, or whose member count
-		// makes them a fragmentation risk — go first, largest volume
-		// first, each into the least-volume bin with ID room (LPT). The
-		// light tail then pours sequentially: consecutive clusters in
-		// vertex-scan order share the community adjacency of the input,
-		// so the packer keeps pouring into one bin until it reaches the
-		// per-bin volume target (or runs out of ID room) before hopping
-		// to the then-emptiest bin.
-		var totalVol int64
-		for _, v := range vols {
-			totalVol += v
+	// Best-fit decreasing: the biggest clusters claim the snuggest bins.
+	order := make([]int32, len(counts))
+	for i := range order {
+		order[i] = int32(i)
+	}
+	sort.SliceStable(order, func(a, b int) bool {
+		ca, cb := counts[order[a]], counts[order[b]]
+		if ca != cb {
+			return ca > cb
 		}
-		targetVol := (totalVol + int64(k) - 1) / int64(k)
-		heavy := make([]int32, 0, k)
-		light := make([]int32, 0, len(counts))
-		for i := range counts {
-			if vols[i] >= targetVol/2 || counts[i] >= split.PerPartition()/2 {
-				heavy = append(heavy, int32(i))
-			} else {
-				light = append(light, int32(i))
+		return order[a] < order[b]
+	})
+	for _, idx := range order {
+		cnt := counts[idx]
+		verts := members[starts[idx]:starts[idx+1]]
+		best := -1
+		for i := 0; i < k; i++ {
+			if room[i] >= cnt && (best < 0 || room[i] < room[best]) {
+				best = i
 			}
 		}
-		sort.SliceStable(heavy, func(a, b int) bool {
-			va, vb := vols[heavy[a]], vols[heavy[b]]
-			if va != vb {
-				return va > vb
-			}
-			ca, cb := counts[heavy[a]], counts[heavy[b]]
-			if ca != cb {
-				return ca > cb
-			}
-			return heavy[a] < heavy[b]
-		})
-		for _, idx := range heavy {
-			verts := members[starts[idx]:starts[idx+1]]
-			if bin := emptiest(counts[idx]); bin >= 0 {
-				place(bin, verts)
-			} else {
-				fragment(verts)
-			}
-		}
-		cur := -1
-		for _, idx := range light {
-			cnt := counts[idx]
-			verts := members[starts[idx]:starts[idx+1]]
-			switch {
-			case cur < 0 || room[cur] < cnt:
-				cur = emptiest(cnt)
-			case binVol[cur] >= targetVol:
-				// Hop only when an under-target bin can take the cluster;
-				// bouncing between over-target bins would shred the scan-
-				// order adjacency of the tail for no balance gain.
-				if cand := emptiest(cnt); cand >= 0 && binVol[cand] < targetVol {
-					cur = cand
-				}
-			}
-			if cur >= 0 {
-				place(cur, verts)
-			} else {
-				fragment(verts)
-			}
-		}
-	} else {
-		// Count packing: best-fit decreasing — biggest clusters claim the
-		// snuggest bins.
-		order := make([]int32, len(counts))
-		for i := range order {
-			order[i] = int32(i)
-		}
-		sort.SliceStable(order, func(a, b int) bool {
-			ca, cb := counts[order[a]], counts[order[b]]
-			if ca != cb {
-				return ca > cb
-			}
-			return order[a] < order[b]
-		})
-		for _, idx := range order {
-			cnt := counts[idx]
-			verts := members[starts[idx]:starts[idx+1]]
-			best := -1
-			for i := 0; i < k; i++ {
-				if room[i] >= cnt && (best < 0 || room[i] < room[best]) {
-					best = i
-				}
-			}
-			if best >= 0 {
-				place(best, verts)
-			} else {
-				fragment(verts)
-			}
+		if best >= 0 {
+			place(best, verts)
+		} else {
+			fragment(verts)
 		}
 	}
 	// Isolated vertices pad the remaining room in bin order.

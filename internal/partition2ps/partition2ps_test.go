@@ -11,12 +11,10 @@ import (
 // Assignment invariants, whatever its policy.
 func partitioners() map[string]core.Partitioner {
 	return map[string]core.Partitioner{
-		"range":      core.RangePartitioner{},
-		"2ps":        New(),
-		"2psv":       NewVolumeBalanced(),
-		"2ps-tight":  &Partitioner{cfg: Config{VolumeCapFactor: 0.25, Passes: 1}},
-		"2ps-loose":  &Partitioner{cfg: Config{VolumeCapFactor: 4, Passes: 3}},
-		"2psv-tight": &Partitioner{cfg: Config{VolumeCapFactor: 0.25, Passes: 1, VolumeBalance: true}},
+		"range":     core.RangePartitioner{},
+		"2ps":       New(),
+		"2ps-tight": &Partitioner{capFactor: 0.25, passes: 1},
+		"2ps-loose": &Partitioner{capFactor: 4, passes: 3},
 	}
 }
 
@@ -107,6 +105,9 @@ func TestDeterminism(t *testing.T) {
 			t.Fatalf("non-deterministic at vertex %d: %d vs %d", v, a.Relabel[v], b.Relabel[v])
 		}
 	}
+	if New().Name() != "2ps" {
+		t.Fatalf("partitioner name %q, want 2ps", New().Name())
+	}
 }
 
 // TestLocalityImprovement: on a scale-free graph whose vertex IDs carry no
@@ -170,132 +171,5 @@ func TestBadEdgeRejected(t *testing.T) {
 	src := core.NewSliceSource([]core.Edge{{Src: 5, Dst: 6}}, 2)
 	if _, err := New().Assign(src, 2); err == nil {
 		t.Fatal("out-of-range edge accepted")
-	}
-}
-
-// partitionVolumes computes each partition's degree volume (sum of
-// undirected degrees of its vertices) under an assignment.
-func partitionVolumes(t *testing.T, src core.EdgeSource, asg *core.Assignment) []int64 {
-	t.Helper()
-	n := src.NumVertices()
-	deg := make([]int64, n)
-	err := src.Edges(func(batch []core.Edge) error {
-		for _, e := range batch {
-			deg[e.Src]++
-			deg[e.Dst]++
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	vols := make([]int64, asg.Split.K)
-	for v := int64(0); v < n; v++ {
-		vols[asg.Of(core.VertexID(v))] += deg[v]
-	}
-	return vols
-}
-
-// TestVolumeBalancedPacking property-checks the 2psv packer's balance
-// bound over random power-law graphs: no partition's degree volume may
-// exceed the mean by more than one maximal cluster (the LPT guarantee; a
-// cluster is capped at one partition's mean volume, but a single vertex
-// can exceed the cap, so the slack term is max(mean, maxDeg)). The same
-// graphs under count-balanced "2ps" routinely reach 3-4x the mean — the
-// imbalance this packer exists to remove.
-func TestVolumeBalancedPacking(t *testing.T) {
-	for _, tc := range []struct {
-		scale int
-		ef    int
-		seed  int64
-	}{
-		{10, 16, 3}, {10, 16, 7}, {11, 8, 1}, {9, 32, 5},
-	} {
-		src := graphgen.RMAT(graphgen.RMATConfig{Scale: tc.scale, EdgeFactor: tc.ef, Seed: tc.seed})
-		for _, k := range []int{8, 16} {
-			asg, err := NewVolumeBalanced().Assign(src, k)
-			if err != nil {
-				t.Fatal(err)
-			}
-			vols := partitionVolumes(t, src, asg)
-			var total, max, maxDeg int64
-			for _, v := range vols {
-				total += v
-				if v > max {
-					max = v
-				}
-			}
-			deg := make([]int64, src.NumVertices())
-			src.Edges(func(batch []core.Edge) error {
-				for _, e := range batch {
-					deg[e.Src]++
-					deg[e.Dst]++
-				}
-				return nil
-			})
-			for _, d := range deg {
-				if d > maxDeg {
-					maxDeg = d
-				}
-			}
-			mean := total / int64(k)
-			slack := mean
-			if maxDeg > slack {
-				slack = maxDeg
-			}
-			bound := mean + slack
-			if max > bound {
-				t.Errorf("scale %d ef %d seed %d k %d: max partition volume %d exceeds bound %d (mean %d, maxDeg %d)",
-					tc.scale, tc.ef, tc.seed, k, max, bound, mean, maxDeg)
-			}
-		}
-	}
-}
-
-// TestVolumeBalancedBeatsCountBalance pins the headline: on a hub-heavy
-// graph the volume packer's worst partition carries no more volume than
-// the count packer's.
-func TestVolumeBalancedBeatsCountBalance(t *testing.T) {
-	src := graphgen.RMAT(graphgen.RMATConfig{Scale: 12, EdgeFactor: 16, Seed: 3})
-	const k = 16
-	maxOf := func(p core.Partitioner) int64 {
-		asg, err := p.Assign(src, k)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var max int64
-		for _, v := range partitionVolumes(t, src, asg) {
-			if v > max {
-				max = v
-			}
-		}
-		return max
-	}
-	count, vol := maxOf(New()), maxOf(NewVolumeBalanced())
-	if vol > count {
-		t.Fatalf("volume packing max %d worse than count packing %d", vol, count)
-	}
-	t.Logf("max partition volume: count-balanced %d, volume-balanced %d", count, vol)
-}
-
-// TestVolumeBalancedDeterminism: 2psv must emit the same permutation for
-// the same input, like 2ps.
-func TestVolumeBalancedDeterminism(t *testing.T) {
-	src := graphgen.RMAT(graphgen.RMATConfig{Scale: 10, EdgeFactor: 8, Seed: 11})
-	a, err := NewVolumeBalanced().Assign(src, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := NewVolumeBalanced().Assign(src, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for v := range a.Relabel {
-		if a.Relabel[v] != b.Relabel[v] {
-			t.Fatalf("non-deterministic at vertex %d", v)
-		}
-	}
-	if New().Name() != "2ps" || NewVolumeBalanced().Name() != "2psv" {
-		t.Fatal("partitioner names changed")
 	}
 }

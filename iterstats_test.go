@@ -3,9 +3,12 @@ package xstream_test
 import (
 	"context"
 	"fmt"
+	"reflect"
 	"testing"
+	"time"
 
 	xstream "repro"
+	"repro/internal/core"
 	"repro/internal/xstreamtest"
 )
 
@@ -18,38 +21,34 @@ import (
 // on, so they are pinned here for every execution path: solo typed runs,
 // RunJob, and shared RunMany passes on both engines.
 
-// iterSums accumulates Stats.Iters field-by-field.
-type iterSums struct {
-	edgesStreamed, edgesSkipped, partsSkipped, tilesSkipped                int64
-	updatesSent, updatesCombined, crossUpdates, updateBytes                int64
-	bytesRead, bytesReadLogical, bytesWritten, bytesChecksummed, ioRetries int64
-}
-
-func sumIters(iters []xstream.IterStats) iterSums {
-	var s iterSums
+// sumIters sums every int64 counter of Stats.Iters, durations aside, by
+// field name, so a counter added to IterStats is checked without editing
+// this file.
+func sumIters(iters []xstream.IterStats) map[string]int64 {
+	sums := map[string]int64{}
+	durType := reflect.TypeOf(time.Duration(0))
 	for i := range iters {
-		it := &iters[i]
-		s.edgesStreamed += it.EdgesStreamed
-		s.edgesSkipped += it.EdgesSkipped
-		s.partsSkipped += it.PartitionsSkipped
-		s.tilesSkipped += it.TilesSkipped
-		s.updatesSent += it.UpdatesSent
-		s.updatesCombined += it.UpdatesCombined
-		s.crossUpdates += it.CrossPartitionUpdates
-		s.updateBytes += it.UpdateBytes
-		s.bytesRead += it.BytesRead
-		s.bytesReadLogical += it.BytesReadLogical
-		s.bytesWritten += it.BytesWritten
-		s.bytesChecksummed += it.BytesChecksummed
-		s.ioRetries += it.IORetries
+		v := reflect.ValueOf(iters[i])
+		for f := 0; f < v.NumField(); f++ {
+			if fv := v.Field(f); fv.Kind() == reflect.Int64 && fv.Type() != durType {
+				sums[v.Type().Field(f).Name] += fv.Int()
+			}
+		}
 	}
-	return s
+	return sums
 }
 
-// assertIterParity checks the sum invariants of one run's Stats.
+// passFolded names the update counters a shared pass's stats receive from
+// its jobs' stats after the loop: they appear only in the jobs' own Iters.
+var passFolded = map[string]bool{
+	"UpdatesSent": true, "UpdatesCombined": true, "CrossPartitionUpdates": true, "UpdateBytes": true,
+}
+
+// assertIterParity checks the sum invariants of one run's Stats. Each
+// IterStats counter sums to its cumulative Stats field when core.StatClasses
+// classes that field StatWork, and to at most it when StatSchedule.
 // exactUpdates is false for pass-level stats of shared passes, whose
-// update counters are folded in from the per-job stats after the loop and
-// therefore appear only in the jobs' own Iters.
+// passFolded counters are only bounded by the cumulative fields.
 func assertIterParity(t *testing.T, name string, st xstream.Stats, exactUpdates bool) {
 	t.Helper()
 	executed := st.Iterations - st.ResumedIterations
@@ -62,58 +61,27 @@ func assertIterParity(t *testing.T, name string, st xstream.Stats, exactUpdates 
 			t.Errorf("%s: Iters[%d].Iter = %d, want %d", name, i, st.Iters[i].Iter, want)
 		}
 	}
-	s := sumIters(st.Iters)
-	exact := []struct {
-		field string
-		sum   int64
-		total int64
-	}{
-		{"EdgesStreamed", s.edgesStreamed, st.EdgesStreamed},
-		{"EdgesSkipped", s.edgesSkipped, st.EdgesSkipped},
-		{"PartitionsSkipped", s.partsSkipped, st.PartitionsSkipped},
-		{"TilesSkipped", s.tilesSkipped, st.TilesSkipped},
-	}
-	updates := []struct {
-		field string
-		sum   int64
-		total int64
-	}{
-		{"UpdatesSent", s.updatesSent, st.UpdatesSent},
-		{"UpdatesCombined", s.updatesCombined, st.UpdatesCombined},
-		{"CrossPartitionUpdates", s.crossUpdates, st.CrossPartitionUpdates},
-		{"UpdateBytes", s.updateBytes, st.UpdateBytes},
-	}
-	if exactUpdates {
-		exact = append(exact, updates...)
-	} else {
-		for _, u := range updates {
-			if u.sum > u.total {
-				t.Errorf("%s: sum(Iters.%s) = %d exceeds cumulative %d", name, u.field, u.sum, u.total)
+	cum := reflect.ValueOf(st)
+	for field, sum := range sumIters(st.Iters) {
+		total := cum.FieldByName(field)
+		if !total.IsValid() || total.Kind() != reflect.Int64 {
+			t.Errorf("%s: Iters.%s has no int64 Stats field to sum to", name, field)
+			continue
+		}
+		switch class := core.StatClasses[field]; {
+		case class == core.StatWork && (exactUpdates || !passFolded[field]):
+			if sum != total.Int() {
+				t.Errorf("%s: sum(Iters.%s) = %d, want cumulative %d", name, field, sum, total.Int())
 			}
-		}
-	}
-	for _, e := range exact {
-		if e.sum != e.total {
-			t.Errorf("%s: sum(Iters.%s) = %d, want cumulative %d", name, e.field, e.sum, e.total)
-		}
-	}
-	atMost := []struct {
-		field string
-		sum   int64
-		total int64
-	}{
-		{"BytesRead", s.bytesRead, st.BytesRead},
-		{"BytesReadLogical", s.bytesReadLogical, st.BytesReadLogical},
-		{"BytesWritten", s.bytesWritten, st.BytesWritten},
-		{"BytesChecksummed", s.bytesChecksummed, st.BytesChecksummed},
-		{"IORetries", s.ioRetries, st.IORetries},
-	}
-	for _, e := range atMost {
-		if e.sum > e.total {
-			t.Errorf("%s: sum(Iters.%s) = %d exceeds cumulative %d", name, e.field, e.sum, e.total)
-		}
-		if e.sum < 0 {
-			t.Errorf("%s: sum(Iters.%s) = %d is negative", name, e.field, e.sum)
+		case class == core.StatWork || class == core.StatSchedule:
+			if sum > total.Int() {
+				t.Errorf("%s: sum(Iters.%s) = %d exceeds cumulative %d", name, field, sum, total.Int())
+			}
+			if sum < 0 {
+				t.Errorf("%s: sum(Iters.%s) = %d is negative", name, field, sum)
+			}
+		default:
+			t.Errorf("%s: Iters.%s sums Stats.%s, which is neither StatWork nor StatSchedule", name, field, field)
 		}
 	}
 }
@@ -148,7 +116,7 @@ func TestIterStatsSoloRuns(t *testing.T) {
 	}
 	assertIterParity(t, "disk/bfs", dres.Stats, true)
 	// The disk engine must attribute real device reads to iterations.
-	if sums := sumIters(dres.Stats.Iters); sums.bytesRead == 0 {
+	if sumIters(dres.Stats.Iters)["BytesRead"] == 0 {
 		t.Error("disk/bfs: no per-iteration device reads attributed")
 	}
 }

@@ -29,11 +29,11 @@ func runManyCases() []runManyCase {
 		{"mem/range", true, xstream.NewRangePartitioner, false},
 		{"mem/range/selective", true, xstream.NewRangePartitioner, true},
 		{"mem/2ps/selective", true, xstream.New2PSPartitioner, true},
-		{"mem/2psv", true, xstream.New2PSVolumePartitioner, false},
+		{"mem/2ps", true, xstream.New2PSPartitioner, false},
 		{"disk/range", false, xstream.NewRangePartitioner, false},
 		{"disk/range/selective", false, xstream.NewRangePartitioner, true},
 		{"disk/2ps/selective", false, xstream.New2PSPartitioner, true},
-		{"disk/2psv", false, xstream.New2PSVolumePartitioner, false},
+		{"disk/2ps", false, xstream.New2PSPartitioner, false},
 	}
 }
 

@@ -198,12 +198,6 @@ func NewRangePartitioner() Partitioner { return core.RangePartitioner{} }
 // are still reported in input vertex IDs.
 func New2PSPartitioner() Partitioner { return partition2ps.New() }
 
-// New2PSVolumePartitioner returns the 2PS partitioner with HEP-style
-// volume-balanced packing ("2psv"): partitions are evened out by degree
-// sum — the work they cause — instead of vertex count. On power-law
-// graphs this spreads the dense core and raises cross-edge traffic.
-func New2PSVolumePartitioner() Partitioner { return partition2ps.NewVolumeBalanced() }
-
 // NewPermutationPartitioner replays a saved old->new vertex relabeling as
 // a Partitioner (nil = identity), so a clustering pass persisted with
 // SavingPartitioner is paid once per dataset.
