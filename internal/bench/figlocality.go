@@ -34,13 +34,23 @@ func runFigLocality(cfg Config) (*Table, error) {
 	parts := cfg.pick(64, 8)
 	prIters := 5
 
-	base := graphgen.RMAT(graphgen.RMATConfig{Scale: scale, EdgeFactor: 16, Seed: 7})
+	// Both inputs are materialized once, so each of a partitioner's passes
+	// over its input re-reads memory, not the generator: the preproc column
+	// measures the partitioner.
+	gen := graphgen.RMAT(graphgen.RMATConfig{Scale: scale, EdgeFactor: 16, Seed: 7})
 	inputs := []struct {
 		name string
 		src  core.EdgeSource
 	}{
-		{"rmat", base},
-		{"rmat-shuffled", graphio.Relabeled(base, randomPerm(base.NumVertices(), 7))},
+		{"rmat", gen},
+		{"rmat-shuffled", graphio.Relabeled(gen, randomPerm(gen.NumVertices(), 7))},
+	}
+	for i, in := range inputs {
+		edges, err := core.Materialize(in.src)
+		if err != nil {
+			return nil, fmt.Errorf("%s: %w", in.name, err)
+		}
+		inputs[i].src = core.NewSliceSource(edges, in.src.NumVertices())
 	}
 
 	t := &Table{

@@ -117,11 +117,6 @@ func (f *Frontier) Mark(v VertexID) {
 	}
 }
 
-// Active reports whether vertex v is active.
-func (f *Frontier) Active(v VertexID) bool {
-	return f.bits[v>>6]>>(v&63)&1 != 0
-}
-
 // Clear deactivates every vertex, zeroing only the touched words.
 func (f *Frontier) Clear() {
 	for _, w := range f.touchedList() {

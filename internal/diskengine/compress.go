@@ -141,8 +141,8 @@ type edgeScratch struct {
 // verified above the reader by streamSegments' rawTileVerifier. The
 // previous segment's reader must have been closed: a scratch still lent is
 // a bug.
-func (sc *edgeScratch) openSegment(f storage.File, seg edgeSegment, chunkRecs int, prefetch, verify bool) edgeStream {
-	if seg.tiles != nil {
+func (sc *edgeScratch) openSegment(f storage.File, seg edgeSegment, compressed bool, chunkRecs int, prefetch, verify bool) edgeStream {
+	if compressed {
 		if rd := sc.openTiles(f, seg.tiles, chunkRecs, prefetch, verify); rd != nil {
 			return rd
 		}
@@ -152,105 +152,57 @@ func (sc *edgeScratch) openSegment(f storage.File, seg edgeSegment, chunkRecs in
 	panic("diskengine: edge reader scratch lent twice")
 }
 
-// rawTileVerifier re-checksums a raw edge file's streamed records against
-// the per-tile CRCs the pre-processing shuffle recorded. Segments planned
-// from the tile index always start on tile boundaries, so the verifier
-// tracks which tile each delivered record falls in and compares at every
-// tile edge — corruption in a tile surfaces before more than one tile's
-// worth of records past it has been scattered, and always before the run
-// can return results.
+// rawTileVerifier re-checksums a raw segment's streamed records against the
+// per-tile CRCs the pre-processing shuffle recorded. A segment is a run of
+// whole tiles, so the verifier tracks which tile each delivered record
+// falls in and compares at every tile edge — corruption in a tile surfaces
+// before more than one tile's worth of records past it has been scattered,
+// and always before the run can return results.
 type rawTileVerifier struct {
-	name     string
-	tiles    []tileSpan
-	tileRecs int64
-	idx      int   // tile the next record falls in
-	within   int64 // records of tiles[idx] already fed
-	crc      uint32
-	checked  int64 // record bytes verified so far
+	tiles   []tileSpan // the segment's tiles not yet complete
+	within  int64      // records of tiles[0] already fed
+	crc     uint32
+	checked int64 // record bytes verified so far
 }
 
-// newRawTileVerifier returns a verifier for partition p of a raw layout,
-// or nil when the index cannot vouch for the file (planSegments' whole-file
-// safety net, where index and file disagree on the record count — the
-// whole file is then streamed unverified).
-func newRawTileVerifier(pf *partFile, t *diskTiles, p int) *rawTileVerifier {
-	if t == nil || t.compressed || t.tileRecs <= 0 {
-		return nil
-	}
-	if t.totalRecs(p)*edgeRecSize != pf.size {
-		return nil
-	}
-	return &rawTileVerifier{name: pf.name, tiles: t.parts[p], tileRecs: t.tileRecs}
-}
-
-// startSegment positions the verifier at the tile containing record lo.
-// Raw tiles are fixed-size except the trailing one, so the tile index is
-// lo/tileRecs; a misaligned segment (never planned, defended anyway)
-// reports false and the caller streams it unverified.
-func (v *rawTileVerifier) startSegment(lo int64) bool {
-	if lo%v.tileRecs != 0 {
-		return false
-	}
-	idx := int(lo / v.tileRecs)
-	if idx > len(v.tiles) {
-		return false
-	}
-	v.idx, v.within, v.crc = idx, 0, 0
-	return true
-}
-
-// feed folds one delivered chunk into the running per-tile checksums.
-func (v *rawTileVerifier) feed(chunk []core.Edge) error {
+// feed folds one delivered chunk into the running per-tile checksums. The
+// reader delivers at most the segment's records, so every record falls in
+// one of its tiles.
+func (v *rawTileVerifier) feed(name string, chunk []core.Edge) error {
 	for len(chunk) > 0 {
-		if v.idx >= len(v.tiles) {
-			return fmt.Errorf("diskengine: edge file %s: records past the tile index: %w", v.name, storage.ErrCorrupted)
-		}
-		tl := &v.tiles[v.idx]
-		take := tl.recs - v.within
-		if take > int64(len(chunk)) {
-			take = int64(len(chunk))
-		}
-		seg := chunk[:take]
-		v.crc = storage.ChecksumUpdate(v.crc, pod.AsBytes(seg))
+		tl := &v.tiles[0]
+		take := min(tl.recs-v.within, int64(len(chunk)))
+		v.crc = storage.ChecksumUpdate(v.crc, pod.AsBytes(chunk[:take]))
 		v.within += take
 		chunk = chunk[take:]
 		if v.within == tl.recs {
 			v.checked += tl.recs * edgeRecSize
 			if v.crc != tl.crc {
-				return fmt.Errorf("diskengine: edge file %s: tile %d checksum %08x, want %08x: %w",
-					v.name, v.idx, v.crc, tl.crc, storage.ErrCorrupted)
+				return fmt.Errorf("diskengine: edge file %s: tile at record %d checksum %08x, want %08x: %w",
+					name, tl.lo, v.crc, tl.crc, storage.ErrCorrupted)
 			}
-			v.idx++
-			v.within, v.crc = 0, 0
+			v.tiles, v.within, v.crc = v.tiles[1:], 0, 0
 		}
 	}
 	return nil
 }
 
-// streamSegments streams the planned segments of partition p's edge file
-// through fn in order, checking ctx between chunks (nil ctx skips the
-// check). With verify set, every delivered record is covered by a CRC32C
-// comparison: raw tiles against the shuffle-recorded index (or, for an
-// unindexed file streamed whole, against the file's running append
-// checksum), compressed tiles inside the tilecodec frames; a segment that
-// delivers fewer records than planned — a silently torn file — is also
-// corruption. It returns the physical and logical byte volume delivered
-// (equal for the raw layout, phys < logical when tiles decoded to more
-// than was read) plus the byte volume checksum-verified.
-func streamSegments(ctx context.Context, sc *edgeScratch, pf *partFile, p int, tiles *diskTiles, verify bool, segs []edgeSegment, chunkRecs int, prefetch bool, fn func([]core.Edge) error) (phys, logical, checked int64, err error) {
-	var ver *rawTileVerifier
-	if verify {
-		ver = newRawTileVerifier(pf, tiles, p)
-	}
-	// An unindexed raw file is always planned as one whole-file segment:
-	// verify its stream against the file's running append checksum.
-	var wholeCRC uint32
-	wholeOK := verify && ver == nil && tiles == nil &&
-		len(segs) == 1 && segs[0].lo == 0 && segs[0].hi*edgeRecSize == pf.size
+// streamSegments streams the planned segments of an edge file through fn in
+// order, checking ctx between chunks (nil ctx skips the check). With verify
+// set, every delivered record is covered by a CRC32C comparison against its
+// tile — raw tiles against the checksums the shuffle recorded in the index,
+// compressed tiles inside the tilecodec frames — and a segment that delivers
+// fewer records than planned, a silently torn file, is corruption too. It
+// returns the physical and logical byte volume delivered (equal for the raw
+// layout, phys < logical when tiles decoded to more than was read) plus the
+// byte volume checksum-verified.
+func streamSegments(ctx context.Context, sc *edgeScratch, pf *partFile, compressed, verify bool, segs []edgeSegment, chunkRecs int, prefetch bool, fn func([]core.Edge) error) (phys, logical, checked int64, err error) {
+	var ver rawTileVerifier
+	verifyRaw := verify && !compressed
 	for _, seg := range segs {
-		verSeg := ver != nil && ver.startSegment(seg.lo)
+		ver.tiles = seg.tiles
 		var segRecs int64
-		rd := sc.openSegment(pf.f, seg, chunkRecs, prefetch, verify)
+		rd := sc.openSegment(pf.f, seg, compressed, chunkRecs, prefetch, verify)
 		for err == nil {
 			var chunk []core.Edge
 			chunk, err = rd.Next()
@@ -264,12 +216,10 @@ func streamSegments(ctx context.Context, sc *edgeScratch, pf *partFile, p int, t
 			}
 			logical += int64(len(chunk)) * edgeRecSize
 			segRecs += int64(len(chunk))
-			if verSeg {
-				if err = ver.feed(chunk); err != nil {
+			if verifyRaw {
+				if err = ver.feed(pf.name, chunk); err != nil {
 					break
 				}
-			} else if wholeOK {
-				wholeCRC = storage.ChecksumUpdate(wholeCRC, pod.AsBytes(chunk))
 			}
 			err = fn(chunk)
 		}
@@ -280,27 +230,18 @@ func streamSegments(ctx context.Context, sc *edgeScratch, pf *partFile, p int, t
 				pf.name, seg.lo, seg.hi, segRecs, seg.hi-seg.lo, storage.ErrCorrupted)
 		}
 		if err != nil {
-			if ver != nil {
-				checked = ver.checked
-			}
-			return phys, logical, checked, err
+			break
 		}
 	}
 	switch {
-	case ver != nil:
+	case verifyRaw:
 		checked = ver.checked
-	case wholeOK:
-		checked = pf.size
-		if wholeCRC != pf.crc {
-			return phys, logical, checked, fmt.Errorf("diskengine: edge file %s: stream checksum %08x, want %08x: %w",
-				pf.name, wholeCRC, pf.crc, storage.ErrCorrupted)
-		}
-	case verify && tiles != nil && tiles.compressed:
+	case verify:
 		// Compressed tiles verify inside the codec frames; the bytes the
 		// device actually moved are what the CRCs covered.
 		checked = phys
 	}
-	return phys, logical, checked, nil
+	return phys, logical, checked, err
 }
 
 // tileReader streams one planned run of encoded tiles, decoding batches of

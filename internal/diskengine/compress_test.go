@@ -41,8 +41,8 @@ func shuffleLayout(t *testing.T, compressed bool, tileRecs int) ([]*partFile, *d
 func partitionRecords(t *testing.T, f *partFile, tiles *diskTiles, p int, prefetch bool) []core.Edge {
 	t.Helper()
 	var out []core.Edge
-	segs, _, _ := planSegments(tiles, p, false, nil, edgeFileRecs(f, tiles, p), nil)
-	_, _, _, err := streamSegments(nil, new(edgeScratch), f, p, tiles, true, segs, 512, prefetch, func(chunk []core.Edge) error {
+	segs, _, _ := planSegments(tiles, p, false, nil, nil)
+	_, _, _, err := streamSegments(nil, new(edgeScratch), f, tiles.compressed, true, segs, 512, prefetch, func(chunk []core.Edge) error {
 		out = append(out, append([]core.Edge(nil), chunk...)...)
 		return nil
 	})

@@ -3,12 +3,17 @@
 // Fast Storage is main memory, Slow Storage is the device holding the
 // graph. Each streaming partition owns three files — vertices, edges,
 // updates. Pre-processing is a single streaming shuffle of the unordered
-// input edge list into the partition edge files; there is no sort and no
-// index. Each iteration then runs the merged scatter/shuffle phase of
-// Figure 6 (stream edges, append updates to a stream buffer, shuffle the
-// buffer when full and append the per-partition chunks to the update
-// files) followed by the gather phase (stream each partition's update file
-// onto its in-memory vertex set).
+// input edge list into the partition edge files; there is no sort. As the
+// shuffle appends a file it records the file's tile index: per fixed-size
+// run of records, its source span and, in the raw layout, its CRC32C (a
+// compressed tile carries its CRC in its tilecodec frame). Every edge file
+// has one, and every read of a file is a run of whole tiles checked against
+// them: with verification on, a pass checks every edge byte it reads
+// before it can return a result. Each iteration then runs the merged
+// scatter/shuffle phase of Figure 6 (stream edges, append updates to a
+// stream buffer, shuffle the buffer when full and append the per-partition
+// chunks to the update files) followed by the gather phase (stream each
+// partition's update file onto its in-memory vertex set).
 //
 // I/O is asynchronous with a prefetch distance of one on both input and
 // output (§3.3): a dedicated goroutine reads ahead into a second input

@@ -521,8 +521,8 @@ func TestSelectiveIgnoredWithoutContractDisk(t *testing.T) {
 }
 
 // TestDiskTilesSegments exercises the tile index directly: needed tiles
-// become segments, adjacent ones coalesce, skipped record counts reconcile,
-// and in the raw layout a coverage mismatch falls back to a full scan.
+// become segments, adjacent ones coalesce and skipped record counts
+// reconcile.
 func TestDiskTilesSegments(t *testing.T) {
 	dt := newDiskTiles(1, 4, false)
 	edges := make([]core.Edge, 10)
@@ -536,7 +536,7 @@ func TestDiskTilesSegments(t *testing.T) {
 	}
 
 	// Only the middle tile is needed.
-	segs, skipRecs, skipTiles := planSegments(dt, 0, true, []int32{1}, 10, nil)
+	segs, skipRecs, skipTiles := planSegments(dt, 0, true, []int32{1}, nil)
 	if len(segs) != 1 || segs[0].lo != 4 || segs[0].hi != 8 {
 		t.Fatalf("segments %+v, want [{4 8}]", segs)
 	}
@@ -545,18 +545,12 @@ func TestDiskTilesSegments(t *testing.T) {
 	}
 
 	// Adjacent needed tiles coalesce.
-	segs, skipRecs, skipTiles = planSegments(dt, 0, true, []int32{0, 1}, 10, nil)
+	segs, skipRecs, skipTiles = planSegments(dt, 0, true, []int32{0, 1}, nil)
 	if len(segs) != 1 || segs[0].lo != 0 || segs[0].hi != 8 {
 		t.Fatalf("segments %+v, want [{0 8}]", segs)
 	}
 	if skipRecs != 2 || skipTiles != 1 {
 		t.Fatalf("skipped %d recs / %d tiles, want 2 / 1", skipRecs, skipTiles)
-	}
-
-	// Coverage mismatch (index says 10 records, file has 12): full scan.
-	segs, skipRecs, skipTiles = planSegments(dt, 0, true, []int32{0, 1}, 12, nil)
-	if len(segs) != 1 || segs[0].lo != 0 || segs[0].hi != 12 || skipRecs != 0 || skipTiles != 0 {
-		t.Fatalf("fallback segments %+v (skip %d/%d), want full scan", segs, skipRecs, skipTiles)
 	}
 }
 

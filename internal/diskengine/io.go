@@ -9,17 +9,15 @@ import (
 	"repro/internal/storage"
 )
 
-// partFile is one append-only partition file (edges, updates or vertices).
-// crc is the running CRC32C of every byte appended since creation (or the
-// last truncate/writeAllAt) — the read-path verifier for files whose whole
-// stream is re-read: update files at gather, vertex spill windows, and raw
-// edge files streamed end to end.
+// partFile is one append-only partition file (edges, updates or vertices),
+// created empty. It keeps no checksum: each one lives with the code that
+// verifies it — an edge file's in its tile index, an update file's and a
+// vertex window's in their store.
 type partFile struct {
 	dev  storage.Device
 	name string
 	f    storage.File
 	size int64 // append offset
-	crc  uint32
 }
 
 func createPartFile(dev storage.Device, name string) (*partFile, error) {
@@ -31,10 +29,10 @@ func createPartFile(dev storage.Device, name string) (*partFile, error) {
 }
 
 // appendBytes appends b at the current end of file, retrying short writes
-// the way readFull retries short reads. The append offset and running
-// checksum advance only past bytes confirmed written, so a failed append
-// leaves the file positionally consistent: a retry of the same append
-// overwrites any torn prefix the device may have persisted.
+// the way readFull retries short reads. The append offset advances only
+// past bytes confirmed written, so a failed append leaves the file
+// positionally consistent: a retry of the same append overwrites any torn
+// prefix the device may have persisted.
 func (p *partFile) appendBytes(b []byte) error {
 	for len(b) > 0 {
 		n, err := p.f.WriteAt(b, p.size)
@@ -44,7 +42,6 @@ func (p *partFile) appendBytes(b []byte) error {
 		if n <= 0 {
 			return fmt.Errorf("diskengine: append %s: write stalled at offset %d", p.name, p.size)
 		}
-		p.crc = storage.ChecksumUpdate(p.crc, b[:n])
 		p.size += int64(n)
 		b = b[n:]
 	}
@@ -52,7 +49,7 @@ func (p *partFile) appendBytes(b []byte) error {
 }
 
 // writeAllAt replaces the file's whole contents with b — the vertex-spill
-// store path. On success the running checksum covers exactly b.
+// store path.
 func (p *partFile) writeAllAt(b []byte) error {
 	off := int64(0)
 	for off < int64(len(b)) {
@@ -66,7 +63,6 @@ func (p *partFile) writeAllAt(b []byte) error {
 		off += int64(n)
 	}
 	p.size = int64(len(b))
-	p.crc = storage.Checksum(b)
 	return nil
 }
 
@@ -75,7 +71,6 @@ func (p *partFile) writeAllAt(b []byte) error {
 // storage layer counts it as such.
 func (p *partFile) truncate() error {
 	p.size = 0
-	p.crc = 0
 	return p.f.Truncate(0)
 }
 

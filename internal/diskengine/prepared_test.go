@@ -183,7 +183,7 @@ func TestCorruptedRecordSharedPass(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer pp.Close()
-			if recs := edgeFileRecs(pp.edgeFiles[0], pp.tilesFwd, 0); recs <= int64(pp.bufEdgeRecs) {
+			if recs := pp.tilesFwd.totalRecs(0); recs <= int64(pp.bufEdgeRecs) {
 				t.Fatalf("partition 0 holds %d records, one chunk of %d: the tile CRC would close first", recs, pp.bufEdgeRecs)
 			}
 			f, err := dev.Open("ds-p0000.edges")

@@ -74,8 +74,8 @@ type Prepared struct {
 	mu        sync.Mutex
 	edgeFiles []*partFile
 	bwdFiles  []*partFile
-	tilesFwd  *diskTiles // nil: raw files nobody reads selectively
-	tilesBwd  *diskTiles
+	tilesFwd  *diskTiles
+	tilesBwd  *diskTiles // nil until the transposed files are built
 	closed    bool
 }
 
@@ -85,23 +85,19 @@ type Prepared struct {
 // edge files, indexing tile source summaries along the way. The handle
 // serves any number of jobs until Close.
 func Prepare(g core.EdgeSource, cfg Config) (*Prepared, error) {
-	return prepare(g, cfg, sharedVertexBytes, 1, true)
+	return prepare(g, cfg, sharedVertexBytes, 1)
 }
 
 // prepare is Prepare with the vertex state size and the run count of the
 // §3.4 partition sizing — RunMany over a graph knows its jobs, a cached
-// handle sizes for one run of sharedVertexBytes — and the choice whether to
-// index tiles during the shuffle. vertexBytes is the runs' per-vertex state
-// summed. K is partitionCount's: the smallest power of two at which one
-// partition's vertex windows of every run, the two shared edge input buffers
-// and each run's three update output buffers fit M, nv·vertexBytes/K + (2 +
-// 3·runs)·S·K ≤ M (N/K + 5·S·K ≤ M for one run). A cached handle always
-// indexes tiles: it cannot know which job will read selectively. RunMany
-// over a graph indexes only under Config.Selective; without it every run is
-// dense, and a raw file is verified whole against its append checksum. The
-// compressed layout needs the index unconditionally — it is the only record
-// of where each tile's bytes live.
-func prepare(g core.EdgeSource, cfg Config, vertexBytes int64, runs int, index bool) (*Prepared, error) {
+// handle sizes for one run of sharedVertexBytes. vertexBytes is the runs'
+// per-vertex state summed. K is partitionCount's: the smallest power of two
+// at which one partition's vertex windows of every run, the two shared edge
+// input buffers and each run's three update output buffers fit M,
+// nv·vertexBytes/K + (2 + 3·runs)·S·K ≤ M (N/K + 5·S·K ≤ M for one run).
+// Every edge file is written with its tile index, which plans and verifies
+// every read of it, selective or dense.
+func prepare(g core.EdgeSource, cfg Config, vertexBytes int64, runs int) (*Prepared, error) {
 	cfg = withDefaults(cfg)
 	if cfg.Device == nil {
 		return nil, fmt.Errorf("diskengine: Config.Device is required")
@@ -146,9 +142,7 @@ func prepare(g core.EdgeSource, cfg Config, vertexBytes int64, runs int, index b
 			return nil, err
 		}
 	}
-	if index || cfg.CompressTiles {
-		pp.tilesFwd = newDiskTiles(k, cfg.TileEdges, cfg.CompressTiles)
-	}
+	pp.tilesFwd = newDiskTiles(k, cfg.TileEdges, cfg.CompressTiles)
 	if err := partitionEdgesInto(g, pp.edgeFiles, false, pp.tilesFwd, bufEdgeRecs, plan, pp.part, cfg.Threads); err != nil {
 		pp.removeFiles()
 		return nil, err
@@ -263,7 +257,7 @@ func (pp *Prepared) files(dir core.Direction, selective bool) (fs fileStream, bu
 			return fs, build, err
 		}
 	}
-	if selective && fs.tiles != nil {
+	if selective {
 		fs.index = fs.tiles.tileIndex()
 	}
 	return fs, build, nil
@@ -288,10 +282,7 @@ func (pp *Prepared) transposed() (files []*partFile, tiles *diskTiles, build edg
 			}
 		}
 		src := &forwardSource{pp: pp, sc: new(edgeScratch)}
-		var t *diskTiles
-		if pp.tilesFwd != nil {
-			t = newDiskTiles(pp.k, pp.cfg.TileEdges, pp.cfg.CompressTiles)
-		}
+		t := newDiskTiles(pp.k, pp.cfg.TileEdges, pp.cfg.CompressTiles)
 		if err := partitionEdgesInto(src, bwd, true, t, pp.bufEdgeRecs, pp.shufPlan, pp.part, pp.cfg.Threads); err != nil {
 			cleanup()
 			return nil, nil, build, err
@@ -307,21 +298,16 @@ func (pp *Prepared) transposed() (files []*partFile, tiles *diskTiles, build edg
 
 // partitionEdgesInto is the pre-processing shuffle: it streams src through
 // the shuffle pipeline into the partition edge files, optionally transposing
-// each edge first. A non-nil tiles index observes every run written,
-// building the selective-read tile summaries during the shuffle itself.
+// each edge first, and builds the files' tile index from every run written.
 func partitionEdgesInto(src core.EdgeSource, files []*partFile, transpose bool, tiles *diskTiles, bufEdgeRecs int, plan streambuf.Plan, part core.Split, threads int) error {
-	sink := func(p int, run []core.Edge) error { return files[p].appendBytes(pod.AsBytes(run)) }
+	sink := func(p int, run []core.Edge) error {
+		tiles.observe(p, run)
+		return files[p].appendBytes(pod.AsBytes(run))
+	}
 	var comp *tileCompressor
-	switch {
-	case tiles != nil && tiles.compressed:
+	if tiles.compressed {
 		comp = newTileCompressor(files, tiles)
 		sink = comp.append
-	case tiles != nil:
-		sink = func(p int, run []core.Edge) error {
-			tiles.observe(p, run)
-			return files[p].appendBytes(pod.AsBytes(run))
-		}
-		defer tiles.finish()
 	}
 	w := streambuf.NewWriter(bufEdgeRecs, plan, threads, func(ed core.Edge) uint32 {
 		return part.Of(ed.Src)
@@ -344,6 +330,7 @@ func partitionEdgesInto(src core.EdgeSource, files []*partFile, transpose bool, 
 	if comp != nil {
 		return comp.finish()
 	}
+	tiles.finish()
 	return nil
 }
 
@@ -363,8 +350,8 @@ func (s *forwardSource) NumEdges() int64 { return s.pp.ne }
 
 func (s *forwardSource) Edges(fn func([]core.Edge) error) error {
 	pp := s.pp
-	for p, f := range pp.edgeFiles {
-		segs, _, _ := planSegments(pp.tilesFwd, p, false, nil, edgeFileRecs(f, pp.tilesFwd, p), nil)
+	for p := range pp.edgeFiles {
+		segs, _, _ := planSegments(pp.tilesFwd, p, false, nil, nil)
 		io, err := pp.streamPartition(nil, s.sc, pp.edgeFiles, pp.tilesFwd, p, segs, fn)
 		s.io.read += io.read
 		s.io.logical += io.logical
@@ -386,7 +373,7 @@ func (s *forwardSource) Edges(fn func([]core.Edge) error) error {
 // the vertex window or the shuffle plan before verification catches it.
 func (pp *Prepared) streamPartition(ctx context.Context, rd *edgeScratch, files []*partFile, tiles *diskTiles, p int, segs []edgeSegment, fn func([]core.Edge) error) (io edgeIO, err error) {
 	lo, hi := pp.part.Range(p, pp.nv)
-	io.read, io.logical, io.checked, err = streamSegments(ctx, rd, files[p], p, tiles, !pp.cfg.NoVerify, segs, pp.bufEdgeRecs, !pp.cfg.NoPrefetch, func(chunk []core.Edge) error {
+	io.read, io.logical, io.checked, err = streamSegments(ctx, rd, files[p], tiles.compressed, !pp.cfg.NoVerify, segs, pp.bufEdgeRecs, !pp.cfg.NoPrefetch, func(chunk []core.Edge) error {
 		for _, ed := range chunk {
 			if int64(ed.Src) < lo || int64(ed.Src) >= hi || int64(ed.Dst) >= pp.nv {
 				return fmt.Errorf("diskengine: edge file %s: record (%d -> %d) outside partition %d window [%d,%d) of %d vertices: %w",
@@ -413,7 +400,7 @@ func RunMany(ctx context.Context, g core.EdgeSource, set core.ProgramSet, cfg Co
 	for _, j := range set {
 		vb += int64(j.VertexBytes())
 	}
-	pp, err := prepare(g, cfg, vb, len(set), cfg.Selective)
+	pp, err := prepare(g, cfg, vb, len(set))
 	if err != nil {
 		return nil, core.Stats{}, err
 	}
@@ -641,7 +628,7 @@ func (d *diskPass) Scatter(ctx context.Context, dir core.Direction, subs []core.
 		if tr != nil {
 			pStart = time.Now()
 		}
-		fileRecs := edgeFileRecs(files[p], tiles, p)
+		fileRecs := tiles.totalRecs(p)
 		d.plan.Plan(subs, p, fileRecs, index != nil)
 		needing := d.plan.Needing
 		if len(needing) == 0 {
@@ -659,7 +646,7 @@ func (d *diskPass) Scatter(ctx context.Context, dir core.Direction, subs []core.
 			// reaches: a tile no run needs is a byte range never read.
 			d.ids = d.plan.NeededTiles(index, p, d.ids)
 		}
-		segs, skippedRecs, skippedTiles := planSegments(tiles, p, d.plan.Tiled, d.ids, fileRecs, d.segs)
+		segs, skippedRecs, skippedTiles := planSegments(tiles, p, d.plan.Tiled, d.ids, d.segs)
 		d.segs = segs
 		pass.EdgesSkipped += skippedRecs
 		pass.TilesSkipped += skippedTiles

@@ -72,16 +72,16 @@ func readerLifecycle(t *testing.T, compressed bool) {
 	files, tiles := shuffleLayout(t, compressed, 128)
 	p := 0
 	for q := range files {
-		if edgeFileRecs(files[q], tiles, q) > edgeFileRecs(files[p], tiles, p) {
+		if tiles.totalRecs(q) > tiles.totalRecs(p) {
 			p = q
 		}
 	}
 	pf := files[p]
-	fileRecs := edgeFileRecs(pf, tiles, p)
+	fileRecs := tiles.totalRecs(p)
 	if fileRecs < 4*chunkRecs {
 		t.Fatalf("partition %d holds %d records, too few to keep a prefetch in flight", p, fileRecs)
 	}
-	segs, _, _ := planSegments(tiles, p, false, nil, fileRecs, nil)
+	segs, _, _ := planSegments(tiles, p, false, nil, nil)
 	want := partitionRecords(t, pf, tiles, p, false)
 
 	sc := new(edgeScratch)
@@ -94,7 +94,7 @@ func readerLifecycle(t *testing.T, compressed bool) {
 		}
 		settleGoroutines(t, base, what)
 		var got []core.Edge
-		_, _, _, err := streamSegments(nil, sc, pf, p, tiles, true, segs, chunkRecs, true, func(chunk []core.Edge) error {
+		_, _, _, err := streamSegments(nil, sc, pf, compressed, true, segs, chunkRecs, true, func(chunk []core.Edge) error {
 			got = append(got, chunk...)
 			return nil
 		})
@@ -121,7 +121,7 @@ func readerLifecycle(t *testing.T, compressed bool) {
 	}
 	check("normal end")
 
-	rd := sc.openSegment(pf.f, segs[0], chunkRecs, true, true)
+	rd := sc.openSegment(pf.f, segs[0], compressed, chunkRecs, true, true)
 	if _, err := rd.Next(); err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +130,7 @@ func readerLifecycle(t *testing.T, compressed bool) {
 	check("early close")
 
 	// Batch 0 is read, the prefetch of batch 1 fails.
-	_, _, _, err := streamSegments(nil, sc, faultyFile(t, pf, 1), p, tiles, true, segs, chunkRecs, true,
+	_, _, _, err := streamSegments(nil, sc, faultyFile(t, pf, 1), compressed, true, segs, chunkRecs, true,
 		func([]core.Edge) error { return nil })
 	if !errors.Is(err, storage.ErrInjected) {
 		t.Fatalf("injected read error surfaced as %v", err)
@@ -139,7 +139,7 @@ func readerLifecycle(t *testing.T, compressed bool) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	_, _, _, err = streamSegments(ctx, sc, pf, p, tiles, true, segs, chunkRecs, true,
+	_, _, _, err = streamSegments(ctx, sc, pf, compressed, true, segs, chunkRecs, true,
 		func([]core.Edge) error { cancel(); return nil })
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled stream returned %v", err)
@@ -156,10 +156,10 @@ func TestTileReaderLifecycle(t *testing.T)  { readerLifecycle(t, true) }
 func TestSingleBatchSegmentReadsInline(t *testing.T) {
 	for _, compressed := range []bool{false, true} {
 		files, tiles := shuffleLayout(t, compressed, 128)
-		segs, _, _ := planSegments(tiles, 0, false, nil, edgeFileRecs(files[0], tiles, 0), nil)
+		segs, _, _ := planSegments(tiles, 0, false, nil, nil)
 		sc := new(edgeScratch)
 		base := runtime.NumGoroutine()
-		rd := sc.openSegment(files[0].f, segs[0], 1<<20, true, true)
+		rd := sc.openSegment(files[0].f, segs[0], compressed, 1<<20, true, true)
 		if n := runtime.NumGoroutine(); n != base {
 			t.Fatalf("compressed=%v: %d goroutines with a single-batch reader open, %d before", compressed, n, base)
 		}
@@ -240,7 +240,7 @@ type probedRun struct {
 // place of its transport. The run scatters through the window sink.
 func setupRun[V, M any](t *testing.T, src core.EdgeSource, prog core.Program[V, M], cfg Config, tp core.UpdateTransport[M]) (*probedRun, *Prepared) {
 	t.Helper()
-	pp, err := prepare(src, cfg, int64(pod.Size[V]()), 1, false)
+	pp, err := prepare(src, cfg, int64(pod.Size[V]()), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -375,12 +375,11 @@ func TestScatterRoomProtocol(t *testing.T) {
 	}
 }
 
-// partitionEdges reads partition p's (raw, unindexed) edge file whole.
+// partitionEdges reads partition p's raw edge file whole.
 func partitionEdges(t *testing.T, pp *Prepared, p int) (edges []core.Edge) {
 	t.Helper()
-	pf := pp.edgeFiles[p]
-	segs, _, _ := planSegments(nil, p, false, nil, edgeFileRecs(pf, nil, p), nil)
-	if _, _, _, err := streamSegments(nil, new(edgeScratch), pf, p, nil, true, segs, pp.bufEdgeRecs, true, func(chunk []core.Edge) error {
+	segs, _, _ := planSegments(pp.tilesFwd, p, false, nil, nil)
+	if _, _, _, err := streamSegments(nil, new(edgeScratch), pp.edgeFiles[p], false, true, segs, pp.bufEdgeRecs, true, func(chunk []core.Edge) error {
 		edges = append(edges, chunk...)
 		return nil
 	}); err != nil {
@@ -449,7 +448,7 @@ func TestScatterSinkAllocatesNothingWarm(t *testing.T) {
 func TestSingleTileStreamAllocatesNothingWarm(t *testing.T) {
 	for _, compressed := range []bool{false, true} {
 		files, tiles := shuffleLayout(t, compressed, 128)
-		segs, _, _ := planSegments(tiles, 0, true, []int32{0}, edgeFileRecs(files[0], tiles, 0), nil)
+		segs, _, _ := planSegments(tiles, 0, true, []int32{0}, nil)
 		if got := segs[0].hi - segs[0].lo; got != 128 {
 			t.Fatalf("compressed=%v: planned a %d-record segment, want one 128-record tile", compressed, got)
 		}
@@ -458,7 +457,7 @@ func TestSingleTileStreamAllocatesNothingWarm(t *testing.T) {
 		var err error
 		fn := func(chunk []core.Edge) error { recs += int64(len(chunk)); return nil }
 		stream := func() {
-			_, _, _, err = streamSegments(nil, sc, files[0], 0, tiles, true, segs, 512, true, fn)
+			_, _, _, err = streamSegments(nil, sc, files[0], compressed, true, segs, 512, true, fn)
 		}
 		stream() // warm: the scratch's buffers are made here
 		recs = 0

@@ -25,13 +25,13 @@ func (pp *Prepared) openStores(ctx context.Context, jobs, vertexBytes, updateByt
 		return nil, fmt.Errorf("diskengine: I/O unit %d too small for update records", cfg.IOUnit)
 	}
 	upd := &updateStore{
-		files: make([]*partFile, pp.k), recSize: updateBytes, chunkBytes: window * updateBytes,
+		files: make([]*partFile, pp.k), crcs: make([]uint32, pp.k), recSize: updateBytes, chunkBytes: window * updateBytes,
 		prefetch: !cfg.NoPrefetch, verify: !cfg.NoVerify, io: io,
 		drain: make([]readScratch[byte], cfg.Threads),
 	}
 	var verts *vertexStore
 	if pp.nv*int64(vertexBytes)+5*bufBytes > cfg.MemoryBudget/int64(jobs) {
-		verts = &vertexStore{files: make([]*partFile, pp.k), recSize: vertexBytes, verify: !cfg.NoVerify, io: io}
+		verts = &vertexStore{files: make([]*partFile, pp.k), crcs: make([]uint32, pp.k), recSize: vertexBytes, verify: !cfg.NoVerify, io: io}
 	}
 	files := [][]*partFile{upd.files}
 	if verts != nil {
@@ -69,13 +69,15 @@ func (pp *Prepared) openStores(ctx context.Context, jobs, vertexBytes, updateByt
 // append-only update file per partition, the update files of §3.2. A window
 // the iteration outgrows is appended run by run on the transport's writer
 // goroutine. Drain streams a file back with prefetch, verifies its byte
-// count and running CRC32C against the append side's — a mismatch is
-// storage.ErrCorrupted — and truncates it, so the next iteration appends
-// from zero (on SSDs the truncate is the TRIM hint of §3.3).
+// count and, unless verification is off, its running CRC32C against the
+// append side's — a mismatch is storage.ErrCorrupted — and truncates it, so
+// the next iteration appends from zero (on SSDs the truncate is the TRIM
+// hint of §3.3).
 type updateStore struct {
 	files      []*partFile
-	recSize    int // bytes per update record
-	chunkBytes int // bytes per read request, whole records
+	crcs       []uint32 // per file, the running CRC32C of its appends; kept only under verify
+	recSize    int      // bytes per update record
+	chunkBytes int      // bytes per read request, whole records
 	prefetch   bool
 	verify     bool
 	io         *core.SpillIO
@@ -89,6 +91,9 @@ type updateStore struct {
 func (s *updateStore) Append(p int, run []byte) error {
 	if err := s.files[p].appendBytes(run); err != nil {
 		return err
+	}
+	if s.verify {
+		s.crcs[p] = storage.ChecksumUpdate(s.crcs[p], run)
 	}
 	s.io.Written.Add(int64(len(run)))
 	return nil
@@ -133,22 +138,25 @@ func (s *updateStore) Drain(p int, fn func([]byte) error) error {
 		}
 	}
 	if s.verify {
-		if got != uf.size || crc != uf.crc {
+		if got != uf.size || crc != s.crcs[p] {
 			return fmt.Errorf("diskengine: update file %s: %d of %d bytes, checksum %08x, want %08x: %w",
-				uf.name, got, uf.size, crc, uf.crc, storage.ErrCorrupted)
+				uf.name, got, uf.size, crc, s.crcs[p], storage.ErrCorrupted)
 		}
 		s.io.Checked.Add(got)
 	}
+	s.crcs[p] = 0
 	return uf.truncate()
 }
 
 // vertexStore is the vertex store (core.VertexStore) of a run whose state
 // does not fit the budget: one vertex file per partition, rewritten whole
 // after every change. Load checks the file's size and, unless verification
-// is off, its running CRC32C — a mismatch is storage.ErrCorrupted.
+// is off, the CRC32C of the window last stored — a mismatch is
+// storage.ErrCorrupted.
 type vertexStore struct {
 	files   []*partFile
-	recSize int // bytes per vertex record
+	crcs    []uint32 // per file, the CRC32C of the window last stored; kept only under verify
+	recSize int      // bytes per vertex record
 	verify  bool
 	io      *core.SpillIO
 }
@@ -166,20 +174,23 @@ func (s *vertexStore) Load(p int, window []byte) error {
 			vf.name, len(got)/s.recSize, len(window)/s.recSize, storage.ErrCorrupted)
 	}
 	if s.verify {
-		if sum := storage.Checksum(window); sum != vf.crc {
+		if sum := storage.Checksum(window); sum != s.crcs[p] {
 			return fmt.Errorf("diskengine: vertex file %s: checksum %08x, want %08x: %w",
-				vf.name, sum, vf.crc, storage.ErrCorrupted)
+				vf.name, sum, s.crcs[p], storage.ErrCorrupted)
 		}
 		s.io.Checked.Add(int64(len(window)))
 	}
 	return nil
 }
 
-// Store implements core.VertexStore. The rewrite resets the file's running
-// checksum, so the next Load verifies against exactly this window.
+// Store implements core.VertexStore. The next Load verifies against
+// exactly this window.
 func (s *vertexStore) Store(p int, window []byte) error {
 	if err := s.files[p].writeAllAt(window); err != nil {
 		return err
+	}
+	if s.verify {
+		s.crcs[p] = storage.Checksum(window)
 	}
 	s.io.Written.Add(int64(len(window)))
 	return nil

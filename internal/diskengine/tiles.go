@@ -27,19 +27,20 @@ type tileSpan struct {
 	crc uint32
 }
 
-// diskTiles is the per-partition tile index of a set of edge files. It is
-// built *during* the pre-processing edge shuffle: the write pipeline's
-// sink hands it every run in exactly file-append order, so tile i of
-// partition p always describes records [i*tileRecs, ...) of edge file p.
-// observe runs on the single writer goroutine; the index is read-only
-// afterwards.
+// diskTiles is the per-partition tile index of a set of edge files. Every
+// set of edge files has one, built *during* the pre-processing edge
+// shuffle: the write pipeline's sink hands it every run in exactly
+// file-append order, so tile i of partition p always describes records
+// [i*tileRecs, ...) of edge file p. It is authoritative for reading the
+// files: every read is planned from it as a run of whole tiles and checked
+// against them. observe runs on the single writer goroutine; the index is
+// read-only afterwards.
 type diskTiles struct {
 	tileRecs int64
 	// compressed marks the tilecodec on-disk layout: tiles are variable-
 	// size encoded blobs at (off, bytes) rather than fixed runs of raw
-	// records, the index is maintained by the shuffle's tileCompressor
-	// sink instead of observe, and it is authoritative for reading the
-	// files at all — a compressed file cannot be streamed without it.
+	// records, and the index is maintained by the shuffle's tileCompressor
+	// sink instead of observe.
 	compressed bool
 	parts      [][]tileSpan
 	partRecs   []int64    // per-partition record total of parts, kept by appendTile
@@ -66,9 +67,8 @@ func newDiskTiles(k, tileRecs int, compressed bool) *diskTiles {
 	}
 }
 
-// totalRecs returns the logical record count of partition p's edge file —
-// for the compressed layout the file size says nothing about it, the
-// index is the source of truth.
+// totalRecs returns the logical record count of partition p's edge file:
+// the index, not the file size, is the source of truth.
 func (t *diskTiles) totalRecs(p int) int64 { return t.partRecs[p] }
 
 // appendTile closes tile as the next tile of partition p. Every tile enters
@@ -134,35 +134,28 @@ func (t *diskTiles) tileIndex() *core.TileIndex {
 }
 
 // edgeSegment is one contiguous read of an edge file as planned by
-// planSegments: a logical record range [lo, hi) plus — in the compressed
-// layout — the run of encoded tiles covering it. nil tiles means raw
-// records at lo × record size.
+// planSegments: a logical record range [lo, hi) and the run of tiles covering
+// it, against which every record read is checked — raw records at lo × record
+// size by their tiles' checksums, encoded tiles by their tilecodec frames.
 type edgeSegment struct {
 	lo, hi int64
 	tiles  []tileSpan
 }
 
 // planSegments plans the streaming of partition p's edge file into dst's
-// storage: the whole file unless tiled, else the tiles needed lists — tile
-// ids of t's partition p, ascending (core.PartitionPlan.NeededTiles) — with
-// runs of consecutive ids coalesced into one segment each, and the records
-// and tiles of the others skipped. fileRecs is the file's logical record
-// count (see edgeFileRecs). The raw layout keeps a safety net: if its index
-// does not cover the file exactly (it always should), the whole file is
-// one segment and nothing is skipped.
-func planSegments(t *diskTiles, p int, tiled bool, needed []int32, fileRecs int64, dst []edgeSegment) (segs []edgeSegment, skippedRecs, skippedTiles int64) {
+// storage: every tile unless tiled, else the tiles needed lists — tile ids
+// of t's partition p, ascending (core.PartitionPlan.NeededTiles) — with runs
+// of consecutive ids coalesced into one segment each, and the records and
+// tiles of the others skipped.
+func planSegments(t *diskTiles, p int, tiled bool, needed []int32, dst []edgeSegment) (segs []edgeSegment, skippedRecs, skippedTiles int64) {
 	segs = dst[:0]
-	if t == nil || !tiled || (!t.compressed && t.totalRecs(p) != fileRecs) {
-		if fileRecs == 0 {
+	tiles := t.parts[p]
+	if !tiled {
+		if len(tiles) == 0 {
 			return segs, 0, 0
 		}
-		seg := edgeSegment{lo: 0, hi: fileRecs}
-		if t != nil && t.compressed {
-			seg.tiles = t.parts[p]
-		}
-		return append(segs, seg), 0, 0
+		return append(segs, edgeSegment{lo: 0, hi: t.totalRecs(p), tiles: tiles}), 0, 0
 	}
-	tiles := t.parts[p]
 	streamed := int64(0)
 	for i := 0; i < len(needed); {
 		j := i + 1
@@ -170,23 +163,10 @@ func planSegments(t *diskTiles, p int, tiled bool, needed []int32, fileRecs int6
 			j++
 		}
 		first, last := tiles[needed[i]], tiles[needed[j-1]]
-		seg := edgeSegment{lo: first.lo, hi: last.lo + last.recs}
-		if t.compressed {
-			seg.tiles = tiles[needed[i] : needed[j-1]+1]
-		}
+		seg := edgeSegment{lo: first.lo, hi: last.lo + last.recs, tiles: tiles[needed[i] : needed[j-1]+1]}
 		segs = append(segs, seg)
 		streamed += seg.hi - seg.lo
 		i = j
 	}
 	return segs, t.totalRecs(p) - streamed, int64(len(tiles) - len(needed))
-}
-
-// edgeFileRecs returns the logical record count of partition p's edge
-// file: the byte size over the record size for the raw layout, the tile
-// index's total for the compressed one.
-func edgeFileRecs(f *partFile, tiles *diskTiles, p int) int64 {
-	if tiles != nil && tiles.compressed {
-		return tiles.totalRecs(p)
-	}
-	return f.size / edgeRecSize
 }

@@ -8,25 +8,15 @@ import (
 	"repro/internal/core"
 )
 
-// referencePlanSegments is the tile plan as a per-tile walk: the whole file
+// referencePlanSegments is the tile plan as a per-tile walk: every tile
 // when need is nil, else every tile asked need once and runs of needed
-// tiles coalesced, with the raw layout's whole-file safety net — the
-// planner the word→tile plan replaced, kept as its oracle.
-func referencePlanSegments(t *diskTiles, p int, need func(core.SrcSpan) bool, fileRecs int64) (segs []edgeSegment, skippedRecs, skippedTiles int64) {
-	if t == nil || (need == nil && !t.compressed) || (!t.compressed && t.totalRecs(p) != fileRecs) {
-		if fileRecs == 0 {
-			return nil, 0, 0
-		}
-		return []edgeSegment{{lo: 0, hi: fileRecs}}, 0, 0
-	}
+// tiles coalesced — the planner the word→tile plan replaced, kept as its
+// oracle.
+func referencePlanSegments(t *diskTiles, p int, need func(core.SrcSpan) bool) (segs []edgeSegment, skippedRecs, skippedTiles int64) {
 	tiles := t.parts[p]
 	first, lo, off := -1, int64(0), int64(0) // first tile and record of the open run; -1: none
 	closeRun := func(end int) {
-		seg := edgeSegment{lo: lo, hi: off}
-		if t.compressed {
-			seg.tiles = tiles[first:end]
-		}
-		segs = append(segs, seg)
+		segs = append(segs, edgeSegment{lo: lo, hi: off, tiles: tiles[first:end]})
 		first = -1
 	}
 	for i, tile := range tiles {
@@ -71,22 +61,21 @@ func (r scheduleRun) SkipPartition(chunkEdges int64)   { r.s.SkipPartition(chunk
 // way on random frontiers too.
 func TestTilePlanMatchesWalk(t *testing.T) {
 	rng := rand.New(rand.NewSource(34))
-	check := func(name string, tiles *diskTiles, part core.Split, nv int64, fileRecs func(p int) int64) {
+	check := func(name string, tiles *diskTiles, part core.Split, nv int64) {
 		t.Helper()
 		ix := tiles.tileIndex()
 		runs := randomRuns(rng, part, nv)
 		var plan core.PartitionPlan
 		var ids []int32
 		for p := 0; p < part.K; p++ {
-			recs := fileRecs(p)
-			plan.Plan(runs, p, recs, true)
+			plan.Plan(runs, p, tiles.totalRecs(p), true)
 			var need func(core.SrcSpan) bool
 			if plan.Tiled {
 				ids = plan.NeededTiles(ix, p, ids)
 				need = plan.NeedsTile
 			}
-			segs, sr, st := planSegments(tiles, p, plan.Tiled, ids, recs, nil)
-			want, wsr, wst := referencePlanSegments(tiles, p, need, recs)
+			segs, sr, st := planSegments(tiles, p, plan.Tiled, ids, nil)
+			want, wsr, wst := referencePlanSegments(tiles, p, need)
 			if !reflect.DeepEqual(segs, want) || sr != wsr || st != wst {
 				t.Fatalf("%s partition %d (tiled %v): planned %+v skipping %d/%d, the walk %+v skipping %d/%d",
 					name, p, plan.Tiled, segs, sr, st, want, wsr, wst)
@@ -112,7 +101,7 @@ func TestTilePlanMatchesWalk(t *testing.T) {
 					tiles.appendTile(p, tileSpan{recs: 1 + rng.Int63n(64), span: core.SrcSpan{Lo: core.VertexID(a), Hi: core.VertexID(a + width - 1)}})
 				}
 			}
-			check("random", tiles, part, nv, tiles.totalRecs)
+			check("random", tiles, part, nv)
 		}
 	}
 	for _, compressed := range []bool{false, true} {
@@ -120,7 +109,7 @@ func TestTilePlanMatchesWalk(t *testing.T) {
 		nv, _ := smallGraph(33)
 		part := core.NewSplit(nv.NumVertices(), len(files))
 		for trial := 0; trial < 50; trial++ {
-			check("shuffled", tiles, part, nv.NumVertices(), func(p int) int64 { return edgeFileRecs(files[p], tiles, p) })
+			check("shuffled", tiles, part, nv.NumVertices())
 		}
 	}
 }

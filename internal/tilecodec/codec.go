@@ -11,10 +11,10 @@
 //
 //	[1 byte flags][uvarint n][uvarint payloadLen][payload][crc32c]
 //
-// where the trailing 4-byte little-endian CRC32C of the payload is present
-// iff the FlagCRC bit is set (the encoder always sets it; tiles written
-// before the checksum layer decode unchanged), and the low flag bits
-// select the payload encoding:
+// where the trailing 4-byte little-endian CRC32C of the payload is always
+// present and the FlagCRC bit marks it (the encoder always sets it; a tile
+// without it is an error), and the low flag bits select the payload
+// encoding:
 //
 //   - FlagDelta: three columnar streams — n signed-varint source deltas
 //     (zigzag, wrapping uint32 arithmetic, previous source starts at 0),
@@ -33,10 +33,12 @@
 // compression is invisible to everything above the reader: scatter order,
 // update order and therefore all results are unchanged.
 //
-// Decode is hardened against malformed input: truncated headers, length
-// mismatches, varints that overflow 32 bits, record counts beyond
-// MaxTileRecs and trailing payload garbage all return errors, never panic
-// (the FuzzDecodeTile target pins this).
+// Decode reads only what Encode writes and is hardened against malformed
+// input: a missing checksum flag, truncated headers, length mismatches,
+// varints that overflow 32 bits, record counts beyond MaxTileRecs and
+// trailing payload garbage all return errors, never panic (the
+// FuzzDecodeTile target pins this). An edge file never outlives the process
+// that wrote it, so there is no older tile format to read.
 package tilecodec
 
 import (
@@ -55,12 +57,14 @@ const (
 	FlagRaw = 0x00
 	// FlagDelta marks a delta-varint encoded tile.
 	FlagDelta = 0x01
-	// FlagCRC is OR'd into either encoding when a 4-byte CRC32C of the
-	// payload trails the tile. Encode always sets it; Decode accepts
-	// tiles without it (pre-checksum artifacts) and verifies when
-	// present.
+	// FlagCRC is OR'd into either encoding: a 4-byte CRC32C of the
+	// payload trails the tile. Encode always sets it; Decode rejects a
+	// tile without it.
 	FlagCRC = 0x02
 )
+
+// crcBytes is the size of the checksum trailing every tile.
+const crcBytes = 4
 
 // Weight-block modes inside a FlagDelta payload.
 const (
@@ -155,7 +159,7 @@ func (e *Encoder) Encode(dst []byte, edges []core.Edge) ([]byte, bool, error) {
 // Decode reads one tile from the front of data into out (grown if too
 // small, reused otherwise) and returns the decoded records, the number of
 // bytes consumed, and an error for any malformed, truncated or overflowing
-// input. Tiles carrying FlagCRC are checksum-verified; a mismatch wraps
+// input. The tile's checksum is verified; a mismatch wraps
 // storage.ErrCorrupted. On success the decoded batch is bit-identical to
 // what Encode was given, in the same order.
 func Decode(data []byte, out []core.Edge) ([]core.Edge, int, error) {
@@ -169,8 +173,10 @@ func DecodeVerify(data []byte, out []core.Edge, verify bool) ([]core.Edge, int, 
 	if len(data) < 3 {
 		return nil, 0, fmt.Errorf("tilecodec: tile header truncated: %d bytes", len(data))
 	}
+	if data[0]&FlagCRC == 0 {
+		return nil, 0, fmt.Errorf("tilecodec: tile flag 0x%02x carries no checksum", data[0])
+	}
 	flag := data[0] &^ FlagCRC
-	hasCRC := data[0]&FlagCRC != 0
 	if flag != FlagRaw && flag != FlagDelta {
 		return nil, 0, fmt.Errorf("tilecodec: unknown tile flag 0x%02x", data[0])
 	}
@@ -190,16 +196,12 @@ func DecodeVerify(data []byte, out []core.Edge, verify bool) ([]core.Edge, int, 
 	}
 	pos += k
 	avail := uint64(len(data) - pos)
-	trailer := uint64(0)
-	if hasCRC {
-		trailer = 4
-	}
-	if plen64 > avail || plen64+trailer > avail {
-		return nil, 0, fmt.Errorf("tilecodec: payload truncated: header claims %d bytes, %d available", plen64+trailer, avail)
+	if plen64 > avail || plen64+crcBytes > avail {
+		return nil, 0, fmt.Errorf("tilecodec: payload truncated: header claims %d bytes, %d available", plen64+crcBytes, avail)
 	}
 	payload := data[pos : pos+int(plen64)]
-	end := pos + int(plen64+trailer)
-	if hasCRC && verify {
+	end := pos + int(plen64+crcBytes)
+	if verify {
 		want := binary.LittleEndian.Uint32(data[pos+int(plen64):])
 		if got := storage.Checksum(payload); got != want {
 			return nil, 0, fmt.Errorf("tilecodec: tile payload checksum %08x, want %08x: %w",

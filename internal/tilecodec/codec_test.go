@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -169,12 +170,13 @@ func TestDecodeRejects(t *testing.T) {
 	}
 	cases := map[string][]byte{
 		"empty":       {},
-		"short":       {FlagDelta},
+		"short":       {FlagDelta | FlagCRC},
 		"bad-flag":    {0x7f, 0x01, 0x00},
-		"zero-count":  {FlagDelta, 0x00, 0x00},
-		"huge-count":  {FlagDelta, 0xff, 0xff, 0xff, 0xff, 0x7f, 0x00},
-		"payload-gap": {FlagDelta, 0x01, 0x40},                                      // claims 64 payload bytes, has none
-		"raw-short":   {FlagRaw, 0x02, 0x0c, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12}, // 12 bytes for 2 records
+		"no-checksum": {FlagDelta, 0x01, 0x00},
+		"zero-count":  {FlagDelta | FlagCRC, 0x00, 0x00},
+		"huge-count":  {FlagDelta | FlagCRC, 0xff, 0xff, 0xff, 0xff, 0x7f, 0x00},
+		"payload-gap": {FlagDelta | FlagCRC, 0x01, 0x40},                                    // claims 64 payload bytes, has none
+		"raw-short":   frameTile(FlagRaw, 2, []byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12}), // 12 bytes for 2 records
 	}
 	for i := 1; i < len(valid); i++ {
 		cases["truncated-"+string(rune('a'+i%26))+"_"] = valid[:i]
@@ -279,8 +281,10 @@ func referenceDecode(data []byte, out []core.Edge, verify bool) ([]core.Edge, in
 	if len(data) < 3 {
 		return nil, 0, fmt.Errorf("tilecodec: tile header truncated: %d bytes", len(data))
 	}
+	if data[0]&FlagCRC == 0 {
+		return nil, 0, fmt.Errorf("tilecodec: tile flag 0x%02x carries no checksum", data[0])
+	}
 	flag := data[0] &^ FlagCRC
-	hasCRC := data[0]&FlagCRC != 0
 	if flag != FlagRaw && flag != FlagDelta {
 		return nil, 0, fmt.Errorf("tilecodec: unknown tile flag 0x%02x", data[0])
 	}
@@ -300,16 +304,12 @@ func referenceDecode(data []byte, out []core.Edge, verify bool) ([]core.Edge, in
 	}
 	pos += k
 	avail := uint64(len(data) - pos)
-	trailer := uint64(0)
-	if hasCRC {
-		trailer = 4
-	}
-	if plen64 > avail || plen64+trailer > avail {
-		return nil, 0, fmt.Errorf("tilecodec: payload truncated: header claims %d bytes, %d available", plen64+trailer, avail)
+	if plen64 > avail || plen64+crcBytes > avail {
+		return nil, 0, fmt.Errorf("tilecodec: payload truncated: header claims %d bytes, %d available", plen64+crcBytes, avail)
 	}
 	payload := data[pos : pos+int(plen64)]
-	end := pos + int(plen64+trailer)
-	if hasCRC && verify {
+	end := pos + int(plen64+crcBytes)
+	if verify {
 		want := binary.LittleEndian.Uint32(data[pos+int(plen64):])
 		if got := storage.Checksum(payload); got != want {
 			return nil, 0, fmt.Errorf("tilecodec: tile payload checksum %08x, want %08x: %w",
@@ -417,8 +417,12 @@ func matchReference(data []byte, verify bool) error {
 
 // deltaTile frames a hand-built FlagDelta payload claiming n records, with
 // a valid checksum, so the payload decoder sees it exactly as written.
-func deltaTile(n int, payload []byte) []byte {
-	tile := []byte{FlagDelta | FlagCRC}
+func deltaTile(n int, payload []byte) []byte { return frameTile(FlagDelta, n, payload) }
+
+// frameTile frames a hand-built payload of the given encoding claiming n
+// records, with a valid checksum.
+func frameTile(encoding byte, n int, payload []byte) []byte {
+	tile := []byte{encoding | FlagCRC}
 	tile = binary.AppendUvarint(tile, uint64(n))
 	tile = binary.AppendUvarint(tile, uint64(len(payload)))
 	tile = append(tile, payload...)
@@ -542,6 +546,9 @@ func clusteredEdges(rng *rand.Rand, n int) []core.Edge {
 	return edges
 }
 
+// TestDecodeAcceptsPreChecksumTiles: Decode reads only what Encode writes,
+// so a tile without its checksum — the flag bit cleared, with or without the
+// trailer — is rejected, with verification on and off.
 func TestDecodeAcceptsPreChecksumTiles(t *testing.T) {
 	edges := []core.Edge{{Src: 5, Dst: 6, Weight: 2}, {Src: 5, Dst: 7, Weight: 2}}
 	var enc Encoder
@@ -549,16 +556,13 @@ func TestDecodeAcceptsPreChecksumTiles(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Rewrite the tile as a pre-CRC artifact: clear the flag bit, drop
-	// the trailer.
-	old := append([]byte(nil), buf[:len(buf)-4]...)
-	old[0] &^= FlagCRC
-	got, n, err := Decode(old, nil)
-	if err != nil {
-		t.Fatalf("pre-checksum tile rejected: %v", err)
+	unflagged := append([]byte(nil), buf...)
+	unflagged[0] &^= FlagCRC
+	for name, tile := range map[string][]byte{"trailer dropped": unflagged[:len(unflagged)-4], "trailer kept": unflagged} {
+		for _, verify := range []bool{true, false} {
+			if _, _, err := DecodeVerify(tile, nil, verify); err == nil || !strings.Contains(err.Error(), "carries no checksum") {
+				t.Errorf("%s, verify %v: a tile without FlagCRC decoded with error %v", name, verify, err)
+			}
+		}
 	}
-	if n != len(old) {
-		t.Fatalf("consumed %d of %d bytes", n, len(old))
-	}
-	sameEdges(t, got, edges)
 }

@@ -33,11 +33,12 @@ func FuzzDecodeTile(f *testing.F) {
 
 	seeds := [][]byte{
 		{},
-		{FlagDelta},
-		{FlagRaw, 0x01, 0x0c}, // raw header, payload missing
-		{FlagDelta, 0xff, 0xff, 0xff, 0xff, 0x7f}, // record count overflows the cap
-		{0x42, 0x01, 0x00},                        // unknown flag
-		{FlagDelta, 0x01, 0x01, 0x80},             // unterminated varint payload
+		{FlagDelta | FlagCRC},
+		{FlagRaw | FlagCRC, 0x01, 0x0c}, // raw header, payload missing
+		{FlagDelta | FlagCRC, 0xff, 0xff, 0xff, 0xff, 0x7f}, // record count overflows the cap
+		{0x42, 0x01, 0x00},         // unknown flag
+		{FlagDelta, 0x01, 0x00},    // no checksum flag
+		deltaTile(1, []byte{0x80}), // unterminated varint payload
 		small, delta, raw,
 		small[:len(small)-1], delta[:3], raw[:5], // truncations
 		append(append([]byte{}, small...), 0xff), // trailing byte after a valid tile
