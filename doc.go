@@ -48,8 +48,10 @@
 // (edge in, optional update out — reading only the source vertex), and
 // Gather (apply an update to its destination vertex). Optional interfaces
 // add per-iteration hooks (IterationStarter), custom termination and
-// cross-vertex aggregation (PhasedProgram), and iterations over the
-// transposed edge list (DirectedProgram). The eleven algorithms from the
+// cross-vertex aggregation (PhasedProgram), iterations over the
+// transposed edge list (DirectedProgram), and each vertex's out-degree,
+// counted once by pre-processing, at initialization (an InitDegree method,
+// core.DegreeInit). The eleven algorithms from the
 // paper's evaluation ship ready-made; see NewWCC, NewBFS, NewSSSP,
 // NewPageRank, NewSpMV, NewConductance, NewMIS, NewMCST, NewSCC, NewALS,
 // NewBP and NewHyperANF.

@@ -386,7 +386,6 @@ func TestCombineGroupingInvariance(t *testing.T) {
 
 	t.Run("sum/pagerank", func(t *testing.T) {
 		prog := xstream.NewPageRank(1)
-		prog.StartIteration(1) // rank-accumulation path
 		for trial := 0; trial < 200; trial++ {
 			n := 1 + rng.Intn(30)
 			vals := make([]float32, n)

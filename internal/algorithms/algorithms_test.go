@@ -106,7 +106,7 @@ func TestPageRank(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Stats.Iterations != iters+1 { // +1 degree-count iteration
+	if res.Stats.Iterations != iters {
 		t.Fatalf("iterations = %d", res.Stats.Iterations)
 	}
 	want := refalgo.PageRank(src.NumVertices(), edges, iters)

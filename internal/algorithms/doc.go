@@ -36,4 +36,9 @@
 // every vertex each iteration and deliberately do not opt in; the phased
 // ones (SCC, MIS, MCST) cannot, because their EndIteration hooks activate
 // vertices outside the update stream.
+//
+// PageRank needs each vertex's out-degree before its first scatter. It
+// implements core.DegreeInit and takes the degrees the engines count once,
+// in pre-processing, so every one of its iterations streams the forward
+// edges; SCC's backward closure is the only user of the transposed list.
 package algorithms

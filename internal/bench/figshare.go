@@ -22,10 +22,11 @@ import (
 // "shared", one RunMany pass driving all K. The headline metrics are the
 // edge records streamed — shared must be ~1/K of seq on both engines — and,
 // out of core, the device bytes read, since each edge-file chunk is read
-// once and scattered for every job. A warmup pass first builds the lazily
-// shared transpose (PageRank's degree-counting iteration streams it), so
-// both modes measure steady-state serving cost. All metrics are
-// deterministic work measures, gated by cmd/benchgate.
+// once and scattered for every job. PageRank takes its out-degrees from the
+// handle's pre-processing and streams forward only, so no pass builds
+// anything the next one reuses: both modes measure steady-state serving
+// cost. All metrics are deterministic work measures, gated by
+// cmd/benchgate.
 func init() {
 	register("figshare", "Shared-pass multi-job execution: K PageRank jobs, one edge stream", runFigShare)
 }
@@ -58,13 +59,10 @@ func runFigShare(cfg Config) (*Table, error) {
 		})
 	}
 
-	// sharePasses serves both engines' rows from one prepared handle: a
-	// warmup pass, k sequential single-job passes and one shared k-job pass.
-	// It returns the sequential passes' totals and the shared pass's stats.
+	// sharePasses serves both engines' rows from one prepared handle: k
+	// sequential single-job passes and one shared k-job pass. It returns the
+	// sequential passes' totals and the shared pass's stats.
 	sharePasses := func(engine string, pp core.Prepared) (seq, shared core.Stats, err error) {
-		if _, _, err := pp.RunMany(ctx, newSet(1)); err != nil { // warmup: build the transpose
-			return seq, shared, fmt.Errorf("%s warmup: %w", engine, err)
-		}
 		var seqTime string
 		for i := 0; i < k; i++ {
 			_, pass, err := pp.RunMany(ctx, newSet(1))

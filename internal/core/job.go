@@ -281,7 +281,11 @@ type JobSetup struct {
 	Threads int
 	// Plan is the update shuffle plan matching the assignment's split.
 	Plan streambuf.Plan
-	// UpdateCap is the record capacity of each update stream buffer.
+	// UpdateCap is the record capacity of each update stream buffer of a run
+	// without stores: the most updates one iteration may append, which the
+	// engine bounds by the edge count. A run whose scatter kernels combine
+	// in the dense accumulator appends at most one update per destination
+	// per partition task, and keeps its windows to that when it is smaller.
 	UpdateCap int
 	// PrivateBufRecs sizes the scatter-side private buffers in records;
 	// when 0, PrivateBufBytes/sizeof(update) is used instead.
@@ -301,6 +305,13 @@ type JobSetup struct {
 	// UpdateCap records, and every engine worker scatters whole partitions
 	// through a sink of its own.
 	Spill func(vertexBytes, updateBytes int, io *SpillIO) (*Spill, error)
+	// Degrees returns partition p's out-degrees, one per vertex of its
+	// window in relabeled order, counted by the engine's pre-processing;
+	// Setup asks for each partition once when the program is a DegreeInit.
+	// In memory it returns a slice of the prepared vector. Out of core it
+	// reads and verifies the partition's degree file into *scratch, grown
+	// to the window when short, and counts the bytes on io.
+	Degrees func(p int, scratch *[]uint32, io *SpillIO) ([]uint32, error)
 }
 
 // JobRun drives one job through the iterations of a pass. The engine owns
@@ -564,6 +575,12 @@ func (r *jobRun[V, M]) Setup(s JobSetup) error {
 	r.pending = make([]int, 0, r.part.K)
 	r.stats.Algorithm = r.prog.Name()
 	updCap, store := max(s.UpdateCap, 1), SpillStore(nil)
+	if r.combine != nil && DenseCombines[M](s.NumVertices) {
+		// Each partition is one task per iteration, and a dense
+		// accumulator emits each destination it holds once, at its task's
+		// end.
+		updCap = int(min(int64(updCap), int64(r.part.K)*s.NumVertices))
+	}
 	if s.Spill != nil {
 		sp, err := s.Spill(pod.Size[V](), pod.Size[Update[M]](), &r.io)
 		if err != nil {
@@ -581,37 +598,57 @@ func (r *jobRun[V, M]) Setup(s JobSetup) error {
 	return nil
 }
 
-// initVertices establishes the initial vertex state, with selective
-// scheduling seeding iteration 0's frontier as it goes: in parallel over
-// fixed blocks of vertices — a program initializes a vertex from its ID
-// alone and Frontier.Mark is atomic — or, in a vertex store, a partition
-// window at a time.
+// initVertices establishes the initial vertex state a partition window at a
+// time — a slice of the in-memory state, or the window buffer stored to the
+// vertex store — with selective scheduling seeding iteration 0's frontier as
+// it goes. A DegreeInit program gets each vertex's out-degree right after
+// Init, from the partition's degrees (JobSetup.Degrees). Within a window,
+// fixed blocks of vertices are initialized in parallel: a program
+// initializes a vertex from its ID (and degree) alone, and Frontier.Mark is
+// atomic.
 func (r *jobRun[V, M]) initVertices() error {
-	init := func(id VertexID, v *V) {
-		r.prog.Init(id, v)
-		if r.fp != nil && r.fp.InitiallyActive(id, v) {
-			r.Seed(id)
-		}
-	}
 	if r.vstore == nil {
 		r.verts = make([]V, r.setup.NumVertices)
-		const initBlock = 4096
-		n := len(r.verts)
-		ForEachClaimed((n+initBlock-1)/initBlock, r.setup.Threads, func(_, b int) {
-			for i := b * initBlock; i < min(n, (b+1)*initBlock); i++ {
-				init(VertexID(i), &r.verts[i])
-			}
-		})
-		return nil
+	} else {
+		r.win = make([]V, r.part.PerPartition())
+		r.subK = NextPow2(r.setup.Threads * 4)
 	}
-	r.win = make([]V, r.part.PerPartition())
-	r.subK = NextPow2(r.setup.Threads * 4)
+	degInit, _ := any(r.prog).(DegreeInit[V])
+	if degInit != nil && r.setup.Degrees == nil {
+		return fmt.Errorf("job %s: the engine counts no out-degrees", r.prog.Name())
+	}
+	var scratch []uint32
 	for p := 0; p < r.part.K; p++ {
 		lo, hi := r.part.Range(p, r.setup.NumVertices)
-		win := r.win[:hi-lo]
-		for i := range win {
-			init(VertexID(lo+int64(i)), &win[i])
+		var win []V
+		if r.vstore == nil {
+			win = r.verts[lo:hi]
+		} else {
+			win = r.win[:hi-lo]
 		}
+		var deg []uint32
+		if degInit != nil {
+			var err error
+			if deg, err = r.setup.Degrees(p, &scratch, &r.io); err != nil {
+				return fmt.Errorf("job %s: %w", r.prog.Name(), err)
+			}
+			if len(deg) != len(win) {
+				return fmt.Errorf("job %s: partition %d has %d out-degrees for %d vertices", r.prog.Name(), p, len(deg), len(win))
+			}
+		}
+		const initBlock = 4096
+		ForEachClaimed((len(win)+initBlock-1)/initBlock, r.setup.Threads, func(_, b int) {
+			for i := b * initBlock; i < min(len(win), (b+1)*initBlock); i++ {
+				id := VertexID(lo + int64(i))
+				r.prog.Init(id, &win[i])
+				if deg != nil {
+					degInit.InitDegree(id, deg[i], &win[i])
+				}
+				if r.fp != nil && r.fp.InitiallyActive(id, &win[i]) {
+					r.Seed(id)
+				}
+			}
+		})
 		if err := r.storeWindow(p, win); err != nil {
 			return err
 		}

@@ -92,6 +92,17 @@ type DirectedProgram interface {
 	Direction(iter int) Direction
 }
 
+// DegreeInit is implemented by programs whose initial vertex state needs the
+// vertex's out-degree (PageRank divides rank by it). Out-degrees are a
+// function of the edge list, not of a job, so the engines count them once,
+// in the pre-processing shuffle, and the run calls InitDegree right after
+// Init for every vertex, with the exact count of edges whose source is id
+// (self-loops and duplicates included). Like Init it may run concurrently
+// for different vertices.
+type DegreeInit[V any] interface {
+	InitDegree(id VertexID, outDegree uint32, v *V)
+}
+
 // IterationStarter is implemented by programs that need per-iteration setup
 // before the scatter phase (phase switches, random priorities, ...). It
 // runs single-threaded.

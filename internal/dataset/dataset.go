@@ -241,7 +241,7 @@ func (d *Dataset) Acquire() {
 }
 
 // Release drops an Acquire pin. It also re-measures the resident
-// footprint — a pass may have grown the handle (lazily built transposes,
+// footprint — a pass may have grown the handle (SCC's lazily built transpose,
 // tile indexes) — and reports the change to the registry, which may now
 // evict this or another dataset.
 func (d *Dataset) Release() {

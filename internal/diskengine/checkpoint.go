@@ -15,11 +15,15 @@ package diskengine
 // double-buffered across two slots (iter&1) with the magic written last, so
 // a torn write is indistinguishable from no snapshot:
 //
-//	[8B magic "XSCKPS1\n"][8B iteration][8B jobs][8B identity][16B zero]
+//	[8B magic "XSCKPS2\n"][8B iteration][8B jobs][8B identity][16B zero]
 //	per job: [8B flags][vertex bytes][frontier words?]
 //	[4B crc32c]
 //
-// The CRC covers everything after the magic and before itself. identity
+// The CRC covers everything after the magic and before itself. The magic
+// is the format's version: an XSCKPS1 snapshot numbers a PageRank's
+// iterations from a degree-counting iteration that no longer exists (the
+// degrees now come from pre-processing), so resuming one would run a rank
+// iteration short; it reads as no snapshot and the run starts fresh. identity
 // fingerprints the pass shape (partitioner, partition count, graph size,
 // and each job's name, state size and frontier-ness) so a stale snapshot
 // from a different job set is never loaded; a solo Run and a RunJob of the
@@ -41,7 +45,7 @@ import (
 )
 
 const (
-	ckptMagic     = "XSCKPS1\n"
+	ckptMagic     = "XSCKPS2\n"
 	ckptHeaderLen = 48
 	ckptDone      = 1 << 0 // job had already converged
 	ckptFront     = 1 << 1 // job section carries frontier words
@@ -310,7 +314,7 @@ func (pp *Prepared) tryResume(pass *core.Stats, snaps []core.Snapshotter, reinit
 // removeCheckpoints deletes both snapshot slots — the run completed, so
 // there is nothing left to resume — and the transposed partition files a
 // crashed attempt built but this one never adopted: a resume can start past
-// the only backward iteration (PageRank's degree pass), in which case the
+// the last backward iteration (SCC's final closure), in which case the
 // previous attempt's .redges files would otherwise be orphaned. Files this
 // Prepared did build belong to it and are left for Close.
 func (pp *Prepared) removeCheckpoints() {

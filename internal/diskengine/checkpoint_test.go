@@ -18,6 +18,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/algorithms"
 	"repro/internal/core"
 	"repro/internal/graphgen"
 	"repro/internal/storage"
@@ -286,6 +287,49 @@ func TestCheckpointInterchangeable(t *testing.T) {
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("%s resuming %s: vertices differ from the fault-free run's", pair[1].name, pair[0].name)
 		}
+	}
+}
+
+// TestCheckpointVersion1SnapshotStartsFresh: a PageRank snapshot in the
+// XSCKPS1 frame numbers its iterations from the degree-counting iteration
+// PageRank no longer runs, so resuming it would leave the run one rank
+// iteration short. A crashed PageRank's surviving slots, relabeled with the
+// version-1 magic and otherwise intact (the CRC does not cover the magic),
+// must read as no snapshot: the rerun starts fresh and its ranks equal a run
+// that was never interrupted.
+func TestCheckpointVersion1SnapshotStartsFresh(t *testing.T) {
+	src, _ := smallGraph(37)
+	cfg := Config{Threads: 2, IOUnit: 8 << 10, Partitions: 4, Checkpoint: true}
+	solo, _ := soloAndJob(func() core.Program[algorithms.PRState, float32] { return algorithms.NewPageRank(4) })
+	clean := ssd(0)
+	cfg.Device = clean
+	want, wantSt, err := solo(src, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ds := clean.Stats()
+	inner := crashed(t, ds.Reads+ds.Writes, func(dev storage.Device) error {
+		cfg := cfg
+		cfg.Device = dev
+		_, _, err := solo(src, cfg)
+		return err
+	})
+	for _, f := range ckptSlots(inner) {
+		if _, err := f.WriteAt([]byte("XSCKPS1\n"), 0); err != nil {
+			t.Fatal(err)
+		}
+		f.Close()
+	}
+	cfg.Device = inner
+	got, st, err := solo(src, cfg)
+	if err != nil {
+		t.Fatalf("rerun over a version-1 snapshot: %v", err)
+	}
+	if st.ResumedIterations != 0 || st.Iterations != wantSt.Iterations {
+		t.Fatalf("rerun resumed %d iterations and ran %d, want a fresh run of %d", st.ResumedIterations, st.Iterations, wantSt.Iterations)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatal("ranks differ from the uninterrupted run's")
 	}
 }
 

@@ -23,9 +23,9 @@ import (
 // tileCompressor is the shuffle sink of the compressed layout: it
 // accumulates each partition's appended runs into fixed-size tiles,
 // encodes every full tile and appends the encoded blob to the partition
-// file, recording the tile's source span and physical placement in the
-// index. It replaces both the raw append and the diskTiles observer, and
-// runs on the single writer goroutine; finish (called after
+// file, recording the tile's physical placement, and its source span when
+// the index keeps spans, in the index. It replaces both the raw append and
+// the diskTiles observer, and runs on the single writer goroutine; finish (called after
 // the writer drains) flushes each partition's trailing short tile.
 type tileCompressor struct {
 	files    []*partFile
@@ -84,14 +84,15 @@ func (c *tileCompressor) flushTile(p int, edges []core.Edge) error {
 	if err := f.appendBytes(c.buf); err != nil {
 		return err
 	}
-	span := core.NewSrcSpan(edges[0].Src)
-	for _, ed := range edges[1:] {
-		span.Add(ed.Src)
-	}
 	t := c.tiles
-	t.appendTile(p, tileSpan{
-		recs: int64(len(edges)), span: span, off: off, bytes: int64(len(c.buf)),
-	})
+	tile := tileSpan{recs: int64(len(edges)), off: off, bytes: int64(len(c.buf))}
+	if t.spans {
+		tile.span = core.NewSrcSpan(edges[0].Src)
+		for _, ed := range edges[1:] {
+			tile.span.Add(ed.Src)
+		}
+	}
+	t.appendTile(p, tile)
 	t.logicalBytes += int64(len(edges)) * edgeRecSize
 	t.physBytes += int64(len(c.buf))
 	if compressed {

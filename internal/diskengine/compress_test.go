@@ -29,8 +29,8 @@ func shuffleLayout(t *testing.T, compressed bool, tileRecs int) ([]*partFile, *d
 			t.Fatal(err)
 		}
 	}
-	tiles := newDiskTiles(k, tileRecs, compressed)
-	if err := partitionEdgesInto(src, files, false, tiles, 1024, plan, part, 3); err != nil {
+	tiles := newDiskTiles(k, tileRecs, compressed, true)
+	if err := partitionEdgesInto(src, files, false, tiles, nil, 1024, plan, part, 3); err != nil {
 		t.Fatal(err)
 	}
 	return files, tiles

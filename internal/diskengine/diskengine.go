@@ -9,11 +9,18 @@
 // compressed tile carries its CRC in its tilecodec frame). Every edge file
 // has one, and every read of a file is a run of whole tiles checked against
 // them: with verification on, a pass checks every edge byte it reads
-// before it can return a result. Each iteration then runs the merged
-// scatter/shuffle phase of Figure 6 (stream edges, append updates to a
-// stream buffer, shuffle the buffer when full and append the per-partition
-// chunks to the update files) followed by the gather phase (stream each
-// partition's update file onto its in-memory vertex set).
+// before it can return a result; tile source spans, which only selective
+// streaming reads, are recorded only for a Selective handle. The shuffle's
+// sink also counts every vertex's out-degree, on its one writer goroutine,
+// and the counts are written out as one CRC-checked degree file per
+// partition (<prefix>ds-p0000.deg): a core.DegreeInit program such as
+// PageRank reads its partition windows of them, verified, once per job,
+// and streams forward only — the transposed edge files are SCC's alone.
+// Each iteration then runs the merged scatter/shuffle phase of Figure 6
+// (stream edges, append updates to a stream buffer, shuffle the buffer when
+// full and append the per-partition chunks to the update files) followed by
+// the gather phase (stream each partition's update file onto its in-memory
+// vertex set).
 //
 // I/O is asynchronous with a prefetch distance of one on both input and
 // output (§3.3): a dedicated goroutine reads ahead into a second input
@@ -27,8 +34,8 @@
 // Every pass is driven by core.RunPass, the iteration loop of both engines,
 // over one dataset layer, the Prepared: the §3.4 partition sizing, the
 // partitioner and relabeling, the edge shuffle, the edge files with their
-// tile index and lazily built transpose, the partition reader and the
-// checkpoint all live there, and Prepared.runPass (runmany.go) supplies how
+// tile index and lazily built transpose, the degree files, the partition
+// reader and the checkpoint all live there, and Prepared.runPass (runmany.go) supplies how
 // a partition's edges reach the scatter, the checkpoint after each
 // iteration and the resume before the first. The loop drives one run type,
 // core.jobRun, in one configuration, and streams a partition at a time

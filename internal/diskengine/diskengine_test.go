@@ -524,7 +524,7 @@ func TestSelectiveIgnoredWithoutContractDisk(t *testing.T) {
 // become segments, adjacent ones coalesce and skipped record counts
 // reconcile.
 func TestDiskTilesSegments(t *testing.T) {
-	dt := newDiskTiles(1, 4, false)
+	dt := newDiskTiles(1, 4, false, true)
 	edges := make([]core.Edge, 10)
 	for i := range edges {
 		edges[i].Src = core.VertexID(i * 10) // tiles span [0,30],[40,70],[80,90]

@@ -379,9 +379,9 @@ func TestSpillViewFaultFailsIteration(t *testing.T) {
 		at   int
 		opts storage.FaultyOptions
 	}{
-		{"read/last-iteration", iters, storage.FaultyOptions{Seed: 7, ReadErr: 1, MaxFaults: 1}},
+		{"read/last-iteration", iters - 1, storage.FaultyOptions{Seed: 7, ReadErr: 1, MaxFaults: 1}},
 		{"read/mid-run", 1, storage.FaultyOptions{Seed: 7, ReadErr: 1, MaxFaults: 1}},
-		{"write/last-iteration", iters, storage.FaultyOptions{Seed: 7, WriteErr: 1, MaxFaults: 1}},
+		{"write/last-iteration", iters - 1, storage.FaultyOptions{Seed: 7, WriteErr: 1, MaxFaults: 1}},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			inner := ssd(0)
@@ -445,7 +445,6 @@ type flipAtStart struct {
 }
 
 func (p *flipAtStart) StartIteration(iter int) {
-	p.PageRank.StartIteration(iter)
 	if iter == p.at {
 		p.flip()
 	}

@@ -20,15 +20,15 @@ import (
 	"repro/internal/storage"
 )
 
-// keepRemoved is a device that remembers every edge file's bytes at the
-// moment the engine removes it.
+// keepRemoved is a device that remembers every edge and degree file's bytes
+// at the moment the engine removes it.
 type keepRemoved struct {
 	storage.Device
 	edges map[string][]byte
 }
 
 func (d *keepRemoved) Remove(name string) error {
-	if strings.HasSuffix(name, "edges") { // .edges and .redges
+	if strings.HasSuffix(name, "edges") || strings.HasSuffix(name, ".deg") { // .edges, .redges and .deg
 		if f, err := d.Device.Open(name); err == nil {
 			b := make([]byte, f.Size())
 			if err := readBytes(f, b, 0); err == nil {
@@ -40,11 +40,11 @@ func (d *keepRemoved) Remove(name string) error {
 	return d.Device.Remove(name)
 }
 
-// TestSoloRunsOnPrepared: for a transposing PageRank, a selective BFS over
-// compressed tiles and WCC under 2PS, solo Run and RunJob on the same config
-// write byte-identical forward and transposed edge files, report the same
-// layout, and leave the device empty — as do a run whose edge-file reads
-// fault and a cancelled RunJob.
+// TestSoloRunsOnPrepared: for PageRank, which reads the degree files, a
+// transposing SCC, a selective BFS over compressed tiles and WCC under 2PS,
+// solo Run and RunJob on the same config write byte-identical forward and
+// transposed edge files and degree files, report the same layout, and leave
+// the device empty — as do a run whose reads fault and a cancelled RunJob.
 func TestSoloRunsOnPrepared(t *testing.T) {
 	src, _ := smallGraph(17)
 	type workload struct {
@@ -55,11 +55,13 @@ func TestSoloRunsOnPrepared(t *testing.T) {
 	}
 	pagerank := workload{name: "pagerank"}
 	pagerank.solo, pagerank.job = soloAndJob(func() core.Program[algorithms.PRState, float32] { return algorithms.NewPageRank(3) })
+	scc := workload{name: "scc"}
+	scc.solo, scc.job = soloAndJob(func() core.Program[algorithms.SCCState, uint32] { return algorithms.NewSCC() })
 	bfs := workload{name: "bfs-selective", cfg: Config{Selective: true, CompressTiles: true, TileEdges: 256}}
 	bfs.solo, bfs.job = soloAndJob(func() core.Program[bfsState, int32] { return &bfsProg{root: 3} })
 	wcc := workload{name: "wcc-2ps", cfg: Config{Partitioner: partition2ps.New(), CompressTiles: true, TileEdges: 256}}
 	wcc.solo, wcc.job = soloAndJob(func() core.Program[wccState, core.VertexID] { return &wccProg{} })
-	workloads := []workload{pagerank, bfs, wcc}
+	workloads := []workload{pagerank, scc, bfs, wcc}
 	for _, w := range workloads {
 		t.Run(w.name, func(t *testing.T) {
 			// run executes the workload solo or as a job under ctx on a fresh
@@ -113,12 +115,12 @@ func TestSoloRunsOnPrepared(t *testing.T) {
 				names = append(names, name)
 			}
 			sort.Strings(names)
-			wantFiles := 4
-			if w.name == "pagerank" {
-				wantFiles = 8 // the degree pass streams the transpose
+			wantFiles := 8 // four edge files, four degree files
+			if w.name == "scc" {
+				wantFiles = 12 // and the transpose's four
 			}
 			if len(names) != wantFiles || len(soloFiles) != wantFiles {
-				t.Fatalf("job removed %d edge files %v, solo %d, want %d of each", len(names), names, len(soloFiles), wantFiles)
+				t.Fatalf("job removed %d edge and degree files %v, solo %d, want %d of each", len(names), names, len(soloFiles), wantFiles)
 			}
 			for _, name := range names {
 				if !bytes.Equal(soloFiles[name], jobFiles[name]) {
@@ -135,8 +137,9 @@ func TestSoloRunsOnPrepared(t *testing.T) {
 				t.Error("compressed layout reports no encoded tiles")
 			}
 
-			// Pre-processing only writes, so the first read — an edge
-			// file's, or the transpose build's pass over them — faults.
+			// Pre-processing only writes, so the first read — PageRank's
+			// degree file, an edge file, or the transpose build's pass over
+			// them — faults.
 			faulty := func(cfg *Config) {
 				cfg.Device = storage.NewFaulty(cfg.Device, storage.FaultyOptions{Seed: 5, ReadErr: 1})
 			}

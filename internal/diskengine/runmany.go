@@ -3,8 +3,9 @@ package diskengine
 // runmany.go is the out-of-core engine's dataset layer and what it supplies
 // to the iteration loop of both engines, core.RunPass. A Prepared holds a
 // dataset's pre-processing output — the input edge list shuffled once into
-// partition edge files, the tile source index built during that shuffle, and
-// the lazily built transposed files — so the shuffle is paid once per
+// partition edge files, the tile index and the out-degree files written
+// during that shuffle, and the transposed files, built lazily for the
+// Backward iterations of SCC — so the shuffle is paid once per
 // dataset instead of once per run. runPass then drives any number of runs
 // (core.JobRun) from one pass over the edge files per iteration: each chunk
 // read from a file is handed to every subscribing run's scatter sink, so the
@@ -55,9 +56,9 @@ import (
 const sharedVertexBytes = 16
 
 // Prepared is a dataset's out-of-core pre-processing — partition edge files
-// plus tile index — and the engine's only dataset layer: a handle from
-// Prepare is shared read-only by any number of RunMany passes, and RunMany
-// over a graph makes one for itself. Every pass over it is a runPass. Close
+// plus tile index, and partition out-degree files — and the engine's only
+// dataset layer: a handle from Prepare is shared read-only by any number of
+// RunMany passes, and RunMany over a graph makes one for itself. Every pass over it is a runPass. Close
 // removes the files.
 type Prepared struct {
 	cfg         Config
@@ -74,16 +75,20 @@ type Prepared struct {
 	mu        sync.Mutex
 	edgeFiles []*partFile
 	bwdFiles  []*partFile
-	tilesFwd  *diskTiles
-	tilesBwd  *diskTiles // nil until the transposed files are built
-	closed    bool
+	// degFiles holds each partition's out-degrees (degrees.go), degCRCs
+	// their CRC32C under verification.
+	degFiles []*partFile
+	degCRCs  []uint32
+	tilesFwd *diskTiles
+	tilesBwd *diskTiles // nil until the transposed files are built
+	closed   bool
 }
 
 // Prepare ingests a graph once for shared-pass execution on cfg.Device:
 // it plans the partitioning (paying any clustering passes now), rewrites
 // the edge stream through the relabeling, and shuffles it into partition
-// edge files, indexing tile source summaries along the way. The handle
-// serves any number of jobs until Close.
+// edge files, indexing its tiles and counting out-degrees along the way. The
+// handle serves any number of jobs until Close.
 func Prepare(g core.EdgeSource, cfg Config) (*Prepared, error) {
 	return prepare(g, cfg, sharedVertexBytes, 1)
 }
@@ -96,7 +101,9 @@ func Prepare(g core.EdgeSource, cfg Config) (*Prepared, error) {
 // input buffers and each run's three update output buffers fit M,
 // nv·vertexBytes/K + (2 + 3·runs)·S·K ≤ M (N/K + 5·S·K ≤ M for one run).
 // Every edge file is written with its tile index, which plans and verifies
-// every read of it, selective or dense.
+// every read of it, selective or dense; the tiles' source spans are recorded
+// only when the handle runs selectively. The same shuffle counts every
+// vertex's out-degree, written out as one degree file per partition.
 func prepare(g core.EdgeSource, cfg Config, vertexBytes int64, runs int) (*Prepared, error) {
 	cfg = withDefaults(cfg)
 	if cfg.Device == nil {
@@ -142,8 +149,16 @@ func prepare(g core.EdgeSource, cfg Config, vertexBytes int64, runs int) (*Prepa
 			return nil, err
 		}
 	}
-	pp.tilesFwd = newDiskTiles(k, cfg.TileEdges, cfg.CompressTiles)
-	if err := partitionEdgesInto(g, pp.edgeFiles, false, pp.tilesFwd, bufEdgeRecs, plan, pp.part, cfg.Threads); err != nil {
+	pp.tilesFwd = newDiskTiles(k, cfg.TileEdges, cfg.CompressTiles, cfg.Selective)
+	// The counts have room for every ID the split can place, so a source
+	// past nv cannot index out of them; the partition reader refuses its
+	// edge as corrupted.
+	deg := make([]uint32, int64(k)*pp.part.PerPartition())
+	if err := partitionEdgesInto(g, pp.edgeFiles, false, pp.tilesFwd, deg, bufEdgeRecs, plan, pp.part, cfg.Threads); err != nil {
+		pp.removeFiles()
+		return nil, err
+	}
+	if err := pp.writeDegrees(deg); err != nil {
 		pp.removeFiles()
 		return nil, err
 	}
@@ -180,15 +195,16 @@ func (pp *Prepared) Partitions() int { return pp.k }
 
 // Bytes returns the handle's resident in-memory footprint: the tile
 // indexes, word→tile ones included, plus per-file bookkeeping. The
-// partition edge files themselves live on the device (BytesRead accounts
-// their traffic), so an out-of-core handle is cheap to keep resident — but
-// not free, which is what the dataset registry's memory cap charges.
+// partition edge and degree files themselves live on the device (BytesRead
+// accounts their traffic), so an out-of-core handle is cheap to keep
+// resident — but not free, which is what the dataset registry's memory cap
+// charges.
 func (pp *Prepared) Bytes() int64 {
 	pp.mu.Lock()
 	defer pp.mu.Unlock()
 	const fileBytes = 96 // partFile struct + device handle
 	spanBytes := int64(pod.Size[tileSpan]())
-	n := int64(len(pp.edgeFiles)+len(pp.bwdFiles)) * fileBytes
+	n := int64(len(pp.edgeFiles)+len(pp.bwdFiles)+len(pp.degFiles))*fileBytes + int64(len(pp.degCRCs))*4
 	for _, t := range []*diskTiles{pp.tilesFwd, pp.tilesBwd} {
 		if t == nil {
 			continue
@@ -215,7 +231,7 @@ func (pp *Prepared) Close() {
 }
 
 func (pp *Prepared) removeFiles() {
-	for _, fs := range [][]*partFile{pp.edgeFiles, pp.bwdFiles} {
+	for _, fs := range [][]*partFile{pp.edgeFiles, pp.bwdFiles, pp.degFiles} {
 		for _, f := range fs {
 			if f != nil {
 				f.remove()
@@ -282,8 +298,8 @@ func (pp *Prepared) transposed() (files []*partFile, tiles *diskTiles, build edg
 			}
 		}
 		src := &forwardSource{pp: pp, sc: new(edgeScratch)}
-		t := newDiskTiles(pp.k, pp.cfg.TileEdges, pp.cfg.CompressTiles)
-		if err := partitionEdgesInto(src, bwd, true, t, pp.bufEdgeRecs, pp.shufPlan, pp.part, pp.cfg.Threads); err != nil {
+		t := newDiskTiles(pp.k, pp.cfg.TileEdges, pp.cfg.CompressTiles, pp.cfg.Selective)
+		if err := partitionEdgesInto(src, bwd, true, t, nil, pp.bufEdgeRecs, pp.shufPlan, pp.part, pp.cfg.Threads); err != nil {
 			cleanup()
 			return nil, nil, build, err
 		}
@@ -299,7 +315,9 @@ func (pp *Prepared) transposed() (files []*partFile, tiles *diskTiles, build edg
 // partitionEdgesInto is the pre-processing shuffle: it streams src through
 // the shuffle pipeline into the partition edge files, optionally transposing
 // each edge first, and builds the files' tile index from every run written.
-func partitionEdgesInto(src core.EdgeSource, files []*partFile, transpose bool, tiles *diskTiles, bufEdgeRecs int, plan streambuf.Plan, part core.Split, threads int) error {
+// When deg is non-nil the sink also counts every record's source into it:
+// the out-degrees, counted on the writer goroutine.
+func partitionEdgesInto(src core.EdgeSource, files []*partFile, transpose bool, tiles *diskTiles, deg []uint32, bufEdgeRecs int, plan streambuf.Plan, part core.Split, threads int) error {
 	sink := func(p int, run []core.Edge) error {
 		tiles.observe(p, run)
 		return files[p].appendBytes(pod.AsBytes(run))
@@ -308,6 +326,15 @@ func partitionEdgesInto(src core.EdgeSource, files []*partFile, transpose bool, 
 	if tiles.compressed {
 		comp = newTileCompressor(files, tiles)
 		sink = comp.append
+	}
+	if deg != nil {
+		write := sink
+		sink = func(p int, run []core.Edge) error {
+			for _, ed := range run {
+				deg[ed.Src]++
+			}
+			return write(p, run)
+		}
 	}
 	w := streambuf.NewWriter(bufEdgeRecs, plan, threads, func(ed core.Edge) uint32 {
 		return part.Of(ed.Src)
@@ -407,8 +434,10 @@ func RunMany(ctx context.Context, g core.EdgeSource, set core.ProgramSet, cfg Co
 	defer pp.Close()
 	prepRetries := retries(pp.cfg) - before
 	res, pass, err := pp.runMany(ctx, set, start)
-	for _, f := range pp.edgeFiles {
-		pass.BytesWritten += f.size
+	for _, fs := range [][]*partFile{pp.edgeFiles, pp.degFiles} {
+		for _, f := range fs {
+			pass.BytesWritten += f.size
+		}
 	}
 	pass.IORetries += prepRetries
 	return res, pass, err
@@ -454,6 +483,7 @@ func (pp *Prepared) jobSetup(ctx context.Context, jobs int) core.JobSetup {
 		Spill: func(vertexBytes, updateBytes int, io *core.SpillIO) (*core.Spill, error) {
 			return pp.openStores(ctx, jobs, vertexBytes, updateBytes, io)
 		},
+		Degrees: pp.readDegrees,
 	}
 }
 

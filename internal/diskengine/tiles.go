@@ -8,9 +8,11 @@ import (
 
 // tileSpan is one edge-file tile: a fixed-size run of records (the last
 // tile of a partition may be short) and its core.SrcSpan source summary.
-// A tile is skippable in an iteration exactly when its span misses the
-// frontier — with a locality-aware partitioner packing communities into
-// contiguous ID ranges, spans are narrow and skips frequent.
+// The span is recorded only for a handle that runs selectively
+// (diskTiles.spans); a tile is skippable in an iteration exactly when its
+// span misses the frontier — with a locality-aware partitioner packing
+// communities into contiguous ID ranges, spans are narrow and skips
+// frequent.
 type tileSpan struct {
 	lo   int64 // the tile's first record in its partition's file, set by appendTile
 	recs int64
@@ -42,9 +44,13 @@ type diskTiles struct {
 	// records, and the index is maintained by the shuffle's tileCompressor
 	// sink instead of observe.
 	compressed bool
-	parts      [][]tileSpan
-	partRecs   []int64    // per-partition record total of parts, kept by appendTile
-	open       []tileSpan // per-partition tile still being filled
+	// spans marks the tile index of a selective handle (Config.Selective):
+	// only then does the shuffle record each tile's source span, which only
+	// tileIndex reads, for that handle's selective runs.
+	spans    bool
+	parts    [][]tileSpan
+	partRecs []int64    // per-partition record total of parts, kept by appendTile
+	open     []tileSpan // per-partition tile still being filled
 	// index is the word→tile index of the finished tiles, built by
 	// tileIndex the first time a selective run streams the files.
 	index *core.TileIndex
@@ -56,11 +62,13 @@ type diskTiles struct {
 	physBytes       int64
 }
 
-// newDiskTiles returns a tile index for the raw or compressed layout.
-func newDiskTiles(k, tileRecs int, compressed bool) *diskTiles {
+// newDiskTiles returns a tile index for the raw or compressed layout, with
+// the tiles' source spans when spans is set.
+func newDiskTiles(k, tileRecs int, compressed, spans bool) *diskTiles {
 	return &diskTiles{
 		tileRecs:   int64(tileRecs),
 		compressed: compressed,
+		spans:      spans,
 		parts:      make([][]tileSpan, k),
 		partRecs:   make([]int64, k),
 		open:       make([]tileSpan, k),
@@ -81,7 +89,8 @@ func (t *diskTiles) appendTile(p int, tile tileSpan) {
 }
 
 // observe folds one appended run into partition p's tiles, accumulating
-// each tile's source span and record-byte checksum in tile-sized steps.
+// each tile's record-byte checksum, and its source span when the index keeps
+// spans, in tile-sized steps.
 func (t *diskTiles) observe(p int, run []core.Edge) {
 	open := &t.open[p]
 	for len(run) > 0 {
@@ -90,11 +99,13 @@ func (t *diskTiles) observe(p int, run []core.Edge) {
 			take = int64(len(run))
 		}
 		seg := run[:take]
-		if open.recs == 0 {
-			open.span = core.NewSrcSpan(seg[0].Src)
-		}
-		for _, ed := range seg {
-			open.span.Add(ed.Src)
+		if t.spans {
+			if open.recs == 0 {
+				open.span = core.NewSrcSpan(seg[0].Src)
+			}
+			for _, ed := range seg {
+				open.span.Add(ed.Src)
+			}
 		}
 		open.crc = storage.ChecksumUpdate(open.crc, pod.AsBytes(seg))
 		open.recs += take
@@ -118,7 +129,8 @@ func (t *diskTiles) finish() {
 }
 
 // tileIndex returns the word→tile index of the finished tiles, building it
-// on first use. The caller serialises calls (Prepared.files holds pp.mu).
+// on first use; the tiles must keep spans. The caller serialises calls
+// (Prepared.files holds pp.mu).
 func (t *diskTiles) tileIndex() *core.TileIndex {
 	if t.index == nil {
 		spans := make([][]core.SrcSpan, len(t.parts))

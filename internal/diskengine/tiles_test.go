@@ -86,7 +86,7 @@ func TestTilePlanMatchesWalk(t *testing.T) {
 		nv := 1 + rng.Int63n(3000)
 		part := core.NewSplit(nv, 1+rng.Intn(64))
 		for _, compressed := range []bool{false, true} {
-			tiles := newDiskTiles(part.K, 64, compressed)
+			tiles := newDiskTiles(part.K, 64, compressed, true)
 			for p := 0; p < part.K; p++ {
 				lo, hi := part.Range(p, nv)
 				if lo >= hi {

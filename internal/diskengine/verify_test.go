@@ -18,16 +18,19 @@ import (
 // against the checksums the shuffle recorded, compressed tiles inside their
 // frames, update files and vertex windows by their stores — and
 // BytesChecksummed equals BytesRead. That holds for a dense Run, a selective
-// Run and passes over a cached Prepare, in both layouts, with PageRank (whose
-// first iteration builds the transposed files from the forward ones and
-// reads them) and a BFS whose frontier skips tiles. And one flipped weight
-// bit, which no record-range check can see, in any tile of a dense raw run's
-// edge files is storage.ErrCorrupted, whether the scatter or the transpose
-// build reads it. With verification off nothing is checksummed.
+// Run and passes over a cached Prepare, in both layouts, with PageRank
+// (which reads the degree files at set-up), SCC (whose first backward
+// iteration builds the transposed files from the forward ones and reads
+// them) and a BFS whose frontier skips tiles. And one flipped weight bit,
+// which no record-range check can see, in any tile of a dense raw run's edge
+// files is storage.ErrCorrupted, whether the scatter or the transpose build
+// reads it, as is one flipped bit in any degree file. With verification off
+// nothing is checksummed.
 func TestEveryEdgeByteVerified(t *testing.T) {
 	chain, rmat := graphgen.Chain(1024, 13), graphgen.RMAT(graphgen.RMATConfig{Scale: 9, EdgeFactor: 8, Seed: 41})
 	pagerank := func() *core.Job { return core.NewJob[algorithms.PRState, float32](algorithms.NewPageRank(3)) }
 	bfs := func() *core.Job { return core.NewJob[bfsState, int32](&bfsProg{root: 0}) }
+	scc := func() *core.Job { return core.NewJob[algorithms.SCCState, uint32](algorithms.NewSCC()) }
 	check := func(name string, pass core.Stats, err error) {
 		t.Helper()
 		if err != nil {
@@ -44,7 +47,7 @@ func TestEveryEdgeByteVerified(t *testing.T) {
 				CompressTiles: compressed, Selective: selective,
 			}))
 			var skipped int64
-			for _, job := range []*core.Job{pagerank(), bfs()} {
+			for _, job := range []*core.Job{pagerank(), bfs(), scc()} {
 				name := fmt.Sprintf("compressed %v/selective %v/Run %s", compressed, selective, job.Name())
 				res, err := RunJob(context.Background(), chain, job, cfg)
 				if err != nil {
@@ -65,7 +68,7 @@ func TestEveryEdgeByteVerified(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, set := range []core.ProgramSet{{pagerank(), bfs()}, {bfs()}} {
+		for _, set := range []core.ProgramSet{{pagerank(), bfs()}, {bfs()}, {scc()}} {
 			_, pass, err := pp.RunMany(context.Background(), set)
 			check(fmt.Sprintf("compressed %v/cached Prepare/RunMany %s", compressed, set.Label()), pass, err)
 		}
@@ -107,7 +110,7 @@ func TestEveryEdgeByteVerified(t *testing.T) {
 		for i, tl := range tiles {
 			off := (tl.lo+tl.recs/2)*edgeRecSize + 10 // the weight of the tile's middle record
 			flip(pp.edgeFiles[p], off)
-			for _, job := range []*core.Job{core.NewJob[wccState, core.VertexID](&wccProg{}), pagerank()} {
+			for _, job := range []*core.Job{core.NewJob[wccState, core.VertexID](&wccProg{}), pagerank(), scc()} {
 				if _, _, err := pp.RunMany(context.Background(), core.ProgramSet{job}); !errors.Is(err, storage.ErrCorrupted) {
 					t.Fatalf("partition %d tile %d flipped: %s returned %v, want ErrCorrupted", p, i, job.Name(), err)
 				}
@@ -118,6 +121,14 @@ func TestEveryEdgeByteVerified(t *testing.T) {
 	}
 	if flips < 8 {
 		t.Fatalf("only %d tiles to flip", flips)
+	}
+	for p, f := range pp.degFiles {
+		off := f.size / 2
+		flip(f, off)
+		if _, _, err := pp.RunMany(context.Background(), core.ProgramSet{pagerank()}); !errors.Is(err, storage.ErrCorrupted) {
+			t.Fatalf("degree file %d flipped: PageRank returned %v, want ErrCorrupted", p, err)
+		}
+		flip(f, off)
 	}
 	if _, _, err := pp.RunMany(context.Background(), core.ProgramSet{pagerank()}); err != nil {
 		t.Fatalf("restored files: %v", err)

@@ -24,9 +24,14 @@
 // (§4.2). A job gathers on the threads it has to itself: all of them alone,
 // Threads / jobs when co-scheduled.
 //
-// The transposed edge list a Backward iteration streams is built the first
-// time a job asks for it by streaming the forward buffer (§2), never by
-// sorting it: one placement by destination partition into the one buffer
+// Pre-processing also counts every vertex's out-degree, once, from the
+// shuffled buffer (one bucket per task: a bucket holds only its partition's
+// sources, so the count needs no atomics), and keeps the vector with the
+// Prepared for core.DegreeInit programs such as PageRank, which therefore
+// stream forward only. The transposed edge list a Backward iteration
+// streams — SCC's, the only backward program — is built the first time a
+// job asks for it by streaming the forward buffer (§2), never by sorting
+// it: one placement by destination partition into the one buffer
 // allocated.
 //
 // When the program implements core.Combiner the private buffers become

@@ -3,14 +3,14 @@ package memengine
 // runmany.go is the in-memory engine's execution path: every run is a
 // shared pass, a solo Run one of a single job. A Prepared caches
 // everything about a dataset that is job-independent — the edge list
-// shuffled into partition chunks, the lazily built transpose, the tile
-// source index — and RunMany drives any number of co-scheduled jobs
-// (core.ProgramSet) from one edge stream per iteration through
-// core.RunPass, the iteration loop of both engines; this file supplies only
-// how a partition's edges reach the scatter (memPass). Each streamed run or
-// tile is handed to every subscribing job's scatter sink, so the sequential
-// edge stream — the dominant, fixed cost of X-Stream's model — is paid once
-// per pass instead of once per job. Jobs with a frontier
+// shuffled into partition chunks, every vertex's out-degree, the lazily
+// built transpose, the tile source index — and RunMany drives any number
+// of co-scheduled jobs (core.ProgramSet) from one edge stream per iteration
+// through core.RunPass, the iteration loop of both engines; this file
+// supplies only how a partition's edges reach the scatter (memPass). Each
+// streamed run or tile is handed to every subscribing job's scatter sink, so
+// the sequential edge stream — the dominant, fixed cost of X-Stream's model
+// — is paid once per pass instead of once per job. Jobs with a frontier
 // (core.FrontierProgram, Config.Selective) subscribe per partition and per
 // tile (core.PartitionPlan): a chunk is skipped only when *no* job needs it
 // (the frontier union), a partition some job is partially active in is
@@ -42,8 +42,10 @@ const (
 
 // Prepared is a dataset's cached in-memory execution state, built once by
 // Prepare and shared — read-only — by any number of RunMany passes. The
-// transposed edge buffer and the selective-streaming tile indexes are built
-// lazily, at most once. Safe for concurrent RunMany calls.
+// out-degrees are counted with the shuffle; the transposed edge buffer,
+// which only a Backward iteration (SCC's) streams, and the
+// selective-streaming tile indexes are built lazily, at most once. Safe for
+// concurrent RunMany calls.
 type Prepared struct {
 	cfg      Config
 	plan     streambuf.Plan
@@ -51,6 +53,9 @@ type Prepared struct {
 	part     core.Split
 	partName string
 	nv, ne   int64
+	// deg is every vertex's out-degree in relabeled order, counted once
+	// from the shuffled edge buffer and read by DegreeInit programs.
+	deg []uint32
 
 	mu       sync.Mutex
 	fwd, bwd *streambuf.Buffer[core.Edge]
@@ -61,8 +66,9 @@ type Prepared struct {
 // Prepare ingests a graph once for shared-pass execution: it plans the
 // partitioning (paying any locality-aware clustering passes now), rewrites
 // the edge stream through the relabeling, and shuffles it into partition
-// chunks. The returned handle is immutable from the caller's perspective
-// and serves any number of jobs.
+// chunks, counting every vertex's out-degree from them. The returned
+// handle is immutable from the caller's perspective and serves any number
+// of jobs.
 func Prepare(g core.EdgeSource, cfg Config) (*Prepared, error) {
 	return prepare(g, cfg, core.Footprint(sharedVertexBytes, sharedUpdateBytes))
 }
@@ -104,7 +110,7 @@ func prepare(g core.EdgeSource, cfg Config, footprint int) (*Prepared, error) {
 	}
 	return &Prepared{
 		cfg: cfg, plan: plan, asg: asg, part: asg.Split, partName: partName,
-		nv: nv, ne: ne, fwd: fwd,
+		nv: nv, ne: ne, fwd: fwd, deg: countDegrees(fwd, asg.Split, nv, cfg.Threads),
 	}, nil
 }
 
@@ -118,14 +124,14 @@ func (pp *Prepared) NumEdges() int64 { return pp.ne }
 func (pp *Prepared) Partitions() int { return pp.part.K }
 
 // Bytes returns the handle's resident memory footprint: the shuffled edge
-// buffer, the transposed buffer when it has been built, and the tile
-// indexes. The serving layer's dataset registry charges this against its
-// memory cap when deciding what to evict.
+// buffer, the out-degree vector, the transposed buffer when it has been
+// built, and the tile indexes. The serving layer's dataset registry charges
+// this against its memory cap when deciding what to evict.
 func (pp *Prepared) Bytes() int64 {
 	pp.mu.Lock()
 	defer pp.mu.Unlock()
 	edgeBytes := int64(pod.Size[core.Edge]())
-	n := int64(pp.fwd.Cap()) * edgeBytes
+	n := int64(pp.fwd.Cap())*edgeBytes + int64(cap(pp.deg))*4
 	if pp.bwd != nil {
 		n += int64(pp.bwd.Cap()) * edgeBytes
 	}
@@ -209,6 +215,10 @@ func (pp *Prepared) runMany(ctx context.Context, set core.ProgramSet, start time
 		Threads: cfg.Threads, Plan: pp.plan, UpdateCap: int(pp.ne),
 		PrivateBufBytes: privateBufBytes,
 		NoCombine:       cfg.NoCombine, Selective: cfg.Selective,
+		Degrees: func(p int, _ *[]uint32, _ *core.SpillIO) ([]uint32, error) {
+			lo, hi := pp.part.Range(p, pp.nv)
+			return pp.deg[lo:hi], nil
+		},
 	})
 	if err != nil {
 		return nil, pass, fmt.Errorf("memengine: %w", err)
@@ -426,6 +436,21 @@ func loadShuffled(src core.EdgeSource, plan streambuf.Plan, part core.Split, thr
 	return streambuf.Shuffle(a, b, plan, threads, func(ed core.Edge) uint32 {
 		return part.Of(ed.Src)
 	}), nil
+}
+
+// countDegrees counts every vertex's out-degree from the shuffled edge
+// buffer, one bucket per task: bucket p holds only partition p's sources, so
+// the tasks write disjoint ranges of the vector and need no atomics. The
+// vector has room for every ID the split can place, so no source can index
+// past it; the first nv entries are returned.
+func countDegrees(fwd *streambuf.Buffer[core.Edge], part core.Split, nv int64, threads int) []uint32 {
+	deg := make([]uint32, int64(part.K)*part.PerPartition())
+	core.ForEachClaimed(part.K, threads, func(_, p int) {
+		for _, ed := range fwd.Bucket(p) {
+			deg[ed.Src]++
+		}
+	})
+	return deg[:nv]
 }
 
 // transpose builds the transposed edge buffer, bucketed by the new source's
