@@ -38,7 +38,7 @@ func TestRegistryConstructsAll(t *testing.T) {
 		if err := inst.Job.Check(); err != nil {
 			t.Fatalf("%s: pod check: %v", name, err)
 		}
-		if est := inst.Job.MemoryEstimate(100, 1000, 2); est <= 0 {
+		if est := inst.Job.MemoryEstimate(100, 1000, 2, 1); est <= 0 {
 			t.Fatalf("%s: estimate %d", name, est)
 		}
 	}

@@ -402,10 +402,10 @@ func TestMemoryEstimateCountsDenseAccumulators(t *testing.T) {
 		if got := DenseCombineFootprint[int64](nv); got != held {
 			t.Errorf("nv %d: footprint %d, the buffer holds %d", nv, got, held)
 		}
-		if got := comb.MemoryEstimate(nv, 10, 3) - plain.MemoryEstimate(nv, 10, 3); got != 3*held {
+		if got := comb.MemoryEstimate(nv, 10, 3, 0) - plain.MemoryEstimate(nv, 10, 3, 0); got != 3*held {
 			t.Errorf("nv %d: 3 combining kernels add %d, want %d", nv, got, 3*held)
 		}
-		if got := plain.MemoryEstimate(nv, 10, 3) - plain.MemoryEstimate(nv, 10, 1); got != 0 {
+		if got := plain.MemoryEstimate(nv, 10, 3, 0) - plain.MemoryEstimate(nv, 10, 1, 0); got != 0 {
 			t.Errorf("nv %d: kernels that do not combine add %d", nv, got)
 		}
 	}

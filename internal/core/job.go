@@ -257,14 +257,31 @@ func (j *Job) NewRun() JobRun { return j.newRun() }
 // MemoryEstimate returns the bytes one run of the job holds in memory on a
 // graph of nv vertices and ne edge records, scattered by kernels scatter
 // kernels (the in-memory engine makes one per thread, the out-of-core engine
-// one): the vertex state array, the two update stream buffers (sized to the
-// worst-case scatter output), the frontier bitsets, and each kernel's dense
-// combining accumulator when the program combines and nv selects one
-// (DenseCombineFootprint). The jobs scheduler's admission control
-// co-schedules jobs only while the sum of their estimates fits the memory
-// budget.
-func (j *Job) MemoryEstimate(nv, ne int64, kernels int) int64 {
-	return nv*int64(j.vertexBytes) + 2*ne*int64(j.updateBytes) + nv/4 + int64(kernels)*j.combineAcc(nv)
+// one): the vertex state array, the two update stream buffers, the frontier
+// bitsets, and each kernel's dense combining accumulator when the program
+// combines and nv selects one (DenseCombineFootprint). A run over k
+// partitions in memory holds the windows updateWindow sizes; k 0, the
+// out-of-core engine's windows, is charged the worst-case scatter output,
+// ne records each. The jobs scheduler's admission control co-schedules jobs
+// only while the sum of their estimates fits the memory budget.
+func (j *Job) MemoryEstimate(nv, ne int64, kernels, k int) int64 {
+	acc := j.combineAcc(nv)
+	return nv*int64(j.vertexBytes) + 2*updateWindow(ne, nv, k, acc > 0)*int64(j.updateBytes) + nv/4 + int64(kernels)*acc
+}
+
+// updateWindow is the record capacity of each update stream buffer of a run
+// without stores over nv vertices in k partitions whose iterations append at
+// most ne updates. A run whose scatter kernels combine in the dense
+// accumulator (dense) appends at most one update per destination per
+// partition task — each partition is one task per iteration, and the
+// accumulator emits each destination it holds once, at its task's end — so
+// its windows hold min(ne, k·nv); any other run's, and any run's when k is
+// 0, hold ne.
+func updateWindow(ne, nv int64, k int, dense bool) int64 {
+	if dense && k > 0 {
+		return min(ne, int64(k)*nv)
+	}
+	return ne
 }
 
 // JobSetup is the shared-pass context an engine hands every job's executor:
@@ -284,8 +301,8 @@ type JobSetup struct {
 	// UpdateCap is the record capacity of each update stream buffer of a run
 	// without stores: the most updates one iteration may append, which the
 	// engine bounds by the edge count. A run whose scatter kernels combine
-	// in the dense accumulator appends at most one update per destination
-	// per partition task, and keeps its windows to that when it is smaller.
+	// in the dense accumulator keeps its windows to one update per
+	// destination per partition task when that is fewer (updateWindow).
 	UpdateCap int
 	// PrivateBufRecs sizes the scatter-side private buffers in records;
 	// when 0, PrivateBufBytes/sizeof(update) is used instead.
@@ -574,13 +591,8 @@ func (r *jobRun[V, M]) Setup(s JobSetup) error {
 	r.sinks = make([]*jobScatter[V, M], max(s.Threads, 1))
 	r.pending = make([]int, 0, r.part.K)
 	r.stats.Algorithm = r.prog.Name()
-	updCap, store := max(s.UpdateCap, 1), SpillStore(nil)
-	if r.combine != nil && DenseCombines[M](s.NumVertices) {
-		// Each partition is one task per iteration, and a dense
-		// accumulator emits each destination it holds once, at its task's
-		// end.
-		updCap = int(min(int64(updCap), int64(r.part.K)*s.NumVertices))
-	}
+	dense := r.combine != nil && DenseCombines[M](s.NumVertices)
+	updCap, store := max(int(updateWindow(int64(s.UpdateCap), s.NumVertices, r.part.K, dense)), 1), SpillStore(nil)
 	if s.Spill != nil {
 		sp, err := s.Spill(pod.Size[V](), pod.Size[Update[M]](), &r.io)
 		if err != nil {

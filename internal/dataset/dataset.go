@@ -148,6 +148,12 @@ func (d *Dataset) NumEdges() int64 { return d.ne }
 // when unset, as core.Config.Defaults resolves it.
 func (d *Dataset) Threads() int { return core.Config{Threads: d.opts.Threads}.Defaults(0).Threads }
 
+// MemPartitions returns the partition count of the dataset's in-memory
+// handle, built or not (memengine.Partitions).
+func (d *Dataset) MemPartitions() int {
+	return memengine.Partitions(d.nv, memengine.Config{Partitions: d.opts.MemPartitions})
+}
+
 // Undirected reports whether the source stores both edge directions.
 func (d *Dataset) Undirected() bool { return d.opts.Undirected }
 

@@ -1,13 +1,18 @@
 package diskengine
 
-// compress.go is the compressed edge-tile layout (Config.CompressTiles).
-// The write side is a streambuf.Writer sink that encodes whole tiles with
-// internal/tilecodec during the pre-processing shuffle; the read side is a
-// tileReader that decodes batches of tiles with the same prefetch
-// discipline as chunkReader. Both hide behind the edgeStream interface and
-// the streamSegments driver, so every scatter path — solo Run, shared-pass
-// RunMany, selective range reads, the backward-file rebuild — is untouched
-// above the reader.
+// compress.go is how an edge file is written and read: a whole tile at a
+// time, in either layout — raw records, or tiles encoded with
+// internal/tilecodec (Config.CompressTiles). The write side is tileWriter,
+// the pre-processing shuffle's sink: it keeps one open tile per partition,
+// appends raw runs straight to the file or stages an encoded tile's records
+// until the tile closes, and records every tile in the index. The read side
+// is tileReader: one request per batch of whole tiles, read ahead with the
+// prefetch of §3.3, every tile checked before its batch is handed out — a
+// raw tile against the CRC the shuffle recorded, an encoded one inside its
+// tilecodec frame. streamSegments drives it over a partition's planned
+// segments for every scatter path — solo Run, shared-pass RunMany,
+// selective range reads, the transpose build — so nothing above the reader
+// knows the layout.
 
 import (
 	"context"
@@ -20,194 +25,136 @@ import (
 	"repro/internal/tilecodec"
 )
 
-// tileCompressor is the shuffle sink of the compressed layout: it
-// accumulates each partition's appended runs into fixed-size tiles,
-// encodes every full tile and appends the encoded blob to the partition
-// file, recording the tile's physical placement, and its source span when
-// the index keeps spans, in the index. It replaces both the raw append and
-// the diskTiles observer, and runs on the single writer goroutine; finish (called after
-// the writer drains) flushes each partition's trailing short tile.
-type tileCompressor struct {
-	files    []*partFile
-	tiles    *diskTiles
-	tileRecs int
-	pending  [][]core.Edge
-	enc      tilecodec.Encoder
-	buf      []byte
+// tileWriter is the pre-processing shuffle's sink: it folds each
+// partition's appended runs into fixed-size tiles, with each tile's source
+// span when the index keeps spans, and closes every full tile into the
+// index. A raw run is appended to the file as it arrives, and its tiles'
+// CRC32C kept when the index keeps checksums; an encoded tile's records are
+// staged and encoded when the tile closes. It runs on the single writer
+// goroutine; finish (called after the writer drains) closes each partition's
+// trailing short tile.
+type tileWriter struct {
+	files []*partFile
+	tiles *diskTiles
+	open  []tileSpan    // per partition, the tile being filled
+	stage [][]core.Edge // per partition, the open tile's records (encoded layout only)
+	enc   tilecodec.Encoder
+	buf   []byte
 }
 
-func newTileCompressor(files []*partFile, tiles *diskTiles) *tileCompressor {
-	return &tileCompressor{
-		files:    files,
-		tiles:    tiles,
-		tileRecs: int(tiles.tileRecs),
-		pending:  make([][]core.Edge, len(files)),
+func newTileWriter(files []*partFile, tiles *diskTiles) *tileWriter {
+	return &tileWriter{files: files, tiles: tiles, open: make([]tileSpan, len(files)), stage: make([][]core.Edge, len(files))}
+}
+
+// append folds one shuffled run into partition p. Record order is preserved
+// exactly, so both layouts replay the same stream.
+func (w *tileWriter) append(p int, run []core.Edge) error {
+	t := w.tiles
+	if !t.compressed {
+		if err := w.files[p].appendBytes(pod.AsBytes(run)); err != nil {
+			return err
+		}
 	}
-}
-
-// append folds one shuffled run into partition p, encoding tiles as they
-// fill. Record order is preserved exactly, so a decoded file replays the
-// same stream the raw layout would have.
-func (c *tileCompressor) append(p int, run []core.Edge) error {
-	pend := c.pending[p]
 	for len(run) > 0 {
-		if cap(pend) == 0 {
-			pend = make([]core.Edge, 0, c.tileRecs)
+		open := &w.open[p]
+		seg := run[:min(t.tileRecs-open.recs, int64(len(run)))]
+		run = run[len(seg):]
+		if t.spans {
+			if open.recs == 0 {
+				open.span = core.NewSrcSpan(seg[0].Src)
+			}
+			for _, ed := range seg {
+				open.span.Add(ed.Src)
+			}
 		}
-		take := c.tileRecs - len(pend)
-		if take > len(run) {
-			take = len(run)
+		switch {
+		case t.compressed:
+			if w.stage[p] == nil {
+				w.stage[p] = make([]core.Edge, 0, t.tileRecs)
+			}
+			w.stage[p] = append(w.stage[p], seg...)
+		case t.crcs:
+			open.crc = storage.ChecksumUpdate(open.crc, pod.AsBytes(seg))
 		}
-		pend = append(pend, run[:take]...)
-		run = run[take:]
-		if len(pend) == c.tileRecs {
-			if err := c.flushTile(p, pend); err != nil {
-				c.pending[p] = pend[:0]
+		open.recs += int64(len(seg))
+		if open.recs == t.tileRecs {
+			if err := w.closeTile(p); err != nil {
 				return err
 			}
-			pend = pend[:0]
 		}
 	}
-	c.pending[p] = pend
 	return nil
 }
 
-func (c *tileCompressor) flushTile(p int, edges []core.Edge) error {
-	var compressed bool
-	var err error
-	c.buf, compressed, err = c.enc.Encode(c.buf[:0], edges)
-	if err != nil {
-		return err
-	}
-	f := c.files[p]
-	off := f.size
-	if err := f.appendBytes(c.buf); err != nil {
-		return err
-	}
-	t := c.tiles
-	tile := tileSpan{recs: int64(len(edges)), off: off, bytes: int64(len(c.buf))}
-	if t.spans {
-		tile.span = core.NewSrcSpan(edges[0].Src)
-		for _, ed := range edges[1:] {
-			tile.span.Add(ed.Src)
+// closeTile enters partition p's open tile into the index: a raw tile where
+// its records were appended, an encoded one where its blob is appended now.
+func (w *tileWriter) closeTile(p int) error {
+	t, tile := w.tiles, w.open[p]
+	w.open[p] = tileSpan{}
+	tile.off, tile.bytes = t.partRecs[p]*edgeRecSize, tile.recs*edgeRecSize
+	if t.compressed {
+		var encoded bool
+		var err error
+		if w.buf, encoded, err = w.enc.Encode(w.buf[:0], w.stage[p]); err != nil {
+			return err
+		}
+		w.stage[p] = w.stage[p][:0]
+		f := w.files[p]
+		tile.off, tile.bytes = f.size, int64(len(w.buf))
+		if err := f.appendBytes(w.buf); err != nil {
+			return err
+		}
+		if encoded {
+			t.tilesCompressed++
 		}
 	}
 	t.appendTile(p, tile)
-	t.logicalBytes += int64(len(edges)) * edgeRecSize
-	t.physBytes += int64(len(c.buf))
-	if compressed {
-		t.tilesCompressed++
-	}
 	return nil
 }
 
-// finish encodes every partition's trailing short tile. Call after the
+// finish closes every partition's trailing short tile. Call after the
 // write pipeline's Finish, when no more runs will arrive.
-func (c *tileCompressor) finish() error {
-	for p, pend := range c.pending {
-		if len(pend) > 0 {
-			if err := c.flushTile(p, pend); err != nil {
+func (w *tileWriter) finish() error {
+	for p := range w.open {
+		if w.open[p].recs > 0 {
+			if err := w.closeTile(p); err != nil {
 				return err
 			}
-			c.pending[p] = pend[:0]
 		}
 	}
 	return nil
-}
-
-// edgeStream is the chunked record stream the scatter paths consume — a
-// raw chunkReader or a decoding tileReader behind one contract. PhysBytes
-// is the device byte volume behind the records delivered so far: equal to
-// the record bytes for the raw layout, smaller for compressed tiles.
-type edgeStream interface {
-	Next() ([]core.Edge, error)
-	Close()
-	PhysBytes() int64
 }
 
 // edgeScratch is the edge-read side's run-lived buffer set: the record
-// double buffer and raw reader of readScratch plus what only the compressed
-// layout needs, the encoded-byte scratch and the tile reader. A solo run, a
-// shared pass and a backward-file build each own one and hand it to
-// streamSegments, which opens one segment's reader over it at a time.
+// double buffer, the encoded bytes of one batch (compressed layout only) and
+// the tile reader lent them. A solo run, a shared pass and a backward-file
+// build each own one and hand it to streamSegments, which opens one
+// segment's reader over it at a time.
 type edgeScratch struct {
 	readScratch[core.Edge]
-	raw  []byte // encoded bytes of one tile batch
-	tile tileReader
-}
-
-// openSegment opens the stream for one planned segment of an edge file over
-// sc's buffers. verify only matters for compressed segments, whose
-// tilecodec frames are checksum-checked as they decode; raw segments are
-// verified above the reader by streamSegments' rawTileVerifier. The
-// previous segment's reader must have been closed: a scratch still lent is
-// a bug.
-func (sc *edgeScratch) openSegment(f storage.File, seg edgeSegment, compressed bool, chunkRecs int, prefetch, verify bool) edgeStream {
-	if compressed {
-		if rd := sc.openTiles(f, seg.tiles, chunkRecs, prefetch, verify); rd != nil {
-			return rd
-		}
-	} else if rd := sc.openChunks(f, seg.lo*edgeRecSize, seg.hi*edgeRecSize, chunkRecs, prefetch); rd != nil {
-		return rd
-	}
-	panic("diskengine: edge reader scratch lent twice")
-}
-
-// rawTileVerifier re-checksums a raw segment's streamed records against the
-// per-tile CRCs the pre-processing shuffle recorded. A segment is a run of
-// whole tiles, so the verifier tracks which tile each delivered record
-// falls in and compares at every tile edge — corruption in a tile surfaces
-// before more than one tile's worth of records past it has been scattered,
-// and always before the run can return results.
-type rawTileVerifier struct {
-	tiles   []tileSpan // the segment's tiles not yet complete
-	within  int64      // records of tiles[0] already fed
-	crc     uint32
-	checked int64 // record bytes verified so far
-}
-
-// feed folds one delivered chunk into the running per-tile checksums. The
-// reader delivers at most the segment's records, so every record falls in
-// one of its tiles.
-func (v *rawTileVerifier) feed(name string, chunk []core.Edge) error {
-	for len(chunk) > 0 {
-		tl := &v.tiles[0]
-		take := min(tl.recs-v.within, int64(len(chunk)))
-		v.crc = storage.ChecksumUpdate(v.crc, pod.AsBytes(chunk[:take]))
-		v.within += take
-		chunk = chunk[take:]
-		if v.within == tl.recs {
-			v.checked += tl.recs * edgeRecSize
-			if v.crc != tl.crc {
-				return fmt.Errorf("diskengine: edge file %s: tile at record %d checksum %08x, want %08x: %w",
-					name, tl.lo, v.crc, tl.crc, storage.ErrCorrupted)
-			}
-			v.tiles, v.within, v.crc = v.tiles[1:], 0, 0
-		}
-	}
-	return nil
+	raw []byte
+	rd  tileReader
 }
 
 // streamSegments streams the planned segments of an edge file through fn in
-// order, checking ctx between chunks (nil ctx skips the check). With verify
-// set, every delivered record is covered by a CRC32C comparison against its
-// tile — raw tiles against the checksums the shuffle recorded in the index,
-// compressed tiles inside the tilecodec frames — and a segment that delivers
-// fewer records than planned, a silently torn file, is corruption too. It
-// returns the physical and logical byte volume delivered (equal for the raw
-// layout, phys < logical when tiles decoded to more than was read) plus the
-// byte volume checksum-verified.
-func streamSegments(ctx context.Context, sc *edgeScratch, pf *partFile, compressed, verify bool, segs []edgeSegment, chunkRecs int, prefetch bool, fn func([]core.Edge) error) (phys, logical, checked int64, err error) {
-	var ver rawTileVerifier
-	verifyRaw := verify && !compressed
+// order, checking ctx between batches (nil ctx skips the check). With verify
+// set every delivered tile was checked whole before fn saw any of it, and a
+// segment that delivers fewer records than planned, a silently torn file,
+// is corruption too. It returns the physical and logical byte volume
+// delivered (phys < logical when encoded tiles decoded to more than was
+// read) plus the byte volume checksum-verified: every byte read, under
+// verify.
+func streamSegments(ctx context.Context, sc *edgeScratch, pf *partFile, encoded, verify bool, segs []edgeSegment, chunkRecs int, prefetch bool, fn func([]core.Edge) error) (phys, logical, checked int64, err error) {
 	for _, seg := range segs {
-		ver.tiles = seg.tiles
 		var segRecs int64
-		rd := sc.openSegment(pf.f, seg, compressed, chunkRecs, prefetch, verify)
+		rd := sc.openTiles(pf.f, seg.tiles, encoded, chunkRecs, prefetch, verify)
 		for err == nil {
 			var chunk []core.Edge
-			chunk, err = rd.Next()
-			if err != nil || chunk == nil {
+			if chunk, err = rd.Next(); err != nil {
+				err = fmt.Errorf("diskengine: edge file %s: %w", pf.name, err)
+				break
+			}
+			if chunk == nil {
 				break
 			}
 			if ctx != nil {
@@ -217,11 +164,6 @@ func streamSegments(ctx context.Context, sc *edgeScratch, pf *partFile, compress
 			}
 			logical += int64(len(chunk)) * edgeRecSize
 			segRecs += int64(len(chunk))
-			if verifyRaw {
-				if err = ver.feed(pf.name, chunk); err != nil {
-					break
-				}
-			}
 			err = fn(chunk)
 		}
 		phys += rd.PhysBytes()
@@ -234,55 +176,48 @@ func streamSegments(ctx context.Context, sc *edgeScratch, pf *partFile, compress
 			break
 		}
 	}
-	switch {
-	case verifyRaw:
-		checked = ver.checked
-	case verify:
-		// Compressed tiles verify inside the codec frames; the bytes the
-		// device actually moved are what the CRCs covered.
+	if verify {
 		checked = phys
 	}
 	return phys, logical, checked, err
 }
 
-// tileReader streams one planned run of encoded tiles, decoding batches of
-// consecutive tiles into edge records with the same prefetch-distance-1
-// discipline as chunkReader: a dedicated goroutine reads and decodes the
-// next batch into a second buffer while the caller scatters the current
-// one. Consecutive tiles are physically adjacent, so one ReadAt covers
-// each batch and the I/O stays sequential at the configured request size.
+// tileReader streams one planned run of tiles in batches of consecutive
+// tiles with the prefetch-distance-1 discipline of §3.3: a dedicated
+// goroutine reads, checks and — encoded — decodes the next batch into a
+// second buffer while the caller scatters the current one. Consecutive
+// tiles are physically adjacent, so one ReadAt covers each batch and the
+// I/O stays sequential at the configured request size.
 type tileReader struct {
-	sc        *edgeScratch // nil once closed
-	f         storage.File
-	tiles     []tileSpan
-	idx       int // next tile to decode
-	chunkRecs int
-	capRecs   int // records the largest batch decodes to
-	verify    bool
-	phys      int64
+	sc              *edgeScratch // nil once closed
+	f               storage.File
+	tiles           []tileSpan
+	idx             int // next tile to read
+	chunkRecs       int
+	capRecs         int // records the largest batch holds
+	encoded, verify bool
+	phys            int64
 	prefetcher[core.Edge]
 }
 
-// openTiles lends the scratch to a reader decoding one planned run of
-// encoded tiles of f. With prefetch a dedicated goroutine reads and decodes
-// ahead (paying the decode CPU off the scatter threads) — unless the run is
-// a single batch, which has nothing to overlap with and is decoded inline
-// like the no-prefetch ablation. It returns nil when the scratch is still
-// lent to another reader.
-func (sc *edgeScratch) openTiles(f storage.File, tiles []tileSpan, chunkRecs int, prefetch, verify bool) *tileReader {
+// openTiles lends the scratch to a reader of one planned run of tiles of f,
+// encoded or raw. With prefetch a dedicated goroutine reads ahead (paying
+// the checksum and decode CPU off the scatter threads) — unless the run is
+// a single batch, which has nothing to overlap with and is read inline like
+// the no-prefetch ablation. The previous reader must have been closed: a
+// scratch still lent is a bug.
+func (sc *edgeScratch) openTiles(f storage.File, tiles []tileSpan, encoded bool, chunkRecs int, prefetch, verify bool) *tileReader {
 	if !sc.busy.CompareAndSwap(false, true) {
-		return nil
+		panic("diskengine: edge reader scratch lent twice")
 	}
-	// A decode buffer must hold the largest batch: consecutive tiles up to
+	// A buffer must hold the largest batch: consecutive tiles up to
 	// chunkRecs records, or any single oversized tile whole.
 	capRecs := chunkRecs
 	for _, tl := range tiles {
-		if tl.recs > int64(capRecs) {
-			capRecs = int(tl.recs)
-		}
+		capRecs = max(capRecs, int(tl.recs))
 	}
-	r := &sc.tile
-	*r = tileReader{sc: sc, f: f, tiles: tiles, chunkRecs: chunkRecs, capRecs: capRecs, verify: verify}
+	r := &sc.rd
+	*r = tileReader{sc: sc, f: f, tiles: tiles, chunkRecs: chunkRecs, capRecs: capRecs, encoded: encoded, verify: verify}
 	if prefetch && len(tiles) > 0 && batchEnd(tiles, 0, chunkRecs) < len(tiles) {
 		r.start(sc.buf(0, capRecs), sc.buf(1, capRecs), r.fill)
 	}
@@ -301,13 +236,34 @@ func batchEnd(tiles []tileSpan, i, chunkRecs int) int {
 	return j
 }
 
-// decodeBatch reads tiles[i:j] with one request and decodes them into out,
-// cross-checking every tile against the index — a decode that disagrees
-// with the span the shuffle recorded means a torn or corrupt file, never a
-// silently wrong scatter.
-func (r *tileReader) decodeBatch(i, j int, out []core.Edge) ([]core.Edge, int64, error) {
-	off := r.tiles[i].off
-	n := r.tiles[j-1].off + r.tiles[j-1].bytes - off
+// readBatch reads tiles[i:j] with one request into out and checks every
+// tile against the index before the batch is handed out. A raw batch is
+// read straight into out, and under verify each tile's records are
+// checksummed against the CRC the shuffle recorded. An encoded batch is read
+// into the byte scratch and each tile decoded into out by tilecodec, which
+// checks its frame's CRC under verify; a tile that decodes to other than
+// the index says means a torn or corrupt file, never a silently wrong
+// scatter.
+func (r *tileReader) readBatch(i, j int, out []core.Edge) ([]core.Edge, int64, error) {
+	tiles := r.tiles[i:j]
+	off := tiles[0].off
+	n := tiles[len(tiles)-1].off + tiles[len(tiles)-1].bytes - off
+	if !r.encoded {
+		out = out[:n/edgeRecSize]
+		if err := readBytes(r.f, pod.AsBytes(out), off); err != nil {
+			return nil, 0, err
+		}
+		if r.verify {
+			recs := out
+			for _, tl := range tiles {
+				if sum := storage.Checksum(pod.AsBytes(recs[:tl.recs])); sum != tl.crc {
+					return nil, 0, fmt.Errorf("tile at offset %d: checksum %08x, want %08x: %w", tl.off, sum, tl.crc, storage.ErrCorrupted)
+				}
+				recs = recs[tl.recs:]
+			}
+		}
+		return out, n, nil
+	}
 	if int64(cap(r.sc.raw)) < n {
 		r.sc.raw = make([]byte, n)
 	}
@@ -317,36 +273,35 @@ func (r *tileReader) decodeBatch(i, j int, out []core.Edge) ([]core.Edge, int64,
 	}
 	out = out[:cap(out)]
 	used := 0
-	for _, tl := range r.tiles[i:j] {
+	for _, tl := range tiles {
 		recs, consumed, err := tilecodec.DecodeVerify(raw, out[used:used], r.verify)
 		if err != nil {
-			return nil, 0, fmt.Errorf("diskengine: tile at offset %d: %w", off, err)
+			return nil, 0, fmt.Errorf("tile at offset %d: %w", tl.off, err)
 		}
 		if int64(len(recs)) != tl.recs || int64(consumed) != tl.bytes {
-			return nil, 0, fmt.Errorf("diskengine: tile at offset %d decodes to %d records in %d bytes, index says %d in %d: %w",
-				off, len(recs), consumed, tl.recs, tl.bytes, storage.ErrCorrupted)
+			return nil, 0, fmt.Errorf("tile at offset %d decodes to %d records in %d bytes, index says %d in %d: %w",
+				tl.off, len(recs), consumed, tl.recs, tl.bytes, storage.ErrCorrupted)
 		}
 		used += len(recs)
 		raw = raw[consumed:]
-		off += int64(consumed)
 	}
 	return out[:used], n, nil
 }
 
-// fill decodes the next batch of tiles into buf.
+// fill reads the next batch of tiles into buf.
 func (r *tileReader) fill(buf []core.Edge) ([]core.Edge, int64, error) {
 	if r.idx >= len(r.tiles) {
 		return nil, 0, nil
 	}
 	j := batchEnd(r.tiles, r.idx, r.chunkRecs)
-	recs, phys, err := r.decodeBatch(r.idx, j, buf)
+	recs, phys, err := r.readBatch(r.idx, j, buf)
 	if err == nil {
 		r.idx = j
 	}
 	return recs, phys, err
 }
 
-// Next returns the next decoded batch, or nil at end of stream. The
+// Next returns the next checked batch, or nil at end of stream. The
 // returned slice is only valid until the following Next call.
 func (r *tileReader) Next() (recs []core.Edge, err error) {
 	var phys int64
@@ -359,8 +314,9 @@ func (r *tileReader) Next() (recs []core.Edge, err error) {
 	return recs, err
 }
 
-// Close stops the prefetch and hands the scratch back (see
-// chunkReader.Close).
+// Close stops the prefetch and only then hands the scratch back: once it
+// is free the next reader may overwrite this one. Safe on every path — end
+// of stream, early close, read error — and idempotent.
 func (r *tileReader) Close() {
 	if sc := r.sc; sc != nil {
 		r.stop()
@@ -369,27 +325,35 @@ func (r *tileReader) Close() {
 	}
 }
 
-// PhysBytes returns the encoded byte volume behind the records delivered.
+// PhysBytes returns the device byte volume behind the records delivered:
+// their record bytes for raw tiles, the encoded bytes for encoded ones.
 func (r *tileReader) PhysBytes() int64 { return r.phys }
 
-// readBytes reads exactly len(buf) bytes at off, retrying short reads.
-func readBytes(f storage.File, buf []byte, off int64) error {
+// readAt reads up to len(buf) bytes at off, retrying short reads, and
+// returns how many it got: fewer only where the file ends.
+func readAt(f storage.File, buf []byte, off int64) (int, error) {
 	got := 0
 	for got < len(buf) {
 		n, err := f.ReadAt(buf[got:], off+int64(got))
 		got += n
-		if err == io.EOF {
+		if err == io.EOF || (err == nil && n == 0) {
 			break
 		}
 		if err != nil {
-			return err
-		}
-		if n == 0 {
-			break
+			return got, err
 		}
 	}
+	return got, nil
+}
+
+// readBytes reads exactly len(buf) bytes at off, retrying short reads.
+func readBytes(f storage.File, buf []byte, off int64) error {
+	got, err := readAt(f, buf, off)
+	if err != nil {
+		return err
+	}
 	if got != len(buf) {
-		return fmt.Errorf("diskengine: truncated tile read: %d of %d bytes at offset %d: %w", got, len(buf), off, storage.ErrCorrupted)
+		return fmt.Errorf("diskengine: truncated read: %d of %d bytes at offset %d: %w", got, len(buf), off, storage.ErrCorrupted)
 	}
 	return nil
 }

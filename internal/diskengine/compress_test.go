@@ -29,7 +29,7 @@ func shuffleLayout(t *testing.T, compressed bool, tileRecs int) ([]*partFile, *d
 			t.Fatal(err)
 		}
 	}
-	tiles := newDiskTiles(k, tileRecs, compressed, true)
+	tiles := newDiskTiles(k, Config{TileEdges: tileRecs, CompressTiles: compressed, Selective: true})
 	if err := partitionEdgesInto(src, files, false, tiles, nil, 1024, plan, part, 3); err != nil {
 		t.Fatal(err)
 	}
@@ -90,29 +90,41 @@ func TestCompressedShuffleRoundTrip(t *testing.T) {
 // TestCompressedTileSpansMatchRaw pins that compression leaves the
 // selective-streaming index untouched: tile record counts and [min,max]
 // source summaries are identical between layouts, so skip decisions — and
-// therefore results — cannot differ.
+// therefore results — cannot differ. In both layouts the tiles' physical
+// placements are contiguous and cover the file exactly, a raw tile's at
+// its records' offset.
 func TestCompressedTileSpansMatchRaw(t *testing.T) {
-	_, rawTiles := shuffleLayout(t, false, 64)
+	rawFiles, rawTiles := shuffleLayout(t, false, 64)
 	cmpFiles, cmpTiles := shuffleLayout(t, true, 64)
+	contiguous := func(layout string, tiles []tileSpan, f *partFile) {
+		t.Helper()
+		var off int64
+		for i, tl := range tiles {
+			if tl.off != off {
+				t.Fatalf("%s %s tile %d: physical offset %d, tiles before it end at %d", layout, f.name, i, tl.off, off)
+			}
+			off = tl.off + tl.bytes
+		}
+		if off != f.size {
+			t.Fatalf("%s %s: tiles cover %d physical bytes, file has %d", layout, f.name, off, f.size)
+		}
+	}
 	for p := range rawTiles.parts {
 		rt, ct := rawTiles.parts[p], cmpTiles.parts[p]
 		if len(rt) != len(ct) {
 			t.Fatalf("partition %d: %d tiles compressed, %d raw", p, len(ct), len(rt))
 		}
-		var off int64
 		for i := range rt {
 			if rt[i].recs != ct[i].recs || rt[i].span != ct[i].span {
 				t.Fatalf("partition %d tile %d: compressed {recs %d span %+v}, raw {recs %d span %+v}",
 					p, i, ct[i].recs, ct[i].span, rt[i].recs, rt[i].span)
 			}
-			if ct[i].off != off {
-				t.Fatalf("partition %d tile %d: physical offset %d, tiles before it end at %d", p, i, ct[i].off, off)
+			if rt[i].off != rt[i].lo*edgeRecSize || rt[i].bytes != rt[i].recs*edgeRecSize {
+				t.Fatalf("partition %d raw tile %d of records [%d,+%d) sits at (%d, %d)", p, i, rt[i].lo, rt[i].recs, rt[i].off, rt[i].bytes)
 			}
-			off = ct[i].off + ct[i].bytes
 		}
-		if off != cmpFiles[p].size {
-			t.Fatalf("partition %d: tiles cover %d physical bytes, file has %d", p, off, cmpFiles[p].size)
-		}
+		contiguous("raw", rt, rawFiles[p])
+		contiguous("compressed", ct, cmpFiles[p])
 	}
 }
 

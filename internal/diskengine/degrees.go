@@ -50,21 +50,21 @@ func (pp *Prepared) readDegrees(p int, scratch *[]uint32, io *core.SpillIO) ([]u
 	deg := (*scratch)[:hi-lo]
 	f := pp.degFiles[p]
 	want := pod.AsBytes(deg)
-	got, err := readFull(f.f, want, 0, 1)
+	got, err := readAt(f.f, want, 0)
 	if err != nil {
 		return nil, err
 	}
-	io.Read.Add(int64(len(got)))
-	if len(got) != len(want) {
+	io.Read.Add(int64(got))
+	if got != len(want) {
 		return nil, fmt.Errorf("diskengine: degree file %s short: %d bytes, want %d: %w",
-			f.name, len(got), len(want), storage.ErrCorrupted)
+			f.name, got, len(want), storage.ErrCorrupted)
 	}
 	if pp.degCRCs != nil {
-		if sum := storage.Checksum(got); sum != pp.degCRCs[p] {
+		if sum := storage.Checksum(want); sum != pp.degCRCs[p] {
 			return nil, fmt.Errorf("diskengine: degree file %s: checksum %08x, want %08x: %w",
 				f.name, sum, pp.degCRCs[p], storage.ErrCorrupted)
 		}
-		io.Checked.Add(int64(len(got)))
+		io.Checked.Add(int64(got))
 	}
 	return deg, nil
 }

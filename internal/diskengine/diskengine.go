@@ -3,19 +3,23 @@
 // Fast Storage is main memory, Slow Storage is the device holding the
 // graph. Each streaming partition owns three files — vertices, edges,
 // updates. Pre-processing is a single streaming shuffle of the unordered
-// input edge list into the partition edge files; there is no sort. As the
-// shuffle appends a file it records the file's tile index: per fixed-size
-// run of records, its source span and, in the raw layout, its CRC32C (a
-// compressed tile carries its CRC in its tilecodec frame). Every edge file
-// has one, and every read of a file is a run of whole tiles checked against
-// them: with verification on, a pass checks every edge byte it reads
-// before it can return a result; tile source spans, which only selective
-// streaming reads, are recorded only for a Selective handle. The shuffle's
-// sink also counts every vertex's out-degree, on its one writer goroutine,
-// and the counts are written out as one CRC-checked degree file per
-// partition (<prefix>ds-p0000.deg): a core.DegreeInit program such as
-// PageRank reads its partition windows of them, verified, once per job,
-// and streams forward only — the transposed edge files are SCC's alone.
+// input edge list into the partition edge files; there is no sort. The
+// shuffle's one sink, a tileWriter, writes every edge file a tile at a
+// time — raw records appended as they arrive, or each tile encoded with
+// internal/tilecodec when it closes (CompressTiles) — and records the
+// file's tile index: per fixed-size run of records, where it sits in the
+// file, its source span on a Selective handle (only selective streaming
+// reads spans) and, for a raw tile on a verifying handle, its CRC32C (an
+// encoded tile carries its CRC in its tilecodec frame). Every read of a
+// file is a run of whole tiles by the one tileReader, which checks each
+// tile before it hands the tile's batch to the scatter: with verification
+// on, a pass checks every edge byte it reads before any of it is
+// scattered. The shuffle's sink also counts every vertex's out-degree, on
+// its one writer goroutine, and the counts are written out as one
+// CRC-checked degree file per partition (<prefix>ds-p0000.deg): a
+// core.DegreeInit program such as PageRank reads its partition windows of
+// them, verified, once per job, and streams forward only — the transposed
+// edge files are SCC's alone.
 // Each iteration then runs the merged scatter/shuffle phase of Figure 6
 // (stream edges, append updates to a stream buffer, shuffle the buffer when
 // full and append the per-partition chunks to the update files) followed by

@@ -524,13 +524,18 @@ func TestSelectiveIgnoredWithoutContractDisk(t *testing.T) {
 // become segments, adjacent ones coalesce and skipped record counts
 // reconcile.
 func TestDiskTilesSegments(t *testing.T) {
-	dt := newDiskTiles(1, 4, false, true)
+	dt := newDiskTiles(1, Config{TileEdges: 4, Selective: true})
 	edges := make([]core.Edge, 10)
 	for i := range edges {
 		edges[i].Src = core.VertexID(i * 10) // tiles span [0,30],[40,70],[80,90]
 	}
-	dt.observe(0, edges)
-	dt.finish()
+	w := newTileWriter([]*partFile{mustPart(t, ssd(0), "segs")}, dt)
+	if err := w.append(0, edges); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.finish(); err != nil {
+		t.Fatal(err)
+	}
 	if got := len(dt.parts[0]); got != 3 {
 		t.Fatalf("tile count %d, want 3", got)
 	}

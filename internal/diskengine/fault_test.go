@@ -80,11 +80,11 @@ func TestChunkReaderPrefetchFaultSurfaces(t *testing.T) {
 	}
 	defer f.Close()
 
-	rd := newChunkReader[core.Edge](f, size, chunkRecs, true)
+	rd := newChunkReader(f, size, chunkRecs*int(edgeRecSize), true)
 	defer rd.Close()
 	chunk, err := rd.Next()
-	if err != nil || len(chunk) != chunkRecs {
-		t.Fatalf("first chunk: %d records, err %v", len(chunk), err)
+	if err != nil || int64(len(chunk)) != chunkRecs*edgeRecSize {
+		t.Fatalf("first chunk: %d bytes, err %v", len(chunk), err)
 	}
 	if _, err := rd.Next(); !errors.Is(err, storage.ErrInjected) {
 		t.Fatalf("prefetched-chunk fault surfaced as %v, want ErrInjected", err)
@@ -105,7 +105,7 @@ func TestChunkReaderCloseReleasesReader(t *testing.T) {
 	}
 	defer f.Close()
 
-	rd := newChunkReader[core.Edge](f, size, chunkRecs, true)
+	rd := newChunkReader(f, size, chunkRecs*int(edgeRecSize), true)
 	if _, err := rd.Next(); err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +129,7 @@ func TestChunkReaderTruncatedFileEndsStream(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rd := newChunkReader[core.Edge](f, claimed, chunkRecs, prefetch)
+		rd := newChunkReader(f, claimed, chunkRecs*int(edgeRecSize), prefetch)
 		got := 0
 		for {
 			chunk, err := rd.Next()
@@ -143,7 +143,7 @@ func TestChunkReaderTruncatedFileEndsStream(t *testing.T) {
 		}
 		rd.Close()
 		f.Close()
-		if got != written {
+		if got /= int(edgeRecSize); got != written {
 			t.Fatalf("prefetch=%v: delivered %d records, disk holds %d", prefetch, got, written)
 		}
 	}
@@ -185,7 +185,7 @@ func TestTileReaderPrefetchFaultSurfaces(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer f.Close()
-	rd := newTileReader(f, spans, tileRecs, true, true)
+	rd := newTileReader(f, spans, true, tileRecs, true, true)
 	defer rd.Close()
 	chunk, err := rd.Next()
 	if err != nil || len(chunk) != tileRecs {

@@ -2,10 +2,8 @@ package diskengine
 
 import (
 	"fmt"
-	"io"
 	"sync/atomic"
 
-	"repro/internal/pod"
 	"repro/internal/storage"
 )
 
@@ -29,7 +27,7 @@ func createPartFile(dev storage.Device, name string) (*partFile, error) {
 }
 
 // appendBytes appends b at the current end of file, retrying short writes
-// the way readFull retries short reads. The append offset advances only
+// the way readAt retries short reads. The append offset advances only
 // past bytes confirmed written, so a failed append leaves the file
 // positionally consistent: a retry of the same append overwrites any torn
 // prefix the device may have persisted.
@@ -81,16 +79,14 @@ func (p *partFile) remove() error {
 	return p.dev.Remove(p.name)
 }
 
-// readScratch is the reader-side buffer set an engine run, a shared pass or
-// the update store's drain side owns for its whole life and lends to one
-// open reader at a time: the two record buffers of the prefetch double
-// buffer (a reader that reads inline uses only the first) and the reader
-// itself. Buffers are made on first use and grown when a reader asks for
-// more; a reader's Close hands everything back.
+// readScratch is the reader-side record buffers an engine run, a shared
+// pass or a drain worker owns for its whole life and lends to one open
+// reader at a time: the two buffers of the prefetch double buffer (a reader
+// that reads inline uses only the first). Buffers are made on first use and
+// grown when a reader asks for more; a reader's Close hands them back.
 type readScratch[T any] struct {
 	busy atomic.Bool // lent to an open reader
 	bufs [2][]T
-	rd   chunkReader[T]
 }
 
 // buf returns record buffer i with room for n records.
@@ -102,8 +98,9 @@ func (sc *readScratch[T]) buf(i, n int) []T {
 }
 
 // prefetcher is the prefetch-distance-1 protocol of §3.3 both readers
-// share: a dedicated goroutine (one I/O thread per stream) fills the next
-// batch into a second buffer while the caller processes the current one.
+// (tileReader, chunkReader) share: a dedicated goroutine (one I/O thread per
+// stream) fills the next batch into a second buffer while the caller
+// processes the current one.
 type prefetcher[T any] struct {
 	ready chan fetched[T] // nil: the reader fills inline on the caller's goroutine
 	free  chan []T
@@ -174,104 +171,77 @@ func (p *prefetcher[T]) stop() {
 	}
 }
 
-// chunkReader streams a partFile sequentially in fixed-size chunks of
-// records, prefetching the next chunk while the caller processes the
-// current one.
-type chunkReader[T any] struct {
-	sc        *readScratch[T] // nil once closed
-	f         storage.File
-	recSize   int
-	chunkRecs int
-	off, end  int64 // unread byte range
-	delivered int64 // bytes returned through Next so far
-	prefetcher[T]
+// chunkScratch is the update store's drain scratch: byte buffers and the
+// chunk reader lent them.
+type chunkScratch struct {
+	readScratch[byte]
+	rd chunkReader
+}
+
+// chunkReader streams a byte range of an update file sequentially in
+// fixed-size chunks, prefetching the next chunk while the caller processes
+// the current one.
+type chunkReader struct {
+	sc         *chunkScratch // nil once closed
+	f          storage.File
+	chunkBytes int
+	off, end   int64 // unread byte range
+	prefetcher[byte]
 }
 
 // openChunks lends the scratch to a reader streaming the byte range
-// [start, end) of f, chunkRecs records per I/O request. Both offsets must
-// be record-aligned. With prefetch a dedicated goroutine reads ahead —
-// unless the range is a single chunk, which has nothing to overlap with
-// and is read inline like the no-prefetch ablation. It returns nil when the
-// scratch is still lent to another reader.
-func (sc *readScratch[T]) openChunks(f storage.File, start, end int64, chunkRecs int, prefetch bool) *chunkReader[T] {
+// [start, end) of f, chunkBytes per I/O request. With prefetch a dedicated
+// goroutine reads ahead — unless the range is a single chunk, which has
+// nothing to overlap with and is read inline like the no-prefetch ablation.
+// It returns nil when the scratch is still lent to another reader.
+func (sc *chunkScratch) openChunks(f storage.File, start, end int64, chunkBytes int, prefetch bool) *chunkReader {
 	if !sc.busy.CompareAndSwap(false, true) {
 		return nil
 	}
 	r := &sc.rd
-	*r = chunkReader[T]{sc: sc, f: f, recSize: pod.Size[T](), chunkRecs: chunkRecs, off: start, end: end}
-	if prefetch && end-start > int64(chunkRecs)*int64(r.recSize) {
-		r.start(sc.buf(0, chunkRecs), sc.buf(1, chunkRecs), r.fill)
+	*r = chunkReader{sc: sc, f: f, chunkBytes: chunkBytes, off: start, end: end}
+	if prefetch && end-start > int64(chunkBytes) {
+		r.start(sc.buf(0, chunkBytes), sc.buf(1, chunkBytes), r.fill)
 	}
 	return r
 }
 
 // fill reads the next chunk into buf.
-func (r *chunkReader[T]) fill(buf []T) ([]T, int64, error) {
-	n := min(int64(r.chunkRecs), (r.end-r.off)/int64(r.recSize))
+func (r *chunkReader) fill(buf []byte) ([]byte, int64, error) {
+	n := min(int64(r.chunkBytes), r.end-r.off)
 	if n <= 0 {
 		return nil, 0, nil
 	}
-	// A read of zero records with no error is a zero-progress EOF on a
-	// record boundary: the file is shorter than the caller's bookkeeping
-	// says — the shape a silently torn write leaves behind. It ends the
-	// stream instead of spinning; the caller's record-count check turns the
-	// shortfall into ErrCorrupted.
-	recs, err := readFull(r.f, buf[:n], r.off, r.recSize)
-	if err != nil || len(recs) == 0 {
+	// A read of zero bytes with no error is a zero-progress EOF: the file
+	// is shorter than the caller's bookkeeping says — the shape a silently
+	// torn write leaves behind. It ends the stream instead of spinning; the
+	// caller's byte-count check turns the shortfall into ErrCorrupted.
+	got, err := readAt(r.f, buf[:n], r.off)
+	if err != nil || got == 0 {
 		return nil, 0, err
 	}
-	bytes := int64(len(recs)) * int64(r.recSize)
-	r.off += bytes
-	return recs, bytes, nil
-}
-
-// readFull reads len(buf) records at byte offset off, retrying short reads.
-func readFull[T any](f storage.File, buf []T, off int64, recSize int) ([]T, error) {
-	raw := pod.AsBytes(buf)
-	got := 0
-	for got < len(raw) {
-		n, err := f.ReadAt(raw[got:], off+int64(got))
-		got += n
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return nil, err
-		}
-		if n == 0 {
-			break
-		}
-	}
-	if got%recSize != 0 {
-		return nil, fmt.Errorf("diskengine: torn record: %d bytes at offset %d: %w", got, off, storage.ErrCorrupted)
-	}
-	return buf[:got/recSize], nil
+	r.off += int64(got)
+	return buf[:got], int64(got), nil
 }
 
 // Next returns the next chunk, or nil at end of stream. The returned slice
 // is only valid until the following Next call.
-func (r *chunkReader[T]) Next() (recs []T, err error) {
-	var phys int64
+func (r *chunkReader) Next() (chunk []byte, err error) {
 	if r.ready == nil {
-		recs, phys, err = r.fill(r.sc.buf(0, r.chunkRecs))
-	} else {
-		recs, phys, err = r.next()
+		chunk, _, err = r.fill(r.sc.buf(0, r.chunkBytes))
+		return chunk, err
 	}
-	r.delivered += phys
-	return recs, err
+	chunk, _, err = r.next()
+	return chunk, err
 }
 
 // Close stops the prefetch and only then hands the scratch back: once it
 // is free the next reader may overwrite this one. Safe on every path — end
 // of stream, early close, read error — and idempotent.
-func (r *chunkReader[T]) Close() {
+func (r *chunkReader) Close() {
 	if sc := r.sc; sc != nil {
 		r.stop()
 		r.sc = nil
 		sc.busy.Store(false)
 	}
 }
-
-// PhysBytes returns the byte volume delivered through Next so far. A raw
-// reader's physical and logical volumes coincide (see edgeStream).
-func (r *chunkReader[T]) PhysBytes() int64 { return r.delivered }

@@ -44,7 +44,7 @@ func TestChunkReaderModes(t *testing.T) {
 
 	for _, prefetch := range []bool{true, false} {
 		for _, chunk := range []int{1, 7, 128, 1000, 5000} {
-			rd := newChunkReader[rec](pf.f, pf.size, chunk, prefetch)
+			rd := newChunkReader(pf.f, pf.size, chunk*pod.Size[rec](), prefetch)
 			var got []rec
 			for {
 				c, err := rd.Next()
@@ -54,10 +54,10 @@ func TestChunkReaderModes(t *testing.T) {
 				if c == nil {
 					break
 				}
-				if len(c) > chunk {
-					t.Fatalf("chunk of %d exceeds limit %d", len(c), chunk)
+				if len(c) > chunk*pod.Size[rec]() {
+					t.Fatalf("chunk of %d bytes exceeds limit %d records", len(c), chunk)
 				}
-				got = append(got, c...)
+				got = append(got, pod.FromBytes[rec](c)...)
 			}
 			rd.Close()
 			if len(got) != len(recs) {
@@ -76,7 +76,7 @@ func TestChunkReaderEmptyFile(t *testing.T) {
 	dev := storage.NewSim(storage.SSDParams("t", 1, 0))
 	pf, _ := createPartFile(dev, "empty")
 	for _, prefetch := range []bool{true, false} {
-		rd := newChunkReader[rec](pf.f, 0, 16, prefetch)
+		rd := newChunkReader(pf.f, 0, 16, prefetch)
 		c, err := rd.Next()
 		if err != nil || c != nil {
 			t.Fatalf("empty file: c=%v err=%v", c, err)
@@ -88,7 +88,7 @@ func TestChunkReaderEmptyFile(t *testing.T) {
 func TestChunkReaderEarlyClose(t *testing.T) {
 	dev := storage.NewSim(storage.SSDParams("t", 1, 0))
 	pf := writeRecs(t, dev, "a", makeRecs(10000))
-	rd := newChunkReader[rec](pf.f, pf.size, 64, true)
+	rd := newChunkReader(pf.f, pf.size, 64*pod.Size[rec](), true)
 	if _, err := rd.Next(); err != nil {
 		t.Fatal(err)
 	}
@@ -139,9 +139,8 @@ func TestBucketWriterPipeline(t *testing.T) {
 	seen := 0
 	for p := 0; p < k; p++ {
 		n := files[p].size / int64(pod.Size[rec]())
-		buf := make([]rec, n)
-		recs, err := readFull(files[p].f, buf, 0, pod.Size[rec]())
-		if err != nil {
+		recs := make([]rec, n)
+		if err := readBytes(files[p].f, pod.AsBytes(recs), 0); err != nil {
 			t.Fatal(err)
 		}
 		last := -1

@@ -149,7 +149,7 @@ func prepare(g core.EdgeSource, cfg Config, vertexBytes int64, runs int) (*Prepa
 			return nil, err
 		}
 	}
-	pp.tilesFwd = newDiskTiles(k, cfg.TileEdges, cfg.CompressTiles, cfg.Selective)
+	pp.tilesFwd = newDiskTiles(k, cfg)
 	// The counts have room for every ID the split can place, so a source
 	// past nv cannot index out of them; the partition reader refuses its
 	// edge as corrupted.
@@ -298,7 +298,7 @@ func (pp *Prepared) transposed() (files []*partFile, tiles *diskTiles, build edg
 			}
 		}
 		src := &forwardSource{pp: pp, sc: new(edgeScratch)}
-		t := newDiskTiles(pp.k, pp.cfg.TileEdges, pp.cfg.CompressTiles, pp.cfg.Selective)
+		t := newDiskTiles(pp.k, pp.cfg)
 		if err := partitionEdgesInto(src, bwd, true, t, nil, pp.bufEdgeRecs, pp.shufPlan, pp.part, pp.cfg.Threads); err != nil {
 			cleanup()
 			return nil, nil, build, err
@@ -314,19 +314,13 @@ func (pp *Prepared) transposed() (files []*partFile, tiles *diskTiles, build edg
 
 // partitionEdgesInto is the pre-processing shuffle: it streams src through
 // the shuffle pipeline into the partition edge files, optionally transposing
-// each edge first, and builds the files' tile index from every run written.
-// When deg is non-nil the sink also counts every record's source into it:
-// the out-degrees, counted on the writer goroutine.
+// each edge first, through a tileWriter that writes the files a tile at a
+// time and builds their tile index. When deg is non-nil the sink also counts
+// every record's source into it: the out-degrees, counted on the writer
+// goroutine.
 func partitionEdgesInto(src core.EdgeSource, files []*partFile, transpose bool, tiles *diskTiles, deg []uint32, bufEdgeRecs int, plan streambuf.Plan, part core.Split, threads int) error {
-	sink := func(p int, run []core.Edge) error {
-		tiles.observe(p, run)
-		return files[p].appendBytes(pod.AsBytes(run))
-	}
-	var comp *tileCompressor
-	if tiles.compressed {
-		comp = newTileCompressor(files, tiles)
-		sink = comp.append
-	}
+	tw := newTileWriter(files, tiles)
+	sink := tw.append
 	if deg != nil {
 		write := sink
 		sink = func(p int, run []core.Edge) error {
@@ -354,11 +348,7 @@ func partitionEdgesInto(src core.EdgeSource, files []*partFile, transpose bool, 
 	if err := w.Finish(); err != nil {
 		return err
 	}
-	if comp != nil {
-		return comp.finish()
-	}
-	tiles.finish()
-	return nil
+	return tw.finish()
 }
 
 // forwardSource re-streams a Prepared's forward edge files as one edge
@@ -394,10 +384,9 @@ func (s *forwardSource) Edges(fn func([]core.Edge) error) error {
 // partition p's edge file: it streams the segments planSegments planned
 // through fn under the config's verify and prefetch settings, and returns
 // the traffic moved. Every record is checked against the shuffle invariant
-// before fn sees it: a corrupted record must never be dereferenced, and the
-// tile CRC only closes at tile granularity, after earlier chunks of the tile
-// have scattered, so a bit-flipped Src or Dst would otherwise index outside
-// the vertex window or the shuffle plan before verification catches it.
+// before fn sees it: a corrupted record must never be dereferenced, and with
+// verification off no tile CRC stands between a bit-flipped Src or Dst and
+// an index outside the vertex window or the shuffle plan.
 func (pp *Prepared) streamPartition(ctx context.Context, rd *edgeScratch, files []*partFile, tiles *diskTiles, p int, segs []edgeSegment, fn func([]core.Edge) error) (io edgeIO, err error) {
 	lo, hi := pp.part.Range(p, pp.nv)
 	io.read, io.logical, io.checked, err = streamSegments(ctx, rd, files[p], tiles.compressed, !pp.cfg.NoVerify, segs, pp.bufEdgeRecs, !pp.cfg.NoPrefetch, func(chunk []core.Edge) error {

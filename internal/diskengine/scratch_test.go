@@ -26,12 +26,12 @@ import (
 
 // newChunkReader and newTileReader open a reader over a scratch of its own,
 // for the tests that exercise one reader in isolation.
-func newChunkReader[T any](f storage.File, end int64, chunkRecs int, prefetch bool) *chunkReader[T] {
-	return new(readScratch[T]).openChunks(f, 0, end, chunkRecs, prefetch)
+func newChunkReader(f storage.File, end int64, chunkBytes int, prefetch bool) *chunkReader {
+	return new(chunkScratch).openChunks(f, 0, end, chunkBytes, prefetch)
 }
 
-func newTileReader(f storage.File, tiles []tileSpan, chunkRecs int, prefetch, verify bool) *tileReader {
-	return new(edgeScratch).openTiles(f, tiles, chunkRecs, prefetch, verify)
+func newTileReader(f storage.File, tiles []tileSpan, encoded bool, chunkRecs int, prefetch, verify bool) *tileReader {
+	return new(edgeScratch).openTiles(f, tiles, encoded, chunkRecs, prefetch, verify)
 }
 
 // settleGoroutines waits for the goroutine count to fall back to base: a
@@ -121,7 +121,7 @@ func readerLifecycle(t *testing.T, compressed bool) {
 	}
 	check("normal end")
 
-	rd := sc.openSegment(pf.f, segs[0], compressed, chunkRecs, true, true)
+	rd := sc.openTiles(pf.f, segs[0].tiles, compressed, chunkRecs, true, true)
 	if _, err := rd.Next(); err != nil {
 		t.Fatal(err)
 	}
@@ -150,6 +150,56 @@ func readerLifecycle(t *testing.T, compressed bool) {
 func TestChunkReaderLifecycle(t *testing.T) { readerLifecycle(t, false) }
 func TestTileReaderLifecycle(t *testing.T)  { readerLifecycle(t, true) }
 
+// TestTileReaderChecksumsRawTilesBeforeDelivery: a raw batch is handed out
+// only once every tile in it has matched its CRC. With 128-record tiles read
+// in batches of two (chunkRecs 300, not a multiple of the tile) and the
+// prefetch on, a byte flipped in any tile i of a partition is
+// storage.ErrCorrupted, and no record of tile i — nor any later one —
+// reaches fn.
+func TestTileReaderChecksumsRawTilesBeforeDelivery(t *testing.T) {
+	const chunkRecs = 300
+	files, tiles := shuffleLayout(t, false, 128)
+	p := 0
+	for q := range files {
+		if tiles.totalRecs(q) > tiles.totalRecs(p) {
+			p = q
+		}
+	}
+	pf, parts := files[p], tiles.parts[p]
+	if len(parts) < 6 {
+		t.Fatalf("partition %d has %d tiles, too few for several two-tile batches", p, len(parts))
+	}
+	segs, _, _ := planSegments(tiles, p, false, nil, nil)
+	sc := new(edgeScratch)
+	flip := func(off int64) {
+		t.Helper()
+		var b [1]byte
+		if _, err := pf.f.ReadAt(b[:], off); err != nil {
+			t.Fatal(err)
+		}
+		b[0] ^= 0x40
+		if _, err := pf.f.WriteAt(b[:], off); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i, tl := range parts {
+		off := (tl.lo+tl.recs)*edgeRecSize - 1 // the tile's last byte: a batch that scattered its head would show it
+		flip(off)
+		var delivered int64
+		_, _, _, err := streamSegments(nil, sc, pf, false, true, segs, chunkRecs, true, func(chunk []core.Edge) error {
+			delivered += int64(len(chunk))
+			return nil
+		})
+		flip(off)
+		if !errors.Is(err, storage.ErrCorrupted) {
+			t.Fatalf("tile %d flipped: stream returned %v, want ErrCorrupted", i, err)
+		}
+		if delivered > tl.lo {
+			t.Fatalf("tile %d flipped: %d records reached fn, tile %d starts at record %d", i, delivered, i, tl.lo)
+		}
+	}
+}
+
 // TestSingleBatchSegmentReadsInline: a segment that is one batch has
 // nothing for a prefetch to overlap with, so no goroutine is started for
 // it in either layout.
@@ -159,7 +209,7 @@ func TestSingleBatchSegmentReadsInline(t *testing.T) {
 		segs, _, _ := planSegments(tiles, 0, false, nil, nil)
 		sc := new(edgeScratch)
 		base := runtime.NumGoroutine()
-		rd := sc.openSegment(files[0].f, segs[0], compressed, 1<<20, true, true)
+		rd := sc.openTiles(files[0].f, segs[0].tiles, compressed, 1<<20, true, true)
 		if n := runtime.NumGoroutine(); n != base {
 			t.Fatalf("compressed=%v: %d goroutines with a single-batch reader open, %d before", compressed, n, base)
 		}

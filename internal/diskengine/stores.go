@@ -27,7 +27,7 @@ func (pp *Prepared) openStores(ctx context.Context, jobs, vertexBytes, updateByt
 	upd := &updateStore{
 		files: make([]*partFile, pp.k), crcs: make([]uint32, pp.k), recSize: updateBytes, chunkBytes: window * updateBytes,
 		prefetch: !cfg.NoPrefetch, verify: !cfg.NoVerify, io: io,
-		drain: make([]readScratch[byte], cfg.Threads),
+		drain: make([]chunkScratch, cfg.Threads),
 	}
 	var verts *vertexStore
 	if pp.nv*int64(vertexBytes)+5*bufBytes > cfg.MemoryBudget/int64(jobs) {
@@ -84,7 +84,7 @@ type updateStore struct {
 	// drain is the read-back scratch, one per gather worker, each made on
 	// first use. A Drain that finds them all lent reads through a scratch
 	// of its own.
-	drain []readScratch[byte]
+	drain []chunkScratch
 }
 
 // Append implements core.SpillStore.
@@ -108,12 +108,12 @@ func (s *updateStore) Drain(p int, fn func([]byte) error) error {
 	uf := s.files[p]
 	var crc uint32
 	var got int64
-	var rd *chunkReader[byte]
+	var rd *chunkReader
 	for i := 0; i < len(s.drain) && rd == nil; i++ {
 		rd = s.drain[i].openChunks(uf.f, 0, uf.size, s.chunkBytes, s.prefetch)
 	}
 	if rd == nil {
-		rd = new(readScratch[byte]).openChunks(uf.f, 0, uf.size, s.chunkBytes, s.prefetch)
+		rd = new(chunkScratch).openChunks(uf.f, 0, uf.size, s.chunkBytes, s.prefetch)
 	}
 	defer rd.Close()
 	for {
@@ -164,14 +164,14 @@ type vertexStore struct {
 // Load implements core.VertexStore.
 func (s *vertexStore) Load(p int, window []byte) error {
 	vf := s.files[p]
-	got, err := readFull(vf.f, window, 0, 1)
+	got, err := readAt(vf.f, window, 0)
 	if err != nil {
 		return err
 	}
-	s.io.Read.Add(int64(len(got)))
-	if len(got) != len(window) {
+	s.io.Read.Add(int64(got))
+	if got != len(window) {
 		return fmt.Errorf("diskengine: vertex file %s short: %d records, want %d: %w",
-			vf.name, len(got)/s.recSize, len(window)/s.recSize, storage.ErrCorrupted)
+			vf.name, got/s.recSize, len(window)/s.recSize, storage.ErrCorrupted)
 	}
 	if s.verify {
 		if sum := storage.Checksum(window); sum != s.crcs[p] {

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/storage"
 )
 
 // referencePlanSegments is the tile plan as a per-tile walk: every tile
@@ -86,7 +87,7 @@ func TestTilePlanMatchesWalk(t *testing.T) {
 		nv := 1 + rng.Int63n(3000)
 		part := core.NewSplit(nv, 1+rng.Intn(64))
 		for _, compressed := range []bool{false, true} {
-			tiles := newDiskTiles(part.K, 64, compressed, true)
+			tiles := newDiskTiles(part.K, Config{TileEdges: 64, CompressTiles: compressed, Selective: true})
 			for p := 0; p < part.K; p++ {
 				lo, hi := part.Range(p, nv)
 				if lo >= hi {
@@ -142,4 +143,39 @@ func randomRuns(rng *rand.Rand, part core.Split, nv int64) []core.JobRun {
 		runs[i] = scheduleRun{s: s}
 	}
 	return runs
+}
+
+// TestRawTileCRCOnlyUnderVerification: the shuffle checksums a raw tile only
+// for a handle that verifies its reads. A verifying handle's tiles carry the
+// CRC32C of the records at their (off, bytes); a NoVerify handle's carry
+// none.
+func TestRawTileCRCOnlyUnderVerification(t *testing.T) {
+	src, _ := smallGraph(35)
+	for _, noVerify := range []bool{false, true} {
+		pp, err := Prepare(src, Config{Device: ssd(0), Threads: 2, Partitions: 4, IOUnit: 4 << 10, TileEdges: 128, NoVerify: noVerify})
+		if err != nil {
+			t.Fatal(err)
+		}
+		n := 0
+		for p, tiles := range pp.tilesFwd.parts {
+			for i, tl := range tiles {
+				b := make([]byte, tl.bytes)
+				if err := readBytes(pp.edgeFiles[p].f, b, tl.off); err != nil {
+					t.Fatal(err)
+				}
+				want := storage.Checksum(b)
+				if noVerify {
+					want = 0
+				}
+				if tl.crc != want {
+					t.Fatalf("NoVerify %v: partition %d tile %d carries CRC %08x, want %08x", noVerify, p, i, tl.crc, want)
+				}
+				n++
+			}
+		}
+		pp.Close()
+		if n < 8 {
+			t.Fatalf("NoVerify %v: only %d tiles", noVerify, n)
+		}
+	}
 }

@@ -64,7 +64,7 @@ func newSpillingTransport(t *testing.T, dev storage.Device, k int, nv int64, win
 		t.Fatalf("NewPlan: %v", err)
 	}
 	rec := pod.Size[core.Update[int64]]()
-	store := &windowCount{SpillStore: &updateStore{files: files, crcs: make([]uint32, k), recSize: rec, chunkBytes: window * rec, prefetch: true, verify: true, io: new(core.SpillIO), drain: make([]readScratch[byte], threads)}}
+	store := &windowCount{SpillStore: &updateStore{files: files, crcs: make([]uint32, k), recSize: rec, chunkBytes: window * rec, prefetch: true, verify: true, io: new(core.SpillIO), drain: make([]chunkScratch, threads)}}
 	tp := core.NewSpillTransport(window, plan, threads, func(u core.Update[int64]) uint32 { return split.Of(u.Dst) }, store)
 	return &spillingTransport{ShuffleTransport: tp, files: files, store: store}
 }

@@ -471,14 +471,15 @@ func (s *Scheduler) Submit(req Request) (string, error) {
 }
 
 // memoryEstimate is job's admission footprint on ds under engine: the
-// in-memory engine scatters with one kernel per thread, the out-of-core
-// engine with one.
+// in-memory engine scatters with one kernel per thread into update windows
+// sized by its partition count, the out-of-core engine with one kernel, its
+// windows charged at the worst case.
 func memoryEstimate(job *core.Job, ds *dataset.Dataset, engine Engine) int64 {
-	kernels := 1
+	kernels, k := 1, 0
 	if engine == EngineMem {
-		kernels = ds.Threads()
+		kernels, k = ds.Threads(), ds.MemPartitions()
 	}
-	return job.MemoryEstimate(ds.NumVertices(), ds.NumEdges(), kernels)
+	return job.MemoryEstimate(ds.NumVertices(), ds.NumEdges(), kernels, k)
 }
 
 // dsRef renders a dataset@version log attribute, so log lines disambiguate

@@ -2,10 +2,12 @@ package jobs
 
 import (
 	"context"
+	"fmt"
 	"testing"
 	"time"
 
 	"repro/internal/algorithms"
+	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/graphgen"
 	"repro/internal/storage"
@@ -164,6 +166,46 @@ func TestAdmissionControl(t *testing.T) {
 	m := s.Metrics()
 	if m.Batches != 3 || m.MemoryInUse != 0 {
 		t.Fatalf("metrics: %+v", m)
+	}
+}
+
+// TestAdmissionChargesDenseCombiningWindows: an in-memory run whose kernels
+// combine in the dense accumulator holds update windows of min(E, K·|V|)
+// records, K the partition count its dataset's in-memory handle is built
+// with, and admission charges exactly that; the out-of-core estimate still
+// charges E records a window. On RMAT-9 (512 vertices, 8192 edge records)
+// at K 4 that is 2048 records a window, where E was charged before.
+func TestAdmissionChargesDenseCombiningWindows(t *testing.T) {
+	reg := dataset.NewRegistry()
+	defer reg.Close()
+	src := graphgen.RMAT(graphgen.RMATConfig{Scale: 9, EdgeFactor: 8, Seed: 81, Undirected: true})
+	for _, forced := range []int{4, 0} {
+		ds, err := reg.Add(fmt.Sprintf("k%d", forced), src, dataset.Options{Undirected: true, Threads: 2, MemPartitions: forced})
+		if err != nil {
+			t.Fatal(err)
+		}
+		pp, err := ds.Mem()
+		if err != nil {
+			t.Fatal(err)
+		}
+		k := pp.Partitions()
+		if k != ds.MemPartitions() || (forced != 0 && k != forced) {
+			t.Fatalf("MemPartitions %d: the handle has %d partitions, the dataset says %d", forced, k, ds.MemPartitions())
+		}
+		job := core.NewJob[algorithms.PRState, float32](algorithms.NewPageRank(3))
+		nv, ne := ds.NumVertices(), ds.NumEdges()
+		acc := core.DenseCombineFootprint[float32](nv)
+		if acc == 0 || int64(k)*nv >= ne && forced != 0 {
+			t.Fatalf("graph lost its shape: accumulator %d bytes, K·|V| %d, E %d", acc, int64(k)*nv, ne)
+		}
+		fixed := nv*int64(job.VertexBytes()) + nv/4
+		window := min(ne, int64(k)*nv)
+		if got, want := memoryEstimate(job, ds, EngineMem), fixed+2*window*int64(job.UpdateBytes())+2*acc; got != want {
+			t.Errorf("K %d: in-memory estimate %d, want %d (windows of %d records)", k, got, want, window)
+		}
+		if got, want := memoryEstimate(job, ds, EngineDisk), fixed+2*ne*int64(job.UpdateBytes())+acc; got != want {
+			t.Errorf("K %d: out-of-core estimate %d, want %d", k, got, want)
+		}
 	}
 }
 

@@ -70,20 +70,31 @@ type Prepared struct {
 // handle is immutable from the caller's perspective and serves any number
 // of jobs.
 func Prepare(g core.EdgeSource, cfg Config) (*Prepared, error) {
-	return prepare(g, cfg, core.Footprint(sharedVertexBytes, sharedUpdateBytes))
+	return prepare(g, cfg, Partitions(g.NumVertices(), cfg))
 }
 
-// prepare is Prepare with an explicit §4 vertex footprint for partition
-// auto-sizing — the direct Run/RunJob/RunMany paths size from their jobs'
-// actual record widths (the paper's rule), not the nominal one.
-func prepare(g core.EdgeSource, cfg Config, footprint int) (*Prepared, error) {
+// Partitions is the partition count Prepare gives a graph of nv vertices
+// under cfg: cfg.Partitions when set, else the §4 cache rule for the
+// nominal footprint. Admission control sizes a run's update windows by it.
+func Partitions(nv int64, cfg Config) int {
+	return partitions(nv, cfg, core.Footprint(sharedVertexBytes, sharedUpdateBytes))
+}
+
+// partitions is cfg.Partitions when set, else the §4 cache rule for nv
+// vertices of footprint bytes each.
+func partitions(nv int64, cfg Config, footprint int) int {
+	if cfg.Partitions != 0 {
+		return cfg.Partitions
+	}
+	return core.MemPartitions(nv, footprint, core.CacheBytes)
+}
+
+// prepare is Prepare into k partitions — the direct Run/RunJob/RunMany
+// paths size k from their jobs' actual record widths (the paper's rule),
+// not the nominal footprint.
+func prepare(g core.EdgeSource, cfg Config, k int) (*Prepared, error) {
 	cfg = withDefaults(cfg)
 	nv, ne := g.NumVertices(), g.NumEdges()
-
-	k := cfg.Partitions
-	if k == 0 {
-		k = core.MemPartitions(nv, footprint, core.CacheBytes)
-	}
 	if k&(k-1) != 0 {
 		return nil, fmt.Errorf("memengine: partition count %d is not a power of two", k)
 	}
@@ -178,7 +189,7 @@ func RunMany(ctx context.Context, g core.EdgeSource, set core.ProgramSet, cfg Co
 	for _, j := range set {
 		foot = max(foot, core.Footprint(j.VertexBytes(), j.UpdateBytes()))
 	}
-	pp, err := prepare(g, cfg, foot)
+	pp, err := prepare(g, cfg, partitions(g.NumVertices(), cfg, foot))
 	if err != nil {
 		return nil, core.Stats{}, err
 	}
