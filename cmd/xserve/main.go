@@ -85,7 +85,7 @@ func main() {
 		resCache  = flag.String("result-cache", "256m", "result cache capacity (e.g. 64m, 0 = disabled)")
 		quotas    = flag.String("tenant-quotas", "", `per-tenant job quotas: "R,Q[;name=R,Q;...]" (R max running, Q max queued, 0 = unlimited)`)
 		drain     = flag.Duration("drain-timeout", 30*time.Second, "max time to drain in-flight HTTP requests on shutdown")
-		compress  = flag.Bool("compress-tiles", false, "store out-of-core partition edge files as delta-varint compressed tiles (bit-identical results, fewer physical bytes read)")
+		compress  = flag.Bool("compress-tiles", false, "store out-of-core partition edge files as compressed tiles (bit-identical results, fewer physical bytes read)")
 		ioRetries = flag.Int("io-retries", 3, "retry transient device errors up to N times with jittered backoff (0 = fail fast)")
 		attempts  = flag.Int("job-attempts", 2, "times a job may enter a batch before a transient or corruption failure becomes terminal (1 = no retry)")
 		pprofAddr = flag.String("pprof-addr", "", "serve net/http/pprof on this address (e.g. localhost:6060; empty = off)")

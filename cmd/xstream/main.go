@@ -65,7 +65,7 @@ func main() {
 		partition  = flag.String("partitioner", "range", "partitioning policy: range|2ps")
 		combine    = flag.Bool("combine", true, "pre-aggregate the update stream when the algorithm has a combiner")
 		selective  = flag.Bool("selective", true, "skip inactive partitions and edge tiles when the algorithm has a frontier (bfs/sssp/wcc)")
-		compress   = flag.Bool("compress-tiles", false, "disk engine: store partition edge files as delta-varint compressed tiles (bit-identical results, fewer physical bytes read)")
+		compress   = flag.Bool("compress-tiles", false, "disk engine: store partition edge files as compressed tiles (bit-identical results, fewer physical bytes read)")
 		savePerm   = flag.String("save-permutation", "", "save the partitioner's vertex relabeling to this file after planning")
 		loadPerm   = flag.String("load-permutation", "", "replay a saved vertex relabeling instead of running the partitioner")
 		checkpoint = flag.Bool("checkpoint", false, "disk engine: persist a checksummed snapshot after each iteration; a rerun over the same directory resumes from the last completed iteration")

@@ -10,13 +10,13 @@ import (
 	"repro/internal/partition2ps"
 )
 
-// figcompress quantifies what the delta-varint tile codec buys the
+// figcompress quantifies what the compressed tile codec buys the
 // out-of-core engine: the edge stream dominates X-Stream's I/O volume
 // (§5.2 — every scatter re-reads the full edge list), so shrinking edge
 // files at rest cuts physical reads on every iteration. The workload is
 // PageRank (dense, every tile read every pass) and selective BFS
 // (compression composing with tile skipping) over an RMAT graph under the
-// 2PS layout, whose source-contiguous tiles are what the delta coder
+// 2PS layout, whose source-contiguous tiles are what the codec
 // exploits; each algorithm runs once on raw tiles and once compressed.
 // The headline metrics are the physical BytesRead pair — the compressed
 // run must land well under the raw one while BytesReadLogical stays

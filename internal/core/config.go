@@ -110,9 +110,10 @@ type Config struct {
 	// distance 0) out of core; used by the prefetch ablation benchmark.
 	NoPrefetch bool
 	// CompressTiles stores the partition edge files as encoded tiles
-	// (internal/tilecodec: delta-varint sources exploiting the
-	// relabeling's locality, varint targets, raw fallback when
-	// compression doesn't pay) instead of raw records, out of core.
+	// (internal/tilecodec: sources bit-packed within each 64-record
+	// block's span, exploiting the relabeling's locality, varint
+	// targets, raw fallback when compression doesn't pay) instead of
+	// raw records, out of core.
 	// Decoding reproduces the exact record stream, so results are
 	// bit-identical to the raw layout while physical edge-file reads
 	// shrink: Stats.BytesRead then reports physical traffic,

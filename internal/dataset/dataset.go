@@ -65,7 +65,7 @@ type Options struct {
 	// MemoryBudget sizes the out-of-core stream buffers (0 = default).
 	MemoryBudget int64
 	// CompressTiles stores the out-of-core partition edge files as
-	// delta-varint compressed tiles: results are bit-identical while
+	// compressed tiles: results are bit-identical while
 	// physical edge reads shrink (see core.Config.CompressTiles).
 	CompressTiles bool
 }

@@ -9,8 +9,9 @@ package diskengine
 // is tileReader: one request per batch of whole tiles, read ahead with the
 // prefetch of §3.3, every tile checked before its batch is handed out — a
 // raw tile against the CRC the shuffle recorded, an encoded one inside its
-// tilecodec frame. streamSegments drives it over a partition's planned
-// segments for every scatter path — solo Run, shared-pass RunMany,
+// tilecodec frame — and, on a selective read, only the 64-record blocks the
+// frontier reaches handed out. streamSegments drives it over a partition's
+// planned segments for every scatter path — solo Run, shared-pass RunMany,
 // selective range reads, the transpose build — so nothing above the reader
 // knows the layout.
 
@@ -31,8 +32,8 @@ import (
 // index. A raw run is appended to the file as it arrives, and its tiles'
 // CRC32C kept when the index keeps checksums; an encoded tile's records are
 // staged and encoded when the tile closes. It runs on the single writer
-// goroutine; finish (called after the writer drains) closes each partition's
-// trailing short tile.
+// goroutine; finish (called after the writer drains) closes each
+// partition's trailing short tile.
 type tileWriter struct {
 	files []*partFile
 	tiles *diskTiles
@@ -137,17 +138,20 @@ type edgeScratch struct {
 }
 
 // streamSegments streams the planned segments of an edge file through fn in
-// order, checking ctx between batches (nil ctx skips the check). With verify
-// set every delivered tile was checked whole before fn saw any of it, and a
-// segment that delivers fewer records than planned, a silently torn file,
-// is corruption too. It returns the physical and logical byte volume
-// delivered (phys < logical when encoded tiles decoded to more than was
-// read) plus the byte volume checksum-verified: every byte read, under
-// verify.
-func streamSegments(ctx context.Context, sc *edgeScratch, pf *partFile, encoded, verify bool, segs []edgeSegment, chunkRecs int, prefetch bool, fn func([]core.Edge) error) (phys, logical, checked int64, err error) {
+// order, checking ctx between batches (nil ctx skips the check). With need
+// set, only the blocks of each tile whose source span need accepts reach fn,
+// and the records of the others are counted as skipped. With verify set
+// every delivered tile was checked whole — its skipped blocks included —
+// before fn saw any of it, and a segment whose delivered and skipped records
+// fall short of its plan, a silently torn file, is corruption too. It
+// returns the byte volume read, at its decoded size and checksum-verified
+// (read < logical when encoded tiles decoded to more than was read; checked
+// is every byte read, under verify), and the records skipped: what reached
+// fn is logical/edgeRecSize − skipped records.
+func streamSegments(ctx context.Context, sc *edgeScratch, pf *partFile, encoded, verify bool, segs []edgeSegment, chunkRecs int, prefetch bool, need func(core.SrcSpan) bool, fn func([]core.Edge) error) (io edgeIO, skipped int64, err error) {
 	for _, seg := range segs {
 		var segRecs int64
-		rd := sc.openTiles(pf.f, seg.tiles, encoded, chunkRecs, prefetch, verify)
+		rd := sc.openTiles(pf.f, seg.tiles, encoded, chunkRecs, prefetch, verify, need)
 		for err == nil {
 			var chunk []core.Edge
 			if chunk, err = rd.Next(); err != nil {
@@ -162,24 +166,25 @@ func streamSegments(ctx context.Context, sc *edgeScratch, pf *partFile, encoded,
 					break
 				}
 			}
-			logical += int64(len(chunk)) * edgeRecSize
 			segRecs += int64(len(chunk))
 			err = fn(chunk)
 		}
-		phys += rd.PhysBytes()
+		io.read += rd.PhysBytes()
 		rd.Close()
-		if err == nil && verify && segRecs != seg.hi-seg.lo {
-			err = fmt.Errorf("diskengine: edge file %s: segment [%d,%d) delivered %d of %d records: %w",
-				pf.name, seg.lo, seg.hi, segRecs, seg.hi-seg.lo, storage.ErrCorrupted)
+		io.logical += (segRecs + rd.skipped) * edgeRecSize
+		skipped += rd.skipped
+		if err == nil && verify && segRecs+rd.skipped != seg.hi-seg.lo {
+			err = fmt.Errorf("diskengine: edge file %s: segment [%d,%d) delivered %d and skipped %d of %d records: %w",
+				pf.name, seg.lo, seg.hi, segRecs, rd.skipped, seg.hi-seg.lo, storage.ErrCorrupted)
 		}
 		if err != nil {
 			break
 		}
 	}
 	if verify {
-		checked = phys
+		io.checked = io.read
 	}
-	return phys, logical, checked, err
+	return io, skipped, err
 }
 
 // tileReader streams one planned run of tiles in batches of consecutive
@@ -187,7 +192,9 @@ func streamSegments(ctx context.Context, sc *edgeScratch, pf *partFile, encoded,
 // goroutine reads, checks and — encoded — decodes the next batch into a
 // second buffer while the caller scatters the current one. Consecutive
 // tiles are physically adjacent, so one ReadAt covers each batch and the
-// I/O stays sequential at the configured request size.
+// I/O stays sequential at the configured request size. With need set, a
+// batch holds only the blocks need accepts: an encoded tile decodes only
+// those, a raw batch is compacted in place once its tiles are checked.
 type tileReader struct {
 	sc              *edgeScratch // nil once closed
 	f               storage.File
@@ -196,17 +203,23 @@ type tileReader struct {
 	chunkRecs       int
 	capRecs         int // records the largest batch holds
 	encoded, verify bool
+	need            func(core.SrcSpan) bool
 	phys            int64
+	// skipped counts the records of the blocks need refused. The batches
+	// are read on the prefetch goroutine, so it is complete, and safe to
+	// read, once Close has returned.
+	skipped int64
 	prefetcher[core.Edge]
 }
 
 // openTiles lends the scratch to a reader of one planned run of tiles of f,
-// encoded or raw. With prefetch a dedicated goroutine reads ahead (paying
-// the checksum and decode CPU off the scatter threads) — unless the run is
-// a single batch, which has nothing to overlap with and is read inline like
-// the no-prefetch ablation. The previous reader must have been closed: a
-// scratch still lent is a bug.
-func (sc *edgeScratch) openTiles(f storage.File, tiles []tileSpan, encoded bool, chunkRecs int, prefetch, verify bool) *tileReader {
+// encoded or raw, delivering every block, or with need only the blocks
+// whose source span it accepts. With prefetch a dedicated goroutine reads
+// ahead (paying the checksum and decode CPU off the scatter threads) —
+// unless the run is a single batch, which has nothing to overlap with and is
+// read inline like the no-prefetch ablation. The previous reader must have
+// been closed: a scratch still lent is a bug.
+func (sc *edgeScratch) openTiles(f storage.File, tiles []tileSpan, encoded bool, chunkRecs int, prefetch, verify bool, need func(core.SrcSpan) bool) *tileReader {
 	if !sc.busy.CompareAndSwap(false, true) {
 		panic("diskengine: edge reader scratch lent twice")
 	}
@@ -217,7 +230,7 @@ func (sc *edgeScratch) openTiles(f storage.File, tiles []tileSpan, encoded bool,
 		capRecs = max(capRecs, int(tl.recs))
 	}
 	r := &sc.rd
-	*r = tileReader{sc: sc, f: f, tiles: tiles, chunkRecs: chunkRecs, capRecs: capRecs, encoded: encoded, verify: verify}
+	*r = tileReader{sc: sc, f: f, tiles: tiles, chunkRecs: chunkRecs, capRecs: capRecs, encoded: encoded, verify: verify, need: need}
 	if prefetch && len(tiles) > 0 && batchEnd(tiles, 0, chunkRecs) < len(tiles) {
 		r.start(sc.buf(0, capRecs), sc.buf(1, capRecs), r.fill)
 	}
@@ -238,12 +251,13 @@ func batchEnd(tiles []tileSpan, i, chunkRecs int) int {
 
 // readBatch reads tiles[i:j] with one request into out and checks every
 // tile against the index before the batch is handed out. A raw batch is
-// read straight into out, and under verify each tile's records are
-// checksummed against the CRC the shuffle recorded. An encoded batch is read
-// into the byte scratch and each tile decoded into out by tilecodec, which
-// checks its frame's CRC under verify; a tile that decodes to other than
-// the index says means a torn or corrupt file, never a silently wrong
-// scatter.
+// read straight into out, under verify each tile's records are checksummed
+// against the CRC the shuffle recorded, and with need the blocks it refuses
+// are then dropped. An encoded batch is read into the byte scratch and each
+// tile decoded into out by tilecodec — with need, only its accepted blocks
+// — which checks the frame's CRC under verify. A tile whose decoded and
+// skipped records are other than the index says means a torn or corrupt
+// file, never a silently wrong scatter.
 func (r *tileReader) readBatch(i, j int, out []core.Edge) ([]core.Edge, int64, error) {
 	tiles := r.tiles[i:j]
 	off := tiles[0].off
@@ -262,6 +276,9 @@ func (r *tileReader) readBatch(i, j int, out []core.Edge) ([]core.Edge, int64, e
 				recs = recs[tl.recs:]
 			}
 		}
+		if r.need != nil {
+			out = r.keepBlocks(tiles, out)
+		}
 		return out, n, nil
 	}
 	if int64(cap(r.sc.raw)) < n {
@@ -274,18 +291,43 @@ func (r *tileReader) readBatch(i, j int, out []core.Edge) ([]core.Edge, int64, e
 	out = out[:cap(out)]
 	used := 0
 	for _, tl := range tiles {
-		recs, consumed, err := tilecodec.DecodeVerify(raw, out[used:used], r.verify)
+		recs, skipped, consumed, err := tilecodec.DecodeVerify(raw, out[used:used], r.verify, r.need)
 		if err != nil {
 			return nil, 0, fmt.Errorf("tile at offset %d: %w", tl.off, err)
 		}
-		if int64(len(recs)) != tl.recs || int64(consumed) != tl.bytes {
-			return nil, 0, fmt.Errorf("tile at offset %d decodes to %d records in %d bytes, index says %d in %d: %w",
-				tl.off, len(recs), consumed, tl.recs, tl.bytes, storage.ErrCorrupted)
+		if int64(len(recs)+skipped) != tl.recs || int64(consumed) != tl.bytes {
+			return nil, 0, fmt.Errorf("tile at offset %d decodes to %d records and skips %d in %d bytes, index says %d in %d: %w",
+				tl.off, len(recs), skipped, consumed, tl.recs, tl.bytes, storage.ErrCorrupted)
 		}
 		used += len(recs)
+		r.skipped += int64(skipped)
 		raw = raw[consumed:]
 	}
 	return out[:used], n, nil
+}
+
+// keepBlocks compacts a checked raw batch of tiles in place to the blocks
+// r.need accepts, and counts the rest as skipped. A block is a run of
+// tilecodec.BlockRecs records of one tile, and its span is computed from
+// its records, as tilecodec does for a raw tile.
+func (r *tileReader) keepBlocks(tiles []tileSpan, recs []core.Edge) []core.Edge {
+	kept, pos := 0, 0
+	for _, tl := range tiles {
+		for end := pos + int(tl.recs); pos < end; {
+			blk := recs[pos:min(pos+tilecodec.BlockRecs, end)]
+			pos += len(blk)
+			span := core.NewSrcSpan(blk[0].Src)
+			for _, ed := range blk[1:] {
+				span.Add(ed.Src)
+			}
+			if !r.need(span) {
+				r.skipped += int64(len(blk))
+				continue
+			}
+			kept += copy(recs[kept:], blk)
+		}
+	}
+	return recs[:kept]
 }
 
 // fill reads the next batch of tiles into buf.

@@ -42,7 +42,7 @@ func partitionRecords(t *testing.T, f *partFile, tiles *diskTiles, p int, prefet
 	t.Helper()
 	var out []core.Edge
 	segs, _, _ := planSegments(tiles, p, false, nil, nil)
-	_, _, _, err := streamSegments(nil, new(edgeScratch), f, tiles.compressed, true, segs, 512, prefetch, func(chunk []core.Edge) error {
+	_, _, err := streamSegments(nil, new(edgeScratch), f, tiles.compressed, true, segs, 512, prefetch, nil, func(chunk []core.Edge) error {
 		out = append(out, append([]core.Edge(nil), chunk...)...)
 		return nil
 	})

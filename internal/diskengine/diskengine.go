@@ -9,12 +9,14 @@
 // internal/tilecodec when it closes (CompressTiles) — and records the
 // file's tile index: per fixed-size run of records, where it sits in the
 // file, its source span on a Selective handle (only selective streaming
-// reads spans) and, for a raw tile on a verifying handle, its CRC32C (an
-// encoded tile carries its CRC in its tilecodec frame). Every read of a
-// file is a run of whole tiles by the one tileReader, which checks each
-// tile before it hands the tile's batch to the scatter: with verification
-// on, a pass checks every edge byte it reads before any of it is
-// scattered. The shuffle's sink also counts every vertex's out-degree, on
+// reads spans) and, for a raw tile on a verifying handle, its CRC32C. An
+// encoded tile carries its CRC in its tilecodec frame and the spans of its
+// 64-record blocks in its block directory; a raw tile's block spans are
+// computed from its records when it is read. Every read of a file is a run of whole
+// tiles by the one tileReader, which checks each tile before it hands the
+// tile's batch to the scatter: with verification on, a pass checks every
+// edge byte it reads before any of it is scattered. Its batches are the
+// edge double buffer's size, S·K rounded up to whole tiles. The shuffle's sink also counts every vertex's out-degree, on
 // its one writer goroutine, and the counts are written out as one
 // CRC-checked degree file per partition (<prefix>ds-p0000.deg): a
 // core.DegreeInit program such as PageRank reads its partition windows of
@@ -74,12 +76,14 @@
 // across iterations and skips I/O the frontier proves useless: a partition
 // with no active source has its edge file not read at all, a partially
 // active partition is read only in the segments whose tiles (indexed
-// during the pre-processing edge shuffle) contain an active source, and a
-// partition whose update file is empty skips its gather — including the
-// vertex-file read/writeback in spill mode. Edge-file waste is the
-// out-of-core engine's dominant loss case on frontier algorithms (§5.3);
-// Stats.EdgesSkipped / PartitionsSkipped / TilesSkipped and the drop in
-// BytesRead quantify the recovery (see the figfrontier experiment).
+// during the pre-processing edge shuffle) contain an active source, within
+// a tile read only the 64-record blocks whose source span holds an active
+// source are decoded and scattered, and a partition whose update file is
+// empty skips its gather — including the vertex-file read/writeback in
+// spill mode. Edge-file waste is the out-of-core engine's dominant loss
+// case on frontier algorithms (§5.3); Stats.EdgesSkipped (skipped
+// partitions, tiles and blocks) / PartitionsSkipped / TilesSkipped and the
+// drop in BytesRead quantify the recovery (see the figfrontier experiment).
 //
 // Config is core.Config, the one configuration of both engines: this engine
 // reads the fields both share plus Device, UpdateDevice, MemoryBudget,

@@ -3,6 +3,7 @@ package diskengine
 import (
 	"context"
 	"errors"
+	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -12,6 +13,7 @@ import (
 	"repro/internal/memengine"
 	"repro/internal/partition2ps"
 	"repro/internal/storage"
+	"repro/internal/tilecodec"
 )
 
 // The test programs mirror the memengine test suite so the two engines can
@@ -446,6 +448,59 @@ func TestSelectiveCliqueChainReadsItsEdgesTwice(t *testing.T) {
 	}
 	if st.EdgesStreamed > 2*edges {
 		t.Errorf("a selective BFS streams %d edge records, more than twice the graph's %d", st.EdgesStreamed, edges)
+	}
+}
+
+// TestBlockSkipsMatchBlockSizedTiles: a tile read delivers exactly the
+// blocks whose span meets a needing run's frontier, and a block of a
+// tile of TileEdges records is the same run of records as a tile of
+// tilecodec.BlockRecs records, whose span it shares. So a shared pass of
+// two selective BFS jobs over 1024-record tiles streams and skips exactly
+// the records the same pass over 64-record tiles does — pass and jobs,
+// raw and compressed, each reconciling with the dense stream — and reaches
+// the same vertices. Without block skipping the 1024-record pass would
+// stream whole tiles.
+func TestBlockSkipsMatchBlockSizedTiles(t *testing.T) {
+	src := graphgen.CliqueChain(64, 24, 5)
+	roots := []core.VertexID{0, core.VertexID(src.NumVertices() - 1)}
+	run := func(tileEdges int, compressed, selective bool) ([]core.JobResult, core.Stats) {
+		t.Helper()
+		set := core.ProgramSet{}
+		for _, root := range roots {
+			set = append(set, core.NewJob[bfsState, int32](&bfsProg{root: root}))
+		}
+		res, pass, err := RunMany(context.Background(), src, set, Config{
+			Device: ssd(0), Threads: 2, Partitions: 4, IOUnit: 16 << 10, TileEdges: tileEdges,
+			Partitioner: partition2ps.New(), Selective: selective, CompressTiles: compressed,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res, pass
+	}
+	for _, compressed := range []bool{false, true} {
+		_, dense := run(1024, compressed, false)
+		blockRes, block := run(tilecodec.BlockRecs, compressed, true)
+		tileRes, tiled := run(1024, compressed, true)
+		if tiled.EdgesStreamed != block.EdgesStreamed || tiled.EdgesSkipped != block.EdgesSkipped || tiled.UpdatesSent != block.UpdatesSent {
+			t.Fatalf("compressed %v: 1024-record tiles stream %d and skip %d records (%d updates), %d-record tiles %d and %d (%d)",
+				compressed, tiled.EdgesStreamed, tiled.EdgesSkipped, tiled.UpdatesSent,
+				tilecodec.BlockRecs, block.EdgesStreamed, block.EdgesSkipped, block.UpdatesSent)
+		}
+		if tiled.EdgesStreamed+tiled.EdgesSkipped != dense.EdgesStreamed || tiled.TilesSkipped == 0 {
+			t.Fatalf("compressed %v: pass streams %d and skips %d records (%d tiles), the dense pass %d",
+				compressed, tiled.EdgesStreamed, tiled.EdgesSkipped, tiled.TilesSkipped, dense.EdgesStreamed)
+		}
+		for j := range tileRes {
+			st := tileRes[j].Stats
+			if st.EdgesStreamed+st.EdgesSkipped != dense.EdgesStreamed {
+				t.Fatalf("compressed %v job %d: streams %d and skips %d records, the dense pass %d",
+					compressed, j, st.EdgesStreamed, st.EdgesSkipped, dense.EdgesStreamed)
+			}
+			if !reflect.DeepEqual(tileRes[j].Vertices, blockRes[j].Vertices) {
+				t.Fatalf("compressed %v job %d: vertices differ between tile sizes", compressed, j)
+			}
+		}
 	}
 }
 

@@ -576,7 +576,9 @@ func TestSoloCancelBetweenChunks(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	cfg := spilled(Config{Device: dev, Threads: 2, IOUnit: 8 << 10, Partitions: 2})
-	chunkRecs := int64(cfg.IOUnit) * int64(cfg.Partitions) / edgeRecSize
+	// The edge buffer holds S·K records rounded up to whole tiles.
+	tile := int64(withDefaults(cfg).TileEdges)
+	chunkRecs := (int64(cfg.IOUnit)*int64(cfg.Partitions)/edgeRecSize + tile - 1) / tile * tile
 	var first int64 // records of partition 0, the first one scattered
 	for _, e := range edges {
 		if int64(e.Src) < src.NumVertices()/2 {

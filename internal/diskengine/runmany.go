@@ -68,7 +68,11 @@ type Prepared struct {
 	partName    string
 	shufPlan    streambuf.Plan
 	nv, ne      int64
-	bufEdgeRecs int
+	bufEdgeRecs int // S·K in records: the pre-processing shuffle's window
+	// readRecs is the edge double buffer's capacity in records: S·K
+	// rounded up to whole tiles, so every full read batch is whole tiles
+	// that fill it (tileReader, batchEnd).
+	readRecs int
 	// runSeq numbers the runs made over the handle, naming their files.
 	runSeq atomic.Int64
 
@@ -141,6 +145,7 @@ func prepare(g core.EdgeSource, cfg Config, vertexBytes int64, runs int) (*Prepa
 	pp := &Prepared{
 		cfg: cfg, k: k, part: asg.Split, asg: asg, partName: partName,
 		shufPlan: plan, nv: nv, ne: ne, bufEdgeRecs: bufEdgeRecs,
+		readRecs: (bufEdgeRecs + cfg.TileEdges - 1) / cfg.TileEdges * cfg.TileEdges,
 	}
 	pp.edgeFiles = make([]*partFile, k)
 	for p := 0; p < k; p++ {
@@ -369,7 +374,7 @@ func (s *forwardSource) Edges(fn func([]core.Edge) error) error {
 	pp := s.pp
 	for p := range pp.edgeFiles {
 		segs, _, _ := planSegments(pp.tilesFwd, p, false, nil, nil)
-		io, err := pp.streamPartition(nil, s.sc, pp.edgeFiles, pp.tilesFwd, p, segs, fn)
+		io, _, err := pp.streamPartition(nil, s.sc, pp.edgeFiles, pp.tilesFwd, p, segs, nil, fn)
 		s.io.read += io.read
 		s.io.logical += io.logical
 		s.io.checked += io.checked
@@ -382,14 +387,16 @@ func (s *forwardSource) Edges(fn func([]core.Edge) error) error {
 
 // streamPartition is how the scatter loop, and the transpose build, reads
 // partition p's edge file: it streams the segments planSegments planned
-// through fn under the config's verify and prefetch settings, and returns
-// the traffic moved. Every record is checked against the shuffle invariant
-// before fn sees it: a corrupted record must never be dereferenced, and with
-// verification off no tile CRC stands between a bit-flipped Src or Dst and
-// an index outside the vertex window or the shuffle plan.
-func (pp *Prepared) streamPartition(ctx context.Context, rd *edgeScratch, files []*partFile, tiles *diskTiles, p int, segs []edgeSegment, fn func([]core.Edge) error) (io edgeIO, err error) {
+// through fn — with need, only the blocks need accepts — under the config's
+// verify and prefetch settings, and returns the traffic moved and the
+// records of the blocks skipped. Every record is checked against the
+// shuffle invariant before fn sees it: a corrupted record must never be
+// dereferenced, and with verification off no tile CRC stands between a
+// bit-flipped Src or Dst and an index outside the vertex window or the
+// shuffle plan.
+func (pp *Prepared) streamPartition(ctx context.Context, rd *edgeScratch, files []*partFile, tiles *diskTiles, p int, segs []edgeSegment, need func(core.SrcSpan) bool, fn func([]core.Edge) error) (edgeIO, int64, error) {
 	lo, hi := pp.part.Range(p, pp.nv)
-	io.read, io.logical, io.checked, err = streamSegments(ctx, rd, files[p], tiles.compressed, !pp.cfg.NoVerify, segs, pp.bufEdgeRecs, !pp.cfg.NoPrefetch, func(chunk []core.Edge) error {
+	return streamSegments(ctx, rd, files[p], tiles.compressed, !pp.cfg.NoVerify, segs, pp.readRecs, !pp.cfg.NoPrefetch, need, func(chunk []core.Edge) error {
 		for _, ed := range chunk {
 			if int64(ed.Src) < lo || int64(ed.Src) >= hi || int64(ed.Dst) >= pp.nv {
 				return fmt.Errorf("diskengine: edge file %s: record (%d -> %d) outside partition %d window [%d,%d) of %d vertices: %w",
@@ -398,7 +405,6 @@ func (pp *Prepared) streamPartition(ctx context.Context, rd *edgeScratch, files 
 		}
 		return fn(chunk)
 	})
-	return io, err
 }
 
 // RunMany executes every job of set against g out of core, sharing one
@@ -501,6 +507,7 @@ func (pp *Prepared) runPass(ctx context.Context, start time.Time, label string, 
 	defer core.CloseRuns(runs)
 	pass.CoJobs = len(runs)
 	dp := &diskPass{pp: pp, scatters: make([]core.JobScatter, len(runs))}
+	dp.need = dp.plan.NeedsTile
 
 	// Resume a checkpointed pass from the newest valid snapshot a previous
 	// attempt with this prefix left behind: iterations [0, startIter) are
@@ -554,8 +561,9 @@ type diskPass struct {
 	streams  [2]fileStream // indexed by core.Direction
 	rd       edgeScratch
 	plan     core.PartitionPlan
-	ids      []int32       // the partition's needed tiles, for one plan
-	segs     []edgeSegment // the partition's planned reads, for one plan
+	need     func(core.SrcSpan) bool // plan.NeedsTile, bound once per pass
+	ids      []int32                 // the partition's needed tiles, for one plan
+	segs     []edgeSegment           // the partition's planned reads, for one plan
 	scatters []core.JobScatter
 	snaps    []core.Snapshotter
 	retries  int64
@@ -634,7 +642,10 @@ func (pp *Prepared) layoutStats(st *core.Stats) {
 
 // Scatter implements core.PassEngine: it reads each partition's edge file
 // of dir (or only its needed tile segments) once and feeds every chunk to
-// every run that needs the partition.
+// every run that needs the partition. A partition planned tile by tile
+// delivers only the blocks of its tiles whose span some needing run's
+// frontier meets; the records of the others are skipped like a skipped
+// tile's.
 func (d *diskPass) Scatter(ctx context.Context, dir core.Direction, subs []core.JobRun, pass *core.Stats) error {
 	pp := d.pp
 	tr := pp.cfg.Tracer
@@ -660,10 +671,14 @@ func (d *diskPass) Scatter(ctx context.Context, dir core.Direction, subs []core.
 			}
 			continue
 		}
+		var need func(core.SrcSpan) bool
 		if d.plan.Tiled {
 			// Read only the segments whose tiles some run's frontier
-			// reaches: a tile no run needs is a byte range never read.
+			// reaches: a tile no run needs is a byte range never read. In
+			// a tile read, a block no run needs is neither decoded nor
+			// scattered.
 			d.ids = d.plan.NeededTiles(index, p, d.ids)
+			need = d.need
 		}
 		segs, skippedRecs, skippedTiles := planSegments(tiles, p, d.plan.Tiled, d.ids, d.segs)
 		d.segs = segs
@@ -683,13 +698,17 @@ func (d *diskPass) Scatter(ctx context.Context, dir core.Direction, subs []core.
 		for i, r := range needing {
 			scatters[i] = r.NewScatter(0, p, fileRecs)
 		}
-		io, err := pp.streamPartition(ctx, &d.rd, files, tiles, p, segs, func(chunk []core.Edge) error {
+		io, skippedBlocks, err := pp.streamPartition(ctx, &d.rd, files, tiles, p, segs, need, func(chunk []core.Edge) error {
 			return feedJobs(scatters, chunk)
 		})
-		pEdges := io.logical / edgeRecSize
+		pass.EdgesSkipped += skippedBlocks
+		for _, r := range needing {
+			r.SkipTiles(skippedBlocks, 0)
+		}
+		pEdges := io.logical/edgeRecSize - skippedBlocks
 		pass.EdgesStreamed += pEdges
 		pass.SequentialRefs += pEdges
-		pass.BytesStreamed += io.logical
+		pass.BytesStreamed += pEdges * edgeRecSize
 		io.addTo(pass)
 		if err != nil {
 			return err

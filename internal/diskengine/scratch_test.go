@@ -12,6 +12,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -22,6 +23,7 @@ import (
 	"repro/internal/partition2ps"
 	"repro/internal/pod"
 	"repro/internal/storage"
+	"repro/internal/tilecodec"
 )
 
 // newChunkReader and newTileReader open a reader over a scratch of its own,
@@ -31,7 +33,7 @@ func newChunkReader(f storage.File, end int64, chunkBytes int, prefetch bool) *c
 }
 
 func newTileReader(f storage.File, tiles []tileSpan, encoded bool, chunkRecs int, prefetch, verify bool) *tileReader {
-	return new(edgeScratch).openTiles(f, tiles, encoded, chunkRecs, prefetch, verify)
+	return new(edgeScratch).openTiles(f, tiles, encoded, chunkRecs, prefetch, verify, nil)
 }
 
 // settleGoroutines waits for the goroutine count to fall back to base: a
@@ -94,7 +96,7 @@ func readerLifecycle(t *testing.T, compressed bool) {
 		}
 		settleGoroutines(t, base, what)
 		var got []core.Edge
-		_, _, _, err := streamSegments(nil, sc, pf, compressed, true, segs, chunkRecs, true, func(chunk []core.Edge) error {
+		_, _, err := streamSegments(nil, sc, pf, compressed, true, segs, chunkRecs, true, nil, func(chunk []core.Edge) error {
 			got = append(got, chunk...)
 			return nil
 		})
@@ -121,7 +123,7 @@ func readerLifecycle(t *testing.T, compressed bool) {
 	}
 	check("normal end")
 
-	rd := sc.openTiles(pf.f, segs[0].tiles, compressed, chunkRecs, true, true)
+	rd := sc.openTiles(pf.f, segs[0].tiles, compressed, chunkRecs, true, true, nil)
 	if _, err := rd.Next(); err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +132,7 @@ func readerLifecycle(t *testing.T, compressed bool) {
 	check("early close")
 
 	// Batch 0 is read, the prefetch of batch 1 fails.
-	_, _, _, err := streamSegments(nil, sc, faultyFile(t, pf, 1), compressed, true, segs, chunkRecs, true,
+	_, _, err := streamSegments(nil, sc, faultyFile(t, pf, 1), compressed, true, segs, chunkRecs, true, nil,
 		func([]core.Edge) error { return nil })
 	if !errors.Is(err, storage.ErrInjected) {
 		t.Fatalf("injected read error surfaced as %v", err)
@@ -139,7 +141,7 @@ func readerLifecycle(t *testing.T, compressed bool) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	_, _, _, err = streamSegments(ctx, sc, pf, compressed, true, segs, chunkRecs, true,
+	_, _, err = streamSegments(ctx, sc, pf, compressed, true, segs, chunkRecs, true, nil,
 		func([]core.Edge) error { cancel(); return nil })
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled stream returned %v", err)
@@ -186,7 +188,7 @@ func TestTileReaderChecksumsRawTilesBeforeDelivery(t *testing.T) {
 		off := (tl.lo+tl.recs)*edgeRecSize - 1 // the tile's last byte: a batch that scattered its head would show it
 		flip(off)
 		var delivered int64
-		_, _, _, err := streamSegments(nil, sc, pf, false, true, segs, chunkRecs, true, func(chunk []core.Edge) error {
+		_, _, err := streamSegments(nil, sc, pf, false, true, segs, chunkRecs, true, nil, func(chunk []core.Edge) error {
 			delivered += int64(len(chunk))
 			return nil
 		})
@@ -200,6 +202,70 @@ func TestTileReaderChecksumsRawTilesBeforeDelivery(t *testing.T) {
 	}
 }
 
+// TestSkippedBlockStillVerified: a needed tile is checked whole before any
+// of it is handed out, the blocks the predicate skips included. With
+// 256-record tiles and a predicate that keeps only the first block of a
+// tile, a byte flipped in that tile's last block — which the predicate skips
+// — is storage.ErrCorrupted and no record of the tile reaches fn, raw and
+// encoded; unflipped, the same read delivers the first block and skips the
+// rest.
+func TestSkippedBlockStillVerified(t *testing.T) {
+	for _, compressed := range []bool{false, true} {
+		files, tiles := shuffleLayout(t, compressed, 256)
+		pf, parts := files[0], tiles.parts[0]
+		recs := partitionRecords(t, pf, tiles, 0, false)
+		blockSpan := func(from int64) core.SrcSpan {
+			span := core.NewSrcSpan(recs[from].Src)
+			for _, ed := range recs[from:min(from+tilecodec.BlockRecs, int64(len(recs)))] {
+				span.Add(ed.Src)
+			}
+			return span
+		}
+		// A full tile whose last block's span differs from its first's.
+		i := slices.IndexFunc(parts, func(tl tileSpan) bool {
+			return tl.recs == 256 && blockSpan(tl.lo) != blockSpan(tl.lo+256-tilecodec.BlockRecs)
+		})
+		if i < 0 {
+			t.Fatalf("compressed %v: no tile with a first and last block of different spans", compressed)
+		}
+		tl := parts[i]
+		first := blockSpan(tl.lo)
+		need := func(s core.SrcSpan) bool { return s == first }
+		segs, _, _ := planSegments(tiles, 0, true, []int32{int32(i)}, nil)
+		stream := func() (delivered, skipped int64, err error) {
+			_, skipped, err = streamSegments(nil, new(edgeScratch), pf, compressed, true, segs, 512, true, need, func(chunk []core.Edge) error {
+				delivered += int64(len(chunk))
+				return nil
+			})
+			return delivered, skipped, err
+		}
+		if delivered, skipped, err := stream(); err != nil || delivered < tilecodec.BlockRecs || delivered+skipped != 256 || skipped < tilecodec.BlockRecs {
+			t.Fatalf("compressed %v: clean read delivered %d and skipped %d of 256 records: %v", compressed, delivered, skipped, err)
+		}
+		// The tile's last byte: a raw tile's last weight, an encoded tile's
+		// last payload byte (before its CRC) — both in the last block.
+		off := tl.off + tl.bytes - 1
+		if compressed {
+			off -= 4
+		}
+		var b [1]byte
+		if _, err := pf.f.ReadAt(b[:], off); err != nil {
+			t.Fatal(err)
+		}
+		b[0] ^= 0x20
+		if _, err := pf.f.WriteAt(b[:], off); err != nil {
+			t.Fatal(err)
+		}
+		delivered, _, err := stream()
+		if !errors.Is(err, storage.ErrCorrupted) {
+			t.Fatalf("compressed %v: a flipped byte in a skipped block read back with error %v, want ErrCorrupted", compressed, err)
+		}
+		if delivered != 0 {
+			t.Fatalf("compressed %v: %d records of the corrupt tile reached fn", compressed, delivered)
+		}
+	}
+}
+
 // TestSingleBatchSegmentReadsInline: a segment that is one batch has
 // nothing for a prefetch to overlap with, so no goroutine is started for
 // it in either layout.
@@ -209,7 +275,7 @@ func TestSingleBatchSegmentReadsInline(t *testing.T) {
 		segs, _, _ := planSegments(tiles, 0, false, nil, nil)
 		sc := new(edgeScratch)
 		base := runtime.NumGoroutine()
-		rd := sc.openTiles(files[0].f, segs[0].tiles, compressed, 1<<20, true, true)
+		rd := sc.openTiles(files[0].f, segs[0].tiles, compressed, 1<<20, true, true, nil)
 		if n := runtime.NumGoroutine(); n != base {
 			t.Fatalf("compressed=%v: %d goroutines with a single-batch reader open, %d before", compressed, n, base)
 		}
@@ -429,7 +495,7 @@ func TestScatterRoomProtocol(t *testing.T) {
 func partitionEdges(t *testing.T, pp *Prepared, p int) (edges []core.Edge) {
 	t.Helper()
 	segs, _, _ := planSegments(pp.tilesFwd, p, false, nil, nil)
-	if _, _, _, err := streamSegments(nil, new(edgeScratch), pp.edgeFiles[p], false, true, segs, pp.bufEdgeRecs, true, func(chunk []core.Edge) error {
+	if _, _, err := streamSegments(nil, new(edgeScratch), pp.edgeFiles[p], false, true, segs, pp.readRecs, true, nil, func(chunk []core.Edge) error {
 		edges = append(edges, chunk...)
 		return nil
 	}); err != nil {
@@ -507,7 +573,7 @@ func TestSingleTileStreamAllocatesNothingWarm(t *testing.T) {
 		var err error
 		fn := func(chunk []core.Edge) error { recs += int64(len(chunk)); return nil }
 		stream := func() {
-			_, _, _, err = streamSegments(nil, sc, files[0], compressed, true, segs, 512, true, fn)
+			_, _, err = streamSegments(nil, sc, files[0], compressed, true, segs, 512, true, nil, fn)
 		}
 		stream() // warm: the scratch's buffers are made here
 		recs = 0

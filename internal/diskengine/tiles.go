@@ -10,7 +10,11 @@ import (
 // runs selectively (diskTiles.spans); a tile is skippable in an iteration
 // exactly when its span misses the frontier — with a locality-aware
 // partitioner packing communities into contiguous ID ranges, spans are
-// narrow and skips frequent.
+// narrow and skips frequent. Within a tile that is read, a block of
+// tilecodec.BlockRecs records is skipped when its span misses every needing
+// run's frontier: an encoded tile carries its block spans in its tilecodec
+// directory, a raw tile's are computed from its records once it is read and
+// checked.
 type tileSpan struct {
 	lo   int64 // the tile's first record in its partition's file, set by appendTile
 	recs int64

@@ -1,12 +1,15 @@
 package diskengine
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/storage"
+	"repro/internal/tilecodec"
 )
 
 // referencePlanSegments is the tile plan as a per-tile walk: every tile
@@ -65,7 +68,7 @@ func TestTilePlanMatchesWalk(t *testing.T) {
 	check := func(name string, tiles *diskTiles, part core.Split, nv int64) {
 		t.Helper()
 		ix := tiles.tileIndex()
-		runs := randomRuns(rng, part, nv)
+		runs, _ := randomRuns(rng, part, nv)
 		var plan core.PartitionPlan
 		var ids []int32
 		for p := 0; p < part.K; p++ {
@@ -117,9 +120,11 @@ func TestTilePlanMatchesWalk(t *testing.T) {
 
 // randomRuns draws one to three runs over nv vertices split as part:
 // mostly partially active frontiers of random density, and among them,
-// when drawn, one fully active run and one dense run.
-func randomRuns(rng *rand.Rand, part core.Split, nv int64) []core.JobRun {
+// when drawn, one fully active run and one dense run. It returns each run's
+// active vertices too, nil for the dense one.
+func randomRuns(rng *rand.Rand, part core.Split, nv int64) ([]core.JobRun, [][]bool) {
 	runs := make([]core.JobRun, 1+rng.Intn(3))
+	active := make([][]bool, len(runs))
 	for i := range runs {
 		s := new(core.Schedule)
 		switch kind := rng.Intn(6); {
@@ -127,22 +132,26 @@ func randomRuns(rng *rand.Rand, part core.Split, nv int64) []core.JobRun {
 			s.InitSchedule(part, nv, false)
 		case kind == 1 && i == 1: // fully active
 			s.InitSchedule(part, nv, true)
+			active[i] = make([]bool, nv)
 			for v := int64(0); v < nv; v++ {
 				s.Seed(core.VertexID(v))
+				active[i][v] = true
 			}
 		default:
 			s.InitSchedule(part, nv, true)
+			active[i] = make([]bool, nv)
 			density := rng.Float64() * rng.Float64() * 0.2
 			for v := int64(0); v < nv; v++ {
 				if rng.Float64() < density {
 					s.Seed(core.VertexID(v))
+					active[i][v] = true
 				}
 			}
 		}
 		s.Recount()
 		runs[i] = scheduleRun{s: s}
 	}
-	return runs
+	return runs, active
 }
 
 // TestRawTileCRCOnlyUnderVerification: the shuffle checksums a raw tile only
@@ -177,5 +186,154 @@ func TestRawTileCRCOnlyUnderVerification(t *testing.T) {
 		if n < 8 {
 			t.Fatalf("NoVerify %v: only %d tiles", noVerify, n)
 		}
+	}
+}
+
+// TestBlockPlanMatchesWalk is TestTilePlanMatchesWalk's block-level twin:
+// over seeded random edge files written by the shuffle's tileWriter — raw
+// and encoded, narrow and wide block spans, tiles that are not a multiple
+// of the block and short last tiles — and random frontiers for one to three
+// runs (fully active, dense, partially active and empty among them), a
+// partition streamed the way diskPass.Scatter streams it (the tile plan,
+// then the union block predicate on a tiled plan) delivers exactly the
+// records a per-record walk keeps: every tilecodec.BlockRecs-record block
+// of each tile whose source span holds an active vertex of some run that
+// needs the partition, or a dense run's, in file order. Delivered and
+// skipped records add up to the partition's dense count.
+func TestBlockPlanMatchesWalk(t *testing.T) {
+	rng := rand.New(rand.NewSource(44))
+	dev := ssd(0)
+	var blocksSkipped [2]int64 // raw, encoded
+	for trial := 0; trial < 60; trial++ {
+		nv := 64 + rng.Int63n(4000)
+		part := core.NewSplit(nv, 1+rng.Intn(8))
+		layout := trial % 2
+		compressed := layout == 1
+		tileRecs := []int{64, 100, 256, 1024}[rng.Intn(4)]
+		files := make([]*partFile, part.K)
+		for p := range files {
+			var err error
+			if files[p], err = createPartFile(dev, fmt.Sprintf("blockplan%d-p%02d.edges", trial, p)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		tiles := newDiskTiles(part.K, Config{TileEdges: tileRecs, CompressTiles: compressed, Selective: true})
+		w := newTileWriter(files, tiles)
+		recs := make([][]core.Edge, part.K)
+		for p := range recs {
+			lo, hi := part.Range(p, nv)
+			if lo >= hi {
+				continue
+			}
+			wide := rng.Intn(3) == 0
+			center := lo
+			for range rng.Intn(3000) {
+				src := lo + rng.Int63n(hi-lo)
+				if !wide {
+					if rng.Intn(40) == 0 {
+						center = lo + rng.Int63n(hi-lo)
+					}
+					src = min(hi-1, center+rng.Int63n(48))
+				}
+				recs[p] = append(recs[p], core.Edge{Src: core.VertexID(src), Dst: core.VertexID(rng.Int63n(nv)), Weight: float32(rng.Intn(4))})
+			}
+			for run := recs[p]; len(run) > 0; {
+				n := min(len(run), 1+rng.Intn(500))
+				if err := w.append(p, run[:n]); err != nil {
+					t.Fatal(err)
+				}
+				run = run[n:]
+			}
+		}
+		if err := w.finish(); err != nil {
+			t.Fatal(err)
+		}
+		ix := tiles.tileIndex()
+		runs, active := randomRuns(rng, part, nv)
+		if rng.Intn(4) == 0 { // a run whose frontier is empty
+			s := new(core.Schedule)
+			s.InitSchedule(part, nv, true)
+			s.Recount()
+			runs, active = append(runs, scheduleRun{s: s}), append(active, make([]bool, nv))
+		}
+		sc := new(edgeScratch)
+		var plan core.PartitionPlan
+		var ids []int32
+		for p := 0; p < part.K; p++ {
+			lo, hi := part.Range(p, nv)
+			// The walk: a run needs p when it is dense or holds an active
+			// vertex of p; a block is kept when a needing run is dense or
+			// holds an active vertex in the block's span.
+			var needing [][]bool
+			dense := false
+			for _, act := range active {
+				if act == nil {
+					dense = true
+					needing = append(needing, nil)
+				} else if slices.Contains(act[lo:hi], true) {
+					needing = append(needing, act)
+				}
+			}
+			var want []core.Edge
+			for t0 := 0; t0 < len(recs[p]); t0 += tileRecs {
+				tile := recs[p][t0:min(t0+tileRecs, len(recs[p]))]
+				for b := 0; b < len(tile); b += tilecodec.BlockRecs {
+					blk := tile[b:min(b+tilecodec.BlockRecs, len(tile))]
+					span := core.NewSrcSpan(blk[0].Src)
+					for _, ed := range blk {
+						span.Add(ed.Src)
+					}
+					keep := dense
+					for _, act := range needing {
+						keep = keep || act != nil && slices.Contains(act[span.Lo:span.Hi+1], true)
+					}
+					if keep {
+						want = append(want, blk...)
+					}
+				}
+			}
+
+			total := tiles.totalRecs(p)
+			plan.Plan(runs, p, total, true)
+			if len(plan.Needing) != len(needing) {
+				t.Fatalf("trial %d partition %d: %d runs need it, the walk says %d", trial, p, len(plan.Needing), len(needing))
+			}
+			if len(plan.Needing) == 0 {
+				if len(want) != 0 {
+					t.Fatalf("trial %d partition %d: no run needs it, the walk keeps %d records", trial, p, len(want))
+				}
+				continue
+			}
+			var need func(core.SrcSpan) bool
+			if plan.Tiled {
+				ids = plan.NeededTiles(ix, p, ids)
+				need = plan.NeedsTile
+			}
+			segs, skippedTiles, _ := planSegments(tiles, p, plan.Tiled, ids, nil)
+			var got []core.Edge
+			chunkRecs := tileRecs * (1 + rng.Intn(3))
+			io, skippedBlocks, err := streamSegments(nil, sc, files[p], compressed, true, segs, chunkRecs, rng.Intn(2) == 0, need, func(chunk []core.Edge) error {
+				got = append(got, chunk...)
+				return nil
+			})
+			if err != nil {
+				t.Fatalf("trial %d partition %d: %v", trial, p, err)
+			}
+			if !slices.Equal(got, want) {
+				t.Fatalf("trial %d partition %d (compressed %v, tiles of %d, tiled %v): delivered %d records, the walk keeps %d",
+					trial, p, compressed, tileRecs, plan.Tiled, len(got), len(want))
+			}
+			if delivered := io.logical/edgeRecSize - skippedBlocks; delivered != int64(len(got)) || delivered+skippedBlocks+skippedTiles != total {
+				t.Fatalf("trial %d partition %d: %d delivered, %d skipped in blocks and %d in tiles, of %d records",
+					trial, p, delivered, skippedBlocks, skippedTiles, total)
+			}
+			blocksSkipped[layout] += skippedBlocks
+		}
+		for _, f := range files {
+			f.remove()
+		}
+	}
+	if blocksSkipped[0] == 0 || blocksSkipped[1] == 0 {
+		t.Fatalf("records skipped in blocks, raw and encoded: %v; the draws skip none", blocksSkipped)
 	}
 }

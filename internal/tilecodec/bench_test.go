@@ -58,8 +58,9 @@ func partitionTiles(b *testing.B, src core.EdgeSource, split core.Split, relabel
 
 // cliqueChainTiles are the tiles of the benchmark's selective BFS workload
 // on half its chain: 1024 cliques of 48 with random weights, relabeled by
-// 2PS into 8 partitions. Source deltas take one byte; destinations, above
-// 2¹⁴ as in the full chain, take three.
+// 2PS into 8 partitions. A block's sources lie in a clique or two, so each
+// takes a few bits; destinations, above 2¹⁴ as in the full chain, take
+// three bytes.
 func cliqueChainTiles(b *testing.B) [][]core.Edge {
 	src := graphgen.CliqueChain(1024, 48, 1)
 	asg, err := partition2ps.New().Assign(src, 8)
@@ -73,8 +74,9 @@ func cliqueChainTiles(b *testing.B) [][]core.Edge {
 }
 
 // rmatTiles are RMAT-16 tiles under the range partitioner into 8
-// partitions, with one constant weight: source deltas mostly take two
-// bytes, destinations up to three.
+// partitions, with one constant weight: a block's sources spread over much
+// of its partition's 2¹³ IDs and take about ten bits each, destinations up
+// to three bytes.
 func rmatTiles(b *testing.B) [][]core.Edge {
 	src := graphgen.RMAT(graphgen.RMATScale(16, 1, false))
 	return partitionTiles(b, src, core.NewSplit(src.NumVertices(), 8), func(ed core.Edge) core.Edge {
@@ -100,7 +102,7 @@ func rawTiles(*testing.B) [][]core.Edge {
 // over three tile shapes: the selective BFS workload's 2PS clique-chain
 // tiles, range-partitioned RMAT tiles, and raw-fallback tiles. ns/record is
 // the figure to compare; B/record is the encoded size, delta/tile the share
-// of tiles the encoder delta-coded.
+// of tiles the encoder block-coded rather than stored raw.
 func BenchmarkDecodeTile(b *testing.B) {
 	for _, shape := range []struct {
 		name  string

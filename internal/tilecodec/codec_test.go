@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 	"math/rand"
 	"strings"
 	"testing"
@@ -96,9 +97,9 @@ func TestRoundTripRandom(t *testing.T) {
 }
 
 // TestCompressionPays pins the point of the codec: on a locality-packed
-// batch (small source deltas, bounded destinations — what a 2PS-relabeled
+// batch (narrow source spans, bounded destinations — what a 2PS-relabeled
 // shuffle run looks like) the encoded tile must be well under the raw
-// size, and the encoder must report the delta encoding.
+// size, and the encoder must report the block encoding.
 func TestCompressionPays(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	edges := make([]core.Edge, 4096)
@@ -170,12 +171,12 @@ func TestDecodeRejects(t *testing.T) {
 	}
 	cases := map[string][]byte{
 		"empty":       {},
-		"short":       {FlagDelta | FlagCRC},
+		"short":       {FlagBlocks | FlagCRC},
 		"bad-flag":    {0x7f, 0x01, 0x00},
-		"no-checksum": {FlagDelta, 0x01, 0x00},
-		"zero-count":  {FlagDelta | FlagCRC, 0x00, 0x00},
-		"huge-count":  {FlagDelta | FlagCRC, 0xff, 0xff, 0xff, 0xff, 0x7f, 0x00},
-		"payload-gap": {FlagDelta | FlagCRC, 0x01, 0x40},                                    // claims 64 payload bytes, has none
+		"no-checksum": {FlagBlocks, 0x01, 0x00},
+		"zero-count":  {FlagBlocks | FlagCRC, 0x00, 0x00},
+		"huge-count":  {FlagBlocks | FlagCRC, 0xff, 0xff, 0xff, 0xff, 0x7f, 0x00},
+		"payload-gap": {FlagBlocks | FlagCRC, 0x01, 0x40},                                   // claims 64 payload bytes, has none
 		"raw-short":   frameTile(FlagRaw, 2, []byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12}), // 12 bytes for 2 records
 	}
 	for i := 1; i < len(valid); i++ {
@@ -232,7 +233,7 @@ func TestChecksumDetectsBitFlips(t *testing.T) {
 			mut := append([]byte(nil), buf...)
 			mut[i] ^= 1 << b
 			if _, _, err := Decode(mut, nil); err == nil {
-				got, _, _ := DecodeVerify(mut, nil, true)
+				got, _, _, _ := DecodeVerify(mut, nil, true, nil)
 				t.Fatalf("bit flip at byte %d bit %d decoded silently: %+v", i, b, got)
 			}
 		}
@@ -242,7 +243,7 @@ func TestChecksumDetectsBitFlips(t *testing.T) {
 	if _, n, err := Decode(buf, nil); err != nil || n != len(buf) {
 		t.Fatalf("clean decode: n=%d err=%v", n, err)
 	}
-	if _, n, err := DecodeVerify(buf, nil, false); err != nil || n != len(buf) {
+	if _, _, n, err := DecodeVerify(buf, nil, false, nil); err != nil || n != len(buf) {
 		t.Fatalf("unverified decode: n=%d err=%v", n, err)
 	}
 }
@@ -268,16 +269,17 @@ func TestChecksumMismatchIsErrCorrupted(t *testing.T) {
 	}
 	// Verification off: the CRC is not compared, so the (structurally
 	// valid) corruption decodes — exactly why verification defaults on.
-	if _, _, err := DecodeVerify(buf, nil, false); err != nil {
+	if _, _, _, err := DecodeVerify(buf, nil, false, nil); err != nil {
 		t.Fatalf("unverified decode of payload corruption: %v", err)
 	}
 }
 
-// referenceDecode is DecodeVerify without the fast paths: every ID goes
-// through binary.Varint/Uvarint. It is the oracle TestDecodeMatchesReference
-// and FuzzDecodeTile hold the decoder to — same records, same bytes
-// consumed, same error text.
-func referenceDecode(data []byte, out []core.Edge, verify bool) ([]core.Edge, int, error) {
+// referenceDecode is DecodeVerify's full decode without the fast paths:
+// source offsets are read a bit at a time, every destination goes through
+// binary.Uvarint, and each directory entry is read before its block. It is the oracle TestDecodeMatchesReference and
+// FuzzDecodeTile hold the decoder to — same records, same bytes consumed,
+// same error text.
+func referenceDecode(data []byte, verify bool) ([]core.Edge, int, error) {
 	if len(data) < 3 {
 		return nil, 0, fmt.Errorf("tilecodec: tile header truncated: %d bytes", len(data))
 	}
@@ -285,7 +287,7 @@ func referenceDecode(data []byte, out []core.Edge, verify bool) ([]core.Edge, in
 		return nil, 0, fmt.Errorf("tilecodec: tile flag 0x%02x carries no checksum", data[0])
 	}
 	flag := data[0] &^ FlagCRC
-	if flag != FlagRaw && flag != FlagDelta {
+	if flag != FlagRaw && flag != FlagBlocks {
 		return nil, 0, fmt.Errorf("tilecodec: unknown tile flag 0x%02x", data[0])
 	}
 	pos := 1
@@ -317,11 +319,7 @@ func referenceDecode(data []byte, out []core.Edge, verify bool) ([]core.Edge, in
 		}
 	}
 
-	if cap(out) < n {
-		out = make([]core.Edge, n)
-	}
-	out = out[:n]
-
+	out := make([]core.Edge, n)
 	if flag == FlagRaw {
 		if len(payload) != n*EdgeBytes {
 			return nil, 0, fmt.Errorf("tilecodec: raw payload of %d bytes for %d records", len(payload), n)
@@ -337,59 +335,113 @@ func referenceDecode(data []byte, out []core.Edge, verify bool) ([]core.Edge, in
 		return out, end, nil
 	}
 
-	q := 0
-	prev := uint32(0)
-	for i := range out {
-		d, k := binary.Varint(payload[q:])
-		if k <= 0 {
-			return nil, 0, fmt.Errorf("tilecodec: malformed source delta at record %d", i)
-		}
-		if d < math.MinInt32 || d > math.MaxInt32 {
-			return nil, 0, fmt.Errorf("tilecodec: source delta %d overflows 32 bits at record %d", d, i)
-		}
-		q += k
-		prev += uint32(int32(d))
-		out[i].Src = core.VertexID(prev)
+	if len(payload) == 0 {
+		return nil, 0, fmt.Errorf("tilecodec: weight mode missing")
 	}
-	for i := range out {
-		v, k := binary.Uvarint(payload[q:])
-		if k <= 0 {
-			return nil, 0, fmt.Errorf("tilecodec: malformed destination at record %d", i)
-		}
-		if v > math.MaxUint32 {
-			return nil, 0, fmt.Errorf("tilecodec: destination %d overflows 32 bits at record %d", v, i)
-		}
-		q += k
-		out[i].Dst = core.VertexID(v)
-	}
-	if q >= len(payload) {
-		return nil, 0, fmt.Errorf("tilecodec: weight block missing")
-	}
-	switch payload[q] {
+	mode, q := payload[0], 1
+	var w float32
+	switch mode {
 	case weightConst:
-		q++
 		if len(payload)-q < 4 {
 			return nil, 0, fmt.Errorf("tilecodec: constant weight truncated")
 		}
-		w := math.Float32frombits(binary.LittleEndian.Uint32(payload[q:]))
+		w = math.Float32frombits(binary.LittleEndian.Uint32(payload[q:]))
 		q += 4
-		for i := range out {
-			out[i].Weight = w
-		}
 	case weightRaw:
-		q++
-		if len(payload)-q < n*4 {
-			return nil, 0, fmt.Errorf("tilecodec: weight block of %d bytes for %d records", len(payload)-q, n)
-		}
-		for i := range out {
-			out[i].Weight = math.Float32frombits(binary.LittleEndian.Uint32(payload[q+4*i:]))
-		}
-		q += n * 4
 	default:
-		return nil, 0, fmt.Errorf("tilecodec: unknown weight mode 0x%02x", payload[q])
+		return nil, 0, fmt.Errorf("tilecodec: unknown weight mode 0x%02x", mode)
 	}
-	if q != len(payload) {
-		return nil, 0, fmt.Errorf("tilecodec: %d bytes of trailing garbage in tile payload", len(payload)-q)
+	dlen, k := binary.Uvarint(payload[q:])
+	if k <= 0 {
+		return nil, 0, fmt.Errorf("tilecodec: malformed block directory length")
+	}
+	q += k
+	if dlen > uint64(len(payload)-q) {
+		return nil, 0, fmt.Errorf("tilecodec: block directory of %d bytes, %d follow", dlen, len(payload)-q)
+	}
+	dir, area := payload[q:q+int(dlen)], payload[q+int(dlen):]
+	dq, lo, start := 0, uint32(0), 0
+	for b := 0; b < n; b += BlockRecs {
+		blk := b / BlockRecs
+		d, k := binary.Varint(dir[dq:])
+		if k <= 0 {
+			return nil, 0, fmt.Errorf("tilecodec: malformed span of block %d", blk)
+		}
+		if d < math.MinInt32 || d > math.MaxInt32 {
+			return nil, 0, fmt.Errorf("tilecodec: span delta %d of block %d overflows 32 bits", d, blk)
+		}
+		dq += k
+		lo += uint32(int32(d))
+		width, k := binary.Uvarint(dir[dq:])
+		if k <= 0 {
+			return nil, 0, fmt.Errorf("tilecodec: malformed span of block %d", blk)
+		}
+		if width > math.MaxUint32-uint64(lo) {
+			return nil, 0, fmt.Errorf("tilecodec: span [%d,+%d] of block %d overflows 32 bits", lo, width, blk)
+		}
+		dq += k
+		e, k := binary.Uvarint(dir[dq:])
+		if k <= 0 {
+			return nil, 0, fmt.Errorf("tilecodec: malformed end offset of block %d", blk)
+		}
+		dq += k
+		if e > uint64(len(area)) {
+			return nil, 0, fmt.Errorf("tilecodec: block %d ends at %d, past the %d bytes of blocks", blk, e, len(area))
+		}
+		if e <= uint64(start) {
+			return nil, 0, fmt.Errorf("tilecodec: block %d ends at %d, overlapping the block before it (ends at %d)", blk, e, start)
+		}
+		cols := area[start:e]
+		start = int(e)
+		recs := out[b:min(b+BlockRecs, n)]
+		sw := bits.Len64(width)
+		c := (len(recs)*sw + 7) / 8
+		if len(cols) < c {
+			return nil, 0, fmt.Errorf("tilecodec: source offsets of %d bytes for the %d records from record %d", len(cols), len(recs), b)
+		}
+		for i := range recs {
+			off := uint64(0)
+			for j := range sw {
+				bit := i*sw + j
+				off |= uint64(cols[bit/8]>>(bit%8)&1) << j
+			}
+			if off > width {
+				return nil, 0, fmt.Errorf("tilecodec: source %d at record %d outside its block's span [%d,%d]", lo+uint32(off), b+i, lo, uint64(lo)+width)
+			}
+			recs[i].Src = core.VertexID(lo + uint32(off))
+		}
+		for i := range recs {
+			v, k := binary.Uvarint(cols[c:])
+			if k <= 0 {
+				return nil, 0, fmt.Errorf("tilecodec: malformed destination at record %d", b+i)
+			}
+			if v > math.MaxUint32 {
+				return nil, 0, fmt.Errorf("tilecodec: destination %d overflows 32 bits at record %d", v, b+i)
+			}
+			c += k
+			recs[i].Dst = core.VertexID(v)
+		}
+		for i := range recs {
+			recs[i].Weight = w
+		}
+		if mode == weightRaw {
+			if len(cols)-c < 4*len(recs) {
+				return nil, 0, fmt.Errorf("tilecodec: weights of %d bytes for the %d records from record %d", len(cols)-c, len(recs), b)
+			}
+			for i := range recs {
+				recs[i].Weight = math.Float32frombits(binary.LittleEndian.Uint32(cols[c:]))
+				c += 4
+			}
+		}
+		if c != len(cols) {
+			return nil, 0, fmt.Errorf("tilecodec: %d bytes of trailing garbage in the block from record %d", len(cols)-c, b)
+		}
+	}
+	if dq != len(dir) {
+		return nil, 0, fmt.Errorf("tilecodec: %d bytes of trailing garbage in block directory", len(dir)-dq)
+	}
+	if start != len(area) {
+		return nil, 0, fmt.Errorf("tilecodec: %d bytes of trailing garbage in tile payload", len(area)-start)
 	}
 	return out, end, nil
 }
@@ -398,13 +450,13 @@ func referenceDecode(data []byte, out []core.Edge, verify bool) ([]core.Edge, in
 // reports the first way they differ: accept/reject, error text, bytes
 // consumed, or any record bit.
 func matchReference(data []byte, verify bool) error {
-	got, gn, gerr := DecodeVerify(data, nil, verify)
-	want, wn, werr := referenceDecode(data, nil, verify)
+	got, skipped, gn, gerr := DecodeVerify(data, nil, verify, nil)
+	want, wn, werr := referenceDecode(data, verify)
 	if (gerr == nil) != (werr == nil) || (gerr != nil && gerr.Error() != werr.Error()) {
 		return fmt.Errorf("decode error %v, reference %v", gerr, werr)
 	}
-	if gn != wn || len(got) != len(want) {
-		return fmt.Errorf("decoded %d records in %d bytes, reference %d in %d", len(got), gn, len(want), wn)
+	if gn != wn || len(got) != len(want) || skipped != 0 {
+		return fmt.Errorf("decoded %d records in %d bytes skipping %d, reference %d in %d", len(got), gn, skipped, len(want), wn)
 	}
 	for i := range want {
 		g, w := got[i], want[i]
@@ -415,9 +467,55 @@ func matchReference(data []byte, verify bool) error {
 	return nil
 }
 
-// deltaTile frames a hand-built FlagDelta payload claiming n records, with
-// a valid checksum, so the payload decoder sees it exactly as written.
-func deltaTile(n int, payload []byte) []byte { return frameTile(FlagDelta, n, payload) }
+// matchPartial decodes data whole and with the block predicate need, and
+// reports the first way the partial decode is not the full decode's blocks
+// whose span need accepts, in order: an error where the full decode
+// succeeded, other records, another skip count or other bytes consumed. A
+// block's span is what a decode through an accept-all predicate is asked
+// about it, and must hold every source of the block.
+func matchPartial(data []byte, verify bool, need func(core.SrcSpan) bool) error {
+	var spans []core.SrcSpan
+	full, _, fn, ferr := DecodeVerify(data, nil, verify, func(s core.SrcSpan) bool {
+		spans = append(spans, s)
+		return true
+	})
+	part, skipped, pn, perr := DecodeVerify(data, nil, verify, need)
+	if ferr != nil {
+		return nil // a partial decode of a rejected tile need only not panic
+	}
+	if perr != nil {
+		return fmt.Errorf("partial decode failed where the full decode succeeded: %v", perr)
+	}
+	if len(spans) != (len(full)+BlockRecs-1)/BlockRecs {
+		return fmt.Errorf("the predicate was asked about %d blocks of a %d-record tile", len(spans), len(full))
+	}
+	var want []core.Edge
+	for i, span := range spans {
+		blk := full[i*BlockRecs : min((i+1)*BlockRecs, len(full))]
+		for _, ed := range blk {
+			if ed.Src < span.Lo || ed.Src > span.Hi {
+				return fmt.Errorf("block %d spans [%d,%d] but holds source %d", i, span.Lo, span.Hi, ed.Src)
+			}
+		}
+		if need(span) {
+			want = append(want, blk...)
+		}
+	}
+	if pn != fn || skipped != len(full)-len(want) || len(part) != len(want) {
+		return fmt.Errorf("partial decode kept %d records, skipped %d in %d bytes; want %d, %d in %d", len(part), skipped, pn, len(want), len(full)-len(want), fn)
+	}
+	for i := range want {
+		g, w := part[i], want[i]
+		if g.Src != w.Src || g.Dst != w.Dst || math.Float32bits(g.Weight) != math.Float32bits(w.Weight) {
+			return fmt.Errorf("partial record %d: %+v, want %+v", i, g, w)
+		}
+	}
+	return nil
+}
+
+// blocksTile frames a hand-built FlagBlocks payload claiming n records,
+// with a valid checksum, so the payload decoder sees it exactly as written.
+func blocksTile(n int, payload []byte) []byte { return frameTile(FlagBlocks, n, payload) }
 
 // frameTile frames a hand-built payload of the given encoding claiming n
 // records, with a valid checksum.
@@ -429,54 +527,91 @@ func frameTile(encoding byte, n int, payload []byte) []byte {
 	return binary.LittleEndian.AppendUint32(tile, storage.Checksum(payload))
 }
 
-// constWeight is a constant-weight block: the mode byte and one float32.
-var constWeight = []byte{weightConst, 0, 0, 0x80, 0x3f}
+// oneBlock frames a FlagBlocks tile of n ≤ BlockRecs records whose one
+// block spans [0, width] and holds the columns cols, with a constant weight
+// of 1 in the header when constW (else the block must carry its weights).
+func oneBlock(n int, width uint32, cols []byte, constW bool) []byte {
+	p := []byte{weightRaw}
+	if constW {
+		p = []byte{weightConst, 0, 0, 0x80, 0x3f}
+	}
+	var dir []byte
+	dir = binary.AppendVarint(dir, 0)
+	dir = binary.AppendUvarint(dir, uint64(width))
+	dir = binary.AppendUvarint(dir, uint64(len(cols)))
+	p = binary.AppendUvarint(p, uint64(len(dir)))
+	p = append(p, dir...)
+	return blocksTile(n, append(p, cols...))
+}
 
-// boundaryTiles are delta tiles whose IDs sit on and around every fast-path
-// boundary — value boundaries, non-minimal encodings, 32-bit overflows and
-// varints that end at or run past the payload's last byte — encoded both
-// in one-record tiles and in runs long enough that the fast paths have room
-// to fire.
+// packOffsets is the source column of offs in a block whose span takes w
+// bits: each offset's low w bits, least significant bit first.
+func packOffsets(w int, offs ...uint64) []byte {
+	col := make([]byte, (len(offs)*w+7)/8)
+	for i, off := range offs {
+		for j := range w {
+			if off>>j&1 != 0 {
+				bit := i*w + j
+				col[bit/8] |= 1 << (bit % 8)
+			}
+		}
+	}
+	return col
+}
+
+// boundaryTiles are one-block tiles whose IDs sit on and around every
+// decoder boundary — destination values at each varint length, non-minimal
+// and unterminated destinations, 32-bit overflows, source offsets at, past
+// and all ones in span widths around every byte boundary, short source
+// columns, and columns that end at or run past the block's last byte —
+// encoded both in one-record tiles and in runs long enough that the fast
+// paths have room to fire.
 func boundaryTiles() [][]byte {
 	dsts := []uint64{0, 1, 0x7f, 0x80, 0x81, 1<<14 - 1, 1 << 14, 1<<14 + 1,
 		1<<21 - 1, 1 << 21, 1<<21 + 1, 1<<28 - 1, 1 << 28, math.MaxUint32, math.MaxUint32 + 1, math.MaxUint64}
-	deltas := []int64{0, 1, -1, 63, -63, 64, -64, 65, -65, 8191, -8191, 8192, -8192, 8193, -8193,
-		1<<20 - 1, -1 << 20, math.MaxInt32, math.MinInt32, math.MaxInt32 + 1, math.MinInt32 - 1, math.MaxInt64, math.MinInt64}
-	// Non-minimal and unterminated byte strings, used as a source delta
-	// and as a destination.
+	widths := []uint32{0, 1, 2, 3, 6, 7, 8, 9, 127, 128, 255, 256, 1<<16 - 1, 1 << 16,
+		1<<24 + 5, 1<<31 - 1, 1 << 31, math.MaxUint32}
+	// Non-minimal and unterminated byte strings, used as a destination.
 	odd := [][]byte{
 		{0x80, 0x00}, {0xff, 0x00}, {0x80, 0x80, 0x00}, {0xff, 0xff, 0x00}, {0x81, 0x80, 0x00},
 		{0x80, 0x80, 0x80, 0x00}, {0xff, 0xff, 0xff, 0x7f}, {0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x01},
 		{0x80}, {0x80, 0x80}, {0x80, 0x80, 0x80}, {0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01},
 	}
 	var tiles [][]byte
-	add := func(n int, parts ...[]byte) {
+	// add frames the columns with a constant weight when constW, and
+	// otherwise with raw weights the block lacks: its last column then
+	// ends on the block's last byte.
+	add := func(n int, width uint32, constW bool, parts ...[]byte) {
 		var p []byte
 		for _, b := range parts {
 			p = append(p, b...)
 		}
-		tiles = append(tiles, deltaTile(n, p))
+		tiles = append(tiles, oneBlock(n, width, p, constW))
 	}
-	one := binary.AppendVarint(nil, 1)
+	one := binary.AppendUvarint(nil, 1)
 	for _, v := range dsts {
 		d := binary.AppendUvarint(nil, v)
-		add(1, one, d, constWeight)
-		add(3, one, one, one, d, d, d, constWeight)
-		add(1, one, d) // the destination ends on the payload's last byte
+		add(1, 0, true, d)
+		add(3, 1, true, packOffsets(1, 0, 1, 1), d, d, d)
+		add(1, 0, false, d) // the destination ends on the block's last byte
 	}
-	for _, v := range deltas {
-		d := binary.AppendVarint(nil, v)
-		add(1, d, one, constWeight)
-		add(3, d, d, d, one, one, one, constWeight)
-		add(1, d) // the delta ends on the payload's last byte
+	for _, width := range widths {
+		w := bits.Len32(width)
+		for _, off := range []uint64{0, uint64(width), uint64(width) + 1, 1<<w - 1} {
+			src := packOffsets(w, off)
+			add(1, width, true, src, one)
+			add(3, width, true, packOffsets(w, off, 0, off), one, one, one)
+			add(1, width, false, src) // the offsets end on the block's last byte
+		}
+		if src := packOffsets(w, 0, 0, 0); len(src) > 0 {
+			add(3, width, true, src[:len(src)-1]) // a short source column
+		}
 	}
 	for _, b := range odd {
-		add(1, b, one, constWeight)
-		add(2, b, b, one, one, constWeight)
-		add(1, one, b, constWeight)
-		add(2, one, one, b, b, constWeight)
-		add(1, b)
-		add(1, one, b)
+		add(1, 0, true, b)
+		add(2, 0, true, b, b)
+		add(2, 1, true, packOffsets(1, 1, 0), one, b)
+		add(1, 0, false, b)
 	}
 	return tiles
 }
@@ -497,6 +632,7 @@ func TestDecodeMatchesReference(t *testing.T) {
 		{{Src: 0x7f, Dst: 0x80}, {Src: 0x7f + 64, Dst: 1<<14 - 1}, {Src: 0x7f, Dst: 1 << 14}, {Src: 0x7f + 8192, Dst: 1<<21 - 1}, {Src: 0x7f, Dst: 1 << 21}},
 		{{Src: math.MaxUint32, Dst: math.MaxUint32, Weight: 1}, {Src: 0, Dst: 0, Weight: 2}, {Src: 1 << 31, Dst: 1 << 21, Weight: 3}},
 		clusteredEdges(rng, 200),
+		constWeights(clusteredEdges(rng, 150)),
 	} {
 		valid, _, err := enc.Encode(nil, edges)
 		if err != nil {
@@ -510,17 +646,23 @@ func TestDecodeMatchesReference(t *testing.T) {
 		_, plenBytes := binary.Uvarint(valid[1+countBytes:])
 		payload := valid[1+countBytes+plenBytes : len(valid)-4]
 		for cut := 0; cut < len(payload); cut++ {
-			inputs = append(inputs, deltaTile(len(edges), payload[:cut]))
+			inputs = append(inputs, blocksTile(len(edges), payload[:cut]))
 		}
 	}
-	// Random payloads over the bytes that steer the varint decoders.
+	// Random block columns over random span widths, and random whole
+	// payloads, over the bytes that steer the decoders.
 	steer := []byte{0x00, 0x01, 0x3f, 0x40, 0x7f, 0x80, 0x81, 0xfe, 0xff}
 	for i := 0; i < 4000; i++ {
 		p := make([]byte, rng.Intn(24))
 		for j := range p {
 			p[j] = steer[rng.Intn(len(steer))]
 		}
-		inputs = append(inputs, deltaTile(1+rng.Intn(4), p))
+		if i%4 == 0 {
+			inputs = append(inputs, blocksTile(1+rng.Intn(4), p))
+		} else {
+			width := uint32(rng.Int63n(1 << rng.Intn(33)))
+			inputs = append(inputs, oneBlock(1+rng.Intn(4), width, p, i%2 == 0))
+		}
 	}
 	for i, data := range inputs {
 		for _, verify := range []bool{true, false} {
@@ -529,6 +671,14 @@ func TestDecodeMatchesReference(t *testing.T) {
 			}
 		}
 	}
+}
+
+// constWeights gives every record of edges the weight 0.5.
+func constWeights(edges []core.Edge) []core.Edge {
+	for i := range edges {
+		edges[i].Weight = 0.5
+	}
+	return edges
 }
 
 // clusteredEdges is a run shaped like a 2PS-relabeled tile: sources in a
@@ -560,8 +710,171 @@ func TestDecodeAcceptsPreChecksumTiles(t *testing.T) {
 	unflagged[0] &^= FlagCRC
 	for name, tile := range map[string][]byte{"trailer dropped": unflagged[:len(unflagged)-4], "trailer kept": unflagged} {
 		for _, verify := range []bool{true, false} {
-			if _, _, err := DecodeVerify(tile, nil, verify); err == nil || !strings.Contains(err.Error(), "carries no checksum") {
+			if _, _, _, err := DecodeVerify(tile, nil, verify, nil); err == nil || !strings.Contains(err.Error(), "carries no checksum") {
 				t.Errorf("%s, verify %v: a tile without FlagCRC decoded with error %v", name, verify, err)
+			}
+		}
+	}
+}
+
+// TestPartialDecodeKeepsNeededBlocks: with a block predicate, DecodeVerify
+// returns exactly the full decode's blocks whose span the predicate
+// accepts, in order, and counts the rest as skipped — over block-encoded
+// and raw-fallback tiles of one to several blocks, short last blocks, narrow
+// and wide spans, constant and raw weights, and predicates that keep every
+// block, none, or some.
+func TestPartialDecodeKeepsNeededBlocks(t *testing.T) {
+	rng := rand.New(rand.NewSource(44))
+	var enc Encoder
+	encodings := map[bool]int{}
+	for trial := 0; trial < 300; trial++ {
+		n := 1 + rng.Intn(5*BlockRecs)
+		edges := make([]core.Edge, n)
+		wide := trial%3 == 0
+		for i := range edges {
+			src := uint32(1000 + 64*(i/BlockRecs) + rng.Intn(48))
+			if wide {
+				src = rng.Uint32()
+			}
+			edges[i] = core.Edge{Src: core.VertexID(src), Dst: core.VertexID(rng.Intn(1 << 20)), Weight: rng.Float32()}
+		}
+		if trial%2 == 0 {
+			constWeights(edges)
+		}
+		tile, blocks, err := enc.Encode(nil, edges)
+		if err != nil {
+			t.Fatal(err)
+		}
+		encodings[blocks]++
+		cut := rng.Uint32()
+		for name, need := range map[string]func(core.SrcSpan) bool{
+			"all":  func(core.SrcSpan) bool { return true },
+			"none": func(core.SrcSpan) bool { return false },
+			"some": func(s core.SrcSpan) bool { return uint32(s.Lo)^cut&4 == 0 },
+			"low":  func(s core.SrcSpan) bool { return uint32(s.Lo) < 1000+64*uint32(cut%5) },
+		} {
+			for _, verify := range []bool{true, false} {
+				if err := matchPartial(tile, verify, need); err != nil {
+					t.Fatalf("trial %d (%d records, blocks %v), %s, verify %v: %v", trial, n, blocks, name, verify, err)
+				}
+			}
+		}
+	}
+	if encodings[true] == 0 || encodings[false] == 0 {
+		t.Fatalf("encodings drawn: %v, want both", encodings)
+	}
+}
+
+// TestPartialDecodeVerifiesSkippedBlocks: the checksum covers the whole payload and
+// is checked before any block is decoded, so a byte flipped inside a block
+// the predicate skips is still storage.ErrCorrupted, in both encodings.
+func TestPartialDecodeVerifiesSkippedBlocks(t *testing.T) {
+	for _, wide := range []bool{false, true} {
+		edges := make([]core.Edge, 3*BlockRecs)
+		rng := rand.New(rand.NewSource(45))
+		for i := range edges {
+			src := uint32(100*(i/BlockRecs) + rng.Intn(50))
+			if wide {
+				src = rng.Uint32()
+			}
+			edges[i] = core.Edge{Src: core.VertexID(src), Dst: core.VertexID(rng.Uint32()), Weight: rng.Float32()}
+		}
+		var enc Encoder
+		tile, blocks, err := enc.Encode(nil, edges)
+		if err != nil || blocks == wide {
+			t.Fatalf("wide %v: encoded with blocks %v, err %v", wide, blocks, err)
+		}
+		// Keep the first block only; the last byte before the CRC belongs
+		// to the last block, which is skipped.
+		first := core.NewSrcSpan(edges[0].Src)
+		for _, ed := range edges[:BlockRecs] {
+			first.Add(ed.Src)
+		}
+		need := func(s core.SrcSpan) bool { return s == first }
+		recs, skipped, _, err := DecodeVerify(tile, nil, true, need)
+		if err != nil || len(recs) != BlockRecs || skipped != 2*BlockRecs {
+			t.Fatalf("wide %v: clean partial decode kept %d, skipped %d: %v", wide, len(recs), skipped, err)
+		}
+		tile[len(tile)-crcBytes-1] ^= 0x10
+		if _, _, _, err := DecodeVerify(tile, nil, true, need); !errors.Is(err, storage.ErrCorrupted) {
+			t.Fatalf("wide %v: a flipped byte in a skipped block decoded with error %v, want ErrCorrupted", wide, err)
+		}
+	}
+}
+
+// dirTestColumns are the columns of a 65-record tile: block 0 holds 63
+// records of its lo and then one of lo+3, offsets packed in two bits, each
+// to destination 1; block 1 one record of its lo, in no bits, to the
+// two-byte destination 200.
+func dirTestColumns() (b0, b1 []byte) {
+	offs := make([]uint64, BlockRecs)
+	offs[BlockRecs-1] = 3
+	b0 = packOffsets(2, offs...)
+	for range BlockRecs {
+		b0 = binary.AppendUvarint(b0, 1)
+	}
+	return b0, binary.AppendUvarint(nil, 200)
+}
+
+// dirTile frames a constant-weight FlagBlocks tile of BlockRecs+1 records
+// over the columns b0 and b1 (dirTestColumns) with the given directory
+// entries — (lo delta, hi−lo, end offset) each — and garbage zero bytes
+// after them.
+func dirTile(entries [][3]uint64, garbage int, b0, b1 []byte) []byte {
+	var dir []byte
+	for _, e := range entries {
+		dir = binary.AppendVarint(dir, int64(e[0]))
+		dir = binary.AppendUvarint(dir, e[1])
+		dir = binary.AppendUvarint(dir, e[2])
+	}
+	dir = append(dir, make([]byte, garbage)...)
+	p := []byte{weightConst, 0, 0, 0x80, 0x3f}
+	p = binary.AppendUvarint(p, uint64(len(dir)))
+	p = append(append(append(p, dir...), b0...), b1...)
+	return blocksTile(BlockRecs+1, p)
+}
+
+// TestDirectoryRejects: a block directory whose entries point past the
+// payload, overlap or leave bytes over is an error whether the predicate
+// decodes the block or skips it; a span that misses a source of its block
+// is an error when the block is decoded.
+func TestDirectoryRejects(t *testing.T) {
+	b0, b1 := dirTestColumns()
+	tile := func(entries [][3]uint64, garbage int) []byte { return dirTile(entries, garbage, b0, b1) }
+	l0, l1 := uint64(len(b0)), uint64(len(b0)+len(b1))
+	good := tile([][3]uint64{{5, 3, l0}, {4, 0, l1}}, 0)
+	if err := matchPartial(good, true, func(s core.SrcSpan) bool { return s.Lo == 9 }); err != nil {
+		t.Fatalf("hand-built tile: %v", err)
+	}
+	if recs, _, err := Decode(good, nil); err != nil || len(recs) != BlockRecs+1 || recs[BlockRecs].Src != 9 {
+		t.Fatalf("hand-built tile decoded to %d records: %v", len(recs), err)
+	}
+	// Each case and the error it must give with every block decoded and
+	// with every block skipped; a span that misses a source is only seen by
+	// a decode of the block ("" expects no error).
+	cases := []struct {
+		name             string
+		data             []byte
+		decoded, skipped string
+	}{
+		{"past the payload", tile([][3]uint64{{5, 3, l0}, {4, 0, l1 + 1}}, 0), "past the", "past the"},
+		{"overlapping", tile([][3]uint64{{5, 3, l0}, {4, 0, l0}}, 0), "overlapping", "overlapping"},
+		{"backwards", tile([][3]uint64{{5, 3, l0}, {4, 0, l0 - 1}}, 0), "overlapping", "overlapping"},
+		{"short", tile([][3]uint64{{5, 3, l0}, {4, 0, l1 - 1}}, 0), "malformed destination", "trailing garbage in tile payload"},
+		{"directory garbage", tile([][3]uint64{{5, 3, l0}, {4, 0, l1}}, 1), "trailing garbage in block directory", "trailing garbage in block directory"},
+		{"directory too long", blocksTile(BlockRecs+1, []byte{weightConst, 0, 0, 0x80, 0x3f, 0x40}), "block directory of", "block directory of"},
+		{"span overflow", tile([][3]uint64{{5, math.MaxUint32, l0}, {4, 0, l1}}, 0), "overflows 32 bits", "overflows 32 bits"},
+		{"narrow span", tile([][3]uint64{{5, 2, l0}, {4, 0, l1}}, 0), "outside its block's span", ""},
+	}
+	for _, c := range cases {
+		for _, skip := range []bool{false, true} {
+			want := c.decoded
+			if skip {
+				want = c.skipped
+			}
+			_, _, _, err := DecodeVerify(c.data, nil, true, func(core.SrcSpan) bool { return !skip })
+			if (err == nil) != (want == "") || err != nil && !strings.Contains(err.Error(), want) {
+				t.Errorf("%s (skipping %v): error %v, want one about %q", c.name, skip, err, want)
 			}
 		}
 	}
