@@ -6,24 +6,27 @@
 //	benchgate -baseline BENCH_baseline.json -current BENCH_ci.json -threshold 0
 //	benchgate -baseline BENCH_baseline.json -current BENCH_ci.json -update
 //
-// Metrics are, by convention, deterministic work measures where lower is
-// better — update-stream bytes, record counts, cross-partition fractions.
-// Wall-clock seconds appear in the reports for trend tracking but are
-// never gated: CI runner noise would make a time gate flap. The work
-// metrics are exact: every count is a pure function of the workload and
-// the -threads the report was made at, whatever the host's core count or
-// the workers' interleaving, so CI gates at -threshold 0 and any move is
-// either a regression or a stale baseline. A threshold above 0 is for
-// comparing reports made at different -threads or on purpose-built
+// Metrics are deterministic work measures — update-stream bytes, record
+// counts, cross-partition fractions — and lower is better, except for the
+// counts of work avoided: skip counts (names containing "_skipped") and
+// result-cache hits (names ending "_cache_hits") are higher-is-better (see
+// higherIsBetter). Wall-clock seconds appear in the reports for trend
+// tracking but are never gated: CI runner noise would make a time gate
+// flap. The work metrics are exact: every count is a pure function of the
+// workload and the -threads the report was made at, whatever the host's
+// core count or the workers' interleaving, so CI gates at -threshold 0 and
+// any move is either a regression or a stale baseline. A threshold above 0
+// is for comparing reports made at different -threads or on purpose-built
 // variants.
 //
-// The gate is direction-aware. A metric above baseline by more than the
-// threshold is a regression. A metric *below* baseline by more than the
-// threshold also fails: the baseline is stale, and leaving it in place
-// would hand the slack to the next real regression (a metric improved 40%
-// then regressed 35% would still read "GOOD"). Either failure names the
-// fix — rerun with -update, which rewrites the baseline file from the
-// current report and exits clean.
+// The gate is direction-aware. A metric worse than baseline by more than
+// the threshold — above it, or below it for a higher-is-better metric — is
+// a regression. A metric *better* than baseline by more than the threshold
+// also fails: the baseline is stale, and leaving it in place would hand the
+// slack to the next real regression (a metric improved 40% then regressed
+// 35% would still read "GOOD"). Either failure names the fix — rerun with
+// -update, which rewrites the baseline file from the current report and
+// exits clean.
 //
 // Exit status: 0 clean (small improvements are reported, not failed), 1
 // on regression or stale baseline, 2 on usage or I/O errors. A metric
@@ -39,6 +42,7 @@ import (
 	"fmt"
 	"os"
 	"sort"
+	"strings"
 )
 
 // runList is every experiment the CI bench-smoke job runs; the regen hint
@@ -51,6 +55,41 @@ type report struct {
 		Seconds float64            `json:"seconds"`
 		Metrics map[string]float64 `json:"metrics"`
 	} `json:"results"`
+}
+
+// higherIsBetter reports whether metric k counts work avoided, so that a
+// rise is an improvement: skipped edges and tiles, result-cache hits.
+func higherIsBetter(k string) bool {
+	return strings.Contains(k, "_skipped") || strings.HasSuffix(k, "_cache_hits")
+}
+
+// verdict is how a metric moved against its baseline.
+type verdict int
+
+const (
+	unchanged verdict = iota // equal, or worse within the threshold
+	improved                 // better within the threshold
+	stale                    // better past the threshold
+	regressed                // worse past the threshold
+)
+
+// judge compares metric k's current value with its baseline under the
+// relative threshold, in k's direction. A zero baseline cannot express a
+// relative threshold: any move off it is past the threshold.
+func judge(k string, base, cur, threshold float64) verdict {
+	worse := cur - base
+	if higherIsBetter(k) {
+		worse = -worse
+	}
+	switch {
+	case worse > base*threshold:
+		return regressed
+	case -worse > base*threshold:
+		return stale
+	case worse < 0:
+		return improved
+	}
+	return unchanged
 }
 
 func load(path string) (map[string]float64, error) {
@@ -119,7 +158,8 @@ func main() {
 	}
 	sort.Strings(keys)
 
-	regressed, stale, improved, missing, compared := 0, 0, 0, 0, 0
+	counts := map[verdict]int{}
+	missing, compared := 0, 0
 	for _, k := range keys {
 		base := baseline[k]
 		cur, ok := current[k]
@@ -129,43 +169,40 @@ func main() {
 			continue
 		}
 		compared++
-		switch {
-		case base == 0:
-			// A zero baseline cannot express a relative threshold; any
-			// nonzero growth on a zero-cost metric is a regression.
-			if cur > 0 {
-				fmt.Printf("FAIL  %-55s %0.4g -> %0.4g (baseline was zero)\n", k, base, cur)
-				regressed++
-			}
-		case cur > base*(1+*threshold):
-			fmt.Printf("FAIL  %-55s %0.4g -> %0.4g (+%.1f%% > +%.0f%% allowed)\n",
-				k, base, cur, 100*(cur/base-1), 100**threshold)
-			regressed++
-		case cur < base*(1-*threshold):
-			fmt.Printf("STALE %-55s %0.4g -> %0.4g (%.1f%% — improvement exceeds threshold)\n",
-				k, base, cur, 100*(cur/base-1))
-			stale++
-		case cur < base:
-			fmt.Printf("GOOD  %-55s %0.4g -> %0.4g (%.1f%%)\n", k, base, cur, 100*(cur/base-1))
-			improved++
+		v := judge(k, base, cur, *threshold)
+		counts[v]++
+		dir := "lower"
+		if higherIsBetter(k) {
+			dir = "higher"
+		}
+		change := "baseline was zero"
+		if base != 0 {
+			change = fmt.Sprintf("%+.1f%%", 100*(cur/base-1))
+		}
+		switch v {
+		case regressed:
+			fmt.Printf("FAIL  %-55s %0.4g -> %0.4g (%s, %s is better, ±%.0f%% allowed)\n", k, base, cur, change, dir, 100**threshold)
+		case stale:
+			fmt.Printf("STALE %-55s %0.4g -> %0.4g (%s, %s is better — improvement exceeds threshold)\n", k, base, cur, change, dir)
+		case improved:
+			fmt.Printf("GOOD  %-55s %0.4g -> %0.4g (%s)\n", k, base, cur, change)
 		}
 	}
-
 	fmt.Printf("benchgate: %d metrics compared, %d regressed, %d stale, %d improved, %d missing (threshold ±%.0f%%)\n",
-		compared, regressed, stale, improved, missing, 100**threshold)
+		compared, counts[regressed], counts[stale], counts[improved], missing, 100**threshold)
 	if compared == 0 {
 		// Nothing overlapped: a renamed experiment or metric key would
 		// otherwise turn the gate off silently and leave CI green forever.
 		fmt.Fprintln(os.Stderr, "benchgate: no baseline metric appears in the current report — refresh BENCH_baseline.json after renaming experiments or metrics")
 		os.Exit(2)
 	}
-	if regressed > 0 {
+	if counts[regressed] > 0 {
 		fmt.Println("benchgate: perf regression detected — if intentional, refresh the baseline with:")
 		fmt.Println("  go run ./cmd/xbench -run " + runList + " -quick -threads 2 -json BENCH_ci.json")
 		fmt.Println("  go run ./cmd/benchgate -baseline BENCH_baseline.json -current BENCH_ci.json -update")
 		os.Exit(1)
 	}
-	if stale > 0 {
+	if counts[stale] > 0 {
 		fmt.Println("benchgate: metrics improved past the threshold — the baseline is stale and would mask an equal-sized future regression; refresh it with:")
 		fmt.Println("  go run ./cmd/xbench -run " + runList + " -quick -threads 2 -json BENCH_ci.json")
 		fmt.Println("  go run ./cmd/benchgate -baseline BENCH_baseline.json -current BENCH_ci.json -update")

@@ -206,7 +206,7 @@ func main() {
 			100*stats.SkippedFraction(), stats.PartitionsSkipped, stats.TilesSkipped)
 	}
 	if stats.CompressedRatio > 0 {
-		fmt.Printf("compressed tiles: %d bytes read for %d logical (%.1f%% saved), %d tiles delta-coded, layout at %.2f of raw\n",
+		fmt.Printf("compressed tiles: %d bytes read for %d logical (%.1f%% saved), %d tiles block-coded, layout at %.2f of raw\n",
 			stats.BytesRead, stats.BytesReadLogical,
 			100*(1-float64(stats.BytesRead)/float64(stats.BytesReadLogical)),
 			stats.TilesCompressed, stats.CompressedRatio)

@@ -659,9 +659,9 @@ func TestSelectiveBitParity(t *testing.T) {
 // ---- compressed edge tiles equivalence ----
 
 // compressCase is one (partitioner, selective) combination run twice on
-// the disk engine — raw tiles and delta-compressed tiles. Compression is
+// the disk engine — raw tiles and block-compressed tiles. Compression is
 // a storage-layer change below the reader, so every pair must agree
-// bit-for-bit; the matrix across partitioners (delta coding leans on the
+// bit-for-bit; the matrix across partitioners (block coding leans on the
 // 2PS relabeling, but must also hold for range) and selective on/off
 // (planned segments interact with tile skipping) is what proves decode
 // placement never leaks into results.
@@ -709,7 +709,7 @@ func runCompress[V, M any](t *testing.T, c compressCase, threads int, compress b
 }
 
 // checkCompressStats asserts the codec bookkeeping for one raw/compressed
-// pair: the compressed run must actually delta-code tiles and read fewer
+// pair: the compressed run must actually block-code tiles and read fewer
 // physical bytes, while its logical volume matches the raw run's reads
 // exactly — the byte-level statement that both runs streamed the same
 // records.
@@ -722,7 +722,7 @@ func checkCompressStats(t *testing.T, c compressCase, raw, cmp xstream.Stats) {
 		t.Fatalf("%s: raw run logical %d != physical %d", c.name, raw.BytesReadLogical, raw.BytesRead)
 	}
 	if cmp.TilesCompressed == 0 {
-		t.Fatalf("%s: compressed run delta-coded no tiles", c.name)
+		t.Fatalf("%s: compressed run block-coded no tiles", c.name)
 	}
 	if cmp.CompressedRatio <= 0 || cmp.CompressedRatio >= 1 {
 		t.Fatalf("%s: compressed ratio %v outside (0, 1)", c.name, cmp.CompressedRatio)

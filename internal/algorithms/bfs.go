@@ -61,6 +61,20 @@ func (b *BFS) Scatter(e core.Edge, src *BFSState) (int32, bool) {
 	return 0, false
 }
 
+// ScatterBlock implements core.BlockScatterer: Scatter over a block, reading
+// the iteration once.
+func (b *BFS) ScatterBlock(blk []core.Edge, verts []BFSState, base core.VertexID, out []core.Update[int32]) int {
+	iter, n := b.iter, 0
+	for _, e := range blk {
+		src := &verts[e.Src-base]
+		out[n] = core.Update[int32]{Dst: e.Dst, Val: src.Dist + 1}
+		if src.Updated == iter {
+			n++
+		}
+	}
+	return n
+}
+
 // Gather implements core.Program.
 func (b *BFS) Gather(dst core.VertexID, v *BFSState, m int32) {
 	if v.Dist < 0 {

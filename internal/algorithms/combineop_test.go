@@ -15,24 +15,13 @@ import (
 // seeded random pairs and on every pair of a corpus of NaNs, ±0, ±Inf,
 // denormals and integer extremes.
 func TestCombineOpContract(t *testing.T) {
-	progs := map[string]any{
-		"wcc": NewWCC(), "scc": NewSCC(), "bfs": NewBFS(0), "sssp": NewSSSP(0),
-		"pagerank": NewPageRank(1), "spmv": NewSpMV(), "mis": NewMIS(), "mcst": NewMCST(),
-		"conductance": NewConductance(func(core.VertexID) bool { return true }),
-		"bp":          NewBP(1), "als": NewALS(1, 1), "hyperanf": NewHyperANF(),
-	}
+	progs := registryPrograms(t)
 	declared := map[string]core.CombineOp{
 		"pagerank": core.CombineSum, "spmv": core.CombineSum,
 		"sssp": core.CombineMin, "bfs": core.CombineMin, "wcc": core.CombineMin,
 	}
-	if len(progs) != len(Names()) {
-		t.Fatalf("the table has %d algorithms, the registry %d", len(progs), len(Names()))
-	}
 	for _, name := range Names() {
-		prog, ok := progs[name]
-		if !ok {
-			t.Fatalf("registered algorithm %s is not in the table", name)
-		}
+		prog := progs[name]
 		var op core.CombineOp
 		if d, ok := prog.(interface{ CombineOp() core.CombineOp }); ok {
 			op = d.CombineOp()
@@ -56,6 +45,26 @@ func TestCombineOpContract(t *testing.T) {
 			t.Errorf("%s declares op %d but has no Combiner of a specialised value type", name, op)
 		}
 	}
+}
+
+// registryPrograms is one program of every registered algorithm, by name.
+func registryPrograms(t *testing.T) map[string]any {
+	t.Helper()
+	progs := map[string]any{
+		"wcc": NewWCC(), "scc": NewSCC(), "bfs": NewBFS(0), "sssp": NewSSSP(0),
+		"pagerank": NewPageRank(1), "spmv": NewSpMV(), "mis": NewMIS(), "mcst": NewMCST(),
+		"conductance": NewConductance(func(core.VertexID) bool { return true }),
+		"bp":          NewBP(1), "als": NewALS(1, 1), "hyperanf": NewHyperANF(),
+	}
+	if len(progs) != len(Names()) {
+		t.Fatalf("the table has %d algorithms, the registry %d", len(progs), len(Names()))
+	}
+	for _, name := range Names() {
+		if _, ok := progs[name]; !ok {
+			t.Fatalf("registered algorithm %s is not in the table", name)
+		}
+	}
+	return progs
 }
 
 var (

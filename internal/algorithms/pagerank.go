@@ -52,6 +52,20 @@ func (p *PageRank) Scatter(e core.Edge, src *PRState) (float32, bool) {
 	return 0, false
 }
 
+// ScatterBlock implements core.BlockScatterer: Scatter over a block, the
+// quotient computed for every edge and kept when the source has out-edges.
+func (p *PageRank) ScatterBlock(blk []core.Edge, verts []PRState, base core.VertexID, out []core.Update[float32]) int {
+	n := 0
+	for _, e := range blk {
+		src := &verts[e.Src-base]
+		out[n] = core.Update[float32]{Dst: e.Dst, Val: src.Rank / float32(src.Deg)}
+		if src.Deg > 0 {
+			n++
+		}
+	}
+	return n
+}
+
 // Gather implements core.Program.
 func (p *PageRank) Gather(dst core.VertexID, v *PRState, m float32) {
 	v.Sum += m

@@ -66,6 +66,20 @@ func (s *SSSP) Scatter(e core.Edge, src *SSSPState) (float32, bool) {
 	return 0, false
 }
 
+// ScatterBlock implements core.BlockScatterer: Scatter over a block, reading
+// the iteration once.
+func (s *SSSP) ScatterBlock(blk []core.Edge, verts []SSSPState, base core.VertexID, out []core.Update[float32]) int {
+	iter, n := s.iter, 0
+	for _, e := range blk {
+		src := &verts[e.Src-base]
+		out[n] = core.Update[float32]{Dst: e.Dst, Val: src.Dist + e.Weight}
+		if src.Updated == iter {
+			n++
+		}
+	}
+	return n
+}
+
 // Gather implements core.Program.
 func (s *SSSP) Gather(dst core.VertexID, v *SSSPState, m float32) {
 	if m < v.Dist {

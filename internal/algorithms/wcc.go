@@ -49,6 +49,20 @@ func (w *WCC) Scatter(e core.Edge, src *WCCState) (core.VertexID, bool) {
 	return 0, false
 }
 
+// ScatterBlock implements core.BlockScatterer: Scatter over a block, reading
+// the iteration once.
+func (w *WCC) ScatterBlock(blk []core.Edge, verts []WCCState, base core.VertexID, out []core.Update[core.VertexID]) int {
+	iter, n := w.iter, 0
+	for _, e := range blk {
+		src := &verts[e.Src-base]
+		out[n] = core.Update[core.VertexID]{Dst: e.Dst, Val: src.Label}
+		if src.Updated == iter {
+			n++
+		}
+	}
+	return n
+}
+
 // Gather implements core.Program.
 func (w *WCC) Gather(dst core.VertexID, v *WCCState, m core.VertexID) {
 	if m < v.Label {

@@ -47,10 +47,10 @@ func runFigCompress(cfg Config) (*Table, error) {
 
 	t := &Table{
 		ID: "figcompress",
-		Title: fmt.Sprintf("Delta-compressed edge tiles, RMAT scale %d (2PS layout), K=16",
+		Title: fmt.Sprintf("Block-compressed edge tiles, RMAT scale %d (2PS layout), K=16",
 			scale),
 		Columns: []string{"algorithm", "selective", "tiles", "iters",
-			"bytes-read", "bytes-logical", "tiles-delta", "layout-ratio", "total"},
+			"bytes-read", "bytes-logical", "tiles-coded", "layout-ratio", "total"},
 	}
 
 	addRow := func(algo string, selective bool, s core.Stats, compress bool) {

@@ -5,7 +5,7 @@ import "testing"
 // TestFigCompressSavings pins the compression tentpole's acceptance
 // criterion: on the out-of-core PageRank rows the compressed run must
 // read at least 30% fewer physical bytes than the raw run (the RMAT
-// delta-coded layout lands well under 0.70x of raw at every scale —
+// block-coded layout lands well under 0.70x of raw at every scale —
 // weights are incompressible random floats, so the margin is all source
 // and target coding), and the layout ratio metric must agree with the
 // measured byte counts. Bit-identity of results is enforced inside the

@@ -73,6 +73,24 @@ const (
 	CombineMin
 )
 
+// BlockScatterer is implemented by programs that scatter a block of edges in
+// one call. The scatter kernel resolves it once per kernel and then calls
+// ScatterBlock once per block of up to 256 edges instead of calling Scatter
+// through the Program interface once per edge; a program without it is
+// scattered an edge at a time.
+//
+// The contract is strict. blk's sources lie in verts, whose first element
+// is vertex base, so edge e's source state is verts[e.Src-base]; out has
+// room for len(blk) updates. ScatterBlock writes to out exactly the updates
+// the per-edge loop would — for each edge in blk, in order, Update{e.Dst, m}
+// when Scatter(e, src) returns (m, true) — with the same bits, and returns
+// how many it wrote. It must not modify verts. Results and every work
+// counter are then the same with the hook or without it. A type that
+// overrides an embedded program's Scatter must override ScatterBlock too.
+type BlockScatterer[V, M any] interface {
+	ScatterBlock(blk []Edge, verts []V, base VertexID, out []Update[M]) int
+}
+
 // Direction selects which edge list an iteration streams.
 type Direction int
 

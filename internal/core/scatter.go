@@ -23,9 +23,10 @@ func (c *ScatterCounts) Add(o ScatterCounts) {
 }
 
 // ScatterKernel is one scatter worker's run-lived kernel, the engines' only
-// per-edge scatter loop (§4.1). Begin readies it for a task, a partition's
-// edges; Edges scatters a run of the task's edges in blocks: loop A applies
-// the program's Scatter into the stage array, loop B counts the
+// scatter loop (§4.1). Begin readies it for a task, a partition's edges;
+// Edges scatters a run of the task's edges in blocks: loop A applies the
+// program to the block into the stage array — one ScatterBlock call for a
+// BlockScatterer, one Scatter call per edge otherwise — loop B counts the
 // cross-partition updates and feeds them to the combining buffer (the plain
 // append buffer for a program without a Combiner), which sends every full
 // batch straight into the transport; End empties the buffer into the
@@ -34,10 +35,11 @@ func (c *ScatterCounts) Add(o ScatterCounts) {
 // reason, and Edges scatters nothing more until the next Begin. A kernel
 // belongs to one goroutine at a time.
 type ScatterKernel[V, M any] struct {
-	prog Program[V, M]
-	tp   UpdateTransport[M]
-	cb   *CombineBuffer[M] // nil without a Combiner
-	out  []Update[M]       // the plain append buffer; unused with a Combiner
+	prog  Program[V, M]
+	block BlockScatterer[V, M] // prog's block hook, nil without one
+	tp    UpdateTransport[M]
+	cb    *CombineBuffer[M] // nil without a Combiner
+	out   []Update[M]       // the plain append buffer; unused with a Combiner
 	// drain is send as a func value, made once with cb: Add passes it on
 	// through the loop it picked, a func value, so a method value made per
 	// block would escape to the heap.
@@ -56,9 +58,11 @@ type ScatterKernel[V, M any] struct {
 // vertices, into tp through a private buffer of baseRecs records: a
 // combining buffer merging by combine and op (both from Combining) when
 // combine is non-nil — dense over the nv destinations when they fit (see
-// NewCombineBuffer) — a plain append buffer otherwise.
+// NewCombineBuffer) — a plain append buffer otherwise. A prog that is a
+// BlockScatterer is scattered a block per call.
 func NewScatterKernel[V, M any](prog Program[V, M], tp UpdateTransport[M], combine func(a, b M) M, op CombineOp, baseRecs int, nv int64) *ScatterKernel[V, M] {
 	k := &ScatterKernel[V, M]{prog: prog, tp: tp}
+	k.block, _ = prog.(BlockScatterer[V, M])
 	if combine == nil {
 		k.out = make([]Update[M], 0, max(baseRecs, 1))
 		return k
@@ -91,11 +95,15 @@ func (k *ScatterKernel[V, M]) Edges(run []Edge) error {
 		blk := run[:min(len(run), scatterBlock)]
 		run = run[len(blk):]
 		n := 0
-		for _, ed := range blk {
-			m, ok := k.prog.Scatter(ed, &k.verts[ed.Src-k.base])
-			k.stage[n] = Update[M]{Dst: ed.Dst, Val: m}
-			if ok {
-				n++
+		if k.block != nil {
+			n = k.block.ScatterBlock(blk, k.verts, k.base, k.stage[:])
+		} else {
+			for _, ed := range blk {
+				m, ok := k.prog.Scatter(ed, &k.verts[ed.Src-k.base])
+				k.stage[n] = Update[M]{Dst: ed.Dst, Val: m}
+				if ok {
+					n++
+				}
 			}
 		}
 		k.n.Sent += int64(n)

@@ -21,6 +21,17 @@ func (rankProg) Scatter(_ core.Edge, src *[2]float32) (float32, bool) {
 func (rankProg) Combine(a, b float32) float32 { return a + b }
 func (rankProg) CombineOp() core.CombineOp    { return core.CombineSum }
 
+// rankBlockProg is rankProg scattering a block per call.
+type rankBlockProg struct{ rankProg }
+
+func (rankBlockProg) ScatterBlock(blk []core.Edge, verts [][2]float32, base core.VertexID, out []core.Update[float32]) int {
+	for i, e := range blk {
+		src := &verts[e.Src-base]
+		out[i] = core.Update[float32]{Dst: e.Dst, Val: src[0] / src[1]}
+	}
+	return len(blk)
+}
+
 // countingTransport accepts every batch and counts its records.
 type countingTransport struct {
 	core.UpdateTransport[float32]
@@ -103,7 +114,9 @@ func rankVerts(split core.Split) [][2]float32 {
 // combining cache merging by a func value (combine) and by the declared op
 // inline (sum, resolved by core.Combining as the engines do), through the
 // dense accumulator merging by the op inline (dense, what the engines run
-// on this graph), and through the plain append buffer (append).
+// on this graph, a Scatter call per edge; dense-block, a ScatterBlock call
+// per block, as the engines call PageRank), and through the plain append
+// buffer (append).
 func BenchmarkScatterKernel(b *testing.B) {
 	split, edges := rmatPartition0(b)
 	verts := rankVerts(split)
@@ -111,18 +124,20 @@ func BenchmarkScatterKernel(b *testing.B) {
 	sum, op := core.Combining[[2]float32, float32](rankProg{}, false)
 	for _, v := range []struct {
 		name    string
+		prog    core.Program[[2]float32, float32]
 		combine func(a, b float32) float32
 		op      core.CombineOp
 		dense   bool
 	}{
-		{"combine", func(a, b float32) float32 { return a + b }, 0, false},
-		{"sum", sum, op, false},
-		{"dense", sum, op, true},
-		{"append", nil, 0, false},
+		{"combine", rankProg{}, func(a, b float32) float32 { return a + b }, 0, false},
+		{"sum", rankProg{}, sum, op, false},
+		{"dense", rankProg{}, sum, op, true},
+		{"dense-block", rankBlockProg{}, sum, op, true},
+		{"append", rankProg{}, nil, 0, false},
 	} {
 		b.Run(v.name, func(b *testing.B) {
 			tp := new(countingTransport)
-			kern := core.NewScatterKernelAs[[2]float32, float32](rankProg{}, tp, v.combine, v.op, scatterBaseRecs, nv, v.dense)
+			kern := core.NewScatterKernelAs(v.prog, tp, v.combine, v.op, scatterBaseRecs, nv, v.dense)
 			scatterKernelRow(b, kern, tp, split, verts, edges)
 		})
 	}

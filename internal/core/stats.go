@@ -91,7 +91,7 @@ type Stats struct {
 	// the gap between the two is exactly what the codec saved. Equal to
 	// BytesRead when tiles are stored raw.
 	BytesReadLogical int64
-	// TilesCompressed counts edge tiles stored delta-encoded (as opposed
+	// TilesCompressed counts edge tiles stored block-coded (as opposed
 	// to the codec's raw fallback) across the partitioned edge files, and
 	// CompressedRatio is the physical/logical byte ratio of that on-disk
 	// layout (0 when compression is off; lower is better). Both describe
@@ -301,7 +301,7 @@ func (s Stats) String() string {
 			s.CoJobs, s.EdgesShared, 100*s.SharedFraction())
 	}
 	if s.CompressedRatio > 0 {
-		out += fmt.Sprintf(", compressed tiles at %.2f of raw (%d delta-coded, %s logical / %s physical read)",
+		out += fmt.Sprintf(", compressed tiles at %.2f of raw (%d block-coded, %s logical / %s physical read)",
 			s.CompressedRatio, s.TilesCompressed, humanBytes(s.BytesReadLogical), humanBytes(s.BytesRead))
 	}
 	if s.BytesChecksummed > 0 {

@@ -79,7 +79,7 @@ func TestCompressedShuffleRoundTrip(t *testing.T) {
 		t.Fatalf("compressed layout is %d bytes, raw is %d", cmpSize, rawSize)
 	}
 	if cmpTiles.tilesCompressed == 0 {
-		t.Fatal("no tile was delta-encoded")
+		t.Fatal("no tile was block-coded")
 	}
 	if cmpTiles.physBytes != cmpSize || cmpTiles.logicalBytes != rawSize {
 		t.Fatalf("codec accounting: phys %d (files %d), logical %d (raw files %d)",
@@ -169,7 +169,7 @@ func TestCompressedStats(t *testing.T) {
 		t.Fatalf("compressed run's logical volume %d, raw run's %d", cs.BytesReadLogical, rs.BytesReadLogical)
 	}
 	if cs.TilesCompressed == 0 {
-		t.Fatal("compressed run delta-encoded no tiles")
+		t.Fatal("compressed run block-coded no tiles")
 	}
 	if cs.CompressedRatio <= 0 || cs.CompressedRatio >= 1 {
 		t.Fatalf("compressed ratio %v outside (0, 1)", cs.CompressedRatio)

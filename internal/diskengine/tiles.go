@@ -53,7 +53,7 @@ type diskTiles struct {
 	// index is the word→tile index of the finished tiles, built by
 	// tileIndex the first time a selective run streams the files.
 	index *core.TileIndex
-	// Layout accounting, kept by appendTile: delta-encoded tile count, and
+	// Layout accounting, kept by appendTile: block-coded tile count, and
 	// the logical (record) vs physical (file) byte volume of the tiles.
 	tilesCompressed int64
 	logicalBytes    int64

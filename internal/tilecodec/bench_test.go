@@ -101,7 +101,7 @@ func rawTiles(*testing.B) [][]core.Edge {
 // BenchmarkDecodeTile is the per-record cost of Decode (checksum verified)
 // over three tile shapes: the selective BFS workload's 2PS clique-chain
 // tiles, range-partitioned RMAT tiles, and raw-fallback tiles. ns/record is
-// the figure to compare; B/record is the encoded size, delta/tile the share
+// the figure to compare; B/record is the encoded size, block-coded/tile the share
 // of tiles the encoder block-coded rather than stored raw.
 func BenchmarkDecodeTile(b *testing.B) {
 	for _, shape := range []struct {
@@ -111,7 +111,7 @@ func BenchmarkDecodeTile(b *testing.B) {
 		b.Run(shape.name, func(b *testing.B) {
 			var enc Encoder
 			var data []byte
-			var recs, delta int
+			var recs, coded int
 			tiles := shape.tiles(b)
 			for _, tile := range tiles {
 				var compressed bool
@@ -121,7 +121,7 @@ func BenchmarkDecodeTile(b *testing.B) {
 				}
 				recs += len(tile)
 				if compressed {
-					delta++
+					coded++
 				}
 			}
 			out := make([]core.Edge, benchTileRecs)
@@ -137,7 +137,7 @@ func BenchmarkDecodeTile(b *testing.B) {
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*recs), "ns/record")
 			b.ReportMetric(float64(len(data))/float64(recs), "B/record")
-			b.ReportMetric(float64(delta)/float64(len(tiles)), "delta/tile")
+			b.ReportMetric(float64(coded)/float64(len(tiles)), "block-coded/tile")
 		})
 	}
 }

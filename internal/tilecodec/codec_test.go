@@ -31,7 +31,7 @@ func sameEdges(t *testing.T, got, want []core.Edge) {
 }
 
 // roundTrip encodes edges, decodes the result, and checks identity plus
-// exact consumption. Returns whether the delta encoding was used.
+// exact consumption. Returns whether the tile was block-coded.
 func roundTrip(t *testing.T, edges []core.Edge) bool {
 	t.Helper()
 	var enc Encoder
@@ -145,7 +145,7 @@ func TestRawFallback(t *testing.T) {
 		t.Fatal(err)
 	}
 	if compressed {
-		t.Fatalf("adversarial tile claims delta encoding")
+		t.Fatalf("adversarial tile claims block coding")
 	}
 	raw := len(edges) * EdgeBytes
 	if len(buf) > raw+16 {

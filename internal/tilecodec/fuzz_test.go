@@ -31,7 +31,7 @@ func FuzzDecodeTile(f *testing.F) {
 	for i := range clustered {
 		clustered[i] = core.Edge{Src: core.VertexID(100 + i%7), Dst: core.VertexID(i * 31), Weight: float32(i)}
 	}
-	delta, _, _ := enc.Encode(nil, clustered)
+	coded, _, _ := enc.Encode(nil, clustered)
 	sparse := []core.Edge{{Src: 0, Dst: math.MaxUint32, Weight: float32(math.NaN())}, {Src: math.MaxUint32, Dst: 0}}
 	raw, _, _ := enc.Encode(nil, sparse)
 
@@ -43,8 +43,8 @@ func FuzzDecodeTile(f *testing.F) {
 		{0x42, 0x01, 0x00},          // unknown flag
 		{FlagBlocks, 0x01, 0x00},    // no checksum flag
 		blocksTile(1, []byte{0x80}), // unterminated varint payload
-		small, delta, raw,
-		small[:len(small)-1], delta[:3], raw[:5], // truncations
+		small, coded, raw,
+		small[:len(small)-1], coded[:3], raw[:5], // truncations
 		append(append([]byte{}, small...), 0xff), // trailing byte after a valid tile
 	}
 	seeds = append(seeds, boundaryTiles()...)
@@ -88,7 +88,7 @@ func FuzzDecodeTile(f *testing.F) {
 		// Anything accepted must re-encode into a tile that decodes back to
 		// the same records — the codec's canonical-form invariant. (The
 		// bytes themselves may differ: a hand-built raw tile of compressible
-		// records re-encodes as delta.)
+		// records re-encodes block-coded.)
 		var enc Encoder
 		re, _, err := enc.Encode(nil, edges)
 		if err != nil {
