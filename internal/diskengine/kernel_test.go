@@ -1,6 +1,7 @@
 package diskengine
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/core"
@@ -29,6 +30,20 @@ type pushOpProg struct{ pushProg }
 
 func (pushOpProg) Combine(a, b int32) int32  { panic("merged through the func value, not inline") }
 func (pushOpProg) CombineOp() core.CombineOp { return core.CombineSum }
+
+// pushBlockProg is pushOpProg scattering a block per call.
+type pushBlockProg struct{ pushOpProg }
+
+func (pushBlockProg) ScatterBlock(blk []core.Edge, verts []int32, base core.VertexID, out []core.Update[int32]) int {
+	n := 0
+	for _, e := range blk {
+		out[n] = core.Update[int32]{Dst: e.Dst, Val: verts[e.Src-base] + int32(e.Dst%5)}
+		if (e.Src+e.Dst)%7 != 0 {
+			n++
+		}
+	}
+	return n
+}
 
 // scatterPartitions drives e's sink over every partition of pp as the pass
 // does — NewScatter, Edges per read chunk, Flush — and returns the counts it
@@ -177,21 +192,26 @@ func cacheGraph(t *testing.T, src core.EdgeSource) core.EdgeSource {
 // must merge inline. Each Combiner row runs in both combining
 // representations: over the RMAT graph, whose destinations fit the dense
 // accumulator, and over the graph spread until they do not (cacheGraph),
-// which selects the cache.
+// which selects the cache. The block rows scatter through a
+// core.BlockScatterer, whose kernel must emit the per-edge kernel's
+// record sequence exactly.
 func TestMemSinkAndDiskSinkShareTheKernel(t *testing.T) {
 	rmat := graphgen.RMAT(graphgen.RMATConfig{Scale: 12, EdgeFactor: 8, Seed: 20})
 	spread := cacheGraph(t, rmat)
 	for _, c := range []struct {
-		name               string
-		combine, op, dense bool
+		name                      string
+		combine, op, dense, block bool
 	}{
-		{"plain", false, false, true},
-		{"combine dense", true, false, true}, {"combine op dense", true, true, true},
-		{"combine cache", true, false, false}, {"combine op cache", true, true, false},
+		{"plain", false, false, true, false},
+		{"combine dense", true, false, true, false}, {"combine op dense", true, true, true, false},
+		{"combine cache", true, false, false, false}, {"combine op cache", true, true, false, false},
+		{"block dense", true, true, true, true}, {"block cache", true, true, false, true},
 	} {
 		cfg := Config{Device: ssd(0), Threads: 1, Partitions: 4, IOUnit: 64 << 10, Prefix: c.name}
 		var prog core.Program[int32, int32] = pushProg{}
-		if c.op {
+		if c.block {
+			prog = pushBlockProg{}
+		} else if c.op {
 			prog = pushOpProg{}
 		} else if c.combine {
 			prog = pushCombProg{}
@@ -240,6 +260,11 @@ func TestMemSinkAndDiskSinkShareTheKernel(t *testing.T) {
 		for i := range seq {
 			if seq[i] != disk.recs[i] {
 				t.Fatalf("%s: record %d: one task per partition emits %+v, the disk sink %+v", c.name, i, seq[i], disk.recs[i])
+			}
+		}
+		if c.block {
+			if perEdge := memSequence(t, pp, pushOpProg{}); !slices.Equal(perEdge, seq) {
+				t.Fatalf("%s: the block hook's kernel emitted %d records, the per-edge kernel's %d or others", c.name, len(seq), len(perEdge))
 			}
 		}
 		// The mem run gathered its stream onto Init's states; the disk
