@@ -63,7 +63,7 @@ func main() {
 		ioUnit     = flag.String("iounit", "1m", "disk engine I/O unit (e.g. 16m)")
 		threads    = flag.Int("threads", 0, "worker threads (0 = GOMAXPROCS)")
 		partition  = flag.String("partitioner", "range", "partitioning policy: range|2ps")
-		combine    = flag.Bool("combine", true, "pre-aggregate the update stream when the algorithm has a combiner")
+		combine    = flag.Bool("combine", true, "pre-aggregate the update stream when the algorithm has a combiner and its destination values fit 16 MiB")
 		selective  = flag.Bool("selective", true, "skip inactive partitions and edge tiles when the algorithm has a frontier (bfs/sssp/wcc)")
 		compress   = flag.Bool("compress-tiles", false, "disk engine: store partition edge files as compressed tiles (bit-identical results, fewer physical bytes read)")
 		savePerm   = flag.String("save-permutation", "", "save the partitioner's vertex relabeling to this file after planning")

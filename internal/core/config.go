@@ -32,8 +32,9 @@ type Config struct {
 	// order as one iteration's vertex windows.
 	Partitioner Partitioner
 	// NoCombine disables update combining even when the program
-	// implements Combiner; used by ablation benchmarks and the
-	// combiner-equivalence tests.
+	// implements Combiner (which combines only while its destination
+	// values fit 16 MiB, see DenseCombines); used by ablation benchmarks
+	// and the combiner-equivalence tests.
 	NoCombine bool
 	// Selective enables frontier-aware selective streaming for programs
 	// implementing FrontierProgram: the engine keeps an active-vertex
@@ -97,8 +98,10 @@ type Config struct {
 	// Outside the sum, and not limited by M: the update read-back double
 	// buffer (2·S·K per gather worker, once updates spill to files), the
 	// gather sub-shuffle pair (2·S·K, with spilled vertices and
-	// Threads > 1), each run's scatter kernel (~0.8 MiB with a Combiner),
-	// the frontier bitsets and the tile index.
+	// Threads > 1), each run's scatter kernel (with a Combiner whose
+	// destination values fit 16 MiB, its accumulator of nv·|M| + nv/8 +
+	// nv/16 bytes, at most ≈ 19 MiB), the frontier bitsets and the tile
+	// index.
 	MemoryBudget int64
 	// IOUnit is S of §3.4, the request size that saturates the device,
 	// out of core. 0 means 1 MiB (the paper uses 16 MiB on real hardware;

@@ -145,36 +145,36 @@ func TestStats(t *testing.T) {
 	}
 }
 
-// TestCombineBuffer: an update merges into its resident destination, one
-// that maps to a taken slot evicts the resident to the append buffer, and a
-// sweep emits what is left and forgets it.
+// TestCombineBuffer: an update to a present destination merges into its
+// value and Add emits nothing; Sweep emits one record per destination, the
+// bitmap words in first-touch order and each word's destinations ascending,
+// and forgets them; a buffer dirtied and then Reset emits like a fresh one.
 func TestCombineBuffer(t *testing.T) {
-	cb := NewCombineBuffer[int64](4, 0, func(a, b int64) int64 { return a + b }, 0)
-	cb.Reset(0) // the minimum, two slots
-	slot := func(dst VertexID) uint32 { return uint32(dst) * combineHash >> 31 }
-	a, b := VertexID(7), VertexID(8)
-	for slot(b) != slot(a) {
-		b++
-	}
+	sum := func(a, b int64) int64 { return a + b }
+	stream := []Update[int64]{{Dst: 70, Val: 1}, {Dst: 3, Val: 2}, {Dst: 70, Val: 4}, {Dst: 65, Val: 8}, {Dst: 1, Val: 16}, {Dst: 3, Val: 32}}
+	want := []Update[int64]{{Dst: 65, Val: 8}, {Dst: 70, Val: 5}, {Dst: 1, Val: 16}, {Dst: 3, Val: 34}}
+	cb := NewCombineBuffer[int64](2, 128, sum, 0)
 	var got []Update[int64]
 	take := func(recs []Update[int64]) { got = append(got, recs...) }
-	cb.Add([]Update[int64]{{Dst: a, Val: 1}, {Dst: a, Val: 2}}, take) // the second merges
-	if cb.Combined != 1 || len(cb.out) != 0 {
-		t.Fatalf("after a hit: combined %d, %d evicted", cb.Combined, len(cb.out))
+	cb.Add(stream)
+	if cb.Combined != 2 || len(cb.out) != 0 {
+		t.Fatalf("after Add: combined %d, %d records emitted", cb.Combined, len(cb.out))
 	}
-	cb.Add([]Update[int64]{{Dst: b, Val: 5}}, take) // evicts a
-	if len(cb.out) != 1 || cb.out[0] != (Update[int64]{Dst: a, Val: 3}) {
-		t.Fatalf("evicted %v, want the combined record of %d", cb.out, a)
-	}
-	cb.Add([]Update[int64]{{Dst: a, Val: 10}}, take) // a left the cache: evicts b, does not resurrect 3
 	cb.Sweep(take)
-	want := []Update[int64]{{Dst: a, Val: 3}, {Dst: b, Val: 5}, {Dst: a, Val: 10}}
 	if !slices.Equal(got, want) {
-		t.Fatalf("emitted %v, want %v", got, want)
+		t.Fatalf("swept %v, want %v", got, want)
 	}
-	cb.Sweep(take)
-	if len(got) != 3 {
-		t.Fatalf("a second sweep emitted %d more records", len(got)-3)
+	if cb.Sweep(take); len(got) != len(want) {
+		t.Fatalf("a second sweep emitted %d more records", len(got)-len(want))
+	}
+	cb.Add([]Update[int64]{{Dst: 127, Val: 9}, {Dst: 3, Val: 100}, {Dst: 3, Val: 1}})
+	cb.Reset()
+	got = got[:0]
+	if cb.Add(stream); cb.Combined != 2 {
+		t.Fatalf("a dirtied buffer Reset combined %d, a fresh one 2", cb.Combined)
+	}
+	if cb.Sweep(take); !slices.Equal(got, want) {
+		t.Fatalf("a dirtied buffer Reset swept %v, a fresh one %v", got, want)
 	}
 }
 

@@ -210,28 +210,6 @@ func TestFrontierTouchedWords(t *testing.T) {
 	}
 }
 
-func TestDegreeAwareBufRecs(t *testing.T) {
-	cases := []struct {
-		base         int
-		edges, verts int64
-		want         int
-	}{
-		{1024, 0, 0, 1024},            // empty partition: base
-		{1024, 100, 100, 1024},        // avg degree 1: base
-		{1024, 4096, 1024, 4096},      // avg degree 4: 4x base
-		{1024, 1 << 30, 64, 16384},    // dense: clamped at 16x base
-		{1024, 2000, 1, 2000},         // never beyond the partition's edges
-		{0, 10, 10, 1},                // degenerate base
-		{1024, 512, 1024, 1024},       // fewer edges than base: floor at base
-		{8, 1 << 40, 1 << 20, 8 * 16}, // huge counts do not overflow
-	}
-	for _, c := range cases {
-		if got := DegreeAwareBufRecs(c.base, c.edges, c.verts); got != c.want {
-			t.Errorf("DegreeAwareBufRecs(%d, %d, %d) = %d, want %d", c.base, c.edges, c.verts, got, c.want)
-		}
-	}
-}
-
 // maxLabel is a frontier program whose gather keeps the largest label it
 // is sent: an update no larger than the label leaves the vertex unchanged.
 type maxLabel struct{}

@@ -377,13 +377,13 @@ type JobRun interface {
 	// nil on a dense run.
 	ActiveWords(p int) []uint32
 	// NewScatter returns engine worker w's scatter sink (0 ≤ w < the
-	// setup's Threads), readied for partition p whose edge chunk holds
-	// chunkEdges records. The run owns one sink per worker for its whole
-	// life — with stores lent (JobSetup.Spill) only worker 0's, because a
-	// transport over a store takes sends from one goroutine at a time — so
-	// a worker must Flush its sink, when the partition's edges are
-	// exhausted, before asking for the next. Sinks are single-goroutine.
-	NewScatter(w, p int, chunkEdges int64) JobScatter
+	// setup's Threads), readied for partition p. The run owns one sink per
+	// worker for its whole life — with stores lent (JobSetup.Spill) only
+	// worker 0's, because a transport over a store takes sends from one
+	// goroutine at a time — so a worker must Flush its sink, when the
+	// partition's edges are exhausted, before asking for the next. Sinks
+	// are single-goroutine.
+	NewScatter(w, p int) JobScatter
 	// SkipPartition accounts a whole partition chunk the job's frontier
 	// proved useless (the engine never handed it to a sink). Safe for
 	// concurrent use from partition tasks.

@@ -75,7 +75,7 @@ func scatteredRun(t *testing.T, n int64, k int) (*jobRun[int32, int32], *faultyT
 	if err := r.BeginScatter(); err != nil {
 		t.Fatal(err)
 	}
-	sink := r.NewScatter(0, 0, n)
+	sink := r.NewScatter(0, 0)
 	if err := sink.Edges(edges); err != nil {
 		t.Fatal(err)
 	}
@@ -261,7 +261,7 @@ func TestProgramSetClosesEveryTransport(t *testing.T) {
 			for p := 0; p < k; p++ {
 				lo, hi := setup.Assignment.Split.Range(p, n)
 				for _, r := range live {
-					s := r.NewScatter(0, p, hi-lo)
+					s := r.NewScatter(0, p)
 					if err := s.Edges(ring[lo:hi]); err != nil {
 						return err
 					}

@@ -38,12 +38,8 @@ type ScatterKernel[V, M any] struct {
 	prog  Program[V, M]
 	block BlockScatterer[V, M] // prog's block hook, nil without one
 	tp    UpdateTransport[M]
-	cb    *CombineBuffer[M] // nil without a Combiner
-	out   []Update[M]       // the plain append buffer; unused with a Combiner
-	// drain is send as a func value, made once with cb: Add passes it on
-	// through the loop it picked, a func value, so a method value made per
-	// block would escape to the heap.
-	drain func([]Update[M])
+	cb    *CombineBuffer[M] // nil unless the kernel combines
+	out   []Update[M]       // the plain append buffer; unused when combining
 
 	p       int
 	lo, per uint32 // partition p owns vertices [lo, lo+per)
@@ -56,31 +52,29 @@ type ScatterKernel[V, M any] struct {
 
 // NewScatterKernel makes a kernel scattering prog, over a graph of nv
 // vertices, into tp through a private buffer of baseRecs records: a
-// combining buffer merging by combine and op (both from Combining) when
-// combine is non-nil — dense over the nv destinations when they fit (see
-// NewCombineBuffer) — a plain append buffer otherwise. A prog that is a
-// BlockScatterer is scattered a block per call.
+// combining buffer over the nv destinations merging by combine and op (both
+// from Combining) when combine is non-nil and DenseCombines[M](nv) holds, a
+// plain append buffer otherwise. A prog that is a BlockScatterer is
+// scattered a block per call.
 func NewScatterKernel[V, M any](prog Program[V, M], tp UpdateTransport[M], combine func(a, b M) M, op CombineOp, baseRecs int, nv int64) *ScatterKernel[V, M] {
 	k := &ScatterKernel[V, M]{prog: prog, tp: tp}
 	k.block, _ = prog.(BlockScatterer[V, M])
-	if combine == nil {
-		k.out = make([]Update[M], 0, max(baseRecs, 1))
+	if combine != nil && DenseCombines[M](nv) {
+		k.cb = NewCombineBuffer(baseRecs, nv, combine, op)
 		return k
 	}
-	k.cb, k.drain = NewCombineBuffer(baseRecs, nv, combine, op), k.send
+	k.out = make([]Update[M], 0, max(baseRecs, 1))
 	return k
 }
 
 // Begin readies the kernel for a task over edges of partition p of split
-// whose sources lie in verts, the vertex window starting at vertex base,
-// combining within a window of up to window records (a dense combining
-// buffer has none).
-func (k *ScatterKernel[V, M]) Begin(p int, split Split, verts []V, base VertexID, window int) {
+// whose sources lie in verts, the vertex window starting at vertex base.
+func (k *ScatterKernel[V, M]) Begin(p int, split Split, verts []V, base VertexID) {
 	k.p, k.lo, k.per = p, uint32(p)*split.per, split.per
 	k.verts, k.base, k.n, k.err = verts, base, ScatterCounts{}, nil
 	k.out = k.out[:0]
 	if k.cb != nil {
-		k.cb.Reset(window)
+		k.cb.Reset()
 	}
 }
 
@@ -124,7 +118,7 @@ func (k *ScatterKernel[V, M]) route(us []Update[M]) {
 	}
 	k.n.Cross += int64(cross)
 	if k.cb != nil {
-		k.cb.Add(us, k.drain)
+		k.cb.Add(us)
 		return
 	}
 	for len(us) > 0 {
@@ -149,7 +143,7 @@ func (k *ScatterKernel[V, M]) send(recs []Update[M]) {
 // call may follow before the next Begin.
 func (k *ScatterKernel[V, M]) End() (ScatterCounts, error) {
 	if k.cb != nil {
-		k.cb.Sweep(k.drain)
+		k.cb.Sweep(k.send)
 		k.n.Combined += k.cb.Combined
 	} else if len(k.out) > 0 {
 		k.send(k.out)

@@ -3,13 +3,12 @@ package core
 import "fmt"
 
 // jobScatter is a run's scatter sink: one run-lived kernel, Begun on each
-// partition with the combining window the partition's degree earns, and the
-// sink's first failure. Its kernel sends every full batch straight into the
-// run's transport. A run lent no stores has one sink per engine worker, and
-// the transport's window holds the whole stream. A run lent stores
-// (JobSetup.Spill) is streamed one partition at a time through its only
-// sink, sink 0, fed by one goroutine at a time, and the transport spills each window
-// the sends fill.
+// partition, and the sink's first failure. Its kernel sends every full batch
+// straight into the run's transport. A run lent no stores has one sink per
+// engine worker, and the transport's window holds the whole stream. A run
+// lent stores (JobSetup.Spill) is streamed one partition at a time through
+// its only sink, sink 0, fed by one goroutine at a time, and the transport
+// spills each window the sends fill.
 type jobScatter[V, M any] struct {
 	r   *jobRun[V, M]
 	k   *ScatterKernel[V, M]
@@ -20,7 +19,7 @@ type jobScatter[V, M any] struct {
 // the worker's first partition, by the worker: kernels count per block, so
 // two must not share a cache line. Loading a stored window may fail; the
 // failure is the sink's first.
-func (r *jobRun[V, M]) NewScatter(w, p int, chunkEdges int64) JobScatter {
+func (r *jobRun[V, M]) NewScatter(w, p int) JobScatter {
 	s := r.sinks[w]
 	if s == nil {
 		s = &jobScatter[V, M]{r: r, k: NewScatterKernel(r.prog, r.tp, r.combine, r.op, r.basePriv, r.setup.NumVertices)}
@@ -36,8 +35,7 @@ func (r *jobRun[V, M]) NewScatter(w, p int, chunkEdges int64) JobScatter {
 			return s
 		}
 	}
-	lo, hi := r.part.Range(p, r.setup.NumVertices)
-	s.k.Begin(p, r.part, verts, VertexID(base), DegreeAwareBufRecs(r.basePriv, chunkEdges, hi-lo))
+	s.k.Begin(p, r.part, verts, VertexID(base))
 	return s
 }
 

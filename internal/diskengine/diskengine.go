@@ -45,10 +45,10 @@
 // a partition's edges reach the scatter, the checkpoint after each
 // iteration and the resume before the first. The loop drives one run type,
 // core.jobRun, in one configuration, and streams a partition at a time
-// through each run's window sink: one kernel, whose combining window stays
-// open for the whole partition, so its combining and update and device bytes
-// do not depend on scheduling. Every run is lent the stores of openStores
-// (stores.go) — update files behind the transport, and vertex files, read and
+// through each run's window sink: one kernel, Begun once for the whole
+// partition, so its combining and update and device bytes do not depend on
+// scheduling. Every run is lent the stores of openStores (stores.go) —
+// update files behind the transport, and vertex files, read and
 // gathered a window at a time, when the state does not fit the run's share
 // of the memory budget. The J runs of a pass split the budget, M/J each. Run
 // is RunJob with its types kept, and RunJob a RunMany of one. Bytes are counted where
@@ -148,5 +148,5 @@ func retries(c Config) int64 {
 }
 
 // basePrivCap is the capacity (records) of a scatter kernel's private append
-// buffer; core.DegreeAwareBufRecs scales the combining window from it.
+// buffer.
 const basePrivCap = 1024

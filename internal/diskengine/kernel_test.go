@@ -52,7 +52,7 @@ func scatterPartitions(t *testing.T, e *probedRun, pp *Prepared) core.ScatterCou
 	t.Helper()
 	for p := 0; p < pp.k; p++ {
 		edges := partitionEdges(t, pp, p)
-		sink := e.NewScatter(0, p, int64(len(edges)))
+		sink := e.NewScatter(0, p)
 		for off := 0; off < len(edges); off += pp.bufEdgeRecs {
 			if err := sink.Edges(edges[off:min(off+pp.bufEdgeRecs, len(edges))]); err != nil {
 				t.Fatal(err)
@@ -85,7 +85,7 @@ func memSink(t *testing.T, pp *Prepared, prog core.Program[int32, int32]) ([]int
 	}
 	for p := 0; p < pp.k; p++ {
 		edges := partitionEdges(t, pp, p)
-		ms := run.NewScatter(0, p, int64(len(edges)))
+		ms := run.NewScatter(0, p)
 		if err := ms.Edges(edges); err != nil {
 			t.Fatal(err)
 		}
@@ -107,10 +107,9 @@ func memSink(t *testing.T, pp *Prepared, prog core.Program[int32, int32]) ([]int
 }
 
 // memSequence is the record sequence the in-memory sink emits over pp's
-// partitions: per partition one kernel task Begun on the whole vertex array
-// with the partition's degree-aware window, fed the partition's edges and
-// ended, as core's jobScatter runs it, into a transport that keeps what it
-// is sent.
+// partitions: per partition one kernel task Begun on the whole vertex array,
+// fed the partition's edges and ended, as core's jobScatter runs it, into a
+// transport that keeps what it is sent.
 func memSequence(t *testing.T, pp *Prepared, prog core.Program[int32, int32]) []core.Update[int32] {
 	t.Helper()
 	combine, op := core.Combining(prog, false)
@@ -122,8 +121,7 @@ func memSequence(t *testing.T, pp *Prepared, prog core.Program[int32, int32]) []
 	}
 	for p := 0; p < pp.k; p++ {
 		edges := partitionEdges(t, pp, p)
-		lo, hi := pp.part.Range(p, pp.nv)
-		k.Begin(p, pp.part, verts, 0, core.DegreeAwareBufRecs(basePrivCap, int64(len(edges)), hi-lo))
+		k.Begin(p, pp.part, verts, 0)
 		k.Edges(edges)
 		if _, err := k.End(); err != nil {
 			t.Fatal(err)
@@ -152,9 +150,9 @@ func taskDestinations(t *testing.T, pp *Prepared, prog core.Program[int32, int32
 }
 
 // spreadGraph is src with vertex v renamed v·stride, over stride times as
-// many vertices: the same edges and, under range partitioning into a power of
-// two dividing src's vertex count, the same partitions, over a destination
-// range stride times wider.
+// many vertices: the same edges and, under range partitioning into a
+// partition count dividing src's vertex count, the same partitions, over a
+// destination range stride times wider.
 func spreadGraph(t *testing.T, src core.EdgeSource, stride int64) core.EdgeSource {
 	t.Helper()
 	var edges []core.Edge
@@ -169,14 +167,14 @@ func spreadGraph(t *testing.T, src core.EdgeSource, stride int64) core.EdgeSourc
 	return core.NewSliceSource(edges, src.NumVertices()*stride)
 }
 
-// cacheGraph is src spread (spreadGraph) by the smallest power of two that
+// pastBoundGraph is src spread (spreadGraph) by the smallest stride that
 // makes its int32 destinations too many for the dense accumulator, so the
-// combining buffers of runs over it are caches.
-func cacheGraph(t *testing.T, src core.EdgeSource) core.EdgeSource {
+// scatter kernels of runs over it append plainly even for a Combiner.
+func pastBoundGraph(t *testing.T, src core.EdgeSource) core.EdgeSource {
 	t.Helper()
 	stride := int64(2)
 	for core.DenseCombines[int32](src.NumVertices() * stride) {
-		stride *= 2
+		stride++
 	}
 	return spreadGraph(t, src, stride)
 }
@@ -189,23 +187,22 @@ func cacheGraph(t *testing.T, src core.EdgeSource) core.EdgeSource {
 // flushes while the sink scatters and sweeps, which may reorder no record —
 // and deliver the same total to every destination: with
 // and without a Combiner, and with a Combiner that declares an op, which both
-// must merge inline. Each Combiner row runs in both combining
-// representations: over the RMAT graph, whose destinations fit the dense
-// accumulator, and over the graph spread until they do not (cacheGraph),
-// which selects the cache. The block rows scatter through a
-// core.BlockScatterer, whose kernel must emit the per-edge kernel's
-// record sequence exactly.
+// must merge inline. Each Combiner row runs over the RMAT graph, whose
+// destinations fit the dense accumulator, and over the graph spread until
+// they do not (pastBoundGraph), where the kernel appends plainly and
+// combines nothing. The block rows scatter through a core.BlockScatterer,
+// whose kernel must emit the per-edge kernel's record sequence exactly.
 func TestMemSinkAndDiskSinkShareTheKernel(t *testing.T) {
 	rmat := graphgen.RMAT(graphgen.RMATConfig{Scale: 12, EdgeFactor: 8, Seed: 20})
-	spread := cacheGraph(t, rmat)
+	spread := pastBoundGraph(t, rmat)
 	for _, c := range []struct {
 		name                      string
 		combine, op, dense, block bool
 	}{
 		{"plain", false, false, true, false},
 		{"combine dense", true, false, true, false}, {"combine op dense", true, true, true, false},
-		{"combine cache", true, false, false, false}, {"combine op cache", true, true, false, false},
-		{"block dense", true, true, true, true}, {"block cache", true, true, false, true},
+		{"combine past the bound", true, false, false, false}, {"combine op past the bound", true, true, false, false},
+		{"block dense", true, true, true, true}, {"block past the bound", true, true, false, true},
 	} {
 		cfg := Config{Device: ssd(0), Threads: 1, Partitions: 4, IOUnit: 64 << 10, Prefix: c.name}
 		var prog core.Program[int32, int32] = pushProg{}
@@ -232,7 +229,7 @@ func TestMemSinkAndDiskSinkShareTheKernel(t *testing.T) {
 		got, st := memSink(t, pp, prog)
 		seq := memSequence(t, pp, prog)
 
-		if n.Sent == 0 || n.Sent == n.Streamed || n.Cross == 0 || (n.Combined > 0) != c.combine {
+		if n.Sent == 0 || n.Sent == n.Streamed || n.Cross == 0 || (n.Combined > 0) != (c.combine && c.dense) {
 			t.Fatalf("%s: workload lost its shape: %+v", c.name, n)
 		}
 		if disk.flushes == 0 {
@@ -249,9 +246,9 @@ func TestMemSinkAndDiskSinkShareTheKernel(t *testing.T) {
 		if memCounts != n {
 			t.Errorf("%s: mem sink counted %+v, disk sink %+v", c.name, memCounts, n)
 		}
-		// A combining task emits a record per destination at least; a dense
-		// one exactly that.
-		if perTask := taskDestinations(t, pp, prog); c.combine && (int64(len(disk.recs)) < perTask || c.dense != (int64(len(disk.recs)) == perTask)) {
+		// A combining task emits exactly a record per destination; one past
+		// the bound every update it sends.
+		if perTask := taskDestinations(t, pp, prog); c.combine && c.dense != (int64(len(disk.recs)) == perTask) {
 			t.Fatalf("%s: emitted %d records for %d destinations of partition tasks", c.name, len(disk.recs), perTask)
 		}
 		if memEmitted != int64(len(disk.recs)) || len(seq) != len(disk.recs) {

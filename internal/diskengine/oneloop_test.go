@@ -96,8 +96,8 @@ func TestSoloAndJobShareTheLoop(t *testing.T) {
 				if a != b {
 					t.Errorf("Run and RunJob disagree on loop-owned counters:\n solo %+v\n job  %+v", a, b)
 				}
-				// Both kinds scatter a partition through one kernel whose
-				// combining window stays open for all of it.
+				// Both kinds scatter a partition through one kernel Begun
+				// once for all of it.
 				if solo.TransportBytes != job.TransportBytes {
 					t.Errorf("Run sent the transport %d bytes, RunJob %d", solo.TransportBytes, job.TransportBytes)
 				}
@@ -248,8 +248,7 @@ func TestRunManyRejectsBeforeIngest(t *testing.T) {
 // workload agree on every work counter, on what combining merged away, on the
 // update stream and device bytes it left and on every vertex bit, float sums
 // included, at Threads 2: PageRank and WCC, vertex state in memory and
-// spilled. Partitions hold several chunks, and more destinations than a
-// combining window, so the kernel evicts while it scatters.
+// spilled. Partitions hold several chunks.
 func TestSoloRunRepeatable(t *testing.T) {
 	src := graphgen.RMAT(graphgen.RMATConfig{Scale: 15, EdgeFactor: 4, Seed: 43, Undirected: true})
 	_, pagerank := soloAndJob(func() core.Program[algorithms.PRState, float32] { return algorithms.NewPageRank(3) })

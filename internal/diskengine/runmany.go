@@ -696,7 +696,7 @@ func (d *diskPass) Scatter(ctx context.Context, dir core.Direction, subs []core.
 		// so no run's transport is ever sent to concurrently.
 		scatters := d.scatters[:len(needing)]
 		for i, r := range needing {
-			scatters[i] = r.NewScatter(0, p, fileRecs)
+			scatters[i] = r.NewScatter(0, p)
 		}
 		io, skippedBlocks, err := pp.streamPartition(ctx, &d.rd, files, tiles, p, segs, need, func(chunk []core.Edge) error {
 			return feedJobs(scatters, chunk)

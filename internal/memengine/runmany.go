@@ -287,9 +287,10 @@ func (m *memPass) Resolve(dir core.Direction, subs []core.JobRun, _ *core.Stats)
 // chunk of dir once, feeding each run or tile to every needing run through
 // that run's sink for the worker — thread-private buffers, §4.1: plain
 // append buffers normally, combining buffers when the program has a
-// Combiner; the run owns them, one per worker, for its life. Partitions are
-// claimed by worker threads from a shared cursor (work stealing, §4.1). A
-// cancelled context or a failed sink stops the walk (forEachPartition).
+// Combiner whose destinations fit (core.DenseCombines); the run owns them,
+// one per worker, for its life. Partitions are claimed by worker threads
+// from a shared cursor (work stealing, §4.1). A cancelled context or a
+// failed sink stops the walk (forEachPartition).
 func (m *memPass) Scatter(ctx context.Context, dir core.Direction, subs []core.JobRun, pass *core.Stats) error {
 	pp := m.pp
 	edges, tiles := m.streams[dir].edges, m.streams[dir].tiles
@@ -320,7 +321,7 @@ func (m *memPass) Scatter(ctx context.Context, dir core.Direction, subs []core.J
 		}
 		scatters := m.scatters[w*m.n : w*m.n+len(needing)]
 		for i, r := range needing {
-			scatters[i] = r.NewScatter(w, p, chunkLen)
+			scatters[i] = r.NewScatter(w, p)
 		}
 		// err is the partition's first sink failure; once set, no sink is
 		// fed another edge.

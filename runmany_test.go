@@ -149,7 +149,7 @@ func TestRunManyEquivalence(t *testing.T) {
 
 // TestRunManyBitExact: the in-memory engine is deterministic at any thread
 // count, so a co-scheduled PageRank must match its solo run to the last
-// bit — same combining windows, same update layout, same gather order.
+// bit — same combining, same update layout, same gather order.
 func TestRunManyBitExact(t *testing.T) {
 	src := xstreamtest.RMAT(9, 62)
 	for _, threads := range []int{1, 2, 4} {
