@@ -2,8 +2,10 @@ package core
 
 import (
 	"slices"
+	"strings"
 	"testing"
 	"testing/quick"
+	"time"
 )
 
 func TestSliceSourceInfersVertices(t *testing.T) {
@@ -142,6 +144,27 @@ func TestStats(t *testing.T) {
 	}
 	if s.String() == "" {
 		t.Fatal("empty String")
+	}
+}
+
+// TestStatsStringSplitsTime: the summary line splits TotalTime into
+// pre-processing and iterations, and names the device bytes read and
+// written only when there were any.
+func TestStatsStringSplitsTime(t *testing.T) {
+	s := Stats{Algorithm: "bfs", Engine: "disk", TotalTime: 2 * time.Second, PreprocessTime: 500 * time.Millisecond,
+		BytesRead: 3 << 20, BytesWritten: 1 << 10}
+	for _, want := range []string{"2s total = 500ms preprocess + 1.5s iterate (", ", 3.0MiB read, 1.0KiB written"} {
+		if !strings.Contains(s.String(), want) {
+			t.Errorf("String() = %q, want it to contain %q", s.String(), want)
+		}
+	}
+	s.BytesRead = 0
+	if want := ", 0B read, 1.0KiB written"; !strings.Contains(s.String(), want) {
+		t.Errorf("String() = %q, want it to contain %q", s.String(), want)
+	}
+	s.BytesWritten = 0
+	if strings.Contains(s.String(), "written") {
+		t.Errorf("String() = %q names bytes when none moved", s.String())
 	}
 }
 

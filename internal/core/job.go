@@ -540,9 +540,11 @@ type jobRun[V, M any] struct {
 	// and not yet gathered.
 	tp     UpdateTransport[M]
 	sealed bool
-	// pending is Gather's run-lived scratch: the partitions with sealed
-	// updates this iteration.
+	// pending and gathers are Gather's run-lived scratch: the partitions
+	// with sealed updates this iteration, and one task per gathering
+	// worker.
 	pending []int
+	gathers []*gatherTask[V, M]
 
 	basePriv int
 	// sinks holds one scatter sink per engine worker, made on the worker's
@@ -750,8 +752,13 @@ func (r *jobRun[V, M]) Gather(workers int) error {
 	if r.vstore != nil {
 		outer, inner = 1, workers
 	}
-	err := ForEachClaimedUntil(len(r.pending), outer, func(_, i int) error {
-		return r.gatherPartition(r.pending[i], inner)
+	for len(r.gathers) < outer {
+		t := &gatherTask[V, M]{r: r}
+		t.drain = t.apply
+		r.gathers = append(r.gathers, t)
+	}
+	err := ForEachClaimedUntil(len(r.pending), outer, func(w, i int) error {
+		return r.gatherPartition(r.gathers[w], r.pending[i], inner)
 	})
 	if eerr := r.tp.EndIteration(); err == nil {
 		err = eerr

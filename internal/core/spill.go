@@ -71,11 +71,12 @@ func (r *jobRun[V, M]) storeWindow(p int, win []V) error {
 	return r.vstore.Store(p, pod.AsBytes(win))
 }
 
-// gatherPartition applies partition p's sealed updates to its window, on up
-// to workers goroutines inside a chunk. A run with stores checks the
-// context first — between partition files — and refuses an update read
-// back from the device outside the window.
-func (r *jobRun[V, M]) gatherPartition(p, workers int) error {
+// gatherPartition applies partition p's sealed updates to its window
+// through the gathering worker's task t, on up to workers goroutines inside
+// a chunk. A run with stores checks the context first — between partition
+// files — and refuses an update read back from the device outside the
+// window.
+func (r *jobRun[V, M]) gatherPartition(t *gatherTask[V, M], p, workers int) error {
 	if r.spill != nil && r.spill.Context != nil && r.spill.Context.Err() != nil {
 		return r.spill.Context.Err()
 	}
@@ -83,20 +84,35 @@ func (r *jobRun[V, M]) gatherPartition(p, workers int) error {
 	if err != nil {
 		return err
 	}
-	hi := lo + int64(len(verts))
-	sub := NewSplit(int64(len(verts)), r.subK)
-	if err := r.tp.Drain(p, func(chunk []Update[M]) error {
-		if r.spill != nil {
-			if err := inWindow(chunk, p, lo, hi); err != nil {
-				return err
-			}
-		}
-		r.gatherChunk(chunk, verts, lo, sub, workers)
-		return nil
-	}); err != nil {
+	t.p, t.verts, t.lo, t.hi, t.workers = p, verts, lo, lo+int64(len(verts)), workers
+	t.sub = NewSplit(int64(len(verts)), r.subK)
+	if err := r.tp.Drain(p, t.drain); err != nil {
 		return err
 	}
 	return r.storeWindow(p, verts)
+}
+
+// gatherTask is one gathering worker's partition: its window and how to
+// apply a chunk to it. drain, t.apply bound once, is what Drain calls per
+// chunk, so gathering a partition allocates nothing.
+type gatherTask[V, M any] struct {
+	r       *jobRun[V, M]
+	p       int
+	verts   []V
+	lo, hi  int64
+	sub     Split
+	workers int
+	drain   func([]Update[M]) error
+}
+
+func (t *gatherTask[V, M]) apply(chunk []Update[M]) error {
+	if t.r.spill != nil {
+		if err := inWindow(chunk, t.p, t.lo, t.hi); err != nil {
+			return err
+		}
+	}
+	t.r.gatherChunk(chunk, t.verts, t.lo, t.sub, t.workers)
+	return nil
 }
 
 // inWindow refuses a chunk of partition p's updates read back from the

@@ -275,17 +275,22 @@ func (s Stats) Ratio(seqBandwidth float64) float64 {
 }
 
 // String renders the profile as the one-line summary the CLI prints:
-// iteration count and the phase time split first — each phase as a
-// fraction of TotalTime, the paper's Figure 12b quantity — then
-// whichever optional subsystems (combining, selective streaming, shared
-// passes) did work.
+// iteration count, TotalTime split into pre-processing and iterations,
+// and the phase time split — each phase as a fraction of TotalTime, the
+// paper's Figure 12b quantity — first, then the device bytes read and
+// written when there were any, then whichever optional subsystems
+// (combining, selective streaming, shared passes) did work.
 func (s Stats) String() string {
-	out := fmt.Sprintf("%s[%s]: %d iters, %d parts, %v total (scatter %v/%.0f%%, shuffle %v/%.0f%%, gather %v/%.0f%%), %d edges streamed, %d updates, %.0f%% wasted",
+	out := fmt.Sprintf("%s[%s]: %d iters, %d parts, %v total = %v preprocess + %v iterate (scatter %v/%.0f%%, shuffle %v/%.0f%%, gather %v/%.0f%%), %d edges streamed, %d updates, %.0f%% wasted",
 		s.Algorithm, s.Engine, s.Iterations, s.Partitions, s.TotalTime.Round(time.Millisecond),
+		s.PreprocessTime.Round(time.Millisecond), (s.TotalTime - s.PreprocessTime).Round(time.Millisecond),
 		s.ScatterTime.Round(time.Millisecond), 100*s.TimeFraction(s.ScatterTime),
 		s.ShuffleTime.Round(time.Millisecond), 100*s.TimeFraction(s.ShuffleTime),
 		s.GatherTime.Round(time.Millisecond), 100*s.TimeFraction(s.GatherTime),
 		s.EdgesStreamed, s.UpdatesSent, 100*s.WastedFraction())
+	if s.BytesRead > 0 || s.BytesWritten > 0 {
+		out += fmt.Sprintf(", %s read, %s written", humanBytes(s.BytesRead), humanBytes(s.BytesWritten))
+	}
 	if s.UpdatesCombined > 0 {
 		out += fmt.Sprintf(", %d combined (%.0f%%)", s.UpdatesCombined, 100*s.CombinedFraction())
 	}

@@ -209,7 +209,7 @@ type tileReader struct {
 	// are read on the prefetch goroutine, so it is complete, and safe to
 	// read, once Close has returned.
 	skipped int64
-	prefetcher[core.Edge]
+	pre     storage.Prefetcher[core.Edge]
 }
 
 // openTiles lends the scratch to a reader of one planned run of tiles of f,
@@ -232,7 +232,7 @@ func (sc *edgeScratch) openTiles(f storage.File, tiles []tileSpan, encoded bool,
 	r := &sc.rd
 	*r = tileReader{sc: sc, f: f, tiles: tiles, chunkRecs: chunkRecs, capRecs: capRecs, encoded: encoded, verify: verify, need: need}
 	if prefetch && len(tiles) > 0 && batchEnd(tiles, 0, chunkRecs) < len(tiles) {
-		r.start(sc.buf(0, capRecs), sc.buf(1, capRecs), r.fill)
+		r.pre.Start(sc.buf(0, capRecs), sc.buf(1, capRecs), r.fill)
 	}
 	return r
 }
@@ -347,10 +347,10 @@ func (r *tileReader) fill(buf []core.Edge) ([]core.Edge, int64, error) {
 // returned slice is only valid until the following Next call.
 func (r *tileReader) Next() (recs []core.Edge, err error) {
 	var phys int64
-	if r.ready == nil {
+	if !r.pre.Started() {
 		recs, phys, err = r.fill(r.sc.buf(0, r.capRecs))
 	} else {
-		recs, phys, err = r.next()
+		recs, phys, err = r.pre.Next()
 	}
 	r.phys += phys
 	return recs, err
@@ -361,7 +361,7 @@ func (r *tileReader) Next() (recs []core.Edge, err error) {
 // of stream, early close, read error — and idempotent.
 func (r *tileReader) Close() {
 	if sc := r.sc; sc != nil {
-		r.stop()
+		r.pre.Stop()
 		r.sc = nil
 		sc.busy.Store(false)
 	}

@@ -43,22 +43,28 @@ func writeRaw(t *testing.T, dev storage.Device, name string, edges []core.Edge) 
 	return int64(len(raw))
 }
 
-// drainClosed requires ch to be closed (after at most one pending result),
-// proving the reader goroutine exited rather than leaking.
-func drainClosed[T any](t *testing.T, ch <-chan T, what string) {
+// drainEnded requires p's goroutine to exit (after at most a few pending
+// results), proving the reader goroutine exited rather than leaking: p's
+// Next then reports the end of the stream.
+func drainEnded[T any](t *testing.T, p *storage.Prefetcher[T], what string) {
 	t.Helper()
 	deadline := time.After(5 * time.Second)
 	for i := 0; ; i++ {
+		ended := make(chan bool, 1)
+		go func() {
+			recs, _, err := p.Next()
+			ended <- recs == nil && err == nil
+		}()
 		select {
-		case _, ok := <-ch:
-			if !ok {
+		case ok := <-ended:
+			if ok {
 				return
 			}
 			if i > 4 {
 				t.Fatalf("%s: still producing results after exit was expected", what)
 			}
 		case <-deadline:
-			t.Fatalf("%s: goroutine did not exit (channel never closed)", what)
+			t.Fatalf("%s: goroutine did not exit (stream never ended)", what)
 		}
 	}
 }
@@ -89,7 +95,7 @@ func TestChunkReaderPrefetchFaultSurfaces(t *testing.T) {
 	if _, err := rd.Next(); !errors.Is(err, storage.ErrInjected) {
 		t.Fatalf("prefetched-chunk fault surfaced as %v, want ErrInjected", err)
 	}
-	drainClosed(t, rd.ready, "chunkReader after fault")
+	drainEnded(t, &rd.pre, "chunkReader after fault")
 }
 
 // TestChunkReaderCloseReleasesReader: abandoning a stream mid-way (the
@@ -110,7 +116,7 @@ func TestChunkReaderCloseReleasesReader(t *testing.T) {
 		t.Fatal(err)
 	}
 	rd.Close()
-	drainClosed(t, rd.ready, "chunkReader after Close")
+	drainEnded(t, &rd.pre, "chunkReader after Close")
 }
 
 // TestChunkReaderTruncatedFileEndsStream: a file shorter than the caller's
@@ -199,5 +205,5 @@ func TestTileReaderPrefetchFaultSurfaces(t *testing.T) {
 	if _, err := rd.Next(); !errors.Is(err, storage.ErrInjected) {
 		t.Fatalf("prefetched-batch fault surfaced as %v, want ErrInjected", err)
 	}
-	drainClosed(t, rd.ready, "tileReader after fault")
+	drainEnded(t, &rd.pre, "tileReader after fault")
 }

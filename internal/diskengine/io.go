@@ -97,80 +97,6 @@ func (sc *readScratch[T]) buf(i, n int) []T {
 	return sc.bufs[i][:n]
 }
 
-// prefetcher is the prefetch-distance-1 protocol of §3.3 both readers
-// (tileReader, chunkReader) share: a dedicated goroutine (one I/O thread per
-// stream) fills the next batch into a second buffer while the caller
-// processes the current one.
-type prefetcher[T any] struct {
-	ready chan fetched[T] // nil: the reader fills inline on the caller's goroutine
-	free  chan []T
-	done  chan struct{}
-	cur   []T
-}
-
-type fetched[T any] struct {
-	recs []T
-	phys int64
-	err  error
-}
-
-// start runs fill one batch ahead of next over the buffers a and b. fill
-// returns the batch it put in the buffer and the device bytes behind it;
-// nil records and no error end the stream, as does the first error.
-func (p *prefetcher[T]) start(a, b []T, fill func(buf []T) ([]T, int64, error)) {
-	p.ready = make(chan fetched[T], 1)
-	p.free = make(chan []T, 2)
-	p.done = make(chan struct{})
-	p.free <- a
-	p.free <- b
-	go func() {
-		defer close(p.ready)
-		for {
-			var buf []T
-			select {
-			case buf = <-p.free:
-			case <-p.done:
-				return
-			}
-			recs, phys, err := fill(buf)
-			if recs == nil && err == nil {
-				return
-			}
-			select {
-			case p.ready <- fetched[T]{recs, phys, err}:
-			case <-p.done:
-				return
-			}
-			if err != nil {
-				return
-			}
-		}
-	}()
-}
-
-// next hands the previous batch's buffer back and waits for the next one.
-func (p *prefetcher[T]) next() ([]T, int64, error) {
-	if p.cur != nil {
-		p.free <- p.cur[:cap(p.cur)]
-		p.cur = nil
-	}
-	res := <-p.ready // zero once the goroutine has closed it: end of stream
-	if res.err == nil {
-		p.cur = res.recs
-	}
-	return res.recs, res.phys, res.err
-}
-
-// stop ends the goroutine, if one was started, and waits for it to exit: it
-// may be inside a device read into one of the buffers.
-func (p *prefetcher[T]) stop() {
-	if p.done != nil {
-		close(p.done)
-		for range p.ready { // the goroutine closes ready as it exits
-		}
-	}
-}
-
 // chunkScratch is the update store's drain scratch: byte buffers and the
 // chunk reader lent them.
 type chunkScratch struct {
@@ -186,7 +112,7 @@ type chunkReader struct {
 	f          storage.File
 	chunkBytes int
 	off, end   int64 // unread byte range
-	prefetcher[byte]
+	pre        storage.Prefetcher[byte]
 }
 
 // openChunks lends the scratch to a reader streaming the byte range
@@ -201,7 +127,7 @@ func (sc *chunkScratch) openChunks(f storage.File, start, end int64, chunkBytes 
 	r := &sc.rd
 	*r = chunkReader{sc: sc, f: f, chunkBytes: chunkBytes, off: start, end: end}
 	if prefetch && end-start > int64(chunkBytes) {
-		r.start(sc.buf(0, chunkBytes), sc.buf(1, chunkBytes), r.fill)
+		r.pre.Start(sc.buf(0, chunkBytes), sc.buf(1, chunkBytes), r.fill)
 	}
 	return r
 }
@@ -227,11 +153,11 @@ func (r *chunkReader) fill(buf []byte) ([]byte, int64, error) {
 // Next returns the next chunk, or nil at end of stream. The returned slice
 // is only valid until the following Next call.
 func (r *chunkReader) Next() (chunk []byte, err error) {
-	if r.ready == nil {
+	if !r.pre.Started() {
 		chunk, _, err = r.fill(r.sc.buf(0, r.chunkBytes))
 		return chunk, err
 	}
-	chunk, _, err = r.next()
+	chunk, _, err = r.pre.Next()
 	return chunk, err
 }
 
@@ -240,7 +166,7 @@ func (r *chunkReader) Next() (chunk []byte, err error) {
 // of stream, early close, read error — and idempotent.
 func (r *chunkReader) Close() {
 	if sc := r.sc; sc != nil {
-		r.stop()
+		r.pre.Stop()
 		r.sc = nil
 		sc.busy.Store(false)
 	}

@@ -64,8 +64,10 @@ type FileSource struct {
 	vertices int64
 	edges    int64
 	// ChunkEdges is the number of edge records read per I/O request
-	// while streaming. The default keeps requests in the multi-megabyte
-	// range the paper's Figure 9 identifies as bandwidth-saturating.
+	// while streaming; Edges holds two buffers of it, one being read
+	// while fn consumes the other. The default, 2 MiB a request and
+	// 4 MiB for the pair, keeps requests in the multi-megabyte range the
+	// paper's Figure 9 identifies as bandwidth-saturating.
 	ChunkEdges int
 }
 
@@ -91,7 +93,7 @@ func OpenEdges(dev storage.Device, name string) (*FileSource, error) {
 		name:       name,
 		vertices:   int64(binary.LittleEndian.Uint64(hdr[8:])),
 		edges:      int64(binary.LittleEndian.Uint64(hdr[16:])),
-		ChunkEdges: (4 << 20) / edgeSize,
+		ChunkEdges: (2 << 20) / edgeSize,
 	}
 	want := int64(headerSize) + s.edges*int64(edgeSize)
 	if got := f.Size(); got < want {
@@ -106,51 +108,70 @@ func (s *FileSource) NumVertices() int64 { return s.vertices }
 // NumEdges returns the edge record count recorded in the header.
 func (s *FileSource) NumEdges() int64 { return s.edges }
 
-// Edges streams the file in ChunkEdges-sized batches.
+// Edges streams the file in ChunkEdges-sized batches, in file order. One
+// goroutine reads ahead into the second of two chunk buffers while fn
+// consumes the first, so a pass's device reads overlap its compute (§3.3);
+// the reader never writes into the batch fn holds. A batch aliases its
+// buffer only while fn runs. A read error is returned once fn has seen
+// every chunk before it, an fn error stops the reader, and Edges returns
+// only after its goroutine has exited. Concurrent calls are independent.
 func (s *FileSource) Edges(fn func([]core.Edge) error) error {
 	f, err := s.dev.Open(s.name)
 	if err != nil {
 		return err
 	}
 	defer f.Close()
-	batch := make([]core.Edge, s.ChunkEdges)
-	raw := pod.AsBytes(batch)
-	off := int64(headerSize)
-	remaining := s.edges
-	for remaining > 0 {
-		n := int64(len(batch))
-		if n > remaining {
-			n = remaining
+	size := min(int64(s.ChunkEdges), s.edges)
+	off, remaining := int64(headerSize), s.edges
+	var ahead storage.Prefetcher[core.Edge]
+	ahead.Start(make([]core.Edge, size), make([]core.Edge, size), func(buf []core.Edge) ([]core.Edge, int64, error) {
+		if remaining == 0 {
+			return nil, 0, nil
 		}
-		want := raw[:n*int64(edgeSize)]
-		got, err := f.ReadAt(want, off)
-		if err != nil && err != io.EOF {
+		recs, err := s.readChunk(f, buf, off, remaining)
+		if err != nil {
+			return nil, 0, err
+		}
+		off += int64(len(recs)) * int64(edgeSize)
+		remaining -= int64(len(recs))
+		return recs, 0, nil
+	})
+	defer ahead.Stop() // the reader may be mid-read
+	for {
+		recs, _, err := ahead.Next()
+		if err != nil || recs == nil {
 			return err
 		}
-		if got%edgeSize != 0 {
-			// Short read mid-record: retry the tail.
-			for got%edgeSize != 0 {
-				m, err := f.ReadAt(want[got:], off+int64(got))
-				if m == 0 {
-					return fmt.Errorf("graphio: %s: short read at %d: %v", s.name, off, err)
-				}
-				got += m
-				if err != nil && err != io.EOF {
-					return err
-				}
-			}
-		}
-		recs := got / edgeSize
-		if recs == 0 {
-			return fmt.Errorf("graphio: %s: unexpected EOF at offset %d", s.name, off)
-		}
-		if err := fn(batch[:recs]); err != nil {
+		if err := fn(recs); err != nil {
 			return err
 		}
-		off += int64(got)
-		remaining -= int64(recs)
 	}
-	return nil
+}
+
+// readChunk reads the next at most len(buf) of the remaining records at
+// off into buf, retrying a short read that ends mid-record.
+func (s *FileSource) readChunk(f storage.File, buf []core.Edge, off, remaining int64) ([]core.Edge, error) {
+	n := min(int64(len(buf)), remaining)
+	want := pod.AsBytes(buf)[:n*int64(edgeSize)]
+	got, err := f.ReadAt(want, off)
+	if err != nil && err != io.EOF {
+		return nil, err
+	}
+	for got%edgeSize != 0 { // short read mid-record: retry the tail
+		m, err := f.ReadAt(want[got:], off+int64(got))
+		if m == 0 {
+			return nil, fmt.Errorf("graphio: %s: short read at %d: %v", s.name, off, err)
+		}
+		got += m
+		if err != nil && err != io.EOF {
+			return nil, err
+		}
+	}
+	recs := got / edgeSize
+	if recs == 0 {
+		return nil, fmt.Errorf("graphio: %s: unexpected EOF at offset %d", s.name, off)
+	}
+	return buf[:recs], nil
 }
 
 // ParseText parses a whitespace-separated text edge list: one "src dst"

@@ -6,15 +6,20 @@
 // X-Stream fixes streaming partitions as equal contiguous vertex-ID
 // ranges, so shuffle traffic — the updates that must hop between
 // partitions — is entirely determined by the input's vertex ordering. Two
-// cheap streaming passes over the unordered edge list recover most of the
+// cheap streaming phases over the unordered edge list recover most of the
 // locality a heavyweight offline partitioner would find:
 //
-//   - Phase 1 (clustering) re-streams the edge list once and greedily
-//     grows degree-weighted vertex clusters under a per-cluster volume
-//     cap: the endpoints of each edge join or merge clusters whenever the
-//     cap allows, so clusters trace the graph's community structure in
-//     stream order. Degrees come from one prior counting pass (EdgeSource
-//     is re-streamable by contract; no sorting, no index, O(V) state).
+//   - Phase 1 (clustering) streams the edge list twice and greedily grows
+//     degree-weighted vertex clusters under a per-cluster volume cap: the
+//     endpoints of each edge join or merge clusters whenever the cap
+//     allows, so clusters trace the graph's community structure in stream
+//     order. Degrees come from one prior counting pass (EdgeSource is
+//     re-streamable by contract; no sorting, no index, O(V) state). A
+//     pass skips a settled edge, whose endpoints hold one cluster slot,
+//     without touching degrees or the union-find, and between passes
+//     every vertex's slot is replaced by its root, so the second pass
+//     skips every edge inside a cluster. Both leave the result exactly
+//     what observing every edge gives.
 //
 //   - Phase 2 (packing) never touches the edge list: clusters are packed
 //     whole into the K equal-sized partitions, and the packing is emitted
@@ -26,9 +31,11 @@
 //     shuffle plans are all untouched — but now a range boundary is a
 //     cluster boundary, not an accident of input order.
 //
-// The result plugs into engines through core.Partitioner; preprocessing
-// cost is two edge streams plus an O(V log V) sort, and the engines remap
-// results back so callers never see relabeled IDs.
+// The result plugs into engines through core.Partitioner; Assign streams
+// the input three times (degrees, two clustering passes) plus an
+// O(V log V) sort, the engine's relabeling pre-processing shuffle streams
+// it a fourth time, and the engines remap results back so callers never
+// see relabeled IDs.
 package partition2ps
 
 import (
@@ -88,9 +95,49 @@ func (p *Partitioner) Assign(src core.EdgeSource, k int) (*core.Assignment, erro
 		return nil, fmt.Errorf("partition2ps: %d vertices exceed the 32-bit ID space", n)
 	}
 
-	// Pass 1: per-vertex degrees (undirected degree: each record counts
-	// at both endpoints, matching the volume an edge contributes to the
-	// partitions of its two vertices).
+	c, err := p.newClustering(src, split)
+	if err != nil {
+		return nil, err
+	}
+
+	// Phase 1: grow clusters along the edge stream. Re-streaming is free
+	// of any ordering assumptions: whatever order the source yields,
+	// endpoints sharing many edges tend to end up sharing a cluster.
+	passes := p.passes
+	if passes <= 0 {
+		passes = clusteringPasses
+	}
+	for pass := 0; pass < passes; pass++ {
+		if pass > 0 {
+			c.flatten()
+		}
+		err = src.Edges(func(batch []core.Edge) error {
+			for _, e := range batch {
+				// A settled edge, both endpoints in one slot, is one that
+				// observe would leave alone: equal slots have equal roots.
+				if cu := c.cluster[e.Src]; cu != noCluster && cu == c.cluster[e.Dst] {
+					continue
+				}
+				c.observe(e.Src, e.Dst)
+			}
+			return nil
+		})
+		if err != nil {
+			return nil, err
+		}
+	}
+
+	relabel, inverse := pack(c, split, n)
+	return &core.Assignment{Split: split, Relabel: relabel, Inverse: inverse}, nil
+}
+
+// newClustering streams src once for per-vertex degrees (undirected
+// degree: each record counts at both endpoints, matching the volume an
+// edge contributes to the partitions of its two vertices) and returns the
+// empty clustering with its caps set.
+func (p *Partitioner) newClustering(src core.EdgeSource, split core.Split) (*clustering, error) {
+	n := src.NumVertices()
+	k := split.K
 	deg := make([]uint32, n)
 	var totalVol int64
 	err := src.Edges(func(batch []core.Edge) error {
@@ -127,28 +174,7 @@ func (p *Partitioner) Assign(src core.EdgeSource, k int) (*core.Assignment, erro
 	for i := range c.cluster {
 		c.cluster[i] = noCluster
 	}
-
-	// Phase 1: grow clusters along the edge stream. Re-streaming is free
-	// of any ordering assumptions: whatever order the source yields,
-	// endpoints sharing many edges tend to end up sharing a cluster.
-	passes := p.passes
-	if passes <= 0 {
-		passes = clusteringPasses
-	}
-	for pass := 0; pass < passes; pass++ {
-		err = src.Edges(func(batch []core.Edge) error {
-			for _, e := range batch {
-				c.observe(e.Src, e.Dst)
-			}
-			return nil
-		})
-		if err != nil {
-			return nil, err
-		}
-	}
-
-	relabel, inverse := pack(c, split, n)
-	return &core.Assignment{Split: split, Relabel: relabel, Inverse: inverse}, nil
+	return c, nil
 }
 
 // clustering is the O(V) phase-1 state: a union-find forest over cluster
@@ -169,6 +195,17 @@ func (c *clustering) find(x int32) int32 {
 		x = c.parent[x]
 	}
 	return x
+}
+
+// flatten points every clustered vertex's slot at its root, so the next
+// pass's settled-edge check sees every edge inside one cluster. Roots,
+// volumes and counts are unchanged.
+func (c *clustering) flatten() {
+	for v, slot := range c.cluster {
+		if slot != noCluster {
+			c.cluster[v] = c.find(slot)
+		}
+	}
 }
 
 func (c *clustering) newCluster(vol int64, cnt int64) int32 {
