@@ -52,7 +52,10 @@ type Config struct {
 	// update stream never saw).
 	Selective bool
 	// TileEdges is the tile granularity (edge records) of selective
-	// skipping. 0 means the placement's default. In memory that is 4096:
+	// skipping: both placements cut every partition's edges into tiles of
+	// exactly this many records, the last one shorter, which is what
+	// PartitionPlan plans. 0 means the placement's default. In memory that
+	// is 4096:
 	// a skipped tile saves no read, only a scan, and 1024-record tiles
 	// made the serving workload's shared passes slower with the per-tile
 	// test they add. Out of core it is 1024, about half the edges of one

@@ -226,19 +226,27 @@ func (f *Frontier) AnyInRange(lo, hi int64) bool {
 }
 
 // SrcSpan is the per-tile source summary of selective streaming: the
-// min/max source vertex ID of one fixed-size run of edges. Both engines
-// index their edge tiles with it — the in-memory engine over
-// streambuf.BucketTiles runs, the out-of-core engine over the runs its
-// pre-processing shuffle writes to the edge files — so the skip test lives
-// in one place. Min/max is deliberately small (8 bytes per tile) and
-// conservative: a scattered frontier can intersect a wide span without
-// any active source actually being in the tile.
+// min/max source vertex ID of one fixed-size run of edges (SpanOf). Both
+// engines' tiles and the tile codec's blocks carry one, so the skip test
+// lives in one place. Min/max is deliberately small (8 bytes per tile) and
+// conservative: a scattered frontier can intersect a wide span without any
+// active source actually being in the tile.
 type SrcSpan struct {
 	Lo, Hi VertexID
 }
 
 // NewSrcSpan starts a span at a single source.
 func NewSrcSpan(v VertexID) SrcSpan { return SrcSpan{Lo: v, Hi: v} }
+
+// SpanOf returns the source span of edges, which must not be empty: the
+// span of a tile, or of one of a tile's blocks.
+func SpanOf(edges []Edge) SrcSpan {
+	s := NewSrcSpan(edges[0].Src)
+	for _, ed := range edges[1:] {
+		s.Add(ed.Src)
+	}
+	return s
+}
 
 // Add widens the span to include source v.
 func (s *SrcSpan) Add(v VertexID) {
@@ -374,18 +382,10 @@ func (s *Schedule) ActiveWords(p int) []uint32 {
 	return s.words[i:j]
 }
 
-// SkipPartition implements JobRun. An edgeless partition elides nothing, so
-// it is not counted.
-func (s *Schedule) SkipPartition(chunkEdges int64) {
-	if chunkEdges > 0 {
-		s.skipEdges.Add(chunkEdges)
-		s.skipParts.Add(1)
-	}
-}
-
-// SkipTiles implements JobRun.
-func (s *Schedule) SkipTiles(edges, tiles int64) {
+// Skip implements JobRun.
+func (s *Schedule) Skip(edges, partitions, tiles int64) {
 	s.skipEdges.Add(edges)
+	s.skipParts.Add(partitions)
 	s.skipTiles.Add(tiles)
 }
 

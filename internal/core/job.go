@@ -373,7 +373,7 @@ type JobRun interface {
 	NeedsTile(span SrcSpan) bool
 	// ActiveWords returns, ascending, the frontier words (word i holds
 	// vertices [64i, 64i+64)) that hold an active vertex of partition p this
-	// iteration — the candidates of the tile plan (PartitionPlan.NeededTiles);
+	// iteration — the candidates of the tile plan (PartitionPlan.Plan);
 	// nil on a dense run.
 	ActiveWords(p int) []uint32
 	// NewScatter returns engine worker w's scatter sink (0 ≤ w < the
@@ -384,13 +384,11 @@ type JobRun interface {
 	// partition's edges are exhausted, before asking for the next. Sinks
 	// are single-goroutine.
 	NewScatter(w, p int) JobScatter
-	// SkipPartition accounts a whole partition chunk the job's frontier
-	// proved useless (the engine never handed it to a sink). Safe for
-	// concurrent use from partition tasks.
-	SkipPartition(chunkEdges int64)
-	// SkipTiles accounts tiles the job's frontier proved useless. Safe
-	// for concurrent use from partition tasks.
-	SkipTiles(edges, tiles int64)
+	// Skip accounts the edge records, whole partitions and tiles the job's
+	// frontier proved useless, as PartitionPlan books them (the engine
+	// never hands them to a sink). Safe for concurrent use from partition
+	// tasks.
+	Skip(edges, partitions, tiles int64)
 	// EndScatter shuffles the iteration's update stream.
 	EndScatter() error
 	// Gather streams the shuffled updates into vertex state and advances
@@ -631,16 +629,30 @@ func (r *jobRun[V, M]) initVertices() error {
 	if degInit != nil && r.setup.Degrees == nil {
 		return fmt.Errorf("job %s: the engine counts no out-degrees", r.prog.Name())
 	}
-	var scratch []uint32
+	// One closure serves every window, which the loop sets.
+	const initBlock = 4096
+	var lo, hi int64
+	var win []V
+	var deg, scratch []uint32
+	initBlocks := func(_, b int) {
+		for i := b * initBlock; i < min(len(win), (b+1)*initBlock); i++ {
+			id := VertexID(lo + int64(i))
+			r.prog.Init(id, &win[i])
+			if deg != nil {
+				degInit.InitDegree(id, deg[i], &win[i])
+			}
+			if r.fp != nil && r.fp.InitiallyActive(id, &win[i]) {
+				r.Seed(id)
+			}
+		}
+	}
 	for p := 0; p < r.part.K; p++ {
-		lo, hi := r.part.Range(p, r.setup.NumVertices)
-		var win []V
+		lo, hi = r.part.Range(p, r.setup.NumVertices)
 		if r.vstore == nil {
 			win = r.verts[lo:hi]
 		} else {
 			win = r.win[:hi-lo]
 		}
-		var deg []uint32
 		if degInit != nil {
 			var err error
 			if deg, err = r.setup.Degrees(p, &scratch, &r.io); err != nil {
@@ -650,19 +662,7 @@ func (r *jobRun[V, M]) initVertices() error {
 				return fmt.Errorf("job %s: partition %d has %d out-degrees for %d vertices", r.prog.Name(), p, len(deg), len(win))
 			}
 		}
-		const initBlock = 4096
-		ForEachClaimed((len(win)+initBlock-1)/initBlock, r.setup.Threads, func(_, b int) {
-			for i := b * initBlock; i < min(len(win), (b+1)*initBlock); i++ {
-				id := VertexID(lo + int64(i))
-				r.prog.Init(id, &win[i])
-				if deg != nil {
-					degInit.InitDegree(id, deg[i], &win[i])
-				}
-				if r.fp != nil && r.fp.InitiallyActive(id, &win[i]) {
-					r.Seed(id)
-				}
-			}
-		})
+		ForEachClaimed((len(win)+initBlock-1)/initBlock, r.setup.Threads, initBlocks)
 		if err := r.storeWindow(p, win); err != nil {
 			return err
 		}

@@ -168,38 +168,154 @@ func RunPass(ctx context.Context, p Pass, pass *Stats) ([]JobResult, error) {
 	return results, nil
 }
 
+// TileRun is a run of a partition's consecutive tiles, First up to End,
+// and the records [Lo, Hi) of the partition's edges they hold.
+type TileRun struct {
+	First, End int
+	Lo, Hi     int64
+}
+
 // PartitionPlan is a shared scatter's plan for one partition of a stream:
-// the subscribers it is streamed to, and whether tile by tile. A scatter
-// keeps one per worker and re-plans it partition after partition; the zero
-// value is ready to plan.
+// the subscribers it is streamed to, the tiles streamed, and every skip the
+// plan makes. The skips are booked on the runs as they are planned, and
+// summed for the pass until Book. A scatter keeps one per worker and
+// re-plans it partition after partition; the zero value is ready to plan.
+//
+// A stream is cut, partition by partition, into tiles of tileRecs records,
+// the last one shorter: tile i of a partition holds its records
+// [i·tileRecs, min((i+1)·tileRecs, recs)).
 type PartitionPlan struct {
 	// Needing holds the subscribers that need the partition.
 	Needing []JobRun
-	// Tiled says the partition is scheduled tile by tile: some needing run
-	// is partially active, and the engine has a tile index. A dense or
-	// fully active run needs every tile, so a partition no run is partially
-	// active in would stream whole anyway.
+	// Tiled says the partition is planned tile by tile: some needing run is
+	// partially active, and the stream has a tile index. A dense or fully
+	// active run needs every tile, so a partition no run is partially
+	// active in streams whole.
 	Tiled bool
+	// Runs holds the streamed tiles, ascending, as runs of consecutive ids;
+	// none when no run needs the partition or it has no records.
+	Runs []TileRun
+	// Streamed is the number of records Runs hold.
+	Streamed int64
+
+	p              int
+	recs, tileRecs int64
+	ix             *TileIndex
+	ids, mine      []int32   // a tiled plan's tiles; Delivered's share of them
+	own            []TileRun // Delivered's runs
+
+	skipEdges, skipParts, skipTiles int64 // skipped since the last Book
 }
 
-// Plan plans partition p, whose edge chunk holds chunkEdges records, for
-// the stream's subscribers subs; indexed says the engine has a tile index
-// for the stream. Each subscriber that does not need p skips the chunk.
-func (pl *PartitionPlan) Plan(subs []JobRun, p int, chunkEdges int64, indexed bool) {
-	pl.Needing, pl.Tiled = pl.Needing[:0], false
+// Plan plans partition p, whose edges are recs records in tiles of
+// tileRecs, for the stream's subscribers subs; ix is the stream's tile
+// index, nil when no subscriber has a frontier. A subscriber that does not
+// need p skips it whole; a tile no needing run needs is skipped by all of
+// them — each would have skipped it in a pass of its own.
+func (pl *PartitionPlan) Plan(subs []JobRun, p int, recs int64, tileRecs int, ix *TileIndex) {
+	pl.Needing, pl.Tiled, pl.Runs, pl.Streamed = pl.Needing[:0], false, pl.Runs[:0], 0
+	pl.p, pl.recs, pl.tileRecs, pl.ix = p, recs, int64(tileRecs), ix
 	for _, r := range subs {
 		if !r.NeedsPartition(p) {
-			r.SkipPartition(chunkEdges)
+			if recs > 0 { // an edgeless partition elides nothing, so it is not counted
+				r.Skip(recs, 1, 0)
+			}
 			continue
 		}
 		pl.Needing = append(pl.Needing, r)
-		pl.Tiled = pl.Tiled || indexed && r.PartiallyActive(p)
+		pl.Tiled = pl.Tiled || ix != nil && r.PartiallyActive(p)
+	}
+	switch {
+	case len(pl.Needing) == 0:
+		if recs > 0 {
+			pl.skipEdges += recs
+			pl.skipParts++
+		}
+	case !pl.Tiled:
+		if recs > 0 {
+			pl.Runs = append(pl.Runs, pl.run(0, int((recs+pl.tileRecs-1)/pl.tileRecs)))
+			pl.Streamed = recs
+		}
+	default:
+		pl.ids = pl.neededTiles(ix, p, pl.ids)
+		pl.Runs, pl.Streamed = pl.coalesce(pl.Runs, pl.ids)
+		if tiles := ix.Tiles(p) - len(pl.ids); tiles > 0 {
+			pl.skip(recs-pl.Streamed, int64(tiles))
+		}
 	}
 }
 
+// run returns the run of tiles [first, end).
+func (pl *PartitionPlan) run(first, end int) TileRun {
+	return TileRun{First: first, End: end, Lo: int64(first) * pl.tileRecs, Hi: min(int64(end)*pl.tileRecs, pl.recs)}
+}
+
+// coalesce appends to dst the runs of consecutive ids among the ascending
+// tile ids, and returns the records they hold.
+func (pl *PartitionPlan) coalesce(dst []TileRun, ids []int32) ([]TileRun, int64) {
+	var recs int64
+	for i := 0; i < len(ids); {
+		j := i + 1
+		for j < len(ids) && ids[j] == ids[j-1]+1 {
+			j++
+		}
+		run := pl.run(int(ids[i]), int(ids[j-1])+1)
+		dst, recs = append(dst, run), recs+run.Hi-run.Lo
+		i = j
+	}
+	return dst, recs
+}
+
+// skip books edges records and tiles tiles skipped by every needing run.
+func (pl *PartitionPlan) skip(edges, tiles int64) {
+	for _, r := range pl.Needing {
+		r.Skip(edges, 0, tiles)
+	}
+	pl.skipEdges += edges
+	pl.skipTiles += tiles
+}
+
+// SkipRecords books edges records of the planned runs that the engine
+// delivered to no needing run — the blocks of a tile no run's frontier
+// reaches — as skipped by each of them and by the pass.
+func (pl *PartitionPlan) SkipRecords(edges int64) { pl.skip(edges, 0) }
+
+// Delivered returns the runs of tiles needing run i is handed: Runs, less
+// the tiles of a tiled plan its own frontier misses, booked as its skips,
+// so it scatters and skips what it would in a pass of its own. Call it once
+// per needing run; the runs are in the plan's storage until the next call.
+func (pl *PartitionPlan) Delivered(i int) []TileRun {
+	r := pl.Needing[i]
+	if !pl.Tiled || len(pl.Needing) == 1 || !r.PartiallyActive(pl.p) {
+		return pl.Runs // a dense or fully active run needs every tile
+	}
+	pl.mine = pl.mine[:0]
+	for _, t := range pl.ids {
+		if r.NeedsTile(pl.ix.Span(pl.p, int(t))) {
+			pl.mine = append(pl.mine, t)
+		}
+	}
+	withheld := len(pl.ids) - len(pl.mine)
+	if withheld == 0 {
+		return pl.Runs
+	}
+	own, recs := pl.coalesce(pl.own[:0], pl.mine)
+	pl.own = own
+	r.Skip(pl.Streamed-recs, 0, int64(withheld))
+	return own
+}
+
+// Book adds what the plans since the last Book skipped — the records, the
+// whole partitions and the tiles no needing run was streamed — to pass.
+func (pl *PartitionPlan) Book(pass *Stats) {
+	pass.EdgesSkipped += pl.skipEdges
+	pass.PartitionsSkipped += pl.skipParts
+	pass.TilesSkipped += pl.skipTiles
+	pl.skipEdges, pl.skipParts, pl.skipTiles = 0, 0, 0
+}
+
 // NeedsTile is the plan's union tile predicate: whether some needing run
-// may need a tile with the given source span. A tile none needs is skipped
-// by all of them — each would have skipped it in a pass of its own.
+// may need a tile, or a block of one, with the given source span.
 func (pl *PartitionPlan) NeedsTile(span SrcSpan) bool {
 	for _, r := range pl.Needing {
 		if r.NeedsTile(span) {
@@ -209,14 +325,14 @@ func (pl *PartitionPlan) NeedsTile(span SrcSpan) bool {
 	return false
 }
 
-// NeededTiles returns, ascending and in dst's storage, the ids of partition
+// neededTiles returns, ascending and in dst's storage, the ids of partition
 // p's tiles in ix that NeedsTile accepts — the tiles of a Tiled plan that
 // are streamed. When every needing run is partially active the candidates
 // are the tiles ix files under the runs' active words in p, plus the wide
 // ones, so the plan costs what the frontiers hold; a dense or fully active
 // run makes every tile a candidate. Each candidate is then decided by
 // NeedsTile, so the result is exactly a walk of every tile.
-func (pl *PartitionPlan) NeededTiles(ix *TileIndex, p int, dst []int32) []int32 {
+func (pl *PartitionPlan) neededTiles(ix *TileIndex, p int, dst []int32) []int32 {
 	ids := dst[:0]
 	all := false
 	for _, r := range pl.Needing {

@@ -13,11 +13,11 @@ type scheduleRun struct {
 	s *Schedule
 }
 
-func (r scheduleRun) NeedsPartition(p int) bool      { return r.s.NeedsPartition(p) }
-func (r scheduleRun) PartiallyActive(p int) bool     { return r.s.PartiallyActive(p) }
-func (r scheduleRun) NeedsTile(span SrcSpan) bool    { return r.s.NeedsTile(span) }
-func (r scheduleRun) ActiveWords(p int) []uint32     { return r.s.ActiveWords(p) }
-func (r scheduleRun) SkipPartition(chunkEdges int64) { r.s.SkipPartition(chunkEdges) }
+func (r scheduleRun) NeedsPartition(p int) bool           { return r.s.NeedsPartition(p) }
+func (r scheduleRun) PartiallyActive(p int) bool          { return r.s.PartiallyActive(p) }
+func (r scheduleRun) NeedsTile(span SrcSpan) bool         { return r.s.NeedsTile(span) }
+func (r scheduleRun) ActiveWords(p int) []uint32          { return r.s.ActiveWords(p) }
+func (r scheduleRun) Skip(edges, partitions, tiles int64) { r.s.Skip(edges, partitions, tiles) }
 
 // randomTileRuns draws one to three runs over nv vertices split K ways:
 // mostly partially active frontiers of random density, and among them,
@@ -72,7 +72,7 @@ func randomTileSpans(rng *rand.Rand, part Split, nv int64) [][]SrcSpan {
 }
 
 // walkTiles is the tile plan as a walk: every tile of partition p asked
-// whether some needing run needs it — the planner NeededTiles replaced,
+// whether some needing run needs it — the planner neededTiles replaced,
 // kept as its oracle.
 func walkTiles(needing []JobRun, spans []SrcSpan) []int32 {
 	var ids []int32
@@ -89,9 +89,9 @@ func walkTiles(needing []JobRun, spans []SrcSpan) []int32 {
 
 // TestTilePlanMatchesWalk: on seeded random spans, narrow and wide, over
 // splits whose partitions are narrower and wider than a frontier word, and
-// random frontiers for one to three runs, the word→tile plan needs exactly
-// the tiles the per-tile walk needs, and the index files no tile under more
-// than narrowWords words.
+// random frontiers for one to three runs, the runs of tiles the partition
+// plan streams hold exactly the tiles the per-tile walk needs, and the index
+// files no tile under more than narrowWords words.
 func TestTilePlanMatchesWalk(t *testing.T) {
 	rng := rand.New(rand.NewSource(34))
 	for trial := 0; trial < 300; trial++ {
@@ -106,11 +106,23 @@ func TestTilePlanMatchesWalk(t *testing.T) {
 			}
 		}
 		runs := randomTileRuns(rng, part, nv)
+		tileRecs := 1 + rng.Intn(5)
 		var plan PartitionPlan
-		var ids []int32
 		for p := 0; p < k; p++ {
-			plan.Plan(runs, p, 1, true)
-			ids = plan.NeededTiles(ix, p, ids)
+			recs := int64(len(spans[p]) * tileRecs)
+			if recs > 0 {
+				recs -= rng.Int63n(int64(tileRecs)) // a shorter last tile
+			}
+			plan.Plan(runs, p, recs, tileRecs, ix)
+			var ids []int32
+			for _, run := range plan.Runs {
+				if run.Lo != int64(run.First*tileRecs) || run.Hi != min(int64(run.End*tileRecs), recs) {
+					t.Fatalf("trial %d partition %d: run %+v of %d-record tiles in %d records", trial, p, run, tileRecs, recs)
+				}
+				for i := run.First; i < run.End; i++ {
+					ids = append(ids, int32(i))
+				}
+			}
 			if want := walkTiles(plan.Needing, spans[p]); !slices.Equal(ids, want) {
 				t.Fatalf("trial %d (nv %d, K %d) partition %d, tiled %v: planned %v, the walk needs %v",
 					trial, nv, k, p, plan.Tiled, ids, want)

@@ -308,19 +308,15 @@ func (r *tileReader) readBatch(i, j int, out []core.Edge) ([]core.Edge, int64, e
 
 // keepBlocks compacts a checked raw batch of tiles in place to the blocks
 // r.need accepts, and counts the rest as skipped. A block is a run of
-// tilecodec.BlockRecs records of one tile, and its span is computed from
-// its records, as tilecodec does for a raw tile.
+// tilecodec.BlockRecs records of one tile, and its span is core.SpanOf of
+// its records, as in tilecodec.
 func (r *tileReader) keepBlocks(tiles []tileSpan, recs []core.Edge) []core.Edge {
 	kept, pos := 0, 0
 	for _, tl := range tiles {
 		for end := pos + int(tl.recs); pos < end; {
 			blk := recs[pos:min(pos+tilecodec.BlockRecs, end)]
 			pos += len(blk)
-			span := core.NewSrcSpan(blk[0].Src)
-			for _, ed := range blk[1:] {
-				span.Add(ed.Src)
-			}
-			if !r.need(span) {
+			if !r.need(core.SpanOf(blk)) {
 				r.skipped += int64(len(blk))
 				continue
 			}

@@ -41,7 +41,7 @@ func shuffleLayout(t *testing.T, compressed bool, tileRecs int) ([]*partFile, *d
 func partitionRecords(t *testing.T, f *partFile, tiles *diskTiles, p int, prefetch bool) []core.Edge {
 	t.Helper()
 	var out []core.Edge
-	segs, _, _ := planSegments(tiles, p, false, nil, nil)
+	segs := tiles.whole(p)
 	_, _, err := streamSegments(nil, new(edgeScratch), f, tiles.compressed, true, segs, 512, prefetch, nil, func(chunk []core.Edge) error {
 		out = append(out, append([]core.Edge(nil), chunk...)...)
 		return nil

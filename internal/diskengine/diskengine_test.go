@@ -575,9 +575,9 @@ func TestSelectiveIgnoredWithoutContractDisk(t *testing.T) {
 	}
 }
 
-// TestDiskTilesSegments exercises the tile index directly: needed tiles
-// become segments, adjacent ones coalesce and skipped record counts
-// reconcile.
+// TestDiskTilesSegments exercises the tile index through the partition
+// plan: needed tiles become segments, adjacent ones coalesce and skipped
+// record counts reconcile.
 func TestDiskTilesSegments(t *testing.T) {
 	dt := newDiskTiles(1, Config{TileEdges: 4, Selective: true})
 	edges := make([]core.Edge, 10)
@@ -595,22 +595,39 @@ func TestDiskTilesSegments(t *testing.T) {
 		t.Fatalf("tile count %d, want 3", got)
 	}
 
-	// Only the middle tile is needed.
-	segs, skipRecs, skipTiles := planSegments(dt, 0, true, []int32{1}, nil)
-	if len(segs) != 1 || segs[0].lo != 4 || segs[0].hi != 8 {
-		t.Fatalf("segments %+v, want [{4 8}]", segs)
-	}
-	if skipRecs != 6 || skipTiles != 2 {
-		t.Fatalf("skipped %d recs / %d tiles, want 6 / 2", skipRecs, skipTiles)
-	}
-
-	// Adjacent needed tiles coalesce.
-	segs, skipRecs, skipTiles = planSegments(dt, 0, true, []int32{0, 1}, nil)
-	if len(segs) != 1 || segs[0].lo != 0 || segs[0].hi != 8 {
-		t.Fatalf("segments %+v, want [{0 8}]", segs)
-	}
-	if skipRecs != 2 || skipTiles != 1 {
-		t.Fatalf("skipped %d recs / %d tiles, want 2 / 1", skipRecs, skipTiles)
+	const nv = 100
+	for _, c := range []struct {
+		what              string
+		active            []core.VertexID
+		lo, hi            int64
+		skipRecs, skipTls int64
+	}{
+		{"only the middle tile is needed", []core.VertexID{50}, 4, 8, 6, 2},
+		{"adjacent needed tiles coalesce", []core.VertexID{10, 50}, 0, 8, 2, 1},
+	} {
+		s := new(core.Schedule)
+		s.InitSchedule(core.NewSplit(nv, 1), nv, true)
+		for _, v := range c.active {
+			s.Seed(v)
+		}
+		s.Recount()
+		var plan core.PartitionPlan
+		plan.Plan([]core.JobRun{scheduleRun{s: s}}, 0, dt.totalRecs(0), int(dt.tileRecs), dt.tileIndex())
+		var segs []edgeSegment
+		for _, run := range plan.Runs {
+			segs = append(segs, dt.segment(0, run.First, run.End))
+		}
+		if len(segs) != 1 || segs[0].lo != c.lo || segs[0].hi != c.hi {
+			t.Fatalf("%s: segments %+v, want [{%d %d}]", c.what, segs, c.lo, c.hi)
+		}
+		var pass, job core.Stats
+		plan.Book(&pass)
+		s.TakeSkips(&job)
+		for _, st := range []core.Stats{pass, job} {
+			if st.EdgesSkipped != c.skipRecs || st.TilesSkipped != c.skipTls {
+				t.Fatalf("%s: skipped %d recs / %d tiles, want %d / %d", c.what, st.EdgesSkipped, st.TilesSkipped, c.skipRecs, c.skipTls)
+			}
+		}
 	}
 }
 

@@ -373,8 +373,7 @@ func (s *forwardSource) NumEdges() int64 { return s.pp.ne }
 func (s *forwardSource) Edges(fn func([]core.Edge) error) error {
 	pp := s.pp
 	for p := range pp.edgeFiles {
-		segs, _, _ := planSegments(pp.tilesFwd, p, false, nil, nil)
-		io, _, err := pp.streamPartition(nil, s.sc, pp.edgeFiles, pp.tilesFwd, p, segs, nil, fn)
+		io, _, err := pp.streamPartition(nil, s.sc, pp.edgeFiles, pp.tilesFwd, p, pp.tilesFwd.whole(p), nil, fn)
 		s.io.read += io.read
 		s.io.logical += io.logical
 		s.io.checked += io.checked
@@ -386,7 +385,7 @@ func (s *forwardSource) Edges(fn func([]core.Edge) error) error {
 }
 
 // streamPartition is how the scatter loop, and the transpose build, reads
-// partition p's edge file: it streams the segments planSegments planned
+// partition p's edge file: it streams the segments of the planned runs
 // through fn — with need, only the blocks need accepts — under the config's
 // verify and prefetch settings, and returns the traffic moved and the
 // records of the blocks skipped. Every record is checked against the
@@ -562,7 +561,6 @@ type diskPass struct {
 	rd       edgeScratch
 	plan     core.PartitionPlan
 	need     func(core.SrcSpan) bool // plan.NeedsTile, bound once per pass
-	ids      []int32                 // the partition's needed tiles, for one plan
 	segs     []edgeSegment           // the partition's planned reads, for one plan
 	scatters []core.JobScatter
 	snaps    []core.Snapshotter
@@ -641,15 +639,17 @@ func (pp *Prepared) layoutStats(st *core.Stats) {
 }
 
 // Scatter implements core.PassEngine: it reads each partition's edge file
-// of dir (or only its needed tile segments) once and feeds every chunk to
-// every run that needs the partition. A partition planned tile by tile
-// delivers only the blocks of its tiles whose span some needing run's
-// frontier meets; the records of the others are skipped like a skipped
-// tile's.
+// of dir as the pass's core.PartitionPlan plans it — not at all when no
+// run's frontier reaches the partition, else one segment per planned run of
+// tiles — and feeds every chunk to every run that needs the partition.
+// Within a tiled plan's tiles it delivers only the blocks whose span some
+// needing run's frontier meets; the records of the others are skipped like
+// a skipped tile's.
 func (d *diskPass) Scatter(ctx context.Context, dir core.Direction, subs []core.JobRun, pass *core.Stats) error {
 	pp := d.pp
 	tr := pp.cfg.Tracer
 	files, tiles, index := d.streams[dir].files, d.streams[dir].tiles, d.streams[dir].index
+	defer d.plan.Book(pass)
 	for p := 0; p < pp.k; p++ {
 		if err := ctx.Err(); err != nil { // between partition files
 			return err
@@ -658,53 +658,33 @@ func (d *diskPass) Scatter(ctx context.Context, dir core.Direction, subs []core.
 		if tr != nil {
 			pStart = time.Now()
 		}
-		fileRecs := tiles.totalRecs(p)
-		d.plan.Plan(subs, p, fileRecs, index != nil)
-		needing := d.plan.Needing
-		if len(needing) == 0 {
-			// No run reaches the partition: by the FrontierProgram contract
-			// every edge here is a no-op, so its edge file is never read. An
-			// empty file elides nothing, so it is not counted.
-			if fileRecs > 0 {
-				pass.EdgesSkipped += fileRecs
-				pass.PartitionsSkipped++
-			}
+		d.plan.Plan(subs, p, tiles.totalRecs(p), int(tiles.tileRecs), index)
+		if len(d.plan.Runs) == 0 {
 			continue
 		}
+		d.segs = d.segs[:0]
+		for _, run := range d.plan.Runs {
+			d.segs = append(d.segs, tiles.segment(p, run.First, run.End))
+		}
+		// In a tile read, a block no run needs is neither decoded nor
+		// scattered.
 		var need func(core.SrcSpan) bool
 		if d.plan.Tiled {
-			// Read only the segments whose tiles some run's frontier
-			// reaches: a tile no run needs is a byte range never read. In
-			// a tile read, a block no run needs is neither decoded nor
-			// scattered.
-			d.ids = d.plan.NeededTiles(index, p, d.ids)
 			need = d.need
-		}
-		segs, skippedRecs, skippedTiles := planSegments(tiles, p, d.plan.Tiled, d.ids, d.segs)
-		d.segs = segs
-		pass.EdgesSkipped += skippedRecs
-		pass.TilesSkipped += skippedTiles
-		for _, r := range needing {
-			r.SkipTiles(skippedRecs, skippedTiles)
-		}
-		if len(segs) == 0 {
-			continue
 		}
 		// A run readies its sink — one with a vertex store loads the
 		// partition's vertex window — only for a partition that is actually
 		// read. Each run has the one sink, fed by one goroutine (feedJobs),
 		// so no run's transport is ever sent to concurrently.
+		needing := d.plan.Needing
 		scatters := d.scatters[:len(needing)]
 		for i, r := range needing {
 			scatters[i] = r.NewScatter(0, p)
 		}
-		io, skippedBlocks, err := pp.streamPartition(ctx, &d.rd, files, tiles, p, segs, need, func(chunk []core.Edge) error {
+		io, skippedBlocks, err := pp.streamPartition(ctx, &d.rd, files, tiles, p, d.segs, need, func(chunk []core.Edge) error {
 			return feedJobs(scatters, chunk)
 		})
-		pass.EdgesSkipped += skippedBlocks
-		for _, r := range needing {
-			r.SkipTiles(skippedBlocks, 0)
-		}
+		d.plan.SkipRecords(skippedBlocks)
 		pEdges := io.logical/edgeRecSize - skippedBlocks
 		pass.EdgesStreamed += pEdges
 		pass.SequentialRefs += pEdges

@@ -83,7 +83,7 @@ func readerLifecycle(t *testing.T, compressed bool) {
 	if fileRecs < 4*chunkRecs {
 		t.Fatalf("partition %d holds %d records, too few to keep a prefetch in flight", p, fileRecs)
 	}
-	segs, _, _ := planSegments(tiles, p, false, nil, nil)
+	segs := tiles.whole(p)
 	want := partitionRecords(t, pf, tiles, p, false)
 
 	sc := new(edgeScratch)
@@ -171,7 +171,7 @@ func TestTileReaderChecksumsRawTilesBeforeDelivery(t *testing.T) {
 	if len(parts) < 6 {
 		t.Fatalf("partition %d has %d tiles, too few for several two-tile batches", p, len(parts))
 	}
-	segs, _, _ := planSegments(tiles, p, false, nil, nil)
+	segs := tiles.whole(p)
 	sc := new(edgeScratch)
 	flip := func(off int64) {
 		t.Helper()
@@ -231,7 +231,7 @@ func TestSkippedBlockStillVerified(t *testing.T) {
 		tl := parts[i]
 		first := blockSpan(tl.lo)
 		need := func(s core.SrcSpan) bool { return s == first }
-		segs, _, _ := planSegments(tiles, 0, true, []int32{int32(i)}, nil)
+		segs := []edgeSegment{tiles.segment(0, i, i+1)}
 		stream := func() (delivered, skipped int64, err error) {
 			_, skipped, err = streamSegments(nil, new(edgeScratch), pf, compressed, true, segs, 512, true, need, func(chunk []core.Edge) error {
 				delivered += int64(len(chunk))
@@ -272,7 +272,7 @@ func TestSkippedBlockStillVerified(t *testing.T) {
 func TestSingleBatchSegmentReadsInline(t *testing.T) {
 	for _, compressed := range []bool{false, true} {
 		files, tiles := shuffleLayout(t, compressed, 128)
-		segs, _, _ := planSegments(tiles, 0, false, nil, nil)
+		segs := tiles.whole(0)
 		sc := new(edgeScratch)
 		base := runtime.NumGoroutine()
 		rd := sc.openTiles(files[0].f, segs[0].tiles, compressed, 1<<20, true, true, nil)
@@ -494,7 +494,7 @@ func TestScatterRoomProtocol(t *testing.T) {
 // partitionEdges reads partition p's raw edge file whole.
 func partitionEdges(t *testing.T, pp *Prepared, p int) (edges []core.Edge) {
 	t.Helper()
-	segs, _, _ := planSegments(pp.tilesFwd, p, false, nil, nil)
+	segs := pp.tilesFwd.whole(p)
 	if _, _, err := streamSegments(nil, new(edgeScratch), pp.edgeFiles[p], false, true, segs, pp.readRecs, true, nil, func(chunk []core.Edge) error {
 		edges = append(edges, chunk...)
 		return nil
@@ -571,7 +571,7 @@ func TestScatterSinkAllocatesNothingWarm(t *testing.T) {
 func TestSingleTileStreamAllocatesNothingWarm(t *testing.T) {
 	for _, compressed := range []bool{false, true} {
 		files, tiles := shuffleLayout(t, compressed, 128)
-		segs, _, _ := planSegments(tiles, 0, true, []int32{0}, nil)
+		segs := []edgeSegment{tiles.segment(0, 0, 1)}
 		if got := segs[0].hi - segs[0].lo; got != 128 {
 			t.Fatalf("compressed=%v: planned a %d-record segment, want one 128-record tile", compressed, got)
 		}

@@ -106,39 +106,27 @@ func (t *diskTiles) tileIndex() *core.TileIndex {
 	return t.index
 }
 
-// edgeSegment is one contiguous read of an edge file as planned by
-// planSegments: a logical record range [lo, hi) and the run of tiles covering
-// it, which tileReader reads and checks tile by tile.
+// edgeSegment is one contiguous read of an edge file: a run of consecutive
+// tiles, which tileReader reads and checks tile by tile, and the logical
+// record range [lo, hi) they hold.
 type edgeSegment struct {
 	lo, hi int64
 	tiles  []tileSpan
 }
 
-// planSegments plans the streaming of partition p's edge file into dst's
-// storage: every tile unless tiled, else the tiles needed lists — tile ids
-// of t's partition p, ascending (core.PartitionPlan.NeededTiles) — with runs
-// of consecutive ids coalesced into one segment each, and the records and
-// tiles of the others skipped.
-func planSegments(t *diskTiles, p int, tiled bool, needed []int32, dst []edgeSegment) (segs []edgeSegment, skippedRecs, skippedTiles int64) {
-	segs = dst[:0]
-	tiles := t.parts[p]
-	if !tiled {
-		if len(tiles) == 0 {
-			return segs, 0, 0
-		}
-		return append(segs, edgeSegment{lo: 0, hi: t.totalRecs(p), tiles: tiles}), 0, 0
+// segment returns the read of partition p's tiles first up to end — a run
+// of core.PartitionPlan.Runs.
+func (t *diskTiles) segment(p, first, end int) edgeSegment {
+	tiles := t.parts[p][first:end]
+	last := tiles[len(tiles)-1]
+	return edgeSegment{lo: tiles[0].lo, hi: last.lo + last.recs, tiles: tiles}
+}
+
+// whole returns the read of all of partition p's edge file: one segment,
+// none for an empty file.
+func (t *diskTiles) whole(p int) []edgeSegment {
+	if len(t.parts[p]) == 0 {
+		return nil
 	}
-	streamed := int64(0)
-	for i := 0; i < len(needed); {
-		j := i + 1
-		for j < len(needed) && needed[j] == needed[j-1]+1 {
-			j++
-		}
-		first, last := tiles[needed[i]], tiles[needed[j-1]]
-		seg := edgeSegment{lo: first.lo, hi: last.lo + last.recs, tiles: tiles[needed[i] : needed[j-1]+1]}
-		segs = append(segs, seg)
-		streamed += seg.hi - seg.lo
-		i = j
-	}
-	return segs, t.totalRecs(p) - streamed, int64(len(tiles) - len(needed))
+	return []edgeSegment{t.segment(p, 0, len(t.parts[p]))}
 }

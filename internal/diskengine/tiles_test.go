@@ -50,19 +50,30 @@ type scheduleRun struct {
 	s *core.Schedule
 }
 
-func (r scheduleRun) NeedsPartition(p int) bool        { return r.s.NeedsPartition(p) }
-func (r scheduleRun) PartiallyActive(p int) bool       { return r.s.PartiallyActive(p) }
-func (r scheduleRun) NeedsTile(span core.SrcSpan) bool { return r.s.NeedsTile(span) }
-func (r scheduleRun) ActiveWords(p int) []uint32       { return r.s.ActiveWords(p) }
-func (r scheduleRun) SkipPartition(chunkEdges int64)   { r.s.SkipPartition(chunkEdges) }
+func (r scheduleRun) NeedsPartition(p int) bool           { return r.s.NeedsPartition(p) }
+func (r scheduleRun) PartiallyActive(p int) bool          { return r.s.PartiallyActive(p) }
+func (r scheduleRun) NeedsTile(span core.SrcSpan) bool    { return r.s.NeedsTile(span) }
+func (r scheduleRun) ActiveWords(p int) []uint32          { return r.s.ActiveWords(p) }
+func (r scheduleRun) Skip(edges, partitions, tiles int64) { r.s.Skip(edges, partitions, tiles) }
+
+// planRuns plans partition p of tiles for runs and returns the reads of
+// its planned runs of tiles.
+func planRuns(plan *core.PartitionPlan, runs []core.JobRun, tiles *diskTiles, ix *core.TileIndex, p int) []edgeSegment {
+	plan.Plan(runs, p, tiles.totalRecs(p), int(tiles.tileRecs), ix)
+	var segs []edgeSegment
+	for _, run := range plan.Runs {
+		segs = append(segs, tiles.segment(p, run.First, run.End))
+	}
+	return segs
+}
 
 // TestTilePlanMatchesWalk: over seeded random tile indexes — narrow and wide
 // spans, raw and compressed layouts, splits whose partitions are narrower
 // and wider than a frontier word — and random frontiers for one to three
-// runs, among them a fully active and a dense one, planSegments over the
-// word→tile plan reads the segments the per-tile walk reads and skips the
-// same records and tiles. The shuffled layouts of both formats plan the same
-// way on random frontiers too.
+// runs, among them a fully active and a dense one, the segments of the
+// core.PartitionPlan's runs of tiles are the ones the per-tile walk reads,
+// and the plan books the records and tiles the walk skips. The shuffled
+// layouts of both formats plan the same way on random frontiers too.
 func TestTilePlanMatchesWalk(t *testing.T) {
 	rng := rand.New(rand.NewSource(34))
 	check := func(name string, tiles *diskTiles, part core.Split, nv int64) {
@@ -70,17 +81,19 @@ func TestTilePlanMatchesWalk(t *testing.T) {
 		ix := tiles.tileIndex()
 		runs, _ := randomRuns(rng, part, nv)
 		var plan core.PartitionPlan
-		var ids []int32
 		for p := 0; p < part.K; p++ {
-			plan.Plan(runs, p, tiles.totalRecs(p), true)
+			segs := planRuns(&plan, runs, tiles, ix, p)
 			var need func(core.SrcSpan) bool
 			if plan.Tiled {
-				ids = plan.NeededTiles(ix, p, ids)
 				need = plan.NeedsTile
 			}
-			segs, sr, st := planSegments(tiles, p, plan.Tiled, ids, nil)
 			want, wsr, wst := referencePlanSegments(tiles, p, need)
-			if !reflect.DeepEqual(segs, want) || sr != wsr || st != wst {
+			if len(plan.Needing) == 0 {
+				want, wsr, wst = nil, tiles.totalRecs(p), 0
+			}
+			var pass core.Stats
+			plan.Book(&pass)
+			if sr, st := pass.EdgesSkipped, pass.TilesSkipped; !reflect.DeepEqual(segs, want) || sr != wsr || st != wst {
 				t.Fatalf("%s partition %d (tiled %v): planned %+v skipping %d/%d, the walk %+v skipping %d/%d",
 					name, p, plan.Tiled, segs, sr, st, want, wsr, wst)
 			}
@@ -90,19 +103,26 @@ func TestTilePlanMatchesWalk(t *testing.T) {
 		nv := 1 + rng.Int63n(3000)
 		part := core.NewSplit(nv, 1+rng.Intn(64))
 		for _, compressed := range []bool{false, true} {
+			// The shuffle cuts every partition into full tiles and a
+			// shorter last one.
 			tiles := newDiskTiles(part.K, Config{TileEdges: 64, CompressTiles: compressed, Selective: true})
 			for p := 0; p < part.K; p++ {
 				lo, hi := part.Range(p, nv)
 				if lo >= hi {
 					continue
 				}
-				for range rng.Intn(40) {
+				n := rng.Intn(40)
+				for i := range n {
 					width := 1 + rng.Int63n(min(hi-lo, 64*(1+rng.Int63n(10))))
 					if rng.Intn(8) == 0 {
 						width = 1 + rng.Int63n(hi-lo)
 					}
 					a := lo + rng.Int63n(hi-lo-width+1)
-					tiles.appendTile(p, tileSpan{recs: 1 + rng.Int63n(64), span: core.SrcSpan{Lo: core.VertexID(a), Hi: core.VertexID(a + width - 1)}})
+					recs := tiles.tileRecs
+					if i == n-1 {
+						recs = 1 + rng.Int63n(recs)
+					}
+					tiles.appendTile(p, tileSpan{recs: recs, span: core.SrcSpan{Lo: core.VertexID(a), Hi: core.VertexID(a + width - 1)}})
 				}
 			}
 			check("random", tiles, part, nv)
@@ -258,7 +278,6 @@ func TestBlockPlanMatchesWalk(t *testing.T) {
 		}
 		sc := new(edgeScratch)
 		var plan core.PartitionPlan
-		var ids []int32
 		for p := 0; p < part.K; p++ {
 			lo, hi := part.Range(p, nv)
 			// The walk: a run needs p when it is dense or holds an active
@@ -294,22 +313,23 @@ func TestBlockPlanMatchesWalk(t *testing.T) {
 			}
 
 			total := tiles.totalRecs(p)
-			plan.Plan(runs, p, total, true)
+			segs := planRuns(&plan, runs, tiles, ix, p)
 			if len(plan.Needing) != len(needing) {
 				t.Fatalf("trial %d partition %d: %d runs need it, the walk says %d", trial, p, len(plan.Needing), len(needing))
 			}
 			if len(plan.Needing) == 0 {
-				if len(want) != 0 {
-					t.Fatalf("trial %d partition %d: no run needs it, the walk keeps %d records", trial, p, len(want))
+				var pass core.Stats
+				plan.Book(&pass)
+				if len(want) != 0 || pass.EdgesSkipped != total {
+					t.Fatalf("trial %d partition %d: no run needs it, the walk keeps %d records, the plan skips %d of %d",
+						trial, p, len(want), pass.EdgesSkipped, total)
 				}
 				continue
 			}
 			var need func(core.SrcSpan) bool
 			if plan.Tiled {
-				ids = plan.NeededTiles(ix, p, ids)
 				need = plan.NeedsTile
 			}
-			segs, skippedTiles, _ := planSegments(tiles, p, plan.Tiled, ids, nil)
 			var got []core.Edge
 			chunkRecs := tileRecs * (1 + rng.Intn(3))
 			io, skippedBlocks, err := streamSegments(nil, sc, files[p], compressed, true, segs, chunkRecs, rng.Intn(2) == 0, need, func(chunk []core.Edge) error {
@@ -323,9 +343,12 @@ func TestBlockPlanMatchesWalk(t *testing.T) {
 				t.Fatalf("trial %d partition %d (compressed %v, tiles of %d, tiled %v): delivered %d records, the walk keeps %d",
 					trial, p, compressed, tileRecs, plan.Tiled, len(got), len(want))
 			}
-			if delivered := io.logical/edgeRecSize - skippedBlocks; delivered != int64(len(got)) || delivered+skippedBlocks+skippedTiles != total {
-				t.Fatalf("trial %d partition %d: %d delivered, %d skipped in blocks and %d in tiles, of %d records",
-					trial, p, delivered, skippedBlocks, skippedTiles, total)
+			plan.SkipRecords(skippedBlocks)
+			var pass core.Stats
+			plan.Book(&pass)
+			if delivered := io.logical/edgeRecSize - skippedBlocks; delivered != int64(len(got)) || delivered+pass.EdgesSkipped != total {
+				t.Fatalf("trial %d partition %d: %d delivered, %d skipped in blocks and %d in all, of %d records",
+					trial, p, delivered, skippedBlocks, pass.EdgesSkipped, total)
 			}
 			blocksSkipped[layout] += skippedBlocks
 		}

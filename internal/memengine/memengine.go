@@ -42,12 +42,14 @@
 // When the program additionally implements core.FrontierProgram and
 // Config.Selective is set, the engine keeps an active-vertex frontier
 // across iterations and skips the edge chunks of partitions with no active
-// source — and, via a per-tile source index built once at setup, skips
-// fixed-size tiles inside partially active partitions (a chunk or tile is
-// skipped only when no co-scheduled job needs it). This closes the
-// paper's §5.3 loss case (frontier algorithms re-streaming edges whose
-// sources cannot scatter) while preserving the streaming-partition
-// architecture; see the figfrontier experiment.
+// source — and, via a per-tile source index (core.TileIndex), skips
+// fixed-size tiles, index ranges of a chunk, inside partially active
+// partitions. core.PartitionPlan, the plan of both engines, decides and
+// books every skip: a chunk or tile is skipped only when no co-scheduled
+// job needs it, and a job is not handed a tile its own frontier misses.
+// This closes the paper's §5.3 loss case (frontier algorithms re-streaming
+// edges whose sources cannot scatter) while preserving the
+// streaming-partition architecture; see the figfrontier experiment.
 //
 // Config is core.Config, the one configuration of both engines: this engine
 // reads the fields both share plus Fanout and NoWorkStealing, and ignores the
@@ -59,7 +61,6 @@ package memengine
 
 import (
 	"context"
-	"unsafe"
 
 	"repro/internal/core"
 	"repro/internal/streambuf"
@@ -88,40 +89,17 @@ func Run[V, M any](g core.EdgeSource, prog core.Program[V, M], cfg Config) (*Res
 	return core.Typed[V](RunJob(context.Background(), g, core.NewJob(prog), cfg))
 }
 
-// edgeTiles is one orientation's tile index: every partition's tiles
-// (BucketTiles), aliasing the edge buffer, and the word→tile index over
-// their source spans. The buffer is placed once at setup and never
-// changes, so the tiles stay the ones the spans describe.
-type edgeTiles struct {
-	tiles [][][]core.Edge // tiles[p][i] is partition p's tile i
-	index *core.TileIndex
-}
-
-// buildTileIndex cuts every partition's edge chunk into tiles and indexes
-// each tile's source span.
-func buildTileIndex(buf *streambuf.Buffer[core.Edge], k, tileRecs int) *edgeTiles {
-	et := &edgeTiles{tiles: make([][][]core.Edge, k)}
+// tileIndex indexes the source span of every partition's tiles: bucket p
+// of buf cut into tiles of tileRecs records, the last one shorter, the
+// tiles core.PartitionPlan plans. The buffer is placed once at setup and
+// never changes, so the tiles stay the ones the spans describe.
+func tileIndex(buf *streambuf.Buffer[core.Edge], k, tileRecs int) *core.TileIndex {
 	spans := make([][]core.SrcSpan, k)
-	for p := 0; p < k; p++ {
-		et.tiles[p] = buf.BucketTiles(p, tileRecs)
-		for _, tile := range et.tiles[p] {
-			span := core.NewSrcSpan(tile[0].Src)
-			for _, ed := range tile[1:] {
-				span.Add(ed.Src)
-			}
-			spans[p] = append(spans[p], span)
+	for p := range spans {
+		chunk := buf.Bucket(p)
+		for lo := 0; lo < len(chunk); lo += tileRecs {
+			spans[p] = append(spans[p], core.SpanOf(chunk[lo:min(lo+tileRecs, len(chunk))]))
 		}
 	}
-	et.index = core.NewTileIndex(spans)
-	return et
-}
-
-// bytes returns the index's resident size: the tile headers and the
-// word→tile index, spans included.
-func (et *edgeTiles) bytes() int64 {
-	n := et.index.Bytes()
-	for _, ts := range et.tiles {
-		n += int64(len(ts)) * int64(unsafe.Sizeof([]core.Edge(nil)))
-	}
-	return n
+	return core.NewTileIndex(spans)
 }

@@ -8,16 +8,17 @@ package memengine
 // of co-scheduled jobs (core.ProgramSet) from one edge stream per iteration
 // through core.RunPass, the iteration loop of both engines; this file
 // supplies only how a partition's edges reach the scatter (memPass). Each
-// streamed run or tile is handed to every subscribing job's scatter sink, so
-// the sequential edge stream — the dominant, fixed cost of X-Stream's model
-// — is paid once per pass instead of once per job. Jobs with a frontier
-// (core.FrontierProgram, Config.Selective) subscribe per partition and per
-// tile (core.PartitionPlan): a chunk is skipped only when *no* job needs it
-// (the frontier union), a partition some job is partially active in is
-// streamed tile by tile, and a streamed tile is still withheld from jobs
-// whose own frontier misses it, so every job's results and skip stats match
-// a run on its own. Jobs drop out as they converge; the pass ends when all
-// are done.
+// streamed chunk, or run of tiles, is handed to every subscribing job's
+// scatter sink, so the sequential edge stream — the dominant, fixed cost of
+// X-Stream's model — is paid once per pass instead of once per job. Jobs
+// with a frontier (core.FrontierProgram, Config.Selective) subscribe per
+// partition and per tile, and core.PartitionPlan decides and books it all:
+// a chunk is skipped only when *no* job needs it (the frontier union), a
+// partition some job is partially active in is streamed as runs of
+// consecutive tiles, and a run of tiles is handed to each job less the
+// tiles its own frontier misses, so every job's results and skip stats
+// match a run on its own. This file only moves the records: one Edges call
+// per run. Jobs drop out as they converge; the pass ends when all are done.
 
 import (
 	"context"
@@ -59,8 +60,8 @@ type Prepared struct {
 
 	mu       sync.Mutex
 	fwd, bwd *streambuf.Buffer[core.Edge]
-	tilesFwd *edgeTiles
-	tilesBwd *edgeTiles
+	tilesFwd *core.TileIndex
+	tilesBwd *core.TileIndex
 }
 
 // Prepare ingests a graph once for shared-pass execution: it plans the
@@ -146,9 +147,9 @@ func (pp *Prepared) Bytes() int64 {
 	if pp.bwd != nil {
 		n += int64(pp.bwd.Cap()) * edgeBytes
 	}
-	for _, tiles := range []*edgeTiles{pp.tilesFwd, pp.tilesBwd} {
+	for _, tiles := range []*core.TileIndex{pp.tilesFwd, pp.tilesBwd} {
 		if tiles != nil {
-			n += tiles.bytes()
+			n += tiles.Bytes()
 		}
 	}
 	return n
@@ -160,7 +161,7 @@ func (pp *Prepared) Close() {}
 
 // edges returns the edge buffer (and, when wanted, tile index) for a
 // direction, building the transpose and index lazily, at most once.
-func (pp *Prepared) edges(dir core.Direction, needTiles bool) (*streambuf.Buffer[core.Edge], *edgeTiles) {
+func (pp *Prepared) edges(dir core.Direction, needTiles bool) (*streambuf.Buffer[core.Edge], *core.TileIndex) {
 	pp.mu.Lock()
 	defer pp.mu.Unlock()
 	buf, tiles := pp.fwd, &pp.tilesFwd
@@ -171,7 +172,7 @@ func (pp *Prepared) edges(dir core.Direction, needTiles bool) (*streambuf.Buffer
 		buf, tiles = pp.bwd, &pp.tilesBwd
 	}
 	if needTiles && *tiles == nil {
-		*tiles = buildTileIndex(buf, pp.part.K, pp.cfg.TileEdges)
+		*tiles = tileIndex(buf, pp.part.K, pp.cfg.TileEdges)
 	}
 	return buf, *tiles
 }
@@ -244,14 +245,15 @@ func (pp *Prepared) runMany(ctx context.Context, set core.ProgramSet, start time
 
 // memPass is a pass's core.PassEngine, made once per pass and reused by
 // every iteration: per edge list orientation the buffer it resolved, and for
-// each engine worker its partition plan and the needing runs' sinks. Worker
-// w owns scatters[w*n:(w+1)*n], n being the number of runs in the pass.
+// each engine worker its partition plan, the records it streamed and the
+// needing runs' sinks. Worker w owns scatters[w*n:(w+1)*n], n being the
+// number of runs in the pass.
 type memPass struct {
 	pp       *Prepared
 	n        int
 	streams  [2]edgeStream // indexed by core.Direction
 	plans    []core.PartitionPlan
-	ids      [][]int32 // per worker, its partition's needed tiles
+	streamed []int64
 	scatters []core.JobScatter
 }
 
@@ -259,14 +261,14 @@ type memPass struct {
 // subscriber has a frontier.
 type edgeStream struct {
 	edges *streambuf.Buffer[core.Edge]
-	tiles *edgeTiles
+	tiles *core.TileIndex
 }
 
 func newMemPass(pp *Prepared, runs int) *memPass {
 	return &memPass{
 		pp: pp, n: runs,
 		plans:    make([]core.PartitionPlan, pp.cfg.Threads),
-		ids:      make([][]int32, pp.cfg.Threads),
+		streamed: make([]int64, pp.cfg.Threads),
 		scatters: make([]core.JobScatter, runs*pp.cfg.Threads),
 	}
 }
@@ -284,17 +286,18 @@ func (m *memPass) Resolve(dir core.Direction, subs []core.JobRun, _ *core.Stats)
 }
 
 // Scatter implements core.PassEngine: it streams every partition's edge
-// chunk of dir once, feeding each run or tile to every needing run through
-// that run's sink for the worker — thread-private buffers, §4.1: plain
-// append buffers normally, combining buffers when the program has a
-// Combiner whose destinations fit (core.DenseCombines); the run owns them,
-// one per worker, for its life. Partitions are claimed by worker threads
-// from a shared cursor (work stealing, §4.1). A cancelled context or a
-// failed sink stops the walk (forEachPartition).
+// chunk of dir once, as the worker's core.PartitionPlan plans it, feeding
+// each needing run the runs of tiles its own frontier meets
+// (PartitionPlan.Delivered) through that run's sink for the worker —
+// thread-private buffers, §4.1: plain append buffers normally, combining
+// buffers when the program has a Combiner whose destinations fit
+// (core.DenseCombines); the run owns them, one per worker, for its life.
+// Partitions are claimed by worker threads from a shared cursor (work
+// stealing, §4.1). A cancelled context or a failed sink stops the walk
+// (forEachPartition).
 func (m *memPass) Scatter(ctx context.Context, dir core.Direction, subs []core.JobRun, pass *core.Stats) error {
 	pp := m.pp
 	edges, tiles := m.streams[dir].edges, m.streams[dir].tiles
-	var streamed, skippedEdges, skippedParts, skippedTiles atomic.Int64
 	tr := pp.cfg.Tracer
 	err := forEachPartition(pp.part.K, pp.cfg.Threads, pp.cfg.NoWorkStealing, func(w, p int) error {
 		if err := ctx.Err(); err != nil {
@@ -304,70 +307,27 @@ func (m *memPass) Scatter(ctx context.Context, dir core.Direction, subs []core.J
 		if tr != nil {
 			pStart = time.Now()
 		}
-		var pEdges int64
 		chunk := edges.Bucket(p)
-		chunkLen := int64(len(chunk))
 		plan := &m.plans[w]
-		plan.Plan(subs, p, chunkLen, tiles != nil)
-		needing := plan.Needing
-		if len(needing) == 0 {
-			// No run needs the chunk: the pass skips it whole. An edgeless
-			// partition elides nothing, so it is not counted.
-			if chunkLen > 0 {
-				skippedEdges.Add(chunkLen)
-				skippedParts.Add(1)
-			}
+		plan.Plan(subs, p, int64(len(chunk)), pp.cfg.TileEdges, tiles)
+		if len(plan.Runs) == 0 {
 			return nil
 		}
-		scatters := m.scatters[w*m.n : w*m.n+len(needing)]
-		for i, r := range needing {
+		scatters := m.scatters[w*m.n : w*m.n+len(plan.Needing)]
+		for i, r := range plan.Needing {
 			scatters[i] = r.NewScatter(w, p)
 		}
 		// err is the partition's first sink failure; once set, no sink is
 		// fed another edge.
 		var err error
-		if plan.Tiled {
-			// A tile is streamed when any run's frontier intersects its
-			// source span, and still withheld from the runs whose own
-			// frontier misses it — per-run results and skip accounting
-			// match a solo selective run. The tiles no run needs are
-			// skipped by all of them.
-			ids := plan.NeededTiles(tiles.index, p, m.ids[w])
-			m.ids[w] = ids
-			var took int64
-			for _, id := range ids {
-				tile, span := tiles.tiles[p][id], tiles.index.Span(p, int(id))
-				for i, r := range needing {
-					if !r.NeedsTile(span) {
-						r.SkipTiles(int64(len(tile)), 1)
-					} else if err = scatters[i].Edges(tile); err != nil {
-						break
-					}
-				}
-				if err != nil {
-					break
-				}
-				took += int64(len(tile))
-			}
-			if skipTiles := int64(tiles.index.Tiles(p) - len(ids)); err == nil && skipTiles > 0 {
-				skipEdges := chunkLen - took
-				for _, r := range needing {
-					r.SkipTiles(skipEdges, skipTiles)
-				}
-				skippedEdges.Add(skipEdges)
-				skippedTiles.Add(skipTiles)
-			}
-			streamed.Add(took)
-			pEdges += took
-		} else {
-			for _, sc := range scatters {
-				if err = sc.Edges(chunk); err != nil {
+		for i, sc := range scatters {
+			for _, run := range plan.Delivered(i) {
+				if err = sc.Edges(chunk[run.Lo:run.Hi]); err != nil {
 					break
 				}
 			}
-			if err == nil {
-				streamed.Add(chunkLen)
-				pEdges += chunkLen
+			if err != nil {
+				break
 			}
 		}
 		for _, sc := range scatters {
@@ -378,20 +338,23 @@ func (m *memPass) Scatter(ctx context.Context, dir core.Direction, subs []core.J
 		if err != nil {
 			return err
 		}
-		if tr != nil && pEdges > 0 {
+		m.streamed[w] += plan.Streamed
+		if tr != nil {
 			tr.Span(1+w, "partition", pStart, time.Since(pStart),
-				map[string]int64{"p": int64(p), "edges": pEdges, "jobs": int64(len(needing))})
+				map[string]int64{"p": int64(p), "edges": plan.Streamed, "jobs": int64(len(plan.Needing))})
 		}
 		return nil
 	})
+	var n int64
+	for w := range m.plans {
+		m.plans[w].Book(pass)
+		n += m.streamed[w]
+		m.streamed[w] = 0
+	}
 	if err != nil {
 		return err
 	}
-	n := streamed.Load()
 	pass.EdgesStreamed += n
-	pass.EdgesSkipped += skippedEdges.Load()
-	pass.PartitionsSkipped += skippedParts.Load()
-	pass.TilesSkipped += skippedTiles.Load()
 	pass.BytesStreamed += n * int64(pod.Size[core.Edge]())
 	pass.SequentialRefs += n
 	return nil

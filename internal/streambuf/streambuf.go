@@ -107,25 +107,6 @@ func (b *Buffer[T]) Fill(src []T) {
 // the buffer.
 func (b *Buffer[T]) Bucket(p int) []T { return b.data[b.off[p]:b.off[p+1]] }
 
-// BucketTiles returns bucket p cut into tiles of tileRecs records, the last
-// one shorter; tileRecs < 1 makes the whole bucket one tile, and an empty
-// bucket has none. The tiling is a pure function of the bucket and
-// tileRecs. These are the tile boundaries of selective streaming: an engine
-// indexes a per-tile source summary once, and as long as the buffer is not
-// placed again or reset, every tile stays the one its summary describes.
-// The tiles alias the buffer.
-func (b *Buffer[T]) BucketTiles(p, tileRecs int) [][]T {
-	run := b.Bucket(p)
-	if tileRecs < 1 {
-		tileRecs = max(len(run), 1)
-	}
-	tiles := make([][]T, 0, (len(run)+tileRecs-1)/tileRecs)
-	for off := 0; off < len(run); off += tileRecs {
-		tiles = append(tiles, run[off:min(off+tileRecs, len(run))])
-	}
-	return tiles
-}
-
 // Place lays in out in b as k buckets, bucket p holding, in input order,
 // every record r of in with key(r) = p, with the given parallelism. b must
 // have room for in, and in must not alias b.

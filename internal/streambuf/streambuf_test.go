@@ -466,41 +466,6 @@ func TestShuffleReshuffleBucketed(t *testing.T) {
 	checkShuffled(t, in, res2, 64)
 }
 
-// TestBucketTiles: the tiles of a bucket concatenate to exactly the
-// bucket, each full-sized but the last, and an unchanged buffer gives the
-// same tiles on every call — the invariant selective engines index tile
-// summaries against.
-func TestBucketTiles(t *testing.T) {
-	const k = 8
-	recs := makeRecs(5000, k, 33)
-	a := New[rec](len(recs))
-	b := New[rec](len(recs))
-	a.Append(recs)
-	plan, err := NewPlan(k, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res := Shuffle(a, b, plan, 3, keyOf)
-
-	for _, tileRecs := range []int{1, 7, 64, 100000, 0, -5} {
-		for p := 0; p < k; p++ {
-			tiles := res.BucketTiles(p, tileRecs)
-			if flat := slices.Concat(tiles...); !slices.Equal(flat, res.Bucket(p)) {
-				t.Fatalf("tileRecs=%d p=%d: the tiles hold %d records unlike the bucket's %d", tileRecs, p, len(flat), len(res.Bucket(p)))
-			}
-			for i, tile := range tiles {
-				full := tileRecs < 1 || len(tile) == tileRecs
-				if len(tile) == 0 || (i < len(tiles)-1 && !full) || (tileRecs >= 1 && len(tile) > tileRecs) {
-					t.Fatalf("tileRecs=%d p=%d: tile %d of %d holds %d records", tileRecs, p, i, len(tiles), len(tile))
-				}
-			}
-			if again := res.BucketTiles(p, tileRecs); !reflect.DeepEqual(again, tiles) {
-				t.Fatalf("tileRecs=%d p=%d: a second call cut other tiles", tileRecs, p)
-			}
-		}
-	}
-}
-
 // stablePartition is the layout every placement must give: per bucket, the
 // records of that key in input order.
 func stablePartition(in []rec, k int) [][]rec {

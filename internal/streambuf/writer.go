@@ -58,11 +58,19 @@ func NewWriter[T any](capacity int, plan Plan, threads int, key func(T) uint32, 
 		free:    make(chan *Buffer[T], 3),
 	}
 	if sink == nil {
+		// The sources' lists are carved from one allocation.
 		w.from = make([][]chunk, plan.K)
+		chunks := make([]chunk, plan.K*sourceChunks)
+		for s := range w.from {
+			w.from[s] = chunks[s*sourceChunks : s*sourceChunks : (s+1)*sourceChunks]
+		}
 	}
 	w.free <- New[T](capacity)
 	return w
 }
+
+// sourceChunks is the room NewWriter makes in each source's chunk list.
+const sourceChunks = 4
 
 // chunk is a run of the window: n records from offset off.
 type chunk struct{ off, n int }

@@ -141,10 +141,7 @@ func (e *Encoder) Encode(dst []byte, edges []core.Edge) ([]byte, bool, error) {
 	prevLo := uint32(0)
 	for b := 0; b < n; b += BlockRecs {
 		blk := edges[b:min(b+BlockRecs, n)]
-		span := core.NewSrcSpan(blk[0].Src)
-		for _, ed := range blk[1:] {
-			span.Add(ed.Src)
-		}
+		span := core.SpanOf(blk)
 		// Sources: each record's offset from the block's lo in the span's
 		// bit width, packed least significant bit first.
 		w := bits.Len32(uint32(span.Hi - span.Lo))
@@ -306,26 +303,18 @@ func decodeRaw(payload []byte, out []core.Edge, need func(core.SrcSpan) bool) (i
 	}
 	kept := 0
 	for b := 0; b < n; b += BlockRecs {
-		m := min(BlockRecs, n-b)
-		recs := payload[b*EdgeBytes : (b+m)*EdgeBytes]
-		if need != nil {
-			span := core.NewSrcSpan(core.VertexID(binary.LittleEndian.Uint32(recs)))
-			for i := EdgeBytes; i < len(recs); i += EdgeBytes {
-				span.Add(core.VertexID(binary.LittleEndian.Uint32(recs[i:])))
-			}
-			if !need(span) {
-				continue
-			}
-		}
-		for i := range m {
-			rec := recs[i*EdgeBytes:]
-			out[kept+i] = core.Edge{
+		blk := out[kept : kept+min(BlockRecs, n-b)]
+		for i := range blk {
+			rec := payload[(b+i)*EdgeBytes:]
+			blk[i] = core.Edge{
 				Src:    core.VertexID(binary.LittleEndian.Uint32(rec)),
 				Dst:    core.VertexID(binary.LittleEndian.Uint32(rec[4:])),
 				Weight: math.Float32frombits(binary.LittleEndian.Uint32(rec[8:])),
 			}
 		}
-		kept += m
+		if need == nil || need(core.SpanOf(blk)) {
+			kept += len(blk)
+		}
 	}
 	return kept, nil
 }
