@@ -2,7 +2,6 @@ package baseline
 
 import (
 	"fmt"
-	"io"
 	"sort"
 	"time"
 
@@ -108,7 +107,7 @@ func NewGraphChi(dev storage.Device, src core.EdgeSource, memBudget int64, prefi
 		if err != nil {
 			return nil, err
 		}
-		if _, err := f.WriteAt(pod.AsBytes(b), 0); err != nil {
+		if err := storage.WriteFull(f, pod.AsBytes(b), 0); err != nil {
 			return nil, err
 		}
 		g.files[q] = f
@@ -230,7 +229,7 @@ func (g *GraphChi) Run(k FloatKernel) ([]float32, error) {
 				for i := range win {
 					win[i].Val = k.Out(win[i].Src, state[win[i].Src], g.outDeg[win[i].Src])
 				}
-				if _, err := g.files[q].WriteAt(pod.AsBytes(win), lo*int64(gcRecSize)); err != nil {
+				if err := storage.WriteFull(g.files[q], pod.AsBytes(win), lo*int64(gcRecSize)); err != nil {
 					return nil, err
 				}
 			}
@@ -253,7 +252,7 @@ func (g *GraphChi) seedValues(k FloatKernel, state []float32) error {
 		for i := range recs {
 			recs[i].Val = k.Out(recs[i].Src, state[recs[i].Src], g.outDeg[recs[i].Src])
 		}
-		if _, err := g.files[q].WriteAt(pod.AsBytes(recs), 0); err != nil {
+		if err := storage.WriteFull(g.files[q], pod.AsBytes(recs), 0); err != nil {
 			return err
 		}
 	}
@@ -263,23 +262,8 @@ func (g *GraphChi) seedValues(k FloatKernel, state []float32) error {
 // readRange reads records [lo, hi) of shard q.
 func (g *GraphChi) readRange(q int, lo, hi int64) ([]shardEdge, error) {
 	recs := make([]shardEdge, hi-lo)
-	if hi == lo {
-		return recs, nil
-	}
-	raw := pod.AsBytes(recs)
-	got := 0
-	for got < len(raw) {
-		n, err := g.files[q].ReadAt(raw[got:], lo*int64(gcRecSize)+int64(got))
-		got += n
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return nil, err
-		}
-	}
-	if got != len(raw) {
-		return nil, fmt.Errorf("baseline: shard %d short read: %d of %d bytes", q, got, len(raw))
+	if err := storage.ReadFull(g.files[q], pod.AsBytes(recs), lo*int64(gcRecSize)); err != nil {
+		return nil, fmt.Errorf("baseline: shard %d: %w", q, err)
 	}
 	return recs, nil
 }

@@ -14,6 +14,7 @@ package core
 // Stats.CoJobs and Stats.EdgesShared measure the amortization.
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"sync"
@@ -284,6 +285,11 @@ func updateWindow(ne, nv int64, k int, dense bool) int64 {
 	return ne
 }
 
+// DefaultPrivateBufBytes is the size of each scatter kernel's private
+// append buffer (§4.1), in memory and out of core: 8 KiB, the paper's value
+// — 1024 records of an 8-byte update.
+const DefaultPrivateBufBytes = 8 << 10
+
 // JobSetup is the shared-pass context an engine hands every job's executor:
 // the dataset-wide assignment and sizes plus the engine's buffer/shuffle
 // policy. All jobs of one pass receive the same setup.
@@ -304,9 +310,8 @@ type JobSetup struct {
 	// in the dense accumulator keeps its windows to one update per
 	// destination per partition task when that is fewer (updateWindow).
 	UpdateCap int
-	// PrivateBufRecs sizes the scatter-side private buffers in records;
-	// when 0, PrivateBufBytes/sizeof(update) is used instead.
-	PrivateBufRecs  int
+	// PrivateBufBytes sizes the scatter-side private buffers in bytes,
+	// DefaultPrivateBufBytes when 0.
 	PrivateBufBytes int
 	// NoCombine disables update combining even for Combiner programs.
 	NoCombine bool
@@ -581,13 +586,7 @@ func (r *jobRun[V, M]) Setup(s JobSetup) error {
 	r.combine, r.op = Combining(r.prog, s.NoCombine)
 	r.fp = SelectiveProgram(r.prog, s.Selective)
 	r.InitSchedule(r.part, s.NumVertices, r.fp != nil)
-	r.basePriv = s.PrivateBufRecs
-	if r.basePriv <= 0 {
-		r.basePriv = s.PrivateBufBytes / pod.Size[Update[M]]()
-	}
-	if r.basePriv < 1 {
-		r.basePriv = 1
-	}
+	r.basePriv = max(cmp.Or(s.PrivateBufBytes, DefaultPrivateBufBytes)/pod.Size[Update[M]](), 1)
 	r.sinks = make([]*jobScatter[V, M], max(s.Threads, 1))
 	r.pending = make([]int, 0, r.part.K)
 	r.stats.Algorithm = r.prog.Name()
@@ -896,6 +895,7 @@ func (r *jobRun[V, M]) Close() {
 	}
 	if r.spill != nil {
 		r.spill.Close()
+		r.spill = nil
 	}
 }
 

@@ -65,7 +65,7 @@ func scatteredRun(t *testing.T, n int64, k int) (*jobRun[int32, int32], *faultyT
 	r := NewJob[int32, int32](inDegree{}).NewRun().(*jobRun[int32, int32])
 	err = r.Setup(JobSetup{
 		Assignment: &Assignment{Split: NewSplit(n, k)}, NumVertices: n, NumEdges: n,
-		Threads: 4, Plan: plan, UpdateCap: int(n), PrivateBufRecs: 8,
+		Threads: 4, Plan: plan, UpdateCap: int(n), PrivateBufBytes: 8 * 8,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -221,7 +221,7 @@ func TestProgramSetClosesEveryTransport(t *testing.T) {
 	}
 	setup := JobSetup{
 		Assignment: &Assignment{Split: NewSplit(n, k)}, NumVertices: n, NumEdges: n,
-		Threads: 2, Plan: plan, UpdateCap: n, PrivateBufRecs: 8,
+		Threads: 2, Plan: plan, UpdateCap: n, PrivateBufBytes: 8 * 8,
 	}
 	var made, closes atomic.Int64
 	job := func(prog rounds, drainErr error) *Job {

@@ -90,22 +90,6 @@ func ckptWant(snaps []core.Snapshotter) int64 {
 	return want + 4
 }
 
-// writeFull writes all of b at off, retrying short writes.
-func writeFull(f storage.File, b []byte, off int64) error {
-	for len(b) > 0 {
-		n, err := f.WriteAt(b, off)
-		if err != nil {
-			return err
-		}
-		if n <= 0 {
-			return fmt.Errorf("diskengine: write stalled at offset %d", off)
-		}
-		off += int64(n)
-		b = b[n:]
-	}
-	return nil
-}
-
 // writeCheckpoint snapshots the state iteration iter+1 starts from — called
 // after every job's EndIteration, so phase folds (e.g. PageRank's rank
 // update) are in the vertex bytes and the frontier swap has happened.
@@ -126,13 +110,13 @@ func (pp *Prepared) writeCheckpoint(iter int, snaps []core.Snapshotter) (int64, 
 	binary.LittleEndian.PutUint64(hdr[8:], uint64(iter))
 	binary.LittleEndian.PutUint64(hdr[16:], uint64(len(snaps)))
 	binary.LittleEndian.PutUint64(hdr[24:], uint64(pp.ckptIdentity(snaps)))
-	if err := writeFull(f, hdr, 0); err != nil {
+	if err := storage.WriteFull(f, hdr, 0); err != nil {
 		return fail(err)
 	}
 	crc := storage.ChecksumUpdate(0, hdr[8:])
 	off := int64(ckptHeaderLen)
 	writeBody := func(raw []byte) error {
-		if err := writeFull(f, raw, off); err != nil {
+		if err := storage.WriteFull(f, raw, off); err != nil {
 			return err
 		}
 		crc = storage.ChecksumUpdate(crc, raw)
@@ -164,12 +148,12 @@ func (pp *Prepared) writeCheckpoint(iter int, snaps []core.Snapshotter) (int64, 
 	}
 	var trailer [4]byte
 	binary.LittleEndian.PutUint32(trailer[:], crc)
-	if err := writeFull(f, trailer[:], off); err != nil {
+	if err := storage.WriteFull(f, trailer[:], off); err != nil {
 		return fail(err)
 	}
 	// Body and trailer are in place: publish the snapshot by writing the
 	// magic last.
-	if err := writeFull(f, []byte(ckptMagic), 0); err != nil {
+	if err := storage.WriteFull(f, []byte(ckptMagic), 0); err != nil {
 		return fail(err)
 	}
 	if err := f.Close(); err != nil {
@@ -197,7 +181,7 @@ func (pp *Prepared) ckptInspect(pass *core.Stats, slot int, snaps []core.Snapsho
 	}
 	defer f.Close()
 	hdr := make([]byte, ckptHeaderLen)
-	if readBytes(f, hdr, 0) != nil || string(hdr[:8]) != ckptMagic {
+	if storage.ReadFull(f, hdr, 0) != nil || string(hdr[:8]) != ckptMagic {
 		return 0, false
 	}
 	ckptRead(pass, ckptHeaderLen)
@@ -222,14 +206,14 @@ func (pp *Prepared) ckptInspect(pass *core.Stats, slot int, snaps []core.Snapsho
 		if n > end-off {
 			n = end - off
 		}
-		if readBytes(f, buf[:n], off) != nil {
+		if storage.ReadFull(f, buf[:n], off) != nil {
 			return 0, false
 		}
 		crc = storage.ChecksumUpdate(crc, buf[:n])
 		off += n
 	}
 	var trailer [4]byte
-	if readBytes(f, trailer[:], end) != nil {
+	if storage.ReadFull(f, trailer[:], end) != nil {
 		return 0, false
 	}
 	ckptRead(pass, want-ckptHeaderLen)
@@ -250,7 +234,7 @@ func (pp *Prepared) ckptLoad(pass *core.Stats, slot int, snaps []core.Snapshotte
 	defer f.Close()
 	off := int64(ckptHeaderLen)
 	readBody := func(raw []byte) error {
-		if err := readBytes(f, raw, off); err != nil {
+		if err := storage.ReadFull(f, raw, off); err != nil {
 			return err
 		}
 		off += int64(len(raw))

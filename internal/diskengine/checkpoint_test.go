@@ -109,7 +109,7 @@ func ckptSlots(dev storage.Device) []storage.File {
 			continue
 		}
 		magic := make([]byte, len(ckptMagic))
-		if readBytes(f, magic, 0) != nil || string(magic) != ckptMagic {
+		if storage.ReadFull(f, magic, 0) != nil || string(magic) != ckptMagic {
 			f.Close()
 			continue
 		}
@@ -448,7 +448,7 @@ func TestCheckpointResumesFromWiderFrontier(t *testing.T) {
 func widenFrontier(t *testing.T, f storage.File, nv int64) int {
 	t.Helper()
 	b := make([]byte, f.Size())
-	if err := readBytes(f, b, 0); err != nil {
+	if err := storage.ReadFull(f, b, 0); err != nil {
 		t.Fatal(err)
 	}
 	state := b[ckptHeaderLen+8:]

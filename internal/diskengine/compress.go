@@ -18,7 +18,6 @@ package diskengine
 import (
 	"context"
 	"fmt"
-	"io"
 
 	"repro/internal/core"
 	"repro/internal/pod"
@@ -27,13 +26,13 @@ import (
 )
 
 // tileWriter is the pre-processing shuffle's sink: it folds each
-// partition's appended runs into fixed-size tiles, with each tile's source
-// span when the index keeps spans, and closes every full tile into the
-// index. A raw run is appended to the file as it arrives, and its tiles'
-// CRC32C kept when the index keeps checksums; an encoded tile's records are
-// staged and encoded when the tile closes. It runs on the single writer
-// goroutine; finish (called after the writer drains) closes each
-// partition's trailing short tile.
+// partition's appended runs into fixed-size tiles, recording each tile's
+// source span straight into the index's span slices when it keeps spans,
+// and closes every full tile into the index. A raw run is appended to the
+// file as it arrives, and its tiles' CRC32C kept when the index keeps
+// checksums; an encoded tile's records are staged and encoded when the tile
+// closes. It runs on the single writer goroutine; finish (called after the
+// writer drains) closes each partition's trailing short tile.
 type tileWriter struct {
 	files []*partFile
 	tiles *diskTiles
@@ -60,12 +59,13 @@ func (w *tileWriter) append(p int, run []core.Edge) error {
 		open := &w.open[p]
 		seg := run[:min(t.tileRecs-open.recs, int64(len(run)))]
 		run = run[len(seg):]
-		if t.spans {
+		if t.spans != nil {
 			if open.recs == 0 {
-				open.span = core.NewSrcSpan(seg[0].Src)
+				t.spans[p] = append(t.spans[p], core.NewSrcSpan(seg[0].Src))
 			}
+			span := &t.spans[p][len(t.spans[p])-1]
 			for _, ed := range seg {
-				open.span.Add(ed.Src)
+				span.Add(ed.Src)
 			}
 		}
 		switch {
@@ -201,7 +201,6 @@ type tileReader struct {
 	tiles           []tileSpan
 	idx             int // next tile to read
 	chunkRecs       int
-	capRecs         int // records the largest batch holds
 	encoded, verify bool
 	need            func(core.SrcSpan) bool
 	phys            int64
@@ -230,10 +229,8 @@ func (sc *edgeScratch) openTiles(f storage.File, tiles []tileSpan, encoded bool,
 		capRecs = max(capRecs, int(tl.recs))
 	}
 	r := &sc.rd
-	*r = tileReader{sc: sc, f: f, tiles: tiles, chunkRecs: chunkRecs, capRecs: capRecs, encoded: encoded, verify: verify, need: need}
-	if prefetch && len(tiles) > 0 && batchEnd(tiles, 0, chunkRecs) < len(tiles) {
-		r.pre.Start(sc.buf(0, capRecs), sc.buf(1, capRecs), r.fill)
-	}
+	*r = tileReader{sc: sc, f: f, tiles: tiles, chunkRecs: chunkRecs, encoded: encoded, verify: verify, need: need}
+	r.pre.Start(r, &sc.bufs, capRecs, prefetch && len(tiles) > 0 && batchEnd(tiles, 0, chunkRecs) < len(tiles))
 	return r
 }
 
@@ -264,7 +261,7 @@ func (r *tileReader) readBatch(i, j int, out []core.Edge) ([]core.Edge, int64, e
 	n := tiles[len(tiles)-1].off + tiles[len(tiles)-1].bytes - off
 	if !r.encoded {
 		out = out[:n/edgeRecSize]
-		if err := readBytes(r.f, pod.AsBytes(out), off); err != nil {
+		if err := storage.ReadFull(r.f, pod.AsBytes(out), off); err != nil {
 			return nil, 0, err
 		}
 		if r.verify {
@@ -285,7 +282,7 @@ func (r *tileReader) readBatch(i, j int, out []core.Edge) ([]core.Edge, int64, e
 		r.sc.raw = make([]byte, n)
 	}
 	raw := r.sc.raw[:n]
-	if err := readBytes(r.f, raw, off); err != nil {
+	if err := storage.ReadFull(r.f, raw, off); err != nil {
 		return nil, 0, err
 	}
 	out = out[:cap(out)]
@@ -326,8 +323,9 @@ func (r *tileReader) keepBlocks(tiles []tileSpan, recs []core.Edge) []core.Edge 
 	return recs[:kept]
 }
 
-// fill reads the next batch of tiles into buf.
-func (r *tileReader) fill(buf []core.Edge) ([]core.Edge, int64, error) {
+// Fill implements storage.Filler: it reads the next batch of tiles into
+// buf.
+func (r *tileReader) Fill(buf []core.Edge) ([]core.Edge, int64, error) {
 	if r.idx >= len(r.tiles) {
 		return nil, 0, nil
 	}
@@ -341,13 +339,8 @@ func (r *tileReader) fill(buf []core.Edge) ([]core.Edge, int64, error) {
 
 // Next returns the next checked batch, or nil at end of stream. The
 // returned slice is only valid until the following Next call.
-func (r *tileReader) Next() (recs []core.Edge, err error) {
-	var phys int64
-	if !r.pre.Started() {
-		recs, phys, err = r.fill(r.sc.buf(0, r.capRecs))
-	} else {
-		recs, phys, err = r.pre.Next()
-	}
+func (r *tileReader) Next() ([]core.Edge, error) {
+	recs, phys, err := r.pre.Next()
 	r.phys += phys
 	return recs, err
 }
@@ -366,32 +359,3 @@ func (r *tileReader) Close() {
 // PhysBytes returns the device byte volume behind the records delivered:
 // their record bytes for raw tiles, the encoded bytes for encoded ones.
 func (r *tileReader) PhysBytes() int64 { return r.phys }
-
-// readAt reads up to len(buf) bytes at off, retrying short reads, and
-// returns how many it got: fewer only where the file ends.
-func readAt(f storage.File, buf []byte, off int64) (int, error) {
-	got := 0
-	for got < len(buf) {
-		n, err := f.ReadAt(buf[got:], off+int64(got))
-		got += n
-		if err == io.EOF || (err == nil && n == 0) {
-			break
-		}
-		if err != nil {
-			return got, err
-		}
-	}
-	return got, nil
-}
-
-// readBytes reads exactly len(buf) bytes at off, retrying short reads.
-func readBytes(f storage.File, buf []byte, off int64) error {
-	got, err := readAt(f, buf, off)
-	if err != nil {
-		return err
-	}
-	if got != len(buf) {
-		return fmt.Errorf("diskengine: truncated read: %d of %d bytes at offset %d: %w", got, len(buf), off, storage.ErrCorrupted)
-	}
-	return nil
-}

@@ -115,9 +115,10 @@ func TestCompressedTileSpansMatchRaw(t *testing.T) {
 			t.Fatalf("partition %d: %d tiles compressed, %d raw", p, len(ct), len(rt))
 		}
 		for i := range rt {
-			if rt[i].recs != ct[i].recs || rt[i].span != ct[i].span {
+			rs, cs := rawTiles.spans[p][i], cmpTiles.spans[p][i]
+			if rt[i].recs != ct[i].recs || rs != cs {
 				t.Fatalf("partition %d tile %d: compressed {recs %d span %+v}, raw {recs %d span %+v}",
-					p, i, ct[i].recs, ct[i].span, rt[i].recs, rt[i].span)
+					p, i, ct[i].recs, cs, rt[i].recs, rs)
 			}
 			if rt[i].off != rt[i].lo*edgeRecSize || rt[i].bytes != rt[i].recs*edgeRecSize {
 				t.Fatalf("partition %d raw tile %d of records [%d,+%d) sits at (%d, %d)", p, i, rt[i].lo, rt[i].recs, rt[i].off, rt[i].bytes)

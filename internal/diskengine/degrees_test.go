@@ -84,8 +84,8 @@ func TestSelectiveSpansMatchTiles(t *testing.T) {
 			layouts[i] = pp
 		}
 		dense, sel := layouts[0], layouts[1]
-		if dense.tilesFwd.spans || !sel.tilesFwd.spans {
-			t.Fatalf("compressed %v: spans kept by the dense handle %v, by the selective one %v", compressed, dense.tilesFwd.spans, sel.tilesFwd.spans)
+		if dense.tilesFwd.spans != nil || sel.tilesFwd.spans == nil {
+			t.Fatalf("compressed %v: spans kept by the dense handle %v, by the selective one %v", compressed, dense.tilesFwd.spans != nil, sel.tilesFwd.spans != nil)
 		}
 		tiles := 0
 		for p := range sel.tilesFwd.parts {
@@ -95,12 +95,10 @@ func TestSelectiveSpansMatchTiles(t *testing.T) {
 				for _, ed := range recs[tl.lo : tl.lo+tl.recs] {
 					want.Add(ed.Src)
 				}
-				if tl.span != want {
-					t.Fatalf("compressed %v: partition %d tile %d records span %+v, the index says %+v", compressed, p, i, want, tl.span)
+				if span := sel.tilesFwd.spans[p][i]; span != want {
+					t.Fatalf("compressed %v: partition %d tile %d records span %+v, the index says %+v", compressed, p, i, want, span)
 				}
-				dt := dense.tilesFwd.parts[p][i]
-				dt.span = tl.span
-				if dt != tl {
+				if dt := dense.tilesFwd.parts[p][i]; dt != tl {
 					t.Fatalf("compressed %v: partition %d tile %d: dense %+v, selective %+v", compressed, p, i, dense.tilesFwd.parts[p][i], tl)
 				}
 				tiles++

@@ -2,7 +2,10 @@
 //
 // Fast Storage is main memory, Slow Storage is the device holding the
 // graph. Each streaming partition owns three files — vertices, edges,
-// updates. Pre-processing is a single streaming shuffle of the unordered
+// updates — and, on a prepared handle, a degree file; every per-partition
+// file set is made by createPartFiles and removed by removePartFiles, and
+// every byte of them is written and read through storage.WriteFull,
+// ReadUpTo and ReadFull, the only short-I/O retry loops. Pre-processing is a single streaming shuffle of the unordered
 // input edge list into the partition edge files; there is no sort. The
 // shuffle's one sink, a tileWriter, writes every edge file a tile at a
 // time — raw records appended as they arrive, or each tile encoded with
@@ -18,9 +21,12 @@
 // edge byte it reads before any of it is scattered. Its batches are the
 // edge double buffer's size, S·K rounded up to whole tiles. The shuffle's sink also counts every vertex's out-degree, on
 // its one writer goroutine, and the counts are written out as one
-// CRC-checked degree file per partition (<prefix>ds-p0000.deg): a
-// core.DegreeInit program such as PageRank reads its partition windows of
-// them, verified, once per job, and streams forward only — the transposed
+// CRC-checked degree file per partition (<prefix>ds-p0000.deg), the same
+// windowStore as a spilled run's vertex files — one file per partition
+// holding one window, its CRC kept in memory, a short or mismatched read
+// storage.ErrCorrupted, the bytes counted on the tally each call is passed:
+// a core.DegreeInit program such as PageRank reads its partition windows
+// of them, verified, once per job, and streams forward only — the transposed
 // edge files are SCC's alone.
 // Each iteration then runs the merged scatter/shuffle phase of Figure 6
 // (stream edges, append updates to a stream buffer, shuffle the buffer when
@@ -146,7 +152,3 @@ func retries(c Config) int64 {
 	}
 	return n
 }
-
-// basePrivCap is the capacity (records) of a scatter kernel's private append
-// buffer.
-const basePrivCap = 1024

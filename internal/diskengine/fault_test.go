@@ -34,7 +34,7 @@ func writeRaw(t *testing.T, dev storage.Device, name string, edges []core.Edge) 
 		t.Fatal(err)
 	}
 	raw := pod.AsBytes(edges)
-	if err := writeFull(f, raw, 0); err != nil {
+	if err := storage.WriteFull(f, raw, 0); err != nil {
 		t.Fatal(err)
 	}
 	if err := f.Close(); err != nil {
@@ -176,7 +176,7 @@ func TestTileReaderPrefetchFaultSurfaces(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := writeFull(f0, buf, 0); err != nil {
+	if err := storage.WriteFull(f0, buf, 0); err != nil {
 		t.Fatal(err)
 	}
 	f0.Close()

@@ -26,41 +26,15 @@ func createPartFile(dev storage.Device, name string) (*partFile, error) {
 	return &partFile{dev: dev, name: name, f: f}, nil
 }
 
-// appendBytes appends b at the current end of file, retrying short writes
-// the way readAt retries short reads. The append offset advances only
-// past bytes confirmed written, so a failed append leaves the file
-// positionally consistent: a retry of the same append overwrites any torn
-// prefix the device may have persisted.
+// appendBytes appends b at the current end of file. The append offset
+// advances only once all of b is written, so a failed append leaves the
+// file positionally consistent: a retry of the same append overwrites any
+// torn prefix the device may have persisted.
 func (p *partFile) appendBytes(b []byte) error {
-	for len(b) > 0 {
-		n, err := p.f.WriteAt(b, p.size)
-		if err != nil {
-			return fmt.Errorf("diskengine: append %s: %w", p.name, err)
-		}
-		if n <= 0 {
-			return fmt.Errorf("diskengine: append %s: write stalled at offset %d", p.name, p.size)
-		}
-		p.size += int64(n)
-		b = b[n:]
+	if err := storage.WriteFull(p.f, b, p.size); err != nil {
+		return fmt.Errorf("diskengine: append %s: %w", p.name, err)
 	}
-	return nil
-}
-
-// writeAllAt replaces the file's whole contents with b — the vertex-spill
-// store path.
-func (p *partFile) writeAllAt(b []byte) error {
-	off := int64(0)
-	for off < int64(len(b)) {
-		n, err := p.f.WriteAt(b[off:], off)
-		if err != nil {
-			return fmt.Errorf("diskengine: write %s: %w", p.name, err)
-		}
-		if n <= 0 {
-			return fmt.Errorf("diskengine: write %s: write stalled at offset %d", p.name, off)
-		}
-		off += int64(n)
-	}
-	p.size = int64(len(b))
+	p.size += int64(len(b))
 	return nil
 }
 
@@ -79,22 +53,42 @@ func (p *partFile) remove() error {
 	return p.dev.Remove(p.name)
 }
 
+// createPartFiles creates one empty file per partition of k on dev, named
+// <name>0000.<ext> up: a set of edge, transposed edge, degree, update or
+// vertex files. A failure removes the files already made.
+func createPartFiles(dev storage.Device, name, ext string, k int) ([]*partFile, error) {
+	files := make([]*partFile, k)
+	for p := range files {
+		f, err := createPartFile(dev, fmt.Sprintf("%s%04d.%s", name, p, ext))
+		if err != nil {
+			removePartFiles(files)
+			return nil, err
+		}
+		files[p] = f
+	}
+	return files, nil
+}
+
+// removePartFiles closes and removes every file of the sets.
+func removePartFiles(sets ...[]*partFile) {
+	for _, files := range sets {
+		for _, f := range files {
+			if f != nil {
+				f.remove()
+			}
+		}
+	}
+}
+
 // readScratch is the reader-side record buffers an engine run, a shared
 // pass or a drain worker owns for its whole life and lends to one open
-// reader at a time: the two buffers of the prefetch double buffer (a reader
-// that reads inline uses only the first). Buffers are made on first use and
-// grown when a reader asks for more; a reader's Close hands them back.
+// reader at a time: the two buffers of the prefetch double buffer, which
+// the reader's storage.Prefetcher makes on first use and grows when a
+// reader asks for more (one that reads inline uses only the first); a
+// reader's Close hands them back.
 type readScratch[T any] struct {
 	busy atomic.Bool // lent to an open reader
 	bufs [2][]T
-}
-
-// buf returns record buffer i with room for n records.
-func (sc *readScratch[T]) buf(i, n int) []T {
-	if cap(sc.bufs[i]) < n {
-		sc.bufs[i] = make([]T, n)
-	}
-	return sc.bufs[i][:n]
 }
 
 // chunkScratch is the update store's drain scratch: byte buffers and the
@@ -106,7 +100,7 @@ type chunkScratch struct {
 
 // chunkReader streams a byte range of an update file sequentially in
 // fixed-size chunks, prefetching the next chunk while the caller processes
-// the current one.
+// the current one unless its storage.Prefetcher reads inline.
 type chunkReader struct {
 	sc         *chunkScratch // nil once closed
 	f          storage.File
@@ -126,23 +120,19 @@ func (sc *chunkScratch) openChunks(f storage.File, start, end int64, chunkBytes 
 	}
 	r := &sc.rd
 	*r = chunkReader{sc: sc, f: f, chunkBytes: chunkBytes, off: start, end: end}
-	if prefetch && end-start > int64(chunkBytes) {
-		r.pre.Start(sc.buf(0, chunkBytes), sc.buf(1, chunkBytes), r.fill)
-	}
+	r.pre.Start(r, &sc.bufs, chunkBytes, prefetch && end-start > int64(chunkBytes))
 	return r
 }
 
-// fill reads the next chunk into buf.
-func (r *chunkReader) fill(buf []byte) ([]byte, int64, error) {
+// Fill implements storage.Filler: it reads the next chunk into buf. A file
+// shorter than the range ends the stream early (storage.ReadUpTo); the
+// caller's byte-count check turns the shortfall into ErrCorrupted.
+func (r *chunkReader) Fill(buf []byte) ([]byte, int64, error) {
 	n := min(int64(r.chunkBytes), r.end-r.off)
 	if n <= 0 {
 		return nil, 0, nil
 	}
-	// A read of zero bytes with no error is a zero-progress EOF: the file
-	// is shorter than the caller's bookkeeping says — the shape a silently
-	// torn write leaves behind. It ends the stream instead of spinning; the
-	// caller's byte-count check turns the shortfall into ErrCorrupted.
-	got, err := readAt(r.f, buf[:n], r.off)
+	got, err := storage.ReadUpTo(r.f, buf[:n], r.off)
 	if err != nil || got == 0 {
 		return nil, 0, err
 	}
@@ -152,12 +142,8 @@ func (r *chunkReader) fill(buf []byte) ([]byte, int64, error) {
 
 // Next returns the next chunk, or nil at end of stream. The returned slice
 // is only valid until the following Next call.
-func (r *chunkReader) Next() (chunk []byte, err error) {
-	if !r.pre.Started() {
-		chunk, _, err = r.fill(r.sc.buf(0, r.chunkBytes))
-		return chunk, err
-	}
-	chunk, _, err = r.pre.Next()
+func (r *chunkReader) Next() ([]byte, error) {
+	chunk, _, err := r.pre.Next()
 	return chunk, err
 }
 

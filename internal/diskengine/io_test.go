@@ -140,7 +140,7 @@ func TestBucketWriterPipeline(t *testing.T) {
 	for p := 0; p < k; p++ {
 		n := files[p].size / int64(pod.Size[rec]())
 		recs := make([]rec, n)
-		if err := readBytes(files[p].f, pod.AsBytes(recs), 0); err != nil {
+		if err := storage.ReadFull(files[p].f, pod.AsBytes(recs), 0); err != nil {
 			t.Fatal(err)
 		}
 		last := -1

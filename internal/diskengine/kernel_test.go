@@ -114,7 +114,7 @@ func memSequence(t *testing.T, pp *Prepared, prog core.Program[int32, int32]) []
 	t.Helper()
 	combine, op := core.Combining(prog, false)
 	tp := &stubTransport[int32]{keep: true}
-	k := core.NewScatterKernel(prog, tp, combine, op, basePrivCap, pp.nv)
+	k := core.NewScatterKernel(prog, tp, combine, op, core.DefaultPrivateBufBytes/pod.Size[core.Update[int32]](), pp.nv)
 	verts := make([]int32, pp.nv)
 	for v := range verts {
 		prog.Init(core.VertexID(v), &verts[v])

@@ -31,7 +31,7 @@ func (d *keepRemoved) Remove(name string) error {
 	if strings.HasSuffix(name, "edges") || strings.HasSuffix(name, ".deg") { // .edges, .redges and .deg
 		if f, err := d.Device.Open(name); err == nil {
 			b := make([]byte, f.Size())
-			if err := readBytes(f, b, 0); err == nil {
+			if err := storage.ReadFull(f, b, 0); err == nil {
 				d.edges[name] = b
 			}
 			f.Close()

@@ -79,10 +79,10 @@ type Prepared struct {
 	mu        sync.Mutex
 	edgeFiles []*partFile
 	bwdFiles  []*partFile
-	// degFiles holds each partition's out-degrees (degrees.go), degCRCs
-	// their CRC32C under verification.
-	degFiles []*partFile
-	degCRCs  []uint32
+	// degs holds each partition's out-degrees, the window of uint32s the
+	// pre-processing shuffle counted, as raw bytes in host order: the files
+	// live only as long as the handle.
+	degs     *windowStore
 	tilesFwd *diskTiles
 	tilesBwd *diskTiles // nil until the transposed files are built
 	closed   bool
@@ -147,12 +147,9 @@ func prepare(g core.EdgeSource, cfg Config, vertexBytes int64, runs int) (*Prepa
 		shufPlan: plan, nv: nv, ne: ne, bufEdgeRecs: bufEdgeRecs,
 		readRecs: (bufEdgeRecs + cfg.TileEdges - 1) / cfg.TileEdges * cfg.TileEdges,
 	}
-	pp.edgeFiles = make([]*partFile, k)
-	for p := 0; p < k; p++ {
-		if pp.edgeFiles[p], err = createPartFile(cfg.Device, fmt.Sprintf("%sds-p%04d.edges", cfg.Prefix, p)); err != nil {
-			pp.removeFiles()
-			return nil, err
-		}
+	name := cfg.Prefix + "ds-p"
+	if pp.edgeFiles, err = createPartFiles(cfg.Device, name, "edges", k); err != nil {
+		return nil, err
 	}
 	pp.tilesFwd = newDiskTiles(k, cfg)
 	// The counts have room for every ID the split can place, so a source
@@ -163,9 +160,17 @@ func prepare(g core.EdgeSource, cfg Config, vertexBytes int64, runs int) (*Prepa
 		pp.removeFiles()
 		return nil, err
 	}
-	if err := pp.writeDegrees(deg); err != nil {
+	if pp.degs, err = newWindowStore(cfg, name, "deg", k); err != nil {
 		pp.removeFiles()
 		return nil, err
+	}
+	var written core.SpillIO // the shuffle's writes are RunMany's to count
+	for p := 0; p < k; p++ {
+		lo, hi := pp.part.Range(p, nv)
+		if err := pp.degs.store(p, pod.AsBytes(deg[lo:hi]), &written); err != nil {
+			pp.removeFiles()
+			return nil, err
+		}
 	}
 	return pp, nil
 }
@@ -208,17 +213,10 @@ func (pp *Prepared) Bytes() int64 {
 	pp.mu.Lock()
 	defer pp.mu.Unlock()
 	const fileBytes = 96 // partFile struct + device handle
-	spanBytes := int64(pod.Size[tileSpan]())
-	n := int64(len(pp.edgeFiles)+len(pp.bwdFiles)+len(pp.degFiles))*fileBytes + int64(len(pp.degCRCs))*4
+	n := int64(len(pp.edgeFiles)+len(pp.bwdFiles)+len(pp.degs.files))*fileBytes + int64(len(pp.degs.crcs))*4
 	for _, t := range []*diskTiles{pp.tilesFwd, pp.tilesBwd} {
-		if t == nil {
-			continue
-		}
-		for _, spans := range t.parts {
-			n += int64(len(spans)) * spanBytes
-		}
-		if t.index != nil {
-			n += t.index.Bytes()
+		if t != nil {
+			n += t.bytes()
 		}
 	}
 	return n
@@ -236,12 +234,9 @@ func (pp *Prepared) Close() {
 }
 
 func (pp *Prepared) removeFiles() {
-	for _, fs := range [][]*partFile{pp.edgeFiles, pp.bwdFiles, pp.degFiles} {
-		for _, f := range fs {
-			if f != nil {
-				f.remove()
-			}
-		}
+	removePartFiles(pp.edgeFiles, pp.bwdFiles)
+	if pp.degs != nil {
+		removePartFiles(pp.degs.files)
 	}
 }
 
@@ -288,24 +283,14 @@ func (pp *Prepared) files(dir core.Direction, selective bool) (fs fileStream, bu
 // first use; the caller holds pp.mu.
 func (pp *Prepared) transposed() (files []*partFile, tiles *diskTiles, build edgeIO, err error) {
 	if pp.bwdFiles == nil {
-		bwd := make([]*partFile, pp.k)
-		cleanup := func() {
-			for _, f := range bwd {
-				if f != nil {
-					f.remove()
-				}
-			}
-		}
-		for p := 0; p < pp.k; p++ {
-			if bwd[p], err = createPartFile(pp.cfg.Device, fmt.Sprintf("%sds-p%04d.redges", pp.cfg.Prefix, p)); err != nil {
-				cleanup()
-				return nil, nil, build, err
-			}
+		bwd, err := createPartFiles(pp.cfg.Device, pp.cfg.Prefix+"ds-p", "redges", pp.k)
+		if err != nil {
+			return nil, nil, build, err
 		}
 		src := &forwardSource{pp: pp, sc: new(edgeScratch)}
 		t := newDiskTiles(pp.k, pp.cfg)
 		if err := partitionEdgesInto(src, bwd, true, t, nil, pp.bufEdgeRecs, pp.shufPlan, pp.part, pp.cfg.Threads); err != nil {
-			cleanup()
+			removePartFiles(bwd)
 			return nil, nil, build, err
 		}
 		build = src.io
@@ -428,7 +413,7 @@ func RunMany(ctx context.Context, g core.EdgeSource, set core.ProgramSet, cfg Co
 	defer pp.Close()
 	prepRetries := retries(pp.cfg) - before
 	res, pass, err := pp.runMany(ctx, set, start)
-	for _, fs := range [][]*partFile{pp.edgeFiles, pp.degFiles} {
+	for _, fs := range [][]*partFile{pp.edgeFiles, pp.degs.files} {
 		for _, f := range fs {
 			pass.BytesWritten += f.size
 		}
@@ -472,12 +457,21 @@ func (pp *Prepared) jobSetup(ctx context.Context, jobs int) core.JobSetup {
 	cfg := pp.cfg
 	return core.JobSetup{
 		Assignment: pp.asg, NumVertices: pp.nv, NumEdges: pp.ne,
-		Threads: cfg.Threads, Plan: pp.shufPlan, PrivateBufRecs: basePrivCap,
+		Threads: cfg.Threads, Plan: pp.shufPlan,
 		NoCombine: cfg.NoCombine, Selective: cfg.Selective,
 		Spill: func(vertexBytes, updateBytes int, io *core.SpillIO) (*core.Spill, error) {
 			return pp.openStores(ctx, jobs, vertexBytes, updateBytes, io)
 		},
-		Degrees: pp.readDegrees,
+		// A run reads partition p's degree window, verified, into *scratch,
+		// grown to a partition window when short.
+		Degrees: func(p int, scratch *[]uint32, io *core.SpillIO) ([]uint32, error) {
+			lo, hi := pp.part.Range(p, pp.nv)
+			if int64(cap(*scratch)) < hi-lo {
+				*scratch = make([]uint32, pp.part.PerPartition())
+			}
+			deg := (*scratch)[:hi-lo]
+			return deg, pp.degs.load(p, pod.AsBytes(deg), io)
+		},
 	}
 }
 

@@ -268,10 +268,13 @@ func TestSkippedBlockStillVerified(t *testing.T) {
 
 // TestSingleBatchSegmentReadsInline: a segment that is one batch has
 // nothing for a prefetch to overlap with, so no goroutine is started for
-// it in either layout.
+// it in either layout. The count is taken once the shuffle's writer
+// goroutine has retired: its Finish returns a few instructions before.
 func TestSingleBatchSegmentReadsInline(t *testing.T) {
 	for _, compressed := range []bool{false, true} {
+		before := runtime.NumGoroutine()
 		files, tiles := shuffleLayout(t, compressed, 128)
+		settleGoroutines(t, before, "the layout's shuffle")
 		segs := tiles.whole(0)
 		sc := new(edgeScratch)
 		base := runtime.NumGoroutine()

@@ -25,42 +25,24 @@ func (pp *Prepared) openStores(ctx context.Context, jobs, vertexBytes, updateByt
 		return nil, fmt.Errorf("diskengine: I/O unit %d too small for update records", cfg.IOUnit)
 	}
 	upd := &updateStore{
-		files: make([]*partFile, pp.k), crcs: make([]uint32, pp.k), recSize: updateBytes, chunkBytes: window * updateBytes,
+		crcs: make([]uint32, pp.k), recSize: updateBytes, chunkBytes: window * updateBytes,
 		prefetch: !cfg.NoPrefetch, verify: !cfg.NoVerify, io: io,
 		drain: make([]chunkScratch, cfg.Threads),
 	}
-	var verts *vertexStore
-	if pp.nv*int64(vertexBytes)+5*bufBytes > cfg.MemoryBudget/int64(jobs) {
-		verts = &vertexStore{files: make([]*partFile, pp.k), crcs: make([]uint32, pp.k), recSize: vertexBytes, verify: !cfg.NoVerify, io: io}
-	}
-	files := [][]*partFile{upd.files}
-	if verts != nil {
-		files = append(files, verts.files)
-	}
-	closeFiles := func() {
-		for _, fs := range files {
-			for _, f := range fs {
-				if f != nil {
-					f.remove()
-				}
-			}
-		}
-		files = nil
-	}
 	name := fmt.Sprintf("%sr%d-p", cfg.Prefix, pp.runSeq.Add(1)-1)
-	for p := 0; p < pp.k; p++ {
-		var err error
-		if upd.files[p], err = createPartFile(cfg.UpdateDevice, fmt.Sprintf("%s%04d.updates", name, p)); err == nil && verts != nil {
-			verts.files[p], err = createPartFile(cfg.Device, fmt.Sprintf("%s%04d.verts", name, p))
-		}
+	var err error
+	if upd.files, err = createPartFiles(cfg.UpdateDevice, name, "updates", pp.k); err != nil {
+		return nil, err
+	}
+	sp := &core.Spill{Updates: upd, Window: window, Context: ctx, Close: func() { removePartFiles(upd.files) }}
+	if pp.nv*int64(vertexBytes)+5*bufBytes > cfg.MemoryBudget/int64(jobs) {
+		verts, err := newWindowStore(cfg, name, "verts", pp.k)
 		if err != nil {
-			closeFiles()
+			removePartFiles(upd.files)
 			return nil, err
 		}
-	}
-	sp := &core.Spill{Updates: upd, Window: window, Context: ctx, Close: closeFiles}
-	if verts != nil {
-		sp.Vertices = verts
+		sp.Vertices = vertexStore{verts, io}
+		sp.Close = func() { removePartFiles(upd.files, verts.files) }
 	}
 	return sp, nil
 }
@@ -148,50 +130,78 @@ func (s *updateStore) Drain(p int, fn func([]byte) error) error {
 	return uf.truncate()
 }
 
-// vertexStore is the vertex store (core.VertexStore) of a run whose state
-// does not fit the budget: one vertex file per partition, rewritten whole
-// after every change. Load checks the file's size and, unless verification
-// is off, the CRC32C of the window last stored — a mismatch is
-// storage.ErrCorrupted.
-type vertexStore struct {
-	files   []*partFile
-	crcs    []uint32 // per file, the CRC32C of the window last stored; kept only under verify
-	recSize int      // bytes per vertex record
-	verify  bool
-	io      *core.SpillIO
+// windowStore is one checked file per partition, each holding one window
+// rewritten whole: a run's vertex state (the vertex files, .verts) or a
+// handle's out-degrees (the degree files, .deg). Unless verification is off
+// it keeps the CRC32C of each window last stored in memory, and load checks
+// it: a file shorter than the window, or a mismatch, is
+// storage.ErrCorrupted. The bytes moved, and checked, are counted on the
+// tally each call is passed.
+type windowStore struct {
+	files []*partFile
+	crcs  []uint32 // per file, the CRC32C of the window last stored; nil unless verifying
 }
 
-// Load implements core.VertexStore.
-func (s *vertexStore) Load(p int, window []byte) error {
-	vf := s.files[p]
-	got, err := readAt(vf.f, window, 0)
+// newWindowStore creates the store's files, <name>0000.<ext> up, on
+// cfg.Device.
+func newWindowStore(cfg Config, name, ext string, k int) (*windowStore, error) {
+	files, err := createPartFiles(cfg.Device, name, ext, k)
+	if err != nil {
+		return nil, err
+	}
+	s := &windowStore{files: files}
+	if !cfg.NoVerify {
+		s.crcs = make([]uint32, k)
+	}
+	return s, nil
+}
+
+// load fills window with partition p's stored window.
+func (s *windowStore) load(p int, window []byte, io *core.SpillIO) error {
+	f := s.files[p]
+	got, err := storage.ReadUpTo(f.f, window, 0)
 	if err != nil {
 		return err
 	}
-	s.io.Read.Add(int64(got))
+	io.Read.Add(int64(got))
 	if got != len(window) {
-		return fmt.Errorf("diskengine: vertex file %s short: %d records, want %d: %w",
-			vf.name, got/s.recSize, len(window)/s.recSize, storage.ErrCorrupted)
+		return fmt.Errorf("diskengine: window file %s short: %d bytes, want %d: %w",
+			f.name, got, len(window), storage.ErrCorrupted)
 	}
-	if s.verify {
+	if s.crcs != nil {
 		if sum := storage.Checksum(window); sum != s.crcs[p] {
-			return fmt.Errorf("diskengine: vertex file %s: checksum %08x, want %08x: %w",
-				vf.name, sum, s.crcs[p], storage.ErrCorrupted)
+			return fmt.Errorf("diskengine: window file %s: checksum %08x, want %08x: %w",
+				f.name, sum, s.crcs[p], storage.ErrCorrupted)
 		}
-		s.io.Checked.Add(int64(len(window)))
+		io.Checked.Add(int64(len(window)))
 	}
 	return nil
 }
 
-// Store implements core.VertexStore. The next Load verifies against
-// exactly this window.
-func (s *vertexStore) Store(p int, window []byte) error {
-	if err := s.files[p].writeAllAt(window); err != nil {
-		return err
+// store replaces partition p's stored window with window. The next load
+// verifies against exactly this window.
+func (s *windowStore) store(p int, window []byte, io *core.SpillIO) error {
+	f := s.files[p]
+	if err := storage.WriteFull(f.f, window, 0); err != nil {
+		return fmt.Errorf("diskengine: write %s: %w", f.name, err)
 	}
-	if s.verify {
+	f.size = int64(len(window))
+	if s.crcs != nil {
 		s.crcs[p] = storage.Checksum(window)
 	}
-	s.io.Written.Add(int64(len(window)))
+	io.Written.Add(int64(len(window)))
 	return nil
 }
+
+// vertexStore is the vertex store (core.VertexStore) of a run whose state
+// does not fit the budget: the run's vertex files, counting on its tally.
+type vertexStore struct {
+	*windowStore
+	io *core.SpillIO
+}
+
+// Load implements core.VertexStore.
+func (s vertexStore) Load(p int, window []byte) error { return s.load(p, window, s.io) }
+
+// Store implements core.VertexStore.
+func (s vertexStore) Store(p int, window []byte) error { return s.store(p, window, s.io) }

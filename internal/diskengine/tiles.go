@@ -2,23 +2,23 @@ package diskengine
 
 import (
 	"repro/internal/core"
+	"repro/internal/pod"
 )
 
 // tileSpan is one edge-file tile: a fixed-size run of records (the last
-// tile of a partition may be short), where it sits in the file and its
-// core.SrcSpan source summary. The span is recorded only for a handle that
-// runs selectively (diskTiles.spans); a tile is skippable in an iteration
-// exactly when its span misses the frontier — with a locality-aware
-// partitioner packing communities into contiguous ID ranges, spans are
-// narrow and skips frequent. Within a tile that is read, a block of
-// tilecodec.BlockRecs records is skipped when its span misses every needing
-// run's frontier: an encoded tile carries its block spans in its tilecodec
-// directory, a raw tile's are computed from its records once it is read and
-// checked.
+// tile of a partition may be short) and where it sits in the file, 40 bytes.
+// Its core.SrcSpan source summary is kept apart, in diskTiles.spans, and
+// only for a handle that runs selectively; a tile is skippable in an
+// iteration exactly when its span misses the frontier — with a
+// locality-aware partitioner packing communities into contiguous ID ranges,
+// spans are narrow and skips frequent. Within a tile that is read, a block
+// of tilecodec.BlockRecs records is skipped when its span misses every
+// needing run's frontier: an encoded tile carries its block spans in its
+// tilecodec directory, a raw tile's are computed from its records once it
+// is read and checked.
 type tileSpan struct {
 	lo   int64 // the tile's first record in its partition's file, set by appendTile
 	recs int64
-	span core.SrcSpan
 	// off and bytes place the tile in its edge file: lo·12 and recs·12 for
 	// a raw tile, wherever its encoded blob was appended for an encoded one.
 	off, bytes int64
@@ -41,10 +41,11 @@ type diskTiles struct {
 	// compressed marks the tilecodec on-disk layout: each tile is encoded
 	// when it closes, a variable-size blob, rather than its raw records.
 	compressed bool
-	// spans marks the tile index of a selective handle (Config.Selective):
-	// only then does the shuffle record each tile's source span, which only
-	// tileIndex reads, for that handle's selective runs.
-	spans bool
+	// spans holds, per partition, each tile's source span — spans[p][i]
+	// is tile i of parts[p]'s — and is nil but on a selective handle
+	// (Config.Selective). The tileWriter records them; the word→tile index
+	// keeps these very slices, so a span is held once.
+	spans [][]core.SrcSpan
 	// crcs marks the tile index of a verifying handle (not Config.NoVerify):
 	// only then does the shuffle checksum each raw tile.
 	crcs     bool
@@ -64,14 +65,17 @@ type diskTiles struct {
 // cfg.TileEdges records a tile, in the layout cfg.CompressTiles picks, with
 // source spans on a Selective handle and raw-tile checksums unless NoVerify.
 func newDiskTiles(k int, cfg Config) *diskTiles {
-	return &diskTiles{
+	t := &diskTiles{
 		tileRecs:   int64(cfg.TileEdges),
 		compressed: cfg.CompressTiles,
-		spans:      cfg.Selective,
 		crcs:       !cfg.NoVerify,
 		parts:      make([][]tileSpan, k),
 		partRecs:   make([]int64, k),
 	}
+	if cfg.Selective {
+		t.spans = make([][]core.SrcSpan, k)
+	}
+	return t
 }
 
 // totalRecs returns the logical record count of partition p's edge file:
@@ -90,20 +94,29 @@ func (t *diskTiles) appendTile(p int, tile tileSpan) {
 }
 
 // tileIndex returns the word→tile index of the finished tiles, building it
-// on first use; the tiles must keep spans. The caller serialises calls
+// on first use over the spans the tiles keep. The caller serialises calls
 // (Prepared.files holds pp.mu).
 func (t *diskTiles) tileIndex() *core.TileIndex {
 	if t.index == nil {
-		spans := make([][]core.SrcSpan, len(t.parts))
-		for p, tiles := range t.parts {
-			spans[p] = make([]core.SrcSpan, len(tiles))
-			for i, tile := range tiles {
-				spans[p][i] = tile.span
-			}
-		}
-		t.index = core.NewTileIndex(spans)
+		t.index = core.NewTileIndex(t.spans)
 	}
 	return t.index
+}
+
+// bytes returns the index's resident size: its tiles, and its spans, once,
+// with the word→tile index over them when built.
+func (t *diskTiles) bytes() int64 {
+	var n int64
+	for _, tiles := range t.parts {
+		n += int64(len(tiles)) * int64(pod.Size[tileSpan]())
+	}
+	if t.index != nil {
+		return n + t.index.Bytes()
+	}
+	for _, spans := range t.spans {
+		n += int64(len(spans)) * int64(pod.Size[core.SrcSpan]())
+	}
+	return n
 }
 
 // edgeSegment is one contiguous read of an edge file: a run of consecutive

@@ -24,7 +24,7 @@ func referencePlanSegments(t *diskTiles, p int, need func(core.SrcSpan) bool) (s
 		first = -1
 	}
 	for i, tile := range tiles {
-		if need == nil || need(tile.span) {
+		if need == nil || need(t.spans[p][i]) {
 			if first < 0 {
 				first, lo = i, off
 			}
@@ -122,7 +122,8 @@ func TestTilePlanMatchesWalk(t *testing.T) {
 					if i == n-1 {
 						recs = 1 + rng.Int63n(recs)
 					}
-					tiles.appendTile(p, tileSpan{recs: recs, span: core.SrcSpan{Lo: core.VertexID(a), Hi: core.VertexID(a + width - 1)}})
+					tiles.spans[p] = append(tiles.spans[p], core.SrcSpan{Lo: core.VertexID(a), Hi: core.VertexID(a + width - 1)})
+					tiles.appendTile(p, tileSpan{recs: recs})
 				}
 			}
 			check("random", tiles, part, nv)
@@ -189,7 +190,7 @@ func TestRawTileCRCOnlyUnderVerification(t *testing.T) {
 		for p, tiles := range pp.tilesFwd.parts {
 			for i, tl := range tiles {
 				b := make([]byte, tl.bytes)
-				if err := readBytes(pp.edgeFiles[p].f, b, tl.off); err != nil {
+				if err := storage.ReadFull(pp.edgeFiles[p].f, b, tl.off); err != nil {
 					t.Fatal(err)
 				}
 				want := storage.Checksum(b)

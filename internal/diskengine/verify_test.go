@@ -122,7 +122,7 @@ func TestEveryEdgeByteVerified(t *testing.T) {
 	if flips < 8 {
 		t.Fatalf("only %d tiles to flip", flips)
 	}
-	for p, f := range pp.degFiles {
+	for p, f := range pp.degs.files {
 		off := f.size / 2
 		flip(f, off)
 		if _, _, err := pp.RunMany(context.Background(), core.ProgramSet{pagerank()}); !errors.Is(err, storage.ErrCorrupted) {
@@ -132,5 +132,61 @@ func TestEveryEdgeByteVerified(t *testing.T) {
 	}
 	if _, _, err := pp.RunMany(context.Background(), core.ProgramSet{pagerank()}); err != nil {
 		t.Fatalf("restored files: %v", err)
+	}
+}
+
+// cutShort truncates file name on dev to its size less n bytes, behind the
+// back of whoever wrote it.
+func cutShort(dev storage.Device, name string, n int64) error {
+	f, err := dev.Open(name)
+	if err != nil {
+		return err
+	}
+	defer f.Close()
+	return f.Truncate(f.Size() - n)
+}
+
+// TestDegreeFileCutShortIsCorrupted: a degree file that lost its tail reads
+// short, and a PageRank over the handle fails with storage.ErrCorrupted —
+// on raw and compressed handles, verifying or not: the window store checks
+// a window's length before, and apart from, its checksum.
+func TestDegreeFileCutShortIsCorrupted(t *testing.T) {
+	src, _ := smallGraph(49)
+	for _, compressed := range []bool{false, true} {
+		for _, noVerify := range []bool{false, true} {
+			dev := ssd(0)
+			pp, err := Prepare(src, Config{Device: dev, Threads: 2, IOUnit: 4 << 10, Partitions: 4, TileEdges: 128, CompressTiles: compressed, NoVerify: noVerify})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := cutShort(dev, "ds-p0001.deg", 4); err != nil {
+				t.Fatal(err)
+			}
+			job := core.NewJob[algorithms.PRState, float32](algorithms.NewPageRank(3))
+			if _, _, err := pp.RunMany(context.Background(), core.ProgramSet{job}); !errors.Is(err, storage.ErrCorrupted) {
+				t.Errorf("compressed %v, NoVerify %v: PageRank over a cut degree file returned %v, want ErrCorrupted", compressed, noVerify, err)
+			}
+			pp.Close()
+		}
+	}
+}
+
+// TestSpilledVertexCutShortIsCorrupted: a solo PageRank whose vertex state
+// spills, with partition 2's vertex file cut short between the store that
+// wrote it and the load that reads it back, fails with
+// storage.ErrCorrupted, verifying or not — never a window of stale bytes.
+func TestSpilledVertexCutShortIsCorrupted(t *testing.T) {
+	src, _ := smallGraph(43)
+	for _, noVerify := range []bool{false, true} {
+		dev := ssd(0)
+		var cutErr error
+		prog := &flipAtStart{PageRank: algorithms.NewPageRank(3), at: 1, flip: func() { cutErr = cutShort(dev, "r0-p0002.verts", 8) }}
+		_, err := Run[algorithms.PRState, float32](src, prog, spilled(Config{Device: dev, Threads: 2, IOUnit: 8 << 10, Partitions: 4, NoVerify: noVerify}))
+		if cutErr != nil {
+			t.Fatalf("NoVerify %v: cutting the spilled vertex file: %v", noVerify, cutErr)
+		}
+		if !errors.Is(err, storage.ErrCorrupted) {
+			t.Fatalf("NoVerify %v: a run over a cut vertex window returned %v, want ErrCorrupted", noVerify, err)
+		}
 	}
 }

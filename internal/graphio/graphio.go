@@ -30,31 +30,37 @@ const headerSize = 8 + 8 + 8 // magic + numVertices + numEdges
 // edgeSize is the on-disk record size.
 var edgeSize = pod.Size[core.Edge]()
 
-// WriteEdges streams src into the named binary edge file on dev.
+// WriteEdges streams src into the named binary edge file on dev. It
+// returns nil only once every byte is written and the file closed: a short
+// write is finished or an error, and so is a failed Close.
 func WriteEdges(dev storage.Device, name string, src core.EdgeSource) error {
 	f, err := dev.Create(name)
 	if err != nil {
 		return err
 	}
-	defer f.Close()
-
 	hdr := make([]byte, headerSize)
 	copy(hdr, magic[:])
 	binary.LittleEndian.PutUint64(hdr[8:], uint64(src.NumVertices()))
 	binary.LittleEndian.PutUint64(hdr[16:], uint64(src.NumEdges()))
-	if _, err := f.WriteAt(hdr, 0); err != nil {
-		return err
-	}
+	err = storage.WriteFull(f, hdr, 0)
 	off := int64(headerSize)
-	err = src.Edges(func(batch []core.Edge) error {
-		b := pod.AsBytes(batch)
-		if _, err := f.WriteAt(b, off); err != nil {
-			return err
-		}
-		off += int64(len(b))
-		return nil
-	})
-	return err
+	if err == nil {
+		err = src.Edges(func(batch []core.Edge) error {
+			b := pod.AsBytes(batch)
+			if err := storage.WriteFull(f, b, off); err != nil {
+				return err
+			}
+			off += int64(len(b))
+			return nil
+		})
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		return fmt.Errorf("graphio: write %s: %w", name, err)
+	}
+	return nil
 }
 
 // FileSource is a re-streamable EdgeSource backed by a binary edge file.
@@ -82,7 +88,7 @@ func OpenEdges(dev storage.Device, name string) (*FileSource, error) {
 		return nil, fmt.Errorf("graphio: %s: not a binary edge file", name)
 	}
 	hdr := make([]byte, headerSize)
-	if err := readFullAt(f, hdr, 0); err != nil {
+	if err := storage.ReadFull(f, hdr, 0); err != nil {
 		return nil, err
 	}
 	if string(hdr[:8]) != string(magic[:]) {
@@ -121,21 +127,23 @@ func (s *FileSource) Edges(fn func([]core.Edge) error) error {
 		return err
 	}
 	defer f.Close()
-	size := min(int64(s.ChunkEdges), s.edges)
 	off, remaining := int64(headerSize), s.edges
 	var ahead storage.Prefetcher[core.Edge]
-	ahead.Start(make([]core.Edge, size), make([]core.Edge, size), func(buf []core.Edge) ([]core.Edge, int64, error) {
-		if remaining == 0 {
+	var bufs [2][]core.Edge
+	ahead.Start(storage.FillFunc[core.Edge](func(buf []core.Edge) ([]core.Edge, int64, error) {
+		// The header's count is the file's: a file that ends first was
+		// cut short after OpenEdges, storage.ErrCorrupted.
+		recs := buf[:min(int64(len(buf)), remaining)]
+		if len(recs) == 0 {
 			return nil, 0, nil
 		}
-		recs, err := s.readChunk(f, buf, off, remaining)
-		if err != nil {
-			return nil, 0, err
+		if err := storage.ReadFull(f, pod.AsBytes(recs), off); err != nil {
+			return nil, 0, fmt.Errorf("graphio: %s: %w", s.name, err)
 		}
 		off += int64(len(recs)) * int64(edgeSize)
 		remaining -= int64(len(recs))
 		return recs, 0, nil
-	})
+	}), &bufs, int(min(int64(s.ChunkEdges), s.edges)), true)
 	defer ahead.Stop() // the reader may be mid-read
 	for {
 		recs, _, err := ahead.Next()
@@ -146,32 +154,6 @@ func (s *FileSource) Edges(fn func([]core.Edge) error) error {
 			return err
 		}
 	}
-}
-
-// readChunk reads the next at most len(buf) of the remaining records at
-// off into buf, retrying a short read that ends mid-record.
-func (s *FileSource) readChunk(f storage.File, buf []core.Edge, off, remaining int64) ([]core.Edge, error) {
-	n := min(int64(len(buf)), remaining)
-	want := pod.AsBytes(buf)[:n*int64(edgeSize)]
-	got, err := f.ReadAt(want, off)
-	if err != nil && err != io.EOF {
-		return nil, err
-	}
-	for got%edgeSize != 0 { // short read mid-record: retry the tail
-		m, err := f.ReadAt(want[got:], off+int64(got))
-		if m == 0 {
-			return nil, fmt.Errorf("graphio: %s: short read at %d: %v", s.name, off, err)
-		}
-		got += m
-		if err != nil && err != io.EOF {
-			return nil, err
-		}
-	}
-	recs := got / edgeSize
-	if recs == 0 {
-		return nil, fmt.Errorf("graphio: %s: unexpected EOF at offset %d", s.name, off)
-	}
-	return buf[:recs], nil
 }
 
 // ParseText parses a whitespace-separated text edge list: one "src dst"

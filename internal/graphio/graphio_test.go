@@ -2,6 +2,7 @@ package graphio
 
 import (
 	"bytes"
+	"errors"
 	"strings"
 	"testing"
 
@@ -213,5 +214,51 @@ func TestShortReadRecoveryRandom(t *testing.T) {
 	streamThroughFaults(t, dev, src)
 	if n := dev.(storage.FaultInjector).Faults(); n == 0 {
 		t.Fatal("short-read schedule never fired")
+	}
+}
+
+// shortWriteDev hands out files whose every WriteAt writes at most 100
+// bytes and reports that count with a nil error, as storage.File allows.
+type shortWriteDev struct{ storage.Device }
+
+func (d shortWriteDev) Create(name string) (storage.File, error) {
+	f, err := d.Device.Create(name)
+	return shortWriteFile{f}, err
+}
+
+type shortWriteFile struct{ storage.File }
+
+func (f shortWriteFile) WriteAt(p []byte, off int64) (int, error) {
+	return f.File.WriteAt(p[:min(len(p), 100)], off)
+}
+
+// TestWriteEdgesShortWriteAndClose: WriteEdges finishes a write the device
+// reports short with a nil error — the file reads back whole — and returns
+// the error of a Close that fails instead of a nil over a file it cannot
+// vouch for.
+func TestWriteEdgesShortWriteAndClose(t *testing.T) {
+	src := graphgen.RMAT(graphgen.RMATConfig{Scale: 8, EdgeFactor: 8, Seed: 5})
+	inner := testDev(t)
+	if err := WriteEdges(shortWriteDev{inner}, "short", src); err != nil {
+		t.Fatal(err)
+	}
+	fs, err := OpenEdges(inner, "short")
+	if err != nil {
+		t.Fatalf("a file written in short writes: %v", err)
+	}
+	want, _ := core.Materialize(src)
+	got, err := core.Materialize(fs)
+	if err != nil || len(got) != len(want) {
+		t.Fatalf("read back %d of %d edges, err %v", len(got), len(want), err)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("edge %d: %+v want %+v", i, got[i], want[i])
+		}
+	}
+
+	failClose := storage.NewFaulty(testDev(t), storage.FaultyOptions{CloseErr: 1})
+	if err := WriteEdges(failClose, "unclosed", src); !errors.Is(err, storage.ErrInjected) {
+		t.Fatalf("WriteEdges over a failing Close returned %v, want ErrInjected", err)
 	}
 }

@@ -58,7 +58,7 @@ func readFile(t testing.TB, dev storage.Device, name string) []byte {
 	}
 	defer f.Close()
 	b := make([]byte, f.Size())
-	if err := readFullAt(f, b, 0); err != nil {
+	if err := storage.ReadFull(f, b, 0); err != nil {
 		t.Fatal(err)
 	}
 	return b

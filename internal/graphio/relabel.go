@@ -3,7 +3,6 @@ package graphio
 import (
 	"encoding/binary"
 	"fmt"
-	"io"
 
 	"repro/internal/core"
 	"repro/internal/pod"
@@ -87,39 +86,6 @@ var permMagic = [8]byte{'X', 'S', 'P', 'E', 'R', 'M', '3', '\n'}
 
 const permHeaderLen = 24
 
-// writeFullAt writes all of b at off, retrying short writes.
-func writeFullAt(f storage.File, b []byte, off int64) error {
-	for len(b) > 0 {
-		n, err := f.WriteAt(b, off)
-		if err != nil {
-			return err
-		}
-		if n <= 0 {
-			return fmt.Errorf("write stalled at offset %d", off)
-		}
-		off += int64(n)
-		b = b[n:]
-	}
-	return nil
-}
-
-// readFullAt reads len(b) bytes at off, retrying legal short reads.
-func readFullAt(f storage.File, b []byte, off int64) error {
-	for len(b) > 0 {
-		n, err := f.ReadAt(b, off)
-		if n > 0 {
-			off += int64(n)
-			b = b[n:]
-			continue
-		}
-		if err == nil || err == io.EOF {
-			return io.ErrUnexpectedEOF
-		}
-		return err
-	}
-	return nil
-}
-
 // WritePermutation stores a vertex ID map as a checksummed permutation
 // file.
 func WritePermutation(dev storage.Device, name string, perm []core.VertexID) error {
@@ -134,14 +100,14 @@ func WritePermutation(dev storage.Device, name string, perm []core.VertexID) err
 	hdr := make([]byte, permHeaderLen)
 	copy(hdr, permMagic[:])
 	binary.LittleEndian.PutUint64(hdr[8:], uint64(len(perm)))
-	if err := writeFullAt(f, hdr, 0); err != nil {
+	if err := storage.WriteFull(f, hdr, 0); err != nil {
 		return fail(err)
 	}
 	crc := storage.ChecksumUpdate(0, hdr[8:])
 	off := int64(permHeaderLen)
 	if len(perm) > 0 {
 		body := pod.AsBytes(perm)
-		if err := writeFullAt(f, body, off); err != nil {
+		if err := storage.WriteFull(f, body, off); err != nil {
 			return fail(err)
 		}
 		crc = storage.ChecksumUpdate(crc, body)
@@ -149,7 +115,7 @@ func WritePermutation(dev storage.Device, name string, perm []core.VertexID) err
 	}
 	var trailer [4]byte
 	binary.LittleEndian.PutUint32(trailer[:], crc)
-	if err := writeFullAt(f, trailer[:], off); err != nil {
+	if err := storage.WriteFull(f, trailer[:], off); err != nil {
 		return fail(err)
 	}
 	if err := f.Close(); err != nil {
@@ -175,7 +141,7 @@ func ReadPermutation(dev storage.Device, name string) ([]core.VertexID, error) {
 	if size < 8 {
 		return nil, fmt.Errorf("graphio: %s: not a permutation file", name)
 	}
-	if err := readFullAt(f, hdr[:8], 0); err != nil {
+	if err := storage.ReadFull(f, hdr[:8], 0); err != nil {
 		return nil, err
 	}
 	if string(hdr[:8]) != string(permMagic[:]) {
@@ -195,13 +161,13 @@ func ReadPermutation(dev storage.Device, name string) ([]core.VertexID, error) {
 	// not yet verified header, and checksummed in place.
 	perm := make([]core.VertexID, body/4)
 	var trailer [4]byte
-	if err := readFullAt(f, hdr[8:], 8); err != nil {
+	if err := storage.ReadFull(f, hdr[8:], 8); err != nil {
 		return nil, err
 	}
-	if err := readFullAt(f, pod.AsBytes(perm), permHeaderLen); err != nil {
+	if err := storage.ReadFull(f, pod.AsBytes(perm), permHeaderLen); err != nil {
 		return nil, err
 	}
-	if err := readFullAt(f, trailer[:], size-4); err != nil {
+	if err := storage.ReadFull(f, trailer[:], size-4); err != nil {
 		return nil, err
 	}
 	crc := storage.ChecksumUpdate(storage.ChecksumUpdate(0, hdr[8:]), pod.AsBytes(perm))

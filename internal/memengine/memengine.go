@@ -74,9 +74,10 @@ type Config = core.Config
 // Config.TileEdges).
 func withDefaults(c Config) Config { return c.Defaults(4096) }
 
-// privateBufBytes is the size of each thread's private append buffer
-// (§4.1): 8 KiB, the paper's value.
-var privateBufBytes = 8 << 10
+// privateBufBytes is the size of each thread's private append buffer: the
+// out-of-core engine's too, core.DefaultPrivateBufBytes, unless a test
+// shrinks it.
+var privateBufBytes = core.DefaultPrivateBufBytes
 
 // Result carries the final vertex states and execution statistics.
 type Result[V any] = core.Result[V]

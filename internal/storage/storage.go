@@ -16,6 +16,14 @@
 //
 // All devices record metrics (bytes moved, request counts, sequential vs
 // random split, busy time) that the benchmark harness reports.
+//
+// A File may move fewer bytes than asked: a read may return a legal short
+// count (with io.EOF only at the end of the file), and a write a short count
+// with a nil error. Nothing above this package loops on ReadAt or WriteAt:
+// WriteFull, ReadUpTo and ReadFull (fullio.go) are the only retry loops of
+// short I/O, and the Prefetcher the one read-ahead protocol every
+// sequential reader streams through. Transient failures are the retry
+// device's (NewRetry), detected corruption the checksums' (ErrCorrupted).
 package storage
 
 import (
@@ -32,11 +40,14 @@ var ErrNotExist = errors.New("storage: file does not exist")
 // File is a random-access file on a Device. Implementations are safe for
 // concurrent use by multiple goroutines.
 type File interface {
-	// ReadAt reads len(p) bytes starting at offset off. It returns
-	// io.EOF (possibly with a short count) when reading past the end.
+	// ReadAt reads up to len(p) bytes starting at offset off. It may
+	// return fewer with a nil error, and returns io.EOF (possibly with a
+	// short count) when reading past the end. ReadUpTo and ReadFull
+	// re-issue the rest.
 	ReadAt(p []byte, off int64) (int, error)
-	// WriteAt writes len(p) bytes at offset off, growing the file as
-	// needed.
+	// WriteAt writes up to len(p) bytes at offset off, growing the file
+	// as needed. It may report fewer with a nil error; WriteFull re-issues
+	// the rest.
 	WriteAt(p []byte, off int64) (int, error)
 	// Size returns the current file size in bytes.
 	Size() int64
